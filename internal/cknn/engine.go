@@ -160,14 +160,15 @@ func (e *Engine) evalPoolSeq(cands []*charger.Charger, d DeroutingMaps, q Query)
 
 // evalPoolParallel is the concurrent filtering phase: Workers goroutines
 // pull candidates from a shared index and write results into per-index
-// slots, which are then merged in candidate order (index-stable merge). The
-// pruning bound is shared through an atomic: its value only ever rises, so
-// a stale read merely evaluates a candidate the sequential pass would have
-// skipped — membership below the top-k may differ between runs, the ranked
-// top-k never does.
+// slots, which are then compacted in candidate order (index-stable merge).
+// The pruning bound is shared through an atomic: its value only ever rises,
+// so a stale read merely evaluates a candidate the sequential pass would
+// have skipped — membership below the top-k may differ between runs, the
+// ranked top-k never does.
 func (e *Engine) evalPoolParallel(cands []*charger.Charger, d DeroutingMaps, q Query) []Entry {
+	// A slot is filled iff its Charger is set: pruned and unreachable
+	// candidates leave the zero Entry behind.
 	results := make([]Entry, len(cands))
-	keep := make([]bool, len(cands))
 
 	// kthBits holds math.Float64bits of the k-th best pessimistic SC.
 	var kthBits atomic.Uint64
@@ -203,7 +204,6 @@ func (e *Engine) evalPoolParallel(cands []*charger.Charger, d DeroutingMaps, q Q
 				}
 				met.evaluated.Inc()
 				results[i] = entry
-				keep[i] = true
 				mu.Lock()
 				if mins.push(entry.SC.Min) {
 					kthBits.Store(math.Float64bits(mins.kth()))
@@ -214,13 +214,16 @@ func (e *Engine) evalPoolParallel(cands []*charger.Charger, d DeroutingMaps, q Q
 	}
 	wg.Wait()
 
-	entries := make([]Entry, 0, len(cands))
+	// Compact in place, in candidate order: the filled slots slide down over
+	// the empty ones.
+	n := 0
 	for i := range results {
-		if keep[i] {
-			entries = append(entries, results[i])
+		if results[i].Charger != nil {
+			results[n] = results[i]
+			n++
 		}
 	}
-	return entries
+	return results[:n]
 }
 
 // bottomK maintains the k largest values seen, exposing the smallest of

@@ -289,6 +289,19 @@ func (m *EcoCharge) Rank(q Query) OfferingTable {
 	return table
 }
 
+// RankOnce computes the Offering Table of one stand-alone query: the
+// cache-miss path of EcoCharge under the same options and worker bound, with
+// no dynamic cache behind it. It is the entry for callers that rank a query
+// point once and never return to adapt the table — the EIS one-shot
+// endpoints, which keep whole responses in their own cache. The table equals
+// what a fresh NewEcoCharge(env, opts) instance returns from its first Rank.
+func RankOnce(env *Env, opts EcoChargeOptions, workers int, q Query) OfferingTable {
+	m := EcoCharge{engine: Engine{Env: env, Workers: workers}, opts: opts.withDefaults()}
+	q = q.normalized()
+	q.RadiusM = m.opts.RadiusM
+	return m.compute(q)
+}
+
 // compute is the cache-miss path: full CkNN-EC over the chargers within R.
 // Network expansions are bounded by the derouting budget MaxDeroutSec;
 // chargers inside R whose visit would exceed the budget are not offered

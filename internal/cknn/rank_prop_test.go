@@ -3,6 +3,7 @@ package cknn
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -166,4 +167,96 @@ func topIDsBy(es []Entry, k int, key func(Entry) float64) map[int64]bool {
 		out[e.Charger.ID] = true
 	}
 	return out
+}
+
+// rankBySort is the sort-based Rank this package shipped before the
+// selection-based one, kept verbatim as its oracle: both rankings are
+// materialised in full and sorted, and eq. 6 reads their heads.
+func rankBySort(entries []Entry, k int) []Entry {
+	if k <= 0 || len(entries) == 0 {
+		return nil
+	}
+	byMax := append([]Entry(nil), entries...)
+	sort.Slice(byMax, func(i, j int) bool { return lessEntry(&byMax[i], &byMax[j], maxKey) })
+	byMin := append([]Entry(nil), entries...)
+	sort.Slice(byMin, func(i, j int) bool { return lessEntry(&byMin[i], &byMin[j], minKey) })
+
+	n := k
+	if n > len(entries) {
+		n = len(entries)
+	}
+	inMin := make(map[int64]bool, n)
+	for _, e := range byMin[:n] {
+		inMin[e.Charger.ID] = true
+	}
+	out := make([]Entry, 0, n)
+	seen := make(map[int64]bool, n)
+	for _, e := range byMax[:n] {
+		if inMin[e.Charger.ID] {
+			out = append(out, e)
+			seen[e.Charger.ID] = true
+		}
+	}
+	for _, e := range byMax {
+		if len(out) >= n {
+			break
+		}
+		if !seen[e.Charger.ID] {
+			out = append(out, e)
+			seen[e.Charger.ID] = true
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return lessEntry(&out[i], &out[j], midKey) })
+	return out
+}
+
+// genTiedEntries produces pools built to collide: score bounds come from a
+// five-value grid, so most entries tie with others on SC_max, SC_min or
+// both; IDs arrive in random order; and every third pool repeats IDs (a
+// repeat shares the Charger and may or may not share the score).
+type genTiedEntries []Entry
+
+func (genTiedEntries) Generate(r *rand.Rand, size int) reflect.Value {
+	n := r.Intn(size + 1)
+	ids := r.Perm(n)
+	if n > 0 && r.Intn(3) == 0 {
+		for i := range ids {
+			ids[i] = r.Intn(n/2 + 1)
+		}
+	}
+	chargers := make(map[int]*charger.Charger)
+	out := make(genTiedEntries, n)
+	for i, id := range ids {
+		if chargers[id] == nil {
+			chargers[id] = &charger.Charger{ID: int64(id + 1)}
+		}
+		a, b := float64(r.Intn(5))/4, float64(r.Intn(5))/4
+		out[i] = Entry{Charger: chargers[id], SC: interval.FromBounds(a, b)}
+	}
+	return reflect.ValueOf(out)
+}
+
+// The selection-based Rank returns exactly what sorting both rankings in
+// full returns, for every table size from none to more than the pool holds,
+// and leaves the pool as it found it.
+func TestPropRankMatchesSortOracle(t *testing.T) {
+	f := func(es genTiedEntries) bool {
+		pool := make([]Entry, len(es))
+		copy(pool, es)
+		for _, k := range []int{0, 1, 5, len(es), len(es) + 3} {
+			got, want := Rank(es, k), rankBySort(pool, k)
+			if !reflect.DeepEqual(got, want) {
+				t.Logf("k=%d pool=%d: got %v, want %v", k, len(es), OfferingTable{Entries: got}.IDs(), OfferingTable{Entries: want}.IDs())
+				return false
+			}
+			if !reflect.DeepEqual([]Entry(es), pool) {
+				t.Logf("k=%d: Rank reordered or modified its input", k)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -185,43 +185,79 @@ func (o OfferingTable) Top() (Entry, bool) {
 // SC midpoint (ties by higher SC_max, then lower charger ID). When the
 // intersection holds fewer than k chargers it is padded from the SC_max
 // ranking so the output "contains k chargers" as the paper specifies.
+//
+// Eq. 6 reads only the first k places of either ranking, so neither is ever
+// materialised: one pass per key selects the k best under lessEntry's total
+// order, as indexes into entries. The pool is neither copied nor reordered.
 func Rank(entries []Entry, k int) []Entry {
 	if k <= 0 || len(entries) == 0 {
 		return nil
 	}
-	byMax := append([]Entry(nil), entries...)
-	sort.Slice(byMax, func(i, j int) bool { return lessEntry(byMax[i], byMax[j], maxKey) })
-	byMin := append([]Entry(nil), entries...)
-	sort.Slice(byMin, func(i, j int) bool { return lessEntry(byMin[i], byMin[j], minKey) })
-
 	n := k
 	if n > len(entries) {
 		n = len(entries)
 	}
+	byMax := topBy(entries, n, maxKey)
 	inMin := make(map[int64]bool, n)
-	for _, e := range byMin[:n] {
-		inMin[e.Charger.ID] = true
+	for _, i := range topBy(entries, n, minKey) {
+		inMin[entries[i].Charger.ID] = true
 	}
 	out := make([]Entry, 0, n)
 	seen := make(map[int64]bool, n)
-	for _, e := range byMax[:n] {
-		if inMin[e.Charger.ID] {
-			out = append(out, e)
+	for _, i := range byMax {
+		if e := &entries[i]; inMin[e.Charger.ID] {
+			out = append(out, *e)
 			seen[e.Charger.ID] = true
 		}
 	}
-	// Pad from the SC_max order to reach k chargers.
-	for _, e := range byMax {
-		if len(out) >= n {
+	// Pad from the SC_max order to reach k chargers. The first n places
+	// suffice whenever charger IDs are distinct; a pool that repeats an ID
+	// can use up places on chargers already taken, and then the ranking is
+	// extended until the table is full or the pool is exhausted.
+	for m := n; ; m *= 2 {
+		for _, i := range byMax {
+			if len(out) >= n {
+				break
+			}
+			if e := &entries[i]; !seen[e.Charger.ID] {
+				out = append(out, *e)
+				seen[e.Charger.ID] = true
+			}
+		}
+		if len(out) >= n || m >= len(entries) {
 			break
 		}
-		if !seen[e.Charger.ID] {
-			out = append(out, e)
-			seen[e.Charger.ID] = true
-		}
+		byMax = topBy(entries, 2*m, maxKey)
 	}
-	sort.Slice(out, func(i, j int) bool { return lessEntry(out[i], out[j], midKey) })
+	sort.Slice(out, func(i, j int) bool { return lessEntry(&out[i], &out[j], midKey) })
 	return out
+}
+
+// topBy returns the indexes of the n best entries under the key, best
+// first: a single pass that keeps the best seen so far in order. With n the
+// size of an Offering Table, nearly every entry is dismissed by its one
+// comparison against the current n-th.
+func topBy(entries []Entry, n int, key sortKey) []int {
+	if n > len(entries) {
+		n = len(entries)
+	}
+	top := make([]int, 0, n)
+	for i := range entries {
+		e := &entries[i]
+		if len(top) == n {
+			if !lessEntry(e, &entries[top[n-1]], key) {
+				continue
+			}
+			top = top[:n-1]
+		}
+		j := len(top)
+		top = append(top, i)
+		for ; j > 0 && lessEntry(e, &entries[top[j-1]], key); j-- {
+			top[j] = top[j-1]
+		}
+		top[j] = i
+	}
+	return top
 }
 
 type sortKey int
@@ -238,7 +274,7 @@ const (
 // order is total for every key — equal-SC chargers always emerge in ID
 // order and no evaluation or merge order (in particular the parallel
 // filtering phase's) can change an emitted table.
-func lessEntry(a, b Entry, key sortKey) bool {
+func lessEntry(a, b *Entry, key sortKey) bool {
 	var av, bv float64
 	switch key {
 	case maxKey:

@@ -73,7 +73,7 @@ func (s *Server) handleAdvice(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusUnprocessableEntity, "location not on the road network")
 		return
 	}
-	table := cknn.NewEcoCharge(s.env, cknn.EcoChargeOptions{RadiusM: req.RadiusM}).Rank(cknn.Query{
+	table := cknn.RankOnce(s.env, cknn.EcoChargeOptions{RadiusM: req.RadiusM}, 0, cknn.Query{
 		Anchor: p, AnchorNode: node, ReturnNode: node,
 		Now: now, ETABase: now, K: req.K, RadiusM: req.RadiusM,
 	})

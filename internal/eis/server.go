@@ -575,7 +575,9 @@ func (s *Server) handleTraffic(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleOffering is the Mode 2 endpoint: the server runs Algorithm 1 for
-// the posted query, consulting (and feeding) its dynamic cache.
+// the posted query, consulting (and feeding) its response cache. The ranking
+// itself is one-shot — no R/Q dynamic cache: the next query of the same cell
+// is answered from the response cache, not adapted.
 func (s *Server) handleOffering(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.writeError(w, http.StatusMethodNotAllowed, "POST only")
@@ -660,9 +662,7 @@ func (s *Server) handleOffering(w http.ResponseWriter, r *http.Request) {
 			Now: now, ETABase: eta,
 			K: req.K, RadiusM: req.RadiusM, Weights: weights,
 		}
-		m := cknn.NewEcoCharge(s.env, cknn.EcoChargeOptions{RadiusM: req.RadiusM})
-		m.SetWorkers(s.opts.Workers)
-		table := m.Rank(q)
+		table := cknn.RankOnce(s.env, cknn.EcoChargeOptions{RadiusM: req.RadiusM}, s.opts.Workers, q)
 		out := OfferingResponse{GeneratedAt: now}
 		for _, e := range table.Entries {
 			out.Entries = append(out.Entries, wireEntry(e))

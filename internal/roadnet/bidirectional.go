@@ -24,43 +24,29 @@ func (g *Graph) BidirectionalShortestPath(src, dst NodeID, w WeightFunc) (Path, 
 	defer stF.release()
 	stB := g.acquireState()
 	defer stB.release()
-	stF.seed(src)
-	stB.seed(dst)
+	stF.seed(src, 0)
+	stB.seed(dst, 0)
 
 	best := math.Inf(1)
 	meet := Invalid
 
-	// relax expands cur in st's direction and tests each tentative distance
-	// against the opposite search for a cheaper meeting point.
-	relax := func(st, other *searchState, cur NodeID, reverse bool) {
-		var out []int32
+	// expand relaxes cur's arcs in st's direction and tests each tentative
+	// distance against the opposite search for a cheaper meeting point.
+	expand := func(st, other *searchState, cur NodeID, reverse bool) {
+		adj := &g.fwd
 		if reverse {
-			out = g.radj[cur]
-		} else {
-			out = g.adj[cur]
+			adj = &g.rev
 		}
-		base := st.dist[cur]
-		for _, ei := range out {
-			e := &g.edges[ei]
-			wt := w(*e)
-			if wt < 0 {
-				panic("roadnet: negative edge weight")
+		base := st.slots[cur].dist
+		for _, a := range adj.row(cur) {
+			nd := base + weigh(w, cur, a, reverse)
+			if st.improve(a.to, cur, nd) {
+				st.pq.push(a.to, nd)
 			}
-			nd := base + wt
-			to := e.To
-			if reverse {
-				to = e.From
-			}
-			if st.seen[to] != st.stamp || nd < st.dist[to] {
-				st.dist[to] = nd
-				st.seen[to] = st.stamp
-				st.prev[to] = cur
-				st.pq.push(to, nd)
-			}
-			if other.seen[to] == other.stamp {
-				if total := nd + other.dist[to]; total < best {
+			if o := &other.slots[a.to]; o.seen == other.stamp {
+				if total := nd + o.dist; total < best {
 					best = total
-					meet = to
+					meet = a.to
 				}
 			}
 		}
@@ -80,19 +66,13 @@ func (g *Graph) BidirectionalShortestPath(src, dst NodeID, w WeightFunc) (Path, 
 			break
 		}
 		if topF <= topB {
-			cur := stF.pq.pop()
-			if stF.mark[cur.node].done == stF.stamp {
-				continue
+			if cur := stF.pq.pop(); stF.settle(cur.node) {
+				expand(stF, stB, cur.node, false)
 			}
-			stF.mark[cur.node].done = stF.stamp
-			relax(stF, stB, cur.node, false)
 		} else {
-			cur := stB.pq.pop()
-			if stB.mark[cur.node].done == stB.stamp {
-				continue
+			if cur := stB.pq.pop(); stB.settle(cur.node) {
+				expand(stB, stF, cur.node, true)
 			}
-			stB.mark[cur.node].done = stB.stamp
-			relax(stB, stF, cur.node, true)
 		}
 	}
 	if meet == Invalid {
@@ -106,10 +86,10 @@ func (g *Graph) BidirectionalShortestPath(src, dst NodeID, w WeightFunc) (Path, 
 	}
 	nodes := forward
 	for at := meet; at != dst; {
-		if !stB.reached(at) || stB.prev[at] == Invalid {
+		if !stB.reached(at) || stB.slots[at].prev == Invalid {
 			return Path{}, false
 		}
-		next := stB.prev[at]
+		next := stB.slots[at].prev
 		nodes = append(nodes, next)
 		at = next
 	}

@@ -228,27 +228,23 @@ func (ch *ContractionHierarchy) Query(src, dst NodeID) float64 {
 	best := math.Inf(1)
 
 	search := func(st *searchState, start NodeID, adj [][]chEdge, other *searchState) {
-		st.dist[start] = 0
-		st.seen[start] = st.stamp
-		st.pq.push(start, 0)
+		st.seed(start, 0)
 		for len(st.pq.items) > 0 {
 			cur := st.pq.pop()
-			if cur.prio > st.dist[cur.node] {
+			if cur.prio > st.slots[cur.node].dist {
 				continue
 			}
 			if cur.prio >= best {
 				break // nothing cheaper can meet
 			}
-			if other != nil && other.seen[cur.node] == other.stamp {
-				if total := cur.prio + other.dist[cur.node]; total < best {
+			if other != nil && other.reached(cur.node) {
+				if total := cur.prio + other.slots[cur.node].dist; total < best {
 					best = total
 				}
 			}
 			for _, e := range adj[cur.node] {
 				nd := cur.prio + e.weight
-				if st.seen[e.to] != st.stamp || nd < st.dist[e.to] {
-					st.dist[e.to] = nd
-					st.seen[e.to] = st.stamp
+				if st.improve(e.to, cur.node, nd) {
 					st.pq.push(e.to, nd)
 				}
 			}

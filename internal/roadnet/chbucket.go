@@ -74,20 +74,16 @@ func (ch *ContractionHierarchy) buildBuckets(targets []NodeID, sources bool) *CH
 func (b *CHBuckets) scatter(idx int32, t NodeID, adj [][]chEdge) {
 	st := b.ch.g.acquireState()
 	defer st.release()
-	st.dist[t] = 0
-	st.seen[t] = st.stamp
-	st.pq.push(t, 0)
+	st.seed(t, 0)
 	for len(st.pq.items) > 0 {
 		cur := st.pq.pop()
-		if cur.prio > st.dist[cur.node] {
+		if cur.prio > st.slots[cur.node].dist {
 			continue
 		}
 		b.buckets[cur.node] = append(b.buckets[cur.node], bucketEntry{target: idx, weight: cur.prio})
 		for _, e := range adj[cur.node] {
 			nd := cur.prio + e.weight
-			if st.seen[e.to] != st.stamp || nd < st.dist[e.to] {
-				st.dist[e.to] = nd
-				st.seen[e.to] = st.stamp
+			if st.improve(e.to, cur.node, nd) {
 				st.pq.push(e.to, nd)
 			}
 		}
@@ -127,12 +123,10 @@ func (b *CHBuckets) sweep(origin NodeID, adj [][]chEdge, out []float64) []float6
 	}
 	st := b.ch.g.acquireState()
 	defer st.release()
-	st.dist[origin] = 0
-	st.seen[origin] = st.stamp
-	st.pq.push(origin, 0)
+	st.seed(origin, 0)
 	for len(st.pq.items) > 0 {
 		cur := st.pq.pop()
-		if cur.prio > st.dist[cur.node] {
+		if cur.prio > st.slots[cur.node].dist {
 			continue
 		}
 		for _, e := range b.buckets[cur.node] {
@@ -142,9 +136,7 @@ func (b *CHBuckets) sweep(origin NodeID, adj [][]chEdge, out []float64) []float6
 		}
 		for _, e := range adj[cur.node] {
 			nd := cur.prio + e.weight
-			if st.seen[e.to] != st.stamp || nd < st.dist[e.to] {
-				st.dist[e.to] = nd
-				st.seen[e.to] = st.stamp
+			if st.improve(e.to, cur.node, nd) {
 				st.pq.push(e.to, nd)
 			}
 		}

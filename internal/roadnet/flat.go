@@ -1,11 +1,12 @@
 package roadnet
 
 // flat.go is the flat shortest-path kernel behind every network expansion:
-// dense distance/predecessor arrays recycled across searches through
-// generation stamps (no clearing, no per-search maps), a slice-based 4-ary
-// min-heap specialized to (NodeID, float64) pairs, precompiled per-road-class
-// weight tables, and a sync.Pool of search-state scratch so concurrent
-// queries reuse buffers instead of allocating. The derouting component runs
+// CSR adjacency scanned sequentially (graph.go), one packed scratch slot per
+// node recycled across searches through generation stamps (no clearing, no
+// per-search maps), a slice-based 4-ary min-heap specialized to (NodeID,
+// float64) pairs, precompiled per-road-class weight tables, and a sync.Pool
+// of search-state scratch so concurrent queries reuse buffers instead of
+// allocating. The derouting component runs
 // two to four bounded expansions per segment per trip per user (paper
 // Alg. 1 lines 9-10), which makes this the hottest loop in the repository;
 // see DESIGN.md §8 for the engineering rules it follows.
@@ -66,9 +67,14 @@ type heapItem struct {
 
 // heap4 is a slice-backed 4-ary min-heap on heapItem. Compared to
 // container/heap it avoids the interface boxing of Push/Pop (one alloc per
-// operation) and halves the tree depth, trading slightly wider sift-down
-// scans — a good fit for the short-priority-range frontiers of road-network
-// Dijkstra. The backing slice is owned by a searchState and recycled.
+// operation) and halves the tree depth — a good fit for the
+// short-priority-range frontiers of road-network Dijkstra. Both sifts move
+// a hole instead of swapping: the item in flight stays in registers and a
+// level costs one 16-byte store, not two. pop picks the smallest of four
+// children without branching (see there). Neither changes which
+// comparisons decide: the arrangement after every operation, and with it
+// the pop order among equal priorities, is that of the textbook swapping
+// scan. The backing slice is owned by a searchState and recycled.
 type heap4 struct {
 	items []heapItem
 }
@@ -76,71 +82,111 @@ type heap4 struct {
 func (h *heap4) reset() { h.items = h.items[:0] }
 
 func (h *heap4) push(node NodeID, prio float64) {
-	h.items = append(h.items, heapItem{node: node, prio: prio})
-	i := len(h.items) - 1
+	h.items = append(h.items, heapItem{})
+	items := h.items
+	i := len(items) - 1
 	for i > 0 {
 		p := (i - 1) / 4
-		if h.items[p].prio <= h.items[i].prio {
+		if key(items[p].prio) <= key(prio) {
 			break
 		}
-		h.items[i], h.items[p] = h.items[p], h.items[i]
+		items[i] = items[p]
 		i = p
 	}
+	items[i] = heapItem{node: node, prio: prio}
 }
 
 func (h *heap4) pop() heapItem {
-	top := h.items[0]
-	last := len(h.items) - 1
-	h.items[0] = h.items[last]
-	h.items = h.items[:last]
-	i, n := 0, last
+	items := h.items
+	n := len(items) - 1
+	top, x := items[0], items[n]
+	items = items[:n]
+	h.items = items
+	xk := key(x.prio)
+	i := 0
 	for {
 		first := 4*i + 1
-		if first >= n {
+		if first+4 > n {
 			break
 		}
-		min := first
-		end := first + 4
-		if end > n {
-			end = n
+		// Full fan-out. The walk down the heap is one long dependency chain
+		// — which child is smallest decides which four priorities to load
+		// next — so a level must cost as few cycles as possible: the four
+		// keys are loaded once, compared as integers, and both the winning
+		// key and its index are selected by arithmetic instead of by a
+		// branch the predictor gets wrong half the time or a second load
+		// through the chosen index. Two rounds (0 v 1 and 2 v 3, then the
+		// winners) with strict < keep the plain scan's choice of the lowest
+		// index among equal priorities.
+		c := items[first : first+4 : first+4]
+		k0, k1, k2, k3 := key(c[0].prio), key(c[1].prio), key(c[2].prio), key(c[3].prio)
+		lo, hi := b2i(k1 < k0), 2+b2i(k3 < k2)
+		kl, kh := min(k0, k1), min(k2, k3)
+		lo += (hi - lo) & -b2i(kh < kl)
+		if xk <= min(kl, kh) {
+			items[i] = x
+			return top
 		}
-		for c := first + 1; c < end; c++ {
-			if h.items[c].prio < h.items[min].prio {
+		items[i] = c[lo&3]
+		i = first + lo
+	}
+	// Ragged last group: fewer than four children, possibly none.
+	if first := 4*i + 1; first < n {
+		min := first
+		for c := first + 1; c < n; c++ {
+			if key(items[c].prio) < key(items[min].prio) {
 				min = c
 			}
 		}
-		if h.items[i].prio <= h.items[min].prio {
-			break
+		if key(items[min].prio) < xk {
+			items[i] = items[min]
+			i = min
 		}
-		h.items[i], h.items[min] = h.items[min], h.items[i]
-		i = min
+	}
+	if n > 0 {
+		items[i] = x
 	}
 	return top
 }
 
-// nodeMark packs one node's settled and target generation stamps into a
-// single word. The hot settle loop writes mark[n].done on every pop; keeping
-// the target stamp beside it means the many-target probe reads the cache
-// line the loop just touched instead of paying a second random load — that
-// probe costs ~20% of a whole-graph expansion when targ is a separate array.
-type nodeMark struct {
-	done uint32 // == stamp ⇔ n was settled (popped) this search
-	targ uint32 // == stamp ⇔ n is a still-unsettled target (see many.go)
+// key maps a priority to an integer with the same order. Priorities are
+// path weights (plus, for A*, a heuristic): never negative, never NaN, and
+// for such floats the IEEE-754 bit pattern read as an unsigned integer
+// orders exactly as the float does. Integer compares are what lets pop
+// select without branching.
+func key(prio float64) uint64 { return math.Float64bits(prio) }
+
+// b2i is 1 for true and 0 for false, without a branch.
+func b2i(b bool) int {
+	var i int
+	if b {
+		i = 1
+	}
+	return i
 }
 
-// searchState is the recycled scratch of one search: dense distance,
-// predecessor and generation arrays sized to the graph, plus the frontier
-// heap. A slot n is valid for the current search iff seen[n] == stamp;
-// bumping the stamp in begin invalidates every slot in O(1), so nothing is
-// ever cleared between searches. States live in the graph's sync.Pool.
+// nodeSlot is everything a search keeps about one node, packed so that a
+// relaxation reads and writes one 24-byte slot (one cache line, two when it
+// straddles) instead of probing four parallel arrays. seen, done and targ
+// are generation stamps: a field is live iff it equals the state's stamp.
+// The many-target probe on every pop reads the slot the settle step just
+// wrote.
+type nodeSlot struct {
+	dist float64 // tentative (final once done) distance; valid iff seen
+	prev NodeID  // predecessor on the shortest-path tree; valid iff seen
+	seen uint32  // == stamp ⇔ the node was reached this search
+	done uint32  // == stamp ⇔ the node was settled (popped) this search
+	targ uint32  // == stamp ⇔ the node is a target of this search (see many.go)
+}
+
+// searchState is the recycled scratch of one search: one slot per node plus
+// the frontier heap. Bumping the stamp in begin invalidates every slot in
+// O(1), so nothing is ever cleared between searches. States live in the
+// graph's sync.Pool.
 type searchState struct {
 	g     *Graph
-	dist  []float64
-	prev  []NodeID
-	seen  []uint32 // seen[n] == stamp ⇔ dist[n]/prev[n] hold this search's values
-	mark  []nodeMark
+	slots []nodeSlot
 	stamp uint32
-	cw    ClassWeights // table slot so ExpandFrom/ExpandTo need no extra escape
 	pq    heap4
 	// targetsLeft counts the marked-but-unsettled targets of a many-target
 	// search; 0 disables early termination (the plain expansion path).
@@ -152,14 +198,10 @@ type searchState struct {
 }
 
 func newSearchState(g *Graph) *searchState {
-	n := len(g.nodes)
 	return &searchState{
-		g:    g,
-		dist: make([]float64, n),
-		prev: make([]NodeID, n),
-		seen: make([]uint32, n),
-		mark: make([]nodeMark, n),
-		pq:   heap4{items: make([]heapItem, 0, 256)},
+		g:     g,
+		slots: make([]nodeSlot, len(g.nodes)),
+		pq:    heap4{items: make([]heapItem, 0, 256)},
 	}
 }
 
@@ -173,17 +215,17 @@ func (g *Graph) acquireState() *searchState {
 }
 
 // begin opens a new search generation. On the (once per 2^32 searches)
-// stamp wrap-around the generation arrays are cleared so stale entries from
-// four billion searches ago cannot alias the new stamp.
+// stamp wrap-around every slot's three stamps are cleared together, so
+// stale entries from four billion searches ago cannot alias the new stamp.
 func (st *searchState) begin() {
 	st.inUse = true
 	st.targetsLeft = 0 // a prior search may have ended with unsettled targets
 	st.settled = 0
 	st.stamp++
 	if st.stamp == 0 {
-		for i := range st.seen {
-			st.seen[i] = 0
-			st.mark[i] = nodeMark{}
+		for i := range st.slots {
+			s := &st.slots[i]
+			s.seen, s.done, s.targ = 0, 0, 0
 		}
 		st.stamp = 1
 	}
@@ -201,40 +243,95 @@ func (st *searchState) release() {
 	st.g.pool.Put(st)
 }
 
-// seed initializes the search origin.
-func (st *searchState) seed(n NodeID) {
-	st.dist[n] = 0
-	st.seen[n] = st.stamp
-	st.prev[n] = Invalid
-	st.pq.push(n, 0)
+// seed initializes the search origin with frontier priority prio (0 for
+// Dijkstra, the heuristic for A*).
+func (st *searchState) seed(n NodeID, prio float64) {
+	s := &st.slots[n]
+	s.dist, s.prev, s.seen = 0, Invalid, st.stamp
+	st.pq.push(n, prio)
 }
 
 // reached reports whether the last search settled or touched n.
 func (st *searchState) reached(n NodeID) bool {
-	return n >= 0 && int(n) < len(st.seen) && st.seen[n] == st.stamp
+	return n >= 0 && int(n) < len(st.slots) && st.slots[n].seen == st.stamp
+}
+
+// improve offers node to the tentative distance nd reached via from. It
+// reports whether that beat what the search knew; the caller then queues
+// the node under the priority of its search.
+func (st *searchState) improve(to, from NodeID, nd float64) bool {
+	s := &st.slots[to]
+	if s.seen == st.stamp && nd >= s.dist {
+		return false
+	}
+	s.dist, s.prev, s.seen = nd, from, st.stamp
+	return true
+}
+
+// settle marks a popped node done and reports whether this was its first
+// pop; later pops of the same node are stale frontier entries.
+func (st *searchState) settle(n NodeID) bool {
+	s := &st.slots[n]
+	if s.done == st.stamp {
+		return false
+	}
+	s.done = st.stamp
+	return true
+}
+
+// mustNonNegative rejects a class table with a negative multiplier. Edge
+// lengths are non-negative by construction (AddEdge), so checking the four
+// table entries once per search is the whole negative-weight check of the
+// table-driven kernel; closure weights are checked per edge in weigh.
+func (cw *ClassWeights) mustNonNegative() {
+	for _, m := range cw {
+		if m < 0 {
+			panic("roadnet: negative edge weight")
+		}
+	}
+}
+
+// weigh prices one arc under a caller-supplied closure, rebuilding the Edge
+// the closure expects from the row's node and the arc's far end.
+func weigh(w WeightFunc, n NodeID, a arc, reverse bool) float64 {
+	e := Edge{From: n, To: a.to, Length: a.length, Class: a.class}
+	if reverse {
+		e.From, e.To = a.to, n
+	}
+	wt := w(e)
+	if wt < 0 {
+		panic("roadnet: negative edge weight")
+	}
+	return wt
 }
 
 // run executes the shared Dijkstra kernel from src. When dst is valid the
 // search stops as soon as dst settles; when maxWeight is finite, nodes
 // beyond the bound are not recorded. reverse walks the reverse adjacency
 // (distances *to* src). Edge costs come from the class table when cw is
-// non-nil (the hot path: one multiply, no call) and from w otherwise.
-// needPrev controls predecessor bookkeeping; distance-only callers skip it.
-func (st *searchState) run(src, dst NodeID, w WeightFunc, cw *ClassWeights, maxWeight float64, needPrev, reverse bool) {
-	g := st.g
-	st.seed(src)
+// non-nil (the hot path: one multiply, no call, the table validated once up
+// front) and from w otherwise. Predecessors are always recorded: they share
+// the slot the relaxation writes anyway.
+func (st *searchState) run(src, dst NodeID, w WeightFunc, cw *ClassWeights, maxWeight float64, reverse bool) {
+	adj := &st.g.fwd
+	if reverse {
+		adj = &st.g.rev
+	}
+	if cw != nil {
+		cw.mustNonNegative()
+	}
+	st.seed(src, 0)
 	for len(st.pq.items) > 0 {
 		cur := st.pq.pop()
-		m := &st.mark[cur.node]
-		if m.done == st.stamp {
+		if !st.settle(cur.node) {
 			continue
 		}
-		m.done = st.stamp
 		st.settled++
 		if cur.node == dst {
 			break
 		}
-		if st.targetsLeft > 0 && m.targ == st.stamp {
+		s := &st.slots[cur.node]
+		if st.targetsLeft > 0 && s.targ == st.stamp {
 			// A target just settled: its distance is final (Dijkstra pops in
 			// non-decreasing order), so once the last one settles nothing the
 			// remaining frontier could discover changes any target value —
@@ -244,39 +341,20 @@ func (st *searchState) run(src, dst NodeID, w WeightFunc, cw *ClassWeights, maxW
 				break
 			}
 		}
-		var out []int32
-		if reverse {
-			out = g.radj[cur.node]
-		} else {
-			out = g.adj[cur.node]
-		}
-		base := st.dist[cur.node]
-		for _, ei := range out {
-			e := &g.edges[ei]
+		base := s.dist
+		for _, a := range adj.row(cur.node) {
 			var wt float64
 			if cw != nil {
-				wt = e.Length * cw[e.Class%numRoadClasses]
+				wt = a.length * cw[a.class%numRoadClasses]
 			} else {
-				wt = w(*e)
-			}
-			if wt < 0 {
-				panic("roadnet: negative edge weight")
+				wt = weigh(w, cur.node, a, reverse)
 			}
 			nd := base + wt
 			if nd > maxWeight {
 				continue
 			}
-			to := e.To
-			if reverse {
-				to = e.From
-			}
-			if st.seen[to] != st.stamp || nd < st.dist[to] {
-				st.dist[to] = nd
-				st.seen[to] = st.stamp
-				if needPrev {
-					st.prev[to] = cur.node
-				}
-				st.pq.push(to, nd)
+			if st.improve(a.to, cur.node, nd) {
+				st.pq.push(a.to, nd)
 			}
 		}
 	}
@@ -294,10 +372,10 @@ func (st *searchState) path(src, dst NodeID) []NodeID {
 		if at == src {
 			break
 		}
-		if !st.reached(at) || st.prev[at] == Invalid {
+		if !st.reached(at) || st.slots[at].prev == Invalid {
 			return nil
 		}
-		at = st.prev[at]
+		at = st.slots[at].prev
 	}
 	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
 		rev[i], rev[j] = rev[j], rev[i]
@@ -311,9 +389,9 @@ func (st *searchState) path(src, dst NodeID) []NodeID {
 func (st *searchState) toMap() map[NodeID]float64 { //ecolint:ignore hotalloc cold-path convenience copy; hot callers use Expansion
 	//ecolint:ignore hotalloc cold-path convenience copy; hot callers use Expansion
 	out := make(map[NodeID]float64, 64)
-	for n, s := range st.seen {
-		if s == st.stamp {
-			out[NodeID(n)] = st.dist[n]
+	for n := range st.slots {
+		if s := &st.slots[n]; s.seen == st.stamp {
+			out[NodeID(n)] = s.dist
 		}
 	}
 	return out
@@ -331,10 +409,14 @@ type Expansion struct {
 // Dist returns the expansion weight of n and whether n was reached.
 func (x Expansion) Dist(n NodeID) (float64, bool) {
 	st := x.st
-	if st == nil || n < 0 || int(n) >= len(st.seen) || st.seen[n] != st.stamp {
+	if st == nil || n < 0 || int(n) >= len(st.slots) {
 		return 0, false
 	}
-	return st.dist[n], true
+	s := &st.slots[n]
+	if s.seen != st.stamp {
+		return 0, false
+	}
+	return s.dist, true
 }
 
 // Release returns the expansion's scratch buffers to the graph's pool.
@@ -365,8 +447,7 @@ func (g *Graph) expand(origin NodeID, cw ClassWeights, maxWeight float64, revers
 	g.mustFrozen()
 	st := g.acquireState()
 	if g.validID(origin) {
-		st.cw = cw
-		st.run(origin, Invalid, nil, &st.cw, maxWeight, false, reverse)
+		st.run(origin, Invalid, nil, &cw, maxWeight, reverse)
 	}
 	return Expansion{st: st}
 }

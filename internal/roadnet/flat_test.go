@@ -37,6 +37,26 @@ func (h *refHeap) Pop() interface{} {
 	return x
 }
 
+// refAdjacency is the pre-CSR adjacency — per-node edge lists in insertion
+// order — rebuilt from Edges() so the oracle shares nothing with the
+// kernel's CSR rows and a wrong row order shows up as a path mismatch.
+type refAdjacency struct{ out, in [][]Edge }
+
+var refAdjCache sync.Map // *Graph -> *refAdjacency
+
+func refAdj(g *Graph) *refAdjacency {
+	if a, ok := refAdjCache.Load(g); ok {
+		return a.(*refAdjacency)
+	}
+	a := &refAdjacency{out: make([][]Edge, g.NumNodes()), in: make([][]Edge, g.NumNodes())}
+	for _, e := range g.Edges() {
+		a.out[e.From] = append(a.out[e.From], e)
+		a.in[e.To] = append(a.in[e.To], e)
+	}
+	refAdjCache.Store(g, a)
+	return a
+}
+
 // refDijkstra is the old (*Graph).dijkstra: forward search with maps.
 func refDijkstra(g *Graph, src, dst NodeID, w WeightFunc, maxWeight float64) (map[NodeID]float64, map[NodeID]NodeID) {
 	if !g.validID(src) {
@@ -55,8 +75,7 @@ func refDijkstra(g *Graph, src, dst NodeID, w WeightFunc, maxWeight float64) (ma
 		if cur.node == dst {
 			break
 		}
-		for _, ei := range g.adj[cur.node] {
-			e := g.edges[ei]
+		for _, e := range refAdj(g).out[cur.node] {
 			wt := w(e)
 			nd := dist[cur.node] + wt
 			if nd > maxWeight {
@@ -86,8 +105,7 @@ func refDistancesTo(g *Graph, dst NodeID, w WeightFunc, maxWeight float64) map[N
 			continue
 		}
 		done[cur.node] = true
-		for _, ei := range g.radj[cur.node] {
-			e := g.edges[ei]
+		for _, e := range refAdj(g).in[cur.node] {
 			wt := w(e)
 			nd := dist[cur.node] + wt
 			if nd > maxWeight {
@@ -359,16 +377,14 @@ func TestSearchStateStampWrap(t *testing.T) {
 	st := newSearchState(g)
 	st.stamp = math.MaxUint32 - 1
 	// Fake stale data that would alias stamp 1 after a naive wrap.
-	for i := range st.seen {
-		st.seen[i] = 1
-		st.mark[i].done = 1
-		st.dist[i] = -123
+	for i := range st.slots {
+		st.slots[i] = nodeSlot{dist: -123, seen: 1, done: 1}
 	}
 	st.begin() // -> MaxUint32
 	if st.stamp != math.MaxUint32 {
 		t.Fatalf("stamp = %d, want MaxUint32", st.stamp)
 	}
-	st.run(0, Invalid, nil, &ClassWeights{1, 1, 1, 1}, math.Inf(1), false, false)
+	st.run(0, Invalid, nil, &ClassWeights{1, 1, 1, 1}, math.Inf(1), false)
 	st.inUse = true
 	st.begin() // wraps to 0 -> cleared, stamp 1
 	if st.stamp != 1 {
@@ -377,8 +393,8 @@ func TestSearchStateStampWrap(t *testing.T) {
 	if st.reached(3) {
 		t.Fatal("stale seen entry survived the wrap")
 	}
-	st.run(0, Invalid, nil, &ClassWeights{1, 1, 1, 1}, math.Inf(1), false, false)
-	if d, ok := st.dist[4], st.reached(4); !ok || d != 4000 {
+	st.run(0, Invalid, nil, &ClassWeights{1, 1, 1, 1}, math.Inf(1), false)
+	if d, ok := st.slots[4].dist, st.reached(4); !ok || d != 4000 {
 		t.Fatalf("post-wrap search: dist[4]=%v reached=%v, want 4000 true", d, ok)
 	}
 }

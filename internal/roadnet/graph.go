@@ -77,17 +77,72 @@ type Edge struct {
 	Class    RoadClass
 }
 
+// arc is one adjacency entry of a frozen graph: the node at the far end
+// (the head in the forward CSR, the tail in the reverse one) and the two
+// edge attributes a search prices. 16 bytes, so a node's arcs share a cache
+// line or two and the relaxation loop never leaves the array.
+type arc struct {
+	to     NodeID
+	class  RoadClass
+	length float64
+}
+
+// csr is one direction of the adjacency in compressed sparse row form: the
+// arcs of node n are arcs[off[n]:off[n+1]], in the order AddEdge saw them.
+// That order is part of the kernel's contract — it decides which of two
+// equal-cost frontier entries settles first and hence which predecessor a
+// path keeps — so building the rows must stay a stable counting sort.
+type csr struct {
+	off  []int32
+	arcs []arc
+}
+
+// row returns the arcs of node n.
+func (c *csr) row(n NodeID) []arc { return c.arcs[c.off[n]:c.off[n+1]] }
+
+// buildCSR groups the edges by tail (forward form) or head (reverse form),
+// keeping insertion order within a row. order[p] is the insertion index of
+// the edge stored at arcs[p].
+func buildCSR(numNodes int, edges []Edge, reverse bool) (c csr, order []int32) {
+	c = csr{off: make([]int32, numNodes+1), arcs: make([]arc, len(edges))}
+	order = make([]int32, len(edges))
+	for _, e := range edges {
+		if reverse {
+			c.off[e.To+1]++
+		} else {
+			c.off[e.From+1]++
+		}
+	}
+	for n := 0; n < numNodes; n++ {
+		c.off[n+1] += c.off[n]
+	}
+	next := append([]int32(nil), c.off[:numNodes]...)
+	for i, e := range edges {
+		row, far := e.From, e.To
+		if reverse {
+			row, far = e.To, e.From
+		}
+		c.arcs[next[row]] = arc{to: far, class: e.Class, length: e.Length}
+		order[next[row]] = int32(i)
+		next[row]++
+	}
+	return c, order
+}
+
 // Graph is a directed weighted road network. Build it with AddNode/AddEdge,
 // then call Freeze before querying; Freeze constructs the adjacency arrays
 // and the nearest-node index. The zero value is an empty, unfrozen graph.
 type Graph struct {
-	nodes  []Node
-	edges  []Edge
-	adj    [][]int32 // node -> indexes into edges
-	radj   [][]int32 // reverse adjacency, for return-trip costs
-	index  *spatial.Quadtree
-	pool   *sync.Pool // recycled searchState scratch (see flat.go); set by Freeze
-	frozen bool
+	nodes []Node
+	edges []Edge // the builder's list; Freeze folds it into the CSRs and drops it
+	fwd   csr    // out-arcs per node; every search walks this or rev
+	rev   csr    // in-arcs per node, for return-trip costs
+	// fwdOrder[p] is the insertion index of the edge at fwd.arcs[p]: all a
+	// frozen graph keeps of the edge list, enough for Edges to rebuild it.
+	fwdOrder []int32
+	index    *spatial.Quadtree
+	pool     *sync.Pool // recycled searchState scratch (see flat.go); set by Freeze
+	frozen   bool
 }
 
 // NewGraph returns an empty graph with capacity hints.
@@ -138,12 +193,9 @@ func (g *Graph) Freeze() {
 	if g.frozen {
 		return
 	}
-	g.adj = make([][]int32, len(g.nodes))
-	g.radj = make([][]int32, len(g.nodes))
-	for i, e := range g.edges {
-		g.adj[e.From] = append(g.adj[e.From], int32(i))
-		g.radj[e.To] = append(g.radj[e.To], int32(i))
-	}
+	g.fwd, g.fwdOrder = buildCSR(len(g.nodes), g.edges, false)
+	g.rev, _ = buildCSR(len(g.nodes), g.edges, true)
+	g.edges = nil
 	if len(g.nodes) > 0 {
 		pts := make([]geo.Point, len(g.nodes))
 		for i, n := range g.nodes {
@@ -162,7 +214,12 @@ func (g *Graph) Freeze() {
 func (g *Graph) NumNodes() int { return len(g.nodes) }
 
 // NumEdges reports |E|.
-func (g *Graph) NumEdges() int { return len(g.edges) }
+func (g *Graph) NumEdges() int {
+	if g.frozen {
+		return len(g.fwd.arcs)
+	}
+	return len(g.edges)
+}
 
 // Node returns the node with the given ID.
 func (g *Graph) Node(id NodeID) Node {
@@ -172,22 +229,38 @@ func (g *Graph) Node(id NodeID) Node {
 	return g.nodes[id]
 }
 
-// Edges returns the raw edge slice; callers must not mutate it.
-func (g *Graph) Edges() []Edge { return g.edges }
+// Edges returns the edges in the order AddEdge saw them. On a frozen graph
+// the list is rebuilt from the forward CSR on every call (the tail of an arc
+// is the row it sits in), so this is for exports and preprocessing, not for
+// query paths; on an unfrozen graph it is the builder's own slice, which
+// callers must not mutate.
+func (g *Graph) Edges() []Edge {
+	if !g.frozen {
+		return g.edges
+	}
+	out := make([]Edge, len(g.fwd.arcs))
+	for n := range g.nodes {
+		for p := g.fwd.off[n]; p < g.fwd.off[n+1]; p++ {
+			a := g.fwd.arcs[p]
+			out[g.fwdOrder[p]] = Edge{From: NodeID(n), To: a.to, Length: a.length, Class: a.class}
+		}
+	}
+	return out
+}
 
 // OutEdges calls fn for each edge leaving id.
 func (g *Graph) OutEdges(id NodeID, fn func(Edge)) {
 	g.mustFrozen()
-	for _, ei := range g.adj[id] {
-		fn(g.edges[ei])
+	for _, a := range g.fwd.row(id) {
+		fn(Edge{From: id, To: a.to, Length: a.length, Class: a.class})
 	}
 }
 
 // InEdges calls fn for each edge entering id.
 func (g *Graph) InEdges(id NodeID, fn func(Edge)) {
 	g.mustFrozen()
-	for _, ei := range g.radj[id] {
-		fn(g.edges[ei])
+	for _, a := range g.rev.row(id) {
+		fn(Edge{From: a.to, To: id, Length: a.length, Class: a.class})
 	}
 }
 

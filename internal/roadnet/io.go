@@ -50,7 +50,7 @@ func (g *Graph) WriteCSV(w io.Writer) error {
 	if err := cw.Write(edgeHeader); err != nil {
 		return err
 	}
-	for _, e := range g.edges {
+	for _, e := range g.Edges() {
 		rec := []string{
 			strconv.Itoa(int(e.From)),
 			strconv.Itoa(int(e.To)),

@@ -45,8 +45,7 @@ func (g *Graph) expandMany(origin NodeID, targets []NodeID, cw ClassWeights, max
 		met.manyEarlyTerms.Inc()
 		return Expansion{st: st}
 	}
-	st.cw = cw
-	st.run(origin, Invalid, nil, &st.cw, maxWeight, false, reverse)
+	st.run(origin, Invalid, nil, &cw, maxWeight, reverse)
 	met.manySettled.Add(uint64(st.settled))
 	met.manyTargetsSettled.Add(uint64(want - st.targetsLeft))
 	if st.targetsLeft == 0 && len(st.pq.items) > 0 {
@@ -57,17 +56,17 @@ func (g *Graph) expandMany(origin NodeID, targets []NodeID, cw ClassWeights, max
 	return Expansion{st: st}
 }
 
-// markTargets stamps the target set into the generation-stamped mark array
-// and returns the number of distinct valid targets. Sharing the search
+// markTargets stamps the target set into the slots' targ generation and
+// returns the number of distinct valid targets. Sharing the search
 // stamp makes clearing free: entries from previous searches can never alias
 // the current generation.
 func (st *searchState) markTargets(targets []NodeID) int {
 	n := 0
 	for _, t := range targets {
-		if t < 0 || int(t) >= len(st.mark) || st.mark[t].targ == st.stamp {
+		if t < 0 || int(t) >= len(st.slots) || st.slots[t].targ == st.stamp {
 			continue
 		}
-		st.mark[t].targ = st.stamp
+		st.slots[t].targ = st.stamp
 		n++
 	}
 	st.targetsLeft = n

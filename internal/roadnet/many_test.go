@@ -170,24 +170,25 @@ func TestExpandToManyEarlyTerminates(t *testing.T) {
 	}
 }
 
-// TestExpandToManyStampWrapReuse drives the targ generation array through
-// the uint32 stamp wrap: stale target marks from four billion searches ago
-// must not masquerade as live targets (which would terminate a fresh search
-// too early).
+// TestExpandToManyStampWrapReuse drives the packed slots through the uint32
+// stamp wrap: the wrap must clear seen, done and targ together. A stale targ
+// from four billion searches ago would masquerade as a live target and
+// terminate a fresh search too early; a stale done would drop the node from
+// the search; a stale seen would hand back a distance nobody computed.
 func TestExpandToManyStampWrapReuse(t *testing.T) {
 	g := tinyGraph()
 	st := newSearchState(g)
 	st.stamp = math.MaxUint32 - 1
-	for i := range st.mark {
-		st.mark[i] = nodeMark{done: 1, targ: 1} // would alias stamp 1 after a naive wrap
-		st.seen[i] = 1
+	for i := range st.slots {
+		// Every stamp would alias generation 1 after a naive wrap.
+		st.slots[i] = nodeSlot{dist: -123, seen: 1, done: 1, targ: 1}
 	}
 	st.inUse = true
 	st.begin() // -> MaxUint32
 	if got := st.markTargets([]NodeID{4}); got != 1 {
 		t.Fatalf("markTargets = %d, want 1", got)
 	}
-	st.run(0, Invalid, nil, &ClassWeights{1, 1, 1, 1}, math.Inf(1), false, false)
+	st.run(0, Invalid, nil, &ClassWeights{1, 1, 1, 1}, math.Inf(1), false)
 	if st.targetsLeft != 0 {
 		t.Fatalf("target not settled before wrap: targetsLeft = %d", st.targetsLeft)
 	}
@@ -197,11 +198,29 @@ func TestExpandToManyStampWrapReuse(t *testing.T) {
 	if st.stamp != 1 {
 		t.Fatalf("stamp after wrap = %d, want 1", st.stamp)
 	}
-	// No targets marked this generation: the stale marks (all 1 before the
-	// wrap) must have been cleared, so the search must run to exhaustion
-	// and reach the whole component.
-	st.run(0, Invalid, nil, &ClassWeights{1, 1, 1, 1}, math.Inf(1), false, false)
-	if d, ok := st.dist[4], st.reached(4); !ok || d != 4000 {
+	for i, s := range st.slots {
+		if s.seen != 0 || s.done != 0 || s.targ != 0 {
+			t.Fatalf("slot %d after wrap = %+v, want all three stamps cleared", i, s)
+		}
+	}
+	// One real target this generation, next to the source: node 4 carried a
+	// stale targ before the wrap and must not count, so the search stops at
+	// node 1 without ever settling node 4.
+	if got := st.markTargets([]NodeID{1}); got != 1 {
+		t.Fatalf("markTargets after wrap = %d, want 1", got)
+	}
+	st.run(0, Invalid, nil, &ClassWeights{1, 1, 1, 1}, math.Inf(1), false)
+	if st.targetsLeft != 0 || st.slots[1].done != st.stamp {
+		t.Fatalf("post-wrap target not settled: targetsLeft=%d slot=%+v", st.targetsLeft, st.slots[1])
+	}
+	if st.slots[4].done == st.stamp {
+		t.Fatal("post-wrap search ran past its only target")
+	}
+	// And with no targets at all the search runs to exhaustion.
+	st.inUse = true
+	st.begin()
+	st.run(0, Invalid, nil, &ClassWeights{1, 1, 1, 1}, math.Inf(1), false)
+	if d, ok := st.slots[4].dist, st.reached(4); !ok || d != 4000 {
 		t.Fatalf("post-wrap search truncated: dist[4]=%v reached=%v, want 4000 true", d, ok)
 	}
 }

@@ -5,10 +5,10 @@ import (
 )
 
 // All point-to-point and expansion queries below run on the flat kernel in
-// flat.go: pooled search states with generation-stamped dense arrays replace
-// the per-call map[NodeID] bookkeeping of the original implementation. The
-// differential suite in flat_test.go proves each query equivalent to its
-// map-backed predecessor before that code was deleted.
+// flat.go: pooled search states with generation-stamped per-node slots
+// replace the per-call map[NodeID] bookkeeping of the original
+// implementation. The differential suite in flat_test.go proves each query
+// equivalent to its map-backed predecessor before that code was deleted.
 
 // ShortestPath runs Dijkstra from src to dst under the weight function.
 // It returns the path and true, or a zero path and false when dst is
@@ -20,16 +20,15 @@ func (g *Graph) ShortestPath(src, dst NodeID, w WeightFunc) (Path, bool) {
 	}
 	st := g.acquireState()
 	defer st.release()
-	st.run(src, dst, w, nil, unreachable, true, false)
+	st.run(src, dst, w, nil, unreachable, false)
 	if !st.reached(dst) {
 		return Path{}, false
 	}
-	return Path{Nodes: st.path(src, dst), Weight: st.dist[dst]}, true
+	return Path{Nodes: st.path(src, dst), Weight: st.slots[dst].dist}, true
 }
 
 // ShortestDistance returns only the weight of the shortest src→dst path,
-// or +Inf when unreachable. It runs with predecessor bookkeeping disabled:
-// distance-only callers pay for distances only.
+// or +Inf when unreachable.
 func (g *Graph) ShortestDistance(src, dst NodeID, w WeightFunc) float64 {
 	g.mustFrozen()
 	if !g.validID(src) || !g.validID(dst) {
@@ -37,11 +36,11 @@ func (g *Graph) ShortestDistance(src, dst NodeID, w WeightFunc) float64 {
 	}
 	st := g.acquireState()
 	defer st.release()
-	st.run(src, dst, w, nil, unreachable, false, false)
+	st.run(src, dst, w, nil, unreachable, false)
 	if !st.reached(dst) {
 		return unreachable
 	}
-	return st.dist[dst]
+	return st.slots[dst].dist
 }
 
 // DistancesWithin runs a bounded Dijkstra from src, returning the weight of
@@ -57,7 +56,7 @@ func (g *Graph) DistancesWithin(src NodeID, w WeightFunc, maxWeight float64) map
 	}
 	st := g.acquireState()
 	defer st.release()
-	st.run(src, Invalid, w, nil, maxWeight, false, false)
+	st.run(src, Invalid, w, nil, maxWeight, false)
 	return st.toMap()
 }
 
@@ -73,14 +72,15 @@ func (g *Graph) DistancesTo(dst NodeID, w WeightFunc, maxWeight float64) map[Nod
 	}
 	st := g.acquireState()
 	defer st.release()
-	st.run(dst, Invalid, w, nil, maxWeight, false, true)
+	st.run(dst, Invalid, w, nil, maxWeight, true)
 	return st.toMap()
 }
 
 // AStar runs A* from src to dst under the weight function, using a
 // haversine-based admissible heuristic scaled by heuristicScale. For the
 // distance metric pass 1.0; for time metrics pass the inverse of the
-// maximum speed so the heuristic stays admissible.
+// maximum speed so the heuristic stays admissible. The scale must not be
+// negative: frontier priorities are ordered as non-negative numbers.
 func (g *Graph) AStar(src, dst NodeID, w WeightFunc, heuristicScale float64) (Path, bool) {
 	g.mustFrozen()
 	if !g.validID(src) || !g.validID(dst) {
@@ -92,32 +92,20 @@ func (g *Graph) AStar(src, dst NodeID, w WeightFunc, heuristicScale float64) (Pa
 	}
 	st := g.acquireState()
 	defer st.release()
-	st.dist[src] = 0
-	st.seen[src] = st.stamp
-	st.prev[src] = Invalid
-	st.pq.push(src, h(src))
+	st.seed(src, h(src))
 	for len(st.pq.items) > 0 {
 		cur := st.pq.pop()
-		if st.mark[cur.node].done == st.stamp {
+		if !st.settle(cur.node) {
 			continue
 		}
-		st.mark[cur.node].done = st.stamp
 		if cur.node == dst {
-			return Path{Nodes: st.path(src, dst), Weight: st.dist[dst]}, true
+			return Path{Nodes: st.path(src, dst), Weight: st.slots[dst].dist}, true
 		}
-		base := st.dist[cur.node]
-		for _, ei := range g.adj[cur.node] {
-			e := &g.edges[ei]
-			wt := w(*e)
-			if wt < 0 {
-				panic("roadnet: negative edge weight")
-			}
-			nd := base + wt
-			if st.seen[e.To] != st.stamp || nd < st.dist[e.To] {
-				st.dist[e.To] = nd
-				st.seen[e.To] = st.stamp
-				st.prev[e.To] = cur.node
-				st.pq.push(e.To, nd+h(e.To))
+		base := st.slots[cur.node].dist
+		for _, a := range g.fwd.row(cur.node) {
+			nd := base + weigh(w, cur.node, a, false)
+			if st.improve(a.to, cur.node, nd) {
+				st.pq.push(a.to, nd+h(a.to))
 			}
 		}
 	}

@@ -190,28 +190,51 @@ func stabilizeTies(ns []Neighbor) {
 	}
 }
 
-// Within implements Index by pruning subtrees farther than radius.
+// Within implements Index by pruning subtrees farther than radius. The
+// result is sized before it is filled — the items of the leaves the pruning
+// leaves standing bound it from above — so a thousand-item answer costs one
+// allocation instead of eleven rounds of append growth.
 func (t *Quadtree) Within(q geo.Point, radius float64) []Neighbor {
-	var out []Neighbor
-	var walk func(n *qnode)
-	walk = func(n *qnode) {
-		if n.bounds.DistanceTo(q) > radius {
-			return
+	bound := t.root.countWithin(q, radius)
+	if bound == 0 {
+		return nil
+	}
+	out := t.root.appendWithin(make([]Neighbor, 0, bound), q, radius)
+	sortNeighbors(out)
+	return out
+}
+
+// countWithin counts the items of the leaves whose box reaches within radius
+// of q: an upper bound on the answer that costs no per-item distance.
+func (n *qnode) countWithin(q geo.Point, radius float64) int {
+	if n.bounds.DistanceTo(q) > radius {
+		return 0
+	}
+	if n.children == nil {
+		return len(n.items)
+	}
+	total := 0
+	for i := range n.children {
+		total += n.children[i].countWithin(q, radius)
+	}
+	return total
+}
+
+func (n *qnode) appendWithin(out []Neighbor, q geo.Point, radius float64) []Neighbor {
+	if n.bounds.DistanceTo(q) > radius {
+		return out
+	}
+	if n.children != nil {
+		for i := range n.children {
+			out = n.children[i].appendWithin(out, q, radius)
 		}
-		if n.children != nil {
-			for i := range n.children {
-				walk(&n.children[i])
-			}
-			return
-		}
-		for _, it := range n.items {
-			if d := geo.Distance(q, it.P); d <= radius {
-				out = append(out, Neighbor{Item: it, Dist: d})
-			}
+		return out
+	}
+	for _, it := range n.items {
+		if d := geo.Distance(q, it.P); d <= radius {
+			out = append(out, Neighbor{Item: it, Dist: d})
 		}
 	}
-	walk(t.root)
-	sortNeighbors(out)
 	return out
 }
 
