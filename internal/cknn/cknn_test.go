@@ -209,7 +209,7 @@ func TestNewEnvValidation(t *testing.T) {
 func TestDeroutingCostProperties(t *testing.T) {
 	env := testEnv(t)
 	q := testQuery(env).normalized()
-	d := env.deroutingMaps(q, math.Inf(1))
+	d := env.deroutingMaps(q, math.Inf(1), nil, exactBounds)
 
 	// The anchor itself (= return node) has zero derouting.
 	iv, ok := d.Cost(q.AnchorNode)
@@ -246,7 +246,7 @@ func TestDeroutingZeroForOnRouteCharger(t *testing.T) {
 		t.Skip("anchor has no outgoing edges")
 	}
 	q.ReturnNode = next
-	d := env.deroutingMaps(q, math.Inf(1))
+	d := env.deroutingMaps(q, math.Inf(1), nil, exactBounds)
 	iv, ok := d.Cost(next)
 	if !ok {
 		t.Fatal("return node unreachable")
@@ -260,7 +260,7 @@ func TestEvaluateProducesNormalizedComponents(t *testing.T) {
 	env := testEnv(t)
 	eng := Engine{Env: env}
 	q := testQuery(env).normalized()
-	d := env.deroutingMaps(q, math.Inf(1))
+	d := env.deroutingMaps(q, math.Inf(1), nil, exactBounds)
 	evaluated := 0
 	for i := range env.Chargers.All() {
 		c := &env.Chargers.All()[i]
@@ -316,7 +316,7 @@ func TestPruningIsLossless(t *testing.T) {
 	env := testEnv(t)
 	eng := Engine{Env: env}
 	q := testQuery(env).normalized()
-	d := env.deroutingMaps(q, math.Inf(1))
+	d := env.deroutingMaps(q, math.Inf(1), nil, exactBounds)
 	all := env.Chargers.All()
 	cands := make([]*charger.Charger, len(all))
 	for i := range all {

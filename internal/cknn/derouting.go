@@ -28,35 +28,34 @@ import (
 type DeroutingMaps struct {
 	fwdLo, fwdHi roadnet.Expansion // seconds from anchor (lower/upper weights)
 	retLo, retHi roadnet.Expansion // seconds to return node
-	// scaleLo/scaleHi multiply raw expansion values on read. The exact
-	// variant uses 1/1 with four distinct expansions; the approximate
-	// variant runs two mid-traffic expansions, aliases fwdHi/retHi onto
-	// fwdLo/retLo and sets the scales to the per-class multiplier ratios.
+	// scaleLo/scaleHi multiply raw expansion values on read: 1/1 for the
+	// exact variant, the per-class multiplier ratios for the approximate one.
 	scaleLo, scaleHi float64
-	approx           bool    // hi expansions alias the lo ones
-	baseLo           float64 // anchor→return under lower weights
-	baseHi           float64 // anchor→return under upper weights
+	// owned[:n] are the expansions this value acquired, at most one per view;
+	// a view that is not in there aliases one that is (approximate bounds:
+	// hi onto lo; a round trip on a symmetric graph: ret onto fwd).
+	owned  [4]roadnet.Expansion
+	n      int
+	baseLo float64 // anchor→return under lower weights
+	baseHi float64 // anchor→return under upper weights
 }
 
 // Release returns the underlying expansion scratch to the graph's pool.
 // It must be called exactly once, after the last Cost/TravelTo read.
 func (d DeroutingMaps) Release() {
 	met.deroutReleases.Inc()
-	d.fwdLo.Release()
-	d.retLo.Release()
-	if !d.approx {
-		// In approx mode fwdHi/retHi alias fwdLo/retLo; releasing the alias
-		// could free scratch a concurrent query just re-acquired.
-		d.fwdHi.Release()
-		d.retHi.Release()
+	// Only what was acquired: releasing an alias as well could free scratch
+	// a concurrent query just re-acquired.
+	for _, x := range d.owned[:d.n] {
+		x.Release()
 	}
 }
 
 // deroutTargets collects the road-network nodes the filtering phase will
 // read from the derouting maps: one per candidate charger plus the return
 // node (whose forward distance is the on-route baseline). It is the only
-// producer of the target slices handed to the batched derouting variants,
-// which rely on the return node being present.
+// producer of the target slices handed to deroutingMaps, which relies on the
+// return node being present.
 func deroutTargets(cands []*charger.Charger, ret roadnet.NodeID) []roadnet.NodeID {
 	out := make([]roadnet.NodeID, 0, len(cands)+1)
 	for _, c := range cands {
@@ -65,83 +64,124 @@ func deroutTargets(cands []*charger.Charger, ret roadnet.NodeID) []roadnet.NodeI
 	return append(out, ret)
 }
 
-// deroutingMapsFor prices a visit to the candidate set: the batched
-// target-aware expansions by default, the full-ball deroutingMaps when the
-// environment's FullDerouting oracle switch is set or no target set is
-// known. The two paths are byte-identical at the candidate nodes (the
-// differential suite in derouting_batch_test.go proves it), so which one
-// runs is purely a cost decision.
-func (env *Env) deroutingMapsFor(q Query, boundSec float64, targets []roadnet.NodeID) DeroutingMaps {
-	if env.FullDerouting || targets == nil {
-		return env.deroutingMaps(q, boundSec)
-	}
-	return env.deroutingMapsTo(q, boundSec, targets)
-}
+// deroutBounds says where deroutingMaps takes the lower and upper travel
+// times from.
+type deroutBounds uint8
 
-// deroutingMapsApproxFor is deroutingMapsFor for the approximate variant.
-func (env *Env) deroutingMapsApproxFor(q Query, boundSec float64, targets []roadnet.NodeID) DeroutingMaps {
-	if env.FullDerouting || targets == nil {
-		return env.deroutingMapsApprox(q, boundSec)
-	}
-	return env.deroutingMapsApproxTo(q, boundSec, targets)
-}
+const (
+	// exactBounds searches once under the lower and once under the upper
+	// weight table.
+	exactBounds deroutBounds = iota
+	// approxBounds — what EcoCharge uses on cache misses — searches once
+	// under the mid-traffic table and derives the bounds by scaling every
+	// distance by the most optimistic and most pessimistic per-class
+	// multiplier ratios: half the Dijkstra work for slightly wider (but still
+	// truth-covering, up to route divergence) intervals. The ratios are
+	// applied lazily on read, the hi views alias the lo ones, nothing is
+	// copied.
+	approxBounds
+)
 
-// deroutingMaps runs the four bounded expansions. boundSec limits the
-// search effort; pass math.Inf(1) for the exhaustive (brute-force) variant.
-func (env *Env) deroutingMaps(q Query, boundSec float64) DeroutingMaps {
-	met.deroutExact.Inc()
+// deroutingMaps is the one builder of DeroutingMaps, over two independent
+// choices: exact | approx bounds (deroutBounds), and batched | full ball.
+//
+// With targets (from deroutTargets) every expansion
+// stops as soon as the last target is settled — Alg. 1 prices a few hundred
+// candidates, the travel-time ball holds orders of magnitude more — and
+// Cost/TravelTo are exact only at the targets. With targets == nil, or under
+// the environment's FullDerouting oracle switch, the whole ball within
+// boundSec is settled. The two are byte-identical at the targets
+// (derouting_batch_test.go), so which one runs is purely a cost decision.
+//
+// Either way each weight table costs one expansion from the anchor and one to
+// the return node — except for a query that returns to its anchor on a
+// Symmetric graph (every one-shot ranking on the undirected networks of the
+// paper): there the second is the first, bit for bit (DESIGN.md §8), and the
+// ret views alias the fwd ones. boundSec limits the search effort; pass
+// math.Inf(1) for the exhaustive (brute-force) variant.
+func (env *Env) deroutingMaps(q Query, boundSec float64, targets []roadnet.NodeID, bounds deroutBounds) DeroutingMaps {
+	if env.FullDerouting {
+		targets = nil
+	}
 	loT, hiT := env.Traffic.ClassWeightTables(q.ETABase, q.Now)
 	ret := q.ReturnNode
 	if ret < 0 {
 		ret = q.AnchorNode
 	}
-	d := DeroutingMaps{
-		fwdLo:   env.Graph.ExpandFrom(q.AnchorNode, loT, boundSec),
-		fwdHi:   env.Graph.ExpandFrom(q.AnchorNode, hiT, boundSec),
-		retLo:   env.Graph.ExpandTo(ret, loT, boundSec),
-		retHi:   env.Graph.ExpandTo(ret, hiT, boundSec),
-		scaleLo: 1,
-		scaleHi: 1,
+	d := DeroutingMaps{scaleLo: 1, scaleHi: 1}
+	if bounds == approxBounds {
+		met.deroutApprox.Inc()
+		loT, d.scaleLo, d.scaleHi = midTraffic(loT, hiT)
+	} else {
+		met.deroutExact.Inc()
 	}
-	d.baseLo = distOr(d.fwdLo, ret, math.Inf(1))
-	d.baseHi = distOr(d.fwdHi, ret, math.Inf(1))
-	if math.IsInf(d.baseLo, 1) {
-		// Return node unreachable within the bound: treat the on-route
-		// baseline as zero so derouting reduces to the round-trip cost.
-		d.baseLo, d.baseHi = 0, 0
+	if targets != nil {
+		met.deroutBatched.Inc()
+		met.deroutTargets.Add(uint64(len(targets)))
+	}
+
+	d.fwdLo, d.retLo = d.expandLegs(env.Graph, q.AnchorNode, ret, targets, loT, boundSec)
+	d.fwdHi, d.retHi = d.fwdLo, d.retLo
+	if bounds == exactBounds {
+		d.fwdHi, d.retHi = d.expandLegs(env.Graph, q.AnchorNode, ret, targets, hiT, boundSec)
+	}
+
+	// Return node unreachable within the bound: the on-route baseline stays
+	// zero, so derouting reduces to the round-trip cost.
+	if base, ok := d.fwdLo.Dist(ret); ok {
+		d.baseLo = base * d.scaleLo
+		d.baseHi = distOr(d.fwdHi, ret, math.Inf(1)) * d.scaleHi
 	}
 	return d
 }
 
-// deroutingMapsTo is the batched form of deroutingMaps: the four
-// expansions terminate as soon as every target is settled instead of
-// settling the whole travel-time ball (Alg. 1 prices a few hundred
-// candidates; the ball holds orders of magnitude more). targets must come
-// from deroutTargets — Cost/TravelTo are exact only at the targets, and the
-// on-route baseline needs the return node among them.
-func (env *Env) deroutingMapsTo(q Query, boundSec float64, targets []roadnet.NodeID) DeroutingMaps {
-	met.deroutExact.Inc()
-	met.deroutBatched.Inc()
-	met.deroutTargets.Add(uint64(len(targets)))
-	loT, hiT := env.Traffic.ClassWeightTables(q.ETABase, q.Now)
-	ret := q.ReturnNode
-	if ret < 0 {
-		ret = q.AnchorNode
+// expandLegs runs the outbound expansion from anchor and the return
+// expansion to ret under one weight table, and records both as owned. When
+// the return leg is the outbound one read backwards (ret == anchor on a
+// Symmetric graph) it runs only that, and hands it back for both.
+func (d *DeroutingMaps) expandLegs(g *roadnet.Graph, anchor, ret roadnet.NodeID, targets []roadnet.NodeID, cw roadnet.ClassWeights, boundSec float64) (fwd, back roadnet.Expansion) {
+	if targets == nil {
+		fwd = g.ExpandFrom(anchor, cw, boundSec)
+	} else {
+		fwd = g.ExpandToMany(anchor, targets, cw, boundSec)
 	}
-	d := DeroutingMaps{
-		fwdLo:   env.Graph.ExpandToMany(q.AnchorNode, targets, loT, boundSec),
-		fwdHi:   env.Graph.ExpandToMany(q.AnchorNode, targets, hiT, boundSec),
-		retLo:   env.Graph.ExpandToManyReverse(ret, targets, loT, boundSec),
-		retHi:   env.Graph.ExpandToManyReverse(ret, targets, hiT, boundSec),
-		scaleLo: 1,
-		scaleHi: 1,
+	d.own(fwd)
+	switch {
+	case ret == anchor && g.Symmetric():
+		return fwd, fwd
+	case targets == nil:
+		back = g.ExpandTo(ret, cw, boundSec)
+	default:
+		back = g.ExpandToManyReverse(ret, targets, cw, boundSec)
 	}
-	d.baseLo = distOr(d.fwdLo, ret, math.Inf(1))
-	d.baseHi = distOr(d.fwdHi, ret, math.Inf(1))
-	if math.IsInf(d.baseLo, 1) {
-		d.baseLo, d.baseHi = 0, 0
+	d.own(back)
+	return fwd, back
+}
+
+// own records an expansion Release has to give back.
+func (d *DeroutingMaps) own(x roadnet.Expansion) {
+	d.owned[d.n] = x
+	d.n++
+}
+
+// midTraffic returns the mid-traffic weight table of the band [lo, hi] and
+// the global scaling band across road classes: the most optimistic lo/mid
+// and the most pessimistic hi/mid ratio.
+func midTraffic(lo, hi roadnet.ClassWeights) (mid roadnet.ClassWeights, loRatio, hiRatio float64) {
+	loRatio, hiRatio = 1.0, 1.0
+	for c := range mid {
+		mid[c] = (lo[c] + hi[c]) / 2
+		if mid[c] <= 0 {
+			continue
+		}
+		if r := lo[c] / mid[c]; r < loRatio {
+			loRatio = r
+		}
+		if r := hi[c] / mid[c]; r > hiRatio {
+			hiRatio = r
+		}
 	}
-	return d
+	return mid, loRatio, hiRatio
 }
 
 func distOr(x roadnet.Expansion, id roadnet.NodeID, def float64) float64 {
@@ -156,104 +196,6 @@ func lookup(m map[roadnet.NodeID]float64, id roadnet.NodeID, def float64) float6
 		return v
 	}
 	return def
-}
-
-// deroutingMapsApprox is the cheaper variant EcoCharge uses on cache
-// misses: one expansion per direction under the mid-traffic weights, with
-// interval bounds derived by scaling every distance by the most optimistic
-// and most pessimistic per-class multiplier ratios. This halves the
-// Dijkstra work against the exact four-expansion computation at the cost
-// of slightly wider (but still truth-covering, up to route divergence)
-// intervals. The ratios are applied lazily on read — the two expansions are
-// shared between the lo and hi views, nothing is copied.
-func (env *Env) deroutingMapsApprox(q Query, boundSec float64) DeroutingMaps {
-	met.deroutApprox.Inc()
-	loT, hiT := env.Traffic.ClassWeightTables(q.ETABase, q.Now)
-
-	// Mid-traffic table plus the global scaling band across road classes:
-	// the most optimistic lo/mid and most pessimistic hi/mid ratios.
-	var midT roadnet.ClassWeights
-	loRatio, hiRatio := 1.0, 1.0
-	for c := range midT {
-		midT[c] = (loT[c] + hiT[c]) / 2
-		if midT[c] <= 0 {
-			continue
-		}
-		if r := loT[c] / midT[c]; r < loRatio {
-			loRatio = r
-		}
-		if r := hiT[c] / midT[c]; r > hiRatio {
-			hiRatio = r
-		}
-	}
-
-	ret := q.ReturnNode
-	if ret < 0 {
-		ret = q.AnchorNode
-	}
-	fwd := env.Graph.ExpandFrom(q.AnchorNode, midT, boundSec)
-	rev := env.Graph.ExpandTo(ret, midT, boundSec)
-
-	d := DeroutingMaps{
-		fwdLo: fwd, fwdHi: fwd,
-		retLo: rev, retHi: rev,
-		scaleLo: loRatio, scaleHi: hiRatio,
-		approx: true,
-	}
-	base := distOr(fwd, ret, math.Inf(1))
-	if math.IsInf(base, 1) {
-		d.baseLo, d.baseHi = 0, 0
-	} else {
-		d.baseLo, d.baseHi = base*loRatio, base*hiRatio
-	}
-	return d
-}
-
-// deroutingMapsApproxTo is the batched form of deroutingMapsApprox: the
-// two mid-traffic expansions terminate once every target is settled. The
-// lazy scale factors and the hi-view aliasing are identical to the
-// full-ball variant; only the search effort changes.
-func (env *Env) deroutingMapsApproxTo(q Query, boundSec float64, targets []roadnet.NodeID) DeroutingMaps {
-	met.deroutApprox.Inc()
-	met.deroutBatched.Inc()
-	met.deroutTargets.Add(uint64(len(targets)))
-	loT, hiT := env.Traffic.ClassWeightTables(q.ETABase, q.Now)
-
-	var midT roadnet.ClassWeights
-	loRatio, hiRatio := 1.0, 1.0
-	for c := range midT {
-		midT[c] = (loT[c] + hiT[c]) / 2
-		if midT[c] <= 0 {
-			continue
-		}
-		if r := loT[c] / midT[c]; r < loRatio {
-			loRatio = r
-		}
-		if r := hiT[c] / midT[c]; r > hiRatio {
-			hiRatio = r
-		}
-	}
-
-	ret := q.ReturnNode
-	if ret < 0 {
-		ret = q.AnchorNode
-	}
-	fwd := env.Graph.ExpandToMany(q.AnchorNode, targets, midT, boundSec)
-	rev := env.Graph.ExpandToManyReverse(ret, targets, midT, boundSec)
-
-	d := DeroutingMaps{
-		fwdLo: fwd, fwdHi: fwd,
-		retLo: rev, retHi: rev,
-		scaleLo: loRatio, scaleHi: hiRatio,
-		approx: true,
-	}
-	base := distOr(fwd, ret, math.Inf(1))
-	if math.IsInf(base, 1) {
-		d.baseLo, d.baseHi = 0, 0
-	} else {
-		d.baseLo, d.baseHi = base*loRatio, base*hiRatio
-	}
-	return d
 }
 
 // Cost returns the derouting seconds interval for a charger at node n and

@@ -1,9 +1,9 @@
 package cknn
 
-// Differential suite for the batched derouting maps: the target-aware
-// variants (deroutingMapsTo / deroutingMapsApproxTo) must price every
-// target bit-identically to both the full-ball expansions they replace and
-// the original map-backed implementation, across the exact/approx × query
+// Differential suite for the batched derouting maps: deroutingMaps with a
+// target set must price every target bit-identically to both the full-ball
+// expansions (targets == nil) and the original map-backed, always-two-leg
+// implementation, across the exact/approx × query
 // shape × bound matrix. The all-nodes run extends the comparison to every
 // node of the graph — with the whole graph as the target set, early
 // termination never fires and the batched expansion degenerates to the full
@@ -88,15 +88,15 @@ func TestBatchedDeroutingMatchesFullBallAtTargets(t *testing.T) {
 		for _, bound := range bounds {
 			targets := deroutTargets(allChargerPtrs(env), q.ReturnNode)
 
-			batchE := env.deroutingMapsTo(q, bound, targets)
-			fullE := env.deroutingMaps(q, bound)
+			batchE := env.deroutingMaps(q, bound, targets, exactBounds)
+			fullE := env.deroutingMaps(q, bound, nil, exactBounds)
 			refE := refDeroutingExact(env, q, bound)
 			compareDeroutingAtTargets(t, qname+"/exact", batchE, fullE, refE, targets)
 			batchE.Release()
 			fullE.Release()
 
-			batchA := env.deroutingMapsApproxTo(q, bound, targets)
-			fullA := env.deroutingMapsApprox(q, bound)
+			batchA := env.deroutingMaps(q, bound, targets, approxBounds)
+			fullA := env.deroutingMaps(q, bound, nil, approxBounds)
 			refA := refDeroutingApprox(env, q, bound)
 			compareDeroutingAtTargets(t, qname+"/approx", batchA, fullA, refA, targets)
 			batchA.Release()
@@ -119,12 +119,12 @@ func TestBatchedDeroutingAllNodesMatchesEverywhere(t *testing.T) {
 	queries, bounds := batchQueryMatrix(env)
 	for qname, q := range queries {
 		for _, bound := range bounds {
-			batchE := env.deroutingMapsTo(q, bound, all)
+			batchE := env.deroutingMaps(q, bound, all, exactBounds)
 			refE := refDeroutingExact(env, q, bound)
 			compareDerouting(t, env, qname+"/exact/allNodes", batchE, refE)
 			batchE.Release()
 
-			batchA := env.deroutingMapsApproxTo(q, bound, all)
+			batchA := env.deroutingMaps(q, bound, all, approxBounds)
 			refA := refDeroutingApprox(env, q, bound)
 			compareDerouting(t, env, qname+"/approx/allNodes", batchA, refA)
 			batchA.Release()
@@ -147,7 +147,7 @@ func TestBatchedDeroutingEdgeCases(t *testing.T) {
 	if len(targets) != 1 || targets[0] != q.ReturnNode {
 		t.Fatalf("deroutTargets(nil, ret) = %v", targets)
 	}
-	d := env.deroutingMapsTo(q, math.Inf(1), targets)
+	d := env.deroutingMaps(q, math.Inf(1), targets, exactBounds)
 	if c, ok := d.Cost(q.AnchorNode); !ok || c.Min != 0 || c.Max != 0 {
 		t.Fatalf("anchored return-only targets: Cost(anchor) = %v, %v; want [0,0], true", c, ok)
 	}
@@ -157,8 +157,8 @@ func TestBatchedDeroutingEdgeCases(t *testing.T) {
 	// anchor must be unreachable through both paths.
 	tiny := 1e-9
 	targets = deroutTargets(allChargerPtrs(env), q.ReturnNode)
-	batch := env.deroutingMapsTo(q, tiny, targets)
-	full := env.deroutingMaps(q, tiny)
+	batch := env.deroutingMaps(q, tiny, targets, exactBounds)
+	full := env.deroutingMaps(q, tiny, nil, exactBounds)
 	for _, n := range targets {
 		_, bok := batch.Cost(n)
 		_, fok := full.Cost(n)
@@ -172,10 +172,10 @@ func TestBatchedDeroutingEdgeCases(t *testing.T) {
 	batch.Release()
 	full.Release()
 
-	// The Fors route nil target sets to the full-ball variants (callers
-	// without a candidate set keep the old semantics).
-	dm := env.deroutingMapsFor(q, math.Inf(1), nil)
-	da := env.deroutingMapsApproxFor(q, math.Inf(1), nil)
+	// A nil target set selects the full ball (callers without a candidate
+	// set keep the old semantics).
+	dm := env.deroutingMaps(q, math.Inf(1), nil, exactBounds)
+	da := env.deroutingMaps(q, math.Inf(1), nil, approxBounds)
 	refE := refDeroutingExact(env, q, math.Inf(1))
 	refA := refDeroutingApprox(env, q, math.Inf(1))
 	compareDerouting(t, env, "nilTargets/exact", dm, refE)
@@ -192,9 +192,9 @@ func TestBatchedDeroutingCounters(t *testing.T) {
 	targets := deroutTargets(allChargerPtrs(env), q.ReturnNode)
 	batchedBefore := met.deroutBatched.Value()
 	targetsBefore := met.deroutTargets.Value()
-	d := env.deroutingMapsTo(q, math.Inf(1), targets)
+	d := env.deroutingMaps(q, math.Inf(1), targets, exactBounds)
 	d.Release()
-	da := env.deroutingMapsApproxTo(q, math.Inf(1), targets)
+	da := env.deroutingMaps(q, math.Inf(1), targets, approxBounds)
 	da.Release()
 	if got := met.deroutBatched.Value() - batchedBefore; got != 2 {
 		t.Errorf("deroutBatched advanced by %d, want 2", got)
@@ -240,12 +240,12 @@ func TestBatchedDeroutingZeroAllocSteadyState(t *testing.T) {
 	budget := q.RadiusM / avgUrbanSpeed
 	targets := deroutTargets(allChargerPtrs(env), q.ReturnNode)
 	for i := 0; i < 4; i++ {
-		d := env.deroutingMapsTo(q, budget, targets)
+		d := env.deroutingMaps(q, budget, targets, exactBounds)
 		d.Release()
 	}
 	for name, run := range map[string]func() DeroutingMaps{
-		"exact":  func() DeroutingMaps { return env.deroutingMapsTo(q, budget, targets) },
-		"approx": func() DeroutingMaps { return env.deroutingMapsApproxTo(q, budget, targets) },
+		"exact":  func() DeroutingMaps { return env.deroutingMaps(q, budget, targets, exactBounds) },
+		"approx": func() DeroutingMaps { return env.deroutingMaps(q, budget, targets, approxBounds) },
 	} {
 		allocs := testing.AllocsPerRun(20, func() {
 			d := run()

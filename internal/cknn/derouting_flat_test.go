@@ -26,7 +26,8 @@ type refDerouting struct {
 	baseHi       float64
 }
 
-// refDeroutingExact replicates the old (*Env).deroutingMaps.
+// refDeroutingExact replicates the old map-backed exact builder: two legs
+// under each of the two weight functions, whatever the graph or the query.
 func refDeroutingExact(env *Env, q Query, boundSec float64) refDerouting {
 	lower, upper := env.Traffic.WeightFuncs(q.ETABase, q.Now)
 	var d refDerouting
@@ -46,7 +47,7 @@ func refDeroutingExact(env *Env, q Query, boundSec float64) refDerouting {
 	return d
 }
 
-// refDeroutingApprox replicates the old (*Env).deroutingMapsApprox: one
+// refDeroutingApprox replicates the old map-backed approximate builder: one
 // expansion per direction under mid weights, full-map scaled copies for the
 // lo and hi views.
 func refDeroutingApprox(env *Env, q Query, boundSec float64) refDerouting {
@@ -151,12 +152,12 @@ func TestDeroutingMapsMatchMapImplementation(t *testing.T) {
 		"anchored": base, "distinctReturn": distinctRet, "defaultReturn": noRet,
 	} {
 		for _, bound := range []float64{math.Inf(1), 600, q.RadiusM / avgUrbanSpeed} {
-			flatE := env.deroutingMaps(q, bound)
+			flatE := env.deroutingMaps(q, bound, nil, exactBounds)
 			refE := refDeroutingExact(env, q, bound)
 			compareDerouting(t, env, qname+"/exact", flatE, refE)
 			flatE.Release()
 
-			flatA := env.deroutingMapsApprox(q, bound)
+			flatA := env.deroutingMaps(q, bound, nil, approxBounds)
 			refA := refDeroutingApprox(env, q, bound)
 			compareDerouting(t, env, qname+"/approx", flatA, refA)
 			flatA.Release()
@@ -206,12 +207,12 @@ func TestDeroutingMapsZeroAllocSteadyState(t *testing.T) {
 	budget := q.RadiusM / avgUrbanSpeed
 	nodes := []roadnet.NodeID{0, roadnet.NodeID(env.Graph.NumNodes() / 2), roadnet.NodeID(env.Graph.NumNodes() - 1)}
 	for i := 0; i < 4; i++ { // warm the pool (4 states live at once in exact mode)
-		d := env.deroutingMaps(q, budget)
+		d := env.deroutingMaps(q, budget, nil, exactBounds)
 		d.Release()
 	}
 	for name, run := range map[string]func() DeroutingMaps{
-		"exact":  func() DeroutingMaps { return env.deroutingMaps(q, budget) },
-		"approx": func() DeroutingMaps { return env.deroutingMapsApprox(q, budget) },
+		"exact":  func() DeroutingMaps { return env.deroutingMaps(q, budget, nil, exactBounds) },
+		"approx": func() DeroutingMaps { return env.deroutingMaps(q, budget, nil, approxBounds) },
 	} {
 		allocs := testing.AllocsPerRun(20, func() {
 			d := run()
@@ -238,8 +239,8 @@ func BenchmarkDeroutingMaps(b *testing.B) {
 		name string
 		run  func() DeroutingMaps
 	}{
-		{"exact", func() DeroutingMaps { return env.deroutingMaps(q, budget) }},
-		{"approx", func() DeroutingMaps { return env.deroutingMapsApprox(q, budget) }},
+		{"exact", func() DeroutingMaps { return env.deroutingMaps(q, budget, nil, exactBounds) }},
+		{"approx", func() DeroutingMaps { return env.deroutingMaps(q, budget, nil, approxBounds) }},
 	} {
 		b.Run(bench.name, func(b *testing.B) {
 			b.ReportAllocs()

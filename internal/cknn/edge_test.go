@@ -91,8 +91,8 @@ func TestUnreachableChargersExcluded(t *testing.T) {
 func TestApproxDeroutingSoundness(t *testing.T) {
 	env := testEnv(t)
 	q := testQuery(env).normalized()
-	exact := env.deroutingMaps(q, math.Inf(1))
-	approx := env.deroutingMapsApprox(q, math.Inf(1))
+	exact := env.deroutingMaps(q, math.Inf(1), nil, exactBounds)
+	approx := env.deroutingMaps(q, math.Inf(1), nil, approxBounds)
 	checked := 0
 	for _, c := range env.Chargers.All() {
 		ai, okA := approx.Cost(c.Node)

@@ -90,7 +90,7 @@ func (m *SpatialIndexMethod) Rank(q Query) OfferingTable {
 			bound = b
 		}
 	}
-	d := m.engine.Env.deroutingMapsFor(q, bound, deroutTargets(cands, q.ReturnNode))
+	d := m.engine.Env.deroutingMaps(q, bound, deroutTargets(cands, q.ReturnNode), exactBounds)
 	defer d.Release()
 	return OfferingTable{
 		Anchor:      q.Anchor,

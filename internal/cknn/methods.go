@@ -85,7 +85,7 @@ func (m *BruteForce) Rank(q Query) OfferingTable {
 	// Unbounded search effort, but the expansions still stop once every
 	// charger (and the return node) is settled — the exhaustive baseline
 	// pays for the candidate set, not for the whole graph.
-	d := m.engine.Env.deroutingMapsFor(q, math.Inf(1), deroutTargets(cands, q.ReturnNode))
+	d := m.engine.Env.deroutingMaps(q, math.Inf(1), deroutTargets(cands, q.ReturnNode), exactBounds)
 	defer d.Release()
 	return OfferingTable{
 		Anchor:      q.Anchor,
@@ -141,7 +141,7 @@ func (m *IndexQuadtree) Rank(q Query) OfferingTable {
 			bound = b
 		}
 	}
-	d := m.engine.Env.deroutingMapsFor(q, bound, deroutTargets(cands, q.ReturnNode))
+	d := m.engine.Env.deroutingMaps(q, bound, deroutTargets(cands, q.ReturnNode), exactBounds)
 	defer d.Release()
 	return OfferingTable{
 		Anchor:      q.Anchor,
@@ -204,9 +204,10 @@ type EcoChargeOptions struct {
 	// TTL bounds how long a cached table stays adaptable regardless of
 	// distance (the ECs decay with time). 0 selects 15 minutes.
 	TTL time.Duration
-	// ExactDerouting selects the exact four-expansion derouting interval
-	// computation on cache misses instead of the default single-expansion
-	// mid-traffic approximation (see Env.deroutingMapsApprox).
+	// ExactDerouting selects the exact derouting interval computation on
+	// cache misses (a search under the lower and one under the upper
+	// weights) instead of the default single mid-traffic search with scaled
+	// bounds (see Env.deroutingMaps).
 	ExactDerouting bool
 }
 
@@ -314,13 +315,11 @@ func (m *EcoCharge) compute(q Query) OfferingTable {
 	// times that. Larger R therefore expands farther (slower) and keeps
 	// more chargers offerable (more accurate) — the Fig. 7 tradeoff.
 	budget := q.RadiusM / avgUrbanSpeed
-	targets := deroutTargets(cands, q.ReturnNode)
-	var d DeroutingMaps
+	bounds := approxBounds
 	if m.opts.ExactDerouting {
-		d = m.engine.Env.deroutingMapsFor(q, budget, targets)
-	} else {
-		d = m.engine.Env.deroutingMapsApproxFor(q, budget, targets)
+		bounds = exactBounds
 	}
+	d := m.engine.Env.deroutingMaps(q, budget, deroutTargets(cands, q.ReturnNode), bounds)
 	defer d.Release()
 	return OfferingTable{
 		Anchor:      q.Anchor,

@@ -34,7 +34,8 @@ type engineMetrics struct {
 	cacheSlots         *obs.Gauge   // live owner slots across all ShardedCaches
 
 	// DeroutingMaps construction and release (each exact computation runs
-	// four pooled expansions, each approximation two). Batched computations
+	// four pooled expansions, each approximation two; half that when the
+	// return leg aliases the outbound one). Batched computations
 	// also count their targets, so targets-per-computation and (with the
 	// roadnet_many_* counters) settled-nodes-per-target are derivable.
 	deroutExact    *obs.Counter

@@ -2,8 +2,10 @@ package eis
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strconv"
 	"strings"
 	"testing"
@@ -346,5 +348,54 @@ func TestParseTimeQuery(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad time accepted: %d", resp.StatusCode)
+	}
+}
+
+// TestChargerIDIsAnInteger pins the per-charger endpoints' charger
+// parameter: a base-10 integer is looked up, anything else — a fraction that
+// used to be truncated to a neighbour's ID, NaN, an exponent, an overflow —
+// is a 400 with one fixed body.
+func TestChargerIDIsAnInteger(t *testing.T) {
+	ts, _, env := testServer(t)
+	id := env.Chargers.All()[0].ID
+	known := strconv.FormatInt(id, 10)
+	const notInteger = `{"error":"parameter \"charger\" is not an integer charger ID"}` + "\n"
+	const missing = `{"error":"missing parameter \"charger\""}` + "\n"
+	for _, tc := range []struct {
+		raw    string
+		status int
+		body   string // pinned when non-empty
+	}{
+		{known, http.StatusOK, ""},
+		{"+" + known, http.StatusOK, ""},
+		{"00" + known, http.StatusOK, ""},
+		{"999999", http.StatusNotFound, ""},
+		{"-3", http.StatusNotFound, ""},
+		{"", http.StatusBadRequest, missing},
+		{known + ".9", http.StatusBadRequest, notInteger},
+		{known + ".0", http.StatusBadRequest, notInteger},
+		{"NaN", http.StatusBadRequest, notInteger},
+		{"Inf", http.StatusBadRequest, notInteger},
+		{"1e3", http.StatusBadRequest, notInteger},
+		{"0x10", http.StatusBadRequest, notInteger},
+		{"1_000", http.StatusBadRequest, notInteger},
+		{" " + known, http.StatusBadRequest, notInteger},
+		{"9223372036854775808", http.StatusBadRequest, notInteger},
+		{"abc", http.StatusBadRequest, notInteger},
+	} {
+		for _, endpoint := range []string{"/weather", "/availability"} {
+			resp, err := http.Get(ts.URL + APIVersion + endpoint + "?charger=" + url.QueryEscape(tc.raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != tc.status || (tc.body != "" && string(body) != tc.body) {
+				t.Errorf("%s?charger=%q: status %d body %q, want %d %q", endpoint, tc.raw, resp.StatusCode, body, tc.status, tc.body)
+			}
+		}
 	}
 }

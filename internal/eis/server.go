@@ -119,10 +119,10 @@ type cacheKey struct {
 // cacheVal is one cached Offering Table, pre-encoded in both interchange
 // formats at insertion time (with Cached=true, the flag every hit carries):
 // encode once, write many. Hits serve the stored bytes with Content-Length
-// and never re-marshal. The byte slices are immutable after put, so shards
-// hand them out without copying.
+// and never re-marshal, so the decoded table is not kept: a full cache holds
+// two byte slices per entry, not a slice of entries besides. The byte slices
+// are immutable after put, so shards hand them out without copying.
 type cacheVal struct {
-	resp     OfferingResponse
 	jsonBody []byte
 	wireBody []byte
 	expires  time.Time
@@ -229,7 +229,7 @@ func (c *respCache) put(key cacheKey, resp OfferingResponse, now, expires time.T
 	if !exists && c.maxPerShard > 0 && len(s.m) >= c.maxPerShard {
 		s.evictOldestLocked()
 	}
-	s.m[key] = cacheVal{resp: resp, jsonBody: jsonBody, wireBody: wireBody, expires: expires}
+	s.m[key] = cacheVal{jsonBody: jsonBody, wireBody: wireBody, expires: expires}
 	if !exists {
 		met.rescacheEntries.Inc()
 	}
@@ -451,6 +451,24 @@ func parseFloat(r *http.Request, name string) (float64, error) {
 	return v, nil
 }
 
+// ChargerIDParam parses the "charger" query parameter of the per-charger
+// endpoints: a base-10 integer and nothing else. Charger IDs are int64s, so
+// "7.9", "1e3" and "NaN" name no charger — reading them as floats and
+// truncating would answer for charger 7, for charger 1000, and for whatever
+// integer the platform converts NaN to. The shard and the fleet gateway both
+// parse through here and answer the error as a 400, so they cannot disagree.
+func ChargerIDParam(r *http.Request) (int64, error) {
+	raw := r.URL.Query().Get("charger")
+	if raw == "" {
+		return 0, fmt.Errorf("missing parameter %q", "charger")
+	}
+	id, err := strconv.ParseInt(raw, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("parameter %q is not an integer charger ID", "charger")
+	}
+	return id, nil
+}
+
 func parseTime(r *http.Request, name string, def time.Time) (time.Time, error) {
 	raw := r.URL.Query().Get(name)
 	if raw == "" {
@@ -536,14 +554,14 @@ func (s *Server) chargerAndTime(w http.ResponseWriter, r *http.Request) (c *char
 		s.writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return nil, time.Time{}, false
 	}
-	idF, err := parseFloat(r, "charger")
+	id, err := ChargerIDParam(r)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return nil, time.Time{}, false
 	}
-	c, found := s.env.Chargers.ByID(int64(idF))
+	c, found := s.env.Chargers.ByID(id)
 	if !found {
-		s.writeError(w, http.StatusNotFound, "charger %d not found", int64(idF))
+		s.writeError(w, http.StatusNotFound, "charger %d not found", id)
 		return nil, time.Time{}, false
 	}
 	at, err = parseTime(r, "t", s.opts.Clock())

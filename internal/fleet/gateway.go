@@ -558,17 +558,6 @@ func chargersParams(r *http.Request) (geo.Point, float64, bool) {
 
 // ---- weather / availability (single-owner pass-through) ----
 
-// ownerOf routes a per-charger request: the rendezvous partition names the
-// owning shard with no shared state. An unparseable charger parameter goes
-// to shard 0, whose canonical 400 is passed through.
-func (g *Gateway) ownerOf(r *http.Request) *member {
-	idF, err := strconv.ParseFloat(r.URL.Query().Get("charger"), 64)
-	if err != nil {
-		return g.members[0]
-	}
-	return g.members[g.part.ShardOf(int64(idF))]
-}
-
 func (g *Gateway) handleWeather(w http.ResponseWriter, r *http.Request) {
 	g.perCharger(w, r, "weather", func(c charger.Charger, at time.Time) interface{} {
 		// Honest fallback: the site cannot produce more than its nameplate
@@ -611,14 +600,22 @@ type degradedAvailability struct {
 }
 
 // perCharger serves one of the per-charger estimate endpoints: pass-through
-// from the owning shard when it answers, a synthesized ignorance-bound
-// response from its cached inventory when it does not.
+// from the owning shard — the rendezvous partition names it with no shared
+// state — when it answers, a synthesized ignorance-bound response from its
+// cached inventory when it does not. A charger parameter that is not an
+// integer is answered here, with the 400 a shard would give: there is no
+// owner to ask.
 func (g *Gateway) perCharger(w http.ResponseWriter, r *http.Request, what string, synth func(charger.Charger, time.Time) interface{}) {
 	if r.Method != http.MethodGet {
 		g.writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	m := g.ownerOf(r)
+	id, err := eis.ChargerIDParam(r)
+	if err != nil {
+		g.writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	m := g.members[g.part.ShardOf(id)]
 	pathq := eis.APIVersion + "/" + what + "?" + r.URL.RawQuery
 	// Forward the client's own Accept header: when the client negotiated
 	// binary the shard's encoded bytes pass through with no gateway
@@ -629,13 +626,8 @@ func (g *Gateway) perCharger(w http.ResponseWriter, r *http.Request, what string
 		passthrough(w, res)
 		return
 	}
-	idF, err := strconv.ParseFloat(r.URL.Query().Get("charger"), 64)
-	if err != nil {
-		g.writeUnavailable(w, what)
-		return
-	}
 	for _, c := range m.chargers() {
-		if c.ID == int64(idF) {
+		if c.ID == id {
 			at := g.opts.Clock()
 			if raw := r.URL.Query().Get("t"); raw != "" {
 				t, terr := time.Parse(time.RFC3339, raw)

@@ -7,7 +7,7 @@ package roadnet
 // float64) pairs, precompiled per-road-class weight tables, and a sync.Pool
 // of search-state scratch so concurrent queries reuse buffers instead of
 // allocating. The derouting component runs
-// two to four bounded expansions per segment per trip per user (paper
+// one to four bounded expansions per segment per trip per user (paper
 // Alg. 1 lines 9-10), which makes this the hottest loop in the repository;
 // see DESIGN.md §8 for the engineering rules it follows.
 

@@ -7,8 +7,10 @@
 package roadnet
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"ecocharge/internal/geo"
@@ -129,6 +131,40 @@ func buildCSR(numNodes int, edges []Edge, reverse bool) (c csr, order []int32) {
 	return c, order
 }
 
+// symmetricCSR reports whether every node has the same arcs going out as
+// coming in: equal multisets of (far end, class, bit-identical length) in its
+// forward and its reverse row. Then each arc u→v has a twin v→u of the same
+// cost under any class table, so a search over rev visits what the search
+// over fwd from the same node visits and sums the same floats in the same
+// order along every path — the two label sets are equal bit for bit
+// (DESIGN.md §8). A self-loop sits in both rows of its node and is its own
+// twin; a graph without arcs is symmetric.
+func symmetricCSR(fwd, rev *csr) bool {
+	byArc := func(a, b arc) int {
+		return cmp.Or(
+			cmp.Compare(a.to, b.to),
+			cmp.Compare(a.class, b.class),
+			cmp.Compare(math.Float64bits(a.length), math.Float64bits(b.length)),
+		)
+	}
+	var out, in []arc // sorted copies of one node's two rows, reused
+	for n := 0; n+1 < len(fwd.off); n++ {
+		out = append(out[:0], fwd.row(NodeID(n))...)
+		in = append(in[:0], rev.row(NodeID(n))...)
+		if len(out) != len(in) {
+			return false
+		}
+		slices.SortFunc(out, byArc)
+		slices.SortFunc(in, byArc)
+		for i := range out {
+			if byArc(out[i], in[i]) != 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // Graph is a directed weighted road network. Build it with AddNode/AddEdge,
 // then call Freeze before querying; Freeze constructs the adjacency arrays
 // and the nearest-node index. The zero value is an empty, unfrozen graph.
@@ -139,10 +175,11 @@ type Graph struct {
 	rev   csr    // in-arcs per node, for return-trip costs
 	// fwdOrder[p] is the insertion index of the edge at fwd.arcs[p]: all a
 	// frozen graph keeps of the edge list, enough for Edges to rebuild it.
-	fwdOrder []int32
-	index    *spatial.Quadtree
-	pool     *sync.Pool // recycled searchState scratch (see flat.go); set by Freeze
-	frozen   bool
+	fwdOrder  []int32
+	symmetric bool // fwd and rev hold the same arcs per node; set by Freeze
+	index     *spatial.Quadtree
+	pool      *sync.Pool // recycled searchState scratch (see flat.go); set by Freeze
+	frozen    bool
 }
 
 // NewGraph returns an empty graph with capacity hints.
@@ -179,10 +216,12 @@ func (g *Graph) AddEdge(from, to NodeID, length float64, class RoadClass) {
 	g.edges = append(g.edges, Edge{From: from, To: to, Length: length, Class: class})
 }
 
-// AddBidirectional adds the edge in both directions.
+// AddBidirectional adds the edge in both directions. Both arcs get the same
+// length value — the second takes the first's, derived or given — so a graph
+// built only of these is Symmetric.
 func (g *Graph) AddBidirectional(a, b NodeID, length float64, class RoadClass) {
 	g.AddEdge(a, b, length, class)
-	g.AddEdge(b, a, length, class)
+	g.AddEdge(b, a, g.edges[len(g.edges)-1].Length, class)
 }
 
 func (g *Graph) validID(id NodeID) bool { return id >= 0 && int(id) < len(g.nodes) }
@@ -195,6 +234,7 @@ func (g *Graph) Freeze() {
 	}
 	g.fwd, g.fwdOrder = buildCSR(len(g.nodes), g.edges, false)
 	g.rev, _ = buildCSR(len(g.nodes), g.edges, true)
+	g.symmetric = symmetricCSR(&g.fwd, &g.rev)
 	g.edges = nil
 	if len(g.nodes) > 0 {
 		pts := make([]geo.Point, len(g.nodes))
@@ -209,6 +249,14 @@ func (g *Graph) Freeze() {
 	g.initSearchPool()
 	g.frozen = true
 }
+
+// Symmetric reports whether the frozen graph is undirected in the strict
+// sense a search can rely on: every arc has a twin in the opposite direction
+// with the same class and the same length bit for bit (parallel arcs counted
+// with multiplicity). On such a graph the distances *to* a node equal the
+// distances *from* it under any class table, exactly, so a caller that needs
+// both from one node may run one expansion. It is false before Freeze.
+func (g *Graph) Symmetric() bool { return g.symmetric }
 
 // NumNodes reports |V|.
 func (g *Graph) NumNodes() int { return len(g.nodes) }

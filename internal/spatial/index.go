@@ -6,7 +6,8 @@
 package spatial
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"ecocharge/internal/geo"
 )
@@ -40,14 +41,11 @@ type Index interface {
 }
 
 // sortNeighbors orders by distance then ID, the deterministic order every
-// Index implementation must produce.
+// Index implementation must produce. With distinct IDs the order is total, so
+// the result does not depend on the sorting algorithm.
 func sortNeighbors(ns []Neighbor) {
-	sort.Slice(ns, func(i, j int) bool {
-		//ecolint:ignore floateq sort comparator: tolerance would break strict weak ordering
-		if ns[i].Dist != ns[j].Dist {
-			return ns[i].Dist < ns[j].Dist
-		}
-		return ns[i].ID < ns[j].ID
+	slices.SortFunc(ns, func(a, b Neighbor) int {
+		return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.ID, b.ID))
 	})
 }
 

@@ -276,3 +276,48 @@ func BenchmarkBruteForceKNN(b *testing.B) {
 		bf.KNN(q, 10)
 	}
 }
+
+// TestEqualDistancesComeBackInIDOrder pins the second key of sortNeighbors:
+// items at the same distance from the query — co-located ones, and pairs
+// mirrored across it — are returned in ID order by every index, from Within
+// and from KNN, whatever order they were inserted in.
+func TestEqualDistancesComeBackInIDOrder(t *testing.T) {
+	q := testBounds.Center()
+	var items []Item
+	for i := 0; i < 40; i++ {
+		d := 0.001 * float64(1+i/8) // five rings of eight
+		p := geo.Point{Lat: q.Lat + d, Lon: q.Lon}
+		if i%2 == 1 {
+			p.Lat = q.Lat - d // the mirror image: bit-equal distance
+		}
+		items = append(items, Item{ID: int64(1000 - i), P: p})
+	}
+	rand.New(rand.NewSource(3)).Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
+	bf, qt, gr := buildAll(items)
+
+	for name, idx := range map[string]Index{"brute": bf, "quadtree": qt, "grid": gr} {
+		for what, got := range map[string][]Neighbor{
+			"Within": idx.Within(q, 2000),
+			"KNN":    idx.KNN(q, len(items)),
+		} {
+			if len(got) != len(items) {
+				t.Fatalf("%s %s returned %d of %d items", name, what, len(got), len(items))
+			}
+			ties := 0
+			for i := 1; i < len(got); i++ {
+				a, b := got[i-1], got[i]
+				//ecolint:ignore floateq the test is about bit-equal distances
+				if a.Dist > b.Dist || (a.Dist == b.Dist && a.ID >= b.ID) {
+					t.Fatalf("%s %s: (%v, %d) before (%v, %d)", name, what, a.Dist, a.ID, b.Dist, b.ID)
+				}
+				//ecolint:ignore floateq the test is about bit-equal distances
+				if a.Dist == b.Dist {
+					ties++
+				}
+			}
+			if ties < len(items)/2 {
+				t.Fatalf("%s %s: only %d equal-distance neighbours; the test does not reach the ID key", name, what, ties)
+			}
+		}
+	}
+}
