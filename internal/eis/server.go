@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"net/http"
@@ -35,14 +36,16 @@ type ServerOptions struct {
 	// one trip evaluation uses at most Workers goroutines. 0 selects
 	// GOMAXPROCS; 1 runs the sequential reference path.
 	Workers int
-	// CacheMaxEntries bounds the response cache across all shards; when a
-	// shard fills, the entry closest to expiry is evicted. 0 selects 4096;
+	// CacheMaxEntries bounds the response cache across all shards; a full
+	// shard evicts by respShard.evictLocked's rule (expired entries, then
+	// entries never read, before anything that was hit). 0 selects 4096;
 	// negative disables the bound.
 	CacheMaxEntries int
-	// RequestTimeout is the per-request deadline installed on every
-	// request's context; handlers that outlive it answer 503 with
-	// Retry-After instead of holding the connection. 0 selects 15 s;
-	// negative disables the deadline.
+	// RequestTimeout is the per-request deadline, installed where a handler
+	// can block (Server.deadline): the single-flight wait of /offering,
+	// which answers 503 with Retry-After when it expires instead of holding
+	// the connection, and the contexts of the trip and advice handlers.
+	// 0 selects 15 s; negative disables the deadline.
 	RequestTimeout time.Duration
 	// ShedRetryAfter is the Retry-After delay stamped on shed (503)
 	// responses. An overloaded shard in a fleet raises it to push hedged
@@ -126,6 +129,10 @@ type cacheVal struct {
 	jsonBody []byte
 	wireBody []byte
 	expires  time.Time
+	// readRound is the entry's reference mark: get sets it to the round its
+	// stripe is in, and eviction spares the entries that carry that round
+	// (respShard.read, evictLocked). Zero is never read.
+	readRound uint32
 }
 
 // respCacheStripes is the shard count of the response cache: enough to keep
@@ -146,8 +153,8 @@ const sweepEvery = 64
 // shard is an independently locked map.
 //
 // Hygiene: get deletes expired entries it touches, put sweeps its shard
-// every sweepEvery insertions, and a full shard evicts the entry closest to
-// expiry before inserting (maxPerShard 0 disables the bound).
+// every sweepEvery insertions, and a full shard evicts one entry before
+// inserting (evictLocked; maxPerShard 0 disables the bound).
 type respCache struct {
 	shards [respCacheStripes]respShard
 	// maxPerShard bounds each shard's entry count; 0 means unbounded.
@@ -158,7 +165,13 @@ type respShard struct {
 	mu   sync.Mutex
 	m    map[cacheKey]cacheVal
 	puts int // insertions since the last sweep
+	// round is the stripe's second-chance round less one. Advancing it
+	// clears the read mark of every entry at once.
+	round uint32
 }
+
+// read reports whether get returned v in the stripe's current round.
+func (s *respShard) read(v cacheVal) bool { return v.readRound > s.round }
 
 func (c *respCache) shard(key cacheKey) *respShard {
 	h := uint64(14695981039346656037) // FNV-1a offset basis
@@ -190,6 +203,10 @@ func (c *respCache) get(key cacheKey, now time.Time) (cacheVal, bool) {
 		met.rescacheEntries.Dec()
 		met.rescacheMisses.Inc()
 		return cacheVal{}, false
+	}
+	if !s.read(v) {
+		v.readRound = s.round + 1
+		s.m[key] = v
 	}
 	met.rescacheHits.Inc()
 	return v, true
@@ -227,7 +244,7 @@ func (c *respCache) put(key cacheKey, resp OfferingResponse, now, expires time.T
 	}
 	_, exists := s.m[key]
 	if !exists && c.maxPerShard > 0 && len(s.m) >= c.maxPerShard {
-		s.evictOldestLocked()
+		s.evictLocked(now)
 	}
 	s.m[key] = cacheVal{jsonBody: jsonBody, wireBody: wireBody, expires: expires}
 	if !exists {
@@ -235,25 +252,54 @@ func (c *respCache) put(key cacheKey, resp OfferingResponse, now, expires time.T
 	}
 }
 
-// evictOldestLocked removes the entry closest to expiry — expired entries
-// sort first, so garbage is always reclaimed before live data. The linear
-// scan is fine at per-shard sizes (maxPerShard is a few hundred).
-func (s *respShard) evictOldestLocked() {
+// evictLocked makes room in a full shard with one pass over it. Expired
+// entries go first, all of them: garbage is reclaimed before live data.
+// Otherwise the victim is the closest-to-expiry entry that has not been read
+// — every entry gets the same TTL, so that is the oldest key nobody came
+// back for, and a one-shot key goes before a cell that is hit a thousand
+// times. Only when every entry has been read does the closest-to-expiry one
+// of all go, and a new round begins: each survivor has to be read again to
+// outlive the next such eviction (second chance). Clearing the marks the
+// pass goes over on every eviction instead would protect a cell only while
+// it is read between any two evictions of its shard, which under expiry
+// order is FIFO plus one eviction (measured in docs/perf.md). The linear
+// scan is fine at per-shard sizes (maxPerShard is a few hundred) next to
+// the ranking the insertion follows.
+func (s *respShard) evictLocked(now time.Time) {
 	var (
-		oldest cacheKey
-		found  bool
-		at     time.Time
+		victim     cacheKey
+		at         time.Time
+		victimRead bool
+		found      bool
+		expired    int
 	)
 	for k, v := range s.m {
-		if !found || v.expires.Before(at) {
-			oldest, at, found = k, v.expires, true
+		if now.After(v.expires) {
+			delete(s.m, k)
+			expired++
+			continue
+		}
+		// An unread entry beats a read one; between equals, the one closer
+		// to expiry.
+		read := s.read(v)
+		if !found || (victimRead && !read) || (victimRead == read && v.expires.Before(at)) {
+			victim, at, victimRead, found = k, v.expires, read, true
 		}
 	}
-	if found {
-		delete(s.m, oldest)
-		met.rescacheEvictions.Inc()
-		met.rescacheEntries.Dec()
+	if expired > 0 {
+		met.rescacheExpired.Add(uint64(expired))
+		met.rescacheEntries.Add(-int64(expired))
+		return
 	}
+	if !found {
+		return
+	}
+	if victimRead {
+		s.round++
+	}
+	delete(s.m, victim)
+	met.rescacheEvictions.Inc()
+	met.rescacheEntries.Dec()
 }
 
 // entries reports the total cached-entry count (tests and diagnostics).
@@ -285,18 +331,27 @@ func NewServer(env *cknn.Env, opts ServerOptions) *Server {
 	return srv
 }
 
-// withDeadline installs the per-request deadline on the request context so
-// every handler (and everything it calls) observes one budget; the deadline
-// propagates into the single-flight wait and any downstream work.
-func (s *Server) withDeadline(h http.Handler) http.Handler {
+// deadline derives the context of a request that is about to wait or to
+// compute for long: the caller's, bounded by RequestTimeout. It is the one
+// reader of the option, called where a handler can block — /offering past
+// its cache lookup, before the single-flight, and the trip and advice
+// handlers (bounded) — and not around every request: a response-cache hit
+// returns in microseconds without reading its context, and a timer, a
+// context and a request copy per hit cost more than the hit.
+func (s *Server) deadline(ctx context.Context) (context.Context, context.CancelFunc) {
 	if s.opts.RequestTimeout <= 0 {
-		return h
+		return ctx, func() {}
 	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
+	return context.WithTimeout(ctx, s.opts.RequestTimeout)
+}
+
+// bounded runs a handler under the request deadline.
+func (s *Server) bounded(fn http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		ctx, cancel := s.deadline(r.Context())
 		defer cancel()
-		h.ServeHTTP(w, r.WithContext(ctx))
-	})
+		fn(w, r.WithContext(ctx))
+	}
 }
 
 // instrument wraps an API handler with its per-endpoint duration histogram
@@ -332,15 +387,15 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc(APIVersion+"/availability", s.instrument("eis.availability", met.httpAvailability, s.handleAvailability))
 	mux.HandleFunc(APIVersion+"/traffic", s.instrument("eis.traffic", met.httpTraffic, s.handleTraffic))
 	mux.HandleFunc(APIVersion+"/offering", s.instrument("eis.offering", met.httpOffering, s.handleOffering))
-	mux.HandleFunc(APIVersion+"/offering/trip", s.instrument("eis.offering.trip", met.httpTrip, s.handleTripOffering))
-	mux.HandleFunc(APIVersion+"/advice", s.instrument("eis.advice", met.httpAdvice, s.handleAdvice))
+	mux.HandleFunc(APIVersion+"/offering/trip", s.instrument("eis.offering.trip", met.httpTrip, s.bounded(s.handleTripOffering)))
+	mux.HandleFunc(APIVersion+"/advice", s.instrument("eis.advice", met.httpAdvice, s.bounded(s.handleAdvice)))
 	mux.Handle("/metrics", obs.Default().Handler())
 	mux.Handle("/debug/vars", obs.Default().VarsHandler())
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		_, _ = fmt.Fprintln(w, "ok") // client went away; nothing to do with the error
 	})
-	return s.withDeadline(mux)
+	return mux
 }
 
 func (s *Server) writeError(w http.ResponseWriter, code int, format string, args ...interface{}) {
@@ -603,22 +658,26 @@ func (s *Server) handleOffering(w http.ResponseWriter, r *http.Request) {
 	}
 	const maxOfferingBody = 1 << 20
 	body := http.MaxBytesReader(w, r.Body, maxOfferingBody)
-	var req OfferingRequest
-	if wire.IsWire(r.Header.Get("Content-Type")) {
+	var (
+		req OfferingRequest
+		err error
+	)
+	wireReq := wire.IsWire(r.Header.Get("Content-Type"))
+	if wireReq {
 		buf := wire.GetBuffer()
-		err := buf.ReadLimit(body, maxOfferingBody)
-		if err == nil {
+		if err = buf.ReadLimit(body, maxOfferingBody); err == nil {
 			err = wire.DecodeOfferingRequest(buf.B, &req)
 		}
 		wire.PutBuffer(buf)
-		if err != nil {
-			s.writeError(w, http.StatusBadRequest, "decoding request: %v", err)
-			return
-		}
-		met.reqWire.Inc()
-	} else if err := json.NewDecoder(body).Decode(&req); err != nil {
+	} else {
+		req, err = decodeJSONOffering(body)
+	}
+	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
+	}
+	if wireReq {
+		met.reqWire.Inc()
 	}
 	p := geo.Point{Lat: req.Lat, Lon: req.Lon}
 	if !p.Valid() {
@@ -673,7 +732,9 @@ func (s *Server) handleOffering(w http.ResponseWriter, r *http.Request) {
 	// Single-flight: concurrent cache misses for the same cell collapse to
 	// one computation; followers wait for the leader's table (or their own
 	// deadline) instead of stampeding the ranking engine.
-	resp, shared, err := s.flights.do(r.Context(), key, func() OfferingResponse {
+	ctx, cancel := s.deadline(r.Context())
+	defer cancel()
+	resp, shared, err := s.flights.do(ctx, key, func() OfferingResponse {
 		s.computes.Add(1)
 		q := cknn.Query{
 			Anchor: p, AnchorNode: node, ReturnNode: node,
@@ -697,11 +758,20 @@ func (s *Server) handleOffering(w http.ResponseWriter, r *http.Request) {
 	s.respond(w, r, &resp, func(b []byte) []byte { return wire.AppendOfferingResponse(b, &resp) })
 }
 
+// decodeJSONOffering is apart from handleOffering so that the request it
+// hands to encoding/json escapes to the heap here, on the JSON plane, and not
+// in every call of the handler.
+func decodeJSONOffering(body io.Reader) (OfferingRequest, error) {
+	var req OfferingRequest
+	err := json.NewDecoder(body).Decode(&req)
+	return req, err
+}
+
 // flightGroup collapses concurrent computations of the same cache key into
 // one: the first caller becomes the leader and computes, followers block on
-// the leader's result or their own context, whichever ends first. The
-// leader always runs to completion so its work lands in the cache even when
-// every waiter gave up.
+// the leader's result or their own context, whichever ends first. The leader
+// always runs to completion so its work lands in the cache even when every
+// waiter gave up.
 type flightGroup struct {
 	mu sync.Mutex
 	m  map[cacheKey]*flight

@@ -331,7 +331,7 @@ func TestChaosFleetShardBlackout(t *testing.T) {
 			pool = append(pool, synthEntry(c, w))
 		}
 	}
-	want := mergeEntries(pool, k)
+	want := mergeEntriesOracle(pool, k)
 
 	gs, gb, gh := doReq(t, h.gwts.URL, http.MethodPost, eis.APIVersion+"/offering", body)
 	if gs != http.StatusOK {

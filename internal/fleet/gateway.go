@@ -2,10 +2,8 @@ package fleet
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"sort"
@@ -31,9 +29,9 @@ type Shard struct {
 
 // Options configure the gateway.
 type Options struct {
-	// ShardTimeout is the per-shard deadline of one fan-out exchange; a
-	// shard that has not answered by then is cancelled and treated as dead
-	// for this request. 0 selects 2 s.
+	// ShardTimeout is the deadline of one fan-out (or of one single-owner
+	// exchange); a shard that has not answered by then is cancelled and
+	// treated as dead for this request. 0 selects 2 s.
 	ShardTimeout time.Duration
 	// HedgeDelay is how long the gateway waits on the primary before firing
 	// the hedged request at the replica (when the shard has one). A shard
@@ -49,6 +47,9 @@ type Options struct {
 	BreakerCooldown  time.Duration
 	// HTTPClient performs shard exchanges and probes; nil selects a fresh
 	// default client (deadlines come from request contexts, not the client).
+	// Exchanges call its Transport directly, which must honour the request
+	// context, as net/http's does. Timeout, Jar and CheckRedirect are
+	// Client.Do's and would be ignored there, so NewGateway rejects them.
 	HTTPClient *http.Client
 	// Clock is overridable for tests; nil selects time.Now.
 	Clock func() time.Time
@@ -100,6 +101,14 @@ type Gateway struct {
 	members []*member
 	part    Partition
 	opts    Options
+
+	// transport is the client's RoundTripper; every shard exchange runs on it.
+	transport http.RoundTripper
+	// headers are the outbound header sets of the fan-out endpoints, built
+	// once and shared read-only by every request (Gateway.header).
+	headers []headerSet
+	// fanouts pools the per-request fan-out state.
+	fanouts sync.Pool
 }
 
 // NewGateway returns a gateway over the shards, in shard-index order (the
@@ -109,9 +118,22 @@ func NewGateway(shards []Shard, opts Options) (*Gateway, error) {
 		return nil, fmt.Errorf("fleet: gateway needs at least one shard")
 	}
 	opts = opts.withDefaults()
-	g := &Gateway{part: Partition{N: len(shards)}, opts: opts}
+	if c := opts.HTTPClient; c.Timeout != 0 || c.Jar != nil || c.CheckRedirect != nil {
+		return nil, fmt.Errorf("fleet: HTTPClient sets Timeout, Jar or CheckRedirect, which shard exchanges bypass; the deadline is ShardTimeout")
+	}
+	g := &Gateway{part: Partition{N: len(shards)}, opts: opts, transport: opts.HTTPClient.Transport}
+	if g.transport == nil {
+		g.transport = http.DefaultTransport
+	}
+	accept := g.shardAccept()
+	for _, contentType := range []string{"", ctJSON, wire.ContentType} {
+		g.headers = append(g.headers, headerSet{contentType, accept, newHeader(contentType, accept)})
+	}
+	if accept != "" {
+		g.headers = append(g.headers, headerSet{ctJSON, "", newHeader(ctJSON, "")}) // trip offerings
+	}
 	for i, s := range shards {
-		m, err := newMember(i, s, opts.BreakerThreshold, opts.BreakerCooldown, opts.Clock)
+		m, err := newMember(i, s, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -124,195 +146,6 @@ func (g *Gateway) logf(format string, args ...interface{}) {
 	if g.opts.Logger != nil {
 		g.opts.Logger.Printf("gateway: "+format, args...)
 	}
-}
-
-// shardResult is the outcome of one logical exchange with a shard (primary
-// plus any hedge): either a terminal HTTP response (any status) or an error
-// meaning the shard is unreachable for this request.
-type shardResult struct {
-	status      int
-	body        []byte
-	contentType string
-	retryAfter  string
-	err         error
-	// buf is the pooled backing storage of body; release returns it. A
-	// hedge loser that lands after its exchange returned is simply dropped —
-	// its buffer falls to the GC instead of the pool, which is safe.
-	buf *wire.Buffer
-}
-
-// release returns the result's pooled body buffer; neither the result nor
-// any slice of body may be touched afterwards.
-func (res *shardResult) release() {
-	if res != nil && res.buf != nil {
-		wire.PutBuffer(res.buf)
-		res.buf, res.body = nil, nil
-	}
-}
-
-// releaseAll releases every fan-out result's pooled body.
-func releaseAll(results []*shardResult) {
-	for _, res := range results {
-		res.release()
-	}
-}
-
-// retryableStatus mirrors the client's transient-fault classification: these
-// statuses mean "the shard cannot serve right now", not "the request is
-// wrong", so the gateway treats them as shard failures and degrades.
-func retryableStatus(code int) bool {
-	switch code {
-	case http.StatusTooManyRequests, http.StatusBadGateway, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-		return true
-	}
-	return false
-}
-
-// attempt performs one HTTP exchange against one base URL. The body is read
-// into a pooled buffer (the old per-attempt ReadAll re-grew a slice on every
-// exchange); the caller owns the result and must release() it.
-func (g *Gateway) attempt(ctx context.Context, base, method, pathq string, body []byte, contentType, accept string) *shardResult {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, base+pathq, rd)
-	if err != nil {
-		return &shardResult{err: err}
-	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
-	}
-	if accept != "" {
-		req.Header.Set("Accept", accept)
-	}
-	resp, err := g.opts.HTTPClient.Do(req)
-	if err != nil {
-		return &shardResult{err: err}
-	}
-	defer resp.Body.Close()
-	buf := wire.GetBuffer()
-	if err := buf.ReadLimit(resp.Body, maxShardResponseBytes); err != nil {
-		wire.PutBuffer(buf)
-		return &shardResult{err: err}
-	}
-	if int64(len(buf.B)) > maxShardResponseBytes {
-		wire.PutBuffer(buf)
-		return &shardResult{err: fmt.Errorf("fleet: shard response exceeds %d bytes", maxShardResponseBytes)}
-	}
-	if retryableStatus(resp.StatusCode) {
-		wire.PutBuffer(buf)
-		return &shardResult{err: fmt.Errorf("fleet: shard %s: HTTP %d", base, resp.StatusCode)}
-	}
-	return &shardResult{
-		status:      resp.StatusCode,
-		body:        buf.B,
-		contentType: resp.Header.Get("Content-Type"),
-		retryAfter:  resp.Header.Get("Retry-After"),
-		buf:         buf,
-	}
-}
-
-// exchange performs one logical exchange with a shard under the per-shard
-// deadline: the primary immediately, the replica after the hedge delay (or
-// at once when the shard's last probe failed, or as failover when the
-// primary fails first). The first terminal answer wins; a late loser is
-// cancelled by the shared context. Exactly one breaker outcome is recorded
-// per exchange.
-func (g *Gateway) exchange(ctx context.Context, m *member, method, pathq string, body []byte, contentType, accept string) *shardResult {
-	if err := m.breaker.Allow(); err != nil {
-		met.shardFailures.Inc()
-		return &shardResult{err: fmt.Errorf("fleet: shard %d: %w", m.index, err)}
-	}
-	ctx, cancel := context.WithTimeout(ctx, g.opts.ShardTimeout)
-	defer cancel()
-
-	type attempt struct {
-		res    *shardResult
-		hedged bool
-	}
-	ch := make(chan attempt, 2)
-	do := func(base string, hedged bool) {
-		ch <- attempt{res: g.attempt(ctx, base, method, pathq, body, contentType, accept), hedged: hedged}
-	}
-	met.shardRequests.Inc()
-	//ecolint:ignore nakedgo do reports into ch (buffered for both attempts) and the attempt is bounded by the exchange context
-	go do(m.baseURL, false)
-
-	var hedgeC <-chan time.Time
-	hedgeable := m.replica != "" && g.opts.HedgeDelay >= 0
-	if hedgeable {
-		delay := g.opts.HedgeDelay
-		if !m.probeOK.Load() {
-			delay = 0
-		}
-		timer := time.NewTimer(delay)
-		defer timer.Stop()
-		hedgeC = timer.C
-	}
-	fireHedge := func() {
-		hedgeC = nil
-		hedgeable = false
-		met.hedgesFired.Inc()
-		met.shardRequests.Inc()
-		//ecolint:ignore nakedgo do reports into ch (buffered for both attempts) and the attempt is bounded by the exchange context
-		go do(m.replica, true)
-	}
-
-	pending := 1
-	var firstErr *shardResult
-	for {
-		select {
-		case <-hedgeC:
-			fireHedge()
-			pending++
-		case a := <-ch:
-			if a.res.err == nil {
-				if a.hedged {
-					met.hedgeWins.Inc()
-				}
-				m.breaker.OnSuccess()
-				return a.res
-			}
-			if firstErr == nil {
-				firstErr = a.res
-			}
-			pending--
-			if pending == 0 {
-				if hedgeable {
-					// The primary failed before the hedge timer: fail over to
-					// the replica for the remainder of the deadline.
-					fireHedge()
-					pending++
-					continue
-				}
-				met.shardFailures.Inc()
-				m.breaker.OnFailure()
-				return firstErr
-			}
-		case <-ctx.Done():
-			met.shardFailures.Inc()
-			m.breaker.OnFailure()
-			return &shardResult{err: fmt.Errorf("fleet: shard %d: %w", m.index, ctx.Err())}
-		}
-	}
-}
-
-// fanout runs one exchange against every shard concurrently and returns the
-// results indexed by shard.
-func (g *Gateway) fanout(ctx context.Context, method, pathq string, body []byte, contentType, accept string) []*shardResult {
-	results := make([]*shardResult, len(g.members))
-	done := make(chan int, len(g.members))
-	for i, m := range g.members {
-		go func(i int, m *member) {
-			results[i] = g.exchange(ctx, m, method, pathq, body, contentType, accept)
-			done <- i
-		}(i, m)
-	}
-	for range g.members {
-		<-done
-	}
-	return results
 }
 
 // shardAccept is the Accept header value of shard-side exchanges on the
@@ -418,25 +251,6 @@ func markDegraded(w http.ResponseWriter, dead []int, synthesized int) {
 	met.degradedEntries.Add(uint64(synthesized))
 }
 
-// splitResults partitions fan-out results into live decoded 200 bodies (in
-// shard-index order), the lowest-index terminal non-200 (for pass-through),
-// and the dead shard indexes.
-func splitResults(results []*shardResult) (ok []int, bad *shardResult, dead []int) {
-	for i, res := range results {
-		switch {
-		case res.err != nil:
-			dead = append(dead, i)
-		case res.status != http.StatusOK:
-			if bad == nil {
-				bad = res
-			}
-		default:
-			ok = append(ok, i)
-		}
-	}
-	return ok, bad, dead
-}
-
 // Handler returns the gateway's HTTP surface: the six consolidated EIS
 // methods (chargers, weather, availability, traffic, offering,
 // offering/trip) plus the observability endpoints and the fleet status
@@ -476,21 +290,25 @@ func (g *Gateway) handleChargers(w http.ResponseWriter, r *http.Request) {
 		g.writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	pathq := eis.APIVersion + "/chargers?" + r.URL.RawQuery
-	results := g.fanout(r.Context(), http.MethodGet, pathq, nil, "", g.shardAccept())
-	defer releaseAll(results)
-	ok, bad, dead := splitResults(results)
+	fo := g.getFanout()
+	defer g.putFanout(fo)
+	fo.call = call{method: http.MethodGet, ep: epChargers, rawQuery: r.URL.RawQuery, header: g.header("", g.shardAccept())}
+	g.fanout(r.Context(), fo)
+	live, bad, dead := splitResults(fo.results)
 	if bad != nil {
 		passthrough(w, bad)
 		return
 	}
-	if len(ok) == 0 {
+	if live == 0 {
 		g.writeUnavailable(w, "chargers")
 		return
 	}
 	lists := make([][]charger.Charger, 0, len(g.members))
-	for _, i := range ok {
-		l, err := decodeChargerList(results[i])
+	for i := range fo.results {
+		if !fo.results[i].ok() {
+			continue
+		}
+		l, err := decodeChargerList(&fo.results[i])
 		if err != nil {
 			g.writeError(w, http.StatusBadGateway, "shard %d: decoding chargers: %v", i, err)
 			return
@@ -559,7 +377,7 @@ func chargersParams(r *http.Request) (geo.Point, float64, bool) {
 // ---- weather / availability (single-owner pass-through) ----
 
 func (g *Gateway) handleWeather(w http.ResponseWriter, r *http.Request) {
-	g.perCharger(w, r, "weather", func(c charger.Charger, at time.Time) interface{} {
+	g.perCharger(w, r, epWeather, func(c charger.Charger, at time.Time) interface{} {
 		// Honest fallback: the site cannot produce more than its nameplate
 		// renewable capacity, and might produce nothing.
 		return degradedWeather{
@@ -572,7 +390,7 @@ func (g *Gateway) handleWeather(w http.ResponseWriter, r *http.Request) {
 }
 
 func (g *Gateway) handleAvailability(w http.ResponseWriter, r *http.Request) {
-	g.perCharger(w, r, "availability", func(c charger.Charger, at time.Time) interface{} {
+	g.perCharger(w, r, epAvailability, func(c charger.Charger, at time.Time) interface{} {
 		return degradedAvailability{
 			ChargerID:    c.ID,
 			At:           at,
@@ -605,7 +423,7 @@ type degradedAvailability struct {
 // cached inventory when it does not. A charger parameter that is not an
 // integer is answered here, with the 400 a shard would give: there is no
 // owner to ask.
-func (g *Gateway) perCharger(w http.ResponseWriter, r *http.Request, what string, synth func(charger.Charger, time.Time) interface{}) {
+func (g *Gateway) perCharger(w http.ResponseWriter, r *http.Request, ep endpoint, synth func(charger.Charger, time.Time) interface{}) {
 	if r.Method != http.MethodGet {
 		g.writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
@@ -616,14 +434,14 @@ func (g *Gateway) perCharger(w http.ResponseWriter, r *http.Request, what string
 		return
 	}
 	m := g.members[g.part.ShardOf(id)]
-	pathq := eis.APIVersion + "/" + what + "?" + r.URL.RawQuery
+	what := endpointPaths[ep][1:]
 	// Forward the client's own Accept header: when the client negotiated
 	// binary the shard's encoded bytes pass through with no gateway
 	// decode/re-encode at all.
-	res := g.exchange(r.Context(), m, http.MethodGet, pathq, nil, "", r.Header.Get("Accept"))
+	res := g.single(r.Context(), m, &call{method: http.MethodGet, ep: ep, rawQuery: r.URL.RawQuery, header: g.header("", r.Header.Get("Accept"))})
 	defer res.release()
 	if res.err == nil {
-		passthrough(w, res)
+		passthrough(w, &res)
 		return
 	}
 	for _, c := range m.chargers() {
@@ -662,15 +480,14 @@ func (g *Gateway) handleTraffic(w http.ResponseWriter, r *http.Request) {
 	sort.SliceStable(order, func(i, j int) bool {
 		return trafficRank(order[i]) < trafficRank(order[j])
 	})
-	pathq := eis.APIVersion + "/traffic?" + r.URL.RawQuery
+	c := call{method: http.MethodGet, ep: epTraffic, rawQuery: r.URL.RawQuery, header: g.header("", r.Header.Get("Accept"))}
 	for _, m := range order {
-		res := g.exchange(r.Context(), m, http.MethodGet, pathq, nil, "", r.Header.Get("Accept"))
+		res := g.single(r.Context(), m, &c)
 		if res.err == nil {
-			passthrough(w, res)
+			passthrough(w, &res)
 			res.release()
 			return
 		}
-		res.release()
 	}
 	g.writeUnavailable(w, "traffic")
 }
@@ -715,12 +532,28 @@ func offeringParams(req eis.OfferingRequest) (k int, radius float64, weights ckn
 	return k, radius, weights, true
 }
 
+// maxRequestBytes bounds a client's POST body, like the shards do.
+const maxRequestBytes = 1 << 20
+
+// readBody reads a client's POST body through a pooled buffer. The returned
+// bytes are a right-sized copy the garbage collector owns, not the pooled
+// storage: every attempt of the fan-out sends them, and a transport may
+// still be reading a cancelled attempt's body after the handler returned.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	buf := wire.GetBuffer()
+	defer wire.PutBuffer(buf)
+	if err := buf.ReadLimit(http.MaxBytesReader(w, r.Body, maxRequestBytes), maxRequestBytes); err != nil {
+		return nil, err
+	}
+	return append(make([]byte, 0, len(buf.B)), buf.B...), nil
+}
+
 func (g *Gateway) handleOffering(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		g.writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	body, err := readBody(w, r)
 	if err != nil {
 		g.writeError(w, http.StatusBadRequest, "reading request: %v", err)
 		return
@@ -731,40 +564,48 @@ func (g *Gateway) handleOffering(w http.ResponseWriter, r *http.Request) {
 	if reqCT == "" {
 		reqCT = ctJSON
 	}
-	results := g.fanout(r.Context(), http.MethodPost, eis.APIVersion+"/offering", body, reqCT, g.shardAccept())
-	defer releaseAll(results)
-	ok, bad, dead := splitResults(results)
+	fo := g.getFanout()
+	defer g.putFanout(fo)
+	fo.call = call{method: http.MethodPost, ep: epOffering, body: body, header: g.header(reqCT, g.shardAccept())}
+	g.fanout(r.Context(), fo)
+	live, bad, dead := splitResults(fo.results)
 	if bad != nil {
 		passthrough(w, bad)
 		return
 	}
-	if len(ok) == 0 {
+	if live == 0 {
 		g.writeUnavailable(w, "offering")
 		return
 	}
-	live := make([]eis.OfferingResponse, 0, len(ok))
-	for _, i := range ok {
-		var t eis.OfferingResponse
+	for i := range fo.results {
+		res := &fo.results[i]
+		if !res.ok() {
+			continue
+		}
 		start := time.Now()
-		if wire.IsWire(results[i].contentType) {
-			err = wire.DecodeOfferingResponse(results[i].body, &t)
+		if wire.IsWire(res.contentType) {
+			err = wire.DecodeOfferingResponse(res.body, &fo.tables[i])
 			met.decodeWire.Since(start)
 		} else {
-			err = json.Unmarshal(results[i].body, &t)
+			// A fresh table: encoding/json leaves fields a body omits as
+			// they were.
+			fo.tables[i] = eis.OfferingResponse{}
+			err = json.Unmarshal(res.body, &fo.tables[i])
 			met.decodeJSON.Since(start)
 		}
 		if err != nil {
 			g.writeError(w, http.StatusBadGateway, "shard %d: decoding offering: %v", i, err)
 			return
 		}
-		live = append(live, t)
 	}
-	var req eis.OfferingRequest
+	// The request is decoded into the pooled state: encoding/json would
+	// move a local one to the heap on both planes.
+	fo.req = eis.OfferingRequest{}
 	reqParsed := false
 	if wire.IsWire(reqCT) {
-		reqParsed = wire.DecodeOfferingRequest(body, &req) == nil
+		reqParsed = wire.DecodeOfferingRequest(body, &fo.req) == nil
 	} else {
-		reqParsed = json.Unmarshal(body, &req) == nil
+		reqParsed = json.Unmarshal(body, &fo.req) == nil
 	}
 	var synth []eis.OfferingEntry
 	k := 3
@@ -772,9 +613,9 @@ func (g *Gateway) handleOffering(w http.ResponseWriter, r *http.Request) {
 		var radius float64
 		var weights cknn.Weights
 		var paramsOK bool
-		k, radius, weights, paramsOK = offeringParams(req)
+		k, radius, weights, paramsOK = offeringParams(fo.req)
 		if paramsOK {
-			anchor := geo.Point{Lat: req.Lat, Lon: req.Lon}
+			anchor := geo.Point{Lat: fo.req.Lat, Lon: fo.req.Lon}
 			for _, i := range dead {
 				synth = append(synth, synthWithin(g.members[i].chargers(), anchor, radius, weights)...)
 			}
@@ -784,8 +625,8 @@ func (g *Gateway) handleOffering(w http.ResponseWriter, r *http.Request) {
 		markDegraded(w, dead, len(synth))
 		g.logf("offering served degraded: shards %v down, %d entries widened", dead, len(synth))
 	}
-	merged := mergeOffering(live, synth, k)
-	g.respond(w, r, &merged, func(b []byte) []byte { return wire.AppendOfferingResponse(b, &merged) })
+	fo.mergeOffering(synth, k)
+	g.respond(w, r, &fo.merged, func(b []byte) []byte { return wire.AppendOfferingResponse(b, &fo.merged) })
 }
 
 // ---- offering/trip ----
@@ -795,28 +636,33 @@ func (g *Gateway) handleTrip(w http.ResponseWriter, r *http.Request) {
 		g.writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	body, err := readBody(w, r)
 	if err != nil {
 		g.writeError(w, http.StatusBadRequest, "reading request: %v", err)
 		return
 	}
 	// Trip offerings stay JSON end to end (the segment-shaped payload is not
 	// in the binary codec's hot set).
-	results := g.fanout(r.Context(), http.MethodPost, eis.APIVersion+"/offering/trip", body, ctJSON, "")
-	defer releaseAll(results)
-	ok, bad, dead := splitResults(results)
+	fo := g.getFanout()
+	defer g.putFanout(fo)
+	fo.call = call{method: http.MethodPost, ep: epTrip, body: body, header: g.header(ctJSON, "")}
+	g.fanout(r.Context(), fo)
+	nLive, bad, dead := splitResults(fo.results)
 	if bad != nil {
 		passthrough(w, bad)
 		return
 	}
-	if len(ok) == 0 {
+	if nLive == 0 {
 		g.writeUnavailable(w, "offering/trip")
 		return
 	}
-	live := make([]eis.TripOfferingResponse, 0, len(ok))
-	for _, i := range ok {
+	live := make([]eis.TripOfferingResponse, 0, nLive)
+	for i := range fo.results {
+		if !fo.results[i].ok() {
+			continue
+		}
 		var t eis.TripOfferingResponse
-		if err := json.Unmarshal(results[i].body, &t); err != nil {
+		if err := json.Unmarshal(fo.results[i].body, &t); err != nil {
 			g.writeError(w, http.StatusBadGateway, "shard %d: decoding trip offering: %v", i, err)
 			return
 		}

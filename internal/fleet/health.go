@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"sync/atomic"
 	"time"
 
@@ -31,10 +30,11 @@ import (
 // the shard stays closed; an idle shard opens conservatively and the
 // half-open trial request self-corrects at the first real call.
 type member struct {
-	index   int
-	baseURL string
-	replica string
-	host    string
+	index int
+	// primary and replica (nil when the shard has none) carry the request
+	// templates of the two base URLs.
+	primary *target
+	replica *target
 	breaker *eis.Breaker
 
 	// probeOK is the latest active-probe verdict. It never gates traffic by
@@ -47,17 +47,19 @@ type member struct {
 	inventory atomic.Pointer[[]charger.Charger]
 }
 
-func newMember(index int, s Shard, threshold int, cooldown time.Duration, clock func() time.Time) (*member, error) {
-	u, err := url.Parse(s.URL)
-	if err != nil || u.Host == "" {
-		return nil, fmt.Errorf("fleet: shard %d URL %q: not an absolute URL", index, s.URL)
-	}
+func newMember(index int, s Shard, opts Options) (*member, error) {
 	m := &member{
 		index:   index,
-		baseURL: s.URL,
-		replica: s.Replica,
-		host:    u.Host,
-		breaker: eis.NewBreaker(threshold, cooldown, clock),
+		breaker: eis.NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown, opts.Clock),
+	}
+	var err error
+	if m.primary, err = newTarget(s.URL); err != nil {
+		return nil, fmt.Errorf("fleet: shard %d URL %v", index, err)
+	}
+	if s.Replica != "" {
+		if m.replica, err = newTarget(s.Replica); err != nil {
+			return nil, fmt.Errorf("fleet: shard %d replica URL %v", index, err)
+		}
 	}
 	m.probeOK.Store(true) // optimistic until the first probe says otherwise
 	return m, nil
@@ -82,11 +84,11 @@ const probeTimeout = 2 * time.Second
 // against the breaker; probe successes only update probeOK.
 func (g *Gateway) probe(ctx context.Context, m *member) {
 	met.probes.Inc()
-	ok := g.probeOnce(ctx, m.baseURL)
-	if !ok && m.replica != "" {
+	ok := g.probeOnce(ctx, m.primary.base)
+	if !ok && m.replica != nil {
 		// A live replica keeps the shard probe-healthy: requests will hedge
 		// to it immediately.
-		ok = g.probeOnce(ctx, m.replica)
+		ok = g.probeOnce(ctx, m.replica.base)
 	}
 	wasOK := m.probeOK.Swap(ok)
 	if !ok {
@@ -120,7 +122,7 @@ func (g *Gateway) probeOnce(ctx context.Context, base string) bool {
 func (g *Gateway) pullInventory(ctx context.Context, m *member) {
 	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, m.baseURL+eis.APIVersion+"/inventory", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, m.primary.base+eis.APIVersion+"/inventory", nil)
 	if err != nil {
 		return
 	}
@@ -205,10 +207,14 @@ func (g *Gateway) Status() []ShardStatus {
 		if inv := m.inventory.Load(); inv != nil {
 			n = len(*inv)
 		}
+		replica := ""
+		if m.replica != nil {
+			replica = m.replica.base
+		}
 		out[i] = ShardStatus{
 			Index:     m.index,
-			URL:       m.baseURL,
-			Replica:   m.replica,
+			URL:       m.primary.base,
+			Replica:   replica,
 			ProbeOK:   m.probeOK.Load(),
 			Breaker:   m.breaker.State(),
 			Inventory: n,

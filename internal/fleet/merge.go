@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"ecocharge/internal/charger"
@@ -18,58 +20,93 @@ import (
 // over the whole inventory (property 2 of the package doc), and under shard
 // loss the table still satisfies tabletest's total order.
 
-// scMaxLess is cknn's maxKey chain on wire entries: SC_max descending, then
+// cmpSCMax is cknn's maxKey chain on wire entries: SC_max descending, then
 // SC_min descending, then charger ID ascending.
-func scMaxLess(a, b eis.OfferingEntry) bool {
-	//ecolint:ignore floateq sort comparator: tolerance would break strict weak ordering
-	if a.SC.Max != b.SC.Max {
-		return a.SC.Max > b.SC.Max
+func cmpSCMax(a, b *eis.OfferingEntry) int {
+	if c := cmp.Compare(b.SC.Max, a.SC.Max); c != 0 {
+		return c
 	}
-	//ecolint:ignore floateq sort comparator: tolerance would break strict weak ordering
-	if a.SC.Min != b.SC.Min {
-		return a.SC.Min > b.SC.Min
+	if c := cmp.Compare(b.SC.Min, a.SC.Min); c != 0 {
+		return c
 	}
-	return a.ChargerID < b.ChargerID
+	return cmp.Compare(a.ChargerID, b.ChargerID)
 }
 
-// scMidLess is cknn's midKey chain on wire entries: SC midpoint descending,
-// then SC_max descending, then SC_min descending, then charger ID ascending.
-func scMidLess(a, b eis.OfferingEntry) bool {
-	am := (a.SC.Min + a.SC.Max) / 2
-	bm := (b.SC.Min + b.SC.Max) / 2
-	//ecolint:ignore floateq sort comparator: tolerance would break strict weak ordering
-	if am != bm {
-		return am > bm
+// cmpSCMid is cknn's midKey chain on wire entries: SC midpoint descending,
+// then the SC_max chain.
+func cmpSCMid(a, b *eis.OfferingEntry) int {
+	if c := cmp.Compare((b.SC.Min+b.SC.Max)/2, (a.SC.Min+a.SC.Max)/2); c != 0 {
+		return c
 	}
-	return scMaxLess(a, b)
+	return cmpSCMax(a, b)
 }
 
-// mergeEntries selects the top k of the pooled per-shard entries under the
-// SC_max chain and emits them in the SC-midpoint chain. Shard partitions
-// are disjoint, but a stale inventory after a repartition could collide a
-// synthesized entry with a live one; the live entry (no shard bit) wins.
-func mergeEntries(pool []eis.OfferingEntry, k int) []eis.OfferingEntry {
-	if k <= 0 || len(pool) == 0 {
+// shardDegraded reports a synthesized entry (its shard did not answer).
+func shardDegraded(e *eis.OfferingEntry) bool {
+	return e.Degraded&uint8(cknn.DegradedShard) != 0
+}
+
+// cmpByID groups the entries of one charger, live ones (no shard bit) first.
+func cmpByID(a, b *eis.OfferingEntry) int {
+	if c := cmp.Compare(a.ChargerID, b.ChargerID); c != 0 {
+		return c
+	}
+	switch da, db := shardDegraded(a), shardDegraded(b); {
+	case da == db:
+		return 0
+	case db:
+		return -1
+	default:
+		return 1
+	}
+}
+
+// selection picks an Offering Table out of per-shard entry lists without
+// copying them: it sorts references to the pooled entries and copies only
+// the k it emits. Its storage is reused from call to call.
+type selection struct {
+	refs []*eis.OfferingEntry
+}
+
+func (s *selection) reset() { s.refs = s.refs[:0] }
+
+// add pools the entries; they must stay in place until top has returned.
+func (s *selection) add(es []eis.OfferingEntry) {
+	for i := range es {
+		s.refs = append(s.refs, &es[i])
+	}
+}
+
+// top appends to dst the k best pooled entries under the SC_max chain, in
+// the SC-midpoint chain, and returns nil when there is none. Shard
+// partitions are disjoint, but a stale inventory after a repartition could
+// collide a synthesized entry with a live one: of the entries of one
+// charger the first live one (no shard bit) stands for it, the first one
+// when none is live.
+func (s *selection) top(dst []eis.OfferingEntry, k int) []eis.OfferingEntry {
+	if k <= 0 || len(s.refs) == 0 {
 		return nil
 	}
-	byID := make(map[int64]int, len(pool))
-	deduped := pool[:0:0]
-	for _, e := range pool {
-		if j, dup := byID[e.ChargerID]; dup {
-			if deduped[j].Degraded&uint8(cknn.DegradedShard) != 0 && e.Degraded&uint8(cknn.DegradedShard) == 0 {
-				deduped[j] = e
-			}
-			continue
+	// Stable, so the earliest of equals leads its charger's group.
+	slices.SortStableFunc(s.refs, cmpByID)
+	refs := s.refs[:1]
+	for _, e := range s.refs[1:] {
+		if e.ChargerID != refs[len(refs)-1].ChargerID {
+			refs = append(refs, e)
 		}
-		byID[e.ChargerID] = len(deduped)
-		deduped = append(deduped, e)
 	}
-	sort.Slice(deduped, func(i, j int) bool { return scMaxLess(deduped[i], deduped[j]) })
-	if k < len(deduped) {
-		deduped = deduped[:k]
+	// Charger IDs are now distinct, so both chains are total orders and the
+	// unstable sort is deterministic.
+	slices.SortFunc(refs, cmpSCMax)
+	if k < len(refs) {
+		refs = refs[:k]
 	}
-	sort.Slice(deduped, func(i, j int) bool { return scMidLess(deduped[i], deduped[j]) })
-	return deduped
+	slices.SortFunc(refs, cmpSCMid)
+	dst = slices.Grow(dst, len(refs))
+	for _, e := range refs {
+		dst = append(dst, *e)
+	}
+	return dst
 }
 
 // ignoranceWire is the wire form of the [0,1] ignorance bound.
@@ -108,24 +145,31 @@ func synthWithin(inv []charger.Charger, p geo.Point, radiusM float64, w cknn.Wei
 	return out
 }
 
-// mergeOffering combines the live shard tables (ordered by shard index) and
-// the synthesized entries of the dead shards into one response. Cached is
-// the conjunction of the live flags — the merged table is "cached" only if
-// every contributing shard served from its cache; GeneratedAt comes from
-// the lowest-index live shard (all shards agree when the request pins Now).
-func mergeOffering(live []eis.OfferingResponse, synth []eis.OfferingEntry, k int) eis.OfferingResponse {
-	out := eis.OfferingResponse{Cached: len(live) > 0}
-	var pool []eis.OfferingEntry
-	for i, t := range live {
-		if i == 0 {
-			out.GeneratedAt = t.GeneratedAt
+// mergeOffering combines the decoded tables of the shards that answered (in
+// shard-index order) and the synthesized entries of the dead shards into
+// fo.merged. Cached is the conjunction of the live flags — the merged table
+// is "cached" only if every contributing shard served from its cache;
+// GeneratedAt comes from the lowest-index live shard (all shards agree when
+// the request pins Now).
+func (fo *fanout) mergeOffering(synth []eis.OfferingEntry, k int) {
+	fo.merged = eis.OfferingResponse{}
+	fo.sel.reset()
+	first := true
+	for i := range fo.results {
+		if !fo.results[i].ok() {
+			continue
 		}
-		out.Cached = out.Cached && t.Cached
-		pool = append(pool, t.Entries...)
+		t := &fo.tables[i]
+		if first {
+			fo.merged.GeneratedAt, fo.merged.Cached, first = t.GeneratedAt, true, false
+		}
+		fo.merged.Cached = fo.merged.Cached && t.Cached
+		fo.sel.add(t.Entries)
 	}
-	pool = append(pool, synth...)
-	out.Entries = mergeEntries(pool, k)
-	return out
+	fo.sel.add(synth)
+	if fo.merged.Entries = fo.sel.top(fo.top[:0], k); fo.merged.Entries != nil {
+		fo.top = fo.merged.Entries // keep the grown storage
+	}
 }
 
 // mergeTrips combines per-shard trip evaluations. All shards share the road
@@ -145,7 +189,10 @@ func mergeTrips(live []eis.TripOfferingResponse, synthAt func(anchor geo.Point) 
 		}
 	}
 	out := eis.TripOfferingResponse{TripLengthM: base.TripLengthM}
-	var prev []int64
+	var (
+		prev []int64
+		sel  selection
+	)
 	for si := range base.Segments {
 		bs := base.Segments[si]
 		seg := eis.SegmentOffering{
@@ -155,19 +202,19 @@ func mergeTrips(live []eis.TripOfferingResponse, synthAt func(anchor geo.Point) 
 			LengthM:      bs.LengthM,
 			Adapted:      true,
 		}
-		var pool []eis.OfferingEntry
+		sel.reset()
 		for _, r := range live {
 			s := r.Segments[si]
 			if s.SegmentIndex != bs.SegmentIndex {
 				return eis.TripOfferingResponse{}, fmt.Errorf("fleet: segment %d: shard skeletons disagree on index (%d vs %d)", si, bs.SegmentIndex, s.SegmentIndex)
 			}
 			seg.Adapted = seg.Adapted && s.Adapted
-			pool = append(pool, s.Entries...)
+			sel.add(s.Entries)
 		}
 		if synthAt != nil {
-			pool = append(pool, synthAt(geo.Point{Lat: bs.Anchor.Lat, Lon: bs.Anchor.Lon})...)
+			sel.add(synthAt(geo.Point{Lat: bs.Anchor.Lat, Lon: bs.Anchor.Lon}))
 		}
-		seg.Entries = mergeEntries(pool, k)
+		seg.Entries = sel.top(nil, k)
 		ids := entryIDs(seg.Entries)
 		if len(out.Segments) == 0 || !sameIDs(prev, ids) {
 			out.SplitPoints = append(out.SplitPoints, seg.SegmentIndex)

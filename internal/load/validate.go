@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"sync"
 	"time"
 
 	"ecocharge/internal/charger"
@@ -99,6 +100,21 @@ func decodeOffering(contentType string, body []byte) (*wire.OfferingResponse, er
 	return &resp, nil
 }
 
+// tableScratch is the storage checkTable rebuilds a table in: the stub
+// chargers its entries point at (a charger.Charger is 1.4 KB, most of it the
+// timetable) and the entries. Only the stubs' IDs are ever written, so a
+// reused stub is as blank as a fresh one.
+type tableScratch struct {
+	stubs   []charger.Charger
+	entries []cknn.Entry
+}
+
+var tableScratches = sync.Pool{New: func() interface{} { return new(tableScratch) }}
+
+// maxPooledStubs caps the stubs a returned scratch may keep: one answer with
+// a huge k must not pin megabytes in the pool.
+const maxPooledStubs = 64
+
 // checkTable rebuilds a cknn table from the response entries and runs the
 // full tabletest invariant suite on it. The chargers are synthesized from
 // the entry IDs — everything tabletest reads (IDs for duplicate detection
@@ -106,20 +122,28 @@ func decodeOffering(contentType string, body []byte) (*wire.OfferingResponse, er
 // response, so the check needs no environment and works against any
 // remote target.
 func checkTable(resp *wire.OfferingResponse, k int) error {
-	tab := cknn.OfferingTable{GeneratedAt: resp.GeneratedAt}
-	stubs := make([]charger.Charger, len(resp.Entries))
+	sc := tableScratches.Get().(*tableScratch)
+	n := len(resp.Entries)
+	if cap(sc.stubs) < n {
+		sc.stubs, sc.entries = make([]charger.Charger, n), make([]cknn.Entry, n)
+	}
+	stubs, entries := sc.stubs[:n], sc.entries[:n]
 	for i, e := range resp.Entries {
-		stubs[i] = charger.Charger{ID: e.ChargerID}
-		tab.Entries = append(tab.Entries, cknn.Entry{
+		stubs[i].ID = e.ChargerID
+		entries[i] = cknn.Entry{
 			Charger: &stubs[i],
 			SC:      interval.FromBounds(e.SC.Min, e.SC.Max),
 			Comp: cknn.Components{
 				L: e.L.Interval(), A: e.A.Interval(), D: e.D.Interval(),
 				Degraded: cknn.Degraded(e.Degraded),
 			},
-		})
+		}
 	}
-	return tabletest.Err(tab, k, tabletest.Options{})
+	err := tabletest.Err(cknn.OfferingTable{GeneratedAt: resp.GeneratedAt, Entries: entries}, k, tabletest.Options{})
+	if cap(sc.stubs) <= maxPooledStubs {
+		tableScratches.Put(sc)
+	}
+	return err
 }
 
 // isDegraded reports whether the response carries any degraded marker:
