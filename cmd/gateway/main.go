@@ -13,6 +13,19 @@
 //	eis -addr :8082 -shard 1/2 &
 //	gateway -addr :8080 -shards http://localhost:8081,http://localhost:8082
 //
+// Given the dataset and seed the members were started with, the gateway
+// loads the same road world and runs the network search of every cache-miss
+// ranking once, handing each shard its travel times, where each shard would
+// otherwise run the same search:
+//
+//	eis -addr :8081 -dataset Oldenburg -seed 42 -shard 0/2 &
+//	eis -addr :8082 -dataset Oldenburg -seed 42 -shard 1/2 &
+//	gateway -addr :8080 -dataset Oldenburg -seed 42 -shards http://localhost:8081,http://localhost:8082
+//
+// Without -dataset it stays graph-free and the shards search for themselves;
+// so they do, each on its own, when its world is not the gateway's (a
+// different dataset or seed): the answers are the same either way.
+//
 // SIGINT/SIGTERM trigger a graceful shutdown: probing stops, the listener
 // closes, and in-flight requests get the drain deadline to finish.
 package main
@@ -30,6 +43,7 @@ import (
 	"syscall"
 	"time"
 
+	"ecocharge/internal/experiment"
 	"ecocharge/internal/fleet"
 )
 
@@ -44,15 +58,13 @@ func main() {
 		cooldown  = flag.Duration("breaker-cooldown", 5*time.Second, "open time before a shard breaker admits its half-open trial")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline for in-flight requests")
 		wireFmt   = flag.Bool("wire", true, "negotiate the compact binary format on shard exchanges (shards without the codec keep answering JSON)")
+		dataset   = flag.String("dataset", "", "dataset profile the members serve (Oldenburg, California, T-drive, Geolife): load its road world and search once per ranking on the shards' behalf; empty keeps the gateway graph-free")
+		seed      = flag.Int64("seed", 42, "scenario seed the members were started with (with -dataset)")
 	)
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "", log.LstdFlags)
-	shards, err := parseShards(*shardsArg)
-	if err != nil {
-		logger.Fatalf("gateway: %v", err)
-	}
-	gw, err := fleet.NewGateway(shards, fleet.Options{
+	gw, desc, err := newGateway(*shardsArg, *dataset, *seed, fleet.Options{
 		ShardTimeout:     *timeout,
 		HedgeDelay:       *hedge,
 		ProbeInterval:    *probeIvl,
@@ -64,7 +76,7 @@ func main() {
 	if err != nil {
 		logger.Fatalf("gateway: %v", err)
 	}
-	logger.Printf("gateway: fronting %d shards on %s", len(shards), *addr)
+	logger.Printf("gateway: fronting %s on %s", desc, *addr)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -73,6 +85,27 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gateway:", err)
 		os.Exit(1)
 	}
+}
+
+// newGateway builds the gateway over the -shards members and, when a dataset
+// is named, the road world of that dataset and seed — the scenario cmd/eis
+// assembles from the same two flags — plus a description of what it fronts.
+func newGateway(shardsArg, dataset string, seed int64, opts fleet.Options) (*fleet.Gateway, string, error) {
+	shards, err := parseShards(shardsArg)
+	if err != nil {
+		return nil, "", err
+	}
+	desc := fmt.Sprintf("%d shards, graph-free", len(shards))
+	if dataset != "" {
+		sc, err := experiment.BuildScenario(dataset, 0.001, seed)
+		if err != nil {
+			return nil, "", fmt.Errorf("building scenario: %w", err)
+		}
+		opts.Env = sc.Env
+		desc = fmt.Sprintf("%d shards, searching %s seed %d (%d road nodes) on their behalf", len(shards), sc.Name, seed, sc.Graph.NumNodes())
+	}
+	gw, err := fleet.NewGateway(shards, opts)
+	return gw, desc, err
 }
 
 // parseShards splits the -shards value into fleet members.

@@ -83,7 +83,9 @@ const (
 )
 
 // deroutingMaps is the one builder of DeroutingMaps, over two independent
-// choices: exact | approx bounds (deroutBounds), and batched | full ball.
+// choices: exact | approx bounds (deroutBounds), and batched | full ball. It
+// is a search followed by an assembly; a ranking whose search was run
+// elsewhere (suppliedDerouting) goes through the same assembly.
 //
 // With targets (from deroutTargets) every expansion
 // stops as soon as the last target is settled — Alg. 1 prices a few hundred
@@ -100,14 +102,29 @@ const (
 // ret views alias the fwd ones. boundSec limits the search effort; pass
 // math.Inf(1) for the exhaustive (brute-force) variant.
 func (env *Env) deroutingMaps(q Query, boundSec float64, targets []roadnet.NodeID, bounds deroutBounds) DeroutingMaps {
+	d := env.searchDerouting(q, boundSec, targets, bounds)
+	d.assemble(q, bounds)
+	return d
+}
+
+// returnNode is where the query's vehicle rejoins its route.
+func (q Query) returnNode() roadnet.NodeID {
+	if q.ReturnNode < 0 {
+		return q.AnchorNode
+	}
+	return q.ReturnNode
+}
+
+// searchDerouting is the search half of deroutingMaps: the class tables of
+// the query's moment, the scale factors, and the network expansions. What
+// it returns owns its expansions and has its lower-bound views in place
+// (under exact bounds the upper-bound ones too); assemble makes it readable.
+func (env *Env) searchDerouting(q Query, boundSec float64, targets []roadnet.NodeID, bounds deroutBounds) DeroutingMaps {
 	if env.FullDerouting {
 		targets = nil
 	}
 	loT, hiT := env.Traffic.ClassWeightTables(q.ETABase, q.Now)
-	ret := q.ReturnNode
-	if ret < 0 {
-		ret = q.AnchorNode
-	}
+	ret := q.returnNode()
 	d := DeroutingMaps{scaleLo: 1, scaleHi: 1}
 	if bounds == approxBounds {
 		met.deroutApprox.Inc()
@@ -121,18 +138,26 @@ func (env *Env) deroutingMaps(q Query, boundSec float64, targets []roadnet.NodeI
 	}
 
 	d.fwdLo, d.retLo = d.expandLegs(env.Graph, q.AnchorNode, ret, targets, loT, boundSec)
-	d.fwdHi, d.retHi = d.fwdLo, d.retLo
 	if bounds == exactBounds {
 		d.fwdHi, d.retHi = d.expandLegs(env.Graph, q.AnchorNode, ret, targets, hiT, boundSec)
 	}
+	return d
+}
 
+// assemble is the other half, shared by a search run here and one supplied
+// from elsewhere: under approximate bounds the upper-bound views alias the
+// lower-bound ones, and the on-route baseline is read off the outbound leg.
+func (d *DeroutingMaps) assemble(q Query, bounds deroutBounds) {
+	if bounds == approxBounds {
+		d.fwdHi, d.retHi = d.fwdLo, d.retLo
+	}
 	// Return node unreachable within the bound: the on-route baseline stays
 	// zero, so derouting reduces to the round-trip cost.
+	ret := q.returnNode()
 	if base, ok := d.fwdLo.Dist(ret); ok {
 		d.baseLo = base * d.scaleLo
 		d.baseHi = distOr(d.fwdHi, ret, math.Inf(1)) * d.scaleHi
 	}
-	return d
 }
 
 // expandLegs runs the outbound expansion from anchor and the return

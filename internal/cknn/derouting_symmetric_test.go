@@ -15,6 +15,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -487,14 +488,31 @@ func TestAliasedDeroutingReleasesWhatItAcquired(t *testing.T) {
 	}
 }
 
+// bytesPerRun is the heap allocation of one call of fn, in bytes, measured
+// like testing.AllocsPerRun measures its count.
+func bytesPerRun(fn func()) float64 {
+	const runs = 20
+	fn()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / runs
+}
+
 // BenchmarkRankOnceOldenburg prices what one shard of the fleet pays for one
 // response-cache miss: a stand-alone EcoCharge ranking that returns to its
 // anchor, on the Oldenburg scenario graph with a third of the inventory
 // (rendezvous sharding hands each of three shards a pseudo-random third).
 // Like BenchmarkExpandOldenburg it first asserts the allocation budget. A
-// ranking allocates its candidate, target, entry and result slices — a fixed
-// number — and nothing per charger, so ranking all 333 chargers must cost the
-// allocations of ranking the few dozen within 10 km.
+// ranking allocates its candidate, neighbour, target and result slices — a
+// fixed number — and nothing per charger, so ranking all 333 chargers must
+// cost the allocations of ranking the few dozen within 10 km; and what those
+// slices hold per candidate is a pointer, a neighbour and a node, so a
+// ranking's bytes must grow by well under the 112 bytes of an Entry per
+// candidate: the filtering phase's entries are pooled scratch (rankPool).
 func BenchmarkRankOnceOldenburg(b *testing.B) {
 	p, err := trajectory.ProfileByName("Oldenburg")
 	if err != nil {
@@ -520,6 +538,12 @@ func BenchmarkRankOnceOldenburg(b *testing.B) {
 	if !raceEnabled {
 		if all, near := testing.AllocsPerRun(5, once), testing.AllocsPerRun(5, rank(10000)); all != near {
 			b.Fatalf("%v allocs ranking every charger, %v ranking those within 10 km: something allocates per candidate", all, near)
+		}
+		candsAll := len(env.Chargers.Within(q.Anchor, 50000))
+		candsNear := len(env.Chargers.Within(q.Anchor, 10000))
+		perCand := (bytesPerRun(once) - bytesPerRun(rank(10000))) / float64(candsAll-candsNear)
+		if perCand > 72 {
+			b.Fatalf("a ranking allocates %.0f B per candidate (%d against %d candidates), want at most 72: the entry slice is back on the heap", perCand, candsAll, candsNear)
 		}
 	}
 	_, many0 := expansionsStarted()

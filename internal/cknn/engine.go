@@ -93,20 +93,39 @@ func capAbove(x interval.I, cap float64) interval.I {
 // either way because pruning only ever drops candidates that cannot enter
 // the top-k and Rank orders entries under a total order (ties fall back to
 // the charger ID).
+//
+// The filtering phase writes one Entry per surviving candidate and Rank
+// copies k of them out, so the pool-sized slice between the two phases is
+// scratch: it comes from entryBufs and goes back before rankPool returns.
 func (e *Engine) rankPool(cands []*charger.Charger, d DeroutingMaps, q Query) []Entry {
 	filterStart := time.Now()
+	buf := entryBufs.Get().(*[]Entry)
+	if cap(*buf) < len(cands) {
+		*buf = make([]Entry, 0, len(cands))
+	}
 	var entries []Entry
 	if e.Workers > 1 && len(cands) >= minParallelCands {
-		entries = e.evalPoolParallel(cands, d, q)
+		entries = e.evalPoolParallel(cands, d, q, (*buf)[:len(cands)])
 	} else {
-		entries = e.evalPoolSeq(cands, d, q)
+		entries = e.evalPoolSeq(cands, d, q, (*buf)[:0])
 	}
 	met.filterSeconds.Since(filterStart)
 	refineStart := time.Now()
 	out := Rank(entries, q.K)
 	met.refineSeconds.Since(refineStart)
+	if cap(*buf) <= maxPooledEntries {
+		entryBufs.Put(buf)
+	}
 	return out
 }
+
+// entryBufs recycles the filtering phase's entry slices across rankings.
+var entryBufs = sync.Pool{New: func() any { return new([]Entry) }}
+
+// maxPooledEntries caps the capacity a recycled entry slice may keep (a few
+// megabytes): one ranking over a huge inventory must not pin its scratch in
+// the pool forever.
+const maxPooledEntries = 1 << 15
 
 // minParallelCands is the pool size below which goroutine hand-off costs
 // more than the sequential scan it would replace.
@@ -132,9 +151,9 @@ func (e *Engine) pruneBound(c *charger.Charger, d DeroutingMaps, q Query) (float
 }
 
 // evalPoolSeq is the sequential filtering phase — the oracle the parallel
-// path is differentially tested against.
-func (e *Engine) evalPoolSeq(cands []*charger.Charger, d DeroutingMaps, q Query) []Entry {
-	entries := make([]Entry, 0, len(cands))
+// path is differentially tested against. It appends to entries, which has
+// room for every candidate.
+func (e *Engine) evalPoolSeq(cands []*charger.Charger, d DeroutingMaps, q Query, entries []Entry) []Entry {
 	// kthMin tracks the k-th best pessimistic SC seen so far; used for the
 	// filtering-phase prune.
 	kthMin := math.Inf(-1)
@@ -164,11 +183,11 @@ func (e *Engine) evalPoolSeq(cands []*charger.Charger, d DeroutingMaps, q Query)
 // The pruning bound is shared through an atomic: its value only ever rises,
 // so a stale read merely evaluates a candidate the sequential pass would
 // have skipped — membership below the top-k may differ between runs, the
-// ranked top-k never does.
-func (e *Engine) evalPoolParallel(cands []*charger.Charger, d DeroutingMaps, q Query) []Entry {
+// ranked top-k never does. results has one slot per candidate.
+func (e *Engine) evalPoolParallel(cands []*charger.Charger, d DeroutingMaps, q Query, results []Entry) []Entry {
 	// A slot is filled iff its Charger is set: pruned and unreachable
 	// candidates leave the zero Entry behind.
-	results := make([]Entry, len(cands))
+	clear(results)
 
 	// kthBits holds math.Float64bits of the k-th best pessimistic SC.
 	var kthBits atomic.Uint64

@@ -224,6 +224,28 @@ func (o EcoChargeOptions) withDefaults() EcoChargeOptions {
 	return o
 }
 
+// deroutPlan is how a cache-miss ranking searches: the effort bound and
+// where the travel-time bounds come from.
+//
+// The user-configured radius sets the derouting budget: with R = 25 km the
+// driver accepts at most a ~30-minute detour, with R = 75 km three times
+// that. Larger R therefore expands farther (slower) and keeps more chargers
+// offerable (more accurate) — the Fig. 7 tradeoff.
+func (o EcoChargeOptions) deroutPlan(q Query) (budgetSec float64, bounds deroutBounds) {
+	bounds = approxBounds
+	if o.ExactDerouting {
+		bounds = exactBounds
+	}
+	return q.RadiusM / avgUrbanSpeed, bounds
+}
+
+// evalQuery is the query a ranking under opts evaluates.
+func (o EcoChargeOptions) evalQuery(q Query) Query {
+	q = q.normalized()
+	q.RadiusM = o.RadiusM
+	return q
+}
+
 // EcoCharge is the paper's method: radius-bounded CkNN-EC evaluation with
 // the dynamic bottom-up cache of §IV.C. On a cache hit (vehicle moved less
 // than Q from the cached table's anchor and the table is fresh) the cached
@@ -278,14 +300,13 @@ func (m *EcoCharge) Stats() (hits, misses int) {
 
 // Rank implements Method.
 func (m *EcoCharge) Rank(q Query) OfferingTable {
-	q = q.normalized()
-	q.RadiusM = m.opts.RadiusM
+	q = m.opts.evalQuery(q)
 	if cached, ok := m.cache.Lookup(m.owner, q, m.opts); ok {
 		m.hits.Add(1)
 		return m.adapt(cached, q)
 	}
 	m.misses.Add(1)
-	table := m.compute(q)
+	table, _ := m.compute(q, nil)
 	m.cache.Store(m.owner, table)
 	return table
 }
@@ -298,9 +319,21 @@ func (m *EcoCharge) Rank(q Query) OfferingTable {
 // what a fresh NewEcoCharge(env, opts) instance returns from its first Rank.
 func RankOnce(env *Env, opts EcoChargeOptions, workers int, q Query) OfferingTable {
 	m := EcoCharge{engine: Engine{Env: env, Workers: workers}, opts: opts.withDefaults()}
-	q = q.normalized()
-	q.RadiusM = m.opts.RadiusM
-	return m.compute(q)
+	table, _ := m.compute(m.opts.evalQuery(q), nil)
+	return table
+}
+
+// RankOnceSupplied is RankOnce for a caller that was handed the ranking's
+// network search (a fleet shard, by its gateway): the query is ranked from
+// travel.Anchor — q's own nodes are not read, the point was snapped by
+// whoever searched — on the travel times, without a search. ok is false, and
+// nothing was ranked, when they cannot stand in for the search
+// (suppliedDerouting says why); the caller then snaps the point and calls
+// RankOnce, and gets the table this would have returned.
+func RankOnceSupplied(env *Env, opts EcoChargeOptions, workers int, q Query, travel *Travel) (table OfferingTable, ok bool) {
+	m := EcoCharge{engine: Engine{Env: env, Workers: workers}, opts: opts.withDefaults()}
+	q.AnchorNode, q.ReturnNode = travel.Anchor, travel.Anchor
+	return m.compute(m.opts.evalQuery(q), travel)
 }
 
 // compute is the cache-miss path: full CkNN-EC over the chargers within R.
@@ -308,25 +341,26 @@ func RankOnce(env *Env, opts EcoChargeOptions, workers int, q Query) OfferingTab
 // chargers inside R whose visit would exceed the budget are not offered
 // (brute force instead keeps them with D clamped to 1), which is part of
 // the R-opt accuracy/cost tradeoff of Fig. 7.
-func (m *EcoCharge) compute(q Query) OfferingTable {
-	cands := m.engine.Env.Chargers.Within(q.Anchor, q.RadiusM)
-	// The user-configured radius sets the derouting budget: with R = 25 km
-	// the driver accepts at most a ~30-minute detour, with R = 75 km three
-	// times that. Larger R therefore expands farther (slower) and keeps
-	// more chargers offerable (more accurate) — the Fig. 7 tradeoff.
-	budget := q.RadiusM / avgUrbanSpeed
-	bounds := approxBounds
-	if m.opts.ExactDerouting {
-		bounds = exactBounds
+//
+// With travel non-nil the network search is the caller's (RankOnceSupplied);
+// ok is false only when it was refused, and then there is no table.
+func (m *EcoCharge) compute(q Query, travel *Travel) (table OfferingTable, ok bool) {
+	env := m.engine.Env
+	cands := env.Chargers.Within(q.Anchor, q.RadiusM)
+	budget, bounds := m.opts.deroutPlan(q)
+	var d DeroutingMaps
+	if travel == nil {
+		d = env.deroutingMaps(q, budget, deroutTargets(cands, q.ReturnNode), bounds)
+	} else if d, ok = env.suppliedDerouting(q, cands, bounds, travel); !ok {
+		return OfferingTable{}, false
 	}
-	d := m.engine.Env.deroutingMaps(q, budget, deroutTargets(cands, q.ReturnNode), bounds)
 	defer d.Release()
 	return OfferingTable{
 		Anchor:      q.Anchor,
 		GeneratedAt: q.Now,
 		ETABase:     q.ETABase,
 		Entries:     m.engine.rankPool(cands, d, q),
-	}
+	}, true
 }
 
 // adapt is the cache-hit path (§IV.C bottom-up reuse): L and A estimates of

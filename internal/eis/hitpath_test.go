@@ -168,8 +168,7 @@ func TestOfferingStuckComputationSheds(t *testing.T) {
 
 	// Empty the cache and plant a leader that never completes.
 	anchor := env.Chargers.All()[0].P
-	eq := cknn.EqualWeights()
-	key := srv.cacheKeyFor(anchor, OfferingRequest{K: 3, RadiusM: 50000, Weights: WeightsJSON{L: eq.L, A: eq.A, D: eq.D}})
+	key := offeringKey(srv.opts.CacheCellM, &Offering{P: anchor, K: 3, RadiusM: 50000, Weights: cknn.EqualWeights()})
 	s := srv.cache.shard(key)
 	s.mu.Lock()
 	if _, ok := s.m[key]; !ok {

@@ -42,6 +42,12 @@ type eisMetrics struct {
 	flightLeads     *obs.Counter
 	flightCoalesced *obs.Counter
 
+	// Network searches a request brought along (a fleet gateway's travel
+	// block), counted where a ranking was computed: built on, or refused —
+	// it did not cover the ranking or failed validation — and searched here.
+	travelUsed     *obs.Counter
+	travelRejected *obs.Counter
+
 	// Client-side circuit breaker state transitions.
 	breakerOpened   *obs.Counter
 	breakerHalfOpen *obs.Counter
@@ -76,6 +82,9 @@ func newEISMetrics(r *obs.Registry) *eisMetrics {
 
 		flightLeads:     r.Counter("eis_singleflight_leads_total"),
 		flightCoalesced: r.Counter("eis_singleflight_coalesced_total"),
+
+		travelUsed:     r.Counter("eis_travel_used_total"),
+		travelRejected: r.Counter("eis_travel_rejected_total"),
 
 		breakerOpened:   r.Counter("eis_breaker_opened_total"),
 		breakerHalfOpen: r.Counter("eis_breaker_halfopen_total"),

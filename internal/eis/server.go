@@ -105,6 +105,10 @@ type Server struct {
 	engine cknn.Engine
 	opts   ServerOptions
 
+	// terms is what the response cache keys and keeps by, stated to whoever
+	// pulls the inventory (CacheTerms).
+	terms CacheTerms
+
 	cache   respCache
 	flights flightGroup
 	// computes counts cache-miss table computations (diagnostics and the
@@ -112,22 +116,21 @@ type Server struct {
 	computes atomic.Int64
 }
 
-type cacheKey struct {
-	cellLat, cellLon int64
-	k                int
-	radiusM          int64
-	weights          WeightsJSON
-}
-
-// cacheVal is one cached Offering Table, pre-encoded in both interchange
-// formats at insertion time (with Cached=true, the flag every hit carries):
-// encode once, write many. Hits serve the stored bytes with Content-Length
-// and never re-marshal, so the decoded table is not kept: a full cache holds
-// two byte slices per entry, not a slice of entries besides. The byte slices
-// are immutable after put, so shards hand them out without copying.
+// cacheVal is one cached Offering Table, encoded when it entered the cache
+// (with Cached=true, the flag every hit carries): encode once, write many.
+// Hits serve stored bytes with Content-Length and never marshal a table, so
+// the decoded table is not kept. The wire body is what every entry holds: a
+// fleet shard is only ever asked for wire bodies, and 1.7 KB of JSON per
+// entry nobody reads was the larger half of a full cache. The JSON body is
+// derived from the wire one on the entry's first JSON hit and kept from then
+// on (cachedJSON, respCache.keepJSON); the codec's JSON-equivalence contract — fuzzed in
+// internal/wire, pinned end to end by TestChaosWireOfferingCacheParity — is
+// what makes the derived body the bytes an eager encode would have stored.
+// The byte slices are immutable once set, so shards hand them out without
+// copying.
 type cacheVal struct {
-	jsonBody []byte
 	wireBody []byte
+	jsonBody []byte // nil until a JSON client hits the entry
 	expires  time.Time
 	// readRound is the entry's reference mark: get sets it to the round its
 	// stripe is in, and eviction spares the entries that carry that round
@@ -174,18 +177,7 @@ type respShard struct {
 func (s *respShard) read(v cacheVal) bool { return v.readRound > s.round }
 
 func (c *respCache) shard(key cacheKey) *respShard {
-	h := uint64(14695981039346656037) // FNV-1a offset basis
-	for _, v := range [...]uint64{
-		uint64(key.cellLat), uint64(key.cellLon),
-		uint64(key.k), uint64(key.radiusM),
-		math.Float64bits(key.weights.L),
-		math.Float64bits(key.weights.A),
-		math.Float64bits(key.weights.D),
-	} {
-		h ^= v
-		h *= 1099511628211 // FNV-1a prime
-	}
-	return &c.shards[h%respCacheStripes]
+	return &c.shards[key.hash()%respCacheStripes]
 }
 
 func (c *respCache) get(key cacheKey, now time.Time) (cacheVal, bool) {
@@ -213,17 +205,10 @@ func (c *respCache) get(key cacheKey, now time.Time) (cacheVal, bool) {
 }
 
 func (c *respCache) put(key cacheKey, resp OfferingResponse, now, expires time.Time) {
-	// Pre-encode both formats once, outside the shard lock. Every hit is
-	// served as Cached=true, so the stored bytes carry the flag; the JSON
-	// body keeps the trailing newline json.Encoder emits so cached and
-	// freshly-encoded responses stay byte-identical.
+	// Encode once, outside the shard lock. Every hit is served as
+	// Cached=true, so the stored bytes carry the flag.
 	hit := resp
 	hit.Cached = true
-	jsonBody, err := json.Marshal(&hit)
-	if err != nil {
-		return // unencodable tables are not cacheable; the miss path reports it
-	}
-	jsonBody = append(jsonBody, '\n')
 	wireBody := wire.AppendOfferingResponse(nil, &hit)
 
 	s := c.shard(key)
@@ -246,10 +231,38 @@ func (c *respCache) put(key cacheKey, resp OfferingResponse, now, expires time.T
 	if !exists && c.maxPerShard > 0 && len(s.m) >= c.maxPerShard {
 		s.evictLocked(now)
 	}
-	s.m[key] = cacheVal{jsonBody: jsonBody, wireBody: wireBody, expires: expires}
+	s.m[key] = cacheVal{wireBody: wireBody, expires: expires}
 	if !exists {
 		met.rescacheEntries.Inc()
 	}
+}
+
+// keepJSON memoises the JSON body derived from an entry's wire body, if the
+// entry is still the one it was derived from.
+func (c *respCache) keepJSON(key cacheKey, v cacheVal) {
+	s := c.shard(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if cur, ok := s.m[key]; ok && &cur.wireBody[0] == &v.wireBody[0] {
+		cur.jsonBody = v.jsonBody
+		s.m[key] = cur
+	}
+}
+
+// cachedJSON renders a cached wire body as the JSON body of the same hit:
+// what json.Encoder would have written for the table when it was cached,
+// trailing newline included, so cached and freshly encoded responses stay
+// byte-identical.
+func cachedJSON(wireBody []byte) ([]byte, error) {
+	var hit OfferingResponse
+	if err := wire.DecodeOfferingResponse(wireBody, &hit); err != nil {
+		return nil, err
+	}
+	body, err := json.Marshal(&hit)
+	if err != nil {
+		return nil, err
+	}
+	return append(body, '\n'), nil
 }
 
 // evictLocked makes room in a full shard with one pass over it. Expired
@@ -321,6 +334,7 @@ func NewServer(env *cknn.Env, opts ServerOptions) *Server {
 		engine: cknn.Engine{Env: env},
 		opts:   opts.withDefaults(),
 	}
+	srv.terms = CacheTerms{CellM: srv.opts.CacheCellM, TTL: srv.opts.CacheTTL, World: env.RoadWorld()}
 	if srv.opts.CacheMaxEntries > 0 {
 		per := srv.opts.CacheMaxEntries / respCacheStripes
 		if per < 1 {
@@ -570,12 +584,14 @@ func (s *Server) handleChargers(w http.ResponseWriter, r *http.Request) {
 // handleInventory returns the server's complete charger inventory. For a
 // sharded instance that is the owned partition; the fleet gateway caches it
 // per shard so unreachable partitions degrade to ignorance-bound entries
-// instead of disappearing from Offering Tables.
+// instead of disappearing from Offering Tables. The answer's headers state
+// the server's CacheTerms.
 func (s *Server) handleInventory(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		s.writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
+	s.terms.set(w.Header())
 	cs := s.env.Chargers.All()
 	s.respond(w, r, cs, func(b []byte) []byte { return wire.AppendChargers(b, cs) })
 }
@@ -679,54 +695,43 @@ func (s *Server) handleOffering(w http.ResponseWriter, r *http.Request) {
 	if wireReq {
 		met.reqWire.Inc()
 	}
-	p := geo.Point{Lat: req.Lat, Lon: req.Lon}
-	if !p.Valid() {
-		s.writeError(w, http.StatusBadRequest, "invalid location (%v, %v)", req.Lat, req.Lon)
-		return
-	}
-	if req.K <= 0 {
-		req.K = 3
-	}
-	if req.RadiusM <= 0 {
-		req.RadiusM = 50000
-	}
-	if req.Weights == (WeightsJSON{}) {
-		eq := cknn.EqualWeights()
-		req.Weights = WeightsJSON{L: eq.L, A: eq.A, D: eq.D}
-	}
-	weights := cknn.Weights{L: req.Weights.L, A: req.Weights.A, D: req.Weights.D}
-	if err := weights.Validate(); err != nil {
+	o, err := ResolveOffering(&req, s.opts.Clock)
+	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	now := req.Now
-	if now.IsZero() {
-		now = s.opts.Clock()
-	}
-	eta := req.ETA
-	if eta.IsZero() {
-		eta = now
-	}
 
-	key := s.cacheKeyFor(p, req)
-	if v, ok := s.cache.get(key, now); ok {
-		// Write-many: the table was encoded (both formats, Cached=true)
-		// when it entered the cache; a hit costs one header write and one
-		// body write, no marshalling.
+	key := offeringKey(s.opts.CacheCellM, &o)
+	if v, ok := s.cache.get(key, o.Now); ok {
+		// Write-many: the table was encoded (Cached=true) when it entered
+		// the cache; a hit costs one header write and one body write, no
+		// marshalling — but for the first JSON hit of an entry.
 		if wantsWire(r) {
 			met.respWire.Inc()
 			writeBody(w, http.StatusOK, wire.ContentType, v.wireBody)
-		} else {
-			met.respJSON.Inc()
-			writeBody(w, http.StatusOK, ctJSON, v.jsonBody)
+			return
 		}
+		if v.jsonBody == nil {
+			if v.jsonBody, err = cachedJSON(v.wireBody); err != nil {
+				writeBody(w, http.StatusInternalServerError, ctJSON, errEncodeBody)
+				return
+			}
+			s.cache.keepJSON(key, v)
+		}
+		met.respJSON.Inc()
+		writeBody(w, http.StatusOK, ctJSON, v.jsonBody)
 		return
 	}
 
-	node := s.env.Graph.NearestNode(p)
-	if node == roadnet.Invalid {
-		s.writeError(w, http.StatusUnprocessableEntity, "location not on the road network")
-		return
+	// The query point is snapped here unless the request brought its
+	// network search along, which starts from the node its sender snapped
+	// the point to.
+	node := roadnet.Invalid
+	if req.Travel == nil {
+		if node = s.env.Graph.NearestNode(o.P); node == roadnet.Invalid {
+			s.writeError(w, http.StatusUnprocessableEntity, "location not on the road network")
+			return
+		}
 	}
 
 	// Single-flight: concurrent cache misses for the same cell collapse to
@@ -736,17 +741,12 @@ func (s *Server) handleOffering(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	resp, shared, err := s.flights.do(ctx, key, func() OfferingResponse {
 		s.computes.Add(1)
-		q := cknn.Query{
-			Anchor: p, AnchorNode: node, ReturnNode: node,
-			Now: now, ETABase: eta,
-			K: req.K, RadiusM: req.RadiusM, Weights: weights,
-		}
-		table := cknn.RankOnce(s.env, cknn.EcoChargeOptions{RadiusM: req.RadiusM}, s.opts.Workers, q)
-		out := OfferingResponse{GeneratedAt: now}
+		table := s.rankOffering(&o, node, req.Travel)
+		out := OfferingResponse{GeneratedAt: o.Now}
 		for _, e := range table.Entries {
 			out.Entries = append(out.Entries, wireEntry(e))
 		}
-		s.cache.put(key, out, now, now.Add(s.opts.CacheTTL))
+		s.cache.put(key, out, o.Now, o.Now.Add(s.opts.CacheTTL))
 		return out
 	})
 	if err != nil {
@@ -756,6 +756,31 @@ func (s *Server) handleOffering(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.Cached = resp.Cached || shared
 	s.respond(w, r, &resp, func(b []byte) []byte { return wire.AppendOfferingResponse(b, &resp) })
+}
+
+// rankOffering computes the table of one offering request: on the network
+// search the request brought along (a fleet gateway's travel block) when it
+// brought one that covers the ranking, else on a search of its own from node,
+// the query point's node — snapped now, if a block that is then refused was
+// to make that unnecessary. The table is the same either way.
+func (s *Server) rankOffering(o *Offering, node roadnet.NodeID, block *wire.TravelBlock) cknn.OfferingTable {
+	q := cknn.Query{
+		Anchor: o.P, AnchorNode: node, ReturnNode: node,
+		Now: o.Now, ETABase: o.ETA,
+		K: o.K, RadiusM: o.RadiusM, Weights: o.Weights,
+	}
+	opts := cknn.EcoChargeOptions{RadiusM: o.RadiusM}
+	if block != nil {
+		travel := cknn.Travel{Anchor: block.Anchor, Nodes: block.Nodes, Seconds: block.Seconds, ScaleLo: block.ScaleLo, ScaleHi: block.ScaleHi}
+		if table, ok := cknn.RankOnceSupplied(s.env, opts, s.opts.Workers, q, &travel); ok {
+			met.travelUsed.Inc()
+			return table
+		}
+		met.travelRejected.Inc()
+		q.AnchorNode = s.env.Graph.NearestNode(o.P)
+		q.ReturnNode = q.AnchorNode
+	}
+	return cknn.RankOnce(s.env, opts, s.opts.Workers, q)
 }
 
 // decodeJSONOffering is apart from handleOffering so that the request it
@@ -811,15 +836,4 @@ func (g *flightGroup) do(ctx context.Context, key cacheKey, fn func() OfferingRe
 	delete(g.m, key)
 	g.mu.Unlock()
 	return f.resp, false, nil
-}
-
-func (s *Server) cacheKeyFor(p geo.Point, req OfferingRequest) cacheKey {
-	cell := s.opts.CacheCellM / geo.EarthRadius * 180 / math.Pi // degrees
-	return cacheKey{
-		cellLat: int64(math.Floor(p.Lat / cell)),
-		cellLon: int64(math.Floor(p.Lon / cell)),
-		k:       req.K,
-		radiusM: int64(req.RadiusM),
-		weights: req.Weights,
-	}
 }

@@ -90,6 +90,10 @@ func newFleetHarness(t *testing.T, o harnessOpts) *fleetHarness {
 	}
 
 	opts := Options{
+		// The gateway holds the road world throughout the suite: whatever a
+		// test does to the fleet, it does to a gateway that searches for its
+		// shards wherever it can (wire shards, inventories pulled).
+		Env:              h.env,
 		Clock:            h.clk.Now,
 		ShardTimeout:     5 * time.Second,
 		HedgeDelay:       20 * time.Millisecond,
@@ -192,9 +196,29 @@ func fmtFloat(v float64) string { return fmt.Sprintf("%v", v) }
 // TestChaosFleetByteIdentityFaultFree: at fault rate 0 a gateway over three
 // shards is indistinguishable, byte for byte, from one EIS over the whole
 // inventory — all six methods, repeated (cache-hitting) requests, and error
-// responses included.
+// responses included — on JSON shards, where the gateway that holds the road
+// world cannot use it, and on wire shards, where it runs the search of every
+// offering its shards have not cached.
 func TestChaosFleetByteIdentityFaultFree(t *testing.T) {
-	h := newFleetHarness(t, harnessOpts{n: 3})
+	t.Run("json shards", func(t *testing.T) {
+		supplied := met.travelSupplied.Value()
+		sixMethodsIdentical(t, false)
+		if n := met.travelSupplied.Value() - supplied; n != 0 {
+			t.Fatalf("the gateway sent %d travel blocks to JSON shards", n)
+		}
+	})
+	t.Run("wire shards", func(t *testing.T) {
+		supplied := met.travelSupplied.Value()
+		sixMethodsIdentical(t, true)
+		if met.travelSupplied.Value() == supplied {
+			t.Fatal("the gateway holds the road world and never searched for its shards")
+		}
+	})
+}
+
+func sixMethodsIdentical(t *testing.T, wireShards bool) {
+	h := newFleetHarness(t, harnessOpts{n: 3, gw: func(o *Options) { o.WireShards = wireShards }})
+	h.gw.ProbeAll(context.Background()) // inventories and cache terms pulled
 	center := h.env.Graph.Bounds().Center()
 	at := fixedNow.Add(time.Hour).Format(time.RFC3339)
 

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"ecocharge/internal/eis"
+	"ecocharge/internal/roadnet"
 	"ecocharge/internal/wire"
 )
 
@@ -77,8 +78,9 @@ func newTarget(base string) (*target, error) {
 	return t, nil
 }
 
-// call is what a fan-out sends to every shard; all attempts read the same
-// one.
+// call is what a fan-out sends to one shard — the same to every shard,
+// unless the gateway searched for some of them (supplyTravel) — and all the
+// attempts against that shard read the same one.
 type call struct {
 	method string
 	ep     endpoint
@@ -326,12 +328,13 @@ func (g *Gateway) single(ctx context.Context, m *member, c *call) shardResult {
 }
 
 // fanout is the per-request state of one exchange with every shard, pooled
-// per gateway so that a fault-free fan-out allocates nothing of its own: the
-// call, one result per shard, and — for the offering merge — the decoded
+// per gateway so that a fault-free fan-out allocates nothing of its own: one
+// call and one result per shard, and — for the offering merge — the decoded
 // request, one decoded table per shard with its entry storage, the
-// selection scratch and the merged answer.
+// selection scratch and the merged answer, plus the scratch of the search
+// the gateway may run for the shards (supplyTravel).
 type fanout struct {
-	call    call
+	calls   []call
 	results []shardResult
 	wg      sync.WaitGroup
 
@@ -340,6 +343,14 @@ type fanout struct {
 	sel    selection
 	top    []eis.OfferingEntry
 	merged eis.OfferingResponse
+
+	// targets holds, shard after shard, the nodes searched to on the shards'
+	// behalf; seconds the travel time found at each; spans each shard's run
+	// of both; block is the one being encoded.
+	targets []roadnet.NodeID
+	seconds []float64
+	spans   []span
+	block   wire.TravelBlock
 }
 
 func (g *Gateway) getFanout() *fanout {
@@ -347,7 +358,17 @@ func (g *Gateway) getFanout() *fanout {
 		return fo
 	}
 	n := len(g.members)
-	return &fanout{results: make([]shardResult, n), tables: make([]eis.OfferingResponse, n)}
+	return &fanout{
+		calls: make([]call, n), results: make([]shardResult, n),
+		tables: make([]eis.OfferingResponse, n), spans: make([]span, n),
+	}
+}
+
+// setCall sets the call every shard gets.
+func (fo *fanout) setCall(c call) {
+	for i := range fo.calls {
+		fo.calls[i] = c
+	}
 }
 
 // putFanout releases every shard body and returns the state to the pool;
@@ -357,14 +378,15 @@ func (g *Gateway) putFanout(fo *fanout) {
 	for i := range fo.results {
 		fo.results[i].release()
 		fo.results[i] = shardResult{}
+		fo.calls[i] = call{}
+		fo.spans[i] = span{}
 	}
-	fo.call = call{}
 	fo.merged = eis.OfferingResponse{}
 	g.fanouts.Put(fo)
 }
 
-// fanout runs fo.call against every shard concurrently under one deadline
-// and leaves the results in fo.results, indexed by shard.
+// fanout runs fo.calls, each against its shard, concurrently under one
+// deadline and leaves the results in fo.results, indexed by shard.
 func (g *Gateway) fanout(ctx context.Context, fo *fanout) {
 	ctx, cancel := context.WithTimeout(ctx, g.opts.ShardTimeout)
 	defer cancel()
@@ -372,13 +394,13 @@ func (g *Gateway) fanout(ctx context.Context, fo *fanout) {
 	for i := 1; i < len(g.members); i++ {
 		go g.fanoutShard(ctx, fo, i)
 	}
-	fo.results[0] = g.exchange(ctx, g.members[0], &fo.call)
+	fo.results[0] = g.exchange(ctx, g.members[0], &fo.calls[0])
 	fo.wg.Wait()
 }
 
 func (g *Gateway) fanoutShard(ctx context.Context, fo *fanout, i int) {
 	defer fo.wg.Done()
-	fo.results[i] = g.exchange(ctx, g.members[i], &fo.call)
+	fo.results[i] = g.exchange(ctx, g.members[i], &fo.calls[i])
 }
 
 // splitResults classifies fan-out results: how many shards answered 200, the

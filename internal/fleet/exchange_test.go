@@ -93,7 +93,7 @@ func (rig *exchangeRig) run(wantOK bool, want tally) time.Duration {
 	rig.t.Helper()
 	fo := rig.g.getFanout()
 	defer rig.g.putFanout(fo)
-	fo.call = call{method: http.MethodGet, ep: epTraffic, header: rig.g.header("", "")}
+	fo.setCall(call{method: http.MethodGet, ep: epTraffic, header: rig.g.header("", "")})
 	start := time.Now()
 	rig.g.fanout(context.Background(), fo)
 	elapsed := time.Since(start)

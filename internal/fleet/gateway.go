@@ -62,6 +62,14 @@ type Options struct {
 	// answering JSON — the gateway decodes by Content-Type — so mixed fleets
 	// work during a rollout.
 	WireShards bool
+	// Env is the road world the shards search — the frozen graph and the
+	// traffic model, built from the same dataset and seed as theirs (its
+	// chargers and other models are not read). With it the gateway runs the
+	// one network search of a cache-miss ranking itself and hands every
+	// shard its travel times, where each shard would otherwise run the same
+	// search (travel.go); it takes WireShards, and an undirected graph, to
+	// do so. Nil keeps the gateway graph-free.
+	Env *cknn.Env
 }
 
 func (o Options) withDefaults() Options {
@@ -93,14 +101,23 @@ func (o Options) withDefaults() Options {
 // shard is the biggest payload the gateway handles).
 const maxShardResponseBytes int64 = 32 << 20
 
-// Gateway is the stateless fleet front: it owns no environment, only the
-// shard membership (addresses, breakers, probe verdicts, inventory caches)
-// and the merge logic. Everything it serves is reconstructed per request
-// from shard answers, so any gateway instance can serve any request.
+// Gateway is the stateless fleet front: it owns the shard membership
+// (addresses, breakers, probe verdicts, inventory caches), the merge logic
+// and, when given one, a copy of the road world its shards search, to run
+// their common network search once (travel.go). Everything it serves is
+// reconstructed per request from shard answers, and everything it holds can
+// be rebuilt or re-learned from the shards, so any gateway instance can serve
+// any request.
 type Gateway struct {
 	members []*member
 	part    Partition
 	opts    Options
+
+	// env is Options.Env when the gateway searches for its shards, nil when
+	// it was given none or cannot (JSON shards, a directed graph); world is
+	// its RoadWorld, which a shard must state to be searched for.
+	env   *cknn.Env
+	world uint64
 
 	// transport is the client's RoundTripper; every shard exchange runs on it.
 	transport http.RoundTripper
@@ -124,6 +141,9 @@ func NewGateway(shards []Shard, opts Options) (*Gateway, error) {
 	g := &Gateway{part: Partition{N: len(shards)}, opts: opts, transport: opts.HTTPClient.Transport}
 	if g.transport == nil {
 		g.transport = http.DefaultTransport
+	}
+	if opts.Env != nil && opts.WireShards && opts.Env.Graph.Symmetric() {
+		g.env, g.world = opts.Env, opts.Env.RoadWorld()
 	}
 	accept := g.shardAccept()
 	for _, contentType := range []string{"", ctJSON, wire.ContentType} {
@@ -292,7 +312,7 @@ func (g *Gateway) handleChargers(w http.ResponseWriter, r *http.Request) {
 	}
 	fo := g.getFanout()
 	defer g.putFanout(fo)
-	fo.call = call{method: http.MethodGet, ep: epChargers, rawQuery: r.URL.RawQuery, header: g.header("", g.shardAccept())}
+	fo.setCall(call{method: http.MethodGet, ep: epChargers, rawQuery: r.URL.RawQuery, header: g.header("", g.shardAccept())})
 	g.fanout(r.Context(), fo)
 	live, bad, dead := splitResults(fo.results)
 	if bad != nil {
@@ -508,30 +528,6 @@ func trafficRank(m *member) int {
 
 // ---- offering ----
 
-// offeringParams applies the shard-side request defaulting so the gateway
-// selects and synthesizes with exactly the parameters the shards ranked
-// under.
-func offeringParams(req eis.OfferingRequest) (k int, radius float64, weights cknn.Weights, ok bool) {
-	k = req.K
-	if k <= 0 {
-		k = 3
-	}
-	radius = req.RadiusM
-	if radius <= 0 {
-		radius = 50000
-	}
-	if req.Weights == (eis.WeightsJSON{}) {
-		weights = cknn.EqualWeights()
-	} else {
-		weights = cknn.Weights{L: req.Weights.L, A: req.Weights.A, D: req.Weights.D}
-		if weights.Validate() != nil {
-			return 0, 0, cknn.Weights{}, false
-		}
-		weights = weights.Normalized()
-	}
-	return k, radius, weights, true
-}
-
 // maxRequestBytes bounds a client's POST body, like the shards do.
 const maxRequestBytes = 1 << 20
 
@@ -566,7 +562,34 @@ func (g *Gateway) handleOffering(w http.ResponseWriter, r *http.Request) {
 	}
 	fo := g.getFanout()
 	defer g.putFanout(fo)
-	fo.call = call{method: http.MethodPost, ep: epOffering, body: body, header: g.header(reqCT, g.shardAccept())}
+	// The request is decoded into the pooled state: encoding/json would
+	// move a local one to the heap on both planes. A body that does not
+	// decode travels on all the same, and the shards answer the canonical 400.
+	fo.req = eis.OfferingRequest{}
+	reqParsed := false
+	if wire.IsWire(reqCT) {
+		reqParsed = wire.DecodeOfferingRequest(body, &fo.req) == nil
+	} else {
+		reqParsed = json.Unmarshal(body, &fo.req) == nil
+	}
+	if fo.req.Travel != nil {
+		// A shard builds its ranking on a travel block without a search of
+		// its own to hold it against, so only the gateway may write one.
+		g.writeError(w, http.StatusBadRequest, "decoding request: a travel block is the gateway's to send, not a client's")
+		return
+	}
+	// The shards' own defaulting, so the gateway searches, selects and
+	// synthesizes with exactly the parameters they rank under.
+	var o eis.Offering
+	resolved := false
+	if reqParsed {
+		o, err = eis.ResolveOffering(&fo.req, g.opts.Clock)
+		resolved = err == nil
+	}
+	fo.setCall(call{method: http.MethodPost, ep: epOffering, body: body, header: g.header(reqCT, g.shardAccept())})
+	if g.env != nil && resolved {
+		g.supplyTravel(fo, &o)
+	}
 	g.fanout(r.Context(), fo)
 	live, bad, dead := splitResults(fo.results)
 	if bad != nil {
@@ -597,28 +620,16 @@ func (g *Gateway) handleOffering(w http.ResponseWriter, r *http.Request) {
 			g.writeError(w, http.StatusBadGateway, "shard %d: decoding offering: %v", i, err)
 			return
 		}
-	}
-	// The request is decoded into the pooled state: encoding/json would
-	// move a local one to the heap on both planes.
-	fo.req = eis.OfferingRequest{}
-	reqParsed := false
-	if wire.IsWire(reqCT) {
-		reqParsed = wire.DecodeOfferingRequest(body, &fo.req) == nil
-	} else {
-		reqParsed = json.Unmarshal(body, &fo.req) == nil
+		if fo.spans[i].supplied && fo.tables[i].Cached {
+			met.travelWasted.Inc()
+		}
 	}
 	var synth []eis.OfferingEntry
 	k := 3
-	if reqParsed {
-		var radius float64
-		var weights cknn.Weights
-		var paramsOK bool
-		k, radius, weights, paramsOK = offeringParams(fo.req)
-		if paramsOK {
-			anchor := geo.Point{Lat: fo.req.Lat, Lon: fo.req.Lon}
-			for _, i := range dead {
-				synth = append(synth, synthWithin(g.members[i].chargers(), anchor, radius, weights)...)
-			}
+	if resolved {
+		k = o.K
+		for _, i := range dead {
+			synth = append(synth, synthWithin(g.members[i].chargers(), o.P, o.RadiusM, o.Weights.Normalized())...)
 		}
 	}
 	if len(dead) > 0 {
@@ -645,7 +656,7 @@ func (g *Gateway) handleTrip(w http.ResponseWriter, r *http.Request) {
 	// in the binary codec's hot set).
 	fo := g.getFanout()
 	defer g.putFanout(fo)
-	fo.call = call{method: http.MethodPost, ep: epTrip, body: body, header: g.header(ctJSON, "")}
+	fo.setCall(call{method: http.MethodPost, ep: epTrip, body: body, header: g.header(ctJSON, "")})
 	g.fanout(r.Context(), fo)
 	nLive, bad, dead := splitResults(fo.results)
 	if bad != nil {
@@ -672,9 +683,11 @@ func (g *Gateway) handleTrip(w http.ResponseWriter, r *http.Request) {
 	k := 3
 	var synthAt func(geo.Point) []eis.OfferingEntry
 	if json.Unmarshal(body, &req) == nil {
-		ko, radius, weights, paramsOK := offeringParams(eis.OfferingRequest{K: req.K, RadiusM: req.RadiusM, Weights: req.Weights})
-		if paramsOK {
-			k = ko
+		// A trip ranks every segment under the offering defaults.
+		o, err := eis.ResolveOffering(&eis.OfferingRequest{K: req.K, RadiusM: req.RadiusM, Weights: req.Weights}, g.opts.Clock)
+		if err == nil {
+			k = o.K
+			radius, weights := o.RadiusM, o.Weights.Normalized()
 			if len(dead) > 0 {
 				deadInv := make([][]charger.Charger, 0, len(dead))
 				for _, i := range dead {

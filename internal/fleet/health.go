@@ -45,6 +45,10 @@ type member struct {
 	// inventory is the shard's charger partition, pulled on probe success.
 	// Nil until the first successful pull.
 	inventory atomic.Pointer[[]charger.Charger]
+
+	// supply is what the gateway searches on the shard's behalf by, from the
+	// same pull; nil while it may not (see supplyTerms).
+	supply atomic.Pointer[supplyTerms]
 }
 
 func newMember(index int, s Shard, opts Options) (*member, error) {
@@ -154,6 +158,11 @@ func (g *Gateway) pullInventory(ctx context.Context, m *member) {
 		return
 	}
 	m.inventory.Store(&inv)
+	var supply *supplyTerms
+	if terms, ok := eis.CacheTermsFrom(resp.Header); ok && g.env != nil && terms.World == g.world {
+		supply = newSupplyTerms(terms, inv)
+	}
+	m.supply.Store(supply)
 	met.inventoryPulls.Inc()
 }
 

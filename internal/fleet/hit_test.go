@@ -17,8 +17,10 @@ import (
 	"time"
 
 	"ecocharge/internal/eis"
+	"ecocharge/internal/experiment"
 	"ecocharge/internal/fleet"
 	"ecocharge/internal/load"
+	"ecocharge/internal/obs"
 	"ecocharge/internal/wire"
 )
 
@@ -164,5 +166,95 @@ func TestGatewayHitAllocCeiling(t *testing.T) {
 	t.Logf("%d B per hit through the gateway, %d B straight to a shard", viaGateway, direct)
 	if viaGateway > 4*direct+margin {
 		t.Fatalf("one cache hit through the gateway allocates %d B, over 4 × %d B + %d B", viaGateway, direct, margin)
+	}
+}
+
+// missFleet is an in-process 3-shard fleet over the Oldenburg scenario of
+// the repository benchmark, and a client that asks it for rankings no cache
+// holds: one anchor, weights of its own per request.
+type missFleet struct {
+	hitClient
+	req wire.OfferingRequest
+	n   int
+}
+
+func newMissFleet(tb testing.TB, opts load.InprocOptions) *missFleet {
+	tb.Helper()
+	sc, err := experiment.BuildScenario("Oldenburg", 0.001, 42)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	opts.WireShards = true
+	ip, err := load.StartInproc(sc.Env, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(ip.Close)
+	anchor := sc.Graph.Bounds().Center()
+	f := &missFleet{
+		hitClient: hitClient{
+			url:         ip.URL + eis.APIVersion + "/offering",
+			contentType: wire.ContentType, accept: wire.ContentType,
+			client: &http.Client{Transport: eis.DefaultTransport(1, true)},
+		},
+		req: wire.OfferingRequest{Lat: anchor.Lat, Lon: anchor.Lon, K: hitK, Now: sc.Start},
+	}
+	tb.Cleanup(f.client.CloseIdleConnections)
+	return f
+}
+
+// rank sends the next one-shot request and returns the decoded answer.
+func (f *missFleet) rank(tb testing.TB) *wire.OfferingResponse {
+	tb.Helper()
+	f.n++
+	f.req.Weights = wire.WeightsJSON{L: 1, A: 1 + float64(f.n)/1024, D: 0.5}
+	f.body = wire.AppendOfferingRequest(f.body[:0], &f.req)
+	if err := f.send(); err != nil {
+		tb.Fatal(err)
+	}
+	var resp wire.OfferingResponse
+	if err := wire.DecodeOfferingResponse(f.buf.Bytes(), &resp); err != nil {
+		tb.Fatal(err)
+	}
+	if resp.Cached || len(resp.Entries) != hitK {
+		tb.Fatalf("one-shot request %d answered cached=%v with %d entries", f.n, resp.Cached, len(resp.Entries))
+	}
+	return &resp
+}
+
+// searches is how many network expansions the process has started.
+func searches() float64 {
+	snap := obs.Default().Snapshot()
+	return snap["roadnet_expansions_total"] + snap["roadnet_many_expansions_total"]
+}
+
+// BenchmarkGatewayMiss is the cache-miss path end to end: one personalised
+// ranking through the fleet, which every shard computes. The gateway runs
+// the ranking's network search and the shards build on its travel times, so
+// the fleet must have started exactly one expansion per ranking.
+func BenchmarkGatewayMiss(b *testing.B) {
+	f := newMissFleet(b, load.InprocOptions{})
+	supplied := obs.Default().Counter("fleet_travel_supplied_total")
+	// The gateway searches for a shard once it has pulled its inventory,
+	// and it pulls them one after the other: wait for a ranking that went
+	// out with a block for each of the three.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		s0 := supplied.Value()
+		if f.rank(b); supplied.Value()-s0 == 3 {
+			break
+		}
+		if time.Now().After(deadline) {
+			b.Fatal("the gateway never searched on behalf of all three shards")
+		}
+	}
+	before := searches()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.rank(b)
+	}
+	b.StopTimer()
+	if got := searches() - before; got != float64(b.N) {
+		b.Fatalf("%v network expansions for %d fleet rankings, want one each", got, b.N)
 	}
 }

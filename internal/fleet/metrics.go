@@ -34,6 +34,12 @@ type fleetMetrics struct {
 	degradedMerges  *obs.Counter
 	degradedEntries *obs.Counter
 
+	// Travel blocks: sent to a shard with its request (the gateway searched
+	// on its behalf), and of those the ones the shard answered from its cache
+	// all the same — a search the filter should have saved.
+	travelSupplied *obs.Counter
+	travelWasted   *obs.Counter
+
 	// Per-format decode share of the fan-out path: how long the gateway
 	// spends unmarshalling shard bodies, split by interchange format.
 	decodeJSON *obs.Histogram
@@ -62,6 +68,9 @@ func newFleetMetrics(r *obs.Registry) *fleetMetrics {
 
 		degradedMerges:  r.Counter("gateway_degraded_merges_total"),
 		degradedEntries: r.Counter("gateway_degraded_entries_total"),
+
+		travelSupplied: r.Counter("fleet_travel_supplied_total"),
+		travelWasted:   r.Counter("fleet_travel_wasted_total"),
 
 		decodeJSON: r.Histogram("gateway_decode_seconds_json", nil),
 		decodeWire: r.Histogram("gateway_decode_seconds_wire", nil),

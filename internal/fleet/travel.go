@@ -1,0 +1,214 @@
+package fleet
+
+import (
+	"sync/atomic"
+	"time"
+
+	"ecocharge/internal/charger"
+	"ecocharge/internal/cknn"
+	"ecocharge/internal/eis"
+	"ecocharge/internal/geo"
+	"ecocharge/internal/roadnet"
+	"ecocharge/internal/wire"
+)
+
+// This file is the one road search of a fleet ranking. Rendezvous sharding
+// scatters every shard's chargers over the whole map, so on a response-cache
+// miss all the shards would run the same network expansion from the same
+// anchor under the same class table to nearly the same ball. A gateway that
+// was given the road world (Options.Env) runs it once, to the chargers of
+// every shard it expects to miss, and appends to each such shard's request
+// that shard's slice of the travel times (wire.TravelBlock). The shard
+// builds its derouting maps from the block instead of searching
+// (cknn.RankOnceSupplied) and the tables come out bit-identical.
+//
+// Everything the gateway holds for this is soft state — the world is the
+// shards' own, rebuilt from the same flags; inventories, cache terms and the
+// filter below are re-learned from the shards — and none of it is a
+// correctness input. A shard that hits its cache ignores the block; a shard
+// that misses without one (the filter said "seen", a JSON fleet, a directed
+// graph, no inventory yet, a request without an issue time) searches for
+// itself as it always did; a shard that finds the block short of a candidate
+// (a stale inventory here) or malformed discards it and searches for itself.
+// A wrong guess costs a search somewhere, never a table.
+
+// site is what a search needs of one inventoried charger. The scan for the
+// chargers within R walks these, a thousand of them per request, and must
+// not drag a 1.4 KB charger.Charger through the cache for each.
+type site struct {
+	p    geo.Point
+	node roadnet.NodeID
+}
+
+// supplyTerms is what the gateway needs of a shard to search on its behalf:
+// how its response cache keys and keeps entries, where its chargers are, and
+// which keys it was sent lately. A member has them from its last inventory
+// pull, if the shard stated terms and searches the gateway's road world; a
+// re-pull (the shard came back from a failure, its cache possibly empty)
+// starts over with an empty filter.
+type supplyTerms struct {
+	cache eis.CacheTerms
+	sites []site
+	seen  seenFilter
+}
+
+func newSupplyTerms(cache eis.CacheTerms, inv []charger.Charger) *supplyTerms {
+	t := &supplyTerms{cache: cache, sites: make([]site, len(inv))}
+	for i := range inv {
+		t.sites[i] = site{p: inv[i].P, node: inv[i].Node}
+	}
+	return t
+}
+
+// seenFilter remembers the response-cache keys the gateway fanned out to one
+// shard within the shard's TTL: for those the shard has a cached table, or
+// is computing one, and a travel block would be searched for and thrown
+// away. It is a cost hint, fixed in size and lock-free, and wrong in both
+// directions — it forgets keys (sets overflow, racing writers overwrite each
+// other) and remembers what the shard evicted — which only ever moves a
+// search from one side of the exchange to the other.
+//
+// A slot packs a key's 31-bit fingerprint and a mark over the Unix second
+// the key was sent at, in the request's own time, which is the time a shard
+// expires entries by. Eight slots — one cache line — make a set, and there
+// are as many slots as a shard's response cache holds entries by default
+// (4 096): what the shard can have cached, the filter can remember. The mark
+// says the key was asked for again. A full set gives up a key that was not
+// before one that was, as the shard's cache does (respShard.evictLocked) and
+// for its reason: the keys that come back are a few hundred cells, the keys
+// that do not are every personalised ranking, and a filter that drops a cell
+// for one of those has the gateway search for a shard that then answers
+// from its cache.
+type seenFilter struct {
+	slots [filterSets * filterWays]atomic.Uint64
+}
+
+const (
+	filterWays = 8
+	filterSets = 512
+
+	seenSecond = 1<<32 - 1 // the second the key was sent at
+	seenAgain  = 1 << 32   // the key was asked for again within its TTL
+)
+
+// observe reports whether the key was sent within ttl of now, and records it
+// as sent now if not.
+func (f *seenFilter) observe(hash uint64, now time.Time, ttl time.Duration) bool {
+	set := f.slots[hash%filterSets*filterWays:][:filterWays]
+	fp := (hash>>33 | 1) << 33 // never 0: an empty slot matches no key
+	sec := uint32(now.Unix())
+	expired, once := -1, -1
+	for i := range set {
+		e := set[i].Load()
+		// Age on a 32-bit circle. A request issued before the one that was
+		// recorded has a negative age and is fresh, as it is to the shard,
+		// which only asks whether now is past the entry's expiry.
+		fresh := e != 0 && time.Duration(int32(sec-uint32(e)))*time.Second <= ttl
+		switch {
+		case fresh && e&^(seenAgain|seenSecond) == fp:
+			if e&seenAgain == 0 {
+				set[i].CompareAndSwap(e, e|seenAgain)
+			}
+			return true
+		case !fresh && expired < 0:
+			expired = i
+		case fresh && e&seenAgain == 0 && once < 0:
+			once = i
+		}
+	}
+	victim := expired
+	if victim < 0 {
+		victim = once
+	}
+	if victim < 0 {
+		// Every key of the set came back: all start over, and one goes.
+		for i := range set {
+			e := set[i].Load()
+			set[i].CompareAndSwap(e, e&^seenAgain)
+		}
+		victim = int(hash >> 10 % filterWays)
+	}
+	set[victim].Store(fp | uint64(sec))
+	return false
+}
+
+// supplyTravel decides, shard by shard, whether the offering request in
+// fo.req (resolved: o) will miss the shard's response cache, runs the
+// ranking's one network search for those that will, and replaces their
+// request bodies with wire requests that carry their travel times. It leaves
+// fo.calls alone when there is nothing to supply.
+func (g *Gateway) supplyTravel(fo *fanout, o *eis.Offering) {
+	if fo.req.Now.IsZero() {
+		return // the shards would each rank at their own clock's time
+	}
+	anchor := roadnet.Invalid
+	fo.targets = fo.targets[:0]
+	for i, m := range g.members {
+		fo.spans[i] = span{}
+		t := m.supply.Load()
+		if t == nil || t.seen.observe(t.cache.KeyHash(o), o.Now, t.cache.TTL) {
+			continue
+		}
+		if anchor == roadnet.Invalid {
+			if anchor = g.env.Graph.NearestNode(o.P); anchor == roadnet.Invalid {
+				clear(fo.spans)
+				return
+			}
+		}
+		start := len(fo.targets)
+		for _, s := range t.sites {
+			if geo.Distance(o.P, s.p) <= o.RadiusM {
+				fo.targets = append(fo.targets, s.node)
+			}
+		}
+		fo.spans[i] = span{start, len(fo.targets), true}
+	}
+	if len(fo.targets) == 0 {
+		// Every shard has seen the key, none can be searched for, or no
+		// charger is within R — a ranking of nothing, which costs a shard
+		// nothing to search for.
+		clear(fo.spans)
+		return
+	}
+	ts, ok := cknn.SearchTravel(g.env, cknn.EcoChargeOptions{RadiusM: o.RadiusM}, cknn.Query{
+		Anchor: o.P, AnchorNode: anchor, ReturnNode: anchor,
+		Now: o.Now, ETABase: o.ETA, RadiusM: o.RadiusM,
+	}, fo.targets)
+	defer ts.Release()
+	if !ok {
+		clear(fo.spans)
+		return
+	}
+	fo.seconds = fo.seconds[:0]
+	for _, n := range fo.targets {
+		fo.seconds = append(fo.seconds, ts.Seconds(n))
+	}
+	fo.block.Anchor = anchor
+	fo.block.ScaleLo, fo.block.ScaleHi = ts.Scales()
+
+	header := g.header(wire.ContentType, g.shardAccept())
+	fo.req.Travel = &fo.block
+	buf := wire.GetBuffer()
+	for i, sp := range fo.spans {
+		if !sp.supplied {
+			continue
+		}
+		fo.block.Nodes, fo.block.Seconds = fo.targets[sp.start:sp.end], fo.seconds[sp.start:sp.end]
+		buf.B = wire.AppendOfferingRequest(buf.B[:0], &fo.req)
+		// A right-sized copy the garbage collector owns, like the client's
+		// body it replaces (readBody): attempts never get pooled bytes.
+		fo.calls[i].body = append(make([]byte, 0, len(buf.B)), buf.B...)
+		fo.calls[i].header = header
+		met.travelSupplied.Inc()
+	}
+	wire.PutBuffer(buf)
+	fo.req.Travel = nil
+	fo.block.Nodes, fo.block.Seconds = nil, nil
+}
+
+// span is one shard's run of fo.targets — the nodes of its chargers within R,
+// possibly none — when the shard is sent a block.
+type span struct {
+	start, end int
+	supplied   bool
+}

@@ -1,0 +1,484 @@
+package fleet
+
+// The fleet's one road search (travel.go), held to the fleet that searches
+// shard by shard: a gateway with the road world and one without must serve
+// the same bytes on both planes while the kernel's counters show one
+// expansion against three, and every way the gateway's guess can be wrong
+// — a directed graph, a stale inventory, a filter that remembers what a
+// shard forgot — must leave the answer alone.
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"ecocharge/internal/charger"
+	"ecocharge/internal/cknn"
+	"ecocharge/internal/eis"
+	"ecocharge/internal/experiment"
+	"ecocharge/internal/obs"
+	"ecocharge/internal/roadnet"
+	"ecocharge/internal/wire"
+)
+
+// swapHandler serves whatever handler it currently holds: a shard that can
+// be restarted (an empty cache) or re-stocked (another inventory) under a
+// gateway that keeps its address.
+type swapHandler struct{ h atomic.Pointer[http.Handler] }
+
+func (s *swapHandler) set(h http.Handler) { s.h.Store(&h) }
+func (s *swapHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	(*s.h.Load()).ServeHTTP(w, r)
+}
+
+// travelFleet is a three-shard wire fleet behind one gateway.
+type travelFleet struct {
+	gw     *Gateway
+	url    string
+	shards []*swapHandler
+}
+
+// newTravelFleet starts shard servers over envs (in shard order) and a
+// gateway over them that holds world (nil: graph-free), inventories pulled.
+func newTravelFleet(t *testing.T, envs []*cknn.Env, world *cknn.Env) *travelFleet {
+	t.Helper()
+	f := &travelFleet{}
+	shards := make([]Shard, len(envs))
+	for i, env := range envs {
+		sh := &swapHandler{}
+		sh.set(eis.NewServer(env, eis.ServerOptions{}).Handler())
+		ts := httptest.NewServer(sh)
+		t.Cleanup(ts.Close)
+		shards[i].URL = ts.URL
+		f.shards = append(f.shards, sh)
+	}
+	gw, err := NewGateway(shards, Options{WireShards: true, Env: world})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw.ProbeAll(context.Background())
+	ts := httptest.NewServer(gw.Handler())
+	t.Cleanup(ts.Close)
+	f.gw, f.url = gw, ts.URL
+	return f
+}
+
+func shardEnvs(t *testing.T, world *cknn.Env, n int) []*cknn.Env {
+	t.Helper()
+	envs := make([]*cknn.Env, n)
+	for i := range envs {
+		var err error
+		if envs[i], err = ShardEnv(world, i, n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return envs
+}
+
+// post sends one offering request on a plane and returns the body.
+func (f *travelFleet) post(t *testing.T, req *eis.OfferingRequest, wirePlane bool) []byte {
+	t.Helper()
+	var (
+		body []byte
+		err  error
+	)
+	contentType := "application/json"
+	if wirePlane {
+		body, contentType = wire.AppendOfferingRequest(nil, req), wire.ContentType
+	} else if body, err = json.Marshal(req); err != nil {
+		t.Fatal(err)
+	}
+	hr, err := http.NewRequest(http.MethodPost, f.url+eis.APIVersion+"/offering", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr.Header.Set("Content-Type", contentType)
+	if wirePlane {
+		hr.Header.Set("Accept", wire.ContentType)
+	}
+	resp, err := http.DefaultClient.Do(hr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || resp.Header.Get(degradedHeader) != "" {
+		t.Fatalf("offering answered %d (degraded %q): %.300s", resp.StatusCode, resp.Header.Get(degradedHeader), buf.Bytes())
+	}
+	return buf.Bytes()
+}
+
+// kernelSearches is how many network expansions the process has started.
+func kernelSearches() uint64 {
+	r := obs.Default()
+	return r.Counter("roadnet_expansions_total").Value() + r.Counter("roadnet_many_expansions_total").Value()
+}
+
+// randomOffering draws an anchor on the graph, weights, k and R.
+func randomOffering(rng *rand.Rand, world *cknn.Env, now time.Time) eis.OfferingRequest {
+	p := world.Graph.Node(roadnet.NodeID(rng.Intn(world.Graph.NumNodes()))).P
+	return eis.OfferingRequest{
+		Lat: p.Lat + (rng.Float64()-0.5)/500, Lon: p.Lon + (rng.Float64()-0.5)/500,
+		K: 1 + rng.Intn(8), RadiusM: []float64{0, 2500, 8000, 20000, 50000}[rng.Intn(5)],
+		Weights: eis.WeightsJSON{L: 0.1 + rng.Float64(), A: 0.1 + rng.Float64(), D: 0.1 + rng.Float64()},
+		Now:     now, ETA: now.Add(time.Duration(rng.Intn(90)) * time.Minute),
+	}
+}
+
+// compareFleets sends n random offerings to both fleets, first on one plane
+// (a miss everywhere) and then on the other (a hit everywhere), requires the
+// same bytes from both, and returns the expansions each fleet's misses
+// started and the blocks the searching one sent.
+func compareFleets(t *testing.T, world *cknn.Env, with, without *travelFleet, now time.Time, n int) (searchesWith, searchesWithout, supplied uint64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(17))
+	entries := 0
+	for i := 0; i < n; i++ {
+		req := randomOffering(rng, world, now)
+		wireFirst := i%2 == 0
+		s0, b0 := kernelSearches(), met.travelSupplied.Value()
+		got := with.post(t, &req, wireFirst)
+		s1 := kernelSearches()
+		supplied += met.travelSupplied.Value() - b0
+		want := without.post(t, &req, wireFirst)
+		s2 := kernelSearches()
+		searchesWith, searchesWithout = searchesWith+s1-s0, searchesWithout+s2-s1
+		if !bytes.Equal(got, want) {
+			t.Fatalf("request %d %+v: the searching gateway's miss differs\nwith:    %.300s\nwithout: %.300s", i, req, got, want)
+		}
+		gotHit, wantHit := with.post(t, &req, !wireFirst), without.post(t, &req, !wireFirst)
+		if !bytes.Equal(gotHit, wantHit) {
+			t.Fatalf("request %d %+v: the searching gateway's hit differs\nwith:    %.300s\nwithout: %.300s", i, req, gotHit, wantHit)
+		}
+		if s3 := kernelSearches(); s3 != s2 {
+			t.Fatalf("request %d: the cache hits started %d expansions", i, s3-s2)
+		}
+		var resp eis.OfferingResponse
+		if err := json.Unmarshal(map[bool][]byte{true: gotHit, false: got}[wireFirst], &resp); err != nil {
+			t.Fatal(err)
+		}
+		entries += len(resp.Entries)
+	}
+	if entries < n {
+		t.Fatalf("%d entries over %d tables; the comparison is vacuous", entries, n)
+	}
+	return searchesWith, searchesWithout, supplied
+}
+
+// TestFleetTravelOneSearchPerRanking is the property on the benchmark's own
+// world, the undirected Oldenburg graph with its thousand chargers.
+func TestFleetTravelOneSearchPerRanking(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the Oldenburg scenario twice over")
+	}
+	sc, err := experiment.BuildScenario("Oldenburg", 0.001, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	world := sc.Env
+	with := newTravelFleet(t, shardEnvs(t, world, 3), world)
+	without := newTravelFleet(t, shardEnvs(t, world, 3), nil)
+	const n = 24
+	one, three, supplied := compareFleets(t, world, with, without, sc.Start, n)
+	if one != n || three != 3*n || supplied != 3*n {
+		t.Fatalf("%d rankings: %d expansions with the road world at the gateway (want %d), %d without (want %d), %d blocks sent (want %d)",
+			n, one, n, three, 3*n, supplied, 3*n)
+	}
+}
+
+// oneWayTwin is world on the same road graph plus one one-way arc far too
+// long to lie on a shortest path: every distance is world's, but the graph
+// is no longer symmetric.
+func oneWayTwin(t *testing.T, world *cknn.Env) *cknn.Env {
+	t.Helper()
+	g := world.Graph
+	out := roadnet.NewGraph(g.NumNodes(), g.NumEdges()+1)
+	for n := 0; n < g.NumNodes(); n++ {
+		out.AddNode(g.Node(roadnet.NodeID(n)).P)
+	}
+	edges := g.Edges()
+	for _, e := range edges {
+		out.AddEdge(e.From, e.To, e.Length, e.Class)
+	}
+	out.AddEdge(edges[0].From, edges[0].To, 1e12, edges[0].Class)
+	out.Freeze()
+	if out.Symmetric() {
+		t.Fatal("a graph with a one-way arc reports Symmetric")
+	}
+	twin := *world
+	twin.Graph = out
+	return &twin
+}
+
+// TestFleetTravelDirectedGraphDeclines: on a directed graph a ranking's
+// return leg is a search of its own, so the gateway holds the world and
+// leaves every search to the shards: no block, two expansions a shard, the
+// same bytes.
+func TestFleetTravelDirectedGraphDeclines(t *testing.T) {
+	world := oneWayTwin(t, testEnv(t))
+	with := newTravelFleet(t, shardEnvs(t, world, 3), world)
+	without := newTravelFleet(t, shardEnvs(t, world, 3), nil)
+	const n = 8
+	a, b, supplied := compareFleets(t, world, with, without, fixedNow, n)
+	if a != 6*n || b != 6*n || supplied != 0 {
+		t.Fatalf("%d rankings on a directed graph: %d and %d expansions (want %d each), %d blocks sent (want 0)", n, a, b, 6*n, supplied)
+	}
+}
+
+// TestFleetTravelWorldMismatchDeclines: a gateway started on another world
+// (here: another traffic seed) never lets its search stand in for a
+// shard's.
+func TestFleetTravelWorldMismatchDeclines(t *testing.T) {
+	world := testEnv(t)
+	other := *world
+	tm := *world.Traffic
+	tm.Seed++
+	other.Traffic = &tm
+	with := newTravelFleet(t, shardEnvs(t, world, 3), &other)
+	without := newTravelFleet(t, shardEnvs(t, world, 3), nil)
+	const n = 6
+	a, b, supplied := compareFleets(t, world, with, without, fixedNow, n)
+	if a != 3*n || b != 3*n || supplied != 0 {
+		t.Fatalf("%d rankings under a gateway of another world: %d and %d expansions (want %d each), %d blocks sent (want 0)", n, a, b, 3*n, supplied)
+	}
+}
+
+// TestFleetTravelStaleInventory: shard 0 gains a charger after the gateway
+// pulled its inventory. The block does not cover it, so shard 0 discards the
+// block and searches for itself while the others build on theirs; the answer
+// is the one a single EIS over the new inventory gives.
+func TestFleetTravelStaleInventory(t *testing.T) {
+	world := testEnv(t)
+	envs := shardEnvs(t, world, 3)
+	// The world before: shard 0 is one charger short.
+	// The late charger is alone on its node: coverage goes by node, and a
+	// neighbour of the same site would cover for it.
+	own := envs[0].Chargers.All()
+	sites := make(map[roadnet.NodeID]int)
+	for _, c := range world.Chargers.All() {
+		sites[c.Node]++
+	}
+	var late charger.Charger
+	var rest []charger.Charger
+	for _, c := range own {
+		if late.ID == 0 && sites[c.Node] == 1 {
+			late = c
+		} else {
+			rest = append(rest, c)
+		}
+	}
+	before, err := charger.NewSet(rest)
+	if err != nil || late.ID == 0 {
+		t.Fatalf("no charger of shard 0 is alone on its node (%v)", err)
+	}
+	short := *envs[0]
+	short.Chargers = before
+	f := newTravelFleet(t, []*cknn.Env{&short, envs[1], envs[2]}, world)
+	f.shards[0].set(eis.NewServer(envs[0], eis.ServerOptions{}).Handler()) // the charger arrives
+
+	single := httptest.NewServer(eis.NewServer(world, eis.ServerOptions{}).Handler())
+	t.Cleanup(single.Close)
+	ref := &travelFleet{url: single.URL}
+
+	// Not at the late charger itself: the block always covers the anchor.
+	center := world.Graph.Bounds().Center()
+	if world.Graph.NearestNode(center) == late.Node {
+		t.Fatal("the late charger sits on the anchor; pick another anchor")
+	}
+	req := eis.OfferingRequest{Lat: center.Lat, Lon: center.Lon, K: 80, RadiusM: 50000, Weights: eis.WeightsJSON{L: 1, A: 2, D: 3}, Now: fixedNow}
+	used := obs.Default().Counter("eis_travel_used_total")
+	rejected := obs.Default().Counter("eis_travel_rejected_total")
+	s0, u0, r0 := kernelSearches(), used.Value(), rejected.Value()
+	got := f.post(t, &req, true)
+	if s, u, r := kernelSearches()-s0, used.Value()-u0, rejected.Value()-r0; s != 2 || u != 2 || r != 1 {
+		t.Fatalf("%d expansions, %d blocks used, %d rejected; want the gateway's and shard 0's searches, 2 used, 1 rejected", s, u, r)
+	}
+	want := ref.post(t, &req, true)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("the fleet with a stale inventory differs from a single EIS\nfleet:  %.300s\nsingle: %.300s", got, want)
+	}
+	var resp eis.OfferingResponse
+	if err := wire.DecodeOfferingResponse(got, &resp); err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, e := range resp.Entries {
+		found = found || e.ChargerID == late.ID
+	}
+	if !found {
+		t.Fatalf("charger %d, which the block did not cover, is not in a table of every charger", late.ID)
+	}
+}
+
+// TestFleetTravelFilterFalseSeen: the shards restart (empty caches) under a
+// gateway whose filter still remembers the key. It sends no block, each
+// shard searches for itself, and the answer is the one the first request
+// got.
+func TestFleetTravelFilterFalseSeen(t *testing.T) {
+	world := testEnv(t)
+	envs := shardEnvs(t, world, 3)
+	f := newTravelFleet(t, envs, world)
+	center := world.Graph.Bounds().Center()
+	req := eis.OfferingRequest{Lat: center.Lat, Lon: center.Lon, K: 5, Weights: eis.WeightsJSON{L: 3, A: 1, D: 1}, Now: fixedNow}
+
+	s0, b0 := kernelSearches(), met.travelSupplied.Value()
+	first := f.post(t, &req, true)
+	if s, b := kernelSearches()-s0, met.travelSupplied.Value()-b0; s != 1 || b != 3 {
+		t.Fatalf("first request: %d expansions and %d blocks, want 1 and 3", s, b)
+	}
+	for i, sh := range f.shards {
+		sh.set(eis.NewServer(envs[i], eis.ServerOptions{}).Handler())
+	}
+	s0, b0 = kernelSearches(), met.travelSupplied.Value()
+	again := f.post(t, &req, true)
+	if s, b := kernelSearches()-s0, met.travelSupplied.Value()-b0; s != 3 || b != 0 {
+		t.Fatalf("after the shards lost their caches: %d expansions and %d blocks, want 3 and 0", s, b)
+	}
+	if !bytes.Equal(first, again) {
+		t.Fatalf("the answer changed when the shards searched for themselves\nfirst: %.300s\nagain: %.300s", first, again)
+	}
+
+	// A wasted block is counted: the filter forgets (a fresh pull), the
+	// shards have not.
+	f.gw.members[0].probeOK.Store(false) // the next probe re-pulls shard 0
+	f.gw.ProbeAll(context.Background())
+	w0 := met.travelWasted.Value()
+	if hit := f.post(t, &req, true); bytes.Equal(hit, again) {
+		t.Fatal("the repeat was not served from the shards' caches")
+	}
+	if w := met.travelWasted.Value() - w0; w != 1 {
+		t.Fatalf("%d wasted blocks counted, want shard 0's", w)
+	}
+}
+
+// TestFleetTravelBlockIsNotTheClientsToSend: a travel block in a client's
+// request is a 400 at the gateway, with or without the road world, and
+// reaches no shard.
+func TestFleetTravelBlockIsNotTheClientsToSend(t *testing.T) {
+	world := testEnv(t)
+	center := world.Graph.Bounds().Center()
+	req := eis.OfferingRequest{
+		Lat: center.Lat, Lon: center.Lon, Now: fixedNow,
+		Travel: &wire.TravelBlock{ScaleLo: 1, ScaleHi: 1, Nodes: []roadnet.NodeID{0}, Seconds: []float64{0}},
+	}
+	for name, env := range map[string]*cknn.Env{"graph-free": nil, "with the world": world} {
+		f := newTravelFleet(t, shardEnvs(t, world, 3), env)
+		sent := met.shardRequests.Value()
+		hr, err := http.NewRequest(http.MethodPost, f.url+eis.APIVersion+"/offering", bytes.NewReader(wire.AppendOfferingRequest(nil, &req)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hr.Header.Set("Content-Type", wire.ContentType)
+		resp, err := http.DefaultClient.Do(hr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || met.shardRequests.Value() != sent {
+			t.Fatalf("%s: answered %d after %d shard exchanges, want 400 after none", name, resp.StatusCode, met.shardRequests.Value()-sent)
+		}
+	}
+}
+
+// TestSeenFilter pins the filter's contract as far as it has one: a key is
+// seen for its TTL in request time and not after, other keys are not seen,
+// time running backwards does not expire anything, a full set keeps taking
+// keys, and the keys that were asked for again outlive any number that were
+// not.
+func TestSeenFilter(t *testing.T) {
+	var f seenFilter
+	const ttl = 5 * time.Minute
+	now := fixedNow
+	key := uint64(0xdeadbeefcafe0123)
+	if f.observe(key, now, ttl) {
+		t.Fatal("an empty filter has seen a key")
+	}
+	for _, at := range []time.Time{now, now.Add(ttl), now.Add(-time.Hour)} {
+		if !f.observe(key, at, ttl) {
+			t.Fatalf("the key is not seen at %v, within its TTL of %v", at, now)
+		}
+	}
+	if f.observe(key^1<<40, now, ttl) {
+		t.Fatal("another key of the same set is seen")
+	}
+	if f.observe(key, now.Add(ttl+time.Second), ttl) {
+		t.Fatal("the key is still seen past its TTL")
+	}
+	if !f.observe(key, now.Add(ttl+2*time.Second), ttl) {
+		t.Fatal("the key was not recorded again when it expired")
+	}
+
+	// One set (5), fingerprints of their own. Three cells that are asked for
+	// again, then a flood of one-shot keys: the cells are still there, and so
+	// is the last of the flood.
+	f = seenFilter{}
+	inSet5 := func(i uint64) uint64 { return (2*i+1)<<33 | 5 }
+	cells := []uint64{inSet5(1), inSet5(2), inSet5(3)}
+	for round := 0; round < 2; round++ {
+		for _, c := range cells {
+			if f.observe(c, now, ttl) != (round > 0) {
+				t.Fatalf("cell %x round %d: wrong verdict", c, round)
+			}
+		}
+	}
+	for i := uint64(100); i < 100+20*filterWays; i++ {
+		if f.observe(inSet5(i), now, ttl) {
+			t.Fatalf("one-shot key %d was seen before it was sent", i)
+		}
+	}
+	if !f.observe(inSet5(100+20*filterWays-1), now, ttl) {
+		t.Fatal("the last one-shot key was not recorded")
+	}
+	for _, c := range cells {
+		if !f.observe(c, now, ttl) {
+			t.Fatalf("cell %x was dropped for keys nobody asked for twice", c)
+		}
+	}
+	// A set of nothing but keys that came back still takes a new one.
+	f = seenFilter{}
+	for round := 0; round < 2; round++ {
+		for i := uint64(1); i <= filterWays; i++ {
+			f.observe(inSet5(i), now, ttl)
+		}
+	}
+	if f.observe(inSet5(99), now, ttl) || !f.observe(inSet5(99), now, ttl) {
+		t.Fatal("a set full of returning keys refused a new key")
+	}
+}
+
+// TestSeenFilterConcurrent: handlers share a shard's filter without a lock.
+// Racing writers to one set may cost each other a key; a key whose set
+// nobody else writes to is seen from its second observation on, whatever
+// the interleaving.
+func TestSeenFilterConcurrent(t *testing.T) {
+	var f seenFilter
+	const goroutines, keys = 8, 64
+	var wg sync.WaitGroup
+	for g := uint64(0); g < goroutines; g++ {
+		wg.Add(1)
+		go func(g uint64) {
+			defer wg.Done()
+			for round := 0; round < 50; round++ {
+				for k := uint64(0); k < keys; k++ {
+					// Sixty-four sets of its own per goroutine.
+					key := (2*g+1)<<33 | (g*keys + k)
+					if seen := f.observe(key, fixedNow, time.Minute); seen != (round > 0) {
+						t.Errorf("goroutine %d key %d round %d: seen=%v", g, k, round, seen)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}

@@ -105,6 +105,7 @@ func StartInproc(env *cknn.Env, opts InprocOptions) (*Inproc, error) {
 		ShardTimeout: opts.ShardTimeout,
 		HedgeDelay:   opts.HedgeDelay,
 		WireShards:   opts.WireShards,
+		Env:          env,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("load: gateway: %w", err)

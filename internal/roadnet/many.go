@@ -72,3 +72,48 @@ func (st *searchState) markTargets(targets []NodeID) int {
 	st.targetsLeft = n
 	return n
 }
+
+// SuppliedExpansion returns an expansion nobody ran: the distances a search
+// elsewhere — the fleet gateway's, from origin over the same graph under the
+// same class table — found at nodes, loaded into pooled scratch under a
+// fresh generation. The origin is seeded as a search seeds it; nodes[i]
+// becomes a target of the expansion (Covers) and, when dist[i] is finite,
+// reached at dist[i]; +Inf says the search ended without reaching it. A
+// settled target's distance does not depend on which other targets its
+// search had, so Dist then reads exactly what this graph's own ExpandToMany
+// from origin to any subset of nodes would have left there, and everything
+// downstream of Expansion is none the wiser. Whether the values deserve
+// that trust is the caller's business; this only refuses what cannot be
+// loaded — slices of different lengths, an origin or a node the graph does
+// not have, a distance that is negative or NaN — with ok false and nothing
+// to release.
+func (g *Graph) SuppliedExpansion(origin NodeID, nodes []NodeID, dist []float64) (x Expansion, ok bool) {
+	g.mustFrozen()
+	if len(nodes) != len(dist) || !g.validID(origin) {
+		return Expansion{}, false
+	}
+	st := g.acquireState()
+	for i, n := range nodes {
+		d := dist[i]
+		if !g.validID(n) || !(d >= 0) {
+			st.release()
+			return Expansion{}, false
+		}
+		s := &st.slots[n]
+		s.targ = st.stamp
+		if d < unreachable {
+			s.dist, s.prev, s.seen, s.done = d, Invalid, st.stamp, st.stamp
+		}
+	}
+	o := &st.slots[origin]
+	o.dist, o.prev, o.seen, o.done, o.targ = 0, Invalid, st.stamp, st.stamp, st.stamp
+	return Expansion{st: st}, true
+}
+
+// Covers reports whether n was a target of the many-target or supplied
+// expansion x: what Dist says about n, reached or not, is then the search's
+// final word and not the leftovers of a truncated one.
+func (x Expansion) Covers(n NodeID) bool {
+	st := x.st
+	return st != nil && n >= 0 && int(n) < len(st.slots) && st.slots[n].targ == st.stamp
+}

@@ -217,6 +217,7 @@ func (r *reader) count(minSize int) int {
 const (
 	minEntrySize   = 8 + 8 + 8 + 8 + 4*16 + 16 + 1         // 113
 	minChargerSize = 8 + 8 + 8 + 4 + 8 + 8 + 8 + 1 + 168*8 // 1397
+	minTravelSize  = 4 + 8                                 // node, seconds
 )
 
 // DecodeOfferingRequest decodes a binary Mode 2 request into out.
@@ -232,7 +233,52 @@ func DecodeOfferingRequest(data []byte, out *OfferingRequest) error {
 	out.Weights.D = r.f64()
 	out.Now = r.time()
 	out.ETA = r.time()
-	return r.finish()
+	out.Travel = nil
+	if r.err == nil && r.off < len(r.b) {
+		out.Travel = r.travel()
+	}
+	err := r.finish()
+	if err != nil {
+		out.Travel = nil // a block is all or nothing
+	}
+	return err
+}
+
+// travel decodes the optional travel block of a request. What it lets
+// through is well-formed, not true: scale factors that are a band around 1,
+// node IDs that are not negative, times that are non-negative or +Inf (the
+// one non-finite value the block has a meaning for). Whether the nodes exist
+// and cover the ranking is for the receiver, which has the graph, to say.
+func (r *reader) travel() *TravelBlock {
+	if tag := r.u8(); tag != travelTag {
+		r.fail("byte 0x%02X after the request is not a travel block", tag)
+		return nil
+	}
+	t := &TravelBlock{Anchor: roadnet.NodeID(int32(r.u32())), ScaleLo: r.f64(), ScaleHi: r.f64()}
+	if r.err == nil && t.Anchor < 0 {
+		r.fail("travel anchor is node %d", t.Anchor)
+	}
+	if r.err == nil && !(t.ScaleLo > 0 && t.ScaleLo <= 1 && t.ScaleHi >= 1) {
+		r.fail("travel scale factors [%v, %v] are not a band around 1", t.ScaleLo, t.ScaleHi)
+	}
+	n := r.count(minTravelSize)
+	if r.err != nil {
+		return nil
+	}
+	t.Nodes = make([]roadnet.NodeID, n)
+	t.Seconds = make([]float64, n)
+	for i := range t.Nodes {
+		node := int32(r.u32())
+		sec := math.Float64frombits(r.u64())
+		if r.err == nil && (node < 0 || !(sec >= 0)) {
+			r.fail("travel entry %d: node %d at %v s", i, node, sec)
+		}
+		t.Nodes[i], t.Seconds[i] = roadnet.NodeID(node), sec
+	}
+	if r.err != nil {
+		return nil
+	}
+	return t
 }
 
 func (r *reader) entry(e *OfferingEntry) {

@@ -82,7 +82,28 @@ func AppendOfferingRequest(b []byte, req *OfferingRequest) []byte {
 	b = appendF64(b, req.Weights.A)
 	b = appendF64(b, req.Weights.D)
 	b = appendTime(b, req.Now)
-	return appendTime(b, req.ETA)
+	b = appendTime(b, req.ETA)
+	if req.Travel != nil {
+		b = appendTravel(b, req.Travel)
+	}
+	return b
+}
+
+// travelTag opens the optional travel block of a request. A request ends
+// after its ETA or goes on with this byte; anything else is trailing garbage.
+const travelTag = 1
+
+func appendTravel(b []byte, t *TravelBlock) []byte {
+	b = append(b, travelTag)
+	b = appendU32(b, uint32(int32(t.Anchor)))
+	b = appendF64(b, t.ScaleLo)
+	b = appendF64(b, t.ScaleHi)
+	b = appendUvarint(b, uint64(len(t.Nodes)))
+	for i, n := range t.Nodes {
+		b = appendU32(b, uint32(int32(n)))
+		b = appendF64(b, t.Seconds[i])
+	}
+	return b
 }
 
 func appendEntry(b []byte, e *OfferingEntry) []byte {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -82,6 +83,27 @@ func FuzzWireRoundTrip(f *testing.F) {
 		}
 		assertFuzzJSONEqual(t, "request", &req, &reqOut)
 
+		// The same request with a travel block: whatever the fuzzer makes of
+		// the block's numbers, it either travels unchanged or is refused —
+		// and it is refused exactly when it is not well-formed.
+		req.Travel = &TravelBlock{
+			Anchor:  roadnet.NodeID(int32(k)),
+			ScaleLo: wl, ScaleHi: wa,
+			Nodes:   []roadnet.NodeID{roadnet.NodeID(int32(k)), roadnet.NodeID(degraded)},
+			Seconds: []float64{scMin, math.Inf(1)},
+		}
+		wellFormed := wl > 0 && wl <= 1 && wa >= 1 && int32(k) >= 0 && scMin >= 0
+		switch err := DecodeOfferingRequest(AppendOfferingRequest(nil, &req), &reqOut); {
+		case err == nil && !wellFormed:
+			t.Fatalf("malformed travel block accepted: %+v", req.Travel)
+		case err != nil && wellFormed:
+			t.Fatalf("well-formed travel block refused: %v", err)
+		case err == nil && !reflect.DeepEqual(req.Travel, reqOut.Travel):
+			t.Fatalf("travel block changed in flight: %+v, want %+v", reqOut.Travel, req.Travel)
+		case err != nil && reqOut.Travel != nil:
+			t.Fatal("a refused request left a travel block behind")
+		}
+
 		resp := OfferingResponse{
 			Entries: []OfferingEntry{{
 				ChargerID: chargerID, Lat: lat, Lon: lon, RateKW: radius,
@@ -155,6 +177,8 @@ func FuzzWireDecode(f *testing.F) {
 	req := sampleRequest()
 	resp := sampleResponse(2)
 	f.Add(AppendOfferingRequest(nil, &req))
+	req.Travel = sampleTravel()
+	f.Add(AppendOfferingRequest(nil, &req))
 	f.Add(AppendOfferingResponse(nil, &resp))
 	f.Add(AppendChargers(nil, sampleChargers(1)))
 	f.Add(AppendWeather(nil, &WeatherResponse{ChargerID: 1, At: utcNow}))
@@ -168,6 +192,19 @@ func FuzzWireDecode(f *testing.F) {
 				t.Fatalf("request re-decode: %v", err)
 			}
 			assertFuzzJSONEqual(t, "request", &reqOut, &again)
+			if !reflect.DeepEqual(reqOut.Travel, again.Travel) {
+				t.Fatalf("travel block re-decode: %+v, then %+v", reqOut.Travel, again.Travel)
+			}
+			if tb := reqOut.Travel; tb != nil {
+				if !(tb.ScaleLo > 0 && tb.ScaleLo <= 1 && tb.ScaleHi >= 1) || tb.Anchor < 0 || len(tb.Nodes) != len(tb.Seconds) {
+					t.Fatalf("decoder let a malformed travel block through: %+v", tb)
+				}
+				for i, n := range tb.Nodes {
+					if n < 0 || !(tb.Seconds[i] >= 0) {
+						t.Fatalf("decoder let travel entry %d through: node %d at %v s", i, n, tb.Seconds[i])
+					}
+				}
+			}
 		}
 		var respOut OfferingResponse
 		if err := DecodeOfferingResponse(data, &respOut); err == nil {

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"ecocharge/internal/interval"
+	"ecocharge/internal/roadnet"
 )
 
 // This file holds the wire types of the EIS API. They moved here from
@@ -43,6 +44,23 @@ type OfferingRequest struct {
 	Now time.Time `json:"now"`
 	// ETA is the arrival time at the query point; zero means Now.
 	ETA time.Time `json:"eta"`
+	// Travel is the ranking's network search, when the sender ran it for the
+	// receiver: a fleet gateway's word to a shard. It exists on the binary
+	// plane only, and a server that cannot use it searches for itself.
+	Travel *TravelBlock `json:"-"`
+}
+
+// TravelBlock carries the raw travel times of one network search to the
+// receiver's chargers: Anchor is the node the search started from (the
+// request's location, snapped by the sender), Seconds[i] the time from there
+// to Nodes[i] under the search's weight table, +Inf when the search ended
+// without reaching it, and ScaleLo ≤ 1 ≤ ScaleHi turn a raw time into its
+// lower and upper bound.
+type TravelBlock struct {
+	Anchor           roadnet.NodeID
+	ScaleLo, ScaleHi float64
+	Nodes            []roadnet.NodeID
+	Seconds          []float64
 }
 
 // OfferingEntry is one ranked charger of the response.
