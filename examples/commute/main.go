@@ -79,7 +79,7 @@ func main() {
 	if !ok {
 		log.Fatal("no charger recommended on the final segment")
 	}
-	lower, upper := traffic.WeightFuncs(last.Segment.ETA, trip.Depart)
+	lower, upper := traffic.ClassWeightTables(last.Segment.ETA, trip.Depart)
 	toCharger, ok1 := graph.ShortestPath(last.Segment.AnchorNode, top.Charger.Node, lower)
 	backHome, ok2 := graph.ShortestPath(top.Charger.Node, trip.Path.Nodes[len(trip.Path.Nodes)-1], upper)
 	if !ok1 || !ok2 {

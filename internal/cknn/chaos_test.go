@@ -56,7 +56,7 @@ var chaosOpts = cknn.TripOptions{K: 3, SegmentLenM: 4000}
 
 // TestChaosRateZeroByteIdentical asserts the degradation path is free when
 // nothing fails: a wired FaultPolicy at rate 0 reproduces the nil-policy
-// output byte for byte, for all six methods.
+// output byte for byte, for every method.
 func TestChaosRateZeroByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scenario builds are slow")

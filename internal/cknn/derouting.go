@@ -216,13 +216,6 @@ func distOr(x roadnet.Expansion, id roadnet.NodeID, def float64) float64 {
 	return def
 }
 
-func lookup(m map[roadnet.NodeID]float64, id roadnet.NodeID, def float64) float64 {
-	if v, ok := m[id]; ok {
-		return v
-	}
-	return def
-}
-
 // Cost returns the derouting seconds interval for a charger at node n and
 // whether the charger is reachable within the expansions' bound. The
 // interval mixes bounds soundly: the optimistic derouting uses optimistic

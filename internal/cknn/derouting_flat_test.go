@@ -2,21 +2,82 @@ package cknn
 
 // Differential suite for the slice-backed DeroutingMaps: a faithful copy of
 // the old map-backed implementation (four materialized maps, scaleMap
-// copies, lookup defaults) serves as the oracle, and the flat version must
-// reproduce its Cost and TravelTo outputs bit for bit over every node of
-// the graph, for both the exact and the approximate variant. Together with
-// the kernel-level differential suite in roadnet/flat_test.go and the
-// engine-level TestParallelTripEquivalence (all six methods, Workers 1 vs
-// 4), this proves the flat pipeline end-to-end equivalent to the code it
-// replaced.
+// copies, lookup defaults) over a test-local map Dijkstra serves as the
+// oracle, and the flat version must reproduce its Cost and TravelTo outputs
+// bit for bit over every node of the graph, for both the exact and the
+// approximate variant. Together with the kernel-level differential suite in
+// roadnet/flat_test.go and the engine-level TestParallelTripEquivalence
+// (every method, Workers 1 vs 4), this proves the flat pipeline end-to-end
+// equivalent to the code it replaced.
 
 import (
+	"container/heap"
 	"math"
 	"testing"
 
 	"ecocharge/internal/interval"
 	"ecocharge/internal/roadnet"
 )
+
+type mapItem struct {
+	node roadnet.NodeID
+	dist float64
+}
+
+type mapHeap []mapItem
+
+func (h mapHeap) Len() int           { return len(h) }
+func (h mapHeap) Less(i, j int) bool { return h[i].dist < h[j].dist }
+func (h mapHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *mapHeap) Push(x any)        { *h = append(*h, x.(mapItem)) }
+func (h *mapHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
+}
+
+// mapDijkstra is the oracle's road search: a textbook Dijkstra on maps over
+// Graph.Edges, sharing nothing with the roadnet kernel but the way an edge
+// is priced. It returns the weight of every node within maxWeight of origin
+// — or, with reverse, from which origin is within maxWeight.
+func mapDijkstra(g *roadnet.Graph, origin roadnet.NodeID, cw roadnet.ClassWeights, maxWeight float64, reverse bool) map[roadnet.NodeID]float64 {
+	adj := make(map[roadnet.NodeID][]roadnet.Edge)
+	for _, e := range g.Edges() {
+		if reverse {
+			e.From, e.To = e.To, e.From
+		}
+		adj[e.From] = append(adj[e.From], e)
+	}
+	dist := map[roadnet.NodeID]float64{origin: 0}
+	done := make(map[roadnet.NodeID]bool)
+	pq := &mapHeap{{node: origin}}
+	for pq.Len() > 0 {
+		cur := heap.Pop(pq).(mapItem)
+		if done[cur.node] {
+			continue
+		}
+		done[cur.node] = true
+		for _, e := range adj[cur.node] {
+			nd := dist[cur.node] + cw.CostOf(e)
+			if nd > maxWeight {
+				continue
+			}
+			if old, ok := dist[e.To]; !ok || nd < old {
+				dist[e.To] = nd
+				heap.Push(pq, mapItem{node: e.To, dist: nd})
+			}
+		}
+	}
+	return dist
+}
+
+func lookup(m map[roadnet.NodeID]float64, id roadnet.NodeID, def float64) float64 {
+	if v, ok := m[id]; ok {
+		return v
+	}
+	return def
+}
 
 // refDerouting is the old DeroutingMaps shape: four materialized maps.
 type refDerouting struct {
@@ -27,18 +88,18 @@ type refDerouting struct {
 }
 
 // refDeroutingExact replicates the old map-backed exact builder: two legs
-// under each of the two weight functions, whatever the graph or the query.
+// under each of the two weight tables, whatever the graph or the query.
 func refDeroutingExact(env *Env, q Query, boundSec float64) refDerouting {
-	lower, upper := env.Traffic.WeightFuncs(q.ETABase, q.Now)
+	lower, upper := env.Traffic.ClassWeightTables(q.ETABase, q.Now)
 	var d refDerouting
-	d.fwdLo = env.Graph.DistancesWithin(q.AnchorNode, lower, boundSec)
-	d.fwdHi = env.Graph.DistancesWithin(q.AnchorNode, upper, boundSec)
+	d.fwdLo = mapDijkstra(env.Graph, q.AnchorNode, lower, boundSec, false)
+	d.fwdHi = mapDijkstra(env.Graph, q.AnchorNode, upper, boundSec, false)
 	ret := q.ReturnNode
 	if ret < 0 {
 		ret = q.AnchorNode
 	}
-	d.retLo = env.Graph.DistancesTo(ret, lower, boundSec)
-	d.retHi = env.Graph.DistancesTo(ret, upper, boundSec)
+	d.retLo = mapDijkstra(env.Graph, ret, lower, boundSec, true)
+	d.retHi = mapDijkstra(env.Graph, ret, upper, boundSec, true)
 	d.baseLo = lookup(d.fwdLo, ret, math.Inf(1))
 	d.baseHi = lookup(d.fwdHi, ret, math.Inf(1))
 	if math.IsInf(d.baseLo, 1) {
@@ -70,9 +131,8 @@ func refDeroutingApprox(env *Env, q Query, boundSec float64) refDerouting {
 	if ret < 0 {
 		ret = q.AnchorNode
 	}
-	mid := midT.Func()
-	fwd := env.Graph.DistancesWithin(q.AnchorNode, mid, boundSec)
-	rev := env.Graph.DistancesTo(ret, mid, boundSec)
+	fwd := mapDijkstra(env.Graph, q.AnchorNode, midT, boundSec, false)
+	rev := mapDijkstra(env.Graph, ret, midT, boundSec, true)
 
 	scale := func(m map[roadnet.NodeID]float64, s float64) map[roadnet.NodeID]float64 {
 		if s == 1 {
@@ -192,6 +252,54 @@ func compareDerouting(t *testing.T, env *Env, label string, flat DeroutingMaps, 
 	}
 	if priced == 0 {
 		t.Fatalf("%s: no node was priced; the comparison is vacuous", label)
+	}
+}
+
+// TestTruthMapsMatchMapOracle holds the truth scoring's road distances — what
+// TruthComponents reads for every charger, both legs, and the on-route
+// baseline — to the map Dijkstra under TruthClassWeights, bit for bit: on the
+// urban fixture (a round trip on a symmetric graph: one expansion read both
+// ways), on a directed graph, and for trip-segment queries that rejoin the
+// route elsewhere (two expansions each).
+func TestTruthMapsMatchMapOracle(t *testing.T) {
+	urban := testEnv(t)
+	directed := envOn(t, oneWayShortcutsGraph(3, 300), 60, 3)
+	segment := func(env *Env) Query {
+		q := testQuery(env)
+		q.ReturnNode = roadnet.NodeID(env.Graph.NumNodes() / 3)
+		return q
+	}
+	for name, tc := range map[string]struct {
+		env        *Env
+		q          Query
+		expansions uint64
+	}{
+		"urban":            {urban, testQuery(urban), 1},
+		"urban/segment":    {urban, segment(urban), 2},
+		"directed":         {directed, testQuery(directed), 2},
+		"directed/segment": {directed, segment(directed), 2},
+	} {
+		env, q := tc.env, tc.q
+		before, _ := expansionsStarted()
+		tm := (&Engine{Env: env}).TruthMaps(q)
+		if after, _ := expansionsStarted(); after-before != tc.expansions {
+			t.Errorf("%s: TruthMaps ran %d expansions, want %d", name, after-before, tc.expansions)
+		}
+		cw := env.Traffic.TruthClassWeights(q.ETABase)
+		wantFwd := mapDijkstra(env.Graph, q.AnchorNode, cw, math.Inf(1), false)
+		wantRet := mapDijkstra(env.Graph, q.ReturnNode, cw, math.Inf(1), true)
+		if want := lookup(wantFwd, q.ReturnNode, 0); math.Float64bits(tm.base) != math.Float64bits(want) {
+			t.Errorf("%s: baseline %v, oracle %v", name, tm.base, want)
+		}
+		for _, c := range env.Chargers.All() {
+			for leg, m := range map[string][2]map[roadnet.NodeID]float64{"outbound": {tm.fwd, wantFwd}, "return": {tm.ret, wantRet}} {
+				got, ok := m[0][c.Node]
+				want, wok := m[1][c.Node]
+				if ok != wok || math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s charger %d %s leg: %v (reached %v), oracle %v (reached %v)", name, c.ID, leg, got, ok, want, wok)
+				}
+			}
+		}
 	}
 }
 

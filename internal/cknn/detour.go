@@ -31,33 +31,45 @@ type DetourPlan struct {
 }
 
 // PlanDetour builds the route change for committing to entry at the given
-// trip segment. It returns an error when the charger or the destination is
+// trip segment. The four legs run on the one road kernel under the class
+// tables a ranking of the same segment searches with, so ToCharger.Weight is
+// the lower travel bound that ranking read for the charger. It returns an
+// error when the trip has no route, or the charger or the destination is
 // unreachable from the commitment point.
 func PlanDetour(env *Env, trip trajectory.Trip, seg trajectory.Segment, entry Entry) (DetourPlan, error) {
 	if entry.Charger == nil {
 		return DetourPlan{}, fmt.Errorf("cknn: entry has no charger")
 	}
+	if len(trip.Path.Nodes) == 0 {
+		return DetourPlan{}, fmt.Errorf("cknn: trip has no route")
+	}
 	dest := trip.Path.Nodes[len(trip.Path.Nodes)-1]
-	lower, upper := env.Traffic.WeightFuncs(seg.ETA, trip.Depart)
+	lower, upper := env.Traffic.ClassWeightTables(seg.ETA, trip.Depart)
 
-	toCharger, ok := env.Graph.BidirectionalShortestPath(seg.AnchorNode, entry.Charger.Node, lower)
+	toCharger, ok := env.Graph.ShortestPath(seg.AnchorNode, entry.Charger.Node, lower)
 	if !ok {
 		return DetourPlan{}, fmt.Errorf("cknn: charger %d unreachable from segment %d", entry.Charger.ID, seg.Index)
 	}
-	fromCharger, ok := env.Graph.BidirectionalShortestPath(entry.Charger.Node, dest, upper)
+	fromCharger, ok := env.Graph.ShortestPath(entry.Charger.Node, dest, upper)
 	if !ok {
 		return DetourPlan{}, fmt.Errorf("cknn: destination unreachable from charger %d", entry.Charger.ID)
 	}
 	// Baseline: staying on the route from the anchor to the destination.
-	baseLo, okLo := env.Graph.BidirectionalShortestPath(seg.AnchorNode, dest, lower)
-	baseHi, okHi := env.Graph.BidirectionalShortestPath(seg.AnchorNode, dest, upper)
+	baseLo, okLo := env.Graph.ShortestPath(seg.AnchorNode, dest, lower)
+	baseHi, okHi := env.Graph.ShortestPath(seg.AnchorNode, dest, upper)
 	if !okLo || !okHi {
 		return DetourPlan{}, fmt.Errorf("cknn: destination unreachable from segment %d", seg.Index)
 	}
 
 	toLo := toCharger.Weight
-	toHi := routeWeight(env.Graph, toCharger.Nodes, upper)
-	fromLo := routeWeight(env.Graph, fromCharger.Nodes, lower)
+	toHi, err := routeWeight(env.Graph, toCharger.Nodes, upper)
+	if err != nil {
+		return DetourPlan{}, err
+	}
+	fromLo, err := routeWeight(env.Graph, fromCharger.Nodes, lower)
+	if err != nil {
+		return DetourPlan{}, err
+	}
 	fromHi := fromCharger.Weight
 
 	extraMin := toLo + fromLo - baseHi.Weight
@@ -78,18 +90,22 @@ func PlanDetour(env *Env, trip trajectory.Trip, seg trajectory.Segment, entry En
 	}, nil
 }
 
-// routeWeight prices a fixed node sequence under a weight function (the
-// route was chosen under another metric; this re-costs it).
-func routeWeight(g *roadnet.Graph, nodes []roadnet.NodeID, w roadnet.WeightFunc) float64 {
+// routeWeight prices a fixed node sequence under a class table (the route
+// was chosen under another one; this re-costs it). A hop with no arc between
+// its two nodes is an error, not a free ride.
+func routeWeight(g *roadnet.Graph, nodes []roadnet.NodeID, cw roadnet.ClassWeights) (float64, error) {
 	var total float64
 	for i := 1; i < len(nodes); i++ {
 		found := false
 		g.OutEdges(nodes[i-1], func(e roadnet.Edge) {
 			if e.To == nodes[i] && !found {
-				total += w(e)
+				total += cw.CostOf(e)
 				found = true
 			}
 		})
+		if !found {
+			return 0, fmt.Errorf("cknn: route has no road from node %d to node %d", nodes[i-1], nodes[i])
+		}
 	}
-	return total
+	return total, nil
 }

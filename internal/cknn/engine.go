@@ -298,18 +298,38 @@ type TruthMaps struct {
 	base     float64
 }
 
-// TruthMaps computes the exhaustive truth expansions for the query.
+// TruthMaps computes the exhaustive truth expansions for the query on the
+// one road kernel — one expansion when the query returns to its anchor on a
+// Symmetric graph, as in deroutingMaps — and keeps what scoring reads: both
+// legs at every charger node of the environment and the on-route baseline.
 func (e *Engine) TruthMaps(q Query) TruthMaps {
 	q = q.normalized()
-	w := e.Env.Traffic.TruthWeightFunc(q.ETABase)
-	fwd := e.Env.Graph.DistancesWithin(q.AnchorNode, w, math.Inf(1))
-	ret := q.ReturnNode
-	if ret < 0 {
-		ret = q.AnchorNode
+	g := e.Env.Graph
+	cw := e.Env.Traffic.TruthClassWeights(q.ETABase)
+	ret := q.returnNode()
+	fwd := g.ExpandFrom(q.AnchorNode, cw, math.Inf(1))
+	defer fwd.Release()
+	back := fwd
+	if ret != q.AnchorNode || !g.Symmetric() {
+		back = g.ExpandTo(ret, cw, math.Inf(1))
+		defer back.Release()
 	}
-	rev := e.Env.Graph.DistancesTo(ret, w, math.Inf(1))
-	base := lookup(fwd, ret, 0)
-	return TruthMaps{fwd: fwd, ret: rev, base: base}
+	all := e.Env.Chargers.All()
+	tm := TruthMaps{
+		fwd:  make(map[roadnet.NodeID]float64, len(all)),
+		ret:  make(map[roadnet.NodeID]float64, len(all)),
+		base: distOr(fwd, ret, 0),
+	}
+	for i := range all {
+		n := all[i].Node
+		if d, ok := fwd.Dist(n); ok {
+			tm.fwd[n] = d
+		}
+		if d, ok := back.Dist(n); ok {
+			tm.ret[n] = d
+		}
+	}
+	return tm
 }
 
 // TruthComponents returns the ground-truth normalized objectives of

@@ -30,8 +30,6 @@ func equivalenceMethods(env *cknn.Env) []struct {
 	}{
 		{"BruteForce", func() cknn.Method { return cknn.NewBruteForce(env) }},
 		{"Index-Quadtree", func() cknn.Method { return cknn.NewIndexQuadtree(env) }},
-		{"Index-Grid", func() cknn.Method { return cknn.NewIndexGrid(env, 0) }},
-		{"Index-RTree", func() cknn.Method { return cknn.NewIndexRTree(env) }},
 		{"Random", func() cknn.Method { return cknn.NewRandom(env, 21) }},
 		{"EcoCharge", func() cknn.Method {
 			return cknn.NewEcoCharge(env, cknn.EcoChargeOptions{ReuseDistM: 5000})

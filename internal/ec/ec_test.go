@@ -241,12 +241,12 @@ func TestTrafficForecastContainsTruthAndAboveOne(t *testing.T) {
 	}
 }
 
-func TestTrafficWeightFuncsOrdering(t *testing.T) {
+func TestTrafficClassWeightTablesOrdering(t *testing.T) {
 	m := NewTrafficModel(4)
 	issued := time.Date(2024, 6, 18, 7, 0, 0, 0, time.UTC)
-	lower, upper := m.WeightFuncs(issued.Add(2*time.Hour), issued)
+	lower, upper := m.ClassWeightTables(issued.Add(2*time.Hour), issued)
 	e := roadnet.Edge{Length: 1000, Class: roadnet.ClassArterial}
-	lo, hi := lower(e), upper(e)
+	lo, hi := lower.CostOf(e), upper.CostOf(e)
 	freeFlow := 1000 / roadnet.ClassArterial.FreeFlowSpeed()
 	if lo < freeFlow-1e-9 {
 		t.Errorf("lower weight %v below free flow %v", lo, freeFlow)

@@ -114,28 +114,13 @@ func (m *TrafficModel) ClassWeightTables(t, issuedAt time.Time) (lower, upper ro
 	return lower, upper
 }
 
-// WeightFuncs returns the closure form of ClassWeightTables for the generic
-// map-shaped search APIs. The closures compute the identical per-edge
-// product the tables do, so table-driven and closure-driven searches agree
-// bit for bit.
-func (m *TrafficModel) WeightFuncs(t, issuedAt time.Time) (lower, upper roadnet.WeightFunc) {
-	loT, hiT := m.ClassWeightTables(t, issuedAt)
-	return loT.Func(), hiT.Func()
-}
-
 // TruthClassWeights returns the travel-time weight table under the actual
-// congestion at time t.
+// congestion at time t. Experiments use it to score chosen chargers against
+// ground truth rather than forecasts.
 func (m *TrafficModel) TruthClassWeights(t time.Time) roadnet.ClassWeights {
 	var cw roadnet.ClassWeights
 	for c := roadnet.RoadClass(0); c < roadnet.RoadClass(roadnet.NumRoadClasses); c++ {
 		cw[c] = m.TruthMultiplier(c, t) / c.FreeFlowSpeed()
 	}
 	return cw
-}
-
-// TruthWeightFunc returns the travel-time weight function under the actual
-// congestion at time t. Experiments use it to score chosen chargers against
-// ground truth rather than forecasts.
-func (m *TrafficModel) TruthWeightFunc(t time.Time) roadnet.WeightFunc {
-	return m.TruthClassWeights(t).Func()
 }

@@ -104,7 +104,7 @@ func (s *Server) handleAdvice(w http.ResponseWriter, r *http.Request) {
 			Band:   ad.Band.String(),
 		})
 	}
-	writeJSON(w, resp)
+	WriteJSON(w, resp)
 }
 
 // Advice requests a grid-aware recommendation (client side).

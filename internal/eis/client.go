@@ -141,7 +141,7 @@ func (c *Client) get(ctx context.Context, path string, query url.Values, out int
 }
 
 func (c *Client) post(ctx context.Context, path string, body, out interface{}) error {
-	ct := ctJSON
+	ct := ContentTypeJSON
 	var data []byte
 	var buf *wire.Buffer
 	if wreq, ok := body.(*OfferingRequest); ok && c.opts.Wire {

@@ -419,12 +419,12 @@ func (s *Server) writeError(w http.ResponseWriter, code int, format string, args
 	}
 	// Errors are always JSON, even on requests that negotiated binary:
 	// failure bodies are cold and must stay curl-readable.
-	writeJSONStatus(w, code, ErrorResponse{Error: msg})
+	WriteJSONStatus(w, code, ErrorResponse{Error: msg})
 }
 
-// ctJSON is the canonical interchange format; wire.ContentType is the
-// negotiated binary alternative for the hot-path payloads.
-const ctJSON = "application/json"
+// ContentTypeJSON is the canonical interchange format; wire.ContentType is
+// the negotiated binary alternative for the hot-path payloads.
+const ContentTypeJSON = "application/json"
 
 // errEncodeBody is the fallback 500 body when marshalling a response fails —
 // possible only for marshaler-bearing payloads, but the old streaming
@@ -451,28 +451,34 @@ func putJSONBuf(b *bytes.Buffer) {
 	}
 }
 
-// writeBody writes one fully-encoded response. Content-Length is known
+// WriteBody writes one fully-encoded response. Content-Length is known
 // before the first byte hits the socket, so an encode failure can never
-// truncate a 200 mid-body the way the per-call streaming encoder could.
-func writeBody(w http.ResponseWriter, code int, contentType string, body []byte) {
+// truncate a 200 mid-body the way the per-call streaming encoder could. The
+// shard and the fleet gateway both answer through here and through
+// WriteJSONStatus, so their bodies and error texts cannot drift.
+func WriteBody(w http.ResponseWriter, code int, contentType string, body []byte) {
 	w.Header().Set("Content-Type", contentType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
 	_, _ = w.Write(body) // client went away; nothing to do with the error
 }
 
-func writeJSONStatus(w http.ResponseWriter, code int, v interface{}) {
+// WriteJSONStatus encodes v into a pooled buffer and writes it as one JSON
+// response under the status code; a payload that does not marshal becomes a
+// 500, never a truncated 200.
+func WriteJSONStatus(w http.ResponseWriter, code int, v interface{}) {
 	buf := getJSONBuf()
 	defer putJSONBuf(buf)
 	if err := json.NewEncoder(buf).Encode(v); err != nil {
-		writeBody(w, http.StatusInternalServerError, ctJSON, errEncodeBody)
+		WriteBody(w, http.StatusInternalServerError, ContentTypeJSON, errEncodeBody)
 		return
 	}
-	writeBody(w, code, ctJSON, buf.Bytes())
+	WriteBody(w, code, ContentTypeJSON, buf.Bytes())
 }
 
-func writeJSON(w http.ResponseWriter, v interface{}) {
-	writeJSONStatus(w, http.StatusOK, v)
+// WriteJSON is WriteJSONStatus for a 200.
+func WriteJSON(w http.ResponseWriter, v interface{}) {
+	WriteJSONStatus(w, http.StatusOK, v)
 }
 
 // wantsWire reports whether the request negotiated the binary response
@@ -490,7 +496,7 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, v interface{}, 
 		buf.B = enc(buf.B)
 		met.encodeWire.Since(start)
 		met.respWire.Inc()
-		writeBody(w, http.StatusOK, wire.ContentType, buf.B)
+		WriteBody(w, http.StatusOK, wire.ContentType, buf.B)
 		wire.PutBuffer(buf)
 		return
 	}
@@ -500,11 +506,11 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, v interface{}, 
 	met.encodeJSON.Since(start)
 	if err != nil {
 		putJSONBuf(buf)
-		writeBody(w, http.StatusInternalServerError, ctJSON, errEncodeBody)
+		WriteBody(w, http.StatusInternalServerError, ContentTypeJSON, errEncodeBody)
 		return
 	}
 	met.respJSON.Inc()
-	writeBody(w, http.StatusOK, ctJSON, buf.Bytes())
+	WriteBody(w, http.StatusOK, ContentTypeJSON, buf.Bytes())
 	putJSONBuf(buf)
 }
 
@@ -538,7 +544,9 @@ func ChargerIDParam(r *http.Request) (int64, error) {
 	return id, nil
 }
 
-func parseTime(r *http.Request, name string, def time.Time) (time.Time, error) {
+// TimeParam parses the RFC3339 query parameter name, def when it is absent;
+// like ChargerIDParam, shared by the shard and the fleet gateway.
+func TimeParam(r *http.Request, name string, def time.Time) (time.Time, error) {
 	raw := r.URL.Query().Get(name)
 	if raw == "" {
 		return def, nil
@@ -635,7 +643,7 @@ func (s *Server) chargerAndTime(w http.ResponseWriter, r *http.Request) (c *char
 		s.writeError(w, http.StatusNotFound, "charger %d not found", id)
 		return nil, time.Time{}, false
 	}
-	at, err = parseTime(r, "t", s.opts.Clock())
+	at, err = TimeParam(r, "t", s.opts.Clock())
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return nil, time.Time{}, false
@@ -650,7 +658,7 @@ func (s *Server) handleTraffic(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	at, err := parseTime(r, "t", s.opts.Clock())
+	at, err := TimeParam(r, "t", s.opts.Clock())
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -660,7 +668,7 @@ func (s *Server) handleTraffic(w http.ResponseWriter, r *http.Request) {
 	for c := roadnet.RoadClass(0); c < 4; c++ {
 		resp.Multiplier[c.String()] = toWire(s.env.Traffic.ForecastMultiplier(c, at, now))
 	}
-	writeJSON(w, resp)
+	WriteJSON(w, resp)
 }
 
 // handleOffering is the Mode 2 endpoint: the server runs Algorithm 1 for
@@ -708,18 +716,18 @@ func (s *Server) handleOffering(w http.ResponseWriter, r *http.Request) {
 		// marshalling — but for the first JSON hit of an entry.
 		if wantsWire(r) {
 			met.respWire.Inc()
-			writeBody(w, http.StatusOK, wire.ContentType, v.wireBody)
+			WriteBody(w, http.StatusOK, wire.ContentType, v.wireBody)
 			return
 		}
 		if v.jsonBody == nil {
 			if v.jsonBody, err = cachedJSON(v.wireBody); err != nil {
-				writeBody(w, http.StatusInternalServerError, ctJSON, errEncodeBody)
+				WriteBody(w, http.StatusInternalServerError, ContentTypeJSON, errEncodeBody)
 				return
 			}
 			s.cache.keepJSON(key, v)
 		}
 		met.respJSON.Inc()
-		writeBody(w, http.StatusOK, ctJSON, v.jsonBody)
+		WriteBody(w, http.StatusOK, ContentTypeJSON, v.jsonBody)
 		return
 	}
 

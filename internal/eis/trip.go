@@ -146,7 +146,7 @@ func (s *Server) handleTripOffering(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Segments = append(resp.Segments, seg)
 	}
-	writeJSON(w, resp)
+	WriteJSON(w, resp)
 }
 
 func sameIDs(a, b []int64) bool {

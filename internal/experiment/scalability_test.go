@@ -5,32 +5,32 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"ecocharge/internal/obs"
 )
 
+// The two inventories run separately and are compared on how many chargers
+// the engine priced for each (cknn_evaluated_total over all four methods;
+// brute force prices every one): a count, where a single-shot wall-clock mean
+// of a 2 ms ranking moves more with the host than with |B|.
 func TestRunChargerScalability(t *testing.T) {
 	sc := tinyScenario(t)
 	cfg := RunConfig{Repetitions: 1, TripsPerRep: 2, SegmentLenM: 4000}
-	ms, err := RunChargerScalability(context.Background(), sc, cfg, []int{100, 400})
-	if err != nil {
-		t.Fatalf("RunChargerScalability: %v", err)
-	}
-	if len(ms) != 8 { // 2 counts × 4 methods
-		t.Fatalf("got %d measurements", len(ms))
-	}
-	// Brute-force cost must grow with the inventory.
-	var bfSmall, bfLarge float64
-	for _, m := range ms {
-		if m.Method == "BruteForce" {
-			switch m.Config {
-			case "|B|=100":
-				bfSmall = m.FtMillis.Mean
-			case "|B|=400":
-				bfLarge = m.FtMillis.Mean
-			}
+	evaluated := obs.Default().Counter("cknn_evaluated_total")
+	priced := make(map[int]uint64)
+	for _, n := range []int{100, 400} {
+		before := evaluated.Value()
+		ms, err := RunChargerScalability(context.Background(), sc, cfg, []int{n})
+		if err != nil {
+			t.Fatalf("RunChargerScalability(%d): %v", n, err)
 		}
+		if len(ms) != 4 { // one count × 4 methods
+			t.Fatalf("|B|=%d: got %d measurements", n, len(ms))
+		}
+		priced[n] = evaluated.Value() - before
 	}
-	if bfLarge <= bfSmall {
-		t.Errorf("brute force did not slow down with |B|: %.3f vs %.3f ms", bfSmall, bfLarge)
+	if priced[100] == 0 || priced[400] <= priced[100] {
+		t.Errorf("work did not grow with |B|: %d chargers priced at 100, %d at 400", priced[100], priced[400])
 	}
 }
 

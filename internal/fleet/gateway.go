@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"log"
@@ -146,11 +145,11 @@ func NewGateway(shards []Shard, opts Options) (*Gateway, error) {
 		g.env, g.world = opts.Env, opts.Env.RoadWorld()
 	}
 	accept := g.shardAccept()
-	for _, contentType := range []string{"", ctJSON, wire.ContentType} {
+	for _, contentType := range []string{"", eis.ContentTypeJSON, wire.ContentType} {
 		g.headers = append(g.headers, headerSet{contentType, accept, newHeader(contentType, accept)})
 	}
 	if accept != "" {
-		g.headers = append(g.headers, headerSet{ctJSON, "", newHeader(ctJSON, "")}) // trip offerings
+		g.headers = append(g.headers, headerSet{eis.ContentTypeJSON, "", newHeader(eis.ContentTypeJSON, "")}) // trip offerings
 	}
 	for i, s := range shards {
 		m, err := newMember(i, s, opts)
@@ -180,7 +179,7 @@ func (g *Gateway) shardAccept() string {
 func (g *Gateway) writeError(w http.ResponseWriter, code int, format string, args ...interface{}) {
 	msg := fmt.Sprintf(format, args...)
 	g.logf("%d %s", code, msg)
-	writeJSONStatus(w, code, eis.ErrorResponse{Error: msg})
+	eis.WriteJSONStatus(w, code, eis.ErrorResponse{Error: msg})
 }
 
 // writeUnavailable is the all-shards-dead answer: an honest 503 with a
@@ -190,45 +189,6 @@ func (g *Gateway) writeUnavailable(w http.ResponseWriter, what string) {
 	g.writeError(w, http.StatusServiceUnavailable, "no shard could serve %s", what)
 }
 
-const ctJSON = "application/json"
-
-// errEncodeBody is the fallback 500 body when marshalling a response fails;
-// the old streaming encoder silently truncated a 200 instead.
-var errEncodeBody = []byte(`{"error":"encoding response"}` + "\n")
-
-// jsonBufs pools the gateway's JSON encode buffers (the twin of the EIS
-// server's pool): encode into a reusable buffer, set Content-Length, write
-// once.
-var jsonBufs = sync.Pool{New: func() interface{} { return new(bytes.Buffer) }}
-
-// maxPooledJSONBuf caps the capacity a returned buffer may keep.
-const maxPooledJSONBuf = 1 << 22
-
-func writeBody(w http.ResponseWriter, code int, contentType string, body []byte) {
-	w.Header().Set("Content-Type", contentType)
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(code)
-	_, _ = w.Write(body) // client went away; nothing to do with the error
-}
-
-func writeJSONStatus(w http.ResponseWriter, code int, v interface{}) {
-	buf := jsonBufs.Get().(*bytes.Buffer)
-	buf.Reset()
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
-		jsonBufs.Put(buf)
-		writeBody(w, http.StatusInternalServerError, ctJSON, errEncodeBody)
-		return
-	}
-	writeBody(w, code, ctJSON, buf.Bytes())
-	if buf.Cap() <= maxPooledJSONBuf {
-		jsonBufs.Put(buf)
-	}
-}
-
-func writeJSON(w http.ResponseWriter, v interface{}) {
-	writeJSONStatus(w, http.StatusOK, v)
-}
-
 // respond writes a merged result to the client in its negotiated format:
 // enc appends the binary message for payloads the wire codec covers, JSON
 // stays the default. Degraded synth responses and errors are always JSON.
@@ -236,11 +196,11 @@ func (g *Gateway) respond(w http.ResponseWriter, r *http.Request, v interface{},
 	if enc != nil && wire.Accepts(r.Header.Get("Accept")) {
 		buf := wire.GetBuffer()
 		buf.B = enc(buf.B)
-		writeBody(w, http.StatusOK, wire.ContentType, buf.B)
+		eis.WriteBody(w, http.StatusOK, wire.ContentType, buf.B)
 		wire.PutBuffer(buf)
 		return
 	}
-	writeJSONStatus(w, http.StatusOK, v)
+	eis.WriteJSONStatus(w, http.StatusOK, v)
 }
 
 // passthrough relays a shard's terminal response verbatim, so error bodies
@@ -286,7 +246,7 @@ func (g *Gateway) Handler() http.Handler {
 	mux.Handle("/metrics", obs.Default().Handler())
 	mux.Handle("/debug/vars", obs.Default().VarsHandler())
 	mux.HandleFunc("/fleet/status", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, g.Status())
+		eis.WriteJSON(w, g.Status())
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusOK)
@@ -466,18 +426,14 @@ func (g *Gateway) perCharger(w http.ResponseWriter, r *http.Request, ep endpoint
 	}
 	for _, c := range m.chargers() {
 		if c.ID == id {
-			at := g.opts.Clock()
-			if raw := r.URL.Query().Get("t"); raw != "" {
-				t, terr := time.Parse(time.RFC3339, raw)
-				if terr != nil {
-					g.writeError(w, http.StatusBadRequest, "parameter %q is not RFC3339: %v", "t", terr)
-					return
-				}
-				at = t
+			at, terr := eis.TimeParam(r, "t", g.opts.Clock())
+			if terr != nil {
+				g.writeError(w, http.StatusBadRequest, "%v", terr)
+				return
 			}
 			markDegraded(w, []int{m.index}, 1)
 			g.logf("%s for charger %d served degraded: shard %d down", what, c.ID, m.index)
-			writeJSON(w, synth(c, at))
+			eis.WriteJSON(w, synth(c, at))
 			return
 		}
 	}
@@ -558,7 +514,7 @@ func (g *Gateway) handleOffering(w http.ResponseWriter, r *http.Request) {
 	// Mode 2 request travels to the shards verbatim, no transcoding.
 	reqCT := r.Header.Get("Content-Type")
 	if reqCT == "" {
-		reqCT = ctJSON
+		reqCT = eis.ContentTypeJSON
 	}
 	fo := g.getFanout()
 	defer g.putFanout(fo)
@@ -656,7 +612,7 @@ func (g *Gateway) handleTrip(w http.ResponseWriter, r *http.Request) {
 	// in the binary codec's hot set).
 	fo := g.getFanout()
 	defer g.putFanout(fo)
-	fo.setCall(call{method: http.MethodPost, ep: epTrip, body: body, header: g.header(ctJSON, "")})
+	fo.setCall(call{method: http.MethodPost, ep: epTrip, body: body, header: g.header(eis.ContentTypeJSON, "")})
 	g.fanout(r.Context(), fo)
 	nLive, bad, dead := splitResults(fo.results)
 	if bad != nil {
@@ -720,5 +676,5 @@ func (g *Gateway) handleTrip(w http.ResponseWriter, r *http.Request) {
 		markDegraded(w, dead, synthesized)
 		g.logf("trip offering served degraded: shards %v down", dead)
 	}
-	writeJSON(w, merged)
+	eis.WriteJSON(w, merged)
 }

@@ -99,11 +99,10 @@ func TestCSRSurvivesCSVRoundTrip(t *testing.T) {
 }
 
 // TestNegativeClassWeightPanics pins the hoisted negative-weight check: the
-// table-driven searches validate the class table once, before the first
-// relaxation, and the closure-driven ones still check every edge they price.
+// searches validate the class table once, before the first relaxation.
 func TestNegativeClassWeightPanics(t *testing.T) {
 	g := tinyGraph()
-	bad := DistanceClassWeights()
+	bad := DistanceWeight
 	bad[ClassLocal] = -1
 	inf := math.Inf(1)
 	for name, search := range map[string]func(){
@@ -111,7 +110,7 @@ func TestNegativeClassWeightPanics(t *testing.T) {
 		"ExpandTo":            func() { g.ExpandTo(0, bad, inf).Release() },
 		"ExpandToMany":        func() { g.ExpandToMany(0, []NodeID{4}, bad, inf).Release() },
 		"ExpandToManyReverse": func() { g.ExpandToManyReverse(0, []NodeID{4}, bad, inf).Release() },
-		"ShortestPath":        func() { g.ShortestPath(0, 4, bad.Func()) },
+		"ShortestPath":        func() { g.ShortestPath(0, 4, bad) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {

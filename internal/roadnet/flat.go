@@ -21,12 +21,8 @@ import (
 const NumRoadClasses = int(numRoadClasses)
 
 // ClassWeights is a precompiled per-road-class cost table: the traversal
-// cost of an edge is edge.Length * table[edge.Class]. The kernel multiplies
-// the table entry directly instead of calling a WeightFunc closure per edge,
-// and because the closure form returned by Func computes the exact same
-// product, table-driven and closure-driven searches produce bit-identical
-// path sums (float multiplication of the same two operands is
-// deterministic; see DESIGN.md §8).
+// cost of an edge is edge.Length * table[edge.Class], the only way a search
+// prices an edge (see DESIGN.md §8).
 type ClassWeights [numRoadClasses]float64
 
 // CostOf prices one edge under the table.
@@ -34,21 +30,9 @@ func (cw *ClassWeights) CostOf(e Edge) float64 {
 	return e.Length * cw[e.Class%numRoadClasses]
 }
 
-// Func adapts the table to the WeightFunc shape for the generic
-// (cold-path) search APIs. The closure computes the identical product the
-// kernel computes, so mixing the two forms cannot diverge.
-func (cw ClassWeights) Func() WeightFunc {
-	return func(e Edge) float64 { return e.Length * cw[e.Class%numRoadClasses] }
-}
-
-// DistanceClassWeights is the table form of DistanceWeight: cost = length.
-func DistanceClassWeights() ClassWeights {
-	var cw ClassWeights
-	for i := range cw {
-		cw[i] = 1
-	}
-	return cw
-}
+// DistanceWeight is the plain length metric: x·1.0 = x, so a path's weight
+// under it is the sum of its edge lengths in meters.
+var DistanceWeight = ClassWeights{1, 1, 1, 1}
 
 // TimeClassWeights is the table form of free-flow travel time in seconds.
 func TimeClassWeights() ClassWeights {
@@ -150,10 +134,9 @@ func (h *heap4) pop() heapItem {
 }
 
 // key maps a priority to an integer with the same order. Priorities are
-// path weights (plus, for A*, a heuristic): never negative, never NaN, and
-// for such floats the IEEE-754 bit pattern read as an unsigned integer
-// orders exactly as the float does. Integer compares are what lets pop
-// select without branching.
+// path weights: never negative, never NaN, and for such floats the IEEE-754
+// bit pattern read as an unsigned integer orders exactly as the float does.
+// Integer compares are what lets pop select without branching.
 func key(prio float64) uint64 { return math.Float64bits(prio) }
 
 // b2i is 1 for true and 0 for false, without a branch.
@@ -243,12 +226,11 @@ func (st *searchState) release() {
 	st.g.pool.Put(st)
 }
 
-// seed initializes the search origin with frontier priority prio (0 for
-// Dijkstra, the heuristic for A*).
-func (st *searchState) seed(n NodeID, prio float64) {
+// seed initializes the search origin.
+func (st *searchState) seed(n NodeID) {
 	s := &st.slots[n]
 	s.dist, s.prev, s.seen = 0, Invalid, st.stamp
-	st.pq.push(n, prio)
+	st.pq.push(n, 0)
 }
 
 // reached reports whether the last search settled or touched n.
@@ -282,7 +264,7 @@ func (st *searchState) settle(n NodeID) bool {
 // mustNonNegative rejects a class table with a negative multiplier. Edge
 // lengths are non-negative by construction (AddEdge), so checking the four
 // table entries once per search is the whole negative-weight check of the
-// table-driven kernel; closure weights are checked per edge in weigh.
+// kernel.
 func (cw *ClassWeights) mustNonNegative() {
 	for _, m := range cw {
 		if m < 0 {
@@ -291,36 +273,20 @@ func (cw *ClassWeights) mustNonNegative() {
 	}
 }
 
-// weigh prices one arc under a caller-supplied closure, rebuilding the Edge
-// the closure expects from the row's node and the arc's far end.
-func weigh(w WeightFunc, n NodeID, a arc, reverse bool) float64 {
-	e := Edge{From: n, To: a.to, Length: a.length, Class: a.class}
-	if reverse {
-		e.From, e.To = a.to, n
-	}
-	wt := w(e)
-	if wt < 0 {
-		panic("roadnet: negative edge weight")
-	}
-	return wt
-}
-
-// run executes the shared Dijkstra kernel from src. When dst is valid the
-// search stops as soon as dst settles; when maxWeight is finite, nodes
-// beyond the bound are not recorded. reverse walks the reverse adjacency
-// (distances *to* src). Edge costs come from the class table when cw is
-// non-nil (the hot path: one multiply, no call, the table validated once up
-// front) and from w otherwise. Predecessors are always recorded: they share
-// the slot the relaxation writes anyway.
-func (st *searchState) run(src, dst NodeID, w WeightFunc, cw *ClassWeights, maxWeight float64, reverse bool) {
+// run executes the Dijkstra kernel from src, the one loop in the repository
+// that pops a road-search frontier. When dst is valid the search stops as
+// soon as dst settles; when maxWeight is finite, nodes beyond the bound are
+// not recorded. reverse walks the reverse adjacency (distances *to* src).
+// Edge costs come from the class table: one multiply, no call, the table
+// validated once up front. Predecessors are always recorded: they share the
+// slot the relaxation writes anyway.
+func (st *searchState) run(src, dst NodeID, cw *ClassWeights, maxWeight float64, reverse bool) {
 	adj := &st.g.fwd
 	if reverse {
 		adj = &st.g.rev
 	}
-	if cw != nil {
-		cw.mustNonNegative()
-	}
-	st.seed(src, 0)
+	cw.mustNonNegative()
+	st.seed(src)
 	for len(st.pq.items) > 0 {
 		cur := st.pq.pop()
 		if !st.settle(cur.node) {
@@ -343,13 +309,7 @@ func (st *searchState) run(src, dst NodeID, w WeightFunc, cw *ClassWeights, maxW
 		}
 		base := s.dist
 		for _, a := range adj.row(cur.node) {
-			var wt float64
-			if cw != nil {
-				wt = a.length * cw[a.class%numRoadClasses]
-			} else {
-				wt = weigh(w, cur.node, a, reverse)
-			}
-			nd := base + wt
+			nd := base + a.length*cw[a.class%numRoadClasses]
 			if nd > maxWeight {
 				continue
 			}
@@ -381,20 +341,6 @@ func (st *searchState) path(src, dst NodeID) []NodeID {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
 	return rev
-}
-
-// toMap copies the reached set into the map shape of the convenience API.
-// Cold path only: the per-query expansion machinery reads the dense arrays
-// through Expansion instead.
-func (st *searchState) toMap() map[NodeID]float64 { //ecolint:ignore hotalloc cold-path convenience copy; hot callers use Expansion
-	//ecolint:ignore hotalloc cold-path convenience copy; hot callers use Expansion
-	out := make(map[NodeID]float64, 64)
-	for n := range st.slots {
-		if s := &st.slots[n]; s.seen == st.stamp {
-			out[NodeID(n)] = s.dist
-		}
-	}
-	return out
 }
 
 // Expansion is the zero-copy result of one bounded network expansion: a
@@ -447,7 +393,7 @@ func (g *Graph) expand(origin NodeID, cw ClassWeights, maxWeight float64, revers
 	g.mustFrozen()
 	st := g.acquireState()
 	if g.validID(origin) {
-		st.run(origin, Invalid, nil, &cw, maxWeight, reverse)
+		st.run(origin, Invalid, &cw, maxWeight, reverse)
 	}
 	return Expansion{st: st}
 }

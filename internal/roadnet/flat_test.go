@@ -58,7 +58,7 @@ func refAdj(g *Graph) *refAdjacency {
 }
 
 // refDijkstra is the old (*Graph).dijkstra: forward search with maps.
-func refDijkstra(g *Graph, src, dst NodeID, w WeightFunc, maxWeight float64) (map[NodeID]float64, map[NodeID]NodeID) {
+func refDijkstra(g *Graph, src, dst NodeID, cw ClassWeights, maxWeight float64) (map[NodeID]float64, map[NodeID]NodeID) {
 	if !g.validID(src) {
 		return nil, nil
 	}
@@ -76,7 +76,7 @@ func refDijkstra(g *Graph, src, dst NodeID, w WeightFunc, maxWeight float64) (ma
 			break
 		}
 		for _, e := range refAdj(g).out[cur.node] {
-			wt := w(e)
+			wt := cw.CostOf(e)
 			nd := dist[cur.node] + wt
 			if nd > maxWeight {
 				continue
@@ -91,8 +91,8 @@ func refDijkstra(g *Graph, src, dst NodeID, w WeightFunc, maxWeight float64) (ma
 	return dist, prev
 }
 
-// refDistancesTo is the old (*Graph).DistancesTo: reverse search with maps.
-func refDistancesTo(g *Graph, dst NodeID, w WeightFunc, maxWeight float64) map[NodeID]float64 {
+// refDistancesTo is the reverse search with maps: distances to dst.
+func refDistancesTo(g *Graph, dst NodeID, cw ClassWeights, maxWeight float64) map[NodeID]float64 {
 	if !g.validID(dst) {
 		return nil
 	}
@@ -106,7 +106,7 @@ func refDistancesTo(g *Graph, dst NodeID, w WeightFunc, maxWeight float64) map[N
 		}
 		done[cur.node] = true
 		for _, e := range refAdj(g).in[cur.node] {
-			wt := w(e)
+			wt := cw.CostOf(e)
 			nd := dist[cur.node] + wt
 			if nd > maxWeight {
 				continue
@@ -196,7 +196,7 @@ func randomSparseGraphWithLoops(seed int64, n int) *Graph {
 func diffTables() map[string]ClassWeights {
 	skew := ClassWeights{0.9, 1.7, 0.4, 2.3}
 	return map[string]ClassWeights{
-		"distance": DistanceClassWeights(),
+		"distance": DistanceWeight,
 		"time":     TimeClassWeights(),
 		"skew":     skew,
 	}
@@ -240,26 +240,22 @@ func TestFlatExpansionMatchesMapKernel(t *testing.T) {
 	for gname, g := range diffGraphs() {
 		for tname, cw := range diffTables() {
 			rng := rand.New(rand.NewSource(99))
-			w := cw.Func()
 			for trial := 0; trial < 8; trial++ {
 				src := NodeID(rng.Intn(g.NumNodes()))
 				for _, bound := range []float64{math.Inf(1), 1500, 4000} {
 					// Forward.
-					want, _ := refDijkstra(g, src, Invalid, w, bound)
+					want, _ := refDijkstra(g, src, Invalid, cw, bound)
 					x := g.ExpandFrom(src, cw, bound)
 					got := expansionToMap(g, x)
 					x.Release()
 					requireSameDistances(t, got, want)
-					// Also via the map-shaped wrapper (WeightFunc path).
-					requireSameDistances(t, g.DistancesWithin(src, w, bound), want)
 
 					// Reverse.
-					wantR := refDistancesTo(g, src, w, bound)
+					wantR := refDistancesTo(g, src, cw, bound)
 					xr := g.ExpandTo(src, cw, bound)
 					gotR := expansionToMap(g, xr)
 					xr.Release()
 					requireSameDistances(t, gotR, wantR)
-					requireSameDistances(t, g.DistancesTo(src, w, bound), wantR)
 				}
 				_ = gname
 				_ = tname
@@ -273,7 +269,7 @@ func TestFlatExpansionMatchesMapKernel(t *testing.T) {
 // nd > maxWeight, strictly greater).
 func TestFlatExpansionBoundEdge(t *testing.T) {
 	g := tinyGraph()
-	cw := DistanceClassWeights()
+	cw := DistanceWeight
 	// Node 4 is exactly 4000 m from node 0.
 	x := g.ExpandFrom(0, cw, 4000)
 	defer x.Release()
@@ -287,9 +283,8 @@ func TestFlatExpansionBoundEdge(t *testing.T) {
 	}
 }
 
-// TestFlatPointQueriesMatchReference checks ShortestPath / ShortestDistance
-// / AStar against the reference for random node pairs, including pairs with
-// no connecting path.
+// TestFlatPointQueriesMatchReference checks ShortestPath against the
+// reference for random node pairs, including pairs with no connecting path.
 func TestFlatPointQueriesMatchReference(t *testing.T) {
 	for gname, g := range diffGraphs() {
 		rng := rand.New(rand.NewSource(7))
@@ -315,35 +310,17 @@ func TestFlatPointQueriesMatchReference(t *testing.T) {
 					t.Fatalf("%s %d->%d: path sums to %v, claims %v", gname, src, dst, got, p.Weight)
 				}
 			}
-
-			sd := g.ShortestDistance(src, dst, DistanceWeight)
-			if reachable && math.Float64bits(sd) != math.Float64bits(wantD) {
-				t.Fatalf("%s %d->%d: ShortestDistance %v != %v", gname, src, dst, sd, wantD)
-			}
-			if !reachable && !math.IsInf(sd, 1) {
-				t.Fatalf("%s %d->%d: ShortestDistance %v, want +Inf", gname, src, dst, sd)
-			}
-
-			// Heuristic scale 0 keeps A* admissible on the random graphs,
-			// whose edge lengths are independent of node geometry.
-			ap, aok := g.AStar(src, dst, DistanceWeight, 0)
-			if aok != reachable {
-				t.Fatalf("%s %d->%d: AStar ok=%v, want %v", gname, src, dst, aok, reachable)
-			}
-			if aok && math.Abs(ap.Weight-wantD) > 1e-9 {
-				t.Fatalf("%s %d->%d: AStar weight %v != %v", gname, src, dst, ap.Weight, wantD)
-			}
 		}
 	}
 }
 
-func pathWeight(g *Graph, nodes []NodeID, w WeightFunc) float64 {
+func pathWeight(g *Graph, nodes []NodeID, cw ClassWeights) float64 {
 	var total float64
 	for i := 1; i < len(nodes); i++ {
 		best := math.Inf(1)
 		g.OutEdges(nodes[i-1], func(e Edge) {
 			if e.To == nodes[i] {
-				if wt := w(e); wt < best {
+				if wt := cw.CostOf(e); wt < best {
 					best = wt
 				}
 			}
@@ -351,22 +328,6 @@ func pathWeight(g *Graph, nodes []NodeID, w WeightFunc) float64 {
 		total += best
 	}
 	return total
-}
-
-// TestClassWeightsMatchClosureBitwise pins the bit-identity contract between
-// the table-driven kernel path and the closure form of the same table.
-func TestClassWeightsMatchClosureBitwise(t *testing.T) {
-	cw := ClassWeights{0.123456789, 1.7e-3, 42.75, 0.9999999}
-	w := cw.Func()
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 1000; i++ {
-		e := Edge{Length: rng.Float64() * 10000, Class: RoadClass(rng.Intn(NumRoadClasses))}
-		a := cw.CostOf(e)
-		b := w(e)
-		if math.Float64bits(a) != math.Float64bits(b) {
-			t.Fatalf("edge %+v: table %x != closure %x", e, math.Float64bits(a), math.Float64bits(b))
-		}
-	}
 }
 
 // TestSearchStateStampWrap forces the generation counter through its uint32
@@ -384,7 +345,7 @@ func TestSearchStateStampWrap(t *testing.T) {
 	if st.stamp != math.MaxUint32 {
 		t.Fatalf("stamp = %d, want MaxUint32", st.stamp)
 	}
-	st.run(0, Invalid, nil, &ClassWeights{1, 1, 1, 1}, math.Inf(1), false)
+	st.run(0, Invalid, &DistanceWeight, math.Inf(1), false)
 	st.inUse = true
 	st.begin() // wraps to 0 -> cleared, stamp 1
 	if st.stamp != 1 {
@@ -393,7 +354,7 @@ func TestSearchStateStampWrap(t *testing.T) {
 	if st.reached(3) {
 		t.Fatal("stale seen entry survived the wrap")
 	}
-	st.run(0, Invalid, nil, &ClassWeights{1, 1, 1, 1}, math.Inf(1), false)
+	st.run(0, Invalid, &DistanceWeight, math.Inf(1), false)
 	if d, ok := st.slots[4].dist, st.reached(4); !ok || d != 4000 {
 		t.Fatalf("post-wrap search: dist[4]=%v reached=%v, want 4000 true", d, ok)
 	}
@@ -428,12 +389,11 @@ func TestExpansionZeroAllocSteadyState(t *testing.T) {
 // share mutable scratch. Results must match the sequential reference.
 func TestConcurrentExpansions(t *testing.T) {
 	g := smallUrban(3)
-	cw := DistanceClassWeights()
-	w := cw.Func()
+	cw := DistanceWeight
 	srcs := []NodeID{0, 5, 11, 17}
 	wants := make([]map[NodeID]float64, len(srcs))
 	for i, s := range srcs {
-		wants[i], _ = refDijkstra(g, s, Invalid, w, 3000)
+		wants[i], _ = refDijkstra(g, s, Invalid, cw, 3000)
 	}
 	var wg sync.WaitGroup
 	errs := make(chan string, 64)
@@ -497,7 +457,7 @@ func TestHeap4PopsAscending(t *testing.T) {
 // inert, and Dist rejects out-of-range nodes.
 func TestExpansionInvalidAndReleased(t *testing.T) {
 	g := tinyGraph()
-	x := g.ExpandFrom(Invalid, DistanceClassWeights(), math.Inf(1))
+	x := g.ExpandFrom(Invalid, DistanceWeight, math.Inf(1))
 	for n := 0; n < g.NumNodes(); n++ {
 		if _, ok := x.Dist(NodeID(n)); ok {
 			t.Fatalf("invalid-origin expansion reached node %d", n)
@@ -512,7 +472,7 @@ func TestExpansionInvalidAndReleased(t *testing.T) {
 	}
 	zero.Release()
 
-	y := g.ExpandFrom(0, DistanceClassWeights(), math.Inf(1))
+	y := g.ExpandFrom(0, DistanceWeight, math.Inf(1))
 	defer y.Release()
 	if _, ok := y.Dist(-5); ok {
 		t.Fatal("negative node id reached")

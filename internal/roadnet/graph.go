@@ -381,30 +381,5 @@ func (g *Graph) LengthMeters(p Path) float64 {
 	return total
 }
 
-// WeightFunc maps an edge to its traversal cost. Costs must be positive and
-// finite; math.Inf(1) marks an impassable edge.
-type WeightFunc func(Edge) float64
-
-// DistanceWeight is the plain length metric.
-func DistanceWeight(e Edge) float64 { return e.Length }
-
-// TimeWeight is free-flow travel time in seconds.
+// TimeWeight is the free-flow travel time of one edge in seconds.
 func TimeWeight(e Edge) float64 { return e.Length / e.Class.FreeFlowSpeed() }
-
-// EnergyWeight approximates traction energy in kWh for a typical compact EV
-// (≈0.16 kWh/km on locals, rising with speed due to drag).
-func EnergyWeight(e Edge) float64 {
-	perKM := 0.16
-	switch e.Class {
-	case ClassArterial:
-		perKM = 0.15
-	case ClassHighway:
-		perKM = 0.17
-	case ClassMotorway:
-		perKM = 0.20
-	}
-	return e.Length / 1000 * perKM
-}
-
-// Blocked is the weight of an impassable edge.
-var Blocked = math.Inf(1)

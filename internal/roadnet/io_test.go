@@ -39,8 +39,7 @@ func TestGraphCSVRoundTrip(t *testing.T) {
 	}
 	// Shortest paths must agree (within rounding of the 0.1 m lengths).
 	for _, pair := range [][2]NodeID{{0, NodeID(orig.NumNodes() - 1)}, {3, 17}} {
-		a := orig.ShortestDistance(pair[0], pair[1], DistanceWeight)
-		b := back.ShortestDistance(pair[0], pair[1], DistanceWeight)
+		a, b := shortest(orig, pair[0], pair[1]), shortest(back, pair[0], pair[1])
 		if diff := a - b; diff > 1 || diff < -1 {
 			t.Fatalf("shortest path %v differs: %.1f vs %.1f", pair, a, b)
 		}

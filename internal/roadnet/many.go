@@ -45,7 +45,7 @@ func (g *Graph) expandMany(origin NodeID, targets []NodeID, cw ClassWeights, max
 		met.manyEarlyTerms.Inc()
 		return Expansion{st: st}
 	}
-	st.run(origin, Invalid, nil, &cw, maxWeight, reverse)
+	st.run(origin, Invalid, &cw, maxWeight, reverse)
 	met.manySettled.Add(uint64(st.settled))
 	met.manyTargetsSettled.Add(uint64(want - st.targetsLeft))
 	if st.targetsLeft == 0 && len(st.pq.items) > 0 {

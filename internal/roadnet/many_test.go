@@ -59,12 +59,11 @@ func TestExpandToManyMatchesOracle(t *testing.T) {
 	for gname, g := range diffGraphs() {
 		for tname, cw := range diffTables() {
 			rng := rand.New(rand.NewSource(41))
-			w := cw.Func()
 			for trial := 0; trial < 6; trial++ {
 				src := NodeID(rng.Intn(g.NumNodes()))
 				for _, bound := range []float64{math.Inf(1), 1500, 4000} {
-					want, _ := refDijkstra(g, src, Invalid, w, bound)
-					wantR := refDistancesTo(g, src, w, bound)
+					want, _ := refDijkstra(g, src, Invalid, cw, bound)
+					wantR := refDistancesTo(g, src, cw, bound)
 					for sname, targets := range manyTargetSets(rng, g.NumNodes(), src) {
 						label := gname + "/" + tname + "/" + sname
 						x := g.ExpandToMany(src, targets, cw, bound)
@@ -87,7 +86,7 @@ func TestExpandToManyMatchesOracle(t *testing.T) {
 // smaller than the nearest target leaves every target unreached.
 func TestExpandToManyEdgeCases(t *testing.T) {
 	g := tinyGraph()
-	cw := DistanceClassWeights()
+	cw := DistanceWeight
 
 	x := g.ExpandToMany(0, nil, cw, math.Inf(1))
 	for n := 0; n < g.NumNodes(); n++ {
@@ -134,7 +133,7 @@ func TestExpandToManyEdgeCases(t *testing.T) {
 	// unreachable.
 	dg := randomSparseGraph(4, 160, 2, true)
 	iso := NodeID(dg.NumNodes() - 1)
-	xd := dg.ExpandToMany(0, []NodeID{iso}, DistanceClassWeights(), math.Inf(1))
+	xd := dg.ExpandToMany(0, []NodeID{iso}, DistanceWeight, math.Inf(1))
 	if _, ok := xd.Dist(iso); ok {
 		t.Fatal("isolated target reported reachable")
 	}
@@ -188,7 +187,7 @@ func TestExpandToManyStampWrapReuse(t *testing.T) {
 	if got := st.markTargets([]NodeID{4}); got != 1 {
 		t.Fatalf("markTargets = %d, want 1", got)
 	}
-	st.run(0, Invalid, nil, &ClassWeights{1, 1, 1, 1}, math.Inf(1), false)
+	st.run(0, Invalid, &ClassWeights{1, 1, 1, 1}, math.Inf(1), false)
 	if st.targetsLeft != 0 {
 		t.Fatalf("target not settled before wrap: targetsLeft = %d", st.targetsLeft)
 	}
@@ -209,7 +208,7 @@ func TestExpandToManyStampWrapReuse(t *testing.T) {
 	if got := st.markTargets([]NodeID{1}); got != 1 {
 		t.Fatalf("markTargets after wrap = %d, want 1", got)
 	}
-	st.run(0, Invalid, nil, &ClassWeights{1, 1, 1, 1}, math.Inf(1), false)
+	st.run(0, Invalid, &ClassWeights{1, 1, 1, 1}, math.Inf(1), false)
 	if st.targetsLeft != 0 || st.slots[1].done != st.stamp {
 		t.Fatalf("post-wrap target not settled: targetsLeft=%d slot=%+v", st.targetsLeft, st.slots[1])
 	}
@@ -219,7 +218,7 @@ func TestExpandToManyStampWrapReuse(t *testing.T) {
 	// And with no targets at all the search runs to exhaustion.
 	st.inUse = true
 	st.begin()
-	st.run(0, Invalid, nil, &ClassWeights{1, 1, 1, 1}, math.Inf(1), false)
+	st.run(0, Invalid, &ClassWeights{1, 1, 1, 1}, math.Inf(1), false)
 	if d, ok := st.slots[4].dist, st.reached(4); !ok || d != 4000 {
 		t.Fatalf("post-wrap search truncated: dist[4]=%v reached=%v, want 4000 true", d, ok)
 	}
@@ -268,7 +267,6 @@ func FuzzExpandToMany(f *testing.F) {
 			bound = math.Inf(1)
 		}
 		cw := TimeClassWeights()
-		w := cw.Func()
 
 		rng := rand.New(rand.NewSource(tseed))
 		src := NodeID(rng.Intn(g.NumNodes()))
@@ -285,10 +283,10 @@ func FuzzExpandToMany(f *testing.F) {
 		var want map[NodeID]float64
 		var x Expansion
 		if reverse {
-			want = refDistancesTo(g, src, w, bound)
+			want = refDistancesTo(g, src, cw, bound)
 			x = g.ExpandToManyReverse(src, targets, cw, bound)
 		} else {
-			want, _ = refDijkstra(g, src, Invalid, w, bound)
+			want, _ = refDijkstra(g, src, Invalid, cw, bound)
 			x = g.ExpandToMany(src, targets, cw, bound)
 		}
 		defer x.Release()
@@ -308,12 +306,10 @@ func FuzzExpandToMany(f *testing.F) {
 	})
 }
 
-// BenchmarkManyToMany prices one anchor against T targets three ways: the
-// full-ball expansion the derouting path used before this PR (one bounded
-// Dijkstra, read T nodes), the target-aware truncated expansion, and the
-// bucket-CH sweep (buckets prebuilt, one upward sweep per anchor). Compare
-// ns/op across target counts to see where each wins; allocs/op must stay 0
-// for the two kernel paths.
+// BenchmarkManyToMany prices one anchor against T targets two ways: the
+// full-ball expansion (one bounded Dijkstra, read T nodes) and the
+// target-aware truncated expansion. Compare ns/op across target counts;
+// allocs/op must stay 0 for both.
 func BenchmarkManyToMany(b *testing.B) {
 	cfg := DefaultUrbanConfig()
 	cfg.WidthKM, cfg.HeightKM = 12, 10
@@ -349,28 +345,7 @@ func BenchmarkManyToMany(b *testing.B) {
 				x.Release()
 			}
 		})
-		b.Run("BucketCH/"+itoa(tc), func(b *testing.B) {
-			ch := benchCH(b, g, cw)
-			buckets := ch.TargetBuckets(targets)
-			out := make([]float64, len(targets))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				out = buckets.DistancesFrom(src, out)
-			}
-		})
 	}
-}
-
-// benchCH builds (once) and caches the hierarchy for the benchmark graph.
-var benchCHCache *ContractionHierarchy
-
-func benchCH(b *testing.B, g *Graph, cw ClassWeights) *ContractionHierarchy {
-	b.Helper()
-	if benchCHCache == nil {
-		benchCHCache = BuildCH(g, cw.Func())
-	}
-	return benchCHCache
 }
 
 func itoa(n int) string {

@@ -65,9 +65,6 @@ func TestShortestPathUnreachable(t *testing.T) {
 	if _, ok := g.ShortestPath(0, 1, DistanceWeight); ok {
 		t.Fatal("path found in disconnected graph")
 	}
-	if d := g.ShortestDistance(0, 1, DistanceWeight); !math.IsInf(d, 1) {
-		t.Fatalf("distance = %v, want +Inf", d)
-	}
 }
 
 func TestDirectedEdgesRespected(t *testing.T) {
@@ -84,54 +81,43 @@ func TestDirectedEdgesRespected(t *testing.T) {
 	}
 }
 
-func TestDistancesWithinBound(t *testing.T) {
+func TestExpandFromBound(t *testing.T) {
 	g := tinyGraph()
-	d := g.DistancesWithin(0, DistanceWeight, 2000)
-	if _, ok := d[4]; ok {
+	x := g.ExpandFrom(0, DistanceWeight, 2000)
+	defer x.Release()
+	if _, ok := x.Dist(4); ok {
 		t.Error("node beyond bound included")
 	}
-	if got := d[2]; got != 2000 {
+	if got, _ := x.Dist(2); got != 2000 {
 		t.Errorf("dist to 2 = %v, want 2000", got)
 	}
-	if got := d[0]; got != 0 {
-		t.Errorf("dist to self = %v", got)
+	if got, ok := x.Dist(0); !ok || got != 0 {
+		t.Errorf("dist to self = %v, %v", got, ok)
 	}
+}
+
+// shortest is the weight of the shortest src→dst path in meters, +Inf when
+// there is none.
+func shortest(g *Graph, src, dst NodeID) float64 {
+	p, ok := g.ShortestPath(src, dst, DistanceWeight)
+	if !ok {
+		return math.Inf(1)
+	}
+	return p.Weight
 }
 
 func TestDistancesToMatchesForward(t *testing.T) {
 	g := tinyGraph()
-	back := g.DistancesTo(4, DistanceWeight, math.Inf(1))
+	back := g.ExpandTo(4, DistanceWeight, math.Inf(1))
+	defer back.Release()
 	for n := NodeID(0); n < 6; n++ {
-		want := g.ShortestDistance(n, 4, DistanceWeight)
-		got, ok := back[n]
+		want := shortest(g, n, 4)
+		got, ok := back.Dist(n)
 		if !ok {
-			t.Fatalf("node %d missing from DistancesTo", n)
+			t.Fatalf("node %d missing from ExpandTo", n)
 		}
 		if got != want {
-			t.Errorf("DistancesTo[%d] = %v, forward = %v", n, got, want)
-		}
-	}
-}
-
-func TestAStarMatchesDijkstra(t *testing.T) {
-	g := GenerateUrban(UrbanConfig{
-		Origin: geo.Point{Lat: 53.0, Lon: 8.0}, WidthKM: 6, HeightKM: 5,
-		SpacingM: 500, RemoveFrac: 0.1, JitterFrac: 0.2, ArterialEach: 4, Seed: 3,
-	})
-	r := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 40; trial++ {
-		src := NodeID(r.Intn(g.NumNodes()))
-		dst := NodeID(r.Intn(g.NumNodes()))
-		dij, ok1 := g.ShortestPath(src, dst, DistanceWeight)
-		ast, ok2 := g.AStar(src, dst, DistanceWeight, 1.0)
-		if ok1 != ok2 {
-			t.Fatalf("reachability disagrees for %d->%d", src, dst)
-		}
-		if !ok1 {
-			continue
-		}
-		if math.Abs(dij.Weight-ast.Weight) > 1e-6 {
-			t.Fatalf("A* %v vs Dijkstra %v for %d->%d", ast.Weight, dij.Weight, src, dst)
+			t.Errorf("ExpandTo(4).Dist(%d) = %v, forward = %v", n, got, want)
 		}
 	}
 }
@@ -148,9 +134,7 @@ func TestShortestPathMetricProperties(t *testing.T) {
 		a := NodeID(r.Intn(g.NumNodes()))
 		b := NodeID(r.Intn(g.NumNodes()))
 		c := NodeID(r.Intn(g.NumNodes()))
-		ab := g.ShortestDistance(a, b, DistanceWeight)
-		bc := g.ShortestDistance(b, c, DistanceWeight)
-		ac := g.ShortestDistance(a, c, DistanceWeight)
+		ab, bc, ac := shortest(g, a, b), shortest(g, b, c), shortest(g, a, c)
 		if ac > ab+bc+1e-6 {
 			t.Fatalf("triangle inequality violated: d(%d,%d)=%v > %v+%v", a, c, ac, ab, bc)
 		}
@@ -162,9 +146,9 @@ func TestShortestPathMetricProperties(t *testing.T) {
 		mid := p.Nodes[len(p.Nodes)/2]
 		var prefix float64
 		for i := 1; i <= len(p.Nodes)/2; i++ {
-			prefix += g.ShortestDistance(p.Nodes[i-1], p.Nodes[i], DistanceWeight)
+			prefix += shortest(g, p.Nodes[i-1], p.Nodes[i])
 		}
-		if direct := g.ShortestDistance(a, mid, DistanceWeight); prefix < direct-1e-6 {
+		if direct := shortest(g, a, mid); prefix < direct-1e-6 {
 			t.Fatalf("prefix shorter than shortest: %v < %v", prefix, direct)
 		}
 	}
@@ -189,17 +173,14 @@ func TestNearestNodeAndWithin(t *testing.T) {
 	}
 }
 
-func TestWeightFuncs(t *testing.T) {
+func TestEdgeWeights(t *testing.T) {
 	e := Edge{Length: 1000, Class: ClassMotorway}
-	if DistanceWeight(e) != 1000 {
+	if DistanceWeight.CostOf(e) != 1000 {
 		t.Error("DistanceWeight wrong")
 	}
 	wantT := 1000 / (110.0 / 3.6)
 	if got := TimeWeight(e); math.Abs(got-wantT) > 1e-9 {
 		t.Errorf("TimeWeight = %v, want %v", got, wantT)
-	}
-	if got := EnergyWeight(e); math.Abs(got-0.20) > 1e-12 {
-		t.Errorf("EnergyWeight = %v, want 0.20", got)
 	}
 }
 
@@ -319,7 +300,7 @@ func BenchmarkDijkstraUrban(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.ShortestDistance(srcs[i%64], dsts[i%64], DistanceWeight)
+		g.ShortestPath(srcs[i%64], dsts[i%64], DistanceWeight)
 	}
 }
 
@@ -328,6 +309,6 @@ func BenchmarkBoundedDijkstra5km(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.DistancesWithin(NodeID(i%g.NumNodes()), DistanceWeight, 5000)
+		g.ExpandFrom(NodeID(i%g.NumNodes()), DistanceWeight, 5000).Release()
 	}
 }

@@ -10,7 +10,9 @@ import (
 // "Index-Quadtree Method" of the paper's evaluation: it partitions 2-D
 // space so that candidate retrieval drops from O(n) scans to O(log n)
 // descents. Leaves split once they exceed their capacity; points exactly on
-// split lines go to the south/west child deterministically.
+// split lines go to the south/west child deterministically. Not safe for
+// concurrent mutation; concurrent reads are safe once loading has finished,
+// matching how the framework uses it (load once, query continuously).
 type Quadtree struct {
 	root     *qnode
 	bounds   geo.BBox
@@ -44,10 +46,10 @@ func NewQuadtree(bounds geo.BBox, leafCapacity int) *Quadtree {
 // Bounds returns the region the tree covers.
 func (t *Quadtree) Bounds() geo.BBox { return t.bounds }
 
-// Len implements Index.
+// Len reports the number of stored items.
 func (t *Quadtree) Len() int { return t.size }
 
-// Insert implements Index.
+// Insert adds an item. Duplicate positions and IDs are permitted.
 func (t *Quadtree) Insert(it Item) {
 	if !t.bounds.Contains(it.P) {
 		it.P = clampInto(it.P, t.bounds)
@@ -140,7 +142,8 @@ func (q *qpq) Pop() interface{} {
 	return x
 }
 
-// KNN implements Index with a best-first search: subtrees are expanded in
+// KNN returns up to k nearest items to q, closest first, ties broken by ID
+// for determinism. The search is best-first: subtrees are expanded in
 // order of their minimum possible distance, so the first k concrete items
 // popped are exactly the k nearest.
 func (t *Quadtree) KNN(q geo.Point, k int) []Neighbor {
@@ -190,7 +193,8 @@ func stabilizeTies(ns []Neighbor) {
 	}
 }
 
-// Within implements Index by pruning subtrees farther than radius. The
+// Within returns all items within radius meters of q, closest first,
+// pruning subtrees farther than radius. The
 // result is sized before it is filled — the items of the leaves the pruning
 // leaves standing bound it from above — so a thousand-item answer costs one
 // allocation instead of eleven rounds of append growth.

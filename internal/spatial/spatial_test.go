@@ -26,16 +26,14 @@ func randomItems(r *rand.Rand, n int) []Item {
 	return items
 }
 
-func buildAll(items []Item) (bf *BruteForce, qt *Quadtree, gr *Grid) {
+func buildAll(items []Item) (bf *BruteForce, qt *Quadtree) {
 	bf = NewBruteForce()
 	qt = NewQuadtree(testBounds, 8)
-	gr = NewGrid(testBounds, 2000)
 	for _, it := range items {
 		bf.Insert(it)
 		qt.Insert(it)
-		gr.Insert(it)
 	}
-	return bf, qt, gr
+	return bf, qt
 }
 
 func neighborsEqual(a, b []Neighbor) bool {
@@ -53,7 +51,7 @@ func neighborsEqual(a, b []Neighbor) bool {
 func TestIndexesAgreeWithBruteForceKNN(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	items := randomItems(r, 500)
-	bf, qt, gr := buildAll(items)
+	bf, qt := buildAll(items)
 
 	for trial := 0; trial < 100; trial++ {
 		q := geo.Point{
@@ -65,9 +63,6 @@ func TestIndexesAgreeWithBruteForceKNN(t *testing.T) {
 			if got := qt.KNN(q, k); !neighborsEqual(got, want) {
 				t.Fatalf("trial %d k=%d: quadtree KNN mismatch\n got=%v\nwant=%v", trial, k, got, want)
 			}
-			if got := gr.KNN(q, k); !neighborsEqual(got, want) {
-				t.Fatalf("trial %d k=%d: grid KNN mismatch\n got=%v\nwant=%v", trial, k, got, want)
-			}
 		}
 	}
 }
@@ -75,7 +70,7 @@ func TestIndexesAgreeWithBruteForceKNN(t *testing.T) {
 func TestIndexesAgreeWithBruteForceWithin(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	items := randomItems(r, 400)
-	bf, qt, gr := buildAll(items)
+	bf, qt := buildAll(items)
 
 	for trial := 0; trial < 50; trial++ {
 		q := geo.Point{
@@ -87,32 +82,24 @@ func TestIndexesAgreeWithBruteForceWithin(t *testing.T) {
 			if got := qt.Within(q, radius); !neighborsEqual(got, want) {
 				t.Fatalf("trial %d r=%.0f: quadtree Within mismatch: got %d want %d", trial, radius, len(got), len(want))
 			}
-			if got := gr.Within(q, radius); !neighborsEqual(got, want) {
-				t.Fatalf("trial %d r=%.0f: grid Within mismatch: got %d want %d", trial, radius, len(got), len(want))
-			}
 		}
 	}
 }
 
 func TestKNNMoreThanAvailable(t *testing.T) {
 	items := randomItems(rand.New(rand.NewSource(1)), 5)
-	_, qt, gr := buildAll(items)
+	_, qt := buildAll(items)
 	q := testBounds.Center()
 	if got := qt.KNN(q, 10); len(got) != 5 {
 		t.Errorf("quadtree KNN k>n returned %d items, want 5", len(got))
-	}
-	if got := gr.KNN(q, 10); len(got) != 5 {
-		t.Errorf("grid KNN k>n returned %d items, want 5", len(got))
 	}
 }
 
 func TestKNNEmptyAndZeroK(t *testing.T) {
 	qt := NewQuadtree(testBounds, 0)
-	gr := NewGrid(testBounds, 0)
-	bf := NewBruteForce()
 	q := testBounds.Center()
-	for name, idx := range map[string]Index{"quadtree": qt, "grid": gr, "bruteforce": bf} {
-		if got := idx.KNN(q, 3); len(got) != 0 {
+	for name, got := range map[string][]Neighbor{"quadtree": qt.KNN(q, 3), "bruteforce": NewBruteForce().KNN(q, 3)} {
+		if len(got) != 0 {
 			t.Errorf("%s: empty index KNN = %v, want none", name, got)
 		}
 	}
@@ -173,37 +160,16 @@ func TestWithinRadiusBoundaryInclusive(t *testing.T) {
 	}
 }
 
-func TestGridDims(t *testing.T) {
-	g := NewGrid(testBounds, 2000)
-	rows, cols := g.Dims()
-	if rows < 10 || cols < 10 {
-		t.Errorf("grid dims %dx%d too coarse for 2km cells over ~44x40km", rows, cols)
-	}
-	// Degenerate box must still produce at least one cell.
-	g2 := NewGrid(geo.BBox{Min: testBounds.Min, Max: testBounds.Min}, 1000)
-	r2, c2 := g2.Dims()
-	if r2 < 1 || c2 < 1 {
-		t.Errorf("degenerate grid dims %dx%d", r2, c2)
-	}
-	g2.Insert(Item{P: testBounds.Min, ID: 1})
-	if got := g2.KNN(testBounds.Min, 1); len(got) != 1 {
-		t.Errorf("degenerate grid KNN failed: %v", got)
-	}
-}
-
 func TestWithinNegativeRadius(t *testing.T) {
-	_, qt, gr := buildAll(randomItems(rand.New(rand.NewSource(3)), 50))
+	_, qt := buildAll(randomItems(rand.New(rand.NewSource(3)), 50))
 	q := testBounds.Center()
-	if got := gr.Within(q, -1); len(got) != 0 {
-		t.Errorf("grid negative radius returned %d items", len(got))
-	}
 	if got := qt.Within(q, -1); len(got) != 0 {
 		t.Errorf("quadtree negative radius returned %d items", len(got))
 	}
 }
 
 func TestClusteredDistribution(t *testing.T) {
-	// Heavy clustering stresses quadtree splitting and grid ring logic.
+	// Heavy clustering stresses quadtree splitting.
 	r := rand.New(rand.NewSource(11))
 	var items []Item
 	id := int64(0)
@@ -222,7 +188,7 @@ func TestClusteredDistribution(t *testing.T) {
 	for i := range items {
 		items[i].P = clampInto(items[i].P, testBounds)
 	}
-	bf, qt, gr := buildAll(items)
+	bf, qt := buildAll(items)
 	for trial := 0; trial < 30; trial++ {
 		q := geo.Point{
 			Lat: testBounds.Min.Lat + r.Float64()*0.4,
@@ -231,9 +197,6 @@ func TestClusteredDistribution(t *testing.T) {
 		want := bf.KNN(q, 20)
 		if got := qt.KNN(q, 20); !neighborsEqual(got, want) {
 			t.Fatalf("clustered quadtree mismatch at trial %d", trial)
-		}
-		if got := gr.KNN(q, 20); !neighborsEqual(got, want) {
-			t.Fatalf("clustered grid mismatch at trial %d", trial)
 		}
 	}
 }
@@ -248,19 +211,6 @@ func BenchmarkQuadtreeKNN(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		qt.KNN(q, 10)
-	}
-}
-
-func BenchmarkGridKNN(b *testing.B) {
-	items := randomItems(rand.New(rand.NewSource(5)), 10000)
-	gr := NewGrid(testBounds, 1000)
-	for _, it := range items {
-		gr.Insert(it)
-	}
-	q := testBounds.Center()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		gr.KNN(q, 10)
 	}
 }
 
@@ -293,31 +243,31 @@ func TestEqualDistancesComeBackInIDOrder(t *testing.T) {
 		items = append(items, Item{ID: int64(1000 - i), P: p})
 	}
 	rand.New(rand.NewSource(3)).Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
-	bf, qt, gr := buildAll(items)
+	bf, qt := buildAll(items)
 
-	for name, idx := range map[string]Index{"brute": bf, "quadtree": qt, "grid": gr} {
-		for what, got := range map[string][]Neighbor{
-			"Within": idx.Within(q, 2000),
-			"KNN":    idx.KNN(q, len(items)),
-		} {
-			if len(got) != len(items) {
-				t.Fatalf("%s %s returned %d of %d items", name, what, len(got), len(items))
+	for what, got := range map[string][]Neighbor{
+		"brute Within":    bf.Within(q, 2000),
+		"brute KNN":       bf.KNN(q, len(items)),
+		"quadtree Within": qt.Within(q, 2000),
+		"quadtree KNN":    qt.KNN(q, len(items)),
+	} {
+		if len(got) != len(items) {
+			t.Fatalf("%s returned %d of %d items", what, len(got), len(items))
+		}
+		ties := 0
+		for i := 1; i < len(got); i++ {
+			a, b := got[i-1], got[i]
+			//ecolint:ignore floateq the test is about bit-equal distances
+			if a.Dist > b.Dist || (a.Dist == b.Dist && a.ID >= b.ID) {
+				t.Fatalf("%s: (%v, %d) before (%v, %d)", what, a.Dist, a.ID, b.Dist, b.ID)
 			}
-			ties := 0
-			for i := 1; i < len(got); i++ {
-				a, b := got[i-1], got[i]
-				//ecolint:ignore floateq the test is about bit-equal distances
-				if a.Dist > b.Dist || (a.Dist == b.Dist && a.ID >= b.ID) {
-					t.Fatalf("%s %s: (%v, %d) before (%v, %d)", name, what, a.Dist, a.ID, b.Dist, b.ID)
-				}
-				//ecolint:ignore floateq the test is about bit-equal distances
-				if a.Dist == b.Dist {
-					ties++
-				}
+			//ecolint:ignore floateq the test is about bit-equal distances
+			if a.Dist == b.Dist {
+				ties++
 			}
-			if ties < len(items)/2 {
-				t.Fatalf("%s %s: only %d equal-distance neighbours; the test does not reach the ID key", name, what, ties)
-			}
+		}
+		if ties < len(items)/2 {
+			t.Fatalf("%s: only %d equal-distance neighbours; the test does not reach the ID key", what, ties)
 		}
 	}
 }
