@@ -19,7 +19,6 @@ import (
 
 	"ecocharge/internal/charger"
 	"ecocharge/internal/experiment"
-	"ecocharge/internal/snapshot"
 )
 
 func main() {
@@ -29,17 +28,16 @@ func main() {
 		seed    = flag.Int64("seed", 42, "scenario seed")
 		out     = flag.String("out", "data", "output directory")
 		days    = flag.Int("production-days", 1, "days of 15-minute production samples")
-		bundle  = flag.String("bundle", "", "also write the whole scenario as a snapshot zip to this path")
 	)
 	flag.Parse()
 
-	if err := run(*dataset, *scale, *seed, *out, *days, *bundle); err != nil {
+	if err := run(*dataset, *scale, *seed, *out, *days); err != nil {
 		fmt.Fprintln(os.Stderr, "datagen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(dataset string, scale float64, seed int64, out string, days int, bundle string) error {
+func run(dataset string, scale float64, seed int64, out string, days int) error {
 	sc, err := experiment.BuildScenario(dataset, scale, seed)
 	if err != nil {
 		return err
@@ -66,21 +64,6 @@ func run(dataset string, scale float64, seed int64, out string, days int, bundle
 		return err
 	}
 	fmt.Printf("wrote %d production samples to %s\n", n, prodPath)
-
-	if bundle != "" {
-		f, err := os.Create(bundle)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := snapshot.Save(f, sc); err != nil {
-			return fmt.Errorf("writing bundle: %w", err)
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote scenario bundle to %s\n", bundle)
-	}
 	return nil
 }
 

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"ecocharge/internal/charger"
-	"ecocharge/internal/snapshot"
 )
 
 func TestDatagenWritesAllFiles(t *testing.T) {
@@ -15,7 +14,7 @@ func TestDatagenWritesAllFiles(t *testing.T) {
 		t.Skip("scenario build is slow")
 	}
 	dir := t.TempDir()
-	if err := run("Oldenburg", 0.0005, 1, dir, 1, filepath.Join(dir, "world.zip")); err != nil {
+	if err := run("Oldenburg", 0.0005, 1, dir, 1); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	// Chargers round-trip through the CSV codec.
@@ -48,22 +47,10 @@ func TestDatagenWritesAllFiles(t *testing.T) {
 	if strings.Count(string(prod), "\n") < 96 {
 		t.Error("production.csv too short")
 	}
-	// The bundle must load back.
-	data, err := os.ReadFile(filepath.Join(dir, "world.zip"))
-	if err != nil {
-		t.Fatalf("bundle not written: %v", err)
-	}
-	sc, err := snapshot.LoadFromBytes(data)
-	if err != nil {
-		t.Fatalf("bundle does not load: %v", err)
-	}
-	if sc.Name != "Oldenburg" || sc.Env.Chargers.Len() != 1000 {
-		t.Errorf("bundle content wrong: %s, %d chargers", sc.Name, sc.Env.Chargers.Len())
-	}
 }
 
 func TestDatagenBadDataset(t *testing.T) {
-	if err := run("nope", 0.001, 1, t.TempDir(), 1, ""); err == nil {
+	if err := run("nope", 0.001, 1, t.TempDir(), 1); err == nil {
 		t.Fatal("unknown dataset accepted")
 	}
 }

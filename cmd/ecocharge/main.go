@@ -15,8 +15,6 @@ import (
 
 	"ecocharge/internal/cknn"
 	"ecocharge/internal/experiment"
-	"ecocharge/internal/render"
-	"ecocharge/internal/trajectory"
 )
 
 func main() {
@@ -32,17 +30,16 @@ func main() {
 		wL      = flag.Float64("wl", 1, "weight of sustainable charging level L")
 		wA      = flag.Float64("wa", 1, "weight of availability A")
 		wD      = flag.Float64("wd", 1, "weight of derouting cost D")
-		svgOut  = flag.String("svg", "", "write a map of the trip and recommendations to this SVG file")
 	)
 	flag.Parse()
 
-	if err := run(*dataset, *scale, *seed, *tripIdx, *k, *radius, *reuse, *segLen, cknn.Weights{L: *wL, A: *wA, D: *wD}, *svgOut); err != nil {
+	if err := run(*dataset, *scale, *seed, *tripIdx, *k, *radius, *reuse, *segLen, cknn.Weights{L: *wL, A: *wA, D: *wD}); err != nil {
 		fmt.Fprintln(os.Stderr, "ecocharge:", err)
 		os.Exit(1)
 	}
 }
 
-func run(dataset string, scale float64, seed int64, tripIdx, k int, radiusKM, reuseKM, segKM float64, w cknn.Weights, svgOut string) error {
+func run(dataset string, scale float64, seed int64, tripIdx, k int, radiusKM, reuseKM, segKM float64, w cknn.Weights) error {
 	if err := w.Validate(); err != nil {
 		return err
 	}
@@ -105,34 +102,5 @@ func run(dataset string, scale float64, seed int64, tripIdx, k int, radiusKM, re
 
 	hits, misses := method.Stats()
 	fmt.Printf("cache: %d hits, %d misses\n", hits, misses)
-
-	if svgOut != "" {
-		if err := writeMap(sc.Env, trip, results, sl, svgOut); err != nil {
-			return fmt.Errorf("writing SVG: %w", err)
-		}
-		fmt.Printf("map written to %s\n", svgOut)
-	}
 	return nil
-}
-
-// writeMap renders the trip, the first segment's Offering Table and the
-// split points to an SVG file.
-func writeMap(env *cknn.Env, trip trajectory.Trip, results []cknn.SegmentResult, sl []cknn.SplitPoint, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	m := render.NewMap(env.Graph.Bounds(), render.Options{WidthPx: 1200, MaxEdges: 6000})
-	m.AddRoadNetwork(env.Graph)
-	m.AddChargers(env.Chargers)
-	m.AddTrip(env.Graph, trip.Path)
-	if len(results) > 0 {
-		m.AddOfferingTable(results[0].Table)
-	}
-	m.AddSplitPoints(sl)
-	if err := m.WriteSVG(f); err != nil {
-		return err
-	}
-	return f.Close()
 }

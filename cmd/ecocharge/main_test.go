@@ -1,9 +1,6 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"ecocharge/internal/cknn"
@@ -13,28 +10,19 @@ func TestRunSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scenario build is slow")
 	}
-	svg := filepath.Join(t.TempDir(), "trip.svg")
-	err := run("Oldenburg", 0.0005, 1, 0, 3, 20, 5, 4, cknn.Weights{L: 1, A: 1, D: 1}, svg)
-	if err != nil {
+	if err := run("Oldenburg", 0.0005, 1, 0, 3, 20, 5, 4, cknn.Weights{L: 1, A: 1, D: 1}); err != nil {
 		t.Fatalf("run: %v", err)
-	}
-	data, err := os.ReadFile(svg)
-	if err != nil {
-		t.Fatalf("SVG not written: %v", err)
-	}
-	if !strings.Contains(string(data), "<svg") {
-		t.Error("output is not SVG")
 	}
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run("NoSuchDataset", 0.001, 1, 0, 3, 50, 5, 4, cknn.EqualWeights(), ""); err == nil {
+	if err := run("NoSuchDataset", 0.001, 1, 0, 3, 50, 5, 4, cknn.EqualWeights()); err == nil {
 		t.Error("unknown dataset accepted")
 	}
-	if err := run("Oldenburg", 0.0005, 1, 999, 3, 50, 5, 4, cknn.EqualWeights(), ""); err == nil {
+	if err := run("Oldenburg", 0.0005, 1, 999, 3, 50, 5, 4, cknn.EqualWeights()); err == nil {
 		t.Error("out-of-range trip index accepted")
 	}
-	if err := run("Oldenburg", 0.0005, 1, 0, 3, 50, 5, 4, cknn.Weights{L: -1}, ""); err == nil {
+	if err := run("Oldenburg", 0.0005, 1, 0, 3, 50, 5, 4, cknn.Weights{L: -1}); err == nil {
 		t.Error("invalid weights accepted")
 	}
 }

@@ -28,7 +28,6 @@ import (
 	"ecocharge/internal/charger"
 	"ecocharge/internal/cknn"
 	"ecocharge/internal/ec"
-	"ecocharge/internal/ev"
 	"ecocharge/internal/geo"
 	"ecocharge/internal/interval"
 	"ecocharge/internal/roadnet"
@@ -179,24 +178,8 @@ func GenerateTrips(g *Graph, cfg trajectory.GenConfig) ([]Trip, error) {
 // TripGenConfig parameterizes GenerateTrips.
 type TripGenConfig = trajectory.GenConfig
 
-// Extensions (paper §VII future work).
-type (
-	// LoadTracker accounts for demand the framework itself induces at
-	// chargers; Balanced wraps any Method with redirection based on it.
-	LoadTracker = cknn.LoadTracker
-	// Balanced is the load-balancing Method decorator.
-	Balanced = cknn.Balanced
-	// RefineOptions tune split-point bisection refinement.
-	RefineOptions = cknn.RefineOptions
-)
-
-// NewLoadTracker returns a fleet-wide induced-demand tracker.
-func NewLoadTracker(set *ChargerSet) *LoadTracker { return cknn.NewLoadTracker(set) }
-
-// NewBalanced wraps a method with induced-demand redirection.
-func NewBalanced(inner Method, tracker *LoadTracker) *Balanced {
-	return cknn.NewBalanced(inner, tracker)
-}
+// RefineOptions tune split-point bisection refinement.
+type RefineOptions = cknn.RefineOptions
 
 // RefineSplitPoints sharpens a trip's split list to sub-segment resolution.
 func RefineSplitPoints(env *Env, m Method, trip Trip, opts TripOptions, ropts RefineOptions) []SplitPoint {
@@ -217,9 +200,3 @@ type DetourPlan = cknn.DetourPlan
 func PlanDetour(env *Env, trip Trip, seg Segment, entry Entry) (DetourPlan, error) {
 	return cknn.PlanDetour(env, trip, seg, entry)
 }
-
-// Vehicle is the EV battery/consumption model.
-type Vehicle = ev.Vehicle
-
-// CompactEV returns a typical compact EV (58 kWh, 11 kW AC / 150 kW DC).
-func CompactEV() Vehicle { return ev.CompactEV() }

@@ -2,12 +2,10 @@
 // the CSV codecs instead of the built-in generators — the workflow of an
 // operator feeding EcoCharge an OpenStreetMap extract and a PlugShare
 // export (paper §IV.B). The example writes a hand-crafted six-junction
-// town to CSV, loads it back, snapshots the whole world to a zip, restores
-// it, and ranks chargers in the restored world.
+// town to CSV, loads it back and ranks chargers in the loaded world.
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"log"
 	"strings"
@@ -16,9 +14,7 @@ import (
 	"ecocharge/internal/charger"
 	"ecocharge/internal/cknn"
 	"ecocharge/internal/ec"
-	"ecocharge/internal/experiment"
 	"ecocharge/internal/roadnet"
-	"ecocharge/internal/snapshot"
 	"ecocharge/internal/trajectory"
 )
 
@@ -93,33 +89,4 @@ func main() {
 		fmt.Printf("  %d. charger %d (%s, %.0f kW solar + %.0f kW wind)  SC=%s\n",
 			i+1, e.Charger.ID, e.Charger.Rate, e.Charger.PanelKW, e.Charger.WindKW, e.SC)
 	}
-
-	// 3. Snapshot the entire world and restore it elsewhere.
-	sc := &experiment.Scenario{
-		Name: "CustomTown", Graph: graph, Env: env,
-		Trips: []trajectory.Trip{trip}, Scale: 1, Seed: 2, Start: depart,
-	}
-	var buf bytes.Buffer
-	if err := snapshot.Save(&buf, sc); err != nil {
-		log.Fatal(err)
-	}
-	restored, err := snapshot.LoadFromBytes(buf.Bytes())
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nsnapshot round trip: %d bytes, world %q with %d chargers restored\n",
-		buf.Len(), restored.Name, restored.Env.Chargers.Len())
-
-	// The restored world ranks identically.
-	again := cknn.NewEcoCharge(restored.Env, cknn.EcoChargeOptions{RadiusM: 5000})
-	table := cknn.RunTrip(restored.Env, again, restored.Trips[0],
-		cknn.TripOptions{K: 3, SegmentLenM: 2000, RadiusM: 5000})[0].Table
-	fmt.Print("restored ranking: ")
-	for i, id := range table.IDs() {
-		if i > 0 {
-			fmt.Print(" > ")
-		}
-		fmt.Printf("charger %d", id)
-	}
-	fmt.Println()
 }

@@ -10,19 +10,16 @@ import (
 	"ecocharge/internal/charger"
 	"ecocharge/internal/cknn"
 	"ecocharge/internal/eis"
-	"ecocharge/internal/ev"
 	"ecocharge/internal/experiment"
 	"ecocharge/internal/roadnet"
-	"ecocharge/internal/sim"
-	"ecocharge/internal/smartgrid"
 	"ecocharge/internal/trajectory"
 )
 
 // TestFullPipelineIntegration drives the whole system end to end across
 // package boundaries: build a scenario, serialize and reload its world,
-// evaluate a trip locally and through the EIS, commit a vehicle through the
-// battery model, run the fleet simulator, and get grid-aware advice — all
-// from the one scenario.
+// evaluate a trip locally (Mode 1) and through the EIS (Mode 2), and
+// map-match its sampled GPS stream back onto the network — all from the one
+// scenario.
 func TestFullPipelineIntegration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline is slow")
@@ -107,41 +104,7 @@ func TestFullPipelineIntegration(t *testing.T) {
 		t.Fatalf("EIS first pick %d differs from local %d", got, want)
 	}
 
-	// 4. Battery model: charge the committed pick from solar-limited supply.
-	top, _ := orig[len(orig)-1].Table.Top()
-	vehicle := ev.CompactEV()
-	vehicle.SoC = 0.35
-	dc := top.Charger.Rate.KW() > 22
-	gained := vehicle.Charge(func(at time.Time) float64 {
-		p := sc.Env.Solar.Truth(top.Charger.Site(), at)
-		if r := top.Charger.Rate.KW(); p > r {
-			p = r
-		}
-		return p
-	}, dc, top.Comp.ETA, 45*time.Minute)
-	if gained < 0 || vehicle.SoC < 0.35 {
-		t.Fatalf("charging went backwards: gained %v, SoC %v", gained, vehicle.SoC)
-	}
-
-	// 5. Fleet simulation over the scenario's trips.
-	res := sim.Run(sc.Env, sc.Trips, sim.Config{RadiusM: 20000, AcceptSC: 0.3})
-	if res.Vehicles != len(sc.Trips) || res.Queries == 0 {
-		t.Fatalf("sim result implausible: %v", res)
-	}
-
-	// 6. Grid-aware advice on the last Offering Table.
-	advisor := smartgrid.NewAdvisor(smartgrid.DefaultTariff(), smartgrid.NewGridSignal())
-	advice := advisor.Advise(orig[len(orig)-1].Table, trip.Depart)
-	if len(advice) == 0 {
-		t.Fatal("no grid-aware advice")
-	}
-	for _, ad := range advice {
-		if !ad.GS.Valid() || !ad.Price.Valid() {
-			t.Fatalf("invalid advice intervals: %+v", ad)
-		}
-	}
-
-	// 7. Map-matching closes the loop: a sampled GPS stream of the trip
+	// 4. Map-matching closes the loop: a sampled GPS stream of the trip
 	// reconstructs a routable trip on the same network.
 	tr := trajectory.Sample(sc.Graph, trip, 30*time.Second)
 	matched := trajectory.MapMatch(sc.Graph, tr, trajectory.MatchConfig{})

@@ -2,6 +2,7 @@ package cknn
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -464,7 +465,7 @@ func TestEcoChargeMatchesBruteForceWithinRadius(t *testing.T) {
 	q.RadiusM = 100000
 	want := bf.Rank(q).IDs()
 	got := eco.Rank(q).IDs()
-	if !sameIDs(want, got) {
+	if !slices.Equal(want, got) {
 		t.Fatalf("EcoCharge %v != BruteForce %v", got, want)
 	}
 }
@@ -500,7 +501,7 @@ func TestRunTripAndSplitList(t *testing.T) {
 		}
 		// Consecutive split points must carry different NN sets.
 		for i := 1; i < len(sl); i++ {
-			if sameIDs(sl[i-1].NN, sl[i].NN) {
+			if slices.Equal(sl[i-1].NN, sl[i].NN) {
 				t.Errorf("trip %d: redundant split point %d", trip.ID, i)
 			}
 		}
@@ -568,7 +569,7 @@ func TestWeightsChangeRanking(t *testing.T) {
 	for _, w := range []Weights{OnlyL(), OnlyA(), OnlyD()} {
 		q2 := q
 		q2.Weights = w
-		if !sameIDs(base, bf.Rank(q2).IDs()) {
+		if !slices.Equal(base, bf.Rank(q2).IDs()) {
 			differs = true
 		}
 	}

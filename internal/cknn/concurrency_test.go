@@ -1,9 +1,9 @@
 package cknn
 
 // Concurrency suite: the cache-coherence property of concurrent trips over
-// one shared Env, goroutine storms on the mutable shared structures
-// (LoadTracker, ShardedCache), and the parallel-trip benchmark. Run with
-// -race; the CI test job does.
+// one shared Env, a goroutine storm on the mutable shared structure
+// (ShardedCache), and the parallel-trip benchmark. Run with -race; the CI
+// test job does.
 
 import (
 	"fmt"
@@ -57,49 +57,6 @@ func TestSharedCacheTripCoherence(t *testing.T) {
 	}
 	if err := quick.Check(property, &quick.Config{MaxCount: 4}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestLoadTrackerConcurrency(t *testing.T) {
-	t.Parallel()
-	env := testEnv(t)
-	lt := NewLoadTracker(env.Chargers)
-	all := env.Chargers.All()
-	ids := make([]int64, 8)
-	for i := range ids {
-		ids[i] = all[i].ID
-	}
-	const goroutines = 16
-	const opsPer = 200
-	var bad atomic.Bool
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < opsPer; i++ {
-				id := ids[(g+i)%len(ids)]
-				eta := queryTime.Add(time.Duration(i) * time.Minute)
-				lt.Commit(id, eta)
-				if v := lt.InducedBusy(id, eta); v < 0 || v > 1 {
-					bad.Store(true)
-					return
-				}
-				if i%3 == 0 {
-					lt.Cancel(id, eta)
-				}
-				if i%50 == 0 {
-					lt.Commitments(eta)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if bad.Load() {
-		t.Fatal("InducedBusy left [0, 1] under concurrent load")
-	}
-	if v := lt.InducedBusy(ids[0], queryTime); v < 0 || v > 1 {
-		t.Fatalf("post-storm InducedBusy = %v", v)
 	}
 }
 

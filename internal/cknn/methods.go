@@ -33,9 +33,8 @@ type Method interface {
 // goroutines simultaneously and whose output does not depend on call order
 // (stateless methods over the immutable Env). RunTrip parallelizes
 // per-segment table construction only for these; order-dependent methods
-// (EcoCharge's cache chain, Random's deterministic stream, Balanced's
-// commitment feedback) keep the sequential segment walk and parallelize
-// inside the filtering phase instead.
+// (EcoCharge's cache chain, Random's deterministic stream) keep the
+// sequential segment walk and parallelize inside the filtering phase instead.
 type ConcurrentRanker interface {
 	Method
 	// ConcurrentRankOK is a marker; it must be safe to call Rank

@@ -1,6 +1,8 @@
 package cknn
 
 import (
+	"slices"
+
 	"ecocharge/internal/geo"
 	"ecocharge/internal/trajectory"
 )
@@ -72,7 +74,7 @@ func RefineSplitPoints(env *Env, method Method, trip trajectory.Trip, opts TripO
 			}
 			method.Reset() // probe without cache interference
 			ids := method.Rank(q).IDs()
-			if sameIDs(ids, want) {
+			if slices.Equal(ids, want) {
 				hi, hiETA = mid, midETA
 			} else {
 				lo, loETA = mid, midETA

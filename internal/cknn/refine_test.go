@@ -1,6 +1,7 @@
 package cknn
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -37,7 +38,7 @@ func TestRefineSplitPointsSharpens(t *testing.T) {
 	// keep the NN sets.
 	segs := trajectory.SegmentTrip(env.Graph, trip, opts.SegmentLenM)
 	for i := 1; i < len(refined); i++ {
-		if !sameIDs(refined[i].NN, coarse[i].NN) {
+		if !slices.Equal(refined[i].NN, coarse[i].NN) {
 			t.Fatalf("refinement changed NN set at %d", i)
 		}
 		lo := segs[coarse[i-1].SegmentIndex].Anchor

@@ -2,6 +2,7 @@ package cknn
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -149,7 +150,7 @@ func SplitList(env *Env, method Method, trip trajectory.Trip, opts TripOptions) 
 	var prev []int64
 	for _, r := range results {
 		ids := r.Table.IDs()
-		if len(out) == 0 || !sameIDs(prev, ids) {
+		if len(out) == 0 || !slices.Equal(prev, ids) {
 			out = append(out, SplitPoint{
 				P:            r.Segment.Start,
 				SegmentIndex: r.Segment.Index,
@@ -160,16 +161,4 @@ func SplitList(env *Env, method Method, trip trajectory.Trip, opts TripOptions) 
 		}
 	}
 	return out
-}
-
-func sameIDs(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -17,7 +17,6 @@ type eisMetrics struct {
 	httpTraffic      *obs.Histogram
 	httpOffering     *obs.Histogram
 	httpTrip         *obs.Histogram
-	httpAdvice       *obs.Histogram
 
 	// Response cache (the server-side dynamic cache).
 	rescacheHits      *obs.Counter
@@ -66,7 +65,6 @@ func newEISMetrics(r *obs.Registry) *eisMetrics {
 		httpTraffic:      r.Histogram("eis_http_seconds_traffic", nil),
 		httpOffering:     r.Histogram("eis_http_seconds_offering", nil),
 		httpTrip:         r.Histogram("eis_http_seconds_offering_trip", nil),
-		httpAdvice:       r.Histogram("eis_http_seconds_advice", nil),
 
 		rescacheHits:      r.Counter("eis_rescache_hits_total"),
 		rescacheMisses:    r.Counter("eis_rescache_misses_total"),

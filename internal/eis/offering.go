@@ -9,6 +9,7 @@ import (
 
 	"ecocharge/internal/cknn"
 	"ecocharge/internal/geo"
+	"ecocharge/internal/roadnet"
 )
 
 // Offering is a Mode 2 request as the server ranks it: the decoded request
@@ -30,24 +31,12 @@ type Offering struct {
 // request; the error is the 400 a server answers with. clock supplies the
 // issue time of a request that carries none, and is not called otherwise.
 func ResolveOffering(req *OfferingRequest, clock func() time.Time) (Offering, error) {
-	o := Offering{
-		P: geo.Point{Lat: req.Lat, Lon: req.Lon}, K: req.K, RadiusM: req.RadiusM,
-		Weights: cknn.Weights{L: req.Weights.L, A: req.Weights.A, D: req.Weights.D},
-		Now:     req.Now, ETA: req.ETA,
-	}
+	o := Offering{P: geo.Point{Lat: req.Lat, Lon: req.Lon}, Now: req.Now, ETA: req.ETA}
 	if !o.P.Valid() {
 		return o, fmt.Errorf("invalid location (%v, %v)", req.Lat, req.Lon)
 	}
-	if o.K <= 0 {
-		o.K = 3
-	}
-	if o.RadiusM <= 0 {
-		o.RadiusM = 50000
-	}
-	if o.Weights == (cknn.Weights{}) {
-		o.Weights = cknn.EqualWeights()
-	}
-	if err := o.Weights.Validate(); err != nil {
+	var err error
+	if o.K, o.RadiusM, o.Weights, err = rankingDefaults(req.K, req.RadiusM, req.Weights); err != nil {
 		return o, err
 	}
 	if o.Now.IsZero() {
@@ -57,6 +46,84 @@ func ResolveOffering(req *OfferingRequest, clock func() time.Time) (Offering, er
 		o.ETA = o.Now
 	}
 	return o, nil
+}
+
+// rankingDefaults resolves what every Mode 2 ranking, one-shot or per trip
+// segment, takes from its request: k (3), R (50 km) and the weights (the
+// paper's equal weights when the client sent none; the ranking normalises
+// them).
+func rankingDefaults(k int, radiusM float64, w WeightsJSON) (int, float64, cknn.Weights, error) {
+	if k <= 0 {
+		k = 3
+	}
+	if radiusM <= 0 {
+		radiusM = 50000
+	}
+	weights := cknn.Weights{L: w.L, A: w.A, D: w.D}
+	if weights == (cknn.Weights{}) {
+		weights = cknn.EqualWeights()
+	}
+	return k, radiusM, weights, weights.Validate()
+}
+
+// Query is the CkNN-EC query of the offering: a ranking around P that starts
+// from and returns to node, the road node P snaps to.
+func (o *Offering) Query(node roadnet.NodeID) cknn.Query {
+	return cknn.Query{
+		Anchor: o.P, AnchorNode: node, ReturnNode: node,
+		Now: o.Now, ETABase: o.ETA,
+		K: o.K, RadiusM: o.RadiusM, Weights: o.Weights,
+	}
+}
+
+// maxTripWaypoints bounds the waypoints of one trip request. Every waypoint
+// is a nearest-node snap and every leg a shortest-path search, and the 1 MB
+// body limit alone admits some 43 000 of them; 256 is fifty times what the
+// benchmark's trips carry.
+const maxTripWaypoints = 256
+
+// TripOffering is a whole-trip Mode 2 request as the server ranks it: the
+// decoded request with the server's defaults in place. Like Offering, the
+// shard and the fleet gateway both get it from its resolver.
+type TripOffering struct {
+	Waypoints   []geo.Point
+	Depart      time.Time
+	K           int
+	RadiusM     float64
+	ReuseDistM  float64
+	SegmentLenM float64
+	Weights     cknn.Weights
+}
+
+// ResolveTripOffering applies the server's defaulting and validation to a
+// decoded trip request; the error is the 400 a server answers with. clock
+// supplies the departure of a request that carries none.
+func ResolveTripOffering(req *TripOfferingRequest, clock func() time.Time) (TripOffering, error) {
+	t := TripOffering{Depart: req.Depart, ReuseDistM: req.ReuseDistM, SegmentLenM: req.SegmentLenM}
+	if len(req.Waypoints) < 2 {
+		return t, fmt.Errorf("need at least 2 waypoints, got %d", len(req.Waypoints))
+	}
+	if len(req.Waypoints) > maxTripWaypoints {
+		return t, fmt.Errorf("need at most %d waypoints, got %d", maxTripWaypoints, len(req.Waypoints))
+	}
+	var err error
+	if t.K, t.RadiusM, t.Weights, err = rankingDefaults(req.K, req.RadiusM, req.Weights); err != nil {
+		return t, err
+	}
+	if t.SegmentLenM <= 0 {
+		t.SegmentLenM = 4000
+	}
+	if t.Depart.IsZero() {
+		t.Depart = clock()
+	}
+	t.Waypoints = make([]geo.Point, len(req.Waypoints))
+	for i, wp := range req.Waypoints {
+		t.Waypoints[i] = geo.Point{Lat: wp.Lat, Lon: wp.Lon}
+		if !t.Waypoints[i].Valid() {
+			return t, fmt.Errorf("waypoint %d invalid: (%v, %v)", i, wp.Lat, wp.Lon)
+		}
+	}
+	return t, nil
 }
 
 // cacheKey names one response-cache entry: the cell the request lands in

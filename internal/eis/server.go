@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -42,9 +43,9 @@ type ServerOptions struct {
 	// negative disables the bound.
 	CacheMaxEntries int
 	// RequestTimeout is the per-request deadline, installed where a handler
-	// can block (Server.deadline): the single-flight wait of /offering,
-	// which answers 503 with Retry-After when it expires instead of holding
-	// the connection, and the contexts of the trip and advice handlers.
+	// can block (Server.deadline): the single-flight wait of /offering and
+	// the routing of /offering/trip, which answer 503 with Retry-After when
+	// it expires instead of holding the connection.
 	// 0 selects 15 s; negative disables the deadline.
 	RequestTimeout time.Duration
 	// ShedRetryAfter is the Retry-After delay stamped on shed (503)
@@ -101,9 +102,8 @@ func retryAfterSeconds(d time.Duration) string {
 // Server is the EcoCharge Information Server: it owns the environment and
 // answers the consolidated-data and Mode 2 computation endpoints.
 type Server struct {
-	env    *cknn.Env
-	engine cknn.Engine
-	opts   ServerOptions
+	env  *cknn.Env
+	opts ServerOptions
 
 	// terms is what the response cache keys and keeps by, stated to whoever
 	// pulls the inventory (CacheTerms).
@@ -330,9 +330,8 @@ func (c *respCache) entries() int {
 // NewServer returns a server over the environment.
 func NewServer(env *cknn.Env, opts ServerOptions) *Server {
 	srv := &Server{
-		env:    env,
-		engine: cknn.Engine{Env: env},
-		opts:   opts.withDefaults(),
+		env:  env,
+		opts: opts.withDefaults(),
 	}
 	srv.terms = CacheTerms{CellM: srv.opts.CacheCellM, TTL: srv.opts.CacheTTL, World: env.RoadWorld()}
 	if srv.opts.CacheMaxEntries > 0 {
@@ -348,24 +347,15 @@ func NewServer(env *cknn.Env, opts ServerOptions) *Server {
 // deadline derives the context of a request that is about to wait or to
 // compute for long: the caller's, bounded by RequestTimeout. It is the one
 // reader of the option, called where a handler can block — /offering past
-// its cache lookup, before the single-flight, and the trip and advice
-// handlers (bounded) — and not around every request: a response-cache hit
-// returns in microseconds without reading its context, and a timer, a
-// context and a request copy per hit cost more than the hit.
+// its cache lookup, before the single-flight, and /offering/trip before it
+// routes — and not around every request: a response-cache hit returns in
+// microseconds without reading its context, and a timer and a context per
+// hit cost more than the hit.
 func (s *Server) deadline(ctx context.Context) (context.Context, context.CancelFunc) {
 	if s.opts.RequestTimeout <= 0 {
 		return ctx, func() {}
 	}
 	return context.WithTimeout(ctx, s.opts.RequestTimeout)
-}
-
-// bounded runs a handler under the request deadline.
-func (s *Server) bounded(fn http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := s.deadline(r.Context())
-		defer cancel()
-		fn(w, r.WithContext(ctx))
-	}
 }
 
 // instrument wraps an API handler with its per-endpoint duration histogram
@@ -401,8 +391,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc(APIVersion+"/availability", s.instrument("eis.availability", met.httpAvailability, s.handleAvailability))
 	mux.HandleFunc(APIVersion+"/traffic", s.instrument("eis.traffic", met.httpTraffic, s.handleTraffic))
 	mux.HandleFunc(APIVersion+"/offering", s.instrument("eis.offering", met.httpOffering, s.handleOffering))
-	mux.HandleFunc(APIVersion+"/offering/trip", s.instrument("eis.offering.trip", met.httpTrip, s.bounded(s.handleTripOffering)))
-	mux.HandleFunc(APIVersion+"/advice", s.instrument("eis.advice", met.httpAdvice, s.bounded(s.handleAdvice)))
+	mux.HandleFunc(APIVersion+"/offering/trip", s.instrument("eis.offering.trip", met.httpTrip, s.handleTripOffering))
 	mux.Handle("/metrics", obs.Default().Handler())
 	mux.Handle("/debug/vars", obs.Default().VarsHandler())
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -420,6 +409,13 @@ func (s *Server) writeError(w http.ResponseWriter, code int, format string, args
 	// Errors are always JSON, even on requests that negotiated binary:
 	// failure bodies are cold and must stay curl-readable.
 	WriteJSONStatus(w, code, ErrorResponse{Error: msg})
+}
+
+// writeExpired answers a request whose deadline ran out before its table was
+// there: a 503 that says when to come back, not a held connection.
+func (s *Server) writeExpired(w http.ResponseWriter, what string, err error) {
+	w.Header().Set("Retry-After", retryAfterSeconds(s.opts.ShedRetryAfter))
+	s.writeError(w, http.StatusServiceUnavailable, "%s computation did not finish in time: %v", what, err)
 }
 
 // ContentTypeJSON is the canonical interchange format; wire.ContentType is
@@ -558,6 +554,30 @@ func TimeParam(r *http.Request, name string, def time.Time) (time.Time, error) {
 	return t, nil
 }
 
+// ChargersParams parses the lat, lon and radius_m query parameters of
+// /chargers; the error is the 400 a server answers with. The shard and the
+// fleet gateway both parse through here: the gateway merges and synthesizes
+// around exactly the point and radius the shards selected by.
+func ChargersParams(r *http.Request) (geo.Point, float64, error) {
+	lat, err := parseFloat(r, "lat")
+	if err != nil {
+		return geo.Point{}, 0, err
+	}
+	lon, err := parseFloat(r, "lon")
+	if err != nil {
+		return geo.Point{}, 0, err
+	}
+	radius, err := parseFloat(r, "radius_m")
+	if err != nil {
+		return geo.Point{}, 0, err
+	}
+	p := geo.Point{Lat: lat, Lon: lon}
+	if !p.Valid() || radius < 0 {
+		return geo.Point{}, 0, errors.New("invalid location or radius")
+	}
+	return p, radius, nil
+}
+
 // handleChargers returns the chargers within a radius of a location
 // (the PlugShare-consolidation endpoint).
 func (s *Server) handleChargers(w http.ResponseWriter, r *http.Request) {
@@ -565,24 +585,9 @@ func (s *Server) handleChargers(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	lat, err := parseFloat(r, "lat")
+	p, radius, err := ChargersParams(r)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	lon, err := parseFloat(r, "lon")
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	radius, err := parseFloat(r, "radius_m")
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	p := geo.Point{Lat: lat, Lon: lon}
-	if !p.Valid() || radius < 0 {
-		s.writeError(w, http.StatusBadRequest, "invalid location or radius")
 		return
 	}
 	cs := s.env.Chargers.Within(p, radius)
@@ -758,8 +763,7 @@ func (s *Server) handleOffering(w http.ResponseWriter, r *http.Request) {
 		return out
 	})
 	if err != nil {
-		w.Header().Set("Retry-After", retryAfterSeconds(s.opts.ShedRetryAfter))
-		s.writeError(w, http.StatusServiceUnavailable, "offering computation did not finish in time: %v", err)
+		s.writeExpired(w, "offering", err)
 		return
 	}
 	resp.Cached = resp.Cached || shared
@@ -772,11 +776,7 @@ func (s *Server) handleOffering(w http.ResponseWriter, r *http.Request) {
 // the query point's node — snapped now, if a block that is then refused was
 // to make that unnecessary. The table is the same either way.
 func (s *Server) rankOffering(o *Offering, node roadnet.NodeID, block *wire.TravelBlock) cknn.OfferingTable {
-	q := cknn.Query{
-		Anchor: o.P, AnchorNode: node, ReturnNode: node,
-		Now: o.Now, ETABase: o.ETA,
-		K: o.K, RadiusM: o.RadiusM, Weights: o.Weights,
-	}
+	q := o.Query(node)
 	opts := cknn.EcoChargeOptions{RadiusM: o.RadiusM}
 	if block != nil {
 		travel := cknn.Travel{Anchor: block.Anchor, Nodes: block.Nodes, Seconds: block.Seconds, ScaleLo: block.ScaleLo, ScaleHi: block.ScaleHi}

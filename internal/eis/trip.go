@@ -4,10 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"slices"
 	"time"
 
 	"ecocharge/internal/cknn"
-	"ecocharge/internal/geo"
 	"ecocharge/internal/roadnet"
 	"ecocharge/internal/trajectory"
 )
@@ -61,37 +61,21 @@ func (s *Server) handleTripOffering(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
-	if len(req.Waypoints) < 2 {
-		s.writeError(w, http.StatusBadRequest, "need at least 2 waypoints, got %d", len(req.Waypoints))
-		return
-	}
-	if req.K <= 0 {
-		req.K = 3
-	}
-	if req.RadiusM <= 0 {
-		req.RadiusM = 50000
-	}
-	if req.SegmentLenM <= 0 {
-		req.SegmentLenM = 4000
-	}
-	if req.Depart.IsZero() {
-		req.Depart = s.opts.Clock()
-	}
-	weights := cknn.Weights{L: req.Weights.L, A: req.Weights.A, D: req.Weights.D}
-	if req.Weights == (WeightsJSON{}) {
-		weights = cknn.EqualWeights()
-	} else if err := weights.Validate(); err != nil {
+	t, err := ResolveTripOffering(&req, s.opts.Clock)
+	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 
-	// Snap and route the waypoints.
+	// Snap and route the waypoints, under the request deadline: a leg is a
+	// shortest-path search, and nobody reads the answer of an expired trip.
+	ctx, cancel := s.deadline(r.Context())
+	defer cancel()
 	var nodes []roadnet.NodeID
 	var total float64
-	for i, wp := range req.Waypoints {
-		p := geo.Point{Lat: wp.Lat, Lon: wp.Lon}
-		if !p.Valid() {
-			s.writeError(w, http.StatusBadRequest, "waypoint %d invalid: (%v, %v)", i, wp.Lat, wp.Lon)
+	for i, p := range t.Waypoints {
+		if err := ctx.Err(); err != nil {
+			s.writeExpired(w, "trip offering", err)
 			return
 		}
 		n := s.env.Graph.NearestNode(p)
@@ -118,11 +102,15 @@ func (s *Server) handleTripOffering(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "waypoints collapse to a single road node")
 		return
 	}
+	if err := ctx.Err(); err != nil {
+		s.writeExpired(w, "trip offering", err)
+		return
+	}
 
-	trip := trajectory.Trip{ID: 1, Path: roadnet.Path{Nodes: nodes, Weight: total}, Depart: req.Depart}
-	method := cknn.NewEcoCharge(s.env, cknn.EcoChargeOptions{RadiusM: req.RadiusM, ReuseDistM: req.ReuseDistM})
+	trip := trajectory.Trip{ID: 1, Path: roadnet.Path{Nodes: nodes, Weight: total}, Depart: t.Depart}
+	method := cknn.NewEcoCharge(s.env, cknn.EcoChargeOptions{RadiusM: t.RadiusM, ReuseDistM: t.ReuseDistM})
 	results := cknn.RunTrip(s.env, method, trip, cknn.TripOptions{
-		K: req.K, SegmentLenM: req.SegmentLenM, RadiusM: req.RadiusM, Weights: weights,
+		K: t.K, SegmentLenM: t.SegmentLenM, RadiusM: t.RadiusM, Weights: t.Weights,
 		Workers: s.opts.Workers,
 	})
 
@@ -140,25 +128,13 @@ func (s *Server) handleTripOffering(w http.ResponseWriter, r *http.Request) {
 			seg.Entries = append(seg.Entries, wireEntry(e))
 		}
 		ids := res.Table.IDs()
-		if len(resp.Segments) == 0 || !sameIDs(prev, ids) {
+		if len(resp.Segments) == 0 || !slices.Equal(prev, ids) {
 			resp.SplitPoints = append(resp.SplitPoints, res.Segment.Index)
 			prev = ids
 		}
 		resp.Segments = append(resp.Segments, seg)
 	}
 	WriteJSON(w, resp)
-}
-
-func sameIDs(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TripOffering requests a whole-trip evaluation (client side).

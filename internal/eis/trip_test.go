@@ -1,8 +1,12 @@
 package eis
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
+	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -125,8 +129,66 @@ func TestTripOfferingMatchesLocalSplitList(t *testing.T) {
 		bySeg[seg.SegmentIndex] = ids
 	}
 	for _, sp := range resp.SplitPoints[1:] {
-		if sameIDs(bySeg[sp], bySeg[sp-1]) {
+		if slices.Equal(bySeg[sp], bySeg[sp-1]) {
 			t.Errorf("split point at %d but sets equal", sp)
+		}
+	}
+}
+
+// expiresAfter is a context whose deadline passes after it was asked about
+// it n times: a trip that is cut off mid-route, without a clock.
+type expiresAfter struct {
+	context.Context
+	n int
+}
+
+func (c *expiresAfter) Err() error {
+	if c.n--; c.n < 0 {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestTripHonoursItsDeadline: a trip whose context has expired is answered
+// like an /offering whose wait ran out — 503 with Retry-After — and stops
+// routing there: no leg past the one the deadline fell in is searched, and
+// nothing is ranked.
+func TestTripHonoursItsDeadline(t *testing.T) {
+	env := testEnv(t)
+	b := env.Graph.Bounds()
+	var req TripOfferingRequest
+	for i := 0; i < 5; i++ {
+		f := float64(i) / 4
+		req.Waypoints = append(req.Waypoints, LatLon{
+			Lat: b.Min.Lat + f*(b.Max.Lat-b.Min.Lat), Lon: b.Min.Lon + f*(b.Max.Lon-b.Min.Lon),
+		})
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, tc := range map[string]struct {
+		ctx      context.Context
+		timeout  time.Duration
+		searches uint64
+	}{
+		"expired on arrival": {cancelled, 0, 0},
+		// Asked before each of waypoints 0 and 1, expired before waypoint 2:
+		// one of the four legs was routed. The deadline is off so that the
+		// handler asks this context, not one derived from it.
+		"expires on the second leg": {&expiresAfter{context.Background(), 2}, -1, 1},
+	} {
+		h := NewServer(env, ServerOptions{RequestTimeout: tc.timeout, ShedRetryAfter: 3 * time.Second}).Handler()
+		searches := obsCounter("roadnet_pool_acquires_total")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, APIVersion+"/offering/trip", bytes.NewReader(body)).WithContext(tc.ctx))
+		if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") != "3" {
+			t.Errorf("%s: answered %d (Retry-After %q) %s, want 503 after 3 s", name, rec.Code, rec.Header().Get("Retry-After"), rec.Body)
+		}
+		if n := obsCounter("roadnet_pool_acquires_total") - searches; n != tc.searches {
+			t.Errorf("%s: %d road searches ran, want %d", name, n, tc.searches)
 		}
 	}
 }

@@ -295,9 +295,11 @@ func (g *Gateway) handleChargers(w http.ResponseWriter, r *http.Request) {
 		}
 		lists = append(lists, l)
 	}
-	p, radius, paramsOK := chargersParams(r)
+	// The shards' own parser: when it fails they have already produced the
+	// canonical 400, so the values only sort and synthesize.
+	p, radius, err := eis.ChargersParams(r)
 	synthesized := 0
-	if paramsOK {
+	if err == nil {
 		for _, i := range dead {
 			matched := 0
 			for _, c := range g.members[i].chargers() {
@@ -338,20 +340,6 @@ func decodeChargerList(res *shardResult) ([]charger.Charger, error) {
 	err := json.Unmarshal(res.body, &l)
 	met.decodeJSON.Since(start)
 	return l, err
-}
-
-// chargersParams mirrors the shard-side parameter handling of /chargers;
-// when it fails the shards have already produced the canonical 400, so the
-// values are only used for sorting and dead-shard synthesis.
-func chargersParams(r *http.Request) (geo.Point, float64, bool) {
-	q := r.URL.Query()
-	lat, err1 := strconv.ParseFloat(q.Get("lat"), 64)
-	lon, err2 := strconv.ParseFloat(q.Get("lon"), 64)
-	radius, err3 := strconv.ParseFloat(q.Get("radius_m"), 64)
-	if err1 != nil || err2 != nil || err3 != nil {
-		return geo.Point{}, 0, false
-	}
-	return geo.Point{Lat: lat, Lon: lon}, radius, true
 }
 
 // ---- weather / availability (single-owner pass-through) ----
@@ -639,11 +627,11 @@ func (g *Gateway) handleTrip(w http.ResponseWriter, r *http.Request) {
 	k := 3
 	var synthAt func(geo.Point) []eis.OfferingEntry
 	if json.Unmarshal(body, &req) == nil {
-		// A trip ranks every segment under the offering defaults.
-		o, err := eis.ResolveOffering(&eis.OfferingRequest{K: req.K, RadiusM: req.RadiusM, Weights: req.Weights}, g.opts.Clock)
+		// The shards' own defaulting, as for /offering.
+		t, err := eis.ResolveTripOffering(&req, g.opts.Clock)
 		if err == nil {
-			k = o.K
-			radius, weights := o.RadiusM, o.Weights.Normalized()
+			k = t.K
+			radius, weights := t.RadiusM, t.Weights.Normalized()
 			if len(dead) > 0 {
 				deadInv := make([][]charger.Charger, 0, len(dead))
 				for _, i := range dead {

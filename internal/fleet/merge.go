@@ -216,7 +216,7 @@ func mergeTrips(live []eis.TripOfferingResponse, synthAt func(anchor geo.Point) 
 		}
 		seg.Entries = sel.top(nil, k)
 		ids := entryIDs(seg.Entries)
-		if len(out.Segments) == 0 || !sameIDs(prev, ids) {
+		if len(out.Segments) == 0 || !slices.Equal(prev, ids) {
 			out.SplitPoints = append(out.SplitPoints, seg.SegmentIndex)
 			prev = ids
 		}
@@ -231,18 +231,6 @@ func entryIDs(es []eis.OfferingEntry) []int64 {
 		out[i] = e.ChargerID
 	}
 	return out
-}
-
-func sameIDs(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // mergeChargers pools per-shard radius results (plus dead-shard inventory

@@ -170,10 +170,7 @@ func (g *Gateway) supplyTravel(fo *fanout, o *eis.Offering) {
 		clear(fo.spans)
 		return
 	}
-	ts, ok := cknn.SearchTravel(g.env, cknn.EcoChargeOptions{RadiusM: o.RadiusM}, cknn.Query{
-		Anchor: o.P, AnchorNode: anchor, ReturnNode: anchor,
-		Now: o.Now, ETABase: o.ETA, RadiusM: o.RadiusM,
-	}, fo.targets)
+	ts, ok := cknn.SearchTravel(g.env, cknn.EcoChargeOptions{RadiusM: o.RadiusM}, o.Query(anchor), fo.targets)
 	defer ts.Release()
 	if !ok {
 		clear(fo.spans)

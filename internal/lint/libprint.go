@@ -8,15 +8,13 @@ import (
 
 // LibPrint reports fmt.Print*/log.Print* (and log.Fatal*/log.Panic*) calls
 // inside internal/ library packages. Library code must return values or
-// errors; human-readable output belongs to the cmd/ front-ends and to
-// internal/render, which is the one internal package whose job is
-// formatting. A library that prints cannot be embedded in the concurrent
-// ranking service without interleaving garbage on stdout, and log.Fatal
-// kills the whole process from a depth where the caller could have
-// recovered.
+// errors; human-readable output belongs to the cmd/ front-ends. A library
+// that prints cannot be embedded in the concurrent ranking service without
+// interleaving garbage on stdout, and log.Fatal kills the whole process from
+// a depth where the caller could have recovered.
 var LibPrint = &Analyzer{
 	Name: "libprint",
-	Doc:  "flags fmt/log printing inside internal/ library packages (output belongs in cmd/ and internal/render)",
+	Doc:  "flags fmt/log printing inside internal/ library packages (output belongs in cmd/)",
 	Run:  runLibPrint,
 }
 
@@ -34,7 +32,7 @@ var libPrintFuncs = map[string]map[string]bool{
 
 func runLibPrint(pass *Pass) {
 	path := pass.Pkg.ImportPath
-	if !strings.Contains(path, "/internal/") || strings.HasSuffix(path, "internal/render") {
+	if !strings.Contains(path, "/internal/") {
 		return
 	}
 	for _, f := range pass.Pkg.Files {
@@ -58,7 +56,7 @@ func runLibPrint(pass *Pass) {
 			banned := libPrintFuncs[pkgName.Imported().Path()]
 			if banned != nil && banned[sel.Sel.Name] {
 				pass.Reportf(call.Pos(),
-					"%s.%s in library package %s; return values and let cmd/ or internal/render do the output",
+					"%s.%s in library package %s; return values and let cmd/ do the output",
 					pkgName.Imported().Path(), sel.Sel.Name, path)
 			}
 			return true
