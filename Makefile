@@ -74,6 +74,7 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=BenchmarkRankOnceOldenburg -benchtime=10x ./internal/cknn
 	$(GO) test -run='^$$' -bench='BenchmarkGatewayHit(JSON)?$$' -benchtime=2000x ./internal/fleet
 	$(GO) test -run='^$$' -bench='BenchmarkGatewayMiss$$' -benchtime=200x ./internal/fleet
+	$(GO) test -run='^$$' -bench='BenchmarkGatewayTrip$$' -benchtime=100x ./internal/fleet
 	$(GO) test -run='^$$' -bench=BenchmarkWireCodec -benchtime=100x ./internal/wire
 	$(GO) test -run='^$$' -bench=BenchmarkServeEncode -benchtime=20x ./internal/eis
 

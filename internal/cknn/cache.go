@@ -3,8 +3,6 @@ package cknn
 import (
 	"sync"
 	"sync/atomic"
-
-	"ecocharge/internal/geo"
 )
 
 // cacheStripes is the number of independently locked shards of a
@@ -57,7 +55,7 @@ func (c *ShardedCache) Lookup(owner uint64, q Query, opts EcoChargeOptions) (Off
 	s.mu.Lock()
 	t, ok := s.tables[owner]
 	s.mu.Unlock()
-	if ok && geo.Distance(q.Anchor, t.Anchor) <= opts.ReuseDistM &&
+	if ok && opts.reuses(t.Anchor, q.Anchor) &&
 		q.Now.Sub(t.GeneratedAt) <= opts.TTL &&
 		!q.Now.Before(t.GeneratedAt) &&
 		len(t.Entries) > 0 {

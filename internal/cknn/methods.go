@@ -299,15 +299,29 @@ func (m *EcoCharge) Stats() (hits, misses int) {
 
 // Rank implements Method.
 func (m *EcoCharge) Rank(q Query) OfferingTable {
+	table, _ := m.rank(q, nil)
+	return table
+}
+
+// rank is Rank for a query that may have been handed its network search
+// (RunTripSupplied). The dynamic cache decides first: on a hit nothing is
+// searched and the travel times go unread. used is false then, and when they
+// were refused and the miss ran its own search; the table is the same.
+func (m *EcoCharge) rank(q Query, travel *Travel) (table OfferingTable, used bool) {
 	q = m.opts.evalQuery(q)
 	if cached, ok := m.cache.Lookup(m.owner, q, m.opts); ok {
 		m.hits.Add(1)
-		return m.adapt(cached, q)
+		return m.adapt(cached, q), false
 	}
 	m.misses.Add(1)
-	table, _ := m.compute(q, nil)
+	if travel != nil {
+		table, used = m.compute(q, travel)
+	}
+	if !used {
+		table, _ = m.compute(q, nil)
+	}
 	m.cache.Store(m.owner, table)
-	return table
+	return table, used
 }
 
 // RankOnce computes the Offering Table of one stand-alone query: the
@@ -341,8 +355,9 @@ func RankOnceSupplied(env *Env, opts EcoChargeOptions, workers int, q Query, tra
 // (brute force instead keeps them with D clamped to 1), which is part of
 // the R-opt accuracy/cost tradeoff of Fig. 7.
 //
-// With travel non-nil the network search is the caller's (RankOnceSupplied);
-// ok is false only when it was refused, and then there is no table.
+// With travel non-nil the network search is the caller's (RankOnceSupplied,
+// RunTripSupplied); ok is false only when it was refused, and then there is
+// no table.
 func (m *EcoCharge) compute(q Query, travel *Travel) (table OfferingTable, ok bool) {
 	env := m.engine.Env
 	cands := env.Chargers.Within(q.Anchor, q.RadiusM)

@@ -37,6 +37,21 @@ func shardOf(t testing.TB, env *Env, i, n int) *Env {
 	return &shard
 }
 
+// legs is a search's verdicts laid out as slices; back is nil for one leg.
+type legs struct {
+	nodes     []roadnet.NodeID
+	out, back []float64
+}
+
+func (l *legs) Len() int { return len(l.nodes) }
+
+func (l *legs) At(i int) (roadnet.NodeID, float64, float64) {
+	if l.back == nil {
+		return l.nodes[i], l.out[i], l.out[i]
+	}
+	return l.nodes[i], l.out[i], l.back[i]
+}
+
 // supplyFor runs the gateway's side for one query: the search to every
 // charger of the whole inventory within the radius plus the anchor, read
 // back at the given shard's chargers.
@@ -52,10 +67,11 @@ func supplyFor(t testing.TB, world, shard *Env, opts EcoChargeOptions, q Query) 
 		return nil, false
 	}
 	defer ts.Release()
-	tr := &Travel{Anchor: eq.AnchorNode}
+	times := &legs{}
+	tr := &Travel{Anchor: eq.AnchorNode, Return: roadnet.Invalid, Times: times}
 	tr.ScaleLo, tr.ScaleHi = ts.Scales()
 	for _, c := range shard.Chargers.Within(eq.Anchor, eq.RadiusM) {
-		tr.Nodes, tr.Seconds = append(tr.Nodes, c.Node), append(tr.Seconds, ts.Seconds(c.Node))
+		times.nodes, times.out = append(times.nodes, c.Node), append(times.out, ts.Seconds(c.Node))
 	}
 	return tr, true
 }
@@ -125,17 +141,15 @@ func TestSuppliedRankingRefuses(t *testing.T) {
 	if got, used := RankOnceSupplied(shard, opts, 1, q, good); !used || !reflect.DeepEqual(got, want) {
 		t.Fatalf("the unmodified travel times: used=%v, table %v, want %v", used, got.IDs(), want.IDs())
 	}
-	edit := func(fn func(*Travel)) *Travel {
-		tr := &Travel{
-			Anchor: good.Anchor,
-			Nodes:  append([]roadnet.NodeID(nil), good.Nodes...), Seconds: append([]float64(nil), good.Seconds...),
-			ScaleLo: good.ScaleLo, ScaleHi: good.ScaleHi,
-		}
-		fn(tr)
+	goodTimes := good.Times.(*legs)
+	edit := func(fn func(*Travel, *legs)) *Travel {
+		times := &legs{nodes: append([]roadnet.NodeID(nil), goodTimes.nodes...), out: append([]float64(nil), goodTimes.out...)}
+		tr := &Travel{Anchor: good.Anchor, Return: roadnet.Invalid, ScaleLo: good.ScaleLo, ScaleHi: good.ScaleHi, Times: times}
+		fn(tr, times)
 		return tr
 	}
 	// Coverage goes by node: drop every entry of the farthest candidate's.
-	farthest := good.Nodes[len(good.Nodes)-1]
+	farthest := goodTimes.nodes[len(goodTimes.nodes)-1]
 	if farthest == good.Anchor {
 		t.Fatal("the farthest candidate sits on the anchor; draw another query")
 	}
@@ -144,26 +158,25 @@ func TestSuppliedRankingRefuses(t *testing.T) {
 		env    *Env
 		opts   EcoChargeOptions
 	}{
-		"a candidate is not covered": {edit(func(tr *Travel) {
-			tr.Nodes, tr.Seconds = nil, nil
-			for i, n := range good.Nodes {
+		"a candidate is not covered": {edit(func(_ *Travel, l *legs) {
+			l.nodes, l.out = nil, nil
+			for i, n := range goodTimes.nodes {
 				if n != farthest {
-					tr.Nodes, tr.Seconds = append(tr.Nodes, n), append(tr.Seconds, good.Seconds[i])
+					l.nodes, l.out = append(l.nodes, n), append(l.out, goodTimes.out[i])
 				}
 			}
 		}), shard, opts},
-		"lengths differ":      {edit(func(tr *Travel) { tr.Seconds = tr.Seconds[1:] }), shard, opts},
-		"node out of range":   {edit(func(tr *Travel) { tr.Nodes[0] = roadnet.NodeID(world.Graph.NumNodes()) }), shard, opts},
-		"negative node":       {edit(func(tr *Travel) { tr.Nodes[0] = -1 }), shard, opts},
-		"anchor out of range": {edit(func(tr *Travel) { tr.Anchor = roadnet.NodeID(world.Graph.NumNodes()) }), shard, opts},
-		"no anchor":           {edit(func(tr *Travel) { tr.Anchor = roadnet.Invalid }), shard, opts},
-		"NaN time":            {edit(func(tr *Travel) { tr.Seconds[0] = math.NaN() }), shard, opts},
-		"negative time":       {edit(func(tr *Travel) { tr.Seconds[0] = -1 }), shard, opts},
-		"scale zero":          {edit(func(tr *Travel) { tr.ScaleLo = 0 }), shard, opts},
-		"scale negative":      {edit(func(tr *Travel) { tr.ScaleLo = -0.5 }), shard, opts},
-		"scale NaN":           {edit(func(tr *Travel) { tr.ScaleHi = math.NaN() }), shard, opts},
-		"scale infinite":      {edit(func(tr *Travel) { tr.ScaleHi = math.Inf(1) }), shard, opts},
-		"band not around 1":   {edit(func(tr *Travel) { tr.ScaleLo, tr.ScaleHi = 1.2, 1.5 }), shard, opts},
+		"node out of range":   {edit(func(_ *Travel, l *legs) { l.nodes[0] = roadnet.NodeID(world.Graph.NumNodes()) }), shard, opts},
+		"negative node":       {edit(func(_ *Travel, l *legs) { l.nodes[0] = -1 }), shard, opts},
+		"anchor out of range": {edit(func(tr *Travel, _ *legs) { tr.Anchor = roadnet.NodeID(world.Graph.NumNodes()) }), shard, opts},
+		"no anchor":           {edit(func(tr *Travel, _ *legs) { tr.Anchor = roadnet.Invalid }), shard, opts},
+		"NaN time":            {edit(func(_ *Travel, l *legs) { l.out[0] = math.NaN() }), shard, opts},
+		"negative time":       {edit(func(_ *Travel, l *legs) { l.out[0] = -1 }), shard, opts},
+		"scale zero":          {edit(func(tr *Travel, _ *legs) { tr.ScaleLo = 0 }), shard, opts},
+		"scale negative":      {edit(func(tr *Travel, _ *legs) { tr.ScaleLo = -0.5 }), shard, opts},
+		"scale NaN":           {edit(func(tr *Travel, _ *legs) { tr.ScaleHi = math.NaN() }), shard, opts},
+		"scale infinite":      {edit(func(tr *Travel, _ *legs) { tr.ScaleHi = math.Inf(1) }), shard, opts},
+		"band not around 1":   {edit(func(tr *Travel, _ *legs) { tr.ScaleLo, tr.ScaleHi = 1.2, 1.5 }), shard, opts},
 		"exact bounds":        {good, shard, EcoChargeOptions{RadiusM: 50000, ExactDerouting: true}},
 		"directed graph":      {good, directedTwin(t, shard), opts},
 	}
@@ -184,8 +197,9 @@ func TestSuppliedRankingRefuses(t *testing.T) {
 	}
 }
 
-// TestSearchTravelDeclines: no single set of travel times exists where a
-// ranking takes more than one expansion, and then nothing is searched.
+// TestSearchTravelDeclines: under exact bounds there is no single set of
+// travel times with a band around it, and then nothing is searched. A ranking
+// that returns elsewhere, or over a directed graph, is searched in two legs.
 func TestSearchTravelDeclines(t *testing.T) {
 	world := testEnv(t)
 	q := roundTripQueries(world, 3, 1)[0]
@@ -195,18 +209,24 @@ func TestSearchTravelDeclines(t *testing.T) {
 		env  *Env
 		opts EcoChargeOptions
 		q    Query
+		legs uint64
 	}{
-		"directed graph":    {directedTwin(t, world), EcoChargeOptions{}, q},
-		"exact bounds":      {world, EcoChargeOptions{ExactDerouting: true}, q},
-		"returns elsewhere": {world, EcoChargeOptions{}, elsewhere},
+		"round trip":        {world, EcoChargeOptions{}, q, 1},
+		"directed graph":    {directedTwin(t, world), EcoChargeOptions{}, q, 2},
+		"returns elsewhere": {world, EcoChargeOptions{}, elsewhere, 2},
+		"exact bounds":      {world, EcoChargeOptions{ExactDerouting: true}, q, 0},
 	} {
 		full0, many0 := expansionsStarted()
-		if ts, ok := SearchTravel(tc.env, tc.opts, tc.q, []roadnet.NodeID{tc.q.AnchorNode}); ok {
-			ts.Release()
-			t.Errorf("%s: SearchTravel ran", name)
+		ts, ok := SearchTravel(tc.env, tc.opts, tc.q, []roadnet.NodeID{tc.q.AnchorNode, tc.q.ReturnNode})
+		if ok != (tc.legs > 0) {
+			t.Errorf("%s: SearchTravel ran=%v", name, ok)
 		}
-		if full1, many1 := expansionsStarted(); full1 != full0 || many1 != many0 {
-			t.Errorf("%s: a declined search started an expansion", name)
+		if ok && (ts.Seconds(tc.q.AnchorNode) > 0 || ts.ReturnSeconds(tc.q.ReturnNode) > 0) {
+			t.Errorf("%s: the legs do not start at the anchor and end at the return node", name)
+		}
+		ts.Release()
+		if full1, many1 := expansionsStarted(); full1 != full0 || many1-many0 != tc.legs {
+			t.Errorf("%s: %d expansions started, want %d", name, full1-full0+many1-many0, tc.legs)
 		}
 	}
 }

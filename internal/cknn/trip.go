@@ -129,6 +129,69 @@ func RunTrip(env *Env, method Method, trip trajectory.Trip, opts TripOptions) []
 	return out
 }
 
+// reuses is the distance half of the dynamic cache's rule (§IV.C): a table
+// generated at from is adapted for a query at to while the anchor moved at
+// most Q. ShardedCache.Lookup adds the table's age and that it has entries.
+func (o EcoChargeOptions) reuses(from, to geo.Point) bool {
+	return geo.Distance(to, from) <= o.withDefaults().ReuseDistM
+}
+
+// ComputedSegments returns the indexes of the segments a RunTrip of EcoCharge
+// under opts computes rather than adapts, assuming no computed table comes
+// out empty. Every segment of a trip is issued at the trip's departure, so no
+// table ages along it and the cache's decision is the anchors' and Q's alone.
+// After an empty table the run computes the next segment whatever its anchor,
+// and adapts from there on: it may then compute segments that are not listed
+// and adapt listed ones.
+func ComputedSegments(segs []trajectory.Segment, opts EcoChargeOptions) []int {
+	var out []int
+	for i := range segs {
+		if len(out) == 0 || !opts.reuses(segs[out[len(out)-1]].Anchor, segs[i].Anchor) {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// SegmentTravel is the network search of one trip segment's query
+// (QueryForSegment), run elsewhere.
+type SegmentTravel struct {
+	Segment int
+	Travel
+}
+
+// RunTripSupplied is RunTrip of EcoCharge for a caller that was handed the
+// network searches of the segments somebody expected it to compute (a fleet
+// shard, by its gateway; ComputedSegments is the expectation): travel, in
+// segment order. A segment the run computes is ranked on its travel times
+// when it has some that stand in for its search (suppliedDerouting says when
+// they do not) and searches for itself otherwise; the results are RunTrip's
+// either way. used counts the searches that were built on: the others were
+// refused, name no segment of the trip or not in order, or came for a segment
+// the dynamic cache adapted.
+func RunTripSupplied(env *Env, m *EcoCharge, trip trajectory.Trip, opts TripOptions, travel []SegmentTravel) (out []SegmentResult, used int) {
+	opts = opts.withDefaults()
+	m.Reset()
+	m.SetWorkers(opts.Workers)
+	segs := trajectory.SegmentTrip(env.Graph, trip, opts.SegmentLenM)
+	out = make([]SegmentResult, len(segs))
+	for i, seg := range segs {
+		for len(travel) > 0 && travel[0].Segment < i {
+			travel = travel[1:]
+		}
+		var t *Travel
+		if len(travel) > 0 && travel[0].Segment == i {
+			t, travel = &travel[0].Travel, travel[1:]
+		}
+		table, built := m.rank(QueryForSegment(trip, seg, opts), t)
+		if built {
+			used++
+		}
+		out[i] = SegmentResult{Segment: seg, Table: table}
+	}
+	return out, used
+}
+
 // SplitPoint marks a position on the trip where the kNN result set changes:
 // from this point until the next split point, NN is the valid charger set
 // (the SL structure of Tao et al. that the paper builds on).

@@ -1,6 +1,7 @@
 package eis
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 	"ecocharge/internal/cknn"
 	"ecocharge/internal/geo"
 	"ecocharge/internal/roadnet"
+	"ecocharge/internal/trajectory"
 )
 
 // Offering is a Mode 2 request as the server ranks it: the decoded request
@@ -124,6 +126,53 @@ func ResolveTripOffering(req *TripOfferingRequest, clock func() time.Time) (Trip
 		}
 	}
 	return t, nil
+}
+
+// Route snaps the trip's waypoints to the road network and routes them leg by
+// leg, under ctx: a leg is a shortest-path search, and nobody reads the
+// answer of an expired trip. A trip that does not route comes back with the
+// status a server answers it with — 503 for a deadline that ran out, when err
+// is the context's — and the shard and the fleet gateway route through here,
+// so they plan the same trip.
+func (t *TripOffering) Route(ctx context.Context, g *roadnet.Graph) (trip trajectory.Trip, status int, err error) {
+	var nodes []roadnet.NodeID
+	var total float64
+	for i, p := range t.Waypoints {
+		if err := ctx.Err(); err != nil {
+			return trip, http.StatusServiceUnavailable, err
+		}
+		n := g.NearestNode(p)
+		if n == roadnet.Invalid {
+			return trip, http.StatusUnprocessableEntity, fmt.Errorf("waypoint %d not on the road network", i)
+		}
+		if len(nodes) == 0 {
+			nodes = append(nodes, n)
+			continue
+		}
+		if n == nodes[len(nodes)-1] {
+			continue
+		}
+		leg, ok := g.ShortestPath(nodes[len(nodes)-1], n, roadnet.DistanceWeight)
+		if !ok {
+			return trip, http.StatusUnprocessableEntity, fmt.Errorf("waypoint %d unreachable from previous", i)
+		}
+		nodes = append(nodes, leg.Nodes[1:]...)
+		total += leg.Weight
+	}
+	if len(nodes) < 2 {
+		return trip, http.StatusBadRequest, fmt.Errorf("waypoints collapse to a single road node")
+	}
+	if err := ctx.Err(); err != nil {
+		return trip, http.StatusServiceUnavailable, err
+	}
+	return trajectory.Trip{ID: 1, Path: roadnet.Path{Nodes: nodes, Weight: total}, Depart: t.Depart}, 0, nil
+}
+
+// Plan returns the options the trip's segments are ranked under: the method's
+// and the evaluation's (its worker bound is the server's to set).
+func (t *TripOffering) Plan() (cknn.EcoChargeOptions, cknn.TripOptions) {
+	return cknn.EcoChargeOptions{RadiusM: t.RadiusM, ReuseDistM: t.ReuseDistM},
+		cknn.TripOptions{K: t.K, SegmentLenM: t.SegmentLenM, RadiusM: t.RadiusM, Weights: t.Weights}
 }
 
 // cacheKey names one response-cache entry: the cell the request lands in

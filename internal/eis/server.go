@@ -779,7 +779,7 @@ func (s *Server) rankOffering(o *Offering, node roadnet.NodeID, block *wire.Trav
 	q := o.Query(node)
 	opts := cknn.EcoChargeOptions{RadiusM: o.RadiusM}
 	if block != nil {
-		travel := cknn.Travel{Anchor: block.Anchor, Nodes: block.Nodes, Seconds: block.Seconds, ScaleLo: block.ScaleLo, ScaleHi: block.ScaleHi}
+		travel := cknn.Travel{Anchor: block.Anchor, Return: roadnet.Invalid, ScaleLo: block.ScaleLo, ScaleHi: block.ScaleHi, Times: block}
 		if table, ok := cknn.RankOnceSupplied(s.env, opts, s.opts.Workers, q, &travel); ok {
 			met.travelUsed.Inc()
 			return table

@@ -6,10 +6,12 @@ package eis
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -17,6 +19,7 @@ import (
 	"ecocharge/internal/geo"
 	"ecocharge/internal/obs"
 	"ecocharge/internal/roadnet"
+	"ecocharge/internal/trajectory"
 	"ecocharge/internal/wire"
 )
 
@@ -317,3 +320,162 @@ func TestInventoryStatesCacheTerms(t *testing.T) {
 }
 
 func obsCounter(name string) uint64 { return obs.Default().Counter(name).Value() }
+
+// postTrip posts one whole-trip request to the handler.
+func postTrip(t *testing.T, h http.Handler, contentType string, body []byte) *httptest.ResponseRecorder {
+	t.Helper()
+	r := httptest.NewRequest(http.MethodPost, APIVersion+"/offering/trip", bytes.NewReader(body))
+	r.Header.Set("Content-Type", contentType)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, r)
+	return rec
+}
+
+// tripBlock is one travel block as its sender holds it.
+type tripBlock struct {
+	head      wire.TripBlock
+	nodes     []roadnet.NodeID
+	out, back []float64
+}
+
+// tripBlocksFor is what an honest gateway sends with req: the plan of the
+// trip and each planned segment's own search, read at every candidate.
+func tripBlocksFor(t *testing.T, env *cknn.Env, req *TripOfferingRequest) []tripBlock {
+	t.Helper()
+	to, err := ResolveTripOffering(req, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trip, _, err := to.Route(context.Background(), env.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eco, opts := to.Plan()
+	segs := trajectory.SegmentTrip(env.Graph, trip, opts.SegmentLenM)
+	var blocks []tripBlock
+	for _, si := range cknn.ComputedSegments(segs, eco) {
+		q := cknn.QueryForSegment(trip, segs[si], opts)
+		b := tripBlock{head: wire.TripBlock{Segment: si, Anchor: q.AnchorNode, Return: q.ReturnNode}}
+		for _, c := range env.Chargers.Within(q.Anchor, to.RadiusM) {
+			b.nodes = append(b.nodes, c.Node)
+		}
+		ts, ok := cknn.SearchTravel(env, eco, q, append(slices.Clone(b.nodes), q.ReturnNode))
+		if !ok {
+			t.Fatal("SearchTravel declined on the test world")
+		}
+		b.head.ScaleLo, b.head.ScaleHi = ts.Scales()
+		b.head.Base = ts.Seconds(q.ReturnNode)
+		for _, n := range b.nodes {
+			b.out, b.back = append(b.out, ts.Seconds(n)), append(b.back, ts.ReturnSeconds(n))
+		}
+		ts.Release()
+		blocks = append(blocks, b)
+	}
+	return blocks
+}
+
+func encodeTrip(req *TripOfferingRequest, blocks []tripBlock) []byte {
+	b := wire.AppendTripRequest(nil, req)
+	for i := range blocks {
+		b = wire.AppendTripBlock(b, &blocks[i].head, blocks[i].nodes, blocks[i].out, blocks[i].back)
+	}
+	return b
+}
+
+// TestTripOfferingTravelBlocks: the binary trip request is the JSON one —
+// same answer, in JSON — and the travel blocks it may carry are built on
+// where they are a segment's search (no expansion, the counter says used) and
+// discarded where they are not (the shard searches, the counter says
+// rejected); the answer is the same every time. A request that is not
+// well-formed is a 400.
+func TestTripOfferingTravelBlocks(t *testing.T) {
+	env := testEnv(t)
+	h := NewServer(env, ServerOptions{Clock: func() time.Time { return fixedNow }}).Handler()
+	b := env.Graph.Bounds()
+	req := TripOfferingRequest{
+		Waypoints: []LatLon{
+			{Lat: b.Min.Lat + 0.005, Lon: b.Min.Lon + 0.005},
+			{Lat: b.Center().Lat, Lon: b.Center().Lon},
+			{Lat: b.Max.Lat - 0.005, Lon: b.Max.Lon - 0.005},
+		},
+		Depart: fixedNow, K: 4, RadiusM: 8000, ReuseDistM: 2500, SegmentLenM: 1500,
+		Weights: WeightsJSON{L: 2, A: 1, D: 1},
+	}
+	jsonBody, err := json.Marshal(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := postTrip(t, h, ContentTypeJSON, jsonBody)
+	if plain.Code != http.StatusOK {
+		t.Fatalf("the JSON request: %d %s", plain.Code, plain.Body)
+	}
+	good := tripBlocksFor(t, env, &req)
+	if len(good) < 2 {
+		t.Fatalf("the trip computes %d segments; the test wants a few", len(good))
+	}
+	edit := func(fn func(*tripBlock)) []tripBlock {
+		out := slices.Clone(good)
+		fn(&out[1])
+		return out
+	}
+	n := uint64(len(good))
+	manySearches := func() uint64 { return obsCounter("roadnet_many_expansions_total") }
+	for _, tc := range []struct {
+		name     string
+		blocks   []tripBlock
+		used     uint64
+		searches uint64
+	}{
+		{"no blocks", nil, 0, 2 * n},
+		{"good", good, n, 0},
+		{"wrong anchor", edit(func(b *tripBlock) { b.head.Anchor++ }), n - 1, 2},
+		{"wrong return node", edit(func(b *tripBlock) { b.head.Return++ }), n - 1, 2},
+		{"a candidate short", edit(func(b *tripBlock) {
+			// Coverage goes by node: drop every entry of the farthest site's.
+			far, all := b.nodes[len(b.nodes)-1], *b
+			if far == b.head.Anchor || far == b.head.Return {
+				t.Fatal("the farthest candidate sits on the segment's anchor or end; pick another trip")
+			}
+			b.nodes, b.out, b.back = nil, nil, nil
+			for i, node := range all.nodes {
+				if node != far {
+					b.nodes, b.out, b.back = append(b.nodes, node), append(b.out, all.out[i]), append(b.back, all.back[i])
+				}
+			}
+		}), n - 1, 2},
+		{"node the graph does not have", edit(func(b *tripBlock) {
+			b.nodes = append([]roadnet.NodeID{roadnet.NodeID(env.Graph.NumNodes())}, b.nodes...)
+			b.out, b.back = append([]float64{1}, b.out...), append([]float64{1}, b.back...)
+		}), n - 1, 2},
+		{"another segment's", edit(func(b *tripBlock) { b.head.Segment++ }), n - 1, 2},
+		{"one block too many", append(slices.Clone(good), tripBlock{head: wire.TripBlock{Segment: 1 << 20, ScaleLo: 1, ScaleHi: 1}}), n, 0},
+	} {
+		used0, rejected0, many0 := met.travelUsed.Value(), met.travelRejected.Value(), manySearches()
+		rec := postTrip(t, h, wire.ContentType, encodeTrip(&req, tc.blocks))
+		if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != ContentTypeJSON {
+			t.Fatalf("%s: %d %s %s", tc.name, rec.Code, rec.Header().Get("Content-Type"), rec.Body)
+		}
+		if !bytes.Equal(rec.Body.Bytes(), plain.Body.Bytes()) {
+			t.Errorf("%s: the body differs from the one the JSON request gets", tc.name)
+		}
+		wantRejected := uint64(len(tc.blocks)) - tc.used
+		if u, r := met.travelUsed.Value()-used0, met.travelRejected.Value()-rejected0; u != tc.used || r != wantRejected {
+			t.Errorf("%s: used +%d rejected +%d, want +%d and +%d", tc.name, u, r, tc.used, wantRejected)
+		}
+		if got := manySearches() - many0; got != tc.searches {
+			t.Errorf("%s: the shard started %d searches, want %d", tc.name, got, tc.searches)
+		}
+	}
+
+	enc := encodeTrip(&req, good)
+	for name, bad := range map[string][]byte{
+		"truncated":        enc[:len(enc)-3],
+		"trailing garbage": append(slices.Clone(enc), 0),
+		"the other kind":   wire.AppendOfferingRequest(nil, &OfferingRequest{Lat: 53, Lon: 8, Now: fixedNow}),
+		"JSON as binary":   jsonBody,
+	} {
+		if rec := postTrip(t, h, wire.ContentType, bad); rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: %d %s, want a 400", name, rec.Code, rec.Body)
+		}
+	}
+}

@@ -8,30 +8,8 @@ import (
 	"time"
 
 	"ecocharge/internal/cknn"
-	"ecocharge/internal/roadnet"
-	"ecocharge/internal/trajectory"
+	"ecocharge/internal/wire"
 )
-
-// LatLon is a wire waypoint.
-type LatLon struct {
-	Lat float64 `json:"lat"`
-	Lon float64 `json:"lon"`
-}
-
-// TripOfferingRequest asks the EIS to evaluate a whole scheduled trip: the
-// waypoints are snapped to the road network, routed with shortest paths,
-// partitioned into segments, and each segment gets an Offering Table — the
-// full Mode 2 form of the continuous CkNN-EC query.
-type TripOfferingRequest struct {
-	Waypoints []LatLon  `json:"waypoints"`
-	Depart    time.Time `json:"depart"`
-	K         int       `json:"k"`
-	RadiusM   float64   `json:"radius_m"`
-	// ReuseDistM is the dynamic-cache Q used across the trip's segments.
-	ReuseDistM  float64     `json:"reuse_dist_m"`
-	SegmentLenM float64     `json:"segment_len_m"`
-	Weights     WeightsJSON `json:"weights"`
-}
 
 // SegmentOffering is one per-segment result of a trip evaluation.
 type SegmentOffering struct {
@@ -50,14 +28,35 @@ type TripOfferingResponse struct {
 	SplitPoints []int             `json:"split_points"` // segment indexes where the top-k set changes
 }
 
-// handleTripOffering implements POST /api/v1/offering/trip.
+// handleTripOffering implements POST /api/v1/offering/trip. The request is
+// JSON, or binary from a fleet gateway that ran the segments' network
+// searches and sends them along; the answer is JSON either way.
 func (s *Server) handleTripOffering(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	var req TripOfferingRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
+	const maxTripBody = 1 << 20
+	body := http.MaxBytesReader(w, r.Body, maxTripBody)
+	var (
+		req TripOfferingRequest
+		err error
+	)
+	if wire.IsWire(r.Header.Get("Content-Type")) {
+		// The travel blocks are read where they arrived: the buffer goes back
+		// when the trip is ranked.
+		buf := wire.GetBuffer()
+		defer wire.PutBuffer(buf)
+		if n := r.ContentLength; n >= int64(cap(buf.B)) && n <= maxTripBody {
+			buf.B = make([]byte, 0, n+1) // room to see the end of the body
+		}
+		if err = buf.ReadLimit(body, maxTripBody); err == nil {
+			err = wire.DecodeTripRequest(buf.B, &req)
+		}
+	} else {
+		err = json.NewDecoder(body).Decode(&req)
+	}
+	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
@@ -71,50 +70,30 @@ func (s *Server) handleTripOffering(w http.ResponseWriter, r *http.Request) {
 	// shortest-path search, and nobody reads the answer of an expired trip.
 	ctx, cancel := s.deadline(r.Context())
 	defer cancel()
-	var nodes []roadnet.NodeID
-	var total float64
-	for i, p := range t.Waypoints {
-		if err := ctx.Err(); err != nil {
-			s.writeExpired(w, "trip offering", err)
-			return
-		}
-		n := s.env.Graph.NearestNode(p)
-		if n == roadnet.Invalid {
-			s.writeError(w, http.StatusUnprocessableEntity, "waypoint %d not on the road network", i)
-			return
-		}
-		if len(nodes) == 0 {
-			nodes = append(nodes, n)
-			continue
-		}
-		if n == nodes[len(nodes)-1] {
-			continue
-		}
-		leg, ok := s.env.Graph.ShortestPath(nodes[len(nodes)-1], n, roadnet.DistanceWeight)
-		if !ok {
-			s.writeError(w, http.StatusUnprocessableEntity, "waypoint %d unreachable from previous", i)
-			return
-		}
-		nodes = append(nodes, leg.Nodes[1:]...)
-		total += leg.Weight
-	}
-	if len(nodes) < 2 {
-		s.writeError(w, http.StatusBadRequest, "waypoints collapse to a single road node")
-		return
-	}
-	if err := ctx.Err(); err != nil {
+	trip, status, err := t.Route(ctx, s.env.Graph)
+	switch {
+	case status == http.StatusServiceUnavailable:
 		s.writeExpired(w, "trip offering", err)
 		return
+	case err != nil:
+		s.writeError(w, status, "%v", err)
+		return
 	}
 
-	trip := trajectory.Trip{ID: 1, Path: roadnet.Path{Nodes: nodes, Weight: total}, Depart: t.Depart}
-	method := cknn.NewEcoCharge(s.env, cknn.EcoChargeOptions{RadiusM: t.RadiusM, ReuseDistM: t.ReuseDistM})
-	results := cknn.RunTrip(s.env, method, trip, cknn.TripOptions{
-		K: t.K, SegmentLenM: t.SegmentLenM, RadiusM: t.RadiusM, Weights: t.Weights,
-		Workers: s.opts.Workers,
-	})
+	eco, opts := t.Plan()
+	opts.Workers = s.opts.Workers
+	travel := make([]cknn.SegmentTravel, len(req.Travel))
+	for i := range req.Travel {
+		b := &req.Travel[i]
+		travel[i] = cknn.SegmentTravel{Segment: b.Segment, Travel: cknn.Travel{
+			Anchor: b.Anchor, Return: b.Return, ScaleLo: b.ScaleLo, ScaleHi: b.ScaleHi, Times: b,
+		}}
+	}
+	results, used := cknn.RunTripSupplied(s.env, cknn.NewEcoCharge(s.env, eco), trip, opts, travel)
+	met.travelUsed.Add(uint64(used))
+	met.travelRejected.Add(uint64(len(travel) - used))
 
-	resp := TripOfferingResponse{TripLengthM: total}
+	resp := TripOfferingResponse{TripLengthM: trip.Path.Weight}
 	var prev []int64
 	for _, res := range results {
 		seg := SegmentOffering{

@@ -35,6 +35,10 @@ type (
 	WeightsJSON = wire.WeightsJSON
 	// OfferingRequest asks the EIS for an Offering Table (Mode 2).
 	OfferingRequest = wire.OfferingRequest
+	// LatLon is a wire waypoint.
+	LatLon = wire.LatLon
+	// TripOfferingRequest asks the EIS to evaluate a whole scheduled trip.
+	TripOfferingRequest = wire.TripOfferingRequest
 	// OfferingEntry is one ranked charger of the response.
 	OfferingEntry = wire.OfferingEntry
 	// OfferingResponse is the Mode 2 result.

@@ -79,8 +79,8 @@ func newTarget(base string) (*target, error) {
 }
 
 // call is what a fan-out sends to one shard — the same to every shard,
-// unless the gateway searched for some of them (supplyTravel) — and all the
-// attempts against that shard read the same one.
+// unless the gateway searched for some of them (supplyTravel, supplyTrip) —
+// and all the attempts against that shard read the same one.
 type call struct {
 	method string
 	ep     endpoint
@@ -351,6 +351,18 @@ type fanout struct {
 	seconds []float64
 	spans   []span
 	block   wire.TravelBlock
+
+	// A trip (supplyTrip) runs one search a computed segment: targets and
+	// seconds hold them one after the other, each closed by the segment's
+	// return node, and back the times of the return legs. blocks are the
+	// searches' heads, tripSpans each shard's run of each (block-major), terms
+	// what the members could be searched for by when the plan was made. All of
+	// it keeps the capacity of the largest trip seen.
+	trip      eis.TripOfferingRequest
+	back      []float64
+	blocks    []wire.TripBlock
+	tripSpans []span
+	terms     []*supplyTerms
 }
 
 func (g *Gateway) getFanout() *fanout {

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"log"
@@ -66,8 +67,10 @@ type Options struct {
 	// chargers and other models are not read). With it the gateway runs the
 	// one network search of a cache-miss ranking itself and hands every
 	// shard its travel times, where each shard would otherwise run the same
-	// search (travel.go); it takes WireShards, and an undirected graph, to
-	// do so. Nil keeps the gateway graph-free.
+	// search (travel.go), and plans a trip and runs its segments' searches
+	// once where each shard would run them all; it takes WireShards to do
+	// so, and for a one-shot ranking an undirected graph. Nil keeps the
+	// gateway graph-free.
 	Env *cknn.Env
 }
 
@@ -96,6 +99,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// shardWriteBuffer is the write buffer of a gateway→shard connection on the
+// gateway's own transport: a benchmark trip's request body with its travel
+// blocks is 15 KB a shard on average and 27 KB at the most.
+const shardWriteBuffer = 32 << 10
+
 // maxShardResponseBytes bounds one shard response (the inventory of a large
 // shard is the biggest payload the gateway handles).
 const maxShardResponseBytes int64 = 32 << 20
@@ -113,8 +121,8 @@ type Gateway struct {
 	opts    Options
 
 	// env is Options.Env when the gateway searches for its shards, nil when
-	// it was given none or cannot (JSON shards, a directed graph); world is
-	// its RoadWorld, which a shard must state to be searched for.
+	// it was given none or cannot (JSON shards); world is its RoadWorld, which
+	// a shard must state to be searched for.
 	env   *cknn.Env
 	world uint64
 
@@ -140,8 +148,16 @@ func NewGateway(shards []Shard, opts Options) (*Gateway, error) {
 	g := &Gateway{part: Partition{N: len(shards)}, opts: opts, transport: opts.HTTPClient.Transport}
 	if g.transport == nil {
 		g.transport = http.DefaultTransport
+		if stock, ok := http.DefaultTransport.(*http.Transport); ok {
+			// A request body that does not fit the connection's write buffer is
+			// copied through a buffer allocated for it, per request; a trip's
+			// travel blocks are some 20 KB a shard.
+			own := stock.Clone()
+			own.WriteBufferSize = shardWriteBuffer
+			g.transport = own
+		}
 	}
-	if opts.Env != nil && opts.WireShards && opts.Env.Graph.Symmetric() {
+	if opts.Env != nil && opts.WireShards {
 		g.env, g.world = opts.Env, opts.Env.RoadWorld()
 	}
 	accept := g.shardAccept()
@@ -149,7 +165,11 @@ func NewGateway(shards []Shard, opts Options) (*Gateway, error) {
 		g.headers = append(g.headers, headerSet{contentType, accept, newHeader(contentType, accept)})
 	}
 	if accept != "" {
-		g.headers = append(g.headers, headerSet{eis.ContentTypeJSON, "", newHeader(eis.ContentTypeJSON, "")}) // trip offerings
+		// Trip offerings: the client's JSON, or the gateway's binary request
+		// with the segments' searches; the answers are JSON.
+		g.headers = append(g.headers,
+			headerSet{eis.ContentTypeJSON, "", newHeader(eis.ContentTypeJSON, "")},
+			headerSet{wire.ContentType, "", newHeader(wire.ContentType, "")})
 	}
 	for i, s := range shards {
 		m, err := newMember(i, s, opts)
@@ -531,7 +551,9 @@ func (g *Gateway) handleOffering(w http.ResponseWriter, r *http.Request) {
 		resolved = err == nil
 	}
 	fo.setCall(call{method: http.MethodPost, ep: epOffering, body: body, header: g.header(reqCT, g.shardAccept())})
-	if g.env != nil && resolved {
+	// A one-shot ranking returns to its anchor: one search serves it where
+	// the return leg is the outbound one, on an undirected graph.
+	if g.env != nil && resolved && g.env.Graph.Symmetric() {
 		g.supplyTravel(fo, &o)
 	}
 	g.fanout(r.Context(), fo)
@@ -596,11 +618,26 @@ func (g *Gateway) handleTrip(w http.ResponseWriter, r *http.Request) {
 		g.writeError(w, http.StatusBadRequest, "reading request: %v", err)
 		return
 	}
-	// Trip offerings stay JSON end to end (the segment-shaped payload is not
-	// in the binary codec's hot set).
 	fo := g.getFanout()
 	defer g.putFanout(fo)
+	// Decoded and resolved in front, the way a shard does both: a request the
+	// gateway cannot resolve is one every shard rejects, in these words, and
+	// is answered without asking them.
+	fo.trip = eis.TripOfferingRequest{}
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&fo.trip); err != nil {
+		g.writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+		return
+	}
+	t, err := eis.ResolveTripOffering(&fo.trip, g.opts.Clock)
+	if err != nil {
+		g.writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	// The client's JSON goes on as it came, but to the shards the gateway
+	// plans and searches the trip for; the answers are JSON either way (the
+	// segment-shaped payload is not in the binary codec).
 	fo.setCall(call{method: http.MethodPost, ep: epTrip, body: body, header: g.header(eis.ContentTypeJSON, "")})
+	supplied := g.env != nil && g.supplyTrip(r.Context(), fo, &t)
 	g.fanout(r.Context(), fo)
 	nLive, bad, dead := splitResults(fo.results)
 	if bad != nil {
@@ -616,38 +653,36 @@ func (g *Gateway) handleTrip(w http.ResponseWriter, r *http.Request) {
 		if !fo.results[i].ok() {
 			continue
 		}
-		var t eis.TripOfferingResponse
-		if err := json.Unmarshal(fo.results[i].body, &t); err != nil {
+		var resp eis.TripOfferingResponse
+		if err := json.Unmarshal(fo.results[i].body, &resp); err != nil {
 			g.writeError(w, http.StatusBadGateway, "shard %d: decoding trip offering: %v", i, err)
 			return
 		}
-		live = append(live, t)
-	}
-	var req eis.TripOfferingRequest
-	k := 3
-	var synthAt func(geo.Point) []eis.OfferingEntry
-	if json.Unmarshal(body, &req) == nil {
-		// The shards' own defaulting, as for /offering.
-		t, err := eis.ResolveTripOffering(&req, g.opts.Clock)
-		if err == nil {
-			k = t.K
-			radius, weights := t.RadiusM, t.Weights.Normalized()
-			if len(dead) > 0 {
-				deadInv := make([][]charger.Charger, 0, len(dead))
-				for _, i := range dead {
-					deadInv = append(deadInv, g.members[i].chargers())
-				}
-				synthAt = func(anchor geo.Point) []eis.OfferingEntry {
-					var out []eis.OfferingEntry
-					for _, inv := range deadInv {
-						out = append(out, synthWithin(inv, anchor, radius, weights)...)
-					}
-					return out
+		if supplied && fo.terms[i] != nil {
+			for j := range fo.blocks {
+				if seg := fo.blocks[j].Segment; seg < len(resp.Segments) && resp.Segments[seg].Adapted {
+					met.travelWasted.Inc()
 				}
 			}
 		}
+		live = append(live, resp)
 	}
-	merged, err := mergeTrips(live, synthAt, k)
+	var synthAt func(geo.Point) []eis.OfferingEntry
+	if len(dead) > 0 {
+		radius, weights := t.RadiusM, t.Weights.Normalized()
+		deadInv := make([][]charger.Charger, 0, len(dead))
+		for _, i := range dead {
+			deadInv = append(deadInv, g.members[i].chargers())
+		}
+		synthAt = func(anchor geo.Point) []eis.OfferingEntry {
+			var out []eis.OfferingEntry
+			for _, inv := range deadInv {
+				out = append(out, synthWithin(inv, anchor, radius, weights)...)
+			}
+			return out
+		}
+	}
+	merged, err := mergeTrips(live, synthAt, t.K)
 	if err != nil {
 		g.writeError(w, http.StatusBadGateway, "%v", err)
 		return

@@ -13,6 +13,7 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -176,6 +177,7 @@ type missFleet struct {
 	hitClient
 	req wire.OfferingRequest
 	n   int
+	sc  *experiment.Scenario
 }
 
 func newMissFleet(tb testing.TB, opts load.InprocOptions) *missFleet {
@@ -198,6 +200,7 @@ func newMissFleet(tb testing.TB, opts load.InprocOptions) *missFleet {
 			client: &http.Client{Transport: eis.DefaultTransport(1, true)},
 		},
 		req: wire.OfferingRequest{Lat: anchor.Lat, Lon: anchor.Lon, K: hitK, Now: sc.Start},
+		sc:  sc,
 	}
 	tb.Cleanup(f.client.CloseIdleConnections)
 	return f
@@ -256,5 +259,98 @@ func BenchmarkGatewayMiss(b *testing.B) {
 	b.StopTimer()
 	if got := searches() - before; got != float64(b.N) {
 		b.Fatalf("%v network expansions for %d fleet rankings, want one each", got, b.N)
+	}
+}
+
+// tripAllocCeiling is what one benchmark trip through the fleet may allocate,
+// process-wide. The longest trip of the scenario (four computed segments)
+// measures 382 KB: the three shards' routing, segmenting, candidate retrieval,
+// tables and JSON answers, and at the gateway its own plan, one request body a
+// shard (64 KB in all, the travel blocks) and the decode and merge of the
+// answers. The head-room is for the toolchain's net/http; what it does not
+// cover is any one of the cuts coming back: a snap through container/heap
+// (66 KB over the fifteen snaps of a trip), request bodies that outgrow the
+// connections' write buffers (54 KB of copy buffers) or are encoded into a
+// growing buffer and copied (64 KB).
+const tripAllocCeiling = 400 << 10
+
+// BenchmarkGatewayTrip is the trip path end to end: the repository
+// benchmark's request — five waypoints, k, R and segment length as there —
+// through the fleet. The gateway plans the trip and runs each computed
+// segment's two-leg search once, so the fleet must have started exactly two
+// expansions a computed segment; and one trip must stay under the allocation
+// ceiling.
+func BenchmarkGatewayTrip(b *testing.B) {
+	f := newMissFleet(b, load.InprocOptions{})
+	trip := f.sc.Trips[0]
+	for _, t := range f.sc.Trips {
+		if len(t.Path.Nodes) > len(trip.Path.Nodes) {
+			trip = t
+		}
+	}
+	req := eis.TripOfferingRequest{Depart: trip.Depart, K: hitK, RadiusM: 50000, SegmentLenM: 4000}
+	for frac := 0; frac <= 4; frac++ {
+		p := f.sc.Graph.Node(trip.Path.Nodes[(len(trip.Path.Nodes)-1)*frac/4]).P
+		req.Waypoints = append(req.Waypoints, eis.LatLon{Lat: p.Lat, Lon: p.Lon})
+	}
+	var err error
+	if f.body, err = json.Marshal(req); err != nil {
+		b.Fatal(err)
+	}
+	f.url = strings.TrimSuffix(f.url, "/offering") + "/offering/trip"
+	f.contentType, f.accept = "application/json", ""
+
+	// As in BenchmarkGatewayMiss: wait for a trip that went out with the
+	// blocks of its computed segments to each of the three shards.
+	supplied := obs.Default().Counter("fleet_travel_supplied_total")
+	computed := 0
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		s0 := supplied.Value()
+		if err := f.send(); err != nil {
+			b.Fatal(err)
+		}
+		var resp eis.TripOfferingResponse
+		if err := json.Unmarshal(f.buf.Bytes(), &resp); err != nil {
+			b.Fatal(err)
+		}
+		computed = 0
+		for _, seg := range resp.Segments {
+			if len(seg.Entries) != hitK {
+				b.Fatalf("segment %d has %d entries", seg.SegmentIndex, len(seg.Entries))
+			}
+			if !seg.Adapted {
+				computed++
+			}
+		}
+		if computed > 0 && supplied.Value()-s0 == uint64(3*computed) {
+			break
+		}
+		if time.Now().After(deadline) {
+			b.Fatal("the gateway never planned the trip on behalf of all three shards")
+		}
+	}
+	for i := 0; i < 20; i++ { // pools and connections reach steady state
+		if err := f.send(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	expansions := func() float64 { return obs.Default().Snapshot()["roadnet_many_expansions_total"] }
+	var before, after runtime.MemStats
+	legs := expansions()
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := f.send(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	if got := expansions() - legs; got != float64(2*computed*b.N) {
+		b.Fatalf("%v network expansions for %d trips of %d computed segments, want two a segment", got, b.N, computed)
+	}
+	if perTrip := (after.TotalAlloc - before.TotalAlloc) / uint64(b.N); perTrip > tripAllocCeiling && !fleet.RaceEnabled {
+		b.Fatalf("one trip allocates %d B, over the ceiling of %d B", perTrip, tripAllocCeiling)
 	}
 }

@@ -29,7 +29,8 @@ func tripBody(t *testing.T, h *fleetHarness, n int, req eis.TripOfferingRequest)
 // TestFleetResolvesRequestsLikeAShard: the gateway and a shard read a trip
 // and a /chargers request through the same resolvers (eis.ResolveTripOffering,
 // eis.ChargersParams), so a defaulted request gets the same bytes from both
-// and a malformed one the same 400, whose text is pinned here.
+// and a malformed one the same 400, whose text is pinned here — for a trip
+// from the gateway itself, which decodes and resolves it before the fan-out.
 func TestFleetResolvesRequestsLikeAShard(t *testing.T) {
 	h := newFleetHarness(t, harnessOpts{n: 3})
 	const trip, chargers = eis.APIVersion + "/offering/trip", eis.APIVersion + "/chargers"
@@ -45,6 +46,9 @@ func TestFleetResolvesRequestsLikeAShard(t *testing.T) {
 		{"trip one waypoint", trip, tripBody(t, h, 1, eis.TripOfferingRequest{}), "need at least 2 waypoints, got 1"},
 		{"trip bad waypoint", trip, []byte(`{"waypoints":[{"lat":53.02,"lon":8.02},{"lat":95,"lon":8}]}`), "waypoint 1 invalid: (95, 8)"},
 		{"trip negative weight", trip, tripBody(t, h, 2, eis.TripOfferingRequest{Weights: eis.WeightsJSON{L: -1}}), "cknn: negative weight {L:-1 A:0 D:0}"},
+		{"trip not JSON", trip, []byte(`{{{`), "decoding request: invalid character '{' looking for beginning of object key string"},
+		{"trip empty body", trip, []byte{}, "decoding request: EOF"},
+		{"trip wrong type", trip, []byte(`{"k":"five"}`), "decoding request: json: cannot unmarshal string into Go struct field TripOfferingRequest.k of type int"},
 		{"chargers", chargers + "?lat=53.03&lon=8.06&radius_m=3000", nil, ""},
 		{"chargers missing", chargers + "?lat=53.03&radius_m=3000", nil, `missing parameter "lon"`},
 		{"chargers NaN", chargers + "?lat=NaN&lon=8.06&radius_m=3000", nil, `parameter "lat" is not a finite number`},
@@ -55,8 +59,13 @@ func TestFleetResolvesRequestsLikeAShard(t *testing.T) {
 		if tc.body != nil {
 			method = http.MethodPost
 		}
+		exchanges := met.shardRequests.Value()
 		h.assertIdentical(tc.name, method, tc.pathq, tc.body)
 		status, body, _ := doReq(t, h.gwts.URL, method, tc.pathq, tc.body)
+		// A trip nobody can resolve is answered in front, in a shard's words.
+		if n := met.shardRequests.Value() - exchanges; tc.pathq == trip && tc.want400 != "" && n != 0 {
+			t.Errorf("%s: the gateway asked its shards %d times about a request it cannot resolve", tc.name, n)
+		}
 		wantStatus, wantBody := http.StatusOK, ""
 		if tc.want400 != "" {
 			b, _ := json.Marshal(eis.ErrorResponse{Error: tc.want400})

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"sync/atomic"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"ecocharge/internal/eis"
 	"ecocharge/internal/geo"
 	"ecocharge/internal/roadnet"
+	"ecocharge/internal/trajectory"
 	"ecocharge/internal/wire"
 )
 
@@ -31,6 +33,10 @@ import (
 // itself as it always did; a shard that finds the block short of a candidate
 // (a stale inventory here) or malformed discards it and searches for itself.
 // A wrong guess costs a search somewhere, never a table.
+//
+// A trip is the same hand-over along a route (supplyTrip): the gateway plans
+// it once, in front of the fan-out, and searches once for every segment the
+// shards' dynamic caches will compute.
 
 // site is what a search needs of one inventoried charger. The scan for the
 // chargers within R walks these, a thousand of them per request, and must
@@ -201,6 +207,113 @@ func (g *Gateway) supplyTravel(fo *fanout, o *eis.Offering) {
 	wire.PutBuffer(buf)
 	fo.req.Travel = nil
 	fo.block.Nodes, fo.block.Seconds = nil, nil
+}
+
+// supplyTrip is supplyTravel along a route: it plans the trip in fo.trip
+// (resolved: t) as every shard will — routes it, segments it, and names the
+// segments the shards' dynamic caches will compute rather than adapt
+// (cknn.ComputedSegments) — runs each such segment's two-leg search once, to
+// the chargers of every shard it may search for, and replaces those shards'
+// request bodies with wire requests that carry one travel block a computed
+// segment. The plan is exact unless a shard's table comes out empty; that
+// shard then computes a segment it has no block for, and searches for it. It
+// reports false and leaves fo.calls alone — the shards get the client's JSON —
+// when the trip has no departure (each shard would plan at its own clock's
+// time) or one the binary plane does not carry, no shard can be searched for,
+// the trip does not route (the shards say why), or the deadline, one
+// ShardTimeout for the plan and its searches, ran out.
+func (g *Gateway) supplyTrip(ctx context.Context, fo *fanout, t *eis.TripOffering) (supplied bool) {
+	if fo.trip.Depart.IsZero() || !wire.CarriesTime(fo.trip.Depart) {
+		return false
+	}
+	members := len(g.members)
+	fo.terms = fo.terms[:0]
+	some := false
+	for _, m := range g.members {
+		terms := m.supply.Load()
+		fo.terms = append(fo.terms, terms)
+		some = some || terms != nil
+	}
+	if !some {
+		return false
+	}
+	ctx, cancel := context.WithTimeout(ctx, g.opts.ShardTimeout)
+	defer cancel()
+	trip, _, err := t.Route(ctx, g.env.Graph)
+	if err != nil {
+		return false
+	}
+	eco, opts := t.Plan()
+	segs := trajectory.SegmentTrip(g.env.Graph, trip, opts.SegmentLenM)
+
+	fo.targets, fo.seconds, fo.back = fo.targets[:0], fo.seconds[:0], fo.back[:0]
+	fo.blocks, fo.tripSpans = fo.blocks[:0], fo.tripSpans[:0]
+	for _, si := range cknn.ComputedSegments(segs, eco) {
+		if ctx.Err() != nil {
+			return false
+		}
+		q := cknn.QueryForSegment(trip, segs[si], opts)
+		first := len(fo.targets)
+		for _, terms := range fo.terms {
+			start := len(fo.targets)
+			if terms != nil {
+				for _, s := range terms.sites {
+					if geo.Distance(q.Anchor, s.p) <= t.RadiusM {
+						fo.targets = append(fo.targets, s.node)
+					}
+				}
+			}
+			fo.tripSpans = append(fo.tripSpans, span{start, len(fo.targets), terms != nil})
+		}
+		// The return node, whose outbound time is the on-route baseline.
+		fo.targets = append(fo.targets, q.ReturnNode)
+		if !g.searchSegment(fo, eco, q, si, first) {
+			return false
+		}
+	}
+
+	header := g.header(wire.ContentType, "")
+	for i, terms := range fo.terms {
+		if terms == nil {
+			continue
+		}
+		entries := 0
+		for j := range fo.blocks {
+			sp := fo.tripSpans[j*members+i]
+			entries += sp.end - sp.start
+		}
+		// Encoded once, into bytes the garbage collector owns (attempts never
+		// get pooled ones, see supplyTravel) and that are sized for it.
+		body := make([]byte, 0, wire.TripRequestSize(&fo.trip, len(fo.blocks), entries))
+		body = wire.AppendTripRequest(body, &fo.trip)
+		for j := range fo.blocks {
+			sp := fo.tripSpans[j*members+i]
+			body = wire.AppendTripBlock(body, &fo.blocks[j], fo.targets[sp.start:sp.end], fo.seconds[sp.start:sp.end], fo.back[sp.start:sp.end])
+		}
+		fo.calls[i].body, fo.calls[i].header = body, header
+		met.travelSupplied.Add(uint64(len(fo.blocks)))
+	}
+	return true
+}
+
+// searchSegment runs the two-leg search of trip segment si's query to
+// fo.targets[first:] and appends what it found: the times of both legs at
+// every target, and the block's head.
+func (g *Gateway) searchSegment(fo *fanout, eco cknn.EcoChargeOptions, q cknn.Query, si, first int) bool {
+	ts, ok := cknn.SearchTravel(g.env, eco, q, fo.targets[first:])
+	defer ts.Release()
+	if !ok {
+		return false
+	}
+	for _, n := range fo.targets[first:] {
+		fo.seconds, fo.back = append(fo.seconds, ts.Seconds(n)), append(fo.back, ts.ReturnSeconds(n))
+	}
+	lo, hi := ts.Scales()
+	fo.blocks = append(fo.blocks, wire.TripBlock{
+		Segment: si, Anchor: q.AnchorNode, Return: q.ReturnNode,
+		ScaleLo: lo, ScaleHi: hi, Base: fo.seconds[len(fo.seconds)-1],
+	})
+	return true
 }
 
 // span is one shard's run of fo.targets — the nodes of its chargers within R,

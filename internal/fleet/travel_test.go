@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -23,8 +24,10 @@ import (
 	"ecocharge/internal/cknn"
 	"ecocharge/internal/eis"
 	"ecocharge/internal/experiment"
+	"ecocharge/internal/geo"
 	"ecocharge/internal/obs"
 	"ecocharge/internal/roadnet"
+	"ecocharge/internal/trajectory"
 	"ecocharge/internal/wire"
 )
 
@@ -479,6 +482,337 @@ func TestSeenFilterConcurrent(t *testing.T) {
 				}
 			}
 		}(g)
+	}
+	wg.Wait()
+}
+
+// ---- trips: one road search a computed segment (supplyTrip) ----
+
+// tripRequest is the benchmark's trip request over a routed trip: five
+// waypoints, its first and last path node and three interior ones.
+func tripRequest(g *roadnet.Graph, trip trajectory.Trip, k int, radiusM, reuseM, segLenM float64) []byte {
+	req := eis.TripOfferingRequest{Depart: trip.Depart, K: k, RadiusM: radiusM, ReuseDistM: reuseM, SegmentLenM: segLenM}
+	nodes := trip.Path.Nodes
+	for frac := 0; frac <= 4; frac++ {
+		p := g.Node(nodes[(len(nodes)-1)*frac/4]).P
+		req.Waypoints = append(req.Waypoints, eis.LatLon{Lat: p.Lat, Lon: p.Lon})
+	}
+	b, err := json.Marshal(req)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// routedTrips draws n routed trips of at least minNodes path nodes.
+func routedTrips(t *testing.T, g *roadnet.Graph, seed int64, n, minNodes int, depart time.Time) []trajectory.Trip {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	var out []trajectory.Trip
+	for try := 0; len(out) < n && try < 100*n; try++ {
+		a, b := roadnet.NodeID(rng.Intn(g.NumNodes())), roadnet.NodeID(rng.Intn(g.NumNodes()))
+		if p, ok := g.ShortestPath(a, b, roadnet.DistanceWeight); ok && len(p.Nodes) >= minNodes {
+			out = append(out, trajectory.Trip{ID: int64(len(out)), Path: p, Depart: depart})
+		}
+	}
+	if len(out) < n {
+		t.Fatalf("drew %d routable trips of %d", len(out), n)
+	}
+	return out
+}
+
+// tripCounts are the counters a trip moves.
+type tripCounts struct{ legs, supplied, used, rejected, exchanges uint64 }
+
+func readTripCounts() tripCounts {
+	r := obs.Default()
+	return tripCounts{
+		legs:     r.Counter("roadnet_many_expansions_total").Value(),
+		supplied: met.travelSupplied.Value(), exchanges: met.shardRequests.Value(),
+		used: r.Counter("eis_travel_used_total").Value(), rejected: r.Counter("eis_travel_rejected_total").Value(),
+	}
+}
+
+func (c tripCounts) since(b tripCounts) tripCounts {
+	return tripCounts{c.legs - b.legs, c.supplied - b.supplied, c.used - b.used, c.rejected - b.rejected, c.exchanges - b.exchanges}
+}
+
+// postTrip sends one trip request and returns the answer and what it moved.
+func (f *travelFleet) postTrip(t *testing.T, body []byte) (int, []byte, http.Header, tripCounts) {
+	t.Helper()
+	before := readTripCounts()
+	status, got, header := doReq(t, f.url, http.MethodPost, eis.APIVersion+"/offering/trip", body)
+	return status, got, header, readTripCounts().since(before)
+}
+
+// computedSegments counts the segments of a trip answer no shard adapted,
+// and its entries.
+func computedSegments(t *testing.T, body []byte) (computed, entries int) {
+	t.Helper()
+	var resp eis.TripOfferingResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatalf("trip answer: %v: %.300s", err, body)
+	}
+	for _, seg := range resp.Segments {
+		if !seg.Adapted {
+			computed++
+		}
+		entries += len(seg.Entries)
+	}
+	return computed, entries
+}
+
+// compareTripFleets sends the trips to a fleet whose gateway holds the road
+// world and to one that does not, requires the same bytes from both, and
+// returns what each moved, and the computed segments.
+func compareTripFleets(t *testing.T, with, without *travelFleet, bodies [][]byte) (a, b tripCounts, computed int) {
+	t.Helper()
+	entries := 0
+	for i, body := range bodies {
+		gs, got, gh, ca := with.postTrip(t, body)
+		ws, want, wh, cb := without.postTrip(t, body)
+		if gs != http.StatusOK || ws != http.StatusOK || !bytes.Equal(got, want) || gh.Get(degradedHeader) != wh.Get(degradedHeader) {
+			t.Fatalf("trip %d: the planning gateway's answer differs\nwith:    %d %q %.300s\nwithout: %d %q %.300s",
+				i, gs, gh.Get(degradedHeader), got, ws, wh.Get(degradedHeader), want)
+		}
+		c, e := computedSegments(t, got)
+		computed, entries = computed+c, entries+e
+		a = tripCounts{a.legs + ca.legs, a.supplied + ca.supplied, a.used + ca.used, a.rejected + ca.rejected, a.exchanges + ca.exchanges}
+		b = tripCounts{b.legs + cb.legs, b.supplied + cb.supplied, b.used + cb.used, b.rejected + cb.rejected, b.exchanges + cb.exchanges}
+	}
+	if entries < len(bodies) {
+		t.Fatalf("%d entries over %d trips; the comparison is vacuous", entries, len(bodies))
+	}
+	return a, b, computed
+}
+
+// TestFleetTripOneSearchPerSegment is the property on the benchmark's own
+// world and trips: the same JSON from a gateway that plans the trip and one
+// that forwards it, two expansions a computed segment against six, every
+// block built on.
+func TestFleetTripOneSearchPerSegment(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the Oldenburg scenario")
+	}
+	sc, err := experiment.BuildScenario("Oldenburg", 0.001, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	world := sc.Env
+	with := newTravelFleet(t, shardEnvs(t, world, 3), world)
+	without := newTravelFleet(t, shardEnvs(t, world, 3), nil)
+	var bodies [][]byte
+	for i, trip := range routedTrips(t, world.Graph, 11, 10, 40, sc.Start) {
+		// The benchmark's request, and a shorter Q and segments now and then.
+		reuse, segLen := 0.0, 4000.0
+		if i%3 == 2 {
+			reuse, segLen = 1500, 1500
+		}
+		bodies = append(bodies, tripRequest(world.Graph, trip, 5, 50000, reuse, segLen))
+	}
+	a, b, computed := compareTripFleets(t, with, without, bodies)
+	n := uint64(computed)
+	if n < uint64(len(bodies)) || a.legs != 2*n || b.legs != 6*n || a.supplied != 3*n || a.used != 3*n || a.rejected != 0 || b.supplied+b.used+b.rejected != 0 {
+		t.Fatalf("%d computed segments over %d trips: the planning gateway's fleet started %d expansions (want %d), sent %d blocks, %d used, %d rejected (want %d, %d, 0); the forwarding one %d expansions (want %d) and %d blocks",
+			n, len(bodies), a.legs, 2*n, a.supplied, a.used, a.rejected, 3*n, 3*n, b.legs, 6*n, b.supplied)
+	}
+}
+
+// TestFleetTripDirectedGraph: a segment's search is two legs wherever it
+// runs, so on a directed graph — one whose one-way arc changes no distance,
+// and one whose one-way roads make the way back differ from the way out —
+// the gateway plans and searches all the same, and the bytes are the same.
+func TestFleetTripDirectedGraph(t *testing.T) {
+	oneWay := *testEnv(t)
+	g := roadnet.NewGraph(300, 900)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 300; i++ {
+		g.AddNode(geo.Point{Lat: 53 + rng.Float64()*0.08, Lon: 8 + rng.Float64()*0.12})
+	}
+	for i := 0; i < 300; i++ {
+		g.AddBidirectional(roadnet.NodeID(i), roadnet.NodeID((i+1)%300), 700, roadnet.ClassLocal)
+		g.AddEdge(roadnet.NodeID(i), roadnet.NodeID(rng.Intn(300)), 1500, roadnet.ClassArterial)
+	}
+	g.Freeze()
+	oneWay.Graph = g
+	set, err := charger.Generate(g, oneWay.Avail, charger.GenConfig{N: 90, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oneWay.Chargers = set
+	for name, world := range map[string]*cknn.Env{"one arc one-way": oneWayTwin(t, testEnv(t)), "one-way shortcuts": &oneWay} {
+		if world.Graph.Symmetric() {
+			t.Fatalf("%s: the graph is symmetric", name)
+		}
+		with := newTravelFleet(t, shardEnvs(t, world, 3), world)
+		without := newTravelFleet(t, shardEnvs(t, world, 3), nil)
+		var bodies [][]byte
+		for i, trip := range routedTrips(t, world.Graph, 5, 6, 8, fixedNow) {
+			bodies = append(bodies, tripRequest(world.Graph, trip, 3+i%3, []float64{3000, 8000, 50000}[i%3], []float64{1, 1200, 0}[i%3], 1500))
+		}
+		a, b, computed := compareTripFleets(t, with, without, bodies)
+		// A small radius leaves a shard's table empty now and then, and that
+		// shard then computes a segment nobody searched for it.
+		n := uint64(computed)
+		if a.supplied < 3*uint64(len(bodies)) || a.used != a.supplied || a.rejected != 0 || a.legs >= b.legs || a.legs < 2*n {
+			t.Fatalf("%s, %d computed segments over %d trips: %d blocks sent, %d used, %d rejected; %d expansions against %d",
+				name, n, len(bodies), a.supplied, a.used, a.rejected, a.legs, b.legs)
+		}
+	}
+}
+
+// TestFleetTripStaleInventory: shard 0 gains a charger after the gateway
+// pulled its inventory. Its blocks do not cover the charger, so shard 0
+// discards them and searches its segments itself while the others build on
+// theirs; the answer is the one the forwarding gateway's fleet gives.
+func TestFleetTripStaleInventory(t *testing.T) {
+	world := testEnv(t)
+	envs := shardEnvs(t, world, 3)
+	own := envs[0].Chargers.All()
+	sites := make(map[roadnet.NodeID]int)
+	for _, c := range world.Chargers.All() {
+		sites[c.Node]++
+	}
+	var late charger.Charger
+	var rest []charger.Charger
+	for _, c := range own {
+		if late.ID == 0 && sites[c.Node] == 1 {
+			late = c
+		} else {
+			rest = append(rest, c)
+		}
+	}
+	before, err := charger.NewSet(rest)
+	if err != nil || late.ID == 0 {
+		t.Fatalf("no charger of shard 0 is alone on its node (%v)", err)
+	}
+	short := *envs[0]
+	short.Chargers = before
+	with := newTravelFleet(t, []*cknn.Env{&short, envs[1], envs[2]}, world)
+	with.shards[0].set(eis.NewServer(envs[0], eis.ServerOptions{}).Handler()) // the charger arrives
+	without := newTravelFleet(t, envs, nil)
+
+	trip := routedTrips(t, world.Graph, 8, 1, 18, fixedNow)[0]
+	for _, n := range trip.Path.Nodes {
+		if n == late.Node {
+			t.Fatal("the late charger sits on the route, where a segment's end may cover for it; pick another trip")
+		}
+	}
+	body := tripRequest(world.Graph, trip, 200, 50000, 2500, 1500)
+	a, b, computed := compareTripFleets(t, with, without, [][]byte{body})
+	n := uint64(computed)
+	// A segment is two expansions, or one where its anchor is its end; the
+	// forwarding fleet runs them on three shards, this one at the gateway and
+	// on shard 0.
+	if n < 2 || a.supplied != 3*n || a.used != 2*n || a.rejected != n || 3*a.legs != 2*b.legs || b.legs < 3*n {
+		t.Fatalf("%d computed segments: %d blocks sent, %d used, %d rejected (want %d, %d, %d); %d expansions, the gateway's and shard 0's, against %d on three shards",
+			n, a.supplied, a.used, a.rejected, 3*n, 2*n, n, a.legs, b.legs)
+	}
+	_, got, _, _ := with.postTrip(t, body)
+	if !bytes.Contains(got, []byte(`"charger_id":`+strconv.FormatInt(late.ID, 10)+`,`)) {
+		t.Fatalf("charger %d, which no block covered, is in no table of every charger", late.ID)
+	}
+}
+
+// TestFleetTripDeadShard: with a shard down the gateway plans and searches
+// for the others, and the degraded merge and the synthesized entries are
+// those of a gateway that forwards the trip.
+func TestFleetTripDeadShard(t *testing.T) {
+	world := testEnv(t)
+	with := newTravelFleet(t, shardEnvs(t, world, 3), world)
+	without := newTravelFleet(t, shardEnvs(t, world, 3), nil)
+	down := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { w.WriteHeader(http.StatusServiceUnavailable) })
+	with.shards[1].set(down)
+	without.shards[1].set(down)
+	var bodies [][]byte
+	for _, trip := range routedTrips(t, world.Graph, 21, 3, 20, fixedNow) {
+		bodies = append(bodies, tripRequest(world.Graph, trip, 6, 6000, 2000, 1500))
+	}
+	for i, body := range bodies {
+		gs, got, gh, ca := with.postTrip(t, body)
+		ws, want, wh, _ := without.postTrip(t, body)
+		if gs != http.StatusOK || ws != http.StatusOK || !bytes.Equal(got, want) || gh.Get(degradedHeader) != "1" || wh.Get(degradedHeader) != "1" {
+			t.Fatalf("trip %d with shard 1 down: the planning gateway's answer differs\nwith:    %d %q %.300s\nwithout: %d %q %.300s",
+				i, gs, gh.Get(degradedHeader), got, ws, wh.Get(degradedHeader), want)
+		}
+		if !bytes.Contains(got, []byte(`"degraded":`)) {
+			t.Fatalf("trip %d: no entry of the dead shard was synthesized: %.300s", i, got)
+		}
+		if ca.supplied == 0 || ca.used == 0 || ca.rejected != 0 {
+			t.Fatalf("trip %d: %d blocks sent, %d used, %d rejected", i, ca.supplied, ca.used, ca.rejected)
+		}
+	}
+}
+
+// TestFleetTripBlockIsNotTheClientsToSend: the gateway reads a client's trip
+// as JSON, which has no place for a travel block, and writes the binary
+// request itself: a client's binary request with a block is a 400 at the
+// gateway, with or without the road world, and reaches no shard.
+func TestFleetTripBlockIsNotTheClientsToSend(t *testing.T) {
+	world := testEnv(t)
+	trip := routedTrips(t, world.Graph, 2, 1, 20, fixedNow)[0]
+	var req eis.TripOfferingRequest
+	if err := json.Unmarshal(tripRequest(world.Graph, trip, 3, 5000, 0, 1500), &req); err != nil {
+		t.Fatal(err)
+	}
+	body := wire.AppendTripBlock(wire.AppendTripRequest(nil, &req),
+		&wire.TripBlock{Segment: 0, Anchor: trip.Path.Nodes[0], Return: trip.Path.Nodes[1], ScaleLo: 1, ScaleHi: 1},
+		[]roadnet.NodeID{0}, []float64{0}, []float64{0})
+	for name, env := range map[string]*cknn.Env{"graph-free": nil, "with the world": world} {
+		f := newTravelFleet(t, shardEnvs(t, world, 3), env)
+		before := readTripCounts()
+		hr, err := http.NewRequest(http.MethodPost, f.url+eis.APIVersion+"/offering/trip", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hr.Header.Set("Content-Type", wire.ContentType)
+		resp, err := http.DefaultClient.Do(hr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if c := readTripCounts().since(before); resp.StatusCode != http.StatusBadRequest || c.exchanges != 0 || c.used+c.rejected != 0 {
+			t.Fatalf("%s: answered %d after %d shard exchanges, %d blocks looked at; want 400 after none", name, resp.StatusCode, c.exchanges, c.used+c.rejected)
+		}
+	}
+}
+
+// TestFleetTripConcurrent: trips planned side by side share the gateway's
+// world, its members' terms and its pool of fan-out state; each still gets
+// the bytes the forwarding gateway's fleet gives it.
+func TestFleetTripConcurrent(t *testing.T) {
+	world := testEnv(t)
+	with := newTravelFleet(t, shardEnvs(t, world, 3), world)
+	without := newTravelFleet(t, shardEnvs(t, world, 3), nil)
+	var bodies, want [][]byte
+	for i, trip := range routedTrips(t, world.Graph, 13, 6, 14, fixedNow) {
+		body := tripRequest(world.Graph, trip, 3+i%3, 8000, []float64{1, 1500, 0}[i%3], 1200)
+		_, answer, _, _ := without.postTrip(t, body)
+		bodies, want = append(bodies, body), append(want, answer)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				for i := range bodies {
+					j := (i + w) % len(bodies)
+					resp, err := http.Post(with.url+eis.APIVersion+"/offering/trip", "application/json", bytes.NewReader(bodies[j]))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					var got bytes.Buffer
+					_, err = got.ReadFrom(resp.Body)
+					resp.Body.Close()
+					if err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(got.Bytes(), want[j]) {
+						t.Errorf("trip %d, sent beside others: %d %v %.200s", j, resp.StatusCode, err, got.Bytes())
+						return
+					}
+				}
+			}
+		}(w)
 	}
 	wg.Wait()
 }

@@ -335,11 +335,11 @@ func (g *Graph) NearestNode(p geo.Point) NodeID {
 	if g.index == nil {
 		return Invalid
 	}
-	ns := g.index.KNN(p, 1)
-	if len(ns) == 0 {
+	n, ok := g.index.Nearest(p)
+	if !ok {
 		return Invalid
 	}
-	return NodeID(ns[0].ID)
+	return NodeID(n.ID)
 }
 
 // NodesWithin returns the node IDs within radius meters of p, closest first.

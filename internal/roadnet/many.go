@@ -73,41 +73,45 @@ func (st *searchState) markTargets(targets []NodeID) int {
 	return n
 }
 
-// SuppliedExpansion returns an expansion nobody ran: the distances a search
-// elsewhere — the fleet gateway's, from origin over the same graph under the
-// same class table — found at nodes, loaded into pooled scratch under a
-// fresh generation. The origin is seeded as a search seeds it; nodes[i]
-// becomes a target of the expansion (Covers) and, when dist[i] is finite,
-// reached at dist[i]; +Inf says the search ended without reaching it. A
+// SupplyFrom opens an expansion nobody ran: pooled scratch under a fresh
+// generation with the origin seeded as a search seeds it, for Supply to load
+// with the distances a search elsewhere — the fleet gateway's, from origin
+// over the same graph under the same class table — found at its targets. A
 // settled target's distance does not depend on which other targets its
 // search had, so Dist then reads exactly what this graph's own ExpandToMany
-// from origin to any subset of nodes would have left there, and everything
-// downstream of Expansion is none the wiser. Whether the values deserve
-// that trust is the caller's business; this only refuses what cannot be
-// loaded — slices of different lengths, an origin or a node the graph does
-// not have, a distance that is negative or NaN — with ok false and nothing
-// to release.
-func (g *Graph) SuppliedExpansion(origin NodeID, nodes []NodeID, dist []float64) (x Expansion, ok bool) {
+// from origin to any subset of the supplied nodes would have left there, and
+// everything downstream of Expansion is none the wiser. ok is false, with
+// nothing to release, for an origin the graph does not have.
+func (g *Graph) SupplyFrom(origin NodeID) (x Expansion, ok bool) {
 	g.mustFrozen()
-	if len(nodes) != len(dist) || !g.validID(origin) {
+	if !g.validID(origin) {
 		return Expansion{}, false
 	}
 	st := g.acquireState()
-	for i, n := range nodes {
-		d := dist[i]
-		if !g.validID(n) || !(d >= 0) {
-			st.release()
-			return Expansion{}, false
-		}
-		s := &st.slots[n]
-		s.targ = st.stamp
-		if d < unreachable {
-			s.dist, s.prev, s.seen, s.done = d, Invalid, st.stamp, st.stamp
-		}
-	}
 	o := &st.slots[origin]
 	o.dist, o.prev, o.seen, o.done, o.targ = 0, Invalid, st.stamp, st.stamp, st.stamp
 	return Expansion{st: st}, true
+}
+
+// Supply makes n a target of an expansion SupplyFrom opened (Covers) and,
+// when d is finite, reached at d; +Inf says the search ended without
+// reaching it. A node supplied twice reads as supplied last. Whether the
+// values deserve the trust is the caller's business; this only refuses what
+// cannot be loaded — a node the graph does not have, a distance that is
+// negative or NaN — and the caller then releases the expansion.
+func (x Expansion) Supply(n NodeID, d float64) bool {
+	st := x.st
+	if n < 0 || int(n) >= len(st.slots) || !(d >= 0) {
+		return false
+	}
+	s := &st.slots[n]
+	s.targ = st.stamp
+	if d < unreachable {
+		s.dist, s.prev, s.seen, s.done = d, Invalid, st.stamp, st.stamp
+	} else {
+		s.seen, s.done = 0, 0
+	}
+	return true
 }
 
 // Covers reports whether n was a target of the many-target or supplied

@@ -24,6 +24,22 @@ func travelOf(x Expansion, nodes []NodeID) []float64 {
 	return out
 }
 
+// supplied loads a search's verdicts at nodes the way a shard does; ok is
+// false, and nothing is held, when one of them does not load.
+func supplied(g *Graph, origin NodeID, nodes []NodeID, dist []float64) (Expansion, bool) {
+	x, ok := g.SupplyFrom(origin)
+	if !ok {
+		return Expansion{}, false
+	}
+	for i, n := range nodes {
+		if !x.Supply(n, dist[i]) {
+			x.Release()
+			return Expansion{}, false
+		}
+	}
+	return x, true
+}
+
 func TestSuppliedExpansionReadsLikeOwnSearch(t *testing.T) {
 	for gname, g := range diffGraphs() {
 		for tname, cw := range diffTables() {
@@ -46,7 +62,7 @@ func TestSuppliedExpansionReadsLikeOwnSearch(t *testing.T) {
 					for i := 0; i < len(all); i += 3 {
 						mine, mineSecs = append(mine, all[i]), append(mineSecs, secs[i])
 					}
-					sup, ok := g.SuppliedExpansion(src, mine, mineSecs)
+					sup, ok := supplied(g, src, mine, mineSecs)
 					if !ok {
 						t.Fatalf("%s/%s: a search's own verdicts did not load", gname, tname)
 					}
@@ -92,7 +108,6 @@ func TestSuppliedExpansionRefusesWhatCannotLoad(t *testing.T) {
 		nodes  []NodeID
 		secs   []float64
 	}{
-		"lengths differ":      {0, []NodeID{2, 1}, []float64{0}},
 		"node past the end":   {0, []NodeID{2, n}, []float64{3, 1}},
 		"negative node":       {0, []NodeID{2, -1}, []float64{3, 1}},
 		"negative time":       {0, []NodeID{2, 1}, []float64{3, -1}},
@@ -102,7 +117,7 @@ func TestSuppliedExpansionRefusesWhatCannotLoad(t *testing.T) {
 		"negative origin":     {Invalid, []NodeID{2, 1}, []float64{3, 1}},
 	} {
 		acquired, released := met.poolAcquires.Value(), met.poolReleases.Value()
-		if x, ok := g.SuppliedExpansion(tc.origin, tc.nodes, tc.secs); ok {
+		if x, ok := supplied(g, tc.origin, tc.nodes, tc.secs); ok {
 			x.Release()
 			t.Errorf("%s: loaded", name)
 		}
@@ -111,13 +126,16 @@ func TestSuppliedExpansionRefusesWhatCannotLoad(t *testing.T) {
 		}
 	}
 
-	x, ok := g.SuppliedExpansion(0, []NodeID{1}, []float64{math.Inf(1)})
+	x, ok := supplied(g, 0, []NodeID{1, 2, 2}, []float64{math.Inf(1), 7, math.Inf(1)})
 	if !ok {
 		t.Fatal("an unreached node did not load")
 	}
 	defer x.Release()
 	if _, reached := x.Dist(1); reached || !x.Covers(1) {
 		t.Fatalf("a node supplied at +Inf reads reached=%v covered=%v, want unreached and covered", reached, x.Covers(1))
+	}
+	if _, reached := x.Dist(2); reached || !x.Covers(2) {
+		t.Fatal("a node supplied reached and then unreached does not read as supplied last")
 	}
 	if d, reached := x.Dist(0); !reached || d > 0 || !x.Covers(0) {
 		t.Fatalf("the origin reads (%v, %v), covered %v; want seeded at 0", d, reached, x.Covers(0))

@@ -27,7 +27,15 @@ type Neighbor struct {
 // the result does not depend on the sorting algorithm.
 func sortNeighbors(ns []Neighbor) {
 	slices.SortFunc(ns, func(a, b Neighbor) int {
-		return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.ID, b.ID))
+		// Distances are never NaN, so two plain comparisons order them, and
+		// the IDs are looked at for equal distances only.
+		switch {
+		case a.Dist < b.Dist:
+			return -1
+		case a.Dist > b.Dist:
+			return 1
+		}
+		return cmp.Compare(a.ID, b.ID)
 	})
 }
 

@@ -175,6 +175,60 @@ func (t *Quadtree) KNN(q geo.Point, k int) []Neighbor {
 	return out
 }
 
+// Nearest returns the item closest to q, the lowest ID among equally close
+// ones — what KNN(q, 1) answers once ties are settled the way sortNeighbors
+// settles them — and false on an empty tree. It is the snap of a GPS point to
+// its road node, run per query point and per trip waypoint, so it allocates
+// nothing: a depth-first descent, nearest child first, over a frontier that
+// lives on the stack. A subtree is entered only while its box is no farther
+// than the best item found, so the descent visits what the best-first search
+// would and a few boxes more.
+func (t *Quadtree) Nearest(q geo.Point) (Neighbor, bool) {
+	if t.size == 0 {
+		return Neighbor{}, false
+	}
+	type frame struct {
+		node *qnode
+		dist float64
+	}
+	// An inner node is replaced by its four children and the tree is at most
+	// maxDepth splits deep, so the frontier never holds more than three
+	// siblings per level and the four of the last.
+	var stack [3*maxDepth + 4]frame
+	stack[0] = frame{t.root, t.root.bounds.DistanceTo(q)}
+	top := 1
+	best, found := Neighbor{}, false
+	for top > 0 {
+		top--
+		f := stack[top]
+		if found && f.dist > best.Dist {
+			continue
+		}
+		if f.node.children == nil {
+			for _, it := range f.node.items {
+				d := geo.Distance(q, it.P)
+				//ecolint:ignore floateq ties are exact duplicates of the same distance value
+				if !found || d < best.Dist || (d == best.Dist && it.ID < best.ID) {
+					best, found = Neighbor{Item: it, Dist: d}, true
+				}
+			}
+			continue
+		}
+		// Farthest child first onto the stack, so the nearest is popped next.
+		base := top
+		for i := range f.node.children {
+			c := frame{&f.node.children[i], f.node.children[i].bounds.DistanceTo(q)}
+			j := top
+			for ; j > base && stack[j-1].dist < c.dist; j-- {
+				stack[j] = stack[j-1]
+			}
+			stack[j] = c
+			top++
+		}
+	}
+	return best, found
+}
+
 // stabilizeTies re-orders equal-distance runs by ID so results are
 // deterministic regardless of heap pop order.
 func stabilizeTies(ns []Neighbor) {

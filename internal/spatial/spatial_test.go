@@ -271,3 +271,50 @@ func TestEqualDistancesComeBackInIDOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestNearestAgreesWithBruteForce holds Quadtree.Nearest to the oracle's
+// first neighbour — the closest item, the lowest ID among equally close ones
+// — on uniform and clustered items, with co-located duplicates of other IDs
+// among them, from query points inside the region, outside it and on the
+// items themselves; and pins that it allocates nothing.
+func TestNearestAgreesWithBruteForce(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	items := randomItems(r, 2000)
+	for i := 0; i < 300; i++ { // a clump deep enough to split many times
+		items = append(items, Item{ID: int64(len(items)), P: geo.Point{
+			Lat: 53.21 + r.NormFloat64()*0.0005, Lon: 8.33 + r.NormFloat64()*0.0005,
+		}})
+	}
+	for i := 0; i < 100; i++ { // twins: same place, a lower and a higher ID
+		items = append(items, Item{ID: int64(len(items)), P: items[r.Intn(2000)].P})
+		items = append(items, Item{ID: -int64(i) - 1, P: items[r.Intn(2000)].P})
+	}
+	r.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
+	bf, qt := buildAll(items)
+
+	if _, ok := NewQuadtree(testBounds, 0).Nearest(testBounds.Center()); ok {
+		t.Fatal("an empty tree has a nearest item")
+	}
+	query := func(trial int) geo.Point {
+		switch trial % 3 {
+		case 0: // inside
+			return geo.Point{Lat: 53.0 + r.Float64()*0.4, Lon: 8.0 + r.Float64()*0.6}
+		case 1: // anywhere around, mostly outside
+			return geo.Point{Lat: 52.8 + r.Float64()*0.8, Lon: 7.7 + r.Float64()*1.2}
+		}
+		return items[r.Intn(len(items))].P // distance zero, often tied
+	}
+	for trial := 0; trial < 1500; trial++ {
+		q := query(trial)
+		want := bf.KNN(q, 1)[0]
+		got, ok := qt.Nearest(q)
+		//ecolint:ignore floateq the same distance computed twice
+		if !ok || got.ID != want.ID || got.Dist != want.Dist {
+			t.Fatalf("trial %d, query %v: Nearest = (%d, %v, %v), the oracle says (%d, %v)", trial, q, got.ID, got.Dist, ok, want.ID, want.Dist)
+		}
+	}
+	q := query(0)
+	if allocs := testing.AllocsPerRun(200, func() { qt.Nearest(q) }); allocs != 0 {
+		t.Fatalf("Nearest allocates %v times per call", allocs)
+	}
+}

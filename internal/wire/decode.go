@@ -132,6 +132,14 @@ const (
 	maxTimeSec = 253402300800 - maxZoneOff - 1
 )
 
+// CarriesTime reports whether the binary plane carries t, so that a sender
+// holding a time from a JSON body can tell before it encodes a message the
+// receiver would refuse.
+func CarriesTime(t time.Time) bool {
+	sec := t.Unix()
+	return sec >= minTimeSec && sec <= maxTimeSec
+}
+
 func (r *reader) time() time.Time {
 	sec := r.i64()
 	nsec := r.u32()
@@ -215,9 +223,10 @@ func (r *reader) count(minSize int) int {
 
 // Minimum encoded sizes, used to sanity-check length prefixes.
 const (
-	minEntrySize   = 8 + 8 + 8 + 8 + 4*16 + 16 + 1         // 113
-	minChargerSize = 8 + 8 + 8 + 4 + 8 + 8 + 8 + 1 + 168*8 // 1397
-	minTravelSize  = 4 + 8                                 // node, seconds
+	minEntrySize    = 8 + 8 + 8 + 8 + 4*16 + 16 + 1         // 113
+	minChargerSize  = 8 + 8 + 8 + 4 + 8 + 8 + 8 + 1 + 168*8 // 1397
+	minTravelSize   = 4 + 8                                 // node, seconds
+	minWaypointSize = 8 + 8
 )
 
 // DecodeOfferingRequest decodes a binary Mode 2 request into out.
@@ -277,6 +286,78 @@ func (r *reader) travel() *TravelBlock {
 	}
 	if r.err != nil {
 		return nil
+	}
+	return t
+}
+
+// DecodeTripRequest decodes a binary whole-trip request into out. The blocks
+// it brought along keep reading data (TripBlock.At): out.Travel is good for
+// as long as data is.
+func DecodeTripRequest(data []byte, out *TripOfferingRequest) error {
+	r := reader{b: data}
+	r.header(kindTripRequest)
+	out.Waypoints = nil
+	if n := r.count(minWaypointSize); n > 0 {
+		out.Waypoints = make([]LatLon, n)
+		for i := range out.Waypoints {
+			out.Waypoints[i] = LatLon{Lat: r.f64(), Lon: r.f64()}
+		}
+	}
+	out.Depart = r.time()
+	out.K = int(r.varint())
+	out.RadiusM = r.f64()
+	out.ReuseDistM = r.f64()
+	out.SegmentLenM = r.f64()
+	out.Weights.L = r.f64()
+	out.Weights.A = r.f64()
+	out.Weights.D = r.f64()
+	out.Travel = nil
+	for r.err == nil && r.off < len(r.b) {
+		out.Travel = append(out.Travel, r.tripBlock())
+	}
+	err := r.finish()
+	if err != nil {
+		out.Travel = nil // blocks are all or nothing
+	}
+	return err
+}
+
+// seconds reads a travel time: non-negative, or +Inf for a node the search
+// did not reach — the one non-finite value a block has a meaning for.
+func (r *reader) seconds() float64 {
+	v := math.Float64frombits(r.u64())
+	if r.err == nil && !(v >= 0) {
+		r.fail("travel time %v at offset %d", v, r.off)
+	}
+	return v
+}
+
+// tripBlock decodes one block of a trip request, leaving its entries where
+// they are. Like travel, it lets through what is well-formed, not what is
+// true.
+func (r *reader) tripBlock() TripBlock {
+	if tag := r.u8(); r.err == nil && tag != travelTag {
+		r.fail("byte 0x%02X after the request is not a travel block", tag)
+	}
+	seg := r.uvarint()
+	t := TripBlock{
+		Segment: int(seg), Anchor: roadnet.NodeID(int32(r.u32())), Return: roadnet.NodeID(int32(r.u32())),
+		ScaleLo: r.f64(), ScaleHi: r.f64(), Base: r.seconds(),
+	}
+	if r.err == nil && (seg > math.MaxInt32 || t.Anchor < 0 || t.Return < 0) {
+		r.fail("travel block of segment %d from node %d back to node %d", seg, t.Anchor, t.Return)
+	}
+	if r.err == nil && !(t.ScaleLo > 0 && t.ScaleLo <= 1 && t.ScaleHi >= 1) {
+		r.fail("travel scale factors [%v, %v] are not a band around 1", t.ScaleLo, t.ScaleHi)
+	}
+	t.entries = r.take(r.count(tripEntrySize) * tripEntrySize)
+	for i := 0; i < len(t.entries) && r.err == nil; i += tripEntrySize {
+		e := t.entries[i:][:tripEntrySize]
+		node := int32(binary.LittleEndian.Uint32(e))
+		out, back := math.Float64frombits(binary.LittleEndian.Uint64(e[4:])), math.Float64frombits(binary.LittleEndian.Uint64(e[12:]))
+		if node < 0 || !(out >= 0) || !(back >= 0) {
+			r.fail("travel entry %d: node %d, %v s out and %v s back", i/tripEntrySize, node, out, back)
+		}
 	}
 	return t
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ecocharge/internal/charger"
+	"ecocharge/internal/roadnet"
 )
 
 // Append-style encoders: every function appends one message (or one field)
@@ -89,8 +90,9 @@ func AppendOfferingRequest(b []byte, req *OfferingRequest) []byte {
 	return b
 }
 
-// travelTag opens the optional travel block of a request. A request ends
-// after its ETA or goes on with this byte; anything else is trailing garbage.
+// travelTag opens a travel block after the fields of a request: the optional
+// one of an offering request, each of a trip request's. A request ends after
+// its fields or goes on with this byte; anything else is trailing garbage.
 const travelTag = 1
 
 func appendTravel(b []byte, t *TravelBlock) []byte {
@@ -104,6 +106,64 @@ func appendTravel(b []byte, t *TravelBlock) []byte {
 		b = appendF64(b, t.Seconds[i])
 	}
 	return b
+}
+
+// AppendTripRequest appends the binary form of a whole-trip request, with the
+// blocks it holds. A sender that has its blocks as slices appends the request
+// without any and then each with AppendTripBlock.
+func AppendTripRequest(b []byte, req *TripOfferingRequest) []byte {
+	b = appendHeader(b, kindTripRequest)
+	b = appendUvarint(b, uint64(len(req.Waypoints)))
+	for _, wp := range req.Waypoints {
+		b = appendF64(b, wp.Lat)
+		b = appendF64(b, wp.Lon)
+	}
+	b = appendTime(b, req.Depart)
+	b = appendVarint(b, int64(req.K))
+	b = appendF64(b, req.RadiusM)
+	b = appendF64(b, req.ReuseDistM)
+	b = appendF64(b, req.SegmentLenM)
+	b = appendF64(b, req.Weights.L)
+	b = appendF64(b, req.Weights.A)
+	b = appendF64(b, req.Weights.D)
+	for i := range req.Travel {
+		t := &req.Travel[i]
+		b = appendTripBlockHead(b, t, len(t.entries)/tripEntrySize)
+		b = append(b, t.entries...)
+	}
+	return b
+}
+
+// TripRequestSize bounds from above the encoded size of req, which holds no
+// blocks of its own, followed by the given number of appended blocks with
+// that many entries between them, so a sender can size the buffer once.
+func TripRequestSize(req *TripOfferingRequest, blocks, entries int) int {
+	const fields, blockHead = 3 + 10 + 16 + 10 + 6*8, 1 + 10 + 2*4 + 3*8 + 10
+	return fields + 16*len(req.Waypoints) + blocks*blockHead + entries*tripEntrySize
+}
+
+// AppendTripBlock appends one more block to a trip request: head's fields,
+// and for entries nodes[i] with out[i] seconds from the anchor and back[i] to
+// the return node. Blocks go in segment order.
+func AppendTripBlock(b []byte, head *TripBlock, nodes []roadnet.NodeID, out, back []float64) []byte {
+	b = appendTripBlockHead(b, head, len(nodes))
+	for i, n := range nodes {
+		b = appendU32(b, uint32(int32(n)))
+		b = appendF64(b, out[i])
+		b = appendF64(b, back[i])
+	}
+	return b
+}
+
+func appendTripBlockHead(b []byte, t *TripBlock, entries int) []byte {
+	b = append(b, travelTag)
+	b = appendUvarint(b, uint64(t.Segment))
+	b = appendU32(b, uint32(int32(t.Anchor)))
+	b = appendU32(b, uint32(int32(t.Return)))
+	b = appendF64(b, t.ScaleLo)
+	b = appendF64(b, t.ScaleHi)
+	b = appendF64(b, t.Base)
+	return appendUvarint(b, uint64(entries))
 }
 
 func appendEntry(b []byte, e *OfferingEntry) []byte {

@@ -104,6 +104,43 @@ func FuzzWireRoundTrip(f *testing.F) {
 			t.Fatal("a refused request left a travel block behind")
 		}
 
+		// The whole-trip request, bare and with travel blocks, under the same
+		// two rules.
+		trip := TripOfferingRequest{
+			Waypoints: []LatLon{{Lat: lat, Lon: lon}, {Lat: wl, Lon: wa}},
+			Depart:    now, K: k, RadiusM: radius, ReuseDistM: scMin, SegmentLenM: scMax,
+			Weights: WeightsJSON{L: wl, A: wa, D: wd},
+		}
+		var tripOut TripOfferingRequest
+		tripEnc := AppendTripRequest(nil, &trip)
+		if err := DecodeTripRequest(tripEnc, &tripOut); err != nil || tripOut.Travel != nil {
+			t.Fatalf("trip request decode: %v, %d blocks", err, len(tripOut.Travel))
+		}
+		assertFuzzJSONEqual(t, "trip request", &trip, &tripOut)
+		head := TripBlock{
+			Segment: int(degraded), Anchor: roadnet.NodeID(int32(k)), Return: roadnet.NodeID(degraded),
+			ScaleLo: wl, ScaleHi: wa, Base: scMin,
+		}
+		nodes, outSec, backSec := []roadnet.NodeID{roadnet.NodeID(int32(k)), 7}, []float64{scMin, math.Inf(1)}, []float64{scMax, 0}
+		withBlocks := AppendTripBlock(AppendTripBlock(tripEnc, &head, nodes, outSec, backSec), &head, nil, nil, nil)
+		wellFormed = wl > 0 && wl <= 1 && wa >= 1 && int32(k) >= 0 && scMin >= 0 && scMax >= 0
+		switch err := DecodeTripRequest(withBlocks, &tripOut); {
+		case err == nil && !wellFormed:
+			t.Fatalf("malformed trip block accepted: %+v", head)
+		case err != nil && wellFormed:
+			t.Fatalf("well-formed trip block refused: %v", err)
+		case err != nil && tripOut.Travel != nil:
+			t.Fatal("a refused trip request left blocks behind")
+		case err == nil:
+			if !bytes.Equal(AppendTripRequest(nil, &tripOut), withBlocks) {
+				t.Fatal("trip blocks changed in flight")
+			}
+			b := &tripOut.Travel[0]
+			if n, o, r := b.At(0); len(tripOut.Travel) != 2 || b.Len() != 3 || n != nodes[0] || o != scMin || r != scMax {
+				t.Fatalf("trip block reads (%d, %v, %v) first of %d in %d blocks", n, o, r, b.Len(), len(tripOut.Travel))
+			}
+		}
+
 		resp := OfferingResponse{
 			Entries: []OfferingEntry{{
 				ChargerID: chargerID, Lat: lat, Lon: lon, RateKW: radius,
@@ -180,6 +217,9 @@ func FuzzWireDecode(f *testing.F) {
 	req.Travel = sampleTravel()
 	f.Add(AppendOfferingRequest(nil, &req))
 	f.Add(AppendOfferingResponse(nil, &resp))
+	trip := sampleTrip()
+	f.Add(AppendTripRequest(nil, &trip))
+	f.Add(appendSampleTrip(&trip, sampleTripBlocks()))
 	f.Add(AppendChargers(nil, sampleChargers(1)))
 	f.Add(AppendWeather(nil, &WeatherResponse{ChargerID: 1, At: utcNow}))
 	f.Add([]byte{magic, version, kindChargers, 1, 0xFF, 0xFF, 0xFF, 0x7F})
@@ -205,6 +245,33 @@ func FuzzWireDecode(f *testing.F) {
 					}
 				}
 			}
+		}
+		var tripOut TripOfferingRequest
+		if err := DecodeTripRequest(data, &tripOut); err == nil {
+			var again TripOfferingRequest
+			if err := DecodeTripRequest(AppendTripRequest(nil, &tripOut), &again); err != nil {
+				t.Fatalf("trip request re-decode: %v", err)
+			}
+			assertFuzzJSONEqual(t, "trip request", &tripOut, &again)
+			if len(again.Travel) != len(tripOut.Travel) {
+				t.Fatalf("trip blocks re-decode: %d, then %d", len(tripOut.Travel), len(again.Travel))
+			}
+			for i := range tripOut.Travel {
+				b, a := &tripOut.Travel[i], &again.Travel[i]
+				if !reflect.DeepEqual(b, a) {
+					t.Fatalf("trip block %d re-decode: %+v, then %+v", i, b, a)
+				}
+				if !(b.ScaleLo > 0 && b.ScaleLo <= 1 && b.ScaleHi >= 1) || b.Segment < 0 || b.Anchor < 0 || b.Return < 0 || !(b.Base >= 0) {
+					t.Fatalf("decoder let a malformed trip block through: %+v", b)
+				}
+				for j := 0; j < b.Len(); j++ {
+					if n, o, r := b.At(j); n < 0 || !(o >= 0) || !(r >= 0) {
+						t.Fatalf("decoder let trip entry %d through: node %d, %v s out, %v s back", j, n, o, r)
+					}
+				}
+			}
+		} else if tripOut.Travel != nil {
+			t.Fatal("a refused trip request left blocks behind")
 		}
 		var respOut OfferingResponse
 		if err := DecodeOfferingResponse(data, &respOut); err == nil {

@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"encoding/binary"
+	"math"
 	"time"
 
 	"ecocharge/internal/interval"
@@ -61,6 +63,77 @@ type TravelBlock struct {
 	ScaleLo, ScaleHi float64
 	Nodes            []roadnet.NodeID
 	Seconds          []float64
+}
+
+// At returns the i-th node of the block with its time from the anchor, which
+// on the symmetric graph a one-leg block is for is its time back as well.
+func (t *TravelBlock) At(i int) (n roadnet.NodeID, out, back float64) {
+	return t.Nodes[i], t.Seconds[i], t.Seconds[i]
+}
+
+// Len is the number of nodes in the block.
+func (t *TravelBlock) Len() int { return len(t.Nodes) }
+
+// LatLon is a wire waypoint.
+type LatLon struct {
+	Lat float64 `json:"lat"`
+	Lon float64 `json:"lon"`
+}
+
+// TripOfferingRequest asks the EIS to evaluate a whole scheduled trip: the
+// waypoints are snapped to the road network, routed with shortest paths,
+// partitioned into segments, and each segment gets an Offering Table — the
+// full Mode 2 form of the continuous CkNN-EC query.
+type TripOfferingRequest struct {
+	Waypoints []LatLon  `json:"waypoints"`
+	Depart    time.Time `json:"depart"`
+	K         int       `json:"k"`
+	RadiusM   float64   `json:"radius_m"`
+	// ReuseDistM is the dynamic-cache Q used across the trip's segments.
+	ReuseDistM  float64     `json:"reuse_dist_m"`
+	SegmentLenM float64     `json:"segment_len_m"`
+	Weights     WeightsJSON `json:"weights"`
+	// Travel are the network searches of the segments the sender expects the
+	// receiver to compute, when it ran them for it, in segment order: a fleet
+	// gateway's word to a shard, like OfferingRequest.Travel, on the binary
+	// plane only.
+	Travel []TripBlock `json:"-"`
+}
+
+// TripBlock carries the raw travel times of one trip segment's network
+// search to the receiver's chargers: Segment is the segment's index, Anchor
+// and Return the nodes its outbound leg started from and its return leg ended
+// at, Base the time from the one to the other (the on-route baseline), and
+// ScaleLo ≤ 1 ≤ ScaleHi turn a raw time into its bounds. The entries — a
+// node, the time to it from Anchor and the time from it to Return, +Inf where
+// a leg ended without reaching it — stay in the bytes of the message they
+// were decoded from and are read in place (At); a block lives as long as
+// those do.
+type TripBlock struct {
+	Segment          int
+	Anchor, Return   roadnet.NodeID
+	ScaleLo, ScaleHi float64
+	Base             float64
+	entries          []byte
+}
+
+// tripEntrySize is one encoded entry of a TripBlock: node, out, back.
+const tripEntrySize = 4 + 8 + 8
+
+// Len is the number of nodes the block prices: its entries and the return
+// node.
+func (b *TripBlock) Len() int { return len(b.entries)/tripEntrySize + 1 }
+
+// At returns the i-th node with its times from the anchor and to the return
+// node; the return node, at Base from the anchor, comes last.
+func (b *TripBlock) At(i int) (n roadnet.NodeID, out, back float64) {
+	if i == len(b.entries)/tripEntrySize {
+		return b.Return, b.Base, 0
+	}
+	e := b.entries[i*tripEntrySize:][:tripEntrySize]
+	return roadnet.NodeID(int32(binary.LittleEndian.Uint32(e))),
+		math.Float64frombits(binary.LittleEndian.Uint64(e[4:])),
+		math.Float64frombits(binary.LittleEndian.Uint64(e[12:]))
 }
 
 // OfferingEntry is one ranked charger of the response.

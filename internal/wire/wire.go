@@ -52,6 +52,7 @@ const (
 	kindChargers         = 3
 	kindWeather          = 4
 	kindAvailability     = 5
+	kindTripRequest      = 6
 )
 
 // Accepts reports whether an Accept header asks for the binary format. Only
