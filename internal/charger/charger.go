@@ -152,6 +152,28 @@ func (s *Set) Within(p geo.Point, radius float64) []*Charger {
 	return out
 }
 
+// Candidates is the storage of a radius query that its caller keeps from
+// query to query (WithinInto): the answer lives in it and is good until the
+// next query into it, and a query allocates nothing once the storage has held
+// its largest answer.
+type Candidates struct {
+	near []spatial.Neighbor
+	out  []*Charger
+}
+
+// WithinInto is Within into c's storage.
+func (s *Set) WithinInto(c *Candidates, p geo.Point, radius float64) []*Charger {
+	c.near, c.out = c.near[:0], c.out[:0]
+	if s.index == nil {
+		return c.out
+	}
+	c.near = s.index.AppendWithin(c.near, p, radius)
+	for _, n := range c.near {
+		c.out = append(c.out, &s.chargers[s.byID[n.ID]])
+	}
+	return c.out
+}
+
 // KNearest returns the k chargers nearest to p by geodesic distance.
 func (s *Set) KNearest(p geo.Point, k int) []*Charger {
 	if s.index == nil {

@@ -3,6 +3,8 @@ package charger
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -260,5 +262,50 @@ func TestRateClassStrings(t *testing.T) {
 	}
 	if RateClass(200).KW() != 11 {
 		t.Error("unknown rate KW default wrong")
+	}
+}
+
+// TestWithinIntoAnswersLikeWithin: a radius query into caller storage gets
+// exactly what Within returns — the same chargers in the same order — also
+// for a radius that is to the bit some charger's distance (the bound is
+// inclusive), and allocates nothing on warm storage.
+func TestWithinIntoAnswersLikeWithin(t *testing.T) {
+	s := testSet(t, 400)
+	rng := rand.New(rand.NewSource(5))
+	var store Candidates
+	atBound := 0
+	for q := 0; q < 400; q++ {
+		p := s.All()[rng.Intn(s.Len())].P
+		p.Lat += (rng.Float64() - 0.5) / 100
+		radius := []float64{900, 4000, 12000, 60000}[q%4] * rng.Float64()
+		if q%4 == 3 { // a radius that ends on a charger
+			radius = geo.Distance(p, s.All()[rng.Intn(s.Len())].P)
+		}
+		want := s.Within(p, radius)
+		if got := s.WithinInto(&store, p, radius); !slices.Equal(got, want) {
+			t.Fatalf("query %d: WithinInto answers %d chargers around %v within %v m, Within %d", q, len(got), p, radius, len(want))
+		}
+		//ecolint:ignore floateq the radius is that very distance
+		if n := len(want); q%4 == 3 && n > 0 && geo.Distance(p, want[n-1].P) == radius {
+			atBound++
+		}
+	}
+	if atBound < 50 {
+		t.Fatalf("%d queries ending on a charger; the comparison wants plenty", atBound)
+	}
+
+	center := s.All()[0].P
+	query := func() { s.WithinInto(&store, center, 30000) }
+	query()
+	if allocs := testing.AllocsPerRun(100, query); allocs != 0 {
+		t.Errorf("WithinInto allocates %v times per query on warm storage", allocs)
+	}
+
+	empty, err := NewSet(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := empty.WithinInto(&store, center, 1000); len(got) != 0 {
+		t.Errorf("empty set WithinInto = %v", got)
 	}
 }

@@ -3,6 +3,7 @@ package cknn
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -360,7 +361,11 @@ func RankOnceSupplied(env *Env, opts EcoChargeOptions, workers int, q Query, tra
 // no table.
 func (m *EcoCharge) compute(q Query, travel *Travel) (table OfferingTable, ok bool) {
 	env := m.engine.Env
-	cands := env.Chargers.Within(q.Anchor, q.RadiusM)
+	// The candidates are read until the table is ranked and not after: its
+	// entries point at chargers, not into the scratch.
+	scratch := candBufs.Get().(*charger.Candidates)
+	defer candBufs.Put(scratch)
+	cands := env.Chargers.WithinInto(scratch, q.Anchor, q.RadiusM)
 	budget, bounds := m.opts.deroutPlan(q)
 	var d DeroutingMaps
 	if travel == nil {
@@ -376,6 +381,12 @@ func (m *EcoCharge) compute(q Query, travel *Travel) (table OfferingTable, ok bo
 		Entries:     m.engine.rankPool(cands, d, q),
 	}, true
 }
+
+// candBufs recycles the candidate retrieval's storage across rankings and
+// trips, like entryBufs. It is not capped the way that is: every ranking of
+// a process retrieves from the same inventory, so no scratch grows past what
+// the next ranking may need.
+var candBufs = sync.Pool{New: func() any { return new(charger.Candidates) }}
 
 // adapt is the cache-hit path (§IV.C bottom-up reuse): L and A estimates of
 // the cached entries are kept, only D is re-derived from the new anchor

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ecocharge/internal/geo"
+	"ecocharge/internal/interval"
 	"ecocharge/internal/roadnet"
 )
 
@@ -109,6 +110,53 @@ func TestForecastErrorSchedule(t *testing.T) {
 	}
 	if e := ForecastError(-time.Hour); e != 0.005 {
 		t.Errorf("negative horizon error = %v, want nowcast floor", e)
+	}
+}
+
+// TestSolarForecastBitsOfTwoCallFormula holds Forecast, which evaluates the
+// clear-sky curve once, to the formula it had when it evaluated it twice —
+// the interval around Truth, clamped to capacity × clear sky — bit for bit,
+// over sites × target times × horizons: day, night, the hours around sunrise
+// and sunset, and the breakpoints of the error schedule.
+func TestSolarForecastBitsOfTwoCallFormula(t *testing.T) {
+	twoCalls := func(m *SolarModel, site Site, at, issuedAt time.Time) interval.I {
+		truth := m.Truth(site, at)
+		maxPossible := site.CapacityKW * ClearSkyFactor(site.P, at)
+		if maxPossible <= 0 {
+			return interval.Exact(0)
+		}
+		err := ForecastError(at.Sub(issuedAt)) * site.CapacityKW
+		return interval.New(truth-err, truth+err).Clamp(0, maxPossible)
+	}
+	sites := []Site{
+		site,
+		{ID: 1, P: geo.Point{Lat: 53.14, Lon: 8.21}, CapacityKW: 11.5},
+		{ID: 2, P: geo.Point{Lat: -33.9, Lon: 151.2}, CapacityKW: 150},
+		{ID: 3, P: geo.Point{Lat: 69.6, Lon: 18.9}, CapacityKW: 22}, // polar day in June
+		{ID: 4, P: nicosia, CapacityKW: 0},
+	}
+	horizons := []time.Duration{-time.Hour, 0, 90 * time.Minute, 12 * time.Hour, 72 * time.Hour, 73 * time.Hour}
+	day, night := 0, 0
+	for _, m := range []*SolarModel{NewSolarModel(3), {Seed: 9, CloudVariability: 1}} {
+		for _, s := range sites {
+			start := time.Date(2024, 6, 18, 0, 0, 0, 0, time.UTC)
+			for at := start; at.Before(start.Add(24 * time.Hour)); at = at.Add(7 * time.Minute) {
+				for _, h := range horizons {
+					got, want := m.Forecast(s, at, at.Add(-h)), twoCalls(m, s, at, at.Add(-h))
+					if math.Float64bits(got.Min) != math.Float64bits(want.Min) || math.Float64bits(got.Max) != math.Float64bits(want.Max) {
+						t.Fatalf("site %d at %v, horizon %v: forecast %v, the two-call formula gives %v", s.ID, at, h, got, want)
+					}
+					if want.Max > 0 {
+						day++
+					} else {
+						night++
+					}
+				}
+			}
+		}
+	}
+	if day == 0 || night == 0 {
+		t.Fatalf("the grid has %d daylight and %d night forecasts; it must have both", day, night)
 	}
 }
 

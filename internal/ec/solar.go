@@ -102,11 +102,13 @@ func ForecastError(horizon time.Duration) float64 {
 // a forecast issued at issuedAt. The interval is clamped to the physically
 // possible [0, capacity × clear-sky] range and always contains Truth.
 func (m *SolarModel) Forecast(site Site, t, issuedAt time.Time) interval.I {
-	truth := m.Truth(site, t)
+	// The clear-sky curve is evaluated once: Truth's product in Truth's
+	// order, so the bits are Truth's.
 	maxPossible := site.CapacityKW * ClearSkyFactor(site.P, t)
 	if maxPossible <= 0 {
 		return interval.Exact(0)
 	}
+	truth := maxPossible * (1 - m.cloudCover(site, t))
 	err := ForecastError(t.Sub(issuedAt)) * site.CapacityKW
 	return interval.New(truth-err, truth+err).Clamp(0, maxPossible)
 }

@@ -5,32 +5,15 @@ import (
 	"encoding/json"
 	"net/http"
 	"slices"
-	"time"
 
 	"ecocharge/internal/cknn"
 	"ecocharge/internal/wire"
 )
 
-// SegmentOffering is one per-segment result of a trip evaluation.
-type SegmentOffering struct {
-	SegmentIndex int             `json:"segment_index"`
-	Anchor       LatLon          `json:"anchor"`
-	ETA          time.Time       `json:"eta"`
-	LengthM      float64         `json:"length_m"`
-	Adapted      bool            `json:"adapted"` // served by the dynamic cache
-	Entries      []OfferingEntry `json:"entries"`
-}
-
-// TripOfferingResponse is the whole-trip Mode 2 result.
-type TripOfferingResponse struct {
-	TripLengthM float64           `json:"trip_length_m"`
-	Segments    []SegmentOffering `json:"segments"`
-	SplitPoints []int             `json:"split_points"` // segment indexes where the top-k set changes
-}
-
 // handleTripOffering implements POST /api/v1/offering/trip. The request is
 // JSON, or binary from a fleet gateway that ran the segments' network
-// searches and sends them along; the answer is JSON either way.
+// searches and sends them along; the answer is negotiated on its own, by
+// Accept, like that of /offering.
 func (s *Server) handleTripOffering(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.writeError(w, http.StatusMethodNotAllowed, "POST only")
@@ -93,7 +76,8 @@ func (s *Server) handleTripOffering(w http.ResponseWriter, r *http.Request) {
 	met.travelUsed.Add(uint64(used))
 	met.travelRejected.Add(uint64(len(travel) - used))
 
-	resp := TripOfferingResponse{TripLengthM: trip.Path.Weight}
+	// Grow leaves the segments of no results nil: "segments":null.
+	resp := TripOfferingResponse{TripLengthM: trip.Path.Weight, Segments: slices.Grow([]SegmentOffering(nil), len(results))}
 	var prev []int64
 	for _, res := range results {
 		seg := SegmentOffering{
@@ -103,8 +87,11 @@ func (s *Server) handleTripOffering(w http.ResponseWriter, r *http.Request) {
 			LengthM:      res.Segment.LengthM,
 			Adapted:      res.Table.Adapted,
 		}
-		for _, e := range res.Table.Entries {
-			seg.Entries = append(seg.Entries, wireEntry(e))
+		if n := len(res.Table.Entries); n > 0 { // an empty table stays "entries":null
+			seg.Entries = make([]OfferingEntry, n)
+			for i, e := range res.Table.Entries {
+				seg.Entries[i] = wireEntry(e)
+			}
 		}
 		ids := res.Table.IDs()
 		if len(resp.Segments) == 0 || !slices.Equal(prev, ids) {
@@ -113,7 +100,7 @@ func (s *Server) handleTripOffering(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Segments = append(resp.Segments, seg)
 	}
-	WriteJSON(w, resp)
+	s.respond(w, r, &resp, func(b []byte) []byte { return wire.AppendTripResponse(b, &resp) })
 }
 
 // TripOffering requests a whole-trip evaluation (client side).

@@ -43,6 +43,10 @@ type (
 	OfferingEntry = wire.OfferingEntry
 	// OfferingResponse is the Mode 2 result.
 	OfferingResponse = wire.OfferingResponse
+	// SegmentOffering is one per-segment result of a trip evaluation.
+	SegmentOffering = wire.SegmentOffering
+	// TripOfferingResponse is the whole-trip Mode 2 result.
+	TripOfferingResponse = wire.TripOfferingResponse
 	// WeatherResponse reports the production forecast of one charger site.
 	WeatherResponse = wire.WeatherResponse
 	// AvailabilityResponse reports the availability estimate of one charger.

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
 	"strconv"
 	"testing"
 	"time"
@@ -271,4 +272,115 @@ func TestChaosWireClientParity(t *testing.T) {
 	if !bytes.Equal(jb, wb) {
 		t.Fatalf("clients disagree on chargers\njson: %.200s\nwire: %.200s", jb, wb)
 	}
+}
+
+// TestChaosWireTripParity asks one shard for the same trips on both planes,
+// under a 30% source-fault rate: the binary answer decodes to the struct the
+// JSON answer decodes to and re-marshals to the JSON answer's bytes —
+// degraded bits, adapted flags, null tables and split points included —
+// whether the request came as JSON or as a gateway's binary one with its
+// travel blocks, and through the high-level client as well.
+func TestChaosWireTripParity(t *testing.T) {
+	ts, jsonClient, env := chaosServer(t, fault.Config{Seed: 9, Rate: 0.3})
+	wireClient := NewClientOpts(ts.URL, ClientOptions{HTTPClient: ts.Client(), Wire: true})
+	b := env.Graph.Bounds()
+	// post sends one trip request and returns the body, which is binary
+	// exactly when the request asked for it.
+	post := func(contentType, accept string, body []byte) []byte {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+APIVersion+"/offering/trip", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", contentType)
+		if accept != "" {
+			req.Header.Set("Accept", accept)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || wire.IsWire(ct) != (accept != "") {
+			t.Fatalf("trip asked for as %q: %d %q: %.200s", accept, resp.StatusCode, ct, buf.Bytes())
+		}
+		return buf.Bytes()
+	}
+	adapted, degraded, empty := 0, 0, 0
+	for i, req := range []TripOfferingRequest{
+		{K: 4, RadiusM: 8000, ReuseDistM: 2500, SegmentLenM: 1500, Weights: WeightsJSON{L: 2, A: 1, D: 1}},
+		{K: 3, RadiusM: 50000, SegmentLenM: 4000},
+		{K: 2, RadiusM: 300, ReuseDistM: 1, SegmentLenM: 2000}, // tables without a candidate
+	} {
+		req.Depart = fixedNow
+		req.Waypoints = []LatLon{
+			{Lat: b.Min.Lat + 0.005, Lon: b.Min.Lon + 0.005},
+			{Lat: b.Center().Lat, Lon: b.Center().Lon},
+			{Lat: b.Max.Lat - 0.005, Lon: b.Max.Lon - 0.005},
+		}
+		jsonReq, err := json.Marshal(&req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jsonBody := post(ContentTypeJSON, "", jsonReq)
+		var viaJSON, viaWire TripOfferingResponse
+		if err := json.Unmarshal(jsonBody, &viaJSON); err != nil {
+			t.Fatal(err)
+		}
+		assertWireEqualsJSON(t, "trip", jsonBody, post(ContentTypeJSON, wire.ContentType, jsonReq), &viaWire)
+		if !reflect.DeepEqual(stripZones(&viaJSON), stripZones(&viaWire)) {
+			t.Fatalf("trip %d: the planes decode to different answers\njson: %+v\nwire: %+v", i, viaJSON, viaWire)
+		}
+		// A gateway's request: binary, with the segments' searches.
+		supplied := encodeTrip(&req, tripBlocksFor(t, env, &req))
+		if got := post(wire.ContentType, "", supplied); !bytes.Equal(got, jsonBody) {
+			t.Fatalf("trip %d: a binary request answered in JSON differs from the JSON request's answer", i)
+		}
+		assertWireEqualsJSON(t, "supplied trip", jsonBody, post(wire.ContentType, wire.ContentType, supplied), &TripOfferingResponse{})
+
+		jr, err := jsonClient.TripOffering(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wr, err := wireClient.TripOffering(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jb, _ := json.Marshal(&jr)
+		wb, _ := json.Marshal(&wr)
+		if !bytes.Equal(jb, wb) || !bytes.Equal(append(wb, '\n'), jsonBody) {
+			t.Fatalf("trip %d: clients disagree\njson: %.300s\nwire: %.300s", i, jb, wb)
+		}
+		for _, seg := range viaWire.Segments {
+			if seg.Adapted {
+				adapted++
+			}
+			if seg.Entries == nil {
+				empty++
+			}
+			for _, e := range seg.Entries {
+				if e.Degraded != 0 {
+					degraded++
+				}
+			}
+		}
+	}
+	if adapted == 0 || degraded == 0 || empty == 0 {
+		t.Fatalf("the trips had %d adapted segments, %d degraded entries and %d empty tables; the comparison wants some of each", adapted, degraded, empty)
+	}
+}
+
+// stripZones rewrites every timestamp of a trip answer in UTC: two decoders
+// give one instant under one offset two *time.Location values.
+func stripZones(r *TripOfferingResponse) *TripOfferingResponse {
+	for i := range r.Segments {
+		r.Segments[i].ETA = r.Segments[i].ETA.UTC()
+		for j := range r.Segments[i].Entries {
+			r.Segments[i].Entries[j].ETA = r.Segments[i].Entries[j].ETA.UTC()
+		}
+	}
+	return r
 }

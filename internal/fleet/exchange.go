@@ -332,7 +332,9 @@ func (g *Gateway) single(ctx context.Context, m *member, c *call) shardResult {
 // call and one result per shard, and — for the offering merge — the decoded
 // request, one decoded table per shard with its entry storage, the
 // selection scratch and the merged answer, plus the scratch of the search
-// the gateway may run for the shards (supplyTravel).
+// the gateway may run for the shards (supplyTravel). The trip merge has the
+// same: one decoded trip per shard, segment and entry storage included, and
+// the merged trip, whose tables share top.
 type fanout struct {
 	calls   []call
 	results []shardResult
@@ -343,6 +345,9 @@ type fanout struct {
 	sel    selection
 	top    []eis.OfferingEntry
 	merged eis.OfferingResponse
+
+	trips      []eis.TripOfferingResponse
+	tripMerged eis.TripOfferingResponse
 
 	// targets holds, shard after shard, the nodes searched to on the shards'
 	// behalf; seconds the travel time found at each; spans each shard's run
@@ -373,6 +378,7 @@ func (g *Gateway) getFanout() *fanout {
 	return &fanout{
 		calls: make([]call, n), results: make([]shardResult, n),
 		tables: make([]eis.OfferingResponse, n), spans: make([]span, n),
+		trips: make([]eis.TripOfferingResponse, n),
 	}
 }
 
@@ -394,7 +400,32 @@ func (g *Gateway) putFanout(fo *fanout) {
 		fo.spans[i] = span{}
 	}
 	fo.merged = eis.OfferingResponse{}
+	for i := range fo.trips {
+		trimTrip(&fo.trips[i])
+	}
+	// The merged trip's tables are slices of top.
+	if cap(fo.top) > maxPooledTripEntries {
+		fo.top, fo.tripMerged = nil, eis.TripOfferingResponse{}
+	}
 	g.fanouts.Put(fo)
+}
+
+// maxPooledTripEntries caps the entry storage a pooled fan-out keeps per
+// decoded trip and for the merged one (130 KB each; the benchmark's trips
+// hold a few dozen entries a shard), as cknn caps a ranking's entry scratch:
+// a fan-out that answered an outsized trip gives its storage back.
+const maxPooledTripEntries = 1 << 10
+
+// trimTrip drops the storage of a decoded trip that holds more than the cap;
+// a segment counts for one entry at least.
+func trimTrip(t *eis.TripOfferingResponse) {
+	entries := 0
+	for _, seg := range t.Segments[:cap(t.Segments)] {
+		entries += max(cap(seg.Entries), 1)
+	}
+	if entries > maxPooledTripEntries {
+		*t = eis.TripOfferingResponse{}
+	}
 }
 
 // fanout runs fo.calls, each against its shard, concurrently under one

@@ -56,8 +56,8 @@ type Options struct {
 	// Logger for degraded merges and shard errors; nil silences logging.
 	Logger *log.Logger
 	// WireShards negotiates the binary format of internal/wire on the
-	// shard-side exchanges whose payloads the codec covers (charger fan-out
-	// and offering merges). The client-facing format is negotiated
+	// shard-side exchanges whose payloads the codec covers (charger fan-out,
+	// offering and trip merges). The client-facing format is negotiated
 	// independently per request, and a shard without the codec keeps
 	// answering JSON — the gateway decodes by Content-Type — so mixed fleets
 	// work during a rollout.
@@ -163,13 +163,6 @@ func NewGateway(shards []Shard, opts Options) (*Gateway, error) {
 	accept := g.shardAccept()
 	for _, contentType := range []string{"", eis.ContentTypeJSON, wire.ContentType} {
 		g.headers = append(g.headers, headerSet{contentType, accept, newHeader(contentType, accept)})
-	}
-	if accept != "" {
-		// Trip offerings: the client's JSON, or the gateway's binary request
-		// with the segments' searches; the answers are JSON.
-		g.headers = append(g.headers,
-			headerSet{eis.ContentTypeJSON, "", newHeader(eis.ContentTypeJSON, "")},
-			headerSet{wire.ContentType, "", newHeader(wire.ContentType, "")})
 	}
 	for i, s := range shards {
 		m, err := newMember(i, s, opts)
@@ -634,27 +627,39 @@ func (g *Gateway) handleTrip(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The client's JSON goes on as it came, but to the shards the gateway
-	// plans and searches the trip for; the answers are JSON either way (the
-	// segment-shaped payload is not in the binary codec).
-	fo.setCall(call{method: http.MethodPost, ep: epTrip, body: body, header: g.header(eis.ContentTypeJSON, "")})
+	// plans and searches the trip for. The answers are asked for as every
+	// shard-side table is — binary from a wire fleet — and read by their
+	// Content-Type; the client's is JSON.
+	fo.setCall(call{method: http.MethodPost, ep: epTrip, body: body, header: g.header(eis.ContentTypeJSON, g.shardAccept())})
 	supplied := g.env != nil && g.supplyTrip(r.Context(), fo, &t)
 	g.fanout(r.Context(), fo)
-	nLive, bad, dead := splitResults(fo.results)
+	live, bad, dead := splitResults(fo.results)
 	if bad != nil {
 		passthrough(w, bad)
 		return
 	}
-	if nLive == 0 {
+	if live == 0 {
 		g.writeUnavailable(w, "offering/trip")
 		return
 	}
-	live := make([]eis.TripOfferingResponse, 0, nLive)
 	for i := range fo.results {
-		if !fo.results[i].ok() {
+		res := &fo.results[i]
+		if !res.ok() {
 			continue
 		}
-		var resp eis.TripOfferingResponse
-		if err := json.Unmarshal(fo.results[i].body, &resp); err != nil {
+		resp := &fo.trips[i]
+		start := time.Now()
+		if wire.IsWire(res.contentType) {
+			err = wire.DecodeTripResponse(res.body, resp)
+			met.decodeWire.Since(start)
+		} else {
+			// A fresh answer: encoding/json leaves fields a body omits as
+			// they were.
+			*resp = eis.TripOfferingResponse{}
+			err = json.Unmarshal(res.body, resp)
+			met.decodeJSON.Since(start)
+		}
+		if err != nil {
 			g.writeError(w, http.StatusBadGateway, "shard %d: decoding trip offering: %v", i, err)
 			return
 		}
@@ -665,7 +670,6 @@ func (g *Gateway) handleTrip(w http.ResponseWriter, r *http.Request) {
 				}
 			}
 		}
-		live = append(live, resp)
 	}
 	var synthAt func(geo.Point) []eis.OfferingEntry
 	if len(dead) > 0 {
@@ -682,16 +686,15 @@ func (g *Gateway) handleTrip(w http.ResponseWriter, r *http.Request) {
 			return out
 		}
 	}
-	merged, err := mergeTrips(live, synthAt, t.K)
-	if err != nil {
+	if err := fo.mergeTrips(synthAt, t.K); err != nil {
 		g.writeError(w, http.StatusBadGateway, "%v", err)
 		return
 	}
 	if len(dead) > 0 {
 		synthesized := 0
-		for _, seg := range merged.Segments {
-			for _, e := range seg.Entries {
-				if e.Degraded&uint8(cknn.DegradedShard) != 0 {
+		for _, seg := range fo.tripMerged.Segments {
+			for i := range seg.Entries {
+				if shardDegraded(&seg.Entries[i]) {
 					synthesized++
 				}
 			}
@@ -699,5 +702,5 @@ func (g *Gateway) handleTrip(w http.ResponseWriter, r *http.Request) {
 		markDegraded(w, dead, synthesized)
 		g.logf("trip offering served degraded: shards %v down", dead)
 	}
-	eis.WriteJSON(w, merged)
+	eis.WriteJSON(w, &fo.tripMerged)
 }

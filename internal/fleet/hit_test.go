@@ -231,10 +231,18 @@ func searches() float64 {
 	return snap["roadnet_expansions_total"] + snap["roadnet_many_expansions_total"]
 }
 
+// missAllocCeiling is what one personalised ranking through the fleet may
+// allocate, process-wide: 76 KB measured — five HTTP exchanges' worth of
+// net/http, the gateway's request body a shard with its travel block, and on
+// each shard the response-cache entry and the table. It does not cover a
+// candidate retrieval that allocates (14 KB a shard).
+const missAllocCeiling = 80 << 10
+
 // BenchmarkGatewayMiss is the cache-miss path end to end: one personalised
 // ranking through the fleet, which every shard computes. The gateway runs
 // the ranking's network search and the shards build on its travel times, so
-// the fleet must have started exactly one expansion per ranking.
+// the fleet must have started exactly one expansion per ranking; and one
+// ranking must stay under the allocation ceiling.
 func BenchmarkGatewayMiss(b *testing.B) {
 	f := newMissFleet(b, load.InprocOptions{})
 	supplied := obs.Default().Counter("fleet_travel_supplied_total")
@@ -250,6 +258,9 @@ func BenchmarkGatewayMiss(b *testing.B) {
 			b.Fatal("the gateway never searched on behalf of all three shards")
 		}
 	}
+	for i := 0; i < 20; i++ { // pools and connections reach steady state
+		f.rank(b)
+	}
 	before := searches()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -260,19 +271,42 @@ func BenchmarkGatewayMiss(b *testing.B) {
 	if got := searches() - before; got != float64(b.N) {
 		b.Fatalf("%v network expansions for %d fleet rankings, want one each", got, b.N)
 	}
+	if perRanking := allocPerRequest(func() { f.rank(b) }); perRanking > missAllocCeiling {
+		b.Fatalf("one ranking allocates %d B, over the ceiling of %d B", perRanking, missAllocCeiling)
+	}
+}
+
+// allocPerRequest is what one request of a warmed-up benchmark fleet
+// allocates, process-wide, over fifty of them off the benchmark's clock: the
+// ceilings hold at any -benchtime, the harness's one-iteration trial run
+// included, where one timer of the fleet firing is half a request's figure.
+// It reads 0 under the race detector, which allocates inside sync.Pool.
+func allocPerRequest(request func()) uint64 {
+	if fleet.RaceEnabled {
+		return 0
+	}
+	const n = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		request()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / n
 }
 
 // tripAllocCeiling is what one benchmark trip through the fleet may allocate,
 // process-wide. The longest trip of the scenario (four computed segments)
-// measures 382 KB: the three shards' routing, segmenting, candidate retrieval,
-// tables and JSON answers, and at the gateway its own plan, one request body a
-// shard (64 KB in all, the travel blocks) and the decode and merge of the
-// answers. The head-room is for the toolchain's net/http; what it does not
-// cover is any one of the cuts coming back: a snap through container/heap
-// (66 KB over the fifteen snaps of a trip), request bodies that outgrow the
-// connections' write buffers (54 KB of copy buffers) or are encoded into a
-// growing buffer and copied (64 KB).
-const tripAllocCeiling = 400 << 10
+// measures 170 KB: the three shards' routing, segmenting, tables and binary
+// answers, and at the gateway its own plan, one request body a shard (64 KB
+// in all, the travel blocks) and the client's JSON. The head-room is for the
+// toolchain's net/http; what it does not cover is any one of the cuts coming
+// back: JSON answers from the shards (45 KB of decoding at the gateway), a
+// candidate retrieval that allocates per computed segment (132 KB), a snap
+// through container/heap (66 KB over the fifteen snaps of a trip), request
+// bodies that outgrow the connections' write buffers (54 KB of copy buffers)
+// or are encoded into a growing buffer and copied (64 KB).
+const tripAllocCeiling = 180 << 10
 
 // BenchmarkGatewayTrip is the trip path end to end: the repository
 // benchmark's request — five waypoints, k, R and segment length as there —
@@ -335,9 +369,7 @@ func BenchmarkGatewayTrip(b *testing.B) {
 		}
 	}
 	expansions := func() float64 { return obs.Default().Snapshot()["roadnet_many_expansions_total"] }
-	var before, after runtime.MemStats
 	legs := expansions()
-	runtime.ReadMemStats(&before)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -346,11 +378,15 @@ func BenchmarkGatewayTrip(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	runtime.ReadMemStats(&after)
 	if got := expansions() - legs; got != float64(2*computed*b.N) {
 		b.Fatalf("%v network expansions for %d trips of %d computed segments, want two a segment", got, b.N, computed)
 	}
-	if perTrip := (after.TotalAlloc - before.TotalAlloc) / uint64(b.N); perTrip > tripAllocCeiling && !fleet.RaceEnabled {
+	perTrip := allocPerRequest(func() {
+		if err := f.send(); err != nil {
+			b.Fatal(err)
+		}
+	})
+	if perTrip > tripAllocCeiling {
 		b.Fatalf("one trip allocates %d B, over the ceiling of %d B", perTrip, tripAllocCeiling)
 	}
 }

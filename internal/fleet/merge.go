@@ -3,8 +3,10 @@ package fleet
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
+	"time"
 
 	"ecocharge/internal/charger"
 	"ecocharge/internal/cknn"
@@ -114,8 +116,9 @@ func ignoranceWire() eis.IntervalJSON { return eis.IntervalJSON{Min: 0, Max: 1} 
 
 // synthEntry builds the entry the gateway offers for a charger whose shard
 // did not answer: every component at the ignorance bound, SC through the
-// real scoring path, the full DegradedAll mask, and a zero ETA (the gateway
-// holds no road graph, so "unknown" is the honest value).
+// real scoring path, the full DegradedAll mask, and a zero ETA (the
+// synthesis reads no travel time, not even one a search the gateway ran for
+// the request found, so "unknown" is the honest value).
 func synthEntry(c charger.Charger, w cknn.Weights) eis.OfferingEntry {
 	ig := interval.New(0, 1)
 	sc := cknn.Components{L: ig, A: ig, D: ig}.SC(w)
@@ -172,29 +175,65 @@ func (fo *fanout) mergeOffering(synth []eis.OfferingEntry, k int) {
 	}
 }
 
-// mergeTrips combines per-shard trip evaluations. All shards share the road
-// graph, so the segment skeletons (index, anchor, ETA, length) must agree;
-// a mismatch means a shard answered for a different trip and is a merge
-// error, not something to paper over. synthAt, when non-nil, supplies the
-// dead shards' entries for a segment anchor. SplitPoints are recomputed
-// from the merged tables with the server's own change-point rule.
-func mergeTrips(live []eis.TripOfferingResponse, synthAt func(anchor geo.Point) []eis.OfferingEntry, k int) (eis.TripOfferingResponse, error) {
-	if len(live) == 0 {
-		return eis.TripOfferingResponse{}, fmt.Errorf("fleet: no live shard response to merge")
-	}
-	base := live[0]
-	for _, r := range live[1:] {
-		if len(r.Segments) != len(base.Segments) {
-			return eis.TripOfferingResponse{}, fmt.Errorf("fleet: shard trip skeletons disagree: %d vs %d segments", len(base.Segments), len(r.Segments))
+// sameInstant reports whether two timestamps render the same on the wire:
+// the same instant under the same zone offset.
+func sameInstant(a, b time.Time) bool {
+	_, ao := a.Zone()
+	_, bo := b.Zone()
+	return a.Equal(b) && ao == bo
+}
+
+// sameSkeleton reports whether two shards' answers for one segment describe
+// the same segment — index, anchor, ETA and length, bit for bit: every shard
+// routes and partitions the trip over the same road graph, so anything else
+// is an answer for another trip.
+func sameSkeleton(a, b *eis.SegmentOffering) bool {
+	return a.SegmentIndex == b.SegmentIndex &&
+		math.Float64bits(a.Anchor.Lat) == math.Float64bits(b.Anchor.Lat) &&
+		math.Float64bits(a.Anchor.Lon) == math.Float64bits(b.Anchor.Lon) &&
+		math.Float64bits(a.LengthM) == math.Float64bits(b.LengthM) &&
+		sameInstant(a.ETA, b.ETA)
+}
+
+// mergeTrips combines the decoded trip evaluations of the shards that
+// answered (fo.trips, in shard-index order) into fo.tripMerged, selecting
+// every segment's table over references into the shards' entries as
+// mergeOffering does. All shards share the road graph, so the segment
+// skeletons (index, anchor, ETA, length) and the trip's length must agree; a
+// mismatch means a shard answered for a different trip and is a merge error,
+// not something to paper over. synthAt, when non-nil, supplies the dead
+// shards' entries for a segment anchor. SplitPoints are recomputed from the
+// merged tables with the server's own change-point rule.
+func (fo *fanout) mergeTrips(synthAt func(anchor geo.Point) []eis.OfferingEntry, k int) error {
+	var base *eis.TripOfferingResponse
+	for i := range fo.results {
+		if !fo.results[i].ok() {
+			continue
+		}
+		r := &fo.trips[i]
+		switch {
+		case base == nil:
+			base = r
+		case len(r.Segments) != len(base.Segments):
+			return fmt.Errorf("fleet: shard trip skeletons disagree: %d vs %d segments", len(base.Segments), len(r.Segments))
+		case math.Float64bits(r.TripLengthM) != math.Float64bits(base.TripLengthM):
+			return fmt.Errorf("fleet: shard trip skeletons disagree on the trip's length (%v vs %v m)", base.TripLengthM, r.TripLengthM)
 		}
 	}
-	out := eis.TripOfferingResponse{TripLengthM: base.TripLengthM}
-	var (
-		prev []int64
-		sel  selection
-	)
+	if base == nil {
+		return fmt.Errorf("fleet: no live shard response to merge")
+	}
+	out := &fo.tripMerged
+	out.TripLengthM = base.TripLengthM
+	out.Segments, out.SplitPoints = out.Segments[:0], out.SplitPoints[:0]
+	if len(base.Segments) == 0 {
+		// As a shard's own: no segments and no split points render null.
+		out.Segments, out.SplitPoints = nil, nil
+	}
+	top := fo.top[:0]
+	var prev []eis.OfferingEntry
 	for si := range base.Segments {
-		bs := base.Segments[si]
+		bs := &base.Segments[si]
 		seg := eis.SegmentOffering{
 			SegmentIndex: bs.SegmentIndex,
 			Anchor:       bs.Anchor,
@@ -202,36 +241,38 @@ func mergeTrips(live []eis.TripOfferingResponse, synthAt func(anchor geo.Point) 
 			LengthM:      bs.LengthM,
 			Adapted:      true,
 		}
-		sel.reset()
-		for _, r := range live {
-			s := r.Segments[si]
-			if s.SegmentIndex != bs.SegmentIndex {
-				return eis.TripOfferingResponse{}, fmt.Errorf("fleet: segment %d: shard skeletons disagree on index (%d vs %d)", si, bs.SegmentIndex, s.SegmentIndex)
+		fo.sel.reset()
+		for i := range fo.results {
+			if !fo.results[i].ok() {
+				continue
+			}
+			s := &fo.trips[i].Segments[si]
+			if !sameSkeleton(s, bs) {
+				return fmt.Errorf("fleet: segment %d: shard skeletons disagree (segment %d at (%v, %v), %v, %v m vs segment %d at (%v, %v), %v, %v m)", si,
+					bs.SegmentIndex, bs.Anchor.Lat, bs.Anchor.Lon, bs.ETA, bs.LengthM, s.SegmentIndex, s.Anchor.Lat, s.Anchor.Lon, s.ETA, s.LengthM)
 			}
 			seg.Adapted = seg.Adapted && s.Adapted
-			sel.add(s.Entries)
+			fo.sel.add(s.Entries)
 		}
 		if synthAt != nil {
-			sel.add(synthAt(geo.Point{Lat: bs.Anchor.Lat, Lon: bs.Anchor.Lon}))
+			fo.sel.add(synthAt(geo.Point{Lat: bs.Anchor.Lat, Lon: bs.Anchor.Lon}))
 		}
-		seg.Entries = sel.top(nil, k)
-		ids := entryIDs(seg.Entries)
-		if len(out.Segments) == 0 || !slices.Equal(prev, ids) {
+		// The tables of a trip share fo.top; one that outgrows it leaves the
+		// tables before it in the storage they were selected into.
+		if grown := fo.sel.top(top, k); grown != nil {
+			seg.Entries, top = grown[len(top):len(grown):len(grown)], grown
+		}
+		if si == 0 || !slices.EqualFunc(prev, seg.Entries, sameCharger) {
 			out.SplitPoints = append(out.SplitPoints, seg.SegmentIndex)
-			prev = ids
+			prev = seg.Entries
 		}
 		out.Segments = append(out.Segments, seg)
 	}
-	return out, nil
+	fo.top = top[:0]
+	return nil
 }
 
-func entryIDs(es []eis.OfferingEntry) []int64 {
-	out := make([]int64, len(es))
-	for i, e := range es {
-		out[i] = e.ChargerID
-	}
-	return out
-}
+func sameCharger(a, b eis.OfferingEntry) bool { return a.ChargerID == b.ChargerID }
 
 // mergeChargers pools per-shard radius results (plus dead-shard inventory
 // matches) into the single-EIS order: geodesic distance ascending, ties by

@@ -272,7 +272,7 @@ func (g *Gateway) supplyTrip(ctx context.Context, fo *fanout, t *eis.TripOfferin
 		}
 	}
 
-	header := g.header(wire.ContentType, "")
+	header := g.header(wire.ContentType, g.shardAccept())
 	for i, terms := range fo.terms {
 		if terms == nil {
 			continue

@@ -52,6 +52,12 @@ type travelFleet struct {
 // gateway over them that holds world (nil: graph-free), inventories pulled.
 func newTravelFleet(t *testing.T, envs []*cknn.Env, world *cknn.Env) *travelFleet {
 	t.Helper()
+	return newFleetOver(t, envs, Options{WireShards: true, Env: world})
+}
+
+// newFleetOver is newTravelFleet under the gateway options given.
+func newFleetOver(t *testing.T, envs []*cknn.Env, opts Options) *travelFleet {
+	t.Helper()
 	f := &travelFleet{}
 	shards := make([]Shard, len(envs))
 	for i, env := range envs {
@@ -62,7 +68,7 @@ func newTravelFleet(t *testing.T, envs []*cknn.Env, world *cknn.Env) *travelFlee
 		shards[i].URL = ts.URL
 		f.shards = append(f.shards, sh)
 	}
-	gw, err := NewGateway(shards, Options{WireShards: true, Env: world})
+	gw, err := NewGateway(shards, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -721,9 +727,8 @@ func TestFleetTripDeadShard(t *testing.T) {
 	world := testEnv(t)
 	with := newTravelFleet(t, shardEnvs(t, world, 3), world)
 	without := newTravelFleet(t, shardEnvs(t, world, 3), nil)
-	down := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { w.WriteHeader(http.StatusServiceUnavailable) })
-	with.shards[1].set(down)
-	without.shards[1].set(down)
+	with.shards[1].set(shardDown)
+	without.shards[1].set(shardDown)
 	var bodies [][]byte
 	for _, trip := range routedTrips(t, world.Graph, 21, 3, 20, fixedNow) {
 		bodies = append(bodies, tripRequest(world.Graph, trip, 6, 6000, 2000, 1500))

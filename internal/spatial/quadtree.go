@@ -257,9 +257,17 @@ func (t *Quadtree) Within(q geo.Point, radius float64) []Neighbor {
 	if bound == 0 {
 		return nil
 	}
-	out := t.root.appendWithin(make([]Neighbor, 0, bound), q, radius)
-	sortNeighbors(out)
-	return out
+	return t.AppendWithin(make([]Neighbor, 0, bound), q, radius)
+}
+
+// AppendWithin appends to dst what Within returns, in its order, and returns
+// the grown slice: a caller that keeps dst from query to query retrieves
+// without allocating once dst has held its largest answer.
+func (t *Quadtree) AppendWithin(dst []Neighbor, q geo.Point, radius float64) []Neighbor {
+	start := len(dst)
+	dst = t.root.appendWithin(dst, q, radius)
+	sortNeighbors(dst[start:])
+	return dst
 }
 
 // countWithin counts the items of the leaves whose box reaches within radius

@@ -71,6 +71,7 @@ func TestIndexesAgreeWithBruteForceWithin(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	items := randomItems(r, 400)
 	bf, qt := buildAll(items)
+	var scratch []Neighbor
 
 	for trial := 0; trial < 50; trial++ {
 		q := geo.Point{
@@ -82,7 +83,16 @@ func TestIndexesAgreeWithBruteForceWithin(t *testing.T) {
 			if got := qt.Within(q, radius); !neighborsEqual(got, want) {
 				t.Fatalf("trial %d r=%.0f: quadtree Within mismatch: got %d want %d", trial, radius, len(got), len(want))
 			}
+			// The append-style twin, behind what the caller already holds.
+			scratch = qt.AppendWithin(append(scratch[:0], Neighbor{Item: Item{ID: -1}}), q, radius)
+			if scratch[0].ID != -1 || !neighborsEqual(scratch[1:], want) {
+				t.Fatalf("trial %d r=%.0f: AppendWithin mismatch: got %d want %d", trial, radius, len(scratch)-1, len(want))
+			}
 		}
+	}
+	q := testBounds.Center()
+	if allocs := testing.AllocsPerRun(100, func() { scratch = qt.AppendWithin(scratch[:0], q, 15000) }); allocs != 0 || len(scratch) == 0 {
+		t.Fatalf("AppendWithin allocates %v times per call on warm scratch (%d items)", allocs, len(scratch))
 	}
 }
 

@@ -227,6 +227,7 @@ const (
 	minChargerSize  = 8 + 8 + 8 + 4 + 8 + 8 + 8 + 1 + 168*8 // 1397
 	minTravelSize   = 4 + 8                                 // node, seconds
 	minWaypointSize = 8 + 8
+	minSegmentSize  = 1 + 8 + 8 + 16 + 8 + 1 + 1 // index, anchor, ETA, length, adapted, entries presence
 )
 
 // DecodeOfferingRequest decodes a binary Mode 2 request into out.
@@ -375,32 +376,86 @@ func (r *reader) entry(e *OfferingEntry) {
 	e.Degraded = r.u8()
 }
 
+// entries decodes one table's entries into dst's storage: nil for an encoded
+// nil list, and [] (not null) for an empty one, even into a fresh
+// destination.
+func (r *reader) entries(dst []OfferingEntry) []OfferingEntry {
+	switch r.u8() {
+	case 0:
+		return nil
+	case 1:
+		n := r.count(minEntrySize)
+		if dst == nil || cap(dst) < n {
+			dst = make([]OfferingEntry, n)
+		}
+		dst = dst[:n]
+		for i := 0; i < n && r.err == nil; i++ {
+			r.entry(&dst[i])
+		}
+	default:
+		r.fail("malformed entries presence byte")
+	}
+	return dst
+}
+
 // DecodeOfferingResponse decodes a binary Mode 2 response into out,
 // reusing out.Entries' capacity.
 func DecodeOfferingResponse(data []byte, out *OfferingResponse) error {
 	r := reader{b: data}
 	r.header(kindOfferingResponse)
-	switch r.u8() {
-	case 0:
-		out.Entries = nil
-	case 1:
-		n := r.count(minEntrySize)
-		if out.Entries == nil {
-			// An encoded empty list must decode to [] (not null), even into
-			// a fresh destination.
-			out.Entries = make([]OfferingEntry, 0, n)
-		}
-		out.Entries = out.Entries[:0]
-		for i := 0; i < n && r.err == nil; i++ {
-			var e OfferingEntry
-			r.entry(&e)
-			out.Entries = append(out.Entries, e)
-		}
-	default:
-		r.fail("malformed entries presence byte")
-	}
+	out.Entries = r.entries(out.Entries)
 	out.GeneratedAt = r.time()
 	out.Cached = r.bool()
+	return r.finish()
+}
+
+// DecodeTripResponse decodes a binary whole-trip response into out, reusing
+// the capacity of out.Segments, of the entries of every segment decoded into
+// before, and of out.SplitPoints: a caller that keeps out from response to
+// response decodes without allocating once it has seen its largest trip.
+func DecodeTripResponse(data []byte, out *TripOfferingResponse) error {
+	r := reader{b: data}
+	r.header(kindTripResponse)
+	out.TripLengthM = r.f64()
+	switch r.u8() {
+	case 0:
+		out.Segments = nil
+	case 1:
+		n := r.count(minSegmentSize)
+		if out.Segments == nil || cap(out.Segments) < n {
+			// The segments decoded into before keep their entry storage.
+			grown := make([]SegmentOffering, n)
+			copy(grown, out.Segments[:cap(out.Segments)])
+			out.Segments = grown
+		}
+		out.Segments = out.Segments[:n]
+		for i := 0; i < n && r.err == nil; i++ {
+			seg := &out.Segments[i]
+			seg.SegmentIndex = int(r.varint())
+			seg.Anchor = LatLon{Lat: r.f64(), Lon: r.f64()}
+			seg.ETA = r.time()
+			seg.LengthM = r.f64()
+			seg.Adapted = r.bool()
+			seg.Entries = r.entries(seg.Entries)
+		}
+	default:
+		r.fail("malformed segments presence byte")
+	}
+	switch r.u8() {
+	case 0:
+		out.SplitPoints = nil
+	case 1:
+		n := r.count(1)
+		if out.SplitPoints == nil {
+			out.SplitPoints = make([]int, 0, n)
+		}
+		out.SplitPoints = out.SplitPoints[:0]
+		for i := 0; i < n && r.err == nil; i++ {
+			out.SplitPoints = append(out.SplitPoints, int(r.varint()))
+		}
+	default:
+		r.fail("malformed split points presence byte")
+	}
 	return r.finish()
 }
 
@@ -484,6 +539,8 @@ func DecodeInto(data []byte, out interface{}) error {
 		return DecodeOfferingRequest(data, v)
 	case *OfferingResponse:
 		return DecodeOfferingResponse(data, v)
+	case *TripOfferingResponse:
+		return DecodeTripResponse(data, v)
 	case *[]charger.Charger:
 		cs, err := DecodeChargers(data, (*v)[:0])
 		if err != nil {

@@ -179,22 +179,60 @@ func appendEntry(b []byte, e *OfferingEntry) []byte {
 	return append(b, e.Degraded)
 }
 
-// AppendOfferingResponse appends the binary form of a Mode 2 response. A
-// nil entry slice is distinguished from an empty one so the re-encoded JSON
-// stays byte-identical ("entries":null vs []).
+// appendEntries appends one table's entries. A nil slice is distinguished
+// from an empty one so the re-encoded JSON stays byte-identical
+// ("entries":null vs []).
+func appendEntries(b []byte, es []OfferingEntry) []byte {
+	if es == nil {
+		return append(b, 0)
+	}
+	b = append(b, 1)
+	b = appendUvarint(b, uint64(len(es)))
+	for i := range es {
+		b = appendEntry(b, &es[i])
+	}
+	return b
+}
+
+// AppendOfferingResponse appends the binary form of a Mode 2 response.
 func AppendOfferingResponse(b []byte, resp *OfferingResponse) []byte {
 	b = appendHeader(b, kindOfferingResponse)
-	if resp.Entries == nil {
+	b = appendEntries(b, resp.Entries)
+	b = appendTime(b, resp.GeneratedAt)
+	return appendBool(b, resp.Cached)
+}
+
+// AppendTripResponse appends the binary form of a whole-trip response:
+// every segment with its table, then the split points. Nil slices stay
+// apart from empty ones at every level, as in AppendOfferingResponse.
+func AppendTripResponse(b []byte, resp *TripOfferingResponse) []byte {
+	b = appendHeader(b, kindTripResponse)
+	b = appendF64(b, resp.TripLengthM)
+	if resp.Segments == nil {
 		b = append(b, 0)
 	} else {
 		b = append(b, 1)
-		b = appendUvarint(b, uint64(len(resp.Entries)))
-		for i := range resp.Entries {
-			b = appendEntry(b, &resp.Entries[i])
+		b = appendUvarint(b, uint64(len(resp.Segments)))
+		for i := range resp.Segments {
+			seg := &resp.Segments[i]
+			b = appendVarint(b, int64(seg.SegmentIndex))
+			b = appendF64(b, seg.Anchor.Lat)
+			b = appendF64(b, seg.Anchor.Lon)
+			b = appendTime(b, seg.ETA)
+			b = appendF64(b, seg.LengthM)
+			b = appendBool(b, seg.Adapted)
+			b = appendEntries(b, seg.Entries)
 		}
 	}
-	b = appendTime(b, resp.GeneratedAt)
-	return appendBool(b, resp.Cached)
+	if resp.SplitPoints == nil {
+		return append(b, 0)
+	}
+	b = append(b, 1)
+	b = appendUvarint(b, uint64(len(resp.SplitPoints)))
+	for _, sp := range resp.SplitPoints {
+		b = appendVarint(b, int64(sp))
+	}
+	return b
 }
 
 func appendCharger(b []byte, c *charger.Charger) []byte {

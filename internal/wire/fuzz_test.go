@@ -173,6 +173,33 @@ func FuzzWireRoundTrip(f *testing.F) {
 			t.Fatalf("wire bytes differ after a JSON round trip\njson: %s", jb)
 		}
 
+		// The whole-trip response under the same two rules: a segment with
+		// the table above, one with none, and the split points.
+		tripResp := TripOfferingResponse{
+			TripLengthM: radius,
+			Segments: []SegmentOffering{
+				{SegmentIndex: k, Anchor: LatLon{Lat: lat, Lon: lon}, ETA: eta, LengthM: scMax, Adapted: cached, Entries: resp.Entries},
+				{SegmentIndex: int(degraded), Anchor: LatLon{Lat: wl, Lon: wa}, ETA: now, LengthM: wd, Adapted: !cached},
+			},
+			SplitPoints: []int{k, int(degraded)},
+		}
+		var tripRespOut TripOfferingResponse
+		tripRespEnc := AppendTripResponse(nil, &tripResp)
+		if err := DecodeTripResponse(tripRespEnc, &tripRespOut); err != nil {
+			t.Fatalf("trip response decode: %v", err)
+		}
+		assertFuzzJSONEqual(t, "trip response", &tripResp, &tripRespOut)
+		if jb, err = json.Marshal(&tripResp); err != nil {
+			t.Fatalf("marshal: %v", err)
+		}
+		var tripViaJSON TripOfferingResponse
+		if err := json.Unmarshal(jb, &tripViaJSON); err != nil {
+			t.Fatalf("unmarshal: %v", err)
+		}
+		if !bytes.Equal(tripRespEnc, AppendTripResponse(nil, &tripViaJSON)) {
+			t.Fatalf("trip response wire bytes differ after a JSON round trip\njson: %s", jb)
+		}
+
 		// Charger inventory leg, gated on coordinates the domain accepts.
 		p := geo.Point{Lat: lat, Lon: lon}
 		if !p.Valid() || radius < 0 {
@@ -217,6 +244,8 @@ func FuzzWireDecode(f *testing.F) {
 	req.Travel = sampleTravel()
 	f.Add(AppendOfferingRequest(nil, &req))
 	f.Add(AppendOfferingResponse(nil, &resp))
+	tripResp := sampleTripResponse(3)
+	f.Add(AppendTripResponse(nil, &tripResp))
 	trip := sampleTrip()
 	f.Add(AppendTripRequest(nil, &trip))
 	f.Add(appendSampleTrip(&trip, sampleTripBlocks()))
@@ -281,6 +310,15 @@ func FuzzWireDecode(f *testing.F) {
 			}
 			assertFuzzJSONEqual(t, "response", &respOut, &again)
 		}
+		var tripRespOut TripOfferingResponse
+		if err := DecodeTripResponse(data, &tripRespOut); err == nil {
+			// Into storage that held another answer, as the gateway decodes.
+			again := sampleTripResponse(2)
+			if err := DecodeTripResponse(AppendTripResponse(nil, &tripRespOut), &again); err != nil {
+				t.Fatalf("trip response re-decode: %v", err)
+			}
+			assertFuzzJSONEqual(t, "trip response", &tripRespOut, &again)
+		}
 		if cs, err := DecodeChargers(data, nil); err == nil {
 			if _, err := DecodeChargers(AppendChargers(nil, cs), nil); err != nil {
 				t.Fatalf("chargers re-decode: %v", err)
@@ -338,6 +376,40 @@ func FuzzOfferingJSONRoundTrip(f *testing.F) {
 		}
 		if !bytes.Equal(first, second) {
 			t.Fatalf("JSON round trip unstable\nfirst  %s\nsecond %s", first, second)
+		}
+
+		// The trip response around the same table: byte-stable on the JSON
+		// plane, and the same bytes after a leg on the binary one — a gateway
+		// merges JSON and binary shard answers into one client body.
+		trip := TripOfferingResponse{TripLengthM: rate}
+		if !nilEntries {
+			trip.Segments = []SegmentOffering{{
+				SegmentIndex: int(degraded), Anchor: LatLon{Lat: lat, Lon: lon},
+				ETA: ts, LengthM: hi, Adapted: cached, Entries: resp.Entries,
+			}, {ETA: ts}}
+			trip.SplitPoints = []int{int(degraded)}
+		}
+		if first, err = json.Marshal(&trip); err != nil {
+			t.Fatalf("marshal: %v", err)
+		}
+		var tripBack, tripViaWire TripOfferingResponse
+		if err := json.Unmarshal(first, &tripBack); err != nil {
+			t.Fatalf("unmarshal: %v", err)
+		}
+		if second, err = json.Marshal(&tripBack); err != nil {
+			t.Fatalf("re-marshal: %v", err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("trip JSON round trip unstable\nfirst  %s\nsecond %s", first, second)
+		}
+		if err := DecodeTripResponse(AppendTripResponse(nil, &tripBack), &tripViaWire); err != nil {
+			t.Fatalf("trip response decode: %v", err)
+		}
+		if second, err = json.Marshal(&tripViaWire); err != nil {
+			t.Fatalf("re-marshal: %v", err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("trip JSON changed across the binary plane\nfirst  %s\nsecond %s", first, second)
 		}
 	})
 }

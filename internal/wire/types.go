@@ -161,6 +161,23 @@ type OfferingResponse struct {
 	Cached      bool            `json:"cached"` // served from the server-side dynamic cache
 }
 
+// SegmentOffering is one per-segment result of a trip evaluation.
+type SegmentOffering struct {
+	SegmentIndex int             `json:"segment_index"`
+	Anchor       LatLon          `json:"anchor"`
+	ETA          time.Time       `json:"eta"`
+	LengthM      float64         `json:"length_m"`
+	Adapted      bool            `json:"adapted"` // served by the dynamic cache
+	Entries      []OfferingEntry `json:"entries"`
+}
+
+// TripOfferingResponse is the whole-trip Mode 2 result.
+type TripOfferingResponse struct {
+	TripLengthM float64           `json:"trip_length_m"`
+	Segments    []SegmentOffering `json:"segments"`
+	SplitPoints []int             `json:"split_points"` // segment indexes where the top-k set changes
+}
+
 // WeatherResponse reports the production forecast of one charger site.
 type WeatherResponse struct {
 	ChargerID    int64        `json:"charger_id"`

@@ -1,7 +1,7 @@
 // Package wire is the EcoCharge zero-copy data plane: the wire types the
 // EIS and the fleet gateway exchange, plus a compact length-prefixed binary
-// codec for the hot-path payloads (Offering Tables, the charger inventory,
-// and the per-charger point lookups).
+// codec for the hot-path payloads (Offering Tables, one or a trip's worth,
+// the charger inventory, and the per-charger point lookups).
 //
 // JSON stays the canonical, default interchange format — every binary
 // message decodes to exactly the struct its JSON twin decodes to, and the
@@ -53,6 +53,7 @@ const (
 	kindWeather          = 4
 	kindAvailability     = 5
 	kindTripRequest      = 6
+	kindTripResponse     = 7
 )
 
 // Accepts reports whether an Accept header asks for the binary format. Only
