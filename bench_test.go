@@ -1,8 +1,5 @@
-// Benchmarks regenerating the paper's evaluation figures. Each BenchmarkFigN
-// corresponds to one figure of §V; sub-benchmarks enumerate the datasets and
-// the swept parameter. F_t in the paper is per-query CPU time, which is what
-// ns/op reports here (one op = one Offering Table computation, or one whole
-// trip for the cache-sensitive Fig. 8 sweep).
+// The figure sweeps of §V are run by cmd/ecobench (`make figures`); the one
+// benchmark here measures the continuous-query bookkeeping they share.
 //
 // Run with:
 //
@@ -10,143 +7,23 @@
 package ecocharge
 
 import (
-	"fmt"
-	"sync"
 	"testing"
 
 	"ecocharge/internal/cknn"
 	"ecocharge/internal/experiment"
-	"ecocharge/internal/trajectory"
 )
 
-// benchScale keeps scenario construction tractable; the swept methods see
-// the full charger inventories (the paper's >1,000 per dataset), only the
-// trip count is scaled.
+// benchScale keeps scenario construction tractable; the ranking sees the
+// full charger inventory (the paper's >1,000 per dataset), only the trip
+// count is scaled.
 const benchScale = 0.002
-
-var (
-	benchOnce      sync.Once
-	benchScenarios []*experiment.Scenario
-	benchErr       error
-)
-
-func scenarios(b *testing.B) []*experiment.Scenario {
-	b.Helper()
-	benchOnce.Do(func() {
-		benchScenarios, benchErr = experiment.BuildAllScenarios(benchScale, 42)
-	})
-	if benchErr != nil {
-		b.Fatalf("building scenarios: %v", benchErr)
-	}
-	return benchScenarios
-}
-
-// queriesFor materializes the per-segment queries of the scenario's first
-// trips, the workload every figure replays.
-func queriesFor(sc *experiment.Scenario, maxTrips int) []cknn.Query {
-	opts := cknn.TripOptions{K: 3, SegmentLenM: 500, RadiusM: 50000}
-	var qs []cknn.Query
-	for i, trip := range sc.Trips {
-		if i >= maxTrips {
-			break
-		}
-		for _, seg := range trajectory.SegmentTrip(sc.Graph, trip, opts.SegmentLenM) {
-			qs = append(qs, cknn.QueryForSegment(trip, seg, opts))
-		}
-	}
-	return qs
-}
-
-// BenchmarkFig6 measures F_t of the four compared methods on each dataset
-// (Figure 6, Performance Evaluation). Per-op time is one Offering Table.
-func BenchmarkFig6(b *testing.B) {
-	for _, sc := range scenarios(b) {
-		qs := queriesFor(sc, 4)
-		if len(qs) == 0 {
-			b.Fatalf("%s: no queries", sc.Name)
-		}
-		methods := []cknn.Method{
-			cknn.NewBruteForce(sc.Env),
-			cknn.NewIndexQuadtree(sc.Env),
-			cknn.NewRandom(sc.Env, 7),
-			cknn.NewEcoCharge(sc.Env, cknn.EcoChargeOptions{RadiusM: 50000, ReuseDistM: 5000}),
-		}
-		for _, m := range methods {
-			m := m
-			b.Run(fmt.Sprintf("%s/%s", sc.Name, m.Name()), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					_ = m.Rank(qs[i%len(qs)])
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig7 measures F_t of EcoCharge under the radius sweep
-// R ∈ {25, 50, 75} km (Figure 7, R-opt Evaluation).
-func BenchmarkFig7(b *testing.B) {
-	for _, sc := range scenarios(b) {
-		qs := queriesFor(sc, 4)
-		for _, rKM := range []float64{25, 50, 75} {
-			rKM := rKM
-			m := cknn.NewEcoCharge(sc.Env, cknn.EcoChargeOptions{RadiusM: rKM * 1000, ReuseDistM: 5000})
-			b.Run(fmt.Sprintf("%s/R=%.0fkm", sc.Name, rKM), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					q := qs[i%len(qs)]
-					q.RadiusM = rKM * 1000
-					_ = m.Rank(q)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig8 measures F_t of EcoCharge under the reuse-distance sweep
-// Q ∈ {5, 10, 15} km (Figure 8, Q-opt Evaluation). One op is a whole trip
-// so the cache hit pattern matches real continuous operation.
-func BenchmarkFig8(b *testing.B) {
-	for _, sc := range scenarios(b) {
-		trips := sc.Trips
-		if len(trips) > 4 {
-			trips = trips[:4]
-		}
-		for _, qKM := range []float64{5, 10, 15} {
-			qKM := qKM
-			m := cknn.NewEcoCharge(sc.Env, cknn.EcoChargeOptions{RadiusM: 50000, ReuseDistM: qKM * 1000})
-			opts := cknn.TripOptions{K: 3, SegmentLenM: 500, RadiusM: 50000}
-			b.Run(fmt.Sprintf("%s/Q=%.0fkm", sc.Name, qKM), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					_ = cknn.RunTrip(sc.Env, m, trips[i%len(trips)], opts)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig9 measures F_t of EcoCharge under the four ablated distance
-// functions (Figure 9, Ablation of Weight Parameters). SC effects of the
-// ablation are produced by `ecobench -fig 9` and TestRunAblationShape; this
-// bench captures that the weight configuration does not change the cost.
-func BenchmarkFig9(b *testing.B) {
-	for _, sc := range scenarios(b) {
-		qs := queriesFor(sc, 4)
-		for _, fn := range experiment.AblationFunctions() {
-			fn := fn
-			m := cknn.NewEcoCharge(sc.Env, cknn.EcoChargeOptions{RadiusM: 50000, ReuseDistM: 5000})
-			b.Run(fmt.Sprintf("%s/%s", sc.Name, fn.Name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					q := qs[i%len(qs)]
-					q.Weights = fn.Weights
-					_ = m.Rank(q)
-				}
-			})
-		}
-	}
-}
 
 // BenchmarkSplitList covers the continuous-query bookkeeping itself.
 func BenchmarkSplitList(b *testing.B) {
-	sc := scenarios(b)[0] // Oldenburg
+	sc, err := experiment.BuildScenario("Oldenburg", benchScale, 42)
+	if err != nil {
+		b.Fatalf("building scenario: %v", err)
+	}
 	m := cknn.NewEcoCharge(sc.Env, cknn.EcoChargeOptions{RadiusM: 50000, ReuseDistM: 5000})
 	opts := cknn.TripOptions{K: 3, SegmentLenM: 4000, RadiusM: 50000}
 	b.ResetTimer()

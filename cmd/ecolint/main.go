@@ -5,28 +5,17 @@
 //
 // Usage:
 //
-//	ecolint [flags] [packages]
-//
-// Flags:
-//
-//	-json             emit findings as a JSON array instead of text
-//	-enable  a,b,...  run only the named analyzers
-//	-disable a,b,...  run all but the named analyzers
-//	-list             print the available analyzers and exit
-//	-tags    a,b,...  build tags to apply when loading packages
-//	-C dir            run as if started in dir
+//	ecolint [-C dir] [packages]
 //
 // Exit status: 0 when the tree is clean, 1 when findings were reported,
 // 2 on usage or load errors.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"ecocharge/internal/lint"
 )
@@ -38,28 +27,8 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ecolint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		jsonOut = fs.Bool("json", false, "emit findings as a JSON array")
-		enable  = fs.String("enable", "", "comma-separated analyzers to run (default: all)")
-		disable = fs.String("disable", "", "comma-separated analyzers to skip")
-		list    = fs.Bool("list", false, "list available analyzers and exit")
-		tags    = fs.String("tags", "", "comma-separated build tags to apply when loading packages")
-		chdir   = fs.String("C", ".", "directory to run in")
-	)
+	chdir := fs.String("C", ".", "directory to run in")
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-
-	if *list {
-		for _, a := range lint.All {
-			outf(stdout, "%-16s %s\n", a.Name, a.Doc)
-		}
-		return 0
-	}
-
-	analyzers, err := selectAnalyzers(*enable, *disable)
-	if err != nil {
-		outln(stderr, "ecolint:", err)
 		return 2
 	}
 
@@ -67,90 +36,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	var buildTags []string
-	for _, t := range strings.Split(*tags, ",") {
-		if t = strings.TrimSpace(t); t != "" {
-			buildTags = append(buildTags, t)
-		}
-	}
-	pkgs, err := lint.Load(*chdir, patterns, buildTags...)
+	pkgs, err := lint.Load(*chdir, patterns)
 	if err != nil {
 		outln(stderr, "ecolint:", err)
 		return 2
 	}
 
-	diags := lint.Run(pkgs, analyzers)
-	if *jsonOut {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if diags == nil {
-			diags = []lint.Diagnostic{}
-		}
-		if err := enc.Encode(diags); err != nil {
-			outln(stderr, "ecolint:", err)
-			return 2
-		}
-	} else {
-		for _, d := range diags {
-			outln(stdout, d)
-		}
-		if len(diags) > 0 {
-			outf(stderr, "ecolint: %d finding(s)\n", len(diags))
-		}
+	diags := lint.Run(pkgs, lint.All)
+	for _, d := range diags {
+		outln(stdout, d)
 	}
 	if len(diags) > 0 {
+		outf(stderr, "ecolint: %d finding(s)\n", len(diags))
 		return 1
 	}
 	return 0
-}
-
-// selectAnalyzers resolves the -enable/-disable flags against lint.All.
-func selectAnalyzers(enable, disable string) ([]*lint.Analyzer, error) {
-	if enable != "" && disable != "" {
-		return nil, fmt.Errorf("-enable and -disable are mutually exclusive")
-	}
-	parse := func(s string) (map[string]bool, error) {
-		set := make(map[string]bool)
-		for _, name := range strings.Split(s, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			if lint.ByName(name) == nil {
-				return nil, fmt.Errorf("unknown analyzer %q (try -list)", name)
-			}
-			set[name] = true
-		}
-		return set, nil
-	}
-	switch {
-	case enable != "":
-		want, err := parse(enable)
-		if err != nil {
-			return nil, err
-		}
-		var out []*lint.Analyzer
-		for _, a := range lint.All {
-			if want[a.Name] {
-				out = append(out, a)
-			}
-		}
-		return out, nil
-	case disable != "":
-		skip, err := parse(disable)
-		if err != nil {
-			return nil, err
-		}
-		var out []*lint.Analyzer
-		for _, a := range lint.All {
-			if !skip[a.Name] {
-				out = append(out, a)
-			}
-		}
-		return out, nil
-	default:
-		return lint.All, nil
-	}
 }
 
 // outf and outln write CLI output; errors writing to the process streams

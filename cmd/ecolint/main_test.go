@@ -2,13 +2,10 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"ecocharge/internal/lint"
 )
 
 // probeModule writes a throwaway single-file module into a temp dir so the
@@ -63,75 +60,13 @@ func TestRunClean(t *testing.T) {
 	}
 }
 
-func TestRunJSON(t *testing.T) {
-	dir := probeModule(t, dirtySrc)
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-C", dir, "-json", "./..."}, &stdout, &stderr); code != 1 {
-		t.Fatalf("exit code = %d, want 1\nstderr: %s", code, &stderr)
-	}
-	var diags []lint.Diagnostic
-	if err := json.Unmarshal(stdout.Bytes(), &diags); err != nil {
-		t.Fatalf("output is not a JSON diagnostic array: %v\n%s", err, &stdout)
-	}
-	if len(diags) != 1 {
-		t.Fatalf("got %d diagnostics, want 1: %+v", len(diags), diags)
-	}
-	d := diags[0]
-	if d.Analyzer != "floateq" || d.Line == 0 || !strings.HasSuffix(d.File, "main.go") {
-		t.Errorf("unexpected diagnostic %+v", d)
-	}
-}
-
-func TestRunJSONCleanIsEmptyArray(t *testing.T) {
-	dir := probeModule(t, cleanSrc)
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-C", dir, "-json", "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("exit code = %d, want 0\nstderr: %s", code, &stderr)
-	}
-	if got := strings.TrimSpace(stdout.String()); got != "[]" {
-		t.Errorf("clean -json output = %q, want []", got)
-	}
-}
-
-func TestRunDisable(t *testing.T) {
-	dir := probeModule(t, dirtySrc)
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-C", dir, "-disable", "floateq", "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("exit code = %d, want 0 with floateq disabled\nstdout: %s", code, &stdout)
-	}
-}
-
-func TestRunEnableOther(t *testing.T) {
-	dir := probeModule(t, dirtySrc)
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-C", dir, "-enable", "errignore,libprint", "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("exit code = %d, want 0 when floateq not enabled\nstdout: %s", code, &stdout)
-	}
-}
-
 func TestRunUsageErrors(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-enable", "nonexistent"}, &stdout, &stderr); code != 2 {
-		t.Errorf("unknown analyzer: exit code = %d, want 2", code)
-	}
-	stderr.Reset()
-	if code := run([]string{"-enable", "floateq", "-disable", "nakedgo"}, &stdout, &stderr); code != 2 {
-		t.Errorf("enable+disable: exit code = %d, want 2", code)
+	if code := run([]string{"-list"}, &stdout, &stderr); code != 2 {
+		t.Errorf("unknown flag: exit code = %d, want 2", code)
 	}
 	stderr.Reset()
 	if code := run([]string{"-C", t.TempDir(), "./..."}, &stdout, &stderr); code != 2 {
 		t.Errorf("empty dir (go list failure): exit code = %d, want 2", code)
-	}
-}
-
-func TestRunList(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("exit code = %d, want 0", code)
-	}
-	for _, a := range lint.All {
-		if !strings.Contains(stdout.String(), a.Name) {
-			t.Errorf("-list output missing %q:\n%s", a.Name, &stdout)
-		}
 	}
 }

@@ -211,6 +211,7 @@ func TestDeroutingCostProperties(t *testing.T) {
 	env := testEnv(t)
 	q := testQuery(env).normalized()
 	d := env.deroutingMaps(q, math.Inf(1), nil, exactBounds)
+	defer d.Release()
 
 	// The anchor itself (= return node) has zero derouting.
 	iv, ok := d.Cost(q.AnchorNode)
@@ -248,6 +249,7 @@ func TestDeroutingZeroForOnRouteCharger(t *testing.T) {
 	}
 	q.ReturnNode = next
 	d := env.deroutingMaps(q, math.Inf(1), nil, exactBounds)
+	defer d.Release()
 	iv, ok := d.Cost(next)
 	if !ok {
 		t.Fatal("return node unreachable")
@@ -262,6 +264,7 @@ func TestEvaluateProducesNormalizedComponents(t *testing.T) {
 	eng := Engine{Env: env}
 	q := testQuery(env).normalized()
 	d := env.deroutingMaps(q, math.Inf(1), nil, exactBounds)
+	defer d.Release()
 	evaluated := 0
 	for i := range env.Chargers.All() {
 		c := &env.Chargers.All()[i]
@@ -318,6 +321,7 @@ func TestPruningIsLossless(t *testing.T) {
 	eng := Engine{Env: env}
 	q := testQuery(env).normalized()
 	d := env.deroutingMaps(q, math.Inf(1), nil, exactBounds)
+	defer d.Release()
 	all := env.Chargers.All()
 	cands := make([]*charger.Charger, len(all))
 	for i := range all {

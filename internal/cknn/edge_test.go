@@ -92,7 +92,9 @@ func TestApproxDeroutingSoundness(t *testing.T) {
 	env := testEnv(t)
 	q := testQuery(env).normalized()
 	exact := env.deroutingMaps(q, math.Inf(1), nil, exactBounds)
+	defer exact.Release()
 	approx := env.deroutingMaps(q, math.Inf(1), nil, approxBounds)
+	defer approx.Release()
 	checked := 0
 	for _, c := range env.Chargers.All() {
 		ai, okA := approx.Cost(c.Node)

@@ -11,7 +11,6 @@ package lint
 // directives with no reason.
 var BareDirective = &Analyzer{
 	Name: "baredirective",
-	Doc:  "ecolint:ignore directives must name analyzers and justify the suppression",
 	Run: func(p *Pass) {
 		for _, d := range p.Pkg.directives() {
 			switch {

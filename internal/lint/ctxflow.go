@@ -1,75 +1,43 @@
 package lint
 
 // CtxFlow enforces context propagation, the cancellation half of the
-// serving story:
-//
-//  1. Everywhere: a function that accepts a context.Context (or an
-//     *http.Request, which carries one) must not make blocking calls that
-//     ignore it — time.Sleep instead of a ctx-aware timer wait, or the
-//     context-less net/http entry points (http.Get, http.Post,
-//     http.NewRequest, ...) instead of their WithContext forms.
-//  2. In server/worker packages (internal/eis, internal/cknn,
-//     internal/experiment, cmd/...): an unbounded `for` loop — no
-//     condition and no path that leaves the loop — must observe
-//     ctx.Done() or ctx.Err(); otherwise the goroutine running it can
-//     never be cancelled.
-//
-// Rule 2 leans on the flow package's loop analysis: a loop that checks
-// ctx.Done() in a select necessarily has an exit edge, so a loop with no
-// exit at all is exactly the un-cancellable kind.
+// serving story: a function that accepts a context.Context (or an
+// *http.Request, which carries one) must not make blocking calls that
+// ignore it — time.Sleep instead of a ctx-aware timer wait, or the
+// context-less net/http entry points (http.Get, http.Post,
+// http.NewRequest, ...) instead of their WithContext forms.
 
 import (
 	"go/ast"
 	"go/types"
-	"strings"
-
-	"ecocharge/internal/lint/flow"
 )
 
 var CtxFlow = &Analyzer{
 	Name: "ctxflow",
-	Doc:  "context must be threaded through blocking calls; unbounded worker loops must observe ctx",
 	Run:  runCtxFlow,
 }
 
-// ctxLoopPackages are the server/worker packages where every unbounded
-// loop must be cancellable (rule 2).
-var ctxLoopPackages = []string{"internal/eis", "internal/cknn", "internal/experiment", "internal/fleet"}
-
 func runCtxFlow(p *Pass) {
-	loopScope := strings.Contains(p.Pkg.ImportPath, "cmd/")
-	for _, suffix := range ctxLoopPackages {
-		if strings.HasSuffix(p.Pkg.ImportPath, suffix) {
-			loopScope = true
-		}
-	}
 	for _, f := range p.Pkg.Files {
-		flow.Functions(f, func(name string, fn ast.Node, body *ast.BlockStmt) {
-			if hasCtxParam(p, fn) {
-				checkBlockingCalls(p, body)
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch fn := n.(type) {
+			case *ast.FuncDecl:
+				if fn.Body != nil && hasCtxParam(p, fn.Type) {
+					checkBlockingCalls(p, fn.Body)
+				}
+			case *ast.FuncLit:
+				if hasCtxParam(p, fn.Type) {
+					checkBlockingCalls(p, fn.Body)
+				}
 			}
-			if loopScope {
-				checkUnboundedLoops(p, body)
-			}
+			return true
 		})
 	}
 }
 
 // hasCtxParam reports whether the function declares a context.Context or
 // *http.Request parameter.
-func hasCtxParam(p *Pass, fn ast.Node) bool {
-	var ft *ast.FuncType
-	switch fn := fn.(type) {
-	case *ast.FuncDecl:
-		ft = fn.Type
-	case *ast.FuncLit:
-		ft = fn.Type
-	default:
-		return false
-	}
-	if ft.Params == nil {
-		return false
-	}
+func hasCtxParam(p *Pass, ft *ast.FuncType) bool {
 	for _, field := range ft.Params.List {
 		t := p.TypeOf(field.Type)
 		if isContextType(t) || isHTTPRequestPtr(t) {
@@ -111,7 +79,10 @@ func isHTTPRequestPtr(t types.Type) bool {
 // direct call, so any mention of time.Sleep (or a context-less net/http
 // entry point) in a ctx-bearing function is a finding.
 func checkBlockingCalls(p *Pass, body *ast.BlockStmt) {
-	flow.Inspect(body, func(n ast.Node) bool {
+	ast.Inspect(body, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok {
+			return false
+		}
 		name, ok := n.(*ast.Ident)
 		if !ok {
 			return true
@@ -138,44 +109,4 @@ func checkBlockingCalls(p *Pass, body *ast.BlockStmt) {
 		}
 		return true
 	})
-}
-
-// checkUnboundedLoops flags for-loops with no exit path and no ctx
-// observation (rule 2).
-func checkUnboundedLoops(p *Pass, body *ast.BlockStmt) {
-	g := flow.New(body)
-	for _, loop := range g.Loops {
-		fs, ok := loop.Stmt.(*ast.ForStmt)
-		if !ok || fs.Cond != nil {
-			continue
-		}
-		if loop.HasExit() {
-			continue
-		}
-		// Defensive double-check: if the loop body mentions ctx.Done or
-		// ctx.Err anyway, trust the author over the graph.
-		if loopObservesCtx(p, loop) {
-			continue
-		}
-		p.Reportf(fs.Pos(), "unbounded for loop never observes ctx.Done()/ctx.Err(); the goroutine running it cannot be cancelled")
-	}
-}
-
-func loopObservesCtx(p *Pass, loop *flow.Loop) bool {
-	found := false
-	for _, b := range loop.Blocks {
-		for _, n := range b.Nodes {
-			flow.Inspect(n, func(n ast.Node) bool {
-				sel, ok := n.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				if (sel.Sel.Name == "Done" || sel.Sel.Name == "Err") && isContextType(p.TypeOf(sel.X)) {
-					found = true
-				}
-				return true
-			})
-		}
-	}
-	return found
 }

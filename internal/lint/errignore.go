@@ -22,7 +22,6 @@ import (
 // *bytes.Buffer or *strings.Builder (whose Write never fails).
 var ErrIgnore = &Analyzer{
 	Name: "errignore",
-	Doc:  "flags expression statements that discard a returned error",
 	Run:  runErrIgnore,
 }
 

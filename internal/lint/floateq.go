@@ -19,7 +19,6 @@ import (
 // they are evaluated exactly by the compiler.
 var FloatEq = &Analyzer{
 	Name: "floateq",
-	Doc:  "flags ==/!= on floating-point expressions; scores need tolerance or interval dominance",
 	Run:  runFloatEq,
 }
 

@@ -21,7 +21,6 @@ import (
 // suppressed with //ecolint:ignore httpserver and a reason.
 var HTTPServer = &Analyzer{
 	Name: "httpserver",
-	Doc:  "flags http.Server literals without read timeouts and package-level ListenAndServe calls",
 	Run:  runHTTPServer,
 }
 

@@ -15,7 +15,6 @@ import (
 // the zero value is the documented exact interval [0, 0].
 var IntervalLiteral = &Analyzer{
 	Name: "intervalliteral",
-	Doc:  "flags interval.I{...} composite literals that bypass interval.New's invariant checks",
 	Run:  runIntervalLiteral,
 }
 

@@ -14,7 +14,6 @@ import (
 // a depth where the caller could have recovered.
 var LibPrint = &Analyzer{
 	Name: "libprint",
-	Doc:  "flags fmt/log printing inside internal/ library packages (output belongs in cmd/)",
 	Run:  runLibPrint,
 }
 

@@ -27,14 +27,13 @@ import (
 	"strings"
 )
 
-// Diagnostic is one finding, in a shape that marshals directly to the
-// -json output of cmd/ecolint.
+// Diagnostic is one finding.
 type Diagnostic struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
+	File     string
+	Line     int
+	Col      int
+	Analyzer string
+	Message  string
 }
 
 // String renders the diagnostic in the conventional file:line:col form.
@@ -46,14 +45,12 @@ func (d Diagnostic) String() string {
 // reports findings through Pass.Reportf.
 type Analyzer struct {
 	Name string
-	Doc  string
 	Run  func(*Pass)
 }
 
-// All lists every analyzer in the order they run. The first eight are
-// line-local AST walkers; leakrelease, lockheld and ctxflow are the
-// path-sensitive rules built on internal/lint/flow; baredirective polices
-// the suppression directives themselves.
+// All lists every analyzer in the order they run. All are AST walkers
+// over one package; baredirective polices the suppression directives
+// themselves.
 var All = []*Analyzer{
 	IntervalLiteral,
 	FloatEq,
@@ -61,22 +58,9 @@ var All = []*Analyzer{
 	NakedGo,
 	LibPrint,
 	HTTPServer,
-	HotAlloc,
 	ObsAlloc,
-	LeakRelease,
-	LockHeld,
 	CtxFlow,
 	BareDirective,
-}
-
-// ByName returns the analyzer with the given name, or nil.
-func ByName(name string) *Analyzer {
-	for _, a := range All {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
 }
 
 // Package is one type-checked package ready for analysis. Only non-test

@@ -17,7 +17,6 @@ func TestAnalyzersGolden(t *testing.T) {
 	cases := []struct {
 		analyzer   *Analyzer
 		importPath string
-		dir        string // fixture dir under testdata/src; analyzer name if empty
 	}{
 		// Import paths are chosen so the path-sensitive analyzers
 		// (libprint wants internal/, intervalliteral must not be
@@ -28,26 +27,14 @@ func TestAnalyzersGolden(t *testing.T) {
 		{analyzer: NakedGo, importPath: "ecocharge/internal/lintfixture/nakedgo"},
 		{analyzer: LibPrint, importPath: "ecocharge/internal/lintfixture/libprint"},
 		{analyzer: HTTPServer, importPath: "ecocharge/internal/lintfixture/httpserver"},
-		// hotalloc fires inside internal/roadnet and internal/wire with
-		// scope-specific shapes, so one fixture masquerades as each.
-		{analyzer: HotAlloc, importPath: "ecocharge/internal/lintfixture/internal/roadnet"},
-		{analyzer: HotAlloc, importPath: "ecocharge/internal/lintfixture/internal/wire", dir: "hotalloc_wire"},
 		// obsalloc fires in internal/cknn and internal/roadnet; the fixture
 		// masquerades as the former.
 		{analyzer: ObsAlloc, importPath: "ecocharge/internal/lintfixture/internal/cknn"},
-		{analyzer: LeakRelease, importPath: "ecocharge/internal/lintfixture/leakrelease"},
-		// lockheld only fires in the hot packages; pose as internal/cknn.
-		{analyzer: LockHeld, importPath: "ecocharge/internal/lintfixture/internal/cknn"},
-		// ctxflow's loop rule only fires in server/worker packages; pose as
-		// internal/eis so both rules are active.
-		{analyzer: CtxFlow, importPath: "ecocharge/internal/lintfixture/internal/eis"},
+		{analyzer: CtxFlow, importPath: "ecocharge/internal/lintfixture/ctxflow"},
 		{analyzer: BareDirective, importPath: "ecocharge/internal/lintfixture/baredirective"},
 	}
 	for _, tc := range cases {
-		name := tc.dir
-		if name == "" {
-			name = tc.analyzer.Name
-		}
+		name := tc.analyzer.Name
 		t.Run(name, func(t *testing.T) {
 			dir := filepath.Join("testdata", "src", name)
 			pkg, err := LoadDir(dir, tc.importPath)
@@ -114,17 +101,6 @@ func lineOf(t *testing.T, file string, n int) string {
 		return ""
 	}
 	return lines[n-1]
-}
-
-func TestByName(t *testing.T) {
-	for _, a := range All {
-		if got := ByName(a.Name); got != a {
-			t.Errorf("ByName(%q) = %v, want %v", a.Name, got, a)
-		}
-	}
-	if got := ByName("nonexistent"); got != nil {
-		t.Errorf("ByName(nonexistent) = %v, want nil", got)
-	}
 }
 
 // TestLoadRealPackage exercises the go-list loader against the repository

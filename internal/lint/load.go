@@ -32,18 +32,13 @@ type listPkg struct {
 // every matched non-test package against compiler export data and returns
 // them ready for analysis. It shells out to the go command only for
 // metadata and export files; all parsing and type checking happens in
-// process with the standard library. Optional build tags are forwarded to
-// the go command, so tag-gated files get linted under the same constraints
-// they build under.
-func Load(dir string, patterns []string, tags ...string) ([]*Package, error) {
+// process with the standard library.
+func Load(dir string, patterns []string) ([]*Package, error) {
 	args := []string{
 		"list", "-export", "-deps",
 		"-json=ImportPath,Dir,Export,GoFiles,Standard,DepOnly,Error",
+		"--",
 	}
-	if len(tags) > 0 {
-		args = append(args, "-tags="+strings.Join(tags, ","))
-	}
-	args = append(args, "--")
 	args = append(args, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir

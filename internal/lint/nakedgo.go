@@ -24,7 +24,6 @@ import (
 // with //ecolint:ignore nakedgo and a reason.
 var NakedGo = &Analyzer{
 	Name: "nakedgo",
-	Doc:  "flags go statements without WaitGroup/channel/context coordination in scope",
 	Run:  runNakedGo,
 }
 

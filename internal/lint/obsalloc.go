@@ -21,7 +21,6 @@ import (
 // names dynamically and are not checked.
 var ObsAlloc = &Analyzer{
 	Name: "obsalloc",
-	Doc:  "flags non-constant metric names passed to obs.Registry in the cknn/roadnet hot paths",
 	Run:  runObsAlloc,
 }
 

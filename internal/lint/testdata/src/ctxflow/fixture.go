@@ -1,7 +1,7 @@
-// Package fixture exercises the ctxflow analyzer: the file poses as part
-// of internal/eis (see the import path in lint_test.go), so both rules
-// apply — ctx-bearing functions must thread their context through blocking
-// calls, and unbounded worker loops must observe ctx.
+// Package fixture exercises the ctxflow analyzer: functions that are
+// handed a context (or an *http.Request, which carries one) must thread it
+// through their blocking calls; functions without one, nested literals
+// included, are left alone.
 package fixture
 
 import (
@@ -67,37 +67,14 @@ func BadHandler(w http.ResponseWriter, r *http.Request) {
 	time.Sleep(time.Millisecond) // flagged
 }
 
-// GoodLoop can always be cancelled.
-func GoodLoop(ctx context.Context, ch chan int) {
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-ch:
-		}
-	}
+// GoodNestedLiteral hands the wait to a literal that has no context of
+// its own; the literal is its own unit and is not flagged.
+func GoodNestedLiteral(ctx context.Context) func() {
+	return func() { time.Sleep(time.Millisecond) }
 }
 
-// GoodBreak has a data-driven exit; not unbounded.
-func GoodBreak(ch chan int) {
-	for {
-		if <-ch == 0 {
-			break
-		}
-	}
-}
-
-// BadLoop drains forever with no way out.
-func BadLoop(ch chan int) {
-	for { // flagged: never observes ctx
-		<-ch
-	}
-}
-
-// SuppressedWitness documents a deliberate process-lifetime pump.
-func SuppressedWitness(events chan int) {
-	//ecolint:ignore ctxflow process-lifetime pump; torn down only when the process exits
-	for {
-		<-events
-	}
+// SuppressedSleep documents a deliberate uninterruptible pause.
+func SuppressedSleep(ctx context.Context) {
+	//ecolint:ignore ctxflow fixed settle delay, far shorter than any deadline the caller sets
+	time.Sleep(time.Microsecond)
 }
