@@ -2,6 +2,8 @@ package cknn
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -314,37 +316,42 @@ func TestBruteForceTopKStructure(t *testing.T) {
 	}
 }
 
-// The filtering-phase prune must not change results: compare against a
-// prune-free evaluation of the same pool.
+// The filtering-phase prune must not change results: whole entries, in
+// order, against a prune-free evaluation of the same pool — for drivers with
+// weights of their own, with and without failing sources, on the sequential
+// path and the fanned-out one.
 func TestPruningIsLossless(t *testing.T) {
-	env := testEnv(t)
-	eng := Engine{Env: env}
-	q := testQuery(env).normalized()
-	d := env.deroutingMaps(q, math.Inf(1), nil, exactBounds)
-	defer d.Release()
-	all := env.Chargers.All()
-	cands := make([]*charger.Charger, len(all))
-	for i := range all {
-		cands[i] = &all[i]
-	}
-	pruned := eng.rankPool(cands, d, q)
-
-	var plain []Entry
-	for _, c := range cands {
-		if e, ok := eng.evaluate(c, d, q); ok {
-			plain = append(plain, e)
-		}
-	}
-	unpruned := Rank(plain, q.K)
-	if len(pruned) != len(unpruned) {
-		t.Fatalf("pruned %d vs unpruned %d entries", len(pruned), len(unpruned))
-	}
-	for i := range pruned {
-		if pruned[i].Charger.ID != unpruned[i].Charger.ID {
-			t.Fatalf("rank %d: pruned %d vs unpruned %d", i, pruned[i].Charger.ID, unpruned[i].Charger.ID)
+	base := testEnv(t)
+	rng := rand.New(rand.NewSource(319))
+	for i := 0; i < 50; i++ {
+		q := testQuery(base)
+		q.Weights = drawWeights(rng)
+		q = q.normalized()
+		for _, rate := range []float64{0, 0.3} {
+			env := faulted(base, rate, uint64(i))
+			d := env.deroutingMaps(q, math.Inf(1), nil, exactBounds)
+			cands := allChargerPtrs(env)
+			eng := Engine{Env: env}
+			var plain []Entry
+			for _, c := range cands {
+				if e, ok := eng.evaluate(c, d, q); ok {
+					plain = append(plain, e)
+				}
+			}
+			unpruned := Rank(plain, q.K)
+			for _, workers := range []int{1, 4} {
+				eng.Workers = workers
+				if pruned := eng.rankPool(cands, d, q); !reflect.DeepEqual(pruned, unpruned) {
+					t.Errorf("weights %+v, fault rate %v, %d workers:\n  pruned   %v\n  unpruned %v",
+						q.Weights, rate, workers, entryIDs(pruned), entryIDs(unpruned))
+				}
+			}
+			d.Release()
 		}
 	}
 }
+
+func entryIDs(es []Entry) []int64 { return OfferingTable{Entries: es}.IDs() }
 
 func TestQuadtreeMethodSubsetOfNearest(t *testing.T) {
 	env := testEnv(t)

@@ -514,18 +514,7 @@ func bytesPerRun(fn func()) float64 {
 // ranking's bytes must grow by well under the 112 bytes of an Entry per
 // candidate: the filtering phase's entries are pooled scratch (rankPool).
 func BenchmarkRankOnceOldenburg(b *testing.B) {
-	p, err := trajectory.ProfileByName("Oldenburg")
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := p.BuildGraph(42)
-	env := envOn(b, g, p.Chargers/3, 42)
-	center := g.Node(g.NearestNode(g.Bounds().Center()))
-	q := Query{
-		Anchor: center.P, AnchorNode: center.ID, ReturnNode: center.ID,
-		Now: queryTime, ETABase: queryTime, K: 5,
-		Weights: Weights{L: 0.5, A: 0.3, D: 0.2},
-	}
+	env, q := oldenburgWorld(b, 3)
 	rank := func(radiusM float64) func() {
 		return func() {
 			if t := RankOnce(env, EcoChargeOptions{RadiusM: radiusM}, 1, q); len(t.Entries) != q.K {
@@ -547,6 +536,7 @@ func BenchmarkRankOnceOldenburg(b *testing.B) {
 		}
 	}
 	_, many0 := expansionsStarted()
+	forecast0, _, _ := filterOutcomes()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -557,4 +547,6 @@ func BenchmarkRankOnceOldenburg(b *testing.B) {
 	if many1-many0 != uint64(b.N) {
 		b.Fatalf("%d many-target expansions for %d round-trip rankings, want one each", many1-many0, b.N)
 	}
+	forecast1, _, _ := filterOutcomes()
+	b.ReportMetric(float64(forecast1-forecast0)/float64(b.N), "forecasts/op")
 }

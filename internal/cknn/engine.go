@@ -127,27 +127,39 @@ var entryBufs = sync.Pool{New: func() any { return new([]Entry) }}
 // the pool forever.
 const maxPooledEntries = 1 << 15
 
-// minParallelCands is the pool size below which goroutine hand-off costs
-// more than the sequential scan it would replace.
+// minParallelCands is the pool size below which the filtering phase is not
+// fanned out. It is a floor, not a measured cross-over: BenchmarkFilterPhase
+// found no pool, up to the whole Oldenburg inventory, that two workers finish
+// before one on the 2-core bench host, with the bound that knows the plug or
+// the one that did not (docs/perf.md, PR 24). Whether the fan-out should stay
+// is a question of idle-host latency against saturated throughput, and open.
 const minParallelCands = 16
 
-// pruneBound is the cheap optimistic SC bound of a candidate, computed
-// before any forecasting: L and A cannot exceed 1; D cannot be better than
-// its lower bound. ok is false when the derouting cost is unknown (the
-// candidate must then be evaluated to learn it is unreachable).
+// pruneBound is the optimistic SC bound of a candidate, computed before any
+// source is asked: the SC of the best components the charger could still be
+// given. L cannot exceed what evaluate's capAbove and Normalize leave of the
+// nameplate (forecasts never exceed installed capacity, the plug caps the
+// rest), A cannot exceed 1, D cannot be better than its lower bound; a
+// component whose source is down will be widened to [0,1], so its term
+// falls back to the full weight on its own. FaultPolicy purity guarantees
+// evaluate sees the same decisions. The terms go through Components.SC
+// itself: every step from nameplate to score is monotone and is the step
+// evaluate takes, so bound ≥ SC.Max holds in floating point, not only on
+// paper. ok is false when the derouting cost is unknown (the candidate must
+// then be evaluated to learn it is unreachable).
 func (e *Engine) pruneBound(c *charger.Charger, d DeroutingMaps, q Query) (float64, bool) {
 	dn, ok := d.Cost(c.Node)
 	if !ok {
 		return 0, false
 	}
-	if !e.Env.DSourceOK(c.ID, q.Now) {
-		// Degraded D widens to [0,1], so its optimistic SC contribution is
-		// the full weight: only the loose bound is sound here. FaultPolicy
-		// purity guarantees the evaluation will see the same decision.
-		return q.Weights.L + q.Weights.A + q.Weights.D, true
+	best := Components{L: ignoranceBound(), A: ignoranceBound()}
+	if e.Env.sourceOK(CompL, c.ID, q.Now) {
+		best.L = interval.Exact(effectiveKW(c)).Normalize(e.Env.MaxLKW)
 	}
-	dNorm := dn.Normalize(e.Env.MaxDeroutSec)
-	return q.Weights.L + q.Weights.A + (1-dNorm.Min)*q.Weights.D, true
+	if e.Env.DSourceOK(c.ID, q.Now) {
+		best.D = interval.Exact(dn.Normalize(e.Env.MaxDeroutSec).Min)
+	}
+	return best.SC(q.Weights).Max, true
 }
 
 // evalPoolSeq is the sequential filtering phase — the oracle the parallel
@@ -158,23 +170,36 @@ func (e *Engine) evalPoolSeq(cands []*charger.Charger, d DeroutingMaps, q Query,
 	// filtering-phase prune.
 	kthMin := math.Inf(-1)
 	mins := newBottomK(q.K)
+	var n filterCounts
 	for _, c := range cands {
 		if upper, ok := e.pruneBound(c, d, q); ok && upper < kthMin {
-			met.pruneRejected.Inc()
+			n.pruned++
 			continue // pruned: cannot enter the top-k
 		}
 		entry, ok := e.evaluate(c, d, q)
 		if !ok {
-			met.unreachable.Inc()
+			n.unreachable++
 			continue
 		}
-		met.evaluated.Inc()
+		n.evaluated++
 		entries = append(entries, entry)
 		if mins.push(entry.SC.Min) {
 			kthMin = mins.kth()
 		}
 	}
+	n.publish()
 	return entries
+}
+
+// filterCounts are the filtering-phase outcomes of one pass over candidates.
+// A pass counts in locals and publishes once: a shared counter bumped per
+// candidate is a thousand contended atomic adds a ranking.
+type filterCounts struct{ pruned, unreachable, evaluated uint64 }
+
+func (n filterCounts) publish() {
+	met.pruneRejected.Add(n.pruned)
+	met.unreachable.Add(n.unreachable)
+	met.evaluated.Add(n.evaluated)
 }
 
 // evalPoolParallel is the concurrent filtering phase: Workers goroutines
@@ -205,23 +230,25 @@ func (e *Engine) evalPoolParallel(cands []*charger.Charger, d DeroutingMaps, q Q
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var n filterCounts
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(cands) {
+					n.publish()
 					return
 				}
 				c := cands[i]
 				if upper, ok := e.pruneBound(c, d, q); ok &&
 					upper < math.Float64frombits(kthBits.Load()) {
-					met.pruneRejected.Inc()
+					n.pruned++
 					continue
 				}
 				entry, ok := e.evaluate(c, d, q)
 				if !ok {
-					met.unreachable.Inc()
+					n.unreachable++
 					continue
 				}
-				met.evaluated.Inc()
+				n.evaluated++
 				results[i] = entry
 				mu.Lock()
 				if mins.push(entry.SC.Min) {

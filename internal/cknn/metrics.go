@@ -14,7 +14,8 @@ type engineMetrics struct {
 	filterSeconds *obs.Histogram
 	refineSeconds *obs.Histogram
 
-	// Filtering-phase outcome counters, one increment per candidate.
+	// Filtering-phase outcome counters: every candidate lands in exactly one,
+	// added once per pass over a pool (filterCounts).
 	pruneRejected *obs.Counter // optimistic bound could not enter the top-k
 	evaluated     *obs.Counter // full EC evaluation performed
 	unreachable   *obs.Counter // outside the expansion bound

@@ -59,6 +59,30 @@ func TestClearSkyFactor(t *testing.T) {
 	}
 }
 
+// TestClearSkyFactorAtMostOne: with the sun overhead — latitude equal to the
+// day's declination, solar noon — sin² + cos² of one angle may round to
+// 1 + 2⁻⁵², and a site would then forecast more than its nameplate. Forecast's
+// clamp and the ranking's prune bound both take capacity as the ceiling.
+func TestClearSkyFactorAtMostOne(t *testing.T) {
+	atCeiling := 0
+	for day := 0; day < 366; day++ {
+		at := time.Date(2024, 1, 1, 12, 0, 0, 0, time.UTC).AddDate(0, 0, day)
+		decl := 23.45 * math.Sin(2*math.Pi*(284+float64(at.YearDay()))/365)
+		for _, lat := range []float64{decl, math.Nextafter(decl, 90), math.Nextafter(decl, -90)} {
+			f := ClearSkyFactor(geo.Point{Lat: lat}, at)
+			if f > 1 {
+				t.Errorf("clear-sky factor %v at latitude %v on %s", f, lat, at.Format("2 Jan"))
+			}
+			if f == 1 {
+				atCeiling++
+			}
+		}
+	}
+	if atCeiling == 0 {
+		t.Error("no day of the year reaches the ceiling: the scan misses the overhead sun")
+	}
+}
+
 func TestSolarTruthBounds(t *testing.T) {
 	m := NewSolarModel(1)
 	for h := 0; h < 24; h++ {

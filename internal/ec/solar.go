@@ -39,7 +39,7 @@ type Site struct {
 }
 
 // ClearSkyFactor returns the fraction of peak capacity a site produces
-// under a cloudless sky at time t: sin of solar elevation, clamped at 0.
+// under a cloudless sky at time t: sin of solar elevation, clamped to [0, 1].
 // The declination uses the standard Cooper approximation; longitudes shift
 // local solar time.
 func ClearSkyFactor(p geo.Point, t time.Time) float64 {
@@ -53,6 +53,12 @@ func ClearSkyFactor(p geo.Point, t time.Time) float64 {
 	sinElev := math.Sin(lat)*math.Sin(decl) + math.Cos(lat)*math.Cos(decl)*math.Cos(hourAngle)
 	if sinElev < 0 {
 		return 0
+	}
+	// With the sun overhead the two products can sum to 1 + 2⁻⁵², and a site
+	// would forecast more than its nameplate: Forecast's clamp, and the
+	// ranking's prune bound after it, take capacity as the ceiling.
+	if sinElev > 1 {
+		return 1
 	}
 	return sinElev
 }

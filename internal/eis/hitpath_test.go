@@ -5,8 +5,10 @@ package eis
 
 import (
 	"bytes"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -109,6 +111,105 @@ func TestRespCacheSecondChance(t *testing.T) {
 	}
 	if _, ok := s.m[keys[2]]; ok {
 		t.Fatal("the unread entry closest to expiry should have gone")
+	}
+}
+
+// scanEvict is the eviction rule as one pass over the stripe, the form it had
+// before the queue: every expired entry goes, and nothing else; otherwise an
+// unread entry beats a read one and between equals the one closer to expiry
+// goes, a read one starting a new round. It returns what a full stripe loses
+// to make room — for a victim, every entry the rule ranks equal, since map
+// order chose among those.
+func scanEvict(m map[cacheKey]cacheVal, round uint32, now time.Time) (expired, victims []cacheKey, victimRead bool) {
+	var at time.Time
+	for k, v := range m {
+		if now.After(v.expires) {
+			expired = append(expired, k)
+			continue
+		}
+		read := v.readRound > round
+		if len(victims) == 0 || (victimRead && !read) || (victimRead == read && v.expires.Before(at)) {
+			victims, at, victimRead = []cacheKey{k}, v.expires, read
+		} else if victimRead == read && v.expires.Equal(at) {
+			victims = append(victims, k)
+		}
+	}
+	if len(expired) > 0 {
+		return expired, nil, false
+	}
+	return nil, victims, victimRead
+}
+
+// TestRespCacheEvictionMatchesScan: over random puts and gets at times that
+// never run backwards, the queue makes room exactly as the scan did — the
+// same expired entries reclaimed, the same victim, the same rounds. Keys are
+// put again while cached and after they expired, which is what leaves stale
+// slots in the queue.
+func TestRespCacheEvictionMatchesScan(t *testing.T) {
+	const (
+		per = 8
+		ttl = 5 * time.Minute
+		ops = 128 // some ninety puts: past one sweep
+	)
+	sequences := int64(10000)
+	if raceEnabled {
+		sequences /= 10 // one goroutine: the detector only slows it
+	}
+	steps := []time.Duration{0, 0, 0, time.Second, 20 * time.Second, 2 * time.Minute}
+	for seq := int64(0); seq < sequences; seq++ {
+		rng := rand.New(rand.NewSource(seq))
+		c := respCache{maxPerShard: per}
+		pool := stripeKeys(&c, cacheKey{cellLat: 4000}, 2*per+int(seq%per))
+		s := c.shard(pool[0])
+		now := fixedNow
+		for op := 0; op < ops; op++ {
+			now = now.Add(steps[rng.Intn(len(steps))])
+			key := pool[rng.Intn(len(pool))]
+			if rng.Intn(3) == 0 {
+				c.get(key, now)
+				continue
+			}
+			// What the scan leaves of the stripe, put's sweep included.
+			want := make(map[cacheKey]cacheVal, len(s.m))
+			for k, v := range s.m {
+				if (s.puts+1)%sweepEvery != 0 || !now.After(v.expires) {
+					want[k] = v
+				}
+			}
+			var victims []cacheKey
+			round := s.round
+			if _, exists := want[key]; !exists && len(want) >= per {
+				expired, tied, victimRead := scanEvict(want, s.round, now)
+				for _, k := range expired {
+					delete(want, k)
+				}
+				victims = tied
+				if victimRead {
+					round++
+				}
+			}
+			c.put(key, OfferingResponse{}, now, now.Add(ttl))
+
+			var gone []cacheKey
+			for k := range want {
+				if _, ok := s.m[k]; !ok {
+					gone = append(gone, k)
+				}
+			}
+			if len(gone) != min(len(victims), 1) || (len(gone) == 1 && !slices.Contains(victims, gone[0])) {
+				t.Fatalf("sequence %d op %d: %v left the stripe, the scan evicts one of %v", seq, op, gone, victims)
+			}
+			want[key] = cacheVal{}
+			if len(s.m) != len(want)-len(gone) {
+				t.Fatalf("sequence %d op %d: stripe holds %d entries, the scan leaves %d", seq, op, len(s.m), len(want)-len(gone))
+			}
+			if s.round != round {
+				t.Fatalf("sequence %d op %d: round %d, the scan is in round %d", seq, op, s.round, round)
+			}
+			if n := cap(s.queue); n > c.queueLimit() {
+				t.Fatalf("sequence %d op %d: queue of %d slots for a stripe of %d", seq, op, n, per)
+			}
+		}
 	}
 }
 

@@ -136,6 +136,8 @@ type cacheVal struct {
 	// stripe is in, and eviction spares the entries that carry that round
 	// (respShard.read, evictLocked). Zero is never read.
 	readRound uint32
+	// slot is the entry's index in its stripe's queue (bounded caches only).
+	slot uint32
 }
 
 // respCacheStripes is the shard count of the response cache: enough to keep
@@ -156,8 +158,8 @@ const sweepEvery = 64
 // shard is an independently locked map.
 //
 // Hygiene: get deletes expired entries it touches, put sweeps its shard
-// every sweepEvery insertions, and a full shard evicts one entry before
-// inserting (evictLocked; maxPerShard 0 disables the bound).
+// every sweepEvery insertions, and a full shard evicts before inserting
+// (evictLocked; maxPerShard 0 disables the bound).
 type respCache struct {
 	shards [respCacheStripes]respShard
 	// maxPerShard bounds each shard's entry count; 0 means unbounded.
@@ -171,6 +173,15 @@ type respShard struct {
 	// round is the stripe's second-chance round less one. Advancing it
 	// clears the read mark of every entry at once.
 	round uint32
+
+	// queue is the order eviction goes by, kept by bounded caches only: the
+	// key of every put, oldest first, from head on. Nothing but put and
+	// evictLocked maintains it, so a slot may name a key that has since been
+	// deleted, or cached again further down: the live slot of an entry is the
+	// one at its cacheVal.slot. hand is where the search for an unread entry
+	// resumes; the live slots before it were all read in the current round.
+	queue      []cacheKey
+	head, hand int
 }
 
 // read reports whether get returned v in the stripe's current round.
@@ -228,14 +239,34 @@ func (c *respCache) put(key cacheKey, resp OfferingResponse, now, expires time.T
 		}
 	}
 	_, exists := s.m[key]
-	if !exists && c.maxPerShard > 0 && len(s.m) >= c.maxPerShard {
-		s.evictLocked(now)
+	v := cacheVal{wireBody: wireBody, expires: expires}
+	if c.maxPerShard > 0 {
+		if !exists && len(s.m) >= c.maxPerShard {
+			s.evictLocked(now)
+		}
+		limit := c.queueLimit()
+		if len(s.queue) == limit {
+			s.compactLocked()
+		}
+		if len(s.queue) == cap(s.queue) {
+			// Doubling as append does, but not past the limit.
+			grown := make([]cacheKey, len(s.queue), min(2*len(s.queue)+1, limit))
+			copy(grown, s.queue)
+			s.queue = grown
+		}
+		v.slot = uint32(len(s.queue))
+		s.queue = append(s.queue, key)
 	}
-	s.m[key] = cacheVal{wireBody: wireBody, expires: expires}
+	s.m[key] = v
 	if !exists {
 		met.rescacheEntries.Inc()
 	}
 }
+
+// queueLimit is the length at which a stripe's queue is rewritten as its live
+// slots, at most maxPerShard of them: a quarter more, so the queue stays that
+// short however keys come and go, for a few map operations a put.
+func (c *respCache) queueLimit() int { return c.maxPerShard + c.maxPerShard/4 + 1 }
 
 // keepJSON memoises the JSON body derived from an entry's wire body, if the
 // entry is still the one it was derived from.
@@ -265,54 +296,91 @@ func cachedJSON(wireBody []byte) ([]byte, error) {
 	return append(body, '\n'), nil
 }
 
-// evictLocked makes room in a full shard with one pass over it. Expired
-// entries go first, all of them: garbage is reclaimed before live data.
-// Otherwise the victim is the closest-to-expiry entry that has not been read
-// — every entry gets the same TTL, so that is the oldest key nobody came
-// back for, and a one-shot key goes before a cell that is hit a thousand
-// times. Only when every entry has been read does the closest-to-expiry one
-// of all go, and a new round begins: each survivor has to be read again to
-// outlive the next such eviction (second chance). Clearing the marks the
-// pass goes over on every eviction instead would protect a cell only while
-// it is read between any two evictions of its shard, which under expiry
-// order is FIFO plus one eviction (measured in docs/perf.md). The linear
-// scan is fine at per-shard sizes (maxPerShard is a few hundred) next to
-// the ranking the insertion follows.
+// evictLocked makes room in a full shard. Expired entries at the head of the
+// queue go first, all of them: garbage is reclaimed before live data.
+// Otherwise the victim is the oldest entry that has not been read — every
+// entry gets the same TTL, so that is the closest to expiry among the keys
+// nobody came back for, and a one-shot key goes before a cell that is hit a
+// thousand times. Only when every entry has been read does the oldest of all
+// go, and a new round begins: each survivor has to be read again to outlive
+// the next such eviction (second chance). Clearing the marks the search goes
+// over on every eviction instead would protect a cell only while it is read
+// between any two evictions of its shard, which is FIFO plus one eviction
+// (measured in docs/perf.md).
+//
+// The queue makes this O(1) amortised where a scan of the map for the
+// closest expiry cost a pass over the stripe per insertion: read entries stay
+// read until the round ends, so the hand passes each of them once a round,
+// and head and hand only move forward between compactions. For request times
+// that do not run backwards, queue order is expiry order and the victim is
+// the one the scan chose (TestRespCacheEvictionMatchesScan); where they do,
+// the queue's order stands and the sweep and get reclaim what expires behind
+// the head.
 func (s *respShard) evictLocked(now time.Time) {
-	var (
-		victim     cacheKey
-		at         time.Time
-		victimRead bool
-		found      bool
-		expired    int
-	)
-	for k, v := range s.m {
-		if now.After(v.expires) {
-			delete(s.m, k)
-			expired++
+	expired := 0
+	for ; s.head < len(s.queue); s.head++ {
+		v, live := s.live(s.head)
+		if !live {
 			continue
 		}
-		// An unread entry beats a read one; between equals, the one closer
-		// to expiry.
-		read := s.read(v)
-		if !found || (victimRead && !read) || (victimRead == read && v.expires.Before(at)) {
-			victim, at, victimRead, found = k, v.expires, read, true
+		if !now.After(v.expires) {
+			break
 		}
+		delete(s.m, s.queue[s.head])
+		expired++
+	}
+	if s.hand < s.head {
+		s.hand = s.head
 	}
 	if expired > 0 {
 		met.rescacheExpired.Add(uint64(expired))
 		met.rescacheEntries.Add(-int64(expired))
 		return
 	}
-	if !found {
-		return
+	for ; s.hand < len(s.queue); s.hand++ {
+		if v, live := s.live(s.hand); live && !s.read(v) {
+			break
+		}
 	}
-	if victimRead {
+	if s.hand == len(s.queue) {
+		// Every entry has been read: none is any more, and the oldest goes.
 		s.round++
+		s.hand = s.head
 	}
-	delete(s.m, victim)
+	if s.hand == len(s.queue) {
+		return // nothing is queued, so nothing is cached
+	}
+	delete(s.m, s.queue[s.hand])
+	s.hand++
 	met.rescacheEvictions.Inc()
 	met.rescacheEntries.Dec()
+}
+
+// live returns the entry whose slot is queue[i], if that entry is still
+// cached and has not been put again since.
+func (s *respShard) live(i int) (cacheVal, bool) {
+	v, ok := s.m[s.queue[i]]
+	return v, ok && int(v.slot) == i
+}
+
+// compactLocked rewrites the queue as its live slots, in order.
+func (s *respShard) compactLocked() {
+	n, hand := 0, 0
+	for i := s.head; i < len(s.queue); i++ {
+		v, live := s.live(i)
+		if !live {
+			continue
+		}
+		if i < s.hand {
+			hand++
+		}
+		k := s.queue[i]
+		v.slot = uint32(n)
+		s.m[k] = v
+		s.queue[n] = k
+		n++
+	}
+	s.queue, s.head, s.hand = s.queue[:n], 0, hand
 }
 
 // entries reports the total cached-entry count (tests and diagnostics).
