@@ -36,7 +36,6 @@ func main() {
 		seed        = flag.Int64("seed", 42, "scenario seed")
 		ttl         = flag.Duration("cache-ttl", 5*time.Minute, "server-side dynamic cache TTL")
 		cell        = flag.Float64("cache-cell", 2000, "server-side cache cell size in meters")
-		workers     = flag.Int("workers", 0, "ranking parallelism per request (0 = GOMAXPROCS, 1 = sequential)")
 		shard       = flag.String("shard", "", `serve one shard of an n-way fleet partition, as "i/n" (e.g. 0/3); empty serves the whole inventory`)
 		drain       = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline for in-flight requests")
 		faultRate   = flag.Float64("faultrate", 0, "injected EC-source fault rate in [0,1] (chaos/testing; 0 disables)")
@@ -49,7 +48,7 @@ func main() {
 
 	logger := log.New(os.Stderr, "", log.LstdFlags)
 	cfg := handlerConfig{
-		dataset: *dataset, seed: *seed, ttl: *ttl, cellM: *cell, workers: *workers,
+		dataset: *dataset, seed: *seed, ttl: *ttl, cellM: *cell,
 		shard:     *shard,
 		faultRate: *faultRate, faultSeed: *faultSeed,
 	}
@@ -140,7 +139,6 @@ type handlerConfig struct {
 	seed      int64
 	ttl       time.Duration
 	cellM     float64
-	workers   int
 	shard     string
 	faultRate float64
 	faultSeed int64
@@ -196,7 +194,6 @@ func newHandler(cfg handlerConfig, logger *log.Logger) (http.Handler, string, er
 	srv := eis.NewServer(env, eis.ServerOptions{
 		CacheTTL:   cfg.ttl,
 		CacheCellM: cfg.cellM,
-		Workers:    cfg.workers,
 		Logger:     logger,
 		Tracer:     cfg.tracer,
 	})

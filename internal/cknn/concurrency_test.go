@@ -1,16 +1,13 @@
 package cknn
 
-// Concurrency suite: the cache-coherence property of concurrent trips over
-// one shared Env, a goroutine storm on the mutable shared structure
-// (ShardedCache), and the parallel-trip benchmark. Run with -race; the CI
-// test job does.
+// Concurrency suite. A ranking runs on one goroutine and concurrency lives
+// between requests, so what is pinned here is what requests share: the Env,
+// the entry, candidate and search-state pools under every ranking, and the
+// two stateless methods. Run with -race; the CI test job does.
 
 import (
-	"fmt"
 	"reflect"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -19,14 +16,15 @@ import (
 	"ecocharge/internal/trajectory"
 )
 
-// TestSharedCacheTripCoherence is the cache-coherence property: k trips
-// running concurrently over one shared Env and one shared ShardedCache must
-// each produce exactly what a fresh single-trip run produces — per-owner
-// slots mean a trip can never observe (or adapt) another trip's tables.
+// TestSharedCacheTripCoherence is the property serving relies on: k trips
+// running concurrently over one shared Env, each with its own EcoCharge (as
+// every /offering/trip request has), must each produce exactly what a fresh
+// run of that trip alone produces — a trip adapts only its own tables, and
+// the pooled scratch the rankings share carries nothing from one to another.
 func TestSharedCacheTripCoherence(t *testing.T) {
 	env := testEnv(t)
 	opts := EcoChargeOptions{RadiusM: 10000, ReuseDistM: 3000}
-	tripOpts := TripOptions{K: 3, SegmentLenM: 3000, RadiusM: 10000, Workers: 2}
+	tripOpts := TripOptions{K: 3, SegmentLenM: 3000, RadiusM: 10000}
 	property := func(s uint8) bool {
 		trips, err := trajectory.Generate(env.Graph, trajectory.GenConfig{
 			N: 3, Seed: int64(s) + 1, MinTripKM: 5, MaxTripKM: 10,
@@ -35,15 +33,13 @@ func TestSharedCacheTripCoherence(t *testing.T) {
 		if err != nil || len(trips) == 0 {
 			return false
 		}
-		shared := NewShardedCache()
 		got := make([][]SegmentResult, len(trips))
 		var wg sync.WaitGroup
 		for i := range trips {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				m := NewEcoChargeShared(env, opts, shared)
-				got[i] = RunTrip(env, m, trips[i], tripOpts)
+				got[i] = RunTrip(env, NewEcoCharge(env, opts), trips[i], tripOpts)
 			}(i)
 		}
 		wg.Wait()
@@ -60,106 +56,99 @@ func TestSharedCacheTripCoherence(t *testing.T) {
 	}
 }
 
-func TestShardedCacheStorm(t *testing.T) {
-	t.Parallel()
-	cache := NewShardedCache()
-	opts := EcoChargeOptions{}.withDefaults()
-	anchor := geo.Point{Lat: 53, Lon: 8}
-	const goroutines = 32
-	var bad atomic.Bool
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			owner := cache.NewOwner()
-			table := OfferingTable{
-				Anchor: anchor, GeneratedAt: queryTime,
-				Entries: []Entry{mkEntry(int64(owner), 0.5, 0.6)},
-			}
-			q := Query{Anchor: anchor, Now: queryTime}
-			for i := 0; i < 500; i++ {
-				cache.Store(owner, table)
-				got, ok := cache.Lookup(owner, q, opts)
-				if !ok || got.Entries[0].Charger.ID != int64(owner) {
-					bad.Store(true)
-					return
-				}
-				if i%7 == 0 {
-					cache.Invalidate(owner)
-					if _, ok := cache.Lookup(owner, q, opts); ok {
-						bad.Store(true)
-						return
-					}
-				}
-			}
-		}()
+// movedQuery is q asked m metres from its anchor along the bearing, returning
+// to where it is asked.
+func movedQuery(env *Env, q Query, bearingDeg, m float64) Query {
+	q.Anchor = geo.Destination(q.Anchor, bearingDeg, m)
+	q.AnchorNode = env.Graph.NearestNode(q.Anchor)
+	q.ReturnNode = q.AnchorNode
+	return q
+}
+
+// TestStatelessMethodsShareable pins what the doc comments of BruteForce and
+// IndexQuadtree promise and bench/quality.go uses: one instance ranked from
+// several goroutines at once answers every query as it does alone.
+func TestStatelessMethodsShareable(t *testing.T) {
+	env := testEnv(t)
+	queries := make([]Query, 8)
+	for i := range queries {
+		queries[i] = movedQuery(env, testQuery(env), float64(45*i), float64(400*i))
 	}
-	wg.Wait()
-	if bad.Load() {
-		t.Fatal("cache crossed owner slots or served an invalidated table")
-	}
-	if n := cache.Len(); n != goroutines {
-		t.Fatalf("live slots after storm = %d, want %d", n, goroutines)
+	for _, m := range []Method{NewBruteForce(env), NewIndexQuadtree(env)} {
+		want := make([]OfferingTable, len(queries))
+		for i, q := range queries {
+			want[i] = m.Rank(q)
+		}
+		const goroutines = 4
+		got := make([][]OfferingTable, goroutines)
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				got[g] = make([]OfferingTable, len(queries))
+				for n := range queries {
+					i := (n + 2*g) % len(queries) // each goroutine in an order of its own
+					got[g][i] = m.Rank(queries[i])
+				}
+			}(g)
+		}
+		wg.Wait()
+		for g := range got {
+			if !reflect.DeepEqual(got[g], want) {
+				t.Errorf("%s: goroutine %d ranked differently beside others than the method does alone", m.Name(), g)
+			}
+		}
 	}
 }
 
-func TestShardedCacheLookupSemantics(t *testing.T) {
-	cache := NewShardedCache()
-	owner := cache.NewOwner()
-	opts := EcoChargeOptions{ReuseDistM: 2000, TTL: 10 * time.Minute}.withDefaults()
-	anchor := geo.Point{Lat: 53, Lon: 8}
-	table := OfferingTable{
-		Anchor: anchor, GeneratedAt: queryTime,
-		Entries: []Entry{mkEntry(1, 0.5, 0.6)},
+// TestEcoChargeCacheRule is the dynamic cache's rule (§IV.C) on the method
+// itself: after one computed table, what the next query gets.
+func TestEcoChargeCacheRule(t *testing.T) {
+	env := testEnv(t)
+	opts := EcoChargeOptions{RadiusM: 10000, ReuseDistM: 2000, TTL: 10 * time.Minute}
+	first := testQuery(env)
+	moved := func(m float64) Query { return movedQuery(env, first, 90, m) }
+	issued := func(d time.Duration) Query {
+		q := first
+		q.Now, q.ETABase = first.Now.Add(d), first.ETABase.Add(d)
+		return q
 	}
-	cache.Store(owner, table)
-
-	if _, ok := cache.Lookup(owner, Query{Anchor: anchor, Now: queryTime}, opts); !ok {
-		t.Fatal("same-place same-time lookup missed")
-	}
-	// Beyond Q.
-	far := Query{Anchor: geo.Destination(anchor, 90, 3000), Now: queryTime}
-	if _, ok := cache.Lookup(owner, far, opts); ok {
-		t.Error("lookup hit beyond the reuse distance")
-	}
-	// Beyond TTL.
-	stale := Query{Anchor: anchor, Now: queryTime.Add(time.Hour)}
-	if _, ok := cache.Lookup(owner, stale, opts); ok {
-		t.Error("lookup hit beyond the TTL")
-	}
-	// A query issued before the table existed must not adapt it.
-	early := Query{Anchor: anchor, Now: queryTime.Add(-time.Minute)}
-	if _, ok := cache.Lookup(owner, early, opts); ok {
-		t.Error("lookup hit a future table")
-	}
-	// Other owners never see the slot.
-	other := cache.NewOwner()
-	if _, ok := cache.Lookup(other, Query{Anchor: anchor, Now: queryTime}, opts); ok {
-		t.Error("foreign owner hit the slot")
-	}
-}
-
-func BenchmarkRunTripParallel(b *testing.B) {
-	env := testEnv(b)
-	trips, err := trajectory.Generate(env.Graph, trajectory.GenConfig{
-		N: 1, Seed: 9, MinTripKM: 10, MaxTripKM: 14, Start: queryTime, Window: time.Hour,
-	})
-	if err != nil || len(trips) == 0 {
-		b.Fatalf("trajectory.Generate: %v (%d trips)", err, len(trips))
-	}
-	trip := trips[0]
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			m := NewBruteForce(env)
-			opts := TripOptions{K: 3, SegmentLenM: 1000, RadiusM: 10000, Workers: workers}
-			segments := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				segments += len(RunTrip(env, m, trip, opts))
+	for _, tc := range []struct {
+		name   string
+		opts   EcoChargeOptions
+		empty  bool // the first table has no entries
+		reset  bool
+		next   Query
+		adapts bool
+	}{
+		{name: "same place, same time", opts: opts, next: first, adapts: true},
+		{name: "moved within Q", opts: opts, next: moved(1900), adapts: true},
+		{name: "moved beyond Q", opts: opts, next: moved(2100)},
+		{name: "at the TTL", opts: opts, next: issued(10 * time.Minute), adapts: true},
+		{name: "older than the TTL", opts: opts, next: issued(11 * time.Minute)},
+		{name: "issued before the table", opts: opts, next: issued(-time.Minute)},
+		{name: "empty table", opts: EcoChargeOptions{RadiusM: 1, ReuseDistM: 2000}, empty: true, next: first},
+		{name: "after Reset", opts: opts, reset: true, next: first},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewEcoCharge(env, tc.opts)
+			if table := m.Rank(first); table.Adapted || (len(table.Entries) == 0) != tc.empty {
+				t.Fatalf("first table: adapted %v, %d entries", table.Adapted, len(table.Entries))
 			}
-			b.ReportMetric(float64(segments)/b.Elapsed().Seconds(), "segments/sec")
+			if tc.reset {
+				m.Reset()
+			}
+			if table := m.Rank(tc.next); table.Adapted != tc.adapts {
+				t.Errorf("second table: adapted %v, want %v", table.Adapted, tc.adapts)
+			}
+			wantHits := 0
+			if tc.adapts {
+				wantHits = 1
+			}
+			if hits, misses := m.Stats(); hits != wantHits || misses != 2-wantHits {
+				t.Errorf("stats = %d hits / %d misses, want %d / %d", hits, misses, wantHits, 2-wantHits)
+			}
 		})
 	}
 }

@@ -41,7 +41,6 @@ func TestBatchedDeroutingTripEquivalence(t *testing.T) {
 				t.Fatalf("profile %s produced no trips", p.Name)
 			}
 			opts := cknn.TripOptions{K: 3, SegmentLenM: 4000}
-			opts.Workers = 1
 
 			methods := equivalenceMethods(sc.Env)
 			// EcoCharge's exact-derouting configuration exercises the batched

@@ -6,9 +6,8 @@ package cknn
 // oracle, and the flat version must reproduce its Cost and TravelTo outputs
 // bit for bit over every node of the graph, for both the exact and the
 // approximate variant. Together with the kernel-level differential suite in
-// roadnet/flat_test.go and the engine-level TestParallelTripEquivalence
-// (every method, Workers 1 vs 4), this proves the flat pipeline end-to-end
-// equivalent to the code it replaced.
+// roadnet/flat_test.go this proves the flat pipeline equivalent to the code
+// it replaced.
 
 import (
 	"container/heap"

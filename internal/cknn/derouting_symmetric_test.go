@@ -325,9 +325,9 @@ func TestAliasedDeroutingMatchesTwoLeg(t *testing.T) {
 }
 
 // TestAliasedTablesMatchTwoLeg is the table-level property: RankOnce (both
-// derouting variants, sequential and parallel filtering), BruteForce and
-// Index-Quadtree emit on the symmetric world exactly the Offering Tables they
-// emit on its directed twin, where every ranking runs both legs.
+// derouting variants), BruteForce and Index-Quadtree emit on the symmetric
+// world exactly the Offering Tables they emit on its directed twin, where
+// every ranking runs both legs.
 func TestAliasedTablesMatchTwoLeg(t *testing.T) {
 	for name, env := range symmetricEnvs(t) {
 		twin := directedTwin(t, env)
@@ -340,10 +340,9 @@ func TestAliasedTablesMatchTwoLeg(t *testing.T) {
 			rank func(*Env, Query) OfferingTable
 			legs uint64 // many-target expansions per ranking when both legs run
 		}{
-			{"RankOnce", func(e *Env, q Query) OfferingTable { return RankOnce(e, EcoChargeOptions{}, 1, q) }, 2},
-			{"RankOnce/workers4", func(e *Env, q Query) OfferingTable { return RankOnce(e, EcoChargeOptions{}, 4, q) }, 2},
+			{"RankOnce", func(e *Env, q Query) OfferingTable { return RankOnce(e, EcoChargeOptions{}, q) }, 2},
 			{"RankOnce/exact", func(e *Env, q Query) OfferingTable {
-				return RankOnce(e, EcoChargeOptions{RadiusM: 20000, ExactDerouting: true}, 1, q)
+				return RankOnce(e, EcoChargeOptions{RadiusM: 20000, ExactDerouting: true}, q)
 			}, 4},
 			{"BruteForce", func(e *Env, q Query) OfferingTable { return NewBruteForce(e).Rank(q) }, 4},
 			{"Index-Quadtree", func(e *Env, q Query) OfferingTable { return NewIndexQuadtree(e).Rank(q) }, 4},
@@ -517,7 +516,7 @@ func BenchmarkRankOnceOldenburg(b *testing.B) {
 	env, q := oldenburgWorld(b, 3)
 	rank := func(radiusM float64) func() {
 		return func() {
-			if t := RankOnce(env, EcoChargeOptions{RadiusM: radiusM}, 1, q); len(t.Entries) != q.K {
+			if t := RankOnce(env, EcoChargeOptions{RadiusM: radiusM}, q); len(t.Entries) != q.K {
 				b.Fatalf("%d entries within %v m, want %d", len(t.Entries), radiusM, q.K)
 			}
 		}

@@ -3,7 +3,6 @@ package cknn
 import (
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ecocharge/internal/charger"
@@ -16,11 +15,6 @@ import (
 // candidate selection and caching policy, never by scoring rules.
 type Engine struct {
 	Env *Env
-	// Workers bounds the filtering-phase worker pool: values above 1 split
-	// per-charger EC evaluation across that many goroutines. 0 and 1 keep
-	// the sequential path, which is the testing oracle — the parallel path
-	// is proven equivalent to it by the differential suite.
-	Workers int
 }
 
 // evaluate computes the Entry of one charger for the query, using the
@@ -88,11 +82,8 @@ func capAbove(x interval.I, cap float64) interval.I {
 // rankPool runs the filtering and refinement phases over a candidate pool:
 // chargers are evaluated with interval pruning (a candidate whose cheap
 // optimistic bound cannot beat the current k-th pessimistic score skips the
-// expensive forecasts), then ranked per eq. 6. With Workers > 1 the
-// filtering phase fans out across a bounded pool; the output is identical
-// either way because pruning only ever drops candidates that cannot enter
-// the top-k and Rank orders entries under a total order (ties fall back to
-// the charger ID).
+// expensive forecasts), then ranked per eq. 6. Both phases run on the
+// caller's goroutine: a ranking is sequential, requests are concurrent.
 //
 // The filtering phase writes one Entry per surviving candidate and Rank
 // copies k of them out, so the pool-sized slice between the two phases is
@@ -103,12 +94,7 @@ func (e *Engine) rankPool(cands []*charger.Charger, d DeroutingMaps, q Query) []
 	if cap(*buf) < len(cands) {
 		*buf = make([]Entry, 0, len(cands))
 	}
-	var entries []Entry
-	if e.Workers > 1 && len(cands) >= minParallelCands {
-		entries = e.evalPoolParallel(cands, d, q, (*buf)[:len(cands)])
-	} else {
-		entries = e.evalPoolSeq(cands, d, q, (*buf)[:0])
-	}
+	entries := e.evalPool(cands, d, q, (*buf)[:0])
 	met.filterSeconds.Since(filterStart)
 	refineStart := time.Now()
 	out := Rank(entries, q.K)
@@ -126,14 +112,6 @@ var entryBufs = sync.Pool{New: func() any { return new([]Entry) }}
 // megabytes): one ranking over a huge inventory must not pin its scratch in
 // the pool forever.
 const maxPooledEntries = 1 << 15
-
-// minParallelCands is the pool size below which the filtering phase is not
-// fanned out. It is a floor, not a measured cross-over: BenchmarkFilterPhase
-// found no pool, up to the whole Oldenburg inventory, that two workers finish
-// before one on the 2-core bench host, with the bound that knows the plug or
-// the one that did not (docs/perf.md, PR 24). Whether the fan-out should stay
-// is a question of idle-host latency against saturated throughput, and open.
-const minParallelCands = 16
 
 // pruneBound is the optimistic SC bound of a candidate, computed before any
 // source is asked: the SC of the best components the charger could still be
@@ -162,114 +140,37 @@ func (e *Engine) pruneBound(c *charger.Charger, d DeroutingMaps, q Query) (float
 	return best.SC(q.Weights).Max, true
 }
 
-// evalPoolSeq is the sequential filtering phase — the oracle the parallel
-// path is differentially tested against. It appends to entries, which has
-// room for every candidate.
-func (e *Engine) evalPoolSeq(cands []*charger.Charger, d DeroutingMaps, q Query, entries []Entry) []Entry {
+// evalPool is the filtering phase. It appends to entries, which has room for
+// every candidate.
+func (e *Engine) evalPool(cands []*charger.Charger, d DeroutingMaps, q Query, entries []Entry) []Entry {
 	// kthMin tracks the k-th best pessimistic SC seen so far; used for the
 	// filtering-phase prune.
 	kthMin := math.Inf(-1)
 	mins := newBottomK(q.K)
-	var n filterCounts
+	// Every candidate lands in exactly one outcome. The pass counts in locals
+	// and publishes once: a shared counter bumped per candidate is a thousand
+	// contended atomic adds a ranking.
+	var pruned, unreachable, evaluated uint64
 	for _, c := range cands {
 		if upper, ok := e.pruneBound(c, d, q); ok && upper < kthMin {
-			n.pruned++
-			continue // pruned: cannot enter the top-k
+			pruned++
+			continue // cannot enter the top-k
 		}
 		entry, ok := e.evaluate(c, d, q)
 		if !ok {
-			n.unreachable++
+			unreachable++
 			continue
 		}
-		n.evaluated++
+		evaluated++
 		entries = append(entries, entry)
 		if mins.push(entry.SC.Min) {
 			kthMin = mins.kth()
 		}
 	}
-	n.publish()
+	met.pruneRejected.Add(pruned)
+	met.unreachable.Add(unreachable)
+	met.evaluated.Add(evaluated)
 	return entries
-}
-
-// filterCounts are the filtering-phase outcomes of one pass over candidates.
-// A pass counts in locals and publishes once: a shared counter bumped per
-// candidate is a thousand contended atomic adds a ranking.
-type filterCounts struct{ pruned, unreachable, evaluated uint64 }
-
-func (n filterCounts) publish() {
-	met.pruneRejected.Add(n.pruned)
-	met.unreachable.Add(n.unreachable)
-	met.evaluated.Add(n.evaluated)
-}
-
-// evalPoolParallel is the concurrent filtering phase: Workers goroutines
-// pull candidates from a shared index and write results into per-index
-// slots, which are then compacted in candidate order (index-stable merge).
-// The pruning bound is shared through an atomic: its value only ever rises,
-// so a stale read merely evaluates a candidate the sequential pass would
-// have skipped — membership below the top-k may differ between runs, the
-// ranked top-k never does. results has one slot per candidate.
-func (e *Engine) evalPoolParallel(cands []*charger.Charger, d DeroutingMaps, q Query, results []Entry) []Entry {
-	// A slot is filled iff its Charger is set: pruned and unreachable
-	// candidates leave the zero Entry behind.
-	clear(results)
-
-	// kthBits holds math.Float64bits of the k-th best pessimistic SC.
-	var kthBits atomic.Uint64
-	kthBits.Store(math.Float64bits(math.Inf(-1)))
-	var mu sync.Mutex // guards mins
-	mins := newBottomK(q.K)
-
-	workers := e.Workers
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var n filterCounts
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(cands) {
-					n.publish()
-					return
-				}
-				c := cands[i]
-				if upper, ok := e.pruneBound(c, d, q); ok &&
-					upper < math.Float64frombits(kthBits.Load()) {
-					n.pruned++
-					continue
-				}
-				entry, ok := e.evaluate(c, d, q)
-				if !ok {
-					n.unreachable++
-					continue
-				}
-				n.evaluated++
-				results[i] = entry
-				mu.Lock()
-				if mins.push(entry.SC.Min) {
-					kthBits.Store(math.Float64bits(mins.kth()))
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Compact in place, in candidate order: the filled slots slide down over
-	// the empty ones.
-	n := 0
-	for i := range results {
-		if results[i].Charger != nil {
-			results[n] = results[i]
-			n++
-		}
-	}
-	return results[:n]
 }
 
 // bottomK maintains the k largest values seen, exposing the smallest of

@@ -1,13 +1,11 @@
 package cknn_test
 
-// Differential equivalence harness: the sequential engine (Workers=1) is
-// the testing oracle, and every parallel configuration must reproduce its
-// Offering Tables and split lists byte-for-byte on every dataset profile
-// and every method. reflect.DeepEqual over the full []SegmentResult catches
-// any divergence — entry order, scores, components, anchors, timestamps.
+// Trip evaluation on every dataset profile and every method: each Offering
+// Table of a trip holds the table invariants, and the split list of a fresh
+// run of the same trip is the change list of exactly those tables.
 
 import (
-	"reflect"
+	"slices"
 	"testing"
 
 	"ecocharge/internal/cknn"
@@ -19,7 +17,7 @@ import (
 // equivalenceMethods enumerates every ranking method under test with a
 // constructor returning a fresh instance — fresh per run, because the
 // EcoCharge cache chain and the Random stream carry state across Rank calls
-// and must start identical on both sides of the comparison.
+// and must start identical on both sides of a comparison.
 func equivalenceMethods(env *cknn.Env) []struct {
 	name  string
 	build func() cknn.Method
@@ -37,7 +35,7 @@ func equivalenceMethods(env *cknn.Env) []struct {
 	}
 }
 
-func TestParallelTripEquivalence(t *testing.T) {
+func TestTripTablesEveryProfile(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scenario builds are slow")
 	}
@@ -56,31 +54,35 @@ func TestParallelTripEquivalence(t *testing.T) {
 			if len(trips) == 0 {
 				t.Fatalf("profile %s produced no trips", p.Name)
 			}
-			seq := cknn.TripOptions{K: 3, SegmentLenM: 4000}
-			seq.Workers = 1
-			par := seq
-			par.Workers = 4
+			opts := cknn.TripOptions{K: 3, SegmentLenM: 4000}
 			for _, mt := range equivalenceMethods(sc.Env) {
 				mt := mt
 				t.Run(mt.name, func(t *testing.T) {
 					for _, trip := range trips {
-						want := cknn.RunTrip(sc.Env, mt.build(), trip, seq)
-						got := cknn.RunTrip(sc.Env, mt.build(), trip, par)
-						if !reflect.DeepEqual(want, got) {
-							t.Fatalf("trip %d: Workers=4 results differ from Workers=1\nseq: %v\npar: %v",
-								trip.ID, summarize(want), summarize(got))
-						}
-						// Equivalence alone would accept two identically
-						// malformed tables; pin the invariants too.
-						for _, res := range want {
-							tabletest.CheckOpts(t, res.Table, seq.K, mt.name,
+						results := cknn.RunTrip(sc.Env, mt.build(), trip, opts)
+						for _, res := range results {
+							tabletest.CheckOpts(t, res.Table, opts.K, mt.name,
 								tabletest.Options{SkipScores: mt.name == "Random"})
 						}
-						wantSL := cknn.SplitList(sc.Env, mt.build(), trip, seq)
-						gotSL := cknn.SplitList(sc.Env, mt.build(), trip, par)
-						if !reflect.DeepEqual(wantSL, gotSL) {
-							t.Fatalf("trip %d: split lists differ: seq %v vs par %v",
-								trip.ID, splitIDs(wantSL), splitIDs(gotSL))
+						// A fresh instance walks the same trip: its split
+						// list opens at segment 0, advances exactly where the
+						// tables above change their charger set, and names
+						// that set in between.
+						sl := cknn.SplitList(sc.Env, mt.build(), trip, opts)
+						at := -1
+						for i, res := range results {
+							ids := res.Table.IDs()
+							if at < 0 || !slices.Equal(sl[at].NN, ids) {
+								at++
+								if at == len(sl) || sl[at].SegmentIndex != res.Segment.Index || !slices.Equal(sl[at].NN, ids) {
+									t.Fatalf("trip %d segment %d: tables %v, split list %v",
+										trip.ID, i, summarize(results), splitIDs(sl))
+								}
+							}
+						}
+						if at != len(sl)-1 {
+							t.Fatalf("trip %d: split list %v has points the tables %v do not change at",
+								trip.ID, splitIDs(sl), summarize(results))
 						}
 					}
 				})

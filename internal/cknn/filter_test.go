@@ -1,10 +1,9 @@
 package cknn
 
 // The filtering phase's bound: that it never undercuts the score it bounds,
-// how much of a pool it dismisses, and where fanning the phase out pays.
+// and how much of a pool it dismisses.
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -134,9 +133,9 @@ func filterOutcomes() (evaluated, pruned, unreachable uint64) {
 
 // TestFilterBoundPrunes gates the share of a pool the filtering phase still
 // forecasts, on the shard world of BenchmarkRankOnceOldenburg: twenty drivers
-// with weights of their own, ranked sequentially so the counts repeat. A
-// bound that takes L for 1 whatever the plug forecasts half the candidates
-// here (3 333 of 6 648); one that knows the plug, under a quarter (1 573).
+// with weights of their own. A bound that takes L for 1 whatever the plug
+// forecasts half the candidates here (3 333 of 6 648); one that knows the
+// plug, under a quarter (1 573).
 func TestFilterBoundPrunes(t *testing.T) {
 	env, q := oldenburgWorld(t, 3)
 	rng := rand.New(rand.NewSource(24))
@@ -145,7 +144,7 @@ func TestFilterBoundPrunes(t *testing.T) {
 		anchor := env.Graph.Node(roadnet.NodeID(rng.Intn(env.Graph.NumNodes())))
 		q.Anchor, q.AnchorNode, q.ReturnNode = anchor.P, anchor.ID, anchor.ID
 		q.Weights = drawWeights(rng)
-		if table := RankOnce(env, EcoChargeOptions{RadiusM: 50000}, 1, q); len(table.Entries) != q.K {
+		if table := RankOnce(env, EcoChargeOptions{RadiusM: 50000}, q); len(table.Entries) != q.K {
 			t.Fatalf("query %d: %d entries, want %d", i, len(table.Entries), q.K)
 		}
 	}
@@ -154,47 +153,5 @@ func TestFilterBoundPrunes(t *testing.T) {
 	t.Logf("%d of %d candidates forecast", evaluated, cands)
 	if cands == 0 || evaluated*100 > cands*40 {
 		t.Fatalf("%d of %d candidates forecast, want at most 40%%", evaluated, cands)
-	}
-}
-
-// BenchmarkFilterPhase prices the filtering phase alone, sequential against
-// two workers, over the nearest n candidates of the whole Oldenburg inventory:
-// where the second line undercuts the first is where minParallelCands belongs.
-func BenchmarkFilterPhase(b *testing.B) {
-	env, q := oldenburgWorld(b, 1)
-	opts := EcoChargeOptions{RadiusM: 50000}.withDefaults()
-	q = opts.evalQuery(q)
-	all := env.Chargers.Within(q.Anchor, q.RadiusM)
-	budget, bounds := opts.deroutPlan(q)
-	d := env.deroutingMaps(q, budget, deroutTargets(all, q.ReturnNode), bounds)
-	defer d.Release()
-	seq, par := Engine{Env: env, Workers: 1}, Engine{Env: env, Workers: 2}
-	buf := make([]Entry, len(all))
-	for _, w := range []struct {
-		name string
-		w    Weights
-	}{
-		{"default", EqualWeights()},
-		{"L", Weights{L: 0.8, A: 0.1, D: 0.1}},
-		{"A", Weights{L: 0.1, A: 0.8, D: 0.1}},
-		{"D", Weights{L: 0.1, A: 0.1, D: 0.8}},
-	} {
-		q.Weights = w.w
-		for n := 16; ; n *= 2 {
-			cands := all[:min(n, len(all))]
-			b.Run(fmt.Sprintf("%s/n=%d/seq", w.name, len(cands)), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					seq.evalPoolSeq(cands, d, q, buf[:0])
-				}
-			})
-			b.Run(fmt.Sprintf("%s/n=%d/par2", w.name, len(cands)), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					par.evalPoolParallel(cands, d, q, buf[:len(cands)])
-				}
-			})
-			if n >= len(all) {
-				break
-			}
-		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ecocharge/internal/charger"
@@ -19,8 +18,9 @@ func secondsDur(s float64) time.Duration {
 // Method is a ranking strategy producing Offering Tables for query points.
 // Implementations correspond one-to-one to the evaluation's compared
 // approaches. Methods may keep per-trip state (the EcoCharge cache); call
-// Reset between trips. Methods are not safe for concurrent use unless they
-// implement ConcurrentRanker; create one per goroutine otherwise.
+// Reset between trips. A method belongs to one goroutine — create one per
+// goroutine — except BruteForce and IndexQuadtree, which are stateless and
+// safe to share.
 type Method interface {
 	// Name is the label used in the figures.
 	Name() string
@@ -30,31 +30,10 @@ type Method interface {
 	Reset()
 }
 
-// ConcurrentRanker marks methods whose Rank may be called from multiple
-// goroutines simultaneously and whose output does not depend on call order
-// (stateless methods over the immutable Env). RunTrip parallelizes
-// per-segment table construction only for these; order-dependent methods
-// (EcoCharge's cache chain, Random's deterministic stream) keep the
-// sequential segment walk and parallelize inside the filtering phase instead.
-type ConcurrentRanker interface {
-	Method
-	// ConcurrentRankOK is a marker; it must be safe to call Rank
-	// concurrently on implementations.
-	ConcurrentRankOK()
-}
-
-// WorkersConfigurable is implemented by methods whose engine can bound a
-// filtering-phase worker pool. RunTrip threads TripOptions.Workers through
-// it; standalone callers (e.g. the EIS) set it directly.
-type WorkersConfigurable interface {
-	// SetWorkers bounds the filtering-phase pool; 0 and 1 select the
-	// sequential oracle path.
-	SetWorkers(n int)
-}
-
 // BruteForce exhaustively evaluates the entire charger pool with unbounded
 // network expansions: the optimal-but-slowest baseline (SC = 100% by
-// definition of the evaluation metric).
+// definition of the evaluation metric). It is stateless, safe to share: Rank
+// may be called from several goroutines at once.
 type BruteForce struct {
 	engine Engine
 }
@@ -67,12 +46,6 @@ func (m *BruteForce) Name() string { return "BruteForce" }
 
 // Reset implements Method; BruteForce is stateless.
 func (m *BruteForce) Reset() {}
-
-// ConcurrentRankOK implements ConcurrentRanker; BruteForce is stateless.
-func (m *BruteForce) ConcurrentRankOK() {}
-
-// SetWorkers implements WorkersConfigurable.
-func (m *BruteForce) SetWorkers(n int) { m.engine.Workers = n }
 
 // Rank implements Method.
 func (m *BruteForce) Rank(q Query) OfferingTable {
@@ -98,7 +71,8 @@ func (m *BruteForce) Rank(q Query) OfferingTable {
 // IndexQuadtree retrieves candidates through the spatial index — the
 // CandidateFactor·k chargers geometrically nearest the anchor — and ranks
 // only those. Retrieval drops from O(n) to O(log n), trading SC: the best
-// sustainability score is not always among the nearest chargers.
+// sustainability score is not always among the nearest chargers. It is
+// stateless, safe to share, like BruteForce.
 type IndexQuadtree struct {
 	engine Engine
 	// CandidateFactor scales the candidate set (factor·k nearest); values
@@ -116,12 +90,6 @@ func (m *IndexQuadtree) Name() string { return "Index-Quadtree" }
 
 // Reset implements Method; the method is stateless.
 func (m *IndexQuadtree) Reset() {}
-
-// ConcurrentRankOK implements ConcurrentRanker; the method is stateless.
-func (m *IndexQuadtree) ConcurrentRankOK() {}
-
-// SetWorkers implements WorkersConfigurable.
-func (m *IndexQuadtree) SetWorkers(n int) { m.engine.Workers = n }
 
 // Rank implements Method.
 func (m *IndexQuadtree) Rank(q Query) OfferingTable {
@@ -252,51 +220,42 @@ func (o EcoChargeOptions) evalQuery(q Query) Query {
 // table is adapted — only the derouting component is re-derived from the
 // new position, cheaply and approximately — instead of recomputed.
 //
-// Each method instance owns one slot of a ShardedCache; a fleet of
-// concurrent trips over one Env shares the cache (NewEcoChargeShared) while
-// every trip still adapts only its own tables.
+// The cache is the vehicle's previous Offering Table and nothing more: one
+// table per method instance, one instance per trip, on one goroutine.
 type EcoCharge struct {
 	engine Engine
 	opts   EcoChargeOptions
-	cache  *ShardedCache
-	owner  uint64
-	hits   atomic.Int64
-	misses atomic.Int64
+	// cached is the last computed table: the zero table until the first miss
+	// of a trip and after Reset, which like any empty table is never adapted.
+	cached       OfferingTable
+	hits, misses int
 }
 
-// NewEcoCharge returns the EcoCharge method with the given options and a
-// private cache.
+// NewEcoCharge returns the EcoCharge method with the given options and an
+// empty cache.
 func NewEcoCharge(env *Env, opts EcoChargeOptions) *EcoCharge {
-	return NewEcoChargeShared(env, opts, NewShardedCache())
-}
-
-// NewEcoChargeShared returns an EcoCharge instance storing its dynamic
-// cache in the given shared ShardedCache. One instance per concurrent trip;
-// the instance allocates its own slot so trips never adapt each other's
-// tables.
-func NewEcoChargeShared(env *Env, opts EcoChargeOptions, cache *ShardedCache) *EcoCharge {
-	return &EcoCharge{
-		engine: Engine{Env: env},
-		opts:   opts.withDefaults(),
-		cache:  cache,
-		owner:  cache.NewOwner(),
-	}
+	return &EcoCharge{engine: Engine{Env: env}, opts: opts.withDefaults()}
 }
 
 // Name implements Method.
 func (m *EcoCharge) Name() string { return "EcoCharge" }
 
 // Reset implements Method: it drops the cached table (new trip, new cache).
-func (m *EcoCharge) Reset() { m.cache.Invalidate(m.owner) }
+func (m *EcoCharge) Reset() {
+	m.cached = OfferingTable{}
+	met.cacheInvalidations.Inc()
+}
 
-// SetWorkers implements WorkersConfigurable.
-func (m *EcoCharge) SetWorkers(n int) { m.engine.Workers = n }
+// SetWorkers does nothing.
+//
+// Deprecated: ignored — a ranking runs on the caller's goroutine. Its one
+// caller is bench/replay.go, which a PR that is not the benchmark's own may
+// not edit; it goes with ROADMAP item 2's benchmark PR.
+func (m *EcoCharge) SetWorkers(int) {}
 
 // Stats reports cache hits and misses since construction, used by the
 // experiments to explain the Q tradeoff.
-func (m *EcoCharge) Stats() (hits, misses int) {
-	return int(m.hits.Load()), int(m.misses.Load())
-}
+func (m *EcoCharge) Stats() (hits, misses int) { return m.hits, m.misses }
 
 // Rank implements Method.
 func (m *EcoCharge) Rank(q Query) OfferingTable {
@@ -310,29 +269,42 @@ func (m *EcoCharge) Rank(q Query) OfferingTable {
 // were refused and the miss ran its own search; the table is the same.
 func (m *EcoCharge) rank(q Query, travel *Travel) (table OfferingTable, used bool) {
 	q = m.opts.evalQuery(q)
-	if cached, ok := m.cache.Lookup(m.owner, q, m.opts); ok {
-		m.hits.Add(1)
-		return m.adapt(cached, q), false
+	if m.adaptable(q) {
+		m.hits++
+		met.cacheHits.Inc()
+		return m.adapt(m.cached, q), false
 	}
-	m.misses.Add(1)
+	m.misses++
+	met.cacheMisses.Inc()
 	if travel != nil {
 		table, used = m.compute(q, travel)
 	}
 	if !used {
 		table, _ = m.compute(q, nil)
 	}
-	m.cache.Store(m.owner, table)
+	m.cached = table
+	met.cacheStores.Inc()
 	return table, used
 }
 
+// adaptable is the dynamic cache's rule (§IV.C): the cached table serves the
+// query when the anchor moved at most Q, the table is not older than the TTL
+// and not from the future, and it has entries.
+func (m *EcoCharge) adaptable(q Query) bool {
+	t := &m.cached
+	return len(t.Entries) > 0 && m.opts.reuses(t.Anchor, q.Anchor) &&
+		q.Now.Sub(t.GeneratedAt) <= m.opts.TTL &&
+		!q.Now.Before(t.GeneratedAt)
+}
+
 // RankOnce computes the Offering Table of one stand-alone query: the
-// cache-miss path of EcoCharge under the same options and worker bound, with
-// no dynamic cache behind it. It is the entry for callers that rank a query
-// point once and never return to adapt the table — the EIS one-shot
-// endpoints, which keep whole responses in their own cache. The table equals
+// cache-miss path of EcoCharge under the same options, with no dynamic cache
+// behind it. It is the entry for callers that rank a query point once and
+// never return to adapt the table — the EIS one-shot endpoints, which keep
+// whole responses in their own cache. The table equals
 // what a fresh NewEcoCharge(env, opts) instance returns from its first Rank.
-func RankOnce(env *Env, opts EcoChargeOptions, workers int, q Query) OfferingTable {
-	m := EcoCharge{engine: Engine{Env: env, Workers: workers}, opts: opts.withDefaults()}
+func RankOnce(env *Env, opts EcoChargeOptions, q Query) OfferingTable {
+	m := EcoCharge{engine: Engine{Env: env}, opts: opts.withDefaults()}
 	table, _ := m.compute(m.opts.evalQuery(q), nil)
 	return table
 }
@@ -344,8 +316,8 @@ func RankOnce(env *Env, opts EcoChargeOptions, workers int, q Query) OfferingTab
 // nothing was ranked, when they cannot stand in for the search
 // (suppliedDerouting says why); the caller then snaps the point and calls
 // RankOnce, and gets the table this would have returned.
-func RankOnceSupplied(env *Env, opts EcoChargeOptions, workers int, q Query, travel *Travel) (table OfferingTable, ok bool) {
-	m := EcoCharge{engine: Engine{Env: env, Workers: workers}, opts: opts.withDefaults()}
+func RankOnceSupplied(env *Env, opts EcoChargeOptions, q Query, travel *Travel) (table OfferingTable, ok bool) {
+	m := EcoCharge{engine: Engine{Env: env}, opts: opts.withDefaults()}
 	q.AnchorNode, q.ReturnNode = travel.Anchor, travel.Anchor
 	return m.compute(m.opts.evalQuery(q), travel)
 }

@@ -15,7 +15,7 @@ type engineMetrics struct {
 	refineSeconds *obs.Histogram
 
 	// Filtering-phase outcome counters: every candidate lands in exactly one,
-	// added once per pass over a pool (filterCounts).
+	// added once per pass over a pool (evalPool).
 	pruneRejected *obs.Counter // optimistic bound could not enter the top-k
 	evaluated     *obs.Counter // full EC evaluation performed
 	unreachable   *obs.Counter // outside the expansion bound
@@ -26,13 +26,12 @@ type engineMetrics struct {
 	degradedA *obs.Counter
 	degradedD *obs.Counter
 
-	// ShardedCache traffic (the paper's dynamic cache §IV.C).
+	// Dynamic-cache traffic (§IV.C): hits are adapted tables, misses computed.
 	cacheHits          *obs.Counter
 	cacheMisses        *obs.Counter
 	cacheStores        *obs.Counter
 	cacheInvalidations *obs.Counter
 	cacheAdaptDropped  *obs.Counter // cached entries that drifted out of R on adapt
-	cacheSlots         *obs.Gauge   // live owner slots across all ShardedCaches
 
 	// DeroutingMaps construction and release (each exact computation runs
 	// four pooled expansions, each approximation two; half that when the
@@ -61,7 +60,6 @@ func newEngineMetrics(r *obs.Registry) *engineMetrics {
 		cacheStores:        r.Counter("cknn_cache_stores_total"),
 		cacheInvalidations: r.Counter("cknn_cache_invalidations_total"),
 		cacheAdaptDropped:  r.Counter("cknn_cache_adapt_dropped_total"),
-		cacheSlots:         r.Gauge("cknn_cache_slots"),
 		deroutExact:        r.Counter("cknn_derouting_exact_total"),
 		deroutApprox:       r.Counter("cknn_derouting_approx_total"),
 		deroutBatched:      r.Counter("cknn_derouting_batched_total"),

@@ -42,7 +42,7 @@ func TestRunTripPropertyInvariants(t *testing.T) {
 			A: float64(1 + wa%8),
 			D: float64(1 + wd%8),
 		}
-		opts := cknn.TripOptions{K: 3, SegmentLenM: 4000, Workers: 1, Weights: w}
+		opts := cknn.TripOptions{K: 3, SegmentLenM: 4000, Weights: w}
 
 		base := cknn.RunTrip(env, freshEco(env), trip, opts)
 		for i, res := range base {

@@ -77,9 +77,9 @@ func supplyFor(t testing.TB, world, shard *Env, opts EcoChargeOptions, q Query) 
 }
 
 // TestSuppliedRankingMatchesOwnSearch: over every symmetric world, random
-// anchors, weights, k and radii, sequential and parallel filtering, each of
-// three shards ranks the same table from the one supplied search as from its
-// own, and starts no expansion doing so.
+// anchors, weights, k and radii, each of three shards ranks the same table
+// from the one supplied search as from its own, and starts no expansion
+// doing so.
 func TestSuppliedRankingMatchesOwnSearch(t *testing.T) {
 	for name, world := range symmetricEnvs(t) {
 		nQueries := 8
@@ -90,10 +90,9 @@ func TestSuppliedRankingMatchesOwnSearch(t *testing.T) {
 		entries := 0
 		for qi, q := range roundTripQueries(world, 13, nQueries) {
 			opts := EcoChargeOptions{RadiusM: []float64{3000, 10000, 50000}[rng.Intn(3)]}
-			workers := 1 + 3*(qi%2)
 			for s := 0; s < 3; s++ {
 				shard := shardOf(t, world, s, 3)
-				want := RankOnce(shard, opts, workers, q)
+				want := RankOnce(shard, opts, q)
 				travel, ok := supplyFor(t, world, shard, opts, q)
 				if !ok {
 					t.Fatalf("%s: SearchTravel declined a round trip on a symmetric graph", name)
@@ -101,7 +100,7 @@ func TestSuppliedRankingMatchesOwnSearch(t *testing.T) {
 				full0, many0 := expansionsStarted()
 				noNodes := q // the anchor is the travel times', not the query's
 				noNodes.AnchorNode, noNodes.ReturnNode = roadnet.Invalid, roadnet.Invalid
-				got, used := RankOnceSupplied(shard, opts, workers, noNodes, travel)
+				got, used := RankOnceSupplied(shard, opts, noNodes, travel)
 				full1, many1 := expansionsStarted()
 				if !used {
 					t.Fatalf("%s query %d shard %d: the gateway's own search was refused", name, qi, s)
@@ -130,7 +129,7 @@ func TestSuppliedRankingRefuses(t *testing.T) {
 	shard := shardOf(t, world, 0, 3)
 	q := roundTripQueries(world, 21, 1)[0]
 	opts := EcoChargeOptions{RadiusM: 50000}
-	want := RankOnce(shard, opts, 1, q)
+	want := RankOnce(shard, opts, q)
 	if len(want.Entries) == 0 {
 		t.Fatal("the reference table is empty; the comparison is vacuous")
 	}
@@ -138,7 +137,7 @@ func TestSuppliedRankingRefuses(t *testing.T) {
 	if !ok {
 		t.Fatal("SearchTravel declined")
 	}
-	if got, used := RankOnceSupplied(shard, opts, 1, q, good); !used || !reflect.DeepEqual(got, want) {
+	if got, used := RankOnceSupplied(shard, opts, q, good); !used || !reflect.DeepEqual(got, want) {
 		t.Fatalf("the unmodified travel times: used=%v, table %v, want %v", used, got.IDs(), want.IDs())
 	}
 	goodTimes := good.Times.(*legs)
@@ -183,7 +182,7 @@ func TestSuppliedRankingRefuses(t *testing.T) {
 	for name, tc := range cases {
 		full0, many0 := expansionsStarted()
 		acquired, released := obs.Default().Counter("roadnet_pool_acquires_total").Value(), obs.Default().Counter("roadnet_pool_releases_total").Value()
-		got, used := RankOnceSupplied(tc.env, tc.opts, 1, q, tc.travel)
+		got, used := RankOnceSupplied(tc.env, tc.opts, q, tc.travel)
 		if used || got.Entries != nil {
 			t.Errorf("%s: ranked %v on the travel times (used=%v)", name, got.IDs(), used)
 		}

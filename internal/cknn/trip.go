@@ -1,10 +1,7 @@
 package cknn
 
 import (
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"ecocharge/internal/geo"
@@ -22,11 +19,12 @@ type TripOptions struct {
 	RadiusM float64
 	// Weights of the SC objectives; zero value selects equal weights.
 	Weights Weights
-	// Workers bounds the evaluation's worker pool. 0 selects GOMAXPROCS;
-	// 1 selects the fully sequential path (the testing oracle). Output is
-	// identical for every value: stateless methods fan out per segment with
-	// index-stable result placement, order-dependent methods keep the
-	// sequential segment walk and fan out inside the filtering phase.
+	// Workers is not read.
+	//
+	// Deprecated: ignored — a trip is evaluated segment by segment on the
+	// caller's goroutine. Its one setter is bench/replay.go, which a PR that
+	// is not the benchmark's own may not edit; it goes with ROADMAP item 2's
+	// benchmark PR.
 	Workers int
 }
 
@@ -39,9 +37,6 @@ func (o TripOptions) withDefaults() TripOptions {
 	}
 	if o.RadiusM <= 0 {
 		o.RadiusM = 50000
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	return o
 }
@@ -73,55 +68,14 @@ func QueryForSegment(trip trajectory.Trip, seg trajectory.Segment, opts TripOpti
 	}
 }
 
-// RunTrip evaluates the method over every segment of the trip (the
-// continuous CkNN-EC evaluation of §III.A), resetting the method's per-trip
-// state first. The i-th result corresponds to segment i.
-//
-// With Workers > 1 the evaluation is concurrent: methods marked
-// ConcurrentRanker (stateless ones) build segment tables in parallel, with
-// each worker writing result i into slot i so the output order is the
-// travel order regardless of scheduling; other methods walk segments
-// sequentially — the EcoCharge cache chain and the Random stream are
-// order-dependent — and parallelize per-charger evaluation inside the
-// filtering phase instead. Both regimes produce byte-identical results to
-// Workers=1, which the differential equivalence suite enforces.
+// RunTrip evaluates the method over every segment of the trip in travel order
+// (the continuous CkNN-EC evaluation of §III.A), resetting the method's
+// per-trip state first. The i-th result corresponds to segment i.
 func RunTrip(env *Env, method Method, trip trajectory.Trip, opts TripOptions) []SegmentResult {
 	opts = opts.withDefaults()
 	method.Reset()
 	segs := trajectory.SegmentTrip(env.Graph, trip, opts.SegmentLenM)
 	out := make([]SegmentResult, len(segs))
-	if _, ok := method.(ConcurrentRanker); ok && opts.Workers > 1 && len(segs) > 1 {
-		// Per-segment fan-out saturates the pool on its own; keep each
-		// Rank call sequential inside so the total stays bounded.
-		if wc, ok := method.(WorkersConfigurable); ok {
-			wc.SetWorkers(1)
-		}
-		workers := opts.Workers
-		if workers > len(segs) {
-			workers = len(segs)
-		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(segs) {
-						return
-					}
-					q := QueryForSegment(trip, segs[i], opts)
-					out[i] = SegmentResult{Segment: segs[i], Table: method.Rank(q)}
-				}
-			}()
-		}
-		wg.Wait()
-		return out
-	}
-	if wc, ok := method.(WorkersConfigurable); ok {
-		wc.SetWorkers(opts.Workers)
-	}
 	for i, seg := range segs {
 		q := QueryForSegment(trip, seg, opts)
 		out[i] = SegmentResult{Segment: seg, Table: method.Rank(q)}
@@ -131,7 +85,7 @@ func RunTrip(env *Env, method Method, trip trajectory.Trip, opts TripOptions) []
 
 // reuses is the distance half of the dynamic cache's rule (§IV.C): a table
 // generated at from is adapted for a query at to while the anchor moved at
-// most Q. ShardedCache.Lookup adds the table's age and that it has entries.
+// most Q. EcoCharge.adaptable adds the table's age and that it has entries.
 func (o EcoChargeOptions) reuses(from, to geo.Point) bool {
 	return geo.Distance(to, from) <= o.withDefaults().ReuseDistM
 }
@@ -172,7 +126,6 @@ type SegmentTravel struct {
 func RunTripSupplied(env *Env, m *EcoCharge, trip trajectory.Trip, opts TripOptions, travel []SegmentTravel) (out []SegmentResult, used int) {
 	opts = opts.withDefaults()
 	m.Reset()
-	m.SetWorkers(opts.Workers)
 	segs := trajectory.SegmentTrip(env.Graph, trip, opts.SegmentLenM)
 	out = make([]SegmentResult, len(segs))
 	for i, seg := range segs {

@@ -103,7 +103,6 @@ func TestSuppliedTripMatchesOwnSearch(t *testing.T) {
 			opts := TripOptions{
 				K: 2 + ti%4, SegmentLenM: []float64{800, 2500, 4000}[rng.Intn(3)], RadiusM: eco.RadiusM,
 				Weights: Weights{L: 0.2 + rng.Float64(), A: 0.2 + rng.Float64(), D: 0.2 + rng.Float64()},
-				Workers: 1 + 3*(ti%2),
 			}
 			if ti == 0 {
 				opts.Weights = Weights{} // the equal weights
@@ -151,7 +150,7 @@ func TestTripPlanPredictsComputedSegments(t *testing.T) {
 			RadiusM:    []float64{300, 1200, 10000}[rSel%3], // the smallest leaves tables empty
 			ReuseDistM: []float64{1, 900, 2500, 0}[qSel%4],
 		}
-		opts := TripOptions{K: 3, SegmentLenM: []float64{600, 1500, 4000}[lenSel%3], RadiusM: eco.RadiusM, Workers: 1}
+		opts := TripOptions{K: 3, SegmentLenM: []float64{600, 1500, 4000}[lenSel%3], RadiusM: eco.RadiusM}
 		results := RunTrip(env, NewEcoCharge(env, eco), trip, opts)
 		segs := make([]trajectory.Segment, len(results))
 		for i, r := range results {
@@ -199,7 +198,7 @@ func TestSuppliedTripRefuses(t *testing.T) {
 	shard := shardOf(t, world, 0, 3)
 	trip := randomTrip(t, rand.New(rand.NewSource(4)), world.Graph, 20)
 	eco := EcoChargeOptions{RadiusM: 10000, ReuseDistM: 1500}
-	opts := TripOptions{K: 3, SegmentLenM: 1500, RadiusM: eco.RadiusM, Workers: 1}
+	opts := TripOptions{K: 3, SegmentLenM: 1500, RadiusM: eco.RadiusM}
 	want := RunTrip(shard, NewEcoCharge(shard, eco), trip, opts)
 	good := tripSupplyFor(t, world, shard, eco, trip, opts)
 	if len(good) < 2 || len(good) != len(computedIn(want)) {

@@ -125,7 +125,7 @@ func chaosServer(t *testing.T, cfg fault.Config) (*httptest.Server, *Client, *ck
 	env := testEnv(t)
 	cp := *env
 	cp.Faults = fault.Sources(fault.New(cfg))
-	srv := NewServer(&cp, ServerOptions{Clock: func() time.Time { return fixedNow }, Workers: 4})
+	srv := NewServer(&cp, ServerOptions{Clock: func() time.Time { return fixedNow }})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return ts, NewClient(ts.URL, ts.Client()), &cp

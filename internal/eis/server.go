@@ -10,7 +10,6 @@ import (
 	"log"
 	"math"
 	"net/http"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -32,11 +31,6 @@ type ServerOptions struct {
 	CacheCellM float64
 	// CacheTTL bounds cached table age. 0 selects 5 minutes.
 	CacheTTL time.Duration
-	// Workers bounds the ranking parallelism per request: it is forwarded
-	// to the engine's filtering phase and to RunTrip's per-segment pool, so
-	// one trip evaluation uses at most Workers goroutines. 0 selects
-	// GOMAXPROCS; 1 runs the sequential reference path.
-	Workers int
 	// CacheMaxEntries bounds the response cache across all shards; a full
 	// shard evicts by respShard.evictLocked's rule (expired entries, then
 	// entries never read, before anything that was hit). 0 selects 4096;
@@ -70,9 +64,6 @@ func (o ServerOptions) withDefaults() ServerOptions {
 	}
 	if o.CacheTTL <= 0 {
 		o.CacheTTL = 5 * time.Minute
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	if o.CacheMaxEntries == 0 {
 		o.CacheMaxEntries = 4096
@@ -848,7 +839,7 @@ func (s *Server) rankOffering(o *Offering, node roadnet.NodeID, block *wire.Trav
 	opts := cknn.EcoChargeOptions{RadiusM: o.RadiusM}
 	if block != nil {
 		travel := cknn.Travel{Anchor: block.Anchor, Return: roadnet.Invalid, ScaleLo: block.ScaleLo, ScaleHi: block.ScaleHi, Times: block}
-		if table, ok := cknn.RankOnceSupplied(s.env, opts, s.opts.Workers, q, &travel); ok {
+		if table, ok := cknn.RankOnceSupplied(s.env, opts, q, &travel); ok {
 			met.travelUsed.Inc()
 			return table
 		}
@@ -856,7 +847,7 @@ func (s *Server) rankOffering(o *Offering, node roadnet.NodeID, block *wire.Trav
 		q.AnchorNode = s.env.Graph.NearestNode(o.P)
 		q.ReturnNode = q.AnchorNode
 	}
-	return cknn.RankOnce(s.env, opts, s.opts.Workers, q)
+	return cknn.RankOnce(s.env, opts, q)
 }
 
 // decodeJSONOffering is apart from handleOffering so that the request it

@@ -64,7 +64,6 @@ func (s *Server) handleTripOffering(w http.ResponseWriter, r *http.Request) {
 	}
 
 	eco, opts := t.Plan()
-	opts.Workers = s.opts.Workers
 	travel := make([]cknn.SegmentTravel, len(req.Travel))
 	for i := range req.Travel {
 		b := &req.Travel[i]

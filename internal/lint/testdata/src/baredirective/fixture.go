@@ -22,3 +22,9 @@ func BadBareMulti(b float64) bool {
 	//ecolint:ignore floateq,errignore
 	return b == 0.0
 }
+
+// BadUnknownRule names a rule that was deleted; the reason does not save it.
+func BadUnknownRule(b float64) bool {
+	//ecolint:ignore hotalloc,floateq the first rule is gone, the directive stayed
+	return b == 0.0
+}

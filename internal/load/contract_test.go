@@ -86,7 +86,7 @@ func overloadFleet(t *testing.T, env *cknn.Env) *Inproc {
 		RetryAfter:  time.Second,
 		WireShards:  true,
 		Clock:       func() time.Time { return fixedNow },
-		Server:      eis.ServerOptions{CacheCellM: 1, Workers: 1},
+		Server:      eis.ServerOptions{CacheCellM: 1},
 		Wrap:        delayHandler(25 * time.Millisecond),
 	})
 	if err != nil {

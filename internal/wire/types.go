@@ -196,8 +196,7 @@ type AvailabilityResponse struct {
 // It stays JSON-only on the wire: the map-shaped body is tiny, fleet-global,
 // and nowhere near the fan-out hot path.
 type TrafficResponse struct {
-	At time.Time `json:"at"`
-	//ecolint:ignore hotalloc JSON-only response type: traffic never travels binary, the map is the endpoint's contract
+	At         time.Time               `json:"at"`
 	Multiplier map[string]IntervalJSON `json:"multiplier"`
 }
 
