@@ -157,17 +157,20 @@ func (s *Set) Within(p geo.Point, radius float64) []*Charger {
 // next query into it, and a query allocates nothing once the storage has held
 // its largest answer.
 type Candidates struct {
-	near []spatial.Neighbor
+	near []spatial.Item
 	out  []*Charger
 }
 
-// WithinInto is Within into c's storage.
+// WithinInto returns, in c's storage, the set Within returns, in the index's
+// own order: the same on every call, unrelated to distance. A ranking reads
+// its candidates as a set (cknn.Rank's order is total), so it does not pay
+// for their distances or for a sort.
 func (s *Set) WithinInto(c *Candidates, p geo.Point, radius float64) []*Charger {
 	c.near, c.out = c.near[:0], c.out[:0]
 	if s.index == nil {
 		return c.out
 	}
-	c.near = s.index.AppendWithin(c.near, p, radius)
+	c.near = s.index.AppendItemsWithin(c.near, p, radius)
 	for _, n := range c.near {
 		c.out = append(c.out, &s.chargers[s.byID[n.ID]])
 	}

@@ -2,6 +2,7 @@ package charger
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"math/rand"
 	"slices"
@@ -266,13 +267,27 @@ func TestRateClassStrings(t *testing.T) {
 }
 
 // TestWithinIntoAnswersLikeWithin: a radius query into caller storage gets
-// exactly what Within returns — the same chargers in the same order — also
-// for a radius that is to the bit some charger's distance (the bound is
-// inclusive), and allocates nothing on warm storage.
+// the set Within returns — also for a radius that is to the bit some
+// charger's distance (the bound is inclusive) — in the index's order, which
+// is not Within's but is the same from call to call and from one Set of these
+// chargers to the next, and allocates nothing on warm storage.
 func TestWithinIntoAnswersLikeWithin(t *testing.T) {
 	s := testSet(t, 400)
+	twin, err := NewSet(s.All())
+	if err != nil {
+		t.Fatal(err)
+	}
+	byID := func(a, b *Charger) int { return cmp.Compare(a.ID, b.ID) }
+	ids := func(cs []*Charger) []int64 {
+		out := make([]int64, len(cs))
+		for i, c := range cs {
+			out[i] = c.ID
+		}
+		return out
+	}
 	rng := rand.New(rand.NewSource(5))
-	var store Candidates
+	var store, again Candidates
+	reordered := 0
 	atBound := 0
 	for q := 0; q < 400; q++ {
 		p := s.All()[rng.Intn(s.Len())].P
@@ -282,16 +297,29 @@ func TestWithinIntoAnswersLikeWithin(t *testing.T) {
 			radius = geo.Distance(p, s.All()[rng.Intn(s.Len())].P)
 		}
 		want := s.Within(p, radius)
-		if got := s.WithinInto(&store, p, radius); !slices.Equal(got, want) {
+		got := s.WithinInto(&store, p, radius)
+		if !slices.Equal(got, s.WithinInto(&again, p, radius)) || !slices.Equal(ids(got), ids(twin.WithinInto(&again, p, radius))) {
+			t.Fatalf("query %d: WithinInto around %v within %v m answers in an order that does not repeat", q, p, radius)
+		}
+		if !slices.Equal(got, want) {
+			reordered++
+		}
+		sorted := slices.Clone(got)
+		slices.SortFunc(sorted, byID)
+		slices.SortFunc(want, byID)
+		if !slices.Equal(sorted, want) {
 			t.Fatalf("query %d: WithinInto answers %d chargers around %v within %v m, Within %d", q, len(got), p, radius, len(want))
 		}
 		//ecolint:ignore floateq the radius is that very distance
-		if n := len(want); q%4 == 3 && n > 0 && geo.Distance(p, want[n-1].P) == radius {
+		if q%4 == 3 && slices.ContainsFunc(want, func(c *Charger) bool { return geo.Distance(p, c.P) == radius }) {
 			atBound++
 		}
 	}
 	if atBound < 50 {
 		t.Fatalf("%d queries ending on a charger; the comparison wants plenty", atBound)
+	}
+	if reordered == 0 {
+		t.Fatal("WithinInto answered closest first every time: it is sorting")
 	}
 
 	center := s.All()[0].P

@@ -586,7 +586,7 @@ func TestWeightsChangeRanking(t *testing.T) {
 }
 
 func TestBottomK(t *testing.T) {
-	b := newBottomK(3)
+	b := bottomK{k: 3}
 	if b.kth() != math.Inf(-1) {
 		t.Error("empty bottomK kth not -Inf")
 	}
@@ -597,7 +597,7 @@ func TestBottomK(t *testing.T) {
 	if got := b.kth(); got != 0.5 {
 		t.Errorf("kth = %v, want 0.5", got)
 	}
-	z := newBottomK(0)
+	z := bottomK{}
 	if z.push(1) {
 		t.Error("k=0 bottomK claims readiness")
 	}

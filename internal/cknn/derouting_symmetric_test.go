@@ -12,6 +12,7 @@ package cknn
 // roadnet/symmetric_test.go.
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -506,11 +507,11 @@ func bytesPerRun(fn func()) float64 {
 // anchor, on the Oldenburg scenario graph with a third of the inventory
 // (rendezvous sharding hands each of three shards a pseudo-random third).
 // Like BenchmarkExpandOldenburg it first asserts the allocation budget. A
-// ranking allocates its candidate, neighbour, target and result slices — a
-// fixed number — and nothing per charger, so ranking all 333 chargers must
+// ranking allocates its target and result slices — a fixed number; the
+// candidates and the filtering phase's scratch are pooled — and nothing per
+// charger, so ranking all 333 chargers must
 // cost the allocations of ranking the few dozen within 10 km; and what those
-// slices hold per candidate is a pointer, a neighbour and a node, so a
-// ranking's bytes must grow by well under the 112 bytes of an Entry per
+// slices hold per candidate is a node, so a ranking's bytes must grow by well under the 112 bytes of an Entry per
 // candidate: the filtering phase's entries are pooled scratch (rankPool).
 func BenchmarkRankOnceOldenburg(b *testing.B) {
 	env, q := oldenburgWorld(b, 3)
@@ -548,4 +549,36 @@ func BenchmarkRankOnceOldenburg(b *testing.B) {
 	}
 	forecast1, _, _ := filterOutcomes()
 	b.ReportMetric(float64(forecast1-forecast0)/float64(b.N), "forecasts/op")
+}
+
+// BenchmarkRetrievalOldenburg prices a ranking's first step on the whole
+// Oldenburg inventory, from the middle of the map, both ways a caller can ask:
+// Set.Within, closest first — a distance per charger and a sort — and
+// Set.WithinInto, the index's walk into kept storage, which measures only the
+// chargers of the leaves the circle cuts and sorts nothing. At 6 km the circle
+// cuts through the town; 50 km covers it, and the walk takes the tree whole.
+func BenchmarkRetrievalOldenburg(b *testing.B) {
+	env, q := oldenburgWorld(b, 1)
+	for _, radiusM := range []float64{6000, 50000} {
+		want := len(env.Chargers.Within(q.Anchor, radiusM))
+		b.Run(fmt.Sprintf("sorted/R=%.0fkm", radiusM/1000), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if got := len(env.Chargers.Within(q.Anchor, radiusM)); got != want {
+					b.Fatalf("%d chargers, want %d", got, want)
+				}
+			}
+			b.ReportMetric(float64(want), "chargers/op")
+		})
+		b.Run(fmt.Sprintf("walk/R=%.0fkm", radiusM/1000), func(b *testing.B) {
+			var store charger.Candidates
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if got := len(env.Chargers.WithinInto(&store, q.Anchor, radiusM)); got != want {
+					b.Fatalf("%d chargers, want %d", got, want)
+				}
+			}
+			b.ReportMetric(float64(want), "chargers/op")
+		})
+	}
 }

@@ -85,30 +85,50 @@ func capAbove(x interval.I, cap float64) interval.I {
 // expensive forecasts), then ranked per eq. 6. Both phases run on the
 // caller's goroutine: a ranking is sequential, requests are concurrent.
 //
+// The candidates are a set. Rank orders by a total order that ends on the
+// charger ID, so the order they arrive in — and the order the filtering
+// phase visits them in — changes what a ranking costs, never its table.
+//
 // The filtering phase writes one Entry per surviving candidate and Rank
-// copies k of them out, so the pool-sized slice between the two phases is
-// scratch: it comes from entryBufs and goes back before rankPool returns.
+// copies k of them out, so everything pool-sized between the two phases is
+// scratch: it comes from filterBufs and goes back before rankPool returns.
 func (e *Engine) rankPool(cands []*charger.Charger, d DeroutingMaps, q Query) []Entry {
 	filterStart := time.Now()
-	buf := entryBufs.Get().(*[]Entry)
-	if cap(*buf) < len(cands) {
-		*buf = make([]Entry, 0, len(cands))
-	}
-	entries := e.evalPool(cands, d, q, (*buf)[:0])
+	s := filterBufs.Get().(*filterScratch)
+	s.fit(len(cands))
+	entries := e.evalPool(cands, d, q, s)
 	met.filterSeconds.Since(filterStart)
 	refineStart := time.Now()
 	out := Rank(entries, q.K)
 	met.refineSeconds.Since(refineStart)
-	if cap(*buf) <= maxPooledEntries {
-		entryBufs.Put(buf)
+	if cap(s.entries) <= maxPooledEntries {
+		filterBufs.Put(s)
 	}
 	return out
 }
 
-// entryBufs recycles the filtering phase's entry slices across rankings.
-var entryBufs = sync.Pool{New: func() any { return new([]Entry) }}
+// filterScratch is the filtering phase's storage for one ranking: with room
+// for every candidate, the entries it evaluates and per candidate its
+// pruneBound and the next candidate of its bucket (evalPool); and the k best
+// SC_min seen.
+type filterScratch struct {
+	entries []Entry
+	bound   []float64
+	next    []int32
+	mins    []float64
+}
 
-// maxPooledEntries caps the capacity a recycled entry slice may keep (a few
+// fit makes room for n candidates.
+func (s *filterScratch) fit(n int) {
+	if cap(s.entries) < n {
+		s.entries, s.bound, s.next = make([]Entry, 0, n), make([]float64, n), make([]int32, n)
+	}
+}
+
+// filterBufs recycles the filtering phase's scratch across rankings.
+var filterBufs = sync.Pool{New: func() any { return new(filterScratch) }}
+
+// maxPooledEntries caps the capacity a recycled scratch may keep (a few
 // megabytes): one ranking over a huge inventory must not pin its scratch in
 // the pool forever.
 const maxPooledEntries = 1 << 15
@@ -123,8 +143,8 @@ const maxPooledEntries = 1 << 15
 // evaluate sees the same decisions. The terms go through Components.SC
 // itself: every step from nameplate to score is monotone and is the step
 // evaluate takes, so bound ≥ SC.Max holds in floating point, not only on
-// paper. ok is false when the derouting cost is unknown (the candidate must
-// then be evaluated to learn it is unreachable).
+// paper. ok is false when the derouting cost is unknown: the candidate is
+// unreachable, as evaluate would find from the same lookup.
 func (e *Engine) pruneBound(c *charger.Charger, d DeroutingMaps, q Query) (float64, bool) {
 	dn, ok := d.Cost(c.Node)
 	if !ok {
@@ -140,34 +160,76 @@ func (e *Engine) pruneBound(c *charger.Charger, d DeroutingMaps, q Query) (float
 	return best.SC(q.Weights).Max, true
 }
 
-// evalPool is the filtering phase. It appends to entries, which has room for
-// every candidate.
-func (e *Engine) evalPool(cands []*charger.Charger, d DeroutingMaps, q Query, entries []Entry) []Entry {
-	// kthMin tracks the k-th best pessimistic SC seen so far; used for the
-	// filtering-phase prune.
-	kthMin := math.Inf(-1)
-	mins := newBottomK(q.K)
+// boundBuckets is how finely evalPool orders candidates by pruneBound. A
+// power of two: scaling a bound by it is exact, so bucketOf is monotone.
+const boundBuckets = 64
+
+// bucketOf files an SC value in [0, 1] under one of boundBuckets equal
+// steps, the best scores in the last; anything below the range (the k-th
+// SC_min before there are k) goes in the first.
+func bucketOf(sc float64) int {
+	if !(sc > 0) {
+		return 0
+	}
+	if b := int(sc * boundBuckets); b < boundBuckets {
+		return b
+	}
+	return boundBuckets - 1
+}
+
+// evalPool is the filtering phase: it evaluates the candidates that can
+// still enter the top-k and returns their entries, in s.entries. Which
+// candidates those are depends on how soon the k-th SC_min rises, so it
+// visits them best bound first — the order that raises it soonest — and for
+// the price of a counting pass, not a sort: every candidate's pruneBound is
+// computed up front and the candidates are threaded, in the order given,
+// into boundBuckets lists by it. The lists are visited from the best down,
+// and the visit ends at the first whose upper edge the k-th SC_min has
+// passed; whatever is left there and below is pruned unseen, by the same
+// inequality (bound < k-th SC_min) that prunes one candidate.
+func (e *Engine) evalPool(cands []*charger.Charger, d DeroutingMaps, q Query, s *filterScratch) []Entry {
 	// Every candidate lands in exactly one outcome. The pass counts in locals
 	// and publishes once: a shared counter bumped per candidate is a thousand
 	// contended atomic adds a ranking.
-	var pruned, unreachable, evaluated uint64
-	for _, c := range cands {
-		if upper, ok := e.pruneBound(c, d, q); ok && upper < kthMin {
-			pruned++
-			continue // cannot enter the top-k
-		}
-		entry, ok := e.evaluate(c, d, q)
+	var unreachable, evaluated uint64
+	var head [boundBuckets]int32
+	for b := range head {
+		head[b] = -1
+	}
+	// Back to front, so that each list reads front to back.
+	for i := len(cands) - 1; i >= 0; i-- {
+		bound, ok := e.pruneBound(cands[i], d, q)
 		if !ok {
-			unreachable++
+			unreachable++ // no derouting cost: evaluate would find the same
 			continue
 		}
-		evaluated++
-		entries = append(entries, entry)
-		if mins.push(entry.SC.Min) {
-			kthMin = mins.kth()
+		b := bucketOf(bound)
+		s.bound[i], s.next[i] = bound, head[b]
+		head[b] = int32(i)
+	}
+	// kthMin tracks the k-th best pessimistic SC seen so far.
+	kthMin := math.Inf(-1)
+	mins := bottomK{k: q.K, vals: s.mins[:0]}
+	entries := s.entries[:0]
+	for b := boundBuckets - 1; b >= 0 && bucketOf(kthMin) <= b; b-- {
+		for i := head[b]; i >= 0; i = s.next[i] {
+			if s.bound[i] < kthMin {
+				continue // cannot enter the top-k
+			}
+			entry, ok := e.evaluate(cands[i], d, q)
+			if !ok {
+				unreachable++
+				continue
+			}
+			evaluated++
+			entries = append(entries, entry)
+			if mins.push(entry.SC.Min) {
+				kthMin = mins.kth()
+			}
 		}
 	}
-	met.pruneRejected.Add(pruned)
+	s.mins = mins.vals
+	met.pruneRejected.Add(uint64(len(cands)) - unreachable - evaluated)
 	met.unreachable.Add(unreachable)
 	met.evaluated.Add(evaluated)
 	return entries
@@ -180,8 +242,6 @@ type bottomK struct {
 	k    int
 	vals []float64 // ascending, at most k entries, holding the k largest
 }
-
-func newBottomK(k int) *bottomK { return &bottomK{k: k} }
 
 // push inserts v and reports whether the set already holds k values (i.e.
 // kth() is meaningful).

@@ -19,7 +19,13 @@ import (
 //	Eco-ExactIntervals  — exact four-expansion derouting (isolates the
 //	                      mid-traffic approximation)
 func RunDesignAblation(ctx context.Context, sc *Scenario, cfg RunConfig) ([]Measurement, error) {
-	factories := []methodFactory{
+	return runSeries(ctx, sc, cfg, designFactories(), "design")
+}
+
+// designFactories are the ablation's variants behind the brute-force
+// denominator.
+func designFactories() []methodFactory {
+	return []methodFactory{
 		{"BruteForce", func(env *cknn.Env, _ RunConfig, _ int64) cknn.Method {
 			return cknn.NewBruteForce(env)
 		}},
@@ -39,5 +45,4 @@ func RunDesignAblation(ctx context.Context, sc *Scenario, cfg RunConfig) ([]Meas
 			})
 		}},
 	}
-	return runSeries(ctx, sc, cfg, factories, "design")
 }

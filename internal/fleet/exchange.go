@@ -12,6 +12,7 @@ import (
 
 	"ecocharge/internal/eis"
 	"ecocharge/internal/roadnet"
+	"ecocharge/internal/spatial"
 	"ecocharge/internal/wire"
 )
 
@@ -351,7 +352,9 @@ type fanout struct {
 
 	// targets holds, shard after shard, the nodes searched to on the shards'
 	// behalf; seconds the travel time found at each; spans each shard's run
-	// of both; block is the one being encoded.
+	// of both; block is the one being encoded. near is the walk of one
+	// shard's sites that targets are read from.
+	near    []spatial.Item
 	targets []roadnet.NodeID
 	seconds []float64
 	spans   []span

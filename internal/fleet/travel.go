@@ -10,6 +10,7 @@ import (
 	"ecocharge/internal/eis"
 	"ecocharge/internal/geo"
 	"ecocharge/internal/roadnet"
+	"ecocharge/internal/spatial"
 	"ecocharge/internal/trajectory"
 	"ecocharge/internal/wire"
 )
@@ -38,32 +39,51 @@ import (
 // it once, in front of the fan-out, and searches once for every segment the
 // shards' dynamic caches will compute.
 
-// site is what a search needs of one inventoried charger. The scan for the
-// chargers within R walks these, a thousand of them per request, and must
-// not drag a 1.4 KB charger.Charger through the cache for each.
-type site struct {
-	p    geo.Point
-	node roadnet.NodeID
-}
-
 // supplyTerms is what the gateway needs of a shard to search on its behalf:
 // how its response cache keys and keeps entries, where its chargers are, and
 // which keys it was sent lately. A member has them from its last inventory
 // pull, if the shard stated terms and searches the gateway's road world; a
 // re-pull (the shard came back from a failure, its cache possibly empty)
 // starts over with an empty filter.
+//
+// sites indexes the inventory's positions, each under the road node its
+// charger stands at, and is nil for an empty inventory. The targets of a
+// search are read from it by the walk the shard reads its candidates by
+// (spatial.Quadtree.AppendItemsWithin over the same positions), so the two
+// agree on who is within R to the bit, which the shard checks before it takes
+// a block (cknn.suppliedDerouting).
 type supplyTerms struct {
 	cache eis.CacheTerms
-	sites []site
+	sites *spatial.Quadtree
 	seen  seenFilter
 }
 
 func newSupplyTerms(cache eis.CacheTerms, inv []charger.Charger) *supplyTerms {
-	t := &supplyTerms{cache: cache, sites: make([]site, len(inv))}
+	t := &supplyTerms{cache: cache}
+	if len(inv) == 0 {
+		return t
+	}
+	box := geo.BBox{Min: inv[0].P, Max: inv[0].P}
 	for i := range inv {
-		t.sites[i] = site{p: inv[i].P, node: inv[i].Node}
+		box = box.Extend(inv[i].P)
+	}
+	t.sites = spatial.NewQuadtree(box, 0)
+	for i := range inv {
+		t.sites.Insert(spatial.Item{P: inv[i].P, ID: int64(inv[i].Node)})
 	}
 	return t
+}
+
+// appendTargets appends to fo.targets the road nodes of the shard's chargers
+// within radius meters of p, one per charger.
+func (t *supplyTerms) appendTargets(fo *fanout, p geo.Point, radius float64) {
+	if t.sites == nil {
+		return
+	}
+	fo.near = t.sites.AppendItemsWithin(fo.near[:0], p, radius)
+	for _, it := range fo.near {
+		fo.targets = append(fo.targets, roadnet.NodeID(it.ID))
+	}
 }
 
 // seenFilter remembers the response-cache keys the gateway fanned out to one
@@ -162,11 +182,7 @@ func (g *Gateway) supplyTravel(fo *fanout, o *eis.Offering) {
 			}
 		}
 		start := len(fo.targets)
-		for _, s := range t.sites {
-			if geo.Distance(o.P, s.p) <= o.RadiusM {
-				fo.targets = append(fo.targets, s.node)
-			}
-		}
+		t.appendTargets(fo, o.P, o.RadiusM)
 		fo.spans[i] = span{start, len(fo.targets), true}
 	}
 	if len(fo.targets) == 0 {
@@ -257,11 +273,7 @@ func (g *Gateway) supplyTrip(ctx context.Context, fo *fanout, t *eis.TripOfferin
 		for _, terms := range fo.terms {
 			start := len(fo.targets)
 			if terms != nil {
-				for _, s := range terms.sites {
-					if geo.Distance(q.Anchor, s.p) <= t.RadiusM {
-						fo.targets = append(fo.targets, s.node)
-					}
-				}
+				terms.appendTargets(fo, q.Anchor, t.RadiusM)
 			}
 			fo.tripSpans = append(fo.tripSpans, span{start, len(fo.targets), terms != nil})
 		}

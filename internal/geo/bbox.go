@@ -76,21 +76,70 @@ func (b BBox) Buffer(dist float64) BBox {
 	}
 }
 
-// DistanceTo returns the planar-approximation distance in meters from p to
-// the closest point of the box; zero when p is inside.
+// DistanceTo returns a lower bound, in meters, of Distance(p, x) over every
+// point x of the box: zero when p is inside, and never above the distance to
+// any point of the box, so an index may skip a box it reports as too far.
+//
+// Distance shrinks a longitude difference by the cosine of the mean latitude,
+// which moves with x, so the nearest point is not the one clamping p into the
+// box finds. This bound and MaxDistanceTo's take the smallest (largest)
+// longitude difference, latitude difference and cosine the box allows, which
+// no single point need attain: sound, not tight — loose costs an index a look
+// inside the box, never an item.
 func (b BBox) DistanceTo(p Point) float64 {
-	q := p
-	if q.Lat < b.Min.Lat {
-		q.Lat = b.Min.Lat
-	} else if q.Lat > b.Max.Lat {
-		q.Lat = b.Max.Lat
+	lat, lon := p.Radians()
+	s, w := b.Min.Radians()
+	n, e := b.Max.Radians()
+	latNear, _ := axisGaps(lat, s, n)
+	lonNear, _ := axisGaps(lon, w, e)
+	//ecolint:ignore floateq exact zero: p is due north or south of the box, or in it
+	if lonNear == 0 {
+		return EarthRadius * latNear * (1 - boundSlack) // no cosine to bound
 	}
-	if q.Lon < b.Min.Lon {
-		q.Lon = b.Min.Lon
-	} else if q.Lon > b.Max.Lon {
-		q.Lon = b.Max.Lon
+	_, meanFar := axisGaps(0, (lat+s)/2, (lat+n)/2)
+	return EarthRadius * math.Hypot(lonNear*cosBound(meanFar, 0), latNear) * (1 - boundSlack)
+}
+
+// MaxDistanceTo returns an upper bound, in meters, of Distance(p, x) over
+// every point x of the box, so an index may take a box whole that it reports
+// as near enough. See DistanceTo.
+func (b BBox) MaxDistanceTo(p Point) float64 {
+	lat, lon := p.Radians()
+	s, w := b.Min.Radians()
+	n, e := b.Max.Radians()
+	_, latFar := axisGaps(lat, s, n)
+	_, lonFar := axisGaps(lon, w, e)
+	meanNear, _ := axisGaps(0, (lat+s)/2, (lat+n)/2)
+	return EarthRadius * math.Hypot(lonFar*cosBound(meanNear, 1), latFar) * (1 + boundSlack)
+}
+
+// boundSlack is the relative margin the bounds leave for the rounding of Cos
+// and Hypot, a few units in the sixteenth place between them; every other
+// step of Distance is monotone in floating point and is taken here the way
+// Distance takes it.
+const boundSlack = 1e-12
+
+// cosBound is the cosine of a mean latitude that lies lat radians from the
+// equator, the value that bounds the cosines of a box when lat is the nearest
+// (farthest) its mean latitudes come to it. Past the poles the cosine no
+// longer falls with lat and beyond is returned: 0 ≤ |cos| ≤ 1 is all that
+// holds there.
+func cosBound(lat, beyond float64) float64 {
+	if lat > math.Pi/2 {
+		return beyond
 	}
-	return Distance(p, q)
+	return math.Cos(lat)
+}
+
+// axisGaps returns the smallest and the largest |x − v| over x in [min, max].
+func axisGaps(v, min, max float64) (near, far float64) {
+	switch {
+	case v < min:
+		return min - v, max - v
+	case v > max:
+		return v - max, v - min
+	}
+	return 0, math.Max(v-min, max-v)
 }
 
 // WidthMeters and HeightMeters report the approximate physical extent of the box.

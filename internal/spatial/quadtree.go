@@ -2,6 +2,7 @@ package spatial
 
 import (
 	"container/heap"
+	"sync"
 
 	"ecocharge/internal/geo"
 )
@@ -247,61 +248,71 @@ func stabilizeTies(ns []Neighbor) {
 	}
 }
 
-// Within returns all items within radius meters of q, closest first,
-// pruning subtrees farther than radius. The
-// result is sized before it is filled — the items of the leaves the pruning
-// leaves standing bound it from above — so a thousand-item answer costs one
-// allocation instead of eleven rounds of append growth.
+// Within returns all items within radius meters of q, closest first, ties by
+// ID: AppendItemsWithin, then a distance per item and the sort. Callers that
+// need the set and not the order (a ranking's candidates, a search's targets)
+// call the walk and pay for neither.
 func (t *Quadtree) Within(q geo.Point, radius float64) []Neighbor {
-	bound := t.root.countWithin(q, radius)
-	if bound == 0 {
+	scratch := itemBufs.Get().(*[]Item)
+	defer itemBufs.Put(scratch)
+	*scratch = t.AppendItemsWithin((*scratch)[:0], q, radius)
+	if len(*scratch) == 0 {
 		return nil
 	}
-	return t.AppendWithin(make([]Neighbor, 0, bound), q, radius)
+	ns := make([]Neighbor, len(*scratch))
+	for i, it := range *scratch {
+		ns[i] = Neighbor{Item: it, Dist: geo.Distance(q, it.P)}
+	}
+	sortNeighbors(ns)
+	return ns
 }
 
-// AppendWithin appends to dst what Within returns, in its order, and returns
-// the grown slice: a caller that keeps dst from query to query retrieves
-// without allocating once dst has held its largest answer.
-func (t *Quadtree) AppendWithin(dst []Neighbor, q geo.Point, radius float64) []Neighbor {
-	start := len(dst)
-	dst = t.root.appendWithin(dst, q, radius)
-	sortNeighbors(dst[start:])
+// itemBufs recycles the walk's output between Within calls, so that an answer
+// costs the one allocation it is returned in.
+var itemBufs = sync.Pool{New: func() any { return new([]Item) }}
+
+// AppendItemsWithin appends to dst the items within radius meters of q — the
+// set BruteForce.Within returns — and returns the grown slice. The order is
+// the tree's: fixed once the tree is loaded, the same on every call, and
+// nothing a caller should read meaning into. It is the one radius walk of the
+// package. A subtree whose box lies wholly beyond the radius is skipped and
+// one whose box lies wholly inside is taken without a distance computed
+// (geo.BBox.DistanceTo and MaxDistanceTo decide, soundly); only the items of
+// leaves the circle cuts through are measured. A caller that keeps dst from
+// query to query retrieves without allocating once dst has held its largest
+// answer.
+func (t *Quadtree) AppendItemsWithin(dst []Item, q geo.Point, radius float64) []Item {
+	return t.root.appendWithin(dst, q, radius)
+}
+
+func (n *qnode) appendWithin(dst []Item, q geo.Point, radius float64) []Item {
+	switch {
+	case n.bounds.DistanceTo(q) > radius:
+		return dst
+	case n.bounds.MaxDistanceTo(q) <= radius:
+		return n.appendAll(dst)
+	case n.children != nil:
+		for i := range n.children {
+			dst = n.children[i].appendWithin(dst, q, radius)
+		}
+		return dst
+	}
+	for _, it := range n.items {
+		if geo.Distance(q, it.P) <= radius {
+			dst = append(dst, it)
+		}
+	}
 	return dst
 }
 
-// countWithin counts the items of the leaves whose box reaches within radius
-// of q: an upper bound on the answer that costs no per-item distance.
-func (n *qnode) countWithin(q geo.Point, radius float64) int {
-	if n.bounds.DistanceTo(q) > radius {
-		return 0
-	}
+func (n *qnode) appendAll(dst []Item) []Item {
 	if n.children == nil {
-		return len(n.items)
+		return append(dst, n.items...)
 	}
-	total := 0
 	for i := range n.children {
-		total += n.children[i].countWithin(q, radius)
+		dst = n.children[i].appendAll(dst)
 	}
-	return total
-}
-
-func (n *qnode) appendWithin(out []Neighbor, q geo.Point, radius float64) []Neighbor {
-	if n.bounds.DistanceTo(q) > radius {
-		return out
-	}
-	if n.children != nil {
-		for i := range n.children {
-			out = n.children[i].appendWithin(out, q, radius)
-		}
-		return out
-	}
-	for _, it := range n.items {
-		if d := geo.Distance(q, it.P); d <= radius {
-			out = append(out, Neighbor{Item: it, Dist: d})
-		}
-	}
-	return out
+	return dst
 }
 
 // Depth returns the height of the tree, exposed for diagnostics and tests.

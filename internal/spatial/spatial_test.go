@@ -48,6 +48,24 @@ func neighborsEqual(a, b []Neighbor) bool {
 	return true
 }
 
+// sameIDs reports whether the items are the neighbours, as multisets of IDs.
+func sameIDs(items []Item, ns []Neighbor) bool {
+	if len(items) != len(ns) {
+		return false
+	}
+	count := make(map[int64]int, len(ns))
+	for _, n := range ns {
+		count[n.ID]++
+	}
+	for _, it := range items {
+		count[it.ID]--
+		if count[it.ID] < 0 {
+			return false
+		}
+	}
+	return true
+}
+
 func TestIndexesAgreeWithBruteForceKNN(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	items := randomItems(r, 500)
@@ -71,7 +89,7 @@ func TestIndexesAgreeWithBruteForceWithin(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	items := randomItems(r, 400)
 	bf, qt := buildAll(items)
-	var scratch []Neighbor
+	var scratch []Item
 
 	for trial := 0; trial < 50; trial++ {
 		q := geo.Point{
@@ -83,16 +101,17 @@ func TestIndexesAgreeWithBruteForceWithin(t *testing.T) {
 			if got := qt.Within(q, radius); !neighborsEqual(got, want) {
 				t.Fatalf("trial %d r=%.0f: quadtree Within mismatch: got %d want %d", trial, radius, len(got), len(want))
 			}
-			// The append-style twin, behind what the caller already holds.
-			scratch = qt.AppendWithin(append(scratch[:0], Neighbor{Item: Item{ID: -1}}), q, radius)
-			if scratch[0].ID != -1 || !neighborsEqual(scratch[1:], want) {
-				t.Fatalf("trial %d r=%.0f: AppendWithin mismatch: got %d want %d", trial, radius, len(scratch)-1, len(want))
+			// The walk underneath, behind what the caller already holds: the
+			// same set, in the tree's order.
+			scratch = qt.AppendItemsWithin(append(scratch[:0], Item{ID: -1}), q, radius)
+			if scratch[0].ID != -1 || !sameIDs(scratch[1:], want) {
+				t.Fatalf("trial %d r=%.0f: AppendItemsWithin mismatch: got %d want %d", trial, radius, len(scratch)-1, len(want))
 			}
 		}
 	}
 	q := testBounds.Center()
-	if allocs := testing.AllocsPerRun(100, func() { scratch = qt.AppendWithin(scratch[:0], q, 15000) }); allocs != 0 || len(scratch) == 0 {
-		t.Fatalf("AppendWithin allocates %v times per call on warm scratch (%d items)", allocs, len(scratch))
+	if allocs := testing.AllocsPerRun(100, func() { scratch = qt.AppendItemsWithin(scratch[:0], q, 15000) }); allocs != 0 || len(scratch) == 0 {
+		t.Fatalf("AppendItemsWithin allocates %v times per call on warm scratch (%d items)", allocs, len(scratch))
 	}
 }
 
