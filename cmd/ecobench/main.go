@@ -7,42 +7,36 @@
 // Example:
 //
 //	ecobench -fig all -scale 0.002 -reps 10 -csv results.csv
-//	ecobench -fig 6 -dataset Oldenburg -json bench.json
+//	ecobench -fig 6 -dataset Oldenburg
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
-	"runtime/debug"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
 	"ecocharge/internal/experiment"
 	"ecocharge/internal/fault"
-	"ecocharge/internal/obs"
 )
 
 func main() {
 	var (
-		fig       = flag.String("fig", "all", "figure to regenerate: 6, 7, 8, 9, design, horizon, serve or all (serve is HTTP-level and excluded from all)")
+		fig       = flag.String("fig", "all", "figure to regenerate: 6, 7, 8, 9, horizon, design or all")
 		scale     = flag.Float64("scale", 0.002, "trip-count scale relative to the paper's full datasets")
 		seed      = flag.Int64("seed", 42, "scenario seed")
 		reps      = flag.Int("reps", 5, "measurement repetitions (paper: ~10)")
 		trips     = flag.Int("trips", 8, "trips sampled per repetition")
 		k         = flag.Int("k", 3, "chargers per Offering Table")
-		workers   = flag.Int("workers", 0, "sweep-cell worker pool size (0 = GOMAXPROCS, 1 = sequential)")
 		dataset   = flag.String("dataset", "", "restrict to one dataset profile (default: all four)")
 		csvP      = flag.String("csv", "", "also export all measurements to this CSV file")
-		jsonP     = flag.String("json", "", "also export machine-readable benchmark rows to this JSON file")
-		commit    = flag.String("commit", "", "commit hash recorded in the JSON export (default: build info)")
 		faultRate = flag.Float64("faultrate", 0, "deterministic EC-source fault rate in [0,1] (0 = no injection)")
 		faultSeed = flag.Int64("faultseed", 1, "fault-injection PRNG seed (independent of -seed)")
-		wireFmt   = flag.Bool("wire", false, "serve figure: also drive Mode 2 over the compact binary wire format")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (see docs/perf.md)")
 		memProf   = flag.String("memprofile", "", "write a post-run heap profile to this file (see docs/perf.md)")
 	)
@@ -52,11 +46,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ecobench: -faultrate must be in [0,1]")
 		os.Exit(1)
 	}
-	cfg := experiment.RunConfig{Repetitions: *reps, TripsPerRep: *trips, K: *k, Workers: *workers}
+	cfg := experiment.RunConfig{Repetitions: *reps, TripsPerRep: *trips, K: *k}
 	opts := runOpts{
 		fig: *fig, dataset: *dataset, scale: *scale, seed: *seed,
-		cfg: cfg, csvPath: *csvP, jsonPath: *jsonP, commit: *commit,
-		faultRate: *faultRate, faultSeed: *faultSeed, wire: *wireFmt,
+		cfg: cfg, csvPath: *csvP, faultRate: *faultRate, faultSeed: *faultSeed,
 	}
 	err := withProfiles(*cpuProf, *memProf, func() error {
 		return run(context.Background(), opts)
@@ -106,54 +99,8 @@ type runOpts struct {
 	seed      int64
 	cfg       experiment.RunConfig
 	csvPath   string
-	jsonPath  string
-	commit    string
 	faultRate float64
 	faultSeed int64
-	wire      bool
-}
-
-// benchRow is one machine-readable benchmark record of the -json export:
-// one method on one dataset under one figure configuration, aggregated over
-// repetitions. Rows are comparable across commits via the commit field.
-type benchRow struct {
-	Commit    string  `json:"commit"`
-	GOOS      string  `json:"goos"`
-	Workers   int     `json:"workers"`
-	Fig       string  `json:"fig"`
-	Dataset   string  `json:"dataset"`
-	Method    string  `json:"method"`
-	Config    string  `json:"config,omitempty"`
-	FaultRate float64 `json:"fault_rate"`
-	SCPct     float64 `json:"sc_pct"`
-	FtMs      float64 `json:"ft_ms"`
-	// Encode micro-benchmark of the row's content type (serve figure only):
-	// the marshal share of one response in ns, heap bytes, and allocations
-	// per operation.
-	EncNsOp     float64 `json:"enc_ns_op,omitempty"`
-	EncBOp      float64 `json:"enc_b_op,omitempty"`
-	EncAllocsOp float64 `json:"enc_allocs_op,omitempty"`
-	// Obs is the registry delta of this figure×dataset run (cache traffic,
-	// prune counts, pool stats, ...); rows of the same run share it because
-	// methods execute interleaved within one scenario pass. benchdiff
-	// ignores the field.
-	Obs map[string]float64 `json:"obs,omitempty"`
-}
-
-// resolveCommit prefers the -commit flag, then the VCS revision stamped into
-// the build, then "unknown" (e.g. plain `go run` without VCS stamping).
-func resolveCommit(flagValue string) string {
-	if flagValue != "" {
-		return flagValue
-	}
-	if info, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range info.Settings {
-			if s.Key == "vcs.revision" {
-				return s.Value
-			}
-		}
-	}
-	return "unknown"
 }
 
 // figureSpec binds a figure id to its runner and title.
@@ -207,15 +154,14 @@ func figures() []figureSpec {
 }
 
 func run(ctx context.Context, o runOpts) error {
-	valid := o.fig == "serve"
-	for _, spec := range figures() {
-		if o.fig == "all" || o.fig == spec.id {
-			valid = true
-		}
+	specs := figures()
+	ids := make([]string, 0, len(specs)+1)
+	for _, spec := range specs {
+		ids = append(ids, spec.id)
 	}
-	if !valid {
-		return fmt.Errorf("unknown figure %q (want one of %s)", o.fig,
-			strings.Join([]string{"6", "7", "8", "9", "design", "horizon", "serve", "all"}, ", "))
+	ids = append(ids, "all")
+	if !slices.Contains(ids, o.fig) {
+		return fmt.Errorf("unknown figure %q (want one of %s)", o.fig, strings.Join(ids, ", "))
 	}
 
 	var scenarios []*experiment.Scenario
@@ -253,32 +199,16 @@ func run(ctx context.Context, o runOpts) error {
 	fmt.Println()
 
 	var exported []experiment.Measurement
-	var rows []benchRow
-	if o.fig == "serve" {
-		serveRows, err := runServeFig(ctx, scenarios, o)
-		if err != nil {
-			return err
-		}
-		return exportResults(o, nil, serveRows)
-	}
-	commit := resolveCommit(o.commit)
-	workers := o.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	for _, spec := range figures() {
+	for _, spec := range specs {
 		if o.fig != "all" && o.fig != spec.id {
 			continue
 		}
 		var all []experiment.Measurement
-		obsByDataset := make(map[string]map[string]float64, len(scenarios))
 		for _, sc := range scenarios {
-			before := obs.Default().Snapshot()
 			ms, err := spec.run(ctx, sc, o.cfg)
 			if err != nil {
 				return err
 			}
-			obsByDataset[sc.Name] = obs.DeltaSnapshot(before, obs.Default().Snapshot())
 			all = append(all, ms...)
 		}
 		var err error
@@ -292,47 +222,22 @@ func run(ctx context.Context, o runOpts) error {
 		}
 		fmt.Println()
 		exported = append(exported, all...)
-		for _, m := range all {
-			rows = append(rows, benchRow{
-				Commit: commit, GOOS: runtime.GOOS, Workers: workers,
-				Fig: spec.id, Dataset: m.Dataset, Method: m.Method, Config: m.Config,
-				FaultRate: o.faultRate,
-				SCPct:     m.SCPercent.Mean, FtMs: m.FtMillis.Mean,
-				Obs: obsByDataset[m.Dataset],
-			})
-		}
 	}
 
-	return exportResults(o, exported, rows)
-}
-
-// exportResults writes the optional CSV and JSON artifacts. The serve
-// figure has no Measurement rows (its unit is an HTTP round trip, not a
-// ranking pass), so the CSV export only applies when measurements exist.
-func exportResults(o runOpts, exported []experiment.Measurement, rows []benchRow) error {
-	if o.csvPath != "" && len(exported) > 0 {
-		f, err := os.Create(o.csvPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := experiment.WriteMeasurementsCSV(f, exported); err != nil {
-			return fmt.Errorf("exporting CSV: %w", err)
-		}
-		fmt.Printf("exported %d measurements to %s\n", len(exported), o.csvPath)
+	if o.csvPath == "" {
+		return nil
 	}
-	if o.jsonPath != "" {
-		f, err := os.Create(o.jsonPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rows); err != nil {
-			return fmt.Errorf("exporting JSON: %w", err)
-		}
-		fmt.Printf("exported %d benchmark rows to %s\n", len(rows), o.jsonPath)
+	f, err := os.Create(o.csvPath)
+	if err != nil {
+		return err
 	}
+	err = experiment.WriteMeasurementsCSV(f, exported)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("exporting CSV: %w", err)
+	}
+	fmt.Printf("exported %d measurements to %s\n", len(exported), o.csvPath)
 	return nil
 }

@@ -5,20 +5,19 @@
 // (measured from *intended* send time), goodput of tabletest-valid
 // answers, shed rate, and contract violations per rate step.
 //
-// A rate sweep locates the saturation knee:
+// A rate sweep locates the saturation knee of each plane, provided its
+// rates cross it:
 //
-//	loadgen -inproc -profile Oldenburg -scale 0.005 \
-//	        -rate-sweep 50,100,200,400,800 -step-duration 2s -json knee.json
+//	loadgen -profile Oldenburg -scale 0.005 \
+//	        -rate-sweep 1000,2000,4000,8000 -step-duration 2s
 //
 // Against a running fleet:
 //
 //	loadgen -target http://localhost:8080 -plane wire -rate 200 -step-duration 10s
 //
-// The -json export is benchdiff-comparable (fig "load-knee"), so a knee
-// profile commits to CI like any BENCH_*.json artifact. Exit status: 0 on
-// a clean run, 1 when any response violated the overload contract
-// (non-tabletest-valid 200, 503 without Retry-After, corrupt body), 2 on
-// setup errors.
+// Exit status: 0 on a clean run, 1 when any response violated the overload
+// contract (non-tabletest-valid 200, 503 without Retry-After, corrupt body),
+// 2 on setup errors.
 package main
 
 import (
@@ -53,7 +52,7 @@ func run() int {
 		planeArg    = flag.String("plane", "both", "interchange plane: json, wire, or both")
 		arrivals    = flag.String("arrivals", "poisson", "arrival process: poisson or constant")
 		rate        = flag.Float64("rate", 100, "arrival rate (requests/s) when -rate-sweep is not given")
-		sweep       = flag.String("rate-sweep", "", "comma-separated rates to sweep for the knee report (e.g. 50,100,200,400)")
+		sweep       = flag.String("rate-sweep", "", "comma-separated rates to sweep for the knee report (e.g. 1000,2000,4000,8000)")
 		stepDur     = flag.Duration("step-duration", 2*time.Second, "nominal duration of one rate step (arrivals = rate × duration)")
 		workers     = flag.Int("workers", 64, "sender pool size (bounds in-flight requests)")
 		timeout     = flag.Duration("timeout", 5*time.Second, "per-request deadline")
@@ -62,7 +61,6 @@ func run() int {
 		vehicles    = flag.Int("vehicles", 256, "concurrent trip sessions queries rotate across")
 		segLenM     = flag.Float64("seg-len-m", 4000, "trip segment length (one query per segment)")
 		closedLoop  = flag.Bool("closed-loop", false, "closed-loop control mode: latency from actual send (coordinated-omission-UNSAFE; for comparison only)")
-		jsonPath    = flag.String("json", "", "write benchdiff-comparable rows to this file")
 	)
 	flag.Parse()
 
@@ -86,25 +84,30 @@ func run() int {
 		return fatal(err)
 	}
 
-	base, targetName := *target, "remote"
-	if base == "" {
-		ip, err := load.StartInproc(scen.Env, load.InprocOptions{
-			Shards:      *inprocN,
-			MaxInFlight: *maxInFlight,
-			WireShards:  true,
-		})
-		if err != nil {
-			return fatal(err)
-		}
-		defer ip.Close()
-		base, targetName = ip.URL, "gateway"
-		fmt.Printf("loadgen: in-process fleet of %d shards at %s (%s scale %v, %d chargers)\n",
-			*inprocN, base, profile.Name, *scale, scen.Env.Chargers.Len())
+	if *target != "" && len(planes) > 1 {
+		fmt.Println("loadgen: the planes share the target's response cache: the second plane runs on what the first one filled")
 	}
 
 	var steps []load.Result
 	violations := 0
-	for _, plane := range planes {
+	// sweepPlane runs every rate step on one plane. Without -target it starts
+	// its own in-process fleet, so every plane begins on a cold response cache.
+	sweepPlane := func(plane load.Plane) error {
+		base := *target
+		if base == "" {
+			ip, err := load.StartInproc(scen.Env, load.InprocOptions{
+				Shards:      *inprocN,
+				MaxInFlight: *maxInFlight,
+				WireShards:  true,
+			})
+			if err != nil {
+				return err
+			}
+			defer ip.Close()
+			base = ip.URL
+			fmt.Printf("loadgen: in-process fleet of %d shards at %s (%s scale %v, %d chargers)\n",
+				*inprocN, base, profile.Name, *scale, scen.Env.Chargers.Len())
+		}
 		runner, err := load.NewRunner(load.Options{
 			BaseURL: base,
 			Plane:   plane,
@@ -118,17 +121,18 @@ func run() int {
 			ClosedLoop: *closedLoop,
 		})
 		if err != nil {
-			return fatal(err)
+			return err
 		}
 		// Per-plane sampler with the same seed: both planes offer the
-		// byte-identical query stream, so their steps compare like for like.
+		// byte-identical query stream to a cold fleet, so their steps compare
+		// like for like.
 		sampler, err := trajectory.NewSampler(scen.Graph, profile.SamplerConfig(*seed, scen.Start))
 		if err != nil {
-			return fatal(err)
+			return err
 		}
 		sessions, err := load.NewSessions(scen.Graph, sampler, *vehicles, *segLenM)
 		if err != nil {
-			return fatal(err)
+			return err
 		}
 		for si, hz := range rates {
 			n := int(hz * stepDur.Seconds())
@@ -137,44 +141,28 @@ func run() int {
 			}
 			sched, err := buildSchedule(*arrivals, hz, n, *seed+int64(si))
 			if err != nil {
-				return fatal(err)
+				return err
 			}
 			res, err := runner.Run(ctx, sessions, sched, hz)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "loadgen: %s rate %.0f: %v\n", plane, hz, err)
-				return 2
+				return fmt.Errorf("%s rate %.0f: %w", plane, hz, err)
 			}
 			steps = append(steps, res)
 			violations += res.Invalid
 			fmt.Printf("loadgen: %-4s rate %6.0f/s: %d offered, %d valid, p99 %v, goodput %.1f/s\n",
 				plane, hz, res.Offered, res.Valid, res.Latency.Quantile(0.99).Round(100*time.Microsecond), res.Goodput())
 		}
+		return nil
+	}
+	for _, plane := range planes {
+		if err := sweepPlane(plane); err != nil {
+			return fatal(err)
+		}
 	}
 
 	fmt.Println()
 	if err := load.WriteReport(os.Stdout, steps); err != nil {
 		return fatal(err)
-	}
-	if idx, ok := load.Knee(steps); ok {
-		fmt.Printf("\nknee: %.0f req/s (%s plane) sustained with goodput %.1f/s\n",
-			steps[idx].RateHz, steps[idx].Plane, steps[idx].Goodput())
-	} else {
-		fmt.Println("\nknee: not reached — every step saturated; sweep lower rates")
-	}
-
-	if *jsonPath != "" {
-		f, err := os.Create(*jsonPath)
-		if err != nil {
-			return fatal(err)
-		}
-		werr := load.WriteJSONRows(f, load.BenchRows(profile.Name, targetName, steps))
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return fatal(werr)
-		}
-		fmt.Printf("loadgen: wrote %s\n", *jsonPath)
 	}
 
 	if violations > 0 {

@@ -4,8 +4,7 @@ package cknn
 // path on the full EcoCharge method: the "instrumented" sub-benchmark runs
 // with live handles on the default registry, "noop" swaps the package's
 // metric set for nil-registry handles (every update discards). The two must
-// stay within noise of each other — make bench-smoke runs this pair, and
-// make bench-diff gates end-to-end ft_ms with instrumentation enabled.
+// stay within noise of each other — make bench-smoke runs this pair.
 
 import (
 	"testing"

@@ -35,8 +35,7 @@ func AblationFunctions() []AblationFunction {
 // optimum — isolating what the weight configuration costs. The achieved
 // objective shares (the w1/w2/w3 percentages the figure annotates) are the
 // fractions of the truth score mass contributed by each objective.
-// Repetitions run concurrently on the config's worker pool (each owns its
-// RNG seed and method instances) and are folded in repetition order.
+// Each repetition owns its RNG seed and method instances.
 func RunAblation(ctx context.Context, sc *Scenario, cfg RunConfig) ([]Measurement, error) {
 	cfg = cfg.withDefaults()
 	if len(sc.Trips) == 0 {
@@ -55,7 +54,7 @@ func RunAblation(ctx context.Context, sc *Scenario, cfg RunConfig) ([]Measuremen
 		denom   float64
 	}
 	outs := make([]repOut, cfg.Repetitions)
-	err := forEachCell(ctx, cfg.Repetitions, cfg.Workers, func(rep int) {
+	err := forEachCell(ctx, cfg.Repetitions, func(rep int) {
 		rng := rand.New(rand.NewSource(sc.Seed*1000 + int64(rep)))
 		trips := sampleTrips(rng, sc.Trips, cfg.TripsPerRep)
 

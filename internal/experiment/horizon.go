@@ -18,8 +18,7 @@ import (
 // oracle that also plans at the same horizon. As the horizon grows the
 // intervals widen, the eq. 6 intersection gets less informative, and SC%
 // decays — quantifying the paper's premise that forecast quality bounds
-// recommendation quality. Repetitions of each horizon run concurrently on
-// the config's worker pool and are folded in repetition order.
+// recommendation quality.
 func RunHorizonSweep(ctx context.Context, sc *Scenario, cfg RunConfig, horizons []time.Duration) ([]Measurement, error) {
 	cfg = cfg.withDefaults()
 	if len(sc.Trips) == 0 {
@@ -38,7 +37,7 @@ func RunHorizonSweep(ctx context.Context, sc *Scenario, cfg RunConfig, horizons 
 			queries         int
 		}
 		outs := make([]repOut, cfg.Repetitions)
-		err := forEachCell(ctx, cfg.Repetitions, cfg.Workers, func(rep int) {
+		err := forEachCell(ctx, cfg.Repetitions, func(rep int) {
 			rng := rand.New(rand.NewSource(sc.Seed*1000 + int64(rep)))
 			trips := sampleTrips(rng, sc.Trips, cfg.TripsPerRep)
 			method := cknn.NewEcoCharge(sc.Env, cknn.EcoChargeOptions{

@@ -1,8 +1,10 @@
 package experiment
 
 import (
+	"encoding/csv"
 	"fmt"
 	"io"
+	"strconv"
 	"text/tabwriter"
 )
 
@@ -47,4 +49,33 @@ func PrintAblation(w io.Writer, title string, ms []Measurement) error {
 			m.FtMillis.Mean)
 	}
 	return tw.Flush()
+}
+
+// WriteMeasurementsCSV exports measurements for external plotting.
+func WriteMeasurementsCSV(w io.Writer, ms []Measurement) error {
+	cw := csv.NewWriter(w)
+	header := []string{
+		"dataset", "method", "config",
+		"sc_mean", "sc_stddev", "ft_ms_mean", "ft_ms_stddev",
+		"queries", "cache_hits", "cache_misses",
+		"share_l", "share_a", "share_d",
+	}
+	if err := cw.Write(header); err != nil {
+		return err
+	}
+	f := func(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }
+	for _, m := range ms {
+		rec := []string{
+			m.Dataset, m.Method, m.Config,
+			f(m.SCPercent.Mean), f(m.SCPercent.StdDev),
+			f(m.FtMillis.Mean), f(m.FtMillis.StdDev),
+			strconv.Itoa(m.Queries), strconv.Itoa(m.CacheHits), strconv.Itoa(m.CacheMiss),
+			f(m.Shares.L), f(m.Shares.A), f(m.Shares.D),
+		}
+		if err := cw.Write(rec); err != nil {
+			return err
+		}
+	}
+	cw.Flush()
+	return cw.Error()
 }

@@ -4,9 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"ecocharge/internal/cknn"
@@ -27,14 +24,6 @@ type RunConfig struct {
 	Weights     cknn.Weights
 	Repetitions int // measurement repetitions (paper: ~10; default 5)
 	TripsPerRep int // trips sampled per repetition (default 8)
-	// Workers bounds the pool running sweep cells (repetitions)
-	// concurrently. Every repetition owns its RNG seed and its method
-	// instances, so results are independent of scheduling; cells are folded
-	// in repetition order so aggregates are bit-stable too. 0 selects
-	// GOMAXPROCS; 1 runs cells sequentially. Per-query latency (F_t) is
-	// measured inside a cell either way — methods evaluate on one core so
-	// the figures stay comparable across worker counts.
-	Workers int
 }
 
 func (c RunConfig) withDefaults() RunConfig {
@@ -59,49 +48,21 @@ func (c RunConfig) withDefaults() RunConfig {
 	if c.TripsPerRep <= 0 {
 		c.TripsPerRep = 8
 	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
 	return c
 }
 
-// forEachCell runs fn(i) for every cell index in [0, n) on a pool of at
-// most workers goroutines, stopping early — unstarted cells are skipped —
-// once ctx is cancelled. It returns ctx.Err() when the run was cut short.
-// fn must confine its writes to per-index state.
-func forEachCell(ctx context.Context, n, workers int, fn func(i int)) error {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			fn(i)
+// forEachCell runs fn(i) for every cell index in [0, n), one after another:
+// F_t is wall time around Rank, so a timed repetition never shares the
+// process with another. It stops before the next cell once ctx is cancelled
+// and returns ctx.Err().
+func forEachCell(ctx context.Context, n int, fn func(i int)) error {
+	for i := 0; i < n; i++ {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		return nil
+		fn(i)
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	return ctx.Err()
+	return nil
 }
 
 // Measurement is one figure data point: a method on a dataset under one
@@ -243,9 +204,8 @@ func RunPerformance(ctx context.Context, sc *Scenario, cfg RunConfig) ([]Measure
 
 // runSeries runs repetitions of the factories on the scenario, aggregating
 // SC% (vs the BruteForce factory, which must be present) and F_t.
-// Repetitions are the sweep cells: they run concurrently on the config's
-// worker pool and are folded in repetition order, so the aggregates do not
-// depend on scheduling.
+// Repetitions are the sweep cells: each owns its RNG seed and its method
+// instances, and they run one at a time.
 func runSeries(ctx context.Context, sc *Scenario, cfg RunConfig, factories []methodFactory, label string) ([]Measurement, error) {
 	cfg = cfg.withDefaults()
 	if len(sc.Trips) == 0 {
@@ -259,7 +219,7 @@ func runSeries(ctx context.Context, sc *Scenario, cfg RunConfig, factories []met
 		methods map[string]cknn.Method
 	}
 	outs := make([]repOut, cfg.Repetitions)
-	err := forEachCell(ctx, cfg.Repetitions, cfg.Workers, func(rep int) {
+	err := forEachCell(ctx, cfg.Repetitions, func(rep int) {
 		results, methods := runOnce(sc, cfg, factories, rep)
 		outs[rep] = repOut{results: results, methods: methods}
 	})

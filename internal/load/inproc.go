@@ -16,7 +16,7 @@ import (
 
 // InprocOptions size the in-process fleet StartInproc builds.
 type InprocOptions struct {
-	// Shards is the fleet width. 0 selects 3 (the load-smoke shape).
+	// Shards is the fleet width. 0 selects 3 (the shape loadgen and bench/ run).
 	Shards int
 	// MaxInFlight caps concurrent requests per shard; past it the shard
 	// sheds 503+Retry-After. 0 disables shedding (the overload suite sets

@@ -1,17 +1,17 @@
 package load
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 	"time"
 )
 
 // kneeFrac is the sustained-throughput criterion: a rate step "holds" when
 // goodput (plus separately-accounted degraded answers) reaches this
-// fraction of the offered rate. The knee is the last step that holds; past
-// it the server is saturated — offered load queues or sheds instead of
-// completing.
+// fraction of the offered rate. A plane's knee is the last step that holds
+// before the first that does not; past it the server is saturated — offered
+// load queues or sheds instead of completing.
 const kneeFrac = 0.90
 
 // holds reports whether the step sustained its offered rate.
@@ -29,47 +29,67 @@ func degradedRate(r Result) float64 {
 	return float64(r.Degraded) / r.Elapsed.Seconds()
 }
 
-// Knee returns the index of the last rate step that sustained its offered
-// rate, and false when even the first step saturated.
-func Knee(steps []Result) (int, bool) {
-	knee, ok := -1, false
+// knee locates the knee of one plane's steps, given in sweep order: the
+// index of the last step that held before the first that did not (-1 when
+// the first step already failed), and whether any step failed. A sweep in
+// which every step held never bracketed the knee.
+func knee(steps []Result) (idx int, saturated bool) {
 	for i, s := range steps {
-		if holds(s) {
-			knee, ok = i, true
+		if !holds(s) {
+			return i - 1, true
 		}
 	}
-	return knee, ok
+	return len(steps) - 1, false
 }
 
-// WriteReport renders the sweep as a fixed-width table with the knee
-// marked, the shape the docs/perf.md "Load testing" section explains.
+// WriteReport renders the sweep as a fixed-width table, the shape the
+// docs/perf.md "Load testing" section explains, followed by one knee line
+// per plane. Steps of one plane are contiguous and in sweep order.
 func WriteReport(w io.Writer, steps []Result) error {
 	if _, err := fmt.Fprintf(w, "%-6s %-5s %-6s %8s %8s %8s %6s %6s %6s %9s %9s %9s %10s %6s\n",
 		"plane", "mode", "rate", "offered", "valid", "degr", "shed", "inval", "errs",
 		"p50", "p99", "p999", "goodput/s", "knee"); err != nil {
 		return err
 	}
-	kneeIdx, _ := Knee(steps)
-	for i, s := range steps {
-		mark := ""
-		if i == kneeIdx {
-			mark = "<-- knee"
-		} else if !holds(s) {
-			mark = "sat"
+	var knees []string
+	for len(steps) > 0 {
+		n := 1
+		for n < len(steps) && steps[n].Plane == steps[0].Plane {
+			n++
 		}
-		if _, err := fmt.Fprintf(w, "%-6s %-5s %6.0f %8d %8d %8d %6d %6d %6d %9s %9s %9s %10.1f %6s\n",
-			s.Plane, s.Mode, s.RateHz, s.Offered, s.Valid, s.Degraded, s.Shed, s.Invalid, s.Errors,
-			fmtLat(s.Latency.Quantile(0.5)), fmtLat(s.Latency.Quantile(0.99)), fmtLat(s.Latency.Quantile(0.999)),
-			s.Goodput(), mark); err != nil {
-			return err
+		plane := steps[:n]
+		steps = steps[n:]
+
+		kneeIdx, saturated := knee(plane)
+		verdict := "not reached: every step held, sweep higher rates"
+		if saturated && kneeIdx < 0 {
+			verdict = "not reached: the first step saturated, sweep lower rates"
+		} else if saturated {
+			verdict = fmt.Sprintf("%.0f req/s sustained with goodput %.1f/s", plane[kneeIdx].RateHz, plane[kneeIdx].Goodput())
 		}
-		if s.FirstViolation != "" {
-			if _, err := fmt.Fprintf(w, "       first violation: %s\n", s.FirstViolation); err != nil {
+		knees = append(knees, fmt.Sprintf("knee (%s plane): %s", plane[0].Plane, verdict))
+		for i, s := range plane {
+			mark := ""
+			if saturated && i == kneeIdx {
+				mark = "<-- knee"
+			} else if !holds(s) {
+				mark = "sat"
+			}
+			if _, err := fmt.Fprintf(w, "%-6s %-5s %6.0f %8d %8d %8d %6d %6d %6d %9s %9s %9s %10.1f %6s\n",
+				s.Plane, s.Mode, s.RateHz, s.Offered, s.Valid, s.Degraded, s.Shed, s.Invalid, s.Errors,
+				fmtLat(s.Latency.Quantile(0.5)), fmtLat(s.Latency.Quantile(0.99)), fmtLat(s.Latency.Quantile(0.999)),
+				s.Goodput(), mark); err != nil {
 				return err
+			}
+			if s.FirstViolation != "" {
+				if _, err := fmt.Fprintf(w, "       first violation: %s\n", s.FirstViolation); err != nil {
+					return err
+				}
 			}
 		}
 	}
-	return nil
+	_, err := fmt.Fprintf(w, "\n%s\n", strings.Join(knees, "\n"))
+	return err
 }
 
 func fmtLat(d time.Duration) string {
@@ -81,64 +101,4 @@ func fmtLat(d time.Duration) string {
 	default:
 		return fmt.Sprintf("%.0fµs", float64(d)/float64(time.Microsecond))
 	}
-}
-
-// BenchRow is one -json export row, shaped to pair with ecobench exports
-// under cmd/benchdiff: the shared (fig, dataset, method, config) key,
-// ft_ms carrying the p99 latency, sc_pct carrying the valid-answer share,
-// plus the load-specific columns benchdiff's goodput gate reads.
-type BenchRow struct {
-	Fig     string  `json:"fig"`
-	Dataset string  `json:"dataset"`
-	Method  string  `json:"method"`
-	Config  string  `json:"config"`
-	SCPct   float64 `json:"sc_pct"` // valid 200s as % of sent
-	FtMs    float64 `json:"ft_ms"`  // p99 latency in ms
-
-	Goodput  float64 `json:"goodput"` // valid 200s per second
-	P50Ms    float64 `json:"p50_ms"`
-	P999Ms   float64 `json:"p999_ms"`
-	ShedPct  float64 `json:"shed_pct"`
-	Offered  int     `json:"offered"`
-	Degraded int     `json:"degraded"`
-	Invalid  int     `json:"invalid"`
-	Errors   int     `json:"errors"`
-}
-
-// BenchRows converts a sweep into benchdiff-comparable rows, one per rate
-// step, keyed fig="load-knee", method="<target>-<plane>",
-// config="rate=<hz>".
-func BenchRows(dataset, target string, steps []Result) []BenchRow {
-	rows := make([]BenchRow, 0, len(steps))
-	for _, s := range steps {
-		validPct := 0.0
-		if s.Sent > 0 {
-			validPct = float64(s.Valid) / float64(s.Sent) * 100
-		}
-		rows = append(rows, BenchRow{
-			Fig:     "load-knee",
-			Dataset: dataset,
-			Method:  fmt.Sprintf("%s-%s", target, s.Plane),
-			Config:  fmt.Sprintf("rate=%.0f", s.RateHz),
-			SCPct:   validPct,
-			FtMs:    float64(s.Latency.Quantile(0.99)) / float64(time.Millisecond),
-
-			Goodput:  s.Goodput(),
-			P50Ms:    float64(s.Latency.Quantile(0.5)) / float64(time.Millisecond),
-			P999Ms:   float64(s.Latency.Quantile(0.999)) / float64(time.Millisecond),
-			ShedPct:  s.ShedRate() * 100,
-			Offered:  s.Offered,
-			Degraded: s.Degraded,
-			Invalid:  s.Invalid,
-			Errors:   s.Errors,
-		})
-	}
-	return rows
-}
-
-// WriteJSONRows exports rows in the array form benchdiff reads.
-func WriteJSONRows(w io.Writer, rows []BenchRow) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rows)
 }

@@ -1,7 +1,6 @@
 package load
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -27,87 +26,77 @@ func synthStep(plane Plane, rate float64, valid, degraded, shed, invalid, errors
 }
 
 func TestKneeSelection(t *testing.T) {
-	steps := []Result{
-		synthStep(PlaneWire, 100, 100, 0, 0, 0, 0, time.Millisecond),  // holds
-		synthStep(PlaneWire, 200, 150, 45, 0, 0, 5, time.Millisecond), // holds via degraded
-		synthStep(PlaneWire, 400, 200, 0, 200, 0, 0, time.Second),     // saturated: 50% goodput
-	}
-	idx, ok := Knee(steps)
-	if !ok || idx != 1 {
-		t.Fatalf("Knee=%d,%v, want 1,true", idx, ok)
-	}
-
+	hold := synthStep(PlaneWire, 100, 100, 0, 0, 0, 0, time.Millisecond)
+	holdDegraded := synthStep(PlaneWire, 200, 150, 45, 0, 0, 5, time.Millisecond)
+	sat := synthStep(PlaneWire, 400, 200, 0, 200, 0, 0, time.Second) // 50% goodput
 	// A contract violation disqualifies a step no matter its goodput.
-	steps[1].Invalid, steps[1].Valid = 1, steps[1].Valid-1
-	if idx, _ := Knee(steps); idx != 0 {
-		t.Fatalf("invalid step still counted as knee: idx=%d", idx)
-	}
+	invalid := synthStep(PlaneWire, 200, 199, 0, 0, 1, 0, time.Millisecond)
 
-	// All saturated: no knee.
-	if _, ok := Knee(steps[2:]); ok {
-		t.Fatal("knee reported for an all-saturated sweep")
-	}
-	if _, ok := Knee(nil); ok {
-		t.Fatal("knee reported for an empty sweep")
-	}
-}
-
-func TestWriteReportMarksKneeAndViolations(t *testing.T) {
-	steps := []Result{
-		synthStep(PlaneJSON, 100, 100, 0, 0, 0, 0, 900*time.Microsecond),
-		synthStep(PlaneJSON, 400, 100, 0, 0, 1, 299, 2*time.Second),
-	}
-	steps[1].FirstViolation = "offering table misordered at rank 2"
-	var b strings.Builder
-	if err := WriteReport(&b, steps); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{"<-- knee", "sat", "first violation: offering table misordered", "µs", "s"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("report lacks %q:\n%s", want, out)
+	for _, tc := range []struct {
+		name      string
+		steps     []Result
+		idx       int
+		saturated bool
+	}{
+		{"hold, hold via degraded, sat", []Result{hold, holdDegraded, sat}, 1, true},
+		{"invalid step is not a knee", []Result{hold, invalid, sat}, 0, true},
+		{"hold, sat, hold: the knee is before the first failure", []Result{hold, sat, hold}, 0, true},
+		{"all hold: never bracketed", []Result{hold, holdDegraded}, 1, false},
+		{"all saturated", []Result{sat}, -1, true},
+		{"empty sweep", nil, -1, false},
+	} {
+		if idx, saturated := knee(tc.steps); idx != tc.idx || saturated != tc.saturated {
+			t.Errorf("%s: knee = %d,%v, want %d,%v", tc.name, idx, saturated, tc.idx, tc.saturated)
 		}
 	}
 }
 
-func TestBenchRowsRoundTrip(t *testing.T) {
-	steps := []Result{
-		synthStep(PlaneJSON, 100, 95, 2, 2, 0, 1, 3*time.Millisecond),
-		synthStep(PlaneWire, 100, 100, 0, 0, 0, 0, time.Millisecond),
-	}
-	rows := BenchRows("Oldenburg", "gateway", steps)
-	if len(rows) != 2 {
-		t.Fatalf("%d rows for 2 steps", len(rows))
-	}
-	r := rows[0]
-	if r.Fig != "load-knee" || r.Dataset != "Oldenburg" || r.Method != "gateway-json" || r.Config != "rate=100" {
-		t.Fatalf("row key wrong: %+v", r)
-	}
-	if r.Goodput != steps[0].Goodput() || r.Goodput != 95 {
-		t.Fatalf("goodput %v, want 95 (1s elapsed, 95 valid)", r.Goodput)
-	}
-	if r.SCPct != 95 || r.Offered != 100 || r.Degraded != 2 || r.Errors != 1 {
-		t.Fatalf("counts wrong: %+v", r)
-	}
-	if r.ShedPct != steps[0].ShedRate()*100 || r.ShedPct != 2 {
-		t.Fatalf("shed_pct %v, want 2", r.ShedPct)
-	}
-	if r.FtMs < 3 || r.FtMs > 3.3 || r.P50Ms < 3 || r.P999Ms < r.P50Ms {
-		t.Fatalf("latency columns implausible: %+v", r)
-	}
-
-	// The JSON export must decode into rows benchdiff can key on.
-	var b strings.Builder
-	if err := WriteJSONRows(&b, rows); err != nil {
-		t.Fatal(err)
-	}
-	var back []map[string]any
-	if err := json.Unmarshal([]byte(b.String()), &back); err != nil {
-		t.Fatalf("export not valid JSON: %v", err)
-	}
-	for _, key := range []string{"fig", "dataset", "method", "config", "sc_pct", "ft_ms", "goodput"} {
-		if _, ok := back[0][key]; !ok {
-			t.Fatalf("export row lacks %q: %v", key, back[0])
+func TestWriteReportMarksKneeAndViolations(t *testing.T) {
+	violated := synthStep(PlaneJSON, 400, 100, 0, 0, 1, 299, 2*time.Second)
+	violated.FirstViolation = "offering table misordered at rank 2"
+	for _, tc := range []struct {
+		name  string
+		steps []Result
+		want  []string // substrings of the report
+		marks int      // rows marked "<-- knee"
+	}{
+		{"knee and violation", []Result{
+			synthStep(PlaneJSON, 100, 100, 0, 0, 0, 0, 900*time.Microsecond),
+			violated,
+		}, []string{"sat", "first violation: offering table misordered", "µs", "s",
+			"knee (json plane): 100 req/s sustained with goodput 100.0/s"}, 1},
+		{"all hold", []Result{
+			synthStep(PlaneWire, 50, 50, 0, 0, 0, 0, time.Millisecond),
+			synthStep(PlaneWire, 100, 100, 0, 0, 0, 0, time.Millisecond),
+		}, []string{"knee (wire plane): not reached: every step held, sweep higher rates"}, 0},
+		{"first step saturated", []Result{
+			synthStep(PlaneWire, 400, 200, 0, 200, 0, 0, time.Second),
+		}, []string{"knee (wire plane): not reached: the first step saturated, sweep lower rates"}, 0},
+		{"one knee per plane", []Result{
+			synthStep(PlaneJSON, 100, 100, 0, 0, 0, 0, time.Millisecond),
+			synthStep(PlaneJSON, 200, 100, 0, 100, 0, 0, time.Second),
+			synthStep(PlaneWire, 100, 100, 0, 0, 0, 0, time.Millisecond),
+			synthStep(PlaneWire, 200, 200, 0, 0, 0, 0, time.Millisecond),
+			synthStep(PlaneWire, 400, 200, 0, 200, 0, 0, time.Second),
+		}, []string{"knee (json plane): 100 req/s sustained", "knee (wire plane): 200 req/s sustained"}, 2},
+		{"hold, sat, hold", []Result{
+			synthStep(PlaneWire, 100, 100, 0, 0, 0, 0, time.Millisecond),
+			synthStep(PlaneWire, 200, 100, 0, 100, 0, 0, time.Second),
+			synthStep(PlaneWire, 400, 400, 0, 0, 0, 0, time.Millisecond),
+		}, []string{"knee (wire plane): 100 req/s sustained"}, 1},
+	} {
+		var b strings.Builder
+		if err := WriteReport(&b, tc.steps); err != nil {
+			t.Fatal(err)
+		}
+		out := b.String()
+		for _, want := range tc.want {
+			if !strings.Contains(out, want) {
+				t.Errorf("%s: report lacks %q:\n%s", tc.name, want, out)
+			}
+		}
+		if got := strings.Count(out, "<-- knee"); got != tc.marks {
+			t.Errorf("%s: %d rows marked as knee, want %d:\n%s", tc.name, got, tc.marks, out)
 		}
 	}
 }
