@@ -50,6 +50,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzJSONRoundTrip -fuzztime=10s ./internal/charger/
 	$(GO) test -run='^$$' -fuzz=FuzzCSVRoundTrip -fuzztime=10s ./internal/charger/
 	$(GO) test -run='^$$' -fuzz=FuzzExpandToMany -fuzztime=10s ./internal/roadnet/
+	$(GO) test -run='^$$' -fuzz=FuzzExpandFrontiers -fuzztime=10s ./internal/roadnet/
 	$(GO) test -run='^$$' -fuzz=FuzzItemsWithin -fuzztime=10s ./internal/spatial/
 	$(GO) test -run='^$$' -fuzz=FuzzWireRoundTrip -fuzztime=10s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzWireDecode -fuzztime=10s ./internal/wire/
@@ -71,7 +72,7 @@ bench-smoke:
 	$(GO) run ./cmd/ecobench -fig 6 -dataset Oldenburg -scale 0.0005 -reps 1 -trips 1
 	$(GO) test -run='^$$' -bench=BenchmarkObsOverhead -benchtime=20x ./internal/cknn
 	$(GO) test -run='^$$' -bench=BenchmarkManyToMany -benchtime=10x ./internal/roadnet
-	$(GO) test -run='^$$' -bench=BenchmarkExpandOldenburg -benchtime=10x ./internal/roadnet
+	$(GO) test -run='^$$' -bench='BenchmarkExpand(Oldenburg|California)$$' -benchtime=31x ./internal/roadnet
 	$(GO) test -run='^$$' -bench=BenchmarkRankOnceOldenburg -benchtime=10x ./internal/cknn
 	$(GO) test -run='^$$' -bench=BenchmarkRetrievalOldenburg -benchtime=1000x ./internal/cknn
 	$(GO) test -run='^$$' -bench='BenchmarkGatewayHit(JSON)?$$' -benchtime=2000x ./internal/fleet

@@ -1,15 +1,20 @@
 package roadnet
 
-// flat.go is the flat shortest-path kernel behind every network expansion:
-// CSR adjacency scanned sequentially (graph.go), one packed scratch slot per
-// node recycled across searches through generation stamps (no clearing, no
-// per-search maps), a slice-based 4-ary min-heap specialized to (NodeID,
-// float64) pairs, precompiled per-road-class weight tables, and a sync.Pool
-// of search-state scratch so concurrent queries reuse buffers instead of
-// allocating. The derouting component runs
-// one to four bounded expansions per segment per trip per user (paper
-// Alg. 1 lines 9-10), which makes this the hottest loop in the repository;
-// see DESIGN.md §8 for the engineering rules it follows.
+// flat.go is the flat shortest-path kernel behind every road search: CSR
+// adjacency scanned sequentially (graph.go), one packed scratch slot per node
+// recycled across searches through generation stamps (no clearing, no
+// per-search maps), precompiled per-road-class weight tables, a sync.Pool of
+// search-state scratch so concurrent queries reuse buffers instead of
+// allocating — and two frontiers, one per kind of search. A search read
+// through Dist alone (every Expansion: the gateway's one search per ranking
+// and two per computed trip segment, a shard's own fallback search, brute
+// force and the oracles — paper Alg. 1 lines 9-10) drains a ring of buckets
+// (drain); the point-to-point search, whose paths depend on the order equal
+// priorities settle in, and the expansions the ring must decline pop a
+// slice-based 4-ary min-heap specialized to (NodeID, float64) pairs (run).
+// Which one runs is decided in one place, ringFor, from the frozen graph and
+// the class table. The expansion is the hottest loop in the repository; see
+// DESIGN.md §8 for the engineering rules it follows.
 
 import (
 	"math"
@@ -149,28 +154,44 @@ func b2i(b bool) int {
 }
 
 // nodeSlot is everything a search keeps about one node, packed so that a
-// relaxation reads and writes one 24-byte slot (one cache line, two when it
-// straddles) instead of probing four parallel arrays. seen, done and targ
-// are generation stamps: a field is live iff it equals the state's stamp.
-// The many-target probe on every pop reads the slot the settle step just
-// wrote.
+// relaxation reads and writes one 32-byte slot (half a cache line, never two)
+// instead of probing four parallel arrays. seen, done and targ are
+// generation stamps: a field is live iff it equals the state's stamp. The
+// many-target probe on every pop reads the slot the settle step just wrote,
+// and the ring's chains run through the slots, so queueing a node dirties no
+// line the relaxation had not dirtied already.
 type nodeSlot struct {
 	dist float64 // tentative (final once done) distance; valid iff seen
 	prev NodeID  // predecessor on the shortest-path tree; valid iff seen
 	seen uint32  // == stamp ⇔ the node was reached this search
 	done uint32  // == stamp ⇔ the node was settled (popped) this search
 	targ uint32  // == stamp ⇔ the node is a target of this search (see many.go)
+	// next and back chain the nodes queued in one bucket of the ring (drain),
+	// Invalid at either end; valid while the node is seen and not done. The
+	// first node of a chain is known by the bucket pointing at it, and its
+	// back is not kept.
+	next, back NodeID
 }
 
 // searchState is the recycled scratch of one search: one slot per node plus
-// the frontier heap. Bumping the stamp in begin invalidates every slot in
-// O(1), so nothing is ever cleared between searches. States live in the
-// graph's sync.Pool.
+// the two frontiers, of which a search uses one. Bumping the stamp in begin
+// invalidates every slot in O(1), so nothing is ever cleared between
+// searches. States live in the graph's sync.Pool.
 type searchState struct {
 	g     *Graph
 	slots []nodeSlot
 	stamp uint32
 	pq    heap4
+	// ring is the bucket ring of drain, the frontier of a distance-only
+	// expansion: ring[b] is the first node queued in bucket b, chained on
+	// through the slots' next and back, Invalid for none. It grows to the
+	// longest ring a class table has asked of this state, at most twice the
+	// node count; the chains need no storage of their own.
+	ring []NodeID
+	// pending counts what the last search left on its frontier, whichever
+	// frontier that was: queued nodes of the ring, entries of the heap (stale
+	// ones included).
+	pending int
 	// targetsLeft counts the marked-but-unsettled targets of a many-target
 	// search; 0 disables early termination (the plain expansion path).
 	targetsLeft int
@@ -203,7 +224,7 @@ func (g *Graph) acquireState() *searchState {
 func (st *searchState) begin() {
 	st.inUse = true
 	st.targetsLeft = 0 // a prior search may have ended with unsettled targets
-	st.settled = 0
+	st.settled, st.pending = 0, 0
 	st.stamp++
 	if st.stamp == 0 {
 		for i := range st.slots {
@@ -273,13 +294,16 @@ func (cw *ClassWeights) mustNonNegative() {
 	}
 }
 
-// run executes the Dijkstra kernel from src, the one loop in the repository
-// that pops a road-search frontier. When dst is valid the search stops as
-// soon as dst settles; when maxWeight is finite, nodes beyond the bound are
-// not recorded. reverse walks the reverse adjacency (distances *to* src).
-// Edge costs come from the class table: one multiply, no call, the table
-// validated once up front. Predecessors are always recorded: they share the
-// slot the relaxation writes anyway.
+// run is the heap loop of the kernel: Dijkstra from src over the 4-ary heap,
+// whose pop order among equal priorities — CSR row order decides it — is what
+// makes the predecessors, and so ShortestPath's routes, reproducible. It
+// serves the point-to-point search (dst valid: stop as soon as dst settles)
+// and the expansions whose graph or class table rules the bucket ring out
+// (ringFor). When maxWeight is finite, nodes beyond the bound are not
+// recorded. reverse walks the reverse adjacency (distances *to* src). Edge
+// costs come from the class table: one multiply, no call, the table validated
+// once up front. Predecessors are always recorded: they share the slot the
+// relaxation writes anyway.
 func (st *searchState) run(src, dst NodeID, cw *ClassWeights, maxWeight float64, reverse bool) {
 	adj := &st.g.fwd
 	if reverse {
@@ -318,6 +342,179 @@ func (st *searchState) run(src, dst NodeID, cw *ClassWeights, maxWeight float64,
 			}
 		}
 	}
+	st.pending = len(st.pq.items)
+}
+
+// ringSlack is the relative amount by which a bucket is narrower than the
+// cheapest arc, and ringDepth the bucket number no label may reach; ringFor
+// says why.
+const (
+	ringSlack = 1.0 / (1 << 16)
+	ringDepth = 1 << 31
+)
+
+// ringFor decides, from the frozen graph and the request's class table alone,
+// whether a distance-only search may run on the bucket ring (Dial's queue),
+// and how: a label d is queued in bucket ⌊d·inv⌋ of a ring of size buckets, a
+// power of two. size 0 says the heap must do it. This is the one place the
+// choice of frontier is made; no caller can set it.
+//
+// Let Δ be the cheapest and H the dearest arc cost under the table: the
+// extremes over the classes the graph has of classMin·cw and classMax·cw,
+// the very products the relaxation forms, so by monotone rounding no arc
+// costs less than Δ or more than H as the loop computes them. Buckets are
+// w = Δ·(1−ringSlack) wide. Draining bucket b, every relaxation from a label
+// d in it yields fl(d+c) ≥ fl(d+Δ), which must land in a later bucket: then
+// no label in the bucket being drained can still improve, so all of them are
+// final and the order they pop in does not matter to any Dist. In exact
+// arithmetic d+Δ lies a full bucket and ringSlack·Δ beyond d; in floating
+// point the sum and the two products d·inv each err by at most a few units of
+// 2⁻⁵³ relative to a quotient below ringDepth, under 2⁻²⁰ of a bucket in
+// all — sixteen times less than the slack. So labels that are exact multiples
+// of Δ, whose quotients would otherwise sit on a bucket edge and round either
+// way, fall strictly inside a bucket (TestRingIndexStrictlyAdvances pins the
+// inequality out to ringDepth, TestRingBucketBoundaries the searches). A
+// relaxed label is at most H beyond the one it came from, so it lands at
+// most ⌈H/w⌉ buckets ahead, one more with rounding, and a ring of ⌈H/w⌉+2
+// never wraps onto the bucket being drained.
+//
+// The ring is declined — a property of the input, counted by
+// roadnet_heap_fallback_total — when Δ is zero, negative or not a number (a
+// zero-length arc, a zero multiplier, a negative one, which run rejects as
+// drain does), when H is not finite, when the ring would be longer than the
+// graph has nodes (finding the next occupied bucket would cost more than the
+// heap saves), or when a label could reach bucket ringDepth: the deepest
+// label is bounded by maxWeight and by a path of every node along dearest
+// arcs.
+func (g *Graph) ringFor(cw *ClassWeights, maxWeight float64) (inv float64, size int) {
+	lo, hi := unreachable, 0.0
+	for c, m := range cw {
+		if g.classMax[c] < 0 {
+			continue // the graph has no arc of this class
+		}
+		lo = min(lo, g.classMin[c]*m)
+		hi = max(hi, g.classMax[c]*m)
+	}
+	if !(lo > 0 && hi < unreachable) {
+		return 0, 0
+	}
+	inv = 1 / (lo * (1 - ringSlack))
+	n := float64(len(g.nodes))
+	need := math.Ceil(hi*inv) + 2
+	if !(need <= n && min(maxWeight, n*hi)*inv < ringDepth) {
+		return 0, 0
+	}
+	size = 4
+	for size < int(need) {
+		size *= 2
+	}
+	return inv, size
+}
+
+// heapOnly makes every expansion decline the ring. It exists for the
+// differential tests, which hold the two frontiers to each other on the same
+// inputs; nothing outside a test writes it.
+var heapOnly bool
+
+// expand runs a distance-only search from origin — every search whose caller
+// gets an Expansion — on the bucket ring where ringFor allows it and on the
+// heap where it does not.
+func (st *searchState) expand(origin NodeID, cw *ClassWeights, maxWeight float64, reverse bool) {
+	inv, size := st.g.ringFor(cw, maxWeight)
+	if size == 0 || heapOnly {
+		met.heapFallbacks.Inc()
+		st.run(origin, Invalid, cw, maxWeight, reverse)
+		return
+	}
+	if len(st.ring) < size {
+		st.ring = make([]NodeID, size)
+	}
+	st.drain(origin, cw, maxWeight, reverse, inv, size)
+}
+
+// drain is the ring loop of the kernel: Dijkstra from src over a circular
+// array of buckets, for the searches that are read through Dist alone. It
+// relaxes as run relaxes, honours maxWeight and the target set as run does —
+// stopping mid-bucket the moment the last target settles — and leaves the
+// labels run leaves, because a label is final when its bucket drains
+// (ringFor) and final labels do not depend on the order nodes settle in. What
+// it does not keep is that order: nodes of one bucket pop last-queued first,
+// so predecessors among equal-cost paths and the number of nodes a truncated
+// search settles can differ from the heap's by the tail of the last bucket.
+// A node is queued once: a better label moves it to its new bucket (or leaves
+// it where it is, when that is the same one) instead of queueing it again, so
+// every pop is a settle and there are no stale entries to skip.
+func (st *searchState) drain(src NodeID, cw *ClassWeights, maxWeight float64, reverse bool, inv float64, size int) {
+	adj := &st.g.fwd
+	if reverse {
+		adj = &st.g.rev
+	}
+	cw.mustNonNegative()
+	ring := st.ring[:size]
+	for i := range ring {
+		ring[i] = Invalid
+	}
+	mask := uint32(size - 1)
+
+	s := &st.slots[src]
+	s.dist, s.prev, s.seen, s.next = 0, Invalid, st.stamp, Invalid
+	ring[0] = src
+	pending := 1
+	for b := uint32(0); pending > 0; {
+		cur := ring[b&mask]
+		if cur == Invalid {
+			b++
+			continue
+		}
+		s := &st.slots[cur]
+		ring[b&mask] = s.next
+		pending--
+		s.done = st.stamp
+		st.settled++
+		if st.targetsLeft > 0 && s.targ == st.stamp {
+			if st.targetsLeft--; st.targetsLeft == 0 {
+				break
+			}
+		}
+		base := s.dist
+		for _, a := range adj.row(cur) {
+			nd := base + a.length*cw[a.class%numRoadClasses]
+			if nd > maxWeight {
+				continue
+			}
+			t := &st.slots[a.to]
+			queued, was := t.seen == st.stamp, t.dist
+			if !st.improve(a.to, cur, nd) {
+				continue
+			}
+			to := uint32(nd*inv) & mask
+			if queued {
+				// Only a queued node improves: a settled one holds its final
+				// label. Take it out of the bucket its old label put it in.
+				from := uint32(was*inv) & mask
+				if from == to {
+					continue
+				}
+				if ring[from] == a.to {
+					ring[from] = t.next
+				} else {
+					st.slots[t.back].next = t.next
+				}
+				if t.next != Invalid {
+					st.slots[t.next].back = t.back
+				}
+				pending--
+			}
+			head := ring[to]
+			t.next = head
+			if head != Invalid {
+				st.slots[head].back = a.to
+			}
+			ring[to] = a.to
+			pending++
+		}
+	}
+	st.pending = pending
 }
 
 // path reconstructs src→dst from the predecessor array. It returns nil when
@@ -393,7 +590,7 @@ func (g *Graph) expand(origin NodeID, cw ClassWeights, maxWeight float64, revers
 	g.mustFrozen()
 	st := g.acquireState()
 	if g.validID(origin) {
-		st.run(origin, Invalid, &cw, maxWeight, reverse)
+		st.expand(origin, &cw, maxWeight, reverse)
 	}
 	return Expansion{st: st}
 }

@@ -180,6 +180,13 @@ type Graph struct {
 	index     *spatial.Quadtree
 	pool      *sync.Pool // recycled searchState scratch (see flat.go); set by Freeze
 	frozen    bool
+
+	// classMin[c] and classMax[c] are the shortest and the longest arc length
+	// of road class c (folded as a search folds it, class%numRoadClasses), set
+	// by Freeze; classMax[c] stays -1 for a class without arcs. With a
+	// request's class table they bound every arc cost of a search from below
+	// and above, which is what sizes the bucket ring (flat.go, ringFor).
+	classMin, classMax [numRoadClasses]float64
 }
 
 // NewGraph returns an empty graph with capacity hints.
@@ -236,6 +243,14 @@ func (g *Graph) Freeze() {
 	g.rev, _ = buildCSR(len(g.nodes), g.edges, true)
 	g.symmetric = symmetricCSR(&g.fwd, &g.rev)
 	g.edges = nil
+	for c := range g.classMin {
+		g.classMin[c], g.classMax[c] = math.Inf(1), -1
+	}
+	for _, a := range g.fwd.arcs {
+		c := a.class % numRoadClasses
+		g.classMin[c] = min(g.classMin[c], a.length)
+		g.classMax[c] = max(g.classMax[c], a.length)
+	}
 	if len(g.nodes) > 0 {
 		pts := make([]geo.Point, len(g.nodes))
 		for i, n := range g.nodes {

@@ -5,11 +5,13 @@ package roadnet
 // as every one of those nodes is settled. The derouting component prices a
 // visit to a few hundred candidate chargers per query but the plain bounded
 // expansion settles every node inside the travel-time ball — orders of
-// magnitude more than gets read. Because Dijkstra settles nodes in
-// non-decreasing distance order, a settled target's distance is final, so
+// magnitude more than gets read. A settled node's distance is final on
+// either frontier — the heap pops in non-decreasing order, the ring drains a
+// bucket only once nothing can improve a label in it (flat.go, ringFor) — so
 // terminating after the last target is byte-identical *at the targets* to
 // running the expansion to exhaustion; the differential and fuzz suites in
-// many_test.go pin that equivalence against a map-backed oracle.
+// many_test.go and ring_test.go pin that equivalence, on both frontiers,
+// against a map-backed oracle.
 
 // ExpandToMany runs a bounded forward expansion from src that terminates as
 // soon as every node in targets has been settled. Dist is exact (and
@@ -45,12 +47,12 @@ func (g *Graph) expandMany(origin NodeID, targets []NodeID, cw ClassWeights, max
 		met.manyEarlyTerms.Inc()
 		return Expansion{st: st}
 	}
-	st.run(origin, Invalid, &cw, maxWeight, reverse)
+	st.expand(origin, &cw, maxWeight, reverse)
 	met.manySettled.Add(uint64(st.settled))
 	met.manyTargetsSettled.Add(uint64(want - st.targetsLeft))
-	if st.targetsLeft == 0 && len(st.pq.items) > 0 {
-		// All targets settled with frontier remaining: the truncation saved
-		// the whole tail of the ball.
+	if st.targetsLeft == 0 && st.pending > 0 {
+		// All targets settled with frontier remaining, on whichever frontier
+		// the search ran: the truncation saved the whole tail of the ball.
 		met.manyEarlyTerms.Inc()
 	}
 	return Expansion{st: st}

@@ -173,54 +173,72 @@ func TestExpandToManyEarlyTerminates(t *testing.T) {
 // stamp wrap: the wrap must clear seen, done and targ together. A stale targ
 // from four billion searches ago would masquerade as a live target and
 // terminate a fresh search too early; a stale done would drop the node from
-// the search; a stale seen would hand back a distance nobody computed.
+// the search; a stale seen would hand back a distance nobody computed. On
+// both frontiers: the ring's own storage carries no stamps — its chains are
+// emptied per search — so what a truncated search leaves queued must not
+// reach the next one either.
 func TestExpandToManyStampWrapReuse(t *testing.T) {
-	g := tinyGraph()
-	st := newSearchState(g)
-	st.stamp = math.MaxUint32 - 1
-	for i := range st.slots {
-		// Every stamp would alias generation 1 after a naive wrap.
-		st.slots[i] = nodeSlot{dist: -123, seen: 1, done: 1, targ: 1}
-	}
-	st.inUse = true
-	st.begin() // -> MaxUint32
-	if got := st.markTargets([]NodeID{4}); got != 1 {
-		t.Fatalf("markTargets = %d, want 1", got)
-	}
-	st.run(0, Invalid, &ClassWeights{1, 1, 1, 1}, math.Inf(1), false)
-	if st.targetsLeft != 0 {
-		t.Fatalf("target not settled before wrap: targetsLeft = %d", st.targetsLeft)
-	}
+	cw := ClassWeights{1, 1, 1, 1}
+	for name, search := range map[string]func(*searchState){
+		"heap": func(st *searchState) { st.run(0, Invalid, &cw, math.Inf(1), false) },
+		"ring": func(st *searchState) { st.expand(0, &cw, math.Inf(1), false) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			since := countSearches()
+			g := tinyGraph()
+			st := newSearchState(g)
+			st.stamp = math.MaxUint32 - 1
+			for i := range st.slots {
+				// Every stamp would alias generation 1 after a naive wrap.
+				st.slots[i] = nodeSlot{dist: -123, seen: 1, done: 1, targ: 1}
+			}
+			st.inUse = true
+			st.begin() // -> MaxUint32
+			if got := st.markTargets([]NodeID{4}); got != 1 {
+				t.Fatalf("markTargets = %d, want 1", got)
+			}
+			search(st)
+			if st.targetsLeft != 0 {
+				t.Fatalf("target not settled before wrap: targetsLeft = %d", st.targetsLeft)
+			}
 
-	st.inUse = true
-	st.begin() // wraps: arrays cleared, stamp 1
-	if st.stamp != 1 {
-		t.Fatalf("stamp after wrap = %d, want 1", st.stamp)
-	}
-	for i, s := range st.slots {
-		if s.seen != 0 || s.done != 0 || s.targ != 0 {
-			t.Fatalf("slot %d after wrap = %+v, want all three stamps cleared", i, s)
-		}
-	}
-	// One real target this generation, next to the source: node 4 carried a
-	// stale targ before the wrap and must not count, so the search stops at
-	// node 1 without ever settling node 4.
-	if got := st.markTargets([]NodeID{1}); got != 1 {
-		t.Fatalf("markTargets after wrap = %d, want 1", got)
-	}
-	st.run(0, Invalid, &ClassWeights{1, 1, 1, 1}, math.Inf(1), false)
-	if st.targetsLeft != 0 || st.slots[1].done != st.stamp {
-		t.Fatalf("post-wrap target not settled: targetsLeft=%d slot=%+v", st.targetsLeft, st.slots[1])
-	}
-	if st.slots[4].done == st.stamp {
-		t.Fatal("post-wrap search ran past its only target")
-	}
-	// And with no targets at all the search runs to exhaustion.
-	st.inUse = true
-	st.begin()
-	st.run(0, Invalid, &ClassWeights{1, 1, 1, 1}, math.Inf(1), false)
-	if d, ok := st.slots[4].dist, st.reached(4); !ok || d != 4000 {
-		t.Fatalf("post-wrap search truncated: dist[4]=%v reached=%v, want 4000 true", d, ok)
+			st.inUse = true
+			st.begin() // wraps: arrays cleared, stamp 1
+			if st.stamp != 1 {
+				t.Fatalf("stamp after wrap = %d, want 1", st.stamp)
+			}
+			for i, s := range st.slots {
+				if s.seen != 0 || s.done != 0 || s.targ != 0 {
+					t.Fatalf("slot %d after wrap = %+v, want all three stamps cleared", i, s)
+				}
+			}
+			// One real target this generation, next to the source: node 4 carried a
+			// stale targ before the wrap and must not count, so the search stops at
+			// node 1 without ever settling node 4.
+			if got := st.markTargets([]NodeID{1}); got != 1 {
+				t.Fatalf("markTargets after wrap = %d, want 1", got)
+			}
+			search(st)
+			if st.targetsLeft != 0 || st.slots[1].done != st.stamp {
+				t.Fatalf("post-wrap target not settled: targetsLeft=%d slot=%+v", st.targetsLeft, st.slots[1])
+			}
+			if st.slots[4].done == st.stamp {
+				t.Fatal("post-wrap search ran past its only target")
+			}
+			if st.pending == 0 {
+				t.Fatal("the truncated search left nothing queued: the next step tests nothing")
+			}
+			// And with no targets at all the search runs to exhaustion.
+			st.inUse = true
+			st.begin()
+			search(st)
+			if d, ok := st.slots[4].dist, st.reached(4); !ok || d != 4000 || st.pending != 0 {
+				t.Fatalf("post-wrap search truncated: dist[4]=%v reached=%v pending=%d, want 4000 true 0", d, ok, st.pending)
+			}
+			if _, fallbacks := since(); fallbacks != 0 {
+				t.Fatalf("%d searches fell back to the heap; the ring case ran on the wrong frontier", fallbacks)
+			}
+		})
 	}
 }
 

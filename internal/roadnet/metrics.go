@@ -19,6 +19,10 @@ type kernelMetrics struct {
 	manyTargetsSettled *obs.Counter // targets settled across many-target runs
 	manySettled        *obs.Counter // nodes settled (touched) by many-target runs
 	manyEarlyTerms     *obs.Counter // runs cut short before exhausting the frontier
+
+	// heapFallbacks counts the distance-only expansions the bucket ring
+	// declined (flat.go, ringFor) and the heap ran instead.
+	heapFallbacks *obs.Counter
 }
 
 func newKernelMetrics(r *obs.Registry) *kernelMetrics {
@@ -31,6 +35,7 @@ func newKernelMetrics(r *obs.Registry) *kernelMetrics {
 		manyTargetsSettled: r.Counter("roadnet_many_targets_settled_total"),
 		manySettled:        r.Counter("roadnet_many_nodes_settled_total"),
 		manyEarlyTerms:     r.Counter("roadnet_many_early_terminations_total"),
+		heapFallbacks:      r.Counter("roadnet_heap_fallback_total"),
 	}
 }
 
