@@ -55,6 +55,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzWireRoundTrip -fuzztime=10s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzWireDecode -fuzztime=10s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzOfferingJSONRoundTrip -fuzztime=10s ./internal/wire/
+	$(GO) test -run='^$$' -fuzz=FuzzTripRoute -fuzztime=10s ./internal/eis/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

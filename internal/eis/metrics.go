@@ -46,6 +46,10 @@ type eisMetrics struct {
 	// it did not cover the ranking or failed validation — and searched here.
 	travelUsed     *obs.Counter
 	travelRejected *obs.Counter
+	// Trip routes a request brought along (a fleet gateway's): followed, or
+	// refused by TripOffering.Follow and routed here.
+	routeUsed     *obs.Counter
+	routeRejected *obs.Counter
 
 	// Client-side circuit breaker state transitions.
 	breakerOpened   *obs.Counter
@@ -83,6 +87,8 @@ func newEISMetrics(r *obs.Registry) *eisMetrics {
 
 		travelUsed:     r.Counter("eis_travel_used_total"),
 		travelRejected: r.Counter("eis_travel_rejected_total"),
+		routeUsed:      r.Counter("eis_route_used_total"),
+		routeRejected:  r.Counter("eis_route_rejected_total"),
 
 		breakerOpened:   r.Counter("eis_breaker_opened_total"),
 		breakerHalfOpen: r.Counter("eis_breaker_halfopen_total"),

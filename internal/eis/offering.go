@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
@@ -132,8 +133,9 @@ func ResolveTripOffering(req *TripOfferingRequest, clock func() time.Time) (Trip
 // leg, under ctx: a leg is a shortest-path search, and nobody reads the
 // answer of an expired trip. A trip that does not route comes back with the
 // status a server answers it with — 503 for a deadline that ran out, when err
-// is the context's — and the shard and the fleet gateway route through here,
-// so they plan the same trip.
+// is the context's. The fleet gateway routes through here, and so does a
+// shard that was sent no route or refused the one it was sent (Follow), so
+// they plan the same trip.
 func (t *TripOffering) Route(ctx context.Context, g *roadnet.Graph) (trip trajectory.Trip, status int, err error) {
 	var nodes []roadnet.NodeID
 	var total float64
@@ -165,7 +167,70 @@ func (t *TripOffering) Route(ctx context.Context, g *roadnet.Graph) (trip trajec
 	if err := ctx.Err(); err != nil {
 		return trip, http.StatusServiceUnavailable, err
 	}
-	return trajectory.Trip{ID: 1, Path: roadnet.Path{Nodes: nodes, Weight: total}, Depart: t.Depart}, 0, nil
+	return t.trip(nodes, total), 0, nil
+}
+
+// Follow builds the trip Route plans from a route planned elsewhere — by a
+// fleet gateway, through Route, on the same road world — if the route passes
+// every check that takes no search. These are the rules a route is refused
+// by, here and nowhere else:
+//
+//   - it has fewer than two nodes, or a node the graph does not have;
+//   - it does not start at this server's snap of the first waypoint or does
+//     not end at its snap of the last;
+//   - it does not pass the snap of every waypoint in order, a waypoint that
+//     snaps where the one before it did counting once, as in Route;
+//   - a step is not an arc of the graph.
+//
+// The trip's length is derived from the route, never read off the wire: leg
+// by leg, each priced from 0 at its cheapest arcs (roadnet.Graph.PathWeight),
+// the legs added in order — the bits Route adds ShortestPath's weights to. A
+// leg ends where the route next reaches its waypoint, which on a route Route
+// planned is where the leg's shortest path ends: a shortest path reaches its
+// end once. What no check short of the search can tell is whether each leg
+// is a shortest path; like the travel times of a block, that rests on the
+// sender searching this server's road world, which a gateway verifies
+// (cknn.Env.RoadWorld) before it sends either. Follow reports false for a
+// route it refuses; the caller then routes the trip itself.
+func (t *TripOffering) Follow(g *roadnet.Graph, route []roadnet.NodeID) (trajectory.Trip, bool) {
+	if len(route) < 2 {
+		return trajectory.Trip{}, false
+	}
+	var total float64
+	at, prev := 0, roadnet.Invalid // where the last leg ended, at which waypoint's snap
+	for i, p := range t.Waypoints {
+		n := g.NearestNode(p)
+		if n == roadnet.Invalid || (i == 0 && route[0] != n) {
+			return trajectory.Trip{}, false
+		}
+		if i == 0 || n == prev {
+			prev = n
+			continue
+		}
+		end := len(route) - 1
+		if i < len(t.Waypoints)-1 {
+			next := slices.Index(route[at+1:], n)
+			if next < 0 {
+				return trajectory.Trip{}, false
+			}
+			end = at + 1 + next
+		}
+		leg, ok := g.PathWeight(route[at:end+1], roadnet.DistanceWeight)
+		if route[end] != n || !ok {
+			return trajectory.Trip{}, false
+		}
+		total += leg
+		at, prev = end, n
+	}
+	if at != len(route)-1 {
+		return trajectory.Trip{}, false // a single snap, or a route past the last waypoint
+	}
+	return t.trip(route, total), true
+}
+
+// trip is the planned trip over the route's nodes: Route's and Follow's.
+func (t *TripOffering) trip(nodes []roadnet.NodeID, lengthM float64) trajectory.Trip {
+	return trajectory.Trip{ID: 1, Path: roadnet.Path{Nodes: nodes, Weight: lengthM}, Depart: t.Depart}
 }
 
 // Plan returns the options the trip's segments are ranked under: the method's

@@ -322,7 +322,7 @@ func TestInventoryStatesCacheTerms(t *testing.T) {
 func obsCounter(name string) uint64 { return obs.Default().Counter(name).Value() }
 
 // postTrip posts one whole-trip request to the handler.
-func postTrip(t *testing.T, h http.Handler, contentType string, body []byte) *httptest.ResponseRecorder {
+func postTrip(t testing.TB, h http.Handler, contentType string, body []byte) *httptest.ResponseRecorder {
 	t.Helper()
 	r := httptest.NewRequest(http.MethodPost, APIVersion+"/offering/trip", bytes.NewReader(body))
 	r.Header.Set("Content-Type", contentType)

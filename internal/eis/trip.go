@@ -11,9 +11,9 @@ import (
 )
 
 // handleTripOffering implements POST /api/v1/offering/trip. The request is
-// JSON, or binary from a fleet gateway that ran the segments' network
-// searches and sends them along; the answer is negotiated on its own, by
-// Accept, like that of /offering.
+// JSON, or binary from a fleet gateway that routed the trip and ran the
+// segments' network searches and sends them along; the answer is negotiated
+// on its own, by Accept, like that of /offering.
 func (s *Server) handleTripOffering(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.writeError(w, http.StatusMethodNotAllowed, "POST only")
@@ -49,18 +49,29 @@ func (s *Server) handleTripOffering(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Snap and route the waypoints, under the request deadline: a leg is a
-	// shortest-path search, and nobody reads the answer of an expired trip.
-	ctx, cancel := s.deadline(r.Context())
-	defer cancel()
-	trip, status, err := t.Route(ctx, s.env.Graph)
+	// Follow the route the request brought along, if it passes the checks;
+	// else snap and route the waypoints, under the request deadline: a leg is
+	// a shortest-path search, and nobody reads the answer of an expired trip.
+	trip, followed := t.Follow(s.env.Graph, req.Route)
 	switch {
-	case status == http.StatusServiceUnavailable:
-		s.writeExpired(w, "trip offering", err)
-		return
-	case err != nil:
-		s.writeError(w, status, "%v", err)
-		return
+	case followed:
+		met.routeUsed.Inc()
+	case req.Route != nil:
+		met.routeRejected.Inc()
+	}
+	if !followed {
+		ctx, cancel := s.deadline(r.Context())
+		defer cancel()
+		var status int
+		trip, status, err = t.Route(ctx, s.env.Graph)
+		switch {
+		case status == http.StatusServiceUnavailable:
+			s.writeExpired(w, "trip offering", err)
+			return
+		case err != nil:
+			s.writeError(w, status, "%v", err)
+			return
+		}
 	}
 
 	eco, opts := t.Plan()

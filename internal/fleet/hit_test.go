@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"runtime"
 	"strings"
@@ -277,36 +278,46 @@ func BenchmarkGatewayMiss(b *testing.B) {
 }
 
 // allocPerRequest is what one request of a warmed-up benchmark fleet
-// allocates, process-wide, over fifty of them off the benchmark's clock: the
-// ceilings hold at any -benchtime, the harness's one-iteration trial run
-// included, where one timer of the fleet firing is half a request's figure.
-// It reads 0 under the race detector, which allocates inside sync.Pool.
+// allocates, process-wide, averaged over fifty of them off the benchmark's
+// clock — the least of three such windows. Fifty make the ceilings hold at
+// any -benchtime, the harness's one-iteration trial run included, where one
+// timer of the fleet firing is half a request's figure. Three make them hold
+// across a garbage collection: it empties the sync.Pools, and the search
+// states refilled after it (207 KB each) land in one window, two of them
+// 8 KB a request over fifty, where an allocation the request makes shows in
+// every window. It reads 0 under the race detector, which allocates inside
+// sync.Pool.
 func allocPerRequest(request func()) uint64 {
 	if fleet.RaceEnabled {
 		return 0
 	}
-	const n = 50
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < n; i++ {
-		request()
+	const n, windows = 50, 3
+	least := uint64(math.MaxUint64)
+	for w := 0; w < windows; w++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			request()
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, (after.TotalAlloc-before.TotalAlloc)/n)
 	}
-	runtime.ReadMemStats(&after)
-	return (after.TotalAlloc - before.TotalAlloc) / n
+	return least
 }
 
 // tripAllocCeiling is what one benchmark trip through the fleet may allocate,
 // process-wide. The longest trip of the scenario (four computed segments)
-// measures 170 KB: the three shards' routing, segmenting, tables and binary
-// answers, and at the gateway its own plan, one request body a shard (64 KB
-// in all, the travel blocks) and the client's JSON. The head-room is for the
-// toolchain's net/http; what it does not cover is any one of the cuts coming
-// back: JSON answers from the shards (45 KB of decoding at the gateway), a
-// candidate retrieval that allocates per computed segment (132 KB), a snap
-// through container/heap (66 KB over the fifteen snaps of a trip), request
-// bodies that outgrow the connections' write buffers (54 KB of copy buffers)
-// or are encoded into a growing buffer and copied (64 KB).
-const tripAllocCeiling = 180 << 10
+// measures 152 KB: the three shards' segmenting, tables and binary answers —
+// they follow the gateway's route and route nothing themselves — and at the
+// gateway its plan, one request body a shard (64 KB in all: the route and the
+// travel blocks) and the client's JSON. The head-room is for the toolchain's
+// net/http; what it does not cover is any one of the cuts coming back: JSON
+// answers from the shards (45 KB of decoding at the gateway), a candidate
+// retrieval that allocates per computed segment (132 KB), a snap through
+// container/heap (66 KB over the fifteen snaps of a trip), request bodies
+// that outgrow the connections' write buffers (54 KB of copy buffers) or are
+// encoded into a growing buffer and copied (64 KB).
+const tripAllocCeiling = 170 << 10
 
 // BenchmarkGatewayTrip is the trip path end to end: the repository
 // benchmark's request — five waypoints, k, R and segment length as there —

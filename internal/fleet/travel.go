@@ -36,8 +36,10 @@ import (
 // A wrong guess costs a search somewhere, never a table.
 //
 // A trip is the same hand-over along a route (supplyTrip): the gateway plans
-// it once, in front of the fan-out, and searches once for every segment the
-// shards' dynamic caches will compute.
+// it once, in front of the fan-out, hands every shard the route, and searches
+// once for every segment the shards' dynamic caches will compute. A shard
+// that finds the route wrong for its own snaps or graph routes the trip
+// itself (eis.TripOffering.Follow).
 
 // supplyTerms is what the gateway needs of a shard to search on its behalf:
 // how its response cache keys and keeps entries, where its chargers are, and
@@ -226,14 +228,15 @@ func (g *Gateway) supplyTravel(fo *fanout, o *eis.Offering) {
 }
 
 // supplyTrip is supplyTravel along a route: it plans the trip in fo.trip
-// (resolved: t) as every shard will — routes it, segments it, and names the
+// (resolved: t) as every shard would — routes it, segments it, and names the
 // segments the shards' dynamic caches will compute rather than adapt
 // (cknn.ComputedSegments) — runs each such segment's two-leg search once, to
 // the chargers of every shard it may search for, and replaces those shards'
-// request bodies with wire requests that carry one travel block a computed
-// segment. The plan is exact unless a shard's table comes out empty; that
-// shard then computes a segment it has no block for, and searches for it. It
-// reports false and leaves fo.calls alone — the shards get the client's JSON —
+// request bodies with wire requests that carry the route and one travel block
+// a computed segment. The plan is exact unless a shard's table comes out
+// empty; that shard then computes a segment it has no block for, and searches
+// for it. It reports false and leaves fo.calls alone — the shards get the
+// client's JSON, and route it themselves —
 // when the trip has no departure (each shard would plan at its own clock's
 // time) or one the binary plane does not carry, no shard can be searched for,
 // the trip does not route (the shards say why), or the deadline, one
@@ -284,6 +287,9 @@ func (g *Gateway) supplyTrip(ctx context.Context, fo *fanout, t *eis.TripOfferin
 		}
 	}
 
+	// Every request carries the route too, which the shard checks and follows
+	// (eis.TripOffering.Follow) instead of routing the trip again.
+	fo.trip.Route = trip.Path.Nodes
 	header := g.header(wire.ContentType, g.shardAccept())
 	for i, terms := range fo.terms {
 		if terms == nil {

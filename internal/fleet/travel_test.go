@@ -11,9 +11,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -527,8 +529,12 @@ func routedTrips(t *testing.T, g *roadnet.Graph, seed int64, n, minNodes int, de
 	return out
 }
 
-// tripCounts are the counters a trip moves.
-type tripCounts struct{ legs, supplied, used, rejected, exchanges uint64 }
+// tripCounts are the counters a trip moves: the blocks' and, for the routes
+// handed over, routesUsed and routesRejected.
+type tripCounts struct {
+	legs, supplied, used, rejected, exchanges uint64
+	routesUsed, routesRejected                uint64
+}
 
 func readTripCounts() tripCounts {
 	r := obs.Default()
@@ -536,11 +542,18 @@ func readTripCounts() tripCounts {
 		legs:     r.Counter("roadnet_many_expansions_total").Value(),
 		supplied: met.travelSupplied.Value(), exchanges: met.shardRequests.Value(),
 		used: r.Counter("eis_travel_used_total").Value(), rejected: r.Counter("eis_travel_rejected_total").Value(),
+		routesUsed: r.Counter("eis_route_used_total").Value(), routesRejected: r.Counter("eis_route_rejected_total").Value(),
 	}
 }
 
 func (c tripCounts) since(b tripCounts) tripCounts {
-	return tripCounts{c.legs - b.legs, c.supplied - b.supplied, c.used - b.used, c.rejected - b.rejected, c.exchanges - b.exchanges}
+	return tripCounts{c.legs - b.legs, c.supplied - b.supplied, c.used - b.used, c.rejected - b.rejected, c.exchanges - b.exchanges,
+		c.routesUsed - b.routesUsed, c.routesRejected - b.routesRejected}
+}
+
+func (c tripCounts) plus(b tripCounts) tripCounts {
+	return tripCounts{c.legs + b.legs, c.supplied + b.supplied, c.used + b.used, c.rejected + b.rejected, c.exchanges + b.exchanges,
+		c.routesUsed + b.routesUsed, c.routesRejected + b.routesRejected}
 }
 
 // postTrip sends one trip request and returns the answer and what it moved.
@@ -583,8 +596,7 @@ func compareTripFleets(t *testing.T, with, without *travelFleet, bodies [][]byte
 		}
 		c, e := computedSegments(t, got)
 		computed, entries = computed+c, entries+e
-		a = tripCounts{a.legs + ca.legs, a.supplied + ca.supplied, a.used + ca.used, a.rejected + ca.rejected, a.exchanges + ca.exchanges}
-		b = tripCounts{b.legs + cb.legs, b.supplied + cb.supplied, b.used + cb.used, b.rejected + cb.rejected, b.exchanges + cb.exchanges}
+		a, b = a.plus(ca), b.plus(cb)
 	}
 	if entries < len(bodies) {
 		t.Fatalf("%d entries over %d trips; the comparison is vacuous", entries, len(bodies))
@@ -595,7 +607,7 @@ func compareTripFleets(t *testing.T, with, without *travelFleet, bodies [][]byte
 // TestFleetTripOneSearchPerSegment is the property on the benchmark's own
 // world and trips: the same JSON from a gateway that plans the trip and one
 // that forwards it, two expansions a computed segment against six, every
-// block built on.
+// block built on, and one route a trip handed to each shard and followed.
 func TestFleetTripOneSearchPerSegment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the Oldenburg scenario")
@@ -621,6 +633,77 @@ func TestFleetTripOneSearchPerSegment(t *testing.T) {
 	if n < uint64(len(bodies)) || a.legs != 2*n || b.legs != 6*n || a.supplied != 3*n || a.used != 3*n || a.rejected != 0 || b.supplied+b.used+b.rejected != 0 {
 		t.Fatalf("%d computed segments over %d trips: the planning gateway's fleet started %d expansions (want %d), sent %d blocks, %d used, %d rejected (want %d, %d, 0); the forwarding one %d expansions (want %d) and %d blocks",
 			n, len(bodies), a.legs, 2*n, a.supplied, a.used, a.rejected, 3*n, 3*n, b.legs, 6*n, b.supplied)
+	}
+	if trips := uint64(len(bodies)); a.routesUsed != 3*trips || a.routesRejected != 0 || b.routesUsed+b.routesRejected != 0 {
+		t.Fatalf("%d trips: the planning gateway's shards followed %d routes and refused %d (want %d and 0); the forwarding one's saw %d",
+			trips, a.routesUsed, a.routesRejected, 3*trips, b.routesUsed+b.routesRejected)
+	}
+}
+
+// routeCorrupter is a shard handler that takes a wire trip request's route
+// out in transit, changes it, and passes the request on; the blocks travel
+// as they came.
+func routeCorrupter(t *testing.T, next http.Handler, corrupt func([]roadnet.NodeID) []roadnet.NodeID) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != eis.APIVersion+"/offering/trip" || !wire.IsWire(r.Header.Get("Content-Type")) {
+			next.ServeHTTP(w, r)
+			return
+		}
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(r.Body); err != nil {
+			t.Error(err)
+		}
+		var req eis.TripOfferingRequest
+		if err := wire.DecodeTripRequest(buf.Bytes(), &req); err != nil || req.Route == nil {
+			t.Errorf("the gateway's request to the shard does not decode to a routed trip (%v)", err)
+		}
+		req.Route = corrupt(slices.Clone(req.Route))
+		body := wire.AppendTripRequest(nil, &req)
+		r.Body, r.ContentLength = io.NopCloser(bytes.NewReader(body)), int64(len(body))
+		next.ServeHTTP(w, r)
+	})
+}
+
+// TestFleetTripCorruptRoute: a route that reaches a shard changed — a step
+// that is no arc, a node the graph does not have, cut short, run backwards —
+// is refused by that shard, which routes the trip itself and builds on its
+// blocks all the same; the merge's skeleton check passes and the client gets
+// the bytes of a gateway that forwards the trip.
+func TestFleetTripCorruptRoute(t *testing.T) {
+	world := testEnv(t)
+	envs := shardEnvs(t, world, 3)
+	with := newTravelFleet(t, envs, world)
+	without := newTravelFleet(t, shardEnvs(t, world, 3), nil)
+	trips := routedTrips(t, world.Graph, 19, 3, 20, fixedNow)
+	g := world.Graph
+	for name, corrupt := range map[string]func([]roadnet.NodeID) []roadnet.NodeID{
+		"a node dropped": func(r []roadnet.NodeID) []roadnet.NodeID {
+			// The first interior node whose neighbours on the route are not
+			// joined by an arc of their own.
+			for i := 1; i+1 < len(r); i++ {
+				if _, arc := g.PathWeight([]roadnet.NodeID{r[i-1], r[i+1]}, roadnet.DistanceWeight); !arc {
+					return slices.Delete(r, i, i+1)
+				}
+			}
+			t.Error("every node of the route can be skipped by an arc")
+			return r
+		},
+		"a node the graph does not have": func(r []roadnet.NodeID) []roadnet.NodeID {
+			return slices.Insert(r, len(r)/2, roadnet.NodeID(g.NumNodes()))
+		},
+		"cut short": func(r []roadnet.NodeID) []roadnet.NodeID { return r[:len(r)-1] },
+		"reversed":  func(r []roadnet.NodeID) []roadnet.NodeID { slices.Reverse(r); return r },
+	} {
+		with.shards[1].set(routeCorrupter(t, eis.NewServer(envs[1], eis.ServerOptions{}).Handler(), corrupt))
+		var bodies [][]byte
+		for i, trip := range trips {
+			bodies = append(bodies, tripRequest(g, trip, 3+i, 8000, 1500, 1500))
+		}
+		a, _, _ := compareTripFleets(t, with, without, bodies)
+		if n := uint64(len(bodies)); a.routesUsed != 2*n || a.routesRejected != n || a.rejected != 0 || a.used != a.supplied {
+			t.Fatalf("%s: %d trips, shard 1's route changed in transit: %d routes followed, %d refused (want %d and %d); %d blocks sent, %d used, %d rejected",
+				name, n, a.routesUsed, a.routesRejected, 2*n, n, a.supplied, a.used, a.rejected)
+		}
 	}
 }
 
@@ -750,9 +833,10 @@ func TestFleetTripDeadShard(t *testing.T) {
 }
 
 // TestFleetTripBlockIsNotTheClientsToSend: the gateway reads a client's trip
-// as JSON, which has no place for a travel block, and writes the binary
-// request itself: a client's binary request with a block is a 400 at the
-// gateway, with or without the road world, and reaches no shard.
+// as JSON, which has no place for a travel block or a route, and writes the
+// binary request itself: a client's binary request with a block or a route
+// is a 400 at the gateway, with or without the road world, and reaches no
+// shard.
 func TestFleetTripBlockIsNotTheClientsToSend(t *testing.T) {
 	world := testEnv(t)
 	trip := routedTrips(t, world.Graph, 2, 1, 20, fixedNow)[0]
@@ -760,24 +844,29 @@ func TestFleetTripBlockIsNotTheClientsToSend(t *testing.T) {
 	if err := json.Unmarshal(tripRequest(world.Graph, trip, 3, 5000, 0, 1500), &req); err != nil {
 		t.Fatal(err)
 	}
-	body := wire.AppendTripBlock(wire.AppendTripRequest(nil, &req),
+	withBlock := wire.AppendTripBlock(wire.AppendTripRequest(nil, &req),
 		&wire.TripBlock{Segment: 0, Anchor: trip.Path.Nodes[0], Return: trip.Path.Nodes[1], ScaleLo: 1, ScaleHi: 1},
 		[]roadnet.NodeID{0}, []float64{0}, []float64{0})
+	req.Route = trip.Path.Nodes
+	withRoute := wire.AppendTripRequest(nil, &req)
 	for name, env := range map[string]*cknn.Env{"graph-free": nil, "with the world": world} {
 		f := newTravelFleet(t, shardEnvs(t, world, 3), env)
-		before := readTripCounts()
-		hr, err := http.NewRequest(http.MethodPost, f.url+eis.APIVersion+"/offering/trip", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		hr.Header.Set("Content-Type", wire.ContentType)
-		resp, err := http.DefaultClient.Do(hr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if c := readTripCounts().since(before); resp.StatusCode != http.StatusBadRequest || c.exchanges != 0 || c.used+c.rejected != 0 {
-			t.Fatalf("%s: answered %d after %d shard exchanges, %d blocks looked at; want 400 after none", name, resp.StatusCode, c.exchanges, c.used+c.rejected)
+		for what, body := range map[string][]byte{"a block": withBlock, "a route": withRoute} {
+			before := readTripCounts()
+			hr, err := http.NewRequest(http.MethodPost, f.url+eis.APIVersion+"/offering/trip", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			hr.Header.Set("Content-Type", wire.ContentType)
+			resp, err := http.DefaultClient.Do(hr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if c := readTripCounts().since(before); resp.StatusCode != http.StatusBadRequest || c.exchanges != 0 || c.used+c.rejected+c.routesUsed+c.routesRejected != 0 {
+				t.Fatalf("%s, %s: answered %d after %d shard exchanges, %d blocks and %d routes looked at; want 400 after none",
+					name, what, resp.StatusCode, c.exchanges, c.used+c.rejected, c.routesUsed+c.routesRejected)
+			}
 		}
 	}
 }

@@ -288,6 +288,56 @@ func TestPathHelpers(t *testing.T) {
 	}
 }
 
+// TestPathWeightIsShortestPathsWeight: priced step by step, every path
+// ShortestPath returns weighs its Weight to the bit, under the length metric
+// and under a time table; a parallel arc prices its step at the cheaper one;
+// a sequence that is not a walk of the graph has no weight.
+func TestPathWeightIsShortestPathsWeight(t *testing.T) {
+	g := GenerateUrban(UrbanConfig{
+		Origin: geo.Point{Lat: 53.0, Lon: 8.0}, WidthKM: 4, HeightKM: 4,
+		SpacingM: 500, RemoveFrac: 0.05, JitterFrac: 0.2, ArterialEach: 3, Seed: 4,
+	})
+	r := rand.New(rand.NewSource(12))
+	for _, cw := range []ClassWeights{DistanceWeight, TimeClassWeights()} {
+		for trial := 0; trial < 200; trial++ {
+			a, b := NodeID(r.Intn(g.NumNodes())), NodeID(r.Intn(g.NumNodes()))
+			p, ok := g.ShortestPath(a, b, cw)
+			if !ok {
+				continue
+			}
+			if w, ok := g.PathWeight(p.Nodes, cw); !ok || math.Float64bits(w) != math.Float64bits(p.Weight) {
+				t.Fatalf("%d→%d under %v: PathWeight %v (%v), ShortestPath %v", a, b, cw, w, ok, p.Weight)
+			}
+		}
+	}
+
+	par := NewGraph(3, 3)
+	x := par.AddNode(geo.Point{Lat: 53, Lon: 8})
+	y := par.AddNode(geo.Point{Lat: 53, Lon: 8.01})
+	z := par.AddNode(geo.Point{Lat: 53, Lon: 8.02})
+	par.AddEdge(x, y, 900, ClassLocal)
+	par.AddEdge(x, y, 400, ClassArterial)
+	par.AddEdge(y, z, 0.1, ClassLocal)
+	par.Freeze()
+	for _, tc := range []struct {
+		nodes []NodeID
+		want  float64
+		ok    bool
+	}{
+		{[]NodeID{x, y, z}, 400.1, true},
+		{[]NodeID{y}, 0, true},
+		{nil, 0, false},
+		{[]NodeID{x, z}, 0, false},    // not an arc
+		{[]NodeID{y, x}, 0, false},    // an arc the other way only
+		{[]NodeID{x, y, 3}, 0, false}, // a node the graph does not have
+		{[]NodeID{-1, x}, 0, false},
+	} {
+		if w, ok := par.PathWeight(tc.nodes, DistanceWeight); ok != tc.ok || w != tc.want {
+			t.Errorf("PathWeight(%v) = %v, %v; want %v, %v", tc.nodes, w, ok, tc.want, tc.ok)
+		}
+	}
+}
+
 func BenchmarkDijkstraUrban(b *testing.B) {
 	g := GenerateUrban(DefaultUrbanConfig())
 	b.ReportAllocs()

@@ -293,7 +293,7 @@ func (r *reader) travel() *TravelBlock {
 
 // DecodeTripRequest decodes a binary whole-trip request into out. The blocks
 // it brought along keep reading data (TripBlock.At): out.Travel is good for
-// as long as data is.
+// as long as data is. The route is copied out.
 func DecodeTripRequest(data []byte, out *TripOfferingRequest) error {
 	r := reader{b: data}
 	r.header(kindTripRequest)
@@ -312,15 +312,47 @@ func DecodeTripRequest(data []byte, out *TripOfferingRequest) error {
 	out.Weights.L = r.f64()
 	out.Weights.A = r.f64()
 	out.Weights.D = r.f64()
-	out.Travel = nil
+	out.Route, out.Travel = nil, nil
 	for r.err == nil && r.off < len(r.b) {
-		out.Travel = append(out.Travel, r.tripBlock())
+		if r.b[r.off] != routeTag {
+			out.Travel = append(out.Travel, r.tripBlock())
+			continue
+		}
+		switch {
+		case out.Travel != nil:
+			r.fail("a route after a travel block at offset %d", r.off)
+		case out.Route != nil:
+			r.fail("a second route at offset %d", r.off)
+		default:
+			out.Route = r.route()
+		}
 	}
 	err := r.finish()
 	if err != nil {
-		out.Travel = nil // blocks are all or nothing
+		out.Route, out.Travel = nil, nil // a route and blocks are all or nothing
 	}
 	return err
+}
+
+// route decodes the route of a trip request, never nil when it decodes. Like
+// tripBlock, it lets through what is well-formed — node IDs that are not
+// negative — not what is true: whether the nodes are in the graph and route
+// the trip is for the receiver to say.
+func (r *reader) route() []roadnet.NodeID {
+	r.u8() // routeTag
+	n := r.count(4)
+	if r.err != nil {
+		return nil
+	}
+	route := make([]roadnet.NodeID, n)
+	for i := range route {
+		node := int32(r.u32())
+		if r.err == nil && node < 0 {
+			r.fail("route node %d is node %d", i, node)
+		}
+		route[i] = roadnet.NodeID(node)
+	}
+	return route
 }
 
 // seconds reads a travel time: non-negative, or +Inf for a node the search

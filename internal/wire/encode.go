@@ -91,9 +91,14 @@ func AppendOfferingRequest(b []byte, req *OfferingRequest) []byte {
 }
 
 // travelTag opens a travel block after the fields of a request: the optional
-// one of an offering request, each of a trip request's. A request ends after
-// its fields or goes on with this byte; anything else is trailing garbage.
-const travelTag = 1
+// one of an offering request, each of a trip request's. routeTag opens a trip
+// request's route, at most once, after the fields and before the first block.
+// A request ends after its fields or goes on with one of these bytes;
+// anything else is trailing garbage.
+const (
+	travelTag = 1
+	routeTag  = 2
+)
 
 func appendTravel(b []byte, t *TravelBlock) []byte {
 	b = append(b, travelTag)
@@ -108,9 +113,10 @@ func appendTravel(b []byte, t *TravelBlock) []byte {
 	return b
 }
 
-// AppendTripRequest appends the binary form of a whole-trip request, with the
-// blocks it holds. A sender that has its blocks as slices appends the request
-// without any and then each with AppendTripBlock.
+// AppendTripRequest appends the binary form of a whole-trip request, with its
+// route, if it has one, and the blocks it holds. A sender that has its blocks
+// as slices appends the request without any and then each with
+// AppendTripBlock.
 func AppendTripRequest(b []byte, req *TripOfferingRequest) []byte {
 	b = appendHeader(b, kindTripRequest)
 	b = appendUvarint(b, uint64(len(req.Waypoints)))
@@ -126,6 +132,13 @@ func AppendTripRequest(b []byte, req *TripOfferingRequest) []byte {
 	b = appendF64(b, req.Weights.L)
 	b = appendF64(b, req.Weights.A)
 	b = appendF64(b, req.Weights.D)
+	if req.Route != nil {
+		b = append(b, routeTag)
+		b = appendUvarint(b, uint64(len(req.Route)))
+		for _, n := range req.Route {
+			b = appendU32(b, uint32(int32(n)))
+		}
+	}
 	for i := range req.Travel {
 		t := &req.Travel[i]
 		b = appendTripBlockHead(b, t, len(t.entries)/tripEntrySize)
@@ -134,12 +147,13 @@ func AppendTripRequest(b []byte, req *TripOfferingRequest) []byte {
 	return b
 }
 
-// TripRequestSize bounds from above the encoded size of req, which holds no
-// blocks of its own, followed by the given number of appended blocks with
-// that many entries between them, so a sender can size the buffer once.
+// TripRequestSize bounds from above the encoded size of req, route included,
+// which holds no blocks of its own, followed by the given number of appended
+// blocks with that many entries between them, so a sender can size the
+// buffer once.
 func TripRequestSize(req *TripOfferingRequest, blocks, entries int) int {
-	const fields, blockHead = 3 + 10 + 16 + 10 + 6*8, 1 + 10 + 2*4 + 3*8 + 10
-	return fields + 16*len(req.Waypoints) + blocks*blockHead + entries*tripEntrySize
+	const fields, route, blockHead = 3 + 10 + 16 + 10 + 6*8, 1 + 10, 1 + 10 + 2*4 + 3*8 + 10
+	return fields + 16*len(req.Waypoints) + route + 4*len(req.Route) + blocks*blockHead + entries*tripEntrySize
 }
 
 // AppendTripBlock appends one more block to a trip request: head's fields,

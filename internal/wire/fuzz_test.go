@@ -122,22 +122,27 @@ func FuzzWireRoundTrip(f *testing.F) {
 			ScaleLo: wl, ScaleHi: wa, Base: scMin,
 		}
 		nodes, outSec, backSec := []roadnet.NodeID{roadnet.NodeID(int32(k)), 7}, []float64{scMin, math.Inf(1)}, []float64{scMax, 0}
-		withBlocks := AppendTripBlock(AppendTripBlock(tripEnc, &head, nodes, outSec, backSec), &head, nil, nil, nil)
 		wellFormed = wl > 0 && wl <= 1 && wa >= 1 && int32(k) >= 0 && scMin >= 0 && scMax >= 0
-		switch err := DecodeTripRequest(withBlocks, &tripOut); {
-		case err == nil && !wellFormed:
-			t.Fatalf("malformed trip block accepted: %+v", head)
-		case err != nil && wellFormed:
-			t.Fatalf("well-formed trip block refused: %v", err)
-		case err != nil && tripOut.Travel != nil:
-			t.Fatal("a refused trip request left blocks behind")
-		case err == nil:
-			if !bytes.Equal(AppendTripRequest(nil, &tripOut), withBlocks) {
-				t.Fatal("trip blocks changed in flight")
-			}
-			b := &tripOut.Travel[0]
-			if n, o, r := b.At(0); len(tripOut.Travel) != 2 || b.Len() != 3 || n != nodes[0] || o != scMin || r != scMax {
-				t.Fatalf("trip block reads (%d, %v, %v) first of %d in %d blocks", n, o, r, b.Len(), len(tripOut.Travel))
+		// Without a route and with one ahead of the blocks, whose nodes are
+		// well-formed where the blocks' are.
+		for _, route := range [][]roadnet.NodeID{nil, {roadnet.NodeID(int32(k)), roadnet.NodeID(degraded), 0}} {
+			trip.Route = route
+			withBlocks := AppendTripBlock(AppendTripBlock(AppendTripRequest(nil, &trip), &head, nodes, outSec, backSec), &head, nil, nil, nil)
+			switch err := DecodeTripRequest(withBlocks, &tripOut); {
+			case err == nil && !wellFormed:
+				t.Fatalf("malformed trip block or route accepted: %+v, %v", head, route)
+			case err != nil && wellFormed:
+				t.Fatalf("well-formed trip block and route refused: %v", err)
+			case err != nil && (tripOut.Travel != nil || tripOut.Route != nil):
+				t.Fatal("a refused trip request left a route or blocks behind")
+			case err == nil:
+				if !bytes.Equal(AppendTripRequest(nil, &tripOut), withBlocks) || !reflect.DeepEqual(tripOut.Route, route) {
+					t.Fatal("trip route or blocks changed in flight")
+				}
+				b := &tripOut.Travel[0]
+				if n, o, r := b.At(0); len(tripOut.Travel) != 2 || b.Len() != 3 || n != nodes[0] || o != scMin || r != scMax {
+					t.Fatalf("trip block reads (%d, %v, %v) first of %d in %d blocks", n, o, r, b.Len(), len(tripOut.Travel))
+				}
 			}
 		}
 
@@ -249,6 +254,9 @@ func FuzzWireDecode(f *testing.F) {
 	trip := sampleTrip()
 	f.Add(AppendTripRequest(nil, &trip))
 	f.Add(appendSampleTrip(&trip, sampleTripBlocks()))
+	trip.Route = sampleRoute()
+	f.Add(AppendTripRequest(nil, &trip))
+	f.Add(appendSampleTrip(&trip, sampleTripBlocks()))
 	f.Add(AppendChargers(nil, sampleChargers(1)))
 	f.Add(AppendWeather(nil, &WeatherResponse{ChargerID: 1, At: utcNow}))
 	f.Add([]byte{magic, version, kindChargers, 1, 0xFF, 0xFF, 0xFF, 0x7F})
@@ -285,6 +293,14 @@ func FuzzWireDecode(f *testing.F) {
 			if len(again.Travel) != len(tripOut.Travel) {
 				t.Fatalf("trip blocks re-decode: %d, then %d", len(tripOut.Travel), len(again.Travel))
 			}
+			if !reflect.DeepEqual(again.Route, tripOut.Route) {
+				t.Fatalf("trip route re-decode: %v, then %v", tripOut.Route, again.Route)
+			}
+			for i, n := range tripOut.Route {
+				if n < 0 {
+					t.Fatalf("decoder let route node %d through: node %d", i, n)
+				}
+			}
 			for i := range tripOut.Travel {
 				b, a := &tripOut.Travel[i], &again.Travel[i]
 				if !reflect.DeepEqual(b, a) {
@@ -299,8 +315,8 @@ func FuzzWireDecode(f *testing.F) {
 					}
 				}
 			}
-		} else if tripOut.Travel != nil {
-			t.Fatal("a refused trip request left blocks behind")
+		} else if tripOut.Travel != nil || tripOut.Route != nil {
+			t.Fatal("a refused trip request left a route or blocks behind")
 		}
 		var respOut OfferingResponse
 		if err := DecodeOfferingResponse(data, &respOut); err == nil {

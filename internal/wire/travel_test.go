@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -200,8 +201,69 @@ func TestTripRequestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHostileTripBlocks: every way a trip request's blocks can be malformed
-// is a decode error — a 400 at the server — and leaves no block behind.
+// sampleRoute is a route as a gateway sends it, node 0 and a node past any
+// graph included: the codec does not know the graph.
+func sampleRoute() []roadnet.NodeID { return []roadnet.NodeID{901, 4, 0, 17, 2_000_000} }
+
+// TestTripRequestRoute: a trip request with a route decodes to the same
+// request and the same route, with blocks after it and without, and encodes
+// again to the bytes it came as; the route sits between the fields and the
+// blocks, is counted by TripRequestSize, and never shows on the JSON plane.
+func TestTripRequestRoute(t *testing.T) {
+	req := sampleTrip()
+	bare := AppendTripRequest(nil, &req)
+	blocks := sampleTripBlocks()
+	req.Route = sampleRoute()
+	for name, enc := range map[string][]byte{
+		"without blocks": AppendTripRequest(nil, &req),
+		"with blocks":    appendSampleTrip(&req, blocks),
+	} {
+		if !bytes.HasPrefix(enc, bare) || enc[len(bare)] != routeTag {
+			t.Fatalf("%s: the route does not follow the fields", name)
+		}
+		var out TripOfferingRequest
+		if err := DecodeTripRequest(enc, &out); err != nil {
+			t.Fatalf("%s: decode: %v", name, err)
+		}
+		assertJSONEqual(t, &req, &out)
+		if !reflect.DeepEqual(out.Route, req.Route) {
+			t.Fatalf("%s: route changed in flight: %v, want %v", name, out.Route, req.Route)
+		}
+		if again := AppendTripRequest(nil, &out); !bytes.Equal(again, enc) {
+			t.Fatalf("%s: a decoded request with a route does not encode to the bytes it came as", name)
+		}
+		if b := jsonBytes(t, &out); bytes.Contains(b, []byte("oute")) {
+			t.Fatalf("%s: the route leaked into JSON: %s", name, b)
+		}
+	}
+	var out TripOfferingRequest
+	if err := DecodeTripRequest(appendSampleTrip(&req, blocks), &out); err != nil || len(out.Travel) != len(blocks) {
+		t.Fatalf("%d blocks after the route (%v), want %d", len(out.Travel), err, len(blocks))
+	}
+	entries := 0
+	for _, b := range blocks {
+		entries += len(b.nodes)
+	}
+	for _, n := range []int{len(req.Route), 300} {
+		req.Route = make([]roadnet.NodeID, n)
+		if size, enc := TripRequestSize(&req, len(blocks), entries), appendSampleTrip(&req, blocks); size < len(enc) {
+			t.Fatalf("%d route nodes: TripRequestSize %d under the %d bytes of the request", n, size, len(enc))
+		}
+	}
+	// An empty route is well-formed — whether it routes is the receiver's
+	// question — and stays apart from no route.
+	req.Route = []roadnet.NodeID{}
+	if err := DecodeTripRequest(AppendTripRequest(nil, &req), &out); err != nil || out.Route == nil || len(out.Route) != 0 {
+		t.Fatalf("an empty route decoded to %v (%v)", out.Route, err)
+	}
+	if err := DecodeTripRequest(bare, &out); err != nil || out.Route != nil {
+		t.Fatalf("a request without a route decoded to route %v (%v)", out.Route, err)
+	}
+}
+
+// TestHostileTripBlocks: every way a trip request's route or blocks can be
+// malformed is a decode error — a 400 at the server — and leaves no route or
+// block behind.
 func TestHostileTripBlocks(t *testing.T) {
 	req := sampleTrip()
 	bare := AppendTripRequest(nil, &req)
@@ -224,7 +286,7 @@ func TestHostileTripBlocks(t *testing.T) {
 		return bad
 	}
 	cases := map[string][]byte{
-		"wrong tag":          patch(0, []byte{2}),
+		"wrong tag":          patch(0, []byte{3}),
 		"segment overflows":  append(append(append([]byte(nil), enc[:len(bare)+segOff]...), appendUvarint(nil, 1<<40)...), enc[len(bare)+anchorOff:]...),
 		"negative anchor":    patch(anchorOff, appendU32(nil, 0xffffffff)),
 		"negative return":    patch(returnOff, appendU32(nil, 0x80000000)),
@@ -259,6 +321,32 @@ func TestHostileTripBlocks(t *testing.T) {
 		}
 		if out.Travel != nil {
 			t.Errorf("%s: a failed decode left blocks behind", name)
+		}
+	}
+	// The route: after the fields, once, before the first block.
+	routed := req
+	routed.Route = sampleRoute()
+	withRoute := AppendTripRequest(nil, &routed)
+	route := withRoute[len(bare):]
+	const routeNodeOff = 1 + 1 // tag, one-byte count
+	routeCases := map[string][]byte{
+		"route after a block":    append(slices.Clone(enc), route...),
+		"two routes":             append(slices.Clone(withRoute), route...),
+		"route count too large":  append(slices.Clone(bare), append([]byte{routeTag, byte(len(routed.Route) + 1)}, route[2:]...)...),
+		"route count bomb":       append(append(slices.Clone(bare), routeTag), appendUvarint(nil, 1<<40)...),
+		"negative route node":    append(slices.Clone(withRoute[:len(bare)+routeNodeOff]), append(appendU32(nil, 0x80000000), route[routeNodeOff+4:]...)...),
+		"route tag and no route": append(slices.Clone(bare), routeTag),
+	}
+	for i := len(bare) + 1; i < len(withRoute); i++ {
+		routeCases["route truncated at "+strconv.Itoa(i)] = withRoute[:i]
+	}
+	for name, bad := range routeCases {
+		var out TripOfferingRequest
+		if err := DecodeTripRequest(bad, &out); err == nil {
+			t.Errorf("%s: decoded to route %v and %d blocks", name, out.Route, len(out.Travel))
+		}
+		if out.Route != nil || out.Travel != nil {
+			t.Errorf("%s: a failed decode left a route or blocks behind", name)
 		}
 	}
 	var out TripOfferingRequest

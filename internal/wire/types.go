@@ -93,6 +93,12 @@ type TripOfferingRequest struct {
 	ReuseDistM  float64     `json:"reuse_dist_m"`
 	SegmentLenM float64     `json:"segment_len_m"`
 	Weights     WeightsJSON `json:"weights"`
+	// Route is the trip's road route — the snapped waypoints joined by their
+	// shortest paths, node by node — when the sender routed it for the
+	// receiver: a fleet gateway's word to a shard, like Travel, on the binary
+	// plane only. The receiver checks it against its own snaps and graph
+	// before it follows it (eis.TripOffering.Follow).
+	Route []roadnet.NodeID `json:"-"`
 	// Travel are the network searches of the segments the sender expects the
 	// receiver to compute, when it ran them for it, in segment order: a fleet
 	// gateway's word to a shard, like OfferingRequest.Travel, on the binary
