@@ -36,8 +36,10 @@ chaos:
 
 # Fleet chaos suite under the race detector: the sharded-gateway differential
 # harness (byte-identity at fault rate 0, degraded merges under shard
-# blackouts/partitions/slow shards, hedged failover) plus the fleet fault
-# shapes and partition/merge property tests (see docs/resilience.md).
+# blackouts/partitions/slow shards, hedged failover, inventory re-pulls) plus
+# the fleet fault shapes and partition/merge property tests (see
+# docs/resilience.md). The harness runs the production setup: a gateway
+# that holds the road world and asks its shards for the binary format.
 chaos-fleet:
 	$(GO) test -race -count=1 -run 'TestChaosFleet|TestFleet|TestPartition|TestShardEnv|TestMerge|TestSynth' ./internal/fleet ./internal/fault
 

@@ -57,7 +57,6 @@ func main() {
 		threshold = flag.Int("breaker-threshold", 5, "consecutive shard faults that open its breaker")
 		cooldown  = flag.Duration("breaker-cooldown", 5*time.Second, "open time before a shard breaker admits its half-open trial")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline for in-flight requests")
-		wireFmt   = flag.Bool("wire", true, "negotiate the compact binary format on shard exchanges (shards without the codec keep answering JSON)")
 		dataset   = flag.String("dataset", "", "dataset profile the members serve (Oldenburg, California, T-drive, Geolife): load its road world and search once per ranking on the shards' behalf; empty keeps the gateway graph-free")
 		seed      = flag.Int64("seed", 42, "scenario seed the members were started with (with -dataset)")
 	)
@@ -71,7 +70,6 @@ func main() {
 		BreakerThreshold: *threshold,
 		BreakerCooldown:  *cooldown,
 		Logger:           logger,
-		WireShards:       *wireFmt,
 	})
 	if err != nil {
 		logger.Fatalf("gateway: %v", err)

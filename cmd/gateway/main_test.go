@@ -76,7 +76,7 @@ func TestNewGatewayWorldFlags(t *testing.T) {
 		{"the shards' world", "Oldenburg", 42, "searching Oldenburg seed 42", 2},
 		{"another seed", "Oldenburg", 7, "searching Oldenburg seed 7", 0},
 	} {
-		gw, desc, err := newGateway(startShards(), tc.dataset, tc.seed, fleet.Options{WireShards: true})
+		gw, desc, err := newGateway(startShards(), tc.dataset, tc.seed, fleet.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

@@ -98,7 +98,6 @@ func run() int {
 			ip, err := load.StartInproc(scen.Env, load.InprocOptions{
 				Shards:      *inprocN,
 				MaxInFlight: *maxInFlight,
-				WireShards:  true,
 			})
 			if err != nil {
 				return err

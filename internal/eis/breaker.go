@@ -26,10 +26,13 @@ const (
 	breakerHalfOpen
 )
 
-// breaker is a per-endpoint circuit breaker. All methods are safe for
-// concurrent use. Time is read through the injected clock only, so tests
-// drive the cooldown without sleeping.
-type breaker struct {
+// Breaker is a circuit breaker over one failure domain: the EIS client keys
+// one per endpoint path, the fleet gateway one per shard host, fed by active
+// probe outcomes and passive per-request failures. All methods are safe for
+// concurrent use, and every transition feeds the same metrics. Time is read
+// through the injected clock only, so tests drive the cooldown without
+// sleeping.
+type Breaker struct {
 	mu        sync.Mutex
 	state     breakerState
 	failures  int // consecutive faults while closed
@@ -40,7 +43,11 @@ type breaker struct {
 	now       func() time.Time
 }
 
-func newBreaker(threshold int, cooldown time.Duration, now func() time.Time) *breaker {
+// NewBreaker returns a breaker that opens after threshold consecutive
+// faults and admits a half-open probe once cooldown has elapsed, reading
+// time through now. Zero/nil arguments select the defaults every breaker of
+// the repository runs with: 5 faults, 5 s, time.Now.
+func NewBreaker(threshold int, cooldown time.Duration, now func() time.Time) *Breaker {
 	if threshold <= 0 {
 		threshold = 5
 	}
@@ -50,13 +57,16 @@ func newBreaker(threshold int, cooldown time.Duration, now func() time.Time) *br
 	if now == nil {
 		now = time.Now
 	}
-	return &breaker{threshold: threshold, cooldown: cooldown, now: now}
+	return &Breaker{threshold: threshold, cooldown: cooldown, now: now}
 }
 
-// allow reports whether a request may proceed. In the open state it either
-// fails fast or — once the cooldown has elapsed — transitions to half-open
-// and admits a single probe; concurrent requests during the probe fail fast.
-func (b *breaker) allow() error {
+// Allow reports whether a request may proceed; ErrCircuitOpen means fail
+// fast. In the open state it either fails fast or — once the cooldown has
+// elapsed — transitions to half-open and admits a single probe; concurrent
+// requests during the probe fail fast. Every Allow that returned nil must be
+// followed by OnSuccess or OnFailure, or the probe slot leaks and the
+// breaker stays half-open.
+func (b *Breaker) Allow() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -79,9 +89,9 @@ func (b *breaker) allow() error {
 	}
 }
 
-// onSuccess records a fault-free exchange: it closes the breaker from any
+// OnSuccess records a fault-free exchange: it closes the breaker from any
 // state and clears the fault count.
-func (b *breaker) onSuccess() {
+func (b *Breaker) OnSuccess() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.state != breakerClosed {
@@ -92,9 +102,9 @@ func (b *breaker) onSuccess() {
 	b.probing = false
 }
 
-// onFailure records a fault: the threshold-th consecutive fault opens a
+// OnFailure records a fault: the threshold-th consecutive fault opens a
 // closed breaker, and a failed half-open probe re-opens immediately.
-func (b *breaker) onFailure() {
+func (b *Breaker) OnFailure() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -116,53 +126,21 @@ func (b *breaker) onFailure() {
 	}
 }
 
-// snapshot returns the state for tests and diagnostics.
-func (b *breaker) snapshot() breakerState {
+func (b *Breaker) snapshot() breakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state
 }
 
-// Breaker is the exported form of the circuit breaker so layers above the
-// EIS client can reuse the same state machine against their own failure
-// domains — the fleet gateway keys one per shard host, feeding it active
-// probe outcomes and passive per-request failures. It shares every
-// transition rule (and the transition metrics) with the per-endpoint
-// breakers inside Client.
-type Breaker struct {
-	b *breaker
-}
-
-// NewBreaker returns a breaker that opens after threshold consecutive
-// faults and admits a half-open probe once cooldown has elapsed, reading
-// time through now. Zero/nil arguments select the client defaults
-// (threshold 5, cooldown 5 s, time.Now).
-func NewBreaker(threshold int, cooldown time.Duration, now func() time.Time) *Breaker {
-	return &Breaker{b: newBreaker(threshold, cooldown, now)}
-}
-
-// Allow reports whether a request may proceed; ErrCircuitOpen means fail
-// fast. In the half-open state exactly one caller is admitted as the probe;
-// every Allow that returned nil must be followed by OnSuccess or OnFailure,
-// or the probe slot leaks and the breaker stays half-open.
-func (b *Breaker) Allow() error { return b.b.allow() }
-
-// OnSuccess records a fault-free exchange (closes the breaker).
-func (b *Breaker) OnSuccess() { b.b.onSuccess() }
-
-// OnFailure records a fault (the threshold-th opens the breaker; a failed
-// half-open probe re-opens it).
-func (b *Breaker) OnFailure() { b.b.onFailure() }
-
 // Open reports whether the breaker currently fails fast. It is a read-only
 // snapshot — unlike Allow it never consumes the half-open probe slot — so
 // health surfaces can poll it freely.
-func (b *Breaker) Open() bool { return b.b.snapshot() == breakerOpen }
+func (b *Breaker) Open() bool { return b.snapshot() == breakerOpen }
 
 // State renders the current state for diagnostics: "closed", "open" or
 // "half-open".
 func (b *Breaker) State() string {
-	switch b.b.snapshot() {
+	switch b.snapshot() {
 	case breakerOpen:
 		return "open"
 	case breakerHalfOpen:

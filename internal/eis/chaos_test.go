@@ -38,51 +38,53 @@ func (c *fakeClock) Advance(d time.Duration) {
 }
 
 // TestChaosBreakerBlackoutRecovery walks the breaker through a scripted
-// blackout: closed → open after threshold faults, fail-fast while open,
-// half-open probe after the cooldown (re-opening while the outage lasts),
-// and half-open → closed once the transport recovers.
+// blackout: closed → open after five consecutive faults (the first call's
+// four attempts and the second call's first), fail-fast while open, half-open
+// probe after the cooldown (re-opening while the outage lasts), and
+// half-open → closed once the transport recovers.
 func TestChaosBreakerBlackoutRecovery(t *testing.T) {
 	inner := &countingTripper{}
 	inj := fault.New(fault.Config{Seed: 5, Blackouts: []fault.Window{{From: 0, To: 1}}})
 	clk := &fakeClock{t: fixedNow}
 	rec := &sleepRecorder{}
 	c := NewClientOpts("http://eis.test", ClientOptions{
-		HTTPClient:       &http.Client{Transport: &fault.Transport{Inner: inner, Inj: inj}},
-		MaxRetries:       -1, // isolate the breaker from the retry loop
-		BreakerThreshold: 3,
-		BreakerCooldown:  time.Minute,
-		Clock:            clk.Now,
-		Sleep:            rec.sleep,
+		HTTPClient: &http.Client{Transport: &fault.Transport{Inner: inner, Inj: inj}},
+		Clock:      clk.Now,
+		Sleep:      rec.sleep,
 	})
 	ctx := context.Background()
 	at := time.Unix(0, 0)
 
-	// Blackout: three consecutive faults open the /traffic breaker.
-	for i := 0; i < 3; i++ {
-		_, err := c.Traffic(ctx, at)
-		if err == nil {
-			t.Fatalf("call %d succeeded during blackout", i)
-		}
-		if errors.Is(err, ErrCircuitOpen) {
-			t.Fatalf("call %d failed fast before the threshold", i)
-		}
+	// Blackout: one call retries to its budget, four faults, short of the
+	// threshold; the next call's first fault opens the /traffic breaker and
+	// its retry fails fast.
+	if _, err := c.Traffic(ctx, at); err == nil || errors.Is(err, ErrCircuitOpen) {
+		t.Fatalf("first call during blackout: %v, want a transport failure", err)
+	}
+	if _, err := c.Traffic(ctx, at); !errors.Is(err, ErrCircuitOpen) {
+		t.Fatalf("breaker did not open at the fifth fault: %v", err)
 	}
 	reached := inner.count()
 	if _, err := c.Traffic(ctx, at); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("breaker did not open after 3 faults: %v", err)
+		t.Fatalf("open breaker did not fail fast: %v", err)
 	}
 	if inner.count() != reached {
 		t.Fatal("open breaker let a request reach the transport")
 	}
 
 	// Cooldown elapses while the blackout persists: the half-open probe
-	// fails and the breaker re-opens immediately.
+	// reaches the transport, fails, and the breaker re-opens immediately —
+	// the call's retry fails fast.
 	clk.Advance(2 * time.Minute)
-	if _, err := c.Traffic(ctx, at); err == nil || errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("half-open probe outcome wrong during blackout: %v", err)
-	}
+	waits := len(rec.durations())
 	if _, err := c.Traffic(ctx, at); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("failed probe did not re-open the breaker: %v", err)
+	}
+	if got := len(rec.durations()) - waits; got != 1 {
+		t.Fatalf("the call backed off %d times, want once: after the probe, before failing fast", got)
+	}
+	if got := c.breakers.forEndpoint(APIVersion + "/traffic").State(); got != "open" {
+		t.Fatalf("breaker %s after a failed probe, want open", got)
 	}
 
 	// The blackout ends and the cooldown elapses: the probe succeeds, the

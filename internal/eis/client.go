@@ -10,6 +10,7 @@ import (
 	"net/url"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ecocharge/internal/charger"
@@ -22,30 +23,26 @@ import (
 // misbehaving server cannot make a vehicle buffer unbounded data.
 const maxResponseBytes = 8 << 20
 
-// ClientOptions tune the client's resilience machinery. The zero value
+// The client's retry schedule, the same for every caller: an idempotent GET
+// is re-attempted up to maxRetries times after a retryable failure, the
+// first delay is backoffBase, and each further one doubles up to backoffCap.
+// Each endpoint's breaker runs on NewBreaker's defaults.
+const (
+	maxRetries  = 3
+	backoffBase = 100 * time.Millisecond
+	backoffCap  = 2 * time.Second
+)
+
+// clientSeeds hands every client a jitter seed of its own, so clients that
+// fail together do not retry in lockstep.
+var clientSeeds atomic.Uint64
+
+// ClientOptions are what a caller may hand the client; the zero value
 // selects production defaults.
 type ClientOptions struct {
 	// HTTPClient performs the exchanges. Nil selects a default with a 10 s
 	// timeout.
 	HTTPClient *http.Client
-	// MaxRetries bounds how many times an idempotent GET is re-attempted
-	// after a retryable failure (so up to MaxRetries+1 exchanges). 0 selects
-	// 3; negative disables retries.
-	MaxRetries int
-	// BackoffBase is the first retry delay; each further retry doubles it.
-	// 0 selects 100 ms.
-	BackoffBase time.Duration
-	// BackoffCap caps the exponential delay. 0 selects 2 s.
-	BackoffCap time.Duration
-	// JitterSeed decorrelates the deterministic jitter of concurrent
-	// clients; any value is fine, equal seeds retry in lockstep.
-	JitterSeed int64
-	// BreakerThreshold is the number of consecutive faults that opens an
-	// endpoint's circuit. 0 selects 5.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open circuit fails fast before
-	// admitting a half-open probe. 0 selects 5 s.
-	BreakerCooldown time.Duration
 	// Clock supplies the time for breaker cooldowns. Nil selects time.Now.
 	// Tests inject a fake to step through breaker states without sleeping.
 	Clock func() time.Time
@@ -56,41 +53,17 @@ type ClientOptions struct {
 	// per attempt, and stamps the attempt's span context onto the outgoing
 	// headers so the server joins the same trace. Nil disables tracing.
 	Tracer *obs.Tracer
-	// Wire negotiates the binary interchange format of internal/wire: every
-	// request advertises it via Accept (and Mode 2 Offering bodies are
-	// POSTed binary), while responses are decoded by their Content-Type — a
-	// server without the codec keeps answering JSON and nothing breaks.
-	Wire bool
 }
 
 func (o ClientOptions) withDefaults() ClientOptions {
 	if o.HTTPClient == nil {
 		// The zero-config client gets the load-ready transport: the stdlib
 		// default's 2 idle connections per host would re-dial TCP under any
-		// real concurrency, and the wire plane skips gzip (binary payloads
-		// don't compress usefully).
+		// real concurrency.
 		o.HTTPClient = &http.Client{
 			Timeout:   10 * time.Second,
-			Transport: DefaultTransport(64, o.Wire),
+			Transport: DefaultTransport(64, false),
 		}
-	}
-	if o.MaxRetries == 0 {
-		o.MaxRetries = 3
-	}
-	if o.MaxRetries < 0 {
-		o.MaxRetries = 0
-	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = 100 * time.Millisecond
-	}
-	if o.BackoffCap <= 0 {
-		o.BackoffCap = 2 * time.Second
-	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = 5
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 5 * time.Second
 	}
 	if o.Clock == nil {
 		o.Clock = time.Now
@@ -98,7 +71,7 @@ func (o ClientOptions) withDefaults() ClientOptions {
 	return o
 }
 
-// Client talks to an EcoCharge Information Server. It covers Mode 2
+// Client talks to an EcoCharge Information Server in JSON. It covers Mode 2
 // (server-computed Offering Tables) and the data pulls Mode 3 edge
 // computation needs.
 //
@@ -111,20 +84,21 @@ func (o ClientOptions) withDefaults() ClientOptions {
 type Client struct {
 	base     string
 	opts     ClientOptions
+	seed     uint64 // decorrelates this client's retry jitter from others'
 	breakers breakerSet
 }
 
 // NewClient returns a client for the EIS at baseURL (e.g.
-// "http://localhost:8080") with default resilience options. A nil
-// httpClient selects a default with a 10 s timeout.
+// "http://localhost:8080"). A nil httpClient selects a default with a 10 s
+// timeout.
 func NewClient(baseURL string, httpClient *http.Client) *Client {
 	return NewClientOpts(baseURL, ClientOptions{HTTPClient: httpClient})
 }
 
-// NewClientOpts returns a client with explicit resilience options.
+// NewClientOpts returns a client with explicit options.
 func NewClientOpts(baseURL string, opts ClientOptions) *Client {
-	c := &Client{base: baseURL, opts: opts.withDefaults()}
-	c.breakers.init(c.opts.BreakerThreshold, c.opts.BreakerCooldown, c.opts.Clock)
+	c := &Client{base: baseURL, opts: opts.withDefaults(), seed: clientSeeds.Add(1) * 0x9e3779b97f4a7c15}
+	c.breakers = breakerSet{m: make(map[string]*Breaker), now: c.opts.Clock}
 	return c
 }
 
@@ -141,29 +115,16 @@ func (c *Client) get(ctx context.Context, path string, query url.Values, out int
 }
 
 func (c *Client) post(ctx context.Context, path string, body, out interface{}) error {
-	ct := ContentTypeJSON
-	var data []byte
-	var buf *wire.Buffer
-	if wreq, ok := body.(*OfferingRequest); ok && c.opts.Wire {
-		buf = wire.GetBuffer()
-		buf.B = wire.AppendOfferingRequest(buf.B, wreq)
-		data, ct = buf.B, wire.ContentType
-	} else {
-		var err error
-		data, err = json.Marshal(body)
-		if err != nil {
-			return fmt.Errorf("eis client: encoding request: %w", err)
-		}
+	data, err := json.Marshal(body)
+	if err != nil {
+		return fmt.Errorf("eis client: encoding request: %w", err)
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+APIVersion+path, bytes.NewReader(data))
 	if err != nil {
-		wire.PutBuffer(buf)
 		return fmt.Errorf("eis client: building request: %w", err)
 	}
-	req.Header.Set("Content-Type", ct)
-	err = c.do(req, out)
-	wire.PutBuffer(buf) // nil-safe; the body was fully sent by now
-	return err
+	req.Header.Set("Content-Type", ContentTypeJSON)
+	return c.do(req, out)
 }
 
 // attemptOutcome classifies one exchange for the retry loop and the
@@ -181,13 +142,7 @@ func (c *Client) do(req *http.Request, out interface{}) error {
 	br := c.breakers.forEndpoint(req.URL.Path)
 	retries := 0
 	if req.Method == http.MethodGet {
-		retries = c.opts.MaxRetries
-	}
-	if c.opts.Wire {
-		// Advertise the binary format everywhere; the server answers binary
-		// only for payloads its codec covers, so JSON-only endpoints (and
-		// pre-codec servers) keep working unchanged.
-		req.Header.Set("Accept", wire.ContentType)
+		retries = maxRetries
 	}
 	// One root span covers the whole logical request: every retry attempt
 	// below becomes a child of it, so a retried exchange still reads as one
@@ -196,7 +151,7 @@ func (c *Client) do(req *http.Request, out interface{}) error {
 	defer rootSpan.End()
 	var last attemptOutcome
 	for attempt := 0; ; attempt++ {
-		if err := br.allow(); err != nil {
+		if err := br.Allow(); err != nil {
 			return fmt.Errorf("eis client: %s %s: %w", req.Method, req.URL.Path, err)
 		}
 		if attempt > 0 {
@@ -208,9 +163,9 @@ func (c *Client) do(req *http.Request, out interface{}) error {
 		last = c.attempt(areq, out)
 		attemptSpan.End()
 		if last.fault {
-			br.onFailure()
+			br.OnFailure()
 		} else {
-			br.onSuccess()
+			br.OnSuccess()
 		}
 		if last.err == nil || !last.retryable || attempt >= retries {
 			return last.err
@@ -242,9 +197,9 @@ func (c *Client) attempt(req *http.Request, out interface{}) attemptOutcome {
 		}
 	}
 	defer resp.Body.Close()
-	// The body is read into a pooled buffer (every decoder below copies out
-	// of it, so releasing on return is safe); the old ReadAll grew a fresh
-	// slice through O(log n) copies on every exchange.
+	// The body is read into a pooled buffer (the decoder copies out of it,
+	// so releasing on return is safe); the old ReadAll grew a fresh slice
+	// through O(log n) copies on every exchange.
 	buf := wire.GetBuffer()
 	defer wire.PutBuffer(buf)
 	if err := buf.ReadLimit(resp.Body, maxResponseBytes); err != nil {
@@ -267,12 +222,6 @@ func (c *Client) attempt(req *http.Request, out interface{}) attemptOutcome {
 		return c.classifyStatus(req, resp, body)
 	}
 	if out == nil {
-		return attemptOutcome{}
-	}
-	if wire.IsWire(resp.Header.Get("Content-Type")) {
-		if err := wire.DecodeInto(body, out); err != nil {
-			return attemptOutcome{err: fmt.Errorf("eis client: decoding response: %w", err)}
-		}
 		return attemptOutcome{}
 	}
 	if err := json.Unmarshal(body, out); err != nil {
@@ -341,14 +290,14 @@ func ParseRetryAfter(v string, now time.Time) (time.Duration, bool) {
 
 // backoff computes the capped exponential delay for a retry with
 // deterministic jitter in [50%, 100%] of the nominal delay, decorrelated
-// per (seed, endpoint, attempt) so lockstep clients spread out without any
-// wall-clock or global-PRNG reads.
+// per (client, endpoint, attempt) so lockstep clients spread out without
+// any wall-clock or global-PRNG reads.
 func (c *Client) backoff(endpoint string, attempt int) time.Duration {
-	d := c.opts.BackoffBase << uint(attempt)
-	if d > c.opts.BackoffCap || d <= 0 {
-		d = c.opts.BackoffCap
+	d := backoffBase << uint(attempt)
+	if d > backoffCap || d <= 0 {
+		d = backoffCap
 	}
-	h := uint64(c.opts.JitterSeed)
+	h := c.seed
 	for i := 0; i < len(endpoint); i++ {
 		h = (h ^ uint64(endpoint[i])) * 1099511628211
 	}
@@ -377,26 +326,17 @@ func (c *Client) wait(ctx context.Context, d time.Duration) error {
 
 // breakerSet lazily creates one breaker per endpoint path.
 type breakerSet struct {
-	mu        sync.Mutex
-	m         map[string]*breaker
-	threshold int
-	cooldown  time.Duration
-	now       func() time.Time
+	mu  sync.Mutex
+	m   map[string]*Breaker
+	now func() time.Time
 }
 
-func (s *breakerSet) init(threshold int, cooldown time.Duration, now func() time.Time) {
-	s.m = make(map[string]*breaker)
-	s.threshold = threshold
-	s.cooldown = cooldown
-	s.now = now
-}
-
-func (s *breakerSet) forEndpoint(path string) *breaker {
+func (s *breakerSet) forEndpoint(path string) *Breaker {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b, ok := s.m[path]
 	if !ok {
-		b = newBreaker(s.threshold, s.cooldown, s.now)
+		b = NewBreaker(0, 0, s.now)
 		s.m[path] = b
 	}
 	return b
@@ -410,18 +350,6 @@ func (c *Client) Chargers(ctx context.Context, p geo.Point, radiusM float64) ([]
 	q.Set("radius_m", fmt.Sprintf("%f", radiusM))
 	var out []charger.Charger
 	if err := c.get(ctx, "/chargers", q, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Inventory fetches the server's complete charger inventory — for a
-// sharded deployment, the partition the instance owns. The fleet gateway
-// pulls it alongside health probes so it can keep offering a dead shard's
-// chargers (at the ignorance bound) instead of silently dropping them.
-func (c *Client) Inventory(ctx context.Context) ([]charger.Charger, error) {
-	var out []charger.Charger
-	if err := c.get(ctx, "/inventory", nil, &out); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -80,12 +80,8 @@ func (r *sleepRecorder) durations() []time.Duration {
 	return append([]time.Duration(nil), r.slept...)
 }
 
-func scriptedClient(tr *scriptTripper, rec *sleepRecorder, opts ClientOptions) *Client {
-	opts.HTTPClient = &http.Client{Transport: tr}
-	if rec != nil {
-		opts.Sleep = rec.sleep
-	}
-	return NewClientOpts("http://eis.test", opts)
+func scriptedClient(tr *scriptTripper, rec *sleepRecorder) *Client {
+	return NewClientOpts("http://eis.test", ClientOptions{HTTPClient: &http.Client{Transport: tr}, Sleep: rec.sleep})
 }
 
 var errBoom = errors.New("connection refused")
@@ -98,7 +94,7 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 		{status: http.StatusOK, body: `{"multiplier":{}}`},
 	}}
 	rec := &sleepRecorder{}
-	c := scriptedClient(tr, rec, ClientOptions{JitterSeed: 1})
+	c := scriptedClient(tr, rec)
 	if _, err := c.Traffic(context.Background(), time.Unix(0, 0)); err != nil {
 		t.Fatalf("Traffic after two transient failures: %v", err)
 	}
@@ -122,19 +118,42 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 func TestClientRetryBudgetExhausted(t *testing.T) {
 	tr := &scriptTripper{steps: []scriptStep{{err: errBoom}}}
 	rec := &sleepRecorder{}
-	c := scriptedClient(tr, rec, ClientOptions{MaxRetries: 2})
+	c := scriptedClient(tr, rec)
 	if _, err := c.Traffic(context.Background(), time.Unix(0, 0)); err == nil {
 		t.Fatal("permanently failing endpoint reported success")
 	}
-	if got := tr.callCount(); got != 3 {
-		t.Fatalf("transport saw %d attempts, want 3 (1 + 2 retries)", got)
+	if got := tr.callCount(); got != 1+maxRetries {
+		t.Fatalf("transport saw %d attempts, want %d (1 + %d retries)", got, 1+maxRetries, maxRetries)
+	}
+	// Backoff doubles from backoffBase, each delay jittered into [50%, 100%].
+	for i, d := range rec.durations() {
+		if nominal := backoffBase << i; d < nominal/2 || d > nominal {
+			t.Errorf("retry %d slept %v, outside [%v, %v]", i+1, d, nominal/2, nominal)
+		}
+	}
+}
+
+// TestClientsRetryApart: two clients failing against the same endpoint back
+// off by different delays — clients that fail together must not retry in
+// lockstep.
+func TestClientsRetryApart(t *testing.T) {
+	a, b := NewClient("http://eis.test", nil), NewClient("http://eis.test", nil)
+	const endpoint = APIVersion + "/traffic"
+	same := 0
+	for attempt := 0; attempt < maxRetries; attempt++ {
+		if a.backoff(endpoint, attempt) == b.backoff(endpoint, attempt) {
+			same++
+		}
+	}
+	if same == maxRetries {
+		t.Fatalf("two clients back off by the same %d delays", maxRetries)
 	}
 }
 
 func TestClientDoesNotRetryPOST(t *testing.T) {
 	tr := &scriptTripper{steps: []scriptStep{{err: errBoom}}}
 	rec := &sleepRecorder{}
-	c := scriptedClient(tr, rec, ClientOptions{})
+	c := scriptedClient(tr, rec)
 	if _, err := c.Offering(context.Background(), OfferingRequest{Lat: 53, Lon: 8}); err == nil {
 		t.Fatal("failed POST reported success")
 	}
@@ -150,7 +169,7 @@ func TestClientDoesNotRetryClientErrors(t *testing.T) {
 	tr := &scriptTripper{steps: []scriptStep{
 		{status: http.StatusNotFound, body: `{"error":"charger 9 not found"}`},
 	}}
-	c := scriptedClient(tr, &sleepRecorder{}, ClientOptions{})
+	c := scriptedClient(tr, &sleepRecorder{})
 	_, err := c.Weather(context.Background(), 9, time.Unix(0, 0))
 	if err == nil || !strings.Contains(err.Error(), "charger 9 not found") {
 		t.Fatalf("server message lost: %v", err)
@@ -164,7 +183,7 @@ func TestClientNonJSONErrorBody(t *testing.T) {
 	tr := &scriptTripper{steps: []scriptStep{
 		{status: http.StatusInternalServerError, body: "<html>gateway exploded</html>"},
 	}}
-	c := scriptedClient(tr, &sleepRecorder{}, ClientOptions{})
+	c := scriptedClient(tr, &sleepRecorder{})
 	_, err := c.Traffic(context.Background(), time.Unix(0, 0))
 	if err == nil || !strings.Contains(err.Error(), "HTTP 500") {
 		t.Fatalf("non-JSON error body mishandled: %v", err)
@@ -243,7 +262,7 @@ func TestClientReportsOversizeExplicitly(t *testing.T) {
 	tr := &scriptTripper{steps: []scriptStep{
 		{status: http.StatusOK, body: strings.Repeat("x", (8<<20)+5)},
 	}}
-	c := scriptedClient(tr, &sleepRecorder{}, ClientOptions{})
+	c := scriptedClient(tr, &sleepRecorder{})
 	_, err := c.Traffic(context.Background(), time.Unix(0, 0))
 	if err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Fatalf("oversized body not reported as such: %v", err)

@@ -62,7 +62,6 @@ func TestClientHonorsHTTPDateRetryAfter(t *testing.T) {
 	var slept []time.Duration
 	c := NewClientOpts(srv.URL, ClientOptions{
 		HTTPClient: srv.Client(),
-		MaxRetries: 2,
 		Clock:      func() time.Time { return now },
 		Sleep:      func(d time.Duration) { slept = append(slept, d) },
 	})

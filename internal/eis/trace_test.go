@@ -45,7 +45,6 @@ func TestTracePropagationAcrossRetries(t *testing.T) {
 
 	client := NewClientOpts(ts.URL, ClientOptions{
 		HTTPClient: ts.Client(),
-		MaxRetries: 3,
 		Sleep:      func(time.Duration) {}, // retries must not slow the suite
 		Tracer:     tr,
 	})

@@ -103,12 +103,12 @@ func TestTransportKnobs(t *testing.T) {
 		t.Fatalf("floor transport misconfigured: perHost=%d compressionDisabled=%v", tr.MaxIdleConnsPerHost, tr.DisableCompression)
 	}
 	// The zero-config client picks the tuned transport up.
-	opts := ClientOptions{Wire: true}.withDefaults()
+	opts := ClientOptions{}.withDefaults()
 	ht, ok := opts.HTTPClient.Transport.(*http.Transport)
 	if !ok {
 		t.Fatalf("default client transport is %T, want *http.Transport", opts.HTTPClient.Transport)
 	}
-	if ht.MaxIdleConnsPerHost < 8 || !ht.DisableCompression {
-		t.Fatalf("default wire client transport not load-ready: perHost=%d compressionDisabled=%v", ht.MaxIdleConnsPerHost, ht.DisableCompression)
+	if ht.MaxIdleConnsPerHost < 8 || ht.DisableCompression {
+		t.Fatalf("default JSON client transport not load-ready: perHost=%d compressionDisabled=%v", ht.MaxIdleConnsPerHost, ht.DisableCompression)
 	}
 }

@@ -92,7 +92,7 @@ func newFleetHarness(t *testing.T, o harnessOpts) *fleetHarness {
 	opts := Options{
 		// The gateway holds the road world throughout the suite: whatever a
 		// test does to the fleet, it does to a gateway that searches for its
-		// shards wherever it can (wire shards, inventories pulled).
+		// shards wherever it can (inventories pulled).
 		Env:              h.env,
 		Clock:            h.clk.Now,
 		ShardTimeout:     5 * time.Second,
@@ -103,7 +103,7 @@ func newFleetHarness(t *testing.T, o harnessOpts) *fleetHarness {
 	if o.shapes != nil {
 		h.inj = fault.New(fault.Config{Seed: 1})
 		fl := fault.NewFleet(h.inj, o.shapes(hosts))
-		opts.HTTPClient = &http.Client{Transport: fl.Transport(nil, nil)}
+		opts.Transport = fl.Transport(nil, nil)
 	}
 	if o.gw != nil {
 		o.gw(&opts)
@@ -120,6 +120,12 @@ func newFleetHarness(t *testing.T, o harnessOpts) *fleetHarness {
 
 func doReq(t *testing.T, base, method, pathq string, body []byte) (int, []byte, http.Header) {
 	t.Helper()
+	return doReqAccept(t, base, method, pathq, body, "")
+}
+
+// doReqAccept is doReq asking for the answer in the accept format.
+func doReqAccept(t *testing.T, base, method, pathq string, body []byte, accept string) (int, []byte, http.Header) {
+	t.Helper()
 	var req *http.Request
 	var err error
 	if body != nil {
@@ -130,6 +136,9 @@ func doReq(t *testing.T, base, method, pathq string, body []byte) (int, []byte, 
 	}
 	if err != nil {
 		t.Fatal(err)
+	}
+	if accept != "" {
+		req.Header.Set("Accept", accept)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -196,28 +205,20 @@ func fmtFloat(v float64) string { return fmt.Sprintf("%v", v) }
 // TestChaosFleetByteIdentityFaultFree: at fault rate 0 a gateway over three
 // shards is indistinguishable, byte for byte, from one EIS over the whole
 // inventory — all six methods, repeated (cache-hitting) requests, and error
-// responses included — on JSON shards, where the gateway that holds the road
-// world cannot use it, and on wire shards, where it runs the search of every
-// offering its shards have not cached.
+// responses included — while it runs the search of every offering its
+// shards have not cached. Shards always speak wire, the one setup left.
 func TestChaosFleetByteIdentityFaultFree(t *testing.T) {
-	t.Run("json shards", func(t *testing.T) {
-		supplied := met.travelSupplied.Value()
-		sixMethodsIdentical(t, false)
-		if n := met.travelSupplied.Value() - supplied; n != 0 {
-			t.Fatalf("the gateway sent %d travel blocks to JSON shards", n)
-		}
-	})
 	t.Run("wire shards", func(t *testing.T) {
 		supplied := met.travelSupplied.Value()
-		sixMethodsIdentical(t, true)
+		sixMethodsIdentical(t)
 		if met.travelSupplied.Value() == supplied {
 			t.Fatal("the gateway holds the road world and never searched for its shards")
 		}
 	})
 }
 
-func sixMethodsIdentical(t *testing.T, wireShards bool) {
-	h := newFleetHarness(t, harnessOpts{n: 3, gw: func(o *Options) { o.WireShards = wireShards }})
+func sixMethodsIdentical(t *testing.T) {
+	h := newFleetHarness(t, harnessOpts{n: 3})
 	h.gw.ProbeAll(context.Background()) // inventories and cache terms pulled
 	center := h.env.Graph.Bounds().Center()
 	at := fixedNow.Add(time.Hour).Format(time.RFC3339)

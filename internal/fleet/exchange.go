@@ -34,7 +34,8 @@ import (
 //     goroutine; a member without one has no goroutine, channel, timer or
 //     context of its own.
 
-// endpoint indexes the shard API methods the gateway forwards to.
+// endpoint indexes what the gateway asks a shard: the API methods it
+// forwards to, the inventory it pulls and the health check it probes.
 type endpoint int
 
 const (
@@ -44,16 +45,21 @@ const (
 	epTraffic
 	epOffering
 	epTrip
+	epInventory
+	epHealthz
 	numEndpoints
 )
 
+// endpointPaths are the endpoints' paths under a shard's base URL.
 var endpointPaths = [numEndpoints]string{
-	epChargers:     "/chargers",
-	epWeather:      "/weather",
-	epAvailability: "/availability",
-	epTraffic:      "/traffic",
-	epOffering:     "/offering",
-	epTrip:         "/offering/trip",
+	epChargers:     eis.APIVersion + "/chargers",
+	epWeather:      eis.APIVersion + "/weather",
+	epAvailability: eis.APIVersion + "/availability",
+	epTraffic:      eis.APIVersion + "/traffic",
+	epOffering:     eis.APIVersion + "/offering",
+	epTrip:         eis.APIVersion + "/offering/trip",
+	epInventory:    eis.APIVersion + "/inventory",
+	epHealthz:      "/healthz", // outside the API version, on every EIS
 }
 
 // target is one base URL of a member — its primary or its replica — with
@@ -66,7 +72,7 @@ type target struct {
 func newTarget(base string) (*target, error) {
 	t := &target{base: base}
 	for ep, path := range endpointPaths {
-		u, err := url.Parse(base + eis.APIVersion + path)
+		u, err := url.Parse(base + path)
 		if err != nil || u.Host == "" {
 			return nil, fmt.Errorf("%q is not an absolute URL", base)
 		}
@@ -127,17 +133,20 @@ func (g *Gateway) header(contentType, accept string) http.Header {
 // plus any hedge): either a terminal HTTP response (any status) or an error
 // meaning the shard is unreachable for this request.
 type shardResult struct {
-	status      int
-	body        []byte
-	contentType string
-	retryAfter  string
-	err         error
+	status int
+	header http.Header
+	body   []byte
+	err    error
 	// buf is the pooled backing storage of body; release returns it.
 	buf *wire.Buffer
 }
 
 // ok reports a 200 answer.
 func (res *shardResult) ok() bool { return res.err == nil && res.status == http.StatusOK }
+
+// isWire reports whether the answer came in the binary format. The gateway
+// always asks for it, but a shard that predates a message kind answers JSON.
+func (res *shardResult) isWire() bool { return wire.IsWire(res.header.Get("Content-Type")) }
 
 // release returns the result's pooled body buffer; no slice of body may be
 // touched afterwards.
@@ -165,12 +174,13 @@ func retryableStatus(code int) bool {
 // request head on its own — a second write syscall per exchange.
 func requestBody(data []byte) io.ReadCloser { return io.NopCloser(bytes.NewReader(data)) }
 
-// attempt performs one HTTP exchange against one target, on the client's
+// attempt performs one HTTP exchange against one target, on the gateway's
 // RoundTripper: Client.Do would add only what a shard exchange never uses —
 // redirect following with its header copier and body rewinding — at half a
 // kilobyte per call. A shard's 3xx is therefore a terminal answer like any
 // other status. The response body is read into a pooled buffer; the caller
-// owns the result and must release() it.
+// owns the result and must release() it. Fan-outs, probes and inventory
+// pulls all come through here.
 func (g *Gateway) attempt(ctx context.Context, t *target, c *call) shardResult {
 	u := t.urls[c.ep]
 	if c.rawQuery != "" {
@@ -206,13 +216,7 @@ func (g *Gateway) attempt(ctx context.Context, t *target, c *call) shardResult {
 		wire.PutBuffer(buf)
 		return shardResult{err: fmt.Errorf("fleet: shard %s: HTTP %d", t.base, resp.StatusCode)}
 	}
-	return shardResult{
-		status:      resp.StatusCode,
-		body:        buf.B,
-		contentType: resp.Header.Get("Content-Type"),
-		retryAfter:  resp.Header.Get("Retry-After"),
-		buf:         buf,
-	}
+	return shardResult{status: resp.StatusCode, header: resp.Header, body: buf.B, buf: buf}
 }
 
 // exchange performs one logical exchange with a shard under the deadline ctx

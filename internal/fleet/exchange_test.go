@@ -203,26 +203,20 @@ func TestFleetExchangeAccountingDeadline(t *testing.T) {
 	}
 }
 
-// TestNewGatewayRejectsWhatExchangesBypass: exchanges run on the client's
-// RoundTripper, so a client setting or a URL form that only Client.Do acts
-// on is a construction error, not something silently ignored per request.
+// TestNewGatewayRejectsWhatExchangesBypass: exchanges run on a bare
+// RoundTripper, so a URL form that only Client.Do acts on is a construction
+// error, not something silently ignored per request.
 func TestNewGatewayRejectsWhatExchangesBypass(t *testing.T) {
-	ok := []Shard{{URL: "http://127.0.0.1:1"}}
-	for name, tc := range map[string]struct {
-		shards []Shard
-		client *http.Client
-	}{
-		"client timeout":      {ok, &http.Client{Timeout: time.Second}},
-		"redirect policy":     {ok, &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error { return nil }}},
-		"primary credentials": {[]Shard{{URL: "http://u:p@127.0.0.1:1"}}, nil},
-		"replica credentials": {[]Shard{{URL: "http://127.0.0.1:1", Replica: "http://u:p@127.0.0.1:2"}}, nil},
-		"relative URL":        {[]Shard{{URL: "127.0.0.1:1"}}, nil},
+	for name, shards := range map[string][]Shard{
+		"primary credentials": {{URL: "http://u:p@127.0.0.1:1"}},
+		"replica credentials": {{URL: "http://127.0.0.1:1", Replica: "http://u:p@127.0.0.1:2"}},
+		"relative URL":        {{URL: "127.0.0.1:1"}},
 	} {
-		if _, err := NewGateway(tc.shards, Options{HTTPClient: tc.client}); err == nil {
+		if _, err := NewGateway(shards, Options{}); err == nil {
 			t.Errorf("%s: NewGateway accepted it", name)
 		}
 	}
-	if _, err := NewGateway(ok, Options{HTTPClient: &http.Client{Transport: http.DefaultTransport}}); err != nil {
-		t.Errorf("a client with only a Transport was refused: %v", err)
+	if _, err := NewGateway([]Shard{{URL: "http://127.0.0.1:1"}}, Options{Transport: http.DefaultTransport}); err != nil {
+		t.Errorf("a plain shard URL was refused: %v", err)
 	}
 }

@@ -42,35 +42,26 @@ type Options struct {
 	ProbeInterval time.Duration
 	// BreakerThreshold and BreakerCooldown configure each shard's circuit
 	// breaker (consecutive faults to open; open time before the half-open
-	// trial). Zero values select 5 faults and 5 s.
+	// trial). Zero values select eis.NewBreaker's defaults.
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// HTTPClient performs shard exchanges and probes; nil selects a fresh
-	// default client (deadlines come from request contexts, not the client).
-	// Exchanges call its Transport directly, which must honour the request
-	// context, as net/http's does. Timeout, Jar and CheckRedirect are
-	// Client.Do's and would be ignored there, so NewGateway rejects them.
-	HTTPClient *http.Client
+	// Transport performs every shard exchange: fan-outs, probes and
+	// inventory pulls. It must honour the request context, as net/http's
+	// does — that is how a deadline reaches an exchange. Nil selects a clone
+	// of http.DefaultTransport with a write buffer sized for a trip's body.
+	Transport http.RoundTripper
 	// Clock is overridable for tests; nil selects time.Now.
 	Clock func() time.Time
 	// Logger for degraded merges and shard errors; nil silences logging.
 	Logger *log.Logger
-	// WireShards negotiates the binary format of internal/wire on the
-	// shard-side exchanges whose payloads the codec covers (charger fan-out,
-	// offering and trip merges). The client-facing format is negotiated
-	// independently per request, and a shard without the codec keeps
-	// answering JSON — the gateway decodes by Content-Type — so mixed fleets
-	// work during a rollout.
-	WireShards bool
 	// Env is the road world the shards search — the frozen graph and the
 	// traffic model, built from the same dataset and seed as theirs (its
 	// chargers and other models are not read). With it the gateway runs the
 	// one network search of a cache-miss ranking itself and hands every
 	// shard its travel times, where each shard would otherwise run the same
 	// search (travel.go), and plans a trip and runs its segments' searches
-	// once where each shard would run them all; it takes WireShards to do
-	// so, and for a one-shot ranking an undirected graph. Nil keeps the
-	// gateway graph-free.
+	// once where each shard would run them all; for a one-shot ranking it
+	// takes an undirected graph. Nil keeps the gateway graph-free.
 	Env *cknn.Env
 }
 
@@ -83,15 +74,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = 2 * time.Second
-	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = 5
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 5 * time.Second
-	}
-	if o.HTTPClient == nil {
-		o.HTTPClient = &http.Client{}
 	}
 	if o.Clock == nil {
 		o.Clock = time.Now
@@ -120,13 +102,12 @@ type Gateway struct {
 	part    Partition
 	opts    Options
 
-	// env is Options.Env when the gateway searches for its shards, nil when
-	// it was given none or cannot (JSON shards); world is its RoadWorld, which
-	// a shard must state to be searched for.
+	// env is Options.Env, nil when the gateway was given none; world is its
+	// RoadWorld, which a shard must state to be searched for.
 	env   *cknn.Env
 	world uint64
 
-	// transport is the client's RoundTripper; every shard exchange runs on it.
+	// transport is Options.Transport; every shard exchange runs on it.
 	transport http.RoundTripper
 	// headers are the outbound header sets of the fan-out endpoints, built
 	// once and shared read-only by every request (Gateway.header).
@@ -142,10 +123,7 @@ func NewGateway(shards []Shard, opts Options) (*Gateway, error) {
 		return nil, fmt.Errorf("fleet: gateway needs at least one shard")
 	}
 	opts = opts.withDefaults()
-	if c := opts.HTTPClient; c.Timeout != 0 || c.Jar != nil || c.CheckRedirect != nil {
-		return nil, fmt.Errorf("fleet: HTTPClient sets Timeout, Jar or CheckRedirect, which shard exchanges bypass; the deadline is ShardTimeout")
-	}
-	g := &Gateway{part: Partition{N: len(shards)}, opts: opts, transport: opts.HTTPClient.Transport}
+	g := &Gateway{part: Partition{N: len(shards)}, opts: opts, transport: opts.Transport}
 	if g.transport == nil {
 		g.transport = http.DefaultTransport
 		if stock, ok := http.DefaultTransport.(*http.Transport); ok {
@@ -157,12 +135,13 @@ func NewGateway(shards []Shard, opts Options) (*Gateway, error) {
 			g.transport = own
 		}
 	}
-	if opts.Env != nil && opts.WireShards {
+	if opts.Env != nil {
 		g.env, g.world = opts.Env, opts.Env.RoadWorld()
 	}
-	accept := g.shardAccept()
+	// Every shard exchange asks for the binary format, whatever the client
+	// asked the gateway for.
 	for _, contentType := range []string{"", eis.ContentTypeJSON, wire.ContentType} {
-		g.headers = append(g.headers, headerSet{contentType, accept, newHeader(contentType, accept)})
+		g.headers = append(g.headers, headerSet{contentType, wire.ContentType, newHeader(contentType, wire.ContentType)})
 	}
 	for i, s := range shards {
 		m, err := newMember(i, s, opts)
@@ -178,15 +157,6 @@ func (g *Gateway) logf(format string, args ...interface{}) {
 	if g.opts.Logger != nil {
 		g.opts.Logger.Printf("gateway: "+format, args...)
 	}
-}
-
-// shardAccept is the Accept header value of shard-side exchanges on the
-// binary-covered payloads; empty keeps the shards' JSON default.
-func (g *Gateway) shardAccept() string {
-	if g.opts.WireShards {
-		return wire.ContentType
-	}
-	return ""
 }
 
 func (g *Gateway) writeError(w http.ResponseWriter, code int, format string, args ...interface{}) {
@@ -219,11 +189,11 @@ func (g *Gateway) respond(w http.ResponseWriter, r *http.Request, v interface{},
 // passthrough relays a shard's terminal response verbatim, so error bodies
 // (and their statuses) stay byte-identical to the single-EIS deployment.
 func passthrough(w http.ResponseWriter, res *shardResult) {
-	if res.contentType != "" {
-		w.Header().Set("Content-Type", res.contentType)
+	if ct := res.header.Get("Content-Type"); ct != "" {
+		w.Header().Set("Content-Type", ct)
 	}
-	if res.retryAfter != "" {
-		w.Header().Set("Retry-After", res.retryAfter)
+	if ra := res.header.Get("Retry-After"); ra != "" {
+		w.Header().Set("Retry-After", ra)
 	}
 	w.WriteHeader(res.status)
 	_, _ = w.Write(res.body)
@@ -285,7 +255,7 @@ func (g *Gateway) handleChargers(w http.ResponseWriter, r *http.Request) {
 	}
 	fo := g.getFanout()
 	defer g.putFanout(fo)
-	fo.setCall(call{method: http.MethodGet, ep: epChargers, rawQuery: r.URL.RawQuery, header: g.header("", g.shardAccept())})
+	fo.setCall(call{method: http.MethodGet, ep: epChargers, rawQuery: r.URL.RawQuery, header: g.header("", wire.ContentType)})
 	g.fanout(r.Context(), fo)
 	live, bad, dead := splitResults(fo.results)
 	if bad != nil {
@@ -344,7 +314,7 @@ func (g *Gateway) handleChargers(w http.ResponseWriter, r *http.Request) {
 // timing the per-format decode share of the fan-out.
 func decodeChargerList(res *shardResult) ([]charger.Charger, error) {
 	start := time.Now()
-	if wire.IsWire(res.contentType) {
+	if res.isWire() {
 		l, err := wire.DecodeChargers(res.body, nil)
 		met.decodeWire.Since(start)
 		return l, err
@@ -415,7 +385,7 @@ func (g *Gateway) perCharger(w http.ResponseWriter, r *http.Request, ep endpoint
 		return
 	}
 	m := g.members[g.part.ShardOf(id)]
-	what := endpointPaths[ep][1:]
+	what := strings.TrimPrefix(endpointPaths[ep], eis.APIVersion+"/")
 	// Forward the client's own Accept header: when the client negotiated
 	// binary the shard's encoded bytes pass through with no gateway
 	// decode/re-encode at all.
@@ -543,7 +513,7 @@ func (g *Gateway) handleOffering(w http.ResponseWriter, r *http.Request) {
 		o, err = eis.ResolveOffering(&fo.req, g.opts.Clock)
 		resolved = err == nil
 	}
-	fo.setCall(call{method: http.MethodPost, ep: epOffering, body: body, header: g.header(reqCT, g.shardAccept())})
+	fo.setCall(call{method: http.MethodPost, ep: epOffering, body: body, header: g.header(reqCT, wire.ContentType)})
 	// A one-shot ranking returns to its anchor: one search serves it where
 	// the return leg is the outbound one, on an undirected graph.
 	if g.env != nil && resolved && g.env.Graph.Symmetric() {
@@ -565,7 +535,7 @@ func (g *Gateway) handleOffering(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		start := time.Now()
-		if wire.IsWire(res.contentType) {
+		if res.isWire() {
 			err = wire.DecodeOfferingResponse(res.body, &fo.tables[i])
 			met.decodeWire.Since(start)
 		} else {
@@ -628,9 +598,9 @@ func (g *Gateway) handleTrip(w http.ResponseWriter, r *http.Request) {
 	}
 	// The client's JSON goes on as it came, but to the shards the gateway
 	// plans and searches the trip for. The answers are asked for as every
-	// shard-side table is — binary from a wire fleet — and read by their
-	// Content-Type; the client's is JSON.
-	fo.setCall(call{method: http.MethodPost, ep: epTrip, body: body, header: g.header(eis.ContentTypeJSON, g.shardAccept())})
+	// shard-side table is — binary — and read by their Content-Type; the
+	// client's is negotiated by its own Accept, as a single EIS does.
+	fo.setCall(call{method: http.MethodPost, ep: epTrip, body: body, header: g.header(eis.ContentTypeJSON, wire.ContentType)})
 	supplied := g.env != nil && g.supplyTrip(r.Context(), fo, &t)
 	g.fanout(r.Context(), fo)
 	live, bad, dead := splitResults(fo.results)
@@ -649,7 +619,7 @@ func (g *Gateway) handleTrip(w http.ResponseWriter, r *http.Request) {
 		}
 		resp := &fo.trips[i]
 		start := time.Now()
-		if wire.IsWire(res.contentType) {
+		if res.isWire() {
 			err = wire.DecodeTripResponse(res.body, resp)
 			met.decodeWire.Since(start)
 		} else {
@@ -702,5 +672,5 @@ func (g *Gateway) handleTrip(w http.ResponseWriter, r *http.Request) {
 		markDegraded(w, dead, synthesized)
 		g.logf("trip offering served degraded: shards %v down", dead)
 	}
-	eis.WriteJSON(w, &fo.tripMerged)
+	g.respond(w, r, &fo.tripMerged, func(b []byte) []byte { return wire.AppendTripResponse(b, &fo.tripMerged) })
 }

@@ -2,9 +2,7 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -45,6 +43,10 @@ type member struct {
 	// inventory is the shard's charger partition, pulled on probe success.
 	// Nil until the first successful pull.
 	inventory atomic.Pointer[[]charger.Charger]
+	// stale says the inventory is to be pulled at the next probe that
+	// answers: none was pulled yet, the shard failed a probe since (a
+	// restarted shard may own another partition), or the last pull failed.
+	stale atomic.Bool
 
 	// supply is what the gateway searches on the shard's behalf by, from the
 	// same pull; nil while it may not (see supplyTerms).
@@ -66,6 +68,7 @@ func newMember(index int, s Shard, opts Options) (*member, error) {
 		}
 	}
 	m.probeOK.Store(true) // optimistic until the first probe says otherwise
+	m.stale.Store(true)
 	return m, nil
 }
 
@@ -82,88 +85,63 @@ func (m *member) chargers() []charger.Charger {
 // much cheaper than the per-shard request deadline.
 const probeTimeout = 2 * time.Second
 
-// probe runs one active health check against the member and refreshes its
-// inventory when needed (first success, or first success after a failure —
-// a restarted shard may own a different partition). Probe failures count
-// against the breaker; probe successes only update probeOK.
+// probe runs one active health check against the member and, while its
+// inventory is stale, pulls it from the target that answered. Probe
+// failures count against the breaker; probe successes only update probeOK.
+// A failed pull is not a health event: the inventory stays stale, and the
+// next probe that answers pulls again.
 func (g *Gateway) probe(ctx context.Context, m *member) {
 	met.probes.Inc()
-	ok := g.probeOnce(ctx, m.primary.base)
+	t := m.primary
+	ok := g.probeOnce(ctx, t)
 	if !ok && m.replica != nil {
 		// A live replica keeps the shard probe-healthy: requests will hedge
 		// to it immediately.
-		ok = g.probeOnce(ctx, m.replica.base)
+		t = m.replica
+		ok = g.probeOnce(ctx, t)
 	}
-	wasOK := m.probeOK.Swap(ok)
+	m.probeOK.Store(ok)
 	if !ok {
 		met.probeFailures.Inc()
 		m.breaker.OnFailure()
+		m.stale.Store(true)
 		return
 	}
-	if m.inventory.Load() == nil || !wasOK {
-		g.pullInventory(ctx, m)
+	if m.stale.Load() && g.pullInventory(ctx, m, t) {
+		m.stale.Store(false)
 	}
 }
 
-func (g *Gateway) probeOnce(ctx context.Context, base string) bool {
+func (g *Gateway) probeOnce(ctx context.Context, t *target) bool {
 	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/healthz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := g.opts.HTTPClient.Do(req)
-	if err != nil {
-		return false
-	}
-	defer resp.Body.Close()
-	_, _ = io.Copy(io.Discard, resp.Body)
-	return resp.StatusCode == http.StatusOK
+	res := g.attempt(ctx, t, &call{method: http.MethodGet, ep: epHealthz, header: g.header("", wire.ContentType)})
+	defer res.release()
+	return res.ok()
 }
 
-// pullInventory fetches the member's charger partition. A failed pull is
-// not a health event — the next probe retries it.
-func (g *Gateway) pullInventory(ctx context.Context, m *member) {
+// pullInventory fetches the member's charger partition from t, with the
+// cache terms the shard states beside it, and reports whether it succeeded.
+func (g *Gateway) pullInventory(ctx context.Context, m *member, t *target) bool {
 	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, m.primary.base+eis.APIVersion+"/inventory", nil)
+	res := g.attempt(ctx, t, &call{method: http.MethodGet, ep: epInventory, header: g.header("", wire.ContentType)})
+	defer res.release()
+	if !res.ok() {
+		return false
+	}
+	inv, err := decodeChargerList(&res)
 	if err != nil {
-		return
-	}
-	if accept := g.shardAccept(); accept != "" {
-		req.Header.Set("Accept", accept)
-	}
-	resp, err := g.opts.HTTPClient.Do(req)
-	if err != nil {
-		return
-	}
-	defer resp.Body.Close()
-	// Pooled read: inventory pulls are the gateway's largest payloads, and
-	// one reusable buffer replaces a ReadAll regrowth per probe cycle. The
-	// decoded inventory is a fresh slice, so releasing the buffer is safe.
-	buf := wire.GetBuffer()
-	defer wire.PutBuffer(buf)
-	if err := buf.ReadLimit(resp.Body, maxShardResponseBytes); err != nil ||
-		resp.StatusCode != http.StatusOK || int64(len(buf.B)) > maxShardResponseBytes {
-		return
-	}
-	var inv []charger.Charger
-	if wire.IsWire(resp.Header.Get("Content-Type")) {
-		decoded, err := wire.DecodeChargers(buf.B, nil)
-		if err != nil {
-			return
-		}
-		inv = decoded
-	} else if err := json.Unmarshal(buf.B, &inv); err != nil {
-		return
+		return false
 	}
 	m.inventory.Store(&inv)
 	var supply *supplyTerms
-	if terms, ok := eis.CacheTermsFrom(resp.Header); ok && g.env != nil && terms.World == g.world {
+	if terms, ok := eis.CacheTermsFrom(res.header); ok && g.env != nil && terms.World == g.world {
 		supply = newSupplyTerms(terms, inv)
 	}
 	m.supply.Store(supply)
 	met.inventoryPulls.Inc()
+	return true
 }
 
 // ProbeAll runs one synchronous probe round over every member and updates

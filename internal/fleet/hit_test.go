@@ -44,8 +44,7 @@ func newHitClient(tb testing.TB, plane load.Plane) *hitClient {
 	tb.Helper()
 	env := fleet.TestEnv(tb)
 	ip, err := load.StartInproc(env, load.InprocOptions{
-		WireShards: true,
-		Clock:      func() time.Time { return hitNow },
+		Clock: func() time.Time { return hitNow },
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -187,7 +186,6 @@ func newMissFleet(tb testing.TB, opts load.InprocOptions) *missFleet {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	opts.WireShards = true
 	ip, err := load.StartInproc(sc.Env, opts)
 	if err != nil {
 		tb.Fatal(err)

@@ -29,9 +29,9 @@ import (
 // shards' own, rebuilt from the same flags; inventories, cache terms and the
 // filter below are re-learned from the shards — and none of it is a
 // correctness input. A shard that hits its cache ignores the block; a shard
-// that misses without one (the filter said "seen", a JSON fleet, a directed
-// graph, no inventory yet, a request without an issue time) searches for
-// itself as it always did; a shard that finds the block short of a candidate
+// that misses without one (the filter said "seen", a directed graph, no
+// inventory yet, a request without an issue time) searches for itself as it
+// always did; a shard that finds the block short of a candidate
 // (a stale inventory here) or malformed discards it and searches for itself.
 // A wrong guess costs a search somewhere, never a table.
 //
@@ -207,7 +207,7 @@ func (g *Gateway) supplyTravel(fo *fanout, o *eis.Offering) {
 	fo.block.Anchor = anchor
 	fo.block.ScaleLo, fo.block.ScaleHi = ts.Scales()
 
-	header := g.header(wire.ContentType, g.shardAccept())
+	header := g.header(wire.ContentType, wire.ContentType)
 	fo.req.Travel = &fo.block
 	buf := wire.GetBuffer()
 	for i, sp := range fo.spans {
@@ -290,7 +290,7 @@ func (g *Gateway) supplyTrip(ctx context.Context, fo *fanout, t *eis.TripOfferin
 	// Every request carries the route too, which the shard checks and follows
 	// (eis.TripOffering.Follow) instead of routing the trip again.
 	fo.trip.Route = trip.Path.Nodes
-	header := g.header(wire.ContentType, g.shardAccept())
+	header := g.header(wire.ContentType, wire.ContentType)
 	for i, terms := range fo.terms {
 		if terms == nil {
 			continue

@@ -54,7 +54,7 @@ type travelFleet struct {
 // gateway over them that holds world (nil: graph-free), inventories pulled.
 func newTravelFleet(t *testing.T, envs []*cknn.Env, world *cknn.Env) *travelFleet {
 	t.Helper()
-	return newFleetOver(t, envs, Options{WireShards: true, Env: world})
+	return newFleetOver(t, envs, Options{Env: world})
 }
 
 // newFleetOver is newTravelFleet under the gateway options given.
@@ -361,7 +361,7 @@ func TestFleetTravelFilterFalseSeen(t *testing.T) {
 
 	// A wasted block is counted: the filter forgets (a fresh pull), the
 	// shards have not.
-	f.gw.members[0].probeOK.Store(false) // the next probe re-pulls shard 0
+	f.gw.members[0].stale.Store(true) // the next probe re-pulls shard 0
 	f.gw.ProbeAll(context.Background())
 	w0 := met.travelWasted.Value()
 	if hit := f.post(t, &req, true); bytes.Equal(hit, again) {

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"ecocharge/internal/cknn"
 	"ecocharge/internal/eis"
 	"ecocharge/internal/experiment"
 	"ecocharge/internal/geo"
@@ -29,6 +30,17 @@ func ignoringAccept(h http.Handler) http.Handler {
 		r.Header.Del("Accept")
 		h.ServeHTTP(w, r)
 	})
+}
+
+// newJSONFleet is a graph-free fleet over envs whose shards all ignore
+// Accept: every answer the gateway decodes is JSON.
+func newJSONFleet(t *testing.T, envs []*cknn.Env) *travelFleet {
+	t.Helper()
+	f := newFleetOver(t, envs, Options{})
+	for i, sh := range f.shards {
+		sh.set(ignoringAccept(eis.NewServer(envs[i], eis.ServerOptions{}).Handler()))
+	}
+	return f
 }
 
 // shardDown is a shard that cannot serve: the gateway counts it dead for the
@@ -56,7 +68,7 @@ func TestFleetTripPlanesAgree(t *testing.T) {
 	}
 	world := sc.Env
 	wireFleet := newTravelFleet(t, shardEnvs(t, world, 3), world)
-	jsonFleet := newFleetOver(t, shardEnvs(t, world, 3), Options{})
+	jsonFleet := newJSONFleet(t, shardEnvs(t, world, 3))
 	mixedEnvs := shardEnvs(t, world, 3)
 	mixed := newTravelFleet(t, mixedEnvs, world)
 	mixed.shards[1].set(ignoringAccept(eis.NewServer(mixedEnvs[1], eis.ServerOptions{}).Handler()))
@@ -91,7 +103,7 @@ func TestFleetTripPlanesAgree(t *testing.T) {
 func TestFleetTripDeadShardOnBothPlanes(t *testing.T) {
 	world := testEnv(t)
 	wireFleet := newTravelFleet(t, shardEnvs(t, world, 3), world)
-	jsonFleet := newFleetOver(t, shardEnvs(t, world, 3), Options{})
+	jsonFleet := newJSONFleet(t, shardEnvs(t, world, 3))
 	wireFleet.shards[1].set(shardDown)
 	jsonFleet.shards[1].set(shardDown)
 	for i, trip := range routedTrips(t, world.Graph, 21, 4, 20, fixedNow) {
@@ -109,32 +121,30 @@ func TestFleetTripDeadShardOnBothPlanes(t *testing.T) {
 }
 
 // TestFleetTripForeignShard: a shard that answers for another trip — here
-// shard 2 is handed different waypoints — is a 502 from the merge, on either
-// plane, not a table stitched from two trips.
+// shard 2 is handed different waypoints — is a 502 from the merge, not a
+// table stitched from two trips.
 func TestFleetTripForeignShard(t *testing.T) {
 	world := testEnv(t)
 	trips := routedTrips(t, world.Graph, 8, 2, 18, fixedNow)
 	asked := tripRequest(world.Graph, trips[0], 3, 6000, 2000, 1500)
 	other := tripRequest(world.Graph, trips[1], 3, 6000, 2000, 1500)
-	for name, opts := range map[string]Options{"binary shards": {WireShards: true}, "JSON shards": {}} {
-		envs := shardEnvs(t, world, 3)
-		f := newFleetOver(t, envs, opts)
-		honest := eis.NewServer(envs[2], eis.ServerOptions{}).Handler()
-		f.shards[2].set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if strings.HasSuffix(r.URL.Path, "/offering/trip") {
-				r = r.Clone(r.Context())
-				r.Body, r.ContentLength = io.NopCloser(bytes.NewReader(other)), int64(len(other))
-			}
-			honest.ServeHTTP(w, r)
-		}))
-		status, got, _, _ := f.postTrip(t, asked)
-		if status != http.StatusBadGateway || !bytes.Contains(got, []byte("disagree")) {
-			t.Fatalf("%s: a shard answering for another trip got %d %.300s, want a 502 from the merge", name, status, got)
+	envs := shardEnvs(t, world, 3)
+	f := newFleetOver(t, envs, Options{})
+	honest := eis.NewServer(envs[2], eis.ServerOptions{}).Handler()
+	f.shards[2].set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/offering/trip") {
+			r = r.Clone(r.Context())
+			r.Body, r.ContentLength = io.NopCloser(bytes.NewReader(other)), int64(len(other))
 		}
-		f.shards[2].set(honest)
-		if status, got, _, _ = f.postTrip(t, asked); status != http.StatusOK {
-			t.Fatalf("%s: the honest fleet answers %d %.300s", name, status, got)
-		}
+		honest.ServeHTTP(w, r)
+	}))
+	status, got, _, _ := f.postTrip(t, asked)
+	if status != http.StatusBadGateway || !bytes.Contains(got, []byte("disagree")) {
+		t.Fatalf("a shard answering for another trip got %d %.300s, want a 502 from the merge", status, got)
+	}
+	f.shards[2].set(honest)
+	if status, got, _, _ = f.postTrip(t, asked); status != http.StatusOK {
+		t.Fatalf("the honest fleet answers %d %.300s", status, got)
 	}
 }
 
@@ -148,7 +158,7 @@ func TestFleetTripConcurrentSharesNoStorage(t *testing.T) {
 	envs := shardEnvs(t, world, 4)
 	f := newTravelFleet(t, envs, world)
 	f.shards[1].set(ignoringAccept(eis.NewServer(envs[1], eis.ServerOptions{}).Handler()))
-	oracle := newFleetOver(t, shardEnvs(t, world, 4), Options{})
+	oracle := newJSONFleet(t, shardEnvs(t, world, 4))
 	f.shards[2].set(shardDown)
 	oracle.shards[2].set(shardDown)
 	var bodies, want [][]byte

@@ -11,17 +11,17 @@ import (
 
 	"ecocharge/internal/eis"
 	"ecocharge/internal/fault"
+	"ecocharge/internal/roadnet"
 	"ecocharge/internal/wire"
 )
 
-// TestChaosFleetWireShardByteIdentity turns the binary shard plane on and
-// repeats the fault-free identity bar: with every gateway↔shard exchange
-// negotiated binary, the JSON a client sees must still be byte-identical to
-// a single EIS over the whole inventory. The decode counters prove the
+// TestChaosFleetWireShardByteIdentity: every gateway↔shard exchange asks for
+// the binary format, and the JSON a client sees must still be byte-identical
+// to a single EIS over the whole inventory. The decode counters prove the
 // exchanges actually travelled binary rather than silently falling back.
 func TestChaosFleetWireShardByteIdentity(t *testing.T) {
 	wireBefore := met.decodeWire.Count()
-	h := newFleetHarness(t, harnessOpts{n: 3, gw: func(o *Options) { o.WireShards = true }})
+	h := newFleetHarness(t, harnessOpts{n: 3})
 	center := h.env.Graph.Bounds().Center()
 	at := fixedNow.Add(time.Hour).Format(time.RFC3339)
 
@@ -58,93 +58,116 @@ func TestChaosFleetWireShardByteIdentity(t *testing.T) {
 		offeringBody(t, eis.OfferingRequest{Lat: center.Lat, Lon: center.Lon, Weights: eis.WeightsJSON{L: -1}, Now: fixedNow}))
 
 	if met.decodeWire.Count() == wireBefore {
-		t.Fatal("WireShards gateway never decoded a binary shard response — the exchanges fell back to JSON")
+		t.Fatal("the gateway never decoded a binary shard response — the exchanges fell back to JSON")
 	}
 }
 
-// TestChaosFleetWireClientNegotiation asks the WireShards gateway itself
-// for binary: the decoded table must match the single EIS answer, and a
-// degraded synth (dead shard) must still answer a binary client correctly.
-func TestChaosFleetWireClientNegotiation(t *testing.T) {
-	h := newFleetHarness(t, harnessOpts{n: 3, gw: func(o *Options) { o.WireShards = true }})
-	center := h.env.Graph.Bounds().Center()
-
-	oreq := eis.OfferingRequest{Lat: center.Lat, Lon: center.Lon, K: 5, RadiusM: 6000, Now: fixedNow}
-	body := offeringBody(t, oreq)
-
-	// Single EIS JSON oracle.
-	_, singleBody, _ := doReq(t, h.single.URL, http.MethodPost, eis.APIVersion+"/offering", body)
-
-	// Binary client against the gateway.
-	req, err := http.NewRequest(http.MethodPost, h.gwts.URL+eis.APIVersion+"/offering", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+// wireOffering asks the gateway for a binary Offering Table and returns it
+// re-rendered as the JSON a single EIS frames (Encoder newline).
+func wireOffering(t *testing.T, h *fleetHarness, body []byte) []byte {
+	t.Helper()
+	status, respBody, hdr := doReqAccept(t, h.gwts.URL, http.MethodPost, eis.APIVersion+"/offering", body, wire.ContentType)
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %.200s", status, respBody)
 	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Accept", wire.ContentType)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %.200s", resp.StatusCode, buf.Bytes())
-	}
-	if ct := resp.Header.Get("Content-Type"); !wire.IsWire(ct) {
+	if ct := hdr.Get("Content-Type"); !wire.IsWire(ct) {
 		t.Fatalf("gateway ignored the binary negotiation: Content-Type %q", ct)
 	}
 	var got eis.OfferingResponse
-	if err := wire.DecodeInto(buf.Bytes(), &got); err != nil {
+	if err := wire.DecodeOfferingResponse(respBody, &got); err != nil {
 		t.Fatalf("decoding gateway binary response: %v", err)
 	}
 	rendered, err := json.Marshal(&got)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(append(rendered, '\n'), singleBody) {
-		t.Fatalf("binary gateway table differs from single EIS\nwire:   %.400s\nsingle: %.400s", rendered, singleBody)
+	return append(rendered, '\n')
+}
+
+// TestChaosFleetWireClientNegotiation asks the gateway itself for binary:
+// the decoded table must match the single EIS answer.
+func TestChaosFleetWireClientNegotiation(t *testing.T) {
+	h := newFleetHarness(t, harnessOpts{n: 3})
+	center := h.env.Graph.Bounds().Center()
+	body := offeringBody(t, eis.OfferingRequest{Lat: center.Lat, Lon: center.Lon, K: 5, RadiusM: 6000, Now: fixedNow})
+
+	_, singleBody, _ := doReq(t, h.single.URL, http.MethodPost, eis.APIVersion+"/offering", body)
+	if got := wireOffering(t, h, body); !bytes.Equal(got, singleBody) {
+		t.Fatalf("binary gateway table differs from single EIS\nwire:   %.400s\nsingle: %.400s", got, singleBody)
 	}
 }
 
-// TestChaosFleetWireBlackoutSynth kills one shard under a WireShards
-// gateway: the synthesized ignorance-bound entries must merge into the
-// binary shard tables exactly as they do on the JSON plane, for JSON and
-// binary clients alike.
+// TestChaosFleetWireBlackoutSynth kills one shard: the synthesized
+// ignorance-bound entries must merge into the binary shard tables the same
+// way for a JSON client and a binary one.
 func TestChaosFleetWireBlackoutSynth(t *testing.T) {
-	mk := func(wireShards bool) (*fleetHarness, []byte) {
-		h := newFleetHarness(t, harnessOpts{
-			n: 3,
-			shapes: func(hosts []string) map[string]fault.ShardShape {
-				return map[string]fault.ShardShape{hosts[1]: {Blackouts: blackoutForever}}
-			},
-			gw: func(o *Options) { o.WireShards = wireShards },
-		})
-		ctx := context.Background()
-		h.gw.ProbeAll(ctx) // tick 0: healthy — inventories cached
-		h.inj.Advance(1)   // shard 1 goes dark
-		h.gw.ProbeAll(ctx)
-		h.gw.ProbeAll(ctx) // two failed probe rounds trip the breaker
-		center := h.env.Graph.Bounds().Center()
-		body := offeringBody(t, eis.OfferingRequest{
-			Lat: center.Lat, Lon: center.Lon, K: 4, RadiusM: 5000, Now: fixedNow,
-		})
-		status, respBody, hdr := doReq(t, h.gwts.URL, http.MethodPost, eis.APIVersion+"/offering", body)
-		if status != http.StatusOK {
-			t.Fatalf("blackout offering: status %d: %.200s", status, respBody)
-		}
-		if hdr.Get(degradedHeader) == "" {
-			t.Fatal("blackout response not marked shard-degraded")
-		}
-		return h, respBody
+	h := newFleetHarness(t, harnessOpts{
+		n: 3,
+		shapes: func(hosts []string) map[string]fault.ShardShape {
+			return map[string]fault.ShardShape{hosts[1]: {Blackouts: blackoutForever}}
+		},
+	})
+	ctx := context.Background()
+	h.gw.ProbeAll(ctx) // tick 0: healthy — inventories cached
+	h.inj.Advance(1)   // shard 1 goes dark
+	h.gw.ProbeAll(ctx)
+	h.gw.ProbeAll(ctx) // two failed probe rounds trip the breaker
+	center := h.env.Graph.Bounds().Center()
+	body := offeringBody(t, eis.OfferingRequest{
+		Lat: center.Lat, Lon: center.Lon, K: 4, RadiusM: 5000, Now: fixedNow,
+	})
+	status, jsonBody, hdr := doReq(t, h.gwts.URL, http.MethodPost, eis.APIVersion+"/offering", body)
+	if status != http.StatusOK {
+		t.Fatalf("blackout offering: status %d: %.200s", status, jsonBody)
 	}
+	if hdr.Get(degradedHeader) == "" {
+		t.Fatal("blackout response not marked shard-degraded")
+	}
+	if !bytes.Contains(jsonBody, []byte(`"degraded":`)) {
+		t.Fatalf("no entry of the dead shard was synthesized: %.400s", jsonBody)
+	}
+	// The binary request comes second and hits the live shards' caches: the
+	// planes are compared modulo the flag.
+	var viaJSON, viaWire eis.OfferingResponse
+	if err := json.Unmarshal(jsonBody, &viaJSON); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(wireOffering(t, h, body), &viaWire); err != nil {
+		t.Fatal(err)
+	}
+	viaJSON.Cached, viaWire.Cached = false, false
+	jb, _ := json.Marshal(&viaJSON)
+	wb, _ := json.Marshal(&viaWire)
+	if !bytes.Equal(jb, wb) {
+		t.Fatalf("blackout synthesis differs between client planes\njson: %.400s\nwire: %.400s", jb, wb)
+	}
+}
 
-	_, jsonPlane := mk(false)
-	_, wirePlane := mk(true)
-	if !bytes.Equal(jsonPlane, wirePlane) {
-		t.Fatalf("blackout synthesis differs between shard planes\njson plane: %.400s\nwire plane: %.400s", jsonPlane, wirePlane)
+// TestChaosFleetTripAnswersWire: a client that asks the gateway for a trip in
+// the binary format gets it, byte for byte what a single EIS answers the same
+// request with.
+func TestChaosFleetTripAnswersWire(t *testing.T) {
+	h := newFleetHarness(t, harnessOpts{n: 3})
+	h.gw.ProbeAll(context.Background())
+	a := h.env.Graph.Node(0).P
+	b := h.env.Graph.Node(roadnet.NodeID(h.env.Graph.NumNodes() - 1)).P
+	trip, err := json.Marshal(eis.TripOfferingRequest{
+		Waypoints: []eis.LatLon{{Lat: a.Lat, Lon: a.Lon}, {Lat: b.Lat, Lon: b.Lon}},
+		Depart:    fixedNow, K: 3, RadiusM: 4000, ReuseDistM: 1, SegmentLenM: 1500,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pathq := eis.APIVersion + "/offering/trip"
+	gs, gb, gh := doReqAccept(t, h.gwts.URL, http.MethodPost, pathq, trip, wire.ContentType)
+	ss, sb, sh := doReqAccept(t, h.single.URL, http.MethodPost, pathq, trip, wire.ContentType)
+	if gs != http.StatusOK || ss != http.StatusOK {
+		t.Fatalf("trip asked for in binary: gateway %d, single EIS %d: %.200s", gs, ss, gb)
+	}
+	if gct, sct := gh.Get("Content-Type"), sh.Get("Content-Type"); gct != sct || !wire.IsWire(sct) {
+		t.Fatalf("trip asked for in binary: gateway answers %q, single EIS %q", gct, sct)
+	}
+	if !bytes.Equal(gb, sb) {
+		t.Fatalf("binary trips differ: gateway %d B, single EIS %d B", len(gb), len(sb))
 	}
 }

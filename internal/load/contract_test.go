@@ -84,7 +84,6 @@ func overloadFleet(t *testing.T, env *cknn.Env) *Inproc {
 		Shards:      3,
 		MaxInFlight: 2,
 		RetryAfter:  time.Second,
-		WireShards:  true,
 		Clock:       func() time.Time { return fixedNow },
 		Server:      eis.ServerOptions{CacheCellM: 1},
 		Wrap:        delayHandler(25 * time.Millisecond),
@@ -178,8 +177,8 @@ func TestOverloadContract(t *testing.T) {
 func TestRunnerValidAtLowRate(t *testing.T) {
 	env := testEnv(t)
 	ip, err := StartInproc(env, InprocOptions{
-		Shards: 3, WireShards: true,
-		Clock: func() time.Time { return fixedNow },
+		Shards: 3,
+		Clock:  func() time.Time { return fixedNow },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -28,7 +28,8 @@ type InprocOptions struct {
 	// fleet defaults.
 	ShardTimeout time.Duration
 	HedgeDelay   time.Duration
-	// WireShards negotiates the binary format on gateway→shard exchanges.
+	// WireShards does nothing: a gateway always asks its shards for the
+	// binary format. It stays for the callers that still set it.
 	WireShards bool
 	// Clock pins the shards' time base; nil selects time.Now.
 	Clock func() time.Time
@@ -104,7 +105,6 @@ func StartInproc(env *cknn.Env, opts InprocOptions) (*Inproc, error) {
 	gw, err := fleet.NewGateway(shards, fleet.Options{
 		ShardTimeout: opts.ShardTimeout,
 		HedgeDelay:   opts.HedgeDelay,
-		WireShards:   opts.WireShards,
 		Env:          env,
 	})
 	if err != nil {

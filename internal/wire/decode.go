@@ -562,29 +562,3 @@ func DecodeAvailability(data []byte, out *AvailabilityResponse) error {
 	out.Availability = r.interval()
 	return r.finish()
 }
-
-// DecodeInto decodes a binary message into a supported output type; the
-// eis.Client routes its Content-Type-negotiated bodies through it.
-func DecodeInto(data []byte, out interface{}) error {
-	switch v := out.(type) {
-	case *OfferingRequest:
-		return DecodeOfferingRequest(data, v)
-	case *OfferingResponse:
-		return DecodeOfferingResponse(data, v)
-	case *TripOfferingResponse:
-		return DecodeTripResponse(data, v)
-	case *[]charger.Charger:
-		cs, err := DecodeChargers(data, (*v)[:0])
-		if err != nil {
-			return err
-		}
-		*v = cs
-		return nil
-	case *WeatherResponse:
-		return DecodeWeather(data, v)
-	case *AvailabilityResponse:
-		return DecodeAvailability(data, v)
-	default:
-		return fmt.Errorf("wire: no binary decoder for %T", out)
-	}
-}

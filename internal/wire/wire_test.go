@@ -174,18 +174,6 @@ func TestPointLookupRoundTrips(t *testing.T) {
 	assertJSONEqual(t, &a, &aOut)
 }
 
-func TestDecodeIntoRoutesByType(t *testing.T) {
-	resp := sampleResponse(2)
-	var out OfferingResponse
-	if err := DecodeInto(AppendOfferingResponse(nil, &resp), &out); err != nil {
-		t.Fatal(err)
-	}
-	assertJSONEqual(t, &resp, &out)
-	if err := DecodeInto(AppendOfferingResponse(nil, &resp), &struct{}{}); err == nil {
-		t.Fatal("DecodeInto accepted an unsupported output type")
-	}
-}
-
 // TestTruncatedInputs feeds every strict prefix of valid messages to their
 // decoders: each must fail cleanly, none may panic.
 func TestTruncatedInputs(t *testing.T) {
