@@ -89,13 +89,15 @@ bench-smoke:
 # profile (cover.out) is uploaded as a CI artifact for drill-down.
 #
 # The basis changed in PR 22: the suite ran under -short until then (floor
-# 83.0), which skips the tests that drive cmd/ecobench, cmd/datagen and
-# cmd/eis and so counted those binaries as nearly uncovered. It now runs the
+# 83.0), which skips the tests that drive cmd/ecobench and cmd/eis and so
+# counted those binaries as nearly uncovered. It now runs the
 # same suite `make test` runs; on that basis the parent measured 85.8 % and
 # PR 22, which deleted 1.2k lines of 95 %-covered lint tooling, 85.5 %.
 # PR 27 deleted cmd/benchdiff (well covered) together with ecobench's serve
 # figure and JSON export (barely covered): 85.4 % at its parent, 86.6 % after.
-COVER_FLOOR = 86.0
+# Deleting the root facade, cmd/datagen, examples/taxi_idle (0 % covered) and
+# the library only its own tests reached then took it from 86.8 % to 87.3 %.
+COVER_FLOOR = 87.0
 
 cover:
 	$(GO) test -coverprofile=cover.out ./...
@@ -114,7 +116,6 @@ figures:
 
 examples:
 	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/taxi_idle
 	$(GO) run ./examples/commute
 	$(GO) run ./examples/server_mode
 	$(GO) run ./examples/custom_world

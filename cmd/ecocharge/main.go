@@ -79,25 +79,11 @@ func run(dataset string, scale float64, seed int64, tripIdx, k int, radiusKM, re
 		fmt.Println()
 	}
 
-	sl := cknn.RefineSplitPoints(sc.Env, method, trip, opts, cknn.RefineOptions{})
-	fmt.Printf("split list (%d split points, bisection-refined):\n", len(sl))
+	sl := cknn.SplitList(sc.Env, method, trip, opts)
+	fmt.Printf("split list (%d split points):\n", len(sl))
 	for _, sp := range sl {
 		fmt.Printf("  from %s (segment %d, ETA %s): NN = %v\n",
 			sp.P, sp.SegmentIndex, sp.ETA.Format("15:04"), sp.NN)
-	}
-
-	// Commit to the last segment's top charger and show the route change.
-	last := results[len(results)-1]
-	if top, ok := last.Table.Top(); ok {
-		plan, err := cknn.PlanDetour(sc.Env, trip, last.Segment, top)
-		if err != nil {
-			return fmt.Errorf("planning detour: %w", err)
-		}
-		fmt.Printf("\ncommitting to charger %d (%s): %.1f km detour leg, arrive %s, extra travel %.1f–%.1f min\n",
-			plan.Charger.ID, plan.Charger.Rate,
-			sc.Graph.LengthMeters(plan.ToCharger)/1000,
-			plan.ArriveAt.Format("15:04"),
-			plan.ExtraSecondsMin/60, plan.ExtraSecondsMax/60)
 	}
 
 	hits, misses := method.Stats()

@@ -53,10 +53,10 @@ func main() {
 
 	fmt.Println("segment  ETA    top charger   SC(mid)  derout(min)  source")
 	for _, r := range results {
-		top, ok := r.Table.Top()
-		if !ok {
+		if len(r.Table.Entries) == 0 {
 			continue
 		}
+		top := r.Table.Entries[0]
 		src := "computed"
 		if r.Table.Adapted {
 			src = "cache"
@@ -75,10 +75,10 @@ func main() {
 
 	// Commit to the final segment's best charger and quantify the detour.
 	last := results[len(results)-1]
-	top, ok := last.Table.Top()
-	if !ok {
+	if len(last.Table.Entries) == 0 {
 		log.Fatal("no charger recommended on the final segment")
 	}
+	top := last.Table.Entries[0]
 	lower, upper := traffic.ClassWeightTables(last.Segment.ETA, trip.Depart)
 	toCharger, ok1 := graph.ShortestPath(last.Segment.AnchorNode, top.Charger.Node, lower)
 	backHome, ok2 := graph.ShortestPath(top.Charger.Node, trip.Path.Nodes[len(trip.Path.Nodes)-1], upper)

@@ -1,14 +1,13 @@
 // Package charger models the EV charging points B of the paper: their
 // location on the road network, AC/DC rate class, attached renewable
 // capacity, and busy timetable. It also generates the synthetic
-// PlugShare-style inventory and the CDGS-style 15-minute solar production
-// series the evaluation consumes (see DESIGN.md substitution table).
+// PlugShare-style inventory the evaluation consumes (see DESIGN.md
+// substitution table).
 package charger
 
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"ecocharge/internal/ec"
 	"ecocharge/internal/geo"
@@ -94,7 +93,6 @@ type Set struct {
 	chargers []Charger
 	byID     map[int64]int
 	index    *spatial.Quadtree
-	maxPanel float64
 }
 
 // NewSet indexes the given chargers. Charger IDs must be unique; duplicate
@@ -117,9 +115,6 @@ func NewSet(chargers []Charger) (*Set, error) {
 		}
 		s.byID[c.ID] = i
 		s.index.Insert(spatial.Item{P: c.P, ID: c.ID})
-		if res := c.RESKW(); res > s.maxPanel {
-			s.maxPanel = res
-		}
 	}
 	return s, nil
 }
@@ -189,10 +184,6 @@ func (s *Set) KNearest(p geo.Point, k int) []*Charger {
 	}
 	return out
 }
-
-// MaxRESKW is the environment's maximum renewable capacity at a single
-// site (solar + wind), one normalizer candidate for the L component.
-func (s *Set) MaxRESKW() float64 { return s.maxPanel }
 
 // GenConfig parameterizes the synthetic charger inventory generator.
 type GenConfig struct {
@@ -299,31 +290,4 @@ func pickPanel(rng *rand.Rand, rate RateClass, clustered bool) float64 {
 		base = rate.KW() * (0.75 + rng.Float64()*1.0)
 	}
 	return float64(int(base*10)) / 10
-}
-
-// ProductionSample is one CDGS-style record: production of a site in a
-// 15-minute interval.
-type ProductionSample struct {
-	ChargerID int64
-	Start     time.Time
-	KW        float64 // average power over the interval
-}
-
-// ProductionSeries generates the 15-minute production series for the
-// charger between from and to using the solar model, the synthetic
-// equivalent of the California Distributed Generation Statistics feed.
-func ProductionSeries(m *ec.SolarModel, c *Charger, from, to time.Time) []ProductionSample {
-	if !from.Before(to) {
-		return nil
-	}
-	site := c.Site()
-	var out []ProductionSample
-	for t := from; t.Before(to); t = t.Add(15 * time.Minute) {
-		out = append(out, ProductionSample{
-			ChargerID: c.ID,
-			Start:     t,
-			KW:        m.Truth(site, t.Add(7*time.Minute+30*time.Second)),
-		})
-	}
-	return out
 }

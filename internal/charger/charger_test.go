@@ -8,7 +8,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"ecocharge/internal/ec"
 	"ecocharge/internal/geo"
@@ -123,9 +122,6 @@ func TestSetQueries(t *testing.T) {
 			t.Errorf("Within returned charger at %v m", geo.Distance(c.P, c0.P))
 		}
 	}
-	if s.MaxRESKW() <= 0 {
-		t.Error("MaxPanelKW not positive")
-	}
 }
 
 func TestEmptySetQueries(t *testing.T) {
@@ -138,9 +134,6 @@ func TestEmptySetQueries(t *testing.T) {
 	}
 	if got := s.Within(geo.Point{Lat: 53, Lon: 8}, 1000); len(got) != 0 {
 		t.Errorf("empty set Within = %v", got)
-	}
-	if s.MaxRESKW() != 0 {
-		t.Error("empty set MaxPanelKW != 0")
 	}
 }
 
@@ -215,45 +208,6 @@ func TestRateFromKW(t *testing.T) {
 		if got := rateFromKW(kw); got != want {
 			t.Errorf("rateFromKW(%v) = %v, want %v", kw, got, want)
 		}
-	}
-}
-
-func TestProductionSeries(t *testing.T) {
-	s := testSet(t, 5)
-	m := ec.NewSolarModel(1)
-	c := &s.All()[0]
-	if c.PanelKW == 0 { // find one with panels
-		for i := range s.All() {
-			if s.All()[i].PanelKW > 0 {
-				c = &s.All()[i]
-				break
-			}
-		}
-	}
-	from := time.Date(2017, 6, 10, 0, 0, 0, 0, time.UTC)
-	to := from.Add(24 * time.Hour)
-	series := ProductionSeries(m, c, from, to)
-	if len(series) != 96 {
-		t.Fatalf("24h of 15-min samples = %d, want 96", len(series))
-	}
-	var day, night float64
-	for _, smp := range series {
-		if smp.KW < 0 {
-			t.Fatalf("negative production %v", smp.KW)
-		}
-		h := smp.Start.Hour()
-		if h >= 10 && h < 14 {
-			day += smp.KW
-		}
-		if h < 2 || h >= 22 {
-			night += smp.KW
-		}
-	}
-	if day <= night {
-		t.Errorf("midday production %v not above night %v", day, night)
-	}
-	if got := ProductionSeries(m, c, to, from); got != nil {
-		t.Error("reversed range must return nil")
 	}
 }
 

@@ -65,9 +65,6 @@ func TestCSVWindRoundTrip(t *testing.T) {
 	if back[0].WindKW != 33.0 || back[0].PanelKW != 12.5 {
 		t.Fatalf("capacities drifted: %+v", back[0])
 	}
-	if got := s.MaxRESKW(); got != 45.5 {
-		t.Fatalf("MaxRESKW = %v, want 45.5", got)
-	}
 }
 
 // Generate produces some wind-equipped chargers and none in clusters.

@@ -171,15 +171,6 @@ func (o OfferingTable) IDs() []int64 {
 	return ids
 }
 
-// Top returns the best entry and true, or a zero entry and false when the
-// table is empty.
-func (o OfferingTable) Top() (Entry, bool) {
-	if len(o.Entries) == 0 {
-		return Entry{}, false
-	}
-	return o.Entries[0], true
-}
-
 // Rank implements the refinement phase (eq. 6): it produces the top-k by
 // SC_max and the top-k by SC_min, intersects them, and orders the result by
 // SC midpoint (ties by higher SC_max, then lower charger ID). When the

@@ -192,17 +192,6 @@ func TestSolarNightIsZero(t *testing.T) {
 	}
 }
 
-func TestDaylightHours(t *testing.T) {
-	from, to := DaylightHours(nicosia, noon)
-	if to-from < 12 || to-from > 16 {
-		t.Errorf("summer daylight at 35N = %.1f h, want 12-16", to-from)
-	}
-	wFrom, wTo := DaylightHours(nicosia, time.Date(2024, 12, 18, 12, 0, 0, 0, time.UTC))
-	if wTo-wFrom >= to-from {
-		t.Error("winter day not shorter than summer day")
-	}
-}
-
 func TestTimetableBusyAtInterpolates(t *testing.T) {
 	var tt Timetable
 	tt[1][10] = 0.2 // Monday 10:00

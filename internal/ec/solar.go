@@ -118,23 +118,3 @@ func (m *SolarModel) Forecast(site Site, t, issuedAt time.Time) interval.I {
 	err := ForecastError(t.Sub(issuedAt)) * site.CapacityKW
 	return interval.New(truth-err, truth+err).Clamp(0, maxPossible)
 }
-
-// DaylightHours reports the approximate sunrise-to-sunset span at p on the
-// date of t. Exposed because availability timetables and the example
-// programs align behaviour with daylight.
-func DaylightHours(p geo.Point, t time.Time) (from, to float64) {
-	ut := t.UTC()
-	doy := float64(ut.YearDay())
-	decl := 23.45 * math.Pi / 180 * math.Sin(2*math.Pi*(284+doy)/365)
-	lat := p.Lat * math.Pi / 180
-	cosH := -math.Tan(lat) * math.Tan(decl)
-	if cosH <= -1 {
-		return 0, 24 // polar day
-	}
-	if cosH >= 1 {
-		return 12, 12 // polar night
-	}
-	h := math.Acos(cosH) * 180 / math.Pi / 15 // half-day length in hours
-	solarNoon := 12 - p.Lon/15
-	return solarNoon - h, solarNoon + h
-}

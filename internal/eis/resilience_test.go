@@ -419,3 +419,15 @@ func TestRespCacheBoundedEviction(t *testing.T) {
 		t.Fatalf("bounded cache holds %d entries, want at most %d", n, bound)
 	}
 }
+
+// entries reports the total cached-entry count.
+func (c *respCache) entries() int {
+	n := 0
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		n += len(s.m)
+		s.mu.Unlock()
+	}
+	return n
+}

@@ -374,18 +374,6 @@ func (s *respShard) compactLocked() {
 	s.queue, s.head, s.hand = s.queue[:n], 0, hand
 }
 
-// entries reports the total cached-entry count (tests and diagnostics).
-func (c *respCache) entries() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += len(s.m)
-		s.mu.Unlock()
-	}
-	return n
-}
-
 // NewServer returns a server over the environment.
 func NewServer(env *cknn.Env, opts ServerOptions) *Server {
 	srv := &Server{

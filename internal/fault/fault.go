@@ -112,10 +112,6 @@ func (in *Injector) Advance(n uint64) uint64 { return in.tick.Add(n) }
 // Tick returns the current virtual tick.
 func (in *Injector) Tick() uint64 { return in.tick.Load() }
 
-// InBlackout reports whether the current tick falls inside a blackout
-// window.
-func (in *Injector) InBlackout() bool { return in.blackoutAt(in.tick.Load()) }
-
 func (in *Injector) blackoutAt(tick uint64) bool {
 	for _, w := range in.cfg.Blackouts {
 		if tick >= w.From && tick < w.To {

@@ -66,21 +66,21 @@ func TestZeroConfigNeverFails(t *testing.T) {
 
 func TestBlackoutWindows(t *testing.T) {
 	in := New(Config{Seed: 3, Blackouts: []Window{{From: 2, To: 4}}})
-	if in.InBlackout() {
+	if in.blackoutAt(in.Tick()) {
 		t.Fatal("tick 0 should be clear")
 	}
 	if d := in.Decide(1); d.Fail {
 		t.Fatal("decision failed outside blackout with rate 0")
 	}
 	in.Advance(2) // tick 2: inside
-	if !in.InBlackout() {
+	if !in.blackoutAt(in.Tick()) {
 		t.Fatal("tick 2 should be in blackout")
 	}
 	if d := in.Decide(1); !d.Fail {
 		t.Fatal("decision succeeded inside blackout")
 	}
 	in.Advance(2) // tick 4: half-open upper bound is exclusive
-	if in.InBlackout() {
+	if in.blackoutAt(in.Tick()) {
 		t.Fatal("tick 4 should be clear (half-open window)")
 	}
 	if d := in.Decide(1); d.Fail {

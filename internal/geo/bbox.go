@@ -39,21 +39,10 @@ func (b BBox) Extend(p Point) BBox {
 	return b
 }
 
-// Union returns the smallest box containing both boxes.
-func (b BBox) Union(o BBox) BBox {
-	return b.Extend(o.Min).Extend(o.Max)
-}
-
 // Contains reports whether p lies inside the box (inclusive).
 func (b BBox) Contains(p Point) bool {
 	return p.Lat >= b.Min.Lat && p.Lat <= b.Max.Lat &&
 		p.Lon >= b.Min.Lon && p.Lon <= b.Max.Lon
-}
-
-// Intersects reports whether the two boxes overlap (inclusive).
-func (b BBox) Intersects(o BBox) bool {
-	return b.Min.Lat <= o.Max.Lat && b.Max.Lat >= o.Min.Lat &&
-		b.Min.Lon <= o.Max.Lon && b.Max.Lon >= o.Min.Lon
 }
 
 // Center returns the box center.
@@ -142,50 +131,8 @@ func axisGaps(v, min, max float64) (near, far float64) {
 	return 0, math.Max(v-min, max-v)
 }
 
-// WidthMeters and HeightMeters report the approximate physical extent of the box.
+// WidthMeters reports the approximate east-west extent of the box at its
+// central latitude.
 func (b BBox) WidthMeters() float64 {
 	return Distance(Point{Lat: b.Center().Lat, Lon: b.Min.Lon}, Point{Lat: b.Center().Lat, Lon: b.Max.Lon})
-}
-
-// HeightMeters reports the approximate north-south extent of the box.
-func (b BBox) HeightMeters() float64 {
-	return Distance(Point{Lat: b.Min.Lat, Lon: b.Center().Lon}, Point{Lat: b.Max.Lat, Lon: b.Center().Lon})
-}
-
-// PointSegmentDistance returns the distance in meters from p to the segment
-// ab, plus the fraction t in [0,1] of the projection along ab. It works in
-// a local planar frame centered between a and b, which is accurate for the
-// few-kilometer segments that trips are split into.
-func PointSegmentDistance(p, a, b Point) (dist, t float64) {
-	// Local planar coordinates (meters), equirectangular around a.
-	latRef := a.Lat * math.Pi / 180
-	cos := math.Cos(latRef)
-	ax, ay := 0.0, 0.0
-	bx := (b.Lon - a.Lon) * math.Pi / 180 * cos * EarthRadius
-	by := (b.Lat - a.Lat) * math.Pi / 180 * EarthRadius
-	px := (p.Lon - a.Lon) * math.Pi / 180 * cos * EarthRadius
-	py := (p.Lat - a.Lat) * math.Pi / 180 * EarthRadius
-
-	dx, dy := bx-ax, by-ay
-	segLen2 := dx*dx + dy*dy
-	if segLen2 <= 0 {
-		return math.Hypot(px-ax, py-ay), 0
-	}
-	t = ((px-ax)*dx + (py-ay)*dy) / segLen2
-	if t < 0 {
-		t = 0
-	} else if t > 1 {
-		t = 1
-	}
-	cx, cy := ax+t*dx, ay+t*dy
-	return math.Hypot(px-cx, py-cy), t
-}
-
-// PolylineLength returns the summed segment lengths of the polyline in meters.
-func PolylineLength(pts []Point) float64 {
-	var total float64
-	for i := 1; i < len(pts); i++ {
-		total += Distance(pts[i-1], pts[i])
-	}
-	return total
 }

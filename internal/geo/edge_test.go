@@ -29,24 +29,6 @@ func TestDestinationNearPole(t *testing.T) {
 	}
 }
 
-func TestBearingSamePoint(t *testing.T) {
-	p := Point{Lat: 53.1, Lon: 8.2}
-	b := Bearing(p, p)
-	if math.IsNaN(b) || b < 0 || b >= 360 {
-		t.Fatalf("self bearing = %v", b)
-	}
-}
-
-func TestMidpointAntipodalStable(t *testing.T) {
-	// Nearly antipodal points: the midpoint must still be a valid point.
-	a := Point{Lat: 10, Lon: 0}
-	b := Point{Lat: -10, Lon: 179.9}
-	m := Midpoint(a, b)
-	if !m.Valid() {
-		t.Fatalf("invalid midpoint: %v", m)
-	}
-}
-
 func TestHaversineAntipodal(t *testing.T) {
 	a := Point{Lat: 0, Lon: 0}
 	b := Point{Lat: 0, Lon: 180}
@@ -66,21 +48,5 @@ func TestBBoxBufferNearPole(t *testing.T) {
 	// The longitude padding must be finite despite cos(lat) → 0.
 	if math.IsInf(g.Min.Lon, 0) || math.IsNaN(g.Min.Lon) {
 		t.Fatalf("polar buffer degenerate: %v", g)
-	}
-}
-
-func TestSimplifyPreservesClosedLoop(t *testing.T) {
-	// A square loop: all four corners survive any reasonable tolerance.
-	var pts []Point
-	corners := []Point{{53.0, 8.0}, {53.0, 8.05}, {53.03, 8.05}, {53.03, 8.0}, {53.0, 8.0}}
-	for i := 1; i < len(corners); i++ {
-		for f := 0.0; f < 1.0; f += 0.1 {
-			pts = append(pts, Interpolate(corners[i-1], corners[i], f))
-		}
-	}
-	pts = append(pts, corners[len(corners)-1])
-	out := Simplify(pts, 50)
-	if len(out) < 4 {
-		t.Fatalf("loop collapsed to %d points", len(out))
 	}
 }

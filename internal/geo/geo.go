@@ -1,12 +1,12 @@
 // Package geo provides the geodesic primitives used throughout EcoCharge:
-// geographic points, great-circle and fast planar distances, bearings,
-// bounding boxes, and point-to-segment projections.
+// geographic points, great-circle and fast planar distances, destinations
+// and bounding boxes.
 //
 // Coordinates are WGS84 degrees. Distances are meters unless stated
 // otherwise. For the urban scales the paper targets (tens of kilometers)
 // the equirectangular approximation is accurate to well under 0.1% and is
-// the default inside hot loops; Haversine is available where callers need
-// long-range correctness (e.g. the California dataset spans 1,220 km).
+// the metric every caller uses; Haversine is the great-circle reference the
+// tests hold Distance and Destination to.
 package geo
 
 import (
@@ -64,21 +64,6 @@ func Distance(a, b Point) float64 {
 	return EarthRadius * math.Hypot(x, y)
 }
 
-// Bearing returns the initial great-circle bearing from a to b in degrees
-// clockwise from north, in [0, 360).
-func Bearing(a, b Point) float64 {
-	lat1, lon1 := a.Radians()
-	lat2, lon2 := b.Radians()
-	dLon := lon2 - lon1
-	y := math.Sin(dLon) * math.Cos(lat2)
-	x := math.Cos(lat1)*math.Sin(lat2) - math.Sin(lat1)*math.Cos(lat2)*math.Cos(dLon)
-	deg := math.Atan2(y, x) * 180 / math.Pi
-	if deg < 0 {
-		deg += 360
-	}
-	return deg
-}
-
 // Destination returns the point reached by traveling dist meters from p on
 // the given initial bearing (degrees clockwise from north).
 func Destination(p Point, bearingDeg, dist float64) Point {
@@ -101,30 +86,4 @@ func normalizeLonRad(lon float64) float64 {
 		lon += 2 * math.Pi
 	}
 	return lon
-}
-
-// Midpoint returns the point halfway along the great circle from a to b.
-func Midpoint(a, b Point) Point {
-	lat1, lon1 := a.Radians()
-	lat2, lon2 := b.Radians()
-	dLon := lon2 - lon1
-	bx := math.Cos(lat2) * math.Cos(dLon)
-	by := math.Cos(lat2) * math.Sin(dLon)
-	lat3 := math.Atan2(math.Sin(lat1)+math.Sin(lat2),
-		math.Sqrt((math.Cos(lat1)+bx)*(math.Cos(lat1)+bx)+by*by))
-	lon3 := lon1 + math.Atan2(by, math.Cos(lat1)+bx)
-	return Point{Lat: lat3 * 180 / math.Pi, Lon: normalizeLonRad(lon3) * 180 / math.Pi}
-}
-
-// Interpolate returns the point at fraction f in [0,1] along the straight
-// (planar) interpolation from a to b. Adequate for the short segments of a
-// trip polyline.
-func Interpolate(a, b Point, f float64) Point {
-	if f <= 0 {
-		return a
-	}
-	if f >= 1 {
-		return b
-	}
-	return Point{Lat: a.Lat + (b.Lat-a.Lat)*f, Lon: a.Lon + (b.Lon-a.Lon)*f}
 }

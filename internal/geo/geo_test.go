@@ -61,17 +61,6 @@ func TestTriangleInequalityHaversine(t *testing.T) {
 	}
 }
 
-func TestBearingCardinal(t *testing.T) {
-	north := Point{Lat: 54.0, Lon: 8.2146}
-	if b := Bearing(oldenburg, north); math.Abs(b) > 0.5 && math.Abs(b-360) > 0.5 {
-		t.Errorf("bearing due north = %.2f, want ~0", b)
-	}
-	east := Point{Lat: 53.1435, Lon: 9.0}
-	if b := Bearing(oldenburg, east); math.Abs(b-90) > 1.0 {
-		t.Errorf("bearing due east = %.2f, want ~90", b)
-	}
-}
-
 func TestDestinationRoundTrip(t *testing.T) {
 	f := func(seed, brgSeed, distSeed float64) bool {
 		p := pointFromSeed(seed)
@@ -83,28 +72,6 @@ func TestDestinationRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMidpointBetween(t *testing.T) {
-	m := Midpoint(oldenburg, bremen)
-	da := Haversine(oldenburg, m)
-	db := Haversine(m, bremen)
-	if math.Abs(da-db) > 1.0 {
-		t.Fatalf("midpoint unbalanced: %.1f vs %.1f", da, db)
-	}
-}
-
-func TestInterpolateEndpoints(t *testing.T) {
-	if got := Interpolate(oldenburg, bremen, 0); got != oldenburg {
-		t.Errorf("f=0 gives %v", got)
-	}
-	if got := Interpolate(oldenburg, bremen, 1); got != bremen {
-		t.Errorf("f=1 gives %v", got)
-	}
-	mid := Interpolate(oldenburg, bremen, 0.5)
-	if mid.Lat <= math.Min(oldenburg.Lat, bremen.Lat) || mid.Lat >= math.Max(oldenburg.Lat, bremen.Lat) {
-		t.Errorf("midpoint lat out of range: %v", mid)
 	}
 }
 

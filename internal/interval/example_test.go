@@ -17,22 +17,3 @@ func ExampleWeightedSum() {
 	fmt.Println(sc)
 	// Output: [0.5, 0.7667]
 }
-
-func ExampleI_DefinitelyLess() {
-	worse := interval.New(0.1, 0.3)
-	better := interval.New(0.5, 0.9)
-	overlapping := interval.New(0.25, 0.6)
-	fmt.Println(worse.DefinitelyLess(better))
-	fmt.Println(worse.DefinitelyLess(overlapping))
-	// Output:
-	// true
-	// false
-}
-
-func ExampleI_Intersect() {
-	a := interval.New(0.2, 0.6)
-	b := interval.New(0.4, 0.9)
-	got, ok := a.Intersect(b)
-	fmt.Println(got, ok)
-	// Output: [0.4, 0.6] true
-}

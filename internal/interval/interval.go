@@ -2,8 +2,8 @@
 // Estimated Components of the paper. Every EC (sustainable charging level L,
 // availability A, derouting cost D) is a fuzzy value expressed as a
 // [min, max] range; the Sustainability Score combines such ranges with
-// weighted sums and the CkNN-EC refinement phase reasons about dominance
-// between them (paper §III.B, eqs. 4–6).
+// weighted sums (paper §III.B, eqs. 4–5), and the refinement phase ranks
+// their bounds (eq. 6).
 package interval
 
 import (
@@ -62,22 +62,11 @@ func (a I) Width() float64 { return a.Max - a.Min }
 // Mid returns the interval midpoint, the natural point estimate.
 func (a I) Mid() float64 { return (a.Min + a.Max) / 2 }
 
-// IsExact reports whether the interval is a single point.
-//
-//ecolint:ignore floateq exact equality is the definition of a degenerate interval
-func (a I) IsExact() bool { return a.Min == a.Max }
-
 // Contains reports whether v lies within [Min, Max].
 func (a I) Contains(v float64) bool { return v >= a.Min && v <= a.Max }
 
-// ContainsInterval reports whether b lies entirely within a.
-func (a I) ContainsInterval(b I) bool { return b.Min >= a.Min && b.Max <= a.Max }
-
 // Add returns a + b under interval arithmetic.
 func (a I) Add(b I) I { return I{Min: a.Min + b.Min, Max: a.Max + b.Max} }
-
-// Sub returns a − b under interval arithmetic: [a.Min−b.Max, a.Max−b.Min].
-func (a I) Sub(b I) I { return I{Min: a.Min - b.Max, Max: a.Max - b.Min} }
 
 // Scale returns the interval multiplied by scalar s; a negative s flips the
 // bounds, preserving Min ≤ Max.
@@ -88,30 +77,9 @@ func (a I) Scale(s float64) I {
 	return I{Min: a.Max * s, Max: a.Min * s}
 }
 
-// Neg returns −a.
-func (a I) Neg() I { return I{Min: -a.Max, Max: -a.Min} }
-
 // Complement returns 1 − a, the transform the SC formula applies to the
 // normalized derouting cost so that all objectives are maximized.
 func (a I) Complement() I { return I{Min: 1 - a.Max, Max: 1 - a.Min} }
-
-// Intersect returns the overlap of a and b and whether it is non-empty.
-func (a I) Intersect(b I) (I, bool) {
-	lo := math.Max(a.Min, b.Min)
-	hi := math.Min(a.Max, b.Max)
-	if lo > hi {
-		return I{}, false
-	}
-	return I{Min: lo, Max: hi}, true
-}
-
-// Overlaps reports whether a and b share at least one point.
-func (a I) Overlaps(b I) bool { return a.Min <= b.Max && b.Min <= a.Max }
-
-// Union returns the smallest interval containing both a and b (their hull).
-func (a I) Union(b I) I {
-	return I{Min: math.Min(a.Min, b.Min), Max: math.Max(a.Max, b.Max)}
-}
 
 // Clamp returns a restricted to [lo, hi]. Both bounds are clamped; the
 // result is always valid because lo ≤ hi is required of callers.
@@ -127,21 +95,6 @@ func clamp(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
-}
-
-// DefinitelyLess reports whether every value of a is strictly below every
-// value of b. This is the sound pruning test of the filtering phase: a
-// charger whose optimistic SC is DefinitelyLess than the k-th pessimistic
-// SC can never enter the result.
-func (a I) DefinitelyLess(b I) bool { return a.Max < b.Min }
-
-// PossiblyLess reports whether some value of a is below some value of b.
-func (a I) PossiblyLess(b I) bool { return a.Min < b.Max }
-
-// Dominates reports whether a is at least as good as b on both bounds and
-// strictly better on one (the interval ordering used when ranking SC scores).
-func (a I) Dominates(b I) bool {
-	return a.Min >= b.Min && a.Max >= b.Max && (a.Min > b.Min || a.Max > b.Max)
 }
 
 // WeightedSum combines intervals with the given weights:

@@ -8,8 +8,8 @@ import (
 
 // FloatEq reports == and != between floating-point expressions.
 // Sustainability scores are estimates: comparing them for exact equality
-// is almost always a bug — use an epsilon tolerance, interval dominance
-// (DefinitelyLess / Dominates) or the interval helpers instead. When exact
+// is almost always a bug — use an epsilon tolerance or an ordering of
+// interval bounds instead. When exact
 // comparison is genuinely intended (sentinel checks, deterministic sort
 // tie-breaks), suppress the finding with
 //

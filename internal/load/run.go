@@ -110,14 +110,6 @@ func (r Result) Goodput() float64 {
 	return float64(r.Valid) / r.Elapsed.Seconds()
 }
 
-// ShedRate is the fraction of issued requests answered with a 503.
-func (r Result) ShedRate() float64 {
-	if r.Sent == 0 {
-		return 0
-	}
-	return float64(r.Shed) / float64(r.Sent)
-}
-
 // Runner drives offering queries against one target on one plane.
 type Runner struct {
 	opts Options

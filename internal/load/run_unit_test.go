@@ -11,12 +11,9 @@ func TestResultRates(t *testing.T) {
 	if got := r.Goodput(); got != 25 {
 		t.Fatalf("Goodput=%v, want 25", got)
 	}
-	if got := r.ShedRate(); got != 0.25 {
-		t.Fatalf("ShedRate=%v, want 0.25", got)
-	}
 	var zero Result
-	if zero.Goodput() != 0 || zero.ShedRate() != 0 {
-		t.Fatalf("zero-valued result must rate 0, got %v / %v", zero.Goodput(), zero.ShedRate())
+	if zero.Goodput() != 0 {
+		t.Fatalf("zero-valued result must rate 0, got %v", zero.Goodput())
 	}
 }
 
@@ -47,16 +44,6 @@ func TestNewRunnerValidation(t *testing.T) {
 	}
 	if r2.opts.HTTPClient != custom {
 		t.Fatal("caller-supplied HTTP client replaced")
-	}
-}
-
-func TestScheduleSpan(t *testing.T) {
-	if got := (Schedule{}).Span(); got != 0 {
-		t.Fatalf("empty span %v", got)
-	}
-	s := Schedule{0, time.Second, 3 * time.Second}
-	if got := s.Span(); got != 3*time.Second {
-		t.Fatalf("span %v, want 3s", got)
 	}
 }
 

@@ -13,7 +13,6 @@ package load
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 )
 
@@ -21,14 +20,6 @@ import (
 // Schedules are values: deterministic for a given generator input and safe
 // to share read-only across worker goroutines.
 type Schedule []time.Duration
-
-// Span returns the offset of the last arrival (the nominal run length).
-func (s Schedule) Span() time.Duration {
-	if len(s) == 0 {
-		return 0
-	}
-	return s[len(s)-1]
-}
 
 // Constant returns n arrivals at exactly rate per second: the k-th arrival
 // at k/rate. Deterministic by construction (no seed).
@@ -60,53 +51,6 @@ func Poisson(rate float64, n int, seed int64) (Schedule, error) {
 		s[i] = time.Duration(t * float64(time.Second))
 	}
 	return s, nil
-}
-
-// SplitPoisson returns `workers` independent Poisson schedules of rate/w
-// each, n arrivals in total, for pacing from multiple goroutines without
-// sharing an RNG. By the superposition property the merged union is again
-// a Poisson process at the full rate — TestSplitPoissonSuperposition pins
-// this — so splitting changes nothing about the offered workload. Worker
-// seeds derive deterministically from the base seed.
-func SplitPoisson(rate float64, n int, seed int64, workers int) ([]Schedule, error) {
-	if workers <= 0 {
-		return nil, fmt.Errorf("load: workers must be positive, got %d", workers)
-	}
-	if err := checkScheduleArgs(rate, n); err != nil {
-		return nil, err
-	}
-	out := make([]Schedule, workers)
-	per := rate / float64(workers)
-	for w := range out {
-		nw := n / workers
-		if w < n%workers {
-			nw++
-		}
-		if nw == 0 {
-			out[w] = Schedule{}
-			continue
-		}
-		s, err := Poisson(per, nw, seed+int64(w)*0x9e3779b9)
-		if err != nil {
-			return nil, err
-		}
-		out[w] = s
-	}
-	return out, nil
-}
-
-// MergeSchedules unions the parts into one ascending schedule.
-func MergeSchedules(parts ...Schedule) Schedule {
-	var total int
-	for _, p := range parts {
-		total += len(p)
-	}
-	merged := make(Schedule, 0, total)
-	for _, p := range parts {
-		merged = append(merged, p...)
-	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i] < merged[j] })
-	return merged
 }
 
 func checkScheduleArgs(rate float64, n int) error {

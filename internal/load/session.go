@@ -42,7 +42,6 @@ type Sessions struct {
 	segLenM  float64
 	vehicles []session
 	cursor   int
-	drawn    int64
 }
 
 // NewSessions builds the pool and fills it with `concurrent` trips.
@@ -95,9 +94,5 @@ func (s *Sessions) Next() (Query, error) {
 		}
 	}
 	s.cursor = (s.cursor + 1) % len(s.vehicles)
-	s.drawn++
 	return q, nil
 }
-
-// Drawn returns how many queries the pool has produced.
-func (s *Sessions) Drawn() int64 { return s.drawn }

@@ -50,9 +50,6 @@ func TestSessionsRoundRobin(t *testing.T) {
 		tripOfSlot[slot] = q.TripID
 		lastSeg[q.TripID] = q.Segment
 	}
-	if src.Drawn() != draws {
-		t.Fatalf("Drawn=%d, want %d", src.Drawn(), draws)
-	}
 	if len(lastSeg) <= vehicles {
 		t.Fatalf("only %d trips seen over %d draws — finished trips are not being replaced", len(lastSeg), draws)
 	}

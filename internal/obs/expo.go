@@ -28,23 +28,6 @@ func (r *Registry) WriteText(w io.Writer) error {
 			return err
 		}
 	}
-	for _, name := range sortedKeys(r.logHistograms) {
-		h := r.logHistograms[name]
-		if _, err := fmt.Fprintf(w, "# TYPE %s summary\n", name); err != nil {
-			return err
-		}
-		// Summary semantics: precomputed quantiles — the 1920 log-linear
-		// buckets stay internal, the text format carries the cut points the
-		// load reports read (p50/p90/p99/p999).
-		for _, q := range logQuantiles {
-			if _, err := fmt.Fprintf(w, "%s{quantile=%q} %s\n", name, formatFloat(q), formatFloat(h.Quantile(q).Seconds())); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum %s\n%s_count %d\n", name, formatFloat(h.Sum().Seconds()), name, h.Count()); err != nil {
-			return err
-		}
-	}
 	for _, name := range sortedKeys(r.histograms) {
 		h := r.histograms[name]
 		if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", name); err != nil {
@@ -88,13 +71,6 @@ func (r *Registry) Snapshot() map[string]float64 {
 	for name, h := range r.histograms {
 		out[name+"_count"] = float64(h.Count())
 		out[name+"_sum"] = h.Sum()
-	}
-	for name, h := range r.logHistograms {
-		out[name+"_count"] = float64(h.Count())
-		out[name+"_sum"] = h.Sum().Seconds()
-		out[name+"_p50"] = h.Quantile(0.5).Seconds()
-		out[name+"_p99"] = h.Quantile(0.99).Seconds()
-		out[name+"_p999"] = h.Quantile(0.999).Seconds()
 	}
 	return out
 }

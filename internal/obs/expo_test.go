@@ -4,7 +4,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestHandlers exercises the HTTP faces of the registry: /metrics text
@@ -16,7 +15,7 @@ func TestHandlers(t *testing.T) {
 	g := r.Gauge("expo_test_inflight")
 	g.Set(5)
 	g.Add(-2)
-	r.LogHistogram("expo_test_latency_seconds").Observe(42 * time.Millisecond)
+	r.Histogram("expo_test_latency_seconds", []float64{0.1}).Observe(0.042)
 
 	rec := httptest.NewRecorder()
 	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
@@ -27,7 +26,7 @@ func TestHandlers(t *testing.T) {
 	for _, want := range []string{
 		"expo_test_requests_total 3",
 		"expo_test_inflight 3",
-		"# TYPE expo_test_latency_seconds summary",
+		"# TYPE expo_test_latency_seconds histogram",
 		"expo_test_latency_seconds_count 1",
 	} {
 		if !strings.Contains(body, want) {
@@ -41,7 +40,7 @@ func TestHandlers(t *testing.T) {
 		t.Fatalf("vars Content-Type %q", ct)
 	}
 	vars := rec.Body.String()
-	for _, want := range []string{`"expo_test_requests_total": 3`, `"expo_test_latency_seconds_p99"`} {
+	for _, want := range []string{`"expo_test_requests_total": 3`, `"expo_test_latency_seconds_count": 1`} {
 		if !strings.Contains(vars, want) {
 			t.Fatalf("vars snapshot lacks %q:\n%s", want, vars)
 		}

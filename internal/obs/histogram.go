@@ -62,9 +62,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveDuration records d in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
-
 // Since records the seconds elapsed since t0; the idiomatic phase-duration
 // form: defer h.Since(time.Now()) does not work (the argument would be
 // evaluated late), so call sites use start := time.Now(); ...; h.Since(start).

@@ -15,13 +15,12 @@ import (
 // resolve a p50 fine but collapse the tail, and a p999 read from it is a
 // bucket-edge artifact. The load harness records open-loop latency here.
 //
-// Observe is two shifts plus three atomic adds — zero allocations, no
+// Observe is two shifts plus two atomic adds — zero allocations, no
 // locks — and a nil *LogHistogram discards observations, matching the
 // registry's nil-receiver contract.
 type LogHistogram struct {
 	counts [logBucketCount]atomic.Uint64
 	count  atomic.Uint64
-	sum    atomic.Uint64 // total nanoseconds; wraps after ~584 years observed
 }
 
 const (
@@ -77,7 +76,6 @@ func (h *LogHistogram) Observe(d time.Duration) {
 	}
 	h.counts[logBucketIndex(v)].Add(1)
 	h.count.Add(1)
-	h.sum.Add(v)
 }
 
 // Count returns the number of observations; 0 on nil.
@@ -86,14 +84,6 @@ func (h *LogHistogram) Count() uint64 {
 		return 0
 	}
 	return h.count.Load()
-}
-
-// Sum returns the total observed time; 0 on nil.
-func (h *LogHistogram) Sum() time.Duration {
-	if h == nil {
-		return 0
-	}
-	return time.Duration(h.sum.Load())
 }
 
 // Quantile returns the q-th order statistic (q in [0,1]) as the upper
@@ -136,25 +126,3 @@ func (h *LogHistogram) Quantile(q float64) time.Duration {
 	}
 	return 0
 }
-
-// Merge adds o's counts into h (multi-worker sinks fold their per-worker
-// histograms into one before reporting). Nil receivers and nil arguments
-// are no-ops.
-func (h *LogHistogram) Merge(o *LogHistogram) {
-	if h == nil || o == nil {
-		return
-	}
-	for i := range o.counts {
-		if c := o.counts[i].Load(); c > 0 {
-			h.counts[i].Add(c)
-		}
-	}
-	h.count.Add(o.count.Load())
-	h.sum.Add(o.sum.Load())
-}
-
-// logQuantiles are the exposition cut points: the summary form every
-// LogHistogram renders as (Prometheus summary semantics — precomputed
-// quantiles, not cumulative buckets; the 1920 underlying buckets would
-// bloat the text format for no reader benefit).
-var logQuantiles = [...]float64{0.5, 0.9, 0.99, 0.999}

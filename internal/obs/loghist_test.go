@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -110,8 +109,7 @@ func TestLogHistogramBucketLayout(t *testing.T) {
 func TestLogHistogramEdges(t *testing.T) {
 	var nilH *LogHistogram
 	nilH.Observe(time.Second) // must not panic
-	nilH.Merge(NewLogHistogram())
-	if nilH.Quantile(0.5) != 0 || nilH.Count() != 0 || nilH.Sum() != 0 {
+	if nilH.Quantile(0.5) != 0 || nilH.Count() != 0 {
 		t.Fatal("nil histogram must read as empty")
 	}
 	h := NewLogHistogram()
@@ -121,35 +119,6 @@ func TestLogHistogramEdges(t *testing.T) {
 	h.Observe(-time.Second) // clock step: clamps to 0, still counted
 	if h.Count() != 1 || h.Quantile(1) != 0 {
 		t.Fatalf("negative observation: count=%d q1=%v, want 1 and 0", h.Count(), h.Quantile(1))
-	}
-	h.Observe(42 * time.Millisecond)
-	if got := h.Sum(); got != 42*time.Millisecond {
-		t.Fatalf("Sum=%v, want 42ms", got)
-	}
-}
-
-// TestLogHistogramMerge proves merged per-worker histograms report the
-// same quantiles as one shared histogram fed everything.
-func TestLogHistogramMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	shared := NewLogHistogram()
-	parts := []*LogHistogram{NewLogHistogram(), NewLogHistogram(), NewLogHistogram()}
-	for i := 0; i < 3000; i++ {
-		d := time.Duration(rng.Int63n(int64(2 * time.Second)))
-		shared.Observe(d)
-		parts[i%len(parts)].Observe(d)
-	}
-	merged := NewLogHistogram()
-	for _, p := range parts {
-		merged.Merge(p)
-	}
-	if merged.Count() != shared.Count() || merged.Sum() != shared.Sum() {
-		t.Fatalf("merge lost observations: count %d vs %d", merged.Count(), shared.Count())
-	}
-	for _, q := range []float64{0.5, 0.99, 0.999} {
-		if merged.Quantile(q) != shared.Quantile(q) {
-			t.Fatalf("q=%v: merged %v != shared %v", q, merged.Quantile(q), shared.Quantile(q))
-		}
 	}
 }
 
@@ -173,46 +142,6 @@ func TestLogHistogramObserveZeroAlloc(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, tc.fn); allocs != 0 {
 			t.Errorf("LogHistogram.%s allocates %.1f per op, want 0", tc.name, allocs)
 		}
-	}
-}
-
-// TestLogHistogramExposition checks the registry round trip: summary-form
-// text exposition and the Snapshot keys the -json rows embed.
-func TestLogHistogramExposition(t *testing.T) {
-	r := NewRegistry()
-	h := r.LogHistogram("load_latency_seconds")
-	if h2 := r.LogHistogram("load_latency_seconds"); h2 != h {
-		t.Fatal("lookup is not idempotent")
-	}
-	for i := 1; i <= 1000; i++ {
-		h.Observe(time.Duration(i) * time.Millisecond)
-	}
-	var b strings.Builder
-	if err := r.WriteText(&b); err != nil {
-		t.Fatal(err)
-	}
-	text := b.String()
-	for _, want := range []string{
-		"# TYPE load_latency_seconds summary",
-		`load_latency_seconds{quantile="0.5"}`,
-		`load_latency_seconds{quantile="0.999"}`,
-		"load_latency_seconds_count 1000",
-	} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("exposition missing %q:\n%s", want, text)
-		}
-	}
-	snap := r.Snapshot()
-	if snap["load_latency_seconds_count"] != 1000 {
-		t.Fatalf("snapshot count = %v, want 1000", snap["load_latency_seconds_count"])
-	}
-	p999 := snap["load_latency_seconds_p999"]
-	if p999 < 0.99 || p999 > 1.04 {
-		t.Fatalf("snapshot p999 = %v, want ~0.999s within the quantization bound", p999)
-	}
-	var nilReg *Registry
-	if nilReg.LogHistogram("x") != nil {
-		t.Fatal("nil registry must return the discarding handle")
 	}
 }
 

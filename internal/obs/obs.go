@@ -86,20 +86,18 @@ func (g *Gauge) Value() int64 {
 // handle whose updates are discarded, which is what BenchmarkObsOverhead
 // compares the instrumented engine against.
 type Registry struct {
-	mu            sync.Mutex
-	counters      map[string]*Counter
-	gauges        map[string]*Gauge
-	histograms    map[string]*Histogram
-	logHistograms map[string]*LogHistogram
+	mu         sync.Mutex
+	counters   map[string]*Counter
+	gauges     map[string]*Gauge
+	histograms map[string]*Histogram
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:      make(map[string]*Counter),
-		gauges:        make(map[string]*Gauge),
-		histograms:    make(map[string]*Histogram),
-		logHistograms: make(map[string]*LogHistogram),
+		counters:   make(map[string]*Counter),
+		gauges:     make(map[string]*Gauge),
+		histograms: make(map[string]*Histogram),
 	}
 }
 
@@ -156,23 +154,6 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	if !ok {
 		h = newHistogram(bounds)
 		r.histograms[name] = h
-	}
-	return h
-}
-
-// LogHistogram returns the named log-bucket histogram, creating it on
-// first use. Unlike Histogram there are no bounds to choose: the
-// log-linear bucket layout is fixed and covers the whole duration range.
-func (r *Registry) LogHistogram(name string) *LogHistogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.logHistograms[name]
-	if !ok {
-		h = NewLogHistogram()
-		r.logHistograms[name] = h
 	}
 	return h
 }

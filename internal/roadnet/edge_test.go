@@ -58,14 +58,3 @@ func TestNodesWithinZeroRadius(t *testing.T) {
 		}
 	}
 }
-
-// LengthMeters of a single-node path is zero, and of an empty path too.
-func TestLengthMetersDegenerate(t *testing.T) {
-	g := tinyGraph()
-	if l := g.LengthMeters(Path{Nodes: []NodeID{2}}); l != 0 {
-		t.Errorf("single-node length %v", l)
-	}
-	if l := g.LengthMeters(Path{}); l != 0 {
-		t.Errorf("empty length %v", l)
-	}
-}

@@ -377,24 +377,5 @@ type Path struct {
 	Weight float64 // sum of edge weights under the metric used to compute it
 }
 
-// Points converts the path to its polyline.
-func (g *Graph) Points(p Path) []geo.Point {
-	pts := make([]geo.Point, len(p.Nodes))
-	for i, id := range p.Nodes {
-		pts[i] = g.Node(id).P
-	}
-	return pts
-}
-
-// LengthMeters returns the physical length of the path in meters
-// (independent of the weight metric used to find it).
-func (g *Graph) LengthMeters(p Path) float64 {
-	var total float64
-	for i := 1; i < len(p.Nodes); i++ {
-		total += geo.Distance(g.Node(p.Nodes[i-1]).P, g.Node(p.Nodes[i]).P)
-	}
-	return total
-}
-
 // TimeWeight is the free-flow travel time of one edge in seconds.
 func TimeWeight(e Edge) float64 { return e.Length / e.Class.FreeFlowSpeed() }

@@ -1,6 +1,9 @@
 package pooltest
 
 import (
+	"math"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -29,7 +32,7 @@ func TestSettleEqualReturnsAtOnce(t *testing.T) {
 	acquires.Add(3)
 	releases.Add(3)
 	start := time.Now()
-	a, r := settle(time.Minute)
+	a, r, _ := settle(math.MaxInt, time.Minute)
 	if a != r {
 		t.Fatalf("settle = %d acquired, %d released; want equal", a, r)
 	}
@@ -44,7 +47,7 @@ func TestSettleReportsLeakAfterPatience(t *testing.T) {
 	acquires.Add(2)
 	const patience = 50 * time.Millisecond
 	start := time.Now()
-	a, r := settle(patience)
+	a, r, _ := settle(math.MaxInt, patience)
 	if a != r+2 {
 		t.Fatalf("settle = %d acquired, %d released; want two more acquired", a, r)
 	}
@@ -59,7 +62,33 @@ func TestSettleSeesLateRelease(t *testing.T) {
 	acquires.Inc()
 	timer := time.AfterFunc(30*time.Millisecond, releases.Inc)
 	defer timer.Stop()
-	if a, r := settle(time.Minute); a != r {
+	if a, r, _ := settle(math.MaxInt, time.Minute); a != r {
 		t.Fatalf("settle = %d acquired, %d released; want the late release counted", a, r)
 	}
+}
+
+// Goroutines that outlive their test are reported once the patience runs
+// out, and ones that end late are waited for. Three leak, so a goroutine
+// of an earlier test that ends meanwhile cannot hide them.
+func TestSettleCountsGoroutines(t *testing.T) {
+	balance()
+	before := runtime.NumGoroutine()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 3; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-stop
+		}()
+	}
+	if _, _, running := settle(before, 50*time.Millisecond); running <= before {
+		t.Fatalf("settle saw %d goroutines with three leaked over %d; want more", running, before)
+	}
+	timer := time.AfterFunc(30*time.Millisecond, func() { close(stop) })
+	defer timer.Stop()
+	if _, _, running := settle(before, time.Minute); running > before {
+		t.Fatalf("settle saw %d goroutines after the late ones ended; want at most %d", running, before)
+	}
+	wg.Wait()
 }

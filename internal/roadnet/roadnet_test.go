@@ -276,18 +276,6 @@ func TestRoadClassString(t *testing.T) {
 	}
 }
 
-func TestPathHelpers(t *testing.T) {
-	g := tinyGraph()
-	p, _ := g.ShortestPath(0, 2, DistanceWeight)
-	pts := g.Points(p)
-	if len(pts) != len(p.Nodes) {
-		t.Fatal("Points length mismatch")
-	}
-	if l := g.LengthMeters(p); l <= 0 {
-		t.Errorf("LengthMeters = %v", l)
-	}
-}
-
 // TestPathWeightIsShortestPathsWeight: priced step by step, every path
 // ShortestPath returns weighs its Weight to the bit, under the length metric
 // and under a time table; a parallel arc prices its step at the cheaper one;

@@ -314,21 +314,3 @@ func (n *qnode) appendAll(dst []Item) []Item {
 	}
 	return dst
 }
-
-// Depth returns the height of the tree, exposed for diagnostics and tests.
-func (t *Quadtree) Depth() int {
-	var walk func(n *qnode) int
-	walk = func(n *qnode) int {
-		if n.children == nil {
-			return 1
-		}
-		max := 0
-		for i := range n.children {
-			if d := walk(&n.children[i]); d > max {
-				max = d
-			}
-		}
-		return max + 1
-	}
-	return walk(t.root)
-}

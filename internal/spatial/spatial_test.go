@@ -347,3 +347,21 @@ func TestNearestAgreesWithBruteForce(t *testing.T) {
 		t.Fatalf("Nearest allocates %v times per call", allocs)
 	}
 }
+
+// Depth returns the height of the tree.
+func (t *Quadtree) Depth() int {
+	var walk func(n *qnode) int
+	walk = func(n *qnode) int {
+		if n.children == nil {
+			return 1
+		}
+		max := 0
+		for i := range n.children {
+			if d := walk(&n.children[i]); d > max {
+				max = d
+			}
+		}
+		return max + 1
+	}
+	return walk(t.root)
+}

@@ -21,8 +21,6 @@ type Profile struct {
 	FullTrips int
 	// Chargers is the inventory size at scale 1.0 (paper: >1,000).
 	Chargers int
-	// SamplingInterval of the GPS stream the profile emulates.
-	SamplingInterval time.Duration
 	// buildGraph constructs the road network for this dataset.
 	buildGraph func(seed int64) *roadnet.Graph
 	// tripConfig returns the generator settings for n trips.
@@ -73,10 +71,9 @@ func Profiles() []*Profile {
 // medium-length city trips, no strong downtown bias.
 func oldenburg() *Profile {
 	return &Profile{
-		Name:             "Oldenburg",
-		FullTrips:        4000,
-		Chargers:         1000,
-		SamplingInterval: 30 * time.Second,
+		Name:      "Oldenburg",
+		FullTrips: 4000,
+		Chargers:  1000,
 		buildGraph: func(seed int64) *roadnet.Graph {
 			cfg := roadnet.DefaultUrbanConfig()
 			cfg.Seed = seed
@@ -95,10 +92,9 @@ func oldenburg() *Profile {
 // network (run here at reduced physical scale with preserved aspect ratio).
 func california() *Profile {
 	return &Profile{
-		Name:             "California",
-		FullTrips:        7000,
-		Chargers:         1200,
-		SamplingInterval: time.Minute,
+		Name:      "California",
+		FullTrips: 7000,
+		Chargers:  1200,
 		buildGraph: func(seed int64) *roadnet.Graph {
 			cfg := roadnet.DefaultHighwayConfig()
 			cfg.Seed = seed
@@ -117,10 +113,9 @@ func california() *Profile {
 // bias, the densest query stream of the evaluation.
 func tdrive() *Profile {
 	return &Profile{
-		Name:             "T-drive",
-		FullTrips:        10357,
-		Chargers:         1500,
-		SamplingInterval: 3 * time.Minute, // T-drive's sparse taxi sampling
+		Name:      "T-drive",
+		FullTrips: 10357,
+		Chargers:  1500,
 		buildGraph: func(seed int64) *roadnet.Graph {
 			cfg := roadnet.UrbanConfig{
 				Origin:  geo.Point{Lat: 39.75, Lon: 116.20}, // Beijing-like
@@ -144,10 +139,9 @@ func tdrive() *Profile {
 // urban area.
 func geolife() *Profile {
 	return &Profile{
-		Name:             "Geolife",
-		FullTrips:        17621,
-		Chargers:         1500,
-		SamplingInterval: 5 * time.Second,
+		Name:      "Geolife",
+		FullTrips: 17621,
+		Chargers:  1500,
 		buildGraph: func(seed int64) *roadnet.Graph {
 			cfg := roadnet.UrbanConfig{
 				Origin:  geo.Point{Lat: 39.70, Lon: 116.10},

@@ -53,9 +53,6 @@ func (s *Sampler) pick(hotBiased bool) roadnet.NodeID {
 	return roadnet.NodeID(s.rng.Intn(s.g.NumNodes()))
 }
 
-// Emitted returns how many trips the sampler has produced so far.
-func (s *Sampler) Emitted() int64 { return s.emitted }
-
 // Next produces the next trip. Unlike Generate it is not bounded by cfg.N:
 // callers stream as many trips as their run needs. It returns an error
 // when the graph cannot satisfy the length constraints within the bounded

@@ -11,65 +11,6 @@ import (
 	"ecocharge/internal/roadnet"
 )
 
-// TimedPoint is one GPS sample of a trajectory.
-type TimedPoint struct {
-	P geo.Point
-	T time.Time
-}
-
-// Trajectory is a recorded point stream, the raw form of the T-drive and
-// Geolife datasets.
-type Trajectory struct {
-	ID     int64
-	Points []TimedPoint
-}
-
-// LengthMeters returns the summed inter-sample distance.
-func (tr *Trajectory) LengthMeters() float64 {
-	var total float64
-	for i := 1; i < len(tr.Points); i++ {
-		total += geo.Distance(tr.Points[i-1].P, tr.Points[i].P)
-	}
-	return total
-}
-
-// Duration returns last sample time minus first, or zero.
-func (tr *Trajectory) Duration() time.Duration {
-	if len(tr.Points) < 2 {
-		return 0
-	}
-	return tr.Points[len(tr.Points)-1].T.Sub(tr.Points[0].T)
-}
-
-// Simplify reduces the trajectory with Douglas-Peucker at the given
-// spatial tolerance, keeping the timestamps of retained samples. The dense
-// Geolife-style streams (1–5 s sampling) compress by an order of magnitude
-// at a 25 m tolerance without moving the geometry beyond it.
-func (tr *Trajectory) Simplify(toleranceM float64) Trajectory {
-	out := Trajectory{ID: tr.ID}
-	if len(tr.Points) == 0 {
-		return out
-	}
-	pts := make([]geo.Point, len(tr.Points))
-	for i, p := range tr.Points {
-		pts[i] = p.P
-	}
-	kept := geo.Simplify(pts, toleranceM)
-	// Walk both sequences to recover the timestamps of kept points;
-	// Simplify preserves order, so a single forward scan suffices.
-	j := 0
-	for _, kp := range kept {
-		for j < len(tr.Points) && tr.Points[j].P != kp {
-			j++
-		}
-		if j < len(tr.Points) {
-			out.Points = append(out.Points, tr.Points[j])
-			j++
-		}
-	}
-	return out
-}
-
 // Trip is a scheduled trip P: a shortest path on the road network with a
 // departure time. All EcoCharge queries run against trips.
 type Trip struct {
@@ -151,49 +92,6 @@ func SegmentTrip(g *roadnet.Graph, trip Trip, segLenM float64) []Segment {
 	}
 	flush(nodes[len(nodes)-1])
 	return segs
-}
-
-// Sample converts a trip into a GPS trajectory with the given sampling
-// interval, interpolating positions along edges at free-flow speed.
-func Sample(g *roadnet.Graph, trip Trip, every time.Duration) Trajectory {
-	tr := Trajectory{ID: trip.ID}
-	nodes := trip.Path.Nodes
-	if len(nodes) == 0 {
-		return tr
-	}
-	if every <= 0 {
-		every = 5 * time.Second
-	}
-	now := trip.Depart
-	nextSample := now
-	emit := func(p geo.Point, t time.Time) {
-		tr.Points = append(tr.Points, TimedPoint{P: p, T: t})
-	}
-	emit(g.Node(nodes[0]).P, now)
-	nextSample = nextSample.Add(every)
-	for i := 1; i < len(nodes); i++ {
-		a, b := g.Node(nodes[i-1]).P, g.Node(nodes[i]).P
-		var travel time.Duration
-		found := false
-		g.OutEdges(nodes[i-1], func(e roadnet.Edge) {
-			if e.To == nodes[i] && !found {
-				travel = time.Duration(roadnet.TimeWeight(e) * float64(time.Second))
-				found = true
-			}
-		})
-		if !found {
-			travel = time.Duration(geo.Distance(a, b) / (50.0 / 3.6) * float64(time.Second))
-		}
-		edgeEnd := now.Add(travel)
-		for !nextSample.After(edgeEnd) && travel > 0 {
-			f := float64(nextSample.Sub(now)) / float64(travel)
-			emit(geo.Interpolate(a, b, f), nextSample)
-			nextSample = nextSample.Add(every)
-		}
-		now = edgeEnd
-	}
-	emit(g.Node(nodes[len(nodes)-1]).P, now)
-	return tr
 }
 
 // GenConfig parameterizes trip generation: random origin/destination pairs

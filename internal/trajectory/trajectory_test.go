@@ -154,33 +154,6 @@ func TestSegmentTripDegenerate(t *testing.T) {
 	}
 }
 
-func TestSampleTrajectory(t *testing.T) {
-	g := smallGraph(t)
-	trip := genTrips(t, g, 1)[0]
-	tr := Sample(g, trip, 10*time.Second)
-	if len(tr.Points) < 3 {
-		t.Fatalf("trajectory has %d points", len(tr.Points))
-	}
-	// Timestamps strictly non-decreasing, positions near the path.
-	for i := 1; i < len(tr.Points); i++ {
-		if tr.Points[i].T.Before(tr.Points[i-1].T) {
-			t.Fatalf("timestamps not monotone at %d", i)
-		}
-	}
-	// Sampled length close to path length (within 10%, interpolation cuts corners).
-	if l := tr.LengthMeters(); math.Abs(l-trip.Path.Weight) > trip.Path.Weight*0.1 {
-		t.Errorf("sampled length %.0f vs path %.0f", l, trip.Path.Weight)
-	}
-	if tr.Duration() <= 0 {
-		t.Error("non-positive duration")
-	}
-	// Empty trip.
-	empty := Sample(g, Trip{}, time.Second)
-	if len(empty.Points) != 0 {
-		t.Errorf("empty trip sampled %d points", len(empty.Points))
-	}
-}
-
 func TestProfiles(t *testing.T) {
 	ps := Profiles()
 	if len(ps) != 4 {
