@@ -265,7 +265,7 @@ func TestOfferingHitBuildsNoDeadline(t *testing.T) {
 func TestOfferingStuckComputationSheds(t *testing.T) {
 	env := testEnv(t)
 	const timeout = 50 * time.Millisecond
-	srv, h, request := offeringHit(t, env, ServerOptions{RequestTimeout: timeout, ShedRetryAfter: 3 * time.Second})
+	srv, h, request := offeringHit(t, env, ServerOptions{RequestTimeout: timeout})
 
 	// Empty the cache and plant a leader that never completes.
 	anchor := env.Chargers.All()[0].P
@@ -289,8 +289,8 @@ func TestOfferingStuckComputationSheds(t *testing.T) {
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("stuck computation answered %d %s, want 503", rec.Code, rec.Body)
 	}
-	if got := rec.Header().Get("Retry-After"); got != "3" {
-		t.Fatalf("Retry-After %q, want %q", got, "3")
+	if got := rec.Header().Get("Retry-After"); got != RetryAfter {
+		t.Fatalf("Retry-After %q, want %q", got, RetryAfter)
 	}
 	if elapsed < timeout || elapsed > timeout+5*time.Second {
 		t.Fatalf("answered after %v with a %v deadline", elapsed, timeout)

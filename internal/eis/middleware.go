@@ -14,10 +14,6 @@ import (
 type Middleware struct {
 	// MaxInFlight caps concurrent requests; 0 disables shedding.
 	MaxInFlight int
-	// RetryAfter is the delay stamped on shed responses. A shard under
-	// sustained overload raises it so hedged gateway traffic stays away
-	// longer instead of re-hitting every second. 0 selects 1 s.
-	RetryAfter time.Duration
 	// Logger receives one line per request; nil disables logging.
 	Logger *log.Logger
 
@@ -29,14 +25,13 @@ func (m *Middleware) Wrap(h http.Handler) http.Handler {
 	if m.MaxInFlight > 0 {
 		m.slots = make(chan struct{}, m.MaxInFlight)
 	}
-	retryAfter := retryAfterSeconds(m.RetryAfter)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if m.slots != nil {
 			select {
 			case m.slots <- struct{}{}:
 				defer func() { <-m.slots }()
 			default:
-				w.Header().Set("Retry-After", retryAfter)
+				w.Header().Set("Retry-After", RetryAfter)
 				http.Error(w, `{"error":"server overloaded"}`, http.StatusServiceUnavailable)
 				if m.Logger != nil {
 					m.Logger.Printf("eis: shed %s %s", r.Method, r.URL.Path)

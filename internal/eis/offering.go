@@ -1,7 +1,9 @@
 package eis
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -13,7 +15,67 @@ import (
 	"ecocharge/internal/geo"
 	"ecocharge/internal/roadnet"
 	"ecocharge/internal/trajectory"
+	"ecocharge/internal/wire"
 )
+
+// maxRequestBytes bounds the body of a Mode 2 request, at a shard and at a
+// fleet gateway alike.
+const maxRequestBytes = 1 << 20
+
+// ReadRequest reads the body of r into buf, up to maxRequestBytes; a longer
+// one is an error. A server answers any error of ReadRequest, DecodeOffering
+// or DecodeTrip with the 400 "decoding request: " and the error.
+func ReadRequest(w http.ResponseWriter, r *http.Request, buf *wire.Buffer) error {
+	if n := r.ContentLength; n >= int64(cap(buf.B)) && n <= maxRequestBytes {
+		buf.B = make([]byte, 0, n+1) // room to see the end of the body
+	}
+	return buf.ReadLimit(http.MaxBytesReader(w, r.Body, maxRequestBytes), maxRequestBytes)
+}
+
+// DecodeOffering is the one parser of an offering request, a shard's and a
+// fleet gateway's, so that the two cannot read different parameters from the
+// same bytes: the binary form when contentType names it, else JSON, of which
+// it decodes the first value and ignores whatever follows.
+func DecodeOffering(contentType string, body []byte, req *OfferingRequest) (err error) {
+	if wire.IsWire(contentType) {
+		return wire.DecodeOfferingRequest(body, req)
+	}
+	*req, err = decodeJSONOffering(body)
+	return err
+}
+
+// decodeJSONOffering is apart from DecodeOffering so that the request it
+// hands to encoding/json escapes to the heap here, on the JSON plane, and not
+// in every call of a handler on the binary plane.
+func decodeJSONOffering(body []byte) (OfferingRequest, error) {
+	var req OfferingRequest
+	err := json.NewDecoder(bytes.NewReader(body)).Decode(&req)
+	return req, err
+}
+
+// DecodeTrip is DecodeOffering for a trip request, decoded into req from
+// scratch. The travel blocks of a binary request keep reading body
+// (wire.DecodeTripRequest).
+func DecodeTrip(contentType string, body []byte, req *TripOfferingRequest) error {
+	if wire.IsWire(contentType) {
+		return wire.DecodeTripRequest(body, req)
+	}
+	*req = TripOfferingRequest{}
+	return json.NewDecoder(bytes.NewReader(body)).Decode(req)
+}
+
+// carried refuses a request time the binary plane does not carry, whichever
+// plane the request came on: a request means the same on both, and a fleet
+// gateway sends every request on to its shards in the binary form. The time
+// must lie a year inside that range, so that the times an answer derives
+// from it — an arrival at a charger, a trip segment's ETA — are carried too.
+func carried(name string, t time.Time) error {
+	const margin = 366 * 24 * time.Hour
+	if !wire.CarriesTime(t.Add(-margin)) || !wire.CarriesTime(t.Add(margin)) {
+		return fmt.Errorf("%s %s is out of range: a time must lie a year inside years 0000-9999 in every zone", name, t.Format(time.RFC3339Nano))
+	}
+	return nil
+}
 
 // Offering is a Mode 2 request as the server ranks it: the decoded request
 // with the server's defaults in place. The shard and the fleet gateway both
@@ -48,7 +110,10 @@ func ResolveOffering(req *OfferingRequest, clock func() time.Time) (Offering, er
 	if o.ETA.IsZero() {
 		o.ETA = o.Now
 	}
-	return o, nil
+	if err := carried("now", o.Now); err != nil {
+		return o, err
+	}
+	return o, carried("eta", o.ETA)
 }
 
 // rankingDefaults resolves what every Mode 2 ranking, one-shot or per trip
@@ -118,6 +183,9 @@ func ResolveTripOffering(req *TripOfferingRequest, clock func() time.Time) (Trip
 	}
 	if t.Depart.IsZero() {
 		t.Depart = clock()
+	}
+	if err := carried("depart", t.Depart); err != nil {
+		return t, err
 	}
 	t.Waypoints = make([]geo.Point, len(req.Waypoints))
 	for i, wp := range req.Waypoints {

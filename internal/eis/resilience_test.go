@@ -377,7 +377,7 @@ func TestOfferingComputedOnceThenCached(t *testing.T) {
 }
 
 func TestRespCacheLazyDeleteOnGet(t *testing.T) {
-	var c respCache
+	c := respCache{maxPerShard: cacheMaxEntries / respCacheStripes}
 	key := cacheKey{cellLat: 1, cellLon: 2, k: 3}
 	c.put(key, OfferingResponse{}, fixedNow, fixedNow.Add(time.Minute))
 	if n := c.entries(); n != 1 {
@@ -392,7 +392,9 @@ func TestRespCacheLazyDeleteOnGet(t *testing.T) {
 }
 
 func TestRespCacheSweepReclaimsExpired(t *testing.T) {
-	var c respCache
+	// The server's bound: 2 560 keys over the stripes stay under it, so no
+	// stripe evicts and only the sweep can reclaim the dead entries.
+	c := respCache{maxPerShard: cacheMaxEntries / respCacheStripes}
 	// Fill with entries that are already expired by the time the second
 	// batch arrives; the amortized sweep during batch-2 puts must reclaim
 	// them (pre-fix behavior: they stayed forever).
@@ -402,6 +404,18 @@ func TestRespCacheSweepReclaimsExpired(t *testing.T) {
 	}
 	later := fixedNow.Add(time.Hour)
 	const live = 2048
+	var perStripe [respCacheStripes]int
+	for i := 0; i < dead; i++ {
+		perStripe[cacheKey{cellLat: int64(i)}.hash()%respCacheStripes]++
+	}
+	for i := 0; i < live; i++ {
+		perStripe[cacheKey{cellLat: int64(i), cellLon: 1}.hash()%respCacheStripes]++
+	}
+	for i, n := range perStripe {
+		if n >= c.maxPerShard {
+			t.Fatalf("stripe %d gets %d keys, at the bound of %d: eviction, not the sweep, would reclaim", i, n, c.maxPerShard)
+		}
+	}
 	for i := 0; i < live; i++ {
 		c.put(cacheKey{cellLat: int64(i), cellLon: 1}, OfferingResponse{}, later, later.Add(time.Hour))
 	}

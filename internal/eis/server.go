@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"math"
 	"net/http"
@@ -31,23 +30,12 @@ type ServerOptions struct {
 	CacheCellM float64
 	// CacheTTL bounds cached table age. 0 selects 5 minutes.
 	CacheTTL time.Duration
-	// CacheMaxEntries bounds the response cache across all shards; a full
-	// shard evicts by respShard.evictLocked's rule (expired entries, then
-	// entries never read, before anything that was hit). 0 selects 4096;
-	// negative disables the bound.
-	CacheMaxEntries int
 	// RequestTimeout is the per-request deadline, installed where a handler
 	// can block (Server.deadline): the single-flight wait of /offering and
 	// the routing of /offering/trip, which answer 503 with Retry-After when
 	// it expires instead of holding the connection.
 	// 0 selects 15 s; negative disables the deadline.
 	RequestTimeout time.Duration
-	// ShedRetryAfter is the Retry-After delay stamped on shed (503)
-	// responses. An overloaded shard in a fleet raises it to push hedged
-	// gateway traffic toward its peers for longer instead of inviting an
-	// immediate re-hit. 0 selects 1 s; sub-second values round up to 1 s
-	// (the header carries whole seconds).
-	ShedRetryAfter time.Duration
 	// Clock is overridable for tests; nil selects time.Now.
 	Clock func() time.Time
 	// Logger for request errors; nil silences logging.
@@ -65,14 +53,8 @@ func (o ServerOptions) withDefaults() ServerOptions {
 	if o.CacheTTL <= 0 {
 		o.CacheTTL = 5 * time.Minute
 	}
-	if o.CacheMaxEntries == 0 {
-		o.CacheMaxEntries = 4096
-	}
 	if o.RequestTimeout == 0 {
 		o.RequestTimeout = 15 * time.Second
-	}
-	if o.ShedRetryAfter <= 0 {
-		o.ShedRetryAfter = time.Second
 	}
 	if o.Clock == nil {
 		o.Clock = time.Now
@@ -80,15 +62,15 @@ func (o ServerOptions) withDefaults() ServerOptions {
 	return o
 }
 
-// retryAfterSeconds renders a shed delay as the whole-second header value,
-// rounding up so a positive delay never collapses to "0".
-func retryAfterSeconds(d time.Duration) string {
-	s := int64((d + time.Second - 1) / time.Second)
-	if s < 1 {
-		s = 1
-	}
-	return strconv.FormatInt(s, 10)
-}
+// RetryAfter is the Retry-After header, in whole seconds, of every 503 that
+// asks its caller to come back: a shed request, an expired wait, a fleet
+// gateway with no live shard.
+const RetryAfter = "1"
+
+// cacheMaxEntries bounds the response cache across all its stripes; a full
+// stripe evicts by respShard.evictLocked's rule (expired entries, then
+// entries never read, before anything that was hit).
+const cacheMaxEntries = 4096
 
 // Server is the EcoCharge Information Server: it owns the environment and
 // answers the consolidated-data and Mode 2 computation endpoints.
@@ -127,7 +109,7 @@ type cacheVal struct {
 	// stripe is in, and eviction spares the entries that carry that round
 	// (respShard.read, evictLocked). Zero is never read.
 	readRound uint32
-	// slot is the entry's index in its stripe's queue (bounded caches only).
+	// slot is the entry's index in its stripe's queue.
 	slot uint32
 }
 
@@ -150,10 +132,10 @@ const sweepEvery = 64
 //
 // Hygiene: get deletes expired entries it touches, put sweeps its shard
 // every sweepEvery insertions, and a full shard evicts before inserting
-// (evictLocked; maxPerShard 0 disables the bound).
+// (evictLocked).
 type respCache struct {
 	shards [respCacheStripes]respShard
-	// maxPerShard bounds each shard's entry count; 0 means unbounded.
+	// maxPerShard bounds each shard's entry count.
 	maxPerShard int
 }
 
@@ -165,12 +147,12 @@ type respShard struct {
 	// clears the read mark of every entry at once.
 	round uint32
 
-	// queue is the order eviction goes by, kept by bounded caches only: the
-	// key of every put, oldest first, from head on. Nothing but put and
-	// evictLocked maintains it, so a slot may name a key that has since been
-	// deleted, or cached again further down: the live slot of an entry is the
-	// one at its cacheVal.slot. hand is where the search for an unread entry
-	// resumes; the live slots before it were all read in the current round.
+	// queue is the order eviction goes by: the key of every put, oldest
+	// first, from head on. Nothing but put and evictLocked maintains it, so a
+	// slot may name a key that has since been deleted, or cached again
+	// further down: the live slot of an entry is the one at its
+	// cacheVal.slot. hand is where the search for an unread entry resumes;
+	// the live slots before it were all read in the current round.
 	queue      []cacheKey
 	head, hand int
 }
@@ -230,25 +212,21 @@ func (c *respCache) put(key cacheKey, resp OfferingResponse, now, expires time.T
 		}
 	}
 	_, exists := s.m[key]
-	v := cacheVal{wireBody: wireBody, expires: expires}
-	if c.maxPerShard > 0 {
-		if !exists && len(s.m) >= c.maxPerShard {
-			s.evictLocked(now)
-		}
-		limit := c.queueLimit()
-		if len(s.queue) == limit {
-			s.compactLocked()
-		}
-		if len(s.queue) == cap(s.queue) {
-			// Doubling as append does, but not past the limit.
-			grown := make([]cacheKey, len(s.queue), min(2*len(s.queue)+1, limit))
-			copy(grown, s.queue)
-			s.queue = grown
-		}
-		v.slot = uint32(len(s.queue))
-		s.queue = append(s.queue, key)
+	if !exists && len(s.m) >= c.maxPerShard {
+		s.evictLocked(now)
 	}
-	s.m[key] = v
+	limit := c.queueLimit()
+	if len(s.queue) == limit {
+		s.compactLocked()
+	}
+	if len(s.queue) == cap(s.queue) {
+		// Doubling as append does, but not past the limit.
+		grown := make([]cacheKey, len(s.queue), min(2*len(s.queue)+1, limit))
+		copy(grown, s.queue)
+		s.queue = grown
+	}
+	s.m[key] = cacheVal{wireBody: wireBody, expires: expires, slot: uint32(len(s.queue))}
+	s.queue = append(s.queue, key)
 	if !exists {
 		met.rescacheEntries.Inc()
 	}
@@ -381,13 +359,7 @@ func NewServer(env *cknn.Env, opts ServerOptions) *Server {
 		opts: opts.withDefaults(),
 	}
 	srv.terms = CacheTerms{CellM: srv.opts.CacheCellM, TTL: srv.opts.CacheTTL, World: env.RoadWorld()}
-	if srv.opts.CacheMaxEntries > 0 {
-		per := srv.opts.CacheMaxEntries / respCacheStripes
-		if per < 1 {
-			per = 1
-		}
-		srv.cache.maxPerShard = per
-	}
+	srv.cache.maxPerShard = cacheMaxEntries / respCacheStripes
 	return srv
 }
 
@@ -461,7 +433,7 @@ func (s *Server) writeError(w http.ResponseWriter, code int, format string, args
 // writeExpired answers a request whose deadline ran out before its table was
 // there: a 503 that says when to come back, not a held connection.
 func (s *Server) writeExpired(w http.ResponseWriter, what string, err error) {
-	w.Header().Set("Retry-After", retryAfterSeconds(s.opts.ShedRetryAfter))
+	w.Header().Set("Retry-After", RetryAfter)
 	s.writeError(w, http.StatusServiceUnavailable, "%s computation did not finish in time: %v", what, err)
 }
 
@@ -732,27 +704,19 @@ func (s *Server) handleOffering(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	const maxOfferingBody = 1 << 20
-	body := http.MaxBytesReader(w, r.Body, maxOfferingBody)
-	var (
-		req OfferingRequest
-		err error
-	)
-	wireReq := wire.IsWire(r.Header.Get("Content-Type"))
-	if wireReq {
-		buf := wire.GetBuffer()
-		if err = buf.ReadLimit(body, maxOfferingBody); err == nil {
-			err = wire.DecodeOfferingRequest(buf.B, &req)
-		}
-		wire.PutBuffer(buf)
-	} else {
-		req, err = decodeJSONOffering(body)
+	var req OfferingRequest
+	contentType := r.Header.Get("Content-Type")
+	buf := wire.GetBuffer()
+	err := ReadRequest(w, r, buf)
+	if err == nil {
+		err = DecodeOffering(contentType, buf.B, &req)
 	}
+	wire.PutBuffer(buf)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
-	if wireReq {
+	if wire.IsWire(contentType) {
 		met.reqWire.Inc()
 	}
 	o, err := ResolveOffering(&req, s.opts.Clock)
@@ -836,23 +800,6 @@ func (s *Server) rankOffering(o *Offering, node roadnet.NodeID, block *wire.Trav
 		q.ReturnNode = q.AnchorNode
 	}
 	return cknn.RankOnce(s.env, opts, q)
-}
-
-// decodeJSONOffering is apart from handleOffering so that the request it
-// hands to encoding/json escapes to the heap here, on the JSON plane, and not
-// in every call of the handler.
-func decodeJSONOffering(body io.Reader) (OfferingRequest, error) {
-	var req OfferingRequest
-	err := DecodeJSONOffering(body, &req)
-	return req, err
-}
-
-// DecodeJSONOffering is the one parser of a JSON offering request, a shard's
-// and a fleet gateway's, so that the two cannot read different parameters
-// from the same bytes. It decodes the first JSON value of body and ignores
-// whatever follows it.
-func DecodeJSONOffering(body io.Reader, req *OfferingRequest) error {
-	return json.NewDecoder(body).Decode(req)
 }
 
 // flightGroup collapses concurrent computations of the same cache key into

@@ -257,7 +257,7 @@ func TestCachedJSONIsTheEagerEncoding(t *testing.T) {
 		}
 		eager = append(eager, '\n')
 
-		var c respCache
+		c := respCache{maxPerShard: cacheMaxEntries / respCacheStripes}
 		key := cacheKey{cellLat: 5}
 		c.put(key, resp, fixedNow, fixedNow.Add(time.Minute))
 		v, ok := c.get(key, fixedNow)

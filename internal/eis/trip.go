@@ -2,7 +2,6 @@ package eis
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 	"slices"
 
@@ -11,33 +10,22 @@ import (
 )
 
 // handleTripOffering implements POST /api/v1/offering/trip. The request is
-// JSON, or binary from a fleet gateway that routed the trip and ran the
-// segments' network searches and sends them along; the answer is negotiated
-// on its own, by Accept, like that of /offering.
+// JSON or binary, and a fleet gateway's binary request may bring the route
+// and the segments' network searches along; the answer is negotiated on its
+// own, by Accept, like that of /offering.
 func (s *Server) handleTripOffering(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	const maxTripBody = 1 << 20
-	body := http.MaxBytesReader(w, r.Body, maxTripBody)
-	var (
-		req TripOfferingRequest
-		err error
-	)
-	if wire.IsWire(r.Header.Get("Content-Type")) {
-		// The travel blocks are read where they arrived: the buffer goes back
-		// when the trip is ranked.
-		buf := wire.GetBuffer()
-		defer wire.PutBuffer(buf)
-		if n := r.ContentLength; n >= int64(cap(buf.B)) && n <= maxTripBody {
-			buf.B = make([]byte, 0, n+1) // room to see the end of the body
-		}
-		if err = buf.ReadLimit(body, maxTripBody); err == nil {
-			err = wire.DecodeTripRequest(buf.B, &req)
-		}
-	} else {
-		err = json.NewDecoder(body).Decode(&req)
+	// The travel blocks are read where they arrived: the buffer goes back when
+	// the trip is ranked.
+	buf := wire.GetBuffer()
+	defer wire.PutBuffer(buf)
+	var req TripOfferingRequest
+	err := ReadRequest(w, r, buf)
+	if err == nil {
+		err = DecodeTrip(r.Header.Get("Content-Type"), buf.B, &req)
 	}
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "decoding request: %v", err)

@@ -180,12 +180,12 @@ func TestTripHonoursItsDeadline(t *testing.T) {
 		// handler asks this context, not one derived from it.
 		"expires on the second leg": {&expiresAfter{context.Background(), 2}, -1, 1},
 	} {
-		h := NewServer(env, ServerOptions{RequestTimeout: tc.timeout, ShedRetryAfter: 3 * time.Second}).Handler()
+		h := NewServer(env, ServerOptions{RequestTimeout: tc.timeout}).Handler()
 		searches := obsCounter("roadnet_pool_acquires_total")
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, APIVersion+"/offering/trip", bytes.NewReader(body)).WithContext(tc.ctx))
-		if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") != "3" {
-			t.Errorf("%s: answered %d (Retry-After %q) %s, want 503 after 3 s", name, rec.Code, rec.Header().Get("Retry-After"), rec.Body)
+		if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") != RetryAfter {
+			t.Errorf("%s: answered %d (Retry-After %q) %s, want 503 after %s s", name, rec.Code, rec.Header().Get("Retry-After"), rec.Body, RetryAfter)
 		}
 		if n := obsCounter("roadnet_pool_acquires_total") - searches; n != tc.searches {
 			t.Errorf("%s: %d road searches ran, want %d", name, n, tc.searches)

@@ -37,7 +37,7 @@ import (
 )
 
 type fleetHarness struct {
-	t      *testing.T
+	t      testing.TB
 	env    *cknn.Env
 	n      int
 	part   Partition
@@ -60,7 +60,7 @@ type harnessOpts struct {
 	gw func(*Options)
 }
 
-func newFleetHarness(t *testing.T, o harnessOpts) *fleetHarness {
+func newFleetHarness(t testing.TB, o harnessOpts) *fleetHarness {
 	t.Helper()
 	h := &fleetHarness{t: t, env: testEnv(t), n: o.n, part: Partition{N: o.n}, clk: &fakeClock{t: fixedNow}}
 	sopts := eis.ServerOptions{Clock: h.clk.Now}
@@ -119,19 +119,20 @@ func newFleetHarness(t *testing.T, o harnessOpts) *fleetHarness {
 	return h
 }
 
-func doReq(t *testing.T, base, method, pathq string, body []byte) (int, []byte, http.Header) {
+func doReq(t testing.TB, base, method, pathq string, body []byte) (int, []byte, http.Header) {
 	t.Helper()
-	return doReqAccept(t, base, method, pathq, body, "")
+	return sendAs(t, base, method, pathq, body, eis.ContentTypeJSON, "")
 }
 
-// doReqAccept is doReq asking for the answer in the accept format.
-func doReqAccept(t *testing.T, base, method, pathq string, body []byte, accept string) (int, []byte, http.Header) {
+// sendAs is doReq with a body sent under contentType, asking for the answer
+// in the accept format ("" asks for none).
+func sendAs(t testing.TB, base, method, pathq string, body []byte, contentType, accept string) (int, []byte, http.Header) {
 	t.Helper()
 	var req *http.Request
 	var err error
 	if body != nil {
 		req, err = http.NewRequest(method, base+pathq, bytes.NewReader(body))
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", contentType)
 	} else {
 		req, err = http.NewRequest(method, base+pathq, nil)
 	}

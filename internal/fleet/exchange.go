@@ -20,10 +20,11 @@ import (
 // costs, and who runs it.
 //
 //   - Everything about a request that does not change from call to call is
-//     built once: a member's parsed URLs per endpoint (target) and the header
-//     sets the gateway sends (Gateway.headers). An attempt assembles its
-//     http.Request from those; a RoundTripper may not modify a request, so
-//     sharing them between concurrent attempts is safe.
+//     built once: a member's parsed URLs per endpoint (target) and the
+//     headers of the exchanges whose answers the gateway reads
+//     (Gateway.wireGet, wirePost). An attempt assembles its http.Request from
+//     those; a RoundTripper may not modify a request, so sharing them between
+//     concurrent attempts is safe.
 //   - A fan-out has one deadline context, created by fanout and shared by
 //     every shard's exchange. The deadline reaches a blocked attempt through
 //     the transport, which must honour the request context (the gateway's
@@ -70,8 +71,9 @@ type target struct {
 	urls [numEndpoints]*url.URL
 }
 
-// newTarget parses base; plain refuses any scheme but http.
-func newTarget(base string, plain bool) (*target, error) {
+// newTarget parses base, which must be a plain http URL: the only scheme the
+// gateway's own transport speaks.
+func newTarget(base string) (*target, error) {
 	t := &target{base: base}
 	for ep, path := range endpointPaths {
 		u, err := url.Parse(base + path)
@@ -82,7 +84,7 @@ func newTarget(base string, plain bool) (*target, error) {
 			// Only Client.Do turns URL credentials into a header.
 			return nil, fmt.Errorf("%q carries credentials, which shard exchanges do not send", base)
 		}
-		if plain && u.Scheme != "http" {
+		if u.Scheme != "http" {
 			return nil, fmt.Errorf("%q is not plain http, the only scheme the gateway's own transport speaks", base)
 		}
 		t.urls[ep] = u
@@ -97,18 +99,18 @@ type call struct {
 	method string
 	ep     endpoint
 	// rawQuery is the client's query string, forwarded verbatim (GET
-	// endpoints); body is the client's body (POST endpoints).
+	// endpoints); body is the binary request the gateway encoded (POST
+	// endpoints), bytes the garbage collector owns (owned).
 	rawQuery string
 	body     []byte
 	// header is shared between attempts and never written after it is built.
 	header http.Header
 }
 
-// headerSet is one prebuilt outbound header map.
-type headerSet struct {
-	contentType, accept string
-	h                   http.Header
-}
+// owned copies b into bytes the garbage collector owns, sized to it: what an
+// attempt sends is never pooled, because a hedge may still be reading it
+// after the handler has returned its pooled state.
+func owned(b []byte) []byte { return append(make([]byte, 0, len(b)), b...) }
 
 func newHeader(contentType, accept string) http.Header {
 	h := make(http.Header, 2)
@@ -119,19 +121,6 @@ func newHeader(contentType, accept string) http.Header {
 		h["Accept"] = []string{accept}
 	}
 	return h
-}
-
-// header returns the outbound headers for a content type and Accept value:
-// one of the maps built at construction for the combinations the fan-out
-// endpoints send, a fresh one for anything else (a per-charger lookup
-// forwards the client's own Accept).
-func (g *Gateway) header(contentType, accept string) http.Header {
-	for i := range g.headers {
-		if s := &g.headers[i]; s.contentType == contentType && s.accept == accept {
-			return s.h
-		}
-	}
-	return newHeader(contentType, accept)
 }
 
 // shardResult is the outcome of one logical exchange with a shard (primary
@@ -148,10 +137,6 @@ type shardResult struct {
 
 // ok reports a 200 answer.
 func (res *shardResult) ok() bool { return res.err == nil && res.status == http.StatusOK }
-
-// isWire reports whether the answer came in the binary format. The gateway
-// always asks for it, but a shard that predates a message kind answers JSON.
-func (res *shardResult) isWire() bool { return wire.IsWire(res.header.Get("Content-Type")) }
 
 // release returns the result's pooled body buffer; no slice of body may be
 // touched afterwards.
@@ -173,13 +158,6 @@ func retryableStatus(code int) bool {
 	return false
 }
 
-// requestBody returns the body of one attempt, its length in ContentLength.
-// It is a NopCloser over a *bytes.Reader because that is the shape net/http —
-// which an injected transport may be — knows to be in memory: any other
-// reader makes it flush the request head on its own, a second write syscall
-// per exchange. The gateway's own transport copies it behind the head.
-func requestBody(data []byte) io.ReadCloser { return io.NopCloser(bytes.NewReader(data)) }
-
 // attempt performs one HTTP exchange against one target, on the gateway's
 // RoundTripper: Client.Do would add only what a shard exchange never uses —
 // redirect following with its header copier and body rewinding — at half a
@@ -198,12 +176,10 @@ func (g *Gateway) attempt(ctx context.Context, t *target, c *call) shardResult {
 		Method: c.method, URL: u, Host: u.Host, Header: c.header,
 		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
 	}
-	if body := c.body; body != nil {
-		tmpl.Body, tmpl.ContentLength = requestBody(body), int64(len(body))
-		// An injected net/http transport asks for a second reader when it
-		// retries the request on a fresh connection; the gateway's own sends
-		// again the bytes it already holds.
-		tmpl.GetBody = func() (io.ReadCloser, error) { return requestBody(body), nil }
+	if c.body != nil {
+		// The transport copies the body behind the head, and sends those
+		// bytes again if it retries on a fresh connection.
+		tmpl.Body, tmpl.ContentLength = io.NopCloser(bytes.NewReader(c.body)), int64(len(c.body))
 	}
 	resp, err := g.transport.RoundTrip(tmpl.WithContext(ctx))
 	if err != nil {

@@ -93,7 +93,7 @@ func (rig *exchangeRig) run(wantOK bool, want tally) time.Duration {
 	rig.t.Helper()
 	fo := rig.g.getFanout()
 	defer rig.g.putFanout(fo)
-	fo.setCall(call{method: http.MethodGet, ep: epTraffic, header: rig.g.header("", "")})
+	fo.setCall(call{method: http.MethodGet, ep: epTraffic, header: rig.g.wireGet})
 	start := time.Now()
 	rig.g.fanout(context.Background(), fo)
 	elapsed := time.Since(start)
@@ -205,8 +205,8 @@ func TestFleetExchangeAccountingDeadline(t *testing.T) {
 
 // TestNewGatewayRejectsWhatExchangesBypass: exchanges run on a bare
 // RoundTripper, so a URL form that only Client.Do acts on is a construction
-// error, not something silently ignored per request; so is a scheme the
-// gateway's own transport does not speak.
+// error, not something silently ignored per request; so is any scheme but
+// the plain http the gateway's own transport speaks.
 func TestNewGatewayRejectsWhatExchangesBypass(t *testing.T) {
 	for name, shards := range map[string][]Shard{
 		"primary credentials": {{URL: "http://u:p@127.0.0.1:1"}},
@@ -221,9 +221,5 @@ func TestNewGatewayRejectsWhatExchangesBypass(t *testing.T) {
 	}
 	if _, err := NewGateway([]Shard{{URL: "http://127.0.0.1:1"}}, Options{}); err != nil {
 		t.Errorf("a plain shard URL was refused: %v", err)
-	}
-	// A transport of the caller's own decides for itself what it speaks.
-	if _, err := NewGateway([]Shard{{URL: "https://127.0.0.1:1"}}, Options{Transport: http.DefaultTransport}); err != nil {
-		t.Errorf("an https shard URL was refused with a transport given: %v", err)
 	}
 }

@@ -1,8 +1,6 @@
 package fleet
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"log"
 	"net/http"
@@ -45,13 +43,13 @@ type Options struct {
 	// trial). Zero values select eis.NewBreaker's defaults.
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// Transport performs every shard exchange: fan-outs, probes and
-	// inventory pulls. It must honour the request context, as net/http's
-	// does — that is how a deadline reaches an exchange. Nil selects the
-	// gateway's own HTTP/1.1 transport (transport.go), which runs each
-	// exchange on the calling goroutine over pooled keep-alive connections.
-	// It speaks plain http only — NewGateway refuses any other shard URL
-	// scheme when Transport is nil — and does not consult HTTP_PROXY.
+	// Transport is a test seam: it performs every shard exchange (fan-outs,
+	// probes and inventory pulls) and must honour the request context — that
+	// is how a deadline reaches an exchange. The chaos suite wraps the
+	// gateway's own transport in it to inject faults. Nil selects that
+	// transport (transport.go), plain HTTP/1.1 run on the calling goroutine
+	// over pooled keep-alive connections; a shard URL is plain http whatever
+	// transport is set.
 	Transport http.RoundTripper
 	// Clock is overridable for tests; nil selects time.Now.
 	Clock func() time.Time
@@ -107,9 +105,10 @@ type Gateway struct {
 
 	// transport is Options.Transport; every shard exchange runs on it.
 	transport http.RoundTripper
-	// headers are the outbound header sets of the fan-out endpoints, built
-	// once and shared read-only by every request (Gateway.header).
-	headers []headerSet
+	// wireGet and wirePost are the outbound headers of every exchange whose
+	// answer the gateway reads, built once and shared read-only: they ask for
+	// the binary format, and a POST sends it.
+	wireGet, wirePost http.Header
 	// fanouts pools the per-request fan-out state.
 	fanouts sync.Pool
 }
@@ -121,17 +120,15 @@ func NewGateway(shards []Shard, opts Options) (*Gateway, error) {
 		return nil, fmt.Errorf("fleet: gateway needs at least one shard")
 	}
 	opts = opts.withDefaults()
-	g := &Gateway{part: Partition{N: len(shards)}, opts: opts, transport: opts.Transport}
+	g := &Gateway{
+		part: Partition{N: len(shards)}, opts: opts, transport: opts.Transport,
+		wireGet: newHeader("", wire.ContentType), wirePost: newHeader(wire.ContentType, wire.ContentType),
+	}
 	if g.transport == nil {
 		g.transport = newShardTransport()
 	}
 	if opts.Env != nil {
 		g.env, g.world = opts.Env, opts.Env.RoadWorld()
-	}
-	// Every shard exchange asks for the binary format, whatever the client
-	// asked the gateway for.
-	for _, contentType := range []string{"", eis.ContentTypeJSON, wire.ContentType} {
-		g.headers = append(g.headers, headerSet{contentType, wire.ContentType, newHeader(contentType, wire.ContentType)})
 	}
 	for i, s := range shards {
 		m, err := newMember(i, s, opts)
@@ -158,7 +155,7 @@ func (g *Gateway) writeError(w http.ResponseWriter, code int, format string, arg
 // writeUnavailable is the all-shards-dead answer: an honest 503 with a
 // Retry-After hint, never a fabricated table.
 func (g *Gateway) writeUnavailable(w http.ResponseWriter, what string) {
-	w.Header().Set("Retry-After", "1")
+	w.Header().Set("Retry-After", eis.RetryAfter)
 	g.writeError(w, http.StatusServiceUnavailable, "no shard could serve %s", what)
 }
 
@@ -243,9 +240,16 @@ func (g *Gateway) handleChargers(w http.ResponseWriter, r *http.Request) {
 		g.writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
+	// The shards' own parser, in front: a request they would refuse is
+	// refused here, in their words, and the values select and synthesize.
+	p, radius, err := eis.ChargersParams(r)
+	if err != nil {
+		g.writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	fo := g.getFanout()
 	defer g.putFanout(fo)
-	fo.setCall(call{method: http.MethodGet, ep: epChargers, rawQuery: r.URL.RawQuery, header: g.header("", wire.ContentType)})
+	fo.setCall(call{method: http.MethodGet, ep: epChargers, rawQuery: r.URL.RawQuery, header: g.wireGet})
 	g.fanout(r.Context(), fo)
 	live, bad, dead := splitResults(fo.results)
 	if bad != nil {
@@ -268,28 +272,17 @@ func (g *Gateway) handleChargers(w http.ResponseWriter, r *http.Request) {
 		}
 		lists = append(lists, l)
 	}
-	// The shards' own parser: when it fails they have already produced the
-	// canonical 400, so the values only sort and synthesize.
-	p, radius, err := eis.ChargersParams(r)
 	synthesized := 0
-	if err == nil {
-		for _, i := range dead {
-			matched := 0
-			for _, c := range g.members[i].chargers() {
-				if geo.Distance(p, c.P) <= radius {
-					matched++
-				}
+	for _, i := range dead {
+		var inRange []charger.Charger
+		for _, c := range g.members[i].chargers() {
+			if geo.Distance(p, c.P) <= radius {
+				inRange = append(inRange, c)
 			}
-			if matched > 0 {
-				inRange := make([]charger.Charger, 0, matched)
-				for _, c := range g.members[i].chargers() {
-					if geo.Distance(p, c.P) <= radius {
-						inRange = append(inRange, c)
-					}
-				}
-				lists = append(lists, inRange)
-				synthesized += matched
-			}
+		}
+		if len(inRange) > 0 {
+			lists = append(lists, inRange)
+			synthesized += len(inRange)
 		}
 	}
 	if len(dead) > 0 {
@@ -300,18 +293,12 @@ func (g *Gateway) handleChargers(w http.ResponseWriter, r *http.Request) {
 	g.respond(w, r, merged, func(b []byte) []byte { return wire.AppendChargers(b, merged) })
 }
 
-// decodeChargerList decodes one shard's charger payload by its Content-Type,
-// timing the per-format decode share of the fan-out.
+// decodeChargerList decodes one shard's binary charger payload, timing the
+// decode share of the fan-out.
 func decodeChargerList(res *shardResult) ([]charger.Charger, error) {
 	start := time.Now()
-	if res.isWire() {
-		l, err := wire.DecodeChargers(res.body, nil)
-		met.decodeWire.Since(start)
-		return l, err
-	}
-	var l []charger.Charger
-	err := json.Unmarshal(res.body, &l)
-	met.decodeJSON.Since(start)
+	l, err := wire.DecodeChargers(res.body, nil)
+	met.decodeWire.Since(start)
 	return l, err
 }
 
@@ -379,7 +366,7 @@ func (g *Gateway) perCharger(w http.ResponseWriter, r *http.Request, ep endpoint
 	// Forward the client's own Accept header: when the client negotiated
 	// binary the shard's encoded bytes pass through with no gateway
 	// decode/re-encode at all.
-	res := g.single(r.Context(), m, &call{method: http.MethodGet, ep: ep, rawQuery: r.URL.RawQuery, header: g.header("", r.Header.Get("Accept"))})
+	res := g.single(r.Context(), m, &call{method: http.MethodGet, ep: ep, rawQuery: r.URL.RawQuery, header: newHeader("", r.Header.Get("Accept"))})
 	defer res.release()
 	if res.err == nil {
 		passthrough(w, &res)
@@ -417,7 +404,7 @@ func (g *Gateway) handleTraffic(w http.ResponseWriter, r *http.Request) {
 	sort.SliceStable(order, func(i, j int) bool {
 		return trafficRank(order[i]) < trafficRank(order[j])
 	})
-	c := call{method: http.MethodGet, ep: epTraffic, rawQuery: r.URL.RawQuery, header: g.header("", r.Header.Get("Accept"))}
+	c := call{method: http.MethodGet, ep: epTraffic, rawQuery: r.URL.RawQuery, header: newHeader("", r.Header.Get("Accept"))}
 	for _, m := range order {
 		res := g.single(r.Context(), m, &c)
 		if res.err == nil {
@@ -445,80 +432,59 @@ func trafficRank(m *member) int {
 
 // ---- offering ----
 
-// maxRequestBytes bounds a client's POST body, like the shards do.
-const maxRequestBytes = 1 << 20
-
-// readBody reads a client's POST body through a pooled buffer. The returned
-// bytes are a right-sized copy the garbage collector owns, not the pooled
-// storage: every attempt of the fan-out sends them, and a transport may
-// still be reading a cancelled attempt's body after the handler returned.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+// readRequest reads a client's POST body and decodes it with the shards' own
+// parser (eis.DecodeOffering, eis.DecodeTrip), answering the 400 a shard
+// would when it cannot; the body goes back to the pool after the decode.
+func (g *Gateway) readRequest(w http.ResponseWriter, r *http.Request, decode func(contentType string, body []byte) error) bool {
 	buf := wire.GetBuffer()
 	defer wire.PutBuffer(buf)
-	if err := buf.ReadLimit(http.MaxBytesReader(w, r.Body, maxRequestBytes), maxRequestBytes); err != nil {
-		return nil, err
+	err := eis.ReadRequest(w, r, buf)
+	if err == nil {
+		err = decode(r.Header.Get("Content-Type"), buf.B)
 	}
-	return append(make([]byte, 0, len(buf.B)), buf.B...), nil
+	if err != nil {
+		g.writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	}
+	return err == nil
 }
+
+// errGatewaysToSend refuses what only a gateway may write into a request: a
+// shard builds on a travel block or a route without a search of its own to
+// hold it against.
+const errGatewaysToSend = "decoding request: a %s is the gateway's to send, not a client's"
 
 func (g *Gateway) handleOffering(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		g.writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	body, err := readBody(w, r)
-	if err != nil {
-		g.writeError(w, http.StatusBadRequest, "reading request: %v", err)
-		return
-	}
-	// The body is forwarded with the client's own Content-Type: a binary
-	// Mode 2 request travels to the shards verbatim, no transcoding.
-	reqCT := r.Header.Get("Content-Type")
-	if reqCT == "" {
-		reqCT = eis.ContentTypeJSON
-	}
 	fo := g.getFanout()
 	defer g.putFanout(fo)
-	// The request is decoded into the pooled state: encoding/json would
-	// move a local one to the heap on both planes. A body that does not
-	// decode travels on all the same, and the shards answer the canonical 400.
-	fo.req = eis.OfferingRequest{}
-	reqParsed := false
-	if wire.IsWire(reqCT) {
-		reqParsed = wire.DecodeOfferingRequest(body, &fo.req) == nil
-	} else {
-		reqParsed = eis.DecodeJSONOffering(bytes.NewReader(body), &fo.req) == nil
-	}
-	if fo.req.Travel != nil {
-		// A shard builds its ranking on a travel block without a search of
-		// its own to hold it against, so only the gateway may write one.
-		g.writeError(w, http.StatusBadRequest, "decoding request: a travel block is the gateway's to send, not a client's")
+	// Decoded into the pooled state and resolved in front, the way a shard
+	// does both: a request a shard would refuse is refused here, in its
+	// words, and no shard is asked. The shards then rank exactly the
+	// parameters the gateway searches, selects and synthesizes with.
+	if !g.readRequest(w, r, func(ct string, body []byte) error { return eis.DecodeOffering(ct, body, &fo.req) }) {
 		return
 	}
-	// The shards' own defaulting, so the gateway searches, selects and
-	// synthesizes with exactly the parameters they rank under.
-	var o eis.Offering
-	resolved := false
-	if reqParsed {
-		o, err = eis.ResolveOffering(&fo.req, g.opts.Clock)
-		resolved = err == nil
+	if fo.req.Travel != nil {
+		g.writeError(w, http.StatusBadRequest, errGatewaysToSend, "travel block")
+		return
 	}
-	// A JSON request the gateway has read goes on in the binary form, which
-	// the shards decode without encoding/json: the same fields, the same
-	// ranking, the same answer. One that does not resolve goes on as it came,
-	// for the shards to reject in their own words.
-	if resolved && !wire.IsWire(reqCT) && wire.CarriesTime(fo.req.Now) && wire.CarriesTime(fo.req.ETA) {
-		buf := wire.GetBuffer()
-		buf.B = wire.AppendOfferingRequest(buf.B, &fo.req)
-		// Bytes the garbage collector owns, like readBody's.
-		body = append(make([]byte, 0, len(buf.B)), buf.B...)
-		wire.PutBuffer(buf)
-		reqCT = wire.ContentType
+	o, err := eis.ResolveOffering(&fo.req, g.opts.Clock)
+	if err != nil {
+		g.writeError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
-	fo.setCall(call{method: http.MethodPost, ep: epOffering, body: body, header: g.header(reqCT, wire.ContentType)})
+	// Every shard gets the binary form, which it decodes without
+	// encoding/json: the same fields, the same ranking, the same answer.
+	buf := wire.GetBuffer()
+	buf.B = wire.AppendOfferingRequest(buf.B, &fo.req)
+	fo.setCall(call{method: http.MethodPost, ep: epOffering, body: owned(buf.B), header: g.wirePost})
+	wire.PutBuffer(buf)
 	// A one-shot ranking returns to its anchor: one search serves it where
 	// the return leg is the outbound one, on an undirected graph.
-	if g.env != nil && resolved && g.env.Graph.Symmetric() {
+	if g.env != nil && g.env.Graph.Symmetric() {
 		g.supplyTravel(fo, &o)
 	}
 	g.fanout(r.Context(), fo)
@@ -537,16 +503,8 @@ func (g *Gateway) handleOffering(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		start := time.Now()
-		if res.isWire() {
-			err = wire.DecodeOfferingResponse(res.body, &fo.tables[i])
-			met.decodeWire.Since(start)
-		} else {
-			// A fresh table: encoding/json leaves fields a body omits as
-			// they were.
-			fo.tables[i] = eis.OfferingResponse{}
-			err = json.Unmarshal(res.body, &fo.tables[i])
-			met.decodeJSON.Since(start)
-		}
+		err = wire.DecodeOfferingResponse(res.body, &fo.tables[i])
+		met.decodeWire.Since(start)
 		if err != nil {
 			g.writeError(w, http.StatusBadGateway, "shard %d: decoding offering: %v", i, err)
 			return
@@ -556,18 +514,14 @@ func (g *Gateway) handleOffering(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	var synth []eis.OfferingEntry
-	k := 3
-	if resolved {
-		k = o.K
-		for _, i := range dead {
-			synth = append(synth, synthWithin(g.members[i].chargers(), o.P, o.RadiusM, o.Weights.Normalized())...)
-		}
+	for _, i := range dead {
+		synth = append(synth, synthWithin(g.members[i].chargers(), o.P, o.RadiusM, o.Weights.Normalized())...)
 	}
 	if len(dead) > 0 {
 		markDegraded(w, dead, len(synth))
 		g.logf("offering served degraded: shards %v down, %d entries widened", dead, len(synth))
 	}
-	fo.mergeOffering(synth, k)
+	fo.mergeOffering(synth, o.K)
 	g.respond(w, r, &fo.merged, func(b []byte) []byte { return wire.AppendOfferingResponse(b, &fo.merged) })
 }
 
@@ -578,19 +532,14 @@ func (g *Gateway) handleTrip(w http.ResponseWriter, r *http.Request) {
 		g.writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	body, err := readBody(w, r)
-	if err != nil {
-		g.writeError(w, http.StatusBadRequest, "reading request: %v", err)
-		return
-	}
 	fo := g.getFanout()
 	defer g.putFanout(fo)
-	// Decoded and resolved in front, the way a shard does both: a request the
-	// gateway cannot resolve is one every shard rejects, in these words, and
-	// is answered without asking them.
-	fo.trip = eis.TripOfferingRequest{}
-	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&fo.trip); err != nil {
-		g.writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	// Decoded and resolved in front, like an offering.
+	if !g.readRequest(w, r, func(ct string, body []byte) error { return eis.DecodeTrip(ct, body, &fo.trip) }) {
+		return
+	}
+	if fo.trip.Route != nil || fo.trip.Travel != nil {
+		g.writeError(w, http.StatusBadRequest, errGatewaysToSend, "route or a travel block")
 		return
 	}
 	t, err := eis.ResolveTripOffering(&fo.trip, g.opts.Clock)
@@ -598,11 +547,14 @@ func (g *Gateway) handleTrip(w http.ResponseWriter, r *http.Request) {
 		g.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// The client's JSON goes on as it came, but to the shards the gateway
-	// plans and searches the trip for. The answers are asked for as every
-	// shard-side table is — binary — and read by their Content-Type; the
-	// client's is negotiated by its own Accept, as a single EIS does.
-	fo.setCall(call{method: http.MethodPost, ep: epTrip, body: body, header: g.header(eis.ContentTypeJSON, wire.ContentType)})
+	// Every shard gets the request as the client sent it, in the binary
+	// form, except those the gateway plans and searches the trip for: they
+	// get it with the route and their blocks. The client's answer is
+	// negotiated by its own Accept, as a single EIS does.
+	buf := wire.GetBuffer()
+	buf.B = wire.AppendTripRequest(buf.B, &fo.trip)
+	fo.setCall(call{method: http.MethodPost, ep: epTrip, body: owned(buf.B), header: g.wirePost})
+	wire.PutBuffer(buf)
 	supplied := g.env != nil && g.supplyTrip(r.Context(), fo, &t)
 	g.fanout(r.Context(), fo)
 	live, bad, dead := splitResults(fo.results)
@@ -621,16 +573,8 @@ func (g *Gateway) handleTrip(w http.ResponseWriter, r *http.Request) {
 		}
 		resp := &fo.trips[i]
 		start := time.Now()
-		if res.isWire() {
-			err = wire.DecodeTripResponse(res.body, resp)
-			met.decodeWire.Since(start)
-		} else {
-			// A fresh answer: encoding/json leaves fields a body omits as
-			// they were.
-			*resp = eis.TripOfferingResponse{}
-			err = json.Unmarshal(res.body, resp)
-			met.decodeJSON.Since(start)
-		}
+		err = wire.DecodeTripResponse(res.body, resp)
+		met.decodeWire.Since(start)
 		if err != nil {
 			g.writeError(w, http.StatusBadGateway, "shard %d: decoding trip offering: %v", i, err)
 			return

@@ -9,7 +9,6 @@ import (
 
 	"ecocharge/internal/charger"
 	"ecocharge/internal/eis"
-	"ecocharge/internal/wire"
 )
 
 // member is the gateway's view of one shard: its addresses, a circuit
@@ -58,14 +57,12 @@ func newMember(index int, s Shard, opts Options) (*member, error) {
 		index:   index,
 		breaker: eis.NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown, opts.Clock),
 	}
-	// The gateway's own transport speaks plain http and nothing else.
-	plain := opts.Transport == nil
 	var err error
-	if m.primary, err = newTarget(s.URL, plain); err != nil {
+	if m.primary, err = newTarget(s.URL); err != nil {
 		return nil, fmt.Errorf("fleet: shard %d URL %v", index, err)
 	}
 	if s.Replica != "" {
-		if m.replica, err = newTarget(s.Replica, plain); err != nil {
+		if m.replica, err = newTarget(s.Replica); err != nil {
 			return nil, fmt.Errorf("fleet: shard %d replica URL %v", index, err)
 		}
 	}
@@ -117,7 +114,7 @@ func (g *Gateway) probe(ctx context.Context, m *member) {
 func (g *Gateway) probeOnce(ctx context.Context, t *target) bool {
 	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
-	res := g.attempt(ctx, t, &call{method: http.MethodGet, ep: epHealthz, header: g.header("", wire.ContentType)})
+	res := g.attempt(ctx, t, &call{method: http.MethodGet, ep: epHealthz, header: g.wireGet})
 	defer res.release()
 	return res.ok()
 }
@@ -127,7 +124,7 @@ func (g *Gateway) probeOnce(ctx context.Context, t *target) bool {
 func (g *Gateway) pullInventory(ctx context.Context, m *member, t *target) bool {
 	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
-	res := g.attempt(ctx, t, &call{method: http.MethodGet, ep: epInventory, header: g.header("", wire.ContentType)})
+	res := g.attempt(ctx, t, &call{method: http.MethodGet, ep: epInventory, header: g.wireGet})
 	defer res.release()
 	if !res.ok() {
 		return false

@@ -207,7 +207,6 @@ func (g *Gateway) supplyTravel(fo *fanout, o *eis.Offering) {
 	fo.block.Anchor = anchor
 	fo.block.ScaleLo, fo.block.ScaleHi = ts.Scales()
 
-	header := g.header(wire.ContentType, wire.ContentType)
 	fo.req.Travel = &fo.block
 	buf := wire.GetBuffer()
 	for i, sp := range fo.spans {
@@ -216,10 +215,7 @@ func (g *Gateway) supplyTravel(fo *fanout, o *eis.Offering) {
 		}
 		fo.block.Nodes, fo.block.Seconds = fo.targets[sp.start:sp.end], fo.seconds[sp.start:sp.end]
 		buf.B = wire.AppendOfferingRequest(buf.B[:0], &fo.req)
-		// A right-sized copy the garbage collector owns, like the client's
-		// body it replaces (readBody): attempts never get pooled bytes.
-		fo.calls[i].body = append(make([]byte, 0, len(buf.B)), buf.B...)
-		fo.calls[i].header = header
+		fo.calls[i].body = owned(buf.B)
 		met.travelSupplied.Inc()
 	}
 	wire.PutBuffer(buf)
@@ -236,13 +232,12 @@ func (g *Gateway) supplyTravel(fo *fanout, o *eis.Offering) {
 // a computed segment. The plan is exact unless a shard's table comes out
 // empty; that shard then computes a segment it has no block for, and searches
 // for it. It reports false and leaves fo.calls alone — the shards get the
-// client's JSON, and route it themselves —
-// when the trip has no departure (each shard would plan at its own clock's
-// time) or one the binary plane does not carry, no shard can be searched for,
-// the trip does not route (the shards say why), or the deadline, one
+// plain request, and route it themselves — when the trip has no departure
+// (each shard would plan at its own clock's time), no shard can be searched
+// for, the trip does not route (the shards say why), or the deadline, one
 // ShardTimeout for the plan and its searches, ran out.
 func (g *Gateway) supplyTrip(ctx context.Context, fo *fanout, t *eis.TripOffering) (supplied bool) {
-	if fo.trip.Depart.IsZero() || !wire.CarriesTime(fo.trip.Depart) {
+	if fo.trip.Depart.IsZero() {
 		return false
 	}
 	members := len(g.members)
@@ -290,7 +285,6 @@ func (g *Gateway) supplyTrip(ctx context.Context, fo *fanout, t *eis.TripOfferin
 	// Every request carries the route too, which the shard checks and follows
 	// (eis.TripOffering.Follow) instead of routing the trip again.
 	fo.trip.Route = trip.Path.Nodes
-	header := g.header(wire.ContentType, wire.ContentType)
 	for i, terms := range fo.terms {
 		if terms == nil {
 			continue
@@ -300,15 +294,15 @@ func (g *Gateway) supplyTrip(ctx context.Context, fo *fanout, t *eis.TripOfferin
 			sp := fo.tripSpans[j*members+i]
 			entries += sp.end - sp.start
 		}
-		// Encoded once, into bytes the garbage collector owns (attempts never
-		// get pooled ones, see supplyTravel) and that are sized for it.
+		// Encoded once, into bytes the garbage collector owns (owned) and that
+		// are sized for it.
 		body := make([]byte, 0, wire.TripRequestSize(&fo.trip, len(fo.blocks), entries))
 		body = wire.AppendTripRequest(body, &fo.trip)
 		for j := range fo.blocks {
 			sp := fo.tripSpans[j*members+i]
 			body = wire.AppendTripBlock(body, &fo.blocks[j], fo.targets[sp.start:sp.end], fo.seconds[sp.start:sp.end], fo.back[sp.start:sp.end])
 		}
-		fo.calls[i].body, fo.calls[i].header = body, header
+		fo.calls[i].body = body
 		met.travelSupplied.Add(uint64(len(fo.blocks)))
 	}
 	return true

@@ -1,15 +1,16 @@
 package fleet
 
-// Trip answers on the binary plane inside the fleet: whichever way the
-// shards' answers travel — all binary, all JSON, or one shard that does not
-// know the codec — the client's body is the same bytes, a dead shard
-// degrades the same way, a shard that answers for another trip is a 502, and
-// trips served side by side share none of the gateway's pooled decode and
-// merge storage.
+// Trip answers on the binary plane inside the fleet: whichever plane the
+// client asks on, and whether or not the gateway plans the trip for its
+// shards, the client's body is the same bytes; a dead shard degrades the
+// same way; a shard that answers for another trip, or answers JSON, is a
+// 502; and trips served side by side share none of the gateway's pooled
+// decode and merge storage.
 
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
@@ -17,47 +18,31 @@ import (
 	"testing"
 	"time"
 
-	"ecocharge/internal/cknn"
 	"ecocharge/internal/eis"
 	"ecocharge/internal/experiment"
 	"ecocharge/internal/geo"
+	"ecocharge/internal/wire"
 )
-
-// ignoringAccept is a shard that predates a response kind: whatever the
-// gateway asks for, it answers JSON.
-func ignoringAccept(h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		r.Header.Del("Accept")
-		h.ServeHTTP(w, r)
-	})
-}
-
-// newJSONFleet is a graph-free fleet over envs whose shards all ignore
-// Accept: every answer the gateway decodes is JSON.
-func newJSONFleet(t *testing.T, envs []*cknn.Env) *travelFleet {
-	t.Helper()
-	f := newFleetOver(t, envs, Options{})
-	for i, sh := range f.shards {
-		sh.set(ignoringAccept(eis.NewServer(envs[i], eis.ServerOptions{}).Handler()))
-	}
-	return f
-}
 
 // shardDown is a shard that cannot serve: the gateway counts it dead for the
 // request.
 var shardDown = http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { w.WriteHeader(http.StatusServiceUnavailable) })
 
-// tripDecodes reads how many shard trip answers the gateway decoded on each
-// plane, and how long the binary ones took in all.
-func tripDecodes() (wireN, jsonN uint64, wireSec float64) {
-	return met.decodeWire.Count(), met.decodeJSON.Count(), met.decodeWire.Sum()
+// wireTrip is the binary form of a JSON trip request.
+func wireTrip(t testing.TB, body []byte) []byte {
+	t.Helper()
+	var req eis.TripOfferingRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		t.Fatal(err)
+	}
+	return wire.AppendTripRequest(nil, &req)
 }
 
 // TestFleetTripPlanesAgree sends the benchmark's trips, on the benchmark's
-// world, through a fleet whose shards answer binary, one whose shards answer
-// JSON, and a mixed one (shard 1 ignores Accept): the client's bodies are
-// byte-identical, and the decode histograms show each answer read on the
-// plane it came on, in measurable time.
+// world, as JSON and in the binary form, through a fleet whose gateway plans
+// and searches them and through a graph-free one: the client's bodies are
+// byte-identical, every shard answer is decoded from the binary form, in
+// measurable time, and the planning gateway's blocks are all taken.
 func TestFleetTripPlanesAgree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the Oldenburg scenario")
@@ -67,55 +52,84 @@ func TestFleetTripPlanesAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	world := sc.Env
-	wireFleet := newTravelFleet(t, shardEnvs(t, world, 3), world)
-	jsonFleet := newJSONFleet(t, shardEnvs(t, world, 3))
-	mixedEnvs := shardEnvs(t, world, 3)
-	mixed := newTravelFleet(t, mixedEnvs, world)
-	mixed.shards[1].set(ignoringAccept(eis.NewServer(mixedEnvs[1], eis.ServerOptions{}).Handler()))
+	planning := newTravelFleet(t, shardEnvs(t, world, 3), world)
+	forwarding := newFleetOver(t, shardEnvs(t, world, 3), Options{})
 
 	for i, trip := range routedTrips(t, world.Graph, 17, 6, 40, sc.Start) {
 		body := tripRequest(world.Graph, trip, 5, 50000, 0, 4000)
-		w0, j0, sec0 := tripDecodes()
-		status, want, header, _ := jsonFleet.postTrip(t, body)
-		w1, j1, _ := tripDecodes()
-		if status != http.StatusOK || header.Get(degradedHeader) != "" || w1 != w0 || j1 != j0+3 {
-			t.Fatalf("trip %d, JSON shards: %d, degraded %q, %d binary and %d JSON decodes: %.200s", i, status, header.Get(degradedHeader), w1-w0, j1-j0, want)
+		status, want, header, _ := forwarding.postTrip(t, body)
+		if status != http.StatusOK || header.Get(degradedHeader) != "" {
+			t.Fatalf("trip %d, forwarding gateway: %d, degraded %q: %.200s", i, status, header.Get(degradedHeader), want)
 		}
-		status, got, _, counts := wireFleet.postTrip(t, body)
-		w2, j2, sec2 := tripDecodes()
+		w0, sec0 := met.decodeWire.Count(), met.decodeWire.Sum()
+		status, got, _, counts := planning.postTrip(t, body)
 		if status != http.StatusOK || !bytes.Equal(got, want) {
-			t.Fatalf("trip %d: binary shards give the client another body\nwire: %d %.300s\njson: %.300s", i, status, got, want)
+			t.Fatalf("trip %d: the planning gateway gives the client another body\nplanning:   %d %.300s\nforwarding: %.300s", i, status, got, want)
 		}
-		if w2 != w1+3 || j2 != j1 || !(sec2 > sec0) || counts.supplied == 0 || counts.rejected != 0 {
-			t.Fatalf("trip %d, binary shards: %d binary and %d JSON decodes in %v s, %d blocks sent, %d rejected", i, w2-w1, j2-j1, sec2-sec0, counts.supplied, counts.rejected)
+		if w := met.decodeWire.Count() - w0; w != 3 || !(met.decodeWire.Sum() > sec0) || counts.supplied == 0 || counts.rejected != 0 {
+			t.Fatalf("trip %d, planning gateway: %d binary decodes in %v s, %d blocks sent, %d rejected", i, w, met.decodeWire.Sum()-sec0, counts.supplied, counts.rejected)
 		}
-		status, got, _, _ = mixed.postTrip(t, body)
-		w3, j3, _ := tripDecodes()
-		if status != http.StatusOK || !bytes.Equal(got, want) || w3 != w2+2 || j3 != j2+1 {
-			t.Fatalf("trip %d, shard 1 answering JSON: %d after %d binary and %d JSON decodes\nmixed: %.300s\njson:  %.300s", i, status, w3-w2, j3-j2, got, want)
+		for name, f := range map[string]*travelFleet{"planning": planning, "forwarding": forwarding} {
+			if status, got, _ := sendAs(t, f.url, http.MethodPost, eis.APIVersion+"/offering/trip", wireTrip(t, body), wire.ContentType, ""); status != http.StatusOK || !bytes.Equal(got, want) {
+				t.Fatalf("trip %d sent in the binary form to the %s gateway: %d\ngot:  %.300s\nwant: %.300s", i, name, status, got, want)
+			}
 		}
 	}
 }
 
-// TestFleetTripDeadShardOnBothPlanes: with shard 1 down, binary and JSON
-// shards lead to the same degraded body — the dead shard's entries
-// synthesized into tables selected over decoded entry references.
+// TestFleetTripDeadShardOnBothPlanes: with shard 1 down, the planning and the
+// forwarding gateway, asked in JSON or in the binary form, lead to the same
+// degraded body — the dead shard's entries synthesized into tables selected
+// over decoded entry references.
 func TestFleetTripDeadShardOnBothPlanes(t *testing.T) {
 	world := testEnv(t)
-	wireFleet := newTravelFleet(t, shardEnvs(t, world, 3), world)
-	jsonFleet := newJSONFleet(t, shardEnvs(t, world, 3))
-	wireFleet.shards[1].set(shardDown)
-	jsonFleet.shards[1].set(shardDown)
+	planning := newTravelFleet(t, shardEnvs(t, world, 3), world)
+	forwarding := newFleetOver(t, shardEnvs(t, world, 3), Options{})
+	planning.shards[1].set(shardDown)
+	forwarding.shards[1].set(shardDown)
 	for i, trip := range routedTrips(t, world.Graph, 21, 4, 20, fixedNow) {
 		body := tripRequest(world.Graph, trip, 4+i, 6000, 2000, 1500)
-		gs, got, gh, _ := wireFleet.postTrip(t, body)
-		ws, want, wh, _ := jsonFleet.postTrip(t, body)
+		gs, got, gh, _ := planning.postTrip(t, body)
+		ws, want, wh, _ := forwarding.postTrip(t, body)
 		if gs != http.StatusOK || ws != http.StatusOK || !bytes.Equal(got, want) || gh.Get(degradedHeader) != "1" || wh.Get(degradedHeader) != "1" {
-			t.Fatalf("trip %d with shard 1 down: the planes disagree\nwire: %d %q %.300s\njson: %d %q %.300s",
+			t.Fatalf("trip %d with shard 1 down: the gateways disagree\nplanning:   %d %q %.300s\nforwarding: %d %q %.300s",
 				i, gs, gh.Get(degradedHeader), got, ws, wh.Get(degradedHeader), want)
 		}
 		if !bytes.Contains(got, []byte(`"degraded":`)) {
 			t.Fatalf("trip %d: no entry of the dead shard was synthesized: %.300s", i, got)
+		}
+		if status, wired, _ := sendAs(t, planning.url, http.MethodPost, eis.APIVersion+"/offering/trip", wireTrip(t, body), wire.ContentType, ""); status != http.StatusOK || !bytes.Equal(wired, want) {
+			t.Fatalf("trip %d with shard 1 down, sent in the binary form: %d %.300s", i, status, wired)
+		}
+	}
+}
+
+// TestFleetJSONShardIsA502: the gateway reads its shards' answers in the
+// binary form only, so a shard that answers JSON — here shard 1 ignores the
+// Accept it is sent — is a 502 on every fan-out endpoint, like any body that
+// does not decode, never a table.
+func TestFleetJSONShardIsA502(t *testing.T) {
+	world := testEnv(t)
+	envs := shardEnvs(t, world, 3)
+	f := newFleetOver(t, envs, Options{})
+	honest := eis.NewServer(envs[1], eis.ServerOptions{}).Handler()
+	f.shards[1].set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		r.Header.Del("Accept")
+		honest.ServeHTTP(w, r)
+	}))
+	center := world.Graph.Bounds().Center()
+	trip := routedTrips(t, world.Graph, 8, 1, 18, fixedNow)[0]
+	for _, tc := range []struct {
+		what, method, pathq string
+		body                []byte
+	}{
+		{"chargers", http.MethodGet, eis.APIVersion + "/chargers?lat=" + fmtFloat(center.Lat) + "&lon=" + fmtFloat(center.Lon) + "&radius_m=3000", nil},
+		{"offering", http.MethodPost, eis.APIVersion + "/offering", offeringBody(t, eis.OfferingRequest{Lat: center.Lat, Lon: center.Lon, Now: fixedNow})},
+		{"trip offering", http.MethodPost, eis.APIVersion + "/offering/trip", tripRequest(world.Graph, trip, 3, 6000, 2000, 1500)},
+	} {
+		status, body, _ := doReq(t, f.url, tc.method, tc.pathq, tc.body)
+		if want := "shard 1: decoding " + tc.what; status != http.StatusBadGateway || !bytes.Contains(body, []byte(want)) {
+			t.Errorf("%s from a shard answering JSON: %d %.200s, want a 502 saying %q", tc.what, status, body, want)
 		}
 	}
 }
@@ -135,6 +149,7 @@ func TestFleetTripForeignShard(t *testing.T) {
 		if strings.HasSuffix(r.URL.Path, "/offering/trip") {
 			r = r.Clone(r.Context())
 			r.Body, r.ContentLength = io.NopCloser(bytes.NewReader(other)), int64(len(other))
+			r.Header.Set("Content-Type", eis.ContentTypeJSON)
 		}
 		honest.ServeHTTP(w, r)
 	}))
@@ -149,16 +164,14 @@ func TestFleetTripForeignShard(t *testing.T) {
 }
 
 // TestFleetTripConcurrentSharesNoStorage: trips of different lengths, table
-// sizes and radii served side by side by a mixed-plane fleet, with shard 2
-// down for good measure, each get the bytes a JSON fleet gives them one at a
-// time — the pooled per-shard trip storage, the selection and the merged
-// trip of one request never show in another's answer.
+// sizes and radii served side by side by a planning gateway, with shard 2
+// down for good measure, each get the bytes a forwarding gateway gives them
+// one at a time — the pooled per-shard trip storage, the selection and the
+// merged trip of one request never show in another's answer.
 func TestFleetTripConcurrentSharesNoStorage(t *testing.T) {
 	world := testEnv(t)
-	envs := shardEnvs(t, world, 4)
-	f := newTravelFleet(t, envs, world)
-	f.shards[1].set(ignoringAccept(eis.NewServer(envs[1], eis.ServerOptions{}).Handler()))
-	oracle := newJSONFleet(t, shardEnvs(t, world, 4))
+	f := newTravelFleet(t, shardEnvs(t, world, 4), world)
+	oracle := newFleetOver(t, shardEnvs(t, world, 4), Options{})
 	f.shards[2].set(shardDown)
 	oracle.shards[2].set(shardDown)
 	var bodies, want [][]byte

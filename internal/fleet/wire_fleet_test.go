@@ -66,7 +66,7 @@ func TestChaosFleetWireShardByteIdentity(t *testing.T) {
 // re-rendered as the JSON a single EIS frames (Encoder newline).
 func wireOffering(t *testing.T, h *fleetHarness, body []byte) []byte {
 	t.Helper()
-	status, respBody, hdr := doReqAccept(t, h.gwts.URL, http.MethodPost, eis.APIVersion+"/offering", body, wire.ContentType)
+	status, respBody, hdr := sendAs(t, h.gwts.URL, http.MethodPost, eis.APIVersion+"/offering", body, eis.ContentTypeJSON, wire.ContentType)
 	if status != http.StatusOK {
 		t.Fatalf("status %d: %.200s", status, respBody)
 	}
@@ -159,8 +159,8 @@ func TestChaosFleetTripAnswersWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	pathq := eis.APIVersion + "/offering/trip"
-	gs, gb, gh := doReqAccept(t, h.gwts.URL, http.MethodPost, pathq, trip, wire.ContentType)
-	ss, sb, sh := doReqAccept(t, h.single.URL, http.MethodPost, pathq, trip, wire.ContentType)
+	gs, gb, gh := sendAs(t, h.gwts.URL, http.MethodPost, pathq, trip, eis.ContentTypeJSON, wire.ContentType)
+	ss, sb, sh := sendAs(t, h.single.URL, http.MethodPost, pathq, trip, eis.ContentTypeJSON, wire.ContentType)
 	if gs != http.StatusOK || ss != http.StatusOK {
 		t.Fatalf("trip asked for in binary: gateway %d, single EIS %d: %.200s", gs, ss, gb)
 	}

@@ -83,7 +83,6 @@ func overloadFleet(t *testing.T, env *cknn.Env) *Inproc {
 	ip, err := StartInproc(env, InprocOptions{
 		Shards:      3,
 		MaxInFlight: 2,
-		RetryAfter:  time.Second,
 		Clock:       func() time.Time { return fixedNow },
 		Server:      eis.ServerOptions{CacheCellM: 1},
 		Wrap:        delayHandler(25 * time.Millisecond),

@@ -19,15 +19,9 @@ type InprocOptions struct {
 	// Shards is the fleet width. 0 selects 3 (the shape loadgen and bench/ run).
 	Shards int
 	// MaxInFlight caps concurrent requests per shard; past it the shard
-	// sheds 503+Retry-After. 0 disables shedding (the overload suite sets
+	// sheds 503 with eis.RetryAfter. 0 disables shedding (the overload suite sets
 	// it low on purpose).
 	MaxInFlight int
-	// RetryAfter stamps shed responses; 0 selects the middleware default.
-	RetryAfter time.Duration
-	// ShardTimeout, HedgeDelay: gateway fan-out knobs; zero selects the
-	// fleet defaults.
-	ShardTimeout time.Duration
-	HedgeDelay   time.Duration
 	// WireShards does nothing: a gateway always asks its shards for the
 	// binary format. It stays for the callers that still set it.
 	WireShards bool
@@ -91,7 +85,7 @@ func StartInproc(env *cknn.Env, opts InprocOptions) (*Inproc, error) {
 			h = opts.Wrap(h)
 		}
 		if opts.MaxInFlight > 0 {
-			mw := &eis.Middleware{MaxInFlight: opts.MaxInFlight, RetryAfter: opts.RetryAfter}
+			mw := &eis.Middleware{MaxInFlight: opts.MaxInFlight}
 			h = mw.Wrap(h)
 		}
 		url, err := ip.serve(h)
@@ -102,11 +96,7 @@ func StartInproc(env *cknn.Env, opts InprocOptions) (*Inproc, error) {
 		ip.ShardURLs = append(ip.ShardURLs, url)
 	}
 
-	gw, err := fleet.NewGateway(shards, fleet.Options{
-		ShardTimeout: opts.ShardTimeout,
-		HedgeDelay:   opts.HedgeDelay,
-		Env:          env,
-	})
+	gw, err := fleet.NewGateway(shards, fleet.Options{Env: env})
 	if err != nil {
 		return nil, fmt.Errorf("load: gateway: %w", err)
 	}
