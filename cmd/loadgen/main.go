@@ -34,7 +34,6 @@ import (
 	"ecocharge/internal/experiment"
 	"ecocharge/internal/load"
 	"ecocharge/internal/trajectory"
-	"ecocharge/internal/wire"
 )
 
 func main() {
@@ -112,7 +111,6 @@ func run() int {
 			Plane:   plane,
 			K:       *k,
 			RadiusM: *radiusM,
-			Weights: wire.WeightsJSON{},
 			Now:     scen.Start,
 			Timeout: *timeout,
 			Workers: *workers,

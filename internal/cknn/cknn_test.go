@@ -355,7 +355,7 @@ func TestQuadtreeMethodSubsetOfNearest(t *testing.T) {
 		t.Fatal("empty table")
 	}
 	// Every returned charger must be among the factor*k nearest.
-	nearest := env.Chargers.KNearest(q.Anchor, m.CandidateFactor*3)
+	nearest := env.Chargers.KNearest(q.Anchor, quadtreeCandidateFactor*3)
 	nearIDs := map[int64]bool{}
 	for _, c := range nearest {
 		nearIDs[c.ID] = true
@@ -439,12 +439,12 @@ func TestEcoChargeCacheBehaviour(t *testing.T) {
 
 func TestEcoChargeCacheTTL(t *testing.T) {
 	env := testEnv(t)
-	m := NewEcoCharge(env, EcoChargeOptions{RadiusM: 10000, ReuseDistM: 5000, TTL: 10 * time.Minute})
+	m := NewEcoCharge(env, EcoChargeOptions{RadiusM: 10000, ReuseDistM: 5000})
 	q := testQuery(env)
 	m.Rank(q)
-	// Same place, 30 minutes later: TTL expired, must recompute.
+	// Same place, one minute past the TTL: expired, must recompute.
 	q2 := q
-	q2.Now = q.Now.Add(30 * time.Minute)
+	q2.Now = q.Now.Add(tableTTL + time.Minute)
 	q2.ETABase = q2.Now
 	if table := m.Rank(q2); table.Adapted {
 		t.Fatal("stale cache adapted beyond TTL")

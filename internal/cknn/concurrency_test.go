@@ -106,7 +106,7 @@ func TestStatelessMethodsShareable(t *testing.T) {
 // itself: after one computed table, what the next query gets.
 func TestEcoChargeCacheRule(t *testing.T) {
 	env := testEnv(t)
-	opts := EcoChargeOptions{RadiusM: 10000, ReuseDistM: 2000, TTL: 10 * time.Minute}
+	opts := EcoChargeOptions{RadiusM: 10000, ReuseDistM: 2000}
 	first := testQuery(env)
 	moved := func(m float64) Query { return movedQuery(env, first, 90, m) }
 	issued := func(d time.Duration) Query {
@@ -125,8 +125,8 @@ func TestEcoChargeCacheRule(t *testing.T) {
 		{name: "same place, same time", opts: opts, next: first, adapts: true},
 		{name: "moved within Q", opts: opts, next: moved(1900), adapts: true},
 		{name: "moved beyond Q", opts: opts, next: moved(2100)},
-		{name: "at the TTL", opts: opts, next: issued(10 * time.Minute), adapts: true},
-		{name: "older than the TTL", opts: opts, next: issued(11 * time.Minute)},
+		{name: "at the TTL", opts: opts, next: issued(tableTTL), adapts: true},
+		{name: "older than the TTL", opts: opts, next: issued(tableTTL + time.Minute)},
 		{name: "issued before the table", opts: opts, next: issued(-time.Minute)},
 		{name: "empty table", opts: EcoChargeOptions{RadiusM: 1, ReuseDistM: 2000}, empty: true, next: first},
 		{name: "after Reset", opts: opts, reset: true, next: first},

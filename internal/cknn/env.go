@@ -119,9 +119,6 @@ func (env *Env) DSourceOK(chargerID int64, issued time.Time) bool {
 
 // EnvConfig carries the optional knobs of NewEnv.
 type EnvConfig struct {
-	// MaxDeroutSec overrides the derouting normalizer; 0 derives it from
-	// RadiusM (a round trip at urban average speed).
-	MaxDeroutSec float64
 	// RadiusM is the default search radius used to derive MaxDeroutSec.
 	// 0 selects 50 km, the paper's default R.
 	RadiusM float64
@@ -154,12 +151,9 @@ func NewEnv(g *roadnet.Graph, set *charger.Set, solar *ec.SolarModel, avail *ec.
 	if radius <= 0 {
 		radius = 50000
 	}
-	env.MaxDeroutSec = cfg.MaxDeroutSec
-	if env.MaxDeroutSec <= 0 {
-		// One-way radius crossing at mixed urban speed: a charger whose
-		// visit costs more than driving R is maximally penalized (D = 1).
-		env.MaxDeroutSec = radius / avgUrbanSpeed
-	}
+	// One-way radius crossing at mixed urban speed: a charger whose visit
+	// costs more than driving R is maximally penalized (D = 1).
+	env.MaxDeroutSec = radius / avgUrbanSpeed
 	return env, nil
 }
 

@@ -69,20 +69,21 @@ func (m *BruteForce) Rank(q Query) OfferingTable {
 }
 
 // IndexQuadtree retrieves candidates through the spatial index — the
-// CandidateFactor·k chargers geometrically nearest the anchor — and ranks
-// only those. Retrieval drops from O(n) to O(log n), trading SC: the best
-// sustainability score is not always among the nearest chargers. It is
+// quadtreeCandidateFactor·k chargers geometrically nearest the anchor — and
+// ranks only those. Retrieval drops from O(n) to O(log n), trading SC: the
+// best sustainability score is not always among the nearest chargers. It is
 // stateless, safe to share, like BruteForce.
 type IndexQuadtree struct {
 	engine Engine
-	// CandidateFactor scales the candidate set (factor·k nearest); values
-	// below 1 are treated as the default 2.
-	CandidateFactor int
 }
+
+// quadtreeCandidateFactor scales IndexQuadtree's candidate set: the
+// 2·k nearest chargers.
+const quadtreeCandidateFactor = 2
 
 // NewIndexQuadtree returns the index-based baseline method.
 func NewIndexQuadtree(env *Env) *IndexQuadtree {
-	return &IndexQuadtree{engine: Engine{Env: env}, CandidateFactor: 2}
+	return &IndexQuadtree{engine: Engine{Env: env}}
 }
 
 // Name implements Method.
@@ -94,11 +95,7 @@ func (m *IndexQuadtree) Reset() {}
 // Rank implements Method.
 func (m *IndexQuadtree) Rank(q Query) OfferingTable {
 	q = q.normalized()
-	factor := m.CandidateFactor
-	if factor < 1 {
-		factor = 2
-	}
-	cands := m.engine.Env.Chargers.KNearest(q.Anchor, factor*q.K)
+	cands := m.engine.Env.Chargers.KNearest(q.Anchor, quadtreeCandidateFactor*q.K)
 	// The expansion only needs to price the retrieved candidates: bound it
 	// by a generous detour budget to the farthest one (4× the geodesic
 	// distance at half urban speed covers grid detours and congestion).
@@ -159,8 +156,8 @@ func (m *Random) Rank(q Query) OfferingTable {
 	return t
 }
 
-// EcoChargeOptions configure the paper's method: the search radius R, the
-// re-generation distance Q, and the cache validity horizon.
+// EcoChargeOptions configure the paper's method: the search radius R and
+// the re-generation distance Q.
 type EcoChargeOptions struct {
 	// RadiusM is R: chargers farther than this from the anchor are not
 	// considered. 0 selects 50 km (the paper's chosen configuration).
@@ -169,9 +166,6 @@ type EcoChargeOptions struct {
 	// instead of recomputed while the vehicle stays within this distance
 	// of the table's anchor. 0 selects 5 km.
 	ReuseDistM float64
-	// TTL bounds how long a cached table stays adaptable regardless of
-	// distance (the ECs decay with time). 0 selects 15 minutes.
-	TTL time.Duration
 	// ExactDerouting selects the exact derouting interval computation on
 	// cache misses (a search under the lower and one under the upper
 	// weights) instead of the default single mid-traffic search with scaled
@@ -186,11 +180,12 @@ func (o EcoChargeOptions) withDefaults() EcoChargeOptions {
 	if o.ReuseDistM <= 0 {
 		o.ReuseDistM = 5000
 	}
-	if o.TTL <= 0 {
-		o.TTL = 15 * time.Minute
-	}
 	return o
 }
+
+// tableTTL bounds how long a cached table stays adaptable regardless of
+// distance (the ECs decay with time).
+const tableTTL = 15 * time.Minute
 
 // deroutPlan is how a cache-miss ranking searches: the effort bound and
 // where the travel-time bounds come from.
@@ -293,7 +288,7 @@ func (m *EcoCharge) rank(q Query, travel *Travel) (table OfferingTable, used boo
 func (m *EcoCharge) adaptable(q Query) bool {
 	t := &m.cached
 	return len(t.Entries) > 0 && m.opts.reuses(t.Anchor, q.Anchor) &&
-		q.Now.Sub(t.GeneratedAt) <= m.opts.TTL &&
+		q.Now.Sub(t.GeneratedAt) <= tableTTL &&
 		!q.Now.Before(t.GeneratedAt)
 }
 

@@ -47,8 +47,8 @@ type engineMetrics struct {
 
 func newEngineMetrics(r *obs.Registry) *engineMetrics {
 	return &engineMetrics{
-		filterSeconds:      r.Histogram("cknn_filter_seconds", nil),
-		refineSeconds:      r.Histogram("cknn_refine_seconds", nil),
+		filterSeconds:      r.Histogram("cknn_filter_seconds"),
+		refineSeconds:      r.Histogram("cknn_refine_seconds"),
 		pruneRejected:      r.Counter("cknn_prune_rejected_total"),
 		evaluated:          r.Counter("cknn_evaluated_total"),
 		unreachable:        r.Counter("cknn_unreachable_total"),

@@ -232,26 +232,36 @@ func (c *Client) attempt(req *http.Request, out interface{}) attemptOutcome {
 	return attemptOutcome{}
 }
 
-// classifyStatus maps a non-200 response to an outcome: overload and
-// gateway statuses are retryable breaker faults honoring Retry-After, other
-// statuses (validation errors and the like) are terminal answers.
+// RetryableStatus reports whether an HTTP status means "the server cannot
+// serve right now", not "the request is wrong": the overload and gateway
+// statuses. The client retries them as breaker faults, and the fleet
+// gateway counts them as shard failures and degrades.
+func RetryableStatus(code int) bool {
+	switch code {
+	case http.StatusTooManyRequests, http.StatusBadGateway,
+		http.StatusServiceUnavailable, http.StatusGatewayTimeout:
+		return true
+	}
+	return false
+}
+
+// classifyStatus maps a non-200 response to an outcome: a RetryableStatus
+// is a retryable breaker fault honoring Retry-After, other statuses
+// (validation errors and the like) are terminal answers.
 func (c *Client) classifyStatus(req *http.Request, resp *http.Response, body []byte) attemptOutcome {
 	msg := fmt.Errorf("eis client: %s: HTTP %d", req.URL.Path, resp.StatusCode)
 	var e ErrorResponse
 	if json.Unmarshal(body, &e) == nil && e.Error != "" {
 		msg = fmt.Errorf("eis client: %s: %s (HTTP %d)", req.URL.Path, e.Error, resp.StatusCode)
 	}
-	switch resp.StatusCode {
-	case http.StatusTooManyRequests, http.StatusBadGateway,
-		http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-		o := attemptOutcome{err: msg, retryable: true, fault: true}
-		if d, ok := ParseRetryAfter(resp.Header.Get("Retry-After"), c.opts.Clock()); ok {
-			o.retryAfter = d
-		}
-		return o
-	default:
+	if !RetryableStatus(resp.StatusCode) {
 		return attemptOutcome{err: msg}
 	}
+	o := attemptOutcome{err: msg, retryable: true, fault: true}
+	if d, ok := ParseRetryAfter(resp.Header.Get("Retry-After"), c.opts.Clock()); ok {
+		o.retryAfter = d
+	}
+	return o
 }
 
 // maxRetryAfter caps the delay a server can request through Retry-After: a

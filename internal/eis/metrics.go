@@ -62,13 +62,13 @@ type eisMetrics struct {
 
 func newEISMetrics(r *obs.Registry) *eisMetrics {
 	return &eisMetrics{
-		httpChargers:     r.Histogram("eis_http_seconds_chargers", nil),
-		httpInventory:    r.Histogram("eis_http_seconds_inventory", nil),
-		httpWeather:      r.Histogram("eis_http_seconds_weather", nil),
-		httpAvailability: r.Histogram("eis_http_seconds_availability", nil),
-		httpTraffic:      r.Histogram("eis_http_seconds_traffic", nil),
-		httpOffering:     r.Histogram("eis_http_seconds_offering", nil),
-		httpTrip:         r.Histogram("eis_http_seconds_offering_trip", nil),
+		httpChargers:     r.Histogram("eis_http_seconds_chargers"),
+		httpInventory:    r.Histogram("eis_http_seconds_inventory"),
+		httpWeather:      r.Histogram("eis_http_seconds_weather"),
+		httpAvailability: r.Histogram("eis_http_seconds_availability"),
+		httpTraffic:      r.Histogram("eis_http_seconds_traffic"),
+		httpOffering:     r.Histogram("eis_http_seconds_offering"),
+		httpTrip:         r.Histogram("eis_http_seconds_offering_trip"),
 
 		rescacheHits:      r.Counter("eis_rescache_hits_total"),
 		rescacheMisses:    r.Counter("eis_rescache_misses_total"),
@@ -76,8 +76,8 @@ func newEISMetrics(r *obs.Registry) *eisMetrics {
 		rescacheEvictions: r.Counter("eis_rescache_evictions_total"),
 		rescacheEntries:   r.Gauge("eis_rescache_entries"),
 
-		encodeJSON: r.Histogram("eis_encode_seconds_json", nil),
-		encodeWire: r.Histogram("eis_encode_seconds_wire", nil),
+		encodeJSON: r.Histogram("eis_encode_seconds_json"),
+		encodeWire: r.Histogram("eis_encode_seconds_wire"),
 		respJSON:   r.Counter("eis_responses_json_total"),
 		respWire:   r.Counter("eis_responses_wire_total"),
 		reqWire:    r.Counter("eis_requests_wire_total"),

@@ -147,17 +147,6 @@ func (res *shardResult) release() {
 	}
 }
 
-// retryableStatus mirrors the client's transient-fault classification: these
-// statuses mean "the shard cannot serve right now", not "the request is
-// wrong", so the gateway treats them as shard failures and degrades.
-func retryableStatus(code int) bool {
-	switch code {
-	case http.StatusTooManyRequests, http.StatusBadGateway, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-		return true
-	}
-	return false
-}
-
 // attempt performs one HTTP exchange against one target, on the gateway's
 // RoundTripper: Client.Do would add only what a shard exchange never uses —
 // redirect following with its header copier and body rewinding — at half a
@@ -198,7 +187,7 @@ func (g *Gateway) attempt(ctx context.Context, t *target, c *call) shardResult {
 		wire.PutBuffer(buf)
 		return shardResult{err: fmt.Errorf("fleet: shard response exceeds %d bytes", maxShardResponseBytes)}
 	}
-	if retryableStatus(resp.StatusCode) {
+	if eis.RetryableStatus(resp.StatusCode) {
 		wire.PutBuffer(buf)
 		return shardResult{err: fmt.Errorf("fleet: shard %s: HTTP %d", t.base, resp.StatusCode)}
 	}

@@ -393,10 +393,15 @@ func (g *Gateway) perCharger(w http.ResponseWriter, r *http.Request, ep endpoint
 // ---- traffic (any-shard pass-through) ----
 
 // handleTraffic serves the fleet-global congestion bands from any shard
-// (every shard holds the same traffic model), preferring healthy members.
+// (every shard holds the same traffic model), preferring healthy members. A
+// t that is not a time is answered here, with the 400 a shard would give.
 func (g *Gateway) handleTraffic(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		g.writeError(w, http.StatusMethodNotAllowed, "GET only")
+		return
+	}
+	if _, err := eis.TimeParam(r, "t", time.Time{}); err != nil {
+		g.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	order := make([]*member, len(g.members))

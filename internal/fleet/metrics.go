@@ -48,14 +48,14 @@ type fleetMetrics struct {
 func newFleetMetrics(r *obs.Registry) *fleetMetrics {
 	// Kept registered, always at 0, for bench/, whose replay reads it: no
 	// shard answer is JSON.
-	r.Histogram("gateway_decode_seconds_json", nil)
+	r.Histogram("gateway_decode_seconds_json")
 	return &fleetMetrics{
-		httpChargers: r.Histogram("gateway_http_seconds_chargers", nil),
-		httpWeather:  r.Histogram("gateway_http_seconds_weather", nil),
-		httpAvail:    r.Histogram("gateway_http_seconds_availability", nil),
-		httpTraffic:  r.Histogram("gateway_http_seconds_traffic", nil),
-		httpOffering: r.Histogram("gateway_http_seconds_offering", nil),
-		httpTrip:     r.Histogram("gateway_http_seconds_offering_trip", nil),
+		httpChargers: r.Histogram("gateway_http_seconds_chargers"),
+		httpWeather:  r.Histogram("gateway_http_seconds_weather"),
+		httpAvail:    r.Histogram("gateway_http_seconds_availability"),
+		httpTraffic:  r.Histogram("gateway_http_seconds_traffic"),
+		httpOffering: r.Histogram("gateway_http_seconds_offering"),
+		httpTrip:     r.Histogram("gateway_http_seconds_offering_trip"),
 
 		shardRequests: r.Counter("gateway_shard_requests_total"),
 		shardFailures: r.Counter("gateway_shard_failures_total"),
@@ -74,7 +74,7 @@ func newFleetMetrics(r *obs.Registry) *fleetMetrics {
 		travelSupplied: r.Counter("fleet_travel_supplied_total"),
 		travelWasted:   r.Counter("fleet_travel_wasted_total"),
 
-		decodeWire: r.Histogram("gateway_decode_seconds_wire", nil),
+		decodeWire: r.Histogram("gateway_decode_seconds_wire"),
 	}
 }
 

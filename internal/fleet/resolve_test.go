@@ -39,7 +39,7 @@ func tripBody(t testing.TB, h *fleetHarness, n int, req eis.TripOfferingRequest)
 func TestFleetResolvesRequestsLikeAShard(t *testing.T) {
 	h := newFleetHarness(t, harnessOpts{n: 3})
 	center := h.env.Graph.Bounds().Center()
-	const offering, trip, chargers = eis.APIVersion + "/offering", eis.APIVersion + "/offering/trip", eis.APIVersion + "/chargers"
+	const offering, trip, chargers, traffic = eis.APIVersion + "/offering", eis.APIVersion + "/offering/trip", eis.APIVersion + "/chargers", eis.APIVersion + "/traffic"
 	// Times just outside what the binary plane carries: year 0 and year 9999
 	// as their zones render them, a few hours either side in UTC.
 	const early, late = "0000-01-01T10:00:00+23:59", "9999-12-31T20:00:00-23:59"
@@ -88,6 +88,7 @@ func TestFleetResolvesRequestsLikeAShard(t *testing.T) {
 		{"chargers NaN", chargers + "?lat=NaN&lon=8.06&radius_m=3000", nil, false, `parameter "lat" is not a finite number`},
 		{"chargers off the globe", chargers + "?lat=95&lon=8.06&radius_m=3000", nil, false, "invalid location or radius"},
 		{"chargers negative radius", chargers + "?lat=53.03&lon=8.06&radius_m=-5", nil, false, "invalid location or radius"},
+		{"traffic bad t", traffic + "?t=garbage", nil, false, `parameter "t" is not RFC3339: parsing time "garbage" as "2006-01-02T15:04:05Z07:00": cannot parse "garbage" as "2006"`},
 	} {
 		method, contentType := http.MethodGet, eis.ContentTypeJSON
 		if tc.body != nil {

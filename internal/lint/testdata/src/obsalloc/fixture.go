@@ -8,10 +8,10 @@ import "fmt"
 // Registry mirrors the real obs.Registry surface the analyzer matches on.
 type Registry struct{}
 
-func (r *Registry) Counter(name string) *Counter             { return nil }
-func (r *Registry) Gauge(name string) *Gauge                 { return nil }
-func (r *Registry) Histogram(name string, b []float64) *Hist { return nil }
-func (r *Registry) Unrelated(name string) *Counter           { return nil }
+func (r *Registry) Counter(name string) *Counter   { return nil }
+func (r *Registry) Gauge(name string) *Gauge       { return nil }
+func (r *Registry) Histogram(name string) *Hist    { return nil }
+func (r *Registry) Unrelated(name string) *Counter { return nil }
 
 type (
 	Counter struct{}
@@ -25,7 +25,7 @@ const prefix = "cknn_"
 func GoodConstantNames(r *Registry) {
 	r.Counter("cknn_evaluated_total")
 	r.Gauge(prefix + "cache_slots")
-	r.Histogram("cknn_filter_seconds", nil)
+	r.Histogram("cknn_filter_seconds")
 }
 
 // BadSprintfName is the canonical smell: a per-call formatted name.
@@ -38,7 +38,7 @@ func BadSprintfName(r *Registry, shard int) {
 func BadDynamicConcat(r *Registry, kind string) {
 	r.Counter(prefix + kind + "_total")
 	r.Gauge("cknn_" + kind)
-	r.Histogram(kind, nil)
+	r.Histogram(kind)
 }
 
 // GoodOtherReceiver shows that only Registry receivers are matched.

@@ -12,7 +12,7 @@ import (
 // the outcome counts given. Elapsed is pinned to exactly 1 s so goodput
 // equals the valid count.
 func synthStep(plane Plane, rate float64, valid, degraded, shed, invalid, errors int, lat time.Duration) Result {
-	h := &obs.LogHistogram{}
+	h := &obs.Histogram{}
 	n := valid + degraded + shed + invalid + errors
 	for i := 0; i < n; i++ {
 		h.Observe(lat + time.Duration(i)*time.Microsecond)

@@ -34,8 +34,6 @@ type Options struct {
 	// server defaults (k=3, 50 km).
 	K       int
 	RadiusM float64
-	// Weights of the SC score; zero selects the server's equal weights.
-	Weights wire.WeightsJSON
 	// Now is stamped into requests so estimates evaluate at the scenario's
 	// time base instead of the server wall clock. Zero lets the server
 	// clock each request.
@@ -54,9 +52,6 @@ type Options struct {
 	// offered load itself, which is exactly the blind spot open-loop
 	// measurement exists to avoid.
 	ClosedLoop bool
-	// HTTPClient performs the exchanges; nil selects a client on
-	// eis.DefaultTransport tuned for Workers connections.
-	HTTPClient *http.Client
 }
 
 func (o Options) withDefaults() Options {
@@ -68,12 +63,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Workers <= 0 {
 		o.Workers = 64
-	}
-	if o.HTTPClient == nil {
-		o.HTTPClient = &http.Client{
-			Timeout:   o.Timeout,
-			Transport: eis.DefaultTransport(o.Workers, o.Plane == PlaneWire),
-		}
 	}
 	return o
 }
@@ -95,7 +84,7 @@ type Result struct {
 
 	Elapsed time.Duration // first intended arrival to last completion
 	MaxLat  time.Duration // slowest single observation
-	Latency *obs.LogHistogram
+	Latency *obs.Histogram
 
 	// FirstViolation samples the first Invalid/Error explanation so sweep
 	// reports can say *what* broke at the knee.
@@ -110,9 +99,12 @@ func (r Result) Goodput() float64 {
 	return float64(r.Valid) / r.Elapsed.Seconds()
 }
 
-// Runner drives offering queries against one target on one plane.
+// Runner drives offering queries against one target on one plane, on a
+// client over eis.DefaultTransport tuned for Workers connections. Every
+// query asks with the server's equal weights.
 type Runner struct {
-	opts Options
+	opts   Options
+	client *http.Client
 }
 
 // NewRunner validates the options.
@@ -123,7 +115,11 @@ func NewRunner(opts Options) (*Runner, error) {
 	if opts.Plane != "" && opts.Plane != PlaneJSON && opts.Plane != PlaneWire {
 		return nil, fmt.Errorf("load: unknown plane %q", opts.Plane)
 	}
-	return &Runner{opts: opts.withDefaults()}, nil
+	opts = opts.withDefaults()
+	return &Runner{opts: opts, client: &http.Client{
+		Timeout:   opts.Timeout,
+		Transport: eis.DefaultTransport(opts.Workers, opts.Plane == PlaneWire),
+	}}, nil
 }
 
 // event is one scheduled arrival: the query and the time it was *supposed*
@@ -155,7 +151,7 @@ func (r *Runner) Run(ctx context.Context, src *Sessions, sched Schedule, rateHz 
 		maxLat    atomic.Int64
 		violation atomic.Value // string
 	)
-	hist := obs.NewLogHistogram()
+	hist := &obs.Histogram{}
 
 	var wg sync.WaitGroup
 	for w := 0; w < r.opts.Workers; w++ {
@@ -237,7 +233,7 @@ func (r *Runner) send(ctx context.Context, ev event) (time.Duration, Outcome, er
 
 	oreq := wire.OfferingRequest{
 		Lat: ev.q.Lat, Lon: ev.q.Lon,
-		K: r.opts.K, RadiusM: r.opts.RadiusM, Weights: r.opts.Weights,
+		K: r.opts.K, RadiusM: r.opts.RadiusM,
 		Now: r.opts.Now, ETA: ev.q.ETA,
 	}
 	var body []byte
@@ -265,7 +261,7 @@ func (r *Runner) send(ctx context.Context, ev event) (time.Duration, Outcome, er
 	if r.opts.ClosedLoop {
 		from = time.Now()
 	}
-	resp, err := r.opts.HTTPClient.Do(req)
+	resp, err := r.client.Do(req)
 	if err != nil {
 		return time.Since(from), OutcomeError, err
 	}

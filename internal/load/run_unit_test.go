@@ -29,21 +29,11 @@ func TestNewRunnerValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := r.opts
-	if o.Plane != PlaneJSON || o.Timeout != 10*time.Second || o.Workers != 64 || o.HTTPClient == nil {
+	if o.Plane != PlaneJSON || o.Timeout != 10*time.Second || o.Workers != 64 {
 		t.Fatalf("defaults not applied: %+v", o)
 	}
-	if tr, ok := o.HTTPClient.Transport.(*http.Transport); !ok || tr.DisableCompression {
-		t.Fatalf("JSON-plane default client misconfigured: %#v", o.HTTPClient.Transport)
-	}
-
-	// A caller-supplied client is kept verbatim.
-	custom := &http.Client{Timeout: time.Second}
-	r2, err := NewRunner(Options{BaseURL: "http://x", Plane: PlaneWire, HTTPClient: custom})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.opts.HTTPClient != custom {
-		t.Fatal("caller-supplied HTTP client replaced")
+	if tr, ok := r.client.Transport.(*http.Transport); !ok || tr.DisableCompression || r.client.Timeout != o.Timeout {
+		t.Fatalf("JSON-plane client misconfigured: %#v", r.client)
 	}
 }
 

@@ -10,7 +10,8 @@ import (
 
 // WriteText renders every metric in a Prometheus-compatible text form:
 // counters and gauges as single samples, histograms as cumulative
-// <name>_bucket{le="..."} samples plus <name>_sum and <name>_count. Output
+// <name>_bucket{le="..."} samples at the octave edges 2^k−1 ns (65.5 µs to
+// 17.2 s, in seconds) plus <name>_sum in seconds and <name>_count. Output
 // is sorted by metric name so the format is golden-file testable.
 func (r *Registry) WriteText(w io.Writer) error {
 	if r == nil {
@@ -33,13 +34,13 @@ func (r *Registry) WriteText(w io.Writer) error {
 		if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", name); err != nil {
 			return err
 		}
-		buckets := h.snapshotBuckets()
-		for i, b := range h.bounds {
-			if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, formatFloat(b), buckets[i]); err != nil {
+		counts := h.expoCounts()
+		for i, c := range counts[:len(counts)-1] {
+			if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, formatFloat(float64(expoEdge(i))/1e9), c); err != nil {
 				return err
 			}
 		}
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, buckets[len(buckets)-1]); err != nil {
+		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, counts[len(counts)-1]); err != nil {
 			return err
 		}
 		if _, err := fmt.Fprintf(w, "%s_sum %s\n%s_count %d\n", name, formatFloat(h.Sum()), name, h.Count()); err != nil {

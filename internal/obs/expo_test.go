@@ -4,6 +4,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestHandlers exercises the HTTP faces of the registry: /metrics text
@@ -15,7 +16,7 @@ func TestHandlers(t *testing.T) {
 	g := r.Gauge("expo_test_inflight")
 	g.Set(5)
 	g.Add(-2)
-	r.Histogram("expo_test_latency_seconds", []float64{0.1}).Observe(0.042)
+	r.Histogram("expo_test_latency_seconds").Observe(42 * time.Millisecond)
 
 	rec := httptest.NewRecorder()
 	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))

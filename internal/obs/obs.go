@@ -1,7 +1,7 @@
 // Package obs is the repo's stdlib-only observability layer: an atomic
-// metrics registry (counters, gauges, fixed-bucket histograms), lightweight
-// span tracing with context propagation, and text/JSON exposition for the
-// EIS's /metrics and /debug/vars endpoints.
+// metrics registry (counters, gauges, log-linear latency histograms),
+// lightweight span tracing with context propagation, and text/JSON
+// exposition for the EIS's /metrics and /debug/vars endpoints.
 //
 // The design contract mirrors the flat-kernel discipline of DESIGN.md §8:
 // metric updates on the ranking hot path are single atomic operations with
@@ -141,10 +141,8 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, creating it with the given bucket
-// upper bounds on first use (later calls keep the original buckets). Nil or
-// empty bounds select DurationBuckets.
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
+// Histogram returns the named histogram, creating it on first use.
+func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
@@ -152,7 +150,7 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	defer r.mu.Unlock()
 	h, ok := r.histograms[name]
 	if !ok {
-		h = newHistogram(bounds)
+		h = &Histogram{}
 		r.histograms[name] = h
 	}
 	return h

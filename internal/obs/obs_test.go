@@ -3,11 +3,15 @@ package obs
 import (
 	"flag"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"testing/quick"
 	"time"
 )
 
@@ -47,51 +51,105 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if ng.Value() != 0 {
 		t.Fatal("nil gauge retained a value")
 	}
-	nh := nilReg.Histogram("x", nil)
-	nh.Observe(1)
+	nh := nilReg.Histogram("x")
+	nh.Observe(time.Second)
 	nh.Since(time.Now())
 	if nh.Count() != 0 || nh.Sum() != 0 {
 		t.Fatal("nil histogram retained observations")
 	}
 }
 
+// TestHistogramBuckets is the exposition's exactness property: random
+// durations across every exposed octave and past the last, plus le edges
+// and the nanosecond past each, go through WriteText, and every _bucket
+// line must equal the count of samples at or below its le (a sorted-sample
+// oracle), _count the number of samples and _sum their total to the
+// nanosecond.
 func TestHistogramBuckets(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat_seconds", []float64{0.01, 0.1, 1})
-	for _, v := range []float64{0.005, 0.01, 0.05, 0.5, 5} {
-		h.Observe(v)
-	}
-	if got := h.Count(); got != 5 {
-		t.Fatalf("count = %d, want 5", got)
-	}
-	if got, want := h.Sum(), 0.005+0.01+0.05+0.5+5; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("sum = %v, want %v", got, want)
-	}
-	// Cumulative buckets: ≤0.01 holds two (0.005 and the boundary 0.01),
-	// ≤0.1 adds 0.05, ≤1 adds 0.5, +Inf adds 5.
-	want := []uint64{2, 3, 4, 5}
-	got := h.snapshotBuckets()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("cumulative buckets = %v, want %v", got, want)
+	const prefix = `lat_seconds_bucket{le="`
+	check := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		r := NewRegistry()
+		h := r.Histogram("lat_seconds")
+		var samples []time.Duration
+		var total time.Duration
+		observe := func(d time.Duration) {
+			samples = append(samples, d)
+			total += d
+			h.Observe(d)
 		}
+		for k := expoMinOctave; k <= expoMaxOctave; k++ {
+			if edge := time.Duration(1)<<k - 1; rng.Intn(2) == 0 {
+				observe(edge)
+				observe(edge + 1)
+			}
+		}
+		for n := rng.Intn(2000); n > 0; n-- {
+			if rng.Intn(50) == 0 { // past the last edge, up to an hour
+				observe(time.Duration(rng.Int63n(int64(time.Hour))))
+				continue
+			}
+			observe(time.Duration(float64(20*time.Second) * math.Pow(rng.Float64(), 6)))
+		}
+		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+
+		var b strings.Builder
+		if err := r.WriteText(&b); err != nil {
+			t.Fatalf("WriteText: %v", err)
+		}
+		buckets := 0
+		for _, line := range strings.Split(strings.TrimSpace(b.String()), "\n") {
+			key, val, _ := strings.Cut(line, " ")
+			switch {
+			case strings.HasPrefix(key, prefix):
+				le := strings.TrimSuffix(strings.TrimPrefix(key, prefix), `"}`)
+				want := len(samples)
+				if le != "+Inf" {
+					sec, err := strconv.ParseFloat(le, 64)
+					if err != nil {
+						t.Fatalf("le %q: %v", le, err)
+					}
+					edge := time.Duration(math.Round(sec * 1e9))
+					want = sort.Search(len(samples), func(i int) bool { return samples[i] > edge })
+				}
+				if got, _ := strconv.Atoi(val); got != want {
+					t.Logf("seed %d: %s = %s, want %d", seed, key, val, want)
+					return false
+				}
+				buckets++
+			case key == "lat_seconds_sum":
+				sec, _ := strconv.ParseFloat(val, 64)
+				if got := time.Duration(math.Round(sec * 1e9)); got != total {
+					t.Logf("seed %d: _sum %s is %v, want %v", seed, val, got, total)
+					return false
+				}
+			case key == "lat_seconds_count":
+				if got, _ := strconv.Atoi(val); got != len(samples) {
+					t.Logf("seed %d: _count %s, want %d", seed, val, len(samples))
+					return false
+				}
+			}
+		}
+		if want := expoMaxOctave - expoMinOctave + 2; buckets != want {
+			t.Logf("seed %d: %d bucket lines, want %d", seed, buckets, want)
+			return false
+		}
+		return true
 	}
-	h.Observe(0.2)
-	h.Observe(0.02)
-	if h.Count() != 7 {
-		t.Fatalf("count = %d, want 7", h.Count())
+	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestHistogramConcurrentSum(t *testing.T) {
-	h := newHistogram([]float64{1})
+	h := &Histogram{}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				h.Observe(0.5)
+				h.Observe(500 * time.Millisecond)
 			}
 		}()
 	}
@@ -100,7 +158,7 @@ func TestHistogramConcurrentSum(t *testing.T) {
 		t.Fatalf("count = %d, want 8000", got)
 	}
 	if got, want := h.Sum(), 4000.0; got != want {
-		t.Fatalf("sum = %v, want %v (CAS loop lost updates)", got, want)
+		t.Fatalf("sum = %v, want %v (lost updates)", got, want)
 	}
 }
 
@@ -108,7 +166,7 @@ func TestSnapshotAndDelta(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("hits_total").Add(3)
 	r.Gauge("entries").Set(11)
-	r.Histogram("lat", []float64{1}).Observe(0.5)
+	r.Histogram("lat").Observe(500 * time.Millisecond)
 
 	before := r.Snapshot()
 	if before["hits_total"] != 3 || before["entries"] != 11 ||
@@ -136,11 +194,11 @@ func TestWriteTextGolden(t *testing.T) {
 	r.Counter("cknn_cache_hits_total").Add(42)
 	r.Counter("cknn_cache_misses_total").Add(7)
 	r.Gauge("eis_rescache_entries").Set(13)
-	h := r.Histogram("eis_http_seconds_offering", []float64{0.001, 0.01, 0.1, 1})
-	h.Observe(0.0005)
-	h.Observe(0.02)
-	h.Observe(0.02)
-	h.Observe(3)
+	h := r.Histogram("eis_http_seconds_offering")
+	h.Observe(500 * time.Microsecond)
+	h.Observe(20 * time.Millisecond)
+	h.Observe(20 * time.Millisecond)
+	h.Observe(3 * time.Second)
 
 	var b strings.Builder
 	if err := r.WriteText(&b); err != nil {
