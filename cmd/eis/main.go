@@ -11,7 +11,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -77,46 +76,10 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, *addr, handler, *drain, logger); err != nil {
+	if err := eis.Serve(ctx, "eis", *addr, handler, *drain, logger); err != nil {
 		fmt.Fprintln(os.Stderr, "eis:", err)
 		os.Exit(1)
 	}
-}
-
-// run serves until the context is cancelled (a shutdown signal), then
-// drains in-flight requests for up to drain before forcing connections
-// closed. The connection timeouts bound slow or stalled clients so one bad
-// peer cannot hold a handler goroutine forever (slowloris protection).
-func run(ctx context.Context, addr string, handler http.Handler, drain time.Duration, logger *log.Logger) error {
-	httpSrv := &http.Server{
-		Addr:              addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      60 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
-
-	select {
-	case err := <-errCh:
-		// The listener died on its own (port in use, etc.).
-		return err
-	case <-ctx.Done():
-	}
-
-	logger.Printf("eis: shutdown signal received, draining for up to %v", drain)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		return fmt.Errorf("draining: %w", err)
-	}
-	if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	logger.Printf("eis: drained, bye")
-	return nil
 }
 
 // withPprof overlays the stdlib profiling handlers on the API routes. The
@@ -160,7 +123,7 @@ func parseShard(s string) (i, n int, err error) {
 // human-readable description of what is being served.
 func newHandler(cfg handlerConfig, logger *log.Logger) (http.Handler, string, error) {
 	// The EIS only needs the environment; trips are client business.
-	sc, err := experiment.BuildScenario(cfg.dataset, 0.001, cfg.seed)
+	sc, err := experiment.ServedScenario(cfg.dataset, cfg.seed)
 	if err != nil {
 		return nil, "", fmt.Errorf("building scenario: %w", err)
 	}

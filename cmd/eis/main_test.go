@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ecocharge/internal/eis"
 )
 
 func TestNewHandlerServes(t *testing.T) {
@@ -94,7 +96,7 @@ func TestRunGracefulShutdown(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	logger := log.New(io.Discard, "", 0)
 	runErr := make(chan error, 1)
-	go func() { runErr <- run(ctx, addr, handler, 5*time.Second, logger) }()
+	go func() { runErr <- eis.Serve(ctx, "eis", addr, handler, 5*time.Second, logger) }()
 
 	// Wait for the listener, then park one request in the handler.
 	base := "http://" + addr

@@ -32,17 +32,16 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 	"time"
 
+	"ecocharge/internal/eis"
 	"ecocharge/internal/experiment"
 	"ecocharge/internal/fleet"
 )
@@ -79,7 +78,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	go gw.Run(ctx)
-	if err := run(ctx, *addr, gw.Handler(), *drain, logger); err != nil {
+	if err := eis.Serve(ctx, "gateway", *addr, gw.Handler(), *drain, logger); err != nil {
 		fmt.Fprintln(os.Stderr, "gateway:", err)
 		os.Exit(1)
 	}
@@ -95,7 +94,7 @@ func newGateway(shardsArg, dataset string, seed int64, opts fleet.Options) (*fle
 	}
 	desc := fmt.Sprintf("%d shards, graph-free", len(shards))
 	if dataset != "" {
-		sc, err := experiment.BuildScenario(dataset, 0.001, seed)
+		sc, err := experiment.ServedScenario(dataset, seed)
 		if err != nil {
 			return nil, "", fmt.Errorf("building scenario: %w", err)
 		}
@@ -121,38 +120,4 @@ func parseShards(arg string) ([]fleet.Shard, error) {
 		out = append(out, fleet.Shard{URL: strings.TrimSuffix(primary, "/"), Replica: strings.TrimSuffix(replica, "/")})
 	}
 	return out, nil
-}
-
-// run serves until the context is cancelled, then drains in-flight requests
-// for up to drain before forcing connections closed (same lifecycle as
-// cmd/eis).
-func run(ctx context.Context, addr string, handler http.Handler, drain time.Duration, logger *log.Logger) error {
-	httpSrv := &http.Server{
-		Addr:              addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      60 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
-
-	select {
-	case err := <-errCh:
-		return err
-	case <-ctx.Done():
-	}
-
-	logger.Printf("gateway: shutdown signal received, draining for up to %v", drain)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		return fmt.Errorf("draining: %w", err)
-	}
-	if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	logger.Printf("gateway: drained, bye")
-	return nil
 }

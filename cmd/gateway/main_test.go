@@ -40,7 +40,7 @@ func TestNewGatewayWorldFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scenario build is slow")
 	}
-	sc, err := experiment.BuildScenario("Oldenburg", 0.001, 42)
+	sc, err := experiment.ServedScenario("Oldenburg", 42)
 	if err != nil {
 		t.Fatal(err)
 	}

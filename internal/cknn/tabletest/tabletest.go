@@ -34,6 +34,8 @@ type Options struct {
 	// SkipScores disables the SC/component/order checks for methods that
 	// never compute scores (the Random baseline fills entries with zero
 	// values). Structural checks (size, duplicates, nil chargers) remain.
+	// A test seam, like the package: the cknn chaos and batched-derouting
+	// table tests set it for the Random method.
 	SkipScores bool
 }
 

@@ -44,11 +44,12 @@ func (c *fakeClock) Advance(d time.Duration) {
 // half-open → closed once the transport recovers.
 func TestChaosBreakerBlackoutRecovery(t *testing.T) {
 	inner := &countingTripper{}
-	inj := fault.New(fault.Config{Seed: 5, Blackouts: []fault.Window{{From: 0, To: 1}}})
+	inj := fault.New(fault.Config{Seed: 5})
+	blackout := fault.NewFleet(inj, map[string]fault.ShardShape{"eis.test": {Blackouts: []fault.Window{{From: 0, To: 1}}}})
 	clk := &fakeClock{t: fixedNow}
 	rec := &sleepRecorder{}
 	c := NewClientOpts("http://eis.test", ClientOptions{
-		HTTPClient: &http.Client{Transport: &fault.Transport{Inner: inner, Inj: inj}},
+		HTTPClient: &http.Client{Transport: blackout.Transport(inner, nil)},
 		Clock:      clk.Now,
 		Sleep:      rec.sleep,
 	})

@@ -47,11 +47,13 @@ type ClientOptions struct {
 	// Tests inject a fake to step through breaker states without sleeping.
 	Clock func() time.Time
 	// Sleep waits between retries. Nil selects a context-aware timer wait.
-	// Tests inject a recorder so the suite never sleeps for real.
+	// A test seam: the eis chaos, resilience, Retry-After and trace tests
+	// inject a recorder so the suite never sleeps for real.
 	Sleep func(time.Duration)
 	// Tracer exports one root span per logical request plus one child span
 	// per attempt, and stamps the attempt's span context onto the outgoing
-	// headers so the server joins the same trace. Nil disables tracing.
+	// headers so the server joins the same trace. Nil disables tracing. A
+	// test seam: only the eis trace tests set it.
 	Tracer *obs.Tracer
 }
 

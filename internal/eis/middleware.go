@@ -1,6 +1,9 @@
 package eis
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"log"
 	"net/http"
 	"runtime/debug"
@@ -76,4 +79,41 @@ func (sw *statusWriter) WriteHeader(code int) {
 func (sw *statusWriter) Write(b []byte) (int, error) {
 	sw.wroteHeader = true
 	return sw.ResponseWriter.Write(b)
+}
+
+// Serve serves handler on addr until ctx is cancelled (a shutdown signal),
+// then drains in-flight requests for up to drain before forcing connections
+// closed; name opens its log lines. The connection timeouts bound slow or
+// stalled clients so one bad peer cannot hold a handler goroutine forever
+// (slowloris protection). It is the lifecycle of cmd/eis and cmd/gateway.
+func Serve(ctx context.Context, name, addr string, handler http.Handler, drain time.Duration, logger *log.Logger) error {
+	httpSrv := &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		WriteTimeout:      60 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+	errCh := make(chan error, 1)
+	go func() { errCh <- httpSrv.ListenAndServe() }()
+
+	select {
+	case err := <-errCh:
+		// The listener died on its own (port in use, etc.).
+		return err
+	case <-ctx.Done():
+	}
+
+	logger.Printf("%s: shutdown signal received, draining for up to %v", name, drain)
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), drain)
+	defer cancel()
+	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
+		return fmt.Errorf("draining: %w", err)
+	}
+	if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
+	logger.Printf("%s: drained, bye", name)
+	return nil
 }

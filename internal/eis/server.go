@@ -704,14 +704,16 @@ func (s *Server) handleOffering(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
+	// A travel block is read where it arrived: the buffer goes back once the
+	// ranking that reads it has returned.
 	var req OfferingRequest
 	contentType := r.Header.Get("Content-Type")
 	buf := wire.GetBuffer()
+	defer wire.PutBuffer(buf)
 	err := ReadRequest(w, r, buf)
 	if err == nil {
 		err = DecodeOffering(contentType, buf.B, &req)
 	}
-	wire.PutBuffer(buf)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
@@ -790,7 +792,7 @@ func (s *Server) rankOffering(o *Offering, node roadnet.NodeID, block *wire.Trav
 	q := o.Query(node)
 	opts := cknn.EcoChargeOptions{RadiusM: o.RadiusM}
 	if block != nil {
-		travel := cknn.Travel{Anchor: block.Anchor, Return: roadnet.Invalid, ScaleLo: block.ScaleLo, ScaleHi: block.ScaleHi, Times: block}
+		travel := travelOf(block)
 		if table, ok := cknn.RankOnceSupplied(s.env, opts, q, &travel); ok {
 			met.travelUsed.Inc()
 			return table
@@ -800,6 +802,17 @@ func (s *Server) rankOffering(o *Offering, node roadnet.NodeID, block *wire.Trav
 		q.ReturnNode = q.AnchorNode
 	}
 	return cknn.RankOnce(s.env, opts, q)
+}
+
+// travelOf is the network search a travel block carries, as a ranking reads
+// it: in place, from the bytes of the request. A one-leg block returns to its
+// anchor over the outbound leg, and has no return leg of its own.
+func travelOf(b *wire.TravelBlock) cknn.Travel {
+	t := cknn.Travel{Anchor: b.Anchor, Return: b.Return, ScaleLo: b.ScaleLo, ScaleHi: b.ScaleHi, Times: b}
+	if !b.TwoLegs {
+		t.Return = roadnet.Invalid
+	}
+	return t
 }
 
 // flightGroup collapses concurrent computations of the same cache key into

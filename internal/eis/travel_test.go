@@ -34,9 +34,29 @@ func postWire(t *testing.T, h http.Handler, body []byte) *httptest.ResponseRecor
 	return rec
 }
 
+// offeringBlock is an offering's travel block as its sender holds it: the
+// search's anchor and scale factors, and the time to every node.
+type offeringBlock struct {
+	Anchor           roadnet.NodeID
+	ScaleLo, ScaleHi float64
+	Nodes            []roadnet.NodeID
+	Seconds          []float64
+}
+
+// encodeOffering is req in the binary form, followed by block, if any: one
+// leg, back to the anchor.
+func encodeOffering(req *OfferingRequest, block *offeringBlock) []byte {
+	b := wire.AppendOfferingRequest(nil, req)
+	if block == nil {
+		return b
+	}
+	head := wire.TravelBlock{Anchor: block.Anchor, Return: block.Anchor, ScaleLo: block.ScaleLo, ScaleHi: block.ScaleHi}
+	return wire.AppendTravelBlock(b, &head, block.Nodes, block.Seconds, nil)
+}
+
 // blockFor is the travel block an honest gateway sends with req: the
 // ranking's own search, read at every candidate.
-func blockFor(t *testing.T, env *cknn.Env, req *OfferingRequest) *wire.TravelBlock {
+func blockFor(t *testing.T, env *cknn.Env, req *OfferingRequest) *offeringBlock {
 	t.Helper()
 	o, err := ResolveOffering(req, nil)
 	if err != nil {
@@ -54,7 +74,7 @@ func blockFor(t *testing.T, env *cknn.Env, req *OfferingRequest) *wire.TravelBlo
 		t.Fatal("SearchTravel declined on the test world")
 	}
 	defer ts.Release()
-	b := &wire.TravelBlock{Anchor: anchor, Nodes: nodes}
+	b := &offeringBlock{Anchor: anchor, Nodes: nodes}
 	b.ScaleLo, b.ScaleHi = ts.Scales()
 	for _, n := range nodes {
 		b.Seconds = append(b.Seconds, ts.Seconds(n))
@@ -86,7 +106,7 @@ func TestOfferingTravelBlock(t *testing.T) {
 	if farthest == good.Anchor {
 		t.Fatal("the farthest candidate sits on the anchor; pick another anchor")
 	}
-	uncovered := wire.TravelBlock{Anchor: good.Anchor, ScaleLo: good.ScaleLo, ScaleHi: good.ScaleHi}
+	uncovered := offeringBlock{Anchor: good.Anchor, ScaleLo: good.ScaleLo, ScaleHi: good.ScaleHi}
 	for i, n := range good.Nodes {
 		if n != farthest {
 			uncovered.Nodes, uncovered.Seconds = append(uncovered.Nodes, n), append(uncovered.Seconds, good.Seconds[i])
@@ -100,7 +120,7 @@ func TestOfferingTravelBlock(t *testing.T) {
 
 	for _, tc := range []struct {
 		name     string
-		block    *wire.TravelBlock
+		block    *offeringBlock
 		used     uint64
 		searches uint64
 	}{
@@ -109,10 +129,8 @@ func TestOfferingTravelBlock(t *testing.T) {
 		{"node the graph does not have", &beyond, 0, 1},
 		{"anchor the graph does not have", &nowhere, 0, 1},
 	} {
-		with := req
-		with.Travel = tc.block
 		used0, rejected0, many0 := met.travelUsed.Value(), met.travelRejected.Value(), manySearches()
-		rec := postWire(t, fresh(), wire.AppendOfferingRequest(nil, &with))
+		rec := postWire(t, fresh(), encodeOffering(&req, tc.block))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("%s: %d %s", tc.name, rec.Code, rec.Body)
 		}
@@ -130,10 +148,8 @@ func TestOfferingTravelBlock(t *testing.T) {
 	// A cache hit ignores the block, whatever is in it.
 	h := fresh()
 	postWire(t, h, wire.AppendOfferingRequest(nil, &req))
-	with := req
-	with.Travel = &uncovered
 	used0, rejected0 := met.travelUsed.Value(), met.travelRejected.Value()
-	if rec := postWire(t, h, wire.AppendOfferingRequest(nil, &with)); rec.Code != http.StatusOK {
+	if rec := postWire(t, h, encodeOffering(&req, &uncovered)); rec.Code != http.StatusOK {
 		t.Fatalf("hit with a block: %d %s", rec.Code, rec.Body)
 	}
 	if met.travelUsed.Value() != used0 || met.travelRejected.Value() != rejected0 {
@@ -148,8 +164,8 @@ func TestOfferingHostileTravelBlock(t *testing.T) {
 	anchor := env.Chargers.All()[7].P
 	req := OfferingRequest{Lat: anchor.Lat, Lon: anchor.Lon, K: 4, Now: fixedNow}
 	bare := wire.AppendOfferingRequest(nil, &req)
-	req.Travel = blockFor(t, env, &req)
-	enc := wire.AppendOfferingRequest(nil, &req)
+	block := blockFor(t, env, &req)
+	enc := encodeOffering(&req, block)
 	f64 := func(v float64) []byte {
 		b := make([]byte, 8)
 		for i, bits := 0, math.Float64bits(v); i < 8; i++ {
@@ -162,21 +178,22 @@ func TestOfferingHostileTravelBlock(t *testing.T) {
 		copy(bad[len(bare)+off:], b)
 		return bad
 	}
-	const scales = 1 + 4                        // tag, anchor
-	const firstSeconds = scales + 8 + 8 + 1 + 4 // scales, one-byte count, first node
-	if n := len(req.Travel.Nodes); n >= 128 {
+	const anchorOff = 1 + 1 + 1                     // tag, legs, one-byte segment
+	const scales = anchorOff + 4 + 4                // anchor, return
+	const firstSeconds = scales + 8 + 8 + 8 + 1 + 4 // scales, base, one-byte count, first node
+	if n := len(block.Nodes); n >= 128 {
 		t.Fatalf("%d candidates: the count is no longer one byte, fix the offsets", n)
 	}
 	srv := NewServer(env, ServerOptions{Clock: func() time.Time { return fixedNow }})
 	h := srv.Handler()
 	for name, body := range map[string][]byte{
 		"truncated":     enc[:len(enc)-5],
-		"wrong count":   patch(scales+8+8, []byte{byte(len(req.Travel.Nodes) - 1)}),
+		"wrong count":   patch(scales+8+8+8, []byte{byte(len(block.Nodes) - 1)}),
 		"NaN time":      patch(firstSeconds, f64(math.NaN())),
 		"negative time": patch(firstSeconds, f64(-4)),
 		"scale zero":    patch(scales, f64(0)),
 		"scale below 0": patch(scales, f64(-1)),
-		"no anchor":     patch(1, []byte{0xff, 0xff, 0xff, 0xff}),
+		"no anchor":     patch(anchorOff, []byte{0xff, 0xff, 0xff, 0xff}),
 		"negative node": patch(firstSeconds-4, []byte{0xff, 0xff, 0xff, 0xff}),
 		"trailing byte": append(append([]byte(nil), enc...), 7),
 	} {
@@ -333,7 +350,7 @@ func postTrip(t testing.TB, h http.Handler, contentType string, body []byte) *ht
 
 // tripBlock is one travel block as its sender holds it.
 type tripBlock struct {
-	head      wire.TripBlock
+	head      wire.TravelBlock
 	nodes     []roadnet.NodeID
 	out, back []float64
 }
@@ -355,7 +372,7 @@ func tripBlocksFor(t *testing.T, env *cknn.Env, req *TripOfferingRequest) []trip
 	var blocks []tripBlock
 	for _, si := range cknn.ComputedSegments(segs, eco) {
 		q := cknn.QueryForSegment(trip, segs[si], opts)
-		b := tripBlock{head: wire.TripBlock{Segment: si, Anchor: q.AnchorNode, Return: q.ReturnNode}}
+		b := tripBlock{head: wire.TravelBlock{Segment: si, Anchor: q.AnchorNode, Return: q.ReturnNode, TwoLegs: true}}
 		for _, c := range env.Chargers.Within(q.Anchor, to.RadiusM) {
 			b.nodes = append(b.nodes, c.Node)
 		}
@@ -377,7 +394,7 @@ func tripBlocksFor(t *testing.T, env *cknn.Env, req *TripOfferingRequest) []trip
 func encodeTrip(req *TripOfferingRequest, blocks []tripBlock) []byte {
 	b := wire.AppendTripRequest(nil, req)
 	for i := range blocks {
-		b = wire.AppendTripBlock(b, &blocks[i].head, blocks[i].nodes, blocks[i].out, blocks[i].back)
+		b = wire.AppendTravelBlock(b, &blocks[i].head, blocks[i].nodes, blocks[i].out, blocks[i].back)
 	}
 	return b
 }
@@ -448,7 +465,7 @@ func TestTripOfferingTravelBlocks(t *testing.T) {
 			b.out, b.back = append([]float64{1}, b.out...), append([]float64{1}, b.back...)
 		}), n - 1, 2},
 		{"another segment's", edit(func(b *tripBlock) { b.head.Segment++ }), n - 1, 2},
-		{"one block too many", append(slices.Clone(good), tripBlock{head: wire.TripBlock{Segment: 1 << 20, ScaleLo: 1, ScaleHi: 1}}), n, 0},
+		{"one block too many", append(slices.Clone(good), tripBlock{head: wire.TravelBlock{Segment: 1 << 20, ScaleLo: 1, ScaleHi: 1}}), n, 0},
 	} {
 		used0, rejected0, many0 := met.travelUsed.Value(), met.travelRejected.Value(), manySearches()
 		rec := postTrip(t, h, wire.ContentType, encodeTrip(&req, tc.blocks))

@@ -65,10 +65,7 @@ func (s *Server) handleTripOffering(w http.ResponseWriter, r *http.Request) {
 	eco, opts := t.Plan()
 	travel := make([]cknn.SegmentTravel, len(req.Travel))
 	for i := range req.Travel {
-		b := &req.Travel[i]
-		travel[i] = cknn.SegmentTravel{Segment: b.Segment, Travel: cknn.Travel{
-			Anchor: b.Anchor, Return: b.Return, ScaleLo: b.ScaleLo, ScaleHi: b.ScaleHi, Times: b,
-		}}
+		travel[i] = cknn.SegmentTravel{Segment: req.Travel[i].Segment, Travel: travelOf(&req.Travel[i])}
 	}
 	results, used := cknn.RunTripSupplied(s.env, cknn.NewEcoCharge(s.env, eco), trip, opts, travel)
 	met.travelUsed.Add(uint64(used))
@@ -76,7 +73,6 @@ func (s *Server) handleTripOffering(w http.ResponseWriter, r *http.Request) {
 
 	// Grow leaves the segments of no results nil: "segments":null.
 	resp := TripOfferingResponse{TripLengthM: trip.Path.Weight, Segments: slices.Grow([]SegmentOffering(nil), len(results))}
-	var prev []int64
 	for _, res := range results {
 		seg := SegmentOffering{
 			SegmentIndex: res.Segment.Index,
@@ -91,15 +87,26 @@ func (s *Server) handleTripOffering(w http.ResponseWriter, r *http.Request) {
 				seg.Entries[i] = wireEntry(e)
 			}
 		}
-		ids := res.Table.IDs()
-		if len(resp.Segments) == 0 || !slices.Equal(prev, ids) {
-			resp.SplitPoints = append(resp.SplitPoints, res.Segment.Index)
-			prev = ids
-		}
 		resp.Segments = append(resp.Segments, seg)
 	}
+	resp.SplitPoints = AppendSplitPoints(nil, resp.Segments)
 	s.respond(w, r, &resp, func(b []byte) []byte { return wire.AppendTripResponse(b, &resp) })
 }
+
+// AppendSplitPoints appends to dst the split points of a trip's segments:
+// the index of every segment whose ranked chargers are not the segment
+// before's, the first segment's included. It is cknn.SplitList's rule, over
+// the tables a shard answers with and a fleet gateway merges.
+func AppendSplitPoints(dst []int, segs []SegmentOffering) []int {
+	for i := range segs {
+		if i == 0 || !slices.EqualFunc(segs[i-1].Entries, segs[i].Entries, sameCharger) {
+			dst = append(dst, segs[i].SegmentIndex)
+		}
+	}
+	return dst
+}
+
+func sameCharger(a, b OfferingEntry) bool { return a.ChargerID == b.ChargerID }
 
 // TripOffering requests a whole-trip evaluation (client side).
 func (c *Client) TripOffering(ctx context.Context, req TripOfferingRequest) (TripOfferingResponse, error) {

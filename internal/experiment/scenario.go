@@ -45,6 +45,15 @@ func BuildScenario(profileName string, scale float64, seed int64) (*Scenario, er
 	return BuildScenarioFromProfile(p, scale, seed)
 }
 
+// ServedScenario is the world of the dataset and seed an EIS serves and a
+// fleet gateway searches for its shards: cmd/eis and cmd/gateway both build
+// it here, so a gateway started with its shards' flags holds their road
+// world (cknn.Env.RoadWorld) to the bit. A server reads no trips; the
+// smallest scale keeps their generation short.
+func ServedScenario(dataset string, seed int64) (*Scenario, error) {
+	return BuildScenario(dataset, 0.001, seed)
+}
+
 // BuildScenarioFromProfile is BuildScenario for an already-resolved profile.
 func BuildScenarioFromProfile(p *trajectory.Profile, scale float64, seed int64) (*Scenario, error) {
 	if scale <= 0 {

@@ -1,7 +1,7 @@
 // Package fault implements deterministic, seeded fault injection for the
 // EcoCharge pipeline: it decides — reproducibly, from a PRNG seed and the
 // identity of each operation — whether an external dependency (a forecast
-// source, the EIS HTTP transport) fails, serves stale data, or stalls.
+// source, a fleet shard behind the gateway's transport) fails or stalls.
 //
 // The paper's Estimated Components are backed by third-party feeds
 // (weather, popular-times, traffic); those feeds fail in production, and
@@ -19,9 +19,9 @@
 //     call yields the same decision regardless of goroutine interleaving,
 //     which is what lets the chaos suite run under -race and still compare
 //     outputs structurally.
-//   - Sequenced decisions (DecideSeq, used by the HTTP transport where each
-//     attempt is a distinct event) consume an atomic counter; they are
-//     reproducible for any sequential driver.
+//   - Sequenced decisions (a fleet shape's DropRate, where each exchange is
+//     a distinct event) consume an atomic counter; they are reproducible for
+//     any sequential driver.
 package fault
 
 import (
@@ -43,25 +43,15 @@ type Config struct {
 	Seed int64
 	// Rate is the probability in [0,1] that an operation fails outright.
 	Rate float64
-	// StaleRate is the probability in [0,1] that an operation succeeds but
-	// serves data past its freshness horizon. Consumers that need fresh
-	// estimates (the EC sources) treat stale as failed; transports pass it
-	// through as a header-level concern.
-	StaleRate float64
-	// LatencyRate is the probability in [0,1] that an operation is slowed
-	// by up to Latency (scaled by a deterministic fraction).
-	LatencyRate float64
-	// Latency is the maximum injected delay when LatencyRate hits.
-	Latency time.Duration
-	// Blackouts are virtual-tick windows of total outage.
+	// Blackouts are virtual-tick windows of total outage. A test seam: only
+	// this package's tests set it; a fleet harness scripts its blackouts per
+	// shard (ShardShape.Blackouts).
 	Blackouts []Window
 }
 
-// clamped returns the config with probabilities forced into [0,1].
+// clamped returns the config with the probability forced into [0,1].
 func (c Config) clamped() Config {
 	c.Rate = clamp01(c.Rate)
-	c.StaleRate = clamp01(c.StaleRate)
-	c.LatencyRate = clamp01(c.LatencyRate)
 	return c
 }
 
@@ -80,16 +70,9 @@ type Decision struct {
 	// Fail means the operation failed outright (transport error, source
 	// down, blackout).
 	Fail bool
-	// Stale means the operation succeeded but the data is past its
-	// freshness horizon.
-	Stale bool
 	// Latency is the delay to inject before the operation completes.
 	Latency time.Duration
 }
-
-// Degraded reports whether the decision should degrade a component fetch:
-// failed or stale sources both fall back to the ignorance bound.
-func (d Decision) Degraded() bool { return d.Fail || d.Stale }
 
 // Injector makes deterministic fault decisions. It is safe for concurrent
 // use; all methods are non-blocking.
@@ -107,19 +90,10 @@ func New(cfg Config) *Injector {
 // Advance moves the virtual clock forward by n ticks and returns the new
 // tick. Blackout windows are expressed in these ticks; nothing else in the
 // injector observes the passage of real time.
-func (in *Injector) Advance(n uint64) uint64 { return in.tick.Add(n) }
+func (inj *Injector) Advance(n uint64) uint64 { return inj.tick.Add(n) }
 
 // Tick returns the current virtual tick.
-func (in *Injector) Tick() uint64 { return in.tick.Load() }
-
-func (in *Injector) blackoutAt(tick uint64) bool {
-	for _, w := range in.cfg.Blackouts {
-		if tick >= w.From && tick < w.To {
-			return true
-		}
-	}
-	return false
-}
+func (inj *Injector) Tick() uint64 { return inj.tick.Load() }
 
 // Decide returns the deterministic decision for the operation identified by
 // keys at the current virtual tick. It is pure between Advance calls: the
@@ -127,46 +101,18 @@ func (in *Injector) blackoutAt(tick uint64) bool {
 // repeatedly (e.g. once in a prune bound and once in the evaluation) and
 // stay consistent, and evaluation order — sequential or parallel — cannot
 // change any outcome.
-func (in *Injector) Decide(keys ...uint64) Decision {
-	tick := in.tick.Load()
-	if in.blackoutAt(tick) {
-		return Decision{Fail: true}
-	}
-	var d Decision
-	if in.frac(saltFail, tick, keys) < in.cfg.Rate {
-		d.Fail = true
-		return d
-	}
-	if in.frac(saltStale, tick, keys) < in.cfg.StaleRate {
-		d.Stale = true
-	}
-	if in.cfg.Latency > 0 && in.frac(saltLatency, tick, keys) < in.cfg.LatencyRate {
-		scale := in.frac(saltLatencyAmt, tick, keys)
-		d.Latency = time.Duration(scale * float64(in.cfg.Latency))
-	}
-	return d
+func (inj *Injector) Decide(keys ...uint64) Decision {
+	tick := inj.tick.Load()
+	return Decision{Fail: in(inj.cfg.Blackouts, tick) || inj.frac(saltFail, tick, keys) < inj.cfg.Rate}
 }
 
-// DecideSeq stamps the operation with a fresh sequence number and decides
-// on (keys..., seq): consecutive attempts against the same endpoint get
-// independent decisions, which is what makes retries meaningful. The
-// sequence is deterministic for a sequential driver.
-func (in *Injector) DecideSeq(keys ...uint64) Decision {
-	seq := in.seq.Add(1)
-	return in.Decide(append(append([]uint64(nil), keys...), seq)...)
-}
-
-// Salts decorrelate the independent probability draws of one decision.
-const (
-	saltFail       uint64 = 0xfa17
-	saltStale      uint64 = 0x57a1e
-	saltLatency    uint64 = 0x1a7e
-	saltLatencyAmt uint64 = 0x1a7e2
-)
+// saltFail decorrelates the failure draw from the other draws of a shared
+// injector.
+const saltFail uint64 = 0xfa17
 
 // frac maps (seed, salt, tick, keys) to a uniform fraction in [0, 1).
-func (in *Injector) frac(salt, tick uint64, keys []uint64) float64 {
-	h := splitmix64(uint64(in.cfg.Seed) ^ salt)
+func (inj *Injector) frac(salt, tick uint64, keys []uint64) float64 {
+	h := splitmix64(uint64(inj.cfg.Seed) ^ salt)
 	h = splitmix64(h ^ tick)
 	for _, k := range keys {
 		h = splitmix64(h ^ k)

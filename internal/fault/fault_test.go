@@ -13,7 +13,7 @@ import (
 )
 
 func TestDecideDeterministic(t *testing.T) {
-	in := New(Config{Seed: 42, Rate: 0.3, StaleRate: 0.2, LatencyRate: 0.5, Latency: time.Second})
+	in := New(Config{Seed: 42, Rate: 0.3})
 	for i := uint64(0); i < 200; i++ {
 		a := in.Decide(i, i*7)
 		b := in.Decide(i, i*7)
@@ -58,77 +58,44 @@ func TestDecideRateEmpirical(t *testing.T) {
 func TestZeroConfigNeverFails(t *testing.T) {
 	in := New(Config{Seed: 99})
 	for i := uint64(0); i < 1000; i++ {
-		if d := in.Decide(i); d.Fail || d.Stale || d.Latency != 0 {
+		if d := in.Decide(i); d.Fail || d.Latency != 0 {
 			t.Fatalf("zero-rate config injected %+v for key %d", d, i)
 		}
 	}
 }
 
 func TestBlackoutWindows(t *testing.T) {
-	in := New(Config{Seed: 3, Blackouts: []Window{{From: 2, To: 4}}})
-	if in.blackoutAt(in.Tick()) {
+	inj := New(Config{Seed: 3, Blackouts: []Window{{From: 2, To: 4}}})
+	if in(inj.cfg.Blackouts, inj.Tick()) {
 		t.Fatal("tick 0 should be clear")
 	}
-	if d := in.Decide(1); d.Fail {
+	if d := inj.Decide(1); d.Fail {
 		t.Fatal("decision failed outside blackout with rate 0")
 	}
-	in.Advance(2) // tick 2: inside
-	if !in.blackoutAt(in.Tick()) {
+	inj.Advance(2) // tick 2: inside
+	if !in(inj.cfg.Blackouts, inj.Tick()) {
 		t.Fatal("tick 2 should be in blackout")
 	}
-	if d := in.Decide(1); !d.Fail {
+	if d := inj.Decide(1); !d.Fail {
 		t.Fatal("decision succeeded inside blackout")
 	}
-	in.Advance(2) // tick 4: half-open upper bound is exclusive
-	if in.blackoutAt(in.Tick()) {
+	inj.Advance(2) // tick 4: half-open upper bound is exclusive
+	if in(inj.cfg.Blackouts, inj.Tick()) {
 		t.Fatal("tick 4 should be clear (half-open window)")
 	}
-	if d := in.Decide(1); d.Fail {
+	if d := inj.Decide(1); d.Fail {
 		t.Fatal("decision failed after blackout ended")
 	}
 }
 
-func TestDecideSeqIndependentAttempts(t *testing.T) {
-	in := New(Config{Seed: 11, Rate: 0.5})
-	varied := false
-	first := in.DecideSeq(1).Fail
-	for i := 0; i < 64; i++ {
-		if in.DecideSeq(1).Fail != first {
-			varied = true
-			break
-		}
-	}
-	if !varied {
-		t.Fatal("sequenced decisions at rate 0.5 never varied across attempts")
-	}
-}
-
 func TestConfigClamped(t *testing.T) {
-	in := New(Config{Seed: 5, Rate: 7, StaleRate: -1})
+	in := New(Config{Seed: 5, Rate: 7})
 	if !in.Decide(1).Fail {
 		t.Fatal("rate clamped to 1 should always fail")
 	}
 	in2 := New(Config{Seed: 5, Rate: -3})
 	if in2.Decide(1).Fail {
 		t.Fatal("rate clamped to 0 should never fail")
-	}
-}
-
-func TestLatencyBounded(t *testing.T) {
-	max := 80 * time.Millisecond
-	in := New(Config{Seed: 13, LatencyRate: 1, Latency: max})
-	hit := false
-	for i := uint64(0); i < 100; i++ {
-		d := in.Decide(i)
-		if d.Latency < 0 || d.Latency >= max {
-			t.Fatalf("latency %v outside [0, %v)", d.Latency, max)
-		}
-		if d.Latency > 0 {
-			hit = true
-		}
-	}
-	if !hit {
-		t.Fatal("LatencyRate 1 never injected latency")
 	}
 }
 
@@ -180,10 +147,14 @@ func (s *staticTripper) RoundTrip(*http.Request) (*http.Response, error) {
 	}, nil
 }
 
+// The transport tests drive the fleet's transport, the one HTTP fault
+// injector, on one shard host with no server behind it.
+const shardHost = "eis.local"
+
 func TestTransportInjectsFailures(t *testing.T) {
 	inner := &staticTripper{}
-	tr := &Transport{Inner: inner, Inj: New(Config{Seed: 31, Rate: 0.5})}
-	req, _ := http.NewRequest(http.MethodGet, "http://eis.local/v1/offering", nil)
+	tr := NewFleet(New(Config{Seed: 31}), map[string]ShardShape{shardHost: {DropRate: 0.5}}).Transport(inner, nil)
+	req, _ := http.NewRequest(http.MethodGet, "http://"+shardHost+"/v1/offering", nil)
 	fails := 0
 	const n = 200
 	for i := 0; i < n; i++ {
@@ -193,7 +164,7 @@ func TestTransportInjectsFailures(t *testing.T) {
 			if !errors.As(err, &te) {
 				t.Fatalf("unexpected error type %T: %v", err, err)
 			}
-			if te.Endpoint != "/v1/offering" {
+			if te.Endpoint != shardHost+"/v1/offering" {
 				t.Fatalf("fault recorded wrong endpoint %q", te.Endpoint)
 			}
 			fails++
@@ -202,7 +173,7 @@ func TestTransportInjectsFailures(t *testing.T) {
 		resp.Body.Close()
 	}
 	if fails == 0 || fails == n {
-		t.Fatalf("fault rate 0.5 produced %d/%d failures", fails, n)
+		t.Fatalf("drop rate 0.5 produced %d/%d failures", fails, n)
 	}
 	if inner.calls != n-fails {
 		t.Fatalf("inner transport saw %d calls, want %d (faulted requests must not reach it)", inner.calls, n-fails)
@@ -211,46 +182,48 @@ func TestTransportInjectsFailures(t *testing.T) {
 
 func TestTransportBlackout(t *testing.T) {
 	inner := &staticTripper{}
-	tr := &Transport{Inner: inner, Inj: New(Config{Seed: 31, Blackouts: []Window{{From: 0, To: 10}}})}
-	req, _ := http.NewRequest(http.MethodGet, "http://eis.local/v1/health", nil)
+	inj := New(Config{Seed: 31})
+	tr := NewFleet(inj, map[string]ShardShape{shardHost: {Blackouts: []Window{{From: 0, To: 10}}}}).Transport(inner, nil)
+	req, _ := http.NewRequest(http.MethodGet, "http://"+shardHost+"/v1/health", nil)
 	if _, err := tr.RoundTrip(req); err == nil {
 		t.Fatal("round trip succeeded during blackout")
 	}
-	tr.Inj.Advance(10)
+	inj.Advance(10)
 	resp, err := tr.RoundTrip(req)
 	if err != nil {
 		t.Fatalf("round trip failed after blackout: %v", err)
 	}
 	resp.Body.Close()
+	if inner.calls != 1 {
+		t.Fatalf("inner transport saw %d calls, want 1 (the blackout's must not reach it)", inner.calls)
+	}
 }
 
 func TestTransportLatencyUsesInjectedSleep(t *testing.T) {
 	var slept []time.Duration
-	tr := &Transport{
-		Inner: &staticTripper{},
-		Inj:   New(Config{Seed: 41, LatencyRate: 1, Latency: time.Hour}),
-		Sleep: func(d time.Duration) { slept = append(slept, d) },
-	}
-	req, _ := http.NewRequest(http.MethodGet, "http://eis.local/v1/health", nil)
+	tr := NewFleet(New(Config{Seed: 41}), map[string]ShardShape{
+		shardHost: {Slow: []Window{{From: 0, To: 1}}, Latency: time.Hour},
+	}).Transport(&staticTripper{}, func(d time.Duration) { slept = append(slept, d) })
+	req, _ := http.NewRequest(http.MethodGet, "http://"+shardHost+"/v1/offering", nil)
 	for i := 0; i < 20; i++ {
 		if resp, err := tr.RoundTrip(req); err == nil {
 			resp.Body.Close()
 		}
 	}
-	if len(slept) == 0 {
-		t.Fatal("LatencyRate 1 never invoked the injected sleep")
+	if len(slept) != 20 {
+		t.Fatalf("a slow window invoked the injected sleep %d times in 20 exchanges", len(slept))
 	}
 	for _, d := range slept {
-		if d <= 0 || d >= time.Hour {
-			t.Fatalf("injected sleep %v outside (0, 1h)", d)
+		if d != time.Hour {
+			t.Fatalf("injected sleep %v, want the shape's 1h", d)
 		}
 	}
 }
 
 func TestTransportNilInjectorPassesThrough(t *testing.T) {
 	inner := &staticTripper{}
-	tr := &Transport{Inner: inner}
-	req, _ := http.NewRequest(http.MethodGet, "http://eis.local/v1/health", nil)
+	tr := NewFleet(nil, nil).Transport(inner, nil)
+	req, _ := http.NewRequest(http.MethodGet, "http://"+shardHost+"/v1/health", nil)
 	resp, err := tr.RoundTrip(req)
 	if err != nil {
 		t.Fatalf("nil-injector transport failed: %v", err)

@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"context"
+	"fmt"
 	"net/http"
 	"time"
 )
@@ -87,8 +89,7 @@ func (f *Fleet) Decide(host, path string) Decision {
 	var d Decision
 	if rate := clamp01(shape.DropRate); rate > 0 {
 		// Each exchange is a distinct event — the sequence counter gives
-		// retries and hedges independent draws, like the transport faults of
-		// DecideSeq.
+		// retries and hedges independent draws.
 		seq := f.inj.seq.Add(1)
 		if f.inj.frac(saltFleet, tick, []uint64{HashString(host), HashString(path), seq}) < rate {
 			d.Fail = true
@@ -132,6 +133,31 @@ func (t *fleetTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 		return nil, &TransportError{Endpoint: req.URL.Host + req.URL.Path}
 	}
 	return inner.RoundTrip(req)
+}
+
+// TransportError is the injected failure returned by a faulted round trip,
+// distinguishable from genuine transport errors in assertions.
+type TransportError struct {
+	// Endpoint is the host and path of the faulted request.
+	Endpoint string
+}
+
+func (e *TransportError) Error() string {
+	return fmt.Sprintf("fault: injected transport error on %s", e.Endpoint)
+}
+
+// sleepCtx waits for d or until the request's context is cancelled,
+// whichever comes first, so injected latency cannot outlive the caller's
+// deadline.
+func sleepCtx(ctx context.Context, d time.Duration) error {
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-timer.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // saltFleet namespaces fleet drop decisions away from the other users of a

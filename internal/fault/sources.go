@@ -37,12 +37,9 @@ func SourcesBucketed(inj *Injector, bucket time.Duration) *SourcePolicy {
 	return &SourcePolicy{inj: inj, bucket: bucket}
 }
 
-// FetchOK implements cknn.FaultPolicy. Stale data is as useless as no data
-// for an Estimated Component — the forecast horizon starts at the issue
-// time — so both failure modes degrade the fetch.
+// FetchOK implements cknn.FaultPolicy.
 func (p *SourcePolicy) FetchOK(comp cknn.Component, chargerID int64, issued time.Time) bool {
-	d := p.inj.Decide(saltSource, uint64(comp), uint64(chargerID), p.bucketOf(issued))
-	return !d.Degraded()
+	return !p.inj.Decide(saltSource, uint64(comp), uint64(chargerID), p.bucketOf(issued)).Fail
 }
 
 // bucketOf quantizes the issue time to the policy's freshness bucket. The
@@ -51,6 +48,6 @@ func (p *SourcePolicy) bucketOf(issued time.Time) uint64 {
 	return uint64(issued.Unix() / int64(p.bucket/time.Second))
 }
 
-// saltSource namespaces component-fetch decisions away from transport
+// saltSource namespaces component-fetch decisions away from the fleet's
 // decisions sharing the same injector.
 const saltSource uint64 = 0x50facade

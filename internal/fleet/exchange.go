@@ -311,10 +311,11 @@ func (g *Gateway) single(ctx context.Context, m *member, c *call) shardResult {
 // per gateway so that a fault-free fan-out allocates nothing of its own: one
 // call and one result per shard, and — for the offering merge — the decoded
 // request, one decoded table per shard with its entry storage, the
-// selection scratch and the merged answer, plus the scratch of the search
-// the gateway may run for the shards (supplyTravel). The trip merge has the
-// same: one decoded trip per shard, segment and entry storage included, and
-// the merged trip, whose tables share top.
+// selection scratch and the merged answer. The trip merge has the same: the
+// decoded request, one decoded trip per shard, segment and entry storage
+// included, and the merged trip, whose tables share top. Both keep the
+// scratch of the searches the gateway may run for the shards (supplyTravel,
+// supplyTrip).
 type fanout struct {
 	calls   []call
 	results []shardResult
@@ -326,30 +327,31 @@ type fanout struct {
 	top    []eis.OfferingEntry
 	merged eis.OfferingResponse
 
+	trip       eis.TripOfferingRequest
 	trips      []eis.TripOfferingResponse
 	tripMerged eis.TripOfferingResponse
 
-	// targets holds, shard after shard, the nodes searched to on the shards'
-	// behalf; seconds the travel time found at each; spans each shard's run
-	// of both; block is the one being encoded. near is the walk of one
-	// shard's sites that targets are read from.
-	near    []spatial.Item
-	targets []roadnet.NodeID
-	seconds []float64
-	spans   []span
-	block   wire.TravelBlock
+	// The searches the gateway ran for the shards (supplyTravel, supplyTrip):
+	// an offering's, or one a computed trip segment. targets holds, search
+	// after search, the nodes searched to — shard after shard, each search
+	// closed by its return node — and seconds and back the times of both
+	// legs found at each; blocks are the searches' heads, and spans each
+	// shard's run of each (search-major, one a member). terms are what the
+	// members could be searched for by when a trip was planned, and near is
+	// the walk of one shard's sites that targets are read from. All of it
+	// keeps the capacity of the largest trip seen.
+	near          []spatial.Item
+	targets       []roadnet.NodeID
+	seconds, back []float64
+	blocks        []wire.TravelBlock
+	spans         []span
+	terms         []*supplyTerms
+}
 
-	// A trip (supplyTrip) runs one search a computed segment: targets and
-	// seconds hold them one after the other, each closed by the segment's
-	// return node, and back the times of the return legs. blocks are the
-	// searches' heads, tripSpans each shard's run of each (block-major), terms
-	// what the members could be searched for by when the plan was made. All of
-	// it keeps the capacity of the largest trip seen.
-	trip      eis.TripOfferingRequest
-	back      []float64
-	blocks    []wire.TripBlock
-	tripSpans []span
-	terms     []*supplyTerms
+// startSupply empties the scratch of the searches run for the shards.
+func (fo *fanout) startSupply() {
+	fo.targets, fo.seconds, fo.back = fo.targets[:0], fo.seconds[:0], fo.back[:0]
+	fo.blocks, fo.spans = fo.blocks[:0], fo.spans[:0]
 }
 
 func (g *Gateway) getFanout() *fanout {
@@ -359,8 +361,8 @@ func (g *Gateway) getFanout() *fanout {
 	n := len(g.members)
 	return &fanout{
 		calls: make([]call, n), results: make([]shardResult, n),
-		tables: make([]eis.OfferingResponse, n), spans: make([]span, n),
-		trips: make([]eis.TripOfferingResponse, n),
+		tables: make([]eis.OfferingResponse, n),
+		trips:  make([]eis.TripOfferingResponse, n),
 	}
 }
 
@@ -379,7 +381,6 @@ func (g *Gateway) putFanout(fo *fanout) {
 		fo.results[i].release()
 		fo.results[i] = shardResult{}
 		fo.calls[i] = call{}
-		fo.spans[i] = span{}
 	}
 	fo.merged = eis.OfferingResponse{}
 	for i := range fo.trips {

@@ -98,8 +98,19 @@ func frontDoorSeeds(f *testing.F, h *fleetHarness) []frontDoorSeed {
 		frontDoorSeed{false, false, []byte(`{"lat":53,"lon":8,"now":"0000-01-01T10:00:00+23:59"}`)},
 		frontDoorSeed{false, false, []byte(`{{{`)},
 	)
-	offering.Travel = &wire.TravelBlock{ScaleLo: 1, ScaleHi: 1, Nodes: []roadnet.NodeID{0}, Seconds: []float64{0}}
-	seeds = append(seeds, frontDoorSeed{false, true, wire.AppendOfferingRequest(nil, &offering)})
+	// A block of one leg, an offering's, and of two, a trip segment's, on each
+	// endpoint.
+	oneLeg := func(b []byte) []byte {
+		return wire.AppendTravelBlock(b, &wire.TravelBlock{ScaleLo: 1, ScaleHi: 1}, []roadnet.NodeID{0}, []float64{0}, nil)
+	}
+	twoLegs := func(b []byte) []byte {
+		return wire.AppendTravelBlock(b, &wire.TravelBlock{Anchor: 0, Return: 1, ScaleLo: 1, ScaleHi: 1, TwoLegs: true},
+			[]roadnet.NodeID{0}, []float64{0}, []float64{0})
+	}
+	seeds = append(seeds,
+		frontDoorSeed{false, true, oneLeg(wire.AppendOfferingRequest(nil, &offering))},
+		frontDoorSeed{false, true, twoLegs(wire.AppendOfferingRequest(nil, &offering))},
+	)
 
 	tripJSON := tripBody(f, h, 3, eis.TripOfferingRequest{K: 3, RadiusM: 4000, SegmentLenM: 1500, Depart: fixedNow})
 	var trip eis.TripOfferingRequest
@@ -113,9 +124,10 @@ func frontDoorSeeds(f *testing.F, h *fleetHarness) []frontDoorSeed {
 	seeds = append(seeds,
 		frontDoorSeed{true, false, tripJSON},
 		frontDoorSeed{true, true, wire.AppendTripRequest(nil, &trip)},
-		frontDoorSeed{true, true, wire.AppendTripBlock(wire.AppendTripRequest(nil, &trip),
-			&wire.TripBlock{Anchor: route.Nodes[0], Return: route.Nodes[1], ScaleLo: 1, ScaleHi: 1},
+		frontDoorSeed{true, true, wire.AppendTravelBlock(wire.AppendTripRequest(nil, &trip),
+			&wire.TravelBlock{Anchor: route.Nodes[0], Return: route.Nodes[1], ScaleLo: 1, ScaleHi: 1, TwoLegs: true},
 			[]roadnet.NodeID{0}, []float64{0}, []float64{0})},
+		frontDoorSeed{true, true, oneLeg(wire.AppendTripRequest(nil, &trip))},
 		frontDoorSeed{true, false, []byte(`{"waypoints":[{"lat":53.02,"lon":8.02}]}`)},
 	)
 	trip.Route = route.Nodes

@@ -456,7 +456,7 @@ func (g *Gateway) readRequest(w http.ResponseWriter, r *http.Request, decode fun
 // errGatewaysToSend refuses what only a gateway may write into a request: a
 // shard builds on a travel block or a route without a search of its own to
 // hold it against.
-const errGatewaysToSend = "decoding request: a %s is the gateway's to send, not a client's"
+const errGatewaysToSend = "a %s is the gateway's to send, not a client's"
 
 func (g *Gateway) handleOffering(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -469,11 +469,15 @@ func (g *Gateway) handleOffering(w http.ResponseWriter, r *http.Request) {
 	// does both: a request a shard would refuse is refused here, in its
 	// words, and no shard is asked. The shards then rank exactly the
 	// parameters the gateway searches, selects and synthesizes with.
-	if !g.readRequest(w, r, func(ct string, body []byte) error { return eis.DecodeOffering(ct, body, &fo.req) }) {
-		return
-	}
-	if fo.req.Travel != nil {
-		g.writeError(w, http.StatusBadRequest, errGatewaysToSend, "travel block")
+	// A client's travel block is refused, and let go before the bytes it
+	// reads go back to the pool.
+	if !g.readRequest(w, r, func(ct string, body []byte) error {
+		if err := eis.DecodeOffering(ct, body, &fo.req); err != nil || fo.req.Travel == nil {
+			return err
+		}
+		fo.req.Travel = nil
+		return fmt.Errorf(errGatewaysToSend, "travel block")
+	}) {
 		return
 	}
 	o, err := eis.ResolveOffering(&fo.req, g.opts.Clock)
@@ -489,9 +493,7 @@ func (g *Gateway) handleOffering(w http.ResponseWriter, r *http.Request) {
 	wire.PutBuffer(buf)
 	// A one-shot ranking returns to its anchor: one search serves it where
 	// the return leg is the outbound one, on an undirected graph.
-	if g.env != nil && g.env.Graph.Symmetric() {
-		g.supplyTravel(fo, &o)
-	}
+	supplied := g.env != nil && g.env.Graph.Symmetric() && g.supplyTravel(fo, &o)
 	g.fanout(r.Context(), fo)
 	live, bad, dead := splitResults(fo.results)
 	if bad != nil {
@@ -514,7 +516,7 @@ func (g *Gateway) handleOffering(w http.ResponseWriter, r *http.Request) {
 			g.writeError(w, http.StatusBadGateway, "shard %d: decoding offering: %v", i, err)
 			return
 		}
-		if fo.spans[i].supplied && fo.tables[i].Cached {
+		if supplied && fo.spans[i].supplied && fo.tables[i].Cached {
 			met.travelWasted.Inc()
 		}
 	}
@@ -540,11 +542,13 @@ func (g *Gateway) handleTrip(w http.ResponseWriter, r *http.Request) {
 	fo := g.getFanout()
 	defer g.putFanout(fo)
 	// Decoded and resolved in front, like an offering.
-	if !g.readRequest(w, r, func(ct string, body []byte) error { return eis.DecodeTrip(ct, body, &fo.trip) }) {
-		return
-	}
-	if fo.trip.Route != nil || fo.trip.Travel != nil {
-		g.writeError(w, http.StatusBadRequest, errGatewaysToSend, "route or a travel block")
+	if !g.readRequest(w, r, func(ct string, body []byte) error {
+		if err := eis.DecodeTrip(ct, body, &fo.trip); err != nil || fo.trip.Route == nil && fo.trip.Travel == nil {
+			return err
+		}
+		fo.trip.Route, fo.trip.Travel = nil, nil
+		return fmt.Errorf(errGatewaysToSend, "route or a travel block")
+	}) {
 		return
 	}
 	t, err := eis.ResolveTripOffering(&fo.trip, g.opts.Clock)
@@ -584,7 +588,7 @@ func (g *Gateway) handleTrip(w http.ResponseWriter, r *http.Request) {
 			g.writeError(w, http.StatusBadGateway, "shard %d: decoding trip offering: %v", i, err)
 			return
 		}
-		if supplied && fo.terms[i] != nil {
+		if supplied && fo.spans[i].supplied {
 			for j := range fo.blocks {
 				if seg := fo.blocks[j].Segment; seg < len(resp.Segments) && resp.Segments[seg].Adapted {
 					met.travelWasted.Inc()

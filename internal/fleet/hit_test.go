@@ -233,13 +233,14 @@ func searches() float64 {
 }
 
 // missAllocCeiling is what one personalised ranking through the fleet may
-// allocate, process-wide: 67 KB measured — the client's exchange and the
+// allocate, process-wide: 53 KB measured — the client's exchange and the
 // shards' server halves in net/http, the gateway's three on its own
 // transport, the gateway's request body a shard with its travel block, and on
-// each shard the response-cache entry and the table. It does not cover a
-// candidate retrieval that allocates (14 KB a shard), nor net/http's
-// transport under the shard hop (6 KB).
-const missAllocCeiling = 72 << 10
+// each shard the response-cache entry and the table. The shards read their
+// blocks where they arrived; it does not cover a block copied out of the
+// request (4 KB a shard), a candidate retrieval that allocates (14 KB a
+// shard), nor net/http's transport under the shard hop (6 KB).
+const missAllocCeiling = 58 << 10
 
 // BenchmarkGatewayMiss is the cache-miss path end to end: one personalised
 // ranking through the fleet, which every shard computes. The gateway runs

@@ -203,7 +203,8 @@ func sameSkeleton(a, b *eis.SegmentOffering) bool {
 // mismatch means a shard answered for a different trip and is a merge error,
 // not something to paper over. synthAt, when non-nil, supplies the dead
 // shards' entries for a segment anchor. SplitPoints are recomputed from the
-// merged tables with the server's own change-point rule.
+// merged tables with the server's own change-point rule
+// (eis.AppendSplitPoints).
 func (fo *fanout) mergeTrips(synthAt func(anchor geo.Point) []eis.OfferingEntry, k int) error {
 	var base *eis.TripOfferingResponse
 	for i := range fo.results {
@@ -231,7 +232,6 @@ func (fo *fanout) mergeTrips(synthAt func(anchor geo.Point) []eis.OfferingEntry,
 		out.Segments, out.SplitPoints = nil, nil
 	}
 	top := fo.top[:0]
-	var prev []eis.OfferingEntry
 	for si := range base.Segments {
 		bs := &base.Segments[si]
 		seg := eis.SegmentOffering{
@@ -262,17 +262,12 @@ func (fo *fanout) mergeTrips(synthAt func(anchor geo.Point) []eis.OfferingEntry,
 		if grown := fo.sel.top(top, k); grown != nil {
 			seg.Entries, top = grown[len(top):len(grown):len(grown)], grown
 		}
-		if si == 0 || !slices.EqualFunc(prev, seg.Entries, sameCharger) {
-			out.SplitPoints = append(out.SplitPoints, seg.SegmentIndex)
-			prev = seg.Entries
-		}
 		out.Segments = append(out.Segments, seg)
 	}
+	out.SplitPoints = eis.AppendSplitPoints(out.SplitPoints, out.Segments)
 	fo.top = top[:0]
 	return nil
 }
-
-func sameCharger(a, b eis.OfferingEntry) bool { return a.ChargerID == b.ChargerID }
 
 // mergeChargers pools per-shard radius results (plus dead-shard inventory
 // matches) into the single-EIS order: geodesic distance ascending, ties by

@@ -163,64 +163,40 @@ func (f *seenFilter) observe(hash uint64, now time.Time, ttl time.Duration) bool
 // supplyTravel decides, shard by shard, whether the offering request in
 // fo.req (resolved: o) will miss the shard's response cache, runs the
 // ranking's one network search for those that will, and replaces their
-// request bodies with wire requests that carry their travel times. It leaves
-// fo.calls alone when there is nothing to supply.
-func (g *Gateway) supplyTravel(fo *fanout, o *eis.Offering) {
+// request bodies with wire requests that carry their travel times. It reports
+// false, and leaves fo.calls alone, when there is nothing to supply.
+func (g *Gateway) supplyTravel(fo *fanout, o *eis.Offering) bool {
 	if fo.req.Now.IsZero() {
-		return // the shards would each rank at their own clock's time
+		return false // the shards would each rank at their own clock's time
 	}
 	anchor := roadnet.Invalid
-	fo.targets = fo.targets[:0]
-	for i, m := range g.members {
-		fo.spans[i] = span{}
+	fo.startSupply()
+	for _, m := range g.members {
 		t := m.supply.Load()
+		start := len(fo.targets)
 		if t == nil || t.seen.observe(t.cache.KeyHash(o), o.Now, t.cache.TTL) {
+			fo.spans = append(fo.spans, span{start, start, false})
 			continue
 		}
 		if anchor == roadnet.Invalid {
 			if anchor = g.env.Graph.NearestNode(o.P); anchor == roadnet.Invalid {
-				clear(fo.spans)
-				return
+				return false
 			}
 		}
-		start := len(fo.targets)
 		t.appendTargets(fo, o.P, o.RadiusM)
-		fo.spans[i] = span{start, len(fo.targets), true}
+		fo.spans = append(fo.spans, span{start, len(fo.targets), true})
 	}
 	if len(fo.targets) == 0 {
 		// Every shard has seen the key, none can be searched for, or no
 		// charger is within R — a ranking of nothing, which costs a shard
 		// nothing to search for.
-		clear(fo.spans)
-		return
+		return false
 	}
-	ts, ok := cknn.SearchTravel(g.env, cknn.EcoChargeOptions{RadiusM: o.RadiusM}, o.Query(anchor), fo.targets)
-	defer ts.Release()
-	if !ok {
-		clear(fo.spans)
-		return
+	if !g.search(fo, cknn.EcoChargeOptions{RadiusM: o.RadiusM}, o.Query(anchor), wire.TravelBlock{}) {
+		return false
 	}
-	fo.seconds = fo.seconds[:0]
-	for _, n := range fo.targets {
-		fo.seconds = append(fo.seconds, ts.Seconds(n))
-	}
-	fo.block.Anchor = anchor
-	fo.block.ScaleLo, fo.block.ScaleHi = ts.Scales()
-
-	fo.req.Travel = &fo.block
-	buf := wire.GetBuffer()
-	for i, sp := range fo.spans {
-		if !sp.supplied {
-			continue
-		}
-		fo.block.Nodes, fo.block.Seconds = fo.targets[sp.start:sp.end], fo.seconds[sp.start:sp.end]
-		buf.B = wire.AppendOfferingRequest(buf.B[:0], &fo.req)
-		fo.calls[i].body = owned(buf.B)
-		met.travelSupplied.Inc()
-	}
-	wire.PutBuffer(buf)
-	fo.req.Travel = nil
-	fo.block.Nodes, fo.block.Seconds = nil, nil
+	fo.supplyBlocks(fo.calls[0].body) // the request every shard was set to send
+	return true
 }
 
 // supplyTrip is supplyTravel along a route: it plans the trip in fo.trip
@@ -240,7 +216,6 @@ func (g *Gateway) supplyTrip(ctx context.Context, fo *fanout, t *eis.TripOfferin
 	if fo.trip.Depart.IsZero() {
 		return false
 	}
-	members := len(g.members)
 	fo.terms = fo.terms[:0]
 	some := false
 	for _, m := range g.members {
@@ -260,24 +235,20 @@ func (g *Gateway) supplyTrip(ctx context.Context, fo *fanout, t *eis.TripOfferin
 	eco, opts := t.Plan()
 	segs := trajectory.SegmentTrip(g.env.Graph, trip, opts.SegmentLenM)
 
-	fo.targets, fo.seconds, fo.back = fo.targets[:0], fo.seconds[:0], fo.back[:0]
-	fo.blocks, fo.tripSpans = fo.blocks[:0], fo.tripSpans[:0]
+	fo.startSupply()
 	for _, si := range cknn.ComputedSegments(segs, eco) {
 		if ctx.Err() != nil {
 			return false
 		}
 		q := cknn.QueryForSegment(trip, segs[si], opts)
-		first := len(fo.targets)
 		for _, terms := range fo.terms {
 			start := len(fo.targets)
 			if terms != nil {
 				terms.appendTargets(fo, q.Anchor, t.RadiusM)
 			}
-			fo.tripSpans = append(fo.tripSpans, span{start, len(fo.targets), terms != nil})
+			fo.spans = append(fo.spans, span{start, len(fo.targets), terms != nil})
 		}
-		// The return node, whose outbound time is the on-route baseline.
-		fo.targets = append(fo.targets, q.ReturnNode)
-		if !g.searchSegment(fo, eco, q, si, first) {
+		if !g.search(fo, eco, q, wire.TravelBlock{Segment: si, TwoLegs: true}) {
 			return false
 		}
 	}
@@ -285,33 +256,21 @@ func (g *Gateway) supplyTrip(ctx context.Context, fo *fanout, t *eis.TripOfferin
 	// Every request carries the route too, which the shard checks and follows
 	// (eis.TripOffering.Follow) instead of routing the trip again.
 	fo.trip.Route = trip.Path.Nodes
-	for i, terms := range fo.terms {
-		if terms == nil {
-			continue
-		}
-		entries := 0
-		for j := range fo.blocks {
-			sp := fo.tripSpans[j*members+i]
-			entries += sp.end - sp.start
-		}
-		// Encoded once, into bytes the garbage collector owns (owned) and that
-		// are sized for it.
-		body := make([]byte, 0, wire.TripRequestSize(&fo.trip, len(fo.blocks), entries))
-		body = wire.AppendTripRequest(body, &fo.trip)
-		for j := range fo.blocks {
-			sp := fo.tripSpans[j*members+i]
-			body = wire.AppendTripBlock(body, &fo.blocks[j], fo.targets[sp.start:sp.end], fo.seconds[sp.start:sp.end], fo.back[sp.start:sp.end])
-		}
-		fo.calls[i].body = body
-		met.travelSupplied.Add(uint64(len(fo.blocks)))
-	}
+	buf := wire.GetBuffer()
+	buf.B = wire.AppendTripRequest(buf.B, &fo.trip)
+	fo.supplyBlocks(buf.B)
+	wire.PutBuffer(buf)
 	return true
 }
 
-// searchSegment runs the two-leg search of trip segment si's query to
-// fo.targets[first:] and appends what it found: the times of both legs at
-// every target, and the block's head.
-func (g *Gateway) searchSegment(fo *fanout, eco cknn.EcoChargeOptions, q cknn.Query, si, first int) bool {
+// search runs the search of q — an offering's ranking, or a trip segment's —
+// to the targets appended since the last search, the shards' runs (fo.spans)
+// one after the other, and appends what it found: the times of both legs at
+// every target and at q's return node, which closes the run and whose
+// outbound time is the on-route baseline, and the block's head.
+func (g *Gateway) search(fo *fanout, eco cknn.EcoChargeOptions, q cknn.Query, head wire.TravelBlock) bool {
+	first := len(fo.seconds)
+	fo.targets = append(fo.targets, q.ReturnNode)
 	ts, ok := cknn.SearchTravel(g.env, eco, q, fo.targets[first:])
 	defer ts.Release()
 	if !ok {
@@ -320,16 +279,39 @@ func (g *Gateway) searchSegment(fo *fanout, eco cknn.EcoChargeOptions, q cknn.Qu
 	for _, n := range fo.targets[first:] {
 		fo.seconds, fo.back = append(fo.seconds, ts.Seconds(n)), append(fo.back, ts.ReturnSeconds(n))
 	}
-	lo, hi := ts.Scales()
-	fo.blocks = append(fo.blocks, wire.TripBlock{
-		Segment: si, Anchor: q.AnchorNode, Return: q.ReturnNode,
-		ScaleLo: lo, ScaleHi: hi, Base: fo.seconds[len(fo.seconds)-1],
-	})
+	head.Anchor, head.Return, head.Base = q.AnchorNode, q.ReturnNode, fo.seconds[len(fo.seconds)-1]
+	head.ScaleLo, head.ScaleHi = ts.Scales()
+	fo.blocks = append(fo.blocks, head)
 	return true
 }
 
-// span is one shard's run of fo.targets — the nodes of its chargers within R,
-// possibly none — when the shard is sent a block.
+// supplyBlocks gives every shard searched for a body of its own: req, the
+// request without blocks, and after it the shard's run of every search.
+func (fo *fanout) supplyBlocks(req []byte) {
+	shards := len(fo.calls)
+	for i := range fo.calls {
+		if !fo.spans[i].supplied {
+			continue
+		}
+		size := len(req)
+		for j := range fo.blocks {
+			sp := fo.spans[j*shards+i]
+			size += wire.TravelBlockSize(sp.end-sp.start, fo.blocks[j].TwoLegs)
+		}
+		// Encoded once, into bytes the garbage collector owns (owned) and
+		// that are sized for them.
+		body := append(make([]byte, 0, size), req...)
+		for j := range fo.blocks {
+			sp := fo.spans[j*shards+i]
+			body = wire.AppendTravelBlock(body, &fo.blocks[j], fo.targets[sp.start:sp.end], fo.seconds[sp.start:sp.end], fo.back[sp.start:sp.end])
+		}
+		fo.calls[i].body = body
+		met.travelSupplied.Add(uint64(len(fo.blocks)))
+	}
+}
+
+// span is one shard's run of a search's targets — the nodes of its chargers
+// within R, possibly none — and whether the shard is sent the search.
 type span struct {
 	start, end int
 	supplied   bool

@@ -207,6 +207,60 @@ func TestFleetTravelOneSearchPerRanking(t *testing.T) {
 	}
 }
 
+// TestFleetTravelConcurrentMisses: personalised rankings sent side by side
+// through a fleet whose gateway searches for its shards each get the table a
+// graph-free fleet gives. A shard reads its block where it arrived, in the
+// request's pooled buffer, which must not go back to the pool — and to the
+// next request — before the ranking that reads it is done; under -race a
+// buffer given back early is a reported race or a table from another
+// request's times.
+func TestFleetTravelConcurrentMisses(t *testing.T) {
+	world := testEnv(t)
+	with := newTravelFleet(t, shardEnvs(t, world, 3), world)
+	without := newTravelFleet(t, shardEnvs(t, world, 3), nil)
+	const workers, each = 4, 8
+	rng := rand.New(rand.NewSource(23))
+	var bodies, want [][]byte
+	for i := 0; i < workers*each; i++ {
+		req := randomOffering(rng, world, fixedNow)
+		bodies, want = append(bodies, wire.AppendOfferingRequest(nil, &req)), append(want, without.post(t, &req, true))
+	}
+	used := obs.Default().Counter("eis_travel_used_total")
+	used0 := used.Value()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(bodies); i += workers {
+				hr, err := http.NewRequest(http.MethodPost, with.url+eis.APIVersion+"/offering", bytes.NewReader(bodies[i]))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				hr.Header.Set("Content-Type", wire.ContentType)
+				hr.Header.Set("Accept", wire.ContentType)
+				resp, err := http.DefaultClient.Do(hr)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var got bytes.Buffer
+				_, err = got.ReadFrom(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(got.Bytes(), want[i]) {
+					t.Errorf("ranking %d, sent beside others: %d %v\nwith:    %.300s\nwithout: %.300s", i, resp.StatusCode, err, got.Bytes(), want[i])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if used.Value() == used0 {
+		t.Fatal("no shard built on a block: the rankings did not take the searching path")
+	}
+}
+
 // oneWayTwin is world on the same road graph plus one one-way arc far too
 // long to lie on a shortest path: every distance is world's, but the graph
 // is no longer symmetric.
@@ -378,14 +432,13 @@ func TestFleetTravelFilterFalseSeen(t *testing.T) {
 func TestFleetTravelBlockIsNotTheClientsToSend(t *testing.T) {
 	world := testEnv(t)
 	center := world.Graph.Bounds().Center()
-	req := eis.OfferingRequest{
-		Lat: center.Lat, Lon: center.Lon, Now: fixedNow,
-		Travel: &wire.TravelBlock{ScaleLo: 1, ScaleHi: 1, Nodes: []roadnet.NodeID{0}, Seconds: []float64{0}},
-	}
+	req := eis.OfferingRequest{Lat: center.Lat, Lon: center.Lon, Now: fixedNow}
+	body := wire.AppendTravelBlock(wire.AppendOfferingRequest(nil, &req), &wire.TravelBlock{ScaleLo: 1, ScaleHi: 1},
+		[]roadnet.NodeID{0}, []float64{0}, nil)
 	for name, env := range map[string]*cknn.Env{"graph-free": nil, "with the world": world} {
 		f := newTravelFleet(t, shardEnvs(t, world, 3), env)
 		sent := met.shardRequests.Value()
-		hr, err := http.NewRequest(http.MethodPost, f.url+eis.APIVersion+"/offering", bytes.NewReader(wire.AppendOfferingRequest(nil, &req)))
+		hr, err := http.NewRequest(http.MethodPost, f.url+eis.APIVersion+"/offering", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -844,8 +897,8 @@ func TestFleetTripBlockIsNotTheClientsToSend(t *testing.T) {
 	if err := json.Unmarshal(tripRequest(world.Graph, trip, 3, 5000, 0, 1500), &req); err != nil {
 		t.Fatal(err)
 	}
-	withBlock := wire.AppendTripBlock(wire.AppendTripRequest(nil, &req),
-		&wire.TripBlock{Segment: 0, Anchor: trip.Path.Nodes[0], Return: trip.Path.Nodes[1], ScaleLo: 1, ScaleHi: 1},
+	withBlock := wire.AppendTravelBlock(wire.AppendTripRequest(nil, &req),
+		&wire.TravelBlock{Segment: 0, Anchor: trip.Path.Nodes[0], Return: trip.Path.Nodes[1], ScaleLo: 1, ScaleHi: 1, TwoLegs: true},
 		[]roadnet.NodeID{0}, []float64{0}, []float64{0})
 	req.Route = trip.Path.Nodes
 	withRoute := wire.AppendTripRequest(nil, &req)

@@ -25,11 +25,13 @@ type InprocOptions struct {
 	// WireShards does nothing: a gateway always asks its shards for the
 	// binary format. It stays for the callers that still set it.
 	WireShards bool
-	// Clock pins the shards' time base; nil selects time.Now.
+	// Clock pins the shards' time base; nil selects time.Now. A test seam:
+	// the load contract and coordinated-omission tests pin it.
 	Clock func() time.Time
-	// Server overrides the shard EIS options (cache granularity, ranking
-	// workers, request deadline). The overload suite shrinks the cache
-	// cell to force full rankings; zero keeps the production defaults.
+	// Server overrides the shard EIS options (cache granularity, request
+	// deadline); zero keeps the production defaults. A test seam: the
+	// overload suite (the load contract test) shrinks the cache cell to
+	// force full rankings.
 	Server eis.ServerOptions
 	// Wrap, when set, wraps every shard handler (fault injection hooks for
 	// the coordinated-omission differential test).

@@ -75,9 +75,10 @@ type TracerOptions struct {
 	// everything.
 	SampleEvery uint64
 	// Seed decorrelates ID streams between tracers; equal seeds produce
-	// equal ID sequences (deterministic tests).
+	// equal ID sequences. A test seam: only the obs trace tests set it.
 	Seed uint64
-	// Clock is overridable for tests; nil selects time.Now.
+	// Clock stamps the spans; nil selects time.Now. A test seam: only the
+	// obs trace tests set it.
 	Clock func() time.Time
 }
 

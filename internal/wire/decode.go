@@ -225,12 +225,13 @@ func (r *reader) count(minSize int) int {
 const (
 	minEntrySize    = 8 + 8 + 8 + 8 + 4*16 + 16 + 1         // 113
 	minChargerSize  = 8 + 8 + 8 + 4 + 8 + 8 + 8 + 1 + 168*8 // 1397
-	minTravelSize   = 4 + 8                                 // node, seconds
 	minWaypointSize = 8 + 8
 	minSegmentSize  = 1 + 8 + 8 + 16 + 8 + 1 + 1 // index, anchor, ETA, length, adapted, entries presence
 )
 
-// DecodeOfferingRequest decodes a binary Mode 2 request into out.
+// DecodeOfferingRequest decodes a binary Mode 2 request into out. The block
+// it brought along, if any, keeps reading data (TravelBlock.At): out.Travel
+// is good for as long as data is.
 func DecodeOfferingRequest(data []byte, out *OfferingRequest) error {
 	r := reader{b: data}
 	r.header(kindOfferingRequest)
@@ -245,7 +246,8 @@ func DecodeOfferingRequest(data []byte, out *OfferingRequest) error {
 	out.ETA = r.time()
 	out.Travel = nil
 	if r.err == nil && r.off < len(r.b) {
-		out.Travel = r.travel()
+		b := r.travelBlock()
+		out.Travel = &b
 	}
 	err := r.finish()
 	if err != nil {
@@ -254,45 +256,8 @@ func DecodeOfferingRequest(data []byte, out *OfferingRequest) error {
 	return err
 }
 
-// travel decodes the optional travel block of a request. What it lets
-// through is well-formed, not true: scale factors that are a band around 1,
-// node IDs that are not negative, times that are non-negative or +Inf (the
-// one non-finite value the block has a meaning for). Whether the nodes exist
-// and cover the ranking is for the receiver, which has the graph, to say.
-func (r *reader) travel() *TravelBlock {
-	if tag := r.u8(); tag != travelTag {
-		r.fail("byte 0x%02X after the request is not a travel block", tag)
-		return nil
-	}
-	t := &TravelBlock{Anchor: roadnet.NodeID(int32(r.u32())), ScaleLo: r.f64(), ScaleHi: r.f64()}
-	if r.err == nil && t.Anchor < 0 {
-		r.fail("travel anchor is node %d", t.Anchor)
-	}
-	if r.err == nil && !(t.ScaleLo > 0 && t.ScaleLo <= 1 && t.ScaleHi >= 1) {
-		r.fail("travel scale factors [%v, %v] are not a band around 1", t.ScaleLo, t.ScaleHi)
-	}
-	n := r.count(minTravelSize)
-	if r.err != nil {
-		return nil
-	}
-	t.Nodes = make([]roadnet.NodeID, n)
-	t.Seconds = make([]float64, n)
-	for i := range t.Nodes {
-		node := int32(r.u32())
-		sec := math.Float64frombits(r.u64())
-		if r.err == nil && (node < 0 || !(sec >= 0)) {
-			r.fail("travel entry %d: node %d at %v s", i, node, sec)
-		}
-		t.Nodes[i], t.Seconds[i] = roadnet.NodeID(node), sec
-	}
-	if r.err != nil {
-		return nil
-	}
-	return t
-}
-
 // DecodeTripRequest decodes a binary whole-trip request into out. The blocks
-// it brought along keep reading data (TripBlock.At): out.Travel is good for
+// it brought along keep reading data (TravelBlock.At): out.Travel is good for
 // as long as data is. The route is copied out.
 func DecodeTripRequest(data []byte, out *TripOfferingRequest) error {
 	r := reader{b: data}
@@ -315,7 +280,7 @@ func DecodeTripRequest(data []byte, out *TripOfferingRequest) error {
 	out.Route, out.Travel = nil, nil
 	for r.err == nil && r.off < len(r.b) {
 		if r.b[r.off] != routeTag {
-			out.Travel = append(out.Travel, r.tripBlock())
+			out.Travel = append(out.Travel, r.travelBlock())
 			continue
 		}
 		switch {
@@ -335,7 +300,7 @@ func DecodeTripRequest(data []byte, out *TripOfferingRequest) error {
 }
 
 // route decodes the route of a trip request, never nil when it decodes. Like
-// tripBlock, it lets through what is well-formed — node IDs that are not
+// travelBlock, it lets through what is well-formed — node IDs that are not
 // negative — not what is true: whether the nodes are in the graph and route
 // the trip is for the receiver to say.
 func (r *reader) route() []roadnet.NodeID {
@@ -365,17 +330,24 @@ func (r *reader) seconds() float64 {
 	return v
 }
 
-// tripBlock decodes one block of a trip request, leaving its entries where
-// they are. Like travel, it lets through what is well-formed, not what is
-// true.
-func (r *reader) tripBlock() TripBlock {
+// travelBlock decodes one block of a request, leaving its entries where they
+// are. What it lets through is well-formed, not true: one leg or two, scale
+// factors that are a band around 1, node IDs that are not negative, times
+// that are non-negative or +Inf (the one non-finite value a block has a
+// meaning for). Whether the nodes exist and cover the ranking is for the
+// receiver, which has the graph, to say.
+func (r *reader) travelBlock() TravelBlock {
 	if tag := r.u8(); r.err == nil && tag != travelTag {
 		r.fail("byte 0x%02X after the request is not a travel block", tag)
 	}
+	legs := r.u8()
+	if r.err == nil && legs != 1 && legs != 2 {
+		r.fail("a travel block of %d legs", legs)
+	}
 	seg := r.uvarint()
-	t := TripBlock{
+	t := TravelBlock{
 		Segment: int(seg), Anchor: roadnet.NodeID(int32(r.u32())), Return: roadnet.NodeID(int32(r.u32())),
-		ScaleLo: r.f64(), ScaleHi: r.f64(), Base: r.seconds(),
+		ScaleLo: r.f64(), ScaleHi: r.f64(), Base: r.seconds(), TwoLegs: legs == 2,
 	}
 	if r.err == nil && (seg > math.MaxInt32 || t.Anchor < 0 || t.Return < 0) {
 		r.fail("travel block of segment %d from node %d back to node %d", seg, t.Anchor, t.Return)
@@ -383,13 +355,10 @@ func (r *reader) tripBlock() TripBlock {
 	if r.err == nil && !(t.ScaleLo > 0 && t.ScaleLo <= 1 && t.ScaleHi >= 1) {
 		r.fail("travel scale factors [%v, %v] are not a band around 1", t.ScaleLo, t.ScaleHi)
 	}
-	t.entries = r.take(r.count(tripEntrySize) * tripEntrySize)
-	for i := 0; i < len(t.entries) && r.err == nil; i += tripEntrySize {
-		e := t.entries[i:][:tripEntrySize]
-		node := int32(binary.LittleEndian.Uint32(e))
-		out, back := math.Float64frombits(binary.LittleEndian.Uint64(e[4:])), math.Float64frombits(binary.LittleEndian.Uint64(e[12:]))
-		if node < 0 || !(out >= 0) || !(back >= 0) {
-			r.fail("travel entry %d: node %d, %v s out and %v s back", i/tripEntrySize, node, out, back)
+	t.entries = r.take(r.count(t.entrySize()) * t.entrySize())
+	for i := 0; i < t.Len()-1 && r.err == nil; i++ {
+		if n, out, back := t.At(i); n < 0 || !(out >= 0) || !(back >= 0) {
+			r.fail("travel entry %d: node %d, %v s out and %v s back", i, n, out, back)
 		}
 	}
 	return t

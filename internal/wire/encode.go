@@ -85,7 +85,7 @@ func AppendOfferingRequest(b []byte, req *OfferingRequest) []byte {
 	b = appendTime(b, req.Now)
 	b = appendTime(b, req.ETA)
 	if req.Travel != nil {
-		b = appendTravel(b, req.Travel)
+		b = appendBlock(b, req.Travel)
 	}
 	return b
 }
@@ -95,28 +95,21 @@ func AppendOfferingRequest(b []byte, req *OfferingRequest) []byte {
 // request's route, at most once, after the fields and before the first block.
 // A request ends after its fields or goes on with one of these bytes;
 // anything else is trailing garbage.
+//
+// A block is, in order: travelTag; its legs, 1 or 2, in one byte; Segment
+// as a uvarint; Anchor and Return as 4-byte node IDs; ScaleLo, ScaleHi and
+// Base as 8-byte floats; the number of entries as a uvarint; and the
+// entries, each a 4-byte node and its 8-byte time out, followed on a
+// two-leg block by its 8-byte time back: 12 or 20 bytes an entry.
 const (
 	travelTag = 1
 	routeTag  = 2
 )
 
-func appendTravel(b []byte, t *TravelBlock) []byte {
-	b = append(b, travelTag)
-	b = appendU32(b, uint32(int32(t.Anchor)))
-	b = appendF64(b, t.ScaleLo)
-	b = appendF64(b, t.ScaleHi)
-	b = appendUvarint(b, uint64(len(t.Nodes)))
-	for i, n := range t.Nodes {
-		b = appendU32(b, uint32(int32(n)))
-		b = appendF64(b, t.Seconds[i])
-	}
-	return b
-}
-
 // AppendTripRequest appends the binary form of a whole-trip request, with its
 // route, if it has one, and the blocks it holds. A sender that has its blocks
 // as slices appends the request without any and then each with
-// AppendTripBlock.
+// AppendTravelBlock.
 func AppendTripRequest(b []byte, req *TripOfferingRequest) []byte {
 	b = appendHeader(b, kindTripRequest)
 	b = appendUvarint(b, uint64(len(req.Waypoints)))
@@ -140,37 +133,50 @@ func AppendTripRequest(b []byte, req *TripOfferingRequest) []byte {
 		}
 	}
 	for i := range req.Travel {
-		t := &req.Travel[i]
-		b = appendTripBlockHead(b, t, len(t.entries)/tripEntrySize)
-		b = append(b, t.entries...)
+		b = appendBlock(b, &req.Travel[i])
 	}
 	return b
 }
 
-// TripRequestSize bounds from above the encoded size of req, route included,
-// which holds no blocks of its own, followed by the given number of appended
-// blocks with that many entries between them, so a sender can size the
-// buffer once.
-func TripRequestSize(req *TripOfferingRequest, blocks, entries int) int {
-	const fields, route, blockHead = 3 + 10 + 16 + 10 + 6*8, 1 + 10, 1 + 10 + 2*4 + 3*8 + 10
-	return fields + 16*len(req.Waypoints) + route + 4*len(req.Route) + blocks*blockHead + entries*tripEntrySize
+// TravelBlockSize bounds from above what AppendTravelBlock appends for a
+// block of that many entries, on two legs or on one, so that a sender can
+// size a request's buffer once.
+func TravelBlockSize(entries int, twoLegs bool) int {
+	const head = 1 + 1 + 10 + 2*4 + 3*8 + 10
+	if twoLegs {
+		return head + entries*twoLegEntrySize
+	}
+	return head + entries*oneLegEntrySize
 }
 
-// AppendTripBlock appends one more block to a trip request: head's fields,
-// and for entries nodes[i] with out[i] seconds from the anchor and back[i] to
-// the return node. Blocks go in segment order.
-func AppendTripBlock(b []byte, head *TripBlock, nodes []roadnet.NodeID, out, back []float64) []byte {
-	b = appendTripBlockHead(b, head, len(nodes))
+// AppendTravelBlock appends one more block to a request — the offering's
+// one, or a trip's next, in segment order: head's fields, and for entries
+// nodes[i] with out[i] seconds from the anchor and, on a two-leg block,
+// back[i] to the return node. A one-leg block reads no back.
+func AppendTravelBlock(b []byte, head *TravelBlock, nodes []roadnet.NodeID, out, back []float64) []byte {
+	b = appendTravelHead(b, head, len(nodes))
 	for i, n := range nodes {
 		b = appendU32(b, uint32(int32(n)))
 		b = appendF64(b, out[i])
-		b = appendF64(b, back[i])
+		if head.TwoLegs {
+			b = appendF64(b, back[i])
+		}
 	}
 	return b
 }
 
-func appendTripBlockHead(b []byte, t *TripBlock, entries int) []byte {
-	b = append(b, travelTag)
+// appendBlock appends a decoded block as it came.
+func appendBlock(b []byte, t *TravelBlock) []byte {
+	b = appendTravelHead(b, t, len(t.entries)/t.entrySize())
+	return append(b, t.entries...)
+}
+
+func appendTravelHead(b []byte, t *TravelBlock, entries int) []byte {
+	legs := byte(1)
+	if t.TwoLegs {
+		legs = 2
+	}
+	b = append(b, travelTag, legs)
 	b = appendUvarint(b, uint64(t.Segment))
 	b = appendU32(b, uint32(int32(t.Anchor)))
 	b = appendU32(b, uint32(int32(t.Return)))

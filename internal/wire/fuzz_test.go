@@ -49,16 +49,22 @@ func finite(fs ...float64) bool {
 func FuzzWireRoundTrip(f *testing.F) {
 	f.Add(53.07, 8.81, 5, 25000.0, 0.5, 0.25, 0.25,
 		int64(1718702000), uint32(0), int32(0),
-		int64(42), 0.1, 0.9, int64(1718703000), uint32(123456789), int32(120), uint8(3), true)
+		int64(42), 0.1, 0.9, int64(1718703000), uint32(123456789), int32(120), uint8(3), true, false)
 	f.Add(-10.0, 170.0, 1, 1.0, 1.0, 0.0, 0.0,
 		int64(0), uint32(1), int32(-840),
-		int64(-1), 0.0, 1.0, int64(4_000_000_000), uint32(999_999_999), int32(840), uint8(255), false)
+		int64(-1), 0.0, 1.0, int64(4_000_000_000), uint32(999_999_999), int32(840), uint8(255), false, true)
+	f.Add(53.07, 8.81, 7, 6000.0, 0.97, 1.12, 1.0,
+		int64(1718702000), uint32(0), int32(0),
+		int64(7), 12.5, 340.0, int64(1718702900), uint32(0), int32(0), uint8(0), false, false)
+	f.Add(53.07, 8.81, 901, 25000.0, 0.97, 1.12, 0.5,
+		int64(1718702000), uint32(0), int32(7200),
+		int64(17), 88.5, 0.0, int64(1718702900), uint32(0), int32(7200), uint8(4), true, true)
 	f.Fuzz(func(t *testing.T,
 		lat, lon float64, k int, radius, wl, wa, wd float64,
 		nowSec int64, nowNsec uint32, nowOff int32,
 		chargerID int64, scMin, scMax float64,
 		etaSec int64, etaNsec uint32, etaOff int32,
-		degraded uint8, cached bool,
+		degraded uint8, cached, twoLegs bool,
 	) {
 		if !finite(lat, lon, radius, wl, wa, wd, scMin, scMax) {
 			t.Skip("non-finite input is JSON-unrepresentable")
@@ -83,25 +89,32 @@ func FuzzWireRoundTrip(f *testing.F) {
 		}
 		assertFuzzJSONEqual(t, "request", &req, &reqOut)
 
-		// The same request with a travel block: whatever the fuzzer makes of
-		// the block's numbers, it either travels unchanged or is refused —
-		// and it is refused exactly when it is not well-formed.
-		req.Travel = &TravelBlock{
-			Anchor:  roadnet.NodeID(int32(k)),
-			ScaleLo: wl, ScaleHi: wa,
-			Nodes:   []roadnet.NodeID{roadnet.NodeID(int32(k)), roadnet.NodeID(degraded)},
-			Seconds: []float64{scMin, math.Inf(1)},
+		// The same requests with travel blocks, of one leg or two: whatever the
+		// fuzzer makes of a block's numbers, it either travels unchanged or is
+		// refused — and it is refused exactly when it is not well-formed.
+		head := TravelBlock{
+			Segment: int(degraded), Anchor: roadnet.NodeID(int32(k)), Return: roadnet.NodeID(degraded),
+			ScaleLo: wl, ScaleHi: wa, Base: scMin, TwoLegs: twoLegs,
 		}
-		wellFormed := wl > 0 && wl <= 1 && wa >= 1 && int32(k) >= 0 && scMin >= 0
-		switch err := DecodeOfferingRequest(AppendOfferingRequest(nil, &req), &reqOut); {
+		nodes, outSec, backSec := []roadnet.NodeID{roadnet.NodeID(int32(k)), 7}, []float64{scMin, math.Inf(1)}, []float64{scMax, 0}
+		wellFormed := wl > 0 && wl <= 1 && wa >= 1 && int32(k) >= 0 && scMin >= 0 && (!twoLegs || scMax >= 0)
+		firstBack := scMin
+		if twoLegs {
+			firstBack = scMax
+		}
+		withBlock := AppendTravelBlock(AppendOfferingRequest(nil, &req), &head, nodes, outSec, backSec)
+		switch err := DecodeOfferingRequest(withBlock, &reqOut); {
 		case err == nil && !wellFormed:
-			t.Fatalf("malformed travel block accepted: %+v", req.Travel)
+			t.Fatalf("malformed travel block accepted: %+v", head)
 		case err != nil && wellFormed:
 			t.Fatalf("well-formed travel block refused: %v", err)
-		case err == nil && !reflect.DeepEqual(req.Travel, reqOut.Travel):
-			t.Fatalf("travel block changed in flight: %+v, want %+v", reqOut.Travel, req.Travel)
 		case err != nil && reqOut.Travel != nil:
 			t.Fatal("a refused request left a travel block behind")
+		case err == nil:
+			b := reqOut.Travel
+			if n, o, r := b.At(0); !bytes.Equal(AppendOfferingRequest(nil, &reqOut), withBlock) || b.Len() != 3 || n != nodes[0] || o != scMin || r != firstBack {
+				t.Fatalf("travel block changed in flight: reads (%d, %v, %v) first of %d", n, o, r, b.Len())
+			}
 		}
 
 		// The whole-trip request, bare and with travel blocks, under the same
@@ -117,17 +130,11 @@ func FuzzWireRoundTrip(f *testing.F) {
 			t.Fatalf("trip request decode: %v, %d blocks", err, len(tripOut.Travel))
 		}
 		assertFuzzJSONEqual(t, "trip request", &trip, &tripOut)
-		head := TripBlock{
-			Segment: int(degraded), Anchor: roadnet.NodeID(int32(k)), Return: roadnet.NodeID(degraded),
-			ScaleLo: wl, ScaleHi: wa, Base: scMin,
-		}
-		nodes, outSec, backSec := []roadnet.NodeID{roadnet.NodeID(int32(k)), 7}, []float64{scMin, math.Inf(1)}, []float64{scMax, 0}
-		wellFormed = wl > 0 && wl <= 1 && wa >= 1 && int32(k) >= 0 && scMin >= 0 && scMax >= 0
 		// Without a route and with one ahead of the blocks, whose nodes are
 		// well-formed where the blocks' are.
 		for _, route := range [][]roadnet.NodeID{nil, {roadnet.NodeID(int32(k)), roadnet.NodeID(degraded), 0}} {
 			trip.Route = route
-			withBlocks := AppendTripBlock(AppendTripBlock(AppendTripRequest(nil, &trip), &head, nodes, outSec, backSec), &head, nil, nil, nil)
+			withBlocks := AppendTravelBlock(AppendTravelBlock(AppendTripRequest(nil, &trip), &head, nodes, outSec, backSec), &head, nil, nil, nil)
 			switch err := DecodeTripRequest(withBlocks, &tripOut); {
 			case err == nil && !wellFormed:
 				t.Fatalf("malformed trip block or route accepted: %+v, %v", head, route)
@@ -140,7 +147,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 					t.Fatal("trip route or blocks changed in flight")
 				}
 				b := &tripOut.Travel[0]
-				if n, o, r := b.At(0); len(tripOut.Travel) != 2 || b.Len() != 3 || n != nodes[0] || o != scMin || r != scMax {
+				if n, o, r := b.At(0); len(tripOut.Travel) != 2 || b.Len() != 3 || n != nodes[0] || o != scMin || r != firstBack {
 					t.Fatalf("trip block reads (%d, %v, %v) first of %d in %d blocks", n, o, r, b.Len(), len(tripOut.Travel))
 				}
 			}
@@ -224,6 +231,21 @@ func FuzzWireRoundTrip(f *testing.F) {
 	})
 }
 
+// checkDecodedBlock fails unless a decoded block is well-formed: a band of
+// scale factors around 1, node IDs that are not negative, times that are
+// non-negative or +Inf.
+func checkDecodedBlock(t *testing.T, b *TravelBlock) {
+	t.Helper()
+	if !(b.ScaleLo > 0 && b.ScaleLo <= 1 && b.ScaleHi >= 1) || b.Segment < 0 || b.Anchor < 0 || b.Return < 0 || !(b.Base >= 0) {
+		t.Fatalf("decoder let a malformed travel block through: %+v", b)
+	}
+	for j := 0; j < b.Len(); j++ {
+		if n, o, r := b.At(j); n < 0 || !(o >= 0) || !(r >= 0) {
+			t.Fatalf("decoder let travel entry %d through: node %d, %v s out, %v s back", j, n, o, r)
+		}
+	}
+}
+
 func assertFuzzJSONEqual(t *testing.T, leg string, want, got interface{}) {
 	t.Helper()
 	wb, err := json.Marshal(want)
@@ -246,8 +268,8 @@ func FuzzWireDecode(f *testing.F) {
 	req := sampleRequest()
 	resp := sampleResponse(2)
 	f.Add(AppendOfferingRequest(nil, &req))
-	req.Travel = sampleTravel()
-	f.Add(AppendOfferingRequest(nil, &req))
+	one, two := sampleTravel(), sampleTripBlocks()
+	f.Add(one.appendTo(AppendOfferingRequest(nil, &req)))
 	f.Add(AppendOfferingResponse(nil, &resp))
 	tripResp := sampleTripResponse(3)
 	f.Add(AppendTripResponse(nil, &tripResp))
@@ -261,6 +283,10 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(AppendWeather(nil, &WeatherResponse{ChargerID: 1, At: utcNow}))
 	f.Add([]byte{magic, version, kindChargers, 1, 0xFF, 0xFF, 0xFF, 0x7F})
 	f.Add([]byte{})
+	// Each request kind with the other kind's blocks: an offering's with two
+	// legs, a trip's with one.
+	f.Add(two[0].appendTo(AppendOfferingRequest(nil, &req)))
+	f.Add(appendSampleTrip(&trip, []sampleBlock{one, two[1]}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var reqOut OfferingRequest
 		if err := DecodeOfferingRequest(data, &reqOut); err == nil {
@@ -272,15 +298,8 @@ func FuzzWireDecode(f *testing.F) {
 			if !reflect.DeepEqual(reqOut.Travel, again.Travel) {
 				t.Fatalf("travel block re-decode: %+v, then %+v", reqOut.Travel, again.Travel)
 			}
-			if tb := reqOut.Travel; tb != nil {
-				if !(tb.ScaleLo > 0 && tb.ScaleLo <= 1 && tb.ScaleHi >= 1) || tb.Anchor < 0 || len(tb.Nodes) != len(tb.Seconds) {
-					t.Fatalf("decoder let a malformed travel block through: %+v", tb)
-				}
-				for i, n := range tb.Nodes {
-					if n < 0 || !(tb.Seconds[i] >= 0) {
-						t.Fatalf("decoder let travel entry %d through: node %d at %v s", i, n, tb.Seconds[i])
-					}
-				}
+			if b := reqOut.Travel; b != nil {
+				checkDecodedBlock(t, b)
 			}
 		}
 		var tripOut TripOfferingRequest
@@ -306,14 +325,7 @@ func FuzzWireDecode(f *testing.F) {
 				if !reflect.DeepEqual(b, a) {
 					t.Fatalf("trip block %d re-decode: %+v, then %+v", i, b, a)
 				}
-				if !(b.ScaleLo > 0 && b.ScaleLo <= 1 && b.ScaleHi >= 1) || b.Segment < 0 || b.Anchor < 0 || b.Return < 0 || !(b.Base >= 0) {
-					t.Fatalf("decoder let a malformed trip block through: %+v", b)
-				}
-				for j := 0; j < b.Len(); j++ {
-					if n, o, r := b.At(j); n < 0 || !(o >= 0) || !(r >= 0) {
-						t.Fatalf("decoder let trip entry %d through: node %d, %v s out, %v s back", j, n, o, r)
-					}
-				}
+				checkDecodedBlock(t, b)
 			}
 		} else if tripOut.Travel != nil || tripOut.Route != nil {
 			t.Fatal("a refused trip request left a route or blocks behind")

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"strconv"
 	"testing"
@@ -12,40 +13,81 @@ import (
 	"ecocharge/internal/roadnet"
 )
 
-func sampleTravel() *TravelBlock {
-	return &TravelBlock{
-		Anchor:  901,
-		ScaleLo: 0.97, ScaleHi: 1.12,
-		Nodes:   []roadnet.NodeID{17, 4, 4, 2_000_000, 0},
-		Seconds: []float64{12.5, 340, 340, math.Inf(1), 0},
+// sampleBlock is a travel block as a gateway holds it: its head, and the
+// entries as slices.
+type sampleBlock struct {
+	head      TravelBlock
+	nodes     []roadnet.NodeID
+	out, back []float64
+}
+
+func (b *sampleBlock) appendTo(buf []byte) []byte {
+	return AppendTravelBlock(buf, &b.head, b.nodes, b.out, b.back)
+}
+
+// sampleTravel is an offering's block: one leg, back to the anchor.
+func sampleTravel() sampleBlock {
+	return sampleBlock{TravelBlock{Anchor: 901, Return: 901, ScaleLo: 0.97, ScaleHi: 1.12},
+		[]roadnet.NodeID{17, 4, 4, 2_000_000, 0}, []float64{12.5, 340, 340, math.Inf(1), 0}, nil}
+}
+
+// checkBlock fails unless got reads as want: the same head, every entry bit
+// for bit — +Inf included, the time out for the time back on one leg — and
+// the return node at Base after the last.
+func checkBlock(t *testing.T, name string, got *TravelBlock, want *sampleBlock) {
+	t.Helper()
+	head := *got
+	head.entries = nil
+	if !reflect.DeepEqual(head, want.head) || got.Len() != len(want.nodes)+1 {
+		t.Fatalf("%s: head %+v over %d nodes, want %+v over %d", name, head, got.Len(), want.head, len(want.nodes)+1)
+	}
+	for j, n := range want.nodes {
+		back := want.out[j]
+		if want.head.TwoLegs {
+			back = want.back[j]
+		}
+		gn, gout, gback := got.At(j)
+		if gn != n || math.Float64bits(gout) != math.Float64bits(want.out[j]) || math.Float64bits(gback) != math.Float64bits(back) {
+			t.Fatalf("%s entry %d: (%d, %v, %v), want (%d, %v, %v)", name, j, gn, gout, gback, n, want.out[j], back)
+		}
+	}
+	if n, o, b := got.At(len(want.nodes)); n != want.head.Return || math.Float64bits(o) != math.Float64bits(want.head.Base) || b != 0 {
+		t.Fatalf("%s: the return node reads (%d, %v, %v), want (%d, %v, 0)", name, n, o, b, want.head.Return, want.head.Base)
+	}
+	if size, enc := TravelBlockSize(len(want.nodes), want.head.TwoLegs), want.appendTo(nil); size < len(enc) {
+		t.Fatalf("%s: TravelBlockSize %d under the block's %d bytes", name, size, len(enc))
 	}
 }
 
-// TestTravelBlockRoundTrip: a request with a block decodes to the same
-// request and the same block — +Inf, the block's word for "not reached",
-// included — and a request without one encodes to the bytes it always did.
+// TestTravelBlockRoundTrip: a request with a block, of one leg or two,
+// decodes to the same request and a block that reads as the one sent, and
+// encodes again to the bytes it came as; a request without one encodes to
+// the bytes it always did.
 func TestTravelBlockRoundTrip(t *testing.T) {
 	req := sampleRequest()
 	bare := AppendOfferingRequest(nil, &req)
-	req.Travel = sampleTravel()
-	enc := AppendOfferingRequest(nil, &req)
-	if !bytes.HasPrefix(enc, bare) || len(enc) == len(bare) {
-		t.Fatal("the block is not an appendix to the request as it always was")
-	}
-	out := OfferingRequest{Travel: &TravelBlock{Nodes: []roadnet.NodeID{9}}}
-	if err := DecodeOfferingRequest(enc, &out); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	assertJSONEqual(t, &req, &out)
-	if !reflect.DeepEqual(out.Travel, req.Travel) {
-		t.Fatalf("block changed in flight: %+v, want %+v", out.Travel, req.Travel)
-	}
-	if err := DecodeOfferingRequest(bare, &out); err != nil || out.Travel != nil {
-		t.Fatalf("a request without a block decoded to block %+v (%v)", out.Travel, err)
-	}
-	// The block never shows on the JSON plane.
-	if b := jsonBytes(t, &req); bytes.Contains(b, []byte("ravel")) {
-		t.Fatalf("the block leaked into JSON: %s", b)
+	two := sampleTripBlocks()[0]
+	for name, block := range map[string]sampleBlock{"one leg": sampleTravel(), "two legs": two} {
+		enc := block.appendTo(AppendOfferingRequest(nil, &req))
+		if !bytes.HasPrefix(enc, bare) || len(enc) == len(bare) {
+			t.Fatalf("%s: the block is not an appendix to the request as it always was", name)
+		}
+		out := OfferingRequest{Travel: &TravelBlock{Anchor: 9}}
+		if err := DecodeOfferingRequest(enc, &out); err != nil {
+			t.Fatalf("%s: decode: %v", name, err)
+		}
+		assertJSONEqual(t, &req, &out)
+		checkBlock(t, name, out.Travel, &block)
+		if again := AppendOfferingRequest(nil, &out); !bytes.Equal(again, enc) {
+			t.Fatalf("%s: a decoded request with a block does not encode to the bytes it came as", name)
+		}
+		// The block never shows on the JSON plane.
+		if b := jsonBytes(t, &out); bytes.Contains(b, []byte("ravel")) {
+			t.Fatalf("%s: the block leaked into JSON: %s", name, b)
+		}
+		if err := DecodeOfferingRequest(bare, &out); err != nil || out.Travel != nil {
+			t.Fatalf("%s: a request without a block decoded to block %+v (%v)", name, out.Travel, err)
+		}
 	}
 }
 
@@ -54,16 +96,20 @@ func TestTravelBlockRoundTrip(t *testing.T) {
 func TestHostileTravelBlocks(t *testing.T) {
 	req := sampleRequest()
 	bare := AppendOfferingRequest(nil, &req)
-	req.Travel = sampleTravel()
-	enc := AppendOfferingRequest(nil, &req)
+	block := sampleTravel()
+	enc := block.appendTo(AppendOfferingRequest(nil, &req))
 	const (
-		anchorOff  = 1 // after the tag
-		scaleLoOff = anchorOff + 4
+		legsOff    = 1 // after the tag
+		segOff     = legsOff + 1
+		anchorOff  = segOff + 1 // a one-byte uvarint
+		returnOff  = anchorOff + 4
+		scaleLoOff = returnOff + 4
 		scaleHiOff = scaleLoOff + 8
-		countOff   = scaleHiOff + 8 // one-byte uvarint for five entries
-		nodeOff    = countOff + 1   // first entry's node
-		secOff     = nodeOff + 4    // first entry's seconds
-		lastSecOff = secOff + 4*minTravelSize
+		baseOff    = scaleHiOff + 8
+		countOff   = baseOff + 8   // one-byte uvarint for five entries
+		nodeOff    = countOff + 1  // first entry's node
+		secOff     = nodeOff + 4   // first entry's seconds
+		lastSecOff = secOff + 4*12 // one-leg entries are 12 bytes
 	)
 	patch := func(off int, b []byte) []byte {
 		bad := append([]byte(nil), enc...)
@@ -73,12 +119,17 @@ func TestHostileTravelBlocks(t *testing.T) {
 	cases := map[string][]byte{
 		"wrong tag":            patch(0, []byte{2}),
 		"tag zero":             patch(0, []byte{0}),
+		"no legs":              patch(legsOff, []byte{0}),
+		"three legs":           patch(legsOff, []byte{3}),
+		"two legs, one given":  patch(legsOff, []byte{2}),
 		"scale lo zero":        patch(scaleLoOff, appendF64(nil, 0)),
 		"scale lo negative":    patch(scaleLoOff, appendF64(nil, -0.9)),
 		"scale lo above one":   patch(scaleLoOff, appendF64(nil, 1.01)),
 		"scale lo NaN":         patch(scaleLoOff, appendF64(nil, math.NaN())),
 		"scale hi below one":   patch(scaleHiOff, appendF64(nil, 0.99)),
 		"scale hi infinite":    patch(scaleHiOff, appendF64(nil, math.Inf(1))),
+		"base NaN":             patch(baseOff, appendF64(nil, math.NaN())),
+		"base negative":        patch(baseOff, appendF64(nil, -2)),
 		"count too large":      patch(countOff, []byte{6}),
 		"count too small":      patch(countOff, []byte{4}),
 		"count bomb":           append(append([]byte(nil), enc[:len(bare)+countOff]...), appendUvarint(nil, 1<<40)...),
@@ -87,9 +138,11 @@ func TestHostileTravelBlocks(t *testing.T) {
 		"-Inf time":            patch(lastSecOff, appendF64(nil, math.Inf(-1))),
 		"negative node":        patch(nodeOff, appendU32(nil, uint32(0x80000001))),
 		"negative anchor":      patch(anchorOff, appendU32(nil, uint32(0xffffffff))),
+		"negative return":      patch(returnOff, appendU32(nil, uint32(0x80000000))),
 		"trailing byte":        append(append([]byte(nil), enc...), 0),
 		"second block":         append(append([]byte(nil), enc...), enc[len(bare):]...),
 		"tag and nothing else": append(append([]byte(nil), bare...), travelTag),
+		"a route":              append(append([]byte(nil), bare...), routeTag, 0),
 	}
 	for i := len(bare) + 1; i < len(enc); i++ {
 		cases["truncated at "+strconv.Itoa(i)] = enc[:i]
@@ -109,6 +162,34 @@ func TestHostileTravelBlocks(t *testing.T) {
 	}
 }
 
+// TestTravelBlockDecodeAllocs: a block is read where it arrived, so decoding
+// a request with one allocates the same bytes at 10 entries as at 1 000 —
+// the block's head, and nothing an entry.
+func TestTravelBlockDecodeAllocs(t *testing.T) {
+	req := sampleRequest()
+	bytesPerDecode := func(entries int) uint64 {
+		block := sampleBlock{head: TravelBlock{Anchor: 1, Return: 1, ScaleLo: 1, ScaleHi: 1}}
+		for i := 0; i < entries; i++ {
+			block.nodes, block.out = append(block.nodes, roadnet.NodeID(i)), append(block.out, float64(i))
+		}
+		enc := block.appendTo(AppendOfferingRequest(nil, &req))
+		var out OfferingRequest
+		const runs = 1000
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if err := DecodeOfferingRequest(enc, &out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	if few, many := bytesPerDecode(10), bytesPerDecode(1000); few != many {
+		t.Fatalf("a decode allocates %d B at 10 entries and %d B at 1 000: the block is copied", few, many)
+	}
+}
+
 func sampleTrip() TripOfferingRequest {
 	return TripOfferingRequest{
 		Waypoints: []LatLon{{Lat: 53.07, Lon: 8.81}, {Lat: 53.11, Lon: 8.75}, {Lat: 53.2, Lon: 8.6}},
@@ -117,34 +198,27 @@ func sampleTrip() TripOfferingRequest {
 	}
 }
 
-// sampleTripBlocks are two blocks as a gateway holds them: heads, and the
-// entries as slices.
-type sampleBlock struct {
-	head      TripBlock
-	nodes     []roadnet.NodeID
-	out, back []float64
-}
-
+// sampleTripBlocks are two blocks of a trip's segments as a gateway holds
+// them: two legs each.
 func sampleTripBlocks() []sampleBlock {
 	return []sampleBlock{
-		{TripBlock{Segment: 0, Anchor: 901, Return: 17, ScaleLo: 0.97, ScaleHi: 1.12, Base: 88.5},
+		{TravelBlock{Segment: 0, Anchor: 901, Return: 17, ScaleLo: 0.97, ScaleHi: 1.12, Base: 88.5, TwoLegs: true},
 			[]roadnet.NodeID{17, 4, 4, 2_000_000}, []float64{88.5, 340, 340, math.Inf(1)}, []float64{0, 12, 12, 7}},
-		{TripBlock{Segment: 3, Anchor: 5, Return: 5, ScaleLo: 1, ScaleHi: 1, Base: math.Inf(1)}, nil, nil, nil},
+		{TravelBlock{Segment: 3, Anchor: 5, Return: 5, ScaleLo: 1, ScaleHi: 1, Base: math.Inf(1), TwoLegs: true}, nil, nil, nil},
 	}
 }
 
 func appendSampleTrip(req *TripOfferingRequest, blocks []sampleBlock) []byte {
 	b := AppendTripRequest(nil, req)
 	for i := range blocks {
-		b = AppendTripBlock(b, &blocks[i].head, blocks[i].nodes, blocks[i].out, blocks[i].back)
+		b = blocks[i].appendTo(b)
 	}
 	return b
 }
 
 // TestTripRequestRoundTrip: a trip request decodes to the request its JSON
-// twin decodes to, with the blocks it brought readable in place — the heads,
-// every entry bit for bit, +Inf included, and the return node at Base after
-// the last — and encodes again, blocks and all, to the bytes it came as.
+// twin decodes to, with the blocks it brought readable in place (checkBlock),
+// and encodes again, blocks and all, to the bytes it came as.
 func TestTripRequestRoundTrip(t *testing.T) {
 	req := sampleTrip()
 	bare := AppendTripRequest(nil, &req)
@@ -170,22 +244,8 @@ func TestTripRequestRoundTrip(t *testing.T) {
 	if len(out.Travel) != len(blocks) {
 		t.Fatalf("%d blocks decoded, want %d", len(out.Travel), len(blocks))
 	}
-	for i, want := range blocks {
-		got := &out.Travel[i]
-		head := *got
-		head.entries = nil
-		if !reflect.DeepEqual(head, want.head) || got.Len() != len(want.nodes)+1 {
-			t.Fatalf("block %d: head %+v over %d nodes, want %+v over %d", i, head, got.Len(), want.head, len(want.nodes)+1)
-		}
-		for j, n := range want.nodes {
-			gn, gout, gback := got.At(j)
-			if gn != n || math.Float64bits(gout) != math.Float64bits(want.out[j]) || math.Float64bits(gback) != math.Float64bits(want.back[j]) {
-				t.Fatalf("block %d entry %d: (%d, %v, %v), want (%d, %v, %v)", i, j, gn, gout, gback, n, want.out[j], want.back[j])
-			}
-		}
-		if n, o, b := got.At(len(want.nodes)); n != want.head.Return || math.Float64bits(o) != math.Float64bits(want.head.Base) || b != 0 {
-			t.Fatalf("block %d: the return node reads (%d, %v, %v), want (%d, %v, 0)", i, n, o, b, want.head.Return, want.head.Base)
-		}
+	for i := range blocks {
+		checkBlock(t, "block "+strconv.Itoa(i), &out.Travel[i], &blocks[i])
 	}
 	if again := AppendTripRequest(nil, &out); !bytes.Equal(again, enc) {
 		t.Fatal("a decoded request with blocks does not encode to the bytes it came as")
@@ -208,7 +268,7 @@ func sampleRoute() []roadnet.NodeID { return []roadnet.NodeID{901, 4, 0, 17, 2_0
 // TestTripRequestRoute: a trip request with a route decodes to the same
 // request and the same route, with blocks after it and without, and encodes
 // again to the bytes it came as; the route sits between the fields and the
-// blocks, is counted by TripRequestSize, and never shows on the JSON plane.
+// blocks and never shows on the JSON plane.
 func TestTripRequestRoute(t *testing.T) {
 	req := sampleTrip()
 	bare := AppendTripRequest(nil, &req)
@@ -240,16 +300,6 @@ func TestTripRequestRoute(t *testing.T) {
 	if err := DecodeTripRequest(appendSampleTrip(&req, blocks), &out); err != nil || len(out.Travel) != len(blocks) {
 		t.Fatalf("%d blocks after the route (%v), want %d", len(out.Travel), err, len(blocks))
 	}
-	entries := 0
-	for _, b := range blocks {
-		entries += len(b.nodes)
-	}
-	for _, n := range []int{len(req.Route), 300} {
-		req.Route = make([]roadnet.NodeID, n)
-		if size, enc := TripRequestSize(&req, len(blocks), entries), appendSampleTrip(&req, blocks); size < len(enc) {
-			t.Fatalf("%d route nodes: TripRequestSize %d under the %d bytes of the request", n, size, len(enc))
-		}
-	}
 	// An empty route is well-formed — whether it routes is the receiver's
 	// question — and stays apart from no route.
 	req.Route = []roadnet.NodeID{}
@@ -269,7 +319,8 @@ func TestHostileTripBlocks(t *testing.T) {
 	bare := AppendTripRequest(nil, &req)
 	enc := appendSampleTrip(&req, sampleTripBlocks())
 	const (
-		segOff     = 1 // after the tag; a one-byte uvarint
+		legsOff    = 1           // after the tag
+		segOff     = legsOff + 1 // a one-byte uvarint
 		anchorOff  = segOff + 1
 		returnOff  = anchorOff + 4
 		scaleLoOff = returnOff + 4
@@ -287,6 +338,8 @@ func TestHostileTripBlocks(t *testing.T) {
 	}
 	cases := map[string][]byte{
 		"wrong tag":          patch(0, []byte{3}),
+		"no legs":            patch(legsOff, []byte{0}),
+		"three legs":         patch(legsOff, []byte{3}),
 		"segment overflows":  append(append(append([]byte(nil), enc[:len(bare)+segOff]...), appendUvarint(nil, 1<<40)...), enc[len(bare)+anchorOff:]...),
 		"negative anchor":    patch(anchorOff, appendU32(nil, 0xffffffff)),
 		"negative return":    patch(returnOff, appendU32(nil, 0x80000000)),
@@ -304,7 +357,7 @@ func TestHostileTripBlocks(t *testing.T) {
 		"NaN out":            patch(outOff, appendF64(nil, math.NaN())),
 		"negative out":       patch(outOff, appendF64(nil, -1)),
 		"-Inf back":          patch(backOff, appendF64(nil, math.Inf(-1))),
-		"NaN back":           patch(backOff+tripEntrySize, appendF64(nil, math.NaN())),
+		"NaN back":           patch(backOff+twoLegEntrySize, appendF64(nil, math.NaN())),
 		"trailing byte":      append(append([]byte(nil), enc...), 0),
 		"tag and no block":   append(append([]byte(nil), enc...), travelTag),
 	}
@@ -312,7 +365,7 @@ func TestHostileTripBlocks(t *testing.T) {
 		cases["truncated at "+strconv.Itoa(i)] = enc[:i]
 	}
 	// Cut between the two blocks the message is whole: one block.
-	first := len(AppendTripBlock(nil, &sampleTripBlocks()[0].head, sampleTripBlocks()[0].nodes, sampleTripBlocks()[0].out, sampleTripBlocks()[0].back))
+	first := len(sampleTripBlocks()[0].appendTo(nil))
 	delete(cases, "truncated at "+strconv.Itoa(len(bare)+first))
 	for name, bad := range cases {
 		var out TripOfferingRequest

@@ -47,32 +47,11 @@ type OfferingRequest struct {
 	// ETA is the arrival time at the query point; zero means Now.
 	ETA time.Time `json:"eta"`
 	// Travel is the ranking's network search, when the sender ran it for the
-	// receiver: a fleet gateway's word to a shard. It exists on the binary
-	// plane only, and a server that cannot use it searches for itself.
+	// receiver: a fleet gateway's word to a shard, one leg, read in the bytes
+	// it was decoded from. It exists on the binary plane only, and a server
+	// that cannot use it searches for itself.
 	Travel *TravelBlock `json:"-"`
 }
-
-// TravelBlock carries the raw travel times of one network search to the
-// receiver's chargers: Anchor is the node the search started from (the
-// request's location, snapped by the sender), Seconds[i] the time from there
-// to Nodes[i] under the search's weight table, +Inf when the search ended
-// without reaching it, and ScaleLo ≤ 1 ≤ ScaleHi turn a raw time into its
-// lower and upper bound.
-type TravelBlock struct {
-	Anchor           roadnet.NodeID
-	ScaleLo, ScaleHi float64
-	Nodes            []roadnet.NodeID
-	Seconds          []float64
-}
-
-// At returns the i-th node of the block with its time from the anchor, which
-// on the symmetric graph a one-leg block is for is its time back as well.
-func (t *TravelBlock) At(i int) (n roadnet.NodeID, out, back float64) {
-	return t.Nodes[i], t.Seconds[i], t.Seconds[i]
-}
-
-// Len is the number of nodes in the block.
-func (t *TravelBlock) Len() int { return len(t.Nodes) }
 
 // LatLon is a wire waypoint.
 type LatLon struct {
@@ -103,43 +82,65 @@ type TripOfferingRequest struct {
 	// receiver to compute, when it ran them for it, in segment order: a fleet
 	// gateway's word to a shard, like OfferingRequest.Travel, on the binary
 	// plane only.
-	Travel []TripBlock `json:"-"`
+	Travel []TravelBlock `json:"-"`
 }
 
-// TripBlock carries the raw travel times of one trip segment's network
-// search to the receiver's chargers: Segment is the segment's index, Anchor
-// and Return the nodes its outbound leg started from and its return leg ended
-// at, Base the time from the one to the other (the on-route baseline), and
-// ScaleLo ≤ 1 ≤ ScaleHi turn a raw time into its bounds. The entries — a
-// node, the time to it from Anchor and the time from it to Return, +Inf where
-// a leg ended without reaching it — stay in the bytes of the message they
-// were decoded from and are read in place (At); a block lives as long as
-// those do.
-type TripBlock struct {
+// TravelBlock carries the raw travel times of one network search to the
+// receiver's chargers: the search of an offering's ranking, or of one trip
+// segment's (Segment is its index). Anchor is the node the search started
+// from, Return the node its return leg ended at and Base the time from the
+// one to the other (the on-route baseline), and ScaleLo ≤ 1 ≤ ScaleHi turn a
+// raw time into its lower and upper bound. A trip segment's search has two
+// legs: every entry holds a node, the time to it from Anchor and the time
+// from it to Return. An offering's ranking returns to its anchor over a
+// symmetric graph, and its search has one leg (TwoLegs false): an entry holds
+// a node and the time to it, which is the time back as well; Return is then
+// Anchor and Base 0. A time is +Inf where a leg ended without reaching the
+// node.
+//
+// The entries of a decoded block stay in the bytes of the message they were
+// decoded from and are read in place (At): a block lives as long as those
+// do. A sender appends a block's entries from slices (AppendTravelBlock).
+type TravelBlock struct {
 	Segment          int
 	Anchor, Return   roadnet.NodeID
 	ScaleLo, ScaleHi float64
 	Base             float64
+	TwoLegs          bool
 	entries          []byte
 }
 
-// tripEntrySize is one encoded entry of a TripBlock: node, out, back.
-const tripEntrySize = 4 + 8 + 8
+// Encoded entry sizes: node and out; node, out and back.
+const (
+	oneLegEntrySize = 4 + 8
+	twoLegEntrySize = 4 + 8 + 8
+)
+
+func (b *TravelBlock) entrySize() int {
+	if b.TwoLegs {
+		return twoLegEntrySize
+	}
+	return oneLegEntrySize
+}
 
 // Len is the number of nodes the block prices: its entries and the return
 // node.
-func (b *TripBlock) Len() int { return len(b.entries)/tripEntrySize + 1 }
+func (b *TravelBlock) Len() int { return len(b.entries)/b.entrySize() + 1 }
 
 // At returns the i-th node with its times from the anchor and to the return
 // node; the return node, at Base from the anchor, comes last.
-func (b *TripBlock) At(i int) (n roadnet.NodeID, out, back float64) {
-	if i == len(b.entries)/tripEntrySize {
+func (b *TravelBlock) At(i int) (n roadnet.NodeID, out, back float64) {
+	size := b.entrySize()
+	if i == len(b.entries)/size {
 		return b.Return, b.Base, 0
 	}
-	e := b.entries[i*tripEntrySize:][:tripEntrySize]
-	return roadnet.NodeID(int32(binary.LittleEndian.Uint32(e))),
-		math.Float64frombits(binary.LittleEndian.Uint64(e[4:])),
-		math.Float64frombits(binary.LittleEndian.Uint64(e[12:]))
+	e := b.entries[i*size:][:size]
+	n = roadnet.NodeID(int32(binary.LittleEndian.Uint32(e)))
+	out = math.Float64frombits(binary.LittleEndian.Uint64(e[4:]))
+	if !b.TwoLegs {
+		return n, out, out
+	}
+	return n, out, math.Float64frombits(binary.LittleEndian.Uint64(e[12:]))
 }
 
 // OfferingEntry is one ranked charger of the response.
