@@ -58,6 +58,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzWireDecode -fuzztime=10s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzOfferingJSONRoundTrip -fuzztime=10s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzTripRoute -fuzztime=10s ./internal/eis/
+	$(GO) test -run='^$$' -fuzz=FuzzRank -fuzztime=10s ./internal/cknn/
 	$(GO) test -run='^$$' -fuzz=FuzzGatewayFrontDoor -fuzztime=10s ./internal/fleet/
 
 bench:

@@ -158,6 +158,20 @@ func TestRankDeterministicOnTies(t *testing.T) {
 	}
 }
 
+// A pool that lists a charger twice offers it once, by its entry that comes
+// first in the SC_max chain, and the place the repeat would take goes to the
+// next charger.
+func TestRankRepeatedCharger(t *testing.T) {
+	entries := []Entry{mkEntry(1, 0.5, 0.9), mkEntry(1, 0.6, 0.8), mkEntry(2, 0.1, 0.2)}
+	got := Rank(entries, 2)
+	if ids := summarizeIDs(got); !slices.Equal(ids, []int64{1, 2}) {
+		t.Fatalf("Rank = %v, want [1 2]", ids)
+	}
+	if got[0].SC != entries[0].SC {
+		t.Errorf("charger 1 offered with SC %v, want its best by SC_max %v", got[0].SC, entries[0].SC)
+	}
+}
+
 // Regression for the tie-breaking hardening: entries equal on the primary
 // sort key must fall through the full (SC_max, SC_min, charger ID) order,
 // so chargers with equal SC midpoints always emerge in ID order and no

@@ -81,7 +81,7 @@ func capAbove(x interval.I, cap float64) interval.I {
 
 // rankPool runs the filtering and refinement phases over a candidate pool:
 // chargers are evaluated with interval pruning (a candidate whose cheap
-// optimistic bound cannot beat the current k-th pessimistic score skips the
+// optimistic bound cannot reach the current k-th best SC_max skips the
 // expensive forecasts), then ranked per eq. 6. Both phases run on the
 // caller's goroutine: a ranking is sequential, requests are concurrent.
 //
@@ -110,12 +110,12 @@ func (e *Engine) rankPool(cands []*charger.Charger, d DeroutingMaps, q Query) []
 // filterScratch is the filtering phase's storage for one ranking: with room
 // for every candidate, the entries it evaluates and per candidate its
 // pruneBound and the next candidate of its bucket (evalPool); and the k best
-// SC_min seen.
+// SC_max seen.
 type filterScratch struct {
 	entries []Entry
 	bound   []float64
 	next    []int32
-	mins    []float64
+	maxes   []float64
 }
 
 // fit makes room for n candidates.
@@ -166,7 +166,7 @@ const boundBuckets = 64
 
 // bucketOf files an SC value in [0, 1] under one of boundBuckets equal
 // steps, the best scores in the last; anything below the range (the k-th
-// SC_min before there are k) goes in the first.
+// SC_max before there are k) goes in the first.
 func bucketOf(sc float64) int {
 	if !(sc > 0) {
 		return 0
@@ -179,14 +179,16 @@ func bucketOf(sc float64) int {
 
 // evalPool is the filtering phase: it evaluates the candidates that can
 // still enter the top-k and returns their entries, in s.entries. Which
-// candidates those are depends on how soon the k-th SC_min rises, so it
+// candidates those are depends on how soon the k-th SC_max rises, so it
 // visits them best bound first — the order that raises it soonest — and for
 // the price of a counting pass, not a sort: every candidate's pruneBound is
 // computed up front and the candidates are threaded, in the order given,
 // into boundBuckets lists by it. The lists are visited from the best down,
-// and the visit ends at the first whose upper edge the k-th SC_min has
+// and the visit ends at the first whose upper edge the k-th SC_max has
 // passed; whatever is left there and below is pruned unseen, by the same
-// inequality (bound < k-th SC_min) that prunes one candidate.
+// inequality (bound < k-th SC_max) that prunes one candidate: its SC_max is
+// at most its bound, so k chargers already beat it in the SC_max chain Rank
+// selects by.
 func (e *Engine) evalPool(cands []*charger.Charger, d DeroutingMaps, q Query, s *filterScratch) []Entry {
 	// Every candidate lands in exactly one outcome. The pass counts in locals
 	// and publishes once: a shared counter bumped per candidate is a thousand
@@ -207,13 +209,13 @@ func (e *Engine) evalPool(cands []*charger.Charger, d DeroutingMaps, q Query, s 
 		s.bound[i], s.next[i] = bound, head[b]
 		head[b] = int32(i)
 	}
-	// kthMin tracks the k-th best pessimistic SC seen so far.
-	kthMin := math.Inf(-1)
-	mins := bottomK{k: q.K, vals: s.mins[:0]}
+	// kthMax tracks the k-th best SC_max seen so far.
+	kthMax := math.Inf(-1)
+	maxes := bottomK{k: q.K, vals: s.maxes[:0]}
 	entries := s.entries[:0]
-	for b := boundBuckets - 1; b >= 0 && bucketOf(kthMin) <= b; b-- {
+	for b := boundBuckets - 1; b >= 0 && bucketOf(kthMax) <= b; b-- {
 		for i := head[b]; i >= 0; i = s.next[i] {
-			if s.bound[i] < kthMin {
+			if s.bound[i] < kthMax {
 				continue // cannot enter the top-k
 			}
 			entry, ok := e.evaluate(cands[i], d, q)
@@ -223,12 +225,12 @@ func (e *Engine) evalPool(cands []*charger.Charger, d DeroutingMaps, q Query, s 
 			}
 			evaluated++
 			entries = append(entries, entry)
-			if mins.push(entry.SC.Min) {
-				kthMin = mins.kth()
+			if maxes.push(entry.SC.Max) {
+				kthMax = maxes.kth()
 			}
 		}
 	}
-	s.mins = mins.vals
+	s.maxes = maxes.vals
 	met.pruneRejected.Add(uint64(len(cands)) - unreachable - evaluated)
 	met.unreachable.Add(unreachable)
 	met.evaluated.Add(evaluated)

@@ -179,7 +179,7 @@ func rankBySort(entries []Entry, k int) []Entry {
 	byMax := append([]Entry(nil), entries...)
 	sort.Slice(byMax, func(i, j int) bool { return lessEntry(&byMax[i], &byMax[j], maxKey) })
 	byMin := append([]Entry(nil), entries...)
-	sort.Slice(byMin, func(i, j int) bool { return lessEntry(&byMin[i], &byMin[j], minKey) })
+	sort.Slice(byMin, func(i, j int) bool { return lessMin(&byMin[i], &byMin[j]) })
 
 	n := k
 	if n > len(entries) {
@@ -210,6 +210,42 @@ func rankBySort(entries []Entry, k int) []Entry {
 	return out
 }
 
+// lessMin is the SC_min chain rankBySort reads eq. 6's second ranking by:
+// SC_min descending, then SC_max descending, then charger ID ascending.
+func lessMin(a, b *Entry) bool {
+	if a.SC.Min != b.SC.Min {
+		return a.SC.Min > b.SC.Min
+	}
+	if a.SC.Max != b.SC.Max {
+		return a.SC.Max > b.SC.Max
+	}
+	return a.Charger.ID < b.Charger.ID
+}
+
+// bestPerCharger keeps, in pool order, one entry per charger: its first in
+// the SC_max chain (the earliest of equals). rankBySort assumes distinct
+// chargers, as eq. 6 does; on a pool of them this is the identity.
+func bestPerCharger(pool []Entry) []Entry {
+	best := make(map[int64]int, len(pool))
+	out := make([]Entry, 0, len(pool))
+	for _, e := range pool {
+		j, held := best[e.Charger.ID]
+		switch {
+		case !held:
+			best[e.Charger.ID] = len(out)
+			out = append(out, e)
+		case lessEntry(&e, &out[j], maxKey):
+			out[j] = e
+		}
+	}
+	return out
+}
+
+// RankOracle is what Rank must return for the pool: the literal eq. 6
+// ranking over one entry per charger. It is exported for FuzzRank, which
+// lives in the external test package to check tables through tabletest.
+func RankOracle(pool []Entry, k int) []Entry { return rankBySort(bestPerCharger(pool), k) }
+
 // genTiedEntries produces pools built to collide: score bounds come from a
 // five-value grid, so most entries tie with others on SC_max, SC_min or
 // both; IDs arrive in random order; and every third pool repeats IDs (a
@@ -237,14 +273,14 @@ func (genTiedEntries) Generate(r *rand.Rand, size int) reflect.Value {
 }
 
 // The selection-based Rank returns exactly what sorting both rankings in
-// full returns, for every table size from none to more than the pool holds,
-// and leaves the pool as it found it.
+// full returns over one entry per charger, for every table size from none
+// to more than the pool holds, and leaves the pool as it found it.
 func TestPropRankMatchesSortOracle(t *testing.T) {
 	f := func(es genTiedEntries) bool {
 		pool := make([]Entry, len(es))
 		copy(pool, es)
 		for _, k := range []int{0, 1, 5, len(es), len(es) + 3} {
-			got, want := Rank(es, k), rankBySort(pool, k)
+			got, want := Rank(es, k), rankBySort(bestPerCharger(pool), k)
 			if !reflect.DeepEqual(got, want) {
 				t.Logf("k=%d pool=%d: got %v, want %v", k, len(es), OfferingTable{Entries: got}.IDs(), OfferingTable{Entries: want}.IDs())
 				return false

@@ -6,14 +6,16 @@
 // Estimated Components L (sustainable charging level), A (availability) and
 // D (derouting cost) as intervals for every candidate charger (filtering
 // phase), combine them into lower/upper Sustainability Scores with eqs. 4–5,
-// intersect the two top-k rankings per eq. 6 (refinement phase), and emit a
-// sorted Offering Table. Four interchangeable ranking methods mirror the
-// evaluation's baselines: BruteForce, IndexQuadtree, Random and EcoCharge
-// (with the dynamic R/Q cache of §IV.C).
+// keep the k best per eq. 6 (refinement phase), and emit a sorted Offering
+// Table. Four interchangeable ranking methods mirror the evaluation's
+// baselines: BruteForce, IndexQuadtree, Random and EcoCharge (with the
+// dynamic R/Q cache of §IV.C).
 package cknn
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -171,79 +173,54 @@ func (o OfferingTable) IDs() []int64 {
 	return ids
 }
 
-// Rank implements the refinement phase (eq. 6): it produces the top-k by
-// SC_max and the top-k by SC_min, intersects them, and orders the result by
-// SC midpoint (ties by higher SC_max, then lower charger ID). When the
-// intersection holds fewer than k chargers it is padded from the SC_max
-// ranking so the output "contains k chargers" as the paper specifies.
+// Rank implements the refinement phase. Eq. 6 intersects the top-k by
+// SC_max with the top-k by SC_min, and a short intersection is padded from
+// the SC_max ranking so the table "contains k chargers" as the paper
+// specifies. That padded form is the top-k by SC_max itself:
+//   - the intersection is a subset of the top-k by SC_max;
+//   - the padding refills it from the same ranking, best first;
+//   - so the k places it ends with are that ranking's first k.
 //
-// Eq. 6 reads only the first k places of either ranking, so neither is ever
-// materialised: one pass per key selects the k best under lessEntry's total
-// order, as indexes into entries. The pool is neither copied nor reordered.
+// Rank therefore selects the k best chargers under the SC_max chain and
+// emits them in the SC-midpoint chain (ties by higher SC_max, then lower
+// charger ID). A charger the pool lists twice holds one place, by its first
+// entry in the SC_max chain. The pool is neither copied nor reordered.
 func Rank(entries []Entry, k int) []Entry {
 	if k <= 0 || len(entries) == 0 {
 		return nil
 	}
-	n := k
-	if n > len(entries) {
-		n = len(entries)
-	}
-	byMax := topBy(entries, n, maxKey)
-	inMin := make(map[int64]bool, n)
-	for _, i := range topBy(entries, n, minKey) {
-		inMin[entries[i].Charger.ID] = true
-	}
-	out := make([]Entry, 0, n)
-	seen := make(map[int64]bool, n)
-	for _, i := range byMax {
-		if e := &entries[i]; inMin[e.Charger.ID] {
-			out = append(out, *e)
-			seen[e.Charger.ID] = true
-		}
-	}
-	// Pad from the SC_max order to reach k chargers. The first n places
-	// suffice whenever charger IDs are distinct; a pool that repeats an ID
-	// can use up places on chargers already taken, and then the ranking is
-	// extended until the table is full or the pool is exhausted.
-	for m := n; ; m *= 2 {
-		for _, i := range byMax {
-			if len(out) >= n {
-				break
-			}
-			if e := &entries[i]; !seen[e.Charger.ID] {
-				out = append(out, *e)
-				seen[e.Charger.ID] = true
-			}
-		}
-		if len(out) >= n || m >= len(entries) {
-			break
-		}
-		byMax = topBy(entries, 2*m, maxKey)
+	top := topByMax(entries, k)
+	out := make([]Entry, len(top))
+	for i, j := range top {
+		out[i] = entries[j]
 	}
 	sort.Slice(out, func(i, j int) bool { return lessEntry(&out[i], &out[j], midKey) })
 	return out
 }
 
-// topBy returns the indexes of the n best entries under the key, best
-// first: a single pass that keeps the best seen so far in order. With n the
-// size of an Offering Table, nearly every entry is dismissed by its one
-// comparison against the current n-th.
-func topBy(entries []Entry, n int, key sortKey) []int {
-	if n > len(entries) {
-		n = len(entries)
-	}
-	top := make([]int, 0, n)
+// topByMax returns the indexes of the k best entries under the SC_max chain,
+// one per charger, best first: a single pass that keeps the best seen so
+// far in order. With k the size of an Offering Table, nearly every entry is
+// dismissed by its one comparison against the current k-th.
+func topByMax(entries []Entry, k int) []int {
+	top := make([]int, 0, min(k, len(entries)))
 	for i := range entries {
 		e := &entries[i]
-		if len(top) == n {
-			if !lessEntry(e, &entries[top[n-1]], key) {
-				continue
-			}
-			top = top[:n-1]
+		if len(top) == k && !lessEntry(e, &entries[top[k-1]], maxKey) {
+			continue
+		}
+		held := slices.IndexFunc(top, func(t int) bool { return entries[t].Charger.ID == e.Charger.ID })
+		switch {
+		case held >= 0 && !lessEntry(e, &entries[top[held]], maxKey):
+			continue // its charger holds a place by an entry at least as good
+		case held >= 0:
+			top = slices.Delete(top, held, held+1)
+		case len(top) == k:
+			top = top[:k-1]
 		}
 		j := len(top)
 		top = append(top, i)
-		for ; j > 0 && lessEntry(e, &entries[top[j-1]], key); j-- {
+		for ; j > 0 && lessEntry(e, &entries[top[j-1]], maxKey); j-- {
 			top[j] = top[j-1]
 		}
 		top[j] = i
@@ -255,37 +232,38 @@ type sortKey int
 
 const (
 	maxKey sortKey = iota
-	minKey
 	midKey
 )
 
-// lessEntry orders entries best-first under the chosen key with
-// deterministic tie-breaking: ties fall through the full score interval
-// (SC_max, then SC_min) before the final charger-ID comparison, so the
-// order is total for every key — equal-SC chargers always emerge in ID
-// order and no evaluation or merge order (in particular the parallel
-// filtering phase's) can change an emitted table.
+// lessEntry orders entries best-first under the chosen chain.
 func lessEntry(a, b *Entry, key sortKey) bool {
-	var av, bv float64
-	switch key {
-	case maxKey:
-		av, bv = a.SC.Max, b.SC.Max
-	case minKey:
-		av, bv = a.SC.Min, b.SC.Min
-	default:
-		av, bv = a.SC.Mid(), b.SC.Mid()
+	if key == maxKey {
+		return CmpSCMax(a.SC, a.Charger.ID, b.SC, b.Charger.ID) < 0
 	}
-	//ecolint:ignore floateq sort comparator: tolerance would break strict weak ordering
-	if av != bv {
-		return av > bv
+	return CmpSCMid(a.SC, a.Charger.ID, b.SC, b.Charger.ID) < 0
+}
+
+// CmpSCMax is the SC_max chain an Offering Table is selected by, best
+// first: SC_max descending, then SC_min descending, then charger ID
+// ascending. Ties fall through the full score interval before the ID, so
+// the order is total over distinct chargers — equal-SC chargers always
+// emerge in ID order and no evaluation or merge order (in particular the
+// parallel filtering phase's or a fleet gateway's) can change a table.
+func CmpSCMax(a interval.I, aID int64, b interval.I, bID int64) int {
+	if c := cmp.Compare(b.Max, a.Max); c != 0 {
+		return c
 	}
-	//ecolint:ignore floateq sort comparator: tolerance would break strict weak ordering
-	if a.SC.Max != b.SC.Max {
-		return a.SC.Max > b.SC.Max
+	if c := cmp.Compare(b.Min, a.Min); c != 0 {
+		return c
 	}
-	//ecolint:ignore floateq sort comparator: tolerance would break strict weak ordering
-	if a.SC.Min != b.SC.Min {
-		return a.SC.Min > b.SC.Min
+	return cmp.Compare(aID, bID)
+}
+
+// CmpSCMid is the chain an Offering Table is emitted in, best first: SC
+// midpoint descending, then the SC_max chain.
+func CmpSCMid(a interval.I, aID int64, b interval.I, bID int64) int {
+	if c := cmp.Compare(b.Mid(), a.Mid()); c != 0 {
+		return c
 	}
-	return a.Charger.ID < b.Charger.ID
+	return CmpSCMax(a, aID, b, bID)
 }

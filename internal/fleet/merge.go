@@ -15,33 +15,12 @@ import (
 	"ecocharge/internal/interval"
 )
 
-// This file is the k-way Offering-Table merge. It reimplements, on wire
-// entries, exactly the two orders cknn.Rank uses — selection by the SC_max
-// chain, emission by the SC-midpoint chain — so that at zero faults the
-// merged table over disjoint shard tables is byte-identical to a single EIS
-// over the whole inventory (property 2 of the package doc), and under shard
-// loss the table still satisfies tabletest's total order.
-
-// cmpSCMax is cknn's maxKey chain on wire entries: SC_max descending, then
-// SC_min descending, then charger ID ascending.
-func cmpSCMax(a, b *eis.OfferingEntry) int {
-	if c := cmp.Compare(b.SC.Max, a.SC.Max); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(b.SC.Min, a.SC.Min); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.ChargerID, b.ChargerID)
-}
-
-// cmpSCMid is cknn's midKey chain on wire entries: SC midpoint descending,
-// then the SC_max chain.
-func cmpSCMid(a, b *eis.OfferingEntry) int {
-	if c := cmp.Compare((b.SC.Min+b.SC.Max)/2, (a.SC.Min+a.SC.Max)/2); c != 0 {
-		return c
-	}
-	return cmpSCMax(a, b)
-}
+// This file is the k-way Offering-Table merge. It selects on wire entries
+// by exactly the two chains cknn.Rank uses — cknn.CmpSCMax to select,
+// cknn.CmpSCMid to emit — so that at zero faults the merged table over
+// disjoint shard tables is byte-identical to a single EIS over the whole
+// inventory (property 2 of the package doc), and under shard loss the table
+// still satisfies tabletest's total order.
 
 // shardDegraded reports a synthesized entry (its shard did not answer).
 func shardDegraded(e *eis.OfferingEntry) bool {
@@ -98,12 +77,17 @@ func (s *selection) top(dst []eis.OfferingEntry, k int) []eis.OfferingEntry {
 		}
 	}
 	// Charger IDs are now distinct, so both chains are total orders and the
-	// unstable sort is deterministic.
-	slices.SortFunc(refs, cmpSCMax)
+	// unstable sort is deterministic. The wire bounds are the score interval
+	// as a shard ranked by it, so they convert as they are.
+	slices.SortFunc(refs, func(a, b *eis.OfferingEntry) int {
+		return cknn.CmpSCMax(interval.I(a.SC), a.ChargerID, interval.I(b.SC), b.ChargerID)
+	})
 	if k < len(refs) {
 		refs = refs[:k]
 	}
-	slices.SortFunc(refs, cmpSCMid)
+	slices.SortFunc(refs, func(a, b *eis.OfferingEntry) int {
+		return cknn.CmpSCMid(interval.I(a.SC), a.ChargerID, interval.I(b.SC), b.ChargerID)
+	})
 	dst = slices.Grow(dst, len(refs))
 	for _, e := range refs {
 		dst = append(dst, *e)
