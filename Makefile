@@ -71,10 +71,11 @@ bench:
 bench-check:
 	cd bench && $(GO) vet . && $(GO) test .
 
-# Smoke-run the figure ledger on the smallest profile and the
-# micro-benchmarks of every layer (docs/perf.md "Where a number comes from").
+# Smoke-run every series of the figure ledger on the smallest profile and
+# the micro-benchmarks of every layer (docs/perf.md "Where a number comes
+# from").
 bench-smoke:
-	$(GO) run ./cmd/ecobench -fig 6 -dataset Oldenburg -scale 0.0005 -reps 1 -trips 1
+	$(GO) run ./cmd/ecobench -fig all -dataset Oldenburg -scale 0.0005 -reps 1 -trips 1
 	$(GO) test -run='^$$' -bench=BenchmarkObsOverhead -benchtime=20x ./internal/cknn
 	$(GO) test -run='^$$' -bench=BenchmarkManyToMany -benchtime=10x ./internal/roadnet
 	$(GO) test -run='^$$' -bench='BenchmarkExpand(Oldenburg|California)$$' -benchtime=31x ./internal/roadnet

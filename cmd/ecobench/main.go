@@ -42,11 +42,11 @@ func main() {
 	)
 	flag.Parse()
 
-	if *faultRate < 0 || *faultRate > 1 {
-		fmt.Fprintln(os.Stderr, "ecobench: -faultrate must be in [0,1]")
+	cfg := experiment.RunConfig{Repetitions: *reps, TripsPerRep: *trips, K: *k}
+	if err := checkFlags(cfg, *faultRate); err != nil {
+		fmt.Fprintln(os.Stderr, "ecobench:", err)
 		os.Exit(1)
 	}
-	cfg := experiment.RunConfig{Repetitions: *reps, TripsPerRep: *trips, K: *k}
 	opts := runOpts{
 		fig: *fig, dataset: *dataset, scale: *scale, seed: *seed,
 		cfg: cfg, csvPath: *csvP, faultRate: *faultRate, faultSeed: *faultSeed,
@@ -58,6 +58,23 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ecobench:", err)
 		os.Exit(1)
 	}
+}
+
+// checkFlags refuses the counts that experiment.RunConfig would otherwise
+// silently replace by its defaults, and a fault rate outside [0,1].
+func checkFlags(cfg experiment.RunConfig, faultRate float64) error {
+	for _, c := range []struct {
+		flag string
+		v    int
+	}{{"-reps", cfg.Repetitions}, {"-trips", cfg.TripsPerRep}, {"-k", cfg.K}} {
+		if c.v < 1 {
+			return fmt.Errorf("%s must be at least 1 (got %d)", c.flag, c.v)
+		}
+	}
+	if !(faultRate >= 0 && faultRate <= 1) {
+		return fmt.Errorf("-faultrate must be in [0,1] (got %g)", faultRate)
+	}
+	return nil
 }
 
 // withProfiles brackets fn with optional CPU and heap profiling so every

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/csv"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -22,6 +23,34 @@ func TestRunUnknownFigure(t *testing.T) {
 		}
 		if want := "(want one of 6, 7, 8, 9, horizon, design, all)"; !strings.Contains(err.Error(), want) {
 			t.Errorf("figure %q: error %q does not list %s", fig, err, want)
+		}
+	}
+}
+
+// TestCheckFlags holds the command to refusing counts below 1, which the
+// experiment would replace by its defaults, and fault rates outside [0,1].
+func TestCheckFlags(t *testing.T) {
+	for _, tc := range []struct {
+		reps, trips, k int
+		faultRate      float64
+		want           string // "" = accepted
+	}{
+		{1, 1, 1, 0, ""},
+		{5, 8, 3, 1, ""},
+		{-3, 1, 1, 0, "-reps must be at least 1 (got -3)"},
+		{1, 0, 1, 0, "-trips must be at least 1 (got 0)"},
+		{1, 1, -4, 0, "-k must be at least 1 (got -4)"},
+		{1, 1, 1, -0.1, "-faultrate must be in [0,1]"},
+		{1, 1, 1, 1.5, "-faultrate must be in [0,1]"},
+		{1, 1, 1, math.NaN(), "-faultrate must be in [0,1]"},
+	} {
+		cfg := experiment.RunConfig{Repetitions: tc.reps, TripsPerRep: tc.trips, K: tc.k}
+		err := checkFlags(cfg, tc.faultRate)
+		if tc.want == "" && err != nil {
+			t.Errorf("%+v refused: %v", tc, err)
+		}
+		if tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%+v: err = %v, want %q", tc, err, tc.want)
 		}
 	}
 }

@@ -548,6 +548,40 @@ func TestTruthSCInUnitRange(t *testing.T) {
 	}
 }
 
+// TestTruthSumPricesPickList holds the one pick-list scorer to the
+// per-charger truth: its SC is the sum of TruthSC under the query's
+// normalised weights, its L/A/D the sums of TruthComponents, and an ID the
+// environment does not hold adds nothing.
+func TestTruthSumPricesPickList(t *testing.T) {
+	env := testEnv(t)
+	eng := Engine{Env: env}
+	q := testQuery(env)
+	q.Weights = Weights{L: 2, A: 1, D: 1} // unnormalised on purpose
+	tm := eng.TruthMaps(q)
+	ids := append(NewBruteForce(env).Rank(q).IDs(), -1)
+	var want Truth
+	for _, id := range ids {
+		c, ok := env.Chargers.ByID(id)
+		if !ok {
+			continue
+		}
+		sc, ok := eng.TruthSC(q, tm, c)
+		if !ok {
+			continue
+		}
+		l, a, d, _ := eng.TruthComponents(q, tm, c)
+		want.SC, want.L, want.A, want.D = want.SC+sc, want.L+l, want.A+a, want.D+d
+	}
+	got := eng.TruthSum(q, tm, ids)
+	if want.SC <= 0 || math.Abs(got.SC-want.SC) > 1e-12 || math.Abs(got.L-want.L) > 1e-12 ||
+		math.Abs(got.A-want.A) > 1e-12 || math.Abs(got.D-want.D) > 1e-12 {
+		t.Fatalf("TruthSum = %+v, per-charger truth sums to %+v", got, want)
+	}
+	if w := q.Weights.Normalized(); math.Abs(got.SC-(got.L*w.L+got.A*w.A+got.D*w.D)) > 1e-12 {
+		t.Errorf("SC %v is not the components under the normalised weights %+v", got.SC, w)
+	}
+}
+
 func TestBruteForceBeatsRandomOnTruth(t *testing.T) {
 	env := testEnv(t)
 	eng := Engine{Env: env}

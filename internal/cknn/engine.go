@@ -359,7 +359,38 @@ func (e *Engine) TruthSC(q Query, tm TruthMaps, c *charger.Charger) (float64, bo
 	if !ok {
 		return 0, false
 	}
-	return l*q.Weights.L + a*q.Weights.A + dComp*q.Weights.D, true
+	return q.Weights.sc(l, a, dComp), true
+}
+
+// Truth is the ground truth of a pick list: its summed truth SC under the
+// query's normalised weights, and the summed components L, A and 1−D that
+// the SC weighs.
+type Truth struct {
+	SC, L, A, D float64
+}
+
+// TruthSum prices a pick list against ground truth, over charger IDs. IDs
+// the environment does not hold and chargers the truth maps cannot reach
+// add nothing. SC% is the ratio of two such sums: a method's picks over
+// brute force's, for the same queries.
+func (e *Engine) TruthSum(q Query, tm TruthMaps, ids []int64) Truth {
+	q = q.normalized()
+	var t Truth
+	for _, id := range ids {
+		c, ok := e.Env.Chargers.ByID(id)
+		if !ok {
+			continue
+		}
+		l, a, dComp, ok := e.TruthComponents(q, tm, c)
+		if !ok {
+			continue
+		}
+		t.SC += q.Weights.sc(l, a, dComp)
+		t.L += l
+		t.A += a
+		t.D += dComp
+	}
+	return t
 }
 
 func clamp01(v float64) float64 {

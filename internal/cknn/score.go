@@ -65,6 +65,12 @@ func (w Weights) Normalized() Weights {
 	return Weights{L: w.L / s, A: w.A / s, D: w.D / s}
 }
 
+// sc is the weighted sum of the three objectives, l·w1 + a·w2 + d·w3: the
+// Sustainability Score of exact (truth) components under normalised weights.
+func (w Weights) sc(l, a, d float64) float64 {
+	return l*w.L + a*w.A + d*w.D
+}
+
 // Degraded is a bitmask naming the components that fell back to their
 // ignorance bound [0,1] because the backing source failed or served stale
 // data. Zero means every component was estimated from a live source.

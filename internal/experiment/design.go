@@ -25,24 +25,16 @@ func RunDesignAblation(ctx context.Context, sc *Scenario, cfg RunConfig) ([]Meas
 // designFactories are the ablation's variants behind the brute-force
 // denominator.
 func designFactories() []methodFactory {
-	return []methodFactory{
-		{"BruteForce", func(env *cknn.Env, _ RunConfig, _ int64) cknn.Method {
-			return cknn.NewBruteForce(env)
-		}},
-		{"EcoCharge", func(env *cknn.Env, c RunConfig, _ int64) cknn.Method {
-			return cknn.NewEcoCharge(env, cknn.EcoChargeOptions{
-				RadiusM: c.RadiusM, ReuseDistM: c.ReuseDistM,
-			})
-		}},
-		{"Eco-NoCache", func(env *cknn.Env, c RunConfig, _ int64) cknn.Method {
+	return append(ecoOnlyFactory(),
+		methodFactory{name: "Eco-NoCache", build: func(env *cknn.Env, c RunConfig, _ int64) cknn.Method {
 			return cknn.NewEcoCharge(env, cknn.EcoChargeOptions{
 				RadiusM: c.RadiusM, ReuseDistM: 1, // effectively never reuse
 			})
 		}},
-		{"Eco-ExactIntervals", func(env *cknn.Env, c RunConfig, _ int64) cknn.Method {
+		methodFactory{name: "Eco-ExactIntervals", build: func(env *cknn.Env, c RunConfig, _ int64) cknn.Method {
 			return cknn.NewEcoCharge(env, cknn.EcoChargeOptions{
 				RadiusM: c.RadiusM, ReuseDistM: c.ReuseDistM, ExactDerouting: true,
 			})
 		}},
-	}
+	)
 }

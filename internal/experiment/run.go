@@ -51,20 +51,6 @@ func (c RunConfig) withDefaults() RunConfig {
 	return c
 }
 
-// forEachCell runs fn(i) for every cell index in [0, n), one after another:
-// F_t is wall time around Rank, so a timed repetition never shares the
-// process with another. It stops before the next cell once ctx is cancelled
-// and returns ctx.Err().
-func forEachCell(ctx context.Context, n int, fn func(i int)) error {
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		fn(i)
-	}
-	return nil
-}
-
 // Measurement is one figure data point: a method on a dataset under one
 // configuration.
 type Measurement struct {
@@ -79,41 +65,49 @@ type Measurement struct {
 	CacheHits int // EcoCharge only
 	CacheMiss int
 	// Shares are the achieved objective contributions of the chosen
-	// chargers (ablation study): fraction of the truth SC mass coming from
-	// L, A and (1−D). Zero for non-ablation runs.
+	// chargers: fraction of the truth SC mass coming from L, A and (1−D).
+	// The ablation study (Fig. 9) annotates them.
 	Shares ObjectiveShares
 }
 
 // ObjectiveShares are the achieved per-objective contribution fractions,
-// summing to 1 for ablation measurements.
+// summing to 1 whenever a method picked a reachable charger.
 type ObjectiveShares struct {
 	L, A, D float64
 }
 
 // methodFactory builds a fresh method instance per repetition so per-trip
-// state never leaks across repetitions.
+// state never leaks across repetitions. query, when set, derives the query
+// the method answers from the segment's query; the answer is still scored
+// against the segment's own query.
 type methodFactory struct {
 	name  string
 	build func(env *cknn.Env, cfg RunConfig, seed int64) cknn.Method
+	query func(cknn.Query) cknn.Query
 }
 
 func allMethodFactories() []methodFactory {
 	return []methodFactory{
-		{"BruteForce", func(env *cknn.Env, _ RunConfig, _ int64) cknn.Method {
+		{name: "BruteForce", build: func(env *cknn.Env, _ RunConfig, _ int64) cknn.Method {
 			return cknn.NewBruteForce(env)
 		}},
-		{"Index-Quadtree", func(env *cknn.Env, _ RunConfig, _ int64) cknn.Method {
+		{name: "Index-Quadtree", build: func(env *cknn.Env, _ RunConfig, _ int64) cknn.Method {
 			return cknn.NewIndexQuadtree(env)
 		}},
-		{"Random", func(env *cknn.Env, _ RunConfig, seed int64) cknn.Method {
+		{name: "Random", build: func(env *cknn.Env, _ RunConfig, seed int64) cknn.Method {
 			return cknn.NewRandom(env, seed)
 		}},
-		{"EcoCharge", func(env *cknn.Env, cfg RunConfig, _ int64) cknn.Method {
-			return cknn.NewEcoCharge(env, cknn.EcoChargeOptions{
-				RadiusM: cfg.RadiusM, ReuseDistM: cfg.ReuseDistM,
-			})
-		}},
+		ecoFactory("EcoCharge"),
 	}
+}
+
+// ecoFactory is EcoCharge under the configuration's R and Q.
+func ecoFactory(name string) methodFactory {
+	return methodFactory{name: name, build: func(env *cknn.Env, cfg RunConfig, _ int64) cknn.Method {
+		return cknn.NewEcoCharge(env, cknn.EcoChargeOptions{
+			RadiusM: cfg.RadiusM, ReuseDistM: cfg.ReuseDistM,
+		})
+	}}
 }
 
 func ecoOnlyFactory() []methodFactory {
@@ -123,17 +117,17 @@ func ecoOnlyFactory() []methodFactory {
 
 // repResult accumulates one repetition of one method.
 type repResult struct {
-	truthSum float64
-	ftMillis []float64
-	queries  int
+	truth        cknn.Truth
+	ftMillis     []float64
+	queries      int
+	hits, misses int
 }
 
 // runOnce executes one repetition: the sampled trips are evaluated by every
 // factory's method, per-query latency is measured around Rank only, and the
-// chosen chargers of each method are scored against ground truth. It
-// returns per-method results plus the brute-force truth sum (the SC%
-// denominator). The first factory must be BruteForce.
-func runOnce(sc *Scenario, cfg RunConfig, factories []methodFactory, rep int) (map[string]*repResult, map[string]cknn.Method) {
+// chosen chargers of each method are scored against ground truth under the
+// segment's query. It returns one result per factory, in factory order.
+func runOnce(sc *Scenario, cfg RunConfig, factories []methodFactory, rep int) []repResult {
 	rng := rand.New(rand.NewSource(sc.Seed*1000 + int64(rep)))
 	trips := sampleTrips(rng, sc.Trips, cfg.TripsPerRep)
 	opts := cknn.TripOptions{
@@ -141,13 +135,12 @@ func runOnce(sc *Scenario, cfg RunConfig, factories []methodFactory, rep int) (m
 	}
 	engine := cknn.Engine{Env: sc.Env}
 
-	methods := make(map[string]cknn.Method, len(factories))
-	results := make(map[string]*repResult, len(factories))
-	for _, f := range factories {
-		methods[f.name] = f.build(sc.Env, cfg, sc.Seed*77+int64(rep))
-		results[f.name] = &repResult{}
+	methods := make([]cknn.Method, len(factories))
+	for i, f := range factories {
+		methods[i] = f.build(sc.Env, cfg, sc.Seed*77+int64(rep))
 	}
-
+	results := make([]repResult, len(factories))
+	picks := make([][]int64, len(factories))
 	for _, trip := range trips {
 		segs := trajectory.SegmentTrip(sc.Graph, trip, cfg.SegmentLenM)
 		for _, m := range methods {
@@ -155,33 +148,31 @@ func runOnce(sc *Scenario, cfg RunConfig, factories []methodFactory, rep int) (m
 		}
 		for _, seg := range segs {
 			q := cknn.QueryForSegment(trip, seg, opts)
-			picks := make(map[string][]int64, len(factories))
-			for _, f := range factories {
-				m := methods[f.name]
+			for i, f := range factories {
+				mq := q
+				if f.query != nil {
+					mq = f.query(q)
+				}
 				start := time.Now()
-				table := m.Rank(q)
+				table := methods[i].Rank(mq)
 				elapsed := time.Since(start)
-				r := results[f.name]
-				r.ftMillis = append(r.ftMillis, float64(elapsed)/float64(time.Millisecond))
-				r.queries++
-				picks[f.name] = table.IDs()
+				results[i].ftMillis = append(results[i].ftMillis, float64(elapsed)/float64(time.Millisecond))
+				results[i].queries++
+				picks[i] = table.IDs()
 			}
 			tm := engine.TruthMaps(q)
-			for name, ids := range picks {
-				r := results[name]
-				for _, id := range ids {
-					c, ok := sc.Env.Chargers.ByID(id)
-					if !ok {
-						continue
-					}
-					if v, ok := engine.TruthSC(q, tm, c); ok {
-						r.truthSum += v
-					}
-				}
+			for i, ids := range picks {
+				t, r := engine.TruthSum(q, tm, ids), &results[i].truth
+				r.SC, r.L, r.A, r.D = r.SC+t.SC, r.L+t.L, r.A+t.A, r.D+t.D
 			}
 		}
 	}
-	return results, methods
+	for i, m := range methods {
+		if eco, ok := m.(*cknn.EcoCharge); ok {
+			results[i].hits, results[i].misses = eco.Stats()
+		}
+	}
+	return results
 }
 
 func sampleTrips(rng *rand.Rand, trips []trajectory.Trip, n int) []trajectory.Trip {
@@ -203,9 +194,12 @@ func RunPerformance(ctx context.Context, sc *Scenario, cfg RunConfig) ([]Measure
 }
 
 // runSeries runs repetitions of the factories on the scenario, aggregating
-// SC% (vs the BruteForce factory, which must be present) and F_t.
-// Repetitions are the sweep cells: each owns its RNG seed and its method
-// instances, and they run one at a time.
+// SC% (vs the first factory, which must be BruteForce), F_t, queries, cache
+// counts and objective shares per factory, in factory order. Repetitions
+// are the sweep cells: each owns its RNG seed and its method instances, and
+// they run one at a time, because F_t is wall time around Rank and a timed
+// repetition never shares the process with another. It stops before the
+// next repetition once ctx is cancelled and returns ctx.Err().
 func runSeries(ctx context.Context, sc *Scenario, cfg RunConfig, factories []methodFactory, label string) ([]Measurement, error) {
 	cfg = cfg.withDefaults()
 	if len(sc.Trips) == 0 {
@@ -214,54 +208,36 @@ func runSeries(ctx context.Context, sc *Scenario, cfg RunConfig, factories []met
 	if factories[0].name != "BruteForce" {
 		return nil, fmt.Errorf("experiment: first factory must be BruteForce (got %s)", factories[0].name)
 	}
-	type repOut struct {
-		results map[string]*repResult
-		methods map[string]cknn.Method
-	}
-	outs := make([]repOut, cfg.Repetitions)
-	err := forEachCell(ctx, cfg.Repetitions, func(rep int) {
-		results, methods := runOnce(sc, cfg, factories, rep)
-		outs[rep] = repOut{results: results, methods: methods}
-	})
-	if err != nil {
-		return nil, err
+	reps := make([][]repResult, cfg.Repetitions)
+	for rep := range reps {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		reps[rep] = runOnce(sc, cfg, factories, rep)
 	}
 
-	scPct := make(map[string][]float64)
-	ft := make(map[string][]float64)
-	queries := make(map[string]int)
-	hits := make(map[string]int)
-	misses := make(map[string]int)
-	for _, o := range outs {
-		denom := o.results["BruteForce"].truthSum
-		for name, r := range o.results {
-			if denom > 0 {
-				scPct[name] = append(scPct[name], r.truthSum/denom*100)
+	out := make([]Measurement, len(factories))
+	for i, f := range factories {
+		m := Measurement{Dataset: sc.Name, Method: f.name, Config: label}
+		var scPct, ft []float64
+		var l, a, d float64
+		for _, rs := range reps {
+			r := rs[i]
+			if denom := rs[0].truth.SC; denom > 0 {
+				scPct = append(scPct, r.truth.SC/denom*100)
 			}
-			ft[name] = append(ft[name], stats.Mean(r.ftMillis))
-			queries[name] += r.queries
+			ft = append(ft, stats.Mean(r.ftMillis))
+			m.Queries += r.queries
+			m.CacheHits += r.hits
+			m.CacheMiss += r.misses
+			l, a, d = l+r.truth.L, a+r.truth.A, d+r.truth.D
 		}
-		for name, m := range o.methods {
-			if eco, ok := m.(*cknn.EcoCharge); ok {
-				h, ms := eco.Stats()
-				hits[name] += h
-				misses[name] += ms
-			}
+		m.SCPercent = stats.Summarize(scPct)
+		m.FtMillis = stats.Summarize(ft)
+		if total := l + a + d; total > 0 {
+			m.Shares = ObjectiveShares{L: l / total, A: a / total, D: d / total}
 		}
-	}
-
-	out := make([]Measurement, 0, len(factories))
-	for _, f := range factories {
-		out = append(out, Measurement{
-			Dataset:   sc.Name,
-			Method:    f.name,
-			Config:    label,
-			SCPercent: stats.Summarize(scPct[f.name]),
-			FtMillis:  stats.Summarize(ft[f.name]),
-			Queries:   queries[f.name],
-			CacheHits: hits[f.name],
-			CacheMiss: misses[f.name],
-		})
+		out[i] = m
 	}
 	return out, nil
 }
@@ -280,12 +256,7 @@ func RunROpt(ctx context.Context, sc *Scenario, cfg RunConfig, radiiKM []float64
 		if err != nil {
 			return nil, err
 		}
-		// Keep only the EcoCharge rows; brute force is the denominator.
-		for _, m := range ms {
-			if m.Method == "EcoCharge" {
-				out = append(out, m)
-			}
-		}
+		out = append(out, ms[1:]...) // brute force is the denominator
 	}
 	return out, nil
 }
@@ -304,11 +275,7 @@ func RunQOpt(ctx context.Context, sc *Scenario, cfg RunConfig, qKM []float64) ([
 		if err != nil {
 			return nil, err
 		}
-		for _, m := range ms {
-			if m.Method == "EcoCharge" {
-				out = append(out, m)
-			}
-		}
+		out = append(out, ms[1:]...)
 	}
 	return out, nil
 }
