@@ -60,6 +60,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzTripRoute -fuzztime=10s ./internal/eis/
 	$(GO) test -run='^$$' -fuzz=FuzzRank -fuzztime=10s ./internal/cknn/
 	$(GO) test -run='^$$' -fuzz=FuzzGatewayFrontDoor -fuzztime=10s ./internal/fleet/
+	$(GO) test -run='^$$' -fuzz=FuzzShardAnswer -fuzztime=10s ./internal/fleet/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

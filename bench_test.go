@@ -28,6 +28,6 @@ func BenchmarkSplitList(b *testing.B) {
 	opts := cknn.TripOptions{K: 3, SegmentLenM: 4000, RadiusM: 50000}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = cknn.SplitList(sc.Env, m, sc.Trips[i%len(sc.Trips)], opts)
+		_ = cknn.SplitList(cknn.RunTrip(sc.Env, m, sc.Trips[i%len(sc.Trips)], opts))
 	}
 }

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -33,13 +34,16 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := run(*dataset, *scale, *seed, *tripIdx, *k, *radius, *reuse, *segLen, cknn.Weights{L: *wL, A: *wA, D: *wD}); err != nil {
+	var out bytes.Buffer
+	err := run(&out, *dataset, *scale, *seed, *tripIdx, *k, *radius, *reuse, *segLen, cknn.Weights{L: *wL, A: *wA, D: *wD})
+	fmt.Print(out.String())
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "ecocharge:", err)
 		os.Exit(1)
 	}
 }
 
-func run(dataset string, scale float64, seed int64, tripIdx, k int, radiusKM, reuseKM, segKM float64, w cknn.Weights) error {
+func run(out *bytes.Buffer, dataset string, scale float64, seed int64, tripIdx, k int, radiusKM, reuseKM, segKM float64, w cknn.Weights) error {
 	if err := w.Validate(); err != nil {
 		return err
 	}
@@ -51,9 +55,9 @@ func run(dataset string, scale float64, seed int64, tripIdx, k int, radiusKM, re
 		return fmt.Errorf("trip index %d out of range (have %d trips)", tripIdx, len(sc.Trips))
 	}
 	trip := sc.Trips[tripIdx]
-	fmt.Printf("dataset %s: %d nodes, %d edges, %d chargers, %d trips\n",
+	fmt.Fprintf(out, "dataset %s: %d nodes, %d edges, %d chargers, %d trips\n",
 		sc.Name, sc.Graph.NumNodes(), sc.Graph.NumEdges(), sc.Env.Chargers.Len(), len(sc.Trips))
-	fmt.Printf("trip %d: %.1f km, departs %s\n\n",
+	fmt.Fprintf(out, "trip %d: %.1f km, departs %s\n\n",
 		trip.ID, trip.Path.Weight/1000, trip.Depart.Format("15:04"))
 
 	method := cknn.NewEcoCharge(sc.Env, cknn.EcoChargeOptions{
@@ -68,25 +72,25 @@ func run(dataset string, scale float64, seed int64, tripIdx, k int, radiusKM, re
 		if r.Table.Adapted {
 			src = "adapted from cache"
 		}
-		fmt.Printf("segment %d (%.1f km, ETA %s) — Offering Table (%s):\n",
+		fmt.Fprintf(out, "segment %d (%.1f km, ETA %s) — Offering Table (%s):\n",
 			r.Segment.Index, r.Segment.LengthM/1000, r.Segment.ETA.Format("15:04"), src)
 		for rank, e := range r.Table.Entries {
-			fmt.Printf("  %d. charger %-4d %-9s SC=%s  L=%s A=%s D=%s  ETA %s  derout %.1f min\n",
+			fmt.Fprintf(out, "  %d. charger %-4d %-9s SC=%s  L=%s A=%s D=%s  ETA %s  derout %.1f min\n",
 				rank+1, e.Charger.ID, e.Charger.Rate,
 				e.SC, e.Comp.L, e.Comp.A, e.Comp.D,
 				e.Comp.ETA.Format("15:04"), e.Comp.DeroutSecM/60)
 		}
-		fmt.Println()
+		fmt.Fprintln(out)
 	}
 
-	sl := cknn.SplitList(sc.Env, method, trip, opts)
-	fmt.Printf("split list (%d split points):\n", len(sl))
+	sl := cknn.SplitList(results)
+	fmt.Fprintf(out, "split list (%d split points):\n", len(sl))
 	for _, sp := range sl {
-		fmt.Printf("  from %s (segment %d, ETA %s): NN = %v\n",
+		fmt.Fprintf(out, "  from %s (segment %d, ETA %s): NN = %v\n",
 			sp.P, sp.SegmentIndex, sp.ETA.Format("15:04"), sp.NN)
 	}
 
 	hits, misses := method.Stats()
-	fmt.Printf("cache: %d hits, %d misses\n", hits, misses)
+	fmt.Fprintf(out, "cache: %d hits, %d misses\n", hits, misses)
 	return nil
 }

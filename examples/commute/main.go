@@ -67,7 +67,7 @@ func main() {
 	}
 
 	// Where does the recommended kNN set change along the route?
-	sl := cknn.SplitList(env, method, trip, opts)
+	sl := cknn.SplitList(results)
 	fmt.Printf("\n%d split points along the trip:\n", len(sl))
 	for _, sp := range sl {
 		fmt.Printf("  segment %d (ETA %s): top-3 becomes %v\n", sp.SegmentIndex, sp.ETA.Format("15:04"), sp.NN)

@@ -510,7 +510,7 @@ func TestRunTripAndSplitList(t *testing.T) {
 				t.Fatalf("trip %d segment %d: empty table", trip.ID, i)
 			}
 		}
-		sl := SplitList(env, m, trip, TripOptions{K: 3, SegmentLenM: 3000, RadiusM: 10000})
+		sl := SplitList(results)
 		if len(sl) == 0 {
 			t.Fatalf("trip %d: empty split list", trip.ID)
 		}

@@ -68,7 +68,7 @@ func TestTripTablesEveryProfile(t *testing.T) {
 						// list opens at segment 0, advances exactly where the
 						// tables above change their charger set, and names
 						// that set in between.
-						sl := cknn.SplitList(sc.Env, mt.build(), trip, opts)
+						sl := cknn.SplitList(cknn.RunTrip(sc.Env, mt.build(), trip, opts))
 						at := -1
 						for i, res := range results {
 							ids := res.Table.IDs()

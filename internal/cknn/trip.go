@@ -155,13 +155,13 @@ type SplitPoint struct {
 	NN           []int64 // ranked charger IDs valid from this point on
 }
 
-// SplitList computes the split points of a trip under the method: it walks
-// the per-segment Offering Tables and records every point where the ranked
-// top-k set differs from the previous segment's. The first split point is
-// the trip start. Between recorded points the result set is constant at
-// segment granularity (the paper's SL is maintained per processed split).
-func SplitList(env *Env, method Method, trip trajectory.Trip, opts TripOptions) []SplitPoint {
-	results := RunTrip(env, method, trip, opts)
+// SplitList computes the split points of a trip from its per-segment
+// Offering Tables, as RunTrip returned them: it records every point where the
+// ranked top-k set differs from the previous segment's. The first split
+// point is the trip start. Between recorded points the result set is
+// constant at segment granularity (the paper's SL is maintained per
+// processed split).
+func SplitList(results []SegmentResult) []SplitPoint {
 	var out []SplitPoint
 	var prev []int64
 	for _, r := range results {

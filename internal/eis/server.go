@@ -1,7 +1,6 @@
 package eis
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -446,26 +445,6 @@ const ContentTypeJSON = "application/json"
 // encoder turned it into a silently truncated 200.
 var errEncodeBody = []byte(`{"error":"encoding response"}` + "\n")
 
-// jsonBufs pools the JSON encode buffers so steady-state serving reuses one
-// buffer per in-flight response instead of growing a fresh one per call.
-var jsonBufs = sync.Pool{New: func() interface{} { return new(bytes.Buffer) }}
-
-// maxPooledJSONBuf caps the capacity a buffer may keep when returned: one
-// huge inventory response must not pin megabytes in the pool forever.
-const maxPooledJSONBuf = 1 << 22
-
-func getJSONBuf() *bytes.Buffer {
-	b := jsonBufs.Get().(*bytes.Buffer)
-	b.Reset()
-	return b
-}
-
-func putJSONBuf(b *bytes.Buffer) {
-	if b.Cap() <= maxPooledJSONBuf {
-		jsonBufs.Put(b)
-	}
-}
-
 // WriteBody writes one fully-encoded response. Content-Length is known
 // before the first byte hits the socket, so an encode failure can never
 // truncate a 200 mid-body the way the per-call streaming encoder could. The
@@ -482,13 +461,13 @@ func WriteBody(w http.ResponseWriter, code int, contentType string, body []byte)
 // response under the status code; a payload that does not marshal becomes a
 // 500, never a truncated 200.
 func WriteJSONStatus(w http.ResponseWriter, code int, v interface{}) {
-	buf := getJSONBuf()
-	defer putJSONBuf(buf)
+	buf := wire.GetBuffer()
+	defer wire.PutBuffer(buf)
 	if err := json.NewEncoder(buf).Encode(v); err != nil {
 		WriteBody(w, http.StatusInternalServerError, ContentTypeJSON, errEncodeBody)
 		return
 	}
-	WriteBody(w, code, ContentTypeJSON, buf.Bytes())
+	WriteBody(w, code, ContentTypeJSON, buf.B)
 }
 
 // WriteJSON is WriteJSONStatus for a 200.
@@ -515,18 +494,17 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, v interface{}, 
 		wire.PutBuffer(buf)
 		return
 	}
-	buf := getJSONBuf()
+	buf := wire.GetBuffer()
+	defer wire.PutBuffer(buf)
 	start := time.Now()
 	err := json.NewEncoder(buf).Encode(v)
 	met.encodeJSON.Since(start)
 	if err != nil {
-		putJSONBuf(buf)
 		WriteBody(w, http.StatusInternalServerError, ContentTypeJSON, errEncodeBody)
 		return
 	}
 	met.respJSON.Inc()
-	WriteBody(w, http.StatusOK, ContentTypeJSON, buf.Bytes())
-	putJSONBuf(buf)
+	WriteBody(w, http.StatusOK, ContentTypeJSON, buf.B)
 }
 
 func parseFloat(r *http.Request, name string) (float64, error) {
@@ -637,7 +615,7 @@ func (s *Server) handleWeather(w http.ResponseWriter, r *http.Request) {
 	}
 	iv := s.env.ProductionForecast(c, at, s.opts.Clock())
 	resp := WeatherResponse{ChargerID: c.ID, At: at, ProductionKW: toWire(iv)}
-	s.respond(w, r, &resp, func(b []byte) []byte { return wire.AppendWeather(b, &resp) })
+	s.respond(w, r, &resp, nil)
 }
 
 // handleAvailability returns the availability estimate of a charger
@@ -649,7 +627,7 @@ func (s *Server) handleAvailability(w http.ResponseWriter, r *http.Request) {
 	}
 	iv := s.env.Avail.ForecastAvailability(c.ID, &c.Timetable, at, s.opts.Clock())
 	resp := AvailabilityResponse{ChargerID: c.ID, At: at, Availability: toWire(iv)}
-	s.respond(w, r, &resp, func(b []byte) []byte { return wire.AppendAvailability(b, &resp) })
+	s.respond(w, r, &resp, nil)
 }
 
 func (s *Server) chargerAndTime(w http.ResponseWriter, r *http.Request) (c *charger.Charger, at time.Time, ok bool) {

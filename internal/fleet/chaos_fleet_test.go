@@ -34,6 +34,7 @@ import (
 	"ecocharge/internal/geo"
 	"ecocharge/internal/interval"
 	"ecocharge/internal/roadnet"
+	"ecocharge/internal/wire"
 )
 
 type fleetHarness struct {
@@ -100,12 +101,6 @@ func newFleetHarness(t testing.TB, o harnessOpts) *fleetHarness {
 		BreakerThreshold: 2,
 		BreakerCooldown:  30 * time.Second,
 	}
-	if o.shapes != nil {
-		h.inj = fault.New(fault.Config{Seed: 1})
-		fl := fault.NewFleet(h.inj, o.shapes(hosts))
-		// The faults wrap the transport the gateway runs on by default.
-		opts.Transport = fl.Transport(newShardTransport(), nil)
-	}
 	if o.gw != nil {
 		o.gw(&opts)
 	}
@@ -113,10 +108,37 @@ func newFleetHarness(t testing.TB, o harnessOpts) *fleetHarness {
 	if err != nil {
 		t.Fatalf("NewGateway: %v", err)
 	}
+	if o.shapes != nil {
+		h.inj = fault.New(fault.Config{Seed: 1})
+		gw.hop = faultyHop(fault.NewFleet(h.inj, o.shapes(hosts)), gw.hop)
+	}
 	h.gw = gw
 	h.gwts = httptest.NewServer(gw.Handler())
 	t.Cleanup(h.gwts.Close)
 	return h
+}
+
+// faultyHop wraps a gateway's hop in the fleet's fault schedule: an exchange
+// the schedule slows waits under its own context first, and one it fails
+// returns fault's injected error without reaching the shard.
+func faultyHop(fl *fault.Fleet, next hopFunc) hopFunc {
+	return func(ctx context.Context, t *target, c *call, buf *wire.Buffer) (int, http.Header, error) {
+		path := endpointPaths[c.ep]
+		d := fl.Decide(t.addr, path)
+		if d.Latency > 0 {
+			timer := time.NewTimer(d.Latency)
+			select {
+			case <-timer.C:
+			case <-ctx.Done():
+				timer.Stop()
+				return 0, nil, ctx.Err()
+			}
+		}
+		if d.Fail {
+			return 0, nil, &fault.TransportError{Endpoint: t.addr + path}
+		}
+		return next(ctx, t, c, buf)
+	}
 }
 
 func doReq(t testing.TB, base, method, pathq string, body []byte) (int, []byte, http.Header) {

@@ -1,12 +1,11 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
+	"strconv"
 	"sync"
 	"time"
 
@@ -20,16 +19,13 @@ import (
 // costs, and who runs it.
 //
 //   - Everything about a request that does not change from call to call is
-//     built once: a member's parsed URLs per endpoint (target) and the
-//     headers of the exchanges whose answers the gateway reads
-//     (Gateway.wireGet, wirePost). An attempt assembles its http.Request from
-//     those; a RoundTripper may not modify a request, so sharing them between
-//     concurrent attempts is safe.
+//     built once: a member's request head per endpoint (target), read-only
+//     and shared by every attempt. An attempt adds the call's query and its
+//     body's length and bytes (target.appendRequest).
 //   - A fan-out has one deadline context, created by fanout and shared by
 //     every shard's exchange. The deadline reaches a blocked attempt through
-//     the transport, which must honour the request context (the gateway's
-//     own makes it the connection's deadline, transport.go); nothing else
-//     watches the clock.
+//     the hop, which makes it the connection's deadline (transport.go);
+//     nothing else watches the clock.
 //   - The primary attempt runs on the goroutine that already exists: shard 0
 //     on the handler's, every other shard on its fan-out goroutine. Only a
 //     member with a replica gets a timer, and the hedge runs on the timer's
@@ -65,14 +61,23 @@ var endpointPaths = [numEndpoints]string{
 }
 
 // target is one base URL of a member — its primary or its replica — with
-// the request URL of every endpoint parsed once.
+// the address its requests go to and the head of every endpoint's request.
 type target struct {
-	base string
-	urls [numEndpoints]*url.URL
+	base  string
+	addr  string // host:port
+	heads [numEndpoints]head
 }
 
+// head is the request head of one endpoint, built once, around the query a
+// call adds: line is the method and the path, and tail the protocol and the
+// header lines, each ending in CRLF, that every request to it sends. The
+// gateway asks for the binary format where it reads the answer, and sends it
+// on the two POSTs; the answers it passes through (weather, availability,
+// traffic) are JSON, and it asks for nothing there.
+type head struct{ line, tail string }
+
 // newTarget parses base, which must be a plain http URL: the only scheme the
-// gateway's own transport speaks.
+// gateway's hop speaks.
 func newTarget(base string) (*target, error) {
 	t := &target{base: base}
 	for ep, path := range endpointPaths {
@@ -85,43 +90,60 @@ func newTarget(base string) (*target, error) {
 			return nil, fmt.Errorf("%q carries credentials, which shard exchanges do not send", base)
 		}
 		if u.Scheme != "http" {
-			return nil, fmt.Errorf("%q is not plain http, the only scheme the gateway's own transport speaks", base)
+			return nil, fmt.Errorf("%q is not plain http, the only scheme the gateway's hop speaks", base)
 		}
-		t.urls[ep] = u
+		t.addr = u.Host
+		if u.Port() == "" {
+			t.addr += ":80"
+		}
+		method, tail := http.MethodGet, " HTTP/1.1\r\nHost: "+u.Host+"\r\n"
+		switch endpoint(ep) {
+		case epWeather, epAvailability, epTraffic:
+		case epOffering, epTrip:
+			method, tail = http.MethodPost, tail+"Accept: "+wire.ContentType+"\r\nContent-Type: "+wire.ContentType+"\r\n"
+		default:
+			tail += "Accept: " + wire.ContentType + "\r\n"
+		}
+		t.heads[ep] = head{line: method + " " + u.EscapedPath(), tail: tail}
 	}
 	return t, nil
+}
+
+// appendRequest appends the whole request of c to b: the endpoint's head
+// with the query, Content-Length when there is a body, and the body.
+func (t *target) appendRequest(b []byte, c *call) []byte {
+	h := &t.heads[c.ep]
+	b = append(b, h.line...)
+	if c.rawQuery != "" {
+		b = append(b, '?')
+		b = append(b, c.rawQuery...)
+	}
+	b = append(b, h.tail...)
+	if c.body != nil {
+		b = append(b, "Content-Length: "...)
+		b = strconv.AppendInt(b, int64(len(c.body)), 10)
+		b = append(b, "\r\n"...)
+	}
+	b = append(b, "\r\n"...)
+	return append(b, c.body...)
 }
 
 // call is what a fan-out sends to one shard — the same to every shard,
 // unless the gateway searched for some of them (supplyTravel, supplyTrip) —
 // and all the attempts against that shard read the same one.
 type call struct {
-	method string
-	ep     endpoint
+	ep endpoint
 	// rawQuery is the client's query string, forwarded verbatim (GET
 	// endpoints); body is the binary request the gateway encoded (POST
 	// endpoints), bytes the garbage collector owns (owned).
 	rawQuery string
 	body     []byte
-	// header is shared between attempts and never written after it is built.
-	header http.Header
 }
 
 // owned copies b into bytes the garbage collector owns, sized to it: what an
 // attempt sends is never pooled, because a hedge may still be reading it
 // after the handler has returned its pooled state.
 func owned(b []byte) []byte { return append(make([]byte, 0, len(b)), b...) }
-
-func newHeader(contentType, accept string) http.Header {
-	h := make(http.Header, 2)
-	if contentType != "" {
-		h["Content-Type"] = []string{contentType}
-	}
-	if accept != "" {
-		h["Accept"] = []string{accept}
-	}
-	return h
-}
 
 // shardResult is the outcome of one logical exchange with a shard (primary
 // plus any hedge): either a terminal HTTP response (any status) or an error
@@ -148,50 +170,20 @@ func (res *shardResult) release() {
 }
 
 // attempt performs one HTTP exchange against one target, on the gateway's
-// RoundTripper: Client.Do would add only what a shard exchange never uses —
-// redirect following with its header copier and body rewinding — at half a
-// kilobyte per call. A shard's 3xx is therefore a terminal answer like any
-// other status. The response body is read into a pooled buffer; the caller
-// owns the result and must release() it. Fan-outs, probes and inventory
-// pulls all come through here.
+// hop, and reads the answer's body into a pooled buffer; the caller owns the
+// result and must release() it. A shard's 3xx is a terminal answer like any
+// other status. Fan-outs, probes and inventory pulls all come through here.
 func (g *Gateway) attempt(ctx context.Context, t *target, c *call) shardResult {
-	u := t.urls[c.ep]
-	if c.rawQuery != "" {
-		q := *u
-		q.RawQuery = c.rawQuery
-		u = &q
-	}
-	tmpl := http.Request{
-		Method: c.method, URL: u, Host: u.Host, Header: c.header,
-		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
-	}
-	if c.body != nil {
-		// The transport copies the body behind the head, and sends those
-		// bytes again if it retries on a fresh connection.
-		tmpl.Body, tmpl.ContentLength = io.NopCloser(bytes.NewReader(c.body)), int64(len(c.body))
-	}
-	resp, err := g.transport.RoundTrip(tmpl.WithContext(ctx))
-	if err != nil {
-		return shardResult{err: err}
-	}
-	defer resp.Body.Close()
-	if resp.ContentLength > maxShardResponseBytes {
-		return shardResult{err: fmt.Errorf("fleet: shard response of %d bytes exceeds %d", resp.ContentLength, maxShardResponseBytes)}
-	}
 	buf := wire.GetBuffer()
-	if err := buf.ReadLimit(resp.Body, maxShardResponseBytes); err != nil {
+	status, header, err := g.hop(ctx, t, c, buf)
+	if err == nil && eis.RetryableStatus(status) {
+		err = fmt.Errorf("fleet: shard %s: HTTP %d", t.base, status)
+	}
+	if err != nil {
 		wire.PutBuffer(buf)
 		return shardResult{err: err}
 	}
-	if int64(len(buf.B)) > maxShardResponseBytes {
-		wire.PutBuffer(buf)
-		return shardResult{err: fmt.Errorf("fleet: shard response exceeds %d bytes", maxShardResponseBytes)}
-	}
-	if eis.RetryableStatus(resp.StatusCode) {
-		wire.PutBuffer(buf)
-		return shardResult{err: fmt.Errorf("fleet: shard %s: HTTP %d", t.base, resp.StatusCode)}
-	}
-	return shardResult{status: resp.StatusCode, header: resp.Header, body: buf.B, buf: buf}
+	return shardResult{status: status, header: header, body: buf.B, buf: buf}
 }
 
 // exchange performs one logical exchange with a shard under the deadline ctx

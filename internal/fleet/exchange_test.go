@@ -93,7 +93,7 @@ func (rig *exchangeRig) run(wantOK bool, want tally) time.Duration {
 	rig.t.Helper()
 	fo := rig.g.getFanout()
 	defer rig.g.putFanout(fo)
-	fo.setCall(call{method: http.MethodGet, ep: epTraffic, header: rig.g.wireGet})
+	fo.setCall(call{ep: epTraffic})
 	start := time.Now()
 	rig.g.fanout(context.Background(), fo)
 	elapsed := time.Since(start)
@@ -203,10 +203,10 @@ func TestFleetExchangeAccountingDeadline(t *testing.T) {
 	}
 }
 
-// TestNewGatewayRejectsWhatExchangesBypass: exchanges run on a bare
-// RoundTripper, so a URL form that only Client.Do acts on is a construction
+// TestNewGatewayRejectsWhatExchangesBypass: exchanges run on the gateway's
+// own hop, so a URL form that only Client.Do acts on is a construction
 // error, not something silently ignored per request; so is any scheme but
-// the plain http the gateway's own transport speaks.
+// the plain http the hop speaks, which sends no https request at all.
 func TestNewGatewayRejectsWhatExchangesBypass(t *testing.T) {
 	for name, shards := range map[string][]Shard{
 		"primary credentials": {{URL: "http://u:p@127.0.0.1:1"}},

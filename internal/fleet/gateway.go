@@ -43,14 +43,6 @@ type Options struct {
 	// trial). Zero values select eis.NewBreaker's defaults.
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// Transport is a test seam: it performs every shard exchange (fan-outs,
-	// probes and inventory pulls) and must honour the request context — that
-	// is how a deadline reaches an exchange. The chaos suite wraps the
-	// gateway's own transport in it to inject faults. Nil selects that
-	// transport (transport.go), plain HTTP/1.1 run on the calling goroutine
-	// over pooled keep-alive connections; a shard URL is plain http whatever
-	// transport is set.
-	Transport http.RoundTripper
 	// Clock is overridable for tests; nil selects time.Now.
 	Clock func() time.Time
 	// Logger for degraded merges and shard errors; nil silences logging.
@@ -103,12 +95,8 @@ type Gateway struct {
 	env   *cknn.Env
 	world uint64
 
-	// transport is Options.Transport; every shard exchange runs on it.
-	transport http.RoundTripper
-	// wireGet and wirePost are the outbound headers of every exchange whose
-	// answer the gateway reads, built once and shared read-only: they ask for
-	// the binary format, and a POST sends it.
-	wireGet, wirePost http.Header
+	// hop runs every shard exchange (transport.go).
+	hop hopFunc
 	// fanouts pools the per-request fan-out state.
 	fanouts sync.Pool
 }
@@ -120,13 +108,7 @@ func NewGateway(shards []Shard, opts Options) (*Gateway, error) {
 		return nil, fmt.Errorf("fleet: gateway needs at least one shard")
 	}
 	opts = opts.withDefaults()
-	g := &Gateway{
-		part: Partition{N: len(shards)}, opts: opts, transport: opts.Transport,
-		wireGet: newHeader("", wire.ContentType), wirePost: newHeader(wire.ContentType, wire.ContentType),
-	}
-	if g.transport == nil {
-		g.transport = newShardTransport()
-	}
+	g := &Gateway{part: Partition{N: len(shards)}, opts: opts, hop: newShardTransport().hop}
 	if opts.Env != nil {
 		g.env, g.world = opts.Env, opts.Env.RoadWorld()
 	}
@@ -249,7 +231,7 @@ func (g *Gateway) handleChargers(w http.ResponseWriter, r *http.Request) {
 	}
 	fo := g.getFanout()
 	defer g.putFanout(fo)
-	fo.setCall(call{method: http.MethodGet, ep: epChargers, rawQuery: r.URL.RawQuery, header: g.wireGet})
+	fo.setCall(call{ep: epChargers, rawQuery: r.URL.RawQuery})
 	g.fanout(r.Context(), fo)
 	live, bad, dead := splitResults(fo.results)
 	if bad != nil {
@@ -363,10 +345,8 @@ func (g *Gateway) perCharger(w http.ResponseWriter, r *http.Request, ep endpoint
 	}
 	m := g.members[g.part.ShardOf(id)]
 	what := strings.TrimPrefix(endpointPaths[ep], eis.APIVersion+"/")
-	// Forward the client's own Accept header: when the client negotiated
-	// binary the shard's encoded bytes pass through with no gateway
-	// decode/re-encode at all.
-	res := g.single(r.Context(), m, &call{method: http.MethodGet, ep: ep, rawQuery: r.URL.RawQuery, header: newHeader("", r.Header.Get("Accept"))})
+	// The shard's JSON passes through as it came.
+	res := g.single(r.Context(), m, &call{ep: ep, rawQuery: r.URL.RawQuery})
 	defer res.release()
 	if res.err == nil {
 		passthrough(w, &res)
@@ -409,7 +389,7 @@ func (g *Gateway) handleTraffic(w http.ResponseWriter, r *http.Request) {
 	sort.SliceStable(order, func(i, j int) bool {
 		return trafficRank(order[i]) < trafficRank(order[j])
 	})
-	c := call{method: http.MethodGet, ep: epTraffic, rawQuery: r.URL.RawQuery, header: newHeader("", r.Header.Get("Accept"))}
+	c := call{ep: epTraffic, rawQuery: r.URL.RawQuery}
 	for _, m := range order {
 		res := g.single(r.Context(), m, &c)
 		if res.err == nil {
@@ -486,10 +466,13 @@ func (g *Gateway) handleOffering(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Every shard gets the binary form, which it decodes without
-	// encoding/json: the same fields, the same ranking, the same answer.
+	// encoding/json: the same fields, the same ranking, the same answer. It
+	// carries the times the gateway resolved, so that no shard ranks at its
+	// own clock's.
+	fo.req.Now, fo.req.ETA = o.Now, o.ETA
 	buf := wire.GetBuffer()
 	buf.B = wire.AppendOfferingRequest(buf.B, &fo.req)
-	fo.setCall(call{method: http.MethodPost, ep: epOffering, body: owned(buf.B), header: g.wirePost})
+	fo.setCall(call{ep: epOffering, body: owned(buf.B)})
 	wire.PutBuffer(buf)
 	// A one-shot ranking returns to its anchor: one search serves it where
 	// the return leg is the outbound one, on an undirected graph.
@@ -557,12 +540,14 @@ func (g *Gateway) handleTrip(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Every shard gets the request as the client sent it, in the binary
-	// form, except those the gateway plans and searches the trip for: they
-	// get it with the route and their blocks. The client's answer is
-	// negotiated by its own Accept, as a single EIS does.
+	// form and with the departure the gateway resolved, except those the
+	// gateway plans and searches the trip for: they get it with the route and
+	// their blocks. The client's answer is negotiated by its own Accept, as a
+	// single EIS does.
+	fo.trip.Depart = t.Depart
 	buf := wire.GetBuffer()
 	buf.B = wire.AppendTripRequest(buf.B, &fo.trip)
-	fo.setCall(call{method: http.MethodPost, ep: epTrip, body: owned(buf.B), header: g.wirePost})
+	fo.setCall(call{ep: epTrip, body: owned(buf.B)})
 	wire.PutBuffer(buf)
 	supplied := g.env != nil && g.supplyTrip(r.Context(), fo, &t)
 	g.fanout(r.Context(), fo)

@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"sync/atomic"
 	"time"
 
@@ -114,7 +113,7 @@ func (g *Gateway) probe(ctx context.Context, m *member) {
 func (g *Gateway) probeOnce(ctx context.Context, t *target) bool {
 	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
-	res := g.attempt(ctx, t, &call{method: http.MethodGet, ep: epHealthz, header: g.wireGet})
+	res := g.attempt(ctx, t, &call{ep: epHealthz})
 	defer res.release()
 	return res.ok()
 }
@@ -124,7 +123,7 @@ func (g *Gateway) probeOnce(ctx context.Context, t *target) bool {
 func (g *Gateway) pullInventory(ctx context.Context, m *member, t *target) bool {
 	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
-	res := g.attempt(ctx, t, &call{method: http.MethodGet, ep: epInventory, header: g.wireGet})
+	res := g.attempt(ctx, t, &call{ep: epInventory})
 	defer res.release()
 	if !res.ok() {
 		return false

@@ -10,8 +10,8 @@ import (
 	"net/http"
 	"net/http/httputil"
 	"net/textproto"
-	"net/url"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -21,19 +21,19 @@ import (
 	"ecocharge/internal/wire"
 )
 
-// This file is the gateway's own HTTP/1.1 client for the shard hop, the
-// RoundTripper every exchange runs on unless Options.Transport names another.
-// net/http's transport hands each exchange to a write loop and a read loop,
-// two goroutines per connection, and pays for the hand-over — wake-ups and
-// channel operations — on every exchange. Here an exchange runs on the
-// goroutine that asks for it: the request, head and body, goes out in one
-// write, and the answer is read on the same goroutine, on a pooled keep-alive
-// connection that has no goroutine of its own.
+// This file is the gateway's shard hop: one HTTP/1.1 exchange with one
+// shard, run on the goroutine that asks for it. The request goes out in one
+// write — the head its target built once for the endpoint, the call's query
+// and the length and bytes of its body — and the answer is read on the same
+// goroutine, its body straight into the caller's pooled buffer, on a pooled
+// keep-alive connection that has no goroutine of its own. net/http's
+// transport would hand each exchange to a write loop and a read loop, two
+// goroutines per connection, and wrap bytes the gateway already holds in an
+// http.Request on the way out and an http.Response on the way in.
 //
 // What it does not do, on purpose: TLS (a shard URL is plain http, which
 // NewGateway checks), proxies (HTTP_PROXY is not consulted), compression,
-// HTTP/2, redirects (attempt never followed them), and bodies of unknown
-// length (attempt always states it).
+// HTTP/2 and redirects (a shard's 3xx is an answer like any other).
 
 const (
 	// maxIdlePerShard caps the idle connections kept per shard address; a
@@ -50,8 +50,14 @@ const (
 // or write on a connection return at once.
 var aLongTimeAgo = time.Unix(1, 0)
 
-// shardTransport is the gateway's RoundTripper: plain HTTP/1.1 over pooled
-// connections, one LIFO stack of idle ones per shard address.
+// hopFunc is one exchange of c with t under ctx: it reads the answer's body
+// into buf, over whatever buf held, and returns the answer's status and
+// header; an error is a shard that gave no answer. Gateway.hop is
+// shardTransport.hop, and a test may wrap it.
+type hopFunc func(ctx context.Context, t *target, c *call, buf *wire.Buffer) (status int, header http.Header, err error)
+
+// shardTransport is the gateway's connection pool: one LIFO stack of idle
+// connections per shard address.
 type shardTransport struct {
 	dialer net.Dialer
 
@@ -75,32 +81,21 @@ type shardConn struct {
 	reused    bool
 }
 
-// RoundTrip implements http.RoundTripper. The response body must be read to
-// its end and closed for the connection to be reused.
-func (t *shardTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	buf := wire.GetBuffer()
-	defer wire.PutBuffer(buf)
-	var err error
-	buf.B, err = appendRequest(buf.B, req)
-	if req.Body != nil {
-		_ = req.Body.Close()
-	}
-	if err != nil {
-		return nil, err
-	}
-	ctx := req.Context()
-	addr := shardAddr(req.URL)
+// hop is the hopFunc every exchange runs on. The request is written into buf
+// and the answer read over it, so an exchange takes one pooled buffer.
+func (t *shardTransport) hop(ctx context.Context, tg *target, c *call, buf *wire.Buffer) (int, http.Header, error) {
 	for retried := false; ; retried = true {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return 0, nil, err
 		}
-		pc, err := t.get(ctx, addr, retried)
+		pc, err := t.get(ctx, tg.addr, retried)
 		if err != nil {
-			return nil, contextErr(ctx, err)
+			return 0, nil, contextErr(ctx, err)
 		}
-		resp, early, err := t.exchange(ctx, pc, req, buf.B)
+		buf.B = tg.appendRequest(buf.B[:0], c)
+		status, header, early, err := t.exchange(ctx, pc, buf)
 		if err == nil {
-			return resp, nil
+			return status, header, nil
 		}
 		// A connection the shard closed while it sat idle fails before the
 		// first byte of the answer: once, the exchange goes again on a fresh
@@ -109,7 +104,7 @@ func (t *shardTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 		if early && pc.reused && !retried && staleConn(err) && ctx.Err() == nil {
 			continue
 		}
-		return nil, contextErr(ctx, err)
+		return 0, nil, contextErr(ctx, err)
 	}
 }
 
@@ -132,81 +127,6 @@ func contextErr(ctx context.Context, err error) error {
 	}
 	return err
 }
-
-// shardAddr is the host:port a URL's requests go to.
-func shardAddr(u *url.URL) string {
-	if u.Port() != "" {
-		return u.Host
-	}
-	return u.Host + ":80"
-}
-
-// appendRequest appends the whole HTTP/1.1 request to b: the request line,
-// Host, req.Header, Content-Length when there is a body, and the body.
-func appendRequest(b []byte, req *http.Request) ([]byte, error) {
-	if req.URL.Scheme != "http" {
-		return b, fmt.Errorf("fleet: the shard transport speaks plain http, not %q", req.URL.Scheme)
-	}
-	host := req.Host
-	if host == "" {
-		host = req.URL.Host
-	}
-	method := req.Method
-	if method == "" {
-		method = http.MethodGet
-	}
-	if !validField(method) || !validField(host) {
-		return b, fmt.Errorf("fleet: invalid request line or host %q %q", method, host)
-	}
-	b = append(b, method...)
-	b = append(b, ' ')
-	if path := req.URL.EscapedPath(); path != "" {
-		b = append(b, path...)
-	} else {
-		b = append(b, '/')
-	}
-	if req.URL.RawQuery != "" {
-		b = append(b, '?')
-		b = append(b, req.URL.RawQuery...)
-	}
-	b = append(b, " HTTP/1.1\r\nHost: "...)
-	b = append(b, host...)
-	b = append(b, "\r\n"...)
-	for k, vs := range req.Header {
-		if k == "Host" || k == "Content-Length" {
-			continue
-		}
-		for _, v := range vs {
-			if !validField(k) || !validField(v) {
-				return b, fmt.Errorf("fleet: invalid header %q", k)
-			}
-			b = append(b, k...)
-			b = append(b, ": "...)
-			b = append(b, v...)
-			b = append(b, "\r\n"...)
-		}
-	}
-	if req.Body == nil || req.Body == http.NoBody {
-		return append(b, "\r\n"...), nil
-	}
-	// attempt always states the length of the bytes it sends.
-	n := req.ContentLength
-	if n <= 0 {
-		return b, fmt.Errorf("fleet: a request body of unknown length")
-	}
-	b = append(b, "Content-Length: "...)
-	b = strconv.AppendInt(b, n, 10)
-	b = append(b, "\r\n\r\n"...)
-	head := len(b)
-	b = append(b, make([]byte, n)...)
-	if _, err := io.ReadFull(req.Body, b[head:]); err != nil {
-		return b, fmt.Errorf("fleet: reading the request body: %w", err)
-	}
-	return b, nil
-}
-
-// validField refuses what would end a line of the request head early.
-func validField(s string) bool { return !strings.ContainsAny(s, "\r\n") }
 
 // get returns an idle connection to addr, the one released last, or dials a
 // new one; fresh always dials. A stack whose newest connection is too old to
@@ -257,12 +177,13 @@ func (t *shardTransport) put(pc *shardConn) {
 	_ = pc.conn.Close()
 }
 
-// exchange sends msg on pc and reads the head of the answer. The context's
-// deadline is the connection's, and its cancellation moves that deadline
-// into the past, which stops a blocked read at once; the hook lives as long
-// as the body. early reports an error before the first byte of the answer.
-// On an error the connection is closed.
-func (t *shardTransport) exchange(ctx context.Context, pc *shardConn, req *http.Request, msg []byte) (resp *http.Response, early bool, err error) {
+// exchange sends the request in buf on pc and reads the answer into buf. The
+// context's deadline is the connection's, and its cancellation moves that
+// deadline into the past, which stops a blocked read or write at once. early
+// reports an error before the first byte of the answer. The connection goes
+// back to the pool when readAnswer says it may carry the next exchange and
+// the cancellation hook had not fired; it is closed in every other case.
+func (t *shardTransport) exchange(ctx context.Context, pc *shardConn, buf *wire.Buffer) (status int, header http.Header, early bool, err error) {
 	deadline, _ := ctx.Deadline()
 	// SetDeadline fails only on a closed connection, which the write reports.
 	_ = pc.conn.SetDeadline(deadline)
@@ -270,91 +191,115 @@ func (t *shardTransport) exchange(ctx context.Context, pc *shardConn, req *http.
 	if ctx.Done() != nil {
 		stop = context.AfterFunc(ctx, func() { _ = pc.conn.SetDeadline(aLongTimeAgo) })
 	}
-	fail := func(early bool, err error) (*http.Response, bool, error) {
-		if stop != nil {
-			stop()
-		}
+	_, err = pc.conn.Write(buf.B)
+	if err == nil {
+		_, err = pc.br.Peek(1)
+	}
+	early = err != nil
+	keep := false
+	if err == nil {
+		status, header, keep, err = readAnswer(&pc.tp, buf)
+	}
+	fired := stop != nil && !stop()
+	if err == nil && keep && !fired {
+		t.put(pc)
+	} else {
 		_ = pc.conn.Close()
-		return nil, early, err
 	}
-	if _, err := pc.conn.Write(msg); err != nil {
-		return fail(true, err)
+	return status, header, early, err
+}
+
+// readAnswer reads one answer from tp: the status line and header of the
+// final answer, interim (1xx) ones skipped, and its body into buf, over
+// whatever buf held. The body is framed by Content-Length, by the chunked
+// coding and its trailer, or by the end of the connection, and refused over
+// maxShardResponseBytes — before a byte of it is read when its length is
+// declared. keep reports an answer read to its framed end, with no
+// Connection: close and nothing buffered behind it: the connection may carry
+// the next exchange.
+func readAnswer(tp *textproto.Reader, buf *wire.Buffer) (status int, header http.Header, keep bool, err error) {
+	for status < 200 {
+		line, err := tp.ReadLine()
+		if err != nil {
+			return 0, nil, false, err
+		}
+		proto, code, ok := strings.Cut(line, " ")
+		major, _, vok := http.ParseHTTPVersion(proto)
+		if !ok || !vok || major != 1 || len(code) < 3 {
+			return 0, nil, false, fmt.Errorf("fleet: malformed status line %q", line)
+		}
+		if status, err = strconv.Atoi(code[:3]); err != nil || status < 100 {
+			return 0, nil, false, fmt.Errorf("fleet: malformed status line %q", line)
+		}
+		h, err := tp.ReadMIMEHeader()
+		if err != nil {
+			return 0, nil, false, err
+		}
+		header = http.Header(h)
 	}
-	if _, err := pc.br.Peek(1); err != nil {
-		return fail(true, err)
-	}
-	resp, err = readResponseHead(pc, req)
-	if err != nil {
-		return fail(false, err)
-	}
-	body := &shardBody{t: t, pc: pc, ctx: ctx, stop: stop, n: -1, keep: !resp.Close}
+	buf.B = buf.B[:0]
+	keep = !hasToken(header.Get("Connection"), "close")
+	te, cl := header["Transfer-Encoding"], header["Content-Length"]
 	switch {
-	case resp.StatusCode == http.StatusNoContent || resp.StatusCode == http.StatusNotModified:
-		resp.ContentLength = 0
-		body.n = 0
-	case chunked(resp.Header):
-		resp.TransferEncoding = []string{"chunked"}
-		resp.Header.Del("Transfer-Encoding")
-		resp.Header.Del("Content-Length")
-		body.chunked = httputil.NewChunkedReader(pc.br)
-	case resp.Header.Get("Transfer-Encoding") != "":
-		return fail(false, fmt.Errorf("fleet: unsupported transfer encoding %q", resp.Header.Get("Transfer-Encoding")))
+	case status == http.StatusNoContent || status == http.StatusNotModified:
+	case te != nil:
+		if len(te) != 1 || !strings.EqualFold(te[0], "chunked") || cl != nil {
+			return 0, nil, false, fmt.Errorf("fleet: unsupported framing: Transfer-Encoding %q, Content-Length %q", te, cl)
+		}
+		if err := readLimited(buf, httputil.NewChunkedReader(tp.R)); err != nil {
+			return 0, nil, false, err
+		}
+		// The trailer section and the empty line that ends the answer.
+		if _, err := tp.ReadMIMEHeader(); err != nil {
+			keep = false
+		}
+	case cl != nil:
+		n, perr := strconv.ParseUint(cl[0], 10, 63)
+		if len(cl) > 1 || perr != nil {
+			return 0, nil, false, fmt.Errorf("fleet: bad Content-Length %q", cl)
+		}
+		if n > uint64(maxShardResponseBytes) {
+			return 0, nil, false, fmt.Errorf("fleet: shard response of %d bytes exceeds %d", n, maxShardResponseBytes)
+		}
+		if err := readFull(tp.R, buf, int(n)); err != nil {
+			return 0, nil, false, err
+		}
 	default:
-		if cl := resp.Header.Get("Content-Length"); cl != "" {
-			n, perr := strconv.ParseInt(cl, 10, 64)
-			if perr != nil || n < 0 {
-				return fail(false, fmt.Errorf("fleet: bad Content-Length %q", cl))
+		keep = false // the body ends where the connection does
+		if err := readLimited(buf, tp.R); err != nil {
+			return 0, nil, false, err
+		}
+	}
+	return status, header, keep && tp.R.Buffered() == 0, nil
+}
+
+// readLimited reads r to its end into buf, refusing more than
+// maxShardResponseBytes.
+func readLimited(buf *wire.Buffer, r io.Reader) error {
+	if err := buf.ReadLimit(r, maxShardResponseBytes); err != nil {
+		return err
+	}
+	if int64(len(buf.B)) > maxShardResponseBytes {
+		return fmt.Errorf("fleet: shard response exceeds %d bytes", maxShardResponseBytes)
+	}
+	return nil
+}
+
+// readFull reads exactly n bytes of br into buf, growing it as the bytes
+// arrive: a length declared and not sent costs what did arrive.
+func readFull(br *bufio.Reader, buf *wire.Buffer, n int) error {
+	for len(buf.B) < n {
+		buf.B = slices.Grow(buf.B, 1)
+		m, err := br.Read(buf.B[len(buf.B):min(cap(buf.B), n)])
+		buf.B = buf.B[:len(buf.B)+m]
+		if err != nil && len(buf.B) < n {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
 			}
-			resp.ContentLength, body.n = n, n
-		} else {
-			body.keep = false // the body ends where the connection does
+			return err
 		}
 	}
-	if body.n == 0 {
-		body.err = io.EOF
-	}
-	resp.Body = body
-	return resp, false, nil
-}
-
-// readResponseHead reads the status line and the header of the final answer,
-// skipping interim (1xx) ones.
-func readResponseHead(pc *shardConn, req *http.Request) (*http.Response, error) {
-	for {
-		line, err := pc.tp.ReadLine()
-		if err != nil {
-			return nil, err
-		}
-		proto, status, ok := strings.Cut(line, " ")
-		major, minor, vok := http.ParseHTTPVersion(proto)
-		if !ok || !vok || major != 1 || len(status) < 3 {
-			return nil, fmt.Errorf("fleet: malformed status line %q", line)
-		}
-		code, err := strconv.Atoi(status[:3])
-		if err != nil || code < 100 {
-			return nil, fmt.Errorf("fleet: malformed status line %q", line)
-		}
-		header, err := pc.tp.ReadMIMEHeader()
-		if err != nil {
-			return nil, err
-		}
-		if code < 200 {
-			continue
-		}
-		h := http.Header(header)
-		return &http.Response{
-			Status: status, StatusCode: code,
-			Proto: proto, ProtoMajor: major, ProtoMinor: minor,
-			Header: h, ContentLength: -1, Request: req,
-			Close: hasToken(h.Get("Connection"), "close"),
-		}, nil
-	}
-}
-
-// chunked reports a body framed by the chunked transfer coding.
-func chunked(h http.Header) bool {
-	te := h["Transfer-Encoding"]
-	return len(te) == 1 && strings.EqualFold(strings.TrimSpace(te[0]), "chunked")
+	return nil
 }
 
 // hasToken reports whether a comma-separated header value holds token.
@@ -367,72 +312,4 @@ func hasToken(v, token string) bool {
 		}
 	}
 	return false
-}
-
-// shardBody is the body of an answer, read straight off the connection's
-// buffer. Close releases the connection: to the pool when the body was read
-// to its end on a connection that stays open and the cancellation hook had
-// not fired, closed in every other case.
-type shardBody struct {
-	t    *shardTransport
-	pc   *shardConn
-	ctx  context.Context
-	stop func() bool // the cancellation hook's; nil without one
-
-	n       int64     // bytes left by Content-Length, -1 when not framed by it
-	chunked io.Reader // the chunked decoder, nil when not chunked
-	keep    bool      // the connection outlives the answer
-	err     error     // sticky: io.EOF at the end of the body
-	closed  bool
-}
-
-func (b *shardBody) Read(p []byte) (n int, err error) {
-	if b.err != nil {
-		return 0, b.err
-	}
-	switch {
-	case b.chunked != nil:
-		n, err = b.chunked.Read(p)
-		if err == io.EOF {
-			// The trailer section and the empty line that ends the message.
-			if _, terr := b.pc.tp.ReadMIMEHeader(); terr != nil {
-				b.keep = false
-			}
-		}
-	case b.n >= 0:
-		if int64(len(p)) > b.n {
-			p = p[:b.n]
-		}
-		n, err = b.pc.br.Read(p)
-		b.n -= int64(n)
-		switch {
-		case b.n == 0:
-			err = io.EOF
-		case err == io.EOF:
-			err = io.ErrUnexpectedEOF
-		}
-	default:
-		n, err = b.pc.br.Read(p)
-	}
-	if err != nil {
-		if err != io.EOF {
-			b.keep = false
-			err = contextErr(b.ctx, err)
-		}
-		b.err = err
-	}
-	return n, err
-}
-
-func (b *shardBody) Close() error {
-	if b.closed {
-		return nil
-	}
-	b.closed = true
-	fired := b.stop != nil && !b.stop()
-	if b.err == io.EOF && b.keep && !fired && b.pc.br.Buffered() == 0 {
-		b.t.put(b.pc)
-		return nil
-	}
-	return b.pc.conn.Close()
 }

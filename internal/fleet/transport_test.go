@@ -1,23 +1,27 @@
 package fleet
 
-// The gateway's own transport (transport.go) against real servers: what it
-// keeps, what it closes, and what it tells its caller. Connections are
-// counted where the server accepts them.
+// The gateway's shard hop (transport.go) against real servers: what it
+// sends, what it keeps, what it closes, and what it tells its caller.
+// Connections are counted where the server accepts them.
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/textproto"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"ecocharge/internal/wire"
 )
 
 // countingServer is an httptest server that counts the connections it
@@ -40,23 +44,17 @@ func newCountingServer(t *testing.T, h http.HandlerFunc) *countingServer {
 	return s
 }
 
-// roundTrip sends one request on tr and reads the whole answer.
-func roundTrip(ctx context.Context, tr http.RoundTripper, method, url, body string) (*http.Response, string, error) {
-	var rd io.Reader
-	if body != "" {
-		rd = strings.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, url, rd)
+// hopTo runs one exchange of c with the server at base on tr and returns
+// the answer.
+func hopTo(ctx context.Context, tr *shardTransport, base string, c call) (int, http.Header, string, error) {
+	tg, err := newTarget(base)
 	if err != nil {
-		return nil, "", err
+		return 0, nil, "", err
 	}
-	resp, err := tr.RoundTrip(req)
-	if err != nil {
-		return nil, "", err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	return resp, string(b), err
+	buf := wire.GetBuffer()
+	defer wire.PutBuffer(buf)
+	status, header, err := tr.hop(ctx, tg, &c, buf)
+	return status, header, string(buf.B), err
 }
 
 // idleTo is how many idle connections tr holds to the server.
@@ -67,33 +65,28 @@ func (tr *shardTransport) idleTo(url string) int {
 }
 
 // TestFleetTransportKeepAlive: sequential exchanges, GET and POST, share one
-// connection; the request goes out whole and the answer's header keys come
-// back canonical.
+// connection; the request goes out whole, with the head its endpoint was
+// built with, and the answer's header keys come back canonical.
 func TestFleetTransportKeepAlive(t *testing.T) {
 	srv := newCountingServer(t, func(w http.ResponseWriter, r *http.Request) {
 		b, _ := io.ReadAll(r.Body)
 		w.Header()["x-shard"] = []string{"echo"} // a key the server does not canonicalise
-		_, _ = w.Write([]byte(r.Method + " " + r.URL.RequestURI() + " " + r.Header.Get("Content-Type") + " " + string(b)))
+		_, _ = w.Write([]byte(strings.Join([]string{r.Method, r.Host, r.URL.RequestURI(), r.Header.Get("Content-Type"), r.Header.Get("Accept"), string(b)}, " ")))
 	})
+	host := strings.TrimPrefix(srv.URL, "http://")
 	tr := newShardTransport()
 	for i := 0; i < 5; i++ {
-		resp, body, err := roundTrip(context.Background(), tr, http.MethodGet, srv.URL+"/v1/traffic?t=1", "")
-		if err != nil || body != "GET /v1/traffic?t=1  " {
-			t.Fatalf("GET %d: %q, %v", i, body, err)
+		status, header, body, err := hopTo(context.Background(), tr, srv.URL, call{ep: epTraffic, rawQuery: "t=1"})
+		if want := "GET " + host + " /api/v1/traffic?t=1   "; err != nil || status != http.StatusOK || body != want {
+			t.Fatalf("GET %d: %d %q, %v; want %q", i, status, body, err, want)
 		}
-		if resp.Header.Get("X-Shard") != "echo" || resp.Header["X-Shard"] == nil {
-			t.Fatalf("header keys are not canonical: %v", resp.Header)
+		if header.Get("X-Shard") != "echo" || header["X-Shard"] == nil {
+			t.Fatalf("header keys are not canonical: %v", header)
 		}
-		req, _ := http.NewRequest(http.MethodPost, srv.URL+"/v1/offering", strings.NewReader("payload"))
-		req.Header.Set("Content-Type", "application/x-test")
-		resp, err = tr.RoundTrip(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, _ := io.ReadAll(resp.Body)
-		_ = resp.Body.Close()
-		if string(b) != "POST /v1/offering application/x-test payload" || resp.ContentLength != int64(len(b)) {
-			t.Fatalf("POST %d: %q (Content-Length %d)", i, b, resp.ContentLength)
+		status, header, body, err = hopTo(context.Background(), tr, srv.URL, call{ep: epOffering, body: []byte("payload")})
+		want := "POST " + host + " /api/v1/offering " + wire.ContentType + " " + wire.ContentType + " payload"
+		if err != nil || status != http.StatusOK || body != want || header.Get("Content-Length") != strconv.Itoa(len(body)) {
+			t.Fatalf("POST %d: %d %q (Content-Length %s), %v; want %q", i, status, body, header.Get("Content-Length"), err, want)
 		}
 	}
 	if n := srv.accepted.Load(); n != 1 {
@@ -133,19 +126,19 @@ func TestFleetTransportRetriesStaleConnection(t *testing.T) {
 	}()
 	t.Cleanup(func() { _ = ln.Close(); wg.Wait() })
 
-	url := "http://" + ln.Addr().String() + "/healthz"
+	url := "http://" + ln.Addr().String()
 	tr := newShardTransport()
-	if _, body, err := roundTrip(context.Background(), tr, http.MethodGet, url, ""); err != nil || body != "ok" {
+	if _, _, body, err := hopTo(context.Background(), tr, url, call{ep: epHealthz}); err != nil || body != "ok" {
 		t.Fatalf("first exchange: %q, %v", body, err)
 	}
 	// The connection went back to the pool before the shard closed it.
-	if _, body, err := roundTrip(context.Background(), tr, http.MethodPost, url, "again"); err != nil || body != "ok" {
+	if _, _, body, err := hopTo(context.Background(), tr, url, call{ep: epOffering, body: []byte("again")}); err != nil || body != "ok" {
 		t.Fatalf("exchange on a closed pooled connection: %q, %v", body, err)
 	}
 	if n := accepted.Load(); n != 2 {
 		t.Fatalf("%d connections after one stale retry, want 2", n)
 	}
-	if _, _, err := roundTrip(context.Background(), tr, http.MethodGet, url, ""); err == nil {
+	if _, _, _, err := hopTo(context.Background(), tr, url, call{ep: epHealthz}); err == nil {
 		t.Fatal("an exchange the shard never answered succeeded")
 	}
 	// The stale pooled connection and exactly one fresh one: a second retry
@@ -167,12 +160,12 @@ func TestFleetTransportChunkedBody(t *testing.T) {
 	})
 	tr := newShardTransport()
 	for i := 0; i < 3; i++ {
-		resp, body, err := roundTrip(context.Background(), tr, http.MethodGet, srv.URL+"/v1/inventory", "")
-		if err != nil || body != strings.Repeat("a", 5000)+"tail" {
-			t.Fatalf("chunked body %d: %d bytes, %v", i, len(body), err)
+		status, header, body, err := hopTo(context.Background(), tr, srv.URL, call{ep: epInventory})
+		if err != nil || status != http.StatusOK || body != strings.Repeat("a", 5000)+"tail" {
+			t.Fatalf("chunked body %d: %d, %d bytes, %v", i, status, len(body), err)
 		}
-		if len(resp.TransferEncoding) != 1 || resp.TransferEncoding[0] != "chunked" || resp.ContentLength != -1 {
-			t.Fatalf("framing: %v, Content-Length %d", resp.TransferEncoding, resp.ContentLength)
+		if header.Get("Transfer-Encoding") != "chunked" || header.Get("Content-Length") != "" {
+			t.Fatalf("framing: %v", header)
 		}
 	}
 	// The trailer was read with the body, so the connection served all three.
@@ -192,9 +185,9 @@ func TestFleetTransportConnectionClose(t *testing.T) {
 	})
 	tr := newShardTransport()
 	for i := 0; i < 2; i++ {
-		resp, body, err := roundTrip(context.Background(), tr, http.MethodGet, srv.URL+"/healthz", "")
-		if err != nil || body != "bye" || !resp.Close {
-			t.Fatalf("exchange %d: %q, close=%v, %v", i, body, resp != nil && resp.Close, err)
+		_, header, body, err := hopTo(context.Background(), tr, srv.URL, call{ep: epHealthz})
+		if err != nil || body != "bye" || header.Get("Connection") != "close" {
+			t.Fatalf("exchange %d: %q, Connection %q, %v", i, body, header.Get("Connection"), err)
 		}
 		if n := tr.idleTo(srv.URL); n != 0 {
 			t.Fatalf("a connection the shard closes was pooled (%d idle)", n)
@@ -226,11 +219,11 @@ func TestFleetTransportOversizedBody(t *testing.T) {
 		t.Fatalf("the test's Content-Length is not one over the limit of %d", maxShardResponseBytes)
 	}
 	ctx := context.Background()
-	res := g.attempt(ctx, g.members[0].primary, &call{method: http.MethodGet, ep: epInventory})
+	res := g.attempt(ctx, g.members[0].primary, &call{ep: epInventory})
 	if res.err == nil || !strings.Contains(res.err.Error(), "exceeds") {
 		t.Fatalf("an oversized answer gave %v", res.err)
 	}
-	res = g.attempt(ctx, g.members[0].primary, &call{method: http.MethodGet, ep: epHealthz})
+	res = g.attempt(ctx, g.members[0].primary, &call{ep: epHealthz})
 	defer res.release()
 	if !res.ok() || string(res.body) != "ok" {
 		t.Fatalf("the next exchange: %d %q, %v", res.status, res.body, res.err)
@@ -241,10 +234,10 @@ func TestFleetTransportOversizedBody(t *testing.T) {
 }
 
 // TestFleetTransportCancelMidBody: a losing hedge is cancelled while it
-// reads; the read stops at once with the context's error, and the
-// connection is closed — the shard sees it go — not pooled.
+// reads the body; the exchange returns at once with the context's error,
+// and the connection is closed — the shard sees it go — not pooled.
 func TestFleetTransportCancelMidBody(t *testing.T) {
-	gone := make(chan struct{})
+	flushed, gone := make(chan struct{}), make(chan struct{})
 	srv := newCountingServer(t, func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/healthz" {
 			_, _ = w.Write([]byte("ok"))
@@ -252,30 +245,28 @@ func TestFleetTransportCancelMidBody(t *testing.T) {
 		}
 		_, _ = w.Write([]byte("first part"))
 		w.(http.Flusher).Flush()
+		close(flushed)
 		<-r.Context().Done()
 		close(gone)
 	})
 	tr := newShardTransport()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/v1/offering", nil)
-	resp, err := tr.RoundTrip(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := make([]byte, len("first part"))
-	if _, err := io.ReadFull(resp.Body, first); err != nil {
-		t.Fatal(err)
-	}
+	done := make(chan error, 1)
+	go func() {
+		_, _, _, err := hopTo(ctx, tr, srv.URL, call{ep: epChargers})
+		done <- err
+	}()
+	<-flushed
 	cancel()
-	start := time.Now()
-	if _, err := resp.Body.Read(make([]byte, 64)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("a read after the cancel returned %v, want context.Canceled", err)
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("the cancelled exchange returned %v, want context.Canceled", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the cancelled exchange did not return")
 	}
-	if d := time.Since(start); d > 2*time.Second {
-		t.Fatalf("the cancelled read took %v to return", d)
-	}
-	_ = resp.Body.Close()
 	if n := tr.idleTo(srv.URL); n != 0 {
 		t.Fatalf("a cancelled connection was pooled (%d idle)", n)
 	}
@@ -284,7 +275,7 @@ func TestFleetTransportCancelMidBody(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("the shard never saw the connection close")
 	}
-	if _, body, err := roundTrip(context.Background(), tr, http.MethodGet, srv.URL+"/healthz", ""); err != nil || body != "ok" {
+	if _, _, body, err := hopTo(context.Background(), tr, srv.URL, call{ep: epHealthz}); err != nil || body != "ok" {
 		t.Fatalf("the next exchange: %q, %v", body, err)
 	}
 	if n := srv.accepted.Load(); n != 2 {
@@ -298,7 +289,7 @@ func TestFleetTransportCancelMidBody(t *testing.T) {
 func TestFleetTransportDeadline(t *testing.T) {
 	release := make(chan struct{})
 	srv := newCountingServer(t, func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/inventory" {
+		if r.URL.Path == endpointPaths[epInventory] {
 			_, _ = w.Write([]byte("part"))
 			w.(http.Flusher).Flush()
 		}
@@ -310,10 +301,11 @@ func TestFleetTransportDeadline(t *testing.T) {
 	defer close(release)
 	tr := newShardTransport()
 	const timeout = 50 * time.Millisecond
-	for _, path := range []string{"/v1/offering", "/v1/inventory"} {
+	for _, ep := range []endpoint{epOffering, epInventory} {
+		path := endpointPaths[ep]
 		ctx, cancel := context.WithTimeout(context.Background(), timeout)
 		start := time.Now()
-		_, _, err := roundTrip(ctx, tr, http.MethodGet, srv.URL+path, "")
+		_, _, _, err := hopTo(ctx, tr, srv.URL, call{ep: ep})
 		cancel()
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("%s: a hung shard gave %v, want context.DeadlineExceeded", path, err)
@@ -327,9 +319,10 @@ func TestFleetTransportDeadline(t *testing.T) {
 	}
 }
 
-// TestFleetTransportRefusesHTTPS: the transport speaks plain http only.
+// TestFleetTransportRefusesHTTPS: the hop speaks plain http only; an https
+// shard gets no target, so nothing is sent to it.
 func TestFleetTransportRefusesHTTPS(t *testing.T) {
-	if _, _, err := roundTrip(context.Background(), newShardTransport(), http.MethodGet, "https://127.0.0.1:1/healthz", ""); err == nil {
+	if _, _, _, err := hopTo(context.Background(), newShardTransport(), "https://127.0.0.1:1", call{ep: epHealthz}); err == nil {
 		t.Fatal("an https request was sent")
 	}
 }
@@ -350,7 +343,7 @@ func TestFleetTransportConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				q := "w=" + strconv.Itoa(w) + "&i=" + strconv.Itoa(i)
-				if _, body, err := roundTrip(context.Background(), tr, http.MethodGet, srv.URL+"/v1/traffic?"+q, ""); err != nil || body != q {
+				if _, _, body, err := hopTo(context.Background(), tr, srv.URL, call{ep: epTraffic, rawQuery: q}); err != nil || body != q {
 					t.Errorf("worker %d, exchange %d: %q, %v", w, i, body, err)
 					return
 				}
@@ -361,4 +354,52 @@ func TestFleetTransportConcurrent(t *testing.T) {
 	if n := srv.accepted.Load(); n > workers {
 		t.Fatalf("%d workers opened %d connections", workers, n)
 	}
+}
+
+// FuzzShardAnswer feeds arbitrary bytes to the answer reader. It never
+// panics; an answer it takes has a body within maxShardResponseBytes, as long
+// as any Content-Length it declares; and it leaves the connection to the
+// next exchange only after a complete answer framed by its length or by the
+// chunked coding, with no Connection: close and nothing behind it.
+func FuzzShardAnswer(f *testing.F) {
+	for _, seed := range []string{
+		"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok",
+		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nTrailer: X-Sum\r\n\r\n4\r\nabcd\r\n0\r\nX-Sum: 4\r\n\r\n",
+		"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\nyes",
+		"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 3\r\n\r\nbye",
+		"HTTP/1.1 200 OK\r\n\r\nuntil the connection ends",
+		"HTTP/1.1 200 OK\r\nContent-Length: 33554433\r\n\r\ntoo long",
+		"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nshort",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tp := textproto.Reader{R: bufio.NewReader(bytes.NewReader(data))}
+		buf := wire.GetBuffer()
+		defer wire.PutBuffer(buf)
+		buf.B = append(buf.B, "what the buffer held"...)
+		status, header, keep, err := readAnswer(&tp, buf)
+		if err != nil {
+			if keep {
+				t.Fatalf("a refused answer (%v) left its connection to the pool", err)
+			}
+			return
+		}
+		if status < 200 || int64(len(buf.B)) > maxShardResponseBytes {
+			t.Fatalf("status %d with a body of %d bytes", status, len(buf.B))
+		}
+		bodied := status != http.StatusNoContent && status != http.StatusNotModified
+		cl := header.Get("Content-Length")
+		if n, perr := strconv.ParseUint(cl, 10, 63); bodied && cl != "" && (perr != nil || n != uint64(len(buf.B))) {
+			t.Fatalf("Content-Length %q and a body of %d bytes", cl, len(buf.B))
+		}
+		if !bodied && len(buf.B) != 0 {
+			t.Fatalf("status %d with a body of %d bytes", status, len(buf.B))
+		}
+		framed := !bodied || cl != "" || header.Get("Transfer-Encoding") != ""
+		if keep && (!framed || hasToken(header.Get("Connection"), "close") || tp.R.Buffered() != 0) {
+			t.Fatalf("an answer kept its connection: framed %v, Connection %q, %d bytes behind it",
+				framed, header.Get("Connection"), tp.R.Buffered())
+		}
+	})
 }

@@ -30,7 +30,7 @@ import (
 // filter below are re-learned from the shards — and none of it is a
 // correctness input. A shard that hits its cache ignores the block; a shard
 // that misses without one (the filter said "seen", a directed graph, no
-// inventory yet, a request without an issue time) searches for itself as it
+// inventory yet) searches for itself as it
 // always did; a shard that finds the block short of a candidate
 // (a stale inventory here) or malformed discards it and searches for itself.
 // A wrong guess costs a search somewhere, never a table.
@@ -166,9 +166,6 @@ func (f *seenFilter) observe(hash uint64, now time.Time, ttl time.Duration) bool
 // request bodies with wire requests that carry their travel times. It reports
 // false, and leaves fo.calls alone, when there is nothing to supply.
 func (g *Gateway) supplyTravel(fo *fanout, o *eis.Offering) bool {
-	if fo.req.Now.IsZero() {
-		return false // the shards would each rank at their own clock's time
-	}
 	anchor := roadnet.Invalid
 	fo.startSupply()
 	for _, m := range g.members {
@@ -208,14 +205,10 @@ func (g *Gateway) supplyTravel(fo *fanout, o *eis.Offering) bool {
 // a computed segment. The plan is exact unless a shard's table comes out
 // empty; that shard then computes a segment it has no block for, and searches
 // for it. It reports false and leaves fo.calls alone — the shards get the
-// plain request, and route it themselves — when the trip has no departure
-// (each shard would plan at its own clock's time), no shard can be searched
+// plain request, and route it themselves — when no shard can be searched
 // for, the trip does not route (the shards say why), or the deadline, one
 // ShardTimeout for the plan and its searches, ran out.
 func (g *Gateway) supplyTrip(ctx context.Context, fo *fanout, t *eis.TripOffering) (supplied bool) {
-	if fo.trip.Depart.IsZero() {
-		return false
-	}
 	fo.terms = fo.terms[:0]
 	some := false
 	for _, m := range g.members {

@@ -57,14 +57,15 @@ func newTravelFleet(t *testing.T, envs []*cknn.Env, world *cknn.Env) *travelFlee
 	return newFleetOver(t, envs, Options{Env: world})
 }
 
-// newFleetOver is newTravelFleet under the gateway options given.
+// newFleetOver is newTravelFleet under the gateway options given; the shards
+// run on the gateway's clock.
 func newFleetOver(t *testing.T, envs []*cknn.Env, opts Options) *travelFleet {
 	t.Helper()
 	f := &travelFleet{}
 	shards := make([]Shard, len(envs))
 	for i, env := range envs {
 		sh := &swapHandler{}
-		sh.set(eis.NewServer(env, eis.ServerOptions{}).Handler())
+		sh.set(eis.NewServer(env, eis.ServerOptions{Clock: opts.Clock}).Handler())
 		ts := httptest.NewServer(sh)
 		t.Cleanup(ts.Close)
 		shards[i].URL = ts.URL
@@ -259,6 +260,40 @@ func TestFleetTravelConcurrentMisses(t *testing.T) {
 	if used.Value() == used0 {
 		t.Fatal("no shard built on a block: the rankings did not take the searching path")
 	}
+}
+
+// TestFleetSuppliesWhatItResolved: an offering without an issue time and a
+// trip without a departure are resolved at the gateway's clock and sent on
+// with what the gateway resolved, so the shards build on its search and
+// follow its route, and answer the bytes a single EIS on the same clock does.
+func TestFleetSuppliesWhatItResolved(t *testing.T) {
+	world := testEnv(t)
+	clock := func() time.Time { return fixedNow }
+	f := newFleetOver(t, shardEnvs(t, world, 3), Options{Env: world, Clock: clock})
+	single := httptest.NewServer(eis.NewServer(world, eis.ServerOptions{Clock: clock}).Handler())
+	t.Cleanup(single.Close)
+	same := func(what, pathq string, body []byte, counter string) {
+		t.Helper()
+		c := obs.Default().Counter(counter)
+		before := c.Value()
+		gs, gb, _ := doReq(t, f.url, http.MethodPost, pathq, body)
+		if c.Value() == before {
+			t.Fatalf("%s: %s did not move; the shards were not sent what the gateway resolved", what, counter)
+		}
+		ss, sb, _ := doReq(t, single.URL, http.MethodPost, pathq, body)
+		if gs != http.StatusOK || ss != http.StatusOK || !bytes.Equal(gb, sb) {
+			t.Fatalf("%s: gateway %d, single EIS %d\ngateway: %.300s\nsingle:  %.300s", what, gs, ss, gb, sb)
+		}
+	}
+
+	anchor := world.Chargers.All()[0].P
+	same("an offering without now", eis.APIVersion+"/offering",
+		offeringBody(t, eis.OfferingRequest{Lat: anchor.Lat, Lon: anchor.Lon, K: 3, RadiusM: 5000}), "eis_travel_used_total")
+	// A Q of a meter computes every segment: a shard's dynamic cache adapts
+	// by its own tables, a single EIS's by the whole inventory's.
+	trip := routedTrips(t, world.Graph, 31, 1, 20, time.Time{})[0]
+	same("a trip without a departure", eis.APIVersion+"/offering/trip",
+		tripRequest(world.Graph, trip, 3, 4000, 1, 1500), "eis_route_used_total")
 }
 
 // oneWayTwin is world on the same road graph plus one one-way arc far too

@@ -30,8 +30,9 @@ func TestChaosFleetWireShardByteIdentity(t *testing.T) {
 		h.assertIdentical("chargers", http.MethodGet, pathq, nil)
 	}
 
-	// Point lookups and traffic are pass-through: the gateway forwards the
-	// client's Accept, so a JSON client gets JSON straight off the shard.
+	// Point lookups and traffic are pass-through and JSON only: the shard's
+	// JSON reaches the client as it came, and a client that asks for binary
+	// gets the same JSON bytes as from a single EIS.
 	all := h.env.Chargers.All()
 	probe := all[0]
 	for _, c := range all {
@@ -44,6 +45,15 @@ func TestChaosFleetWireShardByteIdentity(t *testing.T) {
 	h.assertIdentical("weather", http.MethodGet, eis.APIVersion+"/weather"+q, nil)
 	h.assertIdentical("availability", http.MethodGet, eis.APIVersion+"/availability"+q, nil)
 	h.assertIdentical("traffic", http.MethodGet, eis.APIVersion+"/traffic?t="+at, nil)
+	for _, pathq := range []string{eis.APIVersion + "/weather" + q, eis.APIVersion + "/availability" + q, eis.APIVersion + "/traffic?t=" + at} {
+		gs, gb, gh := sendAs(t, h.gwts.URL, http.MethodGet, pathq, nil, "", wire.ContentType)
+		ss, sb, sh := sendAs(t, h.single.URL, http.MethodGet, pathq, nil, "", wire.ContentType)
+		if gs != http.StatusOK || ss != http.StatusOK || !bytes.Equal(gb, sb) ||
+			gh.Get("Content-Type") != eis.ContentTypeJSON || sh.Get("Content-Type") != eis.ContentTypeJSON {
+			t.Fatalf("%s asked for in binary: gateway %d %q, single EIS %d %q\ngateway: %.300s\nsingle:  %.300s",
+				pathq, gs, gh.Get("Content-Type"), ss, sh.Get("Content-Type"), gb, sb)
+		}
+	}
 
 	// Offering: fresh then cache-hit, both byte-identical even though the
 	// shard legs carried binary tables.

@@ -511,23 +511,3 @@ func DecodeChargers(data []byte, dst []charger.Charger) ([]charger.Charger, erro
 	}
 	return dst, nil
 }
-
-// DecodeWeather decodes a binary production-forecast lookup into out.
-func DecodeWeather(data []byte, out *WeatherResponse) error {
-	r := reader{b: data}
-	r.header(kindWeather)
-	out.ChargerID = r.i64()
-	out.At = r.time()
-	out.ProductionKW = r.interval()
-	return r.finish()
-}
-
-// DecodeAvailability decodes a binary availability lookup into out.
-func DecodeAvailability(data []byte, out *AvailabilityResponse) error {
-	r := reader{b: data}
-	r.header(kindAvailability)
-	out.ChargerID = r.i64()
-	out.At = r.time()
-	out.Availability = r.interval()
-	return r.finish()
-}

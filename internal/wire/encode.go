@@ -304,19 +304,3 @@ func AppendChargerRefs(b []byte, cs []*charger.Charger) []byte {
 	}
 	return b
 }
-
-// AppendWeather appends the binary form of a production-forecast lookup.
-func AppendWeather(b []byte, resp *WeatherResponse) []byte {
-	b = appendHeader(b, kindWeather)
-	b = appendI64(b, resp.ChargerID)
-	b = appendTime(b, resp.At)
-	return appendInterval(b, resp.ProductionKW)
-}
-
-// AppendAvailability appends the binary form of an availability lookup.
-func AppendAvailability(b []byte, resp *AvailabilityResponse) []byte {
-	b = appendHeader(b, kindAvailability)
-	b = appendI64(b, resp.ChargerID)
-	b = appendTime(b, resp.At)
-	return appendInterval(b, resp.Availability)
-}

@@ -280,7 +280,9 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(AppendTripRequest(nil, &trip))
 	f.Add(appendSampleTrip(&trip, sampleTripBlocks()))
 	f.Add(AppendChargers(nil, sampleChargers(1)))
-	f.Add(AppendWeather(nil, &WeatherResponse{ChargerID: 1, At: utcNow}))
+	// A message of a retired kind, the weather lookup's 4, which no decoder
+	// takes.
+	f.Add(appendTime(appendI64([]byte{magic, version, 4}, 1), utcNow))
 	f.Add([]byte{magic, version, kindChargers, 1, 0xFF, 0xFF, 0xFF, 0x7F})
 	f.Add([]byte{})
 	// Each request kind with the other kind's blocks: an offering's with two
@@ -352,10 +354,6 @@ func FuzzWireDecode(f *testing.F) {
 				t.Fatalf("chargers re-decode: %v", err)
 			}
 		}
-		var w WeatherResponse
-		_ = DecodeWeather(data, &w)
-		var a AvailabilityResponse
-		_ = DecodeAvailability(data, &a)
 	})
 }
 

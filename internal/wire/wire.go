@@ -1,7 +1,11 @@
 // Package wire is the EcoCharge zero-copy data plane: the wire types the
 // EIS and the fleet gateway exchange, plus a compact length-prefixed binary
 // codec for the hot-path payloads (Offering Tables, one or a trip's worth,
-// the charger inventory, and the per-charger point lookups).
+// their requests, and charger lists). The per-charger weather and
+// availability lookups and the traffic bands are JSON only, whatever the
+// client's Accept says: they are cold, and the fleet gateway passes them
+// through as a shard answers them, so JSON is what keeps a client's answer
+// the same from a gateway as from a single EIS.
 //
 // JSON stays the canonical, default interchange format — every binary
 // message decodes to exactly the struct its JSON twin decodes to, and the
@@ -45,13 +49,13 @@ const (
 	version = 1
 )
 
-// Message kinds (the third header byte).
+// Message kinds (the third header byte). Kinds 4 and 5 were the per-charger
+// weather and availability lookups, which answer JSON only; a kind is never
+// renumbered, because it is on the wire.
 const (
 	kindOfferingRequest  = 1
 	kindOfferingResponse = 2
 	kindChargers         = 3
-	kindWeather          = 4
-	kindAvailability     = 5
 	kindTripRequest      = 6
 	kindTripResponse     = 7
 )
@@ -77,10 +81,11 @@ func IsWire(contentType string) bool {
 	return strings.EqualFold(strings.TrimSpace(ct), ContentType)
 }
 
-// Buffer is a pooled byte buffer for encoding messages and reading response
-// bodies without a fresh allocation per exchange. Get one with GetBuffer,
-// use B (always append to B[:0] or via ReadLimit), and return it with
-// PutBuffer when the bytes are no longer referenced.
+// Buffer is a pooled byte buffer for encoding messages, JSON included, and
+// reading response bodies without a fresh allocation per exchange. Get one
+// with GetBuffer, use B (append to B[:0], or fill it with Write or
+// ReadLimit), and return it with PutBuffer when the bytes are no longer
+// referenced.
 type Buffer struct {
 	B []byte
 }
@@ -108,6 +113,13 @@ func PutBuffer(b *Buffer) {
 		return
 	}
 	bufPool.Put(b)
+}
+
+// Write appends p to the buffer, as a bytes.Buffer would: encoding/json's
+// Encoder writes into one.
+func (b *Buffer) Write(p []byte) (int, error) {
+	b.B = append(b.B, p...)
+	return len(p), nil
 }
 
 // ReadLimit reads r into the buffer, reusing its capacity, stopping at EOF

@@ -158,22 +158,6 @@ func TestChargersRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPointLookupRoundTrips(t *testing.T) {
-	w := WeatherResponse{ChargerID: 42, At: cestNow, ProductionKW: IntervalJSON{Min: 0, Max: 17.5}}
-	var wOut WeatherResponse
-	if err := DecodeWeather(AppendWeather(nil, &w), &wOut); err != nil {
-		t.Fatal(err)
-	}
-	assertJSONEqual(t, &w, &wOut)
-
-	a := AvailabilityResponse{ChargerID: 7, At: utcNow, Availability: IntervalJSON{Min: 0.25, Max: 0.75}}
-	var aOut AvailabilityResponse
-	if err := DecodeAvailability(AppendAvailability(nil, &a), &aOut); err != nil {
-		t.Fatal(err)
-	}
-	assertJSONEqual(t, &a, &aOut)
-}
-
 // TestTruncatedInputs feeds every strict prefix of valid messages to their
 // decoders: each must fail cleanly, none may panic.
 func TestTruncatedInputs(t *testing.T) {
@@ -211,23 +195,23 @@ func TestTruncatedInputs(t *testing.T) {
 }
 
 func TestHeaderValidation(t *testing.T) {
-	w := WeatherResponse{ChargerID: 1, At: utcNow}
-	enc := AppendWeather(nil, &w)
-	var out WeatherResponse
+	req := sampleRequest()
+	enc := AppendOfferingRequest(nil, &req)
+	var out OfferingRequest
 
 	bad := append([]byte(nil), enc...)
 	bad[0] = 0x00 // magic
-	if err := DecodeWeather(bad, &out); err == nil {
+	if err := DecodeOfferingRequest(bad, &out); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 	bad = append([]byte(nil), enc...)
 	bad[1] = 99 // version
-	if err := DecodeWeather(bad, &out); err == nil {
+	if err := DecodeOfferingRequest(bad, &out); err == nil {
 		t.Fatal("unknown version accepted")
 	}
-	// Kind cross-wiring: a weather message is not an availability message.
-	var aOut AvailabilityResponse
-	if err := DecodeAvailability(enc, &aOut); err == nil {
+	// Kind cross-wiring: a request is not a response.
+	var resp OfferingResponse
+	if err := DecodeOfferingResponse(enc, &resp); err == nil {
 		t.Fatal("kind mismatch accepted")
 	}
 }
@@ -235,14 +219,14 @@ func TestHeaderValidation(t *testing.T) {
 // TestNonFiniteRejected overwrites a float field with NaN and ±Inf bits:
 // JSON cannot carry them, so the decoder must refuse them.
 func TestNonFiniteRejected(t *testing.T) {
-	w := WeatherResponse{ChargerID: 1, At: utcNow, ProductionKW: IntervalJSON{Min: 1, Max: 2}}
-	enc := AppendWeather(nil, &w)
-	const minOff = 3 + 8 + 16 // header, charger id, time
+	req := sampleRequest()
+	enc := AppendOfferingRequest(nil, &req)
+	const latOff = 3 // header
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		bad := append([]byte(nil), enc...)
-		copy(bad[minOff:], appendF64(nil, v))
-		var out WeatherResponse
-		if err := DecodeWeather(bad, &out); err == nil {
+		copy(bad[latOff:], appendF64(nil, v))
+		var out OfferingRequest
+		if err := DecodeOfferingRequest(bad, &out); err == nil {
 			t.Fatalf("non-finite %v accepted", v)
 		}
 	}
@@ -425,14 +409,14 @@ func TestZoneOffsetsSurviveRoundTrip(t *testing.T) {
 		time.Unix(0, 1).UTC(),
 	}
 	for _, ts := range times {
-		w := WeatherResponse{ChargerID: 1, At: ts}
-		var out WeatherResponse
-		if err := DecodeWeather(AppendWeather(nil, &w), &out); err != nil {
+		req := OfferingRequest{Now: ts, ETA: ts}
+		var out OfferingRequest
+		if err := DecodeOfferingRequest(AppendOfferingRequest(nil, &req), &out); err != nil {
 			t.Fatalf("%v: %v", ts, err)
 		}
-		if !out.At.Equal(ts) {
-			t.Fatalf("instant drifted: sent %v, got %v", ts, out.At)
+		if !out.Now.Equal(ts) {
+			t.Fatalf("instant drifted: sent %v, got %v", ts, out.Now)
 		}
-		assertJSONEqual(t, &w, &out)
+		assertJSONEqual(t, &req, &out)
 	}
 }
