@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint chaos chaos-fleet fuzz bench bench-check bench-smoke cover figures examples clean
+.PHONY: all build test race vet lint chaos chaos-fleet fuzz bench bench-check bench-run bench-smoke cover figures examples clean
 
-all: build vet lint test bench-check chaos chaos-fleet bench-smoke
+all: build vet lint test bench-check bench-run chaos chaos-fleet bench-smoke
 
 build:
 	$(GO) build ./...
@@ -71,6 +71,15 @@ bench:
 # benchmark run.
 bench-check:
 	cd bench && $(GO) vet . && $(GO) test .
+
+# Run the repository benchmark itself, briefly, over all four workloads:
+# untraced, then traced. Each run checks what the benchmark checks before it
+# reports — the cache fill, the answers' quality, the two planes' parity and
+# the traced replay — and exits non-zero when one fails (~60 s on a 2-core
+# host). Results go to bench/out.
+bench-run:
+	bash bench/run.sh --seconds 2 --trace 0
+	bash bench/run.sh --seconds 2 --trace 1
 
 # Smoke-run every series of the figure ledger on the smallest profile and
 # the micro-benchmarks of every layer (docs/perf.md "Where a number comes

@@ -16,7 +16,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"ecocharge/internal/charger"
@@ -196,11 +195,18 @@ func Rank(entries []Entry, k int) []Entry {
 		return nil
 	}
 	top := topByMax(entries, k)
+	// The k rows go in by insertion, each to its place in the midpoint
+	// chain: k is a table's size, and sort.Slice's reflected swapper would
+	// allocate more than the rows.
 	out := make([]Entry, len(top))
-	for i, j := range top {
-		out[i] = entries[j]
+	for n, j := range top {
+		e := &entries[j]
+		i := n
+		for ; i > 0 && lessEntry(e, &out[i-1], midKey); i-- {
+			out[i] = out[i-1]
+		}
+		out[i] = *e
 	}
-	sort.Slice(out, func(i, j int) bool { return lessEntry(&out[i], &out[j], midKey) })
 	return out
 }
 

@@ -1,6 +1,7 @@
 package eis
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -188,11 +189,15 @@ func (c *respCache) get(key cacheKey, now time.Time) (cacheVal, bool) {
 }
 
 func (c *respCache) put(key cacheKey, resp OfferingResponse, now, expires time.Time) {
-	// Encode once, outside the shard lock. Every hit is served as
-	// Cached=true, so the stored bytes carry the flag.
+	// Encode once, outside the shard lock, into a pooled buffer, and keep a
+	// copy of exactly its length. Every hit is served as Cached=true, so the
+	// stored bytes carry the flag.
 	hit := resp
 	hit.Cached = true
-	wireBody := wire.AppendOfferingResponse(nil, &hit)
+	buf := wire.GetBuffer()
+	buf.B = wire.AppendOfferingResponse(buf.B, &hit)
+	wireBody := bytes.Clone(buf.B)
+	wire.PutBuffer(buf)
 
 	s := c.shard(key)
 	s.mu.Lock()
@@ -747,8 +752,11 @@ func (s *Server) handleOffering(w http.ResponseWriter, r *http.Request) {
 		s.computes.Add(1)
 		table := s.rankOffering(&o, node, req.Travel)
 		out := OfferingResponse{GeneratedAt: o.Now}
-		for _, e := range table.Entries {
-			out.Entries = append(out.Entries, wireEntry(e))
+		if n := len(table.Entries); n > 0 { // an empty table stays "entries":null
+			out.Entries = make([]OfferingEntry, n)
+			for i, e := range table.Entries {
+				out.Entries[i] = wireEntry(e)
+			}
 		}
 		s.cache.put(key, out, o.Now, o.Now.Add(s.opts.CacheTTL))
 		return out

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http"
@@ -135,15 +136,13 @@ type call struct {
 	ep endpoint
 	// rawQuery is the client's query string, forwarded verbatim (GET
 	// endpoints); body is the binary request the gateway encoded (POST
-	// endpoints), bytes the garbage collector owns (owned).
+	// endpoints), in the fan-out's own pooled storage (fanout.body,
+	// fanout.bodies). Every attempt run on the fan-out's goroutines has sent
+	// it before the fan-out returns; the one attempt that can outlive the
+	// fan-out, a hedge, sends a copy of its own (hedged).
 	rawQuery string
 	body     []byte
 }
-
-// owned copies b into bytes the garbage collector owns, sized to it: what an
-// attempt sends is never pooled, because a hedge may still be reading it
-// after the handler has returned its pooled state.
-func owned(b []byte) []byte { return append(make([]byte, 0, len(b)), b...) }
 
 // shardResult is the outcome of one logical exchange with a shard (primary
 // plus any hedge): either a terminal HTTP response (any status) or an error
@@ -233,10 +232,12 @@ func (h *hedge) abandon() {
 // the calling goroutine at once, the replica after the hedge delay (at once
 // when the shard's last probe failed) or as failover when the primary fails
 // first. The first terminal answer wins and cancels the other attempt. A
-// losing replica attempt can outlive the exchange, so both attempts read a
-// private copy of the call, not the pooled one.
+// losing replica attempt can outlive the exchange, and the fan-out whose
+// pooled call and body it was given, so both attempts read a copy of the
+// call and of its body that the garbage collector owns.
 func (g *Gateway) hedged(ctx context.Context, m *member, pooled *call) shardResult {
 	c := *pooled
+	c.body = bytes.Clone(c.body)
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	replica := func() shardResult {
@@ -307,11 +308,17 @@ func (g *Gateway) single(ctx context.Context, m *member, c *call) shardResult {
 // decoded request, one decoded trip per shard, segment and entry storage
 // included, and the merged trip, whose tables share top. Both keep the
 // scratch of the searches the gateway may run for the shards (supplyTravel,
-// supplyTrip).
+// supplyTrip), and the storage of the request bodies the shards are sent.
 type fanout struct {
 	calls   []call
 	results []shardResult
 	wg      sync.WaitGroup
+
+	// body is the request every shard is sent unless the gateway searched
+	// for it, and bodies[i] shard i's request with its travel blocks when it
+	// did (supplyBlocks). Each is written once a request, in place.
+	body   []byte
+	bodies [][]byte
 
 	req    eis.OfferingRequest
 	tables []eis.OfferingResponse
@@ -353,6 +360,7 @@ func (g *Gateway) getFanout() *fanout {
 	n := len(g.members)
 	return &fanout{
 		calls: make([]call, n), results: make([]shardResult, n),
+		bodies: make([][]byte, n),
 		tables: make([]eis.OfferingResponse, n),
 		trips:  make([]eis.TripOfferingResponse, n),
 	}
@@ -367,12 +375,20 @@ func (fo *fanout) setCall(c call) {
 
 // putFanout releases every shard body and returns the state to the pool;
 // nothing decoded from the bodies, and no slice of merged, may be used
-// afterwards.
+// afterwards. A request body over the cap gives its storage back.
 func (g *Gateway) putFanout(fo *fanout) {
 	for i := range fo.results {
 		fo.results[i].release()
 		fo.results[i] = shardResult{}
 		fo.calls[i] = call{}
+	}
+	if cap(fo.body) > maxPooledBodyBytes {
+		fo.body = nil
+	}
+	for i := range fo.bodies {
+		if cap(fo.bodies[i]) > maxPooledBodyBytes {
+			fo.bodies[i] = nil
+		}
 	}
 	fo.merged = eis.OfferingResponse{}
 	for i := range fo.trips {
@@ -390,6 +406,11 @@ func (g *Gateway) putFanout(fo *fanout) {
 // hold a few dozen entries a shard), as cknn caps a ranking's entry scratch:
 // a fan-out that answered an outsized trip gives its storage back.
 const maxPooledTripEntries = 1 << 10
+
+// maxPooledBodyBytes caps the storage a pooled fan-out keeps for each request
+// body, in the same spirit: the benchmark's trips send a shard about 21 KB,
+// its rankings a few, and a request for a longer trip gives its storage back.
+const maxPooledBodyBytes = 128 << 10
 
 // trimTrip drops the storage of a decoded trip that holds more than the cap;
 // a segment counts for one entry at least.

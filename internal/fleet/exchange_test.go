@@ -7,11 +7,16 @@ package fleet
 // opens it, and only a recorded success closes a half-open one.
 
 import (
+	"bytes"
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
+
+	"ecocharge/internal/wire"
 )
 
 // scriptedShard is a shard endpoint that answers 200, answers 503, or holds
@@ -200,6 +205,110 @@ func TestFleetExchangeAccountingDeadline(t *testing.T) {
 		}
 		rig.run(false, want)
 		rig.breaker("open")
+	}
+}
+
+// TestFleetHedgeOwnsItsBody: a hedge is the one attempt that can outlive its
+// fan-out, whose request body is pooled storage the next request writes
+// over. Here the primary answers only once the hedge has fired, so the
+// primary wins every exchange, and each hedge is held in the hop — past its
+// context's last check, as a replica still sending is — until the next
+// request has been served from the same pool. The replica must still be
+// sent, and decode, exactly the request its hedge fired for.
+func TestFleetHedgeOwnsItsBody(t *testing.T) {
+	const requests = 16
+	fired := make(chan struct{})
+	primary := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-fired:
+		case <-r.Context().Done():
+			return
+		}
+		w.Header().Set("Content-Type", wire.ContentType)
+		_, _ = w.Write(wire.AppendOfferingResponse(nil, &wire.OfferingResponse{GeneratedAt: fixedNow}))
+	}))
+	defer primary.Close()
+	// The replica echoes the request it decoded.
+	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		var req wire.OfferingRequest
+		if err == nil {
+			err = wire.DecodeOfferingRequest(body, &req)
+		}
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		_, _ = w.Write(body)
+	}))
+	defer replica.Close()
+
+	g, err := NewGateway([]Shard{{URL: primary.URL, Replica: replica.URL}}, Options{
+		Clock: (&fakeClock{t: fixedNow}).Now, ShardTimeout: 10 * time.Second, HedgeDelay: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// parks hands each request's hedge the channel that releases it.
+	parks := make(chan chan struct{}, 1)
+	releases := make([]chan struct{}, requests)
+	for i := range releases {
+		releases[i] = make(chan struct{})
+	}
+	released := 0
+	releaseBefore := func(n int) {
+		for ; released < n; released++ {
+			close(releases[released])
+		}
+	}
+	var hedges sync.WaitGroup
+	defer hedges.Wait()
+	defer releaseBefore(requests)
+	next := g.hop
+	g.hop = func(ctx context.Context, tg *target, c *call, buf *wire.Buffer) (int, http.Header, error) {
+		if tg != g.members[0].replica {
+			return next(ctx, tg, c, buf)
+		}
+		hedges.Add(1)
+		defer hedges.Done()
+		sent := bytes.Clone(c.body)
+		var release chan struct{}
+		select {
+		case release = <-parks:
+		case <-ctx.Done(): // the exchange gave up on the primary
+			return 0, nil, ctx.Err()
+		}
+		select {
+		case fired <- struct{}{}:
+		case <-ctx.Done():
+			return 0, nil, ctx.Err()
+		}
+		<-release
+		status, header, err := next(context.WithoutCancel(ctx), tg, c, buf)
+		if err != nil || status != http.StatusOK || !bytes.Equal(buf.B, sent) {
+			t.Errorf("a hedge fired with request %x; its replica answered %d, %v, having decoded %x", sent, status, err, buf.B)
+		}
+		return status, header, err
+	}
+
+	h := g.Handler()
+	req := wire.OfferingRequest{Lat: 53.14, Lon: 8.21, K: 3, Now: fixedNow}
+	var body []byte
+	for i := 0; i < requests; i++ {
+		req.Weights = wire.WeightsJSON{L: 1, A: 1 + float64(i)/1024, D: 0.5}
+		body = wire.AppendOfferingRequest(body[:0], &req)
+		parks <- releases[i]
+		fires := met.hedgesFired.Value()
+		r := httptest.NewRequest(http.MethodPost, endpointPaths[epOffering], bytes.NewReader(body))
+		r.Header.Set("Content-Type", wire.ContentType)
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, r)
+		if w.Code != http.StatusOK || met.hedgesFired.Value() != fires+1 {
+			t.Fatalf("request %d: status %d, %d hedges fired: %s", i, w.Code, met.hedgesFired.Value()-fires, w.Body.Bytes())
+		}
+		// The previous request's hedge goes on now that this one has been
+		// served from the pool its body was in.
+		releaseBefore(i)
 	}
 }
 

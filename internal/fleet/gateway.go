@@ -470,10 +470,8 @@ func (g *Gateway) handleOffering(w http.ResponseWriter, r *http.Request) {
 	// carries the times the gateway resolved, so that no shard ranks at its
 	// own clock's.
 	fo.req.Now, fo.req.ETA = o.Now, o.ETA
-	buf := wire.GetBuffer()
-	buf.B = wire.AppendOfferingRequest(buf.B, &fo.req)
-	fo.setCall(call{ep: epOffering, body: owned(buf.B)})
-	wire.PutBuffer(buf)
+	fo.body = wire.AppendOfferingRequest(fo.body[:0], &fo.req)
+	fo.setCall(call{ep: epOffering, body: fo.body})
 	// A one-shot ranking returns to its anchor: one search serves it where
 	// the return leg is the outbound one, on an undirected graph.
 	supplied := g.env != nil && g.env.Graph.Symmetric() && g.supplyTravel(fo, &o)
@@ -545,10 +543,8 @@ func (g *Gateway) handleTrip(w http.ResponseWriter, r *http.Request) {
 	// their blocks. The client's answer is negotiated by its own Accept, as a
 	// single EIS does.
 	fo.trip.Depart = t.Depart
-	buf := wire.GetBuffer()
-	buf.B = wire.AppendTripRequest(buf.B, &fo.trip)
-	fo.setCall(call{ep: epTrip, body: owned(buf.B)})
-	wire.PutBuffer(buf)
+	fo.body = wire.AppendTripRequest(fo.body[:0], &fo.trip)
+	fo.setCall(call{ep: epTrip, body: fo.body})
 	supplied := g.env != nil && g.supplyTrip(r.Context(), fo, &t)
 	g.fanout(r.Context(), fo)
 	live, bad, dead := splitResults(fo.results)

@@ -3,8 +3,9 @@ package fleet_test
 // The cache-hit path end to end: one client, an in-process 3-shard fleet on
 // loopback TCP (load.StartInproc), one warmed cell. The package is external
 // because internal/load imports fleet. The benchmarks are the place to take
-// a -cpuprofile/-memprofile of a hit from; the test pins the allocation
-// budget of one hit so that losing one of the exchange's cuts fails tier-1.
+// a -cpuprofile/-memprofile of a hit from; the tests pin the allocation
+// budget of one hit, and below of one ranking and one trip, so that losing
+// one of their cuts fails tier-1.
 
 import (
 	"bytes"
@@ -233,14 +234,42 @@ func searches() float64 {
 }
 
 // missAllocCeiling is what one personalised ranking through the fleet may
-// allocate, process-wide: 53 KB measured — the client's exchange and the
+// allocate, process-wide: 28 KB measured — the client's exchange and the
 // shards' server halves in net/http, the gateway's three on its own
-// transport, the gateway's request body a shard with its travel block, and on
-// each shard the response-cache entry and the table. The shards read their
-// blocks where they arrived; it does not cover a block copied out of the
-// request (4 KB a shard), a candidate retrieval that allocates (14 KB a
-// shard), nor net/http's transport under the shard hop (6 KB).
-const missAllocCeiling = 58 << 10
+// transport, and on each shard the response-cache entry and the table. The
+// gateway writes every shard's request, travel block included, into its
+// pooled fan-out, and the shards read their blocks where they arrived. The
+// head-room does not cover request bodies the garbage collector owns (14 KB:
+// a body a shard and the plain request), both a cache entry grown by
+// doubling and a table's rows appended one by one (8 KB over the three
+// shards, half each), a block copied out of the request (4 KB a shard), a
+// candidate retrieval that allocates (14 KB a shard), nor net/http's
+// transport under the shard hop (6 KB).
+const missAllocCeiling = 34 << 10
+
+// warmMissFleet is a missFleet whose gateway searches for all three shards,
+// its pools and connections at steady state.
+func warmMissFleet(tb testing.TB) *missFleet {
+	tb.Helper()
+	f := newMissFleet(tb, load.InprocOptions{})
+	supplied := obs.Default().Counter("fleet_travel_supplied_total")
+	// The gateway searches for a shard once it has pulled its inventory,
+	// and it pulls them one after the other: wait for a ranking that went
+	// out with a block for each of the three.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		s0 := supplied.Value()
+		if f.rank(tb); supplied.Value()-s0 == 3 {
+			break
+		}
+		if time.Now().After(deadline) {
+			tb.Fatal("the gateway never searched on behalf of all three shards")
+		}
+	}
+	for i := 0; i < 20; i++ {
+		f.rank(tb)
+	}
+	return f
+}
 
 // BenchmarkGatewayMiss is the cache-miss path end to end: one personalised
 // ranking through the fleet, which every shard computes. The gateway runs
@@ -248,23 +277,7 @@ const missAllocCeiling = 58 << 10
 // the fleet must have started exactly one expansion per ranking; and one
 // ranking must stay under the allocation ceiling.
 func BenchmarkGatewayMiss(b *testing.B) {
-	f := newMissFleet(b, load.InprocOptions{})
-	supplied := obs.Default().Counter("fleet_travel_supplied_total")
-	// The gateway searches for a shard once it has pulled its inventory,
-	// and it pulls them one after the other: wait for a ranking that went
-	// out with a block for each of the three.
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
-		s0 := supplied.Value()
-		if f.rank(b); supplied.Value()-s0 == 3 {
-			break
-		}
-		if time.Now().After(deadline) {
-			b.Fatal("the gateway never searched on behalf of all three shards")
-		}
-	}
-	for i := 0; i < 20; i++ { // pools and connections reach steady state
-		f.rank(b)
-	}
+	f := warmMissFleet(b)
 	before := searches()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -277,6 +290,20 @@ func BenchmarkGatewayMiss(b *testing.B) {
 	}
 	if perRanking := allocPerRequest(func() { f.rank(b) }); perRanking > missAllocCeiling {
 		b.Fatalf("one ranking allocates %d B, over the ceiling of %d B", perRanking, missAllocCeiling)
+	}
+}
+
+// TestGatewayMissAllocCeiling holds one personalised ranking through the
+// fleet to missAllocCeiling in tier-1, as the benchmark does.
+func TestGatewayMissAllocCeiling(t *testing.T) {
+	if fleet.RaceEnabled {
+		t.Skip("the race detector allocates inside sync.Pool")
+	}
+	f := warmMissFleet(t)
+	perRanking := allocPerRequest(func() { f.rank(t) })
+	t.Logf("%d B per ranking", perRanking)
+	if perRanking > missAllocCeiling {
+		t.Fatalf("one ranking allocates %d B, over the ceiling of %d B", perRanking, missAllocCeiling)
 	}
 }
 
@@ -310,25 +337,25 @@ func allocPerRequest(request func()) uint64 {
 
 // tripAllocCeiling is what one benchmark trip through the fleet may allocate,
 // process-wide. The longest trip of the scenario (four computed segments)
-// measures 146 KB: the three shards' segmenting, tables and binary answers —
+// measures 72 KB: the three shards' segmenting, tables and binary answers —
 // they follow the gateway's route and route nothing themselves — and at the
-// gateway its plan, one request body a shard (64 KB in all: the route and the
-// travel blocks) and the client's JSON. The head-room is for the toolchain's
-// net/http; what it does not cover is any one of the cuts coming back: JSON
-// answers from the shards (45 KB of decoding at the gateway), a candidate
-// retrieval that allocates per computed segment (132 KB), a snap through
-// container/heap (66 KB over the fifteen snaps of a trip), request bodies
-// encoded into a growing buffer and copied (64 KB).
-const tripAllocCeiling = 160 << 10
+// gateway its plan and the client's JSON. The gateway writes the shards'
+// requests, the route and the travel blocks, into its pooled fan-out. The
+// head-room is for the toolchain's net/http; what it does not cover is any
+// one of the cuts coming back: request bodies the garbage collector owns
+// (64 KB), JSON answers from the shards (45 KB of decoding at the gateway), a
+// candidate retrieval that allocates per computed segment (132 KB), a snap
+// through container/heap (66 KB over the fifteen snaps of a trip).
+const tripAllocCeiling = 85 << 10
 
-// BenchmarkGatewayTrip is the trip path end to end: the repository
-// benchmark's request — five waypoints, k, R and segment length as there —
-// through the fleet. The gateway plans the trip and runs each computed
-// segment's two-leg search once, so the fleet must have started exactly two
-// expansions a computed segment; and one trip must stay under the allocation
-// ceiling.
-func BenchmarkGatewayTrip(b *testing.B) {
-	f := newMissFleet(b, load.InprocOptions{})
+// warmTripFleet is a missFleet set to send the repository benchmark's trip
+// request — five waypoints, k, R and segment length as there — along the
+// scenario's longest trip, once its gateway plans the trip for all three
+// shards, with its pools and connections at steady state. computed is the
+// number of segments the shards compute rather than adapt.
+func warmTripFleet(tb testing.TB) (f *missFleet, computed int) {
+	tb.Helper()
+	f = newMissFleet(tb, load.InprocOptions{})
 	trip := f.sc.Trips[0]
 	for _, t := range f.sc.Trips {
 		if len(t.Path.Nodes) > len(trip.Path.Nodes) {
@@ -342,28 +369,27 @@ func BenchmarkGatewayTrip(b *testing.B) {
 	}
 	var err error
 	if f.body, err = json.Marshal(req); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	f.url = strings.TrimSuffix(f.url, "/offering") + "/offering/trip"
 	f.contentType, f.accept = "application/json", ""
 
-	// As in BenchmarkGatewayMiss: wait for a trip that went out with the
-	// blocks of its computed segments to each of the three shards.
+	// As in warmMissFleet: wait for a trip that went out with the blocks of
+	// its computed segments to each of the three shards.
 	supplied := obs.Default().Counter("fleet_travel_supplied_total")
-	computed := 0
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
 		s0 := supplied.Value()
 		if err := f.send(); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		var resp eis.TripOfferingResponse
 		if err := json.Unmarshal(f.buf.Bytes(), &resp); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		computed = 0
 		for _, seg := range resp.Segments {
 			if len(seg.Entries) != hitK {
-				b.Fatalf("segment %d has %d entries", seg.SegmentIndex, len(seg.Entries))
+				tb.Fatalf("segment %d has %d entries", seg.SegmentIndex, len(seg.Entries))
 			}
 			if !seg.Adapted {
 				computed++
@@ -373,14 +399,34 @@ func BenchmarkGatewayTrip(b *testing.B) {
 			break
 		}
 		if time.Now().After(deadline) {
-			b.Fatal("the gateway never planned the trip on behalf of all three shards")
+			tb.Fatal("the gateway never planned the trip on behalf of all three shards")
 		}
 	}
-	for i := 0; i < 20; i++ { // pools and connections reach steady state
+	for i := 0; i < 20; i++ {
 		if err := f.send(); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
+	return f, computed
+}
+
+// allocPerTrip is what one trip of a warmed trip fleet allocates
+// (allocPerRequest).
+func allocPerTrip(tb testing.TB, f *missFleet) uint64 {
+	return allocPerRequest(func() {
+		if err := f.send(); err != nil {
+			tb.Fatal(err)
+		}
+	})
+}
+
+// BenchmarkGatewayTrip is the trip path end to end: the repository
+// benchmark's request through the fleet. The gateway plans the trip and runs
+// each computed segment's two-leg search once, so the fleet must have
+// started exactly two expansions a computed segment; and one trip must stay
+// under the allocation ceiling.
+func BenchmarkGatewayTrip(b *testing.B) {
+	f, computed := warmTripFleet(b)
 	expansions := func() float64 { return obs.Default().Snapshot()["roadnet_many_expansions_total"] }
 	legs := expansions()
 	b.ReportAllocs()
@@ -394,12 +440,21 @@ func BenchmarkGatewayTrip(b *testing.B) {
 	if got := expansions() - legs; got != float64(2*computed*b.N) {
 		b.Fatalf("%v network expansions for %d trips of %d computed segments, want two a segment", got, b.N, computed)
 	}
-	perTrip := allocPerRequest(func() {
-		if err := f.send(); err != nil {
-			b.Fatal(err)
-		}
-	})
-	if perTrip > tripAllocCeiling {
+	if perTrip := allocPerTrip(b, f); perTrip > tripAllocCeiling {
 		b.Fatalf("one trip allocates %d B, over the ceiling of %d B", perTrip, tripAllocCeiling)
+	}
+}
+
+// TestGatewayTripAllocCeiling holds one benchmark trip through the fleet to
+// tripAllocCeiling in tier-1, as the benchmark does.
+func TestGatewayTripAllocCeiling(t *testing.T) {
+	if fleet.RaceEnabled {
+		t.Skip("the race detector allocates inside sync.Pool")
+	}
+	f, _ := warmTripFleet(t)
+	perTrip := allocPerTrip(t, f)
+	t.Logf("%d B per trip", perTrip)
+	if perTrip > tripAllocCeiling {
+		t.Fatalf("one trip allocates %d B, over the ceiling of %d B", perTrip, tripAllocCeiling)
 	}
 }

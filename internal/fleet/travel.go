@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -291,14 +292,14 @@ func (fo *fanout) supplyBlocks(req []byte) {
 			sp := fo.spans[j*shards+i]
 			size += wire.TravelBlockSize(sp.end-sp.start, fo.blocks[j].TwoLegs)
 		}
-		// Encoded once, into bytes the garbage collector owns (owned) and
-		// that are sized for them.
-		body := append(make([]byte, 0, size), req...)
+		// Encoded once, into the shard's own storage, grown to its size
+		// first.
+		body := append(slices.Grow(fo.bodies[i][:0], size), req...)
 		for j := range fo.blocks {
 			sp := fo.spans[j*shards+i]
 			body = wire.AppendTravelBlock(body, &fo.blocks[j], fo.targets[sp.start:sp.end], fo.seconds[sp.start:sp.end], fo.back[sp.start:sp.end])
 		}
-		fo.calls[i].body = body
+		fo.bodies[i], fo.calls[i].body = body, body
 		met.travelSupplied.Add(uint64(len(fo.blocks)))
 	}
 }

@@ -278,11 +278,14 @@ func TestMergeTripsRefusesForeignSkeleton(t *testing.T) {
 }
 
 // TestPutFanoutCapsTripStorage: a released fan-out keeps the storage of the
-// trips it decoded and merged for the next one, but not an outsized trip's.
+// trips it decoded and merged for the next one, and of the request bodies it
+// sent, but not an outsized trip's or body's.
 func TestPutFanoutCapsTripStorage(t *testing.T) {
 	g := &Gateway{}
 	fo := mergeFixture(3)
 	fo.calls, fo.spans = make([]call, 3), make([]span, 3)
+	fo.body = make([]byte, 0, maxPooledBodyBytes)
+	fo.bodies = [][]byte{make([]byte, 0, 64), make([]byte, 0, maxPooledBodyBytes+1), nil}
 	big := &fo.trips[1]
 	for len(big.Segments) <= maxPooledTripEntries/4 {
 		big.Segments = append(big.Segments, eis.SegmentOffering{Entries: make([]eis.OfferingEntry, 4)})
@@ -296,9 +299,19 @@ func TestPutFanoutCapsTripStorage(t *testing.T) {
 	if fo.trips[1].Segments != nil || fo.trips[2].Segments != nil {
 		t.Errorf("outsized trips kept %d and %d segments of storage", cap(fo.trips[1].Segments), cap(fo.trips[2].Segments))
 	}
+	if fo.body == nil || fo.bodies[0] == nil {
+		t.Error("an ordinary request body's storage was dropped")
+	}
+	if fo.bodies[1] != nil {
+		t.Errorf("an outsized request body kept %d bytes of storage", cap(fo.bodies[1]))
+	}
 	fo.top, fo.tripMerged.Segments = make([]eis.OfferingEntry, 0, maxPooledTripEntries+1), make([]eis.SegmentOffering, 3)
+	fo.body = make([]byte, 0, maxPooledBodyBytes+1)
 	g.putFanout(fo)
 	if fo.top != nil || fo.tripMerged.Segments != nil {
 		t.Error("an outsized merged trip kept its storage")
+	}
+	if fo.body != nil {
+		t.Errorf("an outsized request body kept %d bytes of storage", cap(fo.body))
 	}
 }
