@@ -34,8 +34,7 @@ func (m *Middleware) Wrap(h http.Handler) http.Handler {
 			case m.slots <- struct{}{}:
 				defer func() { <-m.slots }()
 			default:
-				w.Header().Set("Retry-After", RetryAfter)
-				http.Error(w, `{"error":"server overloaded"}`, http.StatusServiceUnavailable)
+				WriteError(w, http.StatusServiceUnavailable, "server overloaded")
 				if m.Logger != nil {
 					m.Logger.Printf("eis: shed %s %s", r.Method, r.URL.Path)
 				}
@@ -50,7 +49,7 @@ func (m *Middleware) Wrap(h http.Handler) http.Handler {
 					m.Logger.Printf("eis: panic on %s %s: %v\n%s", r.Method, r.URL.Path, rec, debug.Stack())
 				}
 				// Headers may already be gone; best effort.
-				http.Error(sw, `{"error":"internal error"}`, http.StatusInternalServerError)
+				WriteError(sw, http.StatusInternalServerError, "internal error")
 				return
 			}
 			if m.Logger != nil {

@@ -7,6 +7,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -47,10 +48,10 @@ func TestMiddlewareRecoversPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("status %d, want 500", resp.StatusCode)
 	}
+	assertJSONAnswer(t, resp, `{"error":"internal error"}`+"\n")
 	if !strings.Contains(buf.String(), "panic") || !strings.Contains(buf.String(), "boom") {
 		t.Errorf("panic not logged: %q", buf.String())
 	}
@@ -89,15 +90,34 @@ func TestMiddlewareShedsLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503", resp.StatusCode)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("missing Retry-After")
 	}
+	assertJSONAnswer(t, resp, `{"error":"server overloaded"}`+"\n")
 	close(release)
 	wg.Wait()
+}
+
+// assertJSONAnswer fails unless resp is typed JSON, states its length and
+// carries the body want.
+func assertJSONAnswer(t *testing.T, resp *http.Response, want string) {
+	t.Helper()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != ContentTypeJSON {
+		t.Errorf("Content-Type %q, want %q", ct, ContentTypeJSON)
+	}
+	if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(len(want)) {
+		t.Errorf("Content-Length %q, want %d", cl, len(want))
+	}
+	if string(body) != want {
+		t.Errorf("body %q, want %q", body, want)
+	}
 }
 
 func TestMiddlewareEndToEndWithServer(t *testing.T) {

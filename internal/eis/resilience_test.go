@@ -6,6 +6,7 @@ package eis
 // hygiene (sweep, lazy delete, bounded eviction).
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -15,6 +16,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ecocharge/internal/cknn"
+	"ecocharge/internal/wire"
 )
 
 // scriptStep is one scripted exchange of a scriptTripper.
@@ -278,18 +282,18 @@ func TestFlightGroupCollapses(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	computed := 0
-	leaderDone := make(chan OfferingResponse, 1)
+	leaderDone := make(chan cacheVal, 1)
 	go func() {
-		resp, shared, err := g.do(context.Background(), key, func() OfferingResponse {
+		v, shared, err := g.do(context.Background(), key, func() cacheVal {
 			close(started)
 			<-release
 			computed++
-			return OfferingResponse{Cached: false, GeneratedAt: fixedNow}
+			return cacheVal{wireBody: []byte("entry"), expires: fixedNow}
 		})
 		if err != nil || shared {
 			t.Errorf("leader: shared=%v err=%v", shared, err)
 		}
-		leaderDone <- resp
+		leaderDone <- v
 	}()
 	<-started
 
@@ -301,14 +305,14 @@ func TestFlightGroupCollapses(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, shared, err := g.do(context.Background(), key, func() OfferingResponse {
+			v, shared, err := g.do(context.Background(), key, func() cacheVal {
 				t.Error("follower computed despite an in-flight leader")
-				return OfferingResponse{}
+				return cacheVal{}
 			})
 			if err != nil {
 				t.Errorf("follower %d: %v", i, err)
 			}
-			results[i] = shared && resp.GeneratedAt.Equal(fixedNow)
+			results[i] = shared && string(v.wireBody) == "entry" && v.expires.Equal(fixedNow)
 		}()
 	}
 	// Give followers a moment to park on the flight, then release.
@@ -333,16 +337,16 @@ func TestFlightGroupFollowerHonorsContext(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	go func() {
-		_, _, _ = g.do(context.Background(), key, func() OfferingResponse {
+		_, _, _ = g.do(context.Background(), key, func() cacheVal {
 			close(started)
 			<-release
-			return OfferingResponse{}
+			return cacheVal{}
 		})
 	}()
 	<-started
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := g.do(ctx, key, func() OfferingResponse { return OfferingResponse{} })
+	_, _, err := g.do(ctx, key, func() cacheVal { return cacheVal{} })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("abandoned follower returned %v, want context.Canceled", err)
 	}
@@ -373,6 +377,60 @@ func TestOfferingComputedOnceThenCached(t *testing.T) {
 	}
 	if got := srv.computes.Load(); got != 1 {
 		t.Fatalf("server computed %d tables, want 1", got)
+	}
+
+	// A request that joins a computation is answered from the entry the
+	// leader stored: on either plane, the bytes a later hit gets. The entry
+	// is taken out of the cache and handed to a planted flight.
+	key := offeringKey(srv.opts.CacheCellM, &Offering{P: anchor, K: 3, RadiusM: 50000, Weights: cknn.EqualWeights()})
+	s := srv.cache.shard(key)
+	s.mu.Lock()
+	entry, ok := s.m[key]
+	delete(s.m, key)
+	s.mu.Unlock()
+	if !ok {
+		t.Fatal("the cached cell is not under the key the test derived")
+	}
+	f := &flight{done: make(chan struct{})}
+	srv.flights.mu.Lock()
+	srv.flights.m = map[cacheKey]*flight{key: f}
+	srv.flights.mu.Unlock()
+	h, body := srv.Handler(), wire.AppendOfferingRequest(nil, &req)
+	post := func(accept string) *httptest.ResponseRecorder {
+		r := httptest.NewRequest(http.MethodPost, APIVersion+"/offering", bytes.NewReader(body))
+		r.Header.Set("Content-Type", wire.ContentType)
+		r.Header.Set("Accept", accept)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		return rec
+	}
+	accepts := []string{wire.ContentType, ContentTypeJSON}
+	followers := make([]*httptest.ResponseRecorder, len(accepts))
+	joined := met.flightCoalesced.Value()
+	var wg sync.WaitGroup
+	for i, accept := range accepts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			followers[i] = post(accept)
+		}()
+	}
+	for deadline := time.Now().Add(5 * time.Second); met.flightCoalesced.Value() < joined+uint64(len(accepts)); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the followers never joined the flight")
+		}
+	}
+	s.mu.Lock()
+	s.m[key] = entry
+	s.mu.Unlock()
+	f.val = entry
+	close(f.done)
+	wg.Wait()
+	for i, accept := range accepts {
+		hit := post(accept)
+		if got := followers[i]; got.Code != http.StatusOK || hit.Code != http.StatusOK || !bytes.Equal(got.Body.Bytes(), hit.Body.Bytes()) {
+			t.Fatalf("Accept %q: the follower got %d %.200s, a hit %d %.200s", accept, got.Code, got.Body, hit.Code, hit.Body)
+		}
 	}
 }
 

@@ -62,11 +62,6 @@ func (o ServerOptions) withDefaults() ServerOptions {
 	return o
 }
 
-// RetryAfter is the Retry-After header, in whole seconds, of every 503 that
-// asks its caller to come back: a shed request, an expired wait, a fleet
-// gateway with no live shard.
-const RetryAfter = "1"
-
 // cacheMaxEntries bounds the response cache across all its stripes; a full
 // stripe evicts by respShard.evictLocked's rule (expired entries, then
 // entries never read, before anything that was hit).
@@ -91,19 +86,14 @@ type Server struct {
 
 // cacheVal is one cached Offering Table, encoded when it entered the cache
 // (with Cached=true, the flag every hit carries): encode once, write many.
-// Hits serve stored bytes with Content-Length and never marshal a table, so
-// the decoded table is not kept. The wire body is what every entry holds: a
-// fleet shard is only ever asked for wire bodies, and 1.7 KB of JSON per
-// entry nobody reads was the larger half of a full cache. The JSON body is
-// derived from the wire one on the entry's first JSON hit and kept from then
-// on (cachedJSON, respCache.keepJSON); the codec's JSON-equivalence contract — fuzzed in
-// internal/wire, pinned end to end by TestChaosWireOfferingCacheParity — is
-// what makes the derived body the bytes an eager encode would have stored.
-// The byte slices are immutable once set, so shards hand them out without
-// copying.
+// The wire body is all an entry holds: a fleet shard is only ever asked for
+// wire bodies. A JSON hit renders its body from the wire one (cachedJSON);
+// the codec's JSON-equivalence contract — fuzzed in internal/wire, pinned end
+// to end by TestChaosWireOfferingCacheParity — makes it the bytes an eager
+// encode would have stored. An entry never changes once stored, so hits and
+// single-flight followers hand its bytes out without copying.
 type cacheVal struct {
 	wireBody []byte
-	jsonBody []byte // nil until a JSON client hits the entry
 	expires  time.Time
 	// readRound is the entry's reference mark: get sets it to the round its
 	// stripe is in, and eviction spares the entries that carry that round
@@ -188,7 +178,8 @@ func (c *respCache) get(key cacheKey, now time.Time) (cacheVal, bool) {
 	return v, true
 }
 
-func (c *respCache) put(key cacheKey, resp OfferingResponse, now, expires time.Time) {
+// put caches resp under key and returns the entry it stored.
+func (c *respCache) put(key cacheKey, resp OfferingResponse, now, expires time.Time) cacheVal {
 	// Encode once, outside the shard lock, into a pooled buffer, and keep a
 	// copy of exactly its length. Every hit is served as Cached=true, so the
 	// stored bytes carry the flag.
@@ -229,29 +220,19 @@ func (c *respCache) put(key cacheKey, resp OfferingResponse, now, expires time.T
 		copy(grown, s.queue)
 		s.queue = grown
 	}
-	s.m[key] = cacheVal{wireBody: wireBody, expires: expires, slot: uint32(len(s.queue))}
+	v := cacheVal{wireBody: wireBody, expires: expires, slot: uint32(len(s.queue))}
+	s.m[key] = v
 	s.queue = append(s.queue, key)
 	if !exists {
 		met.rescacheEntries.Inc()
 	}
+	return v
 }
 
 // queueLimit is the length at which a stripe's queue is rewritten as its live
 // slots, at most maxPerShard of them: a quarter more, so the queue stays that
 // short however keys come and go, for a few map operations a put.
 func (c *respCache) queueLimit() int { return c.maxPerShard + c.maxPerShard/4 + 1 }
-
-// keepJSON memoises the JSON body derived from an entry's wire body, if the
-// entry is still the one it was derived from.
-func (c *respCache) keepJSON(key cacheKey, v cacheVal) {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if cur, ok := s.m[key]; ok && &cur.wireBody[0] == &v.wireBody[0] {
-		cur.jsonBody = v.jsonBody
-		s.m[key] = cur
-	}
-}
 
 // cachedJSON renders a cached wire body as the JSON body of the same hit:
 // what json.Encoder would have written for the table when it was cached,
@@ -381,46 +362,18 @@ func (s *Server) deadline(ctx context.Context) (context.Context, context.CancelF
 	return context.WithTimeout(ctx, s.opts.RequestTimeout)
 }
 
-// instrument wraps an API handler with its per-endpoint duration histogram
-// and — when the server has a tracer — a server span that joins the
-// caller's trace if the request carries X-Trace-Id/X-Span-Id headers. A nil
-// tracer costs one histogram observation per request and nothing else.
-func (s *Server) instrument(name string, hist *obs.Histogram, fn http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		defer hist.Since(start)
-		if s.opts.Tracer != nil {
-			ctx := r.Context()
-			if sc, ok := obs.ExtractHTTP(r.Header); ok {
-				ctx = obs.ContextWith(ctx, sc)
-			}
-			ctx, span := s.opts.Tracer.StartSpan(ctx, name)
-			defer span.End()
-			r = r.WithContext(ctx)
-		}
-		fn(w, r)
-	}
-}
-
-// Handler returns the HTTP routes of the EIS, including the observability
-// surface: /metrics (Prometheus-style text exposition) and /debug/vars
-// (JSON snapshot) over the process-wide default registry, which is where
-// the cknn/roadnet/eis packages register their metrics.
+// Handler returns the HTTP routes of the EIS, the observability surface
+// (HandleOps) included.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc(APIVersion+"/chargers", s.instrument("eis.chargers", met.httpChargers, s.handleChargers))
-	mux.HandleFunc(APIVersion+"/inventory", s.instrument("eis.inventory", met.httpInventory, s.handleInventory))
-	mux.HandleFunc(APIVersion+"/weather", s.instrument("eis.weather", met.httpWeather, s.handleWeather))
-	mux.HandleFunc(APIVersion+"/availability", s.instrument("eis.availability", met.httpAvailability, s.handleAvailability))
-	mux.HandleFunc(APIVersion+"/traffic", s.instrument("eis.traffic", met.httpTraffic, s.handleTraffic))
-	mux.HandleFunc(APIVersion+"/offering", s.instrument("eis.offering", met.httpOffering, s.handleOffering))
-	mux.HandleFunc(APIVersion+"/offering/trip", s.instrument("eis.offering.trip", met.httpTrip, s.handleTripOffering))
-	mux.Handle("/metrics", obs.Default().Handler())
-	mux.Handle("/debug/vars", obs.Default().VarsHandler())
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		_, _ = fmt.Fprintln(w, "ok") // client went away; nothing to do with the error
-	})
+	mux.HandleFunc(APIVersion+"/chargers", Instrument(s.opts.Tracer, "eis.chargers", met.httpChargers, s.handleChargers))
+	mux.HandleFunc(APIVersion+"/inventory", Instrument(s.opts.Tracer, "eis.inventory", met.httpInventory, s.handleInventory))
+	mux.HandleFunc(APIVersion+"/weather", Instrument(s.opts.Tracer, "eis.weather", met.httpWeather, s.handleWeather))
+	mux.HandleFunc(APIVersion+"/availability", Instrument(s.opts.Tracer, "eis.availability", met.httpAvailability, s.handleAvailability))
+	mux.HandleFunc(APIVersion+"/traffic", Instrument(s.opts.Tracer, "eis.traffic", met.httpTraffic, s.handleTraffic))
+	mux.HandleFunc(APIVersion+"/offering", Instrument(s.opts.Tracer, "eis.offering", met.httpOffering, s.handleOffering))
+	mux.HandleFunc(APIVersion+"/offering/trip", Instrument(s.opts.Tracer, "eis.offering.trip", met.httpTrip, s.handleTripOffering))
+	HandleOps(mux)
 	return mux
 }
 
@@ -429,87 +382,7 @@ func (s *Server) writeError(w http.ResponseWriter, code int, format string, args
 	if s.opts.Logger != nil {
 		s.opts.Logger.Printf("eis: %d %s", code, msg)
 	}
-	// Errors are always JSON, even on requests that negotiated binary:
-	// failure bodies are cold and must stay curl-readable.
-	WriteJSONStatus(w, code, ErrorResponse{Error: msg})
-}
-
-// writeExpired answers a request whose deadline ran out before its table was
-// there: a 503 that says when to come back, not a held connection.
-func (s *Server) writeExpired(w http.ResponseWriter, what string, err error) {
-	w.Header().Set("Retry-After", RetryAfter)
-	s.writeError(w, http.StatusServiceUnavailable, "%s computation did not finish in time: %v", what, err)
-}
-
-// ContentTypeJSON is the canonical interchange format; wire.ContentType is
-// the negotiated binary alternative for the hot-path payloads.
-const ContentTypeJSON = "application/json"
-
-// errEncodeBody is the fallback 500 body when marshalling a response fails —
-// possible only for marshaler-bearing payloads, but the old streaming
-// encoder turned it into a silently truncated 200.
-var errEncodeBody = []byte(`{"error":"encoding response"}` + "\n")
-
-// WriteBody writes one fully-encoded response. Content-Length is known
-// before the first byte hits the socket, so an encode failure can never
-// truncate a 200 mid-body the way the per-call streaming encoder could. The
-// shard and the fleet gateway both answer through here and through
-// WriteJSONStatus, so their bodies and error texts cannot drift.
-func WriteBody(w http.ResponseWriter, code int, contentType string, body []byte) {
-	w.Header().Set("Content-Type", contentType)
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(code)
-	_, _ = w.Write(body) // client went away; nothing to do with the error
-}
-
-// WriteJSONStatus encodes v into a pooled buffer and writes it as one JSON
-// response under the status code; a payload that does not marshal becomes a
-// 500, never a truncated 200.
-func WriteJSONStatus(w http.ResponseWriter, code int, v interface{}) {
-	buf := wire.GetBuffer()
-	defer wire.PutBuffer(buf)
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
-		WriteBody(w, http.StatusInternalServerError, ContentTypeJSON, errEncodeBody)
-		return
-	}
-	WriteBody(w, code, ContentTypeJSON, buf.B)
-}
-
-// WriteJSON is WriteJSONStatus for a 200.
-func WriteJSON(w http.ResponseWriter, v interface{}) {
-	WriteJSONStatus(w, http.StatusOK, v)
-}
-
-// wantsWire reports whether the request negotiated the binary response
-// format.
-func wantsWire(r *http.Request) bool { return wire.Accepts(r.Header.Get("Accept")) }
-
-// respond writes v in the request's negotiated format: enc appends the
-// binary message for payloads the wire codec covers, JSON stays the default
-// (and the only format where enc is nil). The per-format histograms measure
-// exactly the marshal share of serving latency.
-func (s *Server) respond(w http.ResponseWriter, r *http.Request, v interface{}, enc func([]byte) []byte) {
-	if enc != nil && wantsWire(r) {
-		buf := wire.GetBuffer()
-		start := time.Now()
-		buf.B = enc(buf.B)
-		met.encodeWire.Since(start)
-		met.respWire.Inc()
-		WriteBody(w, http.StatusOK, wire.ContentType, buf.B)
-		wire.PutBuffer(buf)
-		return
-	}
-	buf := wire.GetBuffer()
-	defer wire.PutBuffer(buf)
-	start := time.Now()
-	err := json.NewEncoder(buf).Encode(v)
-	met.encodeJSON.Since(start)
-	if err != nil {
-		WriteBody(w, http.StatusInternalServerError, ContentTypeJSON, errEncodeBody)
-		return
-	}
-	met.respJSON.Inc()
-	WriteBody(w, http.StatusOK, ContentTypeJSON, buf.B)
+	WriteError(w, code, msg)
 }
 
 func parseFloat(r *http.Request, name string) (float64, error) {
@@ -593,7 +466,7 @@ func (s *Server) handleChargers(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cs := s.env.Chargers.Within(p, radius)
-	s.respond(w, r, cs, func(b []byte) []byte { return wire.AppendChargerRefs(b, cs) })
+	Respond(w, r, met, cs, func(b []byte) []byte { return wire.AppendChargerRefs(b, cs) })
 }
 
 // handleInventory returns the server's complete charger inventory. For a
@@ -608,7 +481,7 @@ func (s *Server) handleInventory(w http.ResponseWriter, r *http.Request) {
 	}
 	s.terms.set(w.Header())
 	cs := s.env.Chargers.All()
-	s.respond(w, r, cs, func(b []byte) []byte { return wire.AppendChargers(b, cs) })
+	Respond(w, r, met, cs, func(b []byte) []byte { return wire.AppendChargers(b, cs) })
 }
 
 // handleWeather returns the production forecast of a charger at a time
@@ -619,8 +492,8 @@ func (s *Server) handleWeather(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	iv := s.env.ProductionForecast(c, at, s.opts.Clock())
-	resp := WeatherResponse{ChargerID: c.ID, At: at, ProductionKW: toWire(iv)}
-	s.respond(w, r, &resp, nil)
+	resp := WeatherResponse{ChargerID: c.ID, At: at, ProductionKW: wire.ToWire(iv)}
+	Respond(w, r, met, &resp, nil)
 }
 
 // handleAvailability returns the availability estimate of a charger
@@ -631,8 +504,8 @@ func (s *Server) handleAvailability(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	iv := s.env.Avail.ForecastAvailability(c.ID, &c.Timetable, at, s.opts.Clock())
-	resp := AvailabilityResponse{ChargerID: c.ID, At: at, Availability: toWire(iv)}
-	s.respond(w, r, &resp, nil)
+	resp := AvailabilityResponse{ChargerID: c.ID, At: at, Availability: wire.ToWire(iv)}
+	Respond(w, r, met, &resp, nil)
 }
 
 func (s *Server) chargerAndTime(w http.ResponseWriter, r *http.Request) (c *charger.Charger, at time.Time, ok bool) {
@@ -673,9 +546,9 @@ func (s *Server) handleTraffic(w http.ResponseWriter, r *http.Request) {
 	now := s.opts.Clock()
 	resp := TrafficResponse{At: at, Multiplier: make(map[string]IntervalJSON, 4)}
 	for c := roadnet.RoadClass(0); c < 4; c++ {
-		resp.Multiplier[c.String()] = toWire(s.env.Traffic.ForecastMultiplier(c, at, now))
+		resp.Multiplier[c.String()] = wire.ToWire(s.env.Traffic.ForecastMultiplier(c, at, now))
 	}
-	WriteJSON(w, resp)
+	WriteJSONStatus(w, http.StatusOK, resp)
 }
 
 // handleOffering is the Mode 2 endpoint: the server runs Algorithm 1 for
@@ -712,23 +585,7 @@ func (s *Server) handleOffering(w http.ResponseWriter, r *http.Request) {
 
 	key := offeringKey(s.opts.CacheCellM, &o)
 	if v, ok := s.cache.get(key, o.Now); ok {
-		// Write-many: the table was encoded (Cached=true) when it entered
-		// the cache; a hit costs one header write and one body write, no
-		// marshalling — but for the first JSON hit of an entry.
-		if wantsWire(r) {
-			met.respWire.Inc()
-			WriteBody(w, http.StatusOK, wire.ContentType, v.wireBody)
-			return
-		}
-		if v.jsonBody == nil {
-			if v.jsonBody, err = cachedJSON(v.wireBody); err != nil {
-				WriteBody(w, http.StatusInternalServerError, ContentTypeJSON, errEncodeBody)
-				return
-			}
-			s.cache.keepJSON(key, v)
-		}
-		met.respJSON.Inc()
-		WriteBody(w, http.StatusOK, ContentTypeJSON, v.jsonBody)
+		writeCached(w, r, v)
 		return
 	}
 
@@ -744,29 +601,79 @@ func (s *Server) handleOffering(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Single-flight: concurrent cache misses for the same cell collapse to
-	// one computation; followers wait for the leader's table (or their own
-	// deadline) instead of stampeding the ranking engine.
+	// one computation; followers wait for the leader's cache entry (or their
+	// own deadline) instead of stampeding the ranking engine, and are answered
+	// from it as a hit is. The leader answers its fresh table.
 	ctx, cancel := s.deadline(r.Context())
 	defer cancel()
-	resp, shared, err := s.flights.do(ctx, key, func() OfferingResponse {
+	rows := rowScratch.Get().(*[]OfferingEntry)
+	defer putRows(rows)
+	var fresh OfferingResponse
+	v, shared, err := s.flights.do(ctx, key, func() cacheVal {
 		s.computes.Add(1)
 		table := s.rankOffering(&o, node, req.Travel)
-		out := OfferingResponse{GeneratedAt: o.Now}
-		if n := len(table.Entries); n > 0 { // an empty table stays "entries":null
-			out.Entries = make([]OfferingEntry, n)
-			for i, e := range table.Entries {
-				out.Entries[i] = wireEntry(e)
-			}
-		}
-		s.cache.put(key, out, o.Now, o.Now.Add(s.opts.CacheTTL))
-		return out
+		fresh = OfferingResponse{GeneratedAt: o.Now, Entries: appendRows(rows, table.Entries)}
+		return s.cache.put(key, fresh, o.Now, o.Now.Add(s.opts.CacheTTL))
 	})
-	if err != nil {
-		s.writeExpired(w, "offering", err)
+	switch {
+	case err != nil:
+		s.writeError(w, http.StatusServiceUnavailable, "offering computation did not finish in time: %v", err)
+	case shared:
+		writeCached(w, r, v)
+	default:
+		Respond(w, r, met, &fresh, func(b []byte) []byte { return wire.AppendOfferingResponse(b, &fresh) })
+	}
+}
+
+// writeCached answers an offering from a cache entry: a wire answer writes
+// the stored bytes, a JSON answer is rendered from them.
+func writeCached(w http.ResponseWriter, r *http.Request, v cacheVal) {
+	if wire.Accepts(r.Header.Get("Accept")) {
+		met.respWire.Inc()
+		WriteBody(w, http.StatusOK, wire.ContentType, v.wireBody)
 		return
 	}
-	resp.Cached = resp.Cached || shared
-	s.respond(w, r, &resp, func(b []byte) []byte { return wire.AppendOfferingResponse(b, &resp) })
+	body, err := cachedJSON(v.wireBody)
+	if err != nil {
+		WriteBody(w, http.StatusInternalServerError, ContentTypeJSON, errEncodeBody)
+		return
+	}
+	met.respJSON.Inc()
+	WriteBody(w, http.StatusOK, ContentTypeJSON, body)
+}
+
+// rowScratch pools the rows a computed offering or trip is answered from;
+// they go back once the answer is written (the cache keeps only bytes).
+var rowScratch = sync.Pool{New: func() interface{} { return new([]OfferingEntry) }}
+
+// maxPooledRows caps the rows a returned scratch keeps (about 130 KB), as the
+// fleet gateway caps its trip storage.
+const maxPooledRows = 1 << 10
+
+func putRows(rows *[]OfferingEntry) {
+	if cap(*rows) <= maxPooledRows {
+		*rows = (*rows)[:0]
+		rowScratch.Put(rows)
+	}
+}
+
+// appendRows appends the wire form of a table's entries to rows, the one
+// conversion of every endpoint that answers Offering Tables, so the wire
+// contract (the Degraded tag included) cannot drift between them. It returns
+// the rows it appended, or nil for an empty table: "entries":null.
+func appendRows(rows *[]OfferingEntry, es []cknn.Entry) []OfferingEntry {
+	if len(es) == 0 {
+		return nil
+	}
+	start := len(*rows)
+	for _, e := range es {
+		*rows = append(*rows, OfferingEntry{
+			ChargerID: e.Charger.ID, Lat: e.Charger.P.Lat, Lon: e.Charger.P.Lon, RateKW: e.Charger.Rate.KW(),
+			SC: wire.ToWire(e.SC), L: wire.ToWire(e.Comp.L), A: wire.ToWire(e.Comp.A), D: wire.ToWire(e.Comp.D),
+			ETA: e.Comp.ETA, Degraded: uint8(e.Comp.Degraded),
+		})
+	}
+	return (*rows)[start:len(*rows):len(*rows)]
 }
 
 // rankOffering computes the table of one offering request: on the network
@@ -803,9 +710,9 @@ func travelOf(b *wire.TravelBlock) cknn.Travel {
 
 // flightGroup collapses concurrent computations of the same cache key into
 // one: the first caller becomes the leader and computes, followers block on
-// the leader's result or their own context, whichever ends first. The leader
-// always runs to completion so its work lands in the cache even when every
-// waiter gave up.
+// the cache entry the leader stored or their own context, whichever ends
+// first. The leader always runs to completion so its work lands in the cache
+// even when every waiter gave up.
 type flightGroup struct {
 	mu sync.Mutex
 	m  map[cacheKey]*flight
@@ -813,12 +720,12 @@ type flightGroup struct {
 
 type flight struct {
 	done chan struct{}
-	resp OfferingResponse
+	val  cacheVal
 }
 
-// do returns the response, whether it was shared from another caller's
+// do returns the cache entry, whether it was shared from another caller's
 // computation, and a context error when the wait was abandoned.
-func (g *flightGroup) do(ctx context.Context, key cacheKey, fn func() OfferingResponse) (OfferingResponse, bool, error) {
+func (g *flightGroup) do(ctx context.Context, key cacheKey, fn func() cacheVal) (cacheVal, bool, error) {
 	g.mu.Lock()
 	if g.m == nil {
 		g.m = make(map[cacheKey]*flight)
@@ -828,9 +735,9 @@ func (g *flightGroup) do(ctx context.Context, key cacheKey, fn func() OfferingRe
 		met.flightCoalesced.Inc()
 		select {
 		case <-f.done:
-			return f.resp, true, nil
+			return f.val, true, nil
 		case <-ctx.Done():
-			return OfferingResponse{}, true, ctx.Err()
+			return cacheVal{}, true, ctx.Err()
 		}
 	}
 	f := &flight{done: make(chan struct{})}
@@ -838,11 +745,11 @@ func (g *flightGroup) do(ctx context.Context, key cacheKey, fn func() OfferingRe
 	g.mu.Unlock()
 	met.flightLeads.Inc()
 
-	f.resp = fn()
+	f.val = fn()
 	close(f.done)
 
 	g.mu.Lock()
 	delete(g.m, key)
 	g.mu.Unlock()
-	return f.resp, false, nil
+	return f.val, false, nil
 }

@@ -245,10 +245,10 @@ func TestOfferingWeightSpellingsShareOneEntry(t *testing.T) {
 	}
 }
 
-// TestCachedJSONIsTheEagerEncoding: the JSON body an entry derives from its
-// wire body on the first JSON hit is, byte for byte, what encoding the table
-// as JSON when it was cached would have stored — for a table with degraded
-// entries, zone offsets, and no entries at all — and the entry keeps it.
+// TestCachedJSONIsTheEagerEncoding: the JSON body a JSON hit renders from an
+// entry's wire body is, byte for byte, what encoding the table as JSON when
+// it was cached would have stored — for a table with degraded entries, zone
+// offsets, and no entries at all.
 func TestCachedJSONIsTheEagerEncoding(t *testing.T) {
 	cest := time.FixedZone("", 2*3600)
 	full := OfferingResponse{GeneratedAt: fixedNow.In(cest)}
@@ -278,24 +278,15 @@ func TestCachedJSONIsTheEagerEncoding(t *testing.T) {
 		key := cacheKey{cellLat: 5}
 		c.put(key, resp, fixedNow, fixedNow.Add(time.Minute))
 		v, ok := c.get(key, fixedNow)
-		if !ok || v.jsonBody != nil {
-			t.Fatalf("%s: a fresh entry has ok=%v and a JSON body of %d bytes", name, ok, len(v.jsonBody))
+		if !ok {
+			t.Fatalf("%s: the entry is not cached", name)
 		}
-		if v.jsonBody, err = cachedJSON(v.wireBody); err != nil {
+		derived, err := cachedJSON(v.wireBody)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(v.jsonBody, eager) {
-			t.Fatalf("%s: derived JSON differs from the eager encoding\nderived %s\neager   %s", name, v.jsonBody, eager)
-		}
-		c.keepJSON(key, v)
-		if again, _ := c.get(key, fixedNow); len(again.jsonBody) == 0 || &again.jsonBody[0] != &v.jsonBody[0] {
-			t.Fatalf("%s: the entry did not keep its JSON body", name)
-		}
-		// A body derived from an entry that has since been replaced is dropped.
-		c.put(key, resp, fixedNow, fixedNow.Add(time.Minute))
-		c.keepJSON(key, v)
-		if again, _ := c.get(key, fixedNow); again.jsonBody != nil {
-			t.Fatalf("%s: a replaced entry took the JSON body of its predecessor", name)
+		if !bytes.Equal(derived, eager) {
+			t.Fatalf("%s: derived JSON differs from the eager encoding\nderived %s\neager   %s", name, derived, eager)
 		}
 	}
 }

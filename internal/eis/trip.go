@@ -54,7 +54,7 @@ func (s *Server) handleTripOffering(w http.ResponseWriter, r *http.Request) {
 		trip, status, err = t.Route(ctx, s.env.Graph)
 		switch {
 		case status == http.StatusServiceUnavailable:
-			s.writeExpired(w, "trip offering", err)
+			s.writeError(w, status, "trip offering computation did not finish in time: %v", err)
 			return
 		case err != nil:
 			s.writeError(w, status, "%v", err)
@@ -73,24 +73,20 @@ func (s *Server) handleTripOffering(w http.ResponseWriter, r *http.Request) {
 
 	// Grow leaves the segments of no results nil: "segments":null.
 	resp := TripOfferingResponse{TripLengthM: trip.Path.Weight, Segments: slices.Grow([]SegmentOffering(nil), len(results))}
+	rows := rowScratch.Get().(*[]OfferingEntry)
+	defer putRows(rows)
 	for _, res := range results {
-		seg := SegmentOffering{
+		resp.Segments = append(resp.Segments, SegmentOffering{
 			SegmentIndex: res.Segment.Index,
 			Anchor:       LatLon{Lat: res.Segment.Anchor.Lat, Lon: res.Segment.Anchor.Lon},
 			ETA:          res.Segment.ETA,
 			LengthM:      res.Segment.LengthM,
 			Adapted:      res.Table.Adapted,
-		}
-		if n := len(res.Table.Entries); n > 0 { // an empty table stays "entries":null
-			seg.Entries = make([]OfferingEntry, n)
-			for i, e := range res.Table.Entries {
-				seg.Entries[i] = wireEntry(e)
-			}
-		}
-		resp.Segments = append(resp.Segments, seg)
+			Entries:      appendRows(rows, res.Table.Entries),
+		})
 	}
 	resp.SplitPoints = AppendSplitPoints(nil, resp.Segments)
-	s.respond(w, r, &resp, func(b []byte) []byte { return wire.AppendTripResponse(b, &resp) })
+	Respond(w, r, met, &resp, func(b []byte) []byte { return wire.AppendTripResponse(b, &resp) })
 }
 
 // AppendSplitPoints appends to dst the split points of a trip's segments:

@@ -17,8 +17,6 @@
 package eis
 
 import (
-	"ecocharge/internal/cknn"
-	"ecocharge/internal/interval"
 	"ecocharge/internal/wire"
 )
 
@@ -56,23 +54,3 @@ type (
 	// ErrorResponse is the JSON body of non-2xx responses.
 	ErrorResponse = wire.ErrorResponse
 )
-
-func toWire(i interval.I) IntervalJSON { return wire.ToWire(i) }
-
-// wireEntry converts one ranked engine entry to its wire form; every
-// endpoint emitting Offering Tables goes through it so the wire contract
-// (including the Degraded tag) cannot drift between endpoints.
-func wireEntry(e cknn.Entry) OfferingEntry {
-	return OfferingEntry{
-		ChargerID: e.Charger.ID,
-		Lat:       e.Charger.P.Lat,
-		Lon:       e.Charger.P.Lon,
-		RateKW:    e.Charger.Rate.KW(),
-		SC:        toWire(e.SC),
-		L:         toWire(e.Comp.L),
-		A:         toWire(e.Comp.A),
-		D:         toWire(e.Comp.D),
-		ETA:       e.Comp.ETA,
-		Degraded:  uint8(e.Comp.Degraded),
-	}
-}

@@ -14,7 +14,6 @@ import (
 	"ecocharge/internal/cknn"
 	"ecocharge/internal/eis"
 	"ecocharge/internal/geo"
-	"ecocharge/internal/obs"
 	"ecocharge/internal/wire"
 )
 
@@ -131,41 +130,16 @@ func (g *Gateway) logf(format string, args ...interface{}) {
 func (g *Gateway) writeError(w http.ResponseWriter, code int, format string, args ...interface{}) {
 	msg := fmt.Sprintf(format, args...)
 	g.logf("%d %s", code, msg)
-	eis.WriteJSONStatus(w, code, eis.ErrorResponse{Error: msg})
-}
-
-// writeUnavailable is the all-shards-dead answer: an honest 503 with a
-// Retry-After hint, never a fabricated table.
-func (g *Gateway) writeUnavailable(w http.ResponseWriter, what string) {
-	w.Header().Set("Retry-After", eis.RetryAfter)
-	g.writeError(w, http.StatusServiceUnavailable, "no shard could serve %s", what)
-}
-
-// respond writes a merged result to the client in its negotiated format:
-// enc appends the binary message for payloads the wire codec covers, JSON
-// stays the default. Degraded synth responses and errors are always JSON.
-func (g *Gateway) respond(w http.ResponseWriter, r *http.Request, v interface{}, enc func([]byte) []byte) {
-	if enc != nil && wire.Accepts(r.Header.Get("Accept")) {
-		buf := wire.GetBuffer()
-		buf.B = enc(buf.B)
-		eis.WriteBody(w, http.StatusOK, wire.ContentType, buf.B)
-		wire.PutBuffer(buf)
-		return
-	}
-	eis.WriteJSONStatus(w, http.StatusOK, v)
+	eis.WriteError(w, code, msg)
 }
 
 // passthrough relays a shard's terminal response verbatim, so error bodies
 // (and their statuses) stay byte-identical to the single-EIS deployment.
 func passthrough(w http.ResponseWriter, res *shardResult) {
-	if ct := res.header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
 	if ra := res.header.Get("Retry-After"); ra != "" {
 		w.Header().Set("Retry-After", ra)
 	}
-	w.WriteHeader(res.status)
-	_, _ = w.Write(res.body)
+	eis.WriteBody(w, res.status, res.header.Get("Content-Type"), res.body)
 }
 
 // degradedHeader names the shards a response was widened for. It is only
@@ -189,30 +163,17 @@ func markDegraded(w http.ResponseWriter, dead []int, synthesized int) {
 // view.
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc(eis.APIVersion+"/chargers", g.timed(met.httpChargers, g.handleChargers))
-	mux.HandleFunc(eis.APIVersion+"/weather", g.timed(met.httpWeather, g.handleWeather))
-	mux.HandleFunc(eis.APIVersion+"/availability", g.timed(met.httpAvail, g.handleAvailability))
-	mux.HandleFunc(eis.APIVersion+"/traffic", g.timed(met.httpTraffic, g.handleTraffic))
-	mux.HandleFunc(eis.APIVersion+"/offering", g.timed(met.httpOffering, g.handleOffering))
-	mux.HandleFunc(eis.APIVersion+"/offering/trip", g.timed(met.httpTrip, g.handleTrip))
-	mux.Handle("/metrics", obs.Default().Handler())
-	mux.Handle("/debug/vars", obs.Default().VarsHandler())
+	mux.HandleFunc(eis.APIVersion+"/chargers", eis.Instrument(nil, "", met.httpChargers, g.handleChargers))
+	mux.HandleFunc(eis.APIVersion+"/weather", eis.Instrument(nil, "", met.httpWeather, g.handleWeather))
+	mux.HandleFunc(eis.APIVersion+"/availability", eis.Instrument(nil, "", met.httpAvail, g.handleAvailability))
+	mux.HandleFunc(eis.APIVersion+"/traffic", eis.Instrument(nil, "", met.httpTraffic, g.handleTraffic))
+	mux.HandleFunc(eis.APIVersion+"/offering", eis.Instrument(nil, "", met.httpOffering, g.handleOffering))
+	mux.HandleFunc(eis.APIVersion+"/offering/trip", eis.Instrument(nil, "", met.httpTrip, g.handleTrip))
 	mux.HandleFunc("/fleet/status", func(w http.ResponseWriter, _ *http.Request) {
-		eis.WriteJSON(w, g.Status())
+		eis.WriteJSONStatus(w, http.StatusOK, g.Status())
 	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		_, _ = fmt.Fprintln(w, "ok")
-	})
+	eis.HandleOps(mux)
 	return mux
-}
-
-func (g *Gateway) timed(hist *obs.Histogram, fn http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		defer hist.Since(start)
-		fn(w, r)
-	}
 }
 
 // ---- chargers ----
@@ -239,7 +200,7 @@ func (g *Gateway) handleChargers(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if live == 0 {
-		g.writeUnavailable(w, "chargers")
+		g.writeError(w, http.StatusServiceUnavailable, "no shard could serve chargers")
 		return
 	}
 	lists := make([][]charger.Charger, 0, len(g.members))
@@ -272,7 +233,7 @@ func (g *Gateway) handleChargers(w http.ResponseWriter, r *http.Request) {
 		g.logf("chargers served degraded: shards %v down", dead)
 	}
 	merged := mergeChargers(lists, p)
-	g.respond(w, r, merged, func(b []byte) []byte { return wire.AppendChargers(b, merged) })
+	eis.Respond(w, r, nil, merged, func(b []byte) []byte { return wire.AppendChargers(b, merged) })
 }
 
 // decodeChargerList decodes one shard's binary charger payload, timing the
@@ -361,13 +322,13 @@ func (g *Gateway) perCharger(w http.ResponseWriter, r *http.Request, ep endpoint
 			}
 			markDegraded(w, []int{m.index}, 1)
 			g.logf("%s for charger %d served degraded: shard %d down", what, c.ID, m.index)
-			eis.WriteJSON(w, synth(c, at))
+			eis.WriteJSONStatus(w, http.StatusOK, synth(c, at))
 			return
 		}
 	}
 	// Unknown charger on a dead shard: without its inventory the gateway
 	// cannot even confirm existence — an honest 503 beats a guessed 404.
-	g.writeUnavailable(w, what)
+	g.writeError(w, http.StatusServiceUnavailable, "no shard could serve %s", what)
 }
 
 // ---- traffic (any-shard pass-through) ----
@@ -398,7 +359,7 @@ func (g *Gateway) handleTraffic(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	g.writeUnavailable(w, "traffic")
+	g.writeError(w, http.StatusServiceUnavailable, "no shard could serve traffic")
 }
 
 // trafficRank orders members for any-shard reads: fully healthy first, then
@@ -482,7 +443,7 @@ func (g *Gateway) handleOffering(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if live == 0 {
-		g.writeUnavailable(w, "offering")
+		g.writeError(w, http.StatusServiceUnavailable, "no shard could serve offering")
 		return
 	}
 	for i := range fo.results {
@@ -493,6 +454,9 @@ func (g *Gateway) handleOffering(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		err = wire.DecodeOfferingResponse(res.body, &fo.tables[i])
 		met.decodeWire.Since(start)
+		if err == nil {
+			err = checkIntervals(fo.tables[i].Entries)
+		}
 		if err != nil {
 			g.writeError(w, http.StatusBadGateway, "shard %d: decoding offering: %v", i, err)
 			return
@@ -510,7 +474,7 @@ func (g *Gateway) handleOffering(w http.ResponseWriter, r *http.Request) {
 		g.logf("offering served degraded: shards %v down, %d entries widened", dead, len(synth))
 	}
 	fo.mergeOffering(synth, o.K)
-	g.respond(w, r, &fo.merged, func(b []byte) []byte { return wire.AppendOfferingResponse(b, &fo.merged) })
+	eis.Respond(w, r, nil, &fo.merged, func(b []byte) []byte { return wire.AppendOfferingResponse(b, &fo.merged) })
 }
 
 // ---- offering/trip ----
@@ -553,7 +517,7 @@ func (g *Gateway) handleTrip(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if live == 0 {
-		g.writeUnavailable(w, "offering/trip")
+		g.writeError(w, http.StatusServiceUnavailable, "no shard could serve offering/trip")
 		return
 	}
 	for i := range fo.results {
@@ -565,6 +529,9 @@ func (g *Gateway) handleTrip(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		err = wire.DecodeTripResponse(res.body, resp)
 		met.decodeWire.Since(start)
+		for j := 0; err == nil && j < len(resp.Segments); j++ {
+			err = checkIntervals(resp.Segments[j].Entries)
+		}
 		if err != nil {
 			g.writeError(w, http.StatusBadGateway, "shard %d: decoding trip offering: %v", i, err)
 			return
@@ -608,5 +575,5 @@ func (g *Gateway) handleTrip(w http.ResponseWriter, r *http.Request) {
 		markDegraded(w, dead, synthesized)
 		g.logf("trip offering served degraded: shards %v down", dead)
 	}
-	g.respond(w, r, &fo.tripMerged, func(b []byte) []byte { return wire.AppendTripResponse(b, &fo.tripMerged) })
+	eis.Respond(w, r, nil, &fo.tripMerged, func(b []byte) []byte { return wire.AppendTripResponse(b, &fo.tripMerged) })
 }

@@ -234,18 +234,19 @@ func searches() float64 {
 }
 
 // missAllocCeiling is what one personalised ranking through the fleet may
-// allocate, process-wide: 28 KB measured — the client's exchange and the
+// allocate, process-wide: 26 KB measured — the client's exchange and the
 // shards' server halves in net/http, the gateway's three on its own
-// transport, and on each shard the response-cache entry and the table. The
+// transport, and on each shard the response-cache entry and the ranking. The
 // gateway writes every shard's request, travel block included, into its
-// pooled fan-out, and the shards read their blocks where they arrived. The
-// head-room does not cover request bodies the garbage collector owns (14 KB:
-// a body a shard and the plain request), both a cache entry grown by
-// doubling and a table's rows appended one by one (8 KB over the three
-// shards, half each), a block copied out of the request (4 KB a shard), a
-// candidate retrieval that allocates (14 KB a shard), nor net/http's
-// transport under the shard hop (6 KB).
-const missAllocCeiling = 34 << 10
+// pooled fan-out, the shards read their blocks where they arrived, and a
+// shard writes its answer from pooled rows. The head-room does not cover
+// request bodies the garbage collector owns (14 KB: a body a shard and the
+// plain request), both a cache entry grown by doubling and a table's rows
+// appended one by one (8 KB over the three shards, half each), a block
+// copied out of the request (4 KB a shard), a candidate retrieval that
+// allocates (14 KB a shard), nor net/http's transport under the shard hop
+// (6 KB).
+const missAllocCeiling = 32 << 10
 
 // warmMissFleet is a missFleet whose gateway searches for all three shards,
 // its pools and connections at steady state.
@@ -337,16 +338,17 @@ func allocPerRequest(request func()) uint64 {
 
 // tripAllocCeiling is what one benchmark trip through the fleet may allocate,
 // process-wide. The longest trip of the scenario (four computed segments)
-// measures 72 KB: the three shards' segmenting, tables and binary answers —
-// they follow the gateway's route and route nothing themselves — and at the
-// gateway its plan and the client's JSON. The gateway writes the shards'
-// requests, the route and the travel blocks, into its pooled fan-out. The
-// head-room is for the toolchain's net/http; what it does not cover is any
-// one of the cuts coming back: request bodies the garbage collector owns
-// (64 KB), JSON answers from the shards (45 KB of decoding at the gateway), a
-// candidate retrieval that allocates per computed segment (132 KB), a snap
-// through container/heap (66 KB over the fifteen snaps of a trip).
-const tripAllocCeiling = 85 << 10
+// measures 59 KB: the three shards' segmenting, tables and binary answers —
+// they follow the gateway's route and route nothing themselves, and write
+// their answers from pooled rows — and at the gateway its plan and the
+// client's JSON. The gateway writes the shards' requests, the route and the
+// travel blocks, into its pooled fan-out. The head-room is for the
+// toolchain's net/http; what it does not cover is any one of the cuts coming
+// back: request bodies the garbage collector owns (64 KB), JSON answers from
+// the shards (45 KB of decoding at the gateway), a candidate retrieval that
+// allocates per computed segment (132 KB), a snap through container/heap
+// (66 KB over the fifteen snaps of a trip).
+const tripAllocCeiling = 72 << 10
 
 // warmTripFleet is a missFleet set to send the repository benchmark's trip
 // request — five waypoints, k, R and segment length as there — along the

@@ -95,6 +95,20 @@ func (s *selection) top(dst []eis.OfferingEntry, k int) []eis.OfferingEntry {
 	return dst
 }
 
+// checkIntervals refuses shard entries that hold a crossed (or NaN)
+// interval: the merge reads the bounds as they arrived, and
+// interval.FromBounds would reorder them, or panic on a NaN.
+func checkIntervals(entries []eis.OfferingEntry) error {
+	for i, e := range entries {
+		for _, iv := range [...]eis.IntervalJSON{e.SC, e.L, e.A, e.D} {
+			if !interval.I(iv).Valid() {
+				return fmt.Errorf("entry %d (charger %d) holds the crossed interval [%v, %v]", i, e.ChargerID, iv.Min, iv.Max)
+			}
+		}
+	}
+	return nil
+}
+
 // ignoranceWire is the wire form of the [0,1] ignorance bound.
 func ignoranceWire() eis.IntervalJSON { return eis.IntervalJSON{Min: 0, Max: 1} }
 

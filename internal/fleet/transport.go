@@ -11,7 +11,6 @@ import (
 	"net/http/httputil"
 	"net/textproto"
 	"os"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -285,11 +284,14 @@ func readLimited(buf *wire.Buffer, r io.Reader) error {
 	return nil
 }
 
-// readFull reads exactly n bytes of br into buf, growing it as the bytes
-// arrive: a length declared and not sent costs what did arrive.
+// readFull reads exactly n bytes of br into buf. A full buffer grows at
+// once to min(n, firstGrowth), then by doubling up to n: a length declared
+// and not sent costs what did arrive, or firstGrowth.
 func readFull(br *bufio.Reader, buf *wire.Buffer, n int) error {
 	for len(buf.B) < n {
-		buf.B = slices.Grow(buf.B, 1)
+		if len(buf.B) == cap(buf.B) {
+			buf.B = append(make([]byte, 0, min(n, max(2*len(buf.B), firstGrowth))), buf.B...)
+		}
 		m, err := br.Read(buf.B[len(buf.B):min(cap(buf.B), n)])
 		buf.B = buf.B[:len(buf.B)+m]
 		if err != nil && len(buf.B) < n {
@@ -301,6 +303,10 @@ func readFull(br *bufio.Reader, buf *wire.Buffer, n int) error {
 	}
 	return nil
 }
+
+// firstGrowth is what a declared length may reserve before its bytes arrive,
+// enough to read an inventory pull (444 KB for an Oldenburg shard) at once.
+const firstGrowth = 1 << 20
 
 // hasToken reports whether a comma-separated header value holds token.
 func hasToken(v, token string) bool {

@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/textproto"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -402,4 +403,41 @@ func FuzzShardAnswer(f *testing.F) {
 				framed, header.Get("Connection"), tp.R.Buffered())
 		}
 	})
+}
+
+// TestFleetTransportReadFullSizesOnce: a body of declared length is read into
+// one buffer of that length, not grown by doubling — a 444 KB inventory pull
+// allocated 1.6 MB so — and a length declared and not sent costs at most
+// what arrived, or firstGrowth.
+func TestFleetTransportReadFullSizesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	const runs = 8
+	// allocated is what readFull allocates a run on average, reading n
+	// declared bytes out of src into a buffer of the pool's first size.
+	allocated := func(src []byte, n int) uint64 {
+		readers, bufs := make([]*bufio.Reader, runs), make([]*wire.Buffer, runs)
+		for i := range readers {
+			readers[i] = bufio.NewReader(bytes.NewReader(src))
+			bufs[i] = &wire.Buffer{B: make([]byte, 0, 4096)}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range readers {
+			err := readFull(readers[i], bufs[i], n)
+			if (err == nil) != (len(src) >= n) {
+				t.Fatalf("reading %d declared bytes of %d sent: %v", n, len(src), err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	inventory := bytes.Repeat([]byte{0xEC}, 444<<10)
+	if got, want := allocated(inventory, len(inventory)), uint64(len(inventory)); got > want+want/16 {
+		t.Errorf("a %d B body allocates %d B to read", want, got)
+	}
+	if got := allocated(inventory[:10<<10], int(maxShardResponseBytes)); got > firstGrowth+firstGrowth/16 {
+		t.Errorf("a declared %d B body of which 10 KB arrive allocates %d B to read", maxShardResponseBytes, got)
+	}
 }

@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -130,6 +131,64 @@ func TestFleetJSONShardIsA502(t *testing.T) {
 		status, body, _ := doReq(t, f.url, tc.method, tc.pathq, tc.body)
 		if want := "shard 1: decoding " + tc.what; status != http.StatusBadGateway || !bytes.Contains(body, []byte(want)) {
 			t.Errorf("%s from a shard answering JSON: %d %.200s, want a 502 saying %q", tc.what, status, body, want)
+		}
+	}
+}
+
+// TestFleetCrossedIntervalIsA502: a shard table or trip segment with an entry
+// whose interval bounds are crossed — the binary form decodes it — is a 502,
+// as a body that does not decode is, never merged into a 200. The harness's
+// hop crosses the SC of an offering entry and the D of a trip entry in every
+// shard answer that has one.
+func TestFleetCrossedIntervalIsA502(t *testing.T) {
+	h := newFleetHarness(t, harnessOpts{n: 3})
+	var crossed atomic.Int64
+	next := h.gw.hop
+	h.gw.hop = func(ctx context.Context, tg *target, c *call, buf *wire.Buffer) (int, http.Header, error) {
+		status, header, err := next(ctx, tg, c, buf)
+		if err != nil || status != http.StatusOK {
+			return status, header, err
+		}
+		switch c.ep {
+		case epOffering:
+			var resp eis.OfferingResponse
+			if wire.DecodeOfferingResponse(buf.B, &resp) == nil && len(resp.Entries) > 0 {
+				resp.Entries[0].SC = eis.IntervalJSON{Min: 0.9, Max: 0.1}
+				buf.B = wire.AppendOfferingResponse(buf.B[:0], &resp)
+				crossed.Add(1)
+			}
+		case epTrip:
+			var resp eis.TripOfferingResponse
+			if wire.DecodeTripResponse(buf.B, &resp) != nil {
+				break
+			}
+			for i := range resp.Segments {
+				if seg := &resp.Segments[i]; len(seg.Entries) > 0 {
+					seg.Entries[len(seg.Entries)-1].D = eis.IntervalJSON{Min: 1, Max: 0}
+					buf.B = wire.AppendTripResponse(buf.B[:0], &resp)
+					crossed.Add(1)
+					break
+				}
+			}
+		}
+		return status, header, err
+	}
+	center := h.env.Graph.Bounds().Center()
+	trip := routedTrips(t, h.env.Graph, 8, 1, 18, fixedNow)[0]
+	for _, tc := range []struct {
+		what, pathq string
+		body        []byte
+	}{
+		{"offering", eis.APIVersion + "/offering", offeringBody(t, eis.OfferingRequest{Lat: center.Lat, Lon: center.Lon, Now: fixedNow})},
+		{"trip offering", eis.APIVersion + "/offering/trip", tripRequest(h.env.Graph, trip, 3, 6000, 2000, 1500)},
+	} {
+		before := crossed.Load()
+		status, body, _ := doReq(t, h.gwts.URL, http.MethodPost, tc.pathq, tc.body)
+		if crossed.Load() == before {
+			t.Fatalf("%s: no shard answer had an entry to cross", tc.what)
+		}
+		if status != http.StatusBadGateway || !bytes.Contains(body, []byte("crossed interval")) {
+			t.Errorf("%s with a crossed interval: %d %.200s, want a 502 naming it", tc.what, status, body)
 		}
 	}
 }

@@ -132,9 +132,11 @@ func checkTable(resp *wire.OfferingResponse, k int) error {
 		stubs[i].ID = e.ChargerID
 		entries[i] = cknn.Entry{
 			Charger: &stubs[i],
-			SC:      interval.FromBounds(e.SC.Min, e.SC.Max),
+			// The bounds convert as they arrived: a crossed interval must
+			// reach tabletest, not be reordered on the way.
+			SC: interval.I(e.SC),
 			Comp: cknn.Components{
-				L: e.L.Interval(), A: e.A.Interval(), D: e.D.Interval(),
+				L: interval.I(e.L), A: interval.I(e.A), D: interval.I(e.D),
 				Degraded: cknn.Degraded(e.Degraded),
 			},
 		}

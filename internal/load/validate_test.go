@@ -4,6 +4,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"ecocharge/internal/wire"
 )
 
 // TestClassifyContract pins the per-response contract table without a
@@ -22,6 +24,12 @@ func TestClassifyContract(t *testing.T) {
 	misordered := []byte(`{"generated_at":"2024-06-18T09:30:00Z","entries":[` +
 		`{"charger_id":1,"sc":{"min":0.1,"max":0.2},"l":{"min":0,"max":1},"a":{"min":0,"max":1},"d":{"min":0,"max":1}},` +
 		`{"charger_id":2,"sc":{"min":0.8,"max":0.9},"l":{"min":0,"max":1},"a":{"min":0,"max":1},"d":{"min":0,"max":1}}]}`)
+	// One entry whose SC bounds are crossed: the wire decoder takes it, the
+	// check must not reorder it into a valid interval.
+	unit := wire.IntervalJSON{Min: 0, Max: 1}
+	crossed := wire.AppendOfferingResponse(nil, &wire.OfferingResponse{Entries: []wire.OfferingEntry{
+		{ChargerID: 1, SC: wire.IntervalJSON{Min: 0.9, Max: 0.1}, L: unit, A: unit, D: unit},
+	}})
 
 	cases := []struct {
 		name    string
@@ -36,6 +44,7 @@ func TestClassifyContract(t *testing.T) {
 		{"corrupt json", 200, hdr(), []byte(`{"entries":`), OutcomeInvalid, "JSON body corrupt"},
 		{"corrupt wire", 200, hdr("Content-Type", "application/x-ecocharge-wire"), []byte{0xEC, 0xFF}, OutcomeInvalid, "wire body corrupt"},
 		{"misordered table", 200, hdr(), misordered, OutcomeInvalid, ""},
+		{"crossed interval", 200, hdr("Content-Type", wire.ContentType), crossed, OutcomeInvalid, "SC [0.9,0.1]"},
 		{"shed with seconds", 503, hdr("Retry-After", "2"), nil, OutcomeShed, ""},
 		{"shed without retry-after", 503, hdr(), nil, OutcomeInvalid, "Retry-After"},
 		{"shed with garbage retry-after", 503, hdr("Retry-After", "soon"), nil, OutcomeInvalid, "Retry-After"},

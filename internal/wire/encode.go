@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"time"
 
 	"ecocharge/internal/charger"
@@ -275,9 +276,13 @@ func appendCharger(b []byte, c *charger.Charger) []byte {
 	return b
 }
 
+// chargersHeadSize bounds a charger list's header, presence byte and count.
+const chargersHeadSize = 3 + 1 + binary.MaxVarintLen64
+
 // AppendChargers appends the binary form of a charger list (the inventory
 // and radius-query payloads).
 func AppendChargers(b []byte, cs []charger.Charger) []byte {
+	b = slices.Grow(b, chargersHeadSize+len(cs)*minChargerSize)
 	b = appendHeader(b, kindChargers)
 	if cs == nil {
 		return append(b, 0)
@@ -293,6 +298,7 @@ func AppendChargers(b []byte, cs []charger.Charger) []byte {
 // AppendChargerRefs is AppendChargers over a pointer slice (the shape the
 // radius query returns); the encoded bytes are identical.
 func AppendChargerRefs(b []byte, cs []*charger.Charger) []byte {
+	b = slices.Grow(b, chargersHeadSize+len(cs)*minChargerSize)
 	b = appendHeader(b, kindChargers)
 	if cs == nil {
 		return append(b, 0)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -155,6 +156,37 @@ func TestChargersRoundTrip(t *testing.T) {
 	}
 	if out != nil {
 		t.Fatalf("nil charger list decoded as %v", out)
+	}
+}
+
+// TestChargersSizedOnce: both charger appenders grow their buffer once for
+// the whole list — an Oldenburg shard's inventory, 318 chargers and 444 KB,
+// allocated 0.8 MB grown by doubling — so a list costs about its length.
+func TestChargersSizedOnce(t *testing.T) {
+	cs := sampleChargers(318)
+	refs := make([]*charger.Charger, len(cs))
+	for i := range cs {
+		refs[i] = &cs[i]
+	}
+	for name, enc := range map[string]func([]byte) []byte{
+		"AppendChargers":    func(b []byte) []byte { return AppendChargers(b, cs) },
+		"AppendChargerRefs": func(b []byte) []byte { return AppendChargerRefs(b, refs) },
+	} {
+		size := uint64(len(enc(nil)))
+		const runs = 8
+		bufs := make([][]byte, runs)
+		for i := range bufs {
+			bufs[i] = make([]byte, 0, 4096) // a pooled buffer's first size
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range bufs {
+			bufs[i] = enc(bufs[i])
+		}
+		runtime.ReadMemStats(&after)
+		if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > size+size/16 {
+			t.Errorf("%s: a %d B list allocates %d B", name, size, got)
+		}
 	}
 }
 
