@@ -103,7 +103,7 @@ func TestRankIntersection(t *testing.T) {
 		mkEntry(3, 0.1, 0.95), // wide: top by max, bottom by min
 		mkEntry(4, 0.75, 0.76),
 	}
-	got := Rank(entries, 2)
+	got := Rank(nil, entries, 2)
 	if len(got) != 2 {
 		t.Fatalf("Rank returned %d entries", len(got))
 	}
@@ -123,7 +123,7 @@ func TestRankIsSubsetAndSorted(t *testing.T) {
 		mkEntry(1, 0.2, 0.4), mkEntry(2, 0.5, 0.6), mkEntry(3, 0.1, 0.9),
 		mkEntry(4, 0.55, 0.58), mkEntry(5, 0.3, 0.35),
 	}
-	got := Rank(entries, 3)
+	got := Rank(nil, entries, 3)
 	if len(got) != 3 {
 		t.Fatalf("len = %d", len(got))
 	}
@@ -135,22 +135,49 @@ func TestRankIsSubsetAndSorted(t *testing.T) {
 }
 
 func TestRankEdgeCases(t *testing.T) {
-	if got := Rank(nil, 3); got != nil {
-		t.Errorf("Rank(nil) = %v", got)
+	if got := Rank(nil, nil, 3); got != nil {
+		t.Errorf("Rank(nil, nil) = %v", got)
 	}
-	if got := Rank([]Entry{mkEntry(1, 0.1, 0.2)}, 0); got != nil {
+	if got := Rank(nil, []Entry{mkEntry(1, 0.1, 0.2)}, 0); got != nil {
 		t.Errorf("Rank k=0 = %v", got)
 	}
 	// k larger than pool returns the whole pool.
-	got := Rank([]Entry{mkEntry(1, 0.1, 0.2), mkEntry(2, 0.3, 0.4)}, 10)
+	got := Rank(nil, []Entry{mkEntry(1, 0.1, 0.2), mkEntry(2, 0.3, 0.4)}, 10)
 	if len(got) != 2 {
 		t.Errorf("k>n returned %d", len(got))
 	}
 }
 
+// TestRankIntoLentRows: a table ranked into lent storage is the table ranked
+// into new storage; it aliases the storage when that has room for its rows,
+// and ranking into it allocates nothing, while storage too short is left
+// alone for new storage of the table's own.
+func TestRankIntoLentRows(t *testing.T) {
+	entries := []Entry{
+		mkEntry(1, 0.2, 0.4), mkEntry(2, 0.5, 0.6), mkEntry(3, 0.1, 0.9),
+		mkEntry(4, 0.55, 0.58), mkEntry(5, 0.3, 0.35), mkEntry(6, 0.05, 0.1),
+	}
+	const k = 4
+	want := Rank(nil, entries, k)
+	lent := make([]Entry, 1, k)
+	got := Rank(lent, entries, k)
+	if !reflect.DeepEqual(got, want) || &got[0] != &lent[:1][0] {
+		t.Fatalf("ranked into lent rows: %v (aliasing them: %v), want %v", summarizeIDs(got), &got[0] == &lent[:1][0], summarizeIDs(want))
+	}
+	short := make([]Entry, 0, k-1)
+	if got := Rank(short, entries, k); !reflect.DeepEqual(got, want) || &got[0] == &short[:1][0] {
+		t.Fatalf("ranked past the lent rows' capacity: %v, want %v in storage of its own", summarizeIDs(got), summarizeIDs(want))
+	}
+	if !raceEnabled {
+		if n := testing.AllocsPerRun(100, func() { Rank(lent, entries, k) }); n != 0 {
+			t.Fatalf("ranking into lent rows allocates %.0f times", n)
+		}
+	}
+}
+
 func TestRankDeterministicOnTies(t *testing.T) {
 	entries := []Entry{mkEntry(3, 0.5, 0.5), mkEntry(1, 0.5, 0.5), mkEntry(2, 0.5, 0.5)}
-	got := Rank(entries, 3)
+	got := Rank(nil, entries, 3)
 	for i, want := range []int64{1, 2, 3} {
 		if got[i].Charger.ID != want {
 			t.Fatalf("tie order: got %v", got)
@@ -163,7 +190,7 @@ func TestRankDeterministicOnTies(t *testing.T) {
 // next charger.
 func TestRankRepeatedCharger(t *testing.T) {
 	entries := []Entry{mkEntry(1, 0.5, 0.9), mkEntry(1, 0.6, 0.8), mkEntry(2, 0.1, 0.2)}
-	got := Rank(entries, 2)
+	got := Rank(nil, entries, 2)
 	if ids := summarizeIDs(got); !slices.Equal(ids, []int64{1, 2}) {
 		t.Fatalf("Rank = %v, want [1 2]", ids)
 	}
@@ -187,7 +214,7 @@ func TestRankTieBreakTotalOrder(t *testing.T) {
 	want := []int64{1, 5, 9, 2}
 	for perm := 0; perm < len(entries); perm++ {
 		rotated := append(append([]Entry(nil), entries[perm:]...), entries[:perm]...)
-		got := Rank(rotated, len(entries))
+		got := Rank(nil, rotated, len(entries))
 		for i, id := range want {
 			if got[i].Charger.ID != id {
 				t.Fatalf("permutation %d: order %v, want %v", perm, summarizeIDs(got), want)
@@ -348,8 +375,8 @@ func TestPruningIsLossless(t *testing.T) {
 					plain = append(plain, e)
 				}
 			}
-			unpruned := Rank(plain, q.K)
-			if pruned := eng.rankPool(cands, d, q); !reflect.DeepEqual(pruned, unpruned) {
+			unpruned := Rank(nil, plain, q.K)
+			if pruned := eng.rankPool(cands, d, q, nil); !reflect.DeepEqual(pruned, unpruned) {
 				t.Errorf("weights %+v, fault rate %v:\n  pruned   %v\n  unpruned %v",
 					q.Weights, rate, entryIDs(pruned), entryIDs(unpruned))
 			}

@@ -341,9 +341,9 @@ func TestAliasedTablesMatchTwoLeg(t *testing.T) {
 			rank func(*Env, Query) OfferingTable
 			legs uint64 // many-target expansions per ranking when both legs run
 		}{
-			{"RankOnce", func(e *Env, q Query) OfferingTable { return RankOnce(e, EcoChargeOptions{}, q) }, 2},
+			{"RankOnce", func(e *Env, q Query) OfferingTable { return RankOnce(e, EcoChargeOptions{}, q, nil) }, 2},
 			{"RankOnce/exact", func(e *Env, q Query) OfferingTable {
-				return RankOnce(e, EcoChargeOptions{RadiusM: 20000, ExactDerouting: true}, q)
+				return RankOnce(e, EcoChargeOptions{RadiusM: 20000, ExactDerouting: true}, q, nil)
 			}, 4},
 			{"BruteForce", func(e *Env, q Query) OfferingTable { return NewBruteForce(e).Rank(q) }, 4},
 			{"Index-Quadtree", func(e *Env, q Query) OfferingTable { return NewIndexQuadtree(e).Rank(q) }, 4},
@@ -517,7 +517,7 @@ func BenchmarkRankOnceOldenburg(b *testing.B) {
 	env, q := oldenburgWorld(b, 3)
 	rank := func(radiusM float64) func() {
 		return func() {
-			if t := RankOnce(env, EcoChargeOptions{RadiusM: radiusM}, q); len(t.Entries) != q.K {
+			if t := RankOnce(env, EcoChargeOptions{RadiusM: radiusM}, q, nil); len(t.Entries) != q.K {
 				b.Fatalf("%d entries within %v m, want %d", len(t.Entries), radiusM, q.K)
 			}
 		}

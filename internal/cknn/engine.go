@@ -90,16 +90,17 @@ func capAbove(x interval.I, cap float64) interval.I {
 // phase visits them in — changes what a ranking costs, never its table.
 //
 // The filtering phase writes one Entry per surviving candidate and Rank
-// copies k of them out, so everything pool-sized between the two phases is
-// scratch: it comes from filterBufs and goes back before rankPool returns.
-func (e *Engine) rankPool(cands []*charger.Charger, d DeroutingMaps, q Query) []Entry {
+// copies k of them out, into the storage rows lends (Rank), so everything
+// pool-sized between the two phases is scratch: it comes from filterBufs and
+// goes back before rankPool returns.
+func (e *Engine) rankPool(cands []*charger.Charger, d DeroutingMaps, q Query, rows []Entry) []Entry {
 	filterStart := time.Now()
 	s := filterBufs.Get().(*filterScratch)
 	s.fit(len(cands))
 	entries := e.evalPool(cands, d, q, s)
 	met.filterSeconds.Since(filterStart)
 	refineStart := time.Now()
-	out := Rank(entries, q.K)
+	out := Rank(rows, entries, q.K)
 	met.refineSeconds.Since(refineStart)
 	if cap(s.entries) <= maxPooledEntries {
 		filterBufs.Put(s)

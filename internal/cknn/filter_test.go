@@ -152,7 +152,7 @@ func TestFilterBoundPrunes(t *testing.T) {
 		q.Anchor, q.AnchorNode, q.ReturnNode = anchor.P, anchor.ID, anchor.ID
 		q.Weights = drawWeights(rng)
 		eq, pq, uq := filterOutcomes()
-		if table := RankOnce(env, EcoChargeOptions{RadiusM: 50000}, q); len(table.Entries) != q.K {
+		if table := RankOnce(env, EcoChargeOptions{RadiusM: 50000}, q, nil); len(table.Entries) != q.K {
 			t.Fatalf("query %d: %d entries, want %d", i, len(table.Entries), q.K)
 		}
 		e, p, u := filterOutcomes()
@@ -188,7 +188,7 @@ func TestCandidateOrderIsCostOnly(t *testing.T) {
 		q = q.normalized()
 		d := env.deroutingMaps(q, env.MaxDeroutSec, nil, approxBounds)
 		sorted := env.Chargers.Within(q.Anchor, q.RadiusM)
-		want := eng.rankPool(sorted, d, q)
+		want := eng.rankPool(sorted, d, q, nil)
 		if len(want) != q.K {
 			t.Fatalf("query %d: %d entries, want %d", i, len(want), q.K)
 		}
@@ -202,7 +202,7 @@ func TestCandidateOrderIsCostOnly(t *testing.T) {
 			orders["shuffled"][a], orders["shuffled"][b] = orders["shuffled"][b], orders["shuffled"][a]
 		})
 		for name, cands := range orders {
-			if got := eng.rankPool(cands, d, q); !reflect.DeepEqual(got, want) {
+			if got := eng.rankPool(cands, d, q, nil); !reflect.DeepEqual(got, want) {
 				t.Errorf("query %d, weights %+v, candidates %s: entries %v, closest first %v", i, q.Weights, name, entryIDs(got), entryIDs(want))
 			}
 		}

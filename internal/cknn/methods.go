@@ -64,7 +64,7 @@ func (m *BruteForce) Rank(q Query) OfferingTable {
 		Anchor:      q.Anchor,
 		GeneratedAt: q.Now,
 		ETABase:     q.ETABase,
-		Entries:     m.engine.rankPool(cands, d, q),
+		Entries:     m.engine.rankPool(cands, d, q, nil),
 	}
 }
 
@@ -112,7 +112,7 @@ func (m *IndexQuadtree) Rank(q Query) OfferingTable {
 		Anchor:      q.Anchor,
 		GeneratedAt: q.Now,
 		ETABase:     q.ETABase,
-		Entries:     m.engine.rankPool(cands, d, q),
+		Entries:     m.engine.rankPool(cands, d, q, nil),
 	}
 }
 
@@ -272,10 +272,10 @@ func (m *EcoCharge) rank(q Query, travel *Travel) (table OfferingTable, used boo
 	m.misses++
 	met.cacheMisses.Inc()
 	if travel != nil {
-		table, used = m.compute(q, travel)
+		table, used = m.compute(q, travel, nil)
 	}
 	if !used {
-		table, _ = m.compute(q, nil)
+		table, _ = m.compute(q, nil, nil)
 	}
 	m.cached = table
 	met.cacheStores.Inc()
@@ -298,9 +298,11 @@ func (m *EcoCharge) adaptable(q Query) bool {
 // never return to adapt the table — the EIS one-shot endpoints, which keep
 // whole responses in their own cache. The table equals
 // what a fresh NewEcoCharge(env, opts) instance returns from its first Rank.
-func RankOnce(env *Env, opts EcoChargeOptions, q Query) OfferingTable {
+// Its entries are written into the storage rows lends (Rank): nil for a
+// table the caller keeps.
+func RankOnce(env *Env, opts EcoChargeOptions, q Query, rows []Entry) OfferingTable {
 	m := EcoCharge{engine: Engine{Env: env}, opts: opts.withDefaults()}
-	table, _ := m.compute(m.opts.evalQuery(q), nil)
+	table, _ := m.compute(m.opts.evalQuery(q), nil, rows)
 	return table
 }
 
@@ -311,10 +313,10 @@ func RankOnce(env *Env, opts EcoChargeOptions, q Query) OfferingTable {
 // nothing was ranked, when they cannot stand in for the search
 // (suppliedDerouting says why); the caller then snaps the point and calls
 // RankOnce, and gets the table this would have returned.
-func RankOnceSupplied(env *Env, opts EcoChargeOptions, q Query, travel *Travel) (table OfferingTable, ok bool) {
+func RankOnceSupplied(env *Env, opts EcoChargeOptions, q Query, travel *Travel, rows []Entry) (table OfferingTable, ok bool) {
 	m := EcoCharge{engine: Engine{Env: env}, opts: opts.withDefaults()}
 	q.AnchorNode, q.ReturnNode = travel.Anchor, travel.Anchor
-	return m.compute(m.opts.evalQuery(q), travel)
+	return m.compute(m.opts.evalQuery(q), travel, rows)
 }
 
 // compute is the cache-miss path: full CkNN-EC over the chargers within R.
@@ -325,8 +327,8 @@ func RankOnceSupplied(env *Env, opts EcoChargeOptions, q Query, travel *Travel) 
 //
 // With travel non-nil the network search is the caller's (RankOnceSupplied,
 // RunTripSupplied); ok is false only when it was refused, and then there is
-// no table.
-func (m *EcoCharge) compute(q Query, travel *Travel) (table OfferingTable, ok bool) {
+// no table. The entries are written into the storage rows lends (Rank).
+func (m *EcoCharge) compute(q Query, travel *Travel, rows []Entry) (table OfferingTable, ok bool) {
 	env := m.engine.Env
 	// The candidates are read until the table is ranked and not after: its
 	// entries point at chargers, not into the scratch.
@@ -345,7 +347,7 @@ func (m *EcoCharge) compute(q Query, travel *Travel) (table OfferingTable, ok bo
 		Anchor:      q.Anchor,
 		GeneratedAt: q.Now,
 		ETABase:     q.ETABase,
-		Entries:     m.engine.rankPool(cands, d, q),
+		Entries:     m.engine.rankPool(cands, d, q, rows),
 	}, true
 }
 
@@ -411,6 +413,6 @@ func (m *EcoCharge) adapt(cached OfferingTable, q Query) OfferingTable {
 			Comp:    comp,
 		})
 	}
-	out.Entries = Rank(out.Entries, q.K)
+	out.Entries = Rank(nil, out.Entries, q.K)
 	return out
 }

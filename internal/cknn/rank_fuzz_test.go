@@ -30,7 +30,7 @@ func FuzzRank(f *testing.F) {
 			c.ID = int64(b[0]%6) + 1
 			pool = append(pool, cknn.Entry{Charger: c, SC: ivl.FromBounds(float64(b[1])/255, float64(b[2])/255)})
 		}
-		got := cknn.Rank(pool, k)
+		got := cknn.Rank(nil, pool, k)
 		if want := cknn.RankOracle(pool, k); !reflect.DeepEqual(got, want) {
 			t.Fatalf("k=%d: Rank = %v, oracle %v", k, cknn.OfferingTable{Entries: got}.IDs(), cknn.OfferingTable{Entries: want}.IDs())
 		}

@@ -33,7 +33,7 @@ func (genEntries) Generate(r *rand.Rand, size int) reflect.Value {
 func TestPropRankSubsetAndSize(t *testing.T) {
 	f := func(es genEntries, kRaw uint8) bool {
 		k := int(kRaw%10) + 1
-		got := Rank(es, k)
+		got := Rank(nil, es, k)
 		want := k
 		if len(es) < k {
 			want = len(es)
@@ -62,7 +62,7 @@ func TestPropRankSubsetAndSize(t *testing.T) {
 // Rank output is sorted by SC midpoint, best first.
 func TestPropRankSorted(t *testing.T) {
 	f := func(es genEntries, kRaw uint8) bool {
-		got := Rank(es, int(kRaw%10)+1)
+		got := Rank(nil, es, int(kRaw%10)+1)
 		for i := 1; i < len(got); i++ {
 			if got[i].SC.Mid() > got[i-1].SC.Mid()+1e-12 {
 				return false
@@ -79,12 +79,12 @@ func TestPropRankSorted(t *testing.T) {
 func TestPropRankOrderInvariant(t *testing.T) {
 	f := func(es genEntries, kRaw uint8, seed int64) bool {
 		k := int(kRaw%10) + 1
-		a := Rank(es, k)
+		a := Rank(nil, es, k)
 		shuffled := append(genEntries(nil), es...)
 		rand.New(rand.NewSource(seed)).Shuffle(len(shuffled), func(i, j int) {
 			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 		})
-		b := Rank(shuffled, k)
+		b := Rank(nil, shuffled, k)
 		if len(a) != len(b) {
 			return false
 		}
@@ -111,7 +111,7 @@ func TestPropRankDominantWins(t *testing.T) {
 			Charger: &charger.Charger{ID: 9999},
 			SC:      interval.New(1.5, 2.0), // above any generated [0,1] interval
 		}
-		got := Rank(append(es, boss), 3)
+		got := Rank(nil, append(es, boss), 3)
 		return len(got) > 0 && got[0].Charger.ID == 9999
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -128,7 +128,7 @@ func TestPropRankIntersectionSurvives(t *testing.T) {
 		if len(es) == 0 {
 			return true
 		}
-		got := Rank(es, k)
+		got := Rank(nil, es, k)
 		inGot := map[int64]bool{}
 		for _, e := range got {
 			inGot[e.Charger.ID] = true
@@ -280,7 +280,7 @@ func TestPropRankMatchesSortOracle(t *testing.T) {
 		pool := make([]Entry, len(es))
 		copy(pool, es)
 		for _, k := range []int{0, 1, 5, len(es), len(es) + 3} {
-			got, want := Rank(es, k), rankBySort(bestPerCharger(pool), k)
+			got, want := Rank(nil, es, k), rankBySort(bestPerCharger(pool), k)
 			if !reflect.DeepEqual(got, want) {
 				t.Logf("k=%d pool=%d: got %v, want %v", k, len(es), OfferingTable{Entries: got}.IDs(), OfferingTable{Entries: want}.IDs())
 				return false

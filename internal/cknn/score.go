@@ -190,15 +190,25 @@ func (o OfferingTable) IDs() []int64 {
 // emits them in the SC-midpoint chain (ties by higher SC_max, then lower
 // charger ID). A charger the pool lists twice holds one place, by its first
 // entry in the SC_max chain. The pool is neither copied nor reordered.
-func Rank(entries []Entry, k int) []Entry {
+//
+// The rows are written into storage the caller lends, which must not overlap
+// the pool: rows' own when it has room for them, so the table aliases it,
+// else new storage. A caller that keeps the table lends nil; one that copies
+// the rows out at once lends scratch (a shard's offering path).
+func Rank(rows, entries []Entry, k int) []Entry {
 	if k <= 0 || len(entries) == 0 {
 		return nil
 	}
-	top := topByMax(entries, k)
+	var held [8]int // a table of up to eight rows is selected unallocated
+	top := held[:0]
+	if k > len(held) {
+		top = make([]int, 0, min(k, len(entries)))
+	}
+	top = topByMax(top, entries, k)
 	// The k rows go in by insertion, each to its place in the midpoint
 	// chain: k is a table's size, and sort.Slice's reflected swapper would
 	// allocate more than the rows.
-	out := make([]Entry, len(top))
+	out := slices.Grow(rows[:0], len(top))[:len(top)]
 	for n, j := range top {
 		e := &entries[j]
 		i := n
@@ -210,12 +220,12 @@ func Rank(entries []Entry, k int) []Entry {
 	return out
 }
 
-// topByMax returns the indexes of the k best entries under the SC_max chain,
-// one per charger, best first: a single pass that keeps the best seen so
-// far in order. With k the size of an Offering Table, nearly every entry is
-// dismissed by its one comparison against the current k-th.
-func topByMax(entries []Entry, k int) []int {
-	top := make([]int, 0, min(k, len(entries)))
+// topByMax appends to top, which it is handed empty, the indexes of the k
+// best entries under the SC_max chain, one per charger, best first: a single
+// pass that keeps the best seen so far in order. With k the size of an
+// Offering Table, nearly every entry is dismissed by its one comparison
+// against the current k-th.
+func topByMax(top []int, entries []Entry, k int) []int {
 	for i := range entries {
 		e := &entries[i]
 		if len(top) == k && !lessEntry(e, &entries[top[k-1]], maxKey) {

@@ -23,12 +23,14 @@ type eisMetrics struct {
 	rescacheMisses    *obs.Counter
 	rescacheExpired   *obs.Counter // entries reclaimed on touch or by the sweep
 	rescacheEvictions *obs.Counter // capacity evictions of live entries
+	rescacheDeclined  *obs.Counter // computed tables a full stripe did not store
 	rescacheEntries   *obs.Gauge   // current occupancy across all shards
 
 	// Per-format response marshalling on the negotiated endpoints: the
 	// histograms isolate the encode share of serving latency, the counters
-	// track format adoption. Cache hits serve pre-encoded bytes and count
-	// under the response counters only (no encode happens).
+	// track format adoption. Every encode of a computed table counts, the
+	// cache's Cached=true copy included; a wire hit serves stored bytes and
+	// counts under the response counters only, a JSON hit encodes and counts.
 	encodeJSON *obs.Histogram
 	encodeWire *obs.Histogram
 	respJSON   *obs.Counter
@@ -74,6 +76,7 @@ func newEISMetrics(r *obs.Registry) *eisMetrics {
 		rescacheMisses:    r.Counter("eis_rescache_misses_total"),
 		rescacheExpired:   r.Counter("eis_rescache_expired_total"),
 		rescacheEvictions: r.Counter("eis_rescache_evictions_total"),
+		rescacheDeclined:  r.Counter("eis_rescache_declined_total"),
 		rescacheEntries:   r.Gauge("eis_rescache_entries"),
 
 		encodeJSON: r.Histogram("eis_encode_seconds_json"),

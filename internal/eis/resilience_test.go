@@ -284,12 +284,12 @@ func TestFlightGroupCollapses(t *testing.T) {
 	computed := 0
 	leaderDone := make(chan cacheVal, 1)
 	go func() {
-		v, shared, err := g.do(context.Background(), key, func() cacheVal {
+		v, shared, err := g.do(context.Background(), 0, key, func() cacheVal {
 			close(started)
 			<-release
 			computed++
 			return cacheVal{wireBody: []byte("entry"), expires: fixedNow}
-		})
+		}, noShare(t))
 		if err != nil || shared {
 			t.Errorf("leader: shared=%v err=%v", shared, err)
 		}
@@ -305,10 +305,10 @@ func TestFlightGroupCollapses(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, shared, err := g.do(context.Background(), key, func() cacheVal {
+			v, shared, err := g.do(context.Background(), 0, key, func() cacheVal {
 				t.Error("follower computed despite an in-flight leader")
 				return cacheVal{}
-			})
+			}, noShare(t))
 			if err != nil {
 				t.Errorf("follower %d: %v", i, err)
 			}
@@ -337,16 +337,16 @@ func TestFlightGroupFollowerHonorsContext(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	go func() {
-		_, _, _ = g.do(context.Background(), key, func() cacheVal {
+		_, _, _ = g.do(context.Background(), 0, key, func() cacheVal {
 			close(started)
 			<-release
 			return cacheVal{}
-		})
+		}, func() []byte { return nil })
 	}()
 	<-started
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := g.do(ctx, key, func() cacheVal { return cacheVal{} })
+	_, _, err := g.do(ctx, 0, key, func() cacheVal { return cacheVal{} }, noShare(t))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("abandoned follower returned %v, want context.Canceled", err)
 	}

@@ -3,7 +3,6 @@ package eis
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -31,9 +30,9 @@ type ServerOptions struct {
 	// CacheTTL bounds cached table age. 0 selects 5 minutes.
 	CacheTTL time.Duration
 	// RequestTimeout is the per-request deadline, installed where a handler
-	// can block (Server.deadline): the single-flight wait of /offering and
-	// the routing of /offering/trip, which answer 503 with Retry-After when
-	// it expires instead of holding the connection.
+	// can block (withTimeout): a follower's single-flight wait on /offering
+	// and the routing of /offering/trip, which answer 503 with Retry-After
+	// when it expires instead of holding the connection.
 	// 0 selects 15 s; negative disables the deadline.
 	RequestTimeout time.Duration
 	// Clock is overridable for tests; nil selects time.Now.
@@ -62,8 +61,9 @@ func (o ServerOptions) withDefaults() ServerOptions {
 	return o
 }
 
-// cacheMaxEntries bounds the response cache across all its stripes; a full
-// stripe evicts by respShard.evictLocked's rule (expired entries, then
+// cacheMaxEntries bounds the response cache across all its stripes. A full
+// stripe stores only a key that was asked for before (respCache.admits), and
+// makes room for it by respShard.evictLocked's rule (expired entries, then
 // entries never read, before anything that was hit).
 const cacheMaxEntries = 4096
 
@@ -77,7 +77,9 @@ type Server struct {
 	// pulls the inventory (CacheTerms).
 	terms CacheTerms
 
-	cache   respCache
+	cache respCache
+	// seen is the key of every cache miss, which a full stripe admits by.
+	seen    SeenFilter
 	flights flightGroup
 	// computes counts cache-miss table computations (diagnostics and the
 	// single-flight tests).
@@ -87,11 +89,11 @@ type Server struct {
 // cacheVal is one cached Offering Table, encoded when it entered the cache
 // (with Cached=true, the flag every hit carries): encode once, write many.
 // The wire body is all an entry holds: a fleet shard is only ever asked for
-// wire bodies. A JSON hit renders its body from the wire one (cachedJSON);
-// the codec's JSON-equivalence contract — fuzzed in internal/wire, pinned end
-// to end by TestChaosWireOfferingCacheParity — makes it the bytes an eager
-// encode would have stored. An entry never changes once stored, so hits and
-// single-flight followers hand its bytes out without copying.
+// wire bodies. A JSON hit renders its body from the wire one (writeCached).
+// An entry never changes once stored, so hits and single-flight followers
+// hand its bytes out without copying. The followers of a leader whose table
+// the cache declined are handed a cacheVal of hit bytes that was never
+// stored.
 type cacheVal struct {
 	wireBody []byte
 	expires  time.Time
@@ -178,17 +180,31 @@ func (c *respCache) get(key cacheKey, now time.Time) (cacheVal, bool) {
 	return v, true
 }
 
+// admits reports whether a table computed for key may be cached. A stripe
+// with room stores it; a full one — once its expired entries are reclaimed —
+// only if the key was asked for before within its TTL (seen, by the server's
+// SeenFilter), and makes room by eviction then. A key nobody asked for before
+// is, under personalised weights, one nobody asks for again: the paper keeps
+// a driver's own table in the vehicle's dynamic cache (§IV.C), and storing it
+// here would cost an encode, a copy and the eviction of an entry somebody
+// might read. A declined table is answered and dropped.
+func (c *respCache) admits(key cacheKey, seen bool, now time.Time) bool {
+	if seen {
+		return true
+	}
+	s := c.shard(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.m) < c.maxPerShard || s.reclaimLocked(now) > 0 {
+		return true
+	}
+	met.rescacheDeclined.Inc()
+	return false
+}
+
 // put caches resp under key and returns the entry it stored.
 func (c *respCache) put(key cacheKey, resp OfferingResponse, now, expires time.Time) cacheVal {
-	// Encode once, outside the shard lock, into a pooled buffer, and keep a
-	// copy of exactly its length. Every hit is served as Cached=true, so the
-	// stored bytes carry the flag.
-	hit := resp
-	hit.Cached = true
-	buf := wire.GetBuffer()
-	buf.B = wire.AppendOfferingResponse(buf.B, &hit)
-	wireBody := bytes.Clone(buf.B)
-	wire.PutBuffer(buf)
+	wireBody := encodeHit(resp) // outside the shard lock
 
 	s := c.shard(key)
 	s.mu.Lock()
@@ -234,20 +250,18 @@ func (c *respCache) put(key cacheKey, resp OfferingResponse, now, expires time.T
 // short however keys come and go, for a few map operations a put.
 func (c *respCache) queueLimit() int { return c.maxPerShard + c.maxPerShard/4 + 1 }
 
-// cachedJSON renders a cached wire body as the JSON body of the same hit:
-// what json.Encoder would have written for the table when it was cached,
-// trailing newline included, so cached and freshly encoded responses stay
-// byte-identical.
-func cachedJSON(wireBody []byte) ([]byte, error) {
-	var hit OfferingResponse
-	if err := wire.DecodeOfferingResponse(wireBody, &hit); err != nil {
-		return nil, err
-	}
-	body, err := json.Marshal(&hit)
-	if err != nil {
-		return nil, err
-	}
-	return append(body, '\n'), nil
+// encodeHit returns the wire body every hit on resp is answered with: resp
+// with Cached=true, encoded into a pooled buffer and copied at its length.
+// The encode counts on eis_encode_seconds_wire, as Respond's does.
+func encodeHit(resp OfferingResponse) []byte {
+	resp.Cached = true
+	buf := wire.GetBuffer()
+	start := time.Now()
+	buf.B = wire.AppendOfferingResponse(buf.B, &resp)
+	met.encodeWire.Since(start)
+	body := bytes.Clone(buf.B)
+	wire.PutBuffer(buf)
+	return body
 }
 
 // evictLocked makes room in a full shard. Expired entries at the head of the
@@ -271,24 +285,7 @@ func cachedJSON(wireBody []byte) ([]byte, error) {
 // the queue's order stands and the sweep and get reclaim what expires behind
 // the head.
 func (s *respShard) evictLocked(now time.Time) {
-	expired := 0
-	for ; s.head < len(s.queue); s.head++ {
-		v, live := s.live(s.head)
-		if !live {
-			continue
-		}
-		if !now.After(v.expires) {
-			break
-		}
-		delete(s.m, s.queue[s.head])
-		expired++
-	}
-	if s.hand < s.head {
-		s.hand = s.head
-	}
-	if expired > 0 {
-		met.rescacheExpired.Add(uint64(expired))
-		met.rescacheEntries.Add(-int64(expired))
+	if s.reclaimLocked(now) > 0 {
 		return
 	}
 	for ; s.hand < len(s.queue); s.hand++ {
@@ -308,6 +305,31 @@ func (s *respShard) evictLocked(now time.Time) {
 	s.hand++
 	met.rescacheEvictions.Inc()
 	met.rescacheEntries.Dec()
+}
+
+// reclaimLocked deletes the expired entries at the head of the queue and
+// returns how many it deleted.
+func (s *respShard) reclaimLocked(now time.Time) int {
+	expired := 0
+	for ; s.head < len(s.queue); s.head++ {
+		v, live := s.live(s.head)
+		if !live {
+			continue
+		}
+		if !now.After(v.expires) {
+			break
+		}
+		delete(s.m, s.queue[s.head])
+		expired++
+	}
+	if s.hand < s.head {
+		s.hand = s.head
+	}
+	if expired > 0 {
+		met.rescacheExpired.Add(uint64(expired))
+		met.rescacheEntries.Add(-int64(expired))
+	}
+	return expired
 }
 
 // live returns the entry whose slot is queue[i], if that entry is still
@@ -348,18 +370,18 @@ func NewServer(env *cknn.Env, opts ServerOptions) *Server {
 	return srv
 }
 
-// deadline derives the context of a request that is about to wait or to
-// compute for long: the caller's, bounded by RequestTimeout. It is the one
-// reader of the option, called where a handler can block — /offering past
-// its cache lookup, before the single-flight, and /offering/trip before it
-// routes — and not around every request: a response-cache hit returns in
-// microseconds without reading its context, and a timer and a context per
-// hit cost more than the hit.
-func (s *Server) deadline(ctx context.Context) (context.Context, context.CancelFunc) {
-	if s.opts.RequestTimeout <= 0 {
+// withTimeout bounds ctx by RequestTimeout's rule: a non-positive timeout
+// disables the bound. It is called only where a handler is about to wait
+// or to compute for long — a single-flight follower, a trip before it routes
+// — and not around every request: a response-cache hit returns in
+// microseconds without reading its context, and a single-flight leader runs
+// to completion whatever its context says, so a timer and a context for
+// either cost more than they guard.
+func withTimeout(ctx context.Context, timeout time.Duration) (context.Context, context.CancelFunc) {
+	if timeout <= 0 {
 		return ctx, func() {}
 	}
-	return context.WithTimeout(ctx, s.opts.RequestTimeout)
+	return context.WithTimeout(ctx, timeout)
 }
 
 // Handler returns the HTTP routes of the EIS, the observability surface
@@ -588,6 +610,9 @@ func (s *Server) handleOffering(w http.ResponseWriter, r *http.Request) {
 		writeCached(w, r, v)
 		return
 	}
+	// Every miss is observed: a full stripe keeps a table only for a key
+	// that was asked for before (respCache.admits).
+	seen := s.seen.Observe(key.hash(), o.Now, s.opts.CacheTTL)
 
 	// The query point is snapped here unless the request brought its
 	// network search along, which starts from the node its sender snapped
@@ -603,18 +628,19 @@ func (s *Server) handleOffering(w http.ResponseWriter, r *http.Request) {
 	// Single-flight: concurrent cache misses for the same cell collapse to
 	// one computation; followers wait for the leader's cache entry (or their
 	// own deadline) instead of stampeding the ranking engine, and are answered
-	// from it as a hit is. The leader answers its fresh table.
-	ctx, cancel := s.deadline(r.Context())
-	defer cancel()
+	// as a hit is — from the hit bytes the leader encodes for them when the
+	// cache declined its table. The leader answers its fresh table.
 	rows := rowScratch.Get().(*[]OfferingEntry)
 	defer putRows(rows)
 	var fresh OfferingResponse
-	v, shared, err := s.flights.do(ctx, key, func() cacheVal {
+	v, shared, err := s.flights.do(r.Context(), s.opts.RequestTimeout, key, func() cacheVal {
 		s.computes.Add(1)
-		table := s.rankOffering(&o, node, req.Travel)
-		fresh = OfferingResponse{GeneratedAt: o.Now, Entries: appendRows(rows, table.Entries)}
+		fresh = OfferingResponse{GeneratedAt: o.Now, Entries: s.rankOffering(&o, node, req.Travel, rows)}
+		if !s.cache.admits(key, seen, o.Now) {
+			return cacheVal{}
+		}
 		return s.cache.put(key, fresh, o.Now, o.Now.Add(s.opts.CacheTTL))
-	})
+	}, func() []byte { return encodeHit(fresh) })
 	switch {
 	case err != nil:
 		s.writeError(w, http.StatusServiceUnavailable, "offering computation did not finish in time: %v", err)
@@ -626,20 +652,28 @@ func (s *Server) handleOffering(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeCached answers an offering from a cache entry: a wire answer writes
-// the stored bytes, a JSON answer is rendered from them.
+// the stored bytes, a JSON answer is rendered from them into pooled rows and
+// a pooled buffer. The codec's JSON-equivalence contract — fuzzed in
+// internal/wire, pinned end to end by TestChaosWireOfferingCacheParity —
+// makes it what json.Encoder would have written for the table when it was
+// cached (TestCachedJSONIsTheEagerEncoding).
 func writeCached(w http.ResponseWriter, r *http.Request, v cacheVal) {
 	if wire.Accepts(r.Header.Get("Accept")) {
 		met.respWire.Inc()
 		WriteBody(w, http.StatusOK, wire.ContentType, v.wireBody)
 		return
 	}
-	body, err := cachedJSON(v.wireBody)
-	if err != nil {
+	rows := rowScratch.Get().(*[]OfferingEntry)
+	defer putRows(rows)
+	hit := OfferingResponse{Entries: *rows}
+	if err := wire.DecodeOfferingResponse(v.wireBody, &hit); err != nil {
 		WriteBody(w, http.StatusInternalServerError, ContentTypeJSON, errEncodeBody)
 		return
 	}
-	met.respJSON.Inc()
-	WriteBody(w, http.StatusOK, ContentTypeJSON, body)
+	if cap(hit.Entries) > cap(*rows) {
+		*rows = hit.Entries[:0] // the scratch keeps what the decode grew
+	}
+	writeJSON(w, http.StatusOK, &hit, met)
 }
 
 // rowScratch pools the rows a computed offering or trip is answered from;
@@ -676,17 +710,34 @@ func appendRows(rows *[]OfferingEntry, es []cknn.Entry) []OfferingEntry {
 	return (*rows)[start:len(*rows):len(*rows)]
 }
 
-// rankOffering computes the table of one offering request: on the network
-// search the request brought along (a fleet gateway's travel block) when it
-// brought one that covers the ranking, else on a search of its own from node,
-// the query point's node — snapped now, if a block that is then refused was
-// to make that unnecessary. The table is the same either way.
-func (s *Server) rankOffering(o *Offering, node roadnet.NodeID, block *wire.TravelBlock) cknn.OfferingTable {
+// rankOffering computes the table of one offering request and appends its
+// rows to rows (appendRows): on the network search the request brought along
+// (a fleet gateway's travel block) when it brought one that covers the
+// ranking, else on a search of its own from node, the query point's node —
+// snapped now, if a block that is then refused was to make that unnecessary.
+// The table is the same either way. The ranking writes its k entries into
+// pooled scratch, which the rows are copied out of at once.
+func (s *Server) rankOffering(o *Offering, node roadnet.NodeID, block *wire.TravelBlock, rows *[]OfferingEntry) []OfferingEntry {
+	ranked := rankScratch.Get().(*[]cknn.Entry)
+	defer rankScratch.Put(ranked)
+	table := s.rank(o, node, block, *ranked)
+	if n := cap(table.Entries); n > cap(*ranked) && n <= maxPooledRows {
+		*ranked = table.Entries[:0]
+	}
+	return appendRows(rows, table.Entries)
+}
+
+// rankScratch pools the storage a shard's one-shot ranking writes its k
+// entries into (cknn.RankOnce's rows), which rankOffering copies out of.
+var rankScratch = sync.Pool{New: func() interface{} { return new([]cknn.Entry) }}
+
+// rank is rankOffering's ranking, its entries in the storage rows lends.
+func (s *Server) rank(o *Offering, node roadnet.NodeID, block *wire.TravelBlock, rows []cknn.Entry) cknn.OfferingTable {
 	q := o.Query(node)
 	opts := cknn.EcoChargeOptions{RadiusM: o.RadiusM}
 	if block != nil {
 		travel := travelOf(block)
-		if table, ok := cknn.RankOnceSupplied(s.env, opts, q, &travel); ok {
+		if table, ok := cknn.RankOnceSupplied(s.env, opts, q, &travel, rows); ok {
 			met.travelUsed.Inc()
 			return table
 		}
@@ -694,7 +745,7 @@ func (s *Server) rankOffering(o *Offering, node roadnet.NodeID, block *wire.Trav
 		q.AnchorNode = s.env.Graph.NearestNode(o.P)
 		q.ReturnNode = q.AnchorNode
 	}
-	return cknn.RankOnce(s.env, opts, q)
+	return cknn.RankOnce(s.env, opts, q, rows)
 }
 
 // travelOf is the network search a travel block carries, as a ranking reads
@@ -710,9 +761,9 @@ func travelOf(b *wire.TravelBlock) cknn.Travel {
 
 // flightGroup collapses concurrent computations of the same cache key into
 // one: the first caller becomes the leader and computes, followers block on
-// the cache entry the leader stored or their own context, whichever ends
+// the entry the leader hands them or their own deadline, whichever ends
 // first. The leader always runs to completion so its work lands in the cache
-// even when every waiter gave up.
+// even when every waiter gave up; it reads no context and starts no timer.
 type flightGroup struct {
 	mu sync.Mutex
 	m  map[cacheKey]*flight
@@ -721,18 +772,28 @@ type flightGroup struct {
 type flight struct {
 	done chan struct{}
 	val  cacheVal
+	// joined says a follower waits, under flightGroup.mu until the leader
+	// takes the flight out of the map.
+	joined bool
 }
 
-// do returns the cache entry, whether it was shared from another caller's
-// computation, and a context error when the wait was abandoned.
-func (g *flightGroup) do(ctx context.Context, key cacheKey, fn func() cacheVal) (cacheVal, bool, error) {
+// do returns the cache entry of key, whether it was shared from another
+// caller's computation, and a context error when the wait was abandoned. A
+// leader runs lead, which returns the entry it cached or, when the cache
+// declined the table, one without a body; share then encodes the hit bytes
+// the followers are answered with, and only if one joined. A follower waits
+// under ctx bounded by timeout (withTimeout).
+func (g *flightGroup) do(ctx context.Context, timeout time.Duration, key cacheKey, lead func() cacheVal, share func() []byte) (cacheVal, bool, error) {
 	g.mu.Lock()
 	if g.m == nil {
 		g.m = make(map[cacheKey]*flight)
 	}
 	if f, ok := g.m[key]; ok {
+		f.joined = true
 		g.mu.Unlock()
 		met.flightCoalesced.Inc()
+		ctx, cancel := withTimeout(ctx, timeout)
+		defer cancel()
 		select {
 		case <-f.done:
 			return f.val, true, nil
@@ -745,11 +806,15 @@ func (g *flightGroup) do(ctx context.Context, key cacheKey, fn func() cacheVal) 
 	g.mu.Unlock()
 	met.flightLeads.Inc()
 
-	f.val = fn()
-	close(f.done)
-
+	v := lead()
 	g.mu.Lock()
 	delete(g.m, key)
+	joined := f.joined
 	g.mu.Unlock()
-	return f.val, false, nil
+	f.val = v
+	if joined && v.wireBody == nil {
+		f.val.wireBody = share()
+	}
+	close(f.done)
+	return v, false, nil
 }

@@ -281,11 +281,9 @@ func TestCachedJSONIsTheEagerEncoding(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: the entry is not cached", name)
 		}
-		derived, err := cachedJSON(v.wireBody)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(derived, eager) {
+		rec := httptest.NewRecorder()
+		writeCached(rec, httptest.NewRequest(http.MethodPost, APIVersion+"/offering", nil), v)
+		if derived := rec.Body.Bytes(); rec.Code != http.StatusOK || !bytes.Equal(derived, eager) {
 			t.Fatalf("%s: derived JSON differs from the eager encoding\nderived %s\neager   %s", name, derived, eager)
 		}
 	}

@@ -48,7 +48,7 @@ func (s *Server) handleTripOffering(w http.ResponseWriter, r *http.Request) {
 		met.routeRejected.Inc()
 	}
 	if !followed {
-		ctx, cancel := s.deadline(r.Context())
+		ctx, cancel := withTimeout(r.Context(), s.opts.RequestTimeout)
 		defer cancel()
 		var status int
 		trip, status, err = t.Route(ctx, s.env.Graph)

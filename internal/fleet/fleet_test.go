@@ -154,11 +154,11 @@ func TestMergeRecoversGlobalRank(t *testing.T) {
 			s := rng.Intn(shards)
 			perShard[s] = append(perShard[s], e)
 		}
-		want := cknn.Rank(entries, k)
+		want := cknn.Rank(nil, entries, k)
 
 		var pool []eis.OfferingEntry
 		for _, sub := range perShard {
-			for _, e := range cknn.Rank(sub, k) {
+			for _, e := range cknn.Rank(nil, sub, k) {
 				pool = append(pool, eis.OfferingEntry{
 					ChargerID: e.Charger.ID,
 					SC:        eis.IntervalJSON{Min: e.SC.Min, Max: e.SC.Max},

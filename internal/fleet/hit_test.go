@@ -234,19 +234,30 @@ func searches() float64 {
 }
 
 // missAllocCeiling is what one personalised ranking through the fleet may
-// allocate, process-wide: 26 KB measured — the client's exchange and the
-// shards' server halves in net/http, the gateway's three on its own
-// transport, and on each shard the response-cache entry and the ranking. The
-// gateway writes every shard's request, travel block included, into its
-// pooled fan-out, the shards read their blocks where they arrived, and a
-// shard writes its answer from pooled rows. The head-room does not cover
-// request bodies the garbage collector owns (14 KB: a body a shard and the
-// plain request), both a cache entry grown by doubling and a table's rows
-// appended one by one (8 KB over the three shards, half each), a block
-// copied out of the request (4 KB a shard), a candidate retrieval that
-// allocates (14 KB a shard), nor net/http's transport under the shard hop
-// (6 KB).
-const missAllocCeiling = 32 << 10
+// allocate, process-wide: 22.4–23.0 KB measured — the client's exchange and
+// the shards' server halves in net/http, the gateway's three on its own
+// transport, and on each shard the response-cache entry, the growth of a
+// cache that still has room, and the ranking. The gateway writes every
+// shard's request, travel block included, into its pooled fan-out, the
+// shards read their blocks where they arrived, a shard's ranking writes its
+// rows into pooled scratch and its answer from pooled rows, and a
+// single-flight leader starts no timer. The head-room does not cover request
+// bodies the garbage collector owns (14 KB: a body a shard and the plain
+// request), a block copied out of the request (4 KB a shard), a candidate
+// retrieval that allocates (14 KB a shard), net/http's transport under the
+// shard hop (6 KB), nor rows written fresh and a timer per leader together
+// (3.7 KB); fullMissAllocCeiling, which has no cache growth to allow for,
+// catches either of those alone.
+const missAllocCeiling = 24 << 10
+
+// fullMissAllocCeiling is missAllocCeiling for a fleet whose shards' response
+// caches are full, as on a server that has been up for a while: a
+// personalised key is one nobody asked for before, so every shard answers its
+// table and drops it — no cache entry is encoded, copied or evicted for it.
+// 19.7 KB measured, to a few bytes. The head-room, 1.5 KB, does not cover a
+// ranking's rows written fresh (1.7 KB over the three shards) nor a timer per
+// leader (1.9 KB); a shard that stores the table anyway fails fullMissFleet.
+const fullMissAllocCeiling = 20<<10 + 768
 
 // warmMissFleet is a missFleet whose gateway searches for all three shards,
 // its pools and connections at steady state.
@@ -272,13 +283,53 @@ func warmMissFleet(tb testing.TB) *missFleet {
 	return f
 }
 
+// fullMissFleet is a warmMissFleet whose shards' response caches were filled
+// first with one-shot keys that rank nothing (a radius of one meter, k
+// counting up), until a whole batch of them was declined by every shard:
+// then every stripe is at its bound, and a ranking the shards were not asked
+// for before is answered uncached.
+func fullMissFleet(tb testing.TB) *missFleet {
+	tb.Helper()
+	f := warmMissFleet(tb)
+	declined := obs.Default().Counter("eis_rescache_declined_total")
+	fill := f.req
+	fill.RadiusM = 1
+	const batch = 256
+	for full := false; !full; {
+		d0 := declined.Value()
+		for i := 0; i < batch; i++ {
+			if fill.K++; fill.K > 16*4096 {
+				tb.Fatalf("the shards' caches were still taking keys after %d of them", fill.K)
+			}
+			f.body = wire.AppendOfferingRequest(f.body[:0], &fill)
+			if err := f.send(); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		full = declined.Value()-d0 == 3*batch
+	}
+	d0 := declined.Value()
+	for i := 0; i < 20; i++ {
+		f.rank(tb)
+	}
+	if got := declined.Value() - d0; got != 3*20 {
+		tb.Fatalf("full caches declined %d of 60 one-shot tables", got)
+	}
+	return f
+}
+
 // BenchmarkGatewayMiss is the cache-miss path end to end: one personalised
-// ranking through the fleet, which every shard computes. The gateway runs
+// ranking through the fleet, which every shard computes — into caches with
+// room (room) and into full ones, which decline it (full). The gateway runs
 // the ranking's network search and the shards build on its travel times, so
 // the fleet must have started exactly one expansion per ranking; and one
 // ranking must stay under the allocation ceiling.
 func BenchmarkGatewayMiss(b *testing.B) {
-	f := warmMissFleet(b)
+	b.Run("room", func(b *testing.B) { benchGatewayMiss(b, warmMissFleet(b), missAllocCeiling) })
+	b.Run("full", func(b *testing.B) { benchGatewayMiss(b, fullMissFleet(b), fullMissAllocCeiling) })
+}
+
+func benchGatewayMiss(b *testing.B, f *missFleet, ceiling uint64) {
 	before := searches()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -289,8 +340,8 @@ func BenchmarkGatewayMiss(b *testing.B) {
 	if got := searches() - before; got != float64(b.N) {
 		b.Fatalf("%v network expansions for %d fleet rankings, want one each", got, b.N)
 	}
-	if perRanking := allocPerRequest(func() { f.rank(b) }); perRanking > missAllocCeiling {
-		b.Fatalf("one ranking allocates %d B, over the ceiling of %d B", perRanking, missAllocCeiling)
+	if perRanking := allocPerRequest(func() { f.rank(b) }); perRanking > ceiling {
+		b.Fatalf("one ranking allocates %d B, over the ceiling of %d B", perRanking, ceiling)
 	}
 }
 
@@ -305,6 +356,21 @@ func TestGatewayMissAllocCeiling(t *testing.T) {
 	t.Logf("%d B per ranking", perRanking)
 	if perRanking > missAllocCeiling {
 		t.Fatalf("one ranking allocates %d B, over the ceiling of %d B", perRanking, missAllocCeiling)
+	}
+}
+
+// TestGatewayMissFullCacheAllocCeiling holds one personalised ranking through
+// a fleet whose shards' caches are full to fullMissAllocCeiling in tier-1, as
+// the benchmark does.
+func TestGatewayMissFullCacheAllocCeiling(t *testing.T) {
+	if fleet.RaceEnabled {
+		t.Skip("the race detector allocates inside sync.Pool")
+	}
+	f := fullMissFleet(t)
+	perRanking := allocPerRequest(func() { f.rank(t) })
+	t.Logf("%d B per ranking", perRanking)
+	if perRanking > fullMissAllocCeiling {
+		t.Fatalf("one ranking allocates %d B, over the ceiling of %d B", perRanking, fullMissAllocCeiling)
 	}
 }
 

@@ -3,8 +3,6 @@ package fleet
 import (
 	"context"
 	"slices"
-	"sync/atomic"
-	"time"
 
 	"ecocharge/internal/charger"
 	"ecocharge/internal/cknn"
@@ -28,13 +26,13 @@ import (
 //
 // Everything the gateway holds for this is soft state — the world is the
 // shards' own, rebuilt from the same flags; inventories, cache terms and the
-// filter below are re-learned from the shards — and none of it is a
-// correctness input. A shard that hits its cache ignores the block; a shard
-// that misses without one (the filter said "seen", a directed graph, no
-// inventory yet) searches for itself as it
-// always did; a shard that finds the block short of a candidate
-// (a stale inventory here) or malformed discards it and searches for itself.
-// A wrong guess costs a search somewhere, never a table.
+// filter of the keys sent (eis.SeenFilter) are re-learned from the shards —
+// and none of it is a correctness input. A shard that hits its cache ignores
+// the block; a shard that misses without one (the filter said "seen" of a key
+// the shard declined to keep or lost, a directed graph, no inventory yet)
+// searches for itself as it always did; a shard that finds the block short of
+// a candidate (a stale inventory here) or malformed discards it and searches
+// for itself. A wrong guess costs a search somewhere, never a table.
 //
 // A trip is the same hand-over along a route (supplyTrip): the gateway plans
 // it once, in front of the fan-out, hands every shard the route, and searches
@@ -58,7 +56,8 @@ import (
 type supplyTerms struct {
 	cache eis.CacheTerms
 	sites *spatial.Quadtree
-	seen  seenFilter
+	// seen holds the keys fanned out to the shard lately.
+	seen eis.SeenFilter
 }
 
 func newSupplyTerms(cache eis.CacheTerms, inv []charger.Charger) *supplyTerms {
@@ -89,78 +88,6 @@ func (t *supplyTerms) appendTargets(fo *fanout, p geo.Point, radius float64) {
 	}
 }
 
-// seenFilter remembers the response-cache keys the gateway fanned out to one
-// shard within the shard's TTL: for those the shard has a cached table, or
-// is computing one, and a travel block would be searched for and thrown
-// away. It is a cost hint, fixed in size and lock-free, and wrong in both
-// directions — it forgets keys (sets overflow, racing writers overwrite each
-// other) and remembers what the shard evicted — which only ever moves a
-// search from one side of the exchange to the other.
-//
-// A slot packs a key's 31-bit fingerprint and a mark over the Unix second
-// the key was sent at, in the request's own time, which is the time a shard
-// expires entries by. Eight slots — one cache line — make a set, and there
-// are as many slots as a shard's response cache holds entries by default
-// (4 096): what the shard can have cached, the filter can remember. The mark
-// says the key was asked for again. A full set gives up a key that was not
-// before one that was, as the shard's cache does (respShard.evictLocked) and
-// for its reason: the keys that come back are a few hundred cells, the keys
-// that do not are every personalised ranking, and a filter that drops a cell
-// for one of those has the gateway search for a shard that then answers
-// from its cache.
-type seenFilter struct {
-	slots [filterSets * filterWays]atomic.Uint64
-}
-
-const (
-	filterWays = 8
-	filterSets = 512
-
-	seenSecond = 1<<32 - 1 // the second the key was sent at
-	seenAgain  = 1 << 32   // the key was asked for again within its TTL
-)
-
-// observe reports whether the key was sent within ttl of now, and records it
-// as sent now if not.
-func (f *seenFilter) observe(hash uint64, now time.Time, ttl time.Duration) bool {
-	set := f.slots[hash%filterSets*filterWays:][:filterWays]
-	fp := (hash>>33 | 1) << 33 // never 0: an empty slot matches no key
-	sec := uint32(now.Unix())
-	expired, once := -1, -1
-	for i := range set {
-		e := set[i].Load()
-		// Age on a 32-bit circle. A request issued before the one that was
-		// recorded has a negative age and is fresh, as it is to the shard,
-		// which only asks whether now is past the entry's expiry.
-		fresh := e != 0 && time.Duration(int32(sec-uint32(e)))*time.Second <= ttl
-		switch {
-		case fresh && e&^(seenAgain|seenSecond) == fp:
-			if e&seenAgain == 0 {
-				set[i].CompareAndSwap(e, e|seenAgain)
-			}
-			return true
-		case !fresh && expired < 0:
-			expired = i
-		case fresh && e&seenAgain == 0 && once < 0:
-			once = i
-		}
-	}
-	victim := expired
-	if victim < 0 {
-		victim = once
-	}
-	if victim < 0 {
-		// Every key of the set came back: all start over, and one goes.
-		for i := range set {
-			e := set[i].Load()
-			set[i].CompareAndSwap(e, e&^seenAgain)
-		}
-		victim = int(hash >> 10 % filterWays)
-	}
-	set[victim].Store(fp | uint64(sec))
-	return false
-}
-
 // supplyTravel decides, shard by shard, whether the offering request in
 // fo.req (resolved: o) will miss the shard's response cache, runs the
 // ranking's one network search for those that will, and replaces their
@@ -172,7 +99,7 @@ func (g *Gateway) supplyTravel(fo *fanout, o *eis.Offering) bool {
 	for _, m := range g.members {
 		t := m.supply.Load()
 		start := len(fo.targets)
-		if t == nil || t.seen.observe(t.cache.KeyHash(o), o.Now, t.cache.TTL) {
+		if t == nil || t.seen.Observe(t.cache.KeyHash(o), o.Now, t.cache.TTL) {
 			fo.spans = append(fo.spans, span{start, start, false})
 			continue
 		}

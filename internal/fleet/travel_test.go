@@ -461,6 +461,79 @@ func TestFleetTravelFilterFalseSeen(t *testing.T) {
 	}
 }
 
+// fillCache sends a server one-shot keys that rank nothing (a radius of one
+// meter, k counting up) until a whole batch of them is declined: then every
+// stripe of its response cache is at its bound.
+func fillCache(t *testing.T, h http.Handler, p geo.Point) {
+	t.Helper()
+	declined := obs.Default().Counter("eis_rescache_declined_total")
+	req := eis.OfferingRequest{Lat: p.Lat, Lon: p.Lon, RadiusM: 1, Now: fixedNow}
+	const batch = 256
+	for full := false; !full; {
+		d0 := declined.Value()
+		for i := 0; i < batch; i++ {
+			if req.K++; req.K > 16*4096 {
+				t.Fatalf("the cache was still taking keys after %d of them", req.K)
+			}
+			hr := httptest.NewRequest(http.MethodPost, eis.APIVersion+"/offering", bytes.NewReader(wire.AppendOfferingRequest(nil, &req)))
+			hr.Header.Set("Content-Type", wire.ContentType)
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, hr)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("fill request answered %d %.200s", rec.Code, rec.Body)
+			}
+		}
+		full = declined.Value()-d0 == batch
+	}
+}
+
+// TestFleetTravelFullCachesDecline: shards whose response caches are full
+// answer a personalised table they were not asked for before and drop it.
+// The gateway's filter remembers the key it sent, so the same key sent again
+// reaches every shard without a block: each searches for itself and, asked
+// twice now, caches the table. Every answer is the one a single EIS with a
+// full cache gives, the third a hit everywhere.
+func TestFleetTravelFullCachesDecline(t *testing.T) {
+	world := testEnv(t)
+	f := newTravelFleet(t, shardEnvs(t, world, 3), world)
+	singleEIS := eis.NewServer(world, eis.ServerOptions{})
+	single := httptest.NewServer(singleEIS.Handler())
+	t.Cleanup(single.Close)
+	ref := &travelFleet{url: single.URL}
+	center := world.Graph.Bounds().Center()
+	fillCache(t, singleEIS.Handler(), center)
+	for _, sh := range f.shards {
+		fillCache(t, sh, center)
+	}
+
+	req := eis.OfferingRequest{Lat: center.Lat, Lon: center.Lon, K: 5, Weights: eis.WeightsJSON{L: 1, A: 3, D: 2}, Now: fixedNow}
+	declined := obs.Default().Counter("eis_rescache_declined_total")
+	for i, want := range []struct {
+		searches, blocks, declined uint64
+		cached                     bool
+	}{
+		{searches: 1, blocks: 3, declined: 3}, // the gateway's search; every shard declines
+		{searches: 3},                         // the gateway has seen the key: each shard searches
+		{cached: true},                        // a hit everywhere
+	} {
+		s0, b0, d0 := kernelSearches(), met.travelSupplied.Value(), declined.Value()
+		got := f.post(t, &req, true)
+		if s, b, d := kernelSearches()-s0, met.travelSupplied.Value()-b0, declined.Value()-d0; s != want.searches || b != want.blocks || d != want.declined {
+			t.Fatalf("request %d: %d expansions, %d blocks, %d tables declined; want %d, %d, %d", i+1, s, b, d, want.searches, want.blocks, want.declined)
+		}
+		if single := ref.post(t, &req, true); !bytes.Equal(got, single) {
+			t.Fatalf("request %d: the fleet differs from a single EIS\nfleet:  %.300s\nsingle: %.300s", i+1, got, single)
+		}
+		var resp eis.OfferingResponse
+		if err := wire.DecodeOfferingResponse(got, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Cached != want.cached || len(resp.Entries) != req.K {
+			t.Fatalf("request %d: cached=%v with %d entries, want cached=%v with %d", i+1, resp.Cached, len(resp.Entries), want.cached, req.K)
+		}
+	}
+}
+
 // TestFleetTravelBlockIsNotTheClientsToSend: a travel block in a client's
 // request is a 400 at the gateway, with or without the road world, and
 // reaches no shard.
@@ -487,99 +560,6 @@ func TestFleetTravelBlockIsNotTheClientsToSend(t *testing.T) {
 			t.Fatalf("%s: answered %d after %d shard exchanges, want 400 after none", name, resp.StatusCode, met.shardRequests.Value()-sent)
 		}
 	}
-}
-
-// TestSeenFilter pins the filter's contract as far as it has one: a key is
-// seen for its TTL in request time and not after, other keys are not seen,
-// time running backwards does not expire anything, a full set keeps taking
-// keys, and the keys that were asked for again outlive any number that were
-// not.
-func TestSeenFilter(t *testing.T) {
-	var f seenFilter
-	const ttl = 5 * time.Minute
-	now := fixedNow
-	key := uint64(0xdeadbeefcafe0123)
-	if f.observe(key, now, ttl) {
-		t.Fatal("an empty filter has seen a key")
-	}
-	for _, at := range []time.Time{now, now.Add(ttl), now.Add(-time.Hour)} {
-		if !f.observe(key, at, ttl) {
-			t.Fatalf("the key is not seen at %v, within its TTL of %v", at, now)
-		}
-	}
-	if f.observe(key^1<<40, now, ttl) {
-		t.Fatal("another key of the same set is seen")
-	}
-	if f.observe(key, now.Add(ttl+time.Second), ttl) {
-		t.Fatal("the key is still seen past its TTL")
-	}
-	if !f.observe(key, now.Add(ttl+2*time.Second), ttl) {
-		t.Fatal("the key was not recorded again when it expired")
-	}
-
-	// One set (5), fingerprints of their own. Three cells that are asked for
-	// again, then a flood of one-shot keys: the cells are still there, and so
-	// is the last of the flood.
-	f = seenFilter{}
-	inSet5 := func(i uint64) uint64 { return (2*i+1)<<33 | 5 }
-	cells := []uint64{inSet5(1), inSet5(2), inSet5(3)}
-	for round := 0; round < 2; round++ {
-		for _, c := range cells {
-			if f.observe(c, now, ttl) != (round > 0) {
-				t.Fatalf("cell %x round %d: wrong verdict", c, round)
-			}
-		}
-	}
-	for i := uint64(100); i < 100+20*filterWays; i++ {
-		if f.observe(inSet5(i), now, ttl) {
-			t.Fatalf("one-shot key %d was seen before it was sent", i)
-		}
-	}
-	if !f.observe(inSet5(100+20*filterWays-1), now, ttl) {
-		t.Fatal("the last one-shot key was not recorded")
-	}
-	for _, c := range cells {
-		if !f.observe(c, now, ttl) {
-			t.Fatalf("cell %x was dropped for keys nobody asked for twice", c)
-		}
-	}
-	// A set of nothing but keys that came back still takes a new one.
-	f = seenFilter{}
-	for round := 0; round < 2; round++ {
-		for i := uint64(1); i <= filterWays; i++ {
-			f.observe(inSet5(i), now, ttl)
-		}
-	}
-	if f.observe(inSet5(99), now, ttl) || !f.observe(inSet5(99), now, ttl) {
-		t.Fatal("a set full of returning keys refused a new key")
-	}
-}
-
-// TestSeenFilterConcurrent: handlers share a shard's filter without a lock.
-// Racing writers to one set may cost each other a key; a key whose set
-// nobody else writes to is seen from its second observation on, whatever
-// the interleaving.
-func TestSeenFilterConcurrent(t *testing.T) {
-	var f seenFilter
-	const goroutines, keys = 8, 64
-	var wg sync.WaitGroup
-	for g := uint64(0); g < goroutines; g++ {
-		wg.Add(1)
-		go func(g uint64) {
-			defer wg.Done()
-			for round := 0; round < 50; round++ {
-				for k := uint64(0); k < keys; k++ {
-					// Sixty-four sets of its own per goroutine.
-					key := (2*g+1)<<33 | (g*keys + k)
-					if seen := f.observe(key, fixedNow, time.Minute); seen != (round > 0) {
-						t.Errorf("goroutine %d key %d round %d: seen=%v", g, k, round, seen)
-						return
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
 }
 
 // ---- trips: one road search a computed segment (supplyTrip) ----
