@@ -6,8 +6,10 @@
 package charger
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"ecocharge/internal/ec"
 	"ecocharge/internal/geo"
@@ -89,19 +91,26 @@ func (c *Charger) RESKW() float64 { return c.PanelKW + c.WindKW }
 
 // Set is an immutable collection of chargers with a spatial index. Build it
 // with NewSet; queries are safe for concurrent use.
+//
+// The chargers are kept in ID order and indexed under their position in it,
+// so a radius or nearest-neighbour query reads its chargers by position, and
+// the index's ties, broken by item ID, break in charger-ID order. Only ByID
+// looks an ID up.
 type Set struct {
 	chargers []Charger
 	byID     map[int64]int
 	index    *spatial.Quadtree
 }
 
-// NewSet indexes the given chargers. Charger IDs must be unique; duplicate
-// IDs return an error because downstream ranking keys on them.
+// NewSet indexes the given chargers, in any order. Charger IDs must be
+// unique; duplicate IDs return an error because downstream ranking keys on
+// them.
 func NewSet(chargers []Charger) (*Set, error) {
 	s := &Set{
-		chargers: append([]Charger(nil), chargers...),
+		chargers: slices.Clone(chargers),
 		byID:     make(map[int64]int, len(chargers)),
 	}
+	slices.SortFunc(s.chargers, func(a, b Charger) int { return cmp.Compare(a.ID, b.ID) })
 	if len(chargers) > 0 {
 		pts := make([]geo.Point, len(chargers))
 		for i, c := range chargers {
@@ -114,7 +123,7 @@ func NewSet(chargers []Charger) (*Set, error) {
 			return nil, fmt.Errorf("charger: duplicate ID %d", c.ID)
 		}
 		s.byID[c.ID] = i
-		s.index.Insert(spatial.Item{P: c.P, ID: c.ID})
+		s.index.Insert(spatial.Item{P: c.P, ID: int64(i)})
 	}
 	return s, nil
 }
@@ -122,7 +131,7 @@ func NewSet(chargers []Charger) (*Set, error) {
 // Len reports |B|.
 func (s *Set) Len() int { return len(s.chargers) }
 
-// All returns the underlying slice; callers must not mutate it.
+// All returns the chargers in ID order; callers must not mutate them.
 func (s *Set) All() []Charger { return s.chargers }
 
 // ByID returns the charger with the given ID.
@@ -134,7 +143,8 @@ func (s *Set) ByID(id int64) (*Charger, bool) {
 	return &s.chargers[i], true
 }
 
-// Within returns chargers within radius meters of p, closest first.
+// Within returns chargers within radius meters of p, closest first, ties in
+// ID order.
 func (s *Set) Within(p geo.Point, radius float64) []*Charger {
 	if s.index == nil {
 		return nil
@@ -142,7 +152,7 @@ func (s *Set) Within(p geo.Point, radius float64) []*Charger {
 	ns := s.index.Within(p, radius)
 	out := make([]*Charger, len(ns))
 	for i, n := range ns {
-		out[i] = &s.chargers[s.byID[n.ID]]
+		out[i] = &s.chargers[n.ID]
 	}
 	return out
 }
@@ -167,12 +177,13 @@ func (s *Set) WithinInto(c *Candidates, p geo.Point, radius float64) []*Charger 
 	}
 	c.near = s.index.AppendItemsWithin(c.near, p, radius)
 	for _, n := range c.near {
-		c.out = append(c.out, &s.chargers[s.byID[n.ID]])
+		c.out = append(c.out, &s.chargers[n.ID])
 	}
 	return c.out
 }
 
-// KNearest returns the k chargers nearest to p by geodesic distance.
+// KNearest returns the k chargers nearest to p by geodesic distance, ties in
+// ID order.
 func (s *Set) KNearest(p geo.Point, k int) []*Charger {
 	if s.index == nil {
 		return nil
@@ -180,7 +191,7 @@ func (s *Set) KNearest(p geo.Point, k int) []*Charger {
 	ns := s.index.KNN(p, k)
 	out := make([]*Charger, len(ns))
 	for i, n := range ns {
-		out[i] = &s.chargers[s.byID[n.ID]]
+		out[i] = &s.chargers[n.ID]
 	}
 	return out
 }

@@ -12,6 +12,7 @@ import (
 	"ecocharge/internal/ec"
 	"ecocharge/internal/geo"
 	"ecocharge/internal/roadnet"
+	"ecocharge/internal/spatial"
 )
 
 func testGraph(t testing.TB) *roadnet.Graph {
@@ -289,5 +290,72 @@ func TestWithinIntoAnswersLikeWithin(t *testing.T) {
 	}
 	if got := empty.WithinInto(&store, center, 1000); len(got) != 0 {
 		t.Errorf("empty set WithinInto = %v", got)
+	}
+}
+
+// TestSetAgreesWithBruteForce builds sets from chargers in shuffled ID order,
+// many of them sharing a position, and holds Within, WithinInto, KNearest and
+// ByID to spatial.BruteForce over the same chargers: the same chargers at the
+// same distances, equal distances in charger-ID order (WithinInto's order is
+// the index's own, so it is compared as a set).
+func TestSetAgreesWithBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 20; trial++ {
+		n := 1 + rng.Intn(300)
+		sites := make([]geo.Point, 1+rng.Intn(n))
+		for i := range sites {
+			sites[i] = geo.Point{Lat: 53 + rng.Float64()*0.3, Lon: 8 + rng.Float64()*0.4}
+		}
+		cs := make([]Charger, n)
+		oracle := spatial.NewBruteForce()
+		for i, id := range rng.Perm(n) {
+			cs[i] = Charger{ID: int64(10 + 3*id), P: sites[rng.Intn(len(sites))], Plugs: i}
+			oracle.Insert(spatial.Item{P: cs[i].P, ID: cs[i].ID})
+		}
+		s, err := NewSet(cs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cs {
+			if got, ok := s.ByID(c.ID); !ok || *got != c {
+				t.Fatalf("trial %d: ByID(%d) = %v, %v; want %v", trial, c.ID, got, ok, c)
+			}
+		}
+		if _, ok := s.ByID(11); ok {
+			t.Fatalf("trial %d: ByID of an unknown ID succeeded", trial)
+		}
+		var store Candidates
+		for q := 0; q < 30; q++ {
+			p := sites[rng.Intn(len(sites))]
+			if q%2 == 1 {
+				p = geo.Point{Lat: 53 + rng.Float64()*0.3, Lon: 8 + rng.Float64()*0.4}
+			}
+			radius := rng.Float64() * 20000
+			want := oracle.Within(p, radius)
+			got := s.Within(p, radius)
+			assertNeighbors(t, "Within", got, want)
+			into := slices.Clone(s.WithinInto(&store, p, radius))
+			slices.SortFunc(into, func(a, b *Charger) int { return cmp.Compare(a.ID, b.ID) })
+			slices.SortFunc(got, func(a, b *Charger) int { return cmp.Compare(a.ID, b.ID) })
+			if !slices.Equal(into, got) {
+				t.Fatalf("trial %d: WithinInto around %v within %v m is not Within's set", trial, p, radius)
+			}
+			k := 1 + rng.Intn(12)
+			assertNeighbors(t, "KNearest", s.KNearest(p, k), oracle.KNN(p, k))
+		}
+	}
+}
+
+// assertNeighbors fails unless got lists want's chargers in want's order,
+// each the charger its ID names.
+func assertNeighbors(t *testing.T, what string, got []*Charger, want []spatial.Neighbor) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d chargers, brute force %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].ID != want[i].ID || got[i].P != want[i].P {
+			t.Fatalf("%s: charger %d is %d at %v, brute force %d at %v", what, i, got[i].ID, got[i].P, want[i].ID, want[i].P)
+		}
 	}
 }

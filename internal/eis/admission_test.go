@@ -23,7 +23,7 @@ import (
 func fillStripe(c *respCache, key cacheKey, now, expires time.Time) []cacheKey {
 	keys := stripeKeys(c, key, c.maxPerShard)
 	for _, k := range keys {
-		c.put(k, OfferingResponse{}, now, expires)
+		c.put(k, true, OfferingResponse{}, now, expires)
 	}
 	return keys
 }
@@ -91,7 +91,7 @@ func TestRespCacheAdmission(t *testing.T) {
 				}
 				return
 			}
-			c.put(key, OfferingResponse{}, now, now.Add(ttl))
+			c.put(key, true, OfferingResponse{}, now, now.Add(ttl))
 			if _, ok := c.get(key, now); !ok {
 				t.Fatal("an admitted table is not cached")
 			}
@@ -284,5 +284,101 @@ func TestOfferingEncodesCounted(t *testing.T) {
 		if w, j := met.encodeWire.Count()-wire0, met.encodeJSON.Count()-json0; w != tc.wire || j != tc.json {
 			t.Fatalf("%s: %d wire and %d JSON encodes counted, want %d and %d", tc.name, w, j, tc.wire, tc.json)
 		}
+	}
+}
+
+// TestRespCachePutRechecksAdmission: two unseen keys both pass admits while
+// their stripe has room for one of them. The first put takes the room; the
+// second finds the stripe full and declines, as admits would have: nothing
+// is evicted or stored, the decline is counted, and the bytes it encoded are
+// still handed back for the leader's followers.
+func TestRespCachePutRechecksAdmission(t *testing.T) {
+	c := respCache{maxPerShard: 2}
+	read := cacheKey{cellLat: 9000, k: 3}
+	keys := stripeKeys(&c, read, 2)
+	expires := fixedNow.Add(time.Hour)
+	c.put(read, true, OfferingResponse{}, fixedNow, expires)
+	if _, ok := c.get(read, fixedNow); !ok {
+		t.Fatal("the read entry is not cached")
+	}
+	for _, k := range keys {
+		if !c.admits(k, false, fixedNow) {
+			t.Fatalf("a stripe with room declined %v", k)
+		}
+	}
+	evictions, declined := met.rescacheEvictions.Value(), met.rescacheDeclined.Value()
+	c.put(keys[0], false, OfferingResponse{}, fixedNow, expires)
+	v := c.put(keys[1], false, OfferingResponse{}, fixedNow, expires)
+	s := c.shard(read)
+	if _, stored := s.m[keys[1]]; stored || len(s.m) != 2 || met.rescacheEvictions.Value() != evictions {
+		t.Fatalf("a full stripe stored the unseen key %v (%v) and evicted %d entries", keys[1], stored, met.rescacheEvictions.Value()-evictions)
+	}
+	if _, kept := s.m[keys[0]]; !kept {
+		t.Fatalf("the key stored first, %v, is gone", keys[0])
+	}
+	if got := met.rescacheDeclined.Value() - declined; got != 1 {
+		t.Fatalf("%d declines counted, want 1", got)
+	}
+	if v.wireBody == nil {
+		t.Fatal("a declined put handed back no bytes for the followers")
+	}
+}
+
+// TestFlightGroupLeaderPanicEndsFlight: a leader that panics ends its flight.
+// The follower that waited on it is answered at once, not when its deadline
+// runs out, and the next caller of the key leads.
+func TestFlightGroupLeaderPanicEndsFlight(t *testing.T) {
+	var g flightGroup
+	key := cacheKey{cellLat: 5}
+	started, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		defer func() { _ = recover() }()
+		g.do(context.Background(), 0, key, func() cacheVal {
+			close(started)
+			<-release
+			panic("ranking failed")
+		}, func() []byte { return nil })
+	}()
+	<-started
+	joined := func() bool {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		f := g.m[key]
+		return f != nil && f.joined
+	}
+	const timeout = 2 * time.Second
+	type answer struct {
+		shared  bool
+		err     error
+		elapsed time.Duration
+	}
+	follower := make(chan answer, 1)
+	go func() {
+		start := time.Now()
+		_, shared, err := g.do(context.Background(), timeout, key, func() cacheVal {
+			t.Error("a follower led")
+			return cacheVal{}
+		}, noShare(t))
+		follower <- answer{shared, err, time.Since(start)}
+	}()
+	for deadline := time.Now().Add(5 * time.Second); !joined(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the follower never joined the flight")
+		}
+	}
+	close(release)
+	<-done
+	a := <-follower
+	if !a.shared || a.err == nil || errors.Is(a.err, context.DeadlineExceeded) || a.elapsed >= timeout/2 {
+		t.Fatalf("follower of a panicked leader: shared=%v err=%v after %v, want an error at once", a.shared, a.err, a.elapsed)
+	}
+	led := false
+	_, shared, err := g.do(context.Background(), 200*time.Millisecond, key, func() cacheVal {
+		led = true
+		return cacheVal{wireBody: []byte("entry")}
+	}, noShare(t))
+	if !led || shared || err != nil {
+		t.Fatalf("the next caller of the key: led=%v shared=%v err=%v, want it to lead", led, shared, err)
 	}
 }

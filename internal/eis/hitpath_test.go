@@ -36,14 +36,14 @@ func TestRespCacheKeepsReadEntries(t *testing.T) {
 	c := respCache{maxPerShard: per}
 	hot := cacheKey{cellLat: 1000}
 	expires := fixedNow.Add(5 * time.Minute)
-	c.put(hot, OfferingResponse{}, fixedNow, expires)
+	c.put(hot, true, OfferingResponse{}, fixedNow, expires)
 	for i, k := range stripeKeys(&c, hot, 10*per) {
 		if i%3 == 0 {
 			if _, ok := c.get(hot, fixedNow); !ok {
 				t.Fatalf("the read entry was evicted within %d one-shot puts", i)
 			}
 		}
-		c.put(k, OfferingResponse{}, fixedNow, expires)
+		c.put(k, true, OfferingResponse{}, fixedNow, expires)
 	}
 	if _, ok := c.get(hot, fixedNow); !ok {
 		t.Fatal("the read entry did not survive the one-shot puts")
@@ -63,15 +63,15 @@ func TestRespCacheEvictsExpiredFirst(t *testing.T) {
 	live, extra := keys[:per-1], keys[per-1]
 	later := fixedNow.Add(time.Minute)
 
-	c.put(stale, OfferingResponse{}, fixedNow, fixedNow.Add(time.Second))
+	c.put(stale, true, OfferingResponse{}, fixedNow, fixedNow.Add(time.Second))
 	if _, ok := c.get(stale, fixedNow); !ok { // read: the mark must not save it
 		t.Fatal("fresh entry missed")
 	}
 	for _, k := range live {
-		c.put(k, OfferingResponse{}, fixedNow, fixedNow.Add(time.Hour))
+		c.put(k, true, OfferingResponse{}, fixedNow, fixedNow.Add(time.Hour))
 	}
 	evictions := met.rescacheEvictions.Value()
-	c.put(extra, OfferingResponse{}, later, later.Add(time.Hour))
+	c.put(extra, true, OfferingResponse{}, later, later.Add(time.Hour))
 
 	s := c.shard(stale)
 	if _, ok := s.m[stale]; ok {
@@ -96,16 +96,16 @@ func TestRespCacheSecondChance(t *testing.T) {
 	first := cacheKey{cellLat: 3000}
 	keys := append([]cacheKey{first}, stripeKeys(&c, first, per+1)...)
 	for i, k := range keys[:per] {
-		c.put(k, OfferingResponse{}, fixedNow, fixedNow.Add(time.Duration(i+1)*time.Minute))
+		c.put(k, true, OfferingResponse{}, fixedNow, fixedNow.Add(time.Duration(i+1)*time.Minute))
 		c.get(k, fixedNow)
 	}
 	s := c.shard(first)
-	c.put(keys[per], OfferingResponse{}, fixedNow, fixedNow.Add(time.Hour))
+	c.put(keys[per], true, OfferingResponse{}, fixedNow, fixedNow.Add(time.Hour))
 	if _, ok := s.m[keys[0]]; ok {
 		t.Fatal("with every entry read, the closest to expiry should have gone")
 	}
 	c.get(keys[1], fixedNow) // read again: keeps its place
-	c.put(keys[per+1], OfferingResponse{}, fixedNow, fixedNow.Add(time.Hour))
+	c.put(keys[per+1], true, OfferingResponse{}, fixedNow, fixedNow.Add(time.Hour))
 	if _, ok := s.m[keys[1]]; !ok {
 		t.Fatal("an entry read after the marks were cleared was evicted")
 	}
@@ -188,7 +188,7 @@ func TestRespCacheEvictionMatchesScan(t *testing.T) {
 					round++
 				}
 			}
-			c.put(key, OfferingResponse{}, now, now.Add(ttl))
+			c.put(key, true, OfferingResponse{}, now, now.Add(ttl))
 
 			var gone []cacheKey
 			for k := range want {

@@ -437,7 +437,7 @@ func TestOfferingComputedOnceThenCached(t *testing.T) {
 func TestRespCacheLazyDeleteOnGet(t *testing.T) {
 	c := respCache{maxPerShard: cacheMaxEntries / respCacheStripes}
 	key := cacheKey{cellLat: 1, cellLon: 2, k: 3}
-	c.put(key, OfferingResponse{}, fixedNow, fixedNow.Add(time.Minute))
+	c.put(key, true, OfferingResponse{}, fixedNow, fixedNow.Add(time.Minute))
 	if n := c.entries(); n != 1 {
 		t.Fatalf("entries after put: %d", n)
 	}
@@ -458,7 +458,7 @@ func TestRespCacheSweepReclaimsExpired(t *testing.T) {
 	// them (pre-fix behavior: they stayed forever).
 	const dead = 512
 	for i := 0; i < dead; i++ {
-		c.put(cacheKey{cellLat: int64(i)}, OfferingResponse{}, fixedNow, fixedNow.Add(time.Second))
+		c.put(cacheKey{cellLat: int64(i)}, true, OfferingResponse{}, fixedNow, fixedNow.Add(time.Second))
 	}
 	later := fixedNow.Add(time.Hour)
 	const live = 2048
@@ -475,7 +475,7 @@ func TestRespCacheSweepReclaimsExpired(t *testing.T) {
 		}
 	}
 	for i := 0; i < live; i++ {
-		c.put(cacheKey{cellLat: int64(i), cellLon: 1}, OfferingResponse{}, later, later.Add(time.Hour))
+		c.put(cacheKey{cellLat: int64(i), cellLon: 1}, true, OfferingResponse{}, later, later.Add(time.Hour))
 	}
 	if n := c.entries(); n > live+sweepEvery {
 		t.Fatalf("cache holds %d entries; the sweep reclaimed almost none of the %d expired", n, dead)
@@ -485,7 +485,7 @@ func TestRespCacheSweepReclaimsExpired(t *testing.T) {
 func TestRespCacheBoundedEviction(t *testing.T) {
 	c := respCache{maxPerShard: 4}
 	for i := 0; i < 500; i++ {
-		c.put(cacheKey{cellLat: int64(i)}, OfferingResponse{}, fixedNow, fixedNow.Add(time.Duration(i)*time.Minute))
+		c.put(cacheKey{cellLat: int64(i)}, true, OfferingResponse{}, fixedNow, fixedNow.Add(time.Duration(i)*time.Minute))
 	}
 	if n, bound := c.entries(), 4*respCacheStripes; n > bound {
 		t.Fatalf("bounded cache holds %d entries, want at most %d", n, bound)

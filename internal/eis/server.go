@@ -187,7 +187,9 @@ func (c *respCache) get(key cacheKey, now time.Time) (cacheVal, bool) {
 // is, under personalised weights, one nobody asks for again: the paper keeps
 // a driver's own table in the vehicle's dynamic cache (§IV.C), and storing it
 // here would cost an encode, a copy and the eviction of an entry somebody
-// might read. A declined table is answered and dropped.
+// might read. A declined table is answered and dropped. This is the check
+// before the encode; put applies it again under the lock it stores under,
+// since another put may fill the stripe in between.
 func (c *respCache) admits(key cacheKey, seen bool, now time.Time) bool {
 	if seen {
 		return true
@@ -195,15 +197,22 @@ func (c *respCache) admits(key cacheKey, seen bool, now time.Time) bool {
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.m) < c.maxPerShard || s.reclaimLocked(now) > 0 {
+	return c.admitsLocked(s, false, now)
+}
+
+// admitsLocked is admits under the stripe's lock, and counts a decline.
+func (c *respCache) admitsLocked(s *respShard, seen bool, now time.Time) bool {
+	if seen || len(s.m) < c.maxPerShard || s.reclaimLocked(now) > 0 {
 		return true
 	}
 	met.rescacheDeclined.Inc()
 	return false
 }
 
-// put caches resp under key and returns the entry it stored.
-func (c *respCache) put(key cacheKey, resp OfferingResponse, now, expires time.Time) cacheVal {
+// put caches resp under key, seen as admits reads it, and returns the entry
+// it stored; when the stripe declines the key after all, it stores nothing
+// and returns an entry that only holds the encoded bytes.
+func (c *respCache) put(key cacheKey, seen bool, resp OfferingResponse, now, expires time.Time) cacheVal {
 	wireBody := encodeHit(resp) // outside the shard lock
 
 	s := c.shard(key)
@@ -223,6 +232,9 @@ func (c *respCache) put(key cacheKey, resp OfferingResponse, now, expires time.T
 		}
 	}
 	_, exists := s.m[key]
+	if !exists && !c.admitsLocked(s, seen, now) {
+		return cacheVal{wireBody: wireBody}
+	}
 	if !exists && len(s.m) >= c.maxPerShard {
 		s.evictLocked(now)
 	}
@@ -639,11 +651,11 @@ func (s *Server) handleOffering(w http.ResponseWriter, r *http.Request) {
 		if !s.cache.admits(key, seen, o.Now) {
 			return cacheVal{}
 		}
-		return s.cache.put(key, fresh, o.Now, o.Now.Add(s.opts.CacheTTL))
+		return s.cache.put(key, seen, fresh, o.Now, o.Now.Add(s.opts.CacheTTL))
 	}, func() []byte { return encodeHit(fresh) })
 	switch {
 	case err != nil:
-		s.writeError(w, http.StatusServiceUnavailable, "offering computation did not finish in time: %v", err)
+		s.writeError(w, http.StatusServiceUnavailable, "offering computation did not finish: %v", err)
 	case shared:
 		writeCached(w, r, v)
 	default:
@@ -763,7 +775,9 @@ func travelOf(b *wire.TravelBlock) cknn.Travel {
 // one: the first caller becomes the leader and computes, followers block on
 // the entry the leader hands them or their own deadline, whichever ends
 // first. The leader always runs to completion so its work lands in the cache
-// even when every waiter gave up; it reads no context and starts no timer.
+// even when every waiter gave up; it reads no context and starts no timer. A
+// leader that panics still ends its flight: its followers are answered
+// errLeaderFailed at once, and the next caller of the key leads.
 type flightGroup struct {
 	mu sync.Mutex
 	m  map[cacheKey]*flight
@@ -775,6 +789,9 @@ type flight struct {
 	// joined says a follower waits, under flightGroup.mu until the leader
 	// takes the flight out of the map.
 	joined bool
+	// failed says the leader has not returned; a flight that ends with it
+	// set ended in a panic.
+	failed bool
 }
 
 // do returns the cache entry of key, whether it was shared from another
@@ -796,25 +813,35 @@ func (g *flightGroup) do(ctx context.Context, timeout time.Duration, key cacheKe
 		defer cancel()
 		select {
 		case <-f.done:
+			if f.failed {
+				return cacheVal{}, true, errLeaderFailed
+			}
 			return f.val, true, nil
 		case <-ctx.Done():
 			return cacheVal{}, true, ctx.Err()
 		}
 	}
-	f := &flight{done: make(chan struct{})}
+	f := &flight{done: make(chan struct{}), failed: true}
 	g.m[key] = f
 	g.mu.Unlock()
 	met.flightLeads.Inc()
 
+	// Deferred, so that a panic in lead ends the flight too.
+	defer close(f.done)
+	defer func() {
+		g.mu.Lock()
+		delete(g.m, key)
+		joined := f.joined
+		g.mu.Unlock()
+		if joined && !f.failed && f.val.wireBody == nil {
+			f.val.wireBody = share()
+		}
+	}()
 	v := lead()
-	g.mu.Lock()
-	delete(g.m, key)
-	joined := f.joined
-	g.mu.Unlock()
-	f.val = v
-	if joined && v.wireBody == nil {
-		f.val.wireBody = share()
-	}
-	close(f.done)
+	f.val, f.failed = v, false
 	return v, false, nil
 }
+
+// errLeaderFailed is a follower's answer when the leader it waited on did
+// not return (it panicked).
+var errLeaderFailed = errors.New("the computation it waited on failed")

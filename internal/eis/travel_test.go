@@ -276,7 +276,7 @@ func TestCachedJSONIsTheEagerEncoding(t *testing.T) {
 
 		c := respCache{maxPerShard: cacheMaxEntries / respCacheStripes}
 		key := cacheKey{cellLat: 5}
-		c.put(key, resp, fixedNow, fixedNow.Add(time.Minute))
+		c.put(key, true, resp, fixedNow, fixedNow.Add(time.Minute))
 		v, ok := c.get(key, fixedNow)
 		if !ok {
 			t.Fatalf("%s: the entry is not cached", name)

@@ -442,7 +442,7 @@ func TestChaosFleetShardBlackout(t *testing.T) {
 	if gs != http.StatusOK || gh.Get(degradedHeader) != "1" {
 		t.Fatalf("degraded weather: status %d header %q", gs, gh.Get(degradedHeader))
 	}
-	var dw degradedWeather
+	var dw eis.WeatherResponse
 	if err := json.Unmarshal(gb, &dw); err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +453,7 @@ func TestChaosFleetShardBlackout(t *testing.T) {
 		t.Fatalf("degraded production [%v,%v], want [0,%v]", dw.ProductionKW.Min, dw.ProductionKW.Max, deadCap)
 	}
 	gs, gb, _ = doReq(t, h.gwts.URL, http.MethodGet, eis.APIVersion+"/availability?charger="+fmt.Sprint(deadC)+"&t="+at.Format(time.RFC3339), nil)
-	var da degradedAvailability
+	var da eis.AvailabilityResponse
 	if err := json.Unmarshal(gb, &da); err != nil {
 		t.Fatal(err)
 	}

@@ -10,9 +10,9 @@ import (
 	"sync"
 	"time"
 
+	"ecocharge/internal/charger"
 	"ecocharge/internal/eis"
 	"ecocharge/internal/roadnet"
-	"ecocharge/internal/spatial"
 	"ecocharge/internal/wire"
 )
 
@@ -336,10 +336,10 @@ type fanout struct {
 	// closed by its return node — and seconds and back the times of both
 	// legs found at each; blocks are the searches' heads, and spans each
 	// shard's run of each (search-major, one a member). terms are what the
-	// members could be searched for by when a trip was planned, and near is
-	// the walk of one shard's sites that targets are read from. All of it
-	// keeps the capacity of the largest trip seen.
-	near          []spatial.Item
+	// members could be searched for by when a trip was planned, and cands
+	// the storage of the radius query targets are read from. All of it keeps
+	// the capacity of the largest trip seen.
+	cands         charger.Candidates
 	targets       []roadnet.NodeID
 	seconds, back []float64
 	blocks        []wire.TravelBlock

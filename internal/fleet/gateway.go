@@ -215,21 +215,17 @@ func (g *Gateway) handleChargers(w http.ResponseWriter, r *http.Request) {
 		}
 		lists = append(lists, l)
 	}
-	synthesized := 0
-	for _, i := range dead {
-		var inRange []charger.Charger
-		for _, c := range g.members[i].chargers() {
-			if geo.Distance(p, c.P) <= radius {
-				inRange = append(inRange, c)
+	if len(dead) > 0 {
+		var synth []charger.Charger
+		for _, i := range dead {
+			if inv := g.members[i].inventory.Load(); inv != nil {
+				for _, c := range inv.Within(p, radius) {
+					synth = append(synth, *c)
+				}
 			}
 		}
-		if len(inRange) > 0 {
-			lists = append(lists, inRange)
-			synthesized += len(inRange)
-		}
-	}
-	if len(dead) > 0 {
-		markDegraded(w, dead, synthesized)
+		lists = append(lists, synth)
+		markDegraded(w, dead, len(synth))
 		g.logf("chargers served degraded: shards %v down", dead)
 	}
 	merged := mergeChargers(lists, p)
@@ -248,44 +244,17 @@ func decodeChargerList(res *shardResult) ([]charger.Charger, error) {
 // ---- weather / availability (single-owner pass-through) ----
 
 func (g *Gateway) handleWeather(w http.ResponseWriter, r *http.Request) {
-	g.perCharger(w, r, epWeather, func(c charger.Charger, at time.Time) interface{} {
+	g.perCharger(w, r, epWeather, func(c *charger.Charger, at time.Time) interface{} {
 		// Honest fallback: the site cannot produce more than its nameplate
 		// renewable capacity, and might produce nothing.
-		return degradedWeather{
-			ChargerID:    c.ID,
-			At:           at,
-			ProductionKW: eis.IntervalJSON{Min: 0, Max: c.PanelKW + c.WindKW},
-			Degraded:     true,
-		}
+		return eis.WeatherResponse{ChargerID: c.ID, At: at, ProductionKW: eis.IntervalJSON{Min: 0, Max: c.RESKW()}, Degraded: true}
 	})
 }
 
 func (g *Gateway) handleAvailability(w http.ResponseWriter, r *http.Request) {
-	g.perCharger(w, r, epAvailability, func(c charger.Charger, at time.Time) interface{} {
-		return degradedAvailability{
-			ChargerID:    c.ID,
-			At:           at,
-			Availability: ignoranceWire(),
-			Degraded:     true,
-		}
+	g.perCharger(w, r, epAvailability, func(c *charger.Charger, at time.Time) interface{} {
+		return eis.AvailabilityResponse{ChargerID: c.ID, At: at, Availability: ignoranceWire(), Degraded: true}
 	})
-}
-
-// degradedWeather and degradedAvailability extend the shard wire forms with
-// the degraded marker; the shard forms stay untouched so fault-free traffic
-// is byte-identical.
-type degradedWeather struct {
-	ChargerID    int64            `json:"charger_id"`
-	At           time.Time        `json:"at"`
-	ProductionKW eis.IntervalJSON `json:"production_kw"`
-	Degraded     bool             `json:"degraded"`
-}
-
-type degradedAvailability struct {
-	ChargerID    int64            `json:"charger_id"`
-	At           time.Time        `json:"at"`
-	Availability eis.IntervalJSON `json:"availability"`
-	Degraded     bool             `json:"degraded"`
 }
 
 // perCharger serves one of the per-charger estimate endpoints: pass-through
@@ -294,7 +263,7 @@ type degradedAvailability struct {
 // cached inventory when it does not. A charger parameter that is not an
 // integer is answered here, with the 400 a shard would give: there is no
 // owner to ask.
-func (g *Gateway) perCharger(w http.ResponseWriter, r *http.Request, ep endpoint, synth func(charger.Charger, time.Time) interface{}) {
+func (g *Gateway) perCharger(w http.ResponseWriter, r *http.Request, ep endpoint, synth func(*charger.Charger, time.Time) interface{}) {
 	if r.Method != http.MethodGet {
 		g.writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
@@ -313,8 +282,8 @@ func (g *Gateway) perCharger(w http.ResponseWriter, r *http.Request, ep endpoint
 		passthrough(w, &res)
 		return
 	}
-	for _, c := range m.chargers() {
-		if c.ID == id {
+	if inv := m.inventory.Load(); inv != nil {
+		if c, ok := inv.ByID(id); ok {
 			at, terr := eis.TimeParam(r, "t", g.opts.Clock())
 			if terr != nil {
 				g.writeError(w, http.StatusBadRequest, "%v", terr)
@@ -467,7 +436,7 @@ func (g *Gateway) handleOffering(w http.ResponseWriter, r *http.Request) {
 	}
 	var synth []eis.OfferingEntry
 	for _, i := range dead {
-		synth = append(synth, synthWithin(g.members[i].chargers(), o.P, o.RadiusM, o.Weights.Normalized())...)
+		synth = synthWithin(synth, g.members[i].inventory.Load(), o.P, o.RadiusM, o.Weights.Normalized())
 	}
 	if len(dead) > 0 {
 		markDegraded(w, dead, len(synth))
@@ -547,14 +516,14 @@ func (g *Gateway) handleTrip(w http.ResponseWriter, r *http.Request) {
 	var synthAt func(geo.Point) []eis.OfferingEntry
 	if len(dead) > 0 {
 		radius, weights := t.RadiusM, t.Weights.Normalized()
-		deadInv := make([][]charger.Charger, 0, len(dead))
+		deadInv := make([]*charger.Set, 0, len(dead))
 		for _, i := range dead {
-			deadInv = append(deadInv, g.members[i].chargers())
+			deadInv = append(deadInv, g.members[i].inventory.Load())
 		}
 		synthAt = func(anchor geo.Point) []eis.OfferingEntry {
 			var out []eis.OfferingEntry
 			for _, inv := range deadInv {
-				out = append(out, synthWithin(inv, anchor, radius, weights)...)
+				out = synthWithin(out, inv, anchor, radius, weights)
 			}
 			return out
 		}

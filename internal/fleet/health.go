@@ -38,9 +38,10 @@ type member struct {
 	// is hedged immediately) and feeds the status surface.
 	probeOK atomic.Bool
 
-	// inventory is the shard's charger partition, pulled on probe success.
-	// Nil until the first successful pull.
-	inventory atomic.Pointer[[]charger.Charger]
+	// inventory is the shard's charger partition, pulled on probe success
+	// and indexed as the shard indexes it. Nil until the first successful
+	// pull.
+	inventory atomic.Pointer[charger.Set]
 	// stale says the inventory is to be pulled at the next probe that
 	// answers: none was pulled yet, the shard failed a probe since (a
 	// restarted shard may own another partition), or the last pull failed.
@@ -68,15 +69,6 @@ func newMember(index int, s Shard, opts Options) (*member, error) {
 	m.probeOK.Store(true) // optimistic until the first probe says otherwise
 	m.stale.Store(true)
 	return m, nil
-}
-
-// chargers returns the last pulled inventory, or nil when none succeeded
-// yet.
-func (m *member) chargers() []charger.Charger {
-	if p := m.inventory.Load(); p != nil {
-		return *p
-	}
-	return nil
 }
 
 // probeTimeout bounds one health probe or inventory pull; probes must stay
@@ -120,6 +112,7 @@ func (g *Gateway) probeOnce(ctx context.Context, t *target) bool {
 
 // pullInventory fetches the member's charger partition from t, with the
 // cache terms the shard states beside it, and reports whether it succeeded.
+// An inventory that is not a charger.Set — a charger ID twice — fails it.
 func (g *Gateway) pullInventory(ctx context.Context, m *member, t *target) bool {
 	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
@@ -132,10 +125,15 @@ func (g *Gateway) pullInventory(ctx context.Context, m *member, t *target) bool 
 	if err != nil {
 		return false
 	}
-	m.inventory.Store(&inv)
+	set, err := charger.NewSet(inv)
+	if err != nil {
+		g.logf("shard %d: inventory refused: %v", m.index, err)
+		return false
+	}
+	m.inventory.Store(set)
 	var supply *supplyTerms
 	if terms, ok := eis.CacheTermsFrom(res.header); ok && g.env != nil && terms.World == g.world {
-		supply = newSupplyTerms(terms, inv)
+		supply = &supplyTerms{cache: terms, chargers: set}
 	}
 	m.supply.Store(supply)
 	met.inventoryPulls.Inc()
@@ -190,7 +188,7 @@ func (g *Gateway) Status() []ShardStatus {
 	for i, m := range g.members {
 		n := -1
 		if inv := m.inventory.Load(); inv != nil {
-			n = len(*inv)
+			n = inv.Len()
 		}
 		replica := ""
 		if m.replica != nil {

@@ -133,17 +133,16 @@ func synthEntry(c charger.Charger, w cknn.Weights) eis.OfferingEntry {
 	}
 }
 
-// synthWithin synthesizes ignorance-bound entries for the inventory
-// chargers within the query radius, using the same predicate as the shards'
-// spatial index (geodesic distance, inclusive bound).
-func synthWithin(inv []charger.Charger, p geo.Point, radiusM float64, w cknn.Weights) []eis.OfferingEntry {
-	var out []eis.OfferingEntry
-	for _, c := range inv {
-		if geo.Distance(p, c.P) <= radiusM {
-			out = append(out, synthEntry(c, w))
-		}
+// synthWithin appends to dst the ignorance-bound entries of the chargers of
+// a dead shard's inventory (nil: never pulled) within radiusM of p.
+func synthWithin(dst []eis.OfferingEntry, inv *charger.Set, p geo.Point, radiusM float64, w cknn.Weights) []eis.OfferingEntry {
+	if inv == nil {
+		return dst
 	}
-	return out
+	for _, c := range inv.Within(p, radiusM) {
+		dst = append(dst, synthEntry(*c, w))
+	}
+	return dst
 }
 
 // mergeOffering combines the decoded tables of the shards that answered (in

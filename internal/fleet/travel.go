@@ -9,7 +9,6 @@ import (
 	"ecocharge/internal/eis"
 	"ecocharge/internal/geo"
 	"ecocharge/internal/roadnet"
-	"ecocharge/internal/spatial"
 	"ecocharge/internal/trajectory"
 	"ecocharge/internal/wire"
 )
@@ -41,50 +40,26 @@ import (
 // itself (eis.TripOffering.Follow).
 
 // supplyTerms is what the gateway needs of a shard to search on its behalf:
-// how its response cache keys and keeps entries, where its chargers are, and
-// which keys it was sent lately. A member has them from its last inventory
-// pull, if the shard stated terms and searches the gateway's road world; a
-// re-pull (the shard came back from a failure, its cache possibly empty)
-// starts over with an empty filter.
-//
-// sites indexes the inventory's positions, each under the road node its
-// charger stands at, and is nil for an empty inventory. The targets of a
-// search are read from it by the walk the shard reads its candidates by
-// (spatial.Quadtree.AppendItemsWithin over the same positions), so the two
-// agree on who is within R to the bit, which the shard checks before it takes
-// a block (cknn.suppliedDerouting).
+// how its response cache keys and keeps entries, its chargers, and which
+// keys it was sent lately. A member has them from its last inventory pull,
+// if the shard stated terms and searches the gateway's road world; a re-pull
+// (the shard came back from a failure, its cache possibly empty) starts over
+// with an empty filter.
 type supplyTerms struct {
 	cache eis.CacheTerms
-	sites *spatial.Quadtree
+	// chargers is the pulled inventory, the member's; a search's targets are
+	// its chargers within R (charger.Set.WithinInto), as the shard's
+	// candidates are.
+	chargers *charger.Set
 	// seen holds the keys fanned out to the shard lately.
 	seen eis.SeenFilter
-}
-
-func newSupplyTerms(cache eis.CacheTerms, inv []charger.Charger) *supplyTerms {
-	t := &supplyTerms{cache: cache}
-	if len(inv) == 0 {
-		return t
-	}
-	box := geo.BBox{Min: inv[0].P, Max: inv[0].P}
-	for i := range inv {
-		box = box.Extend(inv[i].P)
-	}
-	t.sites = spatial.NewQuadtree(box, 0)
-	for i := range inv {
-		t.sites.Insert(spatial.Item{P: inv[i].P, ID: int64(inv[i].Node)})
-	}
-	return t
 }
 
 // appendTargets appends to fo.targets the road nodes of the shard's chargers
 // within radius meters of p, one per charger.
 func (t *supplyTerms) appendTargets(fo *fanout, p geo.Point, radius float64) {
-	if t.sites == nil {
-		return
-	}
-	fo.near = t.sites.AppendItemsWithin(fo.near[:0], p, radius)
-	for _, it := range fo.near {
-		fo.targets = append(fo.targets, roadnet.NodeID(it.ID))
+	for _, c := range t.chargers.WithinInto(&fo.cands, p, radius) {
+		fo.targets = append(fo.targets, c.Node)
 	}
 }
 

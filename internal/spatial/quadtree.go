@@ -131,9 +131,26 @@ type qentry struct {
 
 type qpq []qentry
 
-func (q qpq) Len() int            { return len(q) }
-func (q qpq) Less(i, j int) bool  { return q[i].dist < q[j].dist }
-func (q qpq) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
+func (q qpq) Len() int      { return len(q) }
+func (q qpq) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+
+// Less orders by distance. At equal distance a subtree goes before an item,
+// since it may hold an equally close item of a lower ID, and items go by ID:
+// items pop in sortNeighbors' order, so the first k are the k nearest with
+// their ties settled by ID, at the cut too.
+func (q qpq) Less(i, j int) bool {
+	a, b := &q[i], &q[j]
+	switch {
+	case a.dist < b.dist:
+		return true
+	case a.dist > b.dist:
+		return false
+	case (a.node == nil) != (b.node == nil):
+		return a.node != nil
+	}
+	return a.item.ID < b.item.ID
+}
+
 func (q *qpq) Push(x interface{}) { *q = append(*q, x.(qentry)) }
 func (q *qpq) Pop() interface{} {
 	old := *q
@@ -146,7 +163,7 @@ func (q *qpq) Pop() interface{} {
 // KNN returns up to k nearest items to q, closest first, ties broken by ID
 // for determinism. The search is best-first: subtrees are expanded in
 // order of their minimum possible distance, so the first k concrete items
-// popped are exactly the k nearest.
+// popped are exactly the k nearest (qpq.Less).
 func (t *Quadtree) KNN(q geo.Point, k int) []Neighbor {
 	if k <= 0 || t.size == 0 {
 		return nil
@@ -172,7 +189,6 @@ func (t *Quadtree) KNN(q geo.Point, k int) []Neighbor {
 			heap.Push(&pq, qentry{dist: geo.Distance(q, it.P), item: it})
 		}
 	}
-	stabilizeTies(out)
 	return out
 }
 
@@ -228,24 +244,6 @@ func (t *Quadtree) Nearest(q geo.Point) (Neighbor, bool) {
 		}
 	}
 	return best, found
-}
-
-// stabilizeTies re-orders equal-distance runs by ID so results are
-// deterministic regardless of heap pop order.
-func stabilizeTies(ns []Neighbor) {
-	i := 0
-	for i < len(ns) {
-		j := i + 1
-		//ecolint:ignore floateq ties are exact duplicates of the same distance value
-		for j < len(ns) && ns[j].Dist == ns[i].Dist {
-			j++
-		}
-		if j-i > 1 {
-			sub := ns[i:j]
-			sortNeighbors(sub)
-		}
-		i = j
-	}
 }
 
 // Within returns all items within radius meters of q, closest first, ties by
