@@ -15,35 +15,45 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the figures golden file")
 
+// figureDatasets are the dataset profiles TestFiguresGolden runs, each at
+// the bench-smoke scale; T-drive's series run in `make figures` only.
+var figureDatasets = []string{"Oldenburg", "California", "Geolife"}
+
 // TestFiguresGolden runs every figure series at the bench-smoke profile
-// (`-fig all -dataset Oldenburg -scale 0.0005 -reps 1 -trips 1`) and compares
-// every exported column but F_t — SC% and its σ, queries, cache hits and
-// misses, objective shares — with testdata/figures.golden.csv, so a change
-// that moves a figure number shows the move in its diff. `go test
-// ./cmd/ecobench -run TestFiguresGolden -update` rewrites the golden.
+// (`-fig all -dataset D -scale 0.0005 -reps 1 -trips 1`, for each D of
+// figureDatasets) and compares every exported column but F_t — SC% and its
+// σ, queries, cache hits and misses, objective shares — with
+// testdata/figures.golden.csv, so a change that moves a figure number shows
+// the move in its diff. `go test ./cmd/ecobench -run TestFiguresGolden
+// -update` rewrites the golden.
 func TestFiguresGolden(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "figures.csv")
-	o := runOpts{
-		fig: "all", dataset: "Oldenburg", scale: 0.0005, seed: 42,
-		cfg:     experiment.RunConfig{Repetitions: 1, TripsPerRep: 1, K: 3},
-		csvPath: path,
-	}
-	if err := run(context.Background(), o); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := csv.NewReader(bytes.NewReader(data)).ReadAll()
-	if err != nil {
-		t.Fatalf("reading %s: %v", path, err)
-	}
 	var b strings.Builder
-	for _, row := range rows {
-		// Drop ft_ms_mean and ft_ms_stddev (columns 5 and 6): the clock.
-		b.WriteString(strings.Join(append(row[:5:5], row[7:]...), ","))
-		b.WriteByte('\n')
+	for i, dataset := range figureDatasets {
+		path := filepath.Join(t.TempDir(), dataset+".csv")
+		o := runOpts{
+			fig: "all", dataset: dataset, scale: 0.0005, seed: 42,
+			cfg:     experiment.RunConfig{Repetitions: 1, TripsPerRep: 1, K: 3},
+			csvPath: path,
+		}
+		if err := run(context.Background(), o); err != nil {
+			t.Fatalf("run %s: %v", dataset, err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := csv.NewReader(bytes.NewReader(data)).ReadAll()
+		if err != nil {
+			t.Fatalf("reading %s: %v", path, err)
+		}
+		if i > 0 {
+			rows = rows[1:] // one header line
+		}
+		for _, row := range rows {
+			// Drop ft_ms_mean and ft_ms_stddev (columns 5 and 6): the clock.
+			b.WriteString(strings.Join(append(row[:5:5], row[7:]...), ","))
+			b.WriteByte('\n')
+		}
 	}
 	got := b.String()
 

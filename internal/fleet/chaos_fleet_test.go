@@ -24,6 +24,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -34,7 +35,6 @@ import (
 	"ecocharge/internal/geo"
 	"ecocharge/internal/interval"
 	"ecocharge/internal/roadnet"
-	"ecocharge/internal/wire"
 )
 
 type fleetHarness struct {
@@ -118,26 +118,58 @@ func newFleetHarness(t testing.TB, o harnessOpts) *fleetHarness {
 	return h
 }
 
-// faultyHop wraps a gateway's hop in the fleet's fault schedule: an exchange
-// the schedule slows waits under its own context first, and one it fails
-// returns fault's injected error without reaching the shard.
-func faultyHop(fl *fault.Fleet, next hopFunc) hopFunc {
-	return func(ctx context.Context, t *target, c *call, buf *wire.Buffer) (int, http.Header, error) {
-		path := endpointPaths[c.ep]
-		d := fl.Decide(t.addr, path)
-		if d.Latency > 0 {
-			timer := time.NewTimer(d.Latency)
-			select {
-			case <-timer.C:
-			case <-ctx.Done():
-				timer.Stop()
-				return 0, nil, ctx.Err()
+// faultyHop wraps both halves of a gateway's hop in the fleet's fault
+// schedule, decided once an exchange, when it is sent: one it fails returns
+// fault's injected error without reaching the shard, and one it slows is
+// sent, its answer then not read before the latency has passed since the
+// send, waited out under the exchange's own context and deadline — an answer
+// the wait outlives never comes, as a hung shard's does not. An inline send
+// that would wait (errWouldWait) is decided again when it goes out apart;
+// the schedules of this suite draw nothing per exchange, so the two agree.
+func faultyHop(fl *fault.Fleet, next hop) hop {
+	var slowed sync.Map // *exchange → when its answer may be read
+	return hop{
+		send: func(x *exchange) error {
+			path := endpointPaths[x.c.ep]
+			d := fl.Decide(x.t.addr, path)
+			if d.Fail {
+				return &fault.TransportError{Endpoint: x.t.addr + path}
 			}
-		}
-		if d.Fail {
-			return 0, nil, &fault.TransportError{Endpoint: t.addr + path}
-		}
-		return next(ctx, t, c, buf)
+			if err := next.send(x); err != nil {
+				return err
+			}
+			if d.Latency > 0 {
+				slowed.Store(x, time.Now().Add(d.Latency))
+			}
+			return nil
+		},
+		receive: func(x *exchange) (int, answerHeader, error) {
+			if due, ok := slowed.LoadAndDelete(x); ok {
+				if err := waitOut(x, due.(time.Time)); err != nil {
+					_ = x.pc.conn.Close() // the answer stays unread
+					_, _, _ = next.receive(x)
+					return 0, answerHeader{}, err
+				}
+			}
+			return next.receive(x)
+		},
+	}
+}
+
+// waitOut waits until due, or until x's context is done or its deadline has
+// passed, which is the error.
+func waitOut(x *exchange, due time.Time) error {
+	wait, err := time.Until(due), error(nil)
+	if !x.deadline.IsZero() && x.deadline.Before(due) {
+		wait, err = time.Until(x.deadline), context.DeadlineExceeded
+	}
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
+	select {
+	case <-timer.C:
+		return err
+	case <-x.ctx.Done():
+		return x.ctx.Err()
 	}
 }
 
@@ -193,7 +225,7 @@ func (h *fleetHarness) assertIdentical(label, method, pathq string, body []byte)
 	}
 }
 
-func offeringBody(t *testing.T, req eis.OfferingRequest) []byte {
+func offeringBody(t testing.TB, req eis.OfferingRequest) []byte {
 	t.Helper()
 	b, err := json.Marshal(req)
 	if err != nil {
@@ -310,6 +342,43 @@ func sixMethodsIdentical(t *testing.T) {
 	h.assertIdentical("offering/trip", http.MethodPost, eis.APIVersion+"/offering/trip", trip)
 }
 
+// deadShardOracle is the table an independent oracle predicts for an
+// offering while shard dead gives no answer: rank the whole inventory on the
+// single EIS, keep the live shards' entries, and replace the dead shard's
+// slice of the pool with ignorance-bound synthesis over every in-radius
+// charger it owns. (Not just the chargers the engine would have offered: the
+// engine drops in-radius chargers whose derouting exceeds the budget, but a
+// gateway that cannot reach the shard cannot know deroutability — "never
+// drop" means every owned charger in radius comes back widened.) The gateway
+// must land on exactly this table.
+func (h *fleetHarness) deadShardOracle(dead int, center geo.Point, k int, radiusM float64, weights eis.WeightsJSON) []eis.OfferingEntry {
+	h.t.Helper()
+	allBody := offeringBody(h.t, eis.OfferingRequest{
+		Lat: center.Lat, Lon: center.Lon, K: h.env.Chargers.Len(), RadiusM: radiusM, Weights: weights, Now: fixedNow,
+	})
+	ss, sb, _ := doReq(h.t, h.single.URL, http.MethodPost, eis.APIVersion+"/offering", allBody)
+	if ss != http.StatusOK {
+		h.t.Fatalf("oracle request failed: %d %s", ss, sb)
+	}
+	var full eis.OfferingResponse
+	if err := json.Unmarshal(sb, &full); err != nil {
+		h.t.Fatal(err)
+	}
+	w := cknn.Weights{L: weights.L, A: weights.A, D: weights.D}.Normalized()
+	var pool []eis.OfferingEntry
+	for _, e := range full.Entries {
+		if h.part.ShardOf(e.ChargerID) != dead {
+			pool = append(pool, e)
+		}
+	}
+	for _, c := range h.env.Chargers.All() {
+		if h.part.ShardOf(c.ID) == dead && geo.Distance(center, c.P) <= radiusM {
+			pool = append(pool, synthEntry(c, w))
+		}
+	}
+	return mergeEntriesOracle(pool, k)
+}
+
 // blackoutForever is a window that never closes within a test.
 var blackoutForever = []fault.Window{{From: 1, To: 1 << 60}}
 
@@ -349,38 +418,7 @@ func TestChaosFleetShardBlackout(t *testing.T) {
 		Lat: center.Lat, Lon: center.Lon, K: k, RadiusM: radiusM, Weights: weights, Now: fixedNow,
 	})
 
-	// Independent oracle: rank the whole inventory on the single EIS, keep
-	// the live shards' entries, and replace the dead shard's slice of the
-	// pool with ignorance-bound synthesis over every in-radius charger it
-	// owns. (Not just the chargers the engine would have offered: the engine
-	// drops in-radius chargers whose derouting exceeds the budget, but a
-	// gateway that cannot reach the shard cannot know deroutability — "never
-	// drop" means every owned charger in radius comes back widened.) The
-	// gateway must land on exactly this table.
-	allBody := offeringBody(t, eis.OfferingRequest{
-		Lat: center.Lat, Lon: center.Lon, K: h.env.Chargers.Len(), RadiusM: radiusM, Weights: weights, Now: fixedNow,
-	})
-	ss, sb, _ := doReq(t, h.single.URL, http.MethodPost, eis.APIVersion+"/offering", allBody)
-	if ss != http.StatusOK {
-		t.Fatalf("oracle request failed: %d %s", ss, sb)
-	}
-	var full eis.OfferingResponse
-	if err := json.Unmarshal(sb, &full); err != nil {
-		t.Fatal(err)
-	}
-	w := cknn.Weights{L: weights.L, A: weights.A, D: weights.D}.Normalized()
-	var pool []eis.OfferingEntry
-	for _, e := range full.Entries {
-		if h.part.ShardOf(e.ChargerID) != 1 {
-			pool = append(pool, e)
-		}
-	}
-	for _, c := range h.env.Chargers.All() {
-		if h.part.ShardOf(c.ID) == 1 && geo.Distance(center, c.P) <= radiusM {
-			pool = append(pool, synthEntry(c, w))
-		}
-	}
-	want := mergeEntriesOracle(pool, k)
+	want := h.deadShardOracle(1, center, k, radiusM, weights)
 
 	gs, gb, gh := doReq(t, h.gwts.URL, http.MethodPost, eis.APIVersion+"/offering", body)
 	if gs != http.StatusOK {
@@ -418,7 +456,7 @@ func TestChaosFleetShardBlackout(t *testing.T) {
 	// chargers: the cached inventory keeps radius queries byte-complete.
 	pathq := eis.APIVersion + "/chargers?lat=" + fmtFloat(center.Lat) + "&lon=" + fmtFloat(center.Lon) + "&radius_m=6000"
 	gs, gb, gh = doReq(t, h.gwts.URL, http.MethodGet, pathq, nil)
-	_, sb, _ = doReq(t, h.single.URL, http.MethodGet, pathq, nil)
+	_, sb, _ := doReq(t, h.single.URL, http.MethodGet, pathq, nil)
 	if gs != http.StatusOK || !bytes.Equal(gb, sb) {
 		t.Fatalf("chargers under blackout diverged (status %d)\ngateway: %.300s\nsingle:  %.300s", gs, gb, sb)
 	}
@@ -577,6 +615,92 @@ func TestChaosFleetSlowShardBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	tabletest.Check(t, tableFromWire(t, h.env, got.Entries), k, "slow-shard offering")
+}
+
+// TestChaosFleetSlowFirstShardBounded: the fan-out reads its answers in
+// shard order, so here it waits on the first shard of three, which hangs.
+// The other two answered while it waited, and past the deadline what has
+// arrived is still read: the fleet answers inside the budget, shard 0
+// widened and shards 1 and 2 live, in exactly the positions the dead-shard
+// oracle predicts.
+func TestChaosFleetSlowFirstShardBounded(t *testing.T) {
+	h := newFleetHarness(t, harnessOpts{
+		n: 3,
+		shapes: func(hosts []string) map[string]fault.ShardShape {
+			return map[string]fault.ShardShape{hosts[0]: {
+				Slow:    []fault.Window{{From: 1, To: 1 << 60}},
+				Latency: 30 * time.Second,
+			}}
+		},
+		gw: func(o *Options) { o.ShardTimeout = 300 * time.Millisecond },
+	})
+	h.gw.ProbeAll(context.Background()) // tick 0: pull inventories
+	body, k, want := warmFirstShardOffering(t, h)
+	h.inj.Advance(1) // shard 0 starts hanging
+	assertFirstShardDead(t, h, "slow-first-shard offering", body, k, want)
+}
+
+// warmFirstShardOffering ranks an offering at the map's centre once while
+// every shard answers, so that shards 1 and 2 answer it from their caches at
+// once, however slow the host, and returns its body, its k and the table the
+// dead-shard oracle predicts for it once shard 0 gives no answer. A
+// synthesized entry ranks above every live one, so k reaches past the
+// chargers shard 0 owns in the radius.
+func warmFirstShardOffering(t *testing.T, h *fleetHarness) ([]byte, int, []eis.OfferingEntry) {
+	t.Helper()
+	center := h.env.Graph.Bounds().Center()
+	const k, radiusM = 40, 6000
+	weights := eis.WeightsJSON{L: 2, A: 1, D: 1}
+	body := offeringBody(t, eis.OfferingRequest{
+		Lat: center.Lat, Lon: center.Lon, K: k, RadiusM: radiusM, Weights: weights, Now: fixedNow,
+	})
+	if gs, gb, _ := doReq(t, h.gwts.URL, http.MethodPost, eis.APIVersion+"/offering", body); gs != http.StatusOK {
+		t.Fatalf("warm-up offering: status %d %s", gs, gb)
+	}
+	return body, k, h.deadShardOracle(0, center, k, radiusM, weights)
+}
+
+// assertFirstShardDead sends the offering body to the gateway, whose shard 0
+// gives no answer, and requires a 200 inside the 2 s budget that widens
+// shard 0 alone: the merged table is the one the dead-shard oracle predicts,
+// shard 0's chargers in it at the ignorance bound, and at least one entry of
+// the shards that answered, untagged.
+func assertFirstShardDead(t *testing.T, h *fleetHarness, label string, body []byte, k int, want []eis.OfferingEntry) {
+	t.Helper()
+	start := time.Now()
+	gs, gb, gh := doReq(t, h.gwts.URL, http.MethodPost, eis.APIVersion+"/offering", body)
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("%s: request took %v behind a first shard that gives no answer; deadline is 300ms", label, elapsed)
+	}
+	if gs != http.StatusOK || gh.Get(degradedHeader) != "0" {
+		t.Fatalf("%s: status %d header %q: %.300s", label, gs, gh.Get(degradedHeader), gb)
+	}
+	var got eis.OfferingResponse
+	if err := json.Unmarshal(gb, &got); err != nil {
+		t.Fatal(err)
+	}
+	tabletest.Check(t, tableFromWire(t, h.env, got.Entries), k, label)
+	if len(got.Entries) != len(want) {
+		t.Fatalf("%s: merged table holds %d entries, oracle predicts %d", label, len(got.Entries), len(want))
+	}
+	live := 0
+	for i, e := range got.Entries {
+		if e.ChargerID != want[i].ChargerID {
+			t.Fatalf("%s: position %d holds charger %d, oracle predicts %d", label, i, e.ChargerID, want[i].ChargerID)
+		}
+		if h.part.ShardOf(e.ChargerID) == 0 {
+			if e.Degraded != uint8(cknn.DegradedAll) {
+				t.Fatalf("%s: dead-shard charger %d has mask %#x, want DegradedAll", label, e.ChargerID, e.Degraded)
+			}
+		} else if e.Degraded&uint8(cknn.DegradedShard) != 0 {
+			t.Fatalf("%s: charger %d of a shard that answered is shard-tagged", label, e.ChargerID)
+		} else {
+			live++
+		}
+	}
+	if live == 0 {
+		t.Fatalf("%s: no entry of shards 1 and 2 in the table; their answers were lost", label)
+	}
 }
 
 // TestChaosFleetFlapRecovery: an asymmetric API partition (probes keep

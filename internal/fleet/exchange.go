@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -23,15 +24,21 @@ import (
 //     built once: a member's request head per endpoint (target), read-only
 //     and shared by every attempt. An attempt adds the call's query and its
 //     body's length and bytes (target.appendRequest).
-//   - A fan-out has one deadline context, created by fanout and shared by
-//     every shard's exchange. The deadline reaches a blocked attempt through
-//     the hop, which makes it the connection's deadline (transport.go);
-//     nothing else watches the clock.
-//   - The primary attempt runs on the goroutine that already exists: shard 0
-//     on the handler's, every other shard on its fan-out goroutine. Only a
-//     member with a replica gets a timer, and the hedge runs on the timer's
-//     goroutine; a member without one has no goroutine, channel, timer or
-//     context of its own.
+//   - A fan-out is one goroutine: the handler's writes every shard's request
+//     that can go out at once, on an idle connection (hop.send), then reads
+//     the answers in shard order (hop.receive). The shards work in parallel;
+//     the gateway starts no goroutine, channel, timer or context for such a
+//     member without a replica.
+//   - A fan-out has one deadline, which send makes every connection's
+//     (transport.go), and one cancellation hook on the request's context;
+//     nothing else watches the clock. Past the deadline an answer that has
+//     begun to arrive is still read, so a shard that hung costs only its own.
+//   - A member's exchange runs apart, on a goroutine and under a context of
+//     its own, when its request would wait to go out — on a dial, which a
+//     host that drops it makes last the whole deadline, or on a body too
+//     large for the socket to take at once (errWouldWait) — and when the
+//     member has a replica, whose hedge runs on its timer's goroutine. So
+//     the fan-out lasts as long as its slowest shard, not the sum of its sends.
 
 // endpoint indexes what the gateway asks a shard: the API methods it
 // forwards to, the inventory it pulls and the health check it probes.
@@ -137,8 +144,8 @@ type call struct {
 	// rawQuery is the client's query string, forwarded verbatim (GET
 	// endpoints); body is the binary request the gateway encoded (POST
 	// endpoints), in the fan-out's own pooled storage (fanout.body,
-	// fanout.bodies). Every attempt run on the fan-out's goroutines has sent
-	// it before the fan-out returns; the one attempt that can outlive the
+	// fanout.bodies). Every attempt the fan-out waits for has sent it before
+	// the fan-out returns; the one attempt that can outlive the
 	// fan-out, a hedge, sends a copy of its own (hedged).
 	rawQuery string
 	body     []byte
@@ -149,7 +156,7 @@ type call struct {
 // meaning the shard is unreachable for this request.
 type shardResult struct {
 	status int
-	header http.Header
+	header answerHeader
 	body   []byte
 	err    error
 	// buf is the pooled backing storage of body; release returns it.
@@ -168,16 +175,44 @@ func (res *shardResult) release() {
 	}
 }
 
-// attempt performs one HTTP exchange against one target, on the gateway's
-// hop, and reads the answer's body into a pooled buffer; the caller owns the
-// result and must release() it. A shard's 3xx is a terminal answer like any
-// other status. Fan-outs, probes and inventory pulls all come through here.
+// attempt performs one HTTP exchange against one target under ctx — its
+// deadline and a cancellation hook of its own — sending and receiving on the
+// calling goroutine; the caller owns the result and must release() it.
+// Single-owner lookups, hedges, probes, inventory pulls and a fan-out's
+// exchanges that run apart come through here.
 func (g *Gateway) attempt(ctx context.Context, t *target, c *call) shardResult {
-	buf := wire.GetBuffer()
-	status, header, err := g.hop(ctx, t, c, buf)
-	if err == nil && eis.RetryableStatus(status) {
-		err = fmt.Errorf("fleet: shard %s: HTTP %d", t.base, status)
+	var hook cancelHook
+	hook.arm(ctx)
+	defer hook.disarm()
+	x := exchange{ctx: ctx, hook: &hook, t: t, c: c, buf: wire.GetBuffer()}
+	x.deadline, _ = ctx.Deadline()
+	if err := g.send(&x); err != nil {
+		return shardResult{err: err}
 	}
+	return g.receive(&x)
+}
+
+// send writes x's request on the gateway's hop, into a pooled buffer x holds;
+// when it fails, the buffer goes back and x holds none.
+func (g *Gateway) send(x *exchange) error {
+	err := g.hop.send(x)
+	if err != nil {
+		wire.PutBuffer(x.buf)
+		x.buf = nil
+	}
+	return err
+}
+
+// receive reads the answer to x's request on the gateway's hop; the result
+// takes x's buffer, the answer's body read into it. A shard's 3xx is a
+// terminal answer like any other status.
+func (g *Gateway) receive(x *exchange) shardResult {
+	status, header, err := g.hop.receive(x)
+	if err == nil && eis.RetryableStatus(status) {
+		err = fmt.Errorf("fleet: shard %s: HTTP %d", x.t.base, status)
+	}
+	buf := x.buf
+	x.buf = nil
 	if err != nil {
 		wire.PutBuffer(buf)
 		return shardResult{err: err}
@@ -185,27 +220,50 @@ func (g *Gateway) attempt(ctx context.Context, t *target, c *call) shardResult {
 	return shardResult{status: status, header: header, body: buf.B, buf: buf}
 }
 
-// exchange performs one logical exchange with a shard under the deadline ctx
-// carries, on the calling goroutine, and records exactly one breaker outcome
-// for it (none when the breaker refused the call).
-func (g *Gateway) exchange(ctx context.Context, m *member, c *call) shardResult {
+// admit asks m's breaker for an exchange and counts it; the error is the
+// exchange's result when the breaker refuses it, which records no outcome.
+func (g *Gateway) admit(m *member) error {
 	if err := m.breaker.Allow(); err != nil {
 		met.shardFailures.Inc()
-		return shardResult{err: fmt.Errorf("fleet: shard %d: %w", m.index, err)}
+		return fmt.Errorf("fleet: shard %d: %w", m.index, err)
 	}
 	met.shardRequests.Inc()
-	var res shardResult
-	if m.replica == nil || g.opts.HedgeDelay < 0 {
-		res = g.attempt(ctx, m.primary, c)
-	} else {
-		res = g.hedged(ctx, m, c)
-	}
+	return nil
+}
+
+// settle records the one breaker outcome of an exchange admit let through.
+func settle(m *member, res *shardResult) {
 	if res.err != nil {
 		met.shardFailures.Inc()
 		m.breaker.OnFailure()
 	} else {
 		m.breaker.OnSuccess()
 	}
+}
+
+// hedges reports whether exchanges with m are hedged.
+func (g *Gateway) hedges(m *member) bool { return m.replica != nil && g.opts.HedgeDelay >= 0 }
+
+// exchange performs one logical exchange with a shard under the deadline ctx
+// carries, on the calling goroutine, and records exactly one breaker outcome
+// for it (none when the breaker refused the call).
+func (g *Gateway) exchange(ctx context.Context, m *member, c *call) shardResult {
+	if err := g.admit(m); err != nil {
+		return shardResult{err: err}
+	}
+	return g.admitted(ctx, m, c)
+}
+
+// admitted is the exchange with m once admit has let it through: hedged
+// when m has a replica, its one breaker outcome recorded.
+func (g *Gateway) admitted(ctx context.Context, m *member, c *call) shardResult {
+	var res shardResult
+	if g.hedges(m) {
+		res = g.hedged(ctx, m, c)
+	} else {
+		res = g.attempt(ctx, m.primary, c)
+	}
+	settle(m, &res)
 	return res
 }
 
@@ -312,7 +370,12 @@ func (g *Gateway) single(ctx context.Context, m *member, c *call) shardResult {
 type fanout struct {
 	calls   []call
 	results []shardResult
-	wg      sync.WaitGroup
+	// xs are the exchanges sent and not yet received, hook their
+	// cancellation hook, and wg waits for the exchanges that run apart, on
+	// goroutines of their own (fanoutApart).
+	xs   []exchange
+	hook cancelHook
+	wg   sync.WaitGroup
 
 	// body is the request every shard is sent unless the gateway searched
 	// for it, and bodies[i] shard i's request with its travel blocks when it
@@ -359,7 +422,7 @@ func (g *Gateway) getFanout() *fanout {
 	}
 	n := len(g.members)
 	return &fanout{
-		calls: make([]call, n), results: make([]shardResult, n),
+		calls: make([]call, n), results: make([]shardResult, n), xs: make([]exchange, n),
 		bodies: make([][]byte, n),
 		tables: make([]eis.OfferingResponse, n),
 		trips:  make([]eis.TripOfferingResponse, n),
@@ -424,22 +487,60 @@ func trimTrip(t *eis.TripOfferingResponse) {
 	}
 }
 
-// fanout runs fo.calls, each against its shard, concurrently under one
-// deadline and leaves the results in fo.results, indexed by shard.
+// fanout runs fo.calls, each against its shard, under one deadline and
+// leaves the results in fo.results, indexed by shard. The handler's
+// goroutine sends every request that can go out at once before it reads any
+// answer, and reads them in shard order: the shards work in parallel, and
+// past the deadline an answer that has begun to arrive is still read
+// (shardTransport.receive). Every other exchange runs apart (fanoutApart).
 func (g *Gateway) fanout(ctx context.Context, fo *fanout) {
-	ctx, cancel := context.WithTimeout(ctx, g.opts.ShardTimeout)
-	defer cancel()
-	fo.wg.Add(len(g.members) - 1)
-	for i := 1; i < len(g.members); i++ {
-		go g.fanoutShard(ctx, fo, i)
+	deadline := time.Now().Add(g.opts.ShardTimeout)
+	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
+		deadline = d
 	}
-	fo.results[0] = g.exchange(ctx, g.members[0], &fo.calls[0])
+	fo.hook.arm(ctx)
+	for i, m := range g.members {
+		if err := g.admit(m); err != nil {
+			fo.results[i] = shardResult{err: err}
+			continue
+		}
+		if !g.hedges(m) {
+			x := &fo.xs[i]
+			*x = exchange{ctx: ctx, deadline: deadline, hook: &fo.hook, t: m.primary, c: &fo.calls[i], buf: wire.GetBuffer(), inline: true}
+			err := g.send(x)
+			if err == nil {
+				continue
+			}
+			if !errors.Is(err, errWouldWait) {
+				fo.results[i] = shardResult{err: err}
+				settle(m, &fo.results[i])
+				continue
+			}
+		}
+		fo.wg.Add(1)
+		go g.fanoutApart(ctx, deadline, fo, i)
+	}
+	for i, m := range g.members {
+		if x := &fo.xs[i]; x.buf != nil {
+			fo.results[i] = g.receive(x)
+			settle(m, &fo.results[i])
+		}
+		fo.xs[i] = exchange{}
+	}
 	fo.wg.Wait()
+	fo.hook.disarm()
 }
 
-func (g *Gateway) fanoutShard(ctx context.Context, fo *fanout, i int) {
+// fanoutApart is member i's admitted exchange on a goroutine of its own, so
+// that it waits while the handler's goroutine reads the other shards'
+// answers: the exchange with a member that has a replica, whose hedge timer
+// must be able to fire, or with one whose request would have waited to go
+// out.
+func (g *Gateway) fanoutApart(ctx context.Context, deadline time.Time, fo *fanout, i int) {
 	defer fo.wg.Done()
-	fo.results[i] = g.exchange(ctx, g.members[i], &fo.calls[i])
+	ctx, cancel := context.WithDeadline(ctx, deadline)
+	defer cancel()
+	fo.results[i] = g.admitted(ctx, g.members[i], &fo.calls[i])
 }
 
 // splitResults classifies fan-out results: how many shards answered 200, the

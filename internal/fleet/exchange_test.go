@@ -9,13 +9,17 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"ecocharge/internal/eis"
 	"ecocharge/internal/wire"
 )
 
@@ -265,28 +269,43 @@ func TestFleetHedgeOwnsItsBody(t *testing.T) {
 	defer hedges.Wait()
 	defer releaseBefore(requests)
 	next := g.hop
-	g.hop = func(ctx context.Context, tg *target, c *call, buf *wire.Buffer) (int, http.Header, error) {
-		if tg != g.members[0].replica {
-			return next(ctx, tg, c, buf)
+	var sent sync.Map // *exchange → the request body its hedge fired with
+	g.hop.send = func(x *exchange) error {
+		if x.t != g.members[0].replica {
+			return next.send(x)
 		}
 		hedges.Add(1)
-		defer hedges.Done()
-		sent := bytes.Clone(c.body)
+		body := bytes.Clone(x.c.body)
 		var release chan struct{}
 		select {
 		case release = <-parks:
-		case <-ctx.Done(): // the exchange gave up on the primary
-			return 0, nil, ctx.Err()
+		case <-x.ctx.Done(): // the exchange gave up on the primary
+			hedges.Done()
+			return x.ctx.Err()
 		}
 		select {
 		case fired <- struct{}{}:
-		case <-ctx.Done():
-			return 0, nil, ctx.Err()
+		case <-x.ctx.Done():
+			hedges.Done()
+			return x.ctx.Err()
 		}
 		<-release
-		status, header, err := next(context.WithoutCancel(ctx), tg, c, buf)
-		if err != nil || status != http.StatusOK || !bytes.Equal(buf.B, sent) {
-			t.Errorf("a hedge fired with request %x; its replica answered %d, %v, having decoded %x", sent, status, err, buf.B)
+		x.ctx, x.deadline, x.hook = context.WithoutCancel(x.ctx), time.Time{}, nil
+		if err := next.send(x); err != nil {
+			t.Errorf("a hedge fired with request %x and was not sent: %v", body, err)
+			hedges.Done()
+			return err
+		}
+		sent.Store(x, body)
+		return nil
+	}
+	g.hop.receive = func(x *exchange) (int, answerHeader, error) {
+		status, header, err := next.receive(x)
+		if body, ok := sent.LoadAndDelete(x); ok {
+			defer hedges.Done()
+			if err != nil || status != http.StatusOK || !bytes.Equal(x.buf.B, body.([]byte)) {
+				t.Errorf("a hedge fired with request %x; its replica answered %d, %v, having decoded %x", body, status, err, x.buf.B)
+			}
 		}
 		return status, header, err
 	}
@@ -309,6 +328,107 @@ func TestFleetHedgeOwnsItsBody(t *testing.T) {
 		// The previous request's hedge goes on now that this one has been
 		// served from the pool its body was in.
 		releaseBefore(i)
+	}
+}
+
+// TestFleetFanoutCancelled: the request's context cancelled while the fan-out
+// reads its answers stops every exchange at once through the fan-out's one
+// hook, not at the deadline, and fails each with context.Canceled; the next
+// fan-out, on the same pooled state, reads every shard again.
+func TestFleetFanoutCancelled(t *testing.T) {
+	shards := []*scriptedShard{newScriptedShard(t), newScriptedShard(t)}
+	g, err := NewGateway([]Shard{{URL: shards[0].ts.URL}, {URL: shards[1].ts.URL}}, Options{ShardTimeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 3; round++ {
+		for _, s := range shards {
+			s.next("hang")
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		timer := time.AfterFunc(20*time.Millisecond, cancel)
+		fo := g.getFanout()
+		fo.setCall(call{ep: epTraffic})
+		start := time.Now()
+		g.fanout(ctx, fo)
+		elapsed := time.Since(start)
+		for i, res := range fo.results {
+			if !errors.Is(res.err, context.Canceled) {
+				t.Fatalf("round %d, shard %d: a cancelled fan-out gave %v, want context.Canceled", round, i, res.err)
+			}
+		}
+		g.putFanout(fo)
+		timer.Stop()
+		cancel()
+		if elapsed > 2*time.Second {
+			t.Fatalf("round %d: the cancelled fan-out returned after %v", round, elapsed)
+		}
+		fo = g.getFanout()
+		fo.setCall(call{ep: epTraffic})
+		g.fanout(context.Background(), fo)
+		for i, res := range fo.results {
+			if !res.ok() || string(res.body) != "ok" {
+				t.Fatalf("round %d, shard %d: the next fan-out gave %d %q, %v", round, i, res.status, res.body, res.err)
+			}
+		}
+		g.putFanout(fo)
+	}
+}
+
+// goid is the ID of the calling goroutine.
+func goid() string {
+	var b [64]byte
+	id, _, _ := strings.Cut(strings.TrimPrefix(string(b[:runtime.Stack(b[:], false)]), "goroutine "), " ")
+	return id
+}
+
+// TestFleetFanoutOnHandlerGoroutine: without replicas, and with an idle
+// connection to every shard (the probes leave one each), a fan-out is one
+// goroutine. The harness's hop records the goroutine each half runs on, and
+// the handler is served on the test's own: every request a fan-out sends and
+// every answer it reads — an offering, a trip, a radius query — is the
+// handler goroutine's, and all three shards' requests go out before the
+// first answer is read.
+func TestFleetFanoutOnHandlerGoroutine(t *testing.T) {
+	h := newFleetHarness(t, harnessOpts{n: 3})
+	h.gw.ProbeAll(context.Background())
+	var halves []string // "send" or "receive", then the goroutine
+	next := h.gw.hop
+	h.gw.hop = hop{
+		send: func(x *exchange) error {
+			halves = append(halves, "send "+goid())
+			return next.send(x)
+		},
+		receive: func(x *exchange) (int, answerHeader, error) {
+			halves = append(halves, "receive "+goid())
+			return next.receive(x)
+		},
+	}
+	center := h.env.Graph.Bounds().Center()
+	trip := routedTrips(t, h.env.Graph, 8, 1, 18, fixedNow)[0]
+	handler, me := h.gw.Handler(), goid()
+	for _, tc := range []struct {
+		what, method, pathq string
+		body                []byte
+	}{
+		{"offering", http.MethodPost, eis.APIVersion + "/offering", offeringBody(t, eis.OfferingRequest{Lat: center.Lat, Lon: center.Lon, Now: fixedNow})},
+		{"trip offering", http.MethodPost, eis.APIVersion + "/offering/trip", tripRequest(h.env.Graph, trip, 3, 6000, 2000, 1500)},
+		{"chargers", http.MethodGet, eis.APIVersion + "/chargers?lat=" + fmtFloat(center.Lat) + "&lon=" + fmtFloat(center.Lon) + "&radius_m=3000", nil},
+	} {
+		halves = halves[:0]
+		r := httptest.NewRequest(tc.method, tc.pathq, bytes.NewReader(tc.body))
+		if tc.body != nil {
+			r.Header.Set("Content-Type", eis.ContentTypeJSON)
+		}
+		w := httptest.NewRecorder()
+		handler.ServeHTTP(w, r)
+		if w.Code != http.StatusOK || w.Header().Get(degradedHeader) != "" {
+			t.Fatalf("%s: status %d, degraded %q: %.300s", tc.what, w.Code, w.Header().Get(degradedHeader), w.Body.Bytes())
+		}
+		want := []string{"send " + me, "send " + me, "send " + me, "receive " + me, "receive " + me, "receive " + me}
+		if strings.Join(halves, ", ") != strings.Join(want, ", ") {
+			t.Fatalf("%s: the fan-out ran %q, want %q", tc.what, halves, want)
+		}
 	}
 }
 

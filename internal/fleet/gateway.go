@@ -95,7 +95,7 @@ type Gateway struct {
 	world uint64
 
 	// hop runs every shard exchange (transport.go).
-	hop hopFunc
+	hop hop
 	// fanouts pools the per-request fan-out state.
 	fanouts sync.Pool
 }
@@ -107,7 +107,7 @@ func NewGateway(shards []Shard, opts Options) (*Gateway, error) {
 		return nil, fmt.Errorf("fleet: gateway needs at least one shard")
 	}
 	opts = opts.withDefaults()
-	g := &Gateway{part: Partition{N: len(shards)}, opts: opts, hop: newShardTransport().hop}
+	g := &Gateway{part: Partition{N: len(shards)}, opts: opts, hop: newShardTransport().hop()}
 	if opts.Env != nil {
 		g.env, g.world = opts.Env, opts.Env.RoadWorld()
 	}
@@ -136,10 +136,10 @@ func (g *Gateway) writeError(w http.ResponseWriter, code int, format string, arg
 // passthrough relays a shard's terminal response verbatim, so error bodies
 // (and their statuses) stay byte-identical to the single-EIS deployment.
 func passthrough(w http.ResponseWriter, res *shardResult) {
-	if ra := res.header.Get("Retry-After"); ra != "" {
+	if ra := res.header.retryAfter; ra != "" {
 		w.Header().Set("Retry-After", ra)
 	}
-	eis.WriteBody(w, res.status, res.header.Get("Content-Type"), res.body)
+	eis.WriteBody(w, res.status, res.header.contentType, res.body)
 }
 
 // degradedHeader names the shards a response was widened for. It is only

@@ -132,7 +132,7 @@ func (g *Gateway) pullInventory(ctx context.Context, m *member, t *target) bool 
 	}
 	m.inventory.Store(set)
 	var supply *supplyTerms
-	if terms, ok := eis.CacheTermsFrom(res.header); ok && g.env != nil && terms.World == g.world {
+	if terms, ok := eis.CacheTermsFrom(res.header.eis); ok && g.env != nil && terms.World == g.world {
 		supply = &supplyTerms{cache: terms, chargers: set}
 	}
 	m.supply.Store(supply)

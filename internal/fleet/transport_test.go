@@ -13,7 +13,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"net/textproto"
 	"runtime"
 	"strconv"
 	"strings"
@@ -45,17 +44,25 @@ func newCountingServer(t *testing.T, h http.HandlerFunc) *countingServer {
 	return s
 }
 
-// hopTo runs one exchange of c with the server at base on tr and returns
-// the answer.
-func hopTo(ctx context.Context, tr *shardTransport, base string, c call) (int, http.Header, string, error) {
+// hopTo runs one exchange of c with the server at base on tr — its send,
+// then its receive, under ctx's deadline and a cancellation hook on ctx, as
+// Gateway.attempt runs one — and returns the answer.
+func hopTo(ctx context.Context, tr *shardTransport, base string, c call) (int, answerHeader, string, error) {
 	tg, err := newTarget(base)
 	if err != nil {
-		return 0, nil, "", err
+		return 0, answerHeader{}, "", err
 	}
-	buf := wire.GetBuffer()
-	defer wire.PutBuffer(buf)
-	status, header, err := tr.hop(ctx, tg, &c, buf)
-	return status, header, string(buf.B), err
+	var hook cancelHook
+	hook.arm(ctx)
+	defer hook.disarm()
+	x := exchange{ctx: ctx, hook: &hook, t: tg, c: &c, buf: wire.GetBuffer()}
+	defer wire.PutBuffer(x.buf)
+	x.deadline, _ = ctx.Deadline()
+	if err := tr.send(&x); err != nil {
+		return 0, answerHeader{}, "", err
+	}
+	status, header, err := tr.receive(&x)
+	return status, header, string(x.buf.B), err
 }
 
 // idleTo is how many idle connections tr holds to the server.
@@ -67,11 +74,11 @@ func (tr *shardTransport) idleTo(url string) int {
 
 // TestFleetTransportKeepAlive: sequential exchanges, GET and POST, share one
 // connection; the request goes out whole, with the head its endpoint was
-// built with, and the answer's header keys come back canonical.
+// built with, and the answer's header fields are read in any case.
 func TestFleetTransportKeepAlive(t *testing.T) {
 	srv := newCountingServer(t, func(w http.ResponseWriter, r *http.Request) {
 		b, _ := io.ReadAll(r.Body)
-		w.Header()["x-shard"] = []string{"echo"} // a key the server does not canonicalise
+		w.Header()["x-eis-shard"] = []string{"echo"} // a key the server does not canonicalise
 		_, _ = w.Write([]byte(strings.Join([]string{r.Method, r.Host, r.URL.RequestURI(), r.Header.Get("Content-Type"), r.Header.Get("Accept"), string(b)}, " ")))
 	})
 	host := strings.TrimPrefix(srv.URL, "http://")
@@ -81,13 +88,13 @@ func TestFleetTransportKeepAlive(t *testing.T) {
 		if want := "GET " + host + " /api/v1/traffic?t=1   "; err != nil || status != http.StatusOK || body != want {
 			t.Fatalf("GET %d: %d %q, %v; want %q", i, status, body, err, want)
 		}
-		if header.Get("X-Shard") != "echo" || header["X-Shard"] == nil {
+		if header.eis.Get("X-Eis-Shard") != "echo" || header.eis["X-Eis-Shard"] == nil {
 			t.Fatalf("header keys are not canonical: %v", header)
 		}
 		status, header, body, err = hopTo(context.Background(), tr, srv.URL, call{ep: epOffering, body: []byte("payload")})
 		want := "POST " + host + " /api/v1/offering " + wire.ContentType + " " + wire.ContentType + " payload"
-		if err != nil || status != http.StatusOK || body != want || header.Get("Content-Length") != strconv.Itoa(len(body)) {
-			t.Fatalf("POST %d: %d %q (Content-Length %s), %v; want %q", i, status, body, header.Get("Content-Length"), err, want)
+		if err != nil || status != http.StatusOK || body != want || header.contentLength != int64(len(body)) {
+			t.Fatalf("POST %d: %d %q (Content-Length %d), %v; want %q", i, status, body, header.contentLength, err, want)
 		}
 	}
 	if n := srv.accepted.Load(); n != 1 {
@@ -165,8 +172,8 @@ func TestFleetTransportChunkedBody(t *testing.T) {
 		if err != nil || status != http.StatusOK || body != strings.Repeat("a", 5000)+"tail" {
 			t.Fatalf("chunked body %d: %d, %d bytes, %v", i, status, len(body), err)
 		}
-		if header.Get("Transfer-Encoding") != "chunked" || header.Get("Content-Length") != "" {
-			t.Fatalf("framing: %v", header)
+		if !header.chunked || header.contentLength >= 0 {
+			t.Fatalf("framing: %+v", header)
 		}
 	}
 	// The trailer was read with the body, so the connection served all three.
@@ -187,8 +194,8 @@ func TestFleetTransportConnectionClose(t *testing.T) {
 	tr := newShardTransport()
 	for i := 0; i < 2; i++ {
 		_, header, body, err := hopTo(context.Background(), tr, srv.URL, call{ep: epHealthz})
-		if err != nil || body != "bye" || header.Get("Connection") != "close" {
-			t.Fatalf("exchange %d: %q, Connection %q, %v", i, body, header.Get("Connection"), err)
+		if err != nil || body != "bye" || !header.close {
+			t.Fatalf("exchange %d: %q, Connection: close %v, %v", i, body, header.close, err)
 		}
 		if n := tr.idleTo(srv.URL); n != 0 {
 			t.Fatalf("a connection the shard closes was pooled (%d idle)", n)
@@ -320,6 +327,116 @@ func TestFleetTransportDeadline(t *testing.T) {
 	}
 }
 
+// TestFleetTransportReadsWhatArrivedPastDeadline: a fan-out reads its
+// answers in shard order, so it may come to one only after the deadline.
+// Then an answer that has begun to arrive is read to its end under
+// lateAnswerBound, and the connection pooled: a whole small one, and one of
+// two megabytes, of which the socket buffers held only the start when
+// the deadline passed. Half an answer that stops, or none, fails with
+// context.DeadlineExceeded, and its connection is closed.
+func TestFleetTransportReadsWhatArrivedPastDeadline(t *testing.T) {
+	large := strings.Repeat("x", 2<<20)
+	release := make(chan struct{})
+	srv := newCountingServer(t, func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case endpointPaths[epHealthz]:
+			_, _ = w.Write([]byte("ok"))
+			return
+		case endpointPaths[epChargers]:
+			_, _ = w.Write([]byte(large))
+			return
+		case endpointPaths[epInventory]:
+			_, _ = w.Write([]byte("part"))
+			w.(http.Flusher).Flush()
+		}
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	})
+	defer close(release)
+	tr := newShardTransport()
+	tg, err := newTarget(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		ep   endpoint
+		want string // the body; "" for an answer that fails
+	}{{epHealthz, "ok"}, {epChargers, large}, {epInventory, ""}, {epOffering, ""}} {
+		c := call{ep: tc.ep}
+		x := exchange{ctx: context.Background(), deadline: time.Now().Add(100 * time.Millisecond), t: tg, c: &c, buf: wire.GetBuffer()}
+		if err := tr.send(&x); err != nil {
+			t.Fatalf("%s: send: %v", endpointPaths[tc.ep], err)
+		}
+		time.Sleep(time.Until(x.deadline) + 50*time.Millisecond)
+		done := make(chan error, 1)
+		var body string
+		go func() {
+			_, _, err := tr.receive(&x)
+			body = string(x.buf.B)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if tc.want != "" && (err != nil || body != tc.want) {
+				t.Fatalf("%s: an answer that had begun to arrive gave %d bytes, %v; want %d", endpointPaths[tc.ep], len(body), err, len(tc.want))
+			}
+			if tc.want == "" && !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("%s: an answer that had not arrived whole gave %q, %v; want context.DeadlineExceeded", endpointPaths[tc.ep], body, err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s: a read past the deadline waited for the shard", endpointPaths[tc.ep])
+		}
+		wire.PutBuffer(x.buf)
+		want := 0 // a failed answer's connection is closed
+		if tc.want != "" {
+			want = 1
+		}
+		if n := tr.idleTo(srv.URL); n != want {
+			t.Fatalf("%s: %d idle connections, want %d", endpointPaths[tc.ep], n, want)
+		}
+	}
+}
+
+// TestFleetTransportInlineNeverWaits: an inline exchange, which a fan-out
+// sends on the handler's goroutine, goes out on an idle connection or not at
+// all. Without one it dials nothing; with a body over inlineBodyBytes it
+// leaves the idle connection in the pool; either way it is errWouldWait. A
+// small body on an idle connection goes out and is answered.
+func TestFleetTransportInlineNeverWaits(t *testing.T) {
+	srv := newCountingServer(t, func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(w, r.Body)
+	})
+	tr := newShardTransport()
+	tg, err := newTarget(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inline := func(body []byte) (string, error) {
+		c := call{ep: epOffering, body: body}
+		x := exchange{ctx: context.Background(), t: tg, c: &c, buf: wire.GetBuffer(), inline: true}
+		defer wire.PutBuffer(x.buf)
+		if err := tr.send(&x); err != nil {
+			return "", err
+		}
+		_, _, err := tr.receive(&x)
+		return string(x.buf.B), err
+	}
+	if _, err := inline([]byte("small")); err != errWouldWait || srv.accepted.Load() != 0 {
+		t.Fatalf("with no idle connection: %v, %d connections; want errWouldWait and none", err, srv.accepted.Load())
+	}
+	if _, _, _, err := hopTo(context.Background(), tr, srv.URL, call{ep: epHealthz}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inline(make([]byte, inlineBodyBytes+1)); err != errWouldWait || tr.idleTo(srv.URL) != 1 {
+		t.Fatalf("a body over inlineBodyBytes: %v, %d idle; want errWouldWait and the connection kept", err, tr.idleTo(srv.URL))
+	}
+	if body, err := inline([]byte("small")); err != nil || body != "small" || srv.accepted.Load() != 1 {
+		t.Fatalf("on an idle connection: %q, %v, %d connections; want the echo on the one", body, err, srv.accepted.Load())
+	}
+}
+
 // TestFleetTransportRefusesHTTPS: the hop speaks plain http only; an https
 // shard gets no target, so nothing is sent to it.
 func TestFleetTransportRefusesHTTPS(t *testing.T) {
@@ -375,11 +492,11 @@ func FuzzShardAnswer(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tp := textproto.Reader{R: bufio.NewReader(bytes.NewReader(data))}
+		br := bufio.NewReader(bytes.NewReader(data))
 		buf := wire.GetBuffer()
 		defer wire.PutBuffer(buf)
 		buf.B = append(buf.B, "what the buffer held"...)
-		status, header, keep, err := readAnswer(&tp, buf)
+		status, header, keep, err := readAnswer(br, buf)
 		if err != nil {
 			if keep {
 				t.Fatalf("a refused answer (%v) left its connection to the pool", err)
@@ -390,17 +507,16 @@ func FuzzShardAnswer(f *testing.F) {
 			t.Fatalf("status %d with a body of %d bytes", status, len(buf.B))
 		}
 		bodied := status != http.StatusNoContent && status != http.StatusNotModified
-		cl := header.Get("Content-Length")
-		if n, perr := strconv.ParseUint(cl, 10, 63); bodied && cl != "" && (perr != nil || n != uint64(len(buf.B))) {
-			t.Fatalf("Content-Length %q and a body of %d bytes", cl, len(buf.B))
+		if cl := header.contentLength; bodied && cl >= 0 && cl != int64(len(buf.B)) {
+			t.Fatalf("Content-Length %d and a body of %d bytes", cl, len(buf.B))
 		}
 		if !bodied && len(buf.B) != 0 {
 			t.Fatalf("status %d with a body of %d bytes", status, len(buf.B))
 		}
-		framed := !bodied || cl != "" || header.Get("Transfer-Encoding") != ""
-		if keep && (!framed || hasToken(header.Get("Connection"), "close") || tp.R.Buffered() != 0) {
-			t.Fatalf("an answer kept its connection: framed %v, Connection %q, %d bytes behind it",
-				framed, header.Get("Connection"), tp.R.Buffered())
+		framed := !bodied || header.contentLength >= 0 || header.chunked
+		if keep && (!framed || header.close || br.Buffered() != 0) {
+			t.Fatalf("an answer kept its connection: framed %v, Connection: close %v, %d bytes behind it",
+				framed, header.close, br.Buffered())
 		}
 	})
 }

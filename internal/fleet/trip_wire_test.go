@@ -143,13 +143,14 @@ func TestFleetJSONShardIsA502(t *testing.T) {
 func TestFleetCrossedIntervalIsA502(t *testing.T) {
 	h := newFleetHarness(t, harnessOpts{n: 3})
 	var crossed atomic.Int64
-	next := h.gw.hop
-	h.gw.hop = func(ctx context.Context, tg *target, c *call, buf *wire.Buffer) (int, http.Header, error) {
-		status, header, err := next(ctx, tg, c, buf)
+	next := h.gw.hop.receive
+	h.gw.hop.receive = func(x *exchange) (int, answerHeader, error) {
+		status, header, err := next(x)
 		if err != nil || status != http.StatusOK {
 			return status, header, err
 		}
-		switch c.ep {
+		buf := x.buf
+		switch x.c.ep {
 		case epOffering:
 			var resp eis.OfferingResponse
 			if wire.DecodeOfferingResponse(buf.B, &resp) == nil && len(resp.Entries) > 0 {

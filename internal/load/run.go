@@ -122,12 +122,13 @@ func NewRunner(opts Options) (*Runner, error) {
 	}}, nil
 }
 
-// event is one scheduled arrival: the query and the time it was *supposed*
-// to start. Latency is measured against intended, never against the actual
-// send — that difference is the coordinated-omission safety.
+// event is one scheduled arrival: the body of its query's request and the
+// time it was *supposed* to start. Latency is measured against intended,
+// never against the actual send — that difference is the
+// coordinated-omission safety.
 type event struct {
 	intended time.Time
-	q        Query
+	body     []byte
 }
 
 // Run executes one rate step: it paces the schedule's arrivals from a
@@ -143,6 +144,12 @@ func (r *Runner) Run(ctx context.Context, src *Sessions, sched Schedule, rateHz 
 	if r.opts.ClosedLoop {
 		res.Mode = "closed"
 	}
+	// Every arrival's request body is encoded before the clock starts, so a
+	// send's latency window, which opens at its intended arrival, holds the
+	// exchange and not the encoding. A source that runs dry paces what it
+	// gave and fails the step.
+	bodies, srcErr := r.encode(src, len(sched))
+	sched = sched[:len(bodies)]
 
 	events := make(chan event, len(sched))
 	var (
@@ -182,14 +189,9 @@ func (r *Runner) Run(ctx context.Context, src *Sessions, sched Schedule, rateHz 
 	start := time.Now()
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
-	var pacerErr error
+	pacerErr := srcErr
 pace:
-	for _, off := range sched {
-		q, err := src.Next()
-		if err != nil {
-			pacerErr = err
-			break
-		}
+	for i, off := range sched {
 		target := start.Add(off)
 		if !r.opts.ClosedLoop {
 			if d := time.Until(target); d > 0 {
@@ -202,7 +204,7 @@ pace:
 				}
 			}
 		}
-		events <- event{intended: target, q: q}
+		events <- event{intended: target, body: bodies[i]}
 	}
 	close(events)
 	wg.Wait()
@@ -222,6 +224,42 @@ pace:
 	return res, pacerErr
 }
 
+// encode draws n queries from src and encodes each one's offering request
+// on the runner's plane, the bodies back to back in one buffer; it stops at
+// the first query src cannot give.
+func (r *Runner) encode(src *Sessions, n int) ([][]byte, error) {
+	var arena []byte
+	ends := make([]int, 0, n)
+	var err error
+	for len(ends) < n {
+		var q Query
+		if q, err = src.Next(); err != nil {
+			break
+		}
+		oreq := wire.OfferingRequest{
+			Lat: q.Lat, Lon: q.Lon,
+			K: r.opts.K, RadiusM: r.opts.RadiusM,
+			Now: r.opts.Now, ETA: q.ETA,
+		}
+		if r.opts.Plane == PlaneWire {
+			arena = wire.AppendOfferingRequest(arena, &oreq)
+		} else {
+			var b []byte
+			if b, err = json.Marshal(oreq); err != nil {
+				break
+			}
+			arena = append(arena, b...)
+		}
+		ends = append(ends, len(arena))
+	}
+	bodies := make([][]byte, len(ends))
+	from := 0
+	for i, end := range ends {
+		bodies[i], from = arena[from:end:end], end
+	}
+	return bodies, err
+}
+
 // send issues one offering request and classifies the exchange. The
 // returned latency is measured from the intended arrival (open loop) or
 // from the actual send (closed-loop control runs); either way the clock
@@ -231,24 +269,11 @@ func (r *Runner) send(ctx context.Context, ev event) (time.Duration, Outcome, er
 	reqCtx, cancel := context.WithTimeout(ctx, r.opts.Timeout)
 	defer cancel()
 
-	oreq := wire.OfferingRequest{
-		Lat: ev.q.Lat, Lon: ev.q.Lon,
-		K: r.opts.K, RadiusM: r.opts.RadiusM,
-		Now: r.opts.Now, ETA: ev.q.ETA,
-	}
-	var body []byte
 	contentType := "application/json"
 	if r.opts.Plane == PlaneWire {
-		body = wire.AppendOfferingRequest(nil, &oreq)
 		contentType = wire.ContentType
-	} else {
-		var err error
-		body, err = json.Marshal(oreq)
-		if err != nil {
-			return 0, OutcomeError, err
-		}
 	}
-	req, err := http.NewRequestWithContext(reqCtx, http.MethodPost, r.opts.BaseURL+eis.APIVersion+"/offering", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(reqCtx, http.MethodPost, r.opts.BaseURL+eis.APIVersion+"/offering", bytes.NewReader(ev.body))
 	if err != nil {
 		return 0, OutcomeError, err
 	}

@@ -33,9 +33,9 @@ type session struct {
 // round-robin across vehicles — the interleaved per-segment query stream
 // of a fleet, not one trip replayed end to end.
 //
-// Not safe for concurrent use: the pacer draws queries single-threaded
-// (before dispatch), which also keeps the offered request sequence
-// deterministic for a given sampler seed.
+// Not safe for concurrent use: Runner.Run draws a step's queries
+// single-threaded before its clock starts, which also keeps the offered
+// request sequence deterministic for a given sampler seed.
 type Sessions struct {
 	g        *roadnet.Graph
 	sampler  *trajectory.Sampler
