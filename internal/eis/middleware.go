@@ -80,20 +80,27 @@ func (sw *statusWriter) Write(b []byte) (int, error) {
 	return sw.ResponseWriter.Write(b)
 }
 
-// Serve serves handler on addr until ctx is cancelled (a shutdown signal),
-// then drains in-flight requests for up to drain before forcing connections
-// closed; name opens its log lines. The connection timeouts bound slow or
+// NewHTTPServer is the one http.Server configuration every EIS, gateway and
+// in-process fleet serves with. The connection timeouts bound slow or
 // stalled clients so one bad peer cannot hold a handler goroutine forever
-// (slowloris protection). It is the lifecycle of cmd/eis and cmd/gateway.
-func Serve(ctx context.Context, name, addr string, handler http.Handler, drain time.Duration, logger *log.Logger) error {
-	httpSrv := &http.Server{
-		Addr:              addr,
+// (slowloris protection).
+func NewHTTPServer(handler http.Handler) *http.Server {
+	return &http.Server{
 		Handler:           handler,
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
 		WriteTimeout:      60 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
+}
+
+// Serve serves handler on addr until ctx is cancelled (a shutdown signal),
+// then drains in-flight requests for up to drain before forcing connections
+// closed; name opens its log lines. It is the lifecycle of cmd/eis and
+// cmd/gateway.
+func Serve(ctx context.Context, name, addr string, handler http.Handler, drain time.Duration, logger *log.Logger) error {
+	httpSrv := NewHTTPServer(handler)
+	httpSrv.Addr = addr
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 

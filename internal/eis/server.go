@@ -286,7 +286,7 @@ func encodeHit(resp OfferingResponse) []byte {
 // the next such eviction (second chance). Clearing the marks the search goes
 // over on every eviction instead would protect a cell only while it is read
 // between any two evictions of its shard, which is FIFO plus one eviction
-// (measured in docs/perf.md).
+// (measured; the hit-path record in docs/perf-history/).
 //
 // The queue makes this O(1) amortised where a scan of the map for the
 // closest expiry cost a pass over the stripe per insertion: read entries stay

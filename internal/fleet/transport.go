@@ -45,9 +45,9 @@ const (
 	// connection released to a full stack is closed.
 	maxIdlePerShard = 64
 	// maxShardIdle is how long an idle connection is trusted. It stays under
-	// the shards' own idle timeout (a minute in load.StartInproc, two in
-	// cmd/eis), so the shard rarely closes a connection the gateway is about
-	// to reuse; when it does, the exchange is retried once (staleConn).
+	// the shards' own idle timeout (two minutes, eis.NewHTTPServer), so the
+	// shard rarely closes a connection the gateway is about to reuse; when it
+	// does, the exchange is retried once (staleConn).
 	maxShardIdle = 30 * time.Second
 	// maxAnswerHeaderBytes bounds the header section of one answer.
 	maxAnswerHeaderBytes = 64 << 10

@@ -123,11 +123,7 @@ func (ip *Inproc) serve(h http.Handler) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	srv := &http.Server{
-		Handler:           h,
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       time.Minute,
-	}
+	srv := eis.NewHTTPServer(h)
 	ip.servers = append(ip.servers, srv)
 	ip.wg.Add(1)
 	go func() {

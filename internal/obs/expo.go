@@ -53,9 +53,9 @@ func (r *Registry) WriteText(w io.Writer) error {
 func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // Snapshot flattens the registry into name→value pairs: counters and
-// gauges by name, histograms as <name>_count and <name>_sum. ecobench
-// embeds snapshot deltas into its -json rows so BENCH files carry the
-// cache/prune telemetry alongside SC%/ft_ms.
+// gauges by name, histograms as <name>_count and <name>_sum. The repository
+// benchmark (bench/) takes one before and one after a replay and reads the
+// per-layer counters from their DeltaSnapshot.
 func (r *Registry) Snapshot() map[string]float64 {
 	out := make(map[string]float64)
 	if r == nil {

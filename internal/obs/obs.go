@@ -102,8 +102,8 @@ func NewRegistry() *Registry {
 }
 
 // defaultRegistry is the process-wide registry every instrumented package
-// registers into; the EIS exposes it at /metrics and /debug/vars and
-// ecobench snapshots it into the -json rows.
+// registers into; the EIS exposes it at /metrics and /debug/vars, and the
+// repository benchmark (bench/) snapshots it for its per-layer table.
 var defaultRegistry = NewRegistry()
 
 // Default returns the process-wide registry.
