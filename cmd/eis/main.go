@@ -33,8 +33,6 @@ func main() {
 		addr        = flag.String("addr", ":8080", "listen address")
 		dataset     = flag.String("dataset", "Oldenburg", "dataset profile: Oldenburg, California, T-drive, Geolife")
 		seed        = flag.Int64("seed", 42, "scenario seed")
-		ttl         = flag.Duration("cache-ttl", 5*time.Minute, "server-side dynamic cache TTL")
-		cell        = flag.Float64("cache-cell", 2000, "server-side cache cell size in meters")
 		shard       = flag.String("shard", "", `serve one shard of an n-way fleet partition, as "i/n" (e.g. 0/3); empty serves the whole inventory`)
 		drain       = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline for in-flight requests")
 		faultRate   = flag.Float64("faultrate", 0, "injected EC-source fault rate in [0,1] (chaos/testing; 0 disables)")
@@ -47,8 +45,7 @@ func main() {
 
 	logger := log.New(os.Stderr, "", log.LstdFlags)
 	cfg := handlerConfig{
-		dataset: *dataset, seed: *seed, ttl: *ttl, cellM: *cell,
-		shard:     *shard,
+		dataset: *dataset, seed: *seed, shard: *shard,
 		faultRate: *faultRate, faultSeed: *faultSeed,
 	}
 	if *traceP != "" {
@@ -100,8 +97,6 @@ func withPprof(h http.Handler) http.Handler {
 type handlerConfig struct {
 	dataset   string
 	seed      int64
-	ttl       time.Duration
-	cellM     float64
 	shard     string
 	faultRate float64
 	faultSeed int64
@@ -154,12 +149,7 @@ func newHandler(cfg handlerConfig, logger *log.Logger) (http.Handler, string, er
 		env = &envCopy
 		desc += fmt.Sprintf(", fault rate %.0f%%", 100*cfg.faultRate)
 	}
-	srv := eis.NewServer(env, eis.ServerOptions{
-		CacheTTL:   cfg.ttl,
-		CacheCellM: cfg.cellM,
-		Logger:     logger,
-		Tracer:     cfg.tracer,
-	})
+	srv := eis.NewServer(env, eis.ServerOptions{Logger: logger, Tracer: cfg.tracer})
 	mw := &eis.Middleware{MaxInFlight: 256, Logger: logger}
 	return mw.Wrap(srv.Handler()), desc, nil
 }

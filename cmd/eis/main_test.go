@@ -19,7 +19,7 @@ func TestNewHandlerServes(t *testing.T) {
 		t.Skip("scenario build is slow")
 	}
 	handler, desc, err := newHandler(handlerConfig{
-		dataset: "Oldenburg", seed: 1, ttl: time.Minute, cellM: 2000,
+		dataset: "Oldenburg", seed: 1,
 	}, nil)
 	if err != nil {
 		t.Fatalf("newHandler: %v", err)
@@ -51,7 +51,7 @@ func TestNewHandlerServes(t *testing.T) {
 }
 
 func TestNewHandlerBadDataset(t *testing.T) {
-	if _, _, err := newHandler(handlerConfig{dataset: "nope", seed: 1, ttl: time.Minute, cellM: 2000}, nil); err == nil {
+	if _, _, err := newHandler(handlerConfig{dataset: "nope", seed: 1}, nil); err == nil {
 		t.Fatal("unknown dataset accepted")
 	}
 }
@@ -61,7 +61,7 @@ func TestNewHandlerFaultRateDescribed(t *testing.T) {
 		t.Skip("scenario build is slow")
 	}
 	_, desc, err := newHandler(handlerConfig{
-		dataset: "Oldenburg", seed: 1, ttl: time.Minute, cellM: 2000,
+		dataset: "Oldenburg", seed: 1,
 		faultRate: 0.3, faultSeed: 7,
 	}, nil)
 	if err != nil {

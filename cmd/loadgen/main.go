@@ -6,7 +6,9 @@
 // answers, shed rate, and contract violations per rate step.
 //
 // A rate sweep locates the saturation knee of each plane, provided its
-// rates cross it:
+// rates cross it; the in-process fleet of each plane first runs one
+// unreported step at the first rate, so no reported step reads the cold
+// start:
 //
 //	loadgen -profile Oldenburg -scale 0.005 \
 //	        -rate-sweep 1000,2000,4000,8000 -step-duration 2s
@@ -90,7 +92,10 @@ func run() int {
 	var steps []load.Result
 	violations := 0
 	// sweepPlane runs every rate step on one plane. Without -target it starts
-	// its own in-process fleet, so every plane begins on a cold response cache.
+	// its own in-process fleet, so every plane begins on a cold response
+	// cache, and warms it with one unreported step at the first rate: the
+	// first reported step then meets a fleet in its running state, whatever
+	// that rate is.
 	sweepPlane := func(plane load.Plane) error {
 		base := *target
 		if base == "" {
@@ -121,8 +126,8 @@ func run() int {
 			return err
 		}
 		// Per-plane sampler with the same seed: both planes offer the
-		// byte-identical query stream to a cold fleet, so their steps compare
-		// like for like.
+		// byte-identical query stream, warm-up included, to a fresh fleet, so
+		// their steps compare like for like.
 		sampler, err := trajectory.NewSampler(scen.Graph, profile.SamplerConfig(*seed, scen.Start))
 		if err != nil {
 			return err
@@ -131,16 +136,25 @@ func run() int {
 		if err != nil {
 			return err
 		}
-		for si, hz := range rates {
+		step := func(hz float64, scheduleSeed int64) (load.Result, error) {
 			n := int(hz * stepDur.Seconds())
 			if n < 1 {
 				n = 1
 			}
-			sched, err := buildSchedule(*arrivals, hz, n, *seed+int64(si))
+			sched, err := buildSchedule(*arrivals, hz, n, scheduleSeed)
 			if err != nil {
-				return err
+				return load.Result{}, err
 			}
-			res, err := runner.Run(ctx, sessions, sched, hz)
+			return runner.Run(ctx, sessions, sched, hz)
+		}
+		if *target == "" {
+			if _, err := step(rates[0], *seed-1); err != nil {
+				return fmt.Errorf("%s warm-up at rate %.0f: %w", plane, rates[0], err)
+			}
+			fmt.Printf("loadgen: %-4s warm-up at %.0f/s, not reported\n", plane, rates[0])
+		}
+		for si, hz := range rates {
+			res, err := step(hz, *seed+int64(si))
 			if err != nil {
 				return fmt.Errorf("%s rate %.0f: %w", plane, hz, err)
 			}

@@ -41,7 +41,7 @@ func noShare(t *testing.T) func() []byte {
 // an unread entry makes room. A full stripe declines any other key: nothing
 // is stored, nothing evicted, and declining allocates nothing.
 func TestRespCacheAdmission(t *testing.T) {
-	const ttl = 5 * time.Minute
+	const ttl = cacheTTL
 	now := fixedNow
 	for _, tc := range []struct {
 		name string
@@ -63,7 +63,7 @@ func TestRespCacheAdmission(t *testing.T) {
 			c := respCache{maxPerShard: cacheMaxEntries / respCacheStripes}
 			key := cacheKey{cellLat: 7000, k: 3}
 			for _, d := range tc.asked {
-				seen.Observe(key.hash(), now.Add(d), ttl)
+				seen.Observe(key.hash(), now.Add(d))
 			}
 			filled := []cacheKey{{}}
 			if tc.fill != 0 {
@@ -73,7 +73,7 @@ func TestRespCacheAdmission(t *testing.T) {
 			before := len(s.m)
 			evictions, declined := met.rescacheEvictions.Value(), met.rescacheDeclined.Value()
 
-			admitted := c.admits(key, seen.Observe(key.hash(), now, ttl), now)
+			admitted := c.admits(key, seen.Observe(key.hash(), now), now)
 			if admitted != tc.stored {
 				t.Fatalf("admitted %v, want %v", admitted, tc.stored)
 			}
@@ -186,7 +186,7 @@ func TestFlightGroupDeclinedLeaderFollower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fillStripe(&srv.cache, offeringKey(srv.opts.CacheCellM, &o), fixedNow, fixedNow.Add(time.Hour))
+	fillStripe(&srv.cache, offeringKey(&o), fixedNow, fixedNow.Add(time.Hour))
 	body := wire.AppendOfferingRequest(nil, &req)
 	post := func(accept string) *httptest.ResponseRecorder {
 		r := httptest.NewRequest(http.MethodPost, APIVersion+"/offering", bytes.NewReader(body))
@@ -270,7 +270,7 @@ func TestOfferingEncodesCounted(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fillStripe(&srv.cache, offeringKey(srv.opts.CacheCellM, &o), fixedNow, fixedNow.Add(time.Hour))
+			fillStripe(&srv.cache, offeringKey(&o), fixedNow, fixedNow.Add(time.Hour))
 		}
 		wire0, json0 := met.encodeWire.Count(), met.encodeJSON.Count()
 		r := httptest.NewRequest(http.MethodPost, APIVersion+"/offering", bytes.NewReader(wire.AppendOfferingRequest(nil, &req)))

@@ -8,7 +8,6 @@ import (
 	"math"
 	"net/http"
 	"slices"
-	"strconv"
 	"time"
 
 	"ecocharge/internal/cknn"
@@ -319,8 +318,8 @@ type cacheKey struct {
 	weights          WeightsJSON
 }
 
-func offeringKey(cellM float64, o *Offering) cacheKey {
-	cell := cellM / geo.EarthRadius * 180 / math.Pi // degrees
+func offeringKey(o *Offering) cacheKey {
+	cell := cacheCellM / geo.EarthRadius * 180 / math.Pi // degrees
 	w := o.Weights.Normalized()
 	return cacheKey{
 		cellLat: int64(math.Floor(o.P.Lat / cell)),
@@ -330,6 +329,11 @@ func offeringKey(cellM float64, o *Offering) cacheKey {
 		weights: WeightsJSON{L: w.L, A: w.A, D: w.D},
 	}
 }
+
+// KeyHash is the hash of the response-cache key every server files the
+// offering under: the function a server's own cache runs, so a fleet gateway
+// that remembers what it sent where (SeenFilter) cannot drift from it.
+func (o *Offering) KeyHash() uint64 { return offeringKey(o).hash() }
 
 // hash is FNV-1a over the key's fixed-width fields.
 func (key cacheKey) hash() uint64 {
@@ -347,40 +351,7 @@ func (key cacheKey) hash() uint64 {
 	return h
 }
 
-// CacheTerms is what a server's response cache keys and keeps entries by,
-// and which road world its rankings search. A shard states them in headers of
-// its /inventory answer; the fleet gateway, which pulls that answer anyway,
-// learns from them which of its requests the shard will find cached.
-type CacheTerms struct {
-	CellM float64
-	TTL   time.Duration
-	// World is cknn.Env.RoadWorld of the server's environment.
-	World uint64
-}
-
-const (
-	headerCacheCell = "X-Eis-Cache-Cell-M"
-	headerCacheTTL  = "X-Eis-Cache-Ttl"
-	headerWorld     = "X-Eis-Road-World"
-)
-
-func (t CacheTerms) set(h http.Header) {
-	h.Set(headerCacheCell, strconv.FormatFloat(t.CellM, 'g', -1, 64))
-	h.Set(headerCacheTTL, t.TTL.String())
-	h.Set(headerWorld, strconv.FormatUint(t.World, 16))
-}
-
-// CacheTermsFrom reads the terms a server stated in the headers of its
-// /inventory answer; ok is false when it stated none it could have meant.
-func CacheTermsFrom(h http.Header) (t CacheTerms, ok bool) {
-	var err1, err2, err3 error
-	t.CellM, err1 = strconv.ParseFloat(h.Get(headerCacheCell), 64)
-	t.TTL, err2 = time.ParseDuration(h.Get(headerCacheTTL))
-	t.World, err3 = strconv.ParseUint(h.Get(headerWorld), 16, 64)
-	return t, err1 == nil && err2 == nil && err3 == nil && t.CellM > 0 && t.TTL > 0
-}
-
-// KeyHash is the hash of the response-cache key a server with these terms
-// files the request under: the same function the server's own cache runs, so
-// a gateway that remembers what it sent where cannot drift from it.
-func (t CacheTerms) KeyHash(o *Offering) uint64 { return offeringKey(t.CellM, o).hash() }
+// HeaderRoadWorld is the one header of an /inventory answer: the road world
+// the server's rankings search (cknn.Env.RoadWorld), in hexadecimal. A fleet
+// gateway searches on a shard's behalf only when it is its own world.
+const HeaderRoadWorld = "X-Eis-Road-World"

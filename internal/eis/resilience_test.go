@@ -382,7 +382,7 @@ func TestOfferingComputedOnceThenCached(t *testing.T) {
 	// A request that joins a computation is answered from the entry the
 	// leader stored: on either plane, the bytes a later hit gets. The entry
 	// is taken out of the cache and handed to a planted flight.
-	key := offeringKey(srv.opts.CacheCellM, &Offering{P: anchor, K: 3, RadiusM: 50000, Weights: cknn.EqualWeights()})
+	key := offeringKey(&Offering{P: anchor, K: 3, RadiusM: 50000, Weights: cknn.EqualWeights()})
 	s := srv.cache.shard(key)
 	s.mu.Lock()
 	entry, ok := s.m[key]

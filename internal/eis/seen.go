@@ -41,9 +41,9 @@ const (
 	seenAgain  = 1 << 32   // the key was asked for again within its TTL
 )
 
-// Observe reports whether the key (CacheTerms.KeyHash) was asked for within
-// ttl of now, and records it as asked for now if not.
-func (f *SeenFilter) Observe(hash uint64, now time.Time, ttl time.Duration) bool {
+// Observe reports whether the key (Offering.KeyHash) was asked for within
+// the cache's TTL of now, and records it as asked for now if not.
+func (f *SeenFilter) Observe(hash uint64, now time.Time) bool {
 	set := f.slots[hash%filterSets*filterWays:][:filterWays]
 	fp := (hash>>33 | 1) << 33 // never 0: an empty slot matches no key
 	sec := uint32(now.Unix())
@@ -53,7 +53,7 @@ func (f *SeenFilter) Observe(hash uint64, now time.Time, ttl time.Duration) bool
 		// Age on a 32-bit circle. A request issued before the one that was
 		// recorded has a negative age and is fresh, as it is to the cache,
 		// which only asks whether now is past the entry's expiry.
-		fresh := e != 0 && time.Duration(int32(sec-uint32(e)))*time.Second <= ttl
+		fresh := e != 0 && time.Duration(int32(sec-uint32(e)))*time.Second <= cacheTTL
 		switch {
 		case fresh && e&^(seenAgain|seenSecond) == fp:
 			if e&seenAgain == 0 {

@@ -16,24 +16,24 @@ import (
 // not.
 func TestSeenFilter(t *testing.T) {
 	var f SeenFilter
-	const ttl = 5 * time.Minute
+	const ttl = cacheTTL
 	now := fixedNow
 	key := uint64(0xdeadbeefcafe0123)
-	if f.Observe(key, now, ttl) {
+	if f.Observe(key, now) {
 		t.Fatal("an empty filter has seen a key")
 	}
 	for _, at := range []time.Time{now, now.Add(ttl), now.Add(-time.Hour)} {
-		if !f.Observe(key, at, ttl) {
+		if !f.Observe(key, at) {
 			t.Fatalf("the key is not seen at %v, within its TTL of %v", at, now)
 		}
 	}
-	if f.Observe(key^1<<40, now, ttl) {
+	if f.Observe(key^1<<40, now) {
 		t.Fatal("another key of the same set is seen")
 	}
-	if f.Observe(key, now.Add(ttl+time.Second), ttl) {
+	if f.Observe(key, now.Add(ttl+time.Second)) {
 		t.Fatal("the key is still seen past its TTL")
 	}
-	if !f.Observe(key, now.Add(ttl+2*time.Second), ttl) {
+	if !f.Observe(key, now.Add(ttl+2*time.Second)) {
 		t.Fatal("the key was not recorded again when it expired")
 	}
 
@@ -45,21 +45,21 @@ func TestSeenFilter(t *testing.T) {
 	cells := []uint64{inSet5(1), inSet5(2), inSet5(3)}
 	for round := 0; round < 2; round++ {
 		for _, c := range cells {
-			if f.Observe(c, now, ttl) != (round > 0) {
+			if f.Observe(c, now) != (round > 0) {
 				t.Fatalf("cell %x round %d: wrong verdict", c, round)
 			}
 		}
 	}
 	for i := uint64(100); i < 100+20*filterWays; i++ {
-		if f.Observe(inSet5(i), now, ttl) {
+		if f.Observe(inSet5(i), now) {
 			t.Fatalf("one-shot key %d was seen before it was sent", i)
 		}
 	}
-	if !f.Observe(inSet5(100+20*filterWays-1), now, ttl) {
+	if !f.Observe(inSet5(100+20*filterWays-1), now) {
 		t.Fatal("the last one-shot key was not recorded")
 	}
 	for _, c := range cells {
-		if !f.Observe(c, now, ttl) {
+		if !f.Observe(c, now) {
 			t.Fatalf("cell %x was dropped for keys nobody asked for twice", c)
 		}
 	}
@@ -67,10 +67,10 @@ func TestSeenFilter(t *testing.T) {
 	f = SeenFilter{}
 	for round := 0; round < 2; round++ {
 		for i := uint64(1); i <= filterWays; i++ {
-			f.Observe(inSet5(i), now, ttl)
+			f.Observe(inSet5(i), now)
 		}
 	}
-	if f.Observe(inSet5(99), now, ttl) || !f.Observe(inSet5(99), now, ttl) {
+	if f.Observe(inSet5(99), now) || !f.Observe(inSet5(99), now) {
 		t.Fatal("a set full of returning keys refused a new key")
 	}
 }
@@ -91,7 +91,7 @@ func TestSeenFilterConcurrent(t *testing.T) {
 				for k := uint64(0); k < keys; k++ {
 					// Sixty-four sets of its own per goroutine.
 					key := (2*g+1)<<33 | (g*keys + k)
-					if seen := f.Observe(key, fixedNow, time.Minute); seen != (round > 0) {
+					if seen := f.Observe(key, fixedNow); seen != (round > 0) {
 						t.Errorf("goroutine %d key %d round %d: seen=%v", g, k, round, seen)
 						return
 					}

@@ -23,12 +23,6 @@ import (
 
 // ServerOptions configure the EIS.
 type ServerOptions struct {
-	// CacheCellM is the spatial granularity of the server-side dynamic
-	// cache: offering requests landing in the same cell share a cached
-	// table. 0 selects 2 km (conservative versus the client-side Q of 5 km).
-	CacheCellM float64
-	// CacheTTL bounds cached table age. 0 selects 5 minutes.
-	CacheTTL time.Duration
 	// RequestTimeout is the per-request deadline, installed where a handler
 	// can block (withTimeout): a follower's single-flight wait on /offering
 	// and the routing of /offering/trip, which answer 503 with Retry-After
@@ -46,12 +40,6 @@ type ServerOptions struct {
 }
 
 func (o ServerOptions) withDefaults() ServerOptions {
-	if o.CacheCellM <= 0 {
-		o.CacheCellM = 2000
-	}
-	if o.CacheTTL <= 0 {
-		o.CacheTTL = 5 * time.Minute
-	}
 	if o.RequestTimeout == 0 {
 		o.RequestTimeout = 15 * time.Second
 	}
@@ -67,15 +55,27 @@ func (o ServerOptions) withDefaults() ServerOptions {
 // entries never read, before anything that was hit).
 const cacheMaxEntries = 4096
 
+// The response cache's key and lifetime are the same in every server, so a
+// fleet gateway computes the key a shard files a request under
+// (Offering.KeyHash) instead of being told how.
+const (
+	// cacheCellM is the cache's spatial granularity: offering requests
+	// landing in the same cell of cacheCellM meters share a cached table,
+	// conservative versus the client-side Q of 5 km.
+	cacheCellM = 2000
+	// cacheTTL bounds a cached table's age, in the request's own time.
+	cacheTTL = 5 * time.Minute
+)
+
 // Server is the EcoCharge Information Server: it owns the environment and
 // answers the consolidated-data and Mode 2 computation endpoints.
 type Server struct {
 	env  *cknn.Env
 	opts ServerOptions
 
-	// terms is what the response cache keys and keeps by, stated to whoever
-	// pulls the inventory (CacheTerms).
-	terms CacheTerms
+	// world is the road world the rankings search (cknn.Env.RoadWorld), as
+	// the /inventory answer states it (HeaderRoadWorld).
+	world string
 
 	cache respCache
 	// seen is the key of every cache miss, which a full stripe admits by.
@@ -377,7 +377,7 @@ func NewServer(env *cknn.Env, opts ServerOptions) *Server {
 		env:  env,
 		opts: opts.withDefaults(),
 	}
-	srv.terms = CacheTerms{CellM: srv.opts.CacheCellM, TTL: srv.opts.CacheTTL, World: env.RoadWorld()}
+	srv.world = strconv.FormatUint(env.RoadWorld(), 16)
 	srv.cache.maxPerShard = cacheMaxEntries / respCacheStripes
 	return srv
 }
@@ -506,14 +506,14 @@ func (s *Server) handleChargers(w http.ResponseWriter, r *http.Request) {
 // handleInventory returns the server's complete charger inventory. For a
 // sharded instance that is the owned partition; the fleet gateway caches it
 // per shard so unreachable partitions degrade to ignorance-bound entries
-// instead of disappearing from Offering Tables. The answer's headers state
-// the server's CacheTerms.
+// instead of disappearing from Offering Tables. The answer states the road
+// world the server's rankings search (HeaderRoadWorld).
 func (s *Server) handleInventory(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		s.writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	s.terms.set(w.Header())
+	w.Header().Set(HeaderRoadWorld, s.world)
 	cs := s.env.Chargers.All()
 	Respond(w, r, met, cs, func(b []byte) []byte { return wire.AppendChargers(b, cs) })
 }
@@ -617,14 +617,14 @@ func (s *Server) handleOffering(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	key := offeringKey(s.opts.CacheCellM, &o)
+	key := offeringKey(&o)
 	if v, ok := s.cache.get(key, o.Now); ok {
 		writeCached(w, r, v)
 		return
 	}
 	// Every miss is observed: a full stripe keeps a table only for a key
 	// that was asked for before (respCache.admits).
-	seen := s.seen.Observe(key.hash(), o.Now, s.opts.CacheTTL)
+	seen := s.seen.Observe(key.hash(), o.Now)
 
 	// The query point is snapped here unless the request brought its
 	// network search along, which starts from the node its sender snapped
@@ -651,7 +651,7 @@ func (s *Server) handleOffering(w http.ResponseWriter, r *http.Request) {
 		if !s.cache.admits(key, seen, o.Now) {
 			return cacheVal{}
 		}
-		return s.cache.put(key, seen, fresh, o.Now, o.Now.Add(s.opts.CacheTTL))
+		return s.cache.put(key, seen, fresh, o.Now, o.Now.Add(cacheTTL))
 	}, func() []byte { return encodeHit(fresh) })
 	switch {
 	case err != nil:

@@ -12,6 +12,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -289,39 +291,34 @@ func TestCachedJSONIsTheEagerEncoding(t *testing.T) {
 	}
 }
 
-// TestInventoryStatesCacheTerms: the /inventory answer carries what the
-// gateway's filter runs on, readable back to the server's own values, and the
-// exported key hash is the one the server's cache stripes by.
-func TestInventoryStatesCacheTerms(t *testing.T) {
+// TestInventoryStatesRoadWorld: the /inventory answer carries one X-Eis-*
+// header, the road world its rankings search, and the exported key hash is
+// the one the server's cache files and stripes by.
+func TestInventoryStatesRoadWorld(t *testing.T) {
 	env := testEnv(t)
-	srv := NewServer(env, ServerOptions{CacheCellM: 750, CacheTTL: 90 * time.Second})
+	srv := NewServer(env, ServerOptions{})
 	rec := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, APIVersion+"/inventory", nil))
-	terms, ok := CacheTermsFrom(rec.Header())
-	if !ok {
-		t.Fatalf("no cache terms in %v", rec.Header())
+	var stated []string
+	for key := range rec.Header() {
+		if strings.HasPrefix(key, "X-Eis-") {
+			stated = append(stated, key)
+		}
 	}
-	if want := (CacheTerms{CellM: 750, TTL: 90 * time.Second, World: env.RoadWorld()}); terms != want {
-		t.Fatalf("stated %+v, want %+v", terms, want)
+	if len(stated) != 1 || stated[0] != HeaderRoadWorld {
+		t.Fatalf("X-Eis-* headers %v, want only %s", stated, HeaderRoadWorld)
+	}
+	if got, want := rec.Header().Get(HeaderRoadWorld), strconv.FormatUint(env.RoadWorld(), 16); got != want {
+		t.Fatalf("stated road world %q, want %q", got, want)
 	}
 	o := Offering{P: geo.Point{Lat: 53.01, Lon: 8.02}, K: 3, RadiusM: 50000, Weights: cknn.Weights{L: 3, A: 2, D: 1}}
-	if terms.KeyHash(&o) != offeringKey(srv.opts.CacheCellM, &o).hash() {
+	if o.KeyHash() != offeringKey(&o).hash() {
 		t.Fatal("the exported key hash is not the cache's")
 	}
 	far := o
 	far.P.Lat += 0.1
-	if terms.KeyHash(&far) == terms.KeyHash(&o) {
-		t.Fatal("two cells a hundred apart hash alike")
-	}
-	for name, h := range map[string]http.Header{
-		"none":     {},
-		"bad cell": {headerCacheCell: {"x"}, headerCacheTTL: {"5m"}, headerWorld: {"1"}},
-		"no ttl":   {headerCacheCell: {"2000"}, headerWorld: {"1"}},
-		"zero ttl": {headerCacheCell: {"2000"}, headerCacheTTL: {"0s"}, headerWorld: {"1"}},
-	} {
-		if _, ok := CacheTermsFrom(h); ok {
-			t.Errorf("%s: read as stated terms", name)
-		}
+	if far.KeyHash() == o.KeyHash() {
+		t.Fatal("two cells five apart hash alike")
 	}
 }
 

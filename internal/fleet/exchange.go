@@ -398,16 +398,17 @@ type fanout struct {
 	// after search, the nodes searched to — shard after shard, each search
 	// closed by its return node — and seconds and back the times of both
 	// legs found at each; blocks are the searches' heads, and spans each
-	// shard's run of each (search-major, one a member). terms are what the
-	// members could be searched for by when a trip was planned, and cands
-	// the storage of the radius query targets are read from. All of it keeps
-	// the capacity of the largest trip seen.
+	// shard's run of each (search-major, one a member). sets are the
+	// inventories of the members that could be searched for when a trip was
+	// planned (nil for one that could not), and cands the storage of the
+	// radius query targets are read from. All of it keeps the capacity of the
+	// largest trip seen.
 	cands         charger.Candidates
 	targets       []roadnet.NodeID
 	seconds, back []float64
 	blocks        []wire.TravelBlock
 	spans         []span
-	terms         []*supplyTerms
+	sets          []*charger.Set
 }
 
 // startSupply empties the scratch of the searches run for the shards.

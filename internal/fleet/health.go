@@ -47,9 +47,12 @@ type member struct {
 	// restarted shard may own another partition), or the last pull failed.
 	stale atomic.Bool
 
-	// supply is what the gateway searches on the shard's behalf by, from the
-	// same pull; nil while it may not (see supplyTerms).
-	supply atomic.Pointer[supplyTerms]
+	// seen holds the keys fanned out to the shard since its last inventory
+	// pull (travel.go): nil while the gateway may not search on the shard's
+	// behalf — it was given no road world, or the shard stated another — and
+	// empty after each pull, a shard that came back from a failure possibly
+	// having an empty cache.
+	seen atomic.Pointer[eis.SeenFilter]
 }
 
 func newMember(index int, s Shard, opts Options) (*member, error) {
@@ -111,7 +114,7 @@ func (g *Gateway) probeOnce(ctx context.Context, t *target) bool {
 }
 
 // pullInventory fetches the member's charger partition from t, with the
-// cache terms the shard states beside it, and reports whether it succeeded.
+// road world the shard states beside it, and reports whether it succeeded.
 // An inventory that is not a charger.Set — a charger ID twice — fails it.
 func (g *Gateway) pullInventory(ctx context.Context, m *member, t *target) bool {
 	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
@@ -131,11 +134,11 @@ func (g *Gateway) pullInventory(ctx context.Context, m *member, t *target) bool 
 		return false
 	}
 	m.inventory.Store(set)
-	var supply *supplyTerms
-	if terms, ok := eis.CacheTermsFrom(res.header.eis); ok && g.env != nil && terms.World == g.world {
-		supply = &supplyTerms{cache: terms, chargers: set}
+	var seen *eis.SeenFilter
+	if g.env != nil && res.header.world == g.world {
+		seen = new(eis.SeenFilter)
 	}
-	m.supply.Store(supply)
+	m.seen.Store(seen)
 	met.inventoryPulls.Inc()
 	return true
 }

@@ -9,7 +9,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/httputil"
 	"os"
 	"strconv"
 	"strings"
@@ -38,7 +37,11 @@ import (
 //
 // What it does not do, on purpose: TLS (a shard URL is plain http, which
 // NewGateway checks), proxies (HTTP_PROXY is not consulted), compression,
-// HTTP/2 and redirects (a shard's 3xx is an answer like any other).
+// HTTP/2, redirects (a shard's 3xx is an answer like any other), and any
+// framing but Content-Length: every answer of a shard is written whole with
+// its length (eis.WriteBody), so one without a Content-Length — chunked,
+// ended by the connection, or a 1xx interim answer — is a malformed shard
+// answer, and its connection is closed.
 
 const (
 	// maxIdlePerShard caps the idle connections kept per shard address; a
@@ -394,80 +397,55 @@ func (t *shardTransport) put(pc *shardConn) {
 }
 
 // answerHeader is what the gateway reads of a shard answer's header: the
-// body's framing, whether the shard closes the connection, the two fields
-// passthrough relays, and the shard's own X-Eis-* fields, in which an
-// /inventory answer states its cache terms (eis.CacheTermsFrom). Every other
-// field is skipped.
+// body's length, whether the shard closes the connection, the two fields
+// passthrough relays, and the road world an /inventory answer states
+// (eis.HeaderRoadWorld). Every other field is skipped.
 type answerHeader struct {
 	contentLength int64 // -1: none declared
-	chunked       bool  // Transfer-Encoding: chunked
 	close         bool  // Connection: close
 	contentType   string
 	retryAfter    string
-	eis           http.Header // nil when the answer has no X-Eis-* field
+	world         uint64 // 0: none stated
 }
 
-// readAnswer reads one answer from br: the status line and header of the
-// final answer, interim (1xx) ones skipped, and its body into buf, over
-// whatever buf held. The body is framed by Content-Length, by the chunked
-// coding and its trailer, or by the end of the connection, and refused over
-// maxShardResponseBytes — before a byte of it is read when its length is
-// declared. keep reports an answer read to its framed end, with no
-// Connection: close and nothing buffered behind it: the connection may carry
-// the next exchange.
+// readAnswer reads one answer from br: its status line and header, and the
+// body of the length its Content-Length declares into buf, over whatever buf
+// held. An answer of any other framing, or with a body over
+// maxShardResponseBytes, is refused before a byte of its body is read. keep
+// reports an answer with no Connection: close and nothing buffered behind
+// it: the connection may carry the next exchange.
 func readAnswer(br *bufio.Reader, buf *wire.Buffer) (status int, header answerHeader, keep bool, err error) {
-	for status < 200 {
-		line, err := readLine(br)
-		if err != nil {
-			return 0, answerHeader{}, false, err
-		}
-		proto, code, ok := bytes.Cut(line, []byte(" "))
-		major, _, vok := http.ParseHTTPVersion(string(proto))
-		if !ok || !vok || major != 1 || len(code) < 3 {
-			return 0, answerHeader{}, false, fmt.Errorf("fleet: malformed status line %q", line)
-		}
-		if status, err = strconv.Atoi(string(code[:3])); err != nil || status < 100 {
-			return 0, answerHeader{}, false, fmt.Errorf("fleet: malformed status line %q", line)
-		}
-		if header, err = readHeader(br); err != nil {
-			return 0, answerHeader{}, false, err
-		}
+	line, err := readLine(br)
+	if err != nil {
+		return 0, answerHeader{}, false, err
+	}
+	proto, code, ok := bytes.Cut(line, []byte(" "))
+	major, _, vok := http.ParseHTTPVersion(string(proto))
+	if !ok || !vok || major != 1 || len(code) < 3 {
+		return 0, answerHeader{}, false, fmt.Errorf("fleet: malformed status line %q", line)
+	}
+	if status, err = strconv.Atoi(string(code[:3])); err != nil || status < 200 {
+		return 0, answerHeader{}, false, fmt.Errorf("fleet: malformed shard answer: status line %q", line)
+	}
+	if header, err = readHeader(br); err != nil {
+		return 0, answerHeader{}, false, err
+	}
+	if header.contentLength < 0 {
+		return 0, answerHeader{}, false, errors.New("fleet: malformed shard answer: no Content-Length")
+	}
+	if header.contentLength > maxShardResponseBytes {
+		return 0, answerHeader{}, false, fmt.Errorf("fleet: shard response of %d bytes exceeds %d", header.contentLength, maxShardResponseBytes)
 	}
 	buf.B = buf.B[:0]
-	keep = !header.close
-	switch {
-	case status == http.StatusNoContent || status == http.StatusNotModified:
-	case header.chunked:
-		if header.contentLength >= 0 {
-			return 0, answerHeader{}, false, errors.New("fleet: unsupported framing: Transfer-Encoding and Content-Length")
-		}
-		if err := readLimited(buf, httputil.NewChunkedReader(br)); err != nil {
-			return 0, answerHeader{}, false, err
-		}
-		// The trailer section and the empty line that ends the answer.
-		if _, err := readHeader(br); err != nil {
-			keep = false
-		}
-	case header.contentLength >= 0:
-		if header.contentLength > maxShardResponseBytes {
-			return 0, answerHeader{}, false, fmt.Errorf("fleet: shard response of %d bytes exceeds %d", header.contentLength, maxShardResponseBytes)
-		}
-		if err := readFull(br, buf, int(header.contentLength)); err != nil {
-			return 0, answerHeader{}, false, err
-		}
-	default:
-		keep = false // the body ends where the connection does
-		if err := readLimited(buf, br); err != nil {
-			return 0, answerHeader{}, false, err
-		}
+	if err := readFull(br, buf, int(header.contentLength)); err != nil {
+		return 0, answerHeader{}, false, err
 	}
-	return status, header, keep && br.Buffered() == 0, nil
+	return status, header, !header.close && br.Buffered() == 0, nil
 }
 
 // readHeader reads a header section up to the empty line that ends it,
-// keeping what answerHeader holds. Framing it cannot follow — a second
-// Content-Length, one that is not a number, a transfer coding other than
-// chunked — is an error.
+// keeping what answerHeader holds. A second Content-Length, one that is not a
+// number, and any Transfer-Encoding are errors.
 func readHeader(br *bufio.Reader) (h answerHeader, err error) {
 	h.contentLength = -1
 	for size := 0; ; {
@@ -494,21 +472,17 @@ func readHeader(br *bufio.Reader) (h answerHeader, err error) {
 			}
 			h.contentLength = int64(n)
 		case fieldIs(key, "Transfer-Encoding"):
-			if h.chunked || !bytes.EqualFold(value, []byte("chunked")) {
-				return h, fmt.Errorf("fleet: unsupported framing: Transfer-Encoding %q", value)
-			}
-			h.chunked = true
+			return h, fmt.Errorf("fleet: malformed shard answer: Transfer-Encoding %q", value)
 		case fieldIs(key, "Connection"):
 			h.close = h.close || hasToken(string(value), "close")
 		case fieldIs(key, "Content-Type"):
 			h.contentType = known(value, wire.ContentType, eis.ContentTypeJSON)
 		case fieldIs(key, "Retry-After"):
 			h.retryAfter = known(value, eis.RetryAfter)
-		case len(key) > len("X-Eis-") && fieldIs(key[:len("X-Eis-")], "X-Eis-"):
-			if h.eis == nil {
-				h.eis = make(http.Header)
-			}
-			h.eis.Add(string(key), string(value))
+		case fieldIs(key, eis.HeaderRoadWorld):
+			// A world that does not parse reads 0, no world: the gateway
+			// then searches for nobody (pullInventory).
+			h.world, _ = strconv.ParseUint(string(value), 16, 64)
 		}
 	}
 }
@@ -540,18 +514,6 @@ func known(v []byte, values ...string) string {
 		}
 	}
 	return string(v)
-}
-
-// readLimited reads r to its end into buf, refusing more than
-// maxShardResponseBytes.
-func readLimited(buf *wire.Buffer, r io.Reader) error {
-	if err := buf.ReadLimit(r, maxShardResponseBytes); err != nil {
-		return err
-	}
-	if int64(len(buf.B)) > maxShardResponseBytes {
-		return fmt.Errorf("fleet: shard response exceeds %d bytes", maxShardResponseBytes)
-	}
-	return nil
 }
 
 // readFull reads exactly n bytes of br into buf. A full buffer grows at

@@ -78,7 +78,7 @@ func (tr *shardTransport) idleTo(url string) int {
 func TestFleetTransportKeepAlive(t *testing.T) {
 	srv := newCountingServer(t, func(w http.ResponseWriter, r *http.Request) {
 		b, _ := io.ReadAll(r.Body)
-		w.Header()["x-eis-shard"] = []string{"echo"} // a key the server does not canonicalise
+		w.Header()["x-eis-road-world"] = []string{"ec0"} // a key the server does not canonicalise
 		_, _ = w.Write([]byte(strings.Join([]string{r.Method, r.Host, r.URL.RequestURI(), r.Header.Get("Content-Type"), r.Header.Get("Accept"), string(b)}, " ")))
 	})
 	host := strings.TrimPrefix(srv.URL, "http://")
@@ -88,8 +88,8 @@ func TestFleetTransportKeepAlive(t *testing.T) {
 		if want := "GET " + host + " /api/v1/traffic?t=1   "; err != nil || status != http.StatusOK || body != want {
 			t.Fatalf("GET %d: %d %q, %v; want %q", i, status, body, err, want)
 		}
-		if header.eis.Get("X-Eis-Shard") != "echo" || header.eis["X-Eis-Shard"] == nil {
-			t.Fatalf("header keys are not canonical: %v", header)
+		if header.world != 0xec0 {
+			t.Fatalf("a header key in another case was not read: %+v", header)
 		}
 		status, header, body, err = hopTo(context.Background(), tr, srv.URL, call{ep: epOffering, body: []byte("payload")})
 		want := "POST " + host + " /api/v1/offering " + wire.ContentType + " " + wire.ContentType + " payload"
@@ -156,29 +156,81 @@ func TestFleetTransportRetriesStaleConnection(t *testing.T) {
 	}
 }
 
-// TestFleetTransportChunkedBody: a chunked answer with a trailer is read
-// whole, and its connection serves the next exchange.
+// TestFleetTransportChunkedBody: an answer that arrives in parts, its length
+// declared, is read whole, and its connection serves the next exchange.
 func TestFleetTransportChunkedBody(t *testing.T) {
 	srv := newCountingServer(t, func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Trailer", "X-Sum")
+		w.Header().Set("Content-Length", "5004")
 		_, _ = w.Write([]byte(strings.Repeat("a", 5000)))
 		w.(http.Flusher).Flush()
 		_, _ = w.Write([]byte("tail"))
-		w.Header().Set("X-Sum", "5004")
 	})
 	tr := newShardTransport()
 	for i := 0; i < 3; i++ {
 		status, header, body, err := hopTo(context.Background(), tr, srv.URL, call{ep: epInventory})
 		if err != nil || status != http.StatusOK || body != strings.Repeat("a", 5000)+"tail" {
-			t.Fatalf("chunked body %d: %d, %d bytes, %v", i, status, len(body), err)
+			t.Fatalf("body in parts %d: %d, %d bytes, %v", i, status, len(body), err)
 		}
-		if !header.chunked || header.contentLength >= 0 {
+		if header.contentLength != 5004 {
 			t.Fatalf("framing: %+v", header)
 		}
 	}
-	// The trailer was read with the body, so the connection served all three.
+	// The body was read to its length, so the connection served all three.
 	if n := srv.accepted.Load(); n != 1 {
-		t.Fatalf("three chunked answers opened %d connections, want 1", n)
+		t.Fatalf("three answers in parts opened %d connections, want 1", n)
+	}
+}
+
+// TestFleetTransportRefusesUnframedAnswers: an answer framed otherwise than
+// by Content-Length — chunked, ended by the connection, behind a 1xx, or
+// chunked beside a length — fails its exchange as a malformed shard answer,
+// and its connection is closed, not pooled.
+func TestFleetTransportRefusesUnframedAnswers(t *testing.T) {
+	for name, answer := range map[string]string{
+		"chunked":  "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nok\r\n0\r\n\r\n",
+		"unframed": "HTTP/1.1 200 OK\r\n\r\nok",
+		"interim":  "HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok",
+		"both":     "HTTP/1.1 200 OK\r\nContent-Length: 2\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nok\r\n0\r\n\r\n",
+	} {
+		t.Run(name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			closed := make(chan struct{})
+			go func() {
+				defer close(closed)
+				c, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				defer c.Close()
+				_ = c.SetDeadline(time.Now().Add(5 * time.Second))
+				if _, err := http.ReadRequest(bufio.NewReader(c)); err == nil {
+					_, _ = io.WriteString(c, answer)
+				}
+				// Until the gateway closes its end, or the deadline.
+				_, _ = io.Copy(io.Discard, c)
+			}()
+			defer func() { _ = ln.Close(); <-closed }()
+
+			url := "http://" + ln.Addr().String()
+			tr := newShardTransport()
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
+			_, _, body, err := hopTo(ctx, tr, url, call{ep: epInventory})
+			if err == nil || !strings.Contains(err.Error(), "malformed shard answer") {
+				t.Fatalf("the answer gave %q, %v; want a malformed shard answer", body, err)
+			}
+			if n := tr.idleTo(url); n != 0 {
+				t.Fatalf("a refused answer's connection was pooled (%d idle)", n)
+			}
+			select {
+			case <-closed:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the shard never saw the connection close")
+			}
+		})
 	}
 }
 
@@ -251,6 +303,7 @@ func TestFleetTransportCancelMidBody(t *testing.T) {
 			_, _ = w.Write([]byte("ok"))
 			return
 		}
+		w.Header().Set("Content-Length", "100")
 		_, _ = w.Write([]byte("first part"))
 		w.(http.Flusher).Flush()
 		close(flushed)
@@ -298,6 +351,7 @@ func TestFleetTransportDeadline(t *testing.T) {
 	release := make(chan struct{})
 	srv := newCountingServer(t, func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == endpointPaths[epInventory] {
+			w.Header().Set("Content-Length", "8")
 			_, _ = w.Write([]byte("part"))
 			w.(http.Flusher).Flush()
 		}
@@ -343,9 +397,11 @@ func TestFleetTransportReadsWhatArrivedPastDeadline(t *testing.T) {
 			_, _ = w.Write([]byte("ok"))
 			return
 		case endpointPaths[epChargers]:
+			w.Header().Set("Content-Length", strconv.Itoa(len(large)))
 			_, _ = w.Write([]byte(large))
 			return
 		case endpointPaths[epInventory]:
+			w.Header().Set("Content-Length", "8")
 			_, _ = w.Write([]byte("part"))
 			w.(http.Flusher).Flush()
 		}
@@ -475,21 +531,27 @@ func TestFleetTransportConcurrent(t *testing.T) {
 }
 
 // FuzzShardAnswer feeds arbitrary bytes to the answer reader. It never
-// panics; an answer it takes has a body within maxShardResponseBytes, as long
-// as any Content-Length it declares; and it leaves the connection to the
-// next exchange only after a complete answer framed by its length or by the
-// chunked coding, with no Connection: close and nothing behind it.
+// panics; an answer it takes has a body of exactly its Content-Length, within
+// maxShardResponseBytes, and leaves the connection to the next exchange only
+// with no Connection: close and nothing behind it; an answer it refuses never
+// does. The seeds framed otherwise than by Content-Length — chunked, behind a
+// 1xx, ended by the connection — are refused.
 func FuzzShardAnswer(f *testing.F) {
-	for _, seed := range []string{
-		"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok",
-		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nTrailer: X-Sum\r\n\r\n4\r\nabcd\r\n0\r\nX-Sum: 4\r\n\r\n",
-		"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\nyes",
-		"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 3\r\n\r\nbye",
-		"HTTP/1.1 200 OK\r\n\r\nuntil the connection ends",
-		"HTTP/1.1 200 OK\r\nContent-Length: 33554433\r\n\r\ntoo long",
-		"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nshort",
+	refused := make(map[string]bool)
+	for _, seed := range []struct {
+		answer  string
+		refused bool
+	}{
+		{"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok", false},
+		{"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nTrailer: X-Sum\r\n\r\n4\r\nabcd\r\n0\r\nX-Sum: 4\r\n\r\n", true},
+		{"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\nyes", true},
+		{"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 3\r\n\r\nbye", false},
+		{"HTTP/1.1 200 OK\r\n\r\nuntil the connection ends", true},
+		{"HTTP/1.1 200 OK\r\nContent-Length: 33554433\r\n\r\ntoo long", true},
+		{"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nshort", true},
 	} {
-		f.Add([]byte(seed))
+		f.Add([]byte(seed.answer))
+		refused[seed.answer] = seed.refused
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br := bufio.NewReader(bytes.NewReader(data))
@@ -503,20 +565,14 @@ func FuzzShardAnswer(f *testing.F) {
 			}
 			return
 		}
-		if status < 200 || int64(len(buf.B)) > maxShardResponseBytes {
-			t.Fatalf("status %d with a body of %d bytes", status, len(buf.B))
+		if refused[string(data)] {
+			t.Fatalf("took %q", data)
 		}
-		bodied := status != http.StatusNoContent && status != http.StatusNotModified
-		if cl := header.contentLength; bodied && cl >= 0 && cl != int64(len(buf.B)) {
-			t.Fatalf("Content-Length %d and a body of %d bytes", cl, len(buf.B))
+		if status < 200 || header.contentLength != int64(len(buf.B)) || int64(len(buf.B)) > maxShardResponseBytes {
+			t.Fatalf("status %d, Content-Length %d and a body of %d bytes", status, header.contentLength, len(buf.B))
 		}
-		if !bodied && len(buf.B) != 0 {
-			t.Fatalf("status %d with a body of %d bytes", status, len(buf.B))
-		}
-		framed := !bodied || header.contentLength >= 0 || header.chunked
-		if keep && (!framed || header.close || br.Buffered() != 0) {
-			t.Fatalf("an answer kept its connection: framed %v, Connection: close %v, %d bytes behind it",
-				framed, header.close, br.Buffered())
+		if keep && (header.close || br.Buffered() != 0) {
+			t.Fatalf("an answer kept its connection: Connection: close %v, %d bytes behind it", header.close, br.Buffered())
 		}
 	})
 }

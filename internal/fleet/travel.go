@@ -23,15 +23,18 @@ import (
 // builds its derouting maps from the block instead of searching
 // (cknn.RankOnceSupplied) and the tables come out bit-identical.
 //
-// Everything the gateway holds for this is soft state — the world is the
-// shards' own, rebuilt from the same flags; inventories, cache terms and the
-// filter of the keys sent (eis.SeenFilter) are re-learned from the shards —
-// and none of it is a correctness input. A shard that hits its cache ignores
-// the block; a shard that misses without one (the filter said "seen" of a key
-// the shard declined to keep or lost, a directed graph, no inventory yet)
-// searches for itself as it always did; a shard that finds the block short of
-// a candidate (a stale inventory here) or malformed discards it and searches
-// for itself. A wrong guess costs a search somewhere, never a table.
+// Everything the gateway holds for this but the road world is soft state — the
+// inventories are re-learned from the shards, the filter of the keys sent
+// (member.seen) from the requests, and the key the filter runs on is the one
+// the shards' caches file by (eis.Offering.KeyHash) — and none of it is a
+// correctness input. The world is one: the shards' own, rebuilt from the same
+// flags, which each shard states with its inventory and the gateway checks. A
+// shard that hits its cache ignores the block; a shard that misses without one
+// (the filter said "seen" of a key the shard declined to keep or lost, a
+// directed graph, no inventory yet) searches for itself as it always did; a
+// shard that finds the block short of a candidate (a stale inventory here) or
+// malformed discards it and searches for itself. A wrong guess costs a search
+// somewhere, never a table.
 //
 // A trip is the same hand-over along a route (supplyTrip): the gateway plans
 // it once, in front of the fan-out, hands every shard the route, and searches
@@ -39,26 +42,11 @@ import (
 // that finds the route wrong for its own snaps or graph routes the trip
 // itself (eis.TripOffering.Follow).
 
-// supplyTerms is what the gateway needs of a shard to search on its behalf:
-// how its response cache keys and keeps entries, its chargers, and which
-// keys it was sent lately. A member has them from its last inventory pull,
-// if the shard stated terms and searches the gateway's road world; a re-pull
-// (the shard came back from a failure, its cache possibly empty) starts over
-// with an empty filter.
-type supplyTerms struct {
-	cache eis.CacheTerms
-	// chargers is the pulled inventory, the member's; a search's targets are
-	// its chargers within R (charger.Set.WithinInto), as the shard's
-	// candidates are.
-	chargers *charger.Set
-	// seen holds the keys fanned out to the shard lately.
-	seen eis.SeenFilter
-}
-
-// appendTargets appends to fo.targets the road nodes of the shard's chargers
-// within radius meters of p, one per charger.
-func (t *supplyTerms) appendTargets(fo *fanout, p geo.Point, radius float64) {
-	for _, c := range t.chargers.WithinInto(&fo.cands, p, radius) {
+// appendTargets appends to fo.targets the road nodes of set's chargers
+// within radius meters of p, one per charger: the shard's candidates
+// (charger.Set.WithinInto), from the inventory it was pulled with.
+func (fo *fanout) appendTargets(set *charger.Set, p geo.Point, radius float64) {
+	for _, c := range set.WithinInto(&fo.cands, p, radius) {
 		fo.targets = append(fo.targets, c.Node)
 	}
 }
@@ -69,12 +57,12 @@ func (t *supplyTerms) appendTargets(fo *fanout, p geo.Point, radius float64) {
 // request bodies with wire requests that carry their travel times. It reports
 // false, and leaves fo.calls alone, when there is nothing to supply.
 func (g *Gateway) supplyTravel(fo *fanout, o *eis.Offering) bool {
-	anchor := roadnet.Invalid
+	anchor, key := roadnet.Invalid, o.KeyHash()
 	fo.startSupply()
 	for _, m := range g.members {
-		t := m.supply.Load()
+		seen := m.seen.Load()
 		start := len(fo.targets)
-		if t == nil || t.seen.Observe(t.cache.KeyHash(o), o.Now, t.cache.TTL) {
+		if seen == nil || seen.Observe(key, o.Now) {
 			fo.spans = append(fo.spans, span{start, start, false})
 			continue
 		}
@@ -83,7 +71,7 @@ func (g *Gateway) supplyTravel(fo *fanout, o *eis.Offering) bool {
 				return false
 			}
 		}
-		t.appendTargets(fo, o.P, o.RadiusM)
+		fo.appendTargets(m.inventory.Load(), o.P, o.RadiusM)
 		fo.spans = append(fo.spans, span{start, len(fo.targets), true})
 	}
 	if len(fo.targets) == 0 {
@@ -112,12 +100,15 @@ func (g *Gateway) supplyTravel(fo *fanout, o *eis.Offering) bool {
 // for, the trip does not route (the shards say why), or the deadline, one
 // ShardTimeout for the plan and its searches, ran out.
 func (g *Gateway) supplyTrip(ctx context.Context, fo *fanout, t *eis.TripOffering) (supplied bool) {
-	fo.terms = fo.terms[:0]
+	fo.sets = fo.sets[:0]
 	some := false
 	for _, m := range g.members {
-		terms := m.supply.Load()
-		fo.terms = append(fo.terms, terms)
-		some = some || terms != nil
+		var set *charger.Set
+		if m.seen.Load() != nil {
+			set = m.inventory.Load()
+		}
+		fo.sets = append(fo.sets, set)
+		some = some || set != nil
 	}
 	if !some {
 		return false
@@ -137,12 +128,12 @@ func (g *Gateway) supplyTrip(ctx context.Context, fo *fanout, t *eis.TripOfferin
 			return false
 		}
 		q := cknn.QueryForSegment(trip, segs[si], opts)
-		for _, terms := range fo.terms {
+		for _, set := range fo.sets {
 			start := len(fo.targets)
-			if terms != nil {
-				terms.appendTargets(fo, q.Anchor, t.RadiusM)
+			if set != nil {
+				fo.appendTargets(set, q.Anchor, t.RadiusM)
 			}
-			fo.spans = append(fo.spans, span{start, len(fo.targets), terms != nil})
+			fo.spans = append(fo.spans, span{start, len(fo.targets), set != nil})
 		}
 		if !g.search(fo, eco, q, wire.TravelBlock{Segment: si, TwoLegs: true}) {
 			return false

@@ -9,8 +9,8 @@ import (
 	"ecocharge/internal/charger"
 	"ecocharge/internal/cknn"
 	"ecocharge/internal/ec"
-	"ecocharge/internal/eis"
 	"ecocharge/internal/geo"
+	"ecocharge/internal/obs"
 	"ecocharge/internal/roadnet"
 	"ecocharge/internal/trajectory"
 )
@@ -84,7 +84,6 @@ func overloadFleet(t *testing.T, env *cknn.Env) *Inproc {
 		Shards:      3,
 		MaxInFlight: 2,
 		Clock:       func() time.Time { return fixedNow },
-		Server:      eis.ServerOptions{CacheCellM: 1},
 		Wrap:        delayHandler(25 * time.Millisecond),
 	})
 	if err != nil {
@@ -101,7 +100,9 @@ func overloadFleet(t *testing.T, env *cknn.Env) *Inproc {
 //     with a parseable Retry-After — OutcomeInvalid counts corrupt or
 //     misordered bodies and malformed sheds, and must stay zero;
 //   - no request is observed past its deadline (no hung connections);
-//   - the overload actually bites, otherwise the test proves nothing.
+//   - the overload actually bites, otherwise the test proves nothing;
+//   - the bare shard computes rankings under it, not only cache hits, so
+//     that the shed requests compete with ranking work.
 //
 // Two targets see two shapes of the same contract: a bare shard sheds
 // client-visible 503s, while the gateway absorbs shard sheds into
@@ -114,23 +115,31 @@ func TestOverloadContract(t *testing.T) {
 	targets := []struct {
 		name string
 		url  string
-		// bit asserts that saturation surfaced the way this target sheds.
-		bit func(t *testing.T, res Result)
+		// bit asserts that saturation surfaced the way this target sheds;
+		// computed is the rankings (single-flight leads) computed since the
+		// target's first run, which met a cold cache: a later run on the
+		// other plane asks for the same keys.
+		bit func(t *testing.T, res Result, computed uint64)
 	}{
-		{"shard", ip.ShardURLs[0], func(t *testing.T, res Result) {
+		{"shard", ip.ShardURLs[0], func(t *testing.T, res Result, computed uint64) {
 			t.Helper()
 			if res.Shed == 0 {
 				t.Fatalf("saturated bare shard never shed (valid %d, degraded %d, errors %d)", res.Valid, res.Degraded, res.Errors)
 			}
+			if computed == 0 {
+				t.Fatalf("saturated bare shard computed no ranking in its runs: all %d answers were cache hits", res.Valid+res.Degraded)
+			}
 		}},
-		{"gateway", ip.URL, func(t *testing.T, res Result) {
+		{"gateway", ip.URL, func(t *testing.T, res Result, _ uint64) {
 			t.Helper()
 			if res.Degraded == 0 && res.Shed == 0 && res.Errors == 0 {
 				t.Fatalf("saturated gateway showed no overload at all (valid %d)", res.Valid)
 			}
 		}},
 	}
+	leads := obs.Default().Counter("eis_singleflight_leads_total")
 	for _, target := range targets {
+		before := leads.Value()
 		for _, plane := range []Plane{PlaneJSON, PlaneWire} {
 			t.Run(target.name+"/"+string(plane), func(t *testing.T) {
 				runner, err := NewRunner(Options{
@@ -161,7 +170,7 @@ func TestOverloadContract(t *testing.T) {
 				if res.Valid+res.Degraded == 0 {
 					t.Fatal("no successful answers at all under overload; shedding should spare capacity, not consume it")
 				}
-				target.bit(t, res)
+				target.bit(t, res, leads.Value()-before)
 				const slack = 2 * time.Second // scheduler + accept-queue headroom on a loaded CI box
 				if res.MaxLat > timeout+slack {
 					t.Fatalf("request observed %v after its intended start with a %v deadline — a request hung past its deadline", res.MaxLat, timeout)

@@ -28,11 +28,6 @@ type InprocOptions struct {
 	// Clock pins the shards' time base; nil selects time.Now. A test seam:
 	// the load contract and coordinated-omission tests pin it.
 	Clock func() time.Time
-	// Server overrides the shard EIS options (cache granularity, request
-	// deadline); zero keeps the production defaults. A test seam: the
-	// overload suite (the load contract test) shrinks the cache cell to
-	// force full rankings.
-	Server eis.ServerOptions
 	// Wrap, when set, wraps every shard handler (fault injection hooks for
 	// the coordinated-omission differential test).
 	Wrap func(http.Handler) http.Handler
@@ -70,10 +65,7 @@ func StartInproc(env *cknn.Env, opts InprocOptions) (*Inproc, error) {
 		}
 	}()
 
-	sopts := opts.Server
-	if opts.Clock != nil {
-		sopts.Clock = opts.Clock
-	}
+	sopts := eis.ServerOptions{Clock: opts.Clock}
 	shards := make([]fleet.Shard, n)
 	for i := 0; i < n; i++ {
 		se, err := fleet.ShardEnv(env, i, n)
