@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint chaos chaos-fleet fuzz bench bench-check bench-run bench-smoke cover figures examples clean
+.PHONY: all build test race vet lint chaos chaos-fleet fleet-smoke fuzz bench bench-check bench-run bench-smoke cover figures examples clean
 
 all: build vet lint test bench-check bench-run chaos chaos-fleet bench-smoke
 
@@ -36,12 +36,21 @@ chaos:
 
 # Fleet chaos suite under the race detector: the sharded-gateway differential
 # harness (byte-identity at fault rate 0, degraded merges under shard
-# blackouts/partitions/slow shards, hedged failover, inventory re-pulls) plus
+# blackouts/partitions/slow shards, shards dead from boot, hedged failover,
+# the road world read at every probe) plus
 # the fleet fault shapes and partition/merge property tests (see
 # docs/resilience.md). The harness runs the production setup: a gateway
 # that holds the road world and asks its shards for the binary format.
 chaos-fleet:
 	$(GO) test -race -count=1 -run 'TestChaosFleet|TestFleet|TestPartition|TestShardEnv|TestMerge|TestSynth' ./internal/fleet ./internal/fault
+
+# Two binaries, one world: cmd/eis -shard 0/2 and 1/2 and cmd/gateway, built
+# and started as processes with their default -dataset and -seed on fixed
+# loopback ports (18180-18182), must agree on the world — both members
+# searched on /fleet/status, and one wire /offering sends travel blocks
+# (fleet_travel_supplied_total > 0). All three are killed on exit (~10 s).
+fleet-smoke:
+	bash scripts/fleet-smoke.sh
 
 # Smoke-run every fuzz target briefly; the seed corpora already run as part
 # of `make test`, this explores beyond them. go test accepts one -fuzz

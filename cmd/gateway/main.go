@@ -13,18 +13,14 @@
 //	eis -addr :8082 -shard 1/2 &
 //	gateway -addr :8080 -shards http://localhost:8081,http://localhost:8082
 //
-// Given the dataset and seed the members were started with, the gateway
-// loads the same road world and runs the network search of every cache-miss
-// ranking once, handing each shard its travel times, where each shard would
-// otherwise run the same search:
-//
-//	eis -addr :8081 -dataset Oldenburg -seed 42 -shard 0/2 &
-//	eis -addr :8082 -dataset Oldenburg -seed 42 -shard 1/2 &
-//	gateway -addr :8080 -dataset Oldenburg -seed 42 -shards http://localhost:8081,http://localhost:8082
-//
-// Without -dataset it stays graph-free and the shards search for themselves;
-// so they do, each on its own, when its world is not the gateway's (a
-// different dataset or seed): the answers are the same either way.
+// The gateway loads the world the members serve, from the same -dataset and
+// -seed, whose defaults are cmd/eis's (Oldenburg, 42). Its partition names
+// each shard's chargers, which a dead shard's answers are synthesized from,
+// and its road network is searched once per cache-miss ranking, each shard
+// handed its travel times where it would otherwise run the same search. A
+// shard whose world is not the gateway's (another dataset or seed), as it
+// states at every health probe, searches for itself; its answers are the
+// same either way.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: probing stops, the listener
 // closes, and in-flight requests get the drain deadline to finish.
@@ -56,8 +52,8 @@ func main() {
 		threshold = flag.Int("breaker-threshold", 5, "consecutive shard faults that open its breaker")
 		cooldown  = flag.Duration("breaker-cooldown", 5*time.Second, "open time before a shard breaker admits its half-open trial")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline for in-flight requests")
-		dataset   = flag.String("dataset", "", "dataset profile the members serve (Oldenburg, California, T-drive, Geolife): load its road world and search once per ranking on the shards' behalf; empty keeps the gateway graph-free")
-		seed      = flag.Int64("seed", 42, "scenario seed the members were started with (with -dataset)")
+		dataset   = flag.String("dataset", "Oldenburg", "dataset profile the members serve (Oldenburg, California, T-drive, Geolife): its world names each shard's chargers, and its road network is searched once per ranking on the shards' behalf")
+		seed      = flag.Int64("seed", 42, "scenario seed the members were started with")
 	)
 	flag.Parse()
 
@@ -84,24 +80,20 @@ func main() {
 	}
 }
 
-// newGateway builds the gateway over the -shards members and, when a dataset
-// is named, the road world of that dataset and seed — the scenario cmd/eis
-// assembles from the same two flags — plus a description of what it fronts.
+// newGateway builds the gateway over the -shards members and the world of
+// the dataset and seed — the scenario cmd/eis assembles from the same two
+// flags — plus a description of what it fronts.
 func newGateway(shardsArg, dataset string, seed int64, opts fleet.Options) (*fleet.Gateway, string, error) {
 	shards, err := parseShards(shardsArg)
 	if err != nil {
 		return nil, "", err
 	}
-	desc := fmt.Sprintf("%d shards, graph-free", len(shards))
-	if dataset != "" {
-		sc, err := experiment.ServedScenario(dataset, seed)
-		if err != nil {
-			return nil, "", fmt.Errorf("building scenario: %w", err)
-		}
-		opts.Env = sc.Env
-		desc = fmt.Sprintf("%d shards, searching %s seed %d (%d road nodes) on their behalf", len(shards), sc.Name, seed, sc.Graph.NumNodes())
+	sc, err := experiment.ServedScenario(dataset, seed)
+	if err != nil {
+		return nil, "", fmt.Errorf("building scenario: %w", err)
 	}
-	gw, err := fleet.NewGateway(shards, opts)
+	desc := fmt.Sprintf("%d shards, serving %s seed %d (%d road nodes, %d chargers)", len(shards), sc.Name, seed, sc.Graph.NumNodes(), sc.Env.Chargers.Len())
+	gw, err := fleet.NewGateway(shards, sc.Env, opts)
 	return gw, desc, err
 }
 

@@ -32,10 +32,10 @@ func TestParseShards(t *testing.T) {
 }
 
 // TestNewGatewayWorldFlags starts two shards the way cmd/eis does — the
-// Oldenburg scenario at seed 42 — and fronts them with the three gateways
-// the flags can make: no world (the default), the shards' world, and a world
-// of another seed. All three answer the same bytes; only the one that holds
-// the shards' world searches on their behalf.
+// Oldenburg scenario at seed 42 — and fronts them with two gateways: one on
+// the shards' world, and one on a world of another seed. Both answer the
+// same bytes; only the one that holds the shards' world searches on their
+// behalf.
 func TestNewGatewayWorldFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scenario build is slow")
@@ -72,9 +72,8 @@ func TestNewGatewayWorldFlags(t *testing.T) {
 		desc          string
 		blocks        uint64
 	}{
-		{"no world", "", 42, "graph-free", 0},
-		{"the shards' world", "Oldenburg", 42, "searching Oldenburg seed 42", 2},
-		{"another seed", "Oldenburg", 7, "searching Oldenburg seed 7", 0},
+		{"the shards' world", "Oldenburg", 42, "serving Oldenburg seed 42", 2},
+		{"another seed", "Oldenburg", 7, "serving Oldenburg seed 7", 0},
 	} {
 		gw, desc, err := newGateway(startShards(), tc.dataset, tc.seed, fleet.Options{})
 		if err != nil {
@@ -108,19 +107,19 @@ func TestNewGatewayWorldFlags(t *testing.T) {
 		if first == nil {
 			first = buf.Bytes()
 		} else if !bytes.Equal(first, buf.Bytes()) {
-			t.Errorf("%s: answers differently from the graph-free gateway\n%s\n%s", tc.name, buf.Bytes(), first)
+			t.Errorf("%s: answers differently from the gateway on the shards' world\n%s\n%s", tc.name, buf.Bytes(), first)
 		}
 	}
 }
 
 func TestNewGatewayRejectsBadFlags(t *testing.T) {
-	if _, _, err := newGateway("", "", 42, fleet.Options{}); err == nil {
+	if _, _, err := newGateway("", "Oldenburg", 42, fleet.Options{}); err == nil {
 		t.Error("no -shards accepted")
 	}
 	if _, _, err := newGateway("http://localhost:1", "nope", 42, fleet.Options{}); err == nil {
 		t.Error("unknown -dataset accepted")
 	}
-	if _, _, err := newGateway("not a url", "", 42, fleet.Options{}); err == nil {
+	if _, _, err := newGateway("not a url", "Oldenburg", 42, fleet.Options{}); err == nil {
 		t.Error("a shard that is not a URL accepted")
 	}
 }

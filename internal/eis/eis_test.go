@@ -2,7 +2,6 @@ package eis
 
 import (
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -52,24 +51,6 @@ func TestHealthz(t *testing.T) {
 	_, client, _ := testServer(t)
 	if !client.Healthy(context.Background()) {
 		t.Fatal("server not healthy")
-	}
-}
-
-func TestInventoryEndpoint(t *testing.T) {
-	ts, _, env := testServer(t)
-	var got []charger.Charger
-	if err := json.Unmarshal(jsonGet(t, ts.URL+APIVersion+"/inventory"), &got); err != nil {
-		t.Fatalf("inventory: %v", err)
-	}
-	if len(got) != env.Chargers.Len() {
-		t.Fatalf("inventory returned %d chargers, want %d", len(got), env.Chargers.Len())
-	}
-	seen := make(map[int64]bool, len(got))
-	for _, c := range got {
-		if seen[c.ID] {
-			t.Fatalf("duplicate charger %d in inventory", c.ID)
-		}
-		seen[c.ID] = true
 	}
 }
 

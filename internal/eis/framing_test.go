@@ -122,9 +122,8 @@ func TestEveryAnswerStatesItsLength(t *testing.T) {
 	at := fixedNow.Format(time.RFC3339)
 	near := fmt.Sprintf("%s/chargers?lat=%v&lon=%v&radius_m=3000", APIVersion, anchor.Lat, anchor.Lon)
 	gets := map[string]int{
-		"/healthz":                http.StatusOK,
-		APIVersion + "/inventory": http.StatusOK,
-		near:                      http.StatusOK,
+		"/healthz": http.StatusOK,
+		near:       http.StatusOK,
 		APIVersion + "/weather?charger=" + id + "&t=" + at:      http.StatusOK,
 		APIVersion + "/availability?charger=" + id + "&t=" + at: http.StatusOK,
 		APIVersion + "/traffic?t=" + at:                         http.StatusOK,

@@ -11,7 +11,6 @@ type eisMetrics struct {
 	// Per-endpoint request duration histograms (server side, measured
 	// around the handler including JSON encoding).
 	httpChargers     *obs.Histogram
-	httpInventory    *obs.Histogram
 	httpWeather      *obs.Histogram
 	httpAvailability *obs.Histogram
 	httpTraffic      *obs.Histogram
@@ -65,7 +64,6 @@ type eisMetrics struct {
 func newEISMetrics(r *obs.Registry) *eisMetrics {
 	return &eisMetrics{
 		httpChargers:     r.Histogram("eis_http_seconds_chargers"),
-		httpInventory:    r.Histogram("eis_http_seconds_inventory"),
 		httpWeather:      r.Histogram("eis_http_seconds_weather"),
 		httpAvailability: r.Histogram("eis_http_seconds_availability"),
 		httpTraffic:      r.Histogram("eis_http_seconds_traffic"),

@@ -351,7 +351,8 @@ func (key cacheKey) hash() uint64 {
 	return h
 }
 
-// HeaderRoadWorld is the one header of an /inventory answer: the road world
-// the server's rankings search (cknn.Env.RoadWorld), in hexadecimal. A fleet
-// gateway searches on a shard's behalf only when it is its own world.
+// HeaderRoadWorld is the one header a server states, on every /healthz
+// answer: the road world its rankings search (cknn.Env.RoadWorld), in
+// hexadecimal. A fleet gateway searches on a shard's behalf only while the
+// shard's last answered probe stated the gateway's own world.
 const HeaderRoadWorld = "X-Eis-Road-World"

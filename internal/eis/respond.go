@@ -112,11 +112,15 @@ func Instrument(tracer *obs.Tracer, name string, hist *obs.Histogram, fn http.Ha
 }
 
 // HandleOps registers a server's observability surface on mux: /metrics and
-// /debug/vars over the process-wide default registry, and /healthz.
-func HandleOps(mux *http.ServeMux) {
+// /debug/vars over the process-wide default registry, and /healthz, whose
+// answers state world (HeaderRoadWorld) when it is not empty.
+func HandleOps(mux *http.ServeMux, world string) {
 	mux.Handle("/metrics", obs.Default().Handler())
 	mux.Handle("/debug/vars", obs.Default().VarsHandler())
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
+		if world != "" {
+			w.Header().Set(HeaderRoadWorld, world)
+		}
 		WriteBody(w, http.StatusOK, "text/plain; charset=utf-8", []byte("ok\n"))
 	})
 }

@@ -74,7 +74,7 @@ type Server struct {
 	opts ServerOptions
 
 	// world is the road world the rankings search (cknn.Env.RoadWorld), as
-	// the /inventory answer states it (HeaderRoadWorld).
+	// every /healthz answer states it (HeaderRoadWorld).
 	world string
 
 	cache respCache
@@ -401,13 +401,12 @@ func withTimeout(ctx context.Context, timeout time.Duration) (context.Context, c
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc(APIVersion+"/chargers", Instrument(s.opts.Tracer, "eis.chargers", met.httpChargers, s.handleChargers))
-	mux.HandleFunc(APIVersion+"/inventory", Instrument(s.opts.Tracer, "eis.inventory", met.httpInventory, s.handleInventory))
 	mux.HandleFunc(APIVersion+"/weather", Instrument(s.opts.Tracer, "eis.weather", met.httpWeather, s.handleWeather))
 	mux.HandleFunc(APIVersion+"/availability", Instrument(s.opts.Tracer, "eis.availability", met.httpAvailability, s.handleAvailability))
 	mux.HandleFunc(APIVersion+"/traffic", Instrument(s.opts.Tracer, "eis.traffic", met.httpTraffic, s.handleTraffic))
 	mux.HandleFunc(APIVersion+"/offering", Instrument(s.opts.Tracer, "eis.offering", met.httpOffering, s.handleOffering))
 	mux.HandleFunc(APIVersion+"/offering/trip", Instrument(s.opts.Tracer, "eis.offering.trip", met.httpTrip, s.handleTripOffering))
-	HandleOps(mux)
+	HandleOps(mux, s.world)
 	return mux
 }
 
@@ -503,21 +502,6 @@ func (s *Server) handleChargers(w http.ResponseWriter, r *http.Request) {
 	Respond(w, r, met, cs, func(b []byte) []byte { return wire.AppendChargerRefs(b, cs) })
 }
 
-// handleInventory returns the server's complete charger inventory. For a
-// sharded instance that is the owned partition; the fleet gateway caches it
-// per shard so unreachable partitions degrade to ignorance-bound entries
-// instead of disappearing from Offering Tables. The answer states the road
-// world the server's rankings search (HeaderRoadWorld).
-func (s *Server) handleInventory(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	w.Header().Set(HeaderRoadWorld, s.world)
-	cs := s.env.Chargers.All()
-	Respond(w, r, met, cs, func(b []byte) []byte { return wire.AppendChargers(b, cs) })
-}
-
 // handleWeather returns the production forecast of a charger at a time
 // (the OpenWeatherMap-consolidation endpoint).
 func (s *Server) handleWeather(w http.ResponseWriter, r *http.Request) {
@@ -547,22 +531,32 @@ func (s *Server) chargerAndTime(w http.ResponseWriter, r *http.Request) (c *char
 		s.writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return nil, time.Time{}, false
 	}
-	id, err := ChargerIDParam(r)
+	c, at, code, err := ChargerAt(r, s.env.Chargers, s.opts.Clock())
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return nil, time.Time{}, false
-	}
-	c, found := s.env.Chargers.ByID(id)
-	if !found {
-		s.writeError(w, http.StatusNotFound, "charger %d not found", id)
-		return nil, time.Time{}, false
-	}
-	at, err = TimeParam(r, "t", s.opts.Clock())
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+		s.writeError(w, code, "%v", err)
 		return nil, time.Time{}, false
 	}
 	return c, at, true
+}
+
+// ChargerAt reads the charger and t parameters of /weather and /availability
+// and finds the charger in set; the error is the one a server answers with,
+// under the status code. A shard answers through here, and so does the fleet
+// gateway for a dead shard's chargers.
+func ChargerAt(r *http.Request, set *charger.Set, now time.Time) (*charger.Charger, time.Time, int, error) {
+	id, err := ChargerIDParam(r)
+	if err != nil {
+		return nil, time.Time{}, http.StatusBadRequest, err
+	}
+	c, found := set.ByID(id)
+	if !found {
+		return nil, time.Time{}, http.StatusNotFound, fmt.Errorf("charger %d not found", id)
+	}
+	at, err := TimeParam(r, "t", now)
+	if err != nil {
+		return nil, time.Time{}, http.StatusBadRequest, err
+	}
+	return c, at, 0, nil
 }
 
 // handleTraffic returns the congestion band per road class (the GIS

@@ -291,14 +291,14 @@ func TestCachedJSONIsTheEagerEncoding(t *testing.T) {
 	}
 }
 
-// TestInventoryStatesRoadWorld: the /inventory answer carries one X-Eis-*
+// TestInventoryStatesRoadWorld: the /healthz answer carries one X-Eis-*
 // header, the road world its rankings search, and the exported key hash is
 // the one the server's cache files and stripes by.
 func TestInventoryStatesRoadWorld(t *testing.T) {
 	env := testEnv(t)
 	srv := NewServer(env, ServerOptions{})
 	rec := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, APIVersion+"/inventory", nil))
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 	var stated []string
 	for key := range rec.Header() {
 		if strings.HasPrefix(key, "X-Eis-") {

@@ -111,10 +111,12 @@ func TestChaosWireFormatParity(t *testing.T) {
 		t.Fatal("chargers parity compared an empty radius")
 	}
 
-	var inv []charger.Charger
-	assertWireEqualsJSON(t, "inventory", jsonGet(t, base+"/inventory"), wireGet(t, base+"/inventory"), &inv, decodeChargers)
-	if len(inv) != len(env.Chargers.All()) {
-		t.Fatalf("inventory decoded %d chargers, environment has %d", len(inv), len(env.Chargers.All()))
+	// Every charger, in one answer: a radius over the whole world.
+	all := fmt.Sprintf("?lat=%v&lon=%v&radius_m=100000", anchor.Lat, anchor.Lon)
+	var every []charger.Charger
+	assertWireEqualsJSON(t, "every charger", jsonGet(t, base+"/chargers"+all), wireGet(t, base+"/chargers"+all), &every, decodeChargers)
+	if len(every) != len(env.Chargers.All()) {
+		t.Fatalf("a radius over the world decoded %d chargers, environment has %d", len(every), len(env.Chargers.All()))
 	}
 
 	// The per-charger lookups and traffic are JSON only: negotiating binary

@@ -20,7 +20,7 @@ import (
 // while shard 0's, charged for each fan-out, opens.
 func TestChaosFleetUnreachableFirstShard(t *testing.T) {
 	h := newFleetHarness(t, harnessOpts{n: 3, gw: func(o *Options) { o.ShardTimeout = 300 * time.Millisecond }})
-	h.gw.ProbeAll(context.Background()) // inventories pulled, connections pooled
+	h.gw.ProbeAll(context.Background()) // worlds read, connections pooled
 	body, k, want := warmFirstShardOffering(t, h)
 	tg, err := newTarget("http://" + unreachableAddr(t))
 	if err != nil {

@@ -90,11 +90,10 @@ func newFleetHarness(t testing.TB, o harnessOpts) *fleetHarness {
 		shards[ri].Replica = rts.URL
 	}
 
+	// The gateway holds the shards' world throughout the suite: whatever a
+	// test does to the fleet, it does to a gateway that searches for its
+	// shards wherever it can.
 	opts := Options{
-		// The gateway holds the road world throughout the suite: whatever a
-		// test does to the fleet, it does to a gateway that searches for its
-		// shards wherever it can (inventories pulled).
-		Env:              h.env,
 		Clock:            h.clk.Now,
 		ShardTimeout:     5 * time.Second,
 		HedgeDelay:       20 * time.Millisecond,
@@ -104,7 +103,7 @@ func newFleetHarness(t testing.TB, o harnessOpts) *fleetHarness {
 	if o.gw != nil {
 		o.gw(&opts)
 	}
-	gw, err := NewGateway(shards, opts)
+	gw, err := NewGateway(shards, h.env, opts)
 	if err != nil {
 		t.Fatalf("NewGateway: %v", err)
 	}
@@ -275,7 +274,7 @@ func TestChaosFleetByteIdentityFaultFree(t *testing.T) {
 
 func sixMethodsIdentical(t *testing.T) {
 	h := newFleetHarness(t, harnessOpts{n: 3})
-	h.gw.ProbeAll(context.Background()) // inventories and cache terms pulled
+	h.gw.ProbeAll(context.Background()) // every shard states the gateway's world
 	center := h.env.Graph.Bounds().Center()
 	at := fixedNow.Add(time.Hour).Format(time.RFC3339)
 
@@ -383,10 +382,7 @@ func (h *fleetHarness) deadShardOracle(dead int, center geo.Point, k int, radius
 var blackoutForever = []fault.Window{{From: 1, To: 1 << 60}}
 
 // TestChaosFleetShardBlackout kills one of three shards after the gateway
-// has seen it once. Every method must keep answering 200; the dead shard's
-// chargers stay in every Offering Table at the ignorance bound with the
-// full degraded mask, in exactly the positions an independent oracle
-// predicts; radius queries stay byte-complete from the cached inventory.
+// has seen it once. Every method must keep answering (assertShard1Served).
 func TestChaosFleetShardBlackout(t *testing.T) {
 	h := newFleetHarness(t, harnessOpts{
 		n: 3,
@@ -395,7 +391,7 @@ func TestChaosFleetShardBlackout(t *testing.T) {
 		},
 	})
 	ctx := context.Background()
-	h.gw.ProbeAll(ctx) // tick 0: healthy — inventories cached
+	h.gw.ProbeAll(ctx) // tick 0: healthy
 	h.inj.Advance(1)   // shard 1 goes dark
 	h.gw.ProbeAll(ctx)
 	h.gw.ProbeAll(ctx) // two failed probe rounds trip the breaker (threshold 2)
@@ -410,6 +406,38 @@ func TestChaosFleetShardBlackout(t *testing.T) {
 	if st[1].Inventory <= 0 {
 		t.Fatalf("shard 1 inventory not retained through the outage: %+v", st[1])
 	}
+	h.assertShard1Served(t)
+}
+
+// TestFleetDeadFromBootStaysInEveryTable: a shard that is dark from the
+// first probe on is served from the gateway's world like one that died
+// later — its chargers in every table at the ignorance bound, its point
+// lookups at the degraded bound — with no answer of its own ever read.
+func TestFleetDeadFromBootStaysInEveryTable(t *testing.T) {
+	h := newFleetHarness(t, harnessOpts{
+		n: 3,
+		shapes: func(hosts []string) map[string]fault.ShardShape {
+			return map[string]fault.ShardShape{hosts[1]: {Blackouts: []fault.Window{{From: 0, To: 1 << 60}}}}
+		},
+	})
+	ctx := context.Background()
+	h.gw.ProbeAll(ctx)
+	h.gw.ProbeAll(ctx) // two failed probe rounds trip the breaker (threshold 2)
+	if st := h.gw.Status()[1]; st.ProbeOK || st.Breaker != "open" || st.Searched {
+		t.Fatalf("shard 1 status, dark from boot: %+v", st)
+	}
+	h.assertShard1Served(t)
+}
+
+// assertShard1Served requires every method to keep answering 200 while
+// shard 1 of three does not answer: its chargers stay in every Offering Table at
+// the ignorance bound with the full degraded mask, in exactly the positions
+// an independent oracle predicts; radius queries stay byte-complete from the
+// gateway's world; its point lookups answer the degraded bound, and a
+// charger nobody owns the 404 a single EIS gives.
+func (h *fleetHarness) assertShard1Served(t *testing.T) {
+	t.Helper()
+	const dead, deadMark = 1, "1"
 
 	center := h.env.Graph.Bounds().Center()
 	const k, radiusM = 5, 6000
@@ -418,14 +446,14 @@ func TestChaosFleetShardBlackout(t *testing.T) {
 		Lat: center.Lat, Lon: center.Lon, K: k, RadiusM: radiusM, Weights: weights, Now: fixedNow,
 	})
 
-	want := h.deadShardOracle(1, center, k, radiusM, weights)
+	want := h.deadShardOracle(dead, center, k, radiusM, weights)
 
 	gs, gb, gh := doReq(t, h.gwts.URL, http.MethodPost, eis.APIVersion+"/offering", body)
 	if gs != http.StatusOK {
 		t.Fatalf("offering under blackout: status %d %s", gs, gb)
 	}
-	if d := gh.Get(degradedHeader); d != "1" {
-		t.Fatalf("degraded header %q, want %q", d, "1")
+	if d := gh.Get(degradedHeader); d != deadMark {
+		t.Fatalf("degraded header %q, want %q", d, deadMark)
 	}
 	var got eis.OfferingResponse
 	if err := json.Unmarshal(gb, &got); err != nil {
@@ -440,7 +468,7 @@ func TestChaosFleetShardBlackout(t *testing.T) {
 		if e.ChargerID != want[i].ChargerID {
 			t.Fatalf("position %d holds charger %d, oracle predicts %d", i, e.ChargerID, want[i].ChargerID)
 		}
-		if owner := h.part.ShardOf(e.ChargerID); owner == 1 {
+		if owner := h.part.ShardOf(e.ChargerID); owner == dead {
 			sawSynth = true
 			if e.Degraded != uint8(cknn.DegradedAll) {
 				t.Fatalf("dead-shard charger %d has mask %#x, want DegradedAll", e.ChargerID, e.Degraded)
@@ -453,14 +481,14 @@ func TestChaosFleetShardBlackout(t *testing.T) {
 		t.Fatal("no dead-shard charger ranked into the table; pick a bigger radius")
 	}
 
-	// chargers: the cached inventory keeps radius queries byte-complete.
+	// chargers: the gateway's world keeps radius queries byte-complete.
 	pathq := eis.APIVersion + "/chargers?lat=" + fmtFloat(center.Lat) + "&lon=" + fmtFloat(center.Lon) + "&radius_m=6000"
 	gs, gb, gh = doReq(t, h.gwts.URL, http.MethodGet, pathq, nil)
 	_, sb, _ := doReq(t, h.single.URL, http.MethodGet, pathq, nil)
 	if gs != http.StatusOK || !bytes.Equal(gb, sb) {
 		t.Fatalf("chargers under blackout diverged (status %d)\ngateway: %.300s\nsingle:  %.300s", gs, gb, sb)
 	}
-	if gh.Get(degradedHeader) != "1" {
+	if gh.Get(degradedHeader) != deadMark {
 		t.Fatal("degraded chargers response not marked")
 	}
 
@@ -468,7 +496,7 @@ func TestChaosFleetShardBlackout(t *testing.T) {
 	var deadC, liveC int64 = -1, -1
 	var deadCap float64
 	for _, c := range h.env.Chargers.All() {
-		if h.part.ShardOf(c.ID) == 1 && deadC < 0 {
+		if h.part.ShardOf(c.ID) == dead && deadC < 0 {
 			deadC, deadCap = c.ID, c.PanelKW+c.WindKW
 		}
 		if h.part.ShardOf(c.ID) == 0 && liveC < 0 {
@@ -477,7 +505,7 @@ func TestChaosFleetShardBlackout(t *testing.T) {
 	}
 	at := fixedNow.Add(time.Hour)
 	gs, gb, gh = doReq(t, h.gwts.URL, http.MethodGet, eis.APIVersion+"/weather?charger="+fmt.Sprint(deadC)+"&t="+at.Format(time.RFC3339), nil)
-	if gs != http.StatusOK || gh.Get(degradedHeader) != "1" {
+	if gs != http.StatusOK || gh.Get(degradedHeader) != deadMark {
 		t.Fatalf("degraded weather: status %d header %q", gs, gh.Get(degradedHeader))
 	}
 	var dw eis.WeatherResponse
@@ -501,15 +529,13 @@ func TestChaosFleetShardBlackout(t *testing.T) {
 	// Live shards pass through untouched.
 	h.assertIdentical("live weather during blackout", http.MethodGet,
 		eis.APIVersion+"/weather?charger="+fmt.Sprint(liveC)+"&t="+at.Format(time.RFC3339), nil)
-	// A charger the fleet has never heard of, owned by the dead shard, is an
-	// honest 503 — not a guessed 404, not a fabricated estimate.
+	// A charger the world does not hold, which the dead shard would own, is
+	// the 404 the shard would give — not a fabricated estimate.
 	unknown := int64(1_000_000)
-	for h.part.ShardOf(unknown) != 1 {
+	for h.part.ShardOf(unknown) != dead {
 		unknown++
 	}
-	if gs, _, _ = doReq(t, h.gwts.URL, http.MethodGet, eis.APIVersion+"/weather?charger="+fmt.Sprint(unknown), nil); gs != http.StatusServiceUnavailable {
-		t.Fatalf("unknown charger on dead shard: status %d, want 503", gs)
-	}
+	h.assertIdentical("unknown charger on the dead shard", http.MethodGet, eis.APIVersion+"/weather?charger="+fmt.Sprint(unknown), nil)
 
 	// traffic: any healthy shard serves it byte-identically.
 	h.assertIdentical("traffic during blackout", http.MethodGet, eis.APIVersion+"/traffic?t="+at.Format(time.RFC3339), nil)
@@ -526,7 +552,7 @@ func TestChaosFleetShardBlackout(t *testing.T) {
 		t.Fatal(err)
 	}
 	gs, gb, gh = doReq(t, h.gwts.URL, http.MethodPost, eis.APIVersion+"/offering/trip", trip)
-	if gs != http.StatusOK || gh.Get(degradedHeader) != "1" {
+	if gs != http.StatusOK || gh.Get(degradedHeader) != deadMark {
 		t.Fatalf("trip under blackout: status %d header %q: %.300s", gs, gh.Get(degradedHeader), gb)
 	}
 	var tripResp eis.TripOfferingResponse
@@ -540,7 +566,7 @@ func TestChaosFleetShardBlackout(t *testing.T) {
 	for _, seg := range tripResp.Segments {
 		tabletest.Check(t, tableFromWire(t, h.env, seg.Entries), k, fmt.Sprintf("blackout trip segment %d", seg.SegmentIndex))
 		for _, e := range seg.Entries {
-			if owner := h.part.ShardOf(e.ChargerID); owner == 1 {
+			if owner := h.part.ShardOf(e.ChargerID); owner == dead {
 				synthTotal++
 				if e.Degraded != uint8(cknn.DegradedAll) {
 					t.Fatalf("segment %d: dead-shard charger %d mask %#x", seg.SegmentIndex, e.ChargerID, e.Degraded)
@@ -595,7 +621,7 @@ func TestChaosFleetSlowShardBounded(t *testing.T) {
 		gw: func(o *Options) { o.ShardTimeout = 300 * time.Millisecond },
 	})
 	ctx := context.Background()
-	h.gw.ProbeAll(ctx) // tick 0: pull inventories
+	h.gw.ProbeAll(ctx) // tick 0: healthy
 	h.inj.Advance(1)   // shard 1 starts hanging
 
 	center := h.env.Graph.Bounds().Center()
@@ -634,7 +660,7 @@ func TestChaosFleetSlowFirstShardBounded(t *testing.T) {
 		},
 		gw: func(o *Options) { o.ShardTimeout = 300 * time.Millisecond },
 	})
-	h.gw.ProbeAll(context.Background()) // tick 0: pull inventories
+	h.gw.ProbeAll(context.Background()) // tick 0: healthy
 	body, k, want := warmFirstShardOffering(t, h)
 	h.inj.Advance(1) // shard 0 starts hanging
 	assertFirstShardDead(t, h, "slow-first-shard offering", body, k, want)

@@ -63,7 +63,7 @@ func TestFleetChargerIDIsAnInteger(t *testing.T) {
 				}
 			},
 		})
-		h.gw.ProbeAll(context.Background()) // tick 0: healthy — inventories cached
+		h.gw.ProbeAll(context.Background()) // tick 0: healthy
 		h.inj.Advance(1)
 		for _, endpoint := range endpoints {
 			for raw, body := range rejected(h) {

@@ -41,7 +41,7 @@ import (
 //     the fan-out lasts as long as its slowest shard, not the sum of its sends.
 
 // endpoint indexes what the gateway asks a shard: the API methods it
-// forwards to, the inventory it pulls and the health check it probes.
+// forwards to and the health check it probes.
 type endpoint int
 
 const (
@@ -51,7 +51,6 @@ const (
 	epTraffic
 	epOffering
 	epTrip
-	epInventory
 	epHealthz
 	numEndpoints
 )
@@ -64,7 +63,6 @@ var endpointPaths = [numEndpoints]string{
 	epTraffic:      eis.APIVersion + "/traffic",
 	epOffering:     eis.APIVersion + "/offering",
 	epTrip:         eis.APIVersion + "/offering/trip",
-	epInventory:    eis.APIVersion + "/inventory",
 	epHealthz:      "/healthz", // outside the API version, on every EIS
 }
 
@@ -178,7 +176,7 @@ func (res *shardResult) release() {
 // attempt performs one HTTP exchange against one target under ctx — its
 // deadline and a cancellation hook of its own — sending and receiving on the
 // calling goroutine; the caller owns the result and must release() it.
-// Single-owner lookups, hedges, probes, inventory pulls and a fan-out's
+// Single-owner lookups, hedges, probes and a fan-out's
 // exchanges that run apart come through here.
 func (g *Gateway) attempt(ctx context.Context, t *target, c *call) shardResult {
 	var hook cancelHook

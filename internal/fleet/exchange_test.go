@@ -84,7 +84,7 @@ func newExchangeRig(t *testing.T, withReplica bool, hedge, timeout time.Duration
 		rig.replica = newScriptedShard(t)
 		shard.Replica = rig.replica.ts.URL
 	}
-	g, err := NewGateway([]Shard{shard}, Options{
+	g, err := NewGateway([]Shard{shard}, testEnv(t), Options{
 		Clock: rig.clk.Now, ShardTimeout: timeout, HedgeDelay: hedge,
 		BreakerThreshold: 2, BreakerCooldown: time.Minute,
 	})
@@ -247,7 +247,7 @@ func TestFleetHedgeOwnsItsBody(t *testing.T) {
 	}))
 	defer replica.Close()
 
-	g, err := NewGateway([]Shard{{URL: primary.URL, Replica: replica.URL}}, Options{
+	g, err := NewGateway([]Shard{{URL: primary.URL, Replica: replica.URL}}, testEnv(t), Options{
 		Clock: (&fakeClock{t: fixedNow}).Now, ShardTimeout: 10 * time.Second, HedgeDelay: time.Millisecond,
 	})
 	if err != nil {
@@ -337,7 +337,7 @@ func TestFleetHedgeOwnsItsBody(t *testing.T) {
 // fan-out, on the same pooled state, reads every shard again.
 func TestFleetFanoutCancelled(t *testing.T) {
 	shards := []*scriptedShard{newScriptedShard(t), newScriptedShard(t)}
-	g, err := NewGateway([]Shard{{URL: shards[0].ts.URL}, {URL: shards[1].ts.URL}}, Options{ShardTimeout: 10 * time.Second})
+	g, err := NewGateway([]Shard{{URL: shards[0].ts.URL}, {URL: shards[1].ts.URL}}, testEnv(t), Options{ShardTimeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,6 +437,7 @@ func TestFleetFanoutOnHandlerGoroutine(t *testing.T) {
 // error, not something silently ignored per request; so is any scheme but
 // the plain http the hop speaks, which sends no https request at all.
 func TestNewGatewayRejectsWhatExchangesBypass(t *testing.T) {
+	env := testEnv(t)
 	for name, shards := range map[string][]Shard{
 		"primary credentials": {{URL: "http://u:p@127.0.0.1:1"}},
 		"replica credentials": {{URL: "http://127.0.0.1:1", Replica: "http://u:p@127.0.0.1:2"}},
@@ -444,11 +445,14 @@ func TestNewGatewayRejectsWhatExchangesBypass(t *testing.T) {
 		"https primary":       {{URL: "https://127.0.0.1:1"}},
 		"https replica":       {{URL: "http://127.0.0.1:1", Replica: "https://127.0.0.1:2"}},
 	} {
-		if _, err := NewGateway(shards, Options{}); err == nil {
+		if _, err := NewGateway(shards, env, Options{}); err == nil {
 			t.Errorf("%s: NewGateway accepted it", name)
 		}
 	}
-	if _, err := NewGateway([]Shard{{URL: "http://127.0.0.1:1"}}, Options{}); err != nil {
+	if _, err := NewGateway([]Shard{{URL: "http://127.0.0.1:1"}}, env, Options{}); err != nil {
 		t.Errorf("a plain shard URL was refused: %v", err)
+	}
+	if _, err := NewGateway([]Shard{{URL: "http://127.0.0.1:1"}}, nil, Options{}); err == nil {
+		t.Error("a gateway without the world its shards serve was built")
 	}
 }

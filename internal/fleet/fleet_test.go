@@ -180,8 +180,8 @@ func TestMergeRecoversGlobalRank(t *testing.T) {
 }
 
 // TestMergeDedupPrefersLiveEntry: a live entry beats a synthesized one for
-// the same charger (stale inventory after a repartition must not shadow
-// real data).
+// the same charger (a shard started on another partition than its index
+// names must not shadow real data).
 func TestMergeDedupPrefersLiveEntry(t *testing.T) {
 	live := eis.OfferingEntry{
 		ChargerID: 7,

@@ -46,15 +46,6 @@ type Options struct {
 	Clock func() time.Time
 	// Logger for degraded merges and shard errors; nil silences logging.
 	Logger *log.Logger
-	// Env is the road world the shards search — the frozen graph and the
-	// traffic model, built from the same dataset and seed as theirs (its
-	// chargers and other models are not read). With it the gateway runs the
-	// one network search of a cache-miss ranking itself and hands every
-	// shard its travel times, where each shard would otherwise run the same
-	// search (travel.go), and plans a trip and runs its segments' searches
-	// once where each shard would run them all; for a one-shot ranking it
-	// takes an undirected graph. Nil keeps the gateway graph-free.
-	Env *cknn.Env
 }
 
 func (o Options) withDefaults() Options {
@@ -73,24 +64,23 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// maxShardResponseBytes bounds one shard response (the inventory of a large
-// shard is the biggest payload the gateway handles).
+// maxShardResponseBytes bounds one shard response (a /chargers answer over a
+// large shard's whole partition is the biggest payload the gateway handles).
 const maxShardResponseBytes int64 = 32 << 20
 
 // Gateway is the stateless fleet front: it owns the shard membership
-// (addresses, breakers, probe verdicts, inventory caches), the merge logic
-// and, when given one, a copy of the road world its shards search, to run
-// their common network search once (travel.go). Everything it serves is
-// reconstructed per request from shard answers, and everything it holds can
-// be rebuilt or re-learned from the shards, so any gateway instance can serve
-// any request.
+// (addresses, breakers, probe verdicts), the merge logic and the world its
+// shards serve, whose partition tells it each shard's chargers and whose
+// road network it searches once for them all (travel.go). Everything it
+// serves is reconstructed per request from shard answers and that world, so
+// any gateway instance started on the same world can serve any request.
 type Gateway struct {
 	members []*member
 	part    Partition
 	opts    Options
 
-	// env is Options.Env, nil when the gateway was given none; world is its
-	// RoadWorld, which a shard must state to be searched for.
+	// env is the world NewGateway was given; world is its RoadWorld, which a
+	// shard must state to be searched for.
 	env   *cknn.Env
 	world uint64
 
@@ -101,18 +91,30 @@ type Gateway struct {
 }
 
 // NewGateway returns a gateway over the shards, in shard-index order (the
-// order must match the partition the shard environments were built with).
-func NewGateway(shards []Shard, opts Options) (*Gateway, error) {
+// order must match the partition the shard environments were built with),
+// and env, the world the shards were built from: the same graph, traffic
+// model and chargers, from the same dataset and seed. Each member's chargers
+// are its ShardEnv partition of env. With env's road world the gateway runs
+// the one network search of a cache-miss ranking itself and hands every
+// shard its travel times, where each shard would otherwise run the same
+// search, and plans a trip and runs its segments' searches once where each
+// shard would run them all; for a one-shot ranking it takes an undirected
+// graph.
+func NewGateway(shards []Shard, env *cknn.Env, opts Options) (*Gateway, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("fleet: gateway needs at least one shard")
 	}
-	opts = opts.withDefaults()
-	g := &Gateway{part: Partition{N: len(shards)}, opts: opts, hop: newShardTransport().hop()}
-	if opts.Env != nil {
-		g.env, g.world = opts.Env, opts.Env.RoadWorld()
+	if env == nil {
+		return nil, fmt.Errorf("fleet: gateway needs the world its shards serve")
 	}
+	opts = opts.withDefaults()
+	g := &Gateway{part: Partition{N: len(shards)}, opts: opts, env: env, world: env.RoadWorld(), hop: newShardTransport().hop()}
 	for i, s := range shards {
-		m, err := newMember(i, s, opts)
+		own, err := ShardEnv(env, i, len(shards))
+		if err != nil {
+			return nil, err
+		}
+		m, err := newMember(i, s, own.Chargers, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -172,7 +174,7 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("/fleet/status", func(w http.ResponseWriter, _ *http.Request) {
 		eis.WriteJSONStatus(w, http.StatusOK, g.Status())
 	})
-	eis.HandleOps(mux)
+	eis.HandleOps(mux, "")
 	return mux
 }
 
@@ -218,10 +220,8 @@ func (g *Gateway) handleChargers(w http.ResponseWriter, r *http.Request) {
 	if len(dead) > 0 {
 		var synth []charger.Charger
 		for _, i := range dead {
-			if inv := g.members[i].inventory.Load(); inv != nil {
-				for _, c := range inv.Within(p, radius) {
-					synth = append(synth, *c)
-				}
+			for _, c := range g.members[i].chargers.Within(p, radius) {
+				synth = append(synth, *c)
 			}
 		}
 		lists = append(lists, synth)
@@ -259,10 +259,11 @@ func (g *Gateway) handleAvailability(w http.ResponseWriter, r *http.Request) {
 
 // perCharger serves one of the per-charger estimate endpoints: pass-through
 // from the owning shard — the rendezvous partition names it with no shared
-// state — when it answers, a synthesized ignorance-bound response from its
-// cached inventory when it does not. A charger parameter that is not an
-// integer is answered here, with the 400 a shard would give: there is no
-// owner to ask.
+// state — when it answers, and when it does not, the answer a shard over its
+// partition of the gateway's world gives: a synthesized ignorance-bound
+// estimate for a charger it owns, its 404 for one it does not. A charger
+// parameter that is not an integer is answered here, with the 400 a shard
+// would give: there is no owner to ask.
 func (g *Gateway) perCharger(w http.ResponseWriter, r *http.Request, ep endpoint, synth func(*charger.Charger, time.Time) interface{}) {
 	if r.Method != http.MethodGet {
 		g.writeError(w, http.StatusMethodNotAllowed, "GET only")
@@ -274,7 +275,6 @@ func (g *Gateway) perCharger(w http.ResponseWriter, r *http.Request, ep endpoint
 		return
 	}
 	m := g.members[g.part.ShardOf(id)]
-	what := strings.TrimPrefix(endpointPaths[ep], eis.APIVersion+"/")
 	// The shard's JSON passes through as it came.
 	res := g.single(r.Context(), m, &call{ep: ep, rawQuery: r.URL.RawQuery})
 	defer res.release()
@@ -282,22 +282,14 @@ func (g *Gateway) perCharger(w http.ResponseWriter, r *http.Request, ep endpoint
 		passthrough(w, &res)
 		return
 	}
-	if inv := m.inventory.Load(); inv != nil {
-		if c, ok := inv.ByID(id); ok {
-			at, terr := eis.TimeParam(r, "t", g.opts.Clock())
-			if terr != nil {
-				g.writeError(w, http.StatusBadRequest, "%v", terr)
-				return
-			}
-			markDegraded(w, []int{m.index}, 1)
-			g.logf("%s for charger %d served degraded: shard %d down", what, c.ID, m.index)
-			eis.WriteJSONStatus(w, http.StatusOK, synth(c, at))
-			return
-		}
+	c, at, code, err := eis.ChargerAt(r, m.chargers, g.opts.Clock())
+	if err != nil {
+		g.writeError(w, code, "%v", err)
+		return
 	}
-	// Unknown charger on a dead shard: without its inventory the gateway
-	// cannot even confirm existence — an honest 503 beats a guessed 404.
-	g.writeError(w, http.StatusServiceUnavailable, "no shard could serve %s", what)
+	markDegraded(w, []int{m.index}, 1)
+	g.logf("%s for charger %d served degraded: shard %d down", strings.TrimPrefix(endpointPaths[ep], eis.APIVersion+"/"), c.ID, m.index)
+	eis.WriteJSONStatus(w, http.StatusOK, synth(c, at))
 }
 
 // ---- traffic (any-shard pass-through) ----
@@ -404,7 +396,7 @@ func (g *Gateway) handleOffering(w http.ResponseWriter, r *http.Request) {
 	fo.setCall(call{ep: epOffering, body: fo.body})
 	// A one-shot ranking returns to its anchor: one search serves it where
 	// the return leg is the outbound one, on an undirected graph.
-	supplied := g.env != nil && g.env.Graph.Symmetric() && g.supplyTravel(fo, &o)
+	supplied := g.env.Graph.Symmetric() && g.supplyTravel(fo, &o)
 	g.fanout(r.Context(), fo)
 	live, bad, dead := splitResults(fo.results)
 	if bad != nil {
@@ -436,7 +428,7 @@ func (g *Gateway) handleOffering(w http.ResponseWriter, r *http.Request) {
 	}
 	var synth []eis.OfferingEntry
 	for _, i := range dead {
-		synth = synthWithin(synth, g.members[i].inventory.Load(), o.P, o.RadiusM, o.Weights.Normalized())
+		synth = synthWithin(synth, g.members[i].chargers, o.P, o.RadiusM, o.Weights.Normalized())
 	}
 	if len(dead) > 0 {
 		markDegraded(w, dead, len(synth))
@@ -478,7 +470,7 @@ func (g *Gateway) handleTrip(w http.ResponseWriter, r *http.Request) {
 	fo.trip.Depart = t.Depart
 	fo.body = wire.AppendTripRequest(fo.body[:0], &fo.trip)
 	fo.setCall(call{ep: epTrip, body: fo.body})
-	supplied := g.env != nil && g.supplyTrip(r.Context(), fo, &t)
+	supplied := g.supplyTrip(r.Context(), fo, &t)
 	g.fanout(r.Context(), fo)
 	live, bad, dead := splitResults(fo.results)
 	if bad != nil {
@@ -516,14 +508,10 @@ func (g *Gateway) handleTrip(w http.ResponseWriter, r *http.Request) {
 	var synthAt func(geo.Point) []eis.OfferingEntry
 	if len(dead) > 0 {
 		radius, weights := t.RadiusM, t.Weights.Normalized()
-		deadInv := make([]*charger.Set, 0, len(dead))
-		for _, i := range dead {
-			deadInv = append(deadInv, g.members[i].inventory.Load())
-		}
 		synthAt = func(anchor geo.Point) []eis.OfferingEntry {
 			var out []eis.OfferingEntry
-			for _, inv := range deadInv {
-				out = synthWithin(out, inv, anchor, radius, weights)
+			for _, i := range dead {
+				out = synthWithin(out, g.members[i].chargers, anchor, radius, weights)
 			}
 			return out
 		}

@@ -12,9 +12,9 @@ import (
 
 // member is the gateway's view of one shard: its addresses, a circuit
 // breaker fed by both active probes and passive request outcomes, the
-// latest probe verdict, and the shard's charger inventory (pulled on probe
-// success, retained through outages so the merge can synthesize
-// ignorance-bound entries for a dead shard's chargers).
+// latest probe verdict, and the chargers the shard owns — the partition of
+// the gateway's own world (ShardEnv), from which the merge synthesizes
+// ignorance-bound entries while the shard does not answer.
 //
 // Health semantics: the breaker is the fail-fast gate for API traffic. It
 // counts consecutive faults from any source — probe failures keep it
@@ -38,27 +38,24 @@ type member struct {
 	// is hedged immediately) and feeds the status surface.
 	probeOK atomic.Bool
 
-	// inventory is the shard's charger partition, pulled on probe success
-	// and indexed as the shard indexes it. Nil until the first successful
-	// pull.
-	inventory atomic.Pointer[charger.Set]
-	// stale says the inventory is to be pulled at the next probe that
-	// answers: none was pulled yet, the shard failed a probe since (a
-	// restarted shard may own another partition), or the last pull failed.
-	stale atomic.Bool
+	// chargers is the shard's partition of the gateway's world, indexed as
+	// the shard indexes it. It never changes.
+	chargers *charger.Set
 
-	// seen holds the keys fanned out to the shard since its last inventory
-	// pull (travel.go): nil while the gateway may not search on the shard's
-	// behalf — it was given no road world, or the shard stated another — and
-	// empty after each pull, a shard that came back from a failure possibly
-	// having an empty cache.
+	// seen holds the keys fanned out to the shard (travel.go): nil while the
+	// gateway may not search on the shard's behalf — no probe has answered,
+	// or the last one that did stated another world — and empty again at the
+	// first probe that states the gateway's world after a failed one or
+	// after another world, a shard that came back possibly having an empty
+	// cache.
 	seen atomic.Pointer[eis.SeenFilter]
 }
 
-func newMember(index int, s Shard, opts Options) (*member, error) {
+func newMember(index int, s Shard, chargers *charger.Set, opts Options) (*member, error) {
 	m := &member{
-		index:   index,
-		breaker: eis.NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown, opts.Clock),
+		index:    index,
+		breaker:  eis.NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown, opts.Clock),
+		chargers: chargers,
 	}
 	var err error
 	if m.primary, err = newTarget(s.URL); err != nil {
@@ -70,77 +67,44 @@ func newMember(index int, s Shard, opts Options) (*member, error) {
 		}
 	}
 	m.probeOK.Store(true) // optimistic until the first probe says otherwise
-	m.stale.Store(true)
 	return m, nil
 }
 
-// probeTimeout bounds one health probe or inventory pull; probes must stay
-// much cheaper than the per-shard request deadline.
+// probeTimeout bounds one health probe; probes must stay much cheaper than
+// the per-shard request deadline.
 const probeTimeout = 2 * time.Second
 
-// probe runs one active health check against the member and, while its
-// inventory is stale, pulls it from the target that answered. Probe
-// failures count against the breaker; probe successes only update probeOK.
-// A failed pull is not a health event: the inventory stays stale, and the
-// next probe that answers pulls again.
+// probe runs one active health check against the member and reads the road
+// world the answering target states. Probe failures count against the
+// breaker; probe successes only update probeOK and the member's filter.
 func (g *Gateway) probe(ctx context.Context, m *member) {
 	met.probes.Inc()
-	t := m.primary
-	ok := g.probeOnce(ctx, t)
+	ok, world := g.probeOnce(ctx, m.primary)
 	if !ok && m.replica != nil {
 		// A live replica keeps the shard probe-healthy: requests will hedge
 		// to it immediately.
-		t = m.replica
-		ok = g.probeOnce(ctx, t)
+		ok, world = g.probeOnce(ctx, m.replica)
 	}
-	m.probeOK.Store(ok)
-	if !ok {
+	wasOK := m.probeOK.Swap(ok)
+	switch {
+	case !ok:
 		met.probeFailures.Inc()
 		m.breaker.OnFailure()
-		m.stale.Store(true)
-		return
-	}
-	if m.stale.Load() && g.pullInventory(ctx, m, t) {
-		m.stale.Store(false)
+	case world != g.world:
+		m.seen.Store(nil)
+	case !wasOK || m.seen.Load() == nil:
+		m.seen.Store(new(eis.SeenFilter))
 	}
 }
 
-func (g *Gateway) probeOnce(ctx context.Context, t *target) bool {
+// probeOnce probes t and returns whether it answered, and the world it
+// stated (0: none).
+func (g *Gateway) probeOnce(ctx context.Context, t *target) (bool, uint64) {
 	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	res := g.attempt(ctx, t, &call{ep: epHealthz})
 	defer res.release()
-	return res.ok()
-}
-
-// pullInventory fetches the member's charger partition from t, with the
-// road world the shard states beside it, and reports whether it succeeded.
-// An inventory that is not a charger.Set — a charger ID twice — fails it.
-func (g *Gateway) pullInventory(ctx context.Context, m *member, t *target) bool {
-	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
-	defer cancel()
-	res := g.attempt(ctx, t, &call{ep: epInventory})
-	defer res.release()
-	if !res.ok() {
-		return false
-	}
-	inv, err := decodeChargerList(&res)
-	if err != nil {
-		return false
-	}
-	set, err := charger.NewSet(inv)
-	if err != nil {
-		g.logf("shard %d: inventory refused: %v", m.index, err)
-		return false
-	}
-	m.inventory.Store(set)
-	var seen *eis.SeenFilter
-	if g.env != nil && res.header.world == g.world {
-		seen = new(eis.SeenFilter)
-	}
-	m.seen.Store(seen)
-	met.inventoryPulls.Inc()
-	return true
+	return res.ok(), res.header.world
 }
 
 // ProbeAll runs one synchronous probe round over every member and updates
@@ -182,17 +146,16 @@ type ShardStatus struct {
 	Replica   string `json:"replica,omitempty"`
 	ProbeOK   bool   `json:"probe_ok"`
 	Breaker   string `json:"breaker"`
-	Inventory int    `json:"inventory"` // chargers in the cached partition; -1 = never pulled
+	Inventory int    `json:"inventory"` // chargers the shard owns in the gateway's world
+	// Searched says the last probe the shard answered stated the gateway's
+	// world: the gateway searches on its behalf.
+	Searched bool `json:"searched"`
 }
 
 // Status reports the fleet membership view.
 func (g *Gateway) Status() []ShardStatus {
 	out := make([]ShardStatus, len(g.members))
 	for i, m := range g.members {
-		n := -1
-		if inv := m.inventory.Load(); inv != nil {
-			n = inv.Len()
-		}
 		replica := ""
 		if m.replica != nil {
 			replica = m.replica.base
@@ -203,7 +166,8 @@ func (g *Gateway) Status() []ShardStatus {
 			Replica:   replica,
 			ProbeOK:   m.probeOK.Load(),
 			Breaker:   m.breaker.State(),
-			Inventory: n,
+			Inventory: m.chargers.Len(),
+			Searched:  m.seen.Load() != nil,
 		}
 	}
 	return out

@@ -1,100 +1,96 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"net/http"
-	"slices"
-	"strings"
-	"sync/atomic"
+	"net/http/httptest"
 	"testing"
 
 	"ecocharge/internal/eis"
-	"ecocharge/internal/wire"
 )
 
-// TestFleetProbeRepullsAfterFailedPull: a shard comes back from a failure
-// owning another partition, and the pull after its first healthy probe
-// fails. The gateway pulls again at the next healthy probe, and at every
-// one after until a pull succeeds — it does not keep the pre-restart
-// inventory until some later probe fails.
-func TestFleetProbeRepullsAfterFailedPull(t *testing.T) {
+// TestFleetStatusStatesPartitionAndSearch: /fleet/status names each shard's
+// partition of the gateway's world from the start, and whether the last
+// probe the shard answered stated that world — searched only once a probe
+// has, and no longer once the shard states another.
+func TestFleetStatusStatesPartitionAndSearch(t *testing.T) {
 	world := testEnv(t)
 	envs := shardEnvs(t, world, 3)
-	f := newFleetOver(t, envs, Options{})
-	restarted := envs[1] // the partition shard 0 owns after its restart
-	if got := f.gw.Status()[0].Inventory; got != envs[0].Chargers.Len() || got == restarted.Chargers.Len() {
-		t.Fatalf("shard 0 holds %d chargers before the restart; the test wants %d, and not %d", got, envs[0].Chargers.Len(), restarted.Chargers.Len())
+	shards := make([]Shard, len(envs))
+	for i, env := range envs {
+		ts := httptest.NewServer(eis.NewServer(env, eis.ServerOptions{}).Handler())
+		t.Cleanup(ts.Close)
+		shards[i].URL = ts.URL
 	}
-	ctx := context.Background()
-
-	f.shards[0].set(shardDown)
-	f.gw.ProbeAll(ctx)
-
-	var pulls atomic.Int64
-	var pullsFail atomic.Bool
-	pullsFail.Store(true)
-	serve := eis.NewServer(restarted, eis.ServerOptions{}).Handler()
-	f.shards[0].set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasSuffix(r.URL.Path, "/inventory") {
-			pulls.Add(1)
-			if pullsFail.Load() {
-				w.WriteHeader(http.StatusInternalServerError)
-				return
+	foreign := httptest.NewServer(eis.NewServer(selfSearching(envs[2]), eis.ServerOptions{}).Handler())
+	t.Cleanup(foreign.Close)
+	shards[2].URL = foreign.URL
+	gw, err := NewGateway(shards, world, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string, searched ...bool) {
+		t.Helper()
+		for i, st := range gw.Status() {
+			if st.Inventory != envs[i].Chargers.Len() || st.Searched != searched[i] {
+				t.Fatalf("%s: shard %d status %+v, want inventory %d, searched %v", when, i, st, envs[i].Chargers.Len(), searched[i])
 			}
 		}
-		serve.ServeHTTP(w, r)
-	}))
-	f.gw.ProbeAll(ctx)
-	if n := pulls.Load(); n != 1 {
-		t.Fatalf("the first healthy probe after the failure pulled %d times, want 1", n)
 	}
-	if st := f.gw.Status()[0]; !st.ProbeOK || st.Inventory != envs[0].Chargers.Len() {
-		t.Fatalf("after a failed pull: %+v, want probe-healthy on the inventory held", st)
-	}
-
-	f.gw.ProbeAll(ctx) // the pull fails again: the inventory stays stale
-	pullsFail.Store(false)
-	f.gw.ProbeAll(ctx)
-	f.gw.ProbeAll(ctx)
-	if n := pulls.Load(); n != 3 {
-		t.Fatalf("%d pulls over four healthy probes with two failing pulls, want 3: every probe pulls until one succeeds, none after", n)
-	}
-	if got := f.gw.Status()[0].Inventory; got != restarted.Chargers.Len() {
-		t.Fatalf("shard 0's inventory holds %d chargers, the restarted shard owns %d", got, restarted.Chargers.Len())
-	}
+	check("before any probe", false, false, false)
+	gw.ProbeAll(context.Background())
+	check("after a probe", true, true, false)
 }
 
-// TestFleetRefusesInventoryWithRepeatedID: a shard whose inventory lists a
-// charger twice is outside input no charger.Set holds. The pull fails, the
-// member keeps the inventory it held and stays stale, and the next healthy
-// probe pulls again.
-func TestFleetRefusesInventoryWithRepeatedID(t *testing.T) {
+// TestFleetProbeStatesTheWorld: shard 0 restarts into another road world
+// between two probes, neither of which fails. The next probe reads the world
+// it states, and the gateway stops searching for it: shard 0 searches for
+// itself, and the answer is still a single EIS's. Back on the gateway's
+// world, the next probe starts the search for it again.
+func TestFleetProbeStatesTheWorld(t *testing.T) {
 	world := testEnv(t)
 	envs := shardEnvs(t, world, 3)
-	f := newFleetOver(t, envs, Options{})
-	ctx := context.Background()
-	held := envs[0].Chargers.Len()
-
-	f.shards[0].set(shardDown)
-	f.gw.ProbeAll(ctx)
-
-	var pulls atomic.Int64
-	repeated := append(slices.Clone(envs[1].Chargers.All()), envs[1].Chargers.All()[0])
-	serve := eis.NewServer(envs[1], eis.ServerOptions{}).Handler()
-	f.shards[0].set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !strings.HasSuffix(r.URL.Path, "/inventory") {
-			serve.ServeHTTP(w, r)
-			return
-		}
-		pulls.Add(1)
-		eis.WriteBody(w, http.StatusOK, wire.ContentType, wire.AppendChargers(nil, repeated))
-	}))
-	f.gw.ProbeAll(ctx)
-	f.gw.ProbeAll(ctx)
-	if n := pulls.Load(); n != 2 {
-		t.Fatalf("two healthy probes pulled %d times, want 2: a refused inventory leaves the member stale", n)
+	f := newTravelFleet(t, envs, world)
+	single := httptest.NewServer(eis.NewServer(world, eis.ServerOptions{}).Handler())
+	t.Cleanup(single.Close)
+	ref := &travelFleet{url: single.URL}
+	otherRoads := longArcTwin(world, true)
+	if !otherRoads.Graph.Symmetric() || otherRoads.RoadWorld() == world.RoadWorld() {
+		t.Fatal("the twin is not an undirected graph of another road world")
 	}
-	if st := f.gw.Status()[0]; !st.ProbeOK || st.Inventory != held {
-		t.Fatalf("after pulling %d chargers with a repeated ID: %+v, want probe-healthy on the %d chargers held", len(repeated), st, held)
+	foreign := eis.NewServer(shardEnvs(t, otherRoads, 3)[0], eis.ServerOptions{}).Handler()
+	ctx := context.Background()
+
+	center := world.Graph.Bounds().Center()
+	// Each step asks a key of its own, a miss on every shard.
+	for i, step := range []struct {
+		name              string
+		shard0            http.Handler
+		searches, blocks  uint64
+		searched0, probed bool
+	}{
+		{"the shards' world", nil, 1, 3, true, false},
+		{"shard 0 on other roads", foreign, 2, 2, false, true},
+		{"shard 0 back", eis.NewServer(envs[0], eis.ServerOptions{}).Handler(), 1, 3, true, true},
+	} {
+		if step.shard0 != nil {
+			f.shards[0].set(step.shard0)
+		}
+		if step.probed {
+			f.gw.ProbeAll(ctx)
+		}
+		if st := f.gw.Status()[0]; !st.ProbeOK || st.Searched != step.searched0 {
+			t.Fatalf("%s: shard 0 status %+v, want searched %v", step.name, st, step.searched0)
+		}
+		req := eis.OfferingRequest{Lat: center.Lat, Lon: center.Lon, K: 5 + i, Weights: eis.WeightsJSON{L: 3, A: 1, D: 1}, Now: fixedNow}
+		s0, b0 := kernelSearches(), met.travelSupplied.Value()
+		got := f.post(t, &req, true)
+		if s, b := kernelSearches()-s0, met.travelSupplied.Value()-b0; s != step.searches || b != step.blocks {
+			t.Fatalf("%s: %d expansions and %d blocks, want %d and %d", step.name, s, b, step.searches, step.blocks)
+		}
+		if want := ref.post(t, &req, true); !bytes.Equal(got, want) {
+			t.Fatalf("%s: the fleet differs from a single EIS\nfleet:  %.300s\nsingle: %.300s", step.name, got, want)
+		}
 	}
 }

@@ -266,9 +266,9 @@ func warmMissFleet(tb testing.TB) *missFleet {
 	tb.Helper()
 	f := newMissFleet(tb, load.InprocOptions{})
 	supplied := obs.Default().Counter("fleet_travel_supplied_total")
-	// The gateway searches for a shard once it has pulled its inventory,
-	// and it pulls them one after the other: wait for a ranking that went
-	// out with a block for each of the three.
+	// The gateway searches for a shard once a probe has read its world, and
+	// it probes them one after the other: wait for a ranking that went out
+	// with a block for each of the three.
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
 		s0 := supplied.Value()
 		if f.rank(tb); supplied.Value()-s0 == 3 {

@@ -60,8 +60,8 @@ func (s *selection) add(es []eis.OfferingEntry) {
 
 // top appends to dst the k best pooled entries under the SC_max chain, in
 // the SC-midpoint chain, and returns nil when there is none. Shard
-// partitions are disjoint, but a stale inventory after a repartition could
-// collide a synthesized entry with a live one: of the entries of one
+// partitions are disjoint, but a shard started on another partition than its
+// index names could collide a live entry with a synthesized one: of the entries of one
 // charger the first live one (no shard bit) stands for it, the first one
 // when none is live.
 func (s *selection) top(dst []eis.OfferingEntry, k int) []eis.OfferingEntry {
@@ -133,13 +133,10 @@ func synthEntry(c charger.Charger, w cknn.Weights) eis.OfferingEntry {
 	}
 }
 
-// synthWithin appends to dst the ignorance-bound entries of the chargers of
-// a dead shard's inventory (nil: never pulled) within radiusM of p.
-func synthWithin(dst []eis.OfferingEntry, inv *charger.Set, p geo.Point, radiusM float64, w cknn.Weights) []eis.OfferingEntry {
-	if inv == nil {
-		return dst
-	}
-	for _, c := range inv.Within(p, radiusM) {
+// synthWithin appends to dst the ignorance-bound entries of a dead shard's
+// chargers within radiusM of p.
+func synthWithin(dst []eis.OfferingEntry, chargers *charger.Set, p geo.Point, radiusM float64, w cknn.Weights) []eis.OfferingEntry {
+	for _, c := range chargers.Within(p, radiusM) {
 		dst = append(dst, synthEntry(*c, w))
 	}
 	return dst
@@ -266,9 +263,9 @@ func (fo *fanout) mergeTrips(synthAt func(anchor geo.Point) []eis.OfferingEntry,
 	return nil
 }
 
-// mergeChargers pools per-shard radius results (plus dead-shard inventory
-// matches) into the single-EIS order: geodesic distance ascending, ties by
-// charger ID.
+// mergeChargers pools per-shard radius results (plus a dead shard's chargers
+// in the radius) into the single-EIS order: geodesic distance ascending,
+// ties by charger ID.
 func mergeChargers(lists [][]charger.Charger, p geo.Point) []charger.Charger {
 	out := make([]charger.Charger, 0)
 	for _, l := range lists {

@@ -26,7 +26,6 @@ type fleetMetrics struct {
 	// Probing and membership.
 	probes          *obs.Counter
 	probeFailures   *obs.Counter
-	inventoryPulls  *obs.Counter
 	shardsUnhealthy *obs.Gauge
 
 	// Degraded merges: responses that widened at least one shard to the
@@ -65,7 +64,6 @@ func newFleetMetrics(r *obs.Registry) *fleetMetrics {
 
 		probes:          r.Counter("gateway_probes_total"),
 		probeFailures:   r.Counter("gateway_probe_failures_total"),
-		inventoryPulls:  r.Counter("gateway_inventory_pulls_total"),
 		shardsUnhealthy: r.Gauge("gateway_shards_unhealthy"),
 
 		degradedMerges:  r.Counter("gateway_degraded_merges_total"),

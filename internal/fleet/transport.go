@@ -398,7 +398,7 @@ func (t *shardTransport) put(pc *shardConn) {
 
 // answerHeader is what the gateway reads of a shard answer's header: the
 // body's length, whether the shard closes the connection, the two fields
-// passthrough relays, and the road world an /inventory answer states
+// passthrough relays, and the road world a /healthz answer states
 // (eis.HeaderRoadWorld). Every other field is skipped.
 type answerHeader struct {
 	contentLength int64 // -1: none declared
@@ -481,7 +481,7 @@ func readHeader(br *bufio.Reader) (h answerHeader, err error) {
 			h.retryAfter = known(value, eis.RetryAfter)
 		case fieldIs(key, eis.HeaderRoadWorld):
 			// A world that does not parse reads 0, no world: the gateway
-			// then searches for nobody (pullInventory).
+			// then does not search for the shard (probe).
 			h.world, _ = strconv.ParseUint(string(value), 16, 64)
 		}
 	}
@@ -537,7 +537,8 @@ func readFull(br *bufio.Reader, buf *wire.Buffer, n int) error {
 }
 
 // firstGrowth is what a declared length may reserve before its bytes arrive,
-// enough to read an inventory pull (444 KB for an Oldenburg shard) at once.
+// enough to read a /chargers answer over a whole shard (444 KB for an
+// Oldenburg shard) at once.
 const firstGrowth = 1 << 20
 
 // hasToken reports whether a comma-separated header value holds token.

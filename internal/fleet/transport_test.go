@@ -167,7 +167,7 @@ func TestFleetTransportChunkedBody(t *testing.T) {
 	})
 	tr := newShardTransport()
 	for i := 0; i < 3; i++ {
-		status, header, body, err := hopTo(context.Background(), tr, srv.URL, call{ep: epInventory})
+		status, header, body, err := hopTo(context.Background(), tr, srv.URL, call{ep: epChargers})
 		if err != nil || status != http.StatusOK || body != strings.Repeat("a", 5000)+"tail" {
 			t.Fatalf("body in parts %d: %d, %d bytes, %v", i, status, len(body), err)
 		}
@@ -218,7 +218,7 @@ func TestFleetTransportRefusesUnframedAnswers(t *testing.T) {
 			tr := newShardTransport()
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			defer cancel()
-			_, _, body, err := hopTo(ctx, tr, url, call{ep: epInventory})
+			_, _, body, err := hopTo(ctx, tr, url, call{ep: epChargers})
 			if err == nil || !strings.Contains(err.Error(), "malformed shard answer") {
 				t.Fatalf("the answer gave %q, %v; want a malformed shard answer", body, err)
 			}
@@ -271,7 +271,7 @@ func TestFleetTransportOversizedBody(t *testing.T) {
 		w.Header().Set("Content-Length", "33554433") // maxShardResponseBytes + 1
 		_, _ = w.Write(make([]byte, 1<<10))
 	})
-	g, err := NewGateway([]Shard{{URL: srv.URL}}, Options{})
+	g, err := NewGateway([]Shard{{URL: srv.URL}}, testEnv(t), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestFleetTransportOversizedBody(t *testing.T) {
 		t.Fatalf("the test's Content-Length is not one over the limit of %d", maxShardResponseBytes)
 	}
 	ctx := context.Background()
-	res := g.attempt(ctx, g.members[0].primary, &call{ep: epInventory})
+	res := g.attempt(ctx, g.members[0].primary, &call{ep: epChargers})
 	if res.err == nil || !strings.Contains(res.err.Error(), "exceeds") {
 		t.Fatalf("an oversized answer gave %v", res.err)
 	}
@@ -350,7 +350,7 @@ func TestFleetTransportCancelMidBody(t *testing.T) {
 func TestFleetTransportDeadline(t *testing.T) {
 	release := make(chan struct{})
 	srv := newCountingServer(t, func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == endpointPaths[epInventory] {
+		if r.URL.Path == endpointPaths[epWeather] {
 			w.Header().Set("Content-Length", "8")
 			_, _ = w.Write([]byte("part"))
 			w.(http.Flusher).Flush()
@@ -363,7 +363,7 @@ func TestFleetTransportDeadline(t *testing.T) {
 	defer close(release)
 	tr := newShardTransport()
 	const timeout = 50 * time.Millisecond
-	for _, ep := range []endpoint{epOffering, epInventory} {
+	for _, ep := range []endpoint{epOffering, epWeather} {
 		path := endpointPaths[ep]
 		ctx, cancel := context.WithTimeout(context.Background(), timeout)
 		start := time.Now()
@@ -400,7 +400,7 @@ func TestFleetTransportReadsWhatArrivedPastDeadline(t *testing.T) {
 			w.Header().Set("Content-Length", strconv.Itoa(len(large)))
 			_, _ = w.Write([]byte(large))
 			return
-		case endpointPaths[epInventory]:
+		case endpointPaths[epWeather]:
 			w.Header().Set("Content-Length", "8")
 			_, _ = w.Write([]byte("part"))
 			w.(http.Flusher).Flush()
@@ -419,7 +419,7 @@ func TestFleetTransportReadsWhatArrivedPastDeadline(t *testing.T) {
 	for _, tc := range []struct {
 		ep   endpoint
 		want string // the body; "" for an answer that fails
-	}{{epHealthz, "ok"}, {epChargers, large}, {epInventory, ""}, {epOffering, ""}} {
+	}{{epHealthz, "ok"}, {epChargers, large}, {epWeather, ""}, {epOffering, ""}} {
 		c := call{ep: tc.ep}
 		x := exchange{ctx: context.Background(), deadline: time.Now().Add(100 * time.Millisecond), t: tg, c: &c, buf: wire.GetBuffer()}
 		if err := tr.send(&x); err != nil {
@@ -578,7 +578,7 @@ func FuzzShardAnswer(f *testing.F) {
 }
 
 // TestFleetTransportReadFullSizesOnce: a body of declared length is read into
-// one buffer of that length, not grown by doubling — a 444 KB inventory pull
+// one buffer of that length, not grown by doubling — a 444 KB answer
 // allocated 1.6 MB so — and a length declared and not sent costs at most
 // what arrived, or firstGrowth.
 func TestFleetTransportReadFullSizesOnce(t *testing.T) {
@@ -605,11 +605,11 @@ func TestFleetTransportReadFullSizesOnce(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return (after.TotalAlloc - before.TotalAlloc) / runs
 	}
-	inventory := bytes.Repeat([]byte{0xEC}, 444<<10)
-	if got, want := allocated(inventory, len(inventory)), uint64(len(inventory)); got > want+want/16 {
+	body := bytes.Repeat([]byte{0xEC}, 444<<10)
+	if got, want := allocated(body, len(body)), uint64(len(body)); got > want+want/16 {
 		t.Errorf("a %d B body allocates %d B to read", want, got)
 	}
-	if got := allocated(inventory[:10<<10], int(maxShardResponseBytes)); got > firstGrowth+firstGrowth/16 {
+	if got := allocated(body[:10<<10], int(maxShardResponseBytes)); got > firstGrowth+firstGrowth/16 {
 		t.Errorf("a declared %d B body of which 10 KB arrive allocates %d B to read", maxShardResponseBytes, got)
 	}
 }

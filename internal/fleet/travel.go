@@ -23,17 +23,17 @@ import (
 // builds its derouting maps from the block instead of searching
 // (cknn.RankOnceSupplied) and the tables come out bit-identical.
 //
-// Everything the gateway holds for this but the road world is soft state — the
-// inventories are re-learned from the shards, the filter of the keys sent
-// (member.seen) from the requests, and the key the filter runs on is the one
-// the shards' caches file by (eis.Offering.KeyHash) — and none of it is a
-// correctness input. The world is one: the shards' own, rebuilt from the same
-// flags, which each shard states with its inventory and the gateway checks. A
-// shard that hits its cache ignores the block; a shard that misses without one
-// (the filter said "seen" of a key the shard declined to keep or lost, a
-// directed graph, no inventory yet) searches for itself as it always did; a
-// shard that finds the block short of a candidate (a stale inventory here) or
-// malformed discards it and searches for itself. A wrong guess costs a search
+// The world is one: the shards' own, rebuilt from the same flags, which each
+// shard states at every probe and the gateway checks; each shard's
+// candidates are its partition of that world (member.chargers). The filter
+// of the keys sent (member.seen) is soft state, re-learned from the requests
+// on the key the shards' caches file by (eis.Offering.KeyHash), and not a
+// correctness input. A shard that hits its cache ignores the block; a shard
+// that misses without one (the filter said "seen" of a key the shard
+// declined to keep or lost, a directed graph, a world not yet stated)
+// searches for itself as it always did; a shard that finds the block short of
+// a candidate (it holds a charger the gateway's world lacks) or malformed
+// discards it and searches for itself. A wrong guess costs a search
 // somewhere, never a table.
 //
 // A trip is the same hand-over along a route (supplyTrip): the gateway plans
@@ -44,7 +44,7 @@ import (
 
 // appendTargets appends to fo.targets the road nodes of set's chargers
 // within radius meters of p, one per charger: the shard's candidates
-// (charger.Set.WithinInto), from the inventory it was pulled with.
+// (charger.Set.WithinInto), from its partition of the gateway's world.
 func (fo *fanout) appendTargets(set *charger.Set, p geo.Point, radius float64) {
 	for _, c := range set.WithinInto(&fo.cands, p, radius) {
 		fo.targets = append(fo.targets, c.Node)
@@ -71,7 +71,7 @@ func (g *Gateway) supplyTravel(fo *fanout, o *eis.Offering) bool {
 				return false
 			}
 		}
-		fo.appendTargets(m.inventory.Load(), o.P, o.RadiusM)
+		fo.appendTargets(m.chargers, o.P, o.RadiusM)
 		fo.spans = append(fo.spans, span{start, len(fo.targets), true})
 	}
 	if len(fo.targets) == 0 {
@@ -105,7 +105,7 @@ func (g *Gateway) supplyTrip(ctx context.Context, fo *fanout, t *eis.TripOfferin
 	for _, m := range g.members {
 		var set *charger.Set
 		if m.seen.Load() != nil {
-			set = m.inventory.Load()
+			set = m.chargers
 		}
 		fo.sets = append(fo.sets, set)
 		some = some || set != nil

@@ -1,11 +1,11 @@
 package fleet
 
 // The fleet's one road search (travel.go), held to the fleet that searches
-// shard by shard: a gateway with the road world and one without must serve
-// the same bytes on both planes while the kernel's counters show one
-// expansion against three, and every way the gateway's guess can be wrong
-// — a directed graph, a stale inventory, a filter that remembers what a
-// shard forgot — must leave the answer alone.
+// shard by shard: a gateway on the shards' road world and one on another
+// world must serve the same bytes on both planes while the kernel's counters
+// show one expansion against three, and every way the gateway's guess can be
+// wrong — a directed graph, a world a charger short, a filter that remembers
+// what a shard forgot — must leave the answer alone.
 
 import (
 	"bytes"
@@ -34,8 +34,8 @@ import (
 )
 
 // swapHandler serves whatever handler it currently holds: a shard that can
-// be restarted (an empty cache) or re-stocked (another inventory) under a
-// gateway that keeps its address.
+// be restarted (an empty cache) or into another world under a gateway that
+// keeps its address.
 type swapHandler struct{ h atomic.Pointer[http.Handler] }
 
 func (s *swapHandler) set(h http.Handler) { s.h.Store(&h) }
@@ -51,15 +51,15 @@ type travelFleet struct {
 }
 
 // newTravelFleet starts shard servers over envs (in shard order) and a
-// gateway over them that holds world (nil: graph-free), inventories pulled.
+// gateway over them on world, probed once.
 func newTravelFleet(t *testing.T, envs []*cknn.Env, world *cknn.Env) *travelFleet {
 	t.Helper()
-	return newFleetOver(t, envs, Options{Env: world})
+	return newFleetOver(t, envs, world, Options{})
 }
 
 // newFleetOver is newTravelFleet under the gateway options given; the shards
 // run on the gateway's clock.
-func newFleetOver(t *testing.T, envs []*cknn.Env, opts Options) *travelFleet {
+func newFleetOver(t *testing.T, envs []*cknn.Env, world *cknn.Env, opts Options) *travelFleet {
 	t.Helper()
 	f := &travelFleet{}
 	shards := make([]Shard, len(envs))
@@ -71,7 +71,7 @@ func newFleetOver(t *testing.T, envs []*cknn.Env, opts Options) *travelFleet {
 		shards[i].URL = ts.URL
 		f.shards = append(f.shards, sh)
 	}
-	gw, err := NewGateway(shards, opts)
+	gw, err := NewGateway(shards, world, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,6 +80,17 @@ func newFleetOver(t *testing.T, envs []*cknn.Env, opts Options) *travelFleet {
 	t.Cleanup(ts.Close)
 	f.gw, f.url = gw, ts.URL
 	return f
+}
+
+// selfSearching is world under another traffic severity: the same chargers
+// and graph, but a road world no shard of world states. A gateway on it
+// searches for none of them, and each shard searches for itself.
+func selfSearching(world *cknn.Env) *cknn.Env {
+	other := *world
+	tm := *world.Traffic
+	tm.PeakSeverity += 0.125
+	other.Traffic = &tm
+	return &other
 }
 
 func shardEnvs(t *testing.T, world *cknn.Env, n int) []*cknn.Env {
@@ -199,7 +210,7 @@ func TestFleetTravelOneSearchPerRanking(t *testing.T) {
 	}
 	world := sc.Env
 	with := newTravelFleet(t, shardEnvs(t, world, 3), world)
-	without := newTravelFleet(t, shardEnvs(t, world, 3), nil)
+	without := newTravelFleet(t, shardEnvs(t, world, 3), selfSearching(world))
 	const n = 24
 	one, three, supplied := compareFleets(t, world, with, without, sc.Start, n)
 	if one != n || three != 3*n || supplied != 3*n {
@@ -210,7 +221,7 @@ func TestFleetTravelOneSearchPerRanking(t *testing.T) {
 
 // TestFleetTravelConcurrentMisses: personalised rankings sent side by side
 // through a fleet whose gateway searches for its shards each get the table a
-// graph-free fleet gives. A shard reads its block where it arrived, in the
+// fleet whose shards search for themselves gives. A shard reads its block where it arrived, in the
 // request's pooled buffer, which must not go back to the pool — and to the
 // next request — before the ranking that reads it is done; under -race a
 // buffer given back early is a reported race or a table from another
@@ -218,7 +229,7 @@ func TestFleetTravelOneSearchPerRanking(t *testing.T) {
 func TestFleetTravelConcurrentMisses(t *testing.T) {
 	world := testEnv(t)
 	with := newTravelFleet(t, shardEnvs(t, world, 3), world)
-	without := newTravelFleet(t, shardEnvs(t, world, 3), nil)
+	without := newTravelFleet(t, shardEnvs(t, world, 3), selfSearching(world))
 	const workers, each = 4, 8
 	rng := rand.New(rand.NewSource(23))
 	var bodies, want [][]byte
@@ -269,7 +280,7 @@ func TestFleetTravelConcurrentMisses(t *testing.T) {
 func TestFleetSuppliesWhatItResolved(t *testing.T) {
 	world := testEnv(t)
 	clock := func() time.Time { return fixedNow }
-	f := newFleetOver(t, shardEnvs(t, world, 3), Options{Env: world, Clock: clock})
+	f := newFleetOver(t, shardEnvs(t, world, 3), world, Options{Clock: clock})
 	single := httptest.NewServer(eis.NewServer(world, eis.ServerOptions{Clock: clock}).Handler())
 	t.Cleanup(single.Close)
 	same := func(what, pathq string, body []byte, counter string) {
@@ -301,8 +312,19 @@ func TestFleetSuppliesWhatItResolved(t *testing.T) {
 // is no longer symmetric.
 func oneWayTwin(t *testing.T, world *cknn.Env) *cknn.Env {
 	t.Helper()
+	twin := longArcTwin(world, false)
+	if twin.Graph.Symmetric() {
+		t.Fatal("a graph with a one-way arc reports Symmetric")
+	}
+	return twin
+}
+
+// longArcTwin is world on the same road graph plus one arc, one way or both,
+// far too long to lie on a shortest path: every table is world's, but the
+// RoadWorld is another.
+func longArcTwin(world *cknn.Env, bothWays bool) *cknn.Env {
 	g := world.Graph
-	out := roadnet.NewGraph(g.NumNodes(), g.NumEdges()+1)
+	out := roadnet.NewGraph(g.NumNodes(), g.NumEdges()+2)
 	for n := 0; n < g.NumNodes(); n++ {
 		out.AddNode(g.Node(roadnet.NodeID(n)).P)
 	}
@@ -311,10 +333,10 @@ func oneWayTwin(t *testing.T, world *cknn.Env) *cknn.Env {
 		out.AddEdge(e.From, e.To, e.Length, e.Class)
 	}
 	out.AddEdge(edges[0].From, edges[0].To, 1e12, edges[0].Class)
-	out.Freeze()
-	if out.Symmetric() {
-		t.Fatal("a graph with a one-way arc reports Symmetric")
+	if bothWays {
+		out.AddEdge(edges[0].To, edges[0].From, 1e12, edges[0].Class)
 	}
+	out.Freeze()
 	twin := *world
 	twin.Graph = out
 	return &twin
@@ -327,7 +349,7 @@ func oneWayTwin(t *testing.T, world *cknn.Env) *cknn.Env {
 func TestFleetTravelDirectedGraphDeclines(t *testing.T) {
 	world := oneWayTwin(t, testEnv(t))
 	with := newTravelFleet(t, shardEnvs(t, world, 3), world)
-	without := newTravelFleet(t, shardEnvs(t, world, 3), nil)
+	without := newTravelFleet(t, shardEnvs(t, world, 3), selfSearching(world))
 	const n = 8
 	a, b, supplied := compareFleets(t, world, with, without, fixedNow, n)
 	if a != 6*n || b != 6*n || supplied != 0 {
@@ -345,7 +367,7 @@ func TestFleetTravelWorldMismatchDeclines(t *testing.T) {
 	tm.Seed++
 	other.Traffic = &tm
 	with := newTravelFleet(t, shardEnvs(t, world, 3), &other)
-	without := newTravelFleet(t, shardEnvs(t, world, 3), nil)
+	without := newTravelFleet(t, shardEnvs(t, world, 3), selfSearching(world))
 	const n = 6
 	a, b, supplied := compareFleets(t, world, with, without, fixedNow, n)
 	if a != 3*n || b != 3*n || supplied != 0 {
@@ -353,38 +375,49 @@ func TestFleetTravelWorldMismatchDeclines(t *testing.T) {
 	}
 }
 
-// TestFleetTravelStaleInventory: shard 0 gains a charger after the gateway
-// pulled its inventory. The block does not cover it, so shard 0 discards the
-// block and searches for itself while the others build on theirs; the answer
-// is the one a single EIS over the new inventory gives.
-func TestFleetTravelStaleInventory(t *testing.T) {
-	world := testEnv(t)
-	envs := shardEnvs(t, world, 3)
-	// The world before: shard 0 is one charger short.
-	// The late charger is alone on its node: coverage goes by node, and a
-	// neighbour of the same site would cover for it.
-	own := envs[0].Chargers.All()
+// oneShort is world without one charger of shard 0 (own: its partition of
+// three), one alone on its node — coverage goes by node, and a neighbour of
+// the same site would cover for it: the world of a gateway started before
+// the charger arrived. RoadWorld hashes only the graph and the traffic
+// model, so the shards of world state the world of the gateway on it.
+func oneShort(t *testing.T, world, own *cknn.Env) (*cknn.Env, charger.Charger) {
+	t.Helper()
 	sites := make(map[roadnet.NodeID]int)
 	for _, c := range world.Chargers.All() {
 		sites[c.Node]++
 	}
 	var late charger.Charger
-	var rest []charger.Charger
-	for _, c := range own {
-		if late.ID == 0 && sites[c.Node] == 1 {
+	for _, c := range own.Chargers.All() {
+		if sites[c.Node] == 1 {
 			late = c
-		} else {
+			break
+		}
+	}
+	var rest []charger.Charger
+	for _, c := range world.Chargers.All() {
+		if c.ID != late.ID {
 			rest = append(rest, c)
 		}
 	}
-	before, err := charger.NewSet(rest)
+	set, err := charger.NewSet(rest)
 	if err != nil || late.ID == 0 {
 		t.Fatalf("no charger of shard 0 is alone on its node (%v)", err)
 	}
-	short := *envs[0]
-	short.Chargers = before
-	f := newTravelFleet(t, []*cknn.Env{&short, envs[1], envs[2]}, world)
-	f.shards[0].set(eis.NewServer(envs[0], eis.ServerOptions{}).Handler()) // the charger arrives
+	short := *world
+	short.Chargers = set
+	return &short, late
+}
+
+// TestFleetTravelStaleInventory: the gateway's world is a charger short of
+// shard 0's. It searches for shard 0 all the same, and the block does not
+// cover the charger, so shard 0 discards the block and searches for itself
+// while the others build on theirs; the answer is the one a single EIS over
+// the shards' world gives.
+func TestFleetTravelStaleInventory(t *testing.T) {
+	world := testEnv(t)
+	envs := shardEnvs(t, world, 3)
+	short, late := oneShort(t, world, envs[0])
+	f := newTravelFleet(t, envs, short)
 
 	single := httptest.NewServer(eis.NewServer(world, eis.ServerOptions{}).Handler())
 	t.Cleanup(single.Close)
@@ -436,8 +469,10 @@ func TestFleetTravelFilterFalseSeen(t *testing.T) {
 	if s, b := kernelSearches()-s0, met.travelSupplied.Value()-b0; s != 1 || b != 3 {
 		t.Fatalf("first request: %d expansions and %d blocks, want 1 and 3", s, b)
 	}
+	restarted := make([]http.Handler, len(envs))
 	for i, sh := range f.shards {
-		sh.set(eis.NewServer(envs[i], eis.ServerOptions{}).Handler())
+		restarted[i] = eis.NewServer(envs[i], eis.ServerOptions{}).Handler()
+		sh.set(restarted[i])
 	}
 	s0, b0 = kernelSearches(), met.travelSupplied.Value()
 	again := f.post(t, &req, true)
@@ -448,10 +483,13 @@ func TestFleetTravelFilterFalseSeen(t *testing.T) {
 		t.Fatalf("the answer changed when the shards searched for themselves\nfirst: %.300s\nagain: %.300s", first, again)
 	}
 
-	// A wasted block is counted: the filter forgets (a fresh pull), the
-	// shards have not.
-	f.gw.members[0].stale.Store(true) // the next probe re-pulls shard 0
-	f.gw.ProbeAll(context.Background())
+	// A wasted block is counted: the filter forgets shard 0 (a failed probe,
+	// then one that states the gateway's world), the shard has not.
+	ctx := context.Background()
+	f.shards[0].set(shardDown)
+	f.gw.ProbeAll(ctx)
+	f.shards[0].set(restarted[0])
+	f.gw.ProbeAll(ctx)
 	w0 := met.travelWasted.Value()
 	if hit := f.post(t, &req, true); bytes.Equal(hit, again) {
 		t.Fatal("the repeat was not served from the shards' caches")
@@ -535,7 +573,7 @@ func TestFleetTravelFullCachesDecline(t *testing.T) {
 }
 
 // TestFleetTravelBlockIsNotTheClientsToSend: a travel block in a client's
-// request is a 400 at the gateway, with or without the road world, and
+// request is a 400 at the gateway, on the shards' road world or another, and
 // reaches no shard.
 func TestFleetTravelBlockIsNotTheClientsToSend(t *testing.T) {
 	world := testEnv(t)
@@ -543,7 +581,7 @@ func TestFleetTravelBlockIsNotTheClientsToSend(t *testing.T) {
 	req := eis.OfferingRequest{Lat: center.Lat, Lon: center.Lon, Now: fixedNow}
 	body := wire.AppendTravelBlock(wire.AppendOfferingRequest(nil, &req), &wire.TravelBlock{ScaleLo: 1, ScaleHi: 1},
 		[]roadnet.NodeID{0}, []float64{0}, nil)
-	for name, env := range map[string]*cknn.Env{"graph-free": nil, "with the world": world} {
+	for name, env := range map[string]*cknn.Env{"another world": selfSearching(world), "the shards' world": world} {
 		f := newTravelFleet(t, shardEnvs(t, world, 3), env)
 		sent := met.shardRequests.Value()
 		hr, err := http.NewRequest(http.MethodPost, f.url+eis.APIVersion+"/offering", bytes.NewReader(body))
@@ -649,9 +687,10 @@ func computedSegments(t *testing.T, body []byte) (computed, entries int) {
 	return computed, entries
 }
 
-// compareTripFleets sends the trips to a fleet whose gateway holds the road
-// world and to one that does not, requires the same bytes from both, and
-// returns what each moved, and the computed segments.
+// compareTripFleets sends the trips to a fleet whose gateway holds the
+// shards' road world and to one whose gateway holds another, requires the
+// same bytes from both, and returns what each moved, and the computed
+// segments.
 func compareTripFleets(t *testing.T, with, without *travelFleet, bodies [][]byte) (a, b tripCounts, computed int) {
 	t.Helper()
 	entries := 0
@@ -686,7 +725,7 @@ func TestFleetTripOneSearchPerSegment(t *testing.T) {
 	}
 	world := sc.Env
 	with := newTravelFleet(t, shardEnvs(t, world, 3), world)
-	without := newTravelFleet(t, shardEnvs(t, world, 3), nil)
+	without := newTravelFleet(t, shardEnvs(t, world, 3), selfSearching(world))
 	var bodies [][]byte
 	for i, trip := range routedTrips(t, world.Graph, 11, 10, 40, sc.Start) {
 		// The benchmark's request, and a shorter Q and segments now and then.
@@ -741,7 +780,7 @@ func TestFleetTripCorruptRoute(t *testing.T) {
 	world := testEnv(t)
 	envs := shardEnvs(t, world, 3)
 	with := newTravelFleet(t, envs, world)
-	without := newTravelFleet(t, shardEnvs(t, world, 3), nil)
+	without := newTravelFleet(t, shardEnvs(t, world, 3), selfSearching(world))
 	trips := routedTrips(t, world.Graph, 19, 3, 20, fixedNow)
 	g := world.Graph
 	for name, corrupt := range map[string]func([]roadnet.NodeID) []roadnet.NodeID{
@@ -802,7 +841,7 @@ func TestFleetTripDirectedGraph(t *testing.T) {
 			t.Fatalf("%s: the graph is symmetric", name)
 		}
 		with := newTravelFleet(t, shardEnvs(t, world, 3), world)
-		without := newTravelFleet(t, shardEnvs(t, world, 3), nil)
+		without := newTravelFleet(t, shardEnvs(t, world, 3), selfSearching(world))
 		var bodies [][]byte
 		for i, trip := range routedTrips(t, world.Graph, 5, 6, 8, fixedNow) {
 			bodies = append(bodies, tripRequest(world.Graph, trip, 3+i%3, []float64{3000, 8000, 50000}[i%3], []float64{1, 1200, 0}[i%3], 1500))
@@ -818,36 +857,16 @@ func TestFleetTripDirectedGraph(t *testing.T) {
 	}
 }
 
-// TestFleetTripStaleInventory: shard 0 gains a charger after the gateway
-// pulled its inventory. Its blocks do not cover the charger, so shard 0
-// discards them and searches its segments itself while the others build on
-// theirs; the answer is the one the forwarding gateway's fleet gives.
+// TestFleetTripStaleInventory: the gateway's world is a charger short of
+// shard 0's. Its blocks do not cover the charger, so shard 0 discards them
+// and searches its segments itself while the others build on theirs; the
+// answer is the one the forwarding gateway's fleet gives.
 func TestFleetTripStaleInventory(t *testing.T) {
 	world := testEnv(t)
 	envs := shardEnvs(t, world, 3)
-	own := envs[0].Chargers.All()
-	sites := make(map[roadnet.NodeID]int)
-	for _, c := range world.Chargers.All() {
-		sites[c.Node]++
-	}
-	var late charger.Charger
-	var rest []charger.Charger
-	for _, c := range own {
-		if late.ID == 0 && sites[c.Node] == 1 {
-			late = c
-		} else {
-			rest = append(rest, c)
-		}
-	}
-	before, err := charger.NewSet(rest)
-	if err != nil || late.ID == 0 {
-		t.Fatalf("no charger of shard 0 is alone on its node (%v)", err)
-	}
-	short := *envs[0]
-	short.Chargers = before
-	with := newTravelFleet(t, []*cknn.Env{&short, envs[1], envs[2]}, world)
-	with.shards[0].set(eis.NewServer(envs[0], eis.ServerOptions{}).Handler()) // the charger arrives
-	without := newTravelFleet(t, envs, nil)
+	short, late := oneShort(t, world, envs[0])
+	with := newTravelFleet(t, envs, short)
+	without := newTravelFleet(t, envs, selfSearching(world))
 
 	trip := routedTrips(t, world.Graph, 8, 1, 18, fixedNow)[0]
 	for _, n := range trip.Path.Nodes {
@@ -877,7 +896,7 @@ func TestFleetTripStaleInventory(t *testing.T) {
 func TestFleetTripDeadShard(t *testing.T) {
 	world := testEnv(t)
 	with := newTravelFleet(t, shardEnvs(t, world, 3), world)
-	without := newTravelFleet(t, shardEnvs(t, world, 3), nil)
+	without := newTravelFleet(t, shardEnvs(t, world, 3), selfSearching(world))
 	with.shards[1].set(shardDown)
 	without.shards[1].set(shardDown)
 	var bodies [][]byte
@@ -903,8 +922,8 @@ func TestFleetTripDeadShard(t *testing.T) {
 // TestFleetTripBlockIsNotTheClientsToSend: the gateway reads a client's trip
 // as JSON, which has no place for a travel block or a route, and writes the
 // binary request itself: a client's binary request with a block or a route
-// is a 400 at the gateway, with or without the road world, and reaches no
-// shard.
+// is a 400 at the gateway, on the shards' road world or another, and reaches
+// no shard.
 func TestFleetTripBlockIsNotTheClientsToSend(t *testing.T) {
 	world := testEnv(t)
 	trip := routedTrips(t, world.Graph, 2, 1, 20, fixedNow)[0]
@@ -917,7 +936,7 @@ func TestFleetTripBlockIsNotTheClientsToSend(t *testing.T) {
 		[]roadnet.NodeID{0}, []float64{0}, []float64{0})
 	req.Route = trip.Path.Nodes
 	withRoute := wire.AppendTripRequest(nil, &req)
-	for name, env := range map[string]*cknn.Env{"graph-free": nil, "with the world": world} {
+	for name, env := range map[string]*cknn.Env{"another world": selfSearching(world), "the shards' world": world} {
 		f := newTravelFleet(t, shardEnvs(t, world, 3), env)
 		for what, body := range map[string][]byte{"a block": withBlock, "a route": withRoute} {
 			before := readTripCounts()
@@ -945,7 +964,7 @@ func TestFleetTripBlockIsNotTheClientsToSend(t *testing.T) {
 func TestFleetTripConcurrent(t *testing.T) {
 	world := testEnv(t)
 	with := newTravelFleet(t, shardEnvs(t, world, 3), world)
-	without := newTravelFleet(t, shardEnvs(t, world, 3), nil)
+	without := newTravelFleet(t, shardEnvs(t, world, 3), selfSearching(world))
 	var bodies, want [][]byte
 	for i, trip := range routedTrips(t, world.Graph, 13, 6, 14, fixedNow) {
 		body := tripRequest(world.Graph, trip, 3+i%3, 8000, []float64{1, 1500, 0}[i%3], 1200)

@@ -41,9 +41,10 @@ func wireTrip(t testing.TB, body []byte) []byte {
 
 // TestFleetTripPlanesAgree sends the benchmark's trips, on the benchmark's
 // world, as JSON and in the binary form, through a fleet whose gateway plans
-// and searches them and through a graph-free one: the client's bodies are
-// byte-identical, every shard answer is decoded from the binary form, in
-// measurable time, and the planning gateway's blocks are all taken.
+// and searches them and through one whose gateway, on another world,
+// forwards them: the client's bodies are byte-identical, every shard answer
+// is decoded from the binary form, in measurable time, and the planning
+// gateway's blocks are all taken.
 func TestFleetTripPlanesAgree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the Oldenburg scenario")
@@ -54,7 +55,7 @@ func TestFleetTripPlanesAgree(t *testing.T) {
 	}
 	world := sc.Env
 	planning := newTravelFleet(t, shardEnvs(t, world, 3), world)
-	forwarding := newFleetOver(t, shardEnvs(t, world, 3), Options{})
+	forwarding := newFleetOver(t, shardEnvs(t, world, 3), selfSearching(world), Options{})
 
 	for i, trip := range routedTrips(t, world.Graph, 17, 6, 40, sc.Start) {
 		body := tripRequest(world.Graph, trip, 5, 50000, 0, 4000)
@@ -85,7 +86,7 @@ func TestFleetTripPlanesAgree(t *testing.T) {
 func TestFleetTripDeadShardOnBothPlanes(t *testing.T) {
 	world := testEnv(t)
 	planning := newTravelFleet(t, shardEnvs(t, world, 3), world)
-	forwarding := newFleetOver(t, shardEnvs(t, world, 3), Options{})
+	forwarding := newFleetOver(t, shardEnvs(t, world, 3), selfSearching(world), Options{})
 	planning.shards[1].set(shardDown)
 	forwarding.shards[1].set(shardDown)
 	for i, trip := range routedTrips(t, world.Graph, 21, 4, 20, fixedNow) {
@@ -112,7 +113,7 @@ func TestFleetTripDeadShardOnBothPlanes(t *testing.T) {
 func TestFleetJSONShardIsA502(t *testing.T) {
 	world := testEnv(t)
 	envs := shardEnvs(t, world, 3)
-	f := newFleetOver(t, envs, Options{})
+	f := newFleetOver(t, envs, selfSearching(world), Options{})
 	honest := eis.NewServer(envs[1], eis.ServerOptions{}).Handler()
 	f.shards[1].set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		r.Header.Del("Accept")
@@ -203,7 +204,7 @@ func TestFleetTripForeignShard(t *testing.T) {
 	asked := tripRequest(world.Graph, trips[0], 3, 6000, 2000, 1500)
 	other := tripRequest(world.Graph, trips[1], 3, 6000, 2000, 1500)
 	envs := shardEnvs(t, world, 3)
-	f := newFleetOver(t, envs, Options{})
+	f := newFleetOver(t, envs, selfSearching(world), Options{})
 	honest := eis.NewServer(envs[2], eis.ServerOptions{}).Handler()
 	f.shards[2].set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasSuffix(r.URL.Path, "/offering/trip") {
@@ -231,7 +232,7 @@ func TestFleetTripForeignShard(t *testing.T) {
 func TestFleetTripConcurrentSharesNoStorage(t *testing.T) {
 	world := testEnv(t)
 	f := newTravelFleet(t, shardEnvs(t, world, 4), world)
-	oracle := newFleetOver(t, shardEnvs(t, world, 4), Options{})
+	oracle := newFleetOver(t, shardEnvs(t, world, 4), selfSearching(world), Options{})
 	f.shards[2].set(shardDown)
 	oracle.shards[2].set(shardDown)
 	var bodies, want [][]byte

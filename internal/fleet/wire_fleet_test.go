@@ -118,7 +118,7 @@ func TestChaosFleetWireBlackoutSynth(t *testing.T) {
 		},
 	})
 	ctx := context.Background()
-	h.gw.ProbeAll(ctx) // tick 0: healthy — inventories cached
+	h.gw.ProbeAll(ctx) // tick 0: healthy
 	h.inj.Advance(1)   // shard 1 goes dark
 	h.gw.ProbeAll(ctx)
 	h.gw.ProbeAll(ctx) // two failed probe rounds trip the breaker

@@ -101,12 +101,13 @@ func overloadFleet(t *testing.T, env *cknn.Env) *Inproc {
 //     misordered bodies and malformed sheds, and must stay zero;
 //   - no request is observed past its deadline (no hung connections);
 //   - the overload actually bites, otherwise the test proves nothing;
-//   - the bare shard computes rankings under it, not only cache hits, so
-//     that the shed requests compete with ranking work.
+//   - the bare shard computes rankings under it in each plane's run, not
+//     only cache hits, so that the shed requests compete with ranking work.
 //
 // Two targets see two shapes of the same contract: a bare shard sheds
 // client-visible 503s, while the gateway absorbs shard sheds into
-// tabletest-valid degraded merges.
+// tabletest-valid degraded merges. Each plane asks keys of its own (its own
+// sessions and k), so no run meets a cache the other plane's run warmed.
 func TestOverloadContract(t *testing.T) {
 	env := testEnv(t)
 	ip := overloadFleet(t, env)
@@ -116,9 +117,7 @@ func TestOverloadContract(t *testing.T) {
 		name string
 		url  string
 		// bit asserts that saturation surfaced the way this target sheds;
-		// computed is the rankings (single-flight leads) computed since the
-		// target's first run, which met a cold cache: a later run on the
-		// other plane asks for the same keys.
+		// computed is the rankings (single-flight leads) the run computed.
 		bit func(t *testing.T, res Result, computed uint64)
 	}{
 		{"shard", ip.ShardURLs[0], func(t *testing.T, res Result, computed uint64) {
@@ -127,7 +126,7 @@ func TestOverloadContract(t *testing.T) {
 				t.Fatalf("saturated bare shard never shed (valid %d, degraded %d, errors %d)", res.Valid, res.Degraded, res.Errors)
 			}
 			if computed == 0 {
-				t.Fatalf("saturated bare shard computed no ranking in its runs: all %d answers were cache hits", res.Valid+res.Degraded)
+				t.Fatalf("saturated bare shard computed no ranking in its run: all %d answers were cache hits", res.Valid+res.Degraded)
 			}
 		}},
 		{"gateway", ip.URL, func(t *testing.T, res Result, _ uint64) {
@@ -137,14 +136,23 @@ func TestOverloadContract(t *testing.T) {
 			}
 		}},
 	}
+	// A key is the cell, k, R and the weights: sessions of their own move
+	// the anchors, but the test world holds few cells, so k tells the
+	// planes' keys apart.
+	planes := []struct {
+		plane Plane
+		seed  int64
+		k     int
+	}{{PlaneJSON, 23, 5}, {PlaneWire, 29, 4}}
 	leads := obs.Default().Counter("eis_singleflight_leads_total")
 	for _, target := range targets {
-		before := leads.Value()
-		for _, plane := range []Plane{PlaneJSON, PlaneWire} {
+		for _, p := range planes {
+			plane := p.plane
 			t.Run(target.name+"/"+string(plane), func(t *testing.T) {
+				before := leads.Value()
 				runner, err := NewRunner(Options{
 					BaseURL: target.url, Plane: plane,
-					K: 5, Now: fixedNow,
+					K: p.k, Now: fixedNow,
 					Timeout: timeout, Workers: 64,
 				})
 				if err != nil {
@@ -154,7 +162,7 @@ func TestOverloadContract(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := runner.Run(context.Background(), testSessions(t, env, 23), sched, 600)
+				res, err := runner.Run(context.Background(), testSessions(t, env, p.seed), sched, 600)
 				if err != nil {
 					t.Fatalf("run: %v", err)
 				}

@@ -90,7 +90,7 @@ func StartInproc(env *cknn.Env, opts InprocOptions) (*Inproc, error) {
 		ip.ShardURLs = append(ip.ShardURLs, url)
 	}
 
-	gw, err := fleet.NewGateway(shards, fleet.Options{Env: env})
+	gw, err := fleet.NewGateway(shards, env, fleet.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("load: gateway: %w", err)
 	}
