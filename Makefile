@@ -54,7 +54,10 @@ fleet-smoke:
 
 # Smoke-run every fuzz target briefly; the seed corpora already run as part
 # of `make test`, this explores beyond them. go test accepts one -fuzz
-# pattern per invocation, hence the separate runs.
+# pattern per invocation, hence the separate runs. FuzzAnswerJSON runs
+# encoding/json beside every appender, a millisecond an input: minimizing a
+# new input of a few hundred bytes would take the default 60 s, so its
+# minimization is capped.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzFromBounds -fuzztime=10s ./internal/interval/
 	$(GO) test -run='^$$' -fuzz=FuzzOps -fuzztime=10s ./internal/interval/
@@ -66,6 +69,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzWireRoundTrip -fuzztime=10s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzWireDecode -fuzztime=10s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzOfferingJSONRoundTrip -fuzztime=10s ./internal/wire/
+	$(GO) test -run='^$$' -fuzz=FuzzAnswerJSON -fuzztime=10s -fuzzminimizetime=2s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzTripRoute -fuzztime=10s ./internal/eis/
 	$(GO) test -run='^$$' -fuzz=FuzzRank -fuzztime=10s ./internal/cknn/
 	$(GO) test -run='^$$' -fuzz=FuzzGatewayFrontDoor -fuzztime=10s ./internal/fleet/

@@ -1,10 +1,10 @@
 package eis
 
 // Chaos tests of the comms stack: circuit-breaker walks through a scripted
-// transport blackout on a fake clock, and end-to-end server runs over a
-// fault-injected environment — requests must keep answering 200 with valid,
-// correctly tagged Offering Tables at 30% source faults and even during a
-// total source blackout.
+// transport blackout on a fake clock, the fault-injecting transport that
+// scripts it, and end-to-end server runs over a fault-injected environment —
+// requests must keep answering 200 with valid, correctly tagged Offering
+// Tables at 30% source faults and even during a total source blackout.
 
 import (
 	"context"
@@ -49,7 +49,7 @@ func TestChaosBreakerBlackoutRecovery(t *testing.T) {
 	clk := &fakeClock{t: fixedNow}
 	rec := &sleepRecorder{}
 	c := NewClientOpts("http://eis.test", ClientOptions{
-		HTTPClient: &http.Client{Transport: blackout.Transport(inner, nil)},
+		HTTPClient: &http.Client{Transport: &faultTripper{fleet: blackout, inner: inner}},
 		Clock:      clk.Now,
 		Sleep:      rec.sleep,
 	})
@@ -99,6 +99,128 @@ func TestChaosBreakerBlackoutRecovery(t *testing.T) {
 		if _, err := c.Traffic(ctx, at); err != nil {
 			t.Fatalf("closed breaker rejected call %d after recovery: %v", i, err)
 		}
+	}
+}
+
+// faultTripper puts a fleet fault schedule in front of inner, the client's
+// transport: an exchange fault.Fleet.Decide fails is a fault.TransportError
+// and never reaches inner, and a slow one waits first, through sleep or, if
+// it is nil, until the delay or the request's context ends.
+type faultTripper struct {
+	fleet *fault.Fleet
+	inner http.RoundTripper
+	sleep func(time.Duration)
+}
+
+func (t *faultTripper) RoundTrip(req *http.Request) (*http.Response, error) {
+	d := t.fleet.Decide(req.URL.Host, req.URL.Path)
+	if d.Latency > 0 {
+		if t.sleep != nil {
+			t.sleep(d.Latency)
+		} else {
+			timer := time.NewTimer(d.Latency)
+			select {
+			case <-timer.C:
+			case <-req.Context().Done():
+				timer.Stop()
+				return nil, req.Context().Err()
+			}
+		}
+	}
+	if d.Fail {
+		return nil, &fault.TransportError{Endpoint: req.URL.Host + req.URL.Path}
+	}
+	return t.inner.RoundTrip(req)
+}
+
+// The transport tests drive faultTripper on one shard host with no server
+// behind it.
+const shardHost = "eis.local"
+
+func TestChaosTransportInjectsFailures(t *testing.T) {
+	inner := &countingTripper{}
+	tr := &faultTripper{fleet: fault.NewFleet(fault.New(fault.Config{Seed: 31}), map[string]fault.ShardShape{shardHost: {DropRate: 0.5}}), inner: inner}
+	req := httptest.NewRequest(http.MethodGet, "http://"+shardHost+"/v1/offering", nil)
+	fails := 0
+	const n = 200
+	for i := 0; i < n; i++ {
+		resp, err := tr.RoundTrip(req)
+		if err != nil {
+			var te *fault.TransportError
+			if !errors.As(err, &te) {
+				t.Fatalf("unexpected error type %T: %v", err, err)
+			}
+			if te.Endpoint != shardHost+"/v1/offering" {
+				t.Fatalf("fault recorded wrong endpoint %q", te.Endpoint)
+			}
+			fails++
+			continue
+		}
+		resp.Body.Close()
+	}
+	if fails == 0 || fails == n {
+		t.Fatalf("drop rate 0.5 produced %d/%d failures", fails, n)
+	}
+	if inner.count() != n-fails {
+		t.Fatalf("inner transport saw %d calls, want %d (faulted requests must not reach it)", inner.count(), n-fails)
+	}
+}
+
+func TestChaosTransportBlackout(t *testing.T) {
+	inner := &countingTripper{}
+	inj := fault.New(fault.Config{Seed: 31})
+	tr := &faultTripper{fleet: fault.NewFleet(inj, map[string]fault.ShardShape{shardHost: {Blackouts: []fault.Window{{From: 0, To: 10}}}}), inner: inner}
+	req := httptest.NewRequest(http.MethodGet, "http://"+shardHost+"/v1/health", nil)
+	if _, err := tr.RoundTrip(req); err == nil {
+		t.Fatal("round trip succeeded during blackout")
+	}
+	inj.Advance(10)
+	resp, err := tr.RoundTrip(req)
+	if err != nil {
+		t.Fatalf("round trip failed after blackout: %v", err)
+	}
+	resp.Body.Close()
+	if inner.count() != 1 {
+		t.Fatalf("inner transport saw %d calls, want 1 (the blackout's must not reach it)", inner.count())
+	}
+}
+
+func TestChaosTransportLatencyUsesInjectedSleep(t *testing.T) {
+	var slept []time.Duration
+	tr := &faultTripper{
+		fleet: fault.NewFleet(fault.New(fault.Config{Seed: 41}), map[string]fault.ShardShape{
+			shardHost: {Slow: []fault.Window{{From: 0, To: 1}}, Latency: time.Hour},
+		}),
+		inner: &countingTripper{},
+		sleep: func(d time.Duration) { slept = append(slept, d) },
+	}
+	req := httptest.NewRequest(http.MethodGet, "http://"+shardHost+"/v1/offering", nil)
+	for i := 0; i < 20; i++ {
+		if resp, err := tr.RoundTrip(req); err == nil {
+			resp.Body.Close()
+		}
+	}
+	if len(slept) != 20 {
+		t.Fatalf("a slow window invoked the injected sleep %d times in 20 exchanges", len(slept))
+	}
+	for _, d := range slept {
+		if d != time.Hour {
+			t.Fatalf("injected sleep %v, want the shape's 1h", d)
+		}
+	}
+}
+
+func TestChaosTransportNilInjectorPassesThrough(t *testing.T) {
+	inner := &countingTripper{}
+	tr := &faultTripper{fleet: fault.NewFleet(nil, nil), inner: inner}
+	req := httptest.NewRequest(http.MethodGet, "http://"+shardHost+"/v1/health", nil)
+	resp, err := tr.RoundTrip(req)
+	if err != nil {
+		t.Fatalf("nil-injector transport failed: %v", err)
+	}
+	resp.Body.Close()
+	if inner.count() != 1 {
+		t.Fatalf("inner transport saw %d calls, want 1", inner.count())
 	}
 }
 

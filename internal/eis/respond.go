@@ -35,10 +35,14 @@ func WriteBody(w http.ResponseWriter, code int, contentType string, body []byte)
 	_, _ = w.Write(body) // client went away; nothing to do with the error
 }
 
-// WriteJSONStatus writes v as one JSON response under the status code; a
-// payload that does not marshal becomes a 500, never a truncated 200.
+// WriteJSONStatus writes v, a cold body, as one JSON response under the
+// status code; a payload that does not marshal becomes a 500, never a
+// truncated 200.
 func WriteJSONStatus(w http.ResponseWriter, code int, v interface{}) {
-	writeJSON(w, code, v, &uncounted)
+	buf := wire.GetBuffer()
+	defer wire.PutBuffer(buf)
+	err := json.NewEncoder(buf).Encode(v)
+	writeJSONBody(w, code, buf.B, err, &uncounted)
 }
 
 // WriteError writes msg as the JSON error body of an answer with the status
@@ -51,16 +55,17 @@ func WriteError(w http.ResponseWriter, code int, msg string) {
 	WriteJSONStatus(w, code, ErrorResponse{Error: msg})
 }
 
-// Respond writes v as the 200 of r in the format r negotiated: enc appends
-// the binary message of a payload the wire codec covers, JSON is the default.
-// m counts the encode's time and format: a shard passes its metrics, the
-// fleet gateway, whose answers count nowhere, nil.
-func Respond(w http.ResponseWriter, r *http.Request, m *eisMetrics, v interface{}, enc func([]byte) []byte) {
+// Respond writes the 200 of r in the format r negotiated: enc appends the
+// binary message of a payload the wire codec covers, js its JSON rendering
+// (the wire package's JSON appenders), which is the default. m counts the
+// encode's time and format: a shard passes its metrics, the fleet gateway,
+// whose answers count nowhere, nil.
+func Respond(w http.ResponseWriter, r *http.Request, m *eisMetrics, js func([]byte) ([]byte, error), enc func([]byte) []byte) {
 	if m == nil {
 		m = &uncounted
 	}
 	if enc == nil || !wire.Accepts(r.Header.Get("Accept")) {
-		writeJSON(w, http.StatusOK, v, m)
+		respondJSON(w, m, js)
 		return
 	}
 	buf := wire.GetBuffer()
@@ -75,20 +80,27 @@ func Respond(w http.ResponseWriter, r *http.Request, m *eisMetrics, v interface{
 // uncounted is metrics whose handles are all nil, which discard.
 var uncounted eisMetrics
 
-// writeJSON encodes v into a pooled buffer and writes it as one JSON answer,
-// counted on m.
-func writeJSON(w http.ResponseWriter, code int, v interface{}, m *eisMetrics) {
+// respondJSON renders a 200's JSON with js into a pooled buffer and writes
+// it, counted on m; a value js refuses is a 500, never a truncated 200.
+func respondJSON(w http.ResponseWriter, m *eisMetrics, js func([]byte) ([]byte, error)) {
 	buf := wire.GetBuffer()
 	defer wire.PutBuffer(buf)
 	start := time.Now()
-	err := json.NewEncoder(buf).Encode(v)
+	var err error
+	buf.B, err = js(buf.B)
 	m.encodeJSON.Since(start)
+	writeJSONBody(w, http.StatusOK, buf.B, err, m)
+}
+
+// writeJSONBody writes one encoded JSON answer, or the 500 of an encode that
+// failed.
+func writeJSONBody(w http.ResponseWriter, code int, body []byte, err error, m *eisMetrics) {
 	if err != nil {
 		WriteBody(w, http.StatusInternalServerError, ContentTypeJSON, errEncodeBody)
 		return
 	}
 	m.respJSON.Inc()
-	WriteBody(w, code, ContentTypeJSON, buf.B)
+	WriteBody(w, code, ContentTypeJSON, body)
 }
 
 // Instrument wraps an API handler with its duration histogram and, given a

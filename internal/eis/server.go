@@ -73,9 +73,10 @@ type Server struct {
 	env  *cknn.Env
 	opts ServerOptions
 
-	// world is the road world the rankings search (cknn.Env.RoadWorld), as
-	// every /healthz answer states it (HeaderRoadWorld).
-	world string
+	// world is the road world the rankings search (cknn.Env.RoadWorld): every
+	// /healthz answer states it (HeaderRoadWorld), and a travel block of
+	// another world is refused.
+	world uint64
 
 	cache respCache
 	// seen is the key of every cache miss, which a full stripe admits by.
@@ -377,7 +378,7 @@ func NewServer(env *cknn.Env, opts ServerOptions) *Server {
 		env:  env,
 		opts: opts.withDefaults(),
 	}
-	srv.world = strconv.FormatUint(env.RoadWorld(), 16)
+	srv.world = env.RoadWorld()
 	srv.cache.maxPerShard = cacheMaxEntries / respCacheStripes
 	return srv
 }
@@ -406,7 +407,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc(APIVersion+"/traffic", Instrument(s.opts.Tracer, "eis.traffic", met.httpTraffic, s.handleTraffic))
 	mux.HandleFunc(APIVersion+"/offering", Instrument(s.opts.Tracer, "eis.offering", met.httpOffering, s.handleOffering))
 	mux.HandleFunc(APIVersion+"/offering/trip", Instrument(s.opts.Tracer, "eis.offering.trip", met.httpTrip, s.handleTripOffering))
-	HandleOps(mux, s.world)
+	HandleOps(mux, strconv.FormatUint(s.world, 16))
 	return mux
 }
 
@@ -499,7 +500,8 @@ func (s *Server) handleChargers(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cs := s.env.Chargers.Within(p, radius)
-	Respond(w, r, met, cs, func(b []byte) []byte { return wire.AppendChargerRefs(b, cs) })
+	Respond(w, r, met, func(b []byte) ([]byte, error) { return wire.AppendChargerRefsJSON(b, cs) },
+		func(b []byte) []byte { return wire.AppendChargerRefs(b, cs) })
 }
 
 // handleWeather returns the production forecast of a charger at a time
@@ -511,7 +513,7 @@ func (s *Server) handleWeather(w http.ResponseWriter, r *http.Request) {
 	}
 	iv := s.env.ProductionForecast(c, at, s.opts.Clock())
 	resp := WeatherResponse{ChargerID: c.ID, At: at, ProductionKW: wire.ToWire(iv)}
-	Respond(w, r, met, &resp, nil)
+	Respond(w, r, met, func(b []byte) ([]byte, error) { return wire.AppendWeatherJSON(b, &resp) }, nil)
 }
 
 // handleAvailability returns the availability estimate of a charger
@@ -523,7 +525,7 @@ func (s *Server) handleAvailability(w http.ResponseWriter, r *http.Request) {
 	}
 	iv := s.env.Avail.ForecastAvailability(c.ID, &c.Timetable, at, s.opts.Clock())
 	resp := AvailabilityResponse{ChargerID: c.ID, At: at, Availability: wire.ToWire(iv)}
-	Respond(w, r, met, &resp, nil)
+	Respond(w, r, met, func(b []byte) ([]byte, error) { return wire.AppendAvailabilityJSON(b, &resp) }, nil)
 }
 
 func (s *Server) chargerAndTime(w http.ResponseWriter, r *http.Request) (c *charger.Charger, at time.Time, ok bool) {
@@ -653,13 +655,15 @@ func (s *Server) handleOffering(w http.ResponseWriter, r *http.Request) {
 	case shared:
 		writeCached(w, r, v)
 	default:
-		Respond(w, r, met, &fresh, func(b []byte) []byte { return wire.AppendOfferingResponse(b, &fresh) })
+		Respond(w, r, met, func(b []byte) ([]byte, error) { return wire.AppendOfferingResponseJSON(b, &fresh) },
+			func(b []byte) []byte { return wire.AppendOfferingResponse(b, &fresh) })
 	}
 }
 
 // writeCached answers an offering from a cache entry: a wire answer writes
-// the stored bytes, a JSON answer is rendered from them into pooled rows and
-// a pooled buffer. The codec's JSON-equivalence contract — fuzzed in
+// the stored bytes, a JSON answer decodes them into pooled rows and renders
+// those with the one offering appender (wire.AppendOfferingResponseJSON)
+// into a pooled buffer. The codec's JSON-equivalence contract — fuzzed in
 // internal/wire, pinned end to end by TestChaosWireOfferingCacheParity —
 // makes it what json.Encoder would have written for the table when it was
 // cached (TestCachedJSONIsTheEagerEncoding).
@@ -679,7 +683,7 @@ func writeCached(w http.ResponseWriter, r *http.Request, v cacheVal) {
 	if cap(hit.Entries) > cap(*rows) {
 		*rows = hit.Entries[:0] // the scratch keeps what the decode grew
 	}
-	writeJSON(w, http.StatusOK, &hit, met)
+	respondJSON(w, met, func(b []byte) ([]byte, error) { return wire.AppendOfferingResponseJSON(b, &hit) })
 }
 
 // rowScratch pools the rows a computed offering or trip is answered from;
@@ -718,9 +722,10 @@ func appendRows(rows *[]OfferingEntry, es []cknn.Entry) []OfferingEntry {
 
 // rankOffering computes the table of one offering request and appends its
 // rows to rows (appendRows): on the network search the request brought along
-// (a fleet gateway's travel block) when it brought one that covers the
-// ranking, else on a search of its own from node, the query point's node —
-// snapped now, if a block that is then refused was to make that unnecessary.
+// (a fleet gateway's travel block) when it brought one of the server's road
+// world that covers the ranking, else on a search of its own from node, the
+// query point's node — snapped now, if a block that is then refused was to
+// make that unnecessary.
 // The table is the same either way. The ranking writes its k entries into
 // pooled scratch, which the rows are copied out of at once.
 func (s *Server) rankOffering(o *Offering, node roadnet.NodeID, block *wire.TravelBlock, rows *[]OfferingEntry) []OfferingEntry {
@@ -742,10 +747,12 @@ func (s *Server) rank(o *Offering, node roadnet.NodeID, block *wire.TravelBlock,
 	q := o.Query(node)
 	opts := cknn.EcoChargeOptions{RadiusM: o.RadiusM}
 	if block != nil {
-		travel := travelOf(block)
-		if table, ok := cknn.RankOnceSupplied(s.env, opts, q, &travel, rows); ok {
-			met.travelUsed.Inc()
-			return table
+		if block.World == s.world {
+			travel := travelOf(block)
+			if table, ok := cknn.RankOnceSupplied(s.env, opts, q, &travel, rows); ok {
+				met.travelUsed.Inc()
+				return table
+			}
 		}
 		met.travelRejected.Inc()
 		q.AnchorNode = s.env.Graph.NearestNode(o.P)

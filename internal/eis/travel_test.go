@@ -37,8 +37,9 @@ func postWire(t *testing.T, h http.Handler, body []byte) *httptest.ResponseRecor
 }
 
 // offeringBlock is an offering's travel block as its sender holds it: the
-// search's anchor and scale factors, and the time to every node.
+// search's road world, anchor and scale factors, and the time to every node.
 type offeringBlock struct {
+	World            uint64
 	Anchor           roadnet.NodeID
 	ScaleLo, ScaleHi float64
 	Nodes            []roadnet.NodeID
@@ -52,7 +53,7 @@ func encodeOffering(req *OfferingRequest, block *offeringBlock) []byte {
 	if block == nil {
 		return b
 	}
-	head := wire.TravelBlock{Anchor: block.Anchor, Return: block.Anchor, ScaleLo: block.ScaleLo, ScaleHi: block.ScaleHi}
+	head := wire.TravelBlock{World: block.World, Anchor: block.Anchor, Return: block.Anchor, ScaleLo: block.ScaleLo, ScaleHi: block.ScaleHi}
 	return wire.AppendTravelBlock(b, &head, block.Nodes, block.Seconds, nil)
 }
 
@@ -76,7 +77,7 @@ func blockFor(t *testing.T, env *cknn.Env, req *OfferingRequest) *offeringBlock 
 		t.Fatal("SearchTravel declined on the test world")
 	}
 	defer ts.Release()
-	b := &offeringBlock{Anchor: anchor, Nodes: nodes}
+	b := &offeringBlock{World: env.RoadWorld(), Anchor: anchor, Nodes: nodes}
 	b.ScaleLo, b.ScaleHi = ts.Scales()
 	for _, n := range nodes {
 		b.Seconds = append(b.Seconds, ts.Seconds(n))
@@ -85,8 +86,8 @@ func blockFor(t *testing.T, env *cknn.Env, req *OfferingRequest) *offeringBlock 
 }
 
 // TestOfferingTravelBlock: a good block is built on (no search, the counter
-// says used) and a block that is well-formed but wrong for this ranking is
-// discarded (the shard searches, the counter says rejected); either way the
+// says used) and a block that is well-formed but wrong for this ranking, or
+// searched in another road world, is discarded (the shard searches, the counter says rejected); either way the
 // body is the one a request without a block gets.
 func TestOfferingTravelBlock(t *testing.T) {
 	env := testEnv(t)
@@ -108,7 +109,7 @@ func TestOfferingTravelBlock(t *testing.T) {
 	if farthest == good.Anchor {
 		t.Fatal("the farthest candidate sits on the anchor; pick another anchor")
 	}
-	uncovered := offeringBlock{Anchor: good.Anchor, ScaleLo: good.ScaleLo, ScaleHi: good.ScaleHi}
+	uncovered := offeringBlock{World: good.World, Anchor: good.Anchor, ScaleLo: good.ScaleLo, ScaleHi: good.ScaleHi}
 	for i, n := range good.Nodes {
 		if n != farthest {
 			uncovered.Nodes, uncovered.Seconds = append(uncovered.Nodes, n), append(uncovered.Seconds, good.Seconds[i])
@@ -119,6 +120,8 @@ func TestOfferingTravelBlock(t *testing.T) {
 	beyond.Seconds = append([]float64{1}, good.Seconds...)
 	nowhere := *good
 	nowhere.Anchor = roadnet.NodeID(env.Graph.NumNodes())
+	foreign := *good
+	foreign.World++
 
 	for _, tc := range []struct {
 		name     string
@@ -130,6 +133,7 @@ func TestOfferingTravelBlock(t *testing.T) {
 		{"a candidate short", &uncovered, 0, 1},
 		{"node the graph does not have", &beyond, 0, 1},
 		{"anchor the graph does not have", &nowhere, 0, 1},
+		{"another road world's", &foreign, 0, 1},
 	} {
 		used0, rejected0, many0 := met.travelUsed.Value(), met.travelRejected.Value(), manySearches()
 		rec := postWire(t, fresh(), encodeOffering(&req, tc.block))
@@ -180,7 +184,7 @@ func TestOfferingHostileTravelBlock(t *testing.T) {
 		copy(bad[len(bare)+off:], b)
 		return bad
 	}
-	const anchorOff = 1 + 1 + 1                     // tag, legs, one-byte segment
+	const anchorOff = 1 + 1 + 8 + 1                 // tag, legs, world, one-byte segment
 	const scales = anchorOff + 4 + 4                // anchor, return
 	const firstSeconds = scales + 8 + 8 + 8 + 1 + 4 // scales, base, one-byte count, first node
 	if n := len(block.Nodes); n >= 128 {
@@ -358,7 +362,7 @@ func tripBlocksFor(t *testing.T, env *cknn.Env, req *TripOfferingRequest) []trip
 	var blocks []tripBlock
 	for _, si := range cknn.ComputedSegments(segs, eco) {
 		q := cknn.QueryForSegment(trip, segs[si], opts)
-		b := tripBlock{head: wire.TravelBlock{Segment: si, Anchor: q.AnchorNode, Return: q.ReturnNode, TwoLegs: true}}
+		b := tripBlock{head: wire.TravelBlock{World: env.RoadWorld(), Segment: si, Anchor: q.AnchorNode, Return: q.ReturnNode, TwoLegs: true}}
 		for _, c := range env.Chargers.Within(q.Anchor, to.RadiusM) {
 			b.nodes = append(b.nodes, c.Node)
 		}
@@ -451,6 +455,7 @@ func TestTripOfferingTravelBlocks(t *testing.T) {
 			b.out, b.back = append([]float64{1}, b.out...), append([]float64{1}, b.back...)
 		}), n - 1, 2},
 		{"another segment's", edit(func(b *tripBlock) { b.head.Segment++ }), n - 1, 2},
+		{"another road world's", edit(func(b *tripBlock) { b.head.World++ }), n - 1, 2},
 		{"one block too many", append(slices.Clone(good), tripBlock{head: wire.TravelBlock{Segment: 1 << 20, ScaleLo: 1, ScaleHi: 1}}), n, 0},
 	} {
 		used0, rejected0, many0 := met.travelUsed.Value(), met.travelRejected.Value(), manySearches()

@@ -63,13 +63,17 @@ func (s *Server) handleTripOffering(w http.ResponseWriter, r *http.Request) {
 	}
 
 	eco, opts := t.Plan()
-	travel := make([]cknn.SegmentTravel, len(req.Travel))
+	// A block of another road world is refused before the trip runs: its
+	// segment searches for itself.
+	travel := make([]cknn.SegmentTravel, 0, len(req.Travel))
 	for i := range req.Travel {
-		travel[i] = cknn.SegmentTravel{Segment: req.Travel[i].Segment, Travel: travelOf(&req.Travel[i])}
+		if req.Travel[i].World == s.world {
+			travel = append(travel, cknn.SegmentTravel{Segment: req.Travel[i].Segment, Travel: travelOf(&req.Travel[i])})
+		}
 	}
 	results, used := cknn.RunTripSupplied(s.env, cknn.NewEcoCharge(s.env, eco), trip, opts, travel)
 	met.travelUsed.Add(uint64(used))
-	met.travelRejected.Add(uint64(len(travel) - used))
+	met.travelRejected.Add(uint64(len(req.Travel) - used))
 
 	// Grow leaves the segments of no results nil: "segments":null.
 	resp := TripOfferingResponse{TripLengthM: trip.Path.Weight, Segments: slices.Grow([]SegmentOffering(nil), len(results))}
@@ -86,7 +90,8 @@ func (s *Server) handleTripOffering(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	resp.SplitPoints = AppendSplitPoints(nil, resp.Segments)
-	Respond(w, r, met, &resp, func(b []byte) []byte { return wire.AppendTripResponse(b, &resp) })
+	Respond(w, r, met, func(b []byte) ([]byte, error) { return wire.AppendTripResponseJSON(b, &resp) },
+		func(b []byte) []byte { return wire.AppendTripResponse(b, &resp) })
 }
 
 // AppendSplitPoints appends to dst the split points of a trip's segments:

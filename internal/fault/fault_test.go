@@ -1,11 +1,7 @@
 package fault
 
 import (
-	"errors"
-	"io"
 	"math"
-	"net/http"
-	"strings"
 	"testing"
 	"time"
 
@@ -132,105 +128,6 @@ func TestSourcePolicyComponentsIndependent(t *testing.T) {
 	}
 	if identical {
 		t.Fatal("L and D fetch decisions perfectly correlated")
-	}
-}
-
-// staticTripper returns a fixed 200 response.
-type staticTripper struct{ calls int }
-
-func (s *staticTripper) RoundTrip(*http.Request) (*http.Response, error) {
-	s.calls++
-	return &http.Response{
-		StatusCode: http.StatusOK,
-		Header:     make(http.Header),
-		Body:       io.NopCloser(strings.NewReader("{}")),
-	}, nil
-}
-
-// The transport tests drive the fleet's transport, the one HTTP fault
-// injector, on one shard host with no server behind it.
-const shardHost = "eis.local"
-
-func TestTransportInjectsFailures(t *testing.T) {
-	inner := &staticTripper{}
-	tr := NewFleet(New(Config{Seed: 31}), map[string]ShardShape{shardHost: {DropRate: 0.5}}).Transport(inner, nil)
-	req, _ := http.NewRequest(http.MethodGet, "http://"+shardHost+"/v1/offering", nil)
-	fails := 0
-	const n = 200
-	for i := 0; i < n; i++ {
-		resp, err := tr.RoundTrip(req)
-		if err != nil {
-			var te *TransportError
-			if !errors.As(err, &te) {
-				t.Fatalf("unexpected error type %T: %v", err, err)
-			}
-			if te.Endpoint != shardHost+"/v1/offering" {
-				t.Fatalf("fault recorded wrong endpoint %q", te.Endpoint)
-			}
-			fails++
-			continue
-		}
-		resp.Body.Close()
-	}
-	if fails == 0 || fails == n {
-		t.Fatalf("drop rate 0.5 produced %d/%d failures", fails, n)
-	}
-	if inner.calls != n-fails {
-		t.Fatalf("inner transport saw %d calls, want %d (faulted requests must not reach it)", inner.calls, n-fails)
-	}
-}
-
-func TestTransportBlackout(t *testing.T) {
-	inner := &staticTripper{}
-	inj := New(Config{Seed: 31})
-	tr := NewFleet(inj, map[string]ShardShape{shardHost: {Blackouts: []Window{{From: 0, To: 10}}}}).Transport(inner, nil)
-	req, _ := http.NewRequest(http.MethodGet, "http://"+shardHost+"/v1/health", nil)
-	if _, err := tr.RoundTrip(req); err == nil {
-		t.Fatal("round trip succeeded during blackout")
-	}
-	inj.Advance(10)
-	resp, err := tr.RoundTrip(req)
-	if err != nil {
-		t.Fatalf("round trip failed after blackout: %v", err)
-	}
-	resp.Body.Close()
-	if inner.calls != 1 {
-		t.Fatalf("inner transport saw %d calls, want 1 (the blackout's must not reach it)", inner.calls)
-	}
-}
-
-func TestTransportLatencyUsesInjectedSleep(t *testing.T) {
-	var slept []time.Duration
-	tr := NewFleet(New(Config{Seed: 41}), map[string]ShardShape{
-		shardHost: {Slow: []Window{{From: 0, To: 1}}, Latency: time.Hour},
-	}).Transport(&staticTripper{}, func(d time.Duration) { slept = append(slept, d) })
-	req, _ := http.NewRequest(http.MethodGet, "http://"+shardHost+"/v1/offering", nil)
-	for i := 0; i < 20; i++ {
-		if resp, err := tr.RoundTrip(req); err == nil {
-			resp.Body.Close()
-		}
-	}
-	if len(slept) != 20 {
-		t.Fatalf("a slow window invoked the injected sleep %d times in 20 exchanges", len(slept))
-	}
-	for _, d := range slept {
-		if d != time.Hour {
-			t.Fatalf("injected sleep %v, want the shape's 1h", d)
-		}
-	}
-}
-
-func TestTransportNilInjectorPassesThrough(t *testing.T) {
-	inner := &staticTripper{}
-	tr := NewFleet(nil, nil).Transport(inner, nil)
-	req, _ := http.NewRequest(http.MethodGet, "http://"+shardHost+"/v1/health", nil)
-	resp, err := tr.RoundTrip(req)
-	if err != nil {
-		t.Fatalf("nil-injector transport failed: %v", err)
-	}
-	resp.Body.Close()
-	if inner.calls != 1 {
-		t.Fatalf("inner transport saw %d calls, want 1", inner.calls)
 	}
 }
 

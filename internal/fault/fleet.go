@@ -1,9 +1,7 @@
 package fault
 
 import (
-	"context"
 	"fmt"
-	"net/http"
 	"time"
 )
 
@@ -51,8 +49,8 @@ func in(ws []Window, tick uint64) bool {
 }
 
 // Fleet makes deterministic per-shard fault decisions for a gateway's
-// outbound traffic. Wrap a transport with Fleet.Transport and drive the
-// scenario with the shared injector's Advance.
+// outbound traffic: a harness asks Decide before each exchange it forwards
+// and drives the scenario with the shared injector's Advance.
 type Fleet struct {
 	inj    *Injector
 	shapes map[string]ShardShape
@@ -64,12 +62,12 @@ func NewFleet(inj *Injector, shapes map[string]ShardShape) *Fleet {
 	return &Fleet{inj: inj, shapes: shapes}
 }
 
-// probePath is how the transport tells control traffic from data traffic:
-// the EIS health endpoint is the only path probers hit.
+// probePath is how Decide tells control traffic from data traffic: the EIS
+// health endpoint is the only path probers hit.
 const probePath = "/healthz"
 
 // Decide classifies one exchange against the shard's shape at the current
-// tick. It is exported so non-HTTP harnesses can reuse the schedule.
+// tick: whether it fails, and how long it waits first.
 func (f *Fleet) Decide(host, path string) Decision {
 	shape, ok := f.shapes[host]
 	if !ok {
@@ -102,41 +100,9 @@ func (f *Fleet) Decide(host, path string) Decision {
 	return d
 }
 
-// Transport wraps inner with the fleet's fault schedule. A nil inner
-// selects http.DefaultTransport; a nil sleep selects a context-aware wait
-// so injected slowness never outlives the request's deadline.
-func (f *Fleet) Transport(inner http.RoundTripper, sleep func(time.Duration)) http.RoundTripper {
-	return &fleetTransport{fleet: f, inner: inner, sleep: sleep}
-}
-
-type fleetTransport struct {
-	fleet *Fleet
-	inner http.RoundTripper
-	sleep func(time.Duration)
-}
-
-// RoundTrip implements http.RoundTripper.
-func (t *fleetTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	inner := t.inner
-	if inner == nil {
-		inner = http.DefaultTransport
-	}
-	d := t.fleet.Decide(req.URL.Host, req.URL.Path)
-	if d.Latency > 0 {
-		if t.sleep != nil {
-			t.sleep(d.Latency)
-		} else if err := sleepCtx(req.Context(), d.Latency); err != nil {
-			return nil, err
-		}
-	}
-	if d.Fail {
-		return nil, &TransportError{Endpoint: req.URL.Host + req.URL.Path}
-	}
-	return inner.RoundTrip(req)
-}
-
-// TransportError is the injected failure returned by a faulted round trip,
-// distinguishable from genuine transport errors in assertions.
+// TransportError is the injected failure a harness returns for an exchange
+// Decide failed, distinguishable from genuine transport errors in
+// assertions.
 type TransportError struct {
 	// Endpoint is the host and path of the faulted request.
 	Endpoint string
@@ -144,20 +110,6 @@ type TransportError struct {
 
 func (e *TransportError) Error() string {
 	return fmt.Sprintf("fault: injected transport error on %s", e.Endpoint)
-}
-
-// sleepCtx waits for d or until the request's context is cancelled,
-// whichever comes first, so injected latency cannot outlive the caller's
-// deadline.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // saltFleet namespaces fleet drop decisions away from the other users of a

@@ -1,38 +1,15 @@
 package fault
 
 import (
-	"context"
-	"errors"
-	"io"
-	"net/http"
-	"net/http/httptest"
-	"net/url"
-	"strings"
 	"testing"
 	"time"
 )
 
-func fleetGet(t *testing.T, rt http.RoundTripper, rawurl string) (*http.Response, error) {
-	t.Helper()
-	u, err := url.Parse(rawurl)
-	if err != nil {
-		t.Fatalf("parse %q: %v", rawurl, err)
-	}
-	req := (&http.Request{Method: http.MethodGet, URL: u, Header: http.Header{}}).WithContext(context.Background())
-	return rt.RoundTrip(req)
-}
-
 // TestFleetShapes walks one shard through every fault shape with Advance
 // and asserts the probe/API asymmetry the gateway relies on.
 func TestFleetShapes(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-	}))
-	defer srv.Close()
-	host := strings.TrimPrefix(srv.URL, "http://")
-
+	const host = "shard0:80"
 	inj := New(Config{Seed: 1})
-	var slept []time.Duration
 	fl := NewFleet(inj, map[string]ShardShape{
 		host: {
 			Blackouts:      []Window{{From: 1, To: 2}},
@@ -42,59 +19,43 @@ func TestFleetShapes(t *testing.T) {
 			Latency:        25 * time.Millisecond,
 		},
 	})
-	rt := fl.Transport(srv.Client().Transport, func(d time.Duration) { slept = append(slept, d) })
-
-	check := func(path string, wantFail bool, label string) {
+	check := func(path string, want Decision, label string) {
 		t.Helper()
-		resp, err := fleetGet(t, rt, srv.URL+path)
-		if wantFail {
-			var te *TransportError
-			if !errors.As(err, &te) {
-				t.Fatalf("%s: got err=%v, want injected TransportError", label, err)
-			}
-			return
+		if got := fl.Decide(host, path); got != want {
+			t.Fatalf("%s: %+v, want %+v", label, got, want)
 		}
-		if err != nil {
-			t.Fatalf("%s: unexpected error %v", label, err)
-		}
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
 	}
+	fail := Decision{Fail: true}
 
 	// Tick 0: no window active, everything passes.
-	check("/healthz", false, "tick 0 probe")
-	check("/api/v1/offering", false, "tick 0 api")
+	check("/healthz", Decision{}, "tick 0 probe")
+	check("/api/v1/offering", Decision{}, "tick 0 api")
 
 	inj.Advance(1) // tick 1: blackout — both paths dead
-	check("/healthz", true, "blackout probe")
-	check("/api/v1/offering", true, "blackout api")
+	check("/healthz", fail, "blackout probe")
+	check("/api/v1/offering", fail, "blackout api")
 
 	inj.Advance(1) // tick 2: API partition — probes lie healthy
-	check("/healthz", false, "partitionAPI probe")
-	check("/api/v1/offering", true, "partitionAPI api")
+	check("/healthz", Decision{}, "partitionAPI probe")
+	check("/api/v1/offering", fail, "partitionAPI api")
 
 	inj.Advance(1) // tick 3: probe partition — data path fine
-	check("/healthz", true, "partitionProbe probe")
-	check("/api/v1/offering", false, "partitionProbe api")
+	check("/healthz", fail, "partitionProbe probe")
+	check("/api/v1/offering", Decision{}, "partitionProbe api")
 
 	inj.Advance(1) // tick 4: slow shard — API delayed, probes fast
-	check("/healthz", false, "slow probe")
-	check("/api/v1/offering", false, "slow api")
-	if len(slept) != 1 || slept[0] != 25*time.Millisecond {
-		t.Fatalf("slow window injected delays %v, want [25ms] on the API call only", slept)
-	}
+	check("/healthz", Decision{}, "slow probe")
+	check("/api/v1/offering", Decision{Latency: 25 * time.Millisecond}, "slow api")
 
 	inj.Advance(1) // tick 5: out of every window
-	check("/healthz", false, "recovered probe")
-	check("/api/v1/offering", false, "recovered api")
+	check("/healthz", Decision{}, "recovered probe")
+	check("/api/v1/offering", Decision{}, "recovered api")
 
 	// A host without a shape never faults.
 	other := NewFleet(inj, map[string]ShardShape{"elsewhere:1": {Blackouts: []Window{{From: 0, To: 100}}}})
-	resp, err := fleetGet(t, other.Transport(srv.Client().Transport, nil), srv.URL+"/healthz")
-	if err != nil {
-		t.Fatalf("unshaped host faulted: %v", err)
+	if d := other.Decide(host, "/healthz"); d != (Decision{}) {
+		t.Fatalf("unshaped host faulted: %+v", d)
 	}
-	resp.Body.Close()
 }
 
 // TestFleetDropRateDeterminism pins the flapping shape: same seed, same

@@ -229,7 +229,8 @@ func (g *Gateway) handleChargers(w http.ResponseWriter, r *http.Request) {
 		g.logf("chargers served degraded: shards %v down", dead)
 	}
 	merged := mergeChargers(lists, p)
-	eis.Respond(w, r, nil, merged, func(b []byte) []byte { return wire.AppendChargers(b, merged) })
+	eis.Respond(w, r, nil, func(b []byte) ([]byte, error) { return wire.AppendChargersJSON(b, merged) },
+		func(b []byte) []byte { return wire.AppendChargers(b, merged) })
 }
 
 // decodeChargerList decodes one shard's binary charger payload, timing the
@@ -244,16 +245,16 @@ func decodeChargerList(res *shardResult) ([]charger.Charger, error) {
 // ---- weather / availability (single-owner pass-through) ----
 
 func (g *Gateway) handleWeather(w http.ResponseWriter, r *http.Request) {
-	g.perCharger(w, r, epWeather, func(c *charger.Charger, at time.Time) interface{} {
+	g.perCharger(w, r, epWeather, func(b []byte, c *charger.Charger, at time.Time) ([]byte, error) {
 		// Honest fallback: the site cannot produce more than its nameplate
 		// renewable capacity, and might produce nothing.
-		return eis.WeatherResponse{ChargerID: c.ID, At: at, ProductionKW: eis.IntervalJSON{Min: 0, Max: c.RESKW()}, Degraded: true}
+		return wire.AppendWeatherJSON(b, &eis.WeatherResponse{ChargerID: c.ID, At: at, ProductionKW: eis.IntervalJSON{Min: 0, Max: c.RESKW()}, Degraded: true})
 	})
 }
 
 func (g *Gateway) handleAvailability(w http.ResponseWriter, r *http.Request) {
-	g.perCharger(w, r, epAvailability, func(c *charger.Charger, at time.Time) interface{} {
-		return eis.AvailabilityResponse{ChargerID: c.ID, At: at, Availability: ignoranceWire(), Degraded: true}
+	g.perCharger(w, r, epAvailability, func(b []byte, c *charger.Charger, at time.Time) ([]byte, error) {
+		return wire.AppendAvailabilityJSON(b, &eis.AvailabilityResponse{ChargerID: c.ID, At: at, Availability: ignoranceWire(), Degraded: true})
 	})
 }
 
@@ -261,10 +262,10 @@ func (g *Gateway) handleAvailability(w http.ResponseWriter, r *http.Request) {
 // from the owning shard — the rendezvous partition names it with no shared
 // state — when it answers, and when it does not, the answer a shard over its
 // partition of the gateway's world gives: a synthesized ignorance-bound
-// estimate for a charger it owns, its 404 for one it does not. A charger
-// parameter that is not an integer is answered here, with the 400 a shard
-// would give: there is no owner to ask.
-func (g *Gateway) perCharger(w http.ResponseWriter, r *http.Request, ep endpoint, synth func(*charger.Charger, time.Time) interface{}) {
+// estimate for a charger it owns, which synth appends as JSON, its 404 for
+// one it does not. A charger parameter that is not an integer is answered
+// here, with the 400 a shard would give: there is no owner to ask.
+func (g *Gateway) perCharger(w http.ResponseWriter, r *http.Request, ep endpoint, synth func([]byte, *charger.Charger, time.Time) ([]byte, error)) {
 	if r.Method != http.MethodGet {
 		g.writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
@@ -289,7 +290,7 @@ func (g *Gateway) perCharger(w http.ResponseWriter, r *http.Request, ep endpoint
 	}
 	markDegraded(w, []int{m.index}, 1)
 	g.logf("%s for charger %d served degraded: shard %d down", strings.TrimPrefix(endpointPaths[ep], eis.APIVersion+"/"), c.ID, m.index)
-	eis.WriteJSONStatus(w, http.StatusOK, synth(c, at))
+	eis.Respond(w, r, nil, func(b []byte) ([]byte, error) { return synth(b, c, at) }, nil)
 }
 
 // ---- traffic (any-shard pass-through) ----
@@ -435,7 +436,8 @@ func (g *Gateway) handleOffering(w http.ResponseWriter, r *http.Request) {
 		g.logf("offering served degraded: shards %v down, %d entries widened", dead, len(synth))
 	}
 	fo.mergeOffering(synth, o.K)
-	eis.Respond(w, r, nil, &fo.merged, func(b []byte) []byte { return wire.AppendOfferingResponse(b, &fo.merged) })
+	eis.Respond(w, r, nil, func(b []byte) ([]byte, error) { return wire.AppendOfferingResponseJSON(b, &fo.merged) },
+		func(b []byte) []byte { return wire.AppendOfferingResponse(b, &fo.merged) })
 }
 
 // ---- offering/trip ----
@@ -532,5 +534,6 @@ func (g *Gateway) handleTrip(w http.ResponseWriter, r *http.Request) {
 		markDegraded(w, dead, synthesized)
 		g.logf("trip offering served degraded: shards %v down", dead)
 	}
-	eis.Respond(w, r, nil, &fo.tripMerged, func(b []byte) []byte { return wire.AppendTripResponse(b, &fo.tripMerged) })
+	eis.Respond(w, r, nil, func(b []byte) ([]byte, error) { return wire.AppendTripResponseJSON(b, &fo.tripMerged) },
+		func(b []byte) []byte { return wire.AppendTripResponse(b, &fo.tripMerged) })
 }

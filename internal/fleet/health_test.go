@@ -7,7 +7,9 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"ecocharge/internal/cknn"
 	"ecocharge/internal/eis"
+	"ecocharge/internal/obs"
 )
 
 // TestFleetStatusStatesPartitionAndSearch: /fleet/status names each shard's
@@ -92,5 +94,37 @@ func TestFleetProbeStatesTheWorld(t *testing.T) {
 		if want := ref.post(t, &req, true); !bytes.Equal(got, want) {
 			t.Fatalf("%s: the fleet differs from a single EIS\nfleet:  %.300s\nsingle: %.300s", step.name, got, want)
 		}
+	}
+}
+
+// TestFleetShardRefusesAnotherWorldsBlock: shard 0 restarts into another road
+// world and is asked before the next probe, while the gateway still searches
+// for it. The block the gateway sends names the gateway's world, so the shard
+// refuses it, counts it rejected and searches for itself: two expansions,
+// three blocks, one refused, and the bytes of a fleet whose gateway knew
+// from the start that shard 0 was on other roads.
+func TestFleetShardRefusesAnotherWorldsBlock(t *testing.T) {
+	world := testEnv(t)
+	envs := shardEnvs(t, world, 3)
+	f := newTravelFleet(t, envs, world)
+	otherRoads := shardEnvs(t, longArcTwin(world, true), 3)[0]
+	f.shards[0].set(eis.NewServer(otherRoads, eis.ServerOptions{}).Handler())
+	if st := f.gw.Status()[0]; !st.Searched {
+		t.Fatalf("shard 0 status %+v before the next probe, want searched", st)
+	}
+	center := world.Graph.Bounds().Center()
+	req := eis.OfferingRequest{Lat: center.Lat, Lon: center.Lon, K: 5, Weights: eis.WeightsJSON{L: 3, A: 1, D: 1}, Now: fixedNow}
+	rejected := obs.Default().Counter("eis_travel_rejected_total")
+	s0, b0, r0 := kernelSearches(), met.travelSupplied.Value(), rejected.Value()
+	got := f.post(t, &req, true)
+	if s, b, r := kernelSearches()-s0, met.travelSupplied.Value()-b0, rejected.Value()-r0; s != 2 || b != 3 || r != 1 {
+		t.Fatalf("%d expansions, %d blocks sent and %d refused, want 2, 3 and 1", s, b, r)
+	}
+	probed := newTravelFleet(t, append([]*cknn.Env{otherRoads}, envs[1:]...), world)
+	if st := probed.gw.Status()[0]; st.Searched {
+		t.Fatalf("shard 0 status %+v on other roads after a probe, want not searched", st)
+	}
+	if want := probed.post(t, &req, true); !bytes.Equal(got, want) {
+		t.Fatalf("the refused block changed the answer\nunprobed: %.300s\nprobed:   %.300s", got, want)
 	}
 }

@@ -174,6 +174,25 @@ func TestGatewayHitAllocCeiling(t *testing.T) {
 	}
 }
 
+// TestGatewayHitJSONAllocCeiling: a JSON hit is the wire hit with the
+// client's request decoded by encoding/json at the gateway and the merged
+// table rendered as JSON by the offering appender, which allocates nothing.
+// So it is measured against the wire hit through the same kind of fleet: 1.47
+// KB more. The ceiling, 1.6 KB more, fails when the answer goes through
+// encoding/json again (1.77 KB more: the Encoder and a string per time).
+func TestGatewayHitJSONAllocCeiling(t *testing.T) {
+	if fleet.RaceEnabled {
+		t.Skip("the race detector allocates inside sync.Pool")
+	}
+	const ceiling = 1600 // bytes per hit over a wire hit
+	jsonHit := allocPerSend(t, newHitClient(t, load.PlaneJSON))
+	wireHit := allocPerSend(t, newHitClient(t, load.PlaneWire))
+	t.Logf("%d B per JSON hit, %d B per wire hit", jsonHit, wireHit)
+	if jsonHit > wireHit+ceiling {
+		t.Fatalf("one JSON cache hit through the gateway allocates %d B, over the wire hit's %d B + %d B", jsonHit, wireHit, ceiling)
+	}
+}
+
 // missFleet is an in-process 3-shard fleet over the Oldenburg scenario of
 // the repository benchmark, and a client that asks it for rankings no cache
 // holds: one anchor, weights of its own per request.

@@ -166,7 +166,7 @@ func (g *Gateway) search(fo *fanout, eco cknn.EcoChargeOptions, q cknn.Query, he
 	for _, n := range fo.targets[first:] {
 		fo.seconds, fo.back = append(fo.seconds, ts.Seconds(n)), append(fo.back, ts.ReturnSeconds(n))
 	}
-	head.Anchor, head.Return, head.Base = q.AnchorNode, q.ReturnNode, fo.seconds[len(fo.seconds)-1]
+	head.World, head.Anchor, head.Return, head.Base = g.world, q.AnchorNode, q.ReturnNode, fo.seconds[len(fo.seconds)-1]
 	head.ScaleLo, head.ScaleHi = ts.Scales()
 	fo.blocks = append(fo.blocks, head)
 	return true

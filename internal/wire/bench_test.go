@@ -7,9 +7,11 @@ import (
 	"ecocharge/internal/charger"
 )
 
-// BenchmarkWireCodec pits the binary codec against encoding/json on the
+// BenchmarkWireCodec pits the binary codec against encoding/json, and
+// against the JSON appenders that answer in its place (json-append), on the
 // payloads the wire actually carries: a k=16 offering table and an 80-
-// charger inventory. The binary side must hold 0 B/op in steady state.
+// charger inventory. The binary side and the appenders must hold 0 B/op in
+// steady state.
 func BenchmarkWireCodec(b *testing.B) {
 	resp := sampleResponse(16)
 	cs := sampleChargers(80)
@@ -25,6 +27,16 @@ func BenchmarkWireCodec(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := json.Marshal(&resp); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("encode-response/json-append", func(b *testing.B) {
+		buf := make([]byte, 0, 1<<16)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var err error
+			if buf, err = AppendOfferingResponseJSON(buf[:0], &resp); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -65,6 +77,16 @@ func BenchmarkWireCodec(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := json.Marshal(cs); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("encode-inventory/json-append", func(b *testing.B) {
+		buf := make([]byte, 0, 1<<20)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var err error
+			if buf, err = AppendChargersJSON(buf[:0], cs); err != nil {
 				b.Fatal(err)
 			}
 		}

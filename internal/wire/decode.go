@@ -334,8 +334,9 @@ func (r *reader) seconds() float64 {
 // are. What it lets through is well-formed, not true: one leg or two, scale
 // factors that are a band around 1, node IDs that are not negative, times
 // that are non-negative or +Inf (the one non-finite value a block has a
-// meaning for). Whether the nodes exist and cover the ranking is for the
-// receiver, which has the graph, to say.
+// meaning for). Whether the block's world is the receiver's, and whether its
+// nodes exist and cover the ranking, is for the receiver, which has the graph,
+// to say.
 func (r *reader) travelBlock() TravelBlock {
 	if tag := r.u8(); r.err == nil && tag != travelTag {
 		r.fail("byte 0x%02X after the request is not a travel block", tag)
@@ -344,9 +345,10 @@ func (r *reader) travelBlock() TravelBlock {
 	if r.err == nil && legs != 1 && legs != 2 {
 		r.fail("a travel block of %d legs", legs)
 	}
+	world := r.u64()
 	seg := r.uvarint()
 	t := TravelBlock{
-		Segment: int(seg), Anchor: roadnet.NodeID(int32(r.u32())), Return: roadnet.NodeID(int32(r.u32())),
+		World: world, Segment: int(seg), Anchor: roadnet.NodeID(int32(r.u32())), Return: roadnet.NodeID(int32(r.u32())),
 		ScaleLo: r.f64(), ScaleHi: r.f64(), Base: r.seconds(), TwoLegs: legs == 2,
 	}
 	if r.err == nil && (seg > math.MaxInt32 || t.Anchor < 0 || t.Return < 0) {

@@ -97,8 +97,8 @@ func AppendOfferingRequest(b []byte, req *OfferingRequest) []byte {
 // A request ends after its fields or goes on with one of these bytes;
 // anything else is trailing garbage.
 //
-// A block is, in order: travelTag; its legs, 1 or 2, in one byte; Segment
-// as a uvarint; Anchor and Return as 4-byte node IDs; ScaleLo, ScaleHi and
+// A block is, in order: travelTag; its legs, 1 or 2, in one byte; World as
+// an 8-byte integer; Segment as a uvarint; Anchor and Return as 4-byte node IDs; ScaleLo, ScaleHi and
 // Base as 8-byte floats; the number of entries as a uvarint; and the
 // entries, each a 4-byte node and its 8-byte time out, followed on a
 // two-leg block by its 8-byte time back: 12 or 20 bytes an entry.
@@ -143,7 +143,7 @@ func AppendTripRequest(b []byte, req *TripOfferingRequest) []byte {
 // block of that many entries, on two legs or on one, so that a sender can
 // size a request's buffer once.
 func TravelBlockSize(entries int, twoLegs bool) int {
-	const head = 1 + 1 + 10 + 2*4 + 3*8 + 10
+	const head = 1 + 1 + 8 + 10 + 2*4 + 3*8 + 10
 	if twoLegs {
 		return head + entries*twoLegEntrySize
 	}
@@ -178,6 +178,7 @@ func appendTravelHead(b []byte, t *TravelBlock, entries int) []byte {
 		legs = 2
 	}
 	b = append(b, travelTag, legs)
+	b = appendU64(b, t.World)
 	b = appendUvarint(b, uint64(t.Segment))
 	b = appendU32(b, uint32(int32(t.Anchor)))
 	b = appendU32(b, uint32(int32(t.Return)))

@@ -93,7 +93,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 		// fuzzer makes of a block's numbers, it either travels unchanged or is
 		// refused — and it is refused exactly when it is not well-formed.
 		head := TravelBlock{
-			Segment: int(degraded), Anchor: roadnet.NodeID(int32(k)), Return: roadnet.NodeID(degraded),
+			World: uint64(chargerID), Segment: int(degraded), Anchor: roadnet.NodeID(int32(k)), Return: roadnet.NodeID(degraded),
 			ScaleLo: wl, ScaleHi: wa, Base: scMin, TwoLegs: twoLegs,
 		}
 		nodes, outSec, backSec := []roadnet.NodeID{roadnet.NodeID(int32(k)), 7}, []float64{scMin, math.Inf(1)}, []float64{scMax, 0}
@@ -112,7 +112,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 			t.Fatal("a refused request left a travel block behind")
 		case err == nil:
 			b := reqOut.Travel
-			if n, o, r := b.At(0); !bytes.Equal(AppendOfferingRequest(nil, &reqOut), withBlock) || b.Len() != 3 || n != nodes[0] || o != scMin || r != firstBack {
+			if n, o, r := b.At(0); !bytes.Equal(AppendOfferingRequest(nil, &reqOut), withBlock) || b.World != head.World || b.Len() != 3 || n != nodes[0] || o != scMin || r != firstBack {
 				t.Fatalf("travel block changed in flight: reads (%d, %v, %v) first of %d", n, o, r, b.Len())
 			}
 		}

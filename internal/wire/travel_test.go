@@ -25,9 +25,12 @@ func (b *sampleBlock) appendTo(buf []byte) []byte {
 	return AppendTravelBlock(buf, &b.head, b.nodes, b.out, b.back)
 }
 
+// sampleWorld is the road world the sample blocks name.
+const sampleWorld = 0x5eed_0f_0ad5_c0de
+
 // sampleTravel is an offering's block: one leg, back to the anchor.
 func sampleTravel() sampleBlock {
-	return sampleBlock{TravelBlock{Anchor: 901, Return: 901, ScaleLo: 0.97, ScaleHi: 1.12},
+	return sampleBlock{TravelBlock{World: sampleWorld, Anchor: 901, Return: 901, ScaleLo: 0.97, ScaleHi: 1.12},
 		[]roadnet.NodeID{17, 4, 4, 2_000_000, 0}, []float64{12.5, 340, 340, math.Inf(1), 0}, nil}
 }
 
@@ -100,7 +103,8 @@ func TestHostileTravelBlocks(t *testing.T) {
 	enc := block.appendTo(AppendOfferingRequest(nil, &req))
 	const (
 		legsOff    = 1 // after the tag
-		segOff     = legsOff + 1
+		worldOff   = legsOff + 1
+		segOff     = worldOff + 8
 		anchorOff  = segOff + 1 // a one-byte uvarint
 		returnOff  = anchorOff + 4
 		scaleLoOff = returnOff + 4
@@ -139,6 +143,7 @@ func TestHostileTravelBlocks(t *testing.T) {
 		"negative node":        patch(nodeOff, appendU32(nil, uint32(0x80000001))),
 		"negative anchor":      patch(anchorOff, appendU32(nil, uint32(0xffffffff))),
 		"negative return":      patch(returnOff, appendU32(nil, uint32(0x80000000))),
+		"world cut short":      append(append([]byte(nil), enc[:len(bare)+worldOff]...), 1, 2, 3),
 		"trailing byte":        append(append([]byte(nil), enc...), 0),
 		"second block":         append(append([]byte(nil), enc...), enc[len(bare):]...),
 		"tag and nothing else": append(append([]byte(nil), bare...), travelTag),
@@ -202,9 +207,9 @@ func sampleTrip() TripOfferingRequest {
 // them: two legs each.
 func sampleTripBlocks() []sampleBlock {
 	return []sampleBlock{
-		{TravelBlock{Segment: 0, Anchor: 901, Return: 17, ScaleLo: 0.97, ScaleHi: 1.12, Base: 88.5, TwoLegs: true},
+		{TravelBlock{World: sampleWorld, Segment: 0, Anchor: 901, Return: 17, ScaleLo: 0.97, ScaleHi: 1.12, Base: 88.5, TwoLegs: true},
 			[]roadnet.NodeID{17, 4, 4, 2_000_000}, []float64{88.5, 340, 340, math.Inf(1)}, []float64{0, 12, 12, 7}},
-		{TravelBlock{Segment: 3, Anchor: 5, Return: 5, ScaleLo: 1, ScaleHi: 1, Base: math.Inf(1), TwoLegs: true}, nil, nil, nil},
+		{TravelBlock{World: sampleWorld, Segment: 3, Anchor: 5, Return: 5, ScaleLo: 1, ScaleHi: 1, Base: math.Inf(1), TwoLegs: true}, nil, nil, nil},
 	}
 }
 
@@ -319,8 +324,9 @@ func TestHostileTripBlocks(t *testing.T) {
 	bare := AppendTripRequest(nil, &req)
 	enc := appendSampleTrip(&req, sampleTripBlocks())
 	const (
-		legsOff    = 1           // after the tag
-		segOff     = legsOff + 1 // a one-byte uvarint
+		legsOff    = 1 // after the tag
+		worldOff   = legsOff + 1
+		segOff     = worldOff + 8 // a one-byte uvarint
 		anchorOff  = segOff + 1
 		returnOff  = anchorOff + 4
 		scaleLoOff = returnOff + 4

@@ -87,7 +87,9 @@ type TripOfferingRequest struct {
 
 // TravelBlock carries the raw travel times of one network search to the
 // receiver's chargers: the search of an offering's ranking, or of one trip
-// segment's (Segment is its index). Anchor is the node the search started
+// segment's (Segment is its index). World is the road world the search ran
+// in (cknn.Env.RoadWorld), which a receiver in another world refuses the
+// block by. Anchor is the node the search started
 // from, Return the node its return leg ended at and Base the time from the
 // one to the other (the on-route baseline), and ScaleLo ≤ 1 ≤ ScaleHi turn a
 // raw time into its lower and upper bound. A trip segment's search has two
@@ -102,6 +104,7 @@ type TripOfferingRequest struct {
 // decoded from and are read in place (At): a block lives as long as those
 // do. A sender appends a block's entries from slices (AppendTravelBlock).
 type TravelBlock struct {
+	World            uint64
 	Segment          int
 	Anchor, Return   roadnet.NodeID
 	ScaleLo, ScaleHi float64

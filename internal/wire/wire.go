@@ -1,7 +1,8 @@
 // Package wire is the EcoCharge zero-copy data plane: the wire types the
-// EIS and the fleet gateway exchange, plus a compact length-prefixed binary
-// codec for the hot-path payloads (Offering Tables, one or a trip's worth,
-// their requests, and charger lists). The per-charger weather and
+// EIS and the fleet gateway exchange, a compact length-prefixed binary codec
+// for the hot-path payloads (Offering Tables, one or a trip's worth, their
+// requests, and charger lists), and one JSON appender per answer type, which
+// writes the bytes encoding/json would (json.go). The per-charger weather and
 // availability lookups and the traffic bands are JSON only, whatever the
 // client's Accept says: they are cold, and the fleet gateway passes them
 // through as a shard answers them, so JSON is what keeps a client's answer
