@@ -48,7 +48,9 @@ chaos-fleet:
 # and started as processes with their default -dataset and -seed on fixed
 # loopback ports (18180-18182), must agree on the world — both members
 # searched on /fleet/status, and one wire /offering sends travel blocks
-# (fleet_travel_supplied_total > 0). All three are killed on exit (~10 s).
+# (fleet_travel_supplied_total > 0). Then both shards are killed, and the
+# gateway's /chargers radius query and /traffic must answer 200 with no
+# X-Fleet-Degraded header. Every process left is killed on exit (~10 s).
 fleet-smoke:
 	bash scripts/fleet-smoke.sh
 

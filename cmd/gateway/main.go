@@ -1,9 +1,10 @@
 // Command gateway fronts a sharded EIS fleet: it health-checks the member
-// instances, fans queries out with per-shard deadlines and hedged replicas,
-// and merges per-shard Offering Tables into the table a single EIS over the
-// whole inventory would serve. Chargers owned by an unreachable shard stay
-// in every table at the ignorance bound, tagged shard-degraded, instead of
-// silently disappearing.
+// instances, fans the two rankings out with per-shard deadlines and hedged
+// replicas, and merges per-shard Offering Tables into the table a single EIS
+// over the whole inventory would serve. Chargers owned by an unreachable
+// shard stay in every table at the ignorance bound, tagged shard-degraded,
+// instead of silently disappearing. The data feeds (chargers, weather,
+// availability, traffic) it answers itself, from its own world.
 //
 // Each shard is "primary" or "primary|replica"; shards are comma-separated
 // and their order must match the -shard i/n indexes the members were
@@ -14,8 +15,9 @@
 //	gateway -addr :8080 -shards http://localhost:8081,http://localhost:8082
 //
 // The gateway loads the world the members serve, from the same -dataset and
-// -seed, whose defaults are cmd/eis's (Oldenburg, 42). Its partition names
-// each shard's chargers, which a dead shard's answers are synthesized from,
+// -seed, whose defaults are cmd/eis's (Oldenburg, 42). It answers the data
+// feeds; its partition names each shard's chargers, which a dead shard's
+// table entries are synthesized from,
 // and its road network is searched once per cache-miss ranking, each shard
 // handed its travel times where it would otherwise run the same search. A
 // shard whose world is not the gateway's (another dataset or seed), as it
@@ -52,7 +54,7 @@ func main() {
 		threshold = flag.Int("breaker-threshold", 5, "consecutive shard faults that open its breaker")
 		cooldown  = flag.Duration("breaker-cooldown", 5*time.Second, "open time before a shard breaker admits its half-open trial")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline for in-flight requests")
-		dataset   = flag.String("dataset", "Oldenburg", "dataset profile the members serve (Oldenburg, California, T-drive, Geolife): its world names each shard's chargers, and its road network is searched once per ranking on the shards' behalf")
+		dataset   = flag.String("dataset", "Oldenburg", "dataset profile the members serve (Oldenburg, California, T-drive, Geolife): its world answers the data feeds and names each shard's chargers, and its road network is searched once per ranking on the shards' behalf")
 		seed      = flag.Int64("seed", 42, "scenario seed the members were started with")
 	)
 	flag.Parse()

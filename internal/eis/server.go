@@ -6,16 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"math"
 	"net/http"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"ecocharge/internal/charger"
 	"ecocharge/internal/cknn"
-	"ecocharge/internal/geo"
 	"ecocharge/internal/obs"
 	"ecocharge/internal/roadnet"
 	"ecocharge/internal/wire"
@@ -68,7 +65,8 @@ const (
 )
 
 // Server is the EcoCharge Information Server: it owns the environment and
-// answers the consolidated-data and Mode 2 computation endpoints.
+// answers the Mode 2 computation endpoints, and the consolidated-data ones
+// through its Feeds.
 type Server struct {
 	env  *cknn.Env
 	opts ServerOptions
@@ -401,10 +399,11 @@ func withTimeout(ctx context.Context, timeout time.Duration) (context.Context, c
 // (HandleOps) included.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc(APIVersion+"/chargers", Instrument(s.opts.Tracer, "eis.chargers", met.httpChargers, s.handleChargers))
-	mux.HandleFunc(APIVersion+"/weather", Instrument(s.opts.Tracer, "eis.weather", met.httpWeather, s.handleWeather))
-	mux.HandleFunc(APIVersion+"/availability", Instrument(s.opts.Tracer, "eis.availability", met.httpAvailability, s.handleAvailability))
-	mux.HandleFunc(APIVersion+"/traffic", Instrument(s.opts.Tracer, "eis.traffic", met.httpTraffic, s.handleTraffic))
+	f := &Feeds{env: s.env, clock: s.opts.Clock, writeError: s.writeError, m: met}
+	mux.HandleFunc(APIVersion+"/chargers", Instrument(s.opts.Tracer, "eis.chargers", met.httpChargers, f.Chargers))
+	mux.HandleFunc(APIVersion+"/weather", Instrument(s.opts.Tracer, "eis.weather", met.httpWeather, f.Weather))
+	mux.HandleFunc(APIVersion+"/availability", Instrument(s.opts.Tracer, "eis.availability", met.httpAvailability, f.Availability))
+	mux.HandleFunc(APIVersion+"/traffic", Instrument(s.opts.Tracer, "eis.traffic", met.httpTraffic, f.Traffic))
 	mux.HandleFunc(APIVersion+"/offering", Instrument(s.opts.Tracer, "eis.offering", met.httpOffering, s.handleOffering))
 	mux.HandleFunc(APIVersion+"/offering/trip", Instrument(s.opts.Tracer, "eis.offering.trip", met.httpTrip, s.handleTripOffering))
 	HandleOps(mux, strconv.FormatUint(s.world, 16))
@@ -417,168 +416,6 @@ func (s *Server) writeError(w http.ResponseWriter, code int, format string, args
 		s.opts.Logger.Printf("eis: %d %s", code, msg)
 	}
 	WriteError(w, code, msg)
-}
-
-func parseFloat(r *http.Request, name string) (float64, error) {
-	raw := r.URL.Query().Get(name)
-	if raw == "" {
-		return 0, fmt.Errorf("missing parameter %q", name)
-	}
-	v, err := strconv.ParseFloat(raw, 64)
-	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0, fmt.Errorf("parameter %q is not a finite number", name)
-	}
-	return v, nil
-}
-
-// ChargerIDParam parses the "charger" query parameter of the per-charger
-// endpoints: a base-10 integer and nothing else. Charger IDs are int64s, so
-// "7.9", "1e3" and "NaN" name no charger — reading them as floats and
-// truncating would answer for charger 7, for charger 1000, and for whatever
-// integer the platform converts NaN to. The shard and the fleet gateway both
-// parse through here and answer the error as a 400, so they cannot disagree.
-func ChargerIDParam(r *http.Request) (int64, error) {
-	raw := r.URL.Query().Get("charger")
-	if raw == "" {
-		return 0, fmt.Errorf("missing parameter %q", "charger")
-	}
-	id, err := strconv.ParseInt(raw, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("parameter %q is not an integer charger ID", "charger")
-	}
-	return id, nil
-}
-
-// TimeParam parses the RFC3339 query parameter name, def when it is absent;
-// like ChargerIDParam, shared by the shard and the fleet gateway.
-func TimeParam(r *http.Request, name string, def time.Time) (time.Time, error) {
-	raw := r.URL.Query().Get(name)
-	if raw == "" {
-		return def, nil
-	}
-	t, err := time.Parse(time.RFC3339, raw)
-	if err != nil {
-		return time.Time{}, fmt.Errorf("parameter %q is not RFC3339: %v", name, err)
-	}
-	return t, nil
-}
-
-// ChargersParams parses the lat, lon and radius_m query parameters of
-// /chargers; the error is the 400 a server answers with. The shard and the
-// fleet gateway both parse through here: the gateway merges and synthesizes
-// around exactly the point and radius the shards selected by.
-func ChargersParams(r *http.Request) (geo.Point, float64, error) {
-	lat, err := parseFloat(r, "lat")
-	if err != nil {
-		return geo.Point{}, 0, err
-	}
-	lon, err := parseFloat(r, "lon")
-	if err != nil {
-		return geo.Point{}, 0, err
-	}
-	radius, err := parseFloat(r, "radius_m")
-	if err != nil {
-		return geo.Point{}, 0, err
-	}
-	p := geo.Point{Lat: lat, Lon: lon}
-	if !p.Valid() || radius < 0 {
-		return geo.Point{}, 0, errors.New("invalid location or radius")
-	}
-	return p, radius, nil
-}
-
-// handleChargers returns the chargers within a radius of a location
-// (the PlugShare-consolidation endpoint).
-func (s *Server) handleChargers(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	p, radius, err := ChargersParams(r)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	cs := s.env.Chargers.Within(p, radius)
-	Respond(w, r, met, func(b []byte) ([]byte, error) { return wire.AppendChargerRefsJSON(b, cs) },
-		func(b []byte) []byte { return wire.AppendChargerRefs(b, cs) })
-}
-
-// handleWeather returns the production forecast of a charger at a time
-// (the OpenWeatherMap-consolidation endpoint).
-func (s *Server) handleWeather(w http.ResponseWriter, r *http.Request) {
-	c, at, ok := s.chargerAndTime(w, r)
-	if !ok {
-		return
-	}
-	iv := s.env.ProductionForecast(c, at, s.opts.Clock())
-	resp := WeatherResponse{ChargerID: c.ID, At: at, ProductionKW: wire.ToWire(iv)}
-	Respond(w, r, met, func(b []byte) ([]byte, error) { return wire.AppendWeatherJSON(b, &resp) }, nil)
-}
-
-// handleAvailability returns the availability estimate of a charger
-// (the busy-timetable endpoint).
-func (s *Server) handleAvailability(w http.ResponseWriter, r *http.Request) {
-	c, at, ok := s.chargerAndTime(w, r)
-	if !ok {
-		return
-	}
-	iv := s.env.Avail.ForecastAvailability(c.ID, &c.Timetable, at, s.opts.Clock())
-	resp := AvailabilityResponse{ChargerID: c.ID, At: at, Availability: wire.ToWire(iv)}
-	Respond(w, r, met, func(b []byte) ([]byte, error) { return wire.AppendAvailabilityJSON(b, &resp) }, nil)
-}
-
-func (s *Server) chargerAndTime(w http.ResponseWriter, r *http.Request) (c *charger.Charger, at time.Time, ok bool) {
-	if r.Method != http.MethodGet {
-		s.writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return nil, time.Time{}, false
-	}
-	c, at, code, err := ChargerAt(r, s.env.Chargers, s.opts.Clock())
-	if err != nil {
-		s.writeError(w, code, "%v", err)
-		return nil, time.Time{}, false
-	}
-	return c, at, true
-}
-
-// ChargerAt reads the charger and t parameters of /weather and /availability
-// and finds the charger in set; the error is the one a server answers with,
-// under the status code. A shard answers through here, and so does the fleet
-// gateway for a dead shard's chargers.
-func ChargerAt(r *http.Request, set *charger.Set, now time.Time) (*charger.Charger, time.Time, int, error) {
-	id, err := ChargerIDParam(r)
-	if err != nil {
-		return nil, time.Time{}, http.StatusBadRequest, err
-	}
-	c, found := set.ByID(id)
-	if !found {
-		return nil, time.Time{}, http.StatusNotFound, fmt.Errorf("charger %d not found", id)
-	}
-	at, err := TimeParam(r, "t", now)
-	if err != nil {
-		return nil, time.Time{}, http.StatusBadRequest, err
-	}
-	return c, at, 0, nil
-}
-
-// handleTraffic returns the congestion band per road class (the GIS
-// traffic endpoint).
-func (s *Server) handleTraffic(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	at, err := TimeParam(r, "t", s.opts.Clock())
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	now := s.opts.Clock()
-	resp := TrafficResponse{At: at, Multiplier: make(map[string]IntervalJSON, 4)}
-	for c := roadnet.RoadClass(0); c < 4; c++ {
-		resp.Multiplier[c.String()] = wire.ToWire(s.env.Traffic.ForecastMultiplier(c, at, now))
-	}
-	WriteJSONStatus(w, http.StatusOK, resp)
 }
 
 // handleOffering is the Mode 2 endpoint: the server runs Algorithm 1 for

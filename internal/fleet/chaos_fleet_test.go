@@ -411,8 +411,8 @@ func TestChaosFleetShardBlackout(t *testing.T) {
 
 // TestFleetDeadFromBootStaysInEveryTable: a shard that is dark from the
 // first probe on is served from the gateway's world like one that died
-// later — its chargers in every table at the ignorance bound, its point
-// lookups at the degraded bound — with no answer of its own ever read.
+// later — its chargers in every table at the ignorance bound, and every data
+// feed a single EIS's answer — with no answer of its own ever read.
 func TestFleetDeadFromBootStaysInEveryTable(t *testing.T) {
 	h := newFleetHarness(t, harnessOpts{
 		n: 3,
@@ -429,12 +429,12 @@ func TestFleetDeadFromBootStaysInEveryTable(t *testing.T) {
 	h.assertShard1Served(t)
 }
 
-// assertShard1Served requires every method to keep answering 200 while
-// shard 1 of three does not answer: its chargers stay in every Offering Table at
-// the ignorance bound with the full degraded mask, in exactly the positions
-// an independent oracle predicts; radius queries stay byte-complete from the
-// gateway's world; its point lookups answer the degraded bound, and a
-// charger nobody owns the 404 a single EIS gives.
+// assertShard1Served requires every method to keep answering while shard 1
+// of three does not answer: its chargers stay in every Offering Table at the
+// ignorance bound with the full degraded mask, in exactly the positions an
+// independent oracle predicts, and the data feeds — radius queries, its
+// chargers' point lookups, a charger nobody owns, traffic — answer what a
+// single EIS answers, asking no shard.
 func (h *fleetHarness) assertShard1Served(t *testing.T) {
 	t.Helper()
 	const dead, deadMark = 1, "1"
@@ -481,64 +481,38 @@ func (h *fleetHarness) assertShard1Served(t *testing.T) {
 		t.Fatal("no dead-shard charger ranked into the table; pick a bigger radius")
 	}
 
-	// chargers: the gateway's world keeps radius queries byte-complete.
+	// The data feeds are the gateway's own, answered from its world: a single
+	// EIS's bytes, the dead shard's chargers included, marked degraded
+	// nowhere, and no shard is asked.
+	asked := met.shardRequests.Value()
 	pathq := eis.APIVersion + "/chargers?lat=" + fmtFloat(center.Lat) + "&lon=" + fmtFloat(center.Lon) + "&radius_m=6000"
-	gs, gb, gh = doReq(t, h.gwts.URL, http.MethodGet, pathq, nil)
-	_, sb, _ := doReq(t, h.single.URL, http.MethodGet, pathq, nil)
-	if gs != http.StatusOK || !bytes.Equal(gb, sb) {
-		t.Fatalf("chargers under blackout diverged (status %d)\ngateway: %.300s\nsingle:  %.300s", gs, gb, sb)
-	}
-	if gh.Get(degradedHeader) != deadMark {
-		t.Fatal("degraded chargers response not marked")
-	}
-
-	// weather/availability: dead-shard chargers answer with honest bounds.
+	h.assertIdentical("chargers during blackout", http.MethodGet, pathq, nil)
 	var deadC, liveC int64 = -1, -1
-	var deadCap float64
 	for _, c := range h.env.Chargers.All() {
 		if h.part.ShardOf(c.ID) == dead && deadC < 0 {
-			deadC, deadCap = c.ID, c.PanelKW+c.WindKW
+			deadC = c.ID
 		}
 		if h.part.ShardOf(c.ID) == 0 && liveC < 0 {
 			liveC = c.ID
 		}
 	}
-	at := fixedNow.Add(time.Hour)
-	gs, gb, gh = doReq(t, h.gwts.URL, http.MethodGet, eis.APIVersion+"/weather?charger="+fmt.Sprint(deadC)+"&t="+at.Format(time.RFC3339), nil)
-	if gs != http.StatusOK || gh.Get(degradedHeader) != deadMark {
-		t.Fatalf("degraded weather: status %d header %q", gs, gh.Get(degradedHeader))
+	at := fixedNow.Add(time.Hour).Format(time.RFC3339)
+	for _, id := range []int64{deadC, liveC} {
+		q := "?charger=" + fmt.Sprint(id) + "&t=" + at
+		h.assertIdentical("weather during blackout", http.MethodGet, eis.APIVersion+"/weather"+q, nil)
+		h.assertIdentical("availability during blackout", http.MethodGet, eis.APIVersion+"/availability"+q, nil)
 	}
-	var dw eis.WeatherResponse
-	if err := json.Unmarshal(gb, &dw); err != nil {
-		t.Fatal(err)
-	}
-	if !dw.Degraded || dw.ChargerID != deadC || !dw.At.Equal(at) {
-		t.Fatalf("degraded weather echo wrong: %+v", dw)
-	}
-	if dw.ProductionKW.Min != 0 || dw.ProductionKW.Max != deadCap {
-		t.Fatalf("degraded production [%v,%v], want [0,%v]", dw.ProductionKW.Min, dw.ProductionKW.Max, deadCap)
-	}
-	gs, gb, _ = doReq(t, h.gwts.URL, http.MethodGet, eis.APIVersion+"/availability?charger="+fmt.Sprint(deadC)+"&t="+at.Format(time.RFC3339), nil)
-	var da eis.AvailabilityResponse
-	if err := json.Unmarshal(gb, &da); err != nil {
-		t.Fatal(err)
-	}
-	if gs != http.StatusOK || !da.Degraded || da.Availability.Min != 0 || da.Availability.Max != 1 {
-		t.Fatalf("degraded availability wrong: status %d %+v", gs, da)
-	}
-	// Live shards pass through untouched.
-	h.assertIdentical("live weather during blackout", http.MethodGet,
-		eis.APIVersion+"/weather?charger="+fmt.Sprint(liveC)+"&t="+at.Format(time.RFC3339), nil)
 	// A charger the world does not hold, which the dead shard would own, is
-	// the 404 the shard would give — not a fabricated estimate.
+	// the 404 a single EIS gives — not a fabricated estimate.
 	unknown := int64(1_000_000)
 	for h.part.ShardOf(unknown) != dead {
 		unknown++
 	}
 	h.assertIdentical("unknown charger on the dead shard", http.MethodGet, eis.APIVersion+"/weather?charger="+fmt.Sprint(unknown), nil)
-
-	// traffic: any healthy shard serves it byte-identically.
-	h.assertIdentical("traffic during blackout", http.MethodGet, eis.APIVersion+"/traffic?t="+at.Format(time.RFC3339), nil)
+	h.assertIdentical("traffic during blackout", http.MethodGet, eis.APIVersion+"/traffic?t="+at, nil)
+	if n := met.shardRequests.Value() - asked; n != 0 {
+		t.Fatalf("the data feeds asked the shards %d times", n)
+	}
 
 	// offering/trip: every segment stays tabletest-valid with the dead
 	// shard's chargers widened, never dropped.

@@ -13,9 +13,9 @@ import (
 
 // TestFleetChargerIDIsAnInteger is eis.TestChargerIDIsAnInteger through the
 // gateway: the charger parameter of the per-charger endpoints is a base-10
-// integer, the gateway answers anything else with the status and the bytes of
-// a single EIS, and it needs no live shard to do so — "7.9" no longer routes
-// to the owner of charger 7, and "abc" no longer depends on shard 0 being up.
+// integer, and the gateway answers every ID, integer or not, with the status
+// and the bytes of a single EIS from its own world, asking no shard — so it
+// needs no live shard to do so.
 func TestFleetChargerIDIsAnInteger(t *testing.T) {
 	const notInteger = `{"error":"parameter \"charger\" is not an integer charger ID"}` + "\n"
 	const missing = `{"error":"missing parameter \"charger\""}` + "\n"
@@ -38,6 +38,7 @@ func TestFleetChargerIDIsAnInteger(t *testing.T) {
 
 	t.Run("fault-free", func(t *testing.T) {
 		h := newFleetHarness(t, harnessOpts{n: 3})
+		asked := met.shardRequests.Value()
 		for _, endpoint := range endpoints {
 			for raw, body := range rejected(h) {
 				pathq := eis.APIVersion + endpoint + "?charger=" + url.QueryEscape(raw)
@@ -50,6 +51,9 @@ func TestFleetChargerIDIsAnInteger(t *testing.T) {
 				pathq := eis.APIVersion + endpoint + "?charger=" + url.QueryEscape(raw)
 				h.assertIdentical(pathq, http.MethodGet, pathq, nil)
 			}
+		}
+		if n := met.shardRequests.Value() - asked; n != 0 {
+			t.Fatalf("the point lookups asked the shards %d times", n)
 		}
 	})
 
@@ -65,6 +69,7 @@ func TestFleetChargerIDIsAnInteger(t *testing.T) {
 		})
 		h.gw.ProbeAll(context.Background()) // tick 0: healthy
 		h.inj.Advance(1)
+		asked := met.shardRequests.Value()
 		for _, endpoint := range endpoints {
 			for raw, body := range rejected(h) {
 				pathq := eis.APIVersion + endpoint + "?charger=" + url.QueryEscape(raw)
@@ -72,11 +77,12 @@ func TestFleetChargerIDIsAnInteger(t *testing.T) {
 					t.Errorf("%s: status %d body %q, want 400 %q", pathq, gs, gb, body)
 				}
 			}
-			// An integer still gets the degraded answer of its dead owner.
+			// An integer gets a single EIS's 200, whoever owns it.
 			pathq := eis.APIVersion + endpoint + "?charger=" + id(h)
-			if gs, _, gh := doReq(t, h.gwts.URL, http.MethodGet, pathq, nil); gs != http.StatusOK || gh.Get(degradedHeader) == "" {
-				t.Errorf("%s: status %d degraded %q, want a degraded 200", pathq, gs, gh.Get(degradedHeader))
-			}
+			h.assertIdentical(pathq, http.MethodGet, pathq, nil)
+		}
+		if n := met.shardRequests.Value() - asked; n != 0 {
+			t.Fatalf("the point lookups asked the shards %d times", n)
 		}
 	})
 }

@@ -22,8 +22,8 @@ import (
 //
 //   - Everything about a request that does not change from call to call is
 //     built once: a member's request head per endpoint (target), read-only
-//     and shared by every attempt. An attempt adds the call's query and its
-//     body's length and bytes (target.appendRequest).
+//     and shared by every attempt. An attempt adds its body's length and
+//     bytes (target.appendRequest).
 //   - A fan-out is one goroutine: the handler's writes every shard's request
 //     that can go out at once, on an idle connection (hop.send), then reads
 //     the answers in shard order (hop.receive). The shards work in parallel;
@@ -40,16 +40,12 @@ import (
 //     member has a replica, whose hedge runs on its timer's goroutine. So
 //     the fan-out lasts as long as its slowest shard, not the sum of its sends.
 
-// endpoint indexes what the gateway asks a shard: the API methods it
-// forwards to and the health check it probes.
+// endpoint indexes what the gateway asks a shard: the two rankings it fans
+// out and the health check it probes.
 type endpoint int
 
 const (
-	epChargers endpoint = iota
-	epWeather
-	epAvailability
-	epTraffic
-	epOffering
+	epOffering endpoint = iota
 	epTrip
 	epHealthz
 	numEndpoints
@@ -57,30 +53,22 @@ const (
 
 // endpointPaths are the endpoints' paths under a shard's base URL.
 var endpointPaths = [numEndpoints]string{
-	epChargers:     eis.APIVersion + "/chargers",
-	epWeather:      eis.APIVersion + "/weather",
-	epAvailability: eis.APIVersion + "/availability",
-	epTraffic:      eis.APIVersion + "/traffic",
-	epOffering:     eis.APIVersion + "/offering",
-	epTrip:         eis.APIVersion + "/offering/trip",
-	epHealthz:      "/healthz", // outside the API version, on every EIS
+	epOffering: eis.APIVersion + "/offering",
+	epTrip:     eis.APIVersion + "/offering/trip",
+	epHealthz:  "/healthz", // outside the API version, on every EIS
 }
 
 // target is one base URL of a member — its primary or its replica — with
 // the address its requests go to and the head of every endpoint's request.
 type target struct {
-	base  string
-	addr  string // host:port
-	heads [numEndpoints]head
+	base string
+	addr string // host:port
+	// heads holds each endpoint's request head, built once: the request line
+	// and the header lines, each ending in CRLF, that every request to it
+	// sends. The two rankings are POSTs that send and ask for the binary
+	// format; a probe asks for nothing.
+	heads [numEndpoints]string
 }
-
-// head is the request head of one endpoint, built once, around the query a
-// call adds: line is the method and the path, and tail the protocol and the
-// header lines, each ending in CRLF, that every request to it sends. The
-// gateway asks for the binary format where it reads the answer, and sends it
-// on the two POSTs; the answers it passes through (weather, availability,
-// traffic) are JSON, and it asks for nothing there.
-type head struct{ line, tail string }
 
 // newTarget parses base, which must be a plain http URL: the only scheme the
 // gateway's hop speaks.
@@ -102,29 +90,19 @@ func newTarget(base string) (*target, error) {
 		if u.Port() == "" {
 			t.addr += ":80"
 		}
-		method, tail := http.MethodGet, " HTTP/1.1\r\nHost: "+u.Host+"\r\n"
-		switch endpoint(ep) {
-		case epWeather, epAvailability, epTraffic:
-		case epOffering, epTrip:
-			method, tail = http.MethodPost, tail+"Accept: "+wire.ContentType+"\r\nContent-Type: "+wire.ContentType+"\r\n"
-		default:
-			tail += "Accept: " + wire.ContentType + "\r\n"
+		method, fields := http.MethodGet, ""
+		if endpoint(ep) != epHealthz {
+			method, fields = http.MethodPost, "Accept: "+wire.ContentType+"\r\nContent-Type: "+wire.ContentType+"\r\n"
 		}
-		t.heads[ep] = head{line: method + " " + u.EscapedPath(), tail: tail}
+		t.heads[ep] = method + " " + u.EscapedPath() + " HTTP/1.1\r\nHost: " + u.Host + "\r\n" + fields
 	}
 	return t, nil
 }
 
-// appendRequest appends the whole request of c to b: the endpoint's head
-// with the query, Content-Length when there is a body, and the body.
+// appendRequest appends the whole request of c to b: the endpoint's head,
+// Content-Length when there is a body, and the body.
 func (t *target) appendRequest(b []byte, c *call) []byte {
-	h := &t.heads[c.ep]
-	b = append(b, h.line...)
-	if c.rawQuery != "" {
-		b = append(b, '?')
-		b = append(b, c.rawQuery...)
-	}
-	b = append(b, h.tail...)
+	b = append(b, t.heads[c.ep]...)
 	if c.body != nil {
 		b = append(b, "Content-Length: "...)
 		b = strconv.AppendInt(b, int64(len(c.body)), 10)
@@ -139,14 +117,12 @@ func (t *target) appendRequest(b []byte, c *call) []byte {
 // and all the attempts against that shard read the same one.
 type call struct {
 	ep endpoint
-	// rawQuery is the client's query string, forwarded verbatim (GET
-	// endpoints); body is the binary request the gateway encoded (POST
-	// endpoints), in the fan-out's own pooled storage (fanout.body,
-	// fanout.bodies). Every attempt the fan-out waits for has sent it before
-	// the fan-out returns; the one attempt that can outlive the
-	// fan-out, a hedge, sends a copy of its own (hedged).
-	rawQuery string
-	body     []byte
+	// body is the binary request the gateway encoded (none for a probe), in
+	// the fan-out's own pooled storage (fanout.body, fanout.bodies). Every
+	// attempt the fan-out waits for has sent it before the fan-out returns;
+	// the one attempt that can outlive the fan-out, a hedge, sends a copy of
+	// its own (hedged).
+	body []byte
 }
 
 // shardResult is the outcome of one logical exchange with a shard (primary
@@ -176,8 +152,7 @@ func (res *shardResult) release() {
 // attempt performs one HTTP exchange against one target under ctx — its
 // deadline and a cancellation hook of its own — sending and receiving on the
 // calling goroutine; the caller owns the result and must release() it.
-// Single-owner lookups, hedges, probes and a fan-out's
-// exchanges that run apart come through here.
+// Hedges, probes and a fan-out's exchanges that run apart come through here.
 func (g *Gateway) attempt(ctx context.Context, t *target, c *call) shardResult {
 	var hook cancelHook
 	hook.arm(ctx)
@@ -241,16 +216,6 @@ func settle(m *member, res *shardResult) {
 
 // hedges reports whether exchanges with m are hedged.
 func (g *Gateway) hedges(m *member) bool { return m.replica != nil && g.opts.HedgeDelay >= 0 }
-
-// exchange performs one logical exchange with a shard under the deadline ctx
-// carries, on the calling goroutine, and records exactly one breaker outcome
-// for it (none when the breaker refused the call).
-func (g *Gateway) exchange(ctx context.Context, m *member, c *call) shardResult {
-	if err := g.admit(m); err != nil {
-		return shardResult{err: err}
-	}
-	return g.admitted(ctx, m, c)
-}
 
 // admitted is the exchange with m once admit has let it through: hedged
 // when m has a replica, its one breaker outcome recorded.
@@ -347,13 +312,6 @@ func (g *Gateway) hedged(ctx context.Context, m *member, pooled *call) shardResu
 		return h.res
 	}
 	return primary
-}
-
-// single performs one exchange outside a fan-out, under its own deadline.
-func (g *Gateway) single(ctx context.Context, m *member, c *call) shardResult {
-	ctx, cancel := context.WithTimeout(ctx, g.opts.ShardTimeout)
-	defer cancel()
-	return g.exchange(ctx, m, c)
 }
 
 // fanout is the per-request state of one exchange with every shard, pooled

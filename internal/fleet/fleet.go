@@ -1,13 +1,15 @@
 // Package fleet turns the single-process EIS into a partition-tolerant
 // sharded deployment: N EIS instances each own a rendezvous-hashed
-// partition of the charger inventory, and a thin gateway in front fans
-// queries out, health-checks the members, hedges slow shards, and merges
-// per-shard Offering Tables into exactly the table a single EIS over the
-// whole inventory would have served.
+// partition of the charger inventory, and a thin gateway in front fans the
+// two rankings (/offering, /offering/trip) out, health-checks the members,
+// hedges slow shards, and merges per-shard Offering Tables into exactly the
+// table a single EIS over the whole inventory would have served. The four
+// data feeds need no shard: the gateway holds the whole world its shards
+// were built from and answers them with the EIS's own handlers (eis.Feeds).
 //
 // The design contract is the degraded-component machinery of
 // docs/resilience.md lifted one level up: a shard that dies, hangs or flaps
-// mid-trip never makes a request fail and never silently shrinks a table.
+// mid-trip never makes a ranking fail and never silently shrinks a table.
 // Its chargers stay in every Offering Table at the ignorance bound [0,1],
 // tagged cknn.DegradedShard, so a client can tell "this charger scored
 // badly" from "this charger's shard did not answer" — and nothing is ever

@@ -4,13 +4,11 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"ecocharge/internal/charger"
 	"ecocharge/internal/cknn"
 	"ecocharge/internal/eis"
 	"ecocharge/internal/geo"
@@ -26,9 +24,9 @@ type Shard struct {
 
 // Options configure the gateway.
 type Options struct {
-	// ShardTimeout is the deadline of one fan-out (or of one single-owner
-	// exchange); a shard that has not answered by then is cancelled and
-	// treated as dead for this request. 0 selects 2 s.
+	// ShardTimeout is the deadline of one fan-out; a shard that has not
+	// answered by then is cancelled and treated as dead for this request. 0
+	// selects 2 s.
 	ShardTimeout time.Duration
 	// HedgeDelay is how long the gateway waits on the primary before firing
 	// the hedged request at the replica (when the shard has one). A shard
@@ -64,19 +62,19 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// maxShardResponseBytes bounds one shard response (a /chargers answer over a
-// large shard's whole partition is the biggest payload the gateway handles).
+// maxShardResponseBytes bounds one shard response, an Offering Table or a
+// trip's tables.
 const maxShardResponseBytes int64 = 32 << 20
 
 // Gateway is the stateless fleet front: it owns the shard membership
 // (addresses, breakers, probe verdicts), the merge logic and the world its
-// shards serve, whose partition tells it each shard's chargers and whose
-// road network it searches once for them all (travel.go). Everything it
-// serves is reconstructed per request from shard answers and that world, so
-// any gateway instance started on the same world can serve any request.
+// shards serve. That world answers the data feeds, its partition names each
+// shard's chargers, and its road network is searched once for them all
+// (travel.go). Everything the gateway serves is computed per request from
+// that world and the shards' answers, so any gateway instance started on the
+// same world can serve any request.
 type Gateway struct {
 	members []*member
-	part    Partition
 	opts    Options
 
 	// env is the world NewGateway was given; world is its RoadWorld, which a
@@ -108,7 +106,7 @@ func NewGateway(shards []Shard, env *cknn.Env, opts Options) (*Gateway, error) {
 		return nil, fmt.Errorf("fleet: gateway needs the world its shards serve")
 	}
 	opts = opts.withDefaults()
-	g := &Gateway{part: Partition{N: len(shards)}, opts: opts, env: env, world: env.RoadWorld(), hop: newShardTransport().hop()}
+	g := &Gateway{opts: opts, env: env, world: env.RoadWorld(), hop: newShardTransport().hop()}
 	for i, s := range shards {
 		own, err := ShardEnv(env, i, len(shards))
 		if err != nil {
@@ -160,15 +158,17 @@ func markDegraded(w http.ResponseWriter, dead []int, synthesized int) {
 }
 
 // Handler returns the gateway's HTTP surface: the six consolidated EIS
-// methods (chargers, weather, availability, traffic, offering,
-// offering/trip) plus the observability endpoints and the fleet status
-// view.
+// methods plus the observability endpoints and the fleet status view. The
+// four data feeds (chargers, weather, availability, traffic) are the EIS's
+// own handlers over the gateway's world, which asks no shard; only the two
+// rankings (offering, offering/trip) fan out.
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc(eis.APIVersion+"/chargers", eis.Instrument(nil, "", met.httpChargers, g.handleChargers))
-	mux.HandleFunc(eis.APIVersion+"/weather", eis.Instrument(nil, "", met.httpWeather, g.handleWeather))
-	mux.HandleFunc(eis.APIVersion+"/availability", eis.Instrument(nil, "", met.httpAvail, g.handleAvailability))
-	mux.HandleFunc(eis.APIVersion+"/traffic", eis.Instrument(nil, "", met.httpTraffic, g.handleTraffic))
+	f := eis.NewFeeds(g.env, g.opts.Clock, g.writeError)
+	mux.HandleFunc(eis.APIVersion+"/chargers", eis.Instrument(nil, "", met.httpChargers, f.Chargers))
+	mux.HandleFunc(eis.APIVersion+"/weather", eis.Instrument(nil, "", met.httpWeather, f.Weather))
+	mux.HandleFunc(eis.APIVersion+"/availability", eis.Instrument(nil, "", met.httpAvail, f.Availability))
+	mux.HandleFunc(eis.APIVersion+"/traffic", eis.Instrument(nil, "", met.httpTraffic, f.Traffic))
 	mux.HandleFunc(eis.APIVersion+"/offering", eis.Instrument(nil, "", met.httpOffering, g.handleOffering))
 	mux.HandleFunc(eis.APIVersion+"/offering/trip", eis.Instrument(nil, "", met.httpTrip, g.handleTrip))
 	mux.HandleFunc("/fleet/status", func(w http.ResponseWriter, _ *http.Request) {
@@ -176,166 +176,6 @@ func (g *Gateway) Handler() http.Handler {
 	})
 	eis.HandleOps(mux, "")
 	return mux
-}
-
-// ---- chargers ----
-
-func (g *Gateway) handleChargers(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		g.writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	// The shards' own parser, in front: a request they would refuse is
-	// refused here, in their words, and the values select and synthesize.
-	p, radius, err := eis.ChargersParams(r)
-	if err != nil {
-		g.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	fo := g.getFanout()
-	defer g.putFanout(fo)
-	fo.setCall(call{ep: epChargers, rawQuery: r.URL.RawQuery})
-	g.fanout(r.Context(), fo)
-	live, bad, dead := splitResults(fo.results)
-	if bad != nil {
-		passthrough(w, bad)
-		return
-	}
-	if live == 0 {
-		g.writeError(w, http.StatusServiceUnavailable, "no shard could serve chargers")
-		return
-	}
-	lists := make([][]charger.Charger, 0, len(g.members))
-	for i := range fo.results {
-		if !fo.results[i].ok() {
-			continue
-		}
-		l, err := decodeChargerList(&fo.results[i])
-		if err != nil {
-			g.writeError(w, http.StatusBadGateway, "shard %d: decoding chargers: %v", i, err)
-			return
-		}
-		lists = append(lists, l)
-	}
-	if len(dead) > 0 {
-		var synth []charger.Charger
-		for _, i := range dead {
-			for _, c := range g.members[i].chargers.Within(p, radius) {
-				synth = append(synth, *c)
-			}
-		}
-		lists = append(lists, synth)
-		markDegraded(w, dead, len(synth))
-		g.logf("chargers served degraded: shards %v down", dead)
-	}
-	merged := mergeChargers(lists, p)
-	eis.Respond(w, r, nil, func(b []byte) ([]byte, error) { return wire.AppendChargersJSON(b, merged) },
-		func(b []byte) []byte { return wire.AppendChargers(b, merged) })
-}
-
-// decodeChargerList decodes one shard's binary charger payload, timing the
-// decode share of the fan-out.
-func decodeChargerList(res *shardResult) ([]charger.Charger, error) {
-	start := time.Now()
-	l, err := wire.DecodeChargers(res.body, nil)
-	met.decodeWire.Since(start)
-	return l, err
-}
-
-// ---- weather / availability (single-owner pass-through) ----
-
-func (g *Gateway) handleWeather(w http.ResponseWriter, r *http.Request) {
-	g.perCharger(w, r, epWeather, func(b []byte, c *charger.Charger, at time.Time) ([]byte, error) {
-		// Honest fallback: the site cannot produce more than its nameplate
-		// renewable capacity, and might produce nothing.
-		return wire.AppendWeatherJSON(b, &eis.WeatherResponse{ChargerID: c.ID, At: at, ProductionKW: eis.IntervalJSON{Min: 0, Max: c.RESKW()}, Degraded: true})
-	})
-}
-
-func (g *Gateway) handleAvailability(w http.ResponseWriter, r *http.Request) {
-	g.perCharger(w, r, epAvailability, func(b []byte, c *charger.Charger, at time.Time) ([]byte, error) {
-		return wire.AppendAvailabilityJSON(b, &eis.AvailabilityResponse{ChargerID: c.ID, At: at, Availability: ignoranceWire(), Degraded: true})
-	})
-}
-
-// perCharger serves one of the per-charger estimate endpoints: pass-through
-// from the owning shard — the rendezvous partition names it with no shared
-// state — when it answers, and when it does not, the answer a shard over its
-// partition of the gateway's world gives: a synthesized ignorance-bound
-// estimate for a charger it owns, which synth appends as JSON, its 404 for
-// one it does not. A charger parameter that is not an integer is answered
-// here, with the 400 a shard would give: there is no owner to ask.
-func (g *Gateway) perCharger(w http.ResponseWriter, r *http.Request, ep endpoint, synth func([]byte, *charger.Charger, time.Time) ([]byte, error)) {
-	if r.Method != http.MethodGet {
-		g.writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	id, err := eis.ChargerIDParam(r)
-	if err != nil {
-		g.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	m := g.members[g.part.ShardOf(id)]
-	// The shard's JSON passes through as it came.
-	res := g.single(r.Context(), m, &call{ep: ep, rawQuery: r.URL.RawQuery})
-	defer res.release()
-	if res.err == nil {
-		passthrough(w, &res)
-		return
-	}
-	c, at, code, err := eis.ChargerAt(r, m.chargers, g.opts.Clock())
-	if err != nil {
-		g.writeError(w, code, "%v", err)
-		return
-	}
-	markDegraded(w, []int{m.index}, 1)
-	g.logf("%s for charger %d served degraded: shard %d down", strings.TrimPrefix(endpointPaths[ep], eis.APIVersion+"/"), c.ID, m.index)
-	eis.Respond(w, r, nil, func(b []byte) ([]byte, error) { return synth(b, c, at) }, nil)
-}
-
-// ---- traffic (any-shard pass-through) ----
-
-// handleTraffic serves the fleet-global congestion bands from any shard
-// (every shard holds the same traffic model), preferring healthy members. A
-// t that is not a time is answered here, with the 400 a shard would give.
-func (g *Gateway) handleTraffic(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		g.writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	if _, err := eis.TimeParam(r, "t", time.Time{}); err != nil {
-		g.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	order := make([]*member, len(g.members))
-	copy(order, g.members)
-	sort.SliceStable(order, func(i, j int) bool {
-		return trafficRank(order[i]) < trafficRank(order[j])
-	})
-	c := call{ep: epTraffic, rawQuery: r.URL.RawQuery}
-	for _, m := range order {
-		res := g.single(r.Context(), m, &c)
-		if res.err == nil {
-			passthrough(w, &res)
-			res.release()
-			return
-		}
-	}
-	g.writeError(w, http.StatusServiceUnavailable, "no shard could serve traffic")
-}
-
-// trafficRank orders members for any-shard reads: fully healthy first, then
-// open-breaker last; index order inside each class keeps the choice
-// deterministic.
-func trafficRank(m *member) int {
-	switch {
-	case m.probeOK.Load() && !m.breaker.Open():
-		return 0
-	case !m.breaker.Open():
-		return 1
-	default:
-		return 2
-	}
 }
 
 // ---- offering ----

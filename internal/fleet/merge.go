@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"time"
 
 	"ecocharge/internal/charger"
@@ -261,23 +260,4 @@ func (fo *fanout) mergeTrips(synthAt func(anchor geo.Point) []eis.OfferingEntry,
 	out.SplitPoints = eis.AppendSplitPoints(out.SplitPoints, out.Segments)
 	fo.top = top[:0]
 	return nil
-}
-
-// mergeChargers pools per-shard radius results (plus a dead shard's chargers
-// in the radius) into the single-EIS order: geodesic distance ascending,
-// ties by charger ID.
-func mergeChargers(lists [][]charger.Charger, p geo.Point) []charger.Charger {
-	out := make([]charger.Charger, 0)
-	for _, l := range lists {
-		out = append(out, l...)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		di, dj := geo.Distance(p, out[i].P), geo.Distance(p, out[j].P)
-		//ecolint:ignore floateq sort comparator: tolerance would break strict weak ordering
-		if di != dj {
-			return di < dj
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
 }

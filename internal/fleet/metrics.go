@@ -6,7 +6,7 @@ import "ecocharge/internal/obs"
 // package init (the register-cold/update-hot contract of internal/obs).
 type fleetMetrics struct {
 	// Per-endpoint gateway request duration histograms, measured around the
-	// whole fan-out including the merge.
+	// whole handler: a ranking's fan-out and merge, a data feed's answer.
 	httpChargers *obs.Histogram
 	httpWeather  *obs.Histogram
 	httpAvail    *obs.Histogram

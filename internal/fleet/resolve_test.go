@@ -29,13 +29,13 @@ func tripBody(t testing.TB, h *fleetHarness, n int, req eis.TripOfferingRequest)
 	return b
 }
 
-// TestFleetResolvesRequestsLikeAShard: the gateway reads an offering, a trip
-// and a /chargers request with a shard's own parser and resolvers
-// (eis.DecodeOffering, eis.DecodeTrip, eis.ResolveOffering,
-// eis.ResolveTripOffering, eis.ChargersParams), on either plane, so a
-// defaulted request gets the same bytes from it as from a single EIS and a
-// malformed one the same 400, whose text is pinned here. The gateway answers
-// that 400 itself, in front of the fan-out, and asks no shard.
+// TestFleetResolvesRequestsLikeAShard: the gateway reads an offering and a
+// trip with a shard's own parser and resolvers (eis.DecodeOffering,
+// eis.DecodeTrip, eis.ResolveOffering, eis.ResolveTripOffering), on either
+// plane, and answers /chargers and /traffic with a shard's own handlers
+// (eis.Feeds), so a defaulted request gets the same bytes from it as from a
+// single EIS and a malformed one the same 400, whose text is pinned here. The
+// gateway answers that 400 itself, in front of the fan-out, and asks no shard.
 func TestFleetResolvesRequestsLikeAShard(t *testing.T) {
 	h := newFleetHarness(t, harnessOpts{n: 3})
 	center := h.env.Graph.Bounds().Center()

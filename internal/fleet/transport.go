@@ -23,7 +23,7 @@ import (
 // This file is the gateway's shard hop: one HTTP/1.1 exchange with one
 // shard, in two halves that run on the goroutine that calls them. send
 // writes the request in one write — the head its target built once for the
-// endpoint, the call's query and the length and bytes of its body — on a
+// endpoint and the length and bytes of its body — on a
 // pooled keep-alive connection that has no goroutine of its own; receive
 // reads the answer on that connection, the header fields the gateway reads
 // and nothing else, its body straight into the caller's pooled buffer. So a
@@ -536,9 +536,8 @@ func readFull(br *bufio.Reader, buf *wire.Buffer, n int) error {
 	return nil
 }
 
-// firstGrowth is what a declared length may reserve before its bytes arrive,
-// enough to read a /chargers answer over a whole shard (444 KB for an
-// Oldenburg shard) at once.
+// firstGrowth is what a declared length may reserve before its bytes arrive;
+// past it, an answer's buffer doubles as its bytes come (readFull).
 const firstGrowth = 1 << 20
 
 // hasToken reports whether a comma-separated header value holds token.

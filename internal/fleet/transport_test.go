@@ -84,8 +84,8 @@ func TestFleetTransportKeepAlive(t *testing.T) {
 	host := strings.TrimPrefix(srv.URL, "http://")
 	tr := newShardTransport()
 	for i := 0; i < 5; i++ {
-		status, header, body, err := hopTo(context.Background(), tr, srv.URL, call{ep: epTraffic, rawQuery: "t=1"})
-		if want := "GET " + host + " /api/v1/traffic?t=1   "; err != nil || status != http.StatusOK || body != want {
+		status, header, body, err := hopTo(context.Background(), tr, srv.URL, call{ep: epHealthz})
+		if want := "GET " + host + " /healthz   "; err != nil || status != http.StatusOK || body != want {
 			t.Fatalf("GET %d: %d %q, %v; want %q", i, status, body, err, want)
 		}
 		if header.world != 0xec0 {
@@ -167,7 +167,7 @@ func TestFleetTransportChunkedBody(t *testing.T) {
 	})
 	tr := newShardTransport()
 	for i := 0; i < 3; i++ {
-		status, header, body, err := hopTo(context.Background(), tr, srv.URL, call{ep: epChargers})
+		status, header, body, err := hopTo(context.Background(), tr, srv.URL, call{ep: epHealthz})
 		if err != nil || status != http.StatusOK || body != strings.Repeat("a", 5000)+"tail" {
 			t.Fatalf("body in parts %d: %d, %d bytes, %v", i, status, len(body), err)
 		}
@@ -218,7 +218,7 @@ func TestFleetTransportRefusesUnframedAnswers(t *testing.T) {
 			tr := newShardTransport()
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			defer cancel()
-			_, _, body, err := hopTo(ctx, tr, url, call{ep: epChargers})
+			_, _, body, err := hopTo(ctx, tr, url, call{ep: epHealthz})
 			if err == nil || !strings.Contains(err.Error(), "malformed shard answer") {
 				t.Fatalf("the answer gave %q, %v; want a malformed shard answer", body, err)
 			}
@@ -279,7 +279,7 @@ func TestFleetTransportOversizedBody(t *testing.T) {
 		t.Fatalf("the test's Content-Length is not one over the limit of %d", maxShardResponseBytes)
 	}
 	ctx := context.Background()
-	res := g.attempt(ctx, g.members[0].primary, &call{ep: epChargers})
+	res := g.attempt(ctx, g.members[0].primary, &call{ep: epOffering})
 	if res.err == nil || !strings.Contains(res.err.Error(), "exceeds") {
 		t.Fatalf("an oversized answer gave %v", res.err)
 	}
@@ -315,7 +315,7 @@ func TestFleetTransportCancelMidBody(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, _, _, err := hopTo(ctx, tr, srv.URL, call{ep: epChargers})
+		_, _, _, err := hopTo(ctx, tr, srv.URL, call{ep: epOffering})
 		done <- err
 	}()
 	<-flushed
@@ -350,7 +350,7 @@ func TestFleetTransportCancelMidBody(t *testing.T) {
 func TestFleetTransportDeadline(t *testing.T) {
 	release := make(chan struct{})
 	srv := newCountingServer(t, func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == endpointPaths[epWeather] {
+		if r.URL.Path == endpointPaths[epTrip] {
 			w.Header().Set("Content-Length", "8")
 			_, _ = w.Write([]byte("part"))
 			w.(http.Flusher).Flush()
@@ -363,7 +363,7 @@ func TestFleetTransportDeadline(t *testing.T) {
 	defer close(release)
 	tr := newShardTransport()
 	const timeout = 50 * time.Millisecond
-	for _, ep := range []endpoint{epOffering, epWeather} {
+	for _, ep := range []endpoint{epOffering, epTrip} {
 		path := endpointPaths[ep]
 		ctx, cancel := context.WithTimeout(context.Background(), timeout)
 		start := time.Now()
@@ -392,15 +392,16 @@ func TestFleetTransportReadsWhatArrivedPastDeadline(t *testing.T) {
 	large := strings.Repeat("x", 2<<20)
 	release := make(chan struct{})
 	srv := newCountingServer(t, func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case endpointPaths[epHealthz]:
+		b, _ := io.ReadAll(r.Body)
+		switch {
+		case r.URL.Path == endpointPaths[epHealthz]:
 			_, _ = w.Write([]byte("ok"))
 			return
-		case endpointPaths[epChargers]:
+		case string(b) == "large":
 			w.Header().Set("Content-Length", strconv.Itoa(len(large)))
 			_, _ = w.Write([]byte(large))
 			return
-		case endpointPaths[epWeather]:
+		case string(b) == "part":
 			w.Header().Set("Content-Length", "8")
 			_, _ = w.Write([]byte("part"))
 			w.(http.Flusher).Flush()
@@ -418,12 +419,17 @@ func TestFleetTransportReadsWhatArrivedPastDeadline(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		ep   endpoint
+		ask  string // the request body, which the server answers by
 		want string // the body; "" for an answer that fails
-	}{{epHealthz, "ok"}, {epChargers, large}, {epWeather, ""}, {epOffering, ""}} {
+	}{{epHealthz, "", "ok"}, {epOffering, "large", large}, {epOffering, "part", ""}, {epTrip, "", ""}} {
 		c := call{ep: tc.ep}
+		if tc.ask != "" {
+			c.body = []byte(tc.ask)
+		}
+		label := endpointPaths[tc.ep] + " " + tc.ask
 		x := exchange{ctx: context.Background(), deadline: time.Now().Add(100 * time.Millisecond), t: tg, c: &c, buf: wire.GetBuffer()}
 		if err := tr.send(&x); err != nil {
-			t.Fatalf("%s: send: %v", endpointPaths[tc.ep], err)
+			t.Fatalf("%s: send: %v", label, err)
 		}
 		time.Sleep(time.Until(x.deadline) + 50*time.Millisecond)
 		done := make(chan error, 1)
@@ -436,13 +442,13 @@ func TestFleetTransportReadsWhatArrivedPastDeadline(t *testing.T) {
 		select {
 		case err := <-done:
 			if tc.want != "" && (err != nil || body != tc.want) {
-				t.Fatalf("%s: an answer that had begun to arrive gave %d bytes, %v; want %d", endpointPaths[tc.ep], len(body), err, len(tc.want))
+				t.Fatalf("%s: an answer that had begun to arrive gave %d bytes, %v; want %d", label, len(body), err, len(tc.want))
 			}
 			if tc.want == "" && !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("%s: an answer that had not arrived whole gave %q, %v; want context.DeadlineExceeded", endpointPaths[tc.ep], body, err)
+				t.Fatalf("%s: an answer that had not arrived whole gave %q, %v; want context.DeadlineExceeded", label, body, err)
 			}
 		case <-time.After(2 * time.Second):
-			t.Fatalf("%s: a read past the deadline waited for the shard", endpointPaths[tc.ep])
+			t.Fatalf("%s: a read past the deadline waited for the shard", label)
 		}
 		wire.PutBuffer(x.buf)
 		want := 0 // a failed answer's connection is closed
@@ -450,7 +456,7 @@ func TestFleetTransportReadsWhatArrivedPastDeadline(t *testing.T) {
 			want = 1
 		}
 		if n := tr.idleTo(srv.URL); n != want {
-			t.Fatalf("%s: %d idle connections, want %d", endpointPaths[tc.ep], n, want)
+			t.Fatalf("%s: %d idle connections, want %d", label, n, want)
 		}
 	}
 }
@@ -506,7 +512,7 @@ func TestFleetTransportRefusesHTTPS(t *testing.T) {
 // no more connections are opened than exchanges ran at once.
 func TestFleetTransportConcurrent(t *testing.T) {
 	srv := newCountingServer(t, func(w http.ResponseWriter, r *http.Request) {
-		_, _ = w.Write([]byte(r.URL.RawQuery))
+		_, _ = io.Copy(w, r.Body)
 	})
 	tr := newShardTransport()
 	const workers, rounds = 8, 50
@@ -517,7 +523,7 @@ func TestFleetTransportConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				q := "w=" + strconv.Itoa(w) + "&i=" + strconv.Itoa(i)
-				if _, _, body, err := hopTo(context.Background(), tr, srv.URL, call{ep: epTraffic, rawQuery: q}); err != nil || body != q {
+				if _, _, body, err := hopTo(context.Background(), tr, srv.URL, call{ep: epOffering, body: []byte(q)}); err != nil || body != q {
 					t.Errorf("worker %d, exchange %d: %q, %v", w, i, body, err)
 					return
 				}

@@ -125,7 +125,6 @@ func TestFleetJSONShardIsA502(t *testing.T) {
 		what, method, pathq string
 		body                []byte
 	}{
-		{"chargers", http.MethodGet, eis.APIVersion + "/chargers?lat=" + fmtFloat(center.Lat) + "&lon=" + fmtFloat(center.Lon) + "&radius_m=3000", nil},
 		{"offering", http.MethodPost, eis.APIVersion + "/offering", offeringBody(t, eis.OfferingRequest{Lat: center.Lat, Lon: center.Lon, Now: fixedNow})},
 		{"trip offering", http.MethodPost, eis.APIVersion + "/offering/trip", tripRequest(world.Graph, trip, 3, 6000, 2000, 1500)},
 	} {

@@ -30,8 +30,7 @@ func TestChaosFleetWireShardByteIdentity(t *testing.T) {
 		h.assertIdentical("chargers", http.MethodGet, pathq, nil)
 	}
 
-	// Point lookups and traffic are pass-through and JSON only: the shard's
-	// JSON reaches the client as it came, and a client that asks for binary
+	// Point lookups and traffic are JSON only: a client that asks for binary
 	// gets the same JSON bytes as from a single EIS.
 	all := h.env.Chargers.All()
 	probe := all[0]

@@ -2,9 +2,11 @@
 # Two shards and a gateway, started as three processes with neither -dataset
 # nor -seed, must name one world: the gateway's /fleet/status shows both
 # members searched for, and a wire /offering sends them travel blocks
-# (fleet_travel_supplied_total > 0). It listens on fixed loopback ports,
-# 18180 (gateway), 18181 and 18182 (shards), and kills all three processes
-# on exit. Run it from anywhere: `make fleet-smoke`.
+# (fleet_travel_supplied_total > 0). Then both shards are killed, and the
+# gateway must still answer a /chargers radius query and /traffic from its
+# own world: 200, with no X-Fleet-Degraded header. It listens on fixed
+# loopback ports, 18180 (gateway), 18181 and 18182 (shards), and kills every
+# process left on exit. Run it from anywhere: `make fleet-smoke`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -49,3 +51,17 @@ if [ -z "$supplied" ] || [ "$supplied" -eq 0 ]; then
 	exit 1
 fi
 echo "fleet-smoke: ok, fleet_travel_supplied_total $supplied"
+
+# The data feeds are the gateway's own: with no shard left they answer as
+# before, and nothing marks them degraded.
+kill "${pids[0]}" "${pids[1]}"
+wait "${pids[0]}" "${pids[1]}" 2>/dev/null || true
+for path in "/api/v1/chargers?lat=53.14&lon=8.21&radius_m=5000" "/api/v1/traffic"; do
+	code=$(curl -sS -o /dev/null -D "$bin/headers" -w '%{http_code}' "$gw$path")
+	if [ "$code" != 200 ] || grep -qi '^X-Fleet-Degraded:' "$bin/headers"; then
+		echo "fleet-smoke: $path with both shards down answered $code:" >&2
+		cat "$bin/headers" >&2
+		exit 1
+	fi
+done
+echo "fleet-smoke: ok, /chargers and /traffic answer 200 undegraded with both shards down"
