@@ -58,9 +58,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// CSV carries no timetables: each charger points into one slab of
+	// histograms regenerated from the availability model.
 	avail := ec.NewAvailabilityModel(1)
+	tables := make([]ec.Timetable, len(rows))
 	for i := range rows {
-		rows[i].Timetable = avail.GenerateTimetable(rows[i].ID)
+		tables[i] = avail.GenerateTimetable(rows[i].ID)
+		rows[i].Timetable = &tables[i]
 	}
 	set, err := charger.NewSet(rows)
 	if err != nil {

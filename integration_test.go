@@ -9,6 +9,7 @@ import (
 
 	"ecocharge/internal/charger"
 	"ecocharge/internal/cknn"
+	"ecocharge/internal/ec"
 	"ecocharge/internal/eis"
 	"ecocharge/internal/experiment"
 	"ecocharge/internal/roadnet"
@@ -47,8 +48,10 @@ func TestFullPipelineIntegration(t *testing.T) {
 	}
 	// CSV does not carry timetables; regenerate them from the model as the
 	// data pipeline documents.
+	tables := make([]ec.Timetable, len(rows))
 	for i := range rows {
-		rows[i].Timetable = sc.Env.Avail.GenerateTimetable(rows[i].ID)
+		tables[i] = sc.Env.Avail.GenerateTimetable(rows[i].ID)
+		rows[i].Timetable = &tables[i]
 	}
 	set2, err := charger.NewSet(rows)
 	if err != nil {

@@ -65,6 +65,12 @@ func (r RateClass) String() string {
 }
 
 // Charger is one EV charging point b ∈ B.
+//
+// Its popular-times histogram is shared, not held: Timetable points into the
+// world's one table per charger (Generate keeps them in one slab), so a
+// partition or a gateway's member set copies 64-byte chargers, never their
+// 1 344-byte tables. A nil Timetable reads as the all-zero table. Compare
+// chargers field by field, not with ==, which compares the pointers.
 type Charger struct {
 	ID        int64
 	P         geo.Point
@@ -73,7 +79,7 @@ type Charger struct {
 	PanelKW   float64 // attached (or net-metered) solar capacity
 	WindKW    float64 // attached (or net-metered) wind nameplate capacity
 	Plugs     int     // number of plugs at the site
-	Timetable ec.Timetable
+	Timetable *ec.Timetable
 }
 
 // Site converts the charger to the solar model's site descriptor.
@@ -221,6 +227,7 @@ func Generate(g *roadnet.Graph, avail *ec.AvailabilityModel, cfg GenConfig) (*Se
 	}
 
 	chargers := make([]Charger, 0, cfg.N)
+	tables := make([]ec.Timetable, cfg.N)
 	for i := 0; i < cfg.N; i++ {
 		rng.Float64()
 		node := roadnet.NodeID(rng.Intn(g.NumNodes()))
@@ -238,7 +245,8 @@ func Generate(g *roadnet.Graph, avail *ec.AvailabilityModel, cfg GenConfig) (*Se
 		if rng.Float64() < 0.12 {
 			c.WindKW = float64(int(rate.KW()*(0.5+rng.Float64())*10)) / 10
 		}
-		c.Timetable = avail.GenerateTimetable(c.ID)
+		tables[i] = avail.GenerateTimetable(c.ID)
+		c.Timetable = &tables[i]
 		chargers = append(chargers, c)
 	}
 	return NewSet(chargers)

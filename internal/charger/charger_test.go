@@ -190,10 +190,25 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.ID != orig.ID || back.P != orig.P || back.Rate != orig.Rate ||
-		back.PanelKW != orig.PanelKW || back.Timetable != orig.Timetable {
-		t.Fatalf("JSON round trip mismatch:\n got %+v\nwant %+v", back, orig)
+	if !sameCharger(&back, &orig) {
+		t.Fatalf("JSON round trip mismatch:\n got %+v %v\nwant %+v %v", back, tableOf(&back), orig, tableOf(&orig))
 	}
+}
+
+// sameCharger reports whether two chargers hold the same fields and the same
+// timetable values, a nil table reading as the zero table: == would compare
+// the tables' addresses.
+func sameCharger(a, b *Charger) bool {
+	return a.ID == b.ID && a.P == b.P && a.Node == b.Node && a.Rate == b.Rate &&
+		a.PanelKW == b.PanelKW && a.WindKW == b.WindKW && a.Plugs == b.Plugs &&
+		tableOf(a) == tableOf(b)
+}
+
+func tableOf(c *Charger) (tt ec.Timetable) {
+	if c.Timetable != nil {
+		tt = *c.Timetable
+	}
+	return tt
 }
 
 func TestJSONRejectsInvalidCoords(t *testing.T) {

@@ -143,15 +143,15 @@ func rateFromKW(kw float64) RateClass {
 // and UnmarshalJSON reads; it decouples the wire format from internal field
 // names.
 type chargerJSON struct {
-	ID        int64          `json:"id"`
-	Lat       float64        `json:"lat"`
-	Lon       float64        `json:"lon"`
-	Node      int32          `json:"node"`
-	RateKW    float64        `json:"rate_kw"`
-	PanelKW   float64        `json:"panel_kw"`
-	WindKW    float64        `json:"wind_kw"`
-	Plugs     int            `json:"plugs"`
-	Timetable [7][24]float64 `json:"timetable"`
+	ID        int64         `json:"id"`
+	Lat       float64       `json:"lat"`
+	Lon       float64       `json:"lon"`
+	Node      int32         `json:"node"`
+	RateKW    float64       `json:"rate_kw"`
+	PanelKW   float64       `json:"panel_kw"`
+	WindKW    float64       `json:"wind_kw"`
+	Plugs     int           `json:"plugs"`
+	Timetable *ec.Timetable `json:"timetable"`
 }
 
 // MarshalJSON implements json.Marshaler: AppendJSON's rendering, into one
@@ -164,8 +164,9 @@ const jsonSize = 3 << 10
 
 // AppendJSON appends c in its JSON shape (chargerJSON), byte for byte what
 // encoding/json writes for it: the one renderer of a charger, for a list
-// answer and for MarshalJSON. A coordinate, capacity or timetable slot that
-// is NaN or ±Inf is an error, as it is to encoding/json.
+// answer and for MarshalJSON. A nil timetable is written as the zero table's
+// 168 zeros. A coordinate, capacity or timetable slot that is NaN or ±Inf is
+// an error, as it is to encoding/json.
 func AppendJSON(b []byte, c *Charger) ([]byte, error) {
 	w := jsonfmt.Writer{B: b}
 	w.Raw(`{"id":`)
@@ -185,16 +186,16 @@ func AppendJSON(b []byte, c *Charger) ([]byte, error) {
 	w.Raw(`,"plugs":`)
 	w.Int(int64(c.Plugs))
 	w.Raw(`,"timetable":[`)
-	for d := range c.Timetable {
+	for d := 0; d < 7; d++ {
 		if d > 0 {
 			w.Raw(",")
 		}
 		w.Raw("[")
-		for h := range c.Timetable[d] {
+		for h := 0; h < 24; h++ {
 			if h > 0 {
 				w.Raw(",")
 			}
-			w.Float(c.Timetable[d][h])
+			w.Float(c.Timetable.Slot(d, h))
 		}
 		w.Raw("]")
 	}
@@ -202,7 +203,8 @@ func AppendJSON(b []byte, c *Charger) ([]byte, error) {
 	return w.B, w.Err
 }
 
-// UnmarshalJSON implements json.Unmarshaler.
+// UnmarshalJSON implements json.Unmarshaler. The charger gets a table of its
+// own, or none when the timetable is null or absent.
 func (c *Charger) UnmarshalJSON(data []byte) error {
 	var j chargerJSON
 	if err := json.Unmarshal(data, &j); err != nil {
@@ -215,7 +217,7 @@ func (c *Charger) UnmarshalJSON(data []byte) error {
 	*c = Charger{
 		ID: j.ID, P: p, Node: roadnet.NodeID(j.Node),
 		Rate: rateFromKW(j.RateKW), PanelKW: j.PanelKW, WindKW: j.WindKW, Plugs: j.Plugs,
+		Timetable: j.Timetable,
 	}
-	c.Timetable = ec.Timetable(j.Timetable)
 	return nil
 }

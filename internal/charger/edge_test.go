@@ -44,11 +44,11 @@ func TestCSVHeaderOnly(t *testing.T) {
 
 // Wind capacities survive the CSV round trip.
 func TestCSVWindRoundTrip(t *testing.T) {
-	avail := ec.NewAvailabilityModel(1)
+	tt := ec.NewAvailabilityModel(1).GenerateTimetable(7)
 	cs := []Charger{{
 		ID: 7, P: geo.Point{Lat: 53.01, Lon: 8.02}, Node: 3,
 		Rate: RateDC50, PanelKW: 12.5, WindKW: 33.0, Plugs: 2,
-		Timetable: avail.GenerateTimetable(7),
+		Timetable: &tt,
 	}}
 	s, err := NewSet(cs)
 	if err != nil {

@@ -61,9 +61,10 @@ func TestUnreachableChargersExcluded(t *testing.T) {
 	g.Freeze()
 
 	avail := ec.NewAvailabilityModel(1)
+	tt := []ec.Timetable{avail.GenerateTimetable(1), avail.GenerateTimetable(2)}
 	cs := []charger.Charger{
-		{ID: 1, P: pts[2], Node: 2, Rate: charger.RateAC22, PanelKW: 20, Plugs: 2, Timetable: avail.GenerateTimetable(1)},
-		{ID: 2, P: pts[4], Node: 4, Rate: charger.RateDC150, PanelKW: 150, Plugs: 2, Timetable: avail.GenerateTimetable(2)}, // island: better but unreachable
+		{ID: 1, P: pts[2], Node: 2, Rate: charger.RateAC22, PanelKW: 20, Plugs: 2, Timetable: &tt[0]},
+		{ID: 2, P: pts[4], Node: 4, Rate: charger.RateDC150, PanelKW: 150, Plugs: 2, Timetable: &tt[1]}, // island: better but unreachable
 	}
 	set, err := charger.NewSet(cs)
 	if err != nil {

@@ -346,7 +346,7 @@ func (e *Engine) TruthComponents(q Query, tm TruthMaps, c *charger.Charger) (l, 
 	if e.Env.MaxLKW > 0 {
 		l = clamp01(prodKW / e.Env.MaxLKW)
 	}
-	a = 1 - e.Env.Avail.TruthBusy(c.ID, &c.Timetable, eta)
+	a = 1 - e.Env.Avail.TruthBusy(c.ID, c.Timetable, eta)
 	dComp = 1 - clamp01(derout/e.Env.MaxDeroutSec)
 	return l, a, dComp, true
 }

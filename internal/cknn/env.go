@@ -106,7 +106,7 @@ func (env *Env) AForecast(c *charger.Charger, at, issued time.Time) (interval.I,
 	if !env.sourceOK(CompA, c.ID, issued) {
 		return interval.I{}, false
 	}
-	return env.Avail.ForecastAvailability(c.ID, &c.Timetable, at, issued), true
+	return env.Avail.ForecastAvailability(c.ID, c.Timetable, at, issued), true
 }
 
 // DSourceOK reports whether the traffic source could price the charger's

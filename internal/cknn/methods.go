@@ -190,10 +190,12 @@ const tableTTL = 15 * time.Minute
 // deroutPlan is how a cache-miss ranking searches: the effort bound and
 // where the travel-time bounds come from.
 //
-// The user-configured radius sets the derouting budget: with R = 25 km the
-// driver accepts at most a ~30-minute detour, with R = 75 km three times
-// that. Larger R therefore expands farther (slower) and keeps more chargers
-// offerable (more accurate) — the Fig. 7 tradeoff.
+// The query's radius bounds each leg of the search: with R = 25 km the
+// outbound and the return expansion each stop at ~30 minutes of driving
+// (R/avgUrbanSpeed), with R = 75 km at three times that. Larger R therefore
+// expands farther (slower) and keeps more chargers reachable (more accurate)
+// — the Fig. 7 tradeoff. The bound is not the D scale: D is normalised by
+// Env.MaxDeroutSec whatever R the query asks.
 func (o EcoChargeOptions) deroutPlan(q Query) (budgetSec float64, bounds deroutBounds) {
 	bounds = approxBounds
 	if o.ExactDerouting {
@@ -320,10 +322,12 @@ func RankOnceSupplied(env *Env, opts EcoChargeOptions, q Query, travel *Travel, 
 }
 
 // compute is the cache-miss path: full CkNN-EC over the chargers within R.
-// Network expansions are bounded by the derouting budget MaxDeroutSec;
-// chargers inside R whose visit would exceed the budget are not offered
-// (brute force instead keeps them with D clamped to 1), which is part of
-// the R-opt accuracy/cost tradeoff of Fig. 7.
+// Each leg's network expansion is bounded by the query's R/avgUrbanSpeed
+// (deroutPlan); a charger inside R that one leg does not reach within it is
+// not offered (brute force, unbounded, keeps it), which is part of the R-opt
+// accuracy/cost tradeoff of Fig. 7. A reached charger is offered whatever
+// its detour: one up to twice the leg bound stays in the table, its D
+// normalised by Env.MaxDeroutSec and clamped to 1.
 //
 // With travel non-nil the network search is the caller's (RankOnceSupplied,
 // RunTripSupplied); ok is false only when it was refused, and then there is

@@ -13,8 +13,12 @@ import (
 type Timetable [7][24]float64
 
 // BusyAt interpolates the busy fraction at time t (local semantics of t are
-// the caller's concern; the experiments use UTC throughout).
+// the caller's concern; the experiments use UTC throughout). A nil table is
+// the all-zero table: +0 at every t.
 func (tt *Timetable) BusyAt(t time.Time) float64 {
+	if tt == nil {
+		return 0
+	}
 	day := int(t.Weekday())
 	hour := t.Hour()
 	frac := float64(t.Minute())/60 + float64(t.Second())/3600
@@ -26,6 +30,15 @@ func (tt *Timetable) BusyAt(t time.Time) float64 {
 	}
 	next := tt[nd][nh]
 	return cur*(1-frac) + next*frac
+}
+
+// Slot returns the busy fraction of weekday day at hour, 0 on a nil table:
+// the codecs read a charger's table through it.
+func (tt *Timetable) Slot(day, hour int) float64 {
+	if tt == nil {
+		return 0
+	}
+	return tt[day][hour]
 }
 
 // AvailabilityModel estimates charger availability A: the probability that

@@ -71,7 +71,7 @@ func (f *Feeds) Availability(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	resp := AvailabilityResponse{ChargerID: c.ID, At: at, Availability: wire.ToWire(f.env.Avail.ForecastAvailability(c.ID, &c.Timetable, at, now))}
+	resp := AvailabilityResponse{ChargerID: c.ID, At: at, Availability: wire.ToWire(f.env.Avail.ForecastAvailability(c.ID, c.Timetable, at, now))}
 	Respond(w, r, f.m, func(b []byte) ([]byte, error) { return wire.AppendAvailabilityJSON(b, &resp) }, nil)
 }
 

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"ecocharge/internal/cknn"
 	"ecocharge/internal/ec"
 	"ecocharge/internal/eis"
+	"ecocharge/internal/experiment"
 	"ecocharge/internal/geo"
 	"ecocharge/internal/interval"
 	"ecocharge/internal/roadnet"
@@ -114,6 +116,9 @@ func TestShardEnvPartitionsInventory(t *testing.T) {
 			if own := (Partition{N: n}).ShardOf(c.ID); own != s {
 				t.Fatalf("charger %d in shard %d but partition says %d", c.ID, s, own)
 			}
+			if p, _ := env.Chargers.ByID(c.ID); c.Timetable != p.Timetable {
+				t.Fatalf("charger %d in shard %d holds a timetable of its own, not the world's", c.ID, s)
+			}
 			total++
 		}
 	}
@@ -123,6 +128,33 @@ func TestShardEnvPartitionsInventory(t *testing.T) {
 
 	if _, err := ShardEnv(env, 3, 3); err == nil {
 		t.Fatal("out-of-range shard accepted")
+	}
+}
+
+// TestShardEnvSharesTimetables: the three partitions of the benchmark's
+// world (Oldenburg at scale 0.005, 1 000 chargers) copy chargers, not their
+// 1 344-byte popular-times tables, so building them allocates well under a
+// table per charger. Copying the tables costs at least 1.4 KB a charger.
+func TestShardEnvSharesTimetables(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	sc, err := experiment.BuildScenario("Oldenburg", 0.005, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, ceiling = 3, 1024 // bytes a charger
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for s := 0; s < n; s++ {
+		if _, err := ShardEnv(sc.Env, s, n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	chargers := uint64(sc.Env.Chargers.Len())
+	if got := (after.TotalAlloc - before.TotalAlloc) / chargers; got > ceiling {
+		t.Fatalf("building %d partitions of %d chargers allocates %d B a charger, want ≤ %d", n, chargers, got, ceiling)
 	}
 }
 

@@ -70,7 +70,7 @@ func BenchmarkWireCodec(b *testing.B) {
 		buf := make([]byte, 0, 1<<20)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			buf = AppendChargers(buf[:0], cs)
+			buf = AppendChargerRefs(buf[:0], cs)
 		}
 	})
 	b.Run("encode-inventory/json", func(b *testing.B) {
@@ -86,13 +86,13 @@ func BenchmarkWireCodec(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			var err error
-			if buf, err = AppendChargersJSON(buf[:0], cs); err != nil {
+			if buf, err = AppendChargerRefsJSON(buf[:0], cs); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 
-	encCs := AppendChargers(nil, cs)
+	encCs := AppendChargerRefs(nil, cs)
 	jsonCs, err := json.Marshal(cs)
 	if err != nil {
 		b.Fatal(err)

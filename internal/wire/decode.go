@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ecocharge/internal/charger"
+	"ecocharge/internal/ec"
 	"ecocharge/internal/roadnet"
 )
 
@@ -462,7 +463,8 @@ func DecodeTripResponse(data []byte, out *TripOfferingResponse) error {
 	return r.finish()
 }
 
-func (r *reader) charger(c *charger.Charger) {
+// charger decodes one charger, its timetable into tt.
+func (r *reader) charger(c *charger.Charger, tt *ec.Timetable) {
 	c.ID = r.i64()
 	c.P.Lat = r.f64()
 	c.P.Lon = r.f64()
@@ -477,14 +479,17 @@ func (r *reader) charger(c *charger.Charger) {
 	c.Plugs = int(r.varint())
 	for d := 0; d < 7; d++ {
 		for h := 0; h < 24; h++ {
-			c.Timetable[d][h] = r.f64()
+			tt[d][h] = r.f64()
 		}
 	}
+	c.Timetable = tt
 }
 
 // DecodeChargers decodes a binary charger list, appending into dst[:0] so
-// callers can reuse one slice across responses. It returns nil for an
-// encoded nil list (preserving the JSON null/[] distinction).
+// callers can reuse one slice across responses: a charger slot of dst that
+// holds a timetable is decoded into it, and the rest share one new slab. It
+// returns nil for an encoded nil list (preserving the JSON null/[]
+// distinction). It is the decode oracle of AppendChargerRefs.
 func DecodeChargers(data []byte, dst []charger.Charger) ([]charger.Charger, error) {
 	r := reader{b: data}
 	r.header(kindChargers)
@@ -503,9 +508,20 @@ func DecodeChargers(data []byte, dst []charger.Charger) ([]charger.Charger, erro
 		dst = make([]charger.Charger, 0, n)
 	}
 	dst = dst[:0]
+	var fresh []ec.Timetable // one slab for the chargers dst holds no table for
 	for i := 0; i < n && r.err == nil; i++ {
+		var tt *ec.Timetable
+		if i < cap(dst) {
+			tt = dst[:i+1][i].Timetable
+		}
+		if tt == nil {
+			if len(fresh) == 0 {
+				fresh = make([]ec.Timetable, n-i)
+			}
+			tt, fresh = &fresh[0], fresh[1:]
+		}
 		var c charger.Charger
-		r.charger(&c)
+		r.charger(&c, tt)
 		dst = append(dst, c)
 	}
 	if err := r.finish(); err != nil {

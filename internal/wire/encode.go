@@ -271,7 +271,7 @@ func appendCharger(b []byte, c *charger.Charger) []byte {
 	b = appendVarint(b, int64(c.Plugs))
 	for d := 0; d < 7; d++ {
 		for h := 0; h < 24; h++ {
-			b = appendF64(b, c.Timetable[d][h])
+			b = appendF64(b, c.Timetable.Slot(d, h))
 		}
 	}
 	return b
@@ -280,24 +280,8 @@ func appendCharger(b []byte, c *charger.Charger) []byte {
 // chargersHeadSize bounds a charger list's header, presence byte and count.
 const chargersHeadSize = 3 + 1 + binary.MaxVarintLen64
 
-// AppendChargers appends the binary form of a charger list (the inventory
-// and radius-query payloads).
-func AppendChargers(b []byte, cs []charger.Charger) []byte {
-	b = slices.Grow(b, chargersHeadSize+len(cs)*minChargerSize)
-	b = appendHeader(b, kindChargers)
-	if cs == nil {
-		return append(b, 0)
-	}
-	b = append(b, 1)
-	b = appendUvarint(b, uint64(len(cs)))
-	for i := range cs {
-		b = appendCharger(b, &cs[i])
-	}
-	return b
-}
-
-// AppendChargerRefs is AppendChargers over a pointer slice (the shape the
-// radius query returns); the encoded bytes are identical.
+// AppendChargerRefs appends the binary form of a charger list (the radius
+// query's answer, in the shape Set.Within returns it).
 func AppendChargerRefs(b []byte, cs []*charger.Charger) []byte {
 	b = slices.Grow(b, chargersHeadSize+len(cs)*minChargerSize)
 	b = appendHeader(b, kindChargers)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ecocharge/internal/charger"
+	"ecocharge/internal/ec"
 	"ecocharge/internal/geo"
 	"ecocharge/internal/roadnet"
 )
@@ -217,13 +218,14 @@ func FuzzWireRoundTrip(f *testing.F) {
 		if !p.Valid() || radius < 0 {
 			return
 		}
-		cs := []charger.Charger{{
+		var tt ec.Timetable
+		tt[int(degraded)%7][int(degraded)%24] = wd
+		cs := []*charger.Charger{{
 			ID: chargerID, P: p, Node: roadnet.NodeID(int32(k)),
 			Rate: charger.RateFromKW(radius), PanelKW: wl, WindKW: wa,
-			Plugs: int(degraded),
+			Plugs: int(degraded), Timetable: &tt,
 		}}
-		cs[0].Timetable[int(degraded)%7][int(degraded)%24] = wd
-		csOut, err := DecodeChargers(AppendChargers(nil, cs), nil)
+		csOut, err := DecodeChargers(AppendChargerRefs(nil, cs), nil)
 		if err != nil {
 			t.Fatalf("chargers decode: %v", err)
 		}
@@ -279,7 +281,7 @@ func FuzzWireDecode(f *testing.F) {
 	trip.Route = sampleRoute()
 	f.Add(AppendTripRequest(nil, &trip))
 	f.Add(appendSampleTrip(&trip, sampleTripBlocks()))
-	f.Add(AppendChargers(nil, sampleChargers(1)))
+	f.Add(AppendChargerRefs(nil, sampleChargers(1)))
 	// A message of a retired kind, the weather lookup's 4, which no decoder
 	// takes.
 	f.Add(appendTime(appendI64([]byte{magic, version, 4}, 1), utcNow))
@@ -350,7 +352,7 @@ func FuzzWireDecode(f *testing.F) {
 			assertFuzzJSONEqual(t, "trip response", &tripRespOut, &again)
 		}
 		if cs, err := DecodeChargers(data, nil); err == nil {
-			if _, err := DecodeChargers(AppendChargers(nil, cs), nil); err != nil {
+			if _, err := DecodeChargers(AppendChargerRefs(nil, refsOf(cs)), nil); err != nil {
 				t.Fatalf("chargers re-decode: %v", err)
 			}
 		}

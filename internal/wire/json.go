@@ -126,27 +126,8 @@ func AppendTripResponseJSON(b []byte, resp *TripOfferingResponse) ([]byte, error
 	return w.B, w.Err
 }
 
-// AppendChargersJSON appends the JSON answer of a charger list, each charger
-// rendered by charger.AppendJSON.
-func AppendChargersJSON(b []byte, cs []charger.Charger) ([]byte, error) {
-	if cs == nil {
-		return append(b, "null\n"...), nil
-	}
-	b = append(b, '[')
-	for i := range cs {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		var err error
-		if b, err = charger.AppendJSON(b, &cs[i]); err != nil {
-			return b, err
-		}
-	}
-	return append(b, "]\n"...), nil
-}
-
-// AppendChargerRefsJSON is AppendChargersJSON over a pointer slice (the
-// shape the radius query returns); a nil pointer is "null", as
+// AppendChargerRefsJSON appends the JSON answer of a charger list, each
+// charger rendered by charger.AppendJSON; a nil pointer is "null", as
 // encoding/json writes it.
 func AppendChargerRefsJSON(b []byte, cs []*charger.Charger) ([]byte, error) {
 	if cs == nil {
@@ -171,19 +152,18 @@ func AppendChargerRefsJSON(b []byte, cs []*charger.Charger) ([]byte, error) {
 
 // AppendWeatherJSON appends the JSON answer of a production forecast.
 func AppendWeatherJSON(b []byte, resp *WeatherResponse) ([]byte, error) {
-	return appendPointJSON(b, resp.ChargerID, resp.At, `,"production_kw":`, resp.ProductionKW, resp.Degraded)
+	return appendPointJSON(b, resp.ChargerID, resp.At, `,"production_kw":`, resp.ProductionKW)
 }
 
 // AppendAvailabilityJSON appends the JSON answer of an availability
 // estimate.
 func AppendAvailabilityJSON(b []byte, resp *AvailabilityResponse) ([]byte, error) {
-	return appendPointJSON(b, resp.ChargerID, resp.At, `,"availability":`, resp.Availability, resp.Degraded)
+	return appendPointJSON(b, resp.ChargerID, resp.At, `,"availability":`, resp.Availability)
 }
 
 // appendPointJSON appends the shape the two per-charger estimates share: the
-// charger, the time, the interval under key, and the gateway's Degraded mark
-// when it is set.
-func appendPointJSON(b []byte, id int64, at time.Time, key string, iv IntervalJSON, degraded bool) ([]byte, error) {
+// charger, the time and the interval under key.
+func appendPointJSON(b []byte, id int64, at time.Time, key string, iv IntervalJSON) ([]byte, error) {
 	w := jsonfmt.Writer{B: b}
 	w.Raw(`{"charger_id":`)
 	w.Int(id)
@@ -191,9 +171,6 @@ func appendPointJSON(b []byte, id int64, at time.Time, key string, iv IntervalJS
 	w.Time(at)
 	w.Raw(key)
 	appendIntervalJSON(&w, iv)
-	if degraded {
-		w.Raw(`,"degraded":true`)
-	}
 	w.Raw("}\n")
 	return w.B, w.Err
 }

@@ -51,11 +51,14 @@ func mirrorOf(c *charger.Charger) *chargerMirror {
 	if c == nil {
 		return nil
 	}
-	return &chargerMirror{
+	m := &chargerMirror{
 		ID: c.ID, Lat: c.P.Lat, Lon: c.P.Lon, Node: int32(c.Node),
 		RateKW: c.Rate.KW(), PanelKW: c.PanelKW, WindKW: c.WindKW, Plugs: c.Plugs,
-		Timetable: [7][24]float64(c.Timetable),
 	}
+	if c.Timetable != nil {
+		m.Timetable = *c.Timetable
+	}
+	return m
 }
 
 // checkOffering holds the offering appender to the reference.
@@ -71,41 +74,36 @@ func checkTrip(t *testing.T, name string, resp *TripOfferingResponse) {
 	checkJSON(t, name, got, err, resp)
 }
 
-// checkChargers holds both list appenders to encoding/json over the
-// chargers' JSON shape (chargerMirror), a nil reference in the list included.
-func checkChargers(t *testing.T, name string, cs []charger.Charger) {
+// checkChargers holds the list appender to encoding/json over the chargers'
+// JSON shape (chargerMirror), and again with a nil reference in the list.
+func checkChargers(t *testing.T, name string, cs []*charger.Charger) {
 	t.Helper()
 	var mirror []*chargerMirror
-	var refs []*charger.Charger
 	if cs != nil {
-		mirror, refs = []*chargerMirror{}, []*charger.Charger{}
+		mirror = []*chargerMirror{}
 	}
-	for i := range cs {
-		mirror, refs = append(mirror, mirrorOf(&cs[i])), append(refs, &cs[i])
+	for _, c := range cs {
+		mirror = append(mirror, mirrorOf(c))
 	}
-	got, err := AppendChargersJSON(nil, cs)
+	got, err := AppendChargerRefsJSON(nil, cs)
 	checkJSON(t, name, got, err, mirror)
 	if cs == nil {
-		got, err = AppendChargerRefsJSON(nil, nil)
-		checkJSON(t, name+" by reference", got, err, mirror)
 		return
 	}
-	got, err = AppendChargerRefsJSON(nil, append(refs, nil))
+	got, err = AppendChargerRefsJSON(nil, append(cs[:len(cs):len(cs)], nil))
 	checkJSON(t, name+" with a nil reference", got, err, append(mirror, nil))
 }
 
 // checkPoints holds the weather and availability appenders to the
-// reference, with the gateway's Degraded mark and without.
+// reference.
 func checkPoints(t *testing.T, id int64, at time.Time, iv IntervalJSON) {
 	t.Helper()
-	for _, degraded := range []bool{false, true} {
-		weather := WeatherResponse{ChargerID: id, At: at, ProductionKW: iv, Degraded: degraded}
-		got, err := AppendWeatherJSON(nil, &weather)
-		checkJSON(t, "weather", got, err, &weather)
-		avail := AvailabilityResponse{ChargerID: id, At: at, Availability: iv, Degraded: degraded}
-		got, err = AppendAvailabilityJSON(nil, &avail)
-		checkJSON(t, "availability", got, err, &avail)
-	}
+	weather := WeatherResponse{ChargerID: id, At: at, ProductionKW: iv}
+	got, err := AppendWeatherJSON(nil, &weather)
+	checkJSON(t, "weather", got, err, &weather)
+	avail := AvailabilityResponse{ChargerID: id, At: at, Availability: iv}
+	got, err = AppendAvailabilityJSON(nil, &avail)
+	checkJSON(t, "availability", got, err, &avail)
 }
 
 // Edge values of the two rules the appenders copy from encoding/json.
@@ -149,9 +147,9 @@ func FuzzAnswerJSON(f *testing.F) {
 		AppendOfferingResponse(nil, &OfferingResponse{Entries: []OfferingEntry{}}),
 		AppendTripResponse(nil, &trip),
 		AppendTripResponse(nil, &TripOfferingResponse{Segments: []SegmentOffering{}, SplitPoints: []int{}}),
-		AppendChargers(nil, sampleChargers(3)),
-		AppendChargers(nil, nil),
-		AppendChargers(nil, []charger.Charger{}),
+		AppendChargerRefs(nil, sampleChargers(3)),
+		AppendChargerRefs(nil, nil),
+		AppendChargerRefs(nil, []*charger.Charger{}),
 	}
 	for i, x := range jsonEdgeFloats {
 		tm := jsonEdgeTimes[i%len(jsonEdgeTimes)]
@@ -174,7 +172,7 @@ func checkAnswersJSON(t *testing.T, data []byte, x float64, sec int64, nsec uint
 		checkTrip(t, "decoded trip", &trip)
 	}
 	if cs, err := DecodeChargers(data, nil); err == nil {
-		checkChargers(t, "decoded chargers", cs)
+		checkChargers(t, "decoded chargers", refsOf(cs))
 	}
 
 	at := time.Unix(sec, int64(nsec%1_000_000_000)).In(time.FixedZone("", int(offSec)))
@@ -203,7 +201,7 @@ func checkAnswersJSON(t *testing.T, data []byte, x float64, sec int64, nsec uint
 	c := sampleChargers(2)
 	c[0].P, c[0].PanelKW, c[0].WindKW = geo.Point{Lat: x, Lon: x}, x, x
 	c[1].Timetable[int(nsec%7)][int(nsec%24)] = x
-	for _, cs := range [][]charger.Charger{nil, {}, c[:1], c[1:]} {
+	for _, cs := range [][]*charger.Charger{nil, {}, c[:1], c[1:]} {
 		checkChargers(t, "chargers", cs)
 	}
 

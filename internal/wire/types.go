@@ -189,22 +189,17 @@ type TripOfferingResponse struct {
 }
 
 // WeatherResponse reports the production forecast of one charger site.
-// Degraded is set, by a fleet gateway, only on the bound it answers for a
-// shard that did not: a shard's own answer never carries the field.
 type WeatherResponse struct {
 	ChargerID    int64        `json:"charger_id"`
 	At           time.Time    `json:"at"`
 	ProductionKW IntervalJSON `json:"production_kw"`
-	Degraded     bool         `json:"degraded,omitempty"`
 }
 
-// AvailabilityResponse reports the availability estimate of one charger,
-// Degraded as in WeatherResponse.
+// AvailabilityResponse reports the availability estimate of one charger.
 type AvailabilityResponse struct {
 	ChargerID    int64        `json:"charger_id"`
 	At           time.Time    `json:"at"`
 	Availability IntervalJSON `json:"availability"`
-	Degraded     bool         `json:"degraded,omitempty"`
 }
 
 // TrafficResponse reports the congestion multiplier band per road class.
