@@ -18,8 +18,8 @@ import (
 	"ecocharge/internal/wire"
 )
 
-// fillStripe puts the bound of key's stripe in entries of other keys, none
-// of them read, expiring at expires.
+// fillStripe puts the bound of key's stripe in entries of other keys,
+// expiring at expires.
 func fillStripe(c *respCache, key cacheKey, now, expires time.Time) []cacheKey {
 	keys := stripeKeys(c, key, c.maxPerShard)
 	for _, k := range keys {
@@ -38,8 +38,10 @@ func noShare(t *testing.T) func() []byte {
 
 // TestRespCacheAdmission: a miss stores its table when the stripe has room,
 // or when the stripe is full and the key was asked for within its TTL — then
-// an unread entry makes room. A full stripe declines any other key: nothing
-// is stored, nothing evicted, and declining allocates nothing.
+// the oldest entry makes room. A full stripe declines any other key: nothing
+// is stored, nothing evicted, and declining allocates nothing. So a hot entry
+// of a full stripe survives ten times the stripe's capacity in unseen keys,
+// the one-shot personalised rankings of real traffic.
 func TestRespCacheAdmission(t *testing.T) {
 	const ttl = cacheTTL
 	now := fixedNow
@@ -89,6 +91,18 @@ func TestRespCacheAdmission(t *testing.T) {
 				if len(s.m) != before || met.rescacheEvictions.Value() != evictions {
 					t.Fatalf("a declined table changed the stripe: %d entries of %d, %d evictions", len(s.m), before, met.rescacheEvictions.Value()-evictions)
 				}
+				hot := filled[0]
+				for i, k := range stripeKeys(&c, key, 11*c.maxPerShard)[c.maxPerShard:] {
+					if i%3 == 0 {
+						if _, ok := c.get(hot, now); !ok {
+							t.Fatalf("the hot entry was evicted within %d unseen puts", i)
+						}
+					}
+					c.put(k, false, OfferingResponse{}, now, now.Add(ttl))
+				}
+				if _, ok := c.get(hot, now); !ok || len(s.m) != before || met.rescacheEvictions.Value() != evictions {
+					t.Fatalf("unseen puts into a full stripe: the hot entry kept %v, %d entries of %d, %d evictions", ok, len(s.m), before, met.rescacheEvictions.Value()-evictions)
+				}
 				return
 			}
 			c.put(key, true, OfferingResponse{}, now, now.Add(ttl))
@@ -101,7 +115,7 @@ func TestRespCacheAdmission(t *testing.T) {
 			case tc.fill == 0 && (evicted != 0 || len(s.m) != before+1):
 				t.Fatalf("a stripe with room evicted %d entries and holds %d", evicted, len(s.m))
 			case tc.fill < 0 && (evicted != 1 || len(s.m) != before || oldest):
-				t.Fatalf("a full stripe evicted %d entries for a key it admitted (the oldest unread one: %v), want that one", evicted, !oldest)
+				t.Fatalf("a full stripe evicted %d entries for a key it admitted (the oldest one: %v), want that one", evicted, !oldest)
 			case tc.fill > 0 && (evicted != 0 || len(s.m) != 1):
 				t.Fatalf("a stripe of expired entries evicted %d live ones and holds %d", evicted, len(s.m))
 			}

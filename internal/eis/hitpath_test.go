@@ -27,32 +27,6 @@ func stripeKeys(c *respCache, like cacheKey, n int) []cacheKey {
 	return out
 }
 
-// TestRespCacheKeepsReadEntries: a stripe at capacity keeps the entry that
-// is read now and then through ten times its capacity in one-shot puts. All
-// entries get one TTL, so the read entry is also the closest to expiry — the
-// one the old rule evicted first.
-func TestRespCacheKeepsReadEntries(t *testing.T) {
-	const per = 8
-	c := respCache{maxPerShard: per}
-	hot := cacheKey{cellLat: 1000}
-	expires := fixedNow.Add(5 * time.Minute)
-	c.put(hot, true, OfferingResponse{}, fixedNow, expires)
-	for i, k := range stripeKeys(&c, hot, 10*per) {
-		if i%3 == 0 {
-			if _, ok := c.get(hot, fixedNow); !ok {
-				t.Fatalf("the read entry was evicted within %d one-shot puts", i)
-			}
-		}
-		c.put(k, true, OfferingResponse{}, fixedNow, expires)
-	}
-	if _, ok := c.get(hot, fixedNow); !ok {
-		t.Fatal("the read entry did not survive the one-shot puts")
-	}
-	if n := len(c.shard(hot).m); n != per {
-		t.Fatalf("stripe holds %d entries, want its capacity %d", n, per)
-	}
-}
-
 // TestRespCacheEvictsExpiredFirst: an expired entry goes before any live
 // one, read or not, and its removal is an expiry, not an eviction.
 func TestRespCacheEvictsExpiredFirst(t *testing.T) {
@@ -64,7 +38,7 @@ func TestRespCacheEvictsExpiredFirst(t *testing.T) {
 	later := fixedNow.Add(time.Minute)
 
 	c.put(stale, true, OfferingResponse{}, fixedNow, fixedNow.Add(time.Second))
-	if _, ok := c.get(stale, fixedNow); !ok { // read: the mark must not save it
+	if _, ok := c.get(stale, fixedNow); !ok { // read: a read must not save it
 		t.Fatal("fresh entry missed")
 	}
 	for _, k := range live {
@@ -87,69 +61,46 @@ func TestRespCacheEvictsExpiredFirst(t *testing.T) {
 	}
 }
 
-// TestRespCacheSecondChance: when every entry of a full stripe has been
-// read, the closest to expiry goes and the others lose their mark — the next
-// put evicts one of them unless it was read again.
-func TestRespCacheSecondChance(t *testing.T) {
-	const per = 4
-	c := respCache{maxPerShard: per}
-	first := cacheKey{cellLat: 3000}
-	keys := append([]cacheKey{first}, stripeKeys(&c, first, per+1)...)
-	for i, k := range keys[:per] {
-		c.put(k, true, OfferingResponse{}, fixedNow, fixedNow.Add(time.Duration(i+1)*time.Minute))
-		c.get(k, fixedNow)
-	}
-	s := c.shard(first)
-	c.put(keys[per], true, OfferingResponse{}, fixedNow, fixedNow.Add(time.Hour))
-	if _, ok := s.m[keys[0]]; ok {
-		t.Fatal("with every entry read, the closest to expiry should have gone")
-	}
-	c.get(keys[1], fixedNow) // read again: keeps its place
-	c.put(keys[per+1], true, OfferingResponse{}, fixedNow, fixedNow.Add(time.Hour))
-	if _, ok := s.m[keys[1]]; !ok {
-		t.Fatal("an entry read after the marks were cleared was evicted")
-	}
-	if _, ok := s.m[keys[2]]; ok {
-		t.Fatal("the unread entry closest to expiry should have gone")
-	}
-}
-
-// scanEvict is the eviction rule as one pass over the stripe, the form it had
-// before the queue: every expired entry goes, and nothing else; otherwise an
-// unread entry beats a read one and between equals the one closer to expiry
-// goes, a read one starting a new round. It returns what a full stripe loses
-// to make room — for a victim, every entry the rule ranks equal, since map
-// order chose among those.
-func scanEvict(m map[cacheKey]cacheVal, round uint32, now time.Time) (expired, victims []cacheKey, victimRead bool) {
-	var at time.Time
+// scanPut is put's rule as one pass over the stripe, for request times that
+// never run backwards: every expired entry goes; then, when the stripe is
+// full and the key is new, a key it admits (seen) takes the place of the
+// entry closest to expiry, and any other is declined. It returns what put
+// leaves of the stripe besides the key, and the entries the rule ranks equal
+// as its victim (map order chose among those).
+func scanPut(m map[cacheKey]cacheVal, per int, key cacheKey, seen bool, now time.Time) (kept map[cacheKey]cacheVal, victims []cacheKey, declined bool) {
+	kept = make(map[cacheKey]cacheVal, len(m))
 	for k, v := range m {
-		if now.After(v.expires) {
-			expired = append(expired, k)
-			continue
+		if !now.After(v.expires) {
+			kept[k] = v
 		}
-		read := v.readRound > round
-		if len(victims) == 0 || (victimRead && !read) || (victimRead == read && v.expires.Before(at)) {
-			victims, at, victimRead = []cacheKey{k}, v.expires, read
-		} else if victimRead == read && v.expires.Equal(at) {
+	}
+	if _, exists := kept[key]; exists || len(kept) < per {
+		return kept, nil, false
+	}
+	if !seen {
+		return kept, nil, true
+	}
+	var at time.Time
+	for k, v := range kept {
+		if len(victims) == 0 || v.expires.Before(at) {
+			victims, at = []cacheKey{k}, v.expires
+		} else if v.expires.Equal(at) {
 			victims = append(victims, k)
 		}
 	}
-	if len(expired) > 0 {
-		return expired, nil, false
-	}
-	return nil, victims, victimRead
+	return kept, victims, false
 }
 
-// TestRespCacheEvictionMatchesScan: over random puts and gets at times that
-// never run backwards, the queue makes room exactly as the scan did — the
-// same expired entries reclaimed, the same victim, the same rounds. Keys are
-// put again while cached and after they expired, which is what leaves stale
-// slots in the queue.
+// TestRespCacheEvictionMatchesScan: over random puts, seen and unseen, and
+// gets at times that never run backwards, the queue keeps the stripe exactly
+// as the scan does — the same expired entries reclaimed, the same victim,
+// the same declines. Keys are put again while cached and after they expired,
+// which is what leaves stale slots in the queue.
 func TestRespCacheEvictionMatchesScan(t *testing.T) {
 	const (
 		per = 8
 		ttl = 5 * time.Minute
-		ops = 128 // some ninety puts: past one sweep
+		ops = 128 // some ninety puts: past a compaction
 	)
 	sequences := int64(10000)
 	if raceEnabled {
@@ -169,26 +120,9 @@ func TestRespCacheEvictionMatchesScan(t *testing.T) {
 				c.get(key, now)
 				continue
 			}
-			// What the scan leaves of the stripe, put's sweep included.
-			want := make(map[cacheKey]cacheVal, len(s.m))
-			for k, v := range s.m {
-				if (s.puts+1)%sweepEvery != 0 || !now.After(v.expires) {
-					want[k] = v
-				}
-			}
-			var victims []cacheKey
-			round := s.round
-			if _, exists := want[key]; !exists && len(want) >= per {
-				expired, tied, victimRead := scanEvict(want, s.round, now)
-				for _, k := range expired {
-					delete(want, k)
-				}
-				victims = tied
-				if victimRead {
-					round++
-				}
-			}
-			c.put(key, true, OfferingResponse{}, now, now.Add(ttl))
+			seen := rng.Intn(4) != 0
+			want, victims, declined := scanPut(s.m, per, key, seen, now)
+			c.put(key, seen, OfferingResponse{}, now, now.Add(ttl))
 
 			var gone []cacheKey
 			for k := range want {
@@ -199,12 +133,14 @@ func TestRespCacheEvictionMatchesScan(t *testing.T) {
 			if len(gone) != min(len(victims), 1) || (len(gone) == 1 && !slices.Contains(victims, gone[0])) {
 				t.Fatalf("sequence %d op %d: %v left the stripe, the scan evicts one of %v", seq, op, gone, victims)
 			}
-			want[key] = cacheVal{}
+			if _, stored := s.m[key]; stored == declined {
+				t.Fatalf("sequence %d op %d: key stored %v, the scan declines it %v", seq, op, stored, declined)
+			}
+			if !declined {
+				want[key] = cacheVal{}
+			}
 			if len(s.m) != len(want)-len(gone) {
 				t.Fatalf("sequence %d op %d: stripe holds %d entries, the scan leaves %d", seq, op, len(s.m), len(want)-len(gone))
-			}
-			if s.round != round {
-				t.Fatalf("sequence %d op %d: round %d, the scan is in round %d", seq, op, s.round, round)
 			}
 			if n := cap(s.queue); n > c.queueLimit() {
 				t.Fatalf("sequence %d op %d: queue of %d slots for a stripe of %d", seq, op, n, per)

@@ -20,7 +20,7 @@ type eisMetrics struct {
 	// Response cache (the server-side dynamic cache).
 	rescacheHits      *obs.Counter
 	rescacheMisses    *obs.Counter
-	rescacheExpired   *obs.Counter // entries reclaimed on touch or by the sweep
+	rescacheExpired   *obs.Counter // entries reclaimed on touch or at a put's queue head
 	rescacheEvictions *obs.Counter // capacity evictions of live entries
 	rescacheDeclined  *obs.Counter // computed tables a full stripe did not store
 	rescacheEntries   *obs.Gauge   // current occupancy across all shards

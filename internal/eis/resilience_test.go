@@ -449,13 +449,15 @@ func TestRespCacheLazyDeleteOnGet(t *testing.T) {
 	}
 }
 
+// TestRespCacheSweepReclaimsExpired: puts reclaim the expired entries at
+// the head of their stripe's queue, all of them, in a cache that never
+// fills.
 func TestRespCacheSweepReclaimsExpired(t *testing.T) {
 	// The server's bound: 2 560 keys over the stripes stay under it, so no
-	// stripe evicts and only the sweep can reclaim the dead entries.
+	// stripe evicts and only the puts' reclaim can delete the dead entries.
 	c := respCache{maxPerShard: cacheMaxEntries / respCacheStripes}
 	// Fill with entries that are already expired by the time the second
-	// batch arrives; the amortized sweep during batch-2 puts must reclaim
-	// them (pre-fix behavior: they stayed forever).
+	// batch arrives; the first batch-2 put into each stripe reclaims them.
 	const dead = 512
 	for i := 0; i < dead; i++ {
 		c.put(cacheKey{cellLat: int64(i)}, true, OfferingResponse{}, fixedNow, fixedNow.Add(time.Second))
@@ -471,14 +473,14 @@ func TestRespCacheSweepReclaimsExpired(t *testing.T) {
 	}
 	for i, n := range perStripe {
 		if n >= c.maxPerShard {
-			t.Fatalf("stripe %d gets %d keys, at the bound of %d: eviction, not the sweep, would reclaim", i, n, c.maxPerShard)
+			t.Fatalf("stripe %d gets %d keys, at the bound of %d: eviction, not expiry, would reclaim", i, n, c.maxPerShard)
 		}
 	}
 	for i := 0; i < live; i++ {
 		c.put(cacheKey{cellLat: int64(i), cellLon: 1}, true, OfferingResponse{}, later, later.Add(time.Hour))
 	}
-	if n := c.entries(); n > live+sweepEvery {
-		t.Fatalf("cache holds %d entries; the sweep reclaimed almost none of the %d expired", n, dead)
+	if n := c.entries(); n != live {
+		t.Fatalf("cache holds %d entries, want the %d live ones: %d of the %d expired were not reclaimed", n, live, n-live, dead)
 	}
 }
 

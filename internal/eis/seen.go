@@ -25,10 +25,11 @@ import (
 // there are as many slots as a server's response cache holds entries
 // (4 096): what the cache can hold, the filter can remember. The mark says
 // the key was asked for again. A full set gives up a key that was not before
-// one that was, as the cache does (respShard.evictLocked) and for its reason:
-// the keys that come back are a few hundred cells, the keys that do not are
-// every personalised ranking, and a filter that drops a cell for one of those
-// has the gateway search for a shard that then answers from its cache.
+// one that was, as a full cache stripe declines it (respCache.admits) and for
+// its reason: the keys that come back are a few hundred cells, the keys that
+// do not are every personalised ranking, and a filter that drops a cell for
+// one of those has the gateway search for a shard that then answers from its
+// cache.
 type SeenFilter struct {
 	slots [filterSets * filterWays]atomic.Uint64
 }

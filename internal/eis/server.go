@@ -96,10 +96,6 @@ type Server struct {
 type cacheVal struct {
 	wireBody []byte
 	expires  time.Time
-	// readRound is the entry's reference mark: get sets it to the round its
-	// stripe is in, and eviction spares the entries that carry that round
-	// (respShard.read, evictLocked). Zero is never read.
-	readRound uint32
 	// slot is the entry's index in its stripe's queue.
 	slot uint32
 }
@@ -109,21 +105,16 @@ type cacheVal struct {
 // the fixed array stays cheap.
 const respCacheStripes = 16
 
-// sweepEvery is the amortization interval of the per-shard expiry sweep:
-// every sweepEvery-th put walks its shard and deletes expired entries, so
-// the cache's steady-state size is bounded by live entries plus one sweep
-// interval of garbage (the old behavior never deleted expired entries and
-// leaked every key ever cached).
-const sweepEvery = 64
-
 // respCache is the server-side dynamic cache, mutex-striped so concurrent
 // requests landing in different spatial cells never contend. Keys are
 // hashed (FNV-1a over the key's fixed-width fields) onto a shard; each
 // shard is an independently locked map.
 //
-// Hygiene: get deletes expired entries it touches, put sweeps its shard
-// every sweepEvery insertions, and a full shard evicts before inserting
-// (evictLocked).
+// One rule keeps a stripe: it is a queue of one TTL with admission in front.
+// Every put reclaims the expired entries at the head of the queue, a full
+// stripe stores only a key it admits (admits), and makes room for it by
+// dropping its oldest entry (evictLocked); get deletes an expired entry it
+// touches.
 type respCache struct {
 	shards [respCacheStripes]respShard
 	// maxPerShard bounds each shard's entry count.
@@ -131,25 +122,17 @@ type respCache struct {
 }
 
 type respShard struct {
-	mu   sync.Mutex
-	m    map[cacheKey]cacheVal
-	puts int // insertions since the last sweep
-	// round is the stripe's second-chance round less one. Advancing it
-	// clears the read mark of every entry at once.
-	round uint32
+	mu sync.Mutex
+	m  map[cacheKey]cacheVal
 
-	// queue is the order eviction goes by: the key of every put, oldest
-	// first, from head on. Nothing but put and evictLocked maintains it, so a
+	// queue is the order entries expire and are evicted in: the key of every
+	// put, oldest first, from head on. Nothing but put maintains it, so a
 	// slot may name a key that has since been deleted, or cached again
 	// further down: the live slot of an entry is the one at its
-	// cacheVal.slot. hand is where the search for an unread entry resumes;
-	// the live slots before it were all read in the current round.
-	queue      []cacheKey
-	head, hand int
+	// cacheVal.slot.
+	queue []cacheKey
+	head  int
 }
-
-// read reports whether get returned v in the stripe's current round.
-func (s *respShard) read(v cacheVal) bool { return v.readRound > s.round }
 
 func (c *respCache) shard(key cacheKey) *respShard {
 	return &c.shards[key.hash()%respCacheStripes]
@@ -170,10 +153,6 @@ func (c *respCache) get(key cacheKey, now time.Time) (cacheVal, bool) {
 		met.rescacheEntries.Dec()
 		met.rescacheMisses.Inc()
 		return cacheVal{}, false
-	}
-	if !s.read(v) {
-		v.readRound = s.round + 1
-		s.m[key] = v
 	}
 	met.rescacheHits.Inc()
 	return v, true
@@ -220,22 +199,13 @@ func (c *respCache) put(key cacheKey, seen bool, resp OfferingResponse, now, exp
 	if s.m == nil {
 		s.m = make(map[cacheKey]cacheVal)
 	}
-	s.puts++
-	if s.puts%sweepEvery == 0 {
-		for k, v := range s.m {
-			if now.After(v.expires) {
-				delete(s.m, k)
-				met.rescacheExpired.Inc()
-				met.rescacheEntries.Dec()
-			}
-		}
-	}
+	s.reclaimLocked(now)
 	_, exists := s.m[key]
 	if !exists && !c.admitsLocked(s, seen, now) {
 		return cacheVal{wireBody: wireBody}
 	}
 	if !exists && len(s.m) >= c.maxPerShard {
-		s.evictLocked(now)
+		s.evictLocked()
 	}
 	limit := c.queueLimit()
 	if len(s.queue) == limit {
@@ -275,51 +245,29 @@ func encodeHit(resp OfferingResponse) []byte {
 	return body
 }
 
-// evictLocked makes room in a full shard. Expired entries at the head of the
-// queue go first, all of them: garbage is reclaimed before live data.
-// Otherwise the victim is the oldest entry that has not been read — every
-// entry gets the same TTL, so that is the closest to expiry among the keys
-// nobody came back for, and a one-shot key goes before a cell that is hit a
-// thousand times. Only when every entry has been read does the oldest of all
-// go, and a new round begins: each survivor has to be read again to outlive
-// the next such eviction (second chance). Clearing the marks the search goes
-// over on every eviction instead would protect a cell only while it is read
-// between any two evictions of its shard, which is FIFO plus one eviction
-// (measured; the hit-path record in docs/perf-history/).
-//
-// The queue makes this O(1) amortised where a scan of the map for the
-// closest expiry cost a pass over the stripe per insertion: read entries stay
-// read until the round ends, so the hand passes each of them once a round,
-// and head and hand only move forward between compactions. For request times
-// that do not run backwards, queue order is expiry order and the victim is
-// the one the scan chose (TestRespCacheEvictionMatchesScan); where they do,
-// the queue's order stands and the sweep and get reclaim what expires behind
-// the head.
-func (s *respShard) evictLocked(now time.Time) {
-	if s.reclaimLocked(now) > 0 {
-		return
-	}
-	for ; s.hand < len(s.queue); s.hand++ {
-		if v, live := s.live(s.hand); live && !s.read(v) {
-			break
+// evictLocked makes room in a full stripe whose expired head put has just
+// reclaimed: its oldest live entry goes. Every entry gets the same TTL, so
+// that is the one closest to expiry; a one-shot key that could push a hot
+// cell out never gets this far, since a full stripe admits only keys asked
+// for before (admits). For request times that do not run backwards, queue
+// order is expiry order and the victim is the one a scan for the closest
+// expiry chose (TestRespCacheEvictionMatchesScan); where they do, the
+// queue's order stands, and get and the head reclaim what expires behind it.
+func (s *respShard) evictLocked() {
+	for ; s.head < len(s.queue); s.head++ {
+		if _, live := s.live(s.head); live {
+			delete(s.m, s.queue[s.head])
+			s.head++
+			met.rescacheEvictions.Inc()
+			met.rescacheEntries.Dec()
+			return
 		}
 	}
-	if s.hand == len(s.queue) {
-		// Every entry has been read: none is any more, and the oldest goes.
-		s.round++
-		s.hand = s.head
-	}
-	if s.hand == len(s.queue) {
-		return // nothing is queued, so nothing is cached
-	}
-	delete(s.m, s.queue[s.hand])
-	s.hand++
-	met.rescacheEvictions.Inc()
-	met.rescacheEntries.Dec()
 }
 
 // reclaimLocked deletes the expired entries at the head of the queue and
-// returns how many it deleted.
+// returns how many it deleted. The head only moves forward between
+// compactions, so this costs O(1) amortised a put.
 func (s *respShard) reclaimLocked(now time.Time) int {
 	expired := 0
 	for ; s.head < len(s.queue); s.head++ {
@@ -332,9 +280,6 @@ func (s *respShard) reclaimLocked(now time.Time) int {
 		}
 		delete(s.m, s.queue[s.head])
 		expired++
-	}
-	if s.hand < s.head {
-		s.hand = s.head
 	}
 	if expired > 0 {
 		met.rescacheExpired.Add(uint64(expired))
@@ -352,14 +297,11 @@ func (s *respShard) live(i int) (cacheVal, bool) {
 
 // compactLocked rewrites the queue as its live slots, in order.
 func (s *respShard) compactLocked() {
-	n, hand := 0, 0
+	n := 0
 	for i := s.head; i < len(s.queue); i++ {
 		v, live := s.live(i)
 		if !live {
 			continue
-		}
-		if i < s.hand {
-			hand++
 		}
 		k := s.queue[i]
 		v.slot = uint32(n)
@@ -367,7 +309,7 @@ func (s *respShard) compactLocked() {
 		s.queue[n] = k
 		n++
 	}
-	s.queue, s.head, s.hand = s.queue[:n], 0, hand
+	s.queue, s.head = s.queue[:n], 0
 }
 
 // NewServer returns a server over the environment.

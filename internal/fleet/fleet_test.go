@@ -211,29 +211,6 @@ func TestMergeRecoversGlobalRank(t *testing.T) {
 	}
 }
 
-// TestMergeDedupPrefersLiveEntry: a live entry beats a synthesized one for
-// the same charger (a shard started on another partition than its index
-// names must not shadow real data).
-func TestMergeDedupPrefersLiveEntry(t *testing.T) {
-	live := eis.OfferingEntry{
-		ChargerID: 7,
-		SC:        eis.IntervalJSON{Min: 0.4, Max: 0.6},
-		L:         eis.IntervalJSON{Min: 0.4, Max: 0.6},
-		A:         eis.IntervalJSON{Min: 0.4, Max: 0.6},
-		D:         eis.IntervalJSON{Min: 0.4, Max: 0.6},
-	}
-	synth := synthEntry(charger.Charger{ID: 7}, cknn.EqualWeights())
-	for _, order := range [][]eis.OfferingEntry{{live, synth}, {synth, live}} {
-		got := mergeEntries(order, 3)
-		if len(got) != 1 {
-			t.Fatalf("dedup kept %d entries, want 1", len(got))
-		}
-		if got[0].Degraded != 0 {
-			t.Fatalf("dedup kept the synthesized entry (mask %#x)", got[0].Degraded)
-		}
-	}
-}
-
 // TestSynthEntryIsIgnoranceBound: synthesized entries carry [0,1] on every
 // component, the full degraded mask, and an SC computed through the real
 // scoring path.

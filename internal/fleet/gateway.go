@@ -248,6 +248,7 @@ func (g *Gateway) handleOffering(w http.ResponseWriter, r *http.Request) {
 		g.writeError(w, http.StatusServiceUnavailable, "no shard could serve offering")
 		return
 	}
+	part := Partition{N: len(g.members)}
 	for i := range fo.results {
 		res := &fo.results[i]
 		if !res.ok() {
@@ -257,7 +258,7 @@ func (g *Gateway) handleOffering(w http.ResponseWriter, r *http.Request) {
 		err = wire.DecodeOfferingResponse(res.body, &fo.tables[i])
 		met.decodeWire.Since(start)
 		if err == nil {
-			err = checkIntervals(fo.tables[i].Entries)
+			err = checkEntries(fo.tables[i].Entries, part, i)
 		}
 		if err != nil {
 			g.writeError(w, http.StatusBadGateway, "shard %d: decoding offering: %v", i, err)
@@ -323,6 +324,7 @@ func (g *Gateway) handleTrip(w http.ResponseWriter, r *http.Request) {
 		g.writeError(w, http.StatusServiceUnavailable, "no shard could serve offering/trip")
 		return
 	}
+	part := Partition{N: len(g.members)}
 	for i := range fo.results {
 		res := &fo.results[i]
 		if !res.ok() {
@@ -333,7 +335,7 @@ func (g *Gateway) handleTrip(w http.ResponseWriter, r *http.Request) {
 		err = wire.DecodeTripResponse(res.body, resp)
 		met.decodeWire.Since(start)
 		for j := 0; err == nil && j < len(resp.Segments); j++ {
-			err = checkIntervals(resp.Segments[j].Entries)
+			err = checkEntries(resp.Segments[j].Entries, part, i)
 		}
 		if err != nil {
 			g.writeError(w, http.StatusBadGateway, "shard %d: decoding trip offering: %v", i, err)

@@ -26,20 +26,8 @@ func shardDegraded(e *eis.OfferingEntry) bool {
 	return e.Degraded&uint8(cknn.DegradedShard) != 0
 }
 
-// cmpByID groups the entries of one charger, live ones (no shard bit) first.
-func cmpByID(a, b *eis.OfferingEntry) int {
-	if c := cmp.Compare(a.ChargerID, b.ChargerID); c != 0 {
-		return c
-	}
-	switch da, db := shardDegraded(a), shardDegraded(b); {
-	case da == db:
-		return 0
-	case db:
-		return -1
-	default:
-		return 1
-	}
-}
+// cmpByID groups the entries of one charger.
+func cmpByID(a, b *eis.OfferingEntry) int { return cmp.Compare(a.ChargerID, b.ChargerID) }
 
 // selection picks an Offering Table out of per-shard entry lists without
 // copying them: it sorts references to the pooled entries and copies only
@@ -59,10 +47,10 @@ func (s *selection) add(es []eis.OfferingEntry) {
 
 // top appends to dst the k best pooled entries under the SC_max chain, in
 // the SC-midpoint chain, and returns nil when there is none. Shard
-// partitions are disjoint, but a shard started on another partition than its
-// index names could collide a live entry with a synthesized one: of the entries of one
-// charger the first live one (no shard bit) stands for it, the first one
-// when none is live.
+// partitions are disjoint and the gateway refuses an entry of another
+// shard's partition (checkEntries), so a live entry never meets a
+// synthesized one; of the entries of one charger within one answer, the
+// first stands for it.
 func (s *selection) top(dst []eis.OfferingEntry, k int) []eis.OfferingEntry {
 	if k <= 0 || len(s.refs) == 0 {
 		return nil
@@ -94,15 +82,21 @@ func (s *selection) top(dst []eis.OfferingEntry, k int) []eis.OfferingEntry {
 	return dst
 }
 
-// checkIntervals refuses shard entries that hold a crossed (or NaN)
-// interval: the merge reads the bounds as they arrived, and
-// interval.FromBounds would reorder them, or panic on a NaN.
-func checkIntervals(entries []eis.OfferingEntry) error {
+// checkEntries refuses the entries shard answered with that hold a crossed
+// (or NaN) interval — the merge reads the bounds as they arrived, and
+// interval.FromBounds would reorder them, or panic on a NaN — or that rank a
+// charger part gives another shard: a shard started on another partition
+// than its index names would otherwise have its table merged in place of
+// its own partition's, which no shard then ranks.
+func checkEntries(entries []eis.OfferingEntry, part Partition, shard int) error {
 	for i, e := range entries {
 		for _, iv := range [...]eis.IntervalJSON{e.SC, e.L, e.A, e.D} {
 			if !interval.I(iv).Valid() {
 				return fmt.Errorf("entry %d (charger %d) holds the crossed interval [%v, %v]", i, e.ChargerID, iv.Min, iv.Max)
 			}
+		}
+		if owner := part.ShardOf(e.ChargerID); owner != shard {
+			return fmt.Errorf("entry %d (charger %d) belongs to shard %d", i, e.ChargerID, owner)
 		}
 	}
 	return nil

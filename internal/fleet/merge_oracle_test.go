@@ -40,10 +40,7 @@ func mergeEntriesOracle(pool []eis.OfferingEntry, k int) []eis.OfferingEntry {
 	byID := make(map[int64]int, len(pool))
 	deduped := pool[:0:0]
 	for _, e := range pool {
-		if j, dup := byID[e.ChargerID]; dup {
-			if deduped[j].Degraded&uint8(cknn.DegradedShard) != 0 && e.Degraded&uint8(cknn.DegradedShard) == 0 {
-				deduped[j] = e
-			}
+		if _, dup := byID[e.ChargerID]; dup {
 			continue
 		}
 		byID[e.ChargerID] = len(deduped)
@@ -68,7 +65,8 @@ func mergeEntries(pool []eis.OfferingEntry, k int) []eis.OfferingEntry {
 // IDs (duplicates), scores on a coarse grid (ties in SC_max, SC_min and the
 // midpoint, including different intervals with one midpoint), point
 // intervals, live and shard-degraded entries of one charger in either order
-// with different scores, and a k on both sides of the pool size.
+// with different scores (the first stands for its charger), and a k on both
+// sides of the pool size.
 type mergePool struct {
 	Entries []eis.OfferingEntry
 	K       int

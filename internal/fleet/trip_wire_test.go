@@ -194,6 +194,31 @@ func TestFleetCrossedIntervalIsA502(t *testing.T) {
 	}
 }
 
+// TestFleetForeignPartitionIsA502: shard 0 started as partition 1 of 3
+// ranks partition 1's chargers, twice over with shard 1 and none of its own.
+// Its answer is a 502 naming the shard its entry belongs to, on /offering
+// and /offering/trip, never a 200 without partition 0's chargers.
+func TestFleetForeignPartitionIsA502(t *testing.T) {
+	world := testEnv(t)
+	envs := shardEnvs(t, world, 3)
+	envs[0] = envs[1]
+	f := newTravelFleet(t, envs, world)
+	center := world.Graph.Bounds().Center()
+	trip := routedTrips(t, world.Graph, 8, 1, 18, fixedNow)[0]
+	for _, tc := range []struct {
+		what, pathq string
+		body        []byte
+	}{
+		{"offering", eis.APIVersion + "/offering", offeringBody(t, eis.OfferingRequest{Lat: center.Lat, Lon: center.Lon, K: 10, Now: fixedNow})},
+		{"trip offering", eis.APIVersion + "/offering/trip", tripRequest(world.Graph, trip, 3, 6000, 2000, 1500)},
+	} {
+		status, body, _ := doReq(t, f.url, http.MethodPost, tc.pathq, tc.body)
+		if want := "shard 0: decoding " + tc.what; status != http.StatusBadGateway || !bytes.Contains(body, []byte(want)) || !bytes.Contains(body, []byte("belongs to shard 1")) {
+			t.Errorf("%s from a shard on another partition: %d %.200s, want a 502 saying %q and naming shard 1", tc.what, status, body, want)
+		}
+	}
+}
+
 // TestFleetTripForeignShard: a shard that answers for another trip — here
 // shard 2 is handed different waypoints — is a 502 from the merge, not a
 // table stitched from two trips.

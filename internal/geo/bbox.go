@@ -130,9 +130,3 @@ func axisGaps(v, min, max float64) (near, far float64) {
 	}
 	return 0, math.Max(v-min, max-v)
 }
-
-// WidthMeters reports the approximate east-west extent of the box at its
-// central latitude.
-func (b BBox) WidthMeters() float64 {
-	return Distance(Point{Lat: b.Center().Lat, Lon: b.Min.Lon}, Point{Lat: b.Center().Lat, Lon: b.Max.Lon})
-}

@@ -128,15 +128,3 @@ func TestBBoxBufferGrows(t *testing.T) {
 		t.Errorf("point 500m outside original not within 1km buffer: %v", p)
 	}
 }
-
-func TestBBoxWidthHeight(t *testing.T) {
-	// A box 0.1 deg wide at 53.05 deg N is ~6.7 km; a north-south line
-	// has no width.
-	b := NewBBox(Point{53.0, 8.0}, Point{53.1, 8.1})
-	if w := b.WidthMeters(); w < 6600 || w > 6750 {
-		t.Errorf("width = %.0f, want ~6690", w)
-	}
-	if w := NewBBox(Point{53.0, 8.0}, Point{53.1, 8.0}).WidthMeters(); w != 0 {
-		t.Errorf("width = %v, want 0", w)
-	}
-}

@@ -46,15 +46,3 @@ func TestParallelEdges(t *testing.T) {
 		t.Fatalf("parallel edge: %v %v, want 400", p.Weight, ok)
 	}
 }
-
-// NodesWithin on an anchored radius of zero returns at most the co-located
-// node.
-func TestNodesWithinZeroRadius(t *testing.T) {
-	g := tinyGraph()
-	got := g.NodesWithin(g.Node(3).P, 0)
-	for _, id := range got {
-		if geo.Distance(g.Node(id).P, g.Node(3).P) > 0 {
-			t.Fatalf("zero radius returned distant node %d", id)
-		}
-	}
-}

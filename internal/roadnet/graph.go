@@ -357,20 +357,6 @@ func (g *Graph) NearestNode(p geo.Point) NodeID {
 	return NodeID(n.ID)
 }
 
-// NodesWithin returns the node IDs within radius meters of p, closest first.
-func (g *Graph) NodesWithin(p geo.Point, radius float64) []NodeID {
-	g.mustFrozen()
-	if g.index == nil {
-		return nil
-	}
-	ns := g.index.Within(p, radius)
-	out := make([]NodeID, len(ns))
-	for i, n := range ns {
-		out[i] = NodeID(n.ID)
-	}
-	return out
-}
-
 // Path is a node sequence through the graph together with its total weight.
 type Path struct {
 	Nodes  []NodeID

@@ -160,17 +160,6 @@ func TestNearestNodeAndWithin(t *testing.T) {
 	if got := g.NearestNode(p); got != 0 {
 		t.Errorf("NearestNode = %d, want 0", got)
 	}
-	near := g.NodesWithin(g.Node(0).P, 1200)
-	found := map[NodeID]bool{}
-	for _, id := range near {
-		found[id] = true
-	}
-	if !found[0] || !found[1] {
-		t.Errorf("NodesWithin(1200m) = %v, want to include 0 and 1", near)
-	}
-	if found[2] {
-		t.Errorf("node 2 (~2km away) included in 1.2km radius")
-	}
 }
 
 func TestEdgeWeights(t *testing.T) {
