@@ -341,9 +341,10 @@ func TestAliasedTablesMatchTwoLeg(t *testing.T) {
 			rank func(*Env, Query) OfferingTable
 			legs uint64 // many-target expansions per ranking when both legs run
 		}{
-			{"RankOnce", func(e *Env, q Query) OfferingTable { return RankOnce(e, EcoChargeOptions{}, q, nil) }, 2},
+			{"RankOnce", func(e *Env, q Query) OfferingTable { t, _ := RankOnce(e, EcoChargeOptions{}, q, nil, nil); return t }, 2},
 			{"RankOnce/exact", func(e *Env, q Query) OfferingTable {
-				return RankOnce(e, EcoChargeOptions{RadiusM: 20000, ExactDerouting: true}, q, nil)
+				t, _ := RankOnce(e, EcoChargeOptions{RadiusM: 20000, ExactDerouting: true}, q, nil, nil)
+				return t
 			}, 4},
 			{"BruteForce", func(e *Env, q Query) OfferingTable { return NewBruteForce(e).Rank(q) }, 4},
 			{"Index-Quadtree", func(e *Env, q Query) OfferingTable { return NewIndexQuadtree(e).Rank(q) }, 4},
@@ -517,7 +518,7 @@ func BenchmarkRankOnceOldenburg(b *testing.B) {
 	env, q := oldenburgWorld(b, 3)
 	rank := func(radiusM float64) func() {
 		return func() {
-			if t := RankOnce(env, EcoChargeOptions{RadiusM: radiusM}, q, nil); len(t.Entries) != q.K {
+			if t, _ := RankOnce(env, EcoChargeOptions{RadiusM: radiusM}, q, nil, nil); len(t.Entries) != q.K {
 				b.Fatalf("%d entries within %v m, want %d", len(t.Entries), radiusM, q.K)
 			}
 		}

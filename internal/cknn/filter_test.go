@@ -152,7 +152,7 @@ func TestFilterBoundPrunes(t *testing.T) {
 		q.Anchor, q.AnchorNode, q.ReturnNode = anchor.P, anchor.ID, anchor.ID
 		q.Weights = drawWeights(rng)
 		eq, pq, uq := filterOutcomes()
-		if table := RankOnce(env, EcoChargeOptions{RadiusM: 50000}, q, nil); len(table.Entries) != q.K {
+		if table, _ := RankOnce(env, EcoChargeOptions{RadiusM: 50000}, q, nil, nil); len(table.Entries) != q.K {
 			t.Fatalf("query %d: %d entries, want %d", i, len(table.Entries), q.K)
 		}
 		e, p, u := filterOutcomes()

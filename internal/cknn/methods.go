@@ -9,6 +9,7 @@ import (
 	"ecocharge/internal/charger"
 	"ecocharge/internal/geo"
 	"ecocharge/internal/interval"
+	"ecocharge/internal/roadnet"
 )
 
 func secondsDur(s float64) time.Duration {
@@ -262,8 +263,8 @@ func (m *EcoCharge) Rank(q Query) OfferingTable {
 
 // rank is Rank for a query that may have been handed its network search
 // (RunTripSupplied). The dynamic cache decides first: on a hit nothing is
-// searched and the travel times go unread. used is false then, and when they
-// were refused and the miss ran its own search; the table is the same.
+// searched and the travel times go unread. used is false then, and when the
+// miss ranked on a search of its own; the table is the same.
 func (m *EcoCharge) rank(q Query, travel *Travel) (table OfferingTable, used bool) {
 	q = m.opts.evalQuery(q)
 	if m.adaptable(q) {
@@ -273,12 +274,7 @@ func (m *EcoCharge) rank(q Query, travel *Travel) (table OfferingTable, used boo
 	}
 	m.misses++
 	met.cacheMisses.Inc()
-	if travel != nil {
-		table, used = m.compute(q, travel, nil)
-	}
-	if !used {
-		table, _ = m.compute(q, nil, nil)
-	}
+	table, used = m.miss(q, travel, nil)
 	m.cached = table
 	met.cacheStores.Inc()
 	return table, used
@@ -298,27 +294,40 @@ func (m *EcoCharge) adaptable(q Query) bool {
 // cache-miss path of EcoCharge under the same options, with no dynamic cache
 // behind it. It is the entry for callers that rank a query point once and
 // never return to adapt the table — the EIS one-shot endpoints, which keep
-// whole responses in their own cache. The table equals
-// what a fresh NewEcoCharge(env, opts) instance returns from its first Rank.
-// Its entries are written into the storage rows lends (Rank): nil for a
-// table the caller keeps.
-func RankOnce(env *Env, opts EcoChargeOptions, q Query, rows []Entry) OfferingTable {
+// whole responses in their own cache. travel, when non-nil, is the
+// ranking's network search, run elsewhere (a fleet shard's, by its gateway);
+// used reports whether the table was ranked on it, and miss says when it is
+// not. The table is the same either way, and equals what a fresh
+// NewEcoCharge(env, opts) instance returns from its first Rank. Its entries
+// are written into the storage rows lends (Rank): nil for a table the caller
+// keeps.
+func RankOnce(env *Env, opts EcoChargeOptions, q Query, travel *Travel, rows []Entry) (table OfferingTable, used bool) {
 	m := EcoCharge{engine: Engine{Env: env}, opts: opts.withDefaults()}
-	table, _ := m.compute(m.opts.evalQuery(q), nil, rows)
-	return table
+	return m.miss(m.opts.evalQuery(q), travel, rows)
 }
 
-// RankOnceSupplied is RankOnce for a caller that was handed the ranking's
-// network search (a fleet shard, by its gateway): the query is ranked from
-// travel.Anchor — q's own nodes are not read, the point was snapped by
-// whoever searched — on the travel times, without a search. ok is false, and
-// nothing was ranked, when they cannot stand in for the search
-// (suppliedDerouting says why); the caller then snaps the point and calls
-// RankOnce, and gets the table this would have returned.
-func RankOnceSupplied(env *Env, opts EcoChargeOptions, q Query, travel *Travel, rows []Entry) (table OfferingTable, ok bool) {
-	m := EcoCharge{engine: Engine{Env: env}, opts: opts.withDefaults()}
-	q.AnchorNode, q.ReturnNode = travel.Anchor, travel.Anchor
-	return m.compute(m.opts.evalQuery(q), travel, rows)
+// miss ranks q on the cache-miss path. A query without a node (AnchorNode
+// roadnet.Invalid) is ranked from the node travel's search started at — the
+// point was snapped by whoever searched. When travel is nil or cannot stand
+// in for the ranking's own search (suppliedDerouting says why), the ranking
+// searches for itself, from q's node or, when it has none, the node its
+// point snaps to; used is false then, and the table is the same.
+func (m *EcoCharge) miss(q Query, travel *Travel, rows []Entry) (table OfferingTable, used bool) {
+	if travel != nil {
+		sq := q
+		if sq.AnchorNode == roadnet.Invalid {
+			sq.AnchorNode, sq.ReturnNode = travel.Anchor, travel.Anchor
+		}
+		if table, used = m.compute(sq, travel, rows); used {
+			return table, true
+		}
+	}
+	if q.AnchorNode == roadnet.Invalid {
+		q.AnchorNode = m.engine.Env.Graph.NearestNode(q.Anchor)
+		q.ReturnNode = q.AnchorNode
+	}
+	table, _ = m.compute(q, nil, rows)
+	return table, false
 }
 
 // compute is the cache-miss path: full CkNN-EC over the chargers within R.
@@ -329,9 +338,9 @@ func RankOnceSupplied(env *Env, opts EcoChargeOptions, q Query, travel *Travel, 
 // its detour: one up to twice the leg bound stays in the table, its D
 // normalised by Env.MaxDeroutSec and clamped to 1.
 //
-// With travel non-nil the network search is the caller's (RankOnceSupplied,
-// RunTripSupplied); ok is false only when it was refused, and then there is
-// no table. The entries are written into the storage rows lends (Rank).
+// With travel non-nil the network search is the caller's (miss); ok is
+// false only when it was refused, and then there is no table. The entries
+// are written into the storage rows lends (Rank).
 func (m *EcoCharge) compute(q Query, travel *Travel, rows []Entry) (table OfferingTable, ok bool) {
 	env := m.engine.Env
 	// The candidates are read until the table is ranked and not after: its

@@ -210,6 +210,22 @@ func rankBySort(entries []Entry, k int) []Entry {
 	return out
 }
 
+type sortKey int
+
+const (
+	maxKey sortKey = iota
+	midKey
+)
+
+// lessEntry orders entries best-first under the chosen chain: the SC_max
+// chain or the SC-midpoint one.
+func lessEntry(a, b *Entry, key sortKey) bool {
+	if key == maxKey {
+		return cmpSCMax(a.SC, a.Charger.ID, b.SC, b.Charger.ID) < 0
+	}
+	return cmpSCMid(a.SC, a.Charger.ID, b.SC, b.Charger.ID) < 0
+}
+
 // lessMin is the SC_min chain rankBySort reads eq. 6's second ranking by:
 // SC_min descending, then SC_max descending, then charger ID ascending.
 func lessMin(a, b *Entry) bool {

@@ -186,10 +186,8 @@ func (o OfferingTable) IDs() []int64 {
 //   - the padding refills it from the same ranking, best first;
 //   - so the k places it ends with are that ranking's first k.
 //
-// Rank therefore selects the k best chargers under the SC_max chain and
-// emits them in the SC-midpoint chain (ties by higher SC_max, then lower
-// charger ID). A charger the pool lists twice holds one place, by its first
-// entry in the SC_max chain. The pool is neither copied nor reordered.
+// Rank therefore returns the entries Select picks out of the pool, in the
+// order it emits them. The pool is neither copied nor reordered.
 //
 // The rows are written into storage the caller lends, which must not overlap
 // the pool: rows' own when it has room for them, so the table aliases it,
@@ -204,36 +202,47 @@ func Rank(rows, entries []Entry, k int) []Entry {
 	if k > len(held) {
 		top = make([]int, 0, min(k, len(entries)))
 	}
-	top = topByMax(top, entries, k)
-	// The k rows go in by insertion, each to its place in the midpoint
-	// chain: k is a table's size, and sort.Slice's reflected swapper would
-	// allocate more than the rows.
-	out := slices.Grow(rows[:0], len(top))[:len(top)]
-	for n, j := range top {
-		e := &entries[j]
-		i := n
-		for ; i > 0 && lessEntry(e, &out[i-1], midKey); i-- {
-			out[i] = out[i-1]
-		}
-		out[i] = *e
+	top = Select(top, len(entries), k, func(i int) (interval.I, int64) {
+		return entries[i].SC, entries[i].Charger.ID
+	})
+	out := slices.Grow(rows[:0], len(top))
+	for _, i := range top {
+		out = append(out, entries[i])
 	}
 	return out
 }
 
-// topByMax appends to top, which it is handed empty, the indexes of the k
-// best entries under the SC_max chain, one per charger, best first: a single
-// pass that keeps the best seen so far in order. With k the size of an
-// Offering Table, nearly every entry is dismissed by its one comparison
-// against the current k-th.
-func topByMax(top []int, entries []Entry, k int) []int {
-	for i := range entries {
-		e := &entries[i]
-		if len(top) == k && !lessEntry(e, &entries[top[k-1]], maxKey) {
+// Select is eq. 6's selection, the one every Offering Table is made by — a
+// shard's ranking (Rank) and a fleet gateway's merge of the shards' tables
+// alike. Over a pool of n entries, at(i) the score interval and charger of
+// the i-th, it appends to top, which it is handed empty, the indexes of the
+// k best entries under the SC_max chain, one per charger, and returns them
+// in the SC-midpoint chain, the order a table is emitted in. A charger the
+// pool lists more than once holds one place, by its best entry in the
+// SC_max chain.
+//
+// The selection is a single pass that keeps the best seen so far in order:
+// with k the size of an Offering Table, nearly every entry is dismissed by
+// its one comparison against the current k-th. The k kept are then put in
+// the midpoint chain by insertion. Select neither allocates beyond top's
+// growth nor keeps at.
+func Select(top []int, n, k int, at func(i int) (interval.I, int64)) []int {
+	if k <= 0 {
+		return top
+	}
+	before := func(chain func(interval.I, int64, interval.I, int64) int, i, j int) bool {
+		a, aID := at(i)
+		b, bID := at(j)
+		return chain(a, aID, b, bID) < 0
+	}
+	for i := 0; i < n; i++ {
+		if len(top) == k && !before(cmpSCMax, i, top[k-1]) {
 			continue
 		}
-		held := slices.IndexFunc(top, func(t int) bool { return entries[t].Charger.ID == e.Charger.ID })
+		_, id := at(i)
+		held := slices.IndexFunc(top, func(t int) bool { _, tID := at(t); return tID == id })
 		switch {
-		case held >= 0 && !lessEntry(e, &entries[top[held]], maxKey):
+		case held >= 0 && !before(cmpSCMax, i, top[held]):
 			continue // its charger holds a place by an entry at least as good
 		case held >= 0:
 			top = slices.Delete(top, held, held+1)
@@ -242,7 +251,14 @@ func topByMax(top []int, entries []Entry, k int) []int {
 		}
 		j := len(top)
 		top = append(top, i)
-		for ; j > 0 && lessEntry(e, &entries[top[j-1]], maxKey); j-- {
+		for ; j > 0 && before(cmpSCMax, i, top[j-1]); j-- {
+			top[j] = top[j-1]
+		}
+		top[j] = i
+	}
+	for m := 1; m < len(top); m++ {
+		i, j := top[m], m
+		for ; j > 0 && before(cmpSCMid, i, top[j-1]); j-- {
 			top[j] = top[j-1]
 		}
 		top[j] = i
@@ -250,28 +266,13 @@ func topByMax(top []int, entries []Entry, k int) []int {
 	return top
 }
 
-type sortKey int
-
-const (
-	maxKey sortKey = iota
-	midKey
-)
-
-// lessEntry orders entries best-first under the chosen chain.
-func lessEntry(a, b *Entry, key sortKey) bool {
-	if key == maxKey {
-		return CmpSCMax(a.SC, a.Charger.ID, b.SC, b.Charger.ID) < 0
-	}
-	return CmpSCMid(a.SC, a.Charger.ID, b.SC, b.Charger.ID) < 0
-}
-
-// CmpSCMax is the SC_max chain an Offering Table is selected by, best
+// cmpSCMax is the SC_max chain an Offering Table is selected by, best
 // first: SC_max descending, then SC_min descending, then charger ID
 // ascending. Ties fall through the full score interval before the ID, so
 // the order is total over distinct chargers — equal-SC chargers always
 // emerge in ID order and no evaluation or merge order (in particular the
 // parallel filtering phase's or a fleet gateway's) can change a table.
-func CmpSCMax(a interval.I, aID int64, b interval.I, bID int64) int {
+func cmpSCMax(a interval.I, aID int64, b interval.I, bID int64) int {
 	if c := cmp.Compare(b.Max, a.Max); c != 0 {
 		return c
 	}
@@ -281,11 +282,11 @@ func CmpSCMax(a interval.I, aID int64, b interval.I, bID int64) int {
 	return cmp.Compare(aID, bID)
 }
 
-// CmpSCMid is the chain an Offering Table is emitted in, best first: SC
+// cmpSCMid is the chain an Offering Table is emitted in, best first: SC
 // midpoint descending, then the SC_max chain.
-func CmpSCMid(a interval.I, aID int64, b interval.I, bID int64) int {
+func cmpSCMid(a interval.I, aID int64, b interval.I, bID int64) int {
 	if c := cmp.Compare(b.Mid(), a.Mid()); c != 0 {
 		return c
 	}
-	return CmpSCMax(a, aID, b, bID)
+	return cmpSCMax(a, aID, b, bID)
 }

@@ -2,10 +2,11 @@ package cknn
 
 // Differential suite for the fleet's seam in a stand-alone ranking
 // (travel.go): a search run apart from the ranking (SearchTravel, the
-// gateway's side) and handed to it as raw travel times (RankOnceSupplied,
+// gateway's side) and handed to it as raw travel times (RankOnce's travel,
 // the shard's side) must produce the table the ranking's own search
 // produces, bit for bit, without a search of its own — and anything less
-// than that search must be refused, never built on.
+// than that search must be refused, never built on: the ranking then runs
+// its own search.
 
 import (
 	"math"
@@ -92,7 +93,7 @@ func TestSuppliedRankingMatchesOwnSearch(t *testing.T) {
 			opts := EcoChargeOptions{RadiusM: []float64{3000, 10000, 50000}[rng.Intn(3)]}
 			for s := 0; s < 3; s++ {
 				shard := shardOf(t, world, s, 3)
-				want := RankOnce(shard, opts, q, nil)
+				want, _ := RankOnce(shard, opts, q, nil, nil)
 				travel, ok := supplyFor(t, world, shard, opts, q)
 				if !ok {
 					t.Fatalf("%s: SearchTravel declined a round trip on a symmetric graph", name)
@@ -100,7 +101,7 @@ func TestSuppliedRankingMatchesOwnSearch(t *testing.T) {
 				full0, many0 := expansionsStarted()
 				noNodes := q // the anchor is the travel times', not the query's
 				noNodes.AnchorNode, noNodes.ReturnNode = roadnet.Invalid, roadnet.Invalid
-				got, used := RankOnceSupplied(shard, opts, noNodes, travel, nil)
+				got, used := RankOnce(shard, opts, noNodes, travel, nil)
 				full1, many1 := expansionsStarted()
 				if !used {
 					t.Fatalf("%s query %d shard %d: the gateway's own search was refused", name, qi, s)
@@ -122,22 +123,28 @@ func TestSuppliedRankingMatchesOwnSearch(t *testing.T) {
 }
 
 // TestSuppliedRankingRefuses: whatever is wrong with the travel times,
-// nothing is ranked on them, no search state is kept, and no expansion is
-// started: the caller is told to rank for itself.
+// nothing is ranked on them and no search state is kept: the ranking runs
+// its own search — from the query's node, or from the node its point snaps
+// to when it has none — and returns that search's table.
 func TestSuppliedRankingRefuses(t *testing.T) {
 	world := testEnv(t)
 	shard := shardOf(t, world, 0, 3)
 	q := roundTripQueries(world, 21, 1)[0]
+	noNodes := q
+	noNodes.AnchorNode, noNodes.ReturnNode = roadnet.Invalid, roadnet.Invalid
 	opts := EcoChargeOptions{RadiusM: 50000}
-	want := RankOnce(shard, opts, q, nil)
+	want, _ := RankOnce(shard, opts, q, nil, nil)
 	if len(want.Entries) == 0 {
 		t.Fatal("the reference table is empty; the comparison is vacuous")
+	}
+	if got, used := RankOnce(shard, opts, noNodes, nil, nil); used || !reflect.DeepEqual(got, want) {
+		t.Fatalf("no travel times and no node: used=%v, table %v, want %v", used, got.IDs(), want.IDs())
 	}
 	good, ok := supplyFor(t, world, shard, opts, q)
 	if !ok {
 		t.Fatal("SearchTravel declined")
 	}
-	if got, used := RankOnceSupplied(shard, opts, q, good, nil); !used || !reflect.DeepEqual(got, want) {
+	if got, used := RankOnce(shard, opts, q, good, nil); !used || !reflect.DeepEqual(got, want) {
 		t.Fatalf("the unmodified travel times: used=%v, table %v, want %v", used, got.IDs(), want.IDs())
 	}
 	goodTimes := good.Times.(*legs)
@@ -181,17 +188,23 @@ func TestSuppliedRankingRefuses(t *testing.T) {
 	}
 	for name, tc := range cases {
 		full0, many0 := expansionsStarted()
-		acquired, released := obs.Default().Counter("roadnet_pool_acquires_total").Value(), obs.Default().Counter("roadnet_pool_releases_total").Value()
-		got, used := RankOnceSupplied(tc.env, tc.opts, q, tc.travel, nil)
-		if used || got.Entries != nil {
-			t.Errorf("%s: ranked %v on the travel times (used=%v)", name, got.IDs(), used)
-		}
-		if full1, many1 := expansionsStarted(); full1 != full0 || many1 != many0 {
-			t.Errorf("%s: a refusal started an expansion", name)
-		}
-		a := obs.Default().Counter("roadnet_pool_acquires_total").Value() - acquired
-		if r := obs.Default().Counter("roadnet_pool_releases_total").Value() - released; a != r {
-			t.Errorf("%s: the refusal acquired %d search states and released %d", name, a, r)
+		own, _ := RankOnce(tc.env, tc.opts, q, nil, nil)
+		full1, many1 := expansionsStarted()
+		ownFull, ownMany := full1-full0, many1-many0
+		for _, query := range []Query{q, noNodes} {
+			full0, many0 := expansionsStarted()
+			acquired, released := obs.Default().Counter("roadnet_pool_acquires_total").Value(), obs.Default().Counter("roadnet_pool_releases_total").Value()
+			got, used := RankOnce(tc.env, tc.opts, query, tc.travel, nil)
+			if used || !reflect.DeepEqual(got, own) {
+				t.Errorf("%s (node %d): used=%v, table %v, want its own search's %v", name, query.AnchorNode, used, got.IDs(), own.IDs())
+			}
+			if full1, many1 := expansionsStarted(); full1-full0 != ownFull || many1-many0 != ownMany {
+				t.Errorf("%s (node %d): %d expansions started, its own search starts %d", name, query.AnchorNode, full1-full0+many1-many0, ownFull+ownMany)
+			}
+			a := obs.Default().Counter("roadnet_pool_acquires_total").Value() - acquired
+			if r := obs.Default().Counter("roadnet_pool_releases_total").Value() - released; a != r {
+				t.Errorf("%s (node %d): the refusal acquired %d search states and released %d", name, query.AnchorNode, a, r)
+			}
 		}
 	}
 }

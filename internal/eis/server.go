@@ -48,8 +48,9 @@ func (o ServerOptions) withDefaults() ServerOptions {
 
 // cacheMaxEntries bounds the response cache across all its stripes. A full
 // stripe stores only a key that was asked for before (respCache.admits), and
-// makes room for it by respShard.evictLocked's rule (expired entries, then
-// entries never read, before anything that was hit).
+// makes room for it by dropping its oldest live entry
+// (respShard.evictLocked); every put first reclaims the expired entries at
+// the head of the stripe's queue (reclaimLocked).
 const cacheMaxEntries = 4096
 
 // The response cache's key and lifetime are the same in every server, so a
@@ -503,14 +504,25 @@ func appendRows(rows *[]OfferingEntry, es []cknn.Entry) []OfferingEntry {
 // rows to rows (appendRows): on the network search the request brought along
 // (a fleet gateway's travel block) when it brought one of the server's road
 // world that covers the ranking, else on a search of its own from node, the
-// query point's node — snapped now, if a block that is then refused was to
-// make that unnecessary.
-// The table is the same either way. The ranking writes its k entries into
-// pooled scratch, which the rows are copied out of at once.
+// query point's node — which cknn.RankOnce snaps now, if a block that is then
+// refused was to make that unnecessary. The table is the same either way.
+// The ranking writes its k entries into pooled scratch, which the rows are
+// copied out of at once.
 func (s *Server) rankOffering(o *Offering, node roadnet.NodeID, block *wire.TravelBlock, rows *[]OfferingEntry) []OfferingEntry {
 	ranked := rankScratch.Get().(*[]cknn.Entry)
 	defer rankScratch.Put(ranked)
-	table := s.rank(o, node, block, *ranked)
+	var travel *cknn.Travel
+	if block != nil && block.World == s.world {
+		t := travelOf(block)
+		travel = &t
+	}
+	table, used := cknn.RankOnce(s.env, cknn.EcoChargeOptions{RadiusM: o.RadiusM}, o.Query(node), travel, *ranked)
+	switch {
+	case used:
+		met.travelUsed.Inc()
+	case block != nil:
+		met.travelRejected.Inc()
+	}
 	if n := cap(table.Entries); n > cap(*ranked) && n <= maxPooledRows {
 		*ranked = table.Entries[:0]
 	}
@@ -520,25 +532,6 @@ func (s *Server) rankOffering(o *Offering, node roadnet.NodeID, block *wire.Trav
 // rankScratch pools the storage a shard's one-shot ranking writes its k
 // entries into (cknn.RankOnce's rows), which rankOffering copies out of.
 var rankScratch = sync.Pool{New: func() interface{} { return new([]cknn.Entry) }}
-
-// rank is rankOffering's ranking, its entries in the storage rows lends.
-func (s *Server) rank(o *Offering, node roadnet.NodeID, block *wire.TravelBlock, rows []cknn.Entry) cknn.OfferingTable {
-	q := o.Query(node)
-	opts := cknn.EcoChargeOptions{RadiusM: o.RadiusM}
-	if block != nil {
-		if block.World == s.world {
-			travel := travelOf(block)
-			if table, ok := cknn.RankOnceSupplied(s.env, opts, q, &travel, rows); ok {
-				met.travelUsed.Inc()
-				return table
-			}
-		}
-		met.travelRejected.Inc()
-		q.AnchorNode = s.env.Graph.NearestNode(o.P)
-		q.ReturnNode = q.AnchorNode
-	}
-	return cknn.RankOnce(s.env, opts, q, rows)
-}
 
 // travelOf is the network search a travel block carries, as a ranking reads
 // it: in place, from the bytes of the request. A one-leg block returns to its

@@ -30,14 +30,41 @@ func TestTransportConnectionReuse(t *testing.T) {
 		Transport: DefaultTransport(concurrency, false),
 	}
 
-	var dials, reused atomic.Int64
+	// A dial that a request started but did not need (another request's
+	// connection came free first) still completes and joins the idle pool.
+	// So does every connection once its request's body is read, on the
+	// transport's read loop, after the request has returned. A wave that
+	// starts before all of that has happened races it for the pool, and the
+	// losers dial. settled waits, with a bound, until every dial started is
+	// done and every request so far has offered its connection back.
+	var dials, dialed, puts, reused atomic.Int64
+	moved := make(chan struct{}, 1) // a dial finished or a connection went back
+	nudge := func() {
+		select {
+		case moved <- struct{}{}:
+		default:
+		}
+	}
 	trace := &httptrace.ClientTrace{
 		ConnectStart: func(_, _ string) { dials.Add(1) },
+		ConnectDone:  func(_, _ string, _ error) { dialed.Add(1); nudge() },
+		PutIdleConn:  func(error) { puts.Add(1); nudge() },
 		GotConn: func(info httptrace.GotConnInfo) {
 			if info.Reused {
 				reused.Add(1)
 			}
 		},
+	}
+	settled := func(requests int64) {
+		bound := time.After(5 * time.Second)
+		for dialed.Load() != dials.Load() || puts.Load() != requests {
+			select {
+			case <-moved:
+			case <-bound:
+				t.Fatalf("after %d requests: %d of %d dials done, %d connections offered back to the pool",
+					requests, dialed.Load(), dials.Load(), puts.Load())
+			}
+		}
 	}
 	do := func() error {
 		req, err := http.NewRequestWithContext(
@@ -57,6 +84,7 @@ func TestTransportConnectionReuse(t *testing.T) {
 	}
 
 	for wave := 0; wave < waves; wave++ {
+		settled(int64(wave * concurrency))
 		var wg sync.WaitGroup
 		errs := make(chan error, concurrency)
 		for i := 0; i < concurrency; i++ {
@@ -77,9 +105,10 @@ func TestTransportConnectionReuse(t *testing.T) {
 
 	total := int64(concurrency * waves)
 	// The first wave may dial up to `concurrency` connections; every later
-	// wave must come out of the idle pool. Allow slack for requests racing
-	// the pool, but the stdlib default's behavior (re-dialing most of every
-	// wave, ~30+ dials here) must stay far out of reach.
+	// wave must come out of the idle pool. Allow slack for requests of the
+	// first wave racing each other for it, but the stdlib default's behavior
+	// (re-dialing most of every wave, ~30 dials here) must stay far out of
+	// reach.
 	if d := dials.Load(); d > concurrency+2 {
 		t.Fatalf("%d dials for %d requests at concurrency %d — idle connections are not being reused", d, total, concurrency)
 	}

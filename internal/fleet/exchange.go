@@ -317,12 +317,13 @@ func (g *Gateway) hedged(ctx context.Context, m *member, pooled *call) shardResu
 // fanout is the per-request state of one exchange with every shard, pooled
 // per gateway so that a fault-free fan-out allocates nothing of its own: one
 // call and one result per shard, and — for the offering merge — the decoded
-// request, one decoded table per shard with its entry storage, the
-// selection scratch and the merged answer. The trip merge has the same: the
-// decoded request, one decoded trip per shard, segment and entry storage
-// included, and the merged trip, whose tables share top. Both keep the
-// scratch of the searches the gateway may run for the shards (supplyTravel,
-// supplyTrip), and the storage of the request bodies the shards are sent.
+// request, one decoded table per shard with its entry storage, the merged
+// answer and its selection's pool and picks (fanout.pick). The trip merge
+// has the same: the decoded request, one decoded trip per shard, segment and
+// entry storage included, and the merged trip, whose tables share top. Both
+// keep the scratch of the searches the gateway may run for the shards
+// (supplyTravel, supplyTrip), and the storage of the request bodies the
+// shards are sent.
 type fanout struct {
 	calls   []call
 	results []shardResult
@@ -341,7 +342,8 @@ type fanout struct {
 
 	req    eis.OfferingRequest
 	tables []eis.OfferingResponse
-	sel    selection
+	refs   []*eis.OfferingEntry // the selection's pool: pointers into the answers
+	picks  []int                // the indexes into refs cknn.Select picked
 	top    []eis.OfferingEntry
 	merged eis.OfferingResponse
 

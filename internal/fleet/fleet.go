@@ -22,13 +22,13 @@
 //     environment models — never of the other candidates — provided the
 //     shard environments share the parent's normalizers (MaxLKW,
 //     MaxDeroutSec), which ShardEnv guarantees.
-//  2. cknn.Rank's output set is exactly the top-k under the SC_max total
-//     order (the eq. 6 intersection plus its SC_max-ordered padding is
-//     set-wise that top-k), emitted in SC-midpoint order. Restricting a
-//     total order to a partition preserves relative order, so the union of
-//     per-shard top-k tables contains the global top-k, and the gateway
-//     recovers it exactly: select k by the SC_max chain, emit in the
-//     midpoint chain.
+//  2. A table is cknn.Select's: the top-k under the SC_max total order
+//     (the eq. 6 intersection plus its SC_max-ordered padding is set-wise
+//     that top-k), one entry per charger, its best, emitted in SC-midpoint
+//     order. Restricting a total order to a partition preserves relative
+//     order, so the union of per-shard top-k tables contains the global
+//     top-k, and the gateway recovers it exactly by running the same
+//     cknn.Select over the shards' entries.
 package fleet
 
 import (

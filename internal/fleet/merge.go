@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -15,69 +14,44 @@ import (
 )
 
 // This file is the k-way Offering-Table merge. It selects on wire entries
-// by exactly the two chains cknn.Rank uses — cknn.CmpSCMax to select,
-// cknn.CmpSCMid to emit — so that at zero faults the merged table over
-// disjoint shard tables is byte-identical to a single EIS over the whole
-// inventory (property 2 of the package doc), and under shard loss the table
-// still satisfies tabletest's total order.
+// with cknn.Select, the selection a shard's own ranking makes its table by,
+// so that at zero faults the merged table over disjoint shard tables is
+// byte-identical to a single EIS over the whole inventory (property 2 of the
+// package doc), and under shard loss the table still satisfies tabletest's
+// total order.
 
 // shardDegraded reports a synthesized entry (its shard did not answer).
 func shardDegraded(e *eis.OfferingEntry) bool {
 	return e.Degraded&uint8(cknn.DegradedShard) != 0
 }
 
-// cmpByID groups the entries of one charger.
-func cmpByID(a, b *eis.OfferingEntry) int { return cmp.Compare(a.ChargerID, b.ChargerID) }
-
-// selection picks an Offering Table out of per-shard entry lists without
-// copying them: it sorts references to the pooled entries and copies only
-// the k it emits. Its storage is reused from call to call.
-type selection struct {
-	refs []*eis.OfferingEntry
-}
-
-func (s *selection) reset() { s.refs = s.refs[:0] }
-
-// add pools the entries; they must stay in place until top has returned.
-func (s *selection) add(es []eis.OfferingEntry) {
+// add pools references to the entries, which must stay in place until pick
+// has returned. A selection's pool starts empty: fo.refs = fo.refs[:0].
+func (fo *fanout) add(es []eis.OfferingEntry) {
 	for i := range es {
-		s.refs = append(s.refs, &es[i])
+		fo.refs = append(fo.refs, &es[i])
 	}
 }
 
-// top appends to dst the k best pooled entries under the SC_max chain, in
-// the SC-midpoint chain, and returns nil when there is none. Shard
-// partitions are disjoint and the gateway refuses an entry of another
-// shard's partition (checkEntries), so a live entry never meets a
-// synthesized one; of the entries of one charger within one answer, the
-// first stands for it.
-func (s *selection) top(dst []eis.OfferingEntry, k int) []eis.OfferingEntry {
-	if k <= 0 || len(s.refs) == 0 {
+// pick appends to dst the Offering Table of the pooled entries — the k best
+// under cknn.Select, one per charger, copied in the order it emits them —
+// and returns nil when there is none. Shard partitions are disjoint and the
+// gateway refuses an entry of another shard's partition (checkEntries), so a
+// charger meets itself only within one answer, and then its best entry
+// stands for it, as in the shard's own ranking.
+func (fo *fanout) pick(dst []eis.OfferingEntry, k int) []eis.OfferingEntry {
+	refs := fo.refs
+	// The wire bounds are the score interval as a shard ranked by it, so
+	// they convert as they are.
+	fo.picks = cknn.Select(fo.picks[:0], len(refs), k, func(i int) (interval.I, int64) {
+		return interval.I(refs[i].SC), refs[i].ChargerID
+	})
+	if len(fo.picks) == 0 {
 		return nil
 	}
-	// Stable, so the earliest of equals leads its charger's group.
-	slices.SortStableFunc(s.refs, cmpByID)
-	refs := s.refs[:1]
-	for _, e := range s.refs[1:] {
-		if e.ChargerID != refs[len(refs)-1].ChargerID {
-			refs = append(refs, e)
-		}
-	}
-	// Charger IDs are now distinct, so both chains are total orders and the
-	// unstable sort is deterministic. The wire bounds are the score interval
-	// as a shard ranked by it, so they convert as they are.
-	slices.SortFunc(refs, func(a, b *eis.OfferingEntry) int {
-		return cknn.CmpSCMax(interval.I(a.SC), a.ChargerID, interval.I(b.SC), b.ChargerID)
-	})
-	if k < len(refs) {
-		refs = refs[:k]
-	}
-	slices.SortFunc(refs, func(a, b *eis.OfferingEntry) int {
-		return cknn.CmpSCMid(interval.I(a.SC), a.ChargerID, interval.I(b.SC), b.ChargerID)
-	})
-	dst = slices.Grow(dst, len(refs))
-	for _, e := range refs {
-		dst = append(dst, *e)
+	dst = slices.Grow(dst, len(fo.picks))
+	for _, i := range fo.picks {
+		dst = append(dst, *refs[i])
 	}
 	return dst
 }
@@ -142,8 +116,7 @@ func synthWithin(dst []eis.OfferingEntry, chargers *charger.Set, p geo.Point, ra
 // GeneratedAt comes from the lowest-index live shard (all shards agree when
 // the request pins Now).
 func (fo *fanout) mergeOffering(synth []eis.OfferingEntry, k int) {
-	fo.merged = eis.OfferingResponse{}
-	fo.sel.reset()
+	fo.merged, fo.refs = eis.OfferingResponse{}, fo.refs[:0]
 	first := true
 	for i := range fo.results {
 		if !fo.results[i].ok() {
@@ -154,10 +127,10 @@ func (fo *fanout) mergeOffering(synth []eis.OfferingEntry, k int) {
 			fo.merged.GeneratedAt, fo.merged.Cached, first = t.GeneratedAt, true, false
 		}
 		fo.merged.Cached = fo.merged.Cached && t.Cached
-		fo.sel.add(t.Entries)
+		fo.add(t.Entries)
 	}
-	fo.sel.add(synth)
-	if fo.merged.Entries = fo.sel.top(fo.top[:0], k); fo.merged.Entries != nil {
+	fo.add(synth)
+	if fo.merged.Entries = fo.pick(fo.top[:0], k); fo.merged.Entries != nil {
 		fo.top = fo.merged.Entries // keep the grown storage
 	}
 }
@@ -228,7 +201,7 @@ func (fo *fanout) mergeTrips(synthAt func(anchor geo.Point) []eis.OfferingEntry,
 			LengthM:      bs.LengthM,
 			Adapted:      true,
 		}
-		fo.sel.reset()
+		fo.refs = fo.refs[:0]
 		for i := range fo.results {
 			if !fo.results[i].ok() {
 				continue
@@ -239,14 +212,14 @@ func (fo *fanout) mergeTrips(synthAt func(anchor geo.Point) []eis.OfferingEntry,
 					bs.SegmentIndex, bs.Anchor.Lat, bs.Anchor.Lon, bs.ETA, bs.LengthM, s.SegmentIndex, s.Anchor.Lat, s.Anchor.Lon, s.ETA, s.LengthM)
 			}
 			seg.Adapted = seg.Adapted && s.Adapted
-			fo.sel.add(s.Entries)
+			fo.add(s.Entries)
 		}
 		if synthAt != nil {
-			fo.sel.add(synthAt(geo.Point{Lat: bs.Anchor.Lat, Lon: bs.Anchor.Lon}))
+			fo.add(synthAt(geo.Point{Lat: bs.Anchor.Lat, Lon: bs.Anchor.Lon}))
 		}
 		// The tables of a trip share fo.top; one that outgrows it leaves the
 		// tables before it in the storage they were selected into.
-		if grown := fo.sel.top(top, k); grown != nil {
+		if grown := fo.pick(top, k); grown != nil {
 			seg.Entries, top = grown[len(top):len(grown):len(grown)], grown
 		}
 		out.Segments = append(out.Segments, seg)

@@ -20,8 +20,8 @@ import (
 // was given the road world (Options.Env) runs it once, to the chargers of
 // every shard it expects to miss, and appends to each such shard's request
 // that shard's slice of the travel times (wire.TravelBlock). The shard
-// builds its derouting maps from the block instead of searching
-// (cknn.RankOnceSupplied) and the tables come out bit-identical.
+// builds its derouting maps from the block instead of searching (the travel
+// of cknn.RankOnce) and the tables come out bit-identical.
 //
 // The world is one: the shards' own, rebuilt from the same flags, which each
 // shard states at every probe and the gateway checks; each shard's
